@@ -1,6 +1,6 @@
-//! One-shot reproduction harness: prints every experiment series from
-//! DESIGN.md's index (P1–P10) as markdown tables — the source of
-//! EXPERIMENTS.md's measured columns.
+//! One-shot reproduction harness: prints the paper-section experiment
+//! series from DESIGN.md's index (P1, P2, P4–P8, P10) as markdown tables —
+//! the source of EXPERIMENTS.md's measured columns.
 //!
 //! Run with: `cargo run --release -p ldl-bench --bin reproduce`
 //! (append an experiment id, e.g. `P1`, to run a single one).
@@ -45,9 +45,9 @@ fn chain_with_nodes(n: i64) -> Database {
 }
 
 fn p1() {
-    println!("\n## P1 — §6 young query: magic vs semi-naive vs naive (ms, median of 3)\n");
-    println!("| persons | naive | semi-naive | magic | semi-naive/magic |");
-    println!("|---|---|---|---|---|");
+    println!("\n## P1 — §6 young query: magic vs plain bottom-up (ms, median of 3)\n");
+    println!("| persons | plain | magic | plain/magic |");
+    println!("|---|---|---|---|");
     for depth in [3u32, 4, 5] {
         let (db, leaf) = family_forest(4, depth);
         let query = format!("young({leaf}, S)");
@@ -55,21 +55,14 @@ fn p1() {
         let t_magic = time(|| {
             magic_query(YOUNG, &db, &query);
         });
-        let t_semi = time(|| {
+        let t_plain = time(|| {
             plain_query(YOUNG, &db, &query);
         });
-        let t_naive = if depth <= 4 {
-            ms(time(|| {
-                eval_with(YOUNG, &db, opts(false, true));
-            }))
-        } else {
-            "—".into()
-        };
         println!(
-            "| {persons} | {t_naive} | {} | {} | {} |",
-            ms(t_semi),
+            "| {persons} | {} | {} | {} |",
+            ms(t_plain),
             ms(t_magic),
-            ratio(t_semi, t_magic)
+            ratio(t_plain, t_magic)
         );
     }
 }
@@ -128,22 +121,6 @@ fn p2() {
     }
 }
 
-fn p3() {
-    println!("\n## P3 — semi-naive ablation on full TC (ms)\n");
-    println!("| chain n | naive | semi-naive | naive/semi-naive |");
-    println!("|---|---|---|---|");
-    for n in [50i64, 100, 200] {
-        let db = chain(n);
-        let tn = time(|| {
-            eval_with(ANCESTOR, &db, opts(false, true));
-        });
-        let ts = time(|| {
-            eval_with(ANCESTOR, &db, opts(true, true));
-        });
-        println!("| {n} | {} | {} | {} |", ms(tn), ms(ts), ratio(tn, ts));
-    }
-}
-
 fn p4() {
     println!("\n## P4 — §1 bill of materials: grouping + set recursion (ms)\n");
     println!("(`tc` holds for *every* set of part ids, so the full model is");
@@ -159,7 +136,7 @@ fn p4() {
         });
         let tf = if db.num_facts() <= 12 {
             ms(time(|| {
-                eval_with(BOM, &db, opts(true, true));
+                eval(BOM, &db);
             }))
         } else {
             "— (exp.)".into()
@@ -179,7 +156,7 @@ fn p5() {
     for n in [20i64, 40, 80] {
         let db = chain_with_nodes(n);
         let t = time(|| {
-            eval_with(EXCL_ANCESTOR, &db, opts(true, true));
+            eval(EXCL_ANCESTOR, &db);
         });
         println!("| {n} | {} |", ms(t));
     }
@@ -196,10 +173,10 @@ fn p6() {
     for n in [20i64, 40, 80] {
         let db = chain_with_nodes(n);
         let tn = time(|| {
-            eval_with(EXCL_ANCESTOR, &db, opts(true, true));
+            eval(EXCL_ANCESTOR, &db);
         });
         let tc = time(|| {
-            eval_program_with(&positive, &db, opts(true, true));
+            eval_program(&positive, &db);
         });
         println!("| {n} | {} | {} | {} |", ms(tn), ms(tc), ratio(tc, tn));
     }
@@ -232,10 +209,10 @@ fn p7() {
             db.insert_tuple("pair", vec![x, y]);
         }
         let tn = time(|| {
-            eval_with(native, &db, opts(true, true));
+            eval(native, &db);
         });
         let tt = time(|| {
-            eval_program_with(&translated, &db, opts(true, true));
+            eval_program(&translated, &db);
         });
         println!(
             "| {pairs} | {size} | {} | {} | {} |",
@@ -253,61 +230,14 @@ fn p8() {
     for n in [10usize, 20, 40] {
         let db = books(n, 99);
         let deals = {
-            let m = eval_with(BOOK_DEAL, &db, opts(true, true));
+            let m = eval(BOOK_DEAL, &db);
             m.relation("book_deal".into()).map_or(0, |r| r.len())
         };
         let t = time(|| {
-            eval_with(BOOK_DEAL, &db, opts(true, true));
+            eval(BOOK_DEAL, &db);
         });
         println!("| {n} | {deals} | {} |", ms(t));
     }
-}
-
-fn p9() {
-    println!("\n## P9 — index ablation (ms)\n");
-    println!("| workload | indexed | scan | scan/indexed |");
-    println!("|---|---|---|---|");
-    for n in [100i64, 300] {
-        let db = chain(n);
-        let ti = time(|| {
-            eval_with(ANCESTOR, &db, opts(true, true));
-        });
-        let ts = time(|| {
-            eval_with(ANCESTOR, &db, opts(true, false));
-        });
-        println!(
-            "| chain n={n} | {} | {} | {} |",
-            ms(ti),
-            ms(ts),
-            ratio(ts, ti)
-        );
-    }
-    let db = random_graph(150, 300, 3);
-    let ti = time(|| {
-        eval_with(ANCESTOR, &db, opts(true, true));
-    });
-    let ts = time(|| {
-        eval_with(ANCESTOR, &db, opts(true, false));
-    });
-    println!(
-        "| random 150n/300e | {} | {} | {} |",
-        ms(ti),
-        ms(ts),
-        ratio(ts, ti)
-    );
-    let (db, _) = family_forest(2, 4);
-    let ti = time(|| {
-        eval_with(YOUNG, &db, opts(true, true));
-    });
-    let ts = time(|| {
-        eval_with(YOUNG, &db, opts(true, false));
-    });
-    println!(
-        "| young forest | {} | {} | {} |",
-        ms(ti),
-        ms(ts),
-        ratio(ts, ti)
-    );
 }
 
 fn p10() {
@@ -335,9 +265,6 @@ fn main() {
     if run("P2") {
         p2();
     }
-    if run("P3") {
-        p3();
-    }
     if run("P4") {
         p4();
     }
@@ -352,9 +279,6 @@ fn main() {
     }
     if run("P8") {
         p8();
-    }
-    if run("P9") {
-        p9();
     }
     if run("P10") {
         p10();

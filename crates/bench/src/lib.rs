@@ -1,10 +1,11 @@
 #![warn(missing_docs)]
 
-//! Benchmark harness: workload generators and the programs under test.
+//! Workload generators and the programs under test.
 //!
-//! Each experiment in `DESIGN.md`'s index (P1–P10) has a Criterion bench in
-//! `benches/` built from these generators, and `src/bin/reproduce.rs`
-//! regenerates the `EXPERIMENTS.md` tables in one shot.
+//! `src/bin/reproduce.rs` builds the paper-section experiment series of
+//! `DESIGN.md`'s index (P1, P2, P4–P8, P10) from these generators and
+//! regenerates their `EXPERIMENTS.md` tables in one shot. Engine
+//! performance is measured by the end-to-end harness in `benchmark/`.
 //!
 //! The paper has no quantitative evaluation to match number-for-number; the
 //! workloads here are synthetic families of the *shapes* its programs are
@@ -240,20 +241,16 @@ pub fn layered_program(layers: usize, width: usize) -> String {
     out
 }
 
-/// Evaluate `src` over `db` with the given options, returning the model.
-pub fn eval_with(src: &str, db: &Database, opts: ldl1::EvalOptions) -> Database {
+/// Evaluate `src` over `db`, returning the model.
+pub fn eval(src: &str, db: &Database) -> Database {
     let program = ldl1::parser::parse_program(src).expect("benchmark program parses");
-    eval_program_with(&program, db, opts)
+    eval_program(&program, db)
 }
 
 /// Evaluate an already-built program (e.g. the output of a source
 /// transformation, whose generated names deliberately do not re-parse).
-pub fn eval_program_with(
-    program: &ldl1::Program,
-    db: &Database,
-    opts: ldl1::EvalOptions,
-) -> Database {
-    ldl1::Evaluator::with_options(opts)
+pub fn eval_program(program: &ldl1::Program, db: &Database) -> Database {
+    ldl1::Evaluator::new()
         .evaluate(program, db)
         .expect("benchmark program evaluates")
 }
@@ -278,15 +275,6 @@ pub fn magic_query(src: &str, db: &Database, query: &str) -> Vec<ldl1::QueryAnsw
             &ldl1::parser::parse_atom(query).expect("query parses"),
         )
         .expect("magic evaluation succeeds")
-}
-
-/// Default options with the given naive/semi-naive and index switches.
-pub fn opts(semi_naive: bool, use_indexes: bool) -> ldl1::EvalOptions {
-    ldl1::EvalOptions {
-        semi_naive,
-        use_indexes,
-        ..ldl1::EvalOptions::default()
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +317,8 @@ mod tests {
         let mut sys = System::new();
         sys.load(ANCESTOR).unwrap();
         for f in chain(20).to_fact_set() {
-            sys.insert(&f.pred().to_string(), f.args().to_vec());
+            sys.insert(&f.pred().to_string(), f.args().to_vec())
+                .unwrap();
         }
         assert_eq!(sys.query("anc(0, Y)").unwrap().len(), 20);
 
@@ -337,7 +326,8 @@ mod tests {
         sys.load(YOUNG).unwrap();
         let (db, leaf) = family_forest(1, 3);
         for f in db.to_fact_set() {
-            sys.insert(&f.pred().to_string(), f.args().to_vec());
+            sys.insert(&f.pred().to_string(), f.args().to_vec())
+                .unwrap();
         }
         let ans = sys.query(&format!("young({leaf}, S)")).unwrap();
         assert_eq!(ans.len(), 1);
@@ -345,7 +335,8 @@ mod tests {
         let mut sys = System::new();
         sys.load(BOM).unwrap();
         for f in bom(2, 2).to_fact_set() {
-            sys.insert(&f.pred().to_string(), f.args().to_vec());
+            sys.insert(&f.pred().to_string(), f.args().to_vec())
+                .unwrap();
         }
         assert!(!sys.query("result(1, C)").unwrap().is_empty());
     }

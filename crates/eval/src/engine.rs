@@ -18,14 +18,16 @@ use crate::unify::match_slice;
 
 /// Evaluation configuration.
 ///
+/// How a rule is evaluated is not configurable: the engine always iterates
+/// semi-naively over indexed relations, plans joins from relation
+/// statistics, and runs them as lowered register programs ([`crate::exec`]).
+/// These options choose what is checked, how work is spread over threads,
+/// and the resource limits.
+///
 /// Not `Copy`: the [`Budget`] carries a shared [`CancelToken`](crate::CancelToken)
 /// handle. Clone it where a copy was implied.
 #[derive(Clone, Debug)]
 pub struct EvalOptions {
-    /// Semi-naive (delta-driven) iteration instead of naive re-evaluation.
-    pub semi_naive: bool,
-    /// Probe hash indexes for bound argument positions.
-    pub use_indexes: bool,
     /// Check well-formedness before evaluating.
     pub check_wf: bool,
     /// Dialect for the well-formedness check. `Ldl15` additionally permits
@@ -45,30 +47,6 @@ pub struct EvalOptions {
     /// (read once), which CI uses to run the whole suite through the
     /// parallel path.
     pub parallelism: usize,
-    /// Order body literals by estimated output cardinality (relation
-    /// statistics: tuple count / distinct-value estimates of the bound
-    /// columns) instead of the greedy bound-position count, and enable
-    /// existential short-circuiting of plan tails that bind no head or
-    /// grouping variable. Plans are cached per (rule, delta role) and
-    /// re-costed only when a body relation's statistics epoch drifts.
-    /// `false` restores the pure greedy planner (the ablation
-    /// configuration); the computed model is identical either way.
-    pub cost_based: bool,
-    /// Run rule bodies through the lowered RAM-style register programs
-    /// ([`crate::ram`]) instead of the recursive plan interpreter. Each
-    /// cached plan is lowered once (on first use) into a flat sequence of
-    /// fused scan/probe/filter/negation/builtin operators over value
-    /// registers; a tight loop ([`crate::exec`]) then drives it. The
-    /// computed model, every tuple's insertion position, the derivation
-    /// `attempts` charged against a fuel budget, and the probe/cut counters
-    /// are all bit-for-bit identical to the interpreter — compiled mode is
-    /// purely an execution-speed choice, pinned by the differential oracle.
-    ///
-    /// Defaults to `true`; the process-wide default can be overridden with
-    /// the `LDL1_COMPILED` environment variable (read once) — `0` or
-    /// `false` selects the interpreter, which CI uses to run the whole
-    /// suite through both executors.
-    pub compiled: bool,
     /// Split large delta ranges across workers by *hash of the join key*
     /// (shard-local probing of a partitioned index) instead of by
     /// contiguous position slices, whenever a plan's shape admits it
@@ -97,13 +75,9 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> EvalOptions {
         EvalOptions {
-            semi_naive: true,
-            use_indexes: true,
             check_wf: true,
             dialect: Dialect::Ldl1,
             parallelism: env_default_parallelism(),
-            cost_based: true,
-            compiled: env_default_compiled(),
             partitioned: env_default_partitioned(),
             budget: Budget::default(),
         }
@@ -155,20 +129,6 @@ fn env_default_parallelism() -> usize {
             Ok(n) => n,
             Err(e) => panic!("LDL1_JOBS: {e}"),
         },
-    })
-}
-
-/// The process-wide default for [`EvalOptions::compiled`]: `false` when
-/// `LDL1_COMPILED` is set to `0` or `false`, else `true`. Cached after the
-/// first read.
-fn env_default_compiled() -> bool {
-    use std::sync::OnceLock;
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("LDL1_COMPILED").map_or(true, |v| {
-            let v = v.trim();
-            v != "0" && !v.eq_ignore_ascii_case("false")
-        })
     })
 }
 
@@ -267,7 +227,7 @@ pub struct Evaluator {
 }
 
 impl Evaluator {
-    /// Evaluator with default options (semi-naive, indexed).
+    /// Evaluator with default options.
     pub fn new() -> Evaluator {
         Evaluator::default()
     }

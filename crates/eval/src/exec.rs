@@ -1,23 +1,20 @@
-//! The tight interpreter loop for lowered `RamProgram`s.
+//! The tight loop that runs lowered `RamProgram`s — the engine's one rule
+//! executor.
 //!
-//! `run_ram` is the compiled counterpart of `run_body`
-//! (`crate::plan::run_body`): it enumerates exactly the same body solutions
-//! in exactly the same order, performing the same index probes and the same
-//! existential short-circuits, but drives the join from a flat op list over
-//! a dense `ValueId` register file instead of walking term trees against a
-//! binding trail. On entry every op's loop-invariant state — its relation,
-//! its hash index, its delta range — is resolved once into a `ROp` table,
-//! so the per-tuple path never re-hashes a predicate name or an index
-//! descriptor (the plan interpreter re-resolves both on every step entry).
-//! Ops that bridge into the general matcher or the built-in evaluator seed
-//! a scratch [`Bindings`] from registers (bind-if-absent: values are
-//! single-assignment along a derivation path, so a variable already present
-//! holds the same id) and copy solution values back into registers — one
-//! source of truth for every multi-solution semantics.
+//! `run_ram` enumerates a body's solutions by driving a flat op list over a
+//! dense `ValueId` register file. On entry every op's loop-invariant state —
+//! its relation, its hash index, its delta range — is resolved once into a
+//! `ROp` table, so the per-tuple path never re-hashes a predicate name or an
+//! index descriptor. Ops that bridge into the general matcher or the
+//! built-in evaluator seed a scratch [`Bindings`] from registers
+//! (bind-if-absent: values are single-assignment along a derivation path, so
+//! a variable already present holds the same id) and copy solution values
+//! back into registers — one source of truth for every multi-solution
+//! semantics.
 //!
-//! The equivalence is load-bearing: `tests/differential.rs` pins compiled ≡
-//! interpreted across every evaluation mode, including derivation-attempt
-//! counts (the fuel unit) and insertion positions at any worker count.
+//! `tests/differential.rs` pins the result against the reference evaluator
+//! ([`crate::model::reference_model`]), which walks plan steps against a
+//! binding trail and shares none of this module.
 
 use ldl_storage::{Database, IndexRef, Relation};
 use ldl_value::arith::{ArithOp, CmpOp};
@@ -36,9 +33,8 @@ use crate::unify::match_slice;
 struct ROp<'a> {
     /// The op's relation (scans, bridges, all-ground negation).
     rel: Option<&'a Relation>,
-    /// The probe index, when `use_indexes` holds and the op names key
-    /// columns the relation has an index for; `None` falls back to the
-    /// full scan exactly like the interpreter.
+    /// The probe index, when the op names key columns the relation has an
+    /// index for; `None` falls back to the full scan.
     idx: Option<IndexRef<'a>>,
     /// Scan range start (delta restriction or 0).
     lo: u32,
@@ -51,16 +47,9 @@ struct Ctx<'a> {
     prog: &'a RamProgram,
     db: &'a Database,
     rops: Box<[ROp<'a>]>,
-    use_indexes: bool,
 }
 
-fn resolve<'a>(
-    op: &Op,
-    i: usize,
-    db: &'a Database,
-    restrict: Option<DeltaRestriction>,
-    use_indexes: bool,
-) -> ROp<'a> {
+fn resolve<'a>(op: &Op, i: usize, db: &'a Database, restrict: Option<DeltaRestriction>) -> ROp<'a> {
     match op {
         Op::Scan {
             pred, index_cols, ..
@@ -74,10 +63,10 @@ fn resolve<'a>(
                 Some(r) if r.step == i => (r.lo, r.hi),
                 _ => (0, len),
             };
-            let idx = if use_indexes && !index_cols.is_empty() {
-                rel.and_then(|r| r.index(index_cols))
-            } else {
+            let idx = if index_cols.is_empty() {
                 None
+            } else {
+                rel.and_then(|r| r.index(index_cols))
             };
             ROp { rel, idx, lo, hi }
         }
@@ -127,16 +116,14 @@ impl<'a> Prepared<'a> {
 }
 
 /// Resolve every op of `prog` against `db` once. `None` when a positive
-/// scan relation is empty or absent — the whole pass has no solutions
-/// (`run_body`'s pre-check). `shard_idx` substitutes a shard-local
-/// sub-index at one op; it is applied only where normal resolution already
-/// produced an index, so the index-ablation and missing-index paths behave
-/// exactly like the full probe.
+/// scan relation is empty or absent — the whole pass has no solutions.
+/// `shard_idx` substitutes a shard-local sub-index at one op; it is applied
+/// only where normal resolution already produced an index, so a missing
+/// index keeps its full scan.
 pub(crate) fn prepare<'a>(
     prog: &'a RamProgram,
     db: &'a Database,
     restrict: Option<DeltaRestriction>,
-    use_indexes: bool,
     shard_idx: Option<(usize, IndexRef<'a>)>,
 ) -> Option<Prepared<'a>> {
     for &pred in prog.scan_preds.iter() {
@@ -148,7 +135,7 @@ pub(crate) fn prepare<'a>(
         .ops
         .iter()
         .enumerate()
-        .map(|(i, op)| resolve(op, i, db, restrict, use_indexes))
+        .map(|(i, op)| resolve(op, i, db, restrict))
         .collect();
     if let Some((i, idx)) = shard_idx {
         if rops[i].idx.is_some() {
@@ -156,32 +143,24 @@ pub(crate) fn prepare<'a>(
         }
     }
     Some(Prepared {
-        ctx: Ctx {
-            prog,
-            db,
-            rops,
-            use_indexes,
-        },
+        ctx: Ctx { prog, db, rops },
     })
 }
 
 /// Execute a lowered body against `db`, calling `k` once per solution with
 /// the register file. `regs` must hold at least `prog.nregs` slots; `b` is
-/// the scratch binding environment for bridge ops (left restored).
-///
-/// Mirrors `run_body`: the empty-relation pre-check short-circuits the
-/// whole pass, `restrict` confines op `step` to a delta range, and
-/// `use_indexes = false` forces full scans.
+/// the scratch binding environment for bridge ops (left restored). An
+/// empty positive scan relation short-circuits the whole pass; `restrict`
+/// confines op `step` to a delta range.
 pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
     prog: &RamProgram,
     db: &Database,
     restrict: Option<DeltaRestriction>,
-    use_indexes: bool,
     regs: &mut [ValueId],
     b: &mut Bindings,
     k: &mut K,
 ) {
-    if let Some(prepared) = prepare(prog, db, restrict, use_indexes, None) {
+    if let Some(prepared) = prepare(prog, db, restrict, None) {
         prepared.run(regs, b, k);
     }
 }
@@ -215,8 +194,8 @@ fn match_cols(cols: &[(usize, ColAct)], tuple: &[ValueId], regs: &mut [ValueId])
     true
 }
 
-/// Evaluate the probe-key expressions into the stack/heap buffer, exactly
-/// like the interpreter's `probe_key`. `None` ⇒ a key term failed to
+/// Evaluate the probe-key expressions into the stack/heap buffer (the
+/// register counterpart of `probe_key`). `None` ⇒ a key term failed to
 /// evaluate — no tuple can match, and no probe is counted.
 fn eval_key<'k>(
     key: &[crate::ram::Expr],
@@ -454,7 +433,7 @@ fn exec_op<K: FnMut(&[ValueId])>(
                     b.bind(v, regs[r as usize]);
                 }
             }
-            let holds = neg_holds(*pred, args, index_cols, ctx.db, ctx.use_indexes, b);
+            let holds = neg_holds(*pred, args, index_cols, ctx.db, b);
             b.undo(m);
             if holds {
                 exec_op(ctx, i + 1, regs, b, k);
@@ -533,8 +512,8 @@ fn exec_op<K: FnMut(&[ValueId])>(
 }
 
 /// Does the op tail `ops[i..]` have at least one solution? A
-/// short-circuiting mirror of [`exec_op`], matching `exists_steps`
-/// operation-for-operation (same probes, same first-witness order).
+/// short-circuiting mirror of [`exec_op`] (same probes, same order) that
+/// stops at the first witness.
 fn exists_op(ctx: &Ctx<'_>, i: usize, regs: &mut [ValueId], b: &mut Bindings) -> bool {
     let Some(op) = ctx.prog.ops.get(i) else {
         return true;
@@ -647,7 +626,7 @@ fn exists_op(ctx: &Ctx<'_>, i: usize, regs: &mut [ValueId], b: &mut Bindings) ->
                     b.bind(v, regs[r as usize]);
                 }
             }
-            let holds = neg_holds(*pred, args, index_cols, ctx.db, ctx.use_indexes, b);
+            let holds = neg_holds(*pred, args, index_cols, ctx.db, b);
             b.undo(m);
             holds && exists_op(ctx, i + 1, regs, b)
         }
@@ -724,7 +703,7 @@ fn exists_op(ctx: &Ctx<'_>, i: usize, regs: &mut [ValueId], b: &mut Bindings) ->
 
 /// One tuple's witness check for a bridge scan in exists mode: `<t>`
 /// patterns can match a tuple several ways, and one successful continuation
-/// is enough (the `if !found` guard mirrors `exists_steps`).
+/// is enough.
 fn bridge_witness(
     ctx: &Ctx<'_>,
     i: usize,

@@ -14,23 +14,15 @@ use ldl_ast::program::Program;
 use ldl_ast::term::Term;
 use ldl_storage::Database;
 
-use crate::engine::EvalOptions;
 use crate::plan::{RulePlan, Step};
 
 /// Render the join plans of `program` (or of the rules defining `pred`
-/// only) as compiled against `db`'s current relation statistics under
-/// `opts`. The output is stable line-oriented text meant for a terminal.
-pub fn explain(program: &Program, db: &Database, opts: &EvalOptions, pred: Option<&str>) -> String {
+/// only) as compiled against `db`'s current relation statistics, each
+/// followed by the register program it lowers to. The output is stable
+/// line-oriented text meant for a terminal.
+pub fn explain(program: &Program, db: &Database, pred: Option<&str>) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "planner: {}",
-        if opts.cost_based {
-            "cost-based (relation statistics)"
-        } else {
-            "greedy (bound argument positions)"
-        }
-    );
+    let _ = writeln!(out, "planner: cost-based (relation statistics)");
     let mut shown = 0usize;
     for rule in &program.rules {
         if pred.is_some_and(|p| rule.head.pred.as_str() != p) {
@@ -38,7 +30,7 @@ pub fn explain(program: &Program, db: &Database, opts: &EvalOptions, pred: Optio
         }
         shown += 1;
         let _ = writeln!(out, "{rule}");
-        match RulePlan::compile_with(rule, Some(db), opts.cost_based, None) {
+        match RulePlan::compile_with(rule, Some(db), true, None) {
             Err(e) => {
                 let _ = writeln!(out, "  ! {e}");
             }
@@ -59,7 +51,7 @@ pub fn explain(program: &Program, db: &Database, opts: &EvalOptions, pred: Optio
                         part.min_delta
                     );
                 }
-                if opts.compiled && !plan.steps.is_empty() {
+                if !plan.steps.is_empty() {
                     let _ = writeln!(out, "  compiled:");
                     for line in crate::ram::render(&plan.lowered()) {
                         let _ = writeln!(out, "    {line}");
@@ -147,8 +139,7 @@ mod tests {
             db.insert_tuple("small", vec![Value::int(i)]);
         }
         db.insert_tuple("tag", vec![Value::int(0)]);
-        let opts = EvalOptions::default();
-        let text = explain(&program, &db, &opts, None);
+        let text = explain(&program, &db, None);
         assert!(text.contains("cost-based"), "{text}");
         let tag = text.find("scan tag").unwrap();
         let small = text.find("scan small").unwrap();
@@ -157,7 +148,7 @@ mod tests {
         assert!(text.contains("[first witness only]"), "{text}");
         assert!(text.contains("est~"), "{text}");
 
-        let none = explain(&program, &db, &opts, Some("nosuch"));
+        let none = explain(&program, &db, Some("nosuch"));
         assert!(none.contains("no rules define nosuch"), "{none}");
     }
 
@@ -169,7 +160,7 @@ mod tests {
         for i in 0..10 {
             db.insert_tuple("par", vec![Value::int(i), Value::int(i + 1)]);
         }
-        let text = explain(&program, &db, &EvalOptions::default(), None);
+        let text = explain(&program, &db, None);
         assert!(
             text.contains("partition: hash step-1 cols"),
             "recursive rule should advertise its partition key:\n{text}"
@@ -180,7 +171,7 @@ mod tests {
     fn explain_reports_unschedulable_rules_inline() {
         let program = parse_program("q(X) <- member(X, S), r(X).").unwrap();
         let db = Database::new();
-        let text = explain(&program, &db, &EvalOptions::default(), None);
+        let text = explain(&program, &db, None);
         assert!(text.contains("!"), "{text}");
     }
 }

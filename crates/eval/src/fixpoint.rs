@@ -28,13 +28,12 @@ use crate::error::EvalError;
 use crate::exec::{prepare, run_ram};
 use crate::grouping::run_grouping_rule;
 use crate::plan::{
-    ensure_indexes, ensure_plan_indexes, run_body, run_steps, take_exist_cuts, take_index_probes,
-    DeltaRestriction, PartitionSpec, RulePlan,
+    ensure_indexes, ensure_plan_indexes, take_exist_cuts, take_index_probes, DeltaRestriction,
+    PartitionSpec, RulePlan,
 };
 use crate::pool::{Job, Pool};
-use crate::ram::{eval_expr, take_lowerings, HeadIr};
+use crate::ram::{eval_expr, take_lowerings, Expr, HeadIr, RamProgram};
 use crate::stats::EvalStats;
-use crate::unify::eval_term;
 
 /// One layer's rules, split the way Lemma 3.2.3 executes them. Rules are
 /// kept as program indices — the compiled plans live in the [`PlanCache`],
@@ -178,7 +177,6 @@ impl PlanCache {
         rule_id: usize,
         role: usize,
         db: &Database,
-        cost_based: bool,
     ) -> Result<Arc<RulePlan>, EvalError> {
         use std::collections::hash_map::Entry;
         let rule = &program.rules[rule_id];
@@ -193,7 +191,7 @@ impl PlanCache {
                 let plan = Arc::new(RulePlan::compile_with(
                     rule,
                     Some(db),
-                    cost_based,
+                    true,
                     role.checked_sub(1),
                 )?);
                 e.insert(CacheEntry {
@@ -207,7 +205,7 @@ impl PlanCache {
                 let plan = Arc::new(RulePlan::compile_with(
                     rule,
                     Some(db),
-                    cost_based,
+                    true,
                     role.checked_sub(1),
                 )?);
                 v.insert(CacheEntry {
@@ -294,7 +292,7 @@ pub(crate) fn evaluate_layers_metered(
         // later retraction can be absorbed by decrement-to-zero instead of
         // a replay (see `counting_eligible`). Enabling is idempotent, and a
         // replayed layer re-enables after its relations were reset.
-        let counting = opts.semi_naive && counting_eligible(program, &split);
+        let counting = counting_eligible(program, &split);
         if counting {
             for &ri in &split.rest {
                 let head = &program.rules[ri].head;
@@ -306,7 +304,7 @@ pub(crate) fn evaluate_layers_metered(
         // Admissibility (§3.1 clause 2) puts every grouping body predicate
         // strictly below this layer, so the grouping rules cannot observe
         // each other's heads — one parallel round, merged in rule order.
-        let gplans = lookup_round_plans(&split.grouping, program, &mut cache, db, opts)?;
+        let gplans = lookup_round_plans(&split.grouping, program, &mut cache, db)?;
         run_grouping_round(&gplans, db, &pool, opts, stats, meter)?;
 
         // Then the remaining rules to fixpoint. A counting layer reads only
@@ -316,7 +314,7 @@ pub(crate) fn evaluate_layers_metered(
         // count increments must see every body solution, not the first
         // witness of a projected-away tail.
         if counting {
-            let plans = lookup_round_plans(&split.rest, program, &mut cache, db, opts)?;
+            let plans = lookup_round_plans(&split.rest, program, &mut cache, db)?;
             let full: Vec<RulePlan> = plans.iter().map(|p| full_enumeration(p)).collect();
             let tasks: Vec<RoundTask<'_>> = full
                 .iter()
@@ -326,10 +324,8 @@ pub(crate) fn evaluate_layers_metered(
                 })
                 .collect();
             run_round(&tasks, db, &pool, opts, stats, meter)?;
-        } else if opts.semi_naive {
-            semi_naive_cached(program, &split, &mut cache, db, &pool, opts, stats, meter)?;
         } else {
-            naive_cached(program, &split, &mut cache, db, &pool, opts, stats, meter)?;
+            semi_naive_cached(program, &split, &mut cache, db, &pool, opts, stats, meter)?;
         }
     }
     cache.fold_into(stats);
@@ -343,42 +339,14 @@ pub(crate) fn lookup_round_plans(
     program: &Program,
     cache: &mut PlanCache,
     db: &mut Database,
-    opts: &EvalOptions,
 ) -> Result<Vec<Arc<RulePlan>>, EvalError> {
     let mut plans = Vec::with_capacity(rule_ids.len());
     for &ri in rule_ids {
-        let plan = cache.get(program, ri, 0, db, opts.cost_based)?;
+        let plan = cache.get(program, ri, 0, db)?;
         ensure_plan_indexes(&plan, db);
         plans.push(plan);
     }
     Ok(plans)
-}
-
-/// Naive iteration over cached, re-costable plans.
-#[allow(clippy::too_many_arguments)]
-fn naive_cached(
-    program: &Program,
-    split: &LayerSplit,
-    cache: &mut PlanCache,
-    db: &mut Database,
-    pool: &Pool,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
-    loop {
-        let plans = lookup_round_plans(&split.rest, program, cache, db, opts)?;
-        let tasks: Vec<RoundTask<'_>> = plans
-            .iter()
-            .map(|plan| RoundTask {
-                plan,
-                restrict: None,
-            })
-            .collect();
-        if run_round(&tasks, db, pool, opts, stats, meter)? == 0 {
-            return Ok(());
-        }
-    }
 }
 
 /// Semi-naive iteration over cached, re-costable plans: a full round 0,
@@ -396,7 +364,7 @@ fn semi_naive_cached(
 ) -> Result<(), EvalError> {
     let delta_lo: FastMap<Symbol, usize> =
         split.preds.iter().map(|&p| (p, len_of(db, p))).collect();
-    let plans = lookup_round_plans(&split.rest, program, cache, db, opts)?;
+    let plans = lookup_round_plans(&split.rest, program, cache, db)?;
     let tasks: Vec<RoundTask<'_>> = plans
         .iter()
         .map(|plan| RoundTask {
@@ -464,7 +432,7 @@ pub(crate) fn delta_loop_cached(
             if lo >= hi {
                 continue; // no new facts feed this literal
             }
-            let plan = cache.get(program, ri, occ + 1, db, opts.cost_based)?;
+            let plan = cache.get(program, ri, occ + 1, db)?;
             ensure_plan_indexes(&plan, db);
             // The forced delta literal is always step 0.
             round_plans.push((plan, DeltaRestriction { step: 0, lo, hi }));
@@ -530,7 +498,7 @@ pub(crate) struct PassOut {
     pub(crate) cuts: u64,
     /// Body solutions enumerated (the fuel unit).
     pub(crate) attempts: u64,
-    /// Plan lowerings performed (compiled mode, first use of a plan).
+    /// Plan lowerings performed (first use of a plan).
     pub(crate) lowerings: u64,
     /// Partitioned units only: `(step-0 position, tuples emitted)` per
     /// source position that emitted anything, in ascending position order.
@@ -548,34 +516,24 @@ pub(crate) struct PassOut {
 /// head derives (in body-solution order, duplicates included) plus the
 /// index probes, existential short-circuits, plan lowerings, and derivation
 /// attempts (body solutions enumerated — the fuel unit) the pass performed.
-/// This is the parallel work unit: it never mutates anything.
-///
-/// With `compiled` set the body runs through the lowered register program
-/// ([`crate::exec`]) instead of the tree-walking interpreter; both modes
-/// enumerate identical solutions in identical order with identical
-/// counters (pinned by the differential oracle).
+/// This is the parallel work unit: it never mutates anything. The body runs
+/// through the plan's lowered register program ([`crate::exec`]).
 ///
 /// The `gate` is the cooperative-cancellation tap: one armed-only atomic
 /// tick per body solution, and an entry check that skips the whole pass
 /// when the token has already tripped (a partially-skipped round is fine —
 /// its buffers are discarded wholesale at the round boundary, never merged).
 ///
-/// With `part` set the unit is one shard of a hash-partitioned task and
-/// runs through [`derive_partitioned`] instead: only the delta positions
-/// whose key projection hashes onto the shard are enumerated.
+/// With `part` set the unit is one shard of a hash-partitioned task: only
+/// the delta positions whose key projection hashes onto the shard are
+/// enumerated (see [`partitioned_pass`]).
 pub(crate) fn derive_once(
     plan: &RulePlan,
     db: &Database,
     restrict: Option<DeltaRestriction>,
-    use_indexes: bool,
-    compiled: bool,
     gate: RoundGate<'_>,
     part: Option<PartCfg<'_>>,
 ) -> PassOut {
-    if let Some(p) = part {
-        let r = restrict.expect("partitioned units are delta-restricted");
-        return derive_partitioned(plan, db, r, use_indexes, compiled, gate, p);
-    }
     take_index_probes(); // discard counts from unrelated callers
     take_exist_cuts();
     take_lowerings();
@@ -587,82 +545,57 @@ pub(crate) fn derive_once(
         },
         ..PassOut::default()
     };
-    if gate.is_cancelled() {
-        out.probes = take_index_probes();
-        out.cuts = take_exist_cuts();
-        out.lowerings = take_lowerings();
-        return out;
-    }
-    let mut attempts = 0u64;
-    let derived = &mut out.buf;
-    if compiled {
+    if !gate.is_cancelled() {
         let prog = plan.lowered();
-        if let HeadIr::Simple(head) = &prog.head {
-            let mut regs = vec![ValueId::FILLER; prog.nregs];
-            let mut b = Bindings::new();
-            run_ram(
-                &prog,
-                db,
-                restrict,
-                use_indexes,
-                &mut regs,
-                &mut b,
-                &mut |regs| {
-                    attempts += 1;
+        let HeadIr::Simple(head) = &prog.head else {
+            panic!("derive_once on a grouping plan");
+        };
+        match part {
+            Some(p) => {
+                let r = restrict.expect("partitioned units are delta-restricted");
+                partitioned_pass(plan, &prog, head, db, r, gate, p, &mut out);
+            }
+            None => {
+                let mut regs = vec![ValueId::FILLER; prog.nregs];
+                let mut b = Bindings::new();
+                run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
+                    out.attempts += 1;
                     gate.tick();
-                    // §3.2 applicability: Bθ must be a U-fact; an argument
-                    // evaluating outside U derives nothing.
-                    let start = derived.data.len();
-                    for e in head.iter() {
-                        match eval_expr(e, regs) {
-                            Some(v) => derived.data.push(v),
-                            None => {
-                                derived.data.truncate(start);
-                                return;
-                            }
-                        }
+                    if project_head(head, regs, &mut out.buf.data) {
+                        out.buf.count += 1;
                     }
-                    derived.count += 1;
-                },
-            );
-            out.probes = take_index_probes();
-            out.cuts = take_exist_cuts();
-            out.attempts = attempts;
-            out.lowerings = take_lowerings();
-            return out;
-        }
-        // A grouping-head plan reaching derive_once (it should not) falls
-        // through to the interpreter.
-    }
-    let mut b = Bindings::new();
-    run_body(plan, db, restrict, use_indexes, &mut b, &mut |b2| {
-        attempts += 1;
-        gate.tick();
-        // §3.2 applicability: Bθ must be a U-fact; an argument evaluating
-        // outside U (scons onto a non-set, arithmetic failure) derives
-        // nothing.
-        let start = derived.data.len();
-        for t in &plan.head.args {
-            match eval_term(t, b2) {
-                Some(v) => derived.data.push(v),
-                None => {
-                    derived.data.truncate(start);
-                    return;
-                }
+                });
             }
         }
-        derived.count += 1;
-    });
+    }
     out.probes = take_index_probes();
     out.cuts = take_exist_cuts();
-    out.attempts = attempts;
     out.lowerings = take_lowerings();
     out
 }
 
+/// Append the head tuple of one body solution to `data`. §3.2
+/// applicability: Bθ must be a U-fact, so an argument evaluating outside
+/// `U` (scons onto a non-set, arithmetic failure) derives nothing — `data`
+/// is left as it was and the result is `false`.
+#[inline]
+fn project_head(head: &[Expr], regs: &[ValueId], data: &mut Vec<ValueId>) -> bool {
+    let start = data.len();
+    for e in head {
+        match eval_expr(e, regs) {
+            Some(v) => data.push(v),
+            None => {
+                data.truncate(start);
+                return false;
+            }
+        }
+    }
+    true
+}
+
 /// One shard's view of a hash-partitioned task: this unit enumerates only
 /// the delta positions whose key projection hashes onto `shard`, probing
-/// the partitioned index's matching sub-index (compiled mode).
+/// the partitioned index's matching sub-index.
 #[derive(Clone, Copy)]
 pub(crate) struct PartCfg<'p> {
     /// The plan's partitioning recipe.
@@ -678,65 +611,27 @@ pub(crate) struct PartCfg<'p> {
     pub(crate) prededup: bool,
 }
 
-/// [`derive_once`] for one shard of a partitioned task: walk the delta
-/// range position by position, keep only this shard's tuples, and run the
-/// body restricted to `[pos, pos + 1)`. The per-position runs recorded in
-/// [`PassOut::runs`] let the merge interleave the shard group back into
-/// ascending position order — the exact sequential derivation order — so
-/// solutions, insertion positions, and every deterministic counter are
-/// bit-for-bit identical to slice-parallel and sequential execution (the
-/// [`PartitionSpec`] shape constraints are what make the per-position walk
-/// observationally equivalent; see `plan.rs`).
-fn derive_partitioned(
-    plan: &RulePlan,
-    db: &Database,
-    restrict: DeltaRestriction,
-    use_indexes: bool,
-    compiled: bool,
-    gate: RoundGate<'_>,
-    part: PartCfg<'_>,
-) -> PassOut {
-    debug_assert_eq!(restrict.step, 0, "partitioned units drive step 0");
-    take_index_probes(); // discard counts from unrelated callers
-    take_exist_cuts();
-    take_lowerings();
-    let mut out = PassOut {
-        buf: DerivedBuf {
-            arity: plan.head.arity(),
-            data: Vec::new(),
-            count: 0,
-        },
-        ..PassOut::default()
-    };
-    if !gate.is_cancelled() {
-        partitioned_pass(
-            plan,
-            db,
-            restrict,
-            use_indexes,
-            compiled,
-            gate,
-            part,
-            &mut out,
-        );
-    }
-    out.probes = take_index_probes();
-    out.cuts = take_exist_cuts();
-    out.lowerings = take_lowerings();
-    out
-}
-
+/// The body of [`derive_once`] for one shard of a partitioned task: walk
+/// the delta range position by position, keep only this shard's tuples, and
+/// run the body restricted to `[pos, pos + 1)`. The per-position runs
+/// recorded in [`PassOut::runs`] let the merge interleave the shard group
+/// back into ascending position order — the exact sequential derivation
+/// order — so solutions, insertion positions, and every deterministic
+/// counter are bit-for-bit identical to slice-parallel and sequential
+/// execution (the [`PartitionSpec`] shape constraints are what make the
+/// per-position walk observationally equivalent; see `plan.rs`).
 #[allow(clippy::too_many_arguments)]
 fn partitioned_pass(
     plan: &RulePlan,
+    prog: &RamProgram,
+    head: &[Expr],
     db: &Database,
     restrict: DeltaRestriction,
-    use_indexes: bool,
-    compiled: bool,
     gate: RoundGate<'_>,
     part: PartCfg<'_>,
     out: &mut PassOut,
 ) {
+    debug_assert_eq!(restrict.step, 0, "partitioned units drive step 0");
     let spec = part.spec;
     let Some(&(0, scan_pred)) = plan.scan_steps.first() else {
         unreachable!("partition spec requires a step-0 scan");
@@ -744,130 +639,58 @@ fn partitioned_pass(
     let Some(rel0) = db.relation(scan_pred) else {
         return;
     };
-    let arity = plan.head.arity();
     // Zero-arity heads skip pre-dedup: their single tuple is not worth a
     // seen-set, and the run counts must keep carrying the emissions.
-    let prededup = part.prededup && arity > 0;
+    let prededup = part.prededup && plan.head.arity() > 0;
     let head_rel = db.relation(plan.head.pred);
     let mut seen: FastSet<Box<[ValueId]>> = FastSet::default();
-    let mut attempts = 0u64;
-    let mut prefiltered = 0u64;
 
-    macro_rules! shard_scan {
-        (|$pos:ident| $body:expr) => {
-            for $pos in restrict.lo..restrict.hi {
-                if !rel0.is_live($pos)
-                    || shard_of_projection(&spec.scan_cols, rel0.get($pos), part.nshards)
-                        != part.shard
-                {
-                    continue;
-                }
-                let before = out.buf.count;
-                $body;
-                let emitted = (out.buf.count - before) as u32;
-                if emitted > 0 {
-                    out.runs.push(($pos, emitted));
-                }
-            }
-        };
-    }
-    // Shared per-solution tail: the head tuple sits at `buf.data[start..]`;
-    // keep it, or pre-filter a duplicate away. (Mirrors `derive_once`'s
-    // head projection, plus the dedup the merge would otherwise perform.)
-    macro_rules! commit_head {
-        ($start:ident) => {
-            if prededup {
-                let t = &out.buf.data[$start..];
-                if head_rel.is_some_and(|r| r.contains(t)) || seen.contains(t) {
-                    prefiltered += 1;
-                    out.buf.data.truncate($start);
-                } else {
-                    seen.insert(out.buf.data[$start..].into());
-                    out.buf.count += 1;
-                }
-            } else {
-                out.buf.count += 1;
-            }
-        };
-    }
-
-    if compiled {
-        let prog = plan.lowered();
-        if let HeadIr::Simple(head) = &prog.head {
-            // Shard-local probing: substitute this shard's sub-index at the
-            // probe op. `prepare` applies it only where the full index
-            // resolved, so index-ablation runs keep full scans; when the
-            // partitioned index is missing the full probe stands in
-            // (identical matches — a shard's scan tuples only ever probe
-            // keys that hash to the same shard).
-            let shard_idx = db
-                .relation(spec.probe_pred)
-                .and_then(|r| r.part_shard(&spec.probe_cols, part.nshards, part.shard))
-                .map(|idx| (spec.probe_step, idx));
-            let Some(mut prepared) = prepare(&prog, db, Some(restrict), use_indexes, shard_idx)
-            else {
-                return; // an empty body relation: no solutions
-            };
-            let mut regs = vec![ValueId::FILLER; prog.nregs];
-            let mut b = Bindings::new();
-            shard_scan!(|pos| {
-                prepared.set_range(0, pos, pos + 1);
-                prepared.run(&mut regs, &mut b, &mut |regs| {
-                    attempts += 1;
-                    gate.tick();
-                    let start = out.buf.data.len();
-                    for e in head.iter() {
-                        match eval_expr(e, regs) {
-                            Some(v) => out.buf.data.push(v),
-                            None => {
-                                out.buf.data.truncate(start);
-                                return;
-                            }
-                        }
-                    }
-                    commit_head!(start);
-                })
-            });
-            out.attempts = attempts;
-            out.prefiltered = prefiltered;
-            return;
-        }
-        // Grouping-head plans never reach partitioned units; fall through
-        // to the interpreter like `derive_once` does.
-    }
-    // Interpreter path: full-index probes (identical postings — see above),
-    // with `run_body`'s empty-relation pre-check hoisted out of the
-    // per-position loop.
-    for &(_, pred) in &plan.scan_steps {
-        if db.relation(pred).is_none_or(|r| r.is_empty()) {
-            return;
-        }
-    }
+    // Shard-local probing: substitute this shard's sub-index at the probe
+    // op. When the partitioned index is missing the full probe stands in
+    // (identical matches — a shard's scan tuples only ever probe keys that
+    // hash to the same shard).
+    let shard_idx = db
+        .relation(spec.probe_pred)
+        .and_then(|r| r.part_shard(&spec.probe_cols, part.nshards, part.shard))
+        .map(|idx| (spec.probe_step, idx));
+    let Some(mut prepared) = prepare(prog, db, Some(restrict), shard_idx) else {
+        return; // an empty body relation: no solutions
+    };
+    let mut regs = vec![ValueId::FILLER; prog.nregs];
     let mut b = Bindings::new();
-    shard_scan!(|pos| {
-        let r = DeltaRestriction {
-            step: 0,
-            lo: pos,
-            hi: pos + 1,
-        };
-        run_steps(plan, 0, db, Some(r), use_indexes, &mut b, &mut |b2| {
-            attempts += 1;
+    for pos in restrict.lo..restrict.hi {
+        if !rel0.is_live(pos)
+            || shard_of_projection(&spec.scan_cols, rel0.get(pos), part.nshards) != part.shard
+        {
+            continue;
+        }
+        let before = out.buf.count;
+        prepared.set_range(0, pos, pos + 1);
+        prepared.run(&mut regs, &mut b, &mut |regs| {
+            out.attempts += 1;
             gate.tick();
             let start = out.buf.data.len();
-            for t in &plan.head.args {
-                match eval_term(t, b2) {
-                    Some(v) => out.buf.data.push(v),
-                    None => {
-                        out.buf.data.truncate(start);
-                        return;
-                    }
-                }
+            if !project_head(head, regs, &mut out.buf.data) {
+                return;
             }
-            commit_head!(start);
-        })
-    });
-    out.attempts = attempts;
-    out.prefiltered = prefiltered;
+            // Keep the head tuple, or pre-filter a duplicate away (the
+            // dedup the merge would otherwise perform).
+            if prededup {
+                let t = &out.buf.data[start..];
+                if head_rel.is_some_and(|r| r.contains(t)) || seen.contains(t) {
+                    out.prefiltered += 1;
+                    out.buf.data.truncate(start);
+                    return;
+                }
+                seen.insert(t.into());
+            }
+            out.buf.count += 1;
+        });
+        let emitted = (out.buf.count - before) as u32;
+        if emitted > 0 {
+            out.runs.push((pos, emitted));
+        }
+    }
 }
 
 /// Merge one partitioned task's shard group: repeatedly take the shard
@@ -1037,25 +860,21 @@ pub(crate) fn run_round(
     // `Copy` view of the budget's cancel token, so every worker taps the
     // same countdown/flag without touching the (exclusively borrowed) meter.
     let gate = opts.budget.gate();
-    let compiled = opts.compiled;
-    if compiled {
-        stats.compiled_rounds += 1;
-    }
+    stats.compiled_rounds += 1;
     let mut buffers: Vec<PassOut> = Vec::new();
     buffers.resize_with(units.len(), Default::default);
     if pool.parallelism() == 1 || units.len() <= 1 {
         for ((plan, restrict, part), buf) in units.iter().zip(&mut buffers) {
-            *buf = derive_once(plan, db, *restrict, opts.use_indexes, compiled, gate, *part);
+            *buf = derive_once(plan, db, *restrict, gate, *part);
         }
     } else {
         let snapshot: &Database = db;
-        let use_indexes = opts.use_indexes;
         let jobs: Vec<Job<'_>> = units
             .iter()
             .zip(buffers.iter_mut())
             .map(|(&(plan, restrict, part), buf)| {
                 Box::new(move || {
-                    *buf = derive_once(plan, snapshot, restrict, use_indexes, compiled, gate, part);
+                    *buf = derive_once(plan, snapshot, restrict, gate, part);
                 }) as Job<'_>
             })
             .collect();
@@ -1136,10 +955,7 @@ fn run_grouping_round(
     // task (the aggregation is not decomposable), so the unit is the whole
     // rule — never a delta slice.
     let gate = opts.budget.gate();
-    let compiled = opts.compiled;
-    if compiled {
-        stats.compiled_rounds += 1;
-    }
+    stats.compiled_rounds += 1;
     #[allow(clippy::type_complexity)]
     let mut buffers: Vec<(Vec<Vec<ValueId>>, u64, u64, u64, u64)> = Vec::new();
     buffers.resize_with(plans.len(), Default::default);
@@ -1148,7 +964,7 @@ fn run_grouping_round(
             take_index_probes();
             take_exist_cuts();
             take_lowerings();
-            let (out, att) = run_grouping_rule(plan, db, opts.use_indexes, compiled, gate);
+            let (out, att) = run_grouping_rule(plan, db, gate);
             *buf = (
                 out,
                 take_index_probes(),
@@ -1159,7 +975,6 @@ fn run_grouping_round(
         }
     } else {
         let snapshot: &Database = db;
-        let use_indexes = opts.use_indexes;
         let jobs: Vec<Job<'_>> = plans
             .iter()
             .zip(buffers.iter_mut())
@@ -1168,7 +983,7 @@ fn run_grouping_round(
                     take_index_probes();
                     take_exist_cuts();
                     take_lowerings();
-                    let (out, att) = run_grouping_rule(plan, snapshot, use_indexes, compiled, gate);
+                    let (out, att) = run_grouping_rule(plan, snapshot, gate);
                     *buf = (
                         out,
                         take_index_probes(),
@@ -1215,21 +1030,11 @@ pub fn run_rule_once(
     meter: &mut BudgetMeter<'_>,
 ) -> Result<usize, EvalError> {
     meter.check()?;
-    let out = derive_once(
-        plan,
-        db,
-        restrict,
-        opts.use_indexes,
-        opts.compiled,
-        opts.budget.gate(),
-        None,
-    );
+    let out = derive_once(plan, db, restrict, opts.budget.gate(), None);
     stats.index_probes += out.probes;
     stats.exist_cuts += out.cuts;
     stats.lowerings += out.lowerings;
-    if opts.compiled {
-        stats.compiled_rounds += 1;
-    }
+    stats.compiled_rounds += 1;
     let mut new = 0usize;
     let mut dedup = 0u64;
     out.buf.for_each(&mut |t| {
@@ -1246,43 +1051,6 @@ pub fn run_rule_once(
     meter.charge(out.attempts, new as u64);
     meter.check()?;
     Ok(new)
-}
-
-/// Naive iteration: apply every rule to the whole database until nothing
-/// changes (the literal `R_{i+1}(M) = ⋃ r(R_i(M)) ∪ R_i(M)` of §3.2, with
-/// each round's rules reading the same snapshot `R_i(M)`).
-/// Public so the magic-set evaluator can drive its own fixpoints.
-pub fn naive_fixpoint(
-    plans: &[RulePlan],
-    db: &mut Database,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
-    let pool = Pool::new(opts.effective_parallelism());
-    naive_pooled(plans, db, &pool, opts, stats, meter)
-}
-
-fn naive_pooled(
-    plans: &[RulePlan],
-    db: &mut Database,
-    pool: &Pool,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
-    loop {
-        let tasks: Vec<RoundTask<'_>> = plans
-            .iter()
-            .map(|plan| RoundTask {
-                plan,
-                restrict: None,
-            })
-            .collect();
-        if run_round(&tasks, db, pool, opts, stats, meter)? == 0 {
-            return Ok(());
-        }
-    }
 }
 
 /// Semi-naive iteration: after one full pass, re-evaluate each rule once per

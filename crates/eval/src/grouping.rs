@@ -21,9 +21,67 @@ use ldl_value::{intern, ValueId};
 use crate::bindings::Bindings;
 use crate::budget::RoundGate;
 use crate::exec::run_ram;
-use crate::plan::{run_body, HeadKind, RulePlan};
+use crate::plan::{HeadKind, RulePlan};
 use crate::ram::{eval_expr, HeadIr};
-use crate::unify::eval_term;
+
+/// The body solutions of one grouping rule, partitioned by their `Z̄`
+/// values. Shared by the engine's executor ([`run_grouping_rule`]) and the
+/// reference evaluator ([`crate::model`]), which differ only in how they
+/// enumerate solutions.
+#[derive(Default)]
+pub(crate) struct Groups {
+    /// key (`Z̄` values) → (evaluated non-group head args, collected `Y`
+    /// values).
+    #[allow(clippy::type_complexity)]
+    classes: FastMap<Vec<ValueId>, (Vec<ValueId>, FastSet<ValueId>)>,
+    /// Keys in first-solution order, for deterministic output.
+    key_order: Vec<Vec<ValueId>>,
+}
+
+impl Groups {
+    /// Record one body solution: `y` joins the class of `key`. The first
+    /// solution of a class evaluates the non-group head arguments through
+    /// `other` (they depend only on `Z̄`, so any representative gives the
+    /// same values); `None` — an argument outside `U` — derives nothing for
+    /// the class, matching the applicability condition of §3.2.
+    pub(crate) fn add(
+        &mut self,
+        key: Vec<ValueId>,
+        y: ValueId,
+        other: impl FnOnce() -> Option<Vec<ValueId>>,
+    ) {
+        match self.classes.get_mut(&key) {
+            Some((_, ys)) => {
+                ys.insert(y);
+            }
+            None => {
+                if let Some(other) = other() {
+                    let mut ys = FastSet::default();
+                    ys.insert(y);
+                    self.key_order.push(key.clone());
+                    self.classes.insert(key, (other, ys));
+                }
+            }
+        }
+    }
+
+    /// One head tuple per class, the grouped set at `group_pos`, in
+    /// first-solution order of the classes.
+    pub(crate) fn into_tuples(mut self, group_pos: usize) -> Vec<Vec<ValueId>> {
+        self.key_order
+            .into_iter()
+            .map(|key| {
+                let (other, ys) = self.classes.remove(&key).expect("key recorded");
+                // mk_set sorts structurally, erasing the FastSet's
+                // (id-assignment-dependent) iteration order.
+                let set = intern::mk_set(ys.into_iter().collect());
+                let mut args = other;
+                args.insert(group_pos, set);
+                args
+            })
+            .collect()
+    }
+}
 
 /// Evaluate a grouping rule once against `db`, returning the derived tuples
 /// (for the plan's head predicate) and the number of body solutions
@@ -31,8 +89,6 @@ use crate::unify::eval_term;
 ///
 /// Admissibility guarantees every body predicate lies in a strictly lower
 /// layer (§3.1 clause 2), so `db` already holds their complete relations.
-/// With `compiled` set the body runs through the lowered register program;
-/// the partitioning and emitted tuples are bit-for-bit the interpreter's.
 /// The `gate` only *flags* cancellation ([`RoundGate::tick`] per solution);
 /// the rule still runs to completion so its output is never a partial group
 /// set — the caller discards the whole round on abort. Pass
@@ -40,8 +96,6 @@ use crate::unify::eval_term;
 pub fn run_grouping_rule(
     plan: &RulePlan,
     db: &Database,
-    use_indexes: bool,
-    compiled: bool,
     gate: RoundGate<'_>,
 ) -> (Vec<Vec<ValueId>>, u64) {
     let HeadKind::Grouping {
@@ -51,133 +105,42 @@ pub fn run_grouping_rule(
     else {
         panic!("run_grouping_rule on a non-grouping plan");
     };
-    let zbar = plan.head.vars_outside_group();
+    let prog = plan.lowered();
+    let HeadIr::Grouping {
+        group_reg,
+        key_regs,
+        other,
+        ..
+    } = &prog.head
+    else {
+        unreachable!("grouping plan lowers to a grouping head");
+    };
 
-    // key (Z̄ values) → (evaluated non-group head args, collected Y values).
-    // Insertion order of keys is preserved for deterministic output.
-    #[allow(clippy::type_complexity)]
-    let mut groups: FastMap<Vec<ValueId>, (Vec<ValueId>, FastSet<ValueId>)> = FastMap::default();
-    let mut key_order: Vec<Vec<ValueId>> = Vec::new();
-
+    let mut groups = Groups::default();
     let mut attempts = 0u64;
-    if compiled {
-        let prog = plan.lowered();
-        let HeadIr::Grouping {
-            group_reg,
-            key_regs,
-            other,
-            ..
-        } = &prog.head
-        else {
-            unreachable!("grouping plan lowers to a grouping head");
+    let mut regs = vec![ValueId::FILLER; prog.nregs];
+    let mut b = Bindings::new();
+    run_ram(&prog, db, None, &mut regs, &mut b, &mut |regs| {
+        attempts += 1;
+        gate.tick();
+        // Range restriction guarantees Y and Z̄ are bound; an unbound
+        // register here means the rule slipped past well-formedness — fail
+        // loudly.
+        let Some(y) = group_reg.map(|r| regs[r as usize]) else {
+            panic!("group variable {group_var} unbound in grouping rule");
         };
-        let mut regs = vec![ValueId::FILLER; prog.nregs];
-        let mut b = Bindings::new();
-        run_ram(
-            &prog,
-            db,
-            None,
-            use_indexes,
-            &mut regs,
-            &mut b,
-            &mut |regs| {
-                attempts += 1;
-                gate.tick();
-                let Some(y) = group_reg.map(|r| regs[r as usize]) else {
-                    panic!("group variable {group_var} unbound in grouping rule");
-                };
-                let key: Option<Vec<ValueId>> = key_regs
-                    .iter()
-                    .map(|k| k.map(|r| regs[r as usize]).ok_or(()))
-                    .collect::<Result<_, _>>()
-                    .ok();
-                let Some(key) = key else {
-                    panic!("head variable unbound in grouping rule");
-                };
-                match groups.get_mut(&key) {
-                    Some((_, ys)) => {
-                        ys.insert(y);
-                    }
-                    None => {
-                        let o: Option<Vec<ValueId>> =
-                            other.iter().map(|e| eval_expr(e, regs)).collect();
-                        if let Some(o) = o {
-                            let mut ys = FastSet::default();
-                            ys.insert(y);
-                            key_order.push(key.clone());
-                            groups.insert(key, (o, ys));
-                        }
-                    }
-                }
-            },
-        );
-    } else {
-        let mut b = Bindings::new();
-        run_body(plan, db, None, use_indexes, &mut b, &mut |b2| {
-            attempts += 1;
-            gate.tick();
-            let Some(y) = b2.get(group_var) else {
-                // Range restriction guarantees Y is bound; an unbound Y here
-                // means the rule slipped past well-formedness — fail loudly.
-                panic!("group variable {group_var} unbound in grouping rule");
-            };
-            let key: Option<Vec<ValueId>> = zbar
-                .iter()
-                .map(|&z| b2.get(z).ok_or(()))
-                .collect::<Result<_, _>>()
-                .ok();
-            let Some(key) = key else {
-                panic!("head variable unbound in grouping rule");
-            };
-            match groups.get_mut(&key) {
-                Some((_, ys)) => {
-                    ys.insert(y);
-                }
-                None => {
-                    // Evaluate the non-group head arguments under this
-                    // solution's bindings (they depend only on Z̄, so any
-                    // representative of the class gives the same values).
-                    let other: Option<Vec<ValueId>> = plan
-                        .head
-                        .args
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != group_pos)
-                        .map(|(_, t)| eval_term(t, b2))
-                        .collect();
-                    if let Some(other) = other {
-                        let mut ys = FastSet::default();
-                        ys.insert(y);
-                        key_order.push(key.clone());
-                        groups.insert(key, (other, ys));
-                    }
-                    // `None` (an argument outside U) derives nothing for this
-                    // class, matching the applicability condition of §3.2.
-                }
-            }
+        let key: Option<Vec<ValueId>> = key_regs
+            .iter()
+            .map(|k| k.map(|r| regs[r as usize]))
+            .collect();
+        let Some(key) = key else {
+            panic!("head variable unbound in grouping rule");
+        };
+        groups.add(key, y, || {
+            other.iter().map(|e| eval_expr(e, regs)).collect()
         });
-    }
-
-    let tuples = key_order
-        .into_iter()
-        .map(|key| {
-            let (other, ys) = groups.remove(&key).expect("key recorded");
-            // mk_set sorts structurally, erasing the FastSet's
-            // (id-assignment-dependent) iteration order.
-            let set = intern::mk_set(ys.into_iter().collect());
-            let mut args = Vec::with_capacity(other.len() + 1);
-            let mut it = other.into_iter();
-            for i in 0..=it.len() {
-                if i == group_pos {
-                    args.push(set);
-                } else if let Some(v) = it.next() {
-                    args.push(v);
-                }
-            }
-            args
-        })
-        .collect();
-    (tuples, attempts)
+    });
+    (groups.into_tuples(group_pos), attempts)
 }
 
 #[cfg(test)]
@@ -200,10 +163,13 @@ mod tests {
     }
 
     fn run(plan: &RulePlan, db: &Database) -> Vec<Fact> {
-        let interpreted = run_grouping_rule(plan, db, false, false, RoundGate::open()).0;
-        let compiled = run_grouping_rule(plan, db, false, true, RoundGate::open()).0;
-        assert_eq!(interpreted, compiled, "compiled grouping diverges");
-        interpreted
+        let tuples = run_grouping_rule(plan, db, RoundGate::open()).0;
+        assert_eq!(
+            tuples,
+            crate::model::apply_rule(plan, db),
+            "engine grouping diverges from the reference"
+        );
+        tuples
             .into_iter()
             .map(|t| resolve_fact(plan.head.pred, &t))
             .collect()

@@ -51,7 +51,9 @@ use crate::stats::EvalStats;
 pub type DeltaFrontier = FastMap<Symbol, usize>;
 
 /// Propagate newly inserted EDB tuples through an evaluated model, in
-/// place.
+/// place — the insertion phase of [`crate::retract::apply_mutations`],
+/// metered by the batch's [`BudgetMeter`] so the deletion sweep and the
+/// insertion propagation share one budget.
 ///
 /// Preconditions:
 /// * `db` is a model of `program` w.r.t. the pre-change EDB, *plus* the new
@@ -62,30 +64,6 @@ pub type DeltaFrontier = FastMap<Symbol, usize>;
 ///   checked it).
 ///
 /// On return `db` is a model of `program` w.r.t. the post-change EDB.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_update(
-    program: &Program,
-    strat: &Stratification,
-    sens: &[LayerSensitivity],
-    edb: &Database,
-    db: &mut Database,
-    changed: DeltaFrontier,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-) -> Result<(), EvalError> {
-    // One meter spans the whole update — seed rounds, delta loops, and any
-    // replay suffix are charged against the same budget.
-    let mut meter = BudgetMeter::new(&opts.budget);
-    let result = apply_update_metered(
-        program, strat, sens, edb, db, changed, opts, stats, &mut meter,
-    );
-    stats.record_arena(db);
-    result
-}
-
-/// [`apply_update`] against a caller-owned [`BudgetMeter`], so a mutation
-/// batch's deletion sweep and insertion propagation share one budget (see
-/// [`crate::retract::apply_mutations`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_update_metered(
     program: &Program,
@@ -160,7 +138,7 @@ pub(crate) fn apply_update_metered(
                     if let Some(&lo) = changed.get(&lit.atom.pred) {
                         let hi = len_of(db, lit.atom.pred) as u32;
                         if (lo as u32) < hi {
-                            let variant = cache.get(program, ri, occ + 1, db, opts.cost_based)?;
+                            let variant = cache.get(program, ri, occ + 1, db)?;
                             ensure_plan_indexes(&variant, db);
                             let restrict = DeltaRestriction {
                                 step: 0,
@@ -282,15 +260,17 @@ mod tests {
         }
         let sens = strat.sensitivity(program);
         let mut stats = EvalStats::new();
-        apply_update(
+        let opts = EvalOptions::default();
+        apply_update_metered(
             program,
             strat,
             &sens,
             edb,
             db,
             changed,
-            &EvalOptions::default(),
+            &opts,
             &mut stats,
+            &mut BudgetMeter::new(&opts.budget),
         )
         .unwrap();
         stats

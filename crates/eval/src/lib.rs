@@ -15,10 +15,11 @@
 //!
 //! The result is a minimal model of `P` w.r.t. `M₀` (unique when `P` is
 //! positive). Rule bodies are compiled to index-backed join plans
-//! ([`plan`]), with both naive and semi-naive ([`fixpoint`]) iteration.
-//! [`model`] implements the §2.2 truth definition directly, for checking
-//! whether an arbitrary interpretation is a model (used to reproduce the
-//! §2.3/§2.4 counterexamples).
+//! ([`plan`]), lowered to register programs ([`ram`], [`exec`]), and
+//! iterated semi-naively ([`fixpoint`]). [`model`] is the reference the
+//! engine is tested against: the §2.2 truth definition ([`check_model`],
+//! also used to reproduce the §2.3/§2.4 counterexamples) and the §3.2
+//! fixpoint executed literally ([`reference_model`]).
 
 pub mod bindings;
 pub mod budget;
@@ -42,8 +43,7 @@ pub use budget::{Budget, BudgetMeter, CancelToken, ResourceKind, RoundGate};
 pub use engine::{parse_jobs, EvalOptions, Evaluator, QueryAnswer};
 pub use error::EvalError;
 pub use explain::explain;
-pub use incremental::{apply_update, DeltaFrontier};
-pub use model::{check_model, ModelViolation};
+pub use model::{check_model, reference_model, ModelViolation};
 pub use plan::PartitionSpec;
 pub use retract::apply_mutations;
 pub use stats::EvalStats;

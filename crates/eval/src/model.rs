@@ -1,26 +1,229 @@
-//! Direct model checking against the §2.2 truth definition.
+//! The reference semantics: §2.2 model checking and the §3.2 fixpoint,
+//! executed literally.
 //!
-//! Independently of the fixpoint machinery, this module decides whether a
-//! given interpretation (a finite set of U-facts) *is a model* of a program:
-//! every rule must evaluate to true under the interpretation. Used to
-//! reproduce the paper's model-theoretic examples — the §2.2 model example,
-//! the §2.3 failures (intersection of models not a model, the Russell-style
-//! program with no model, positive programs with several minimal models) —
-//! and to verify that the engine's computed model is indeed a model and
-//! minimal (via [`ldl_value::order`] domination on the counterexamples).
+//! Independently of the engine ([`crate::fixpoint`], [`crate::exec`]), this
+//! module defines what a program *means* in the most direct code that can
+//! compute it, for tests to compare the engine against:
+//!
+//! * [`check_model`] decides whether a given interpretation (a finite set
+//!   of U-facts) *is a model* of a program: every rule must evaluate to
+//!   true under it (§2.2). Used to reproduce the paper's model-theoretic
+//!   examples — the §2.2 model example, the §2.3 failures (intersection of
+//!   models not a model, the Russell-style program with no model, positive
+//!   programs with several minimal models) — and to verify that the
+//!   engine's computed model is indeed a model.
+//! * [`reference_model`] computes the standard model by iterating
+//!   `R(M) = ⋃ r(M) ∪ M` layer by layer (§3.2, Theorem 1) — no deltas, no
+//!   statistics, no lowering, no worker pool, no budget.
+//!
+//! Both are built on `apply_rule`, the paper's `r(M)`: a tree-walking
+//! interpreter over greedy, statistics-free plans ([`RulePlan::compile`]).
+//! There are no options; the engine is tested against this, not the other
+//! way round.
 
 use std::fmt;
 
 use ldl_ast::program::Program;
 use ldl_ast::rule::Rule;
 use ldl_storage::{resolve_fact, Database};
-use ldl_value::{Fact, FactSet};
+use ldl_stratify::Stratification;
+use ldl_value::{Fact, FactSet, Symbol, ValueId};
 
 use crate::bindings::Bindings;
+use crate::builtins::eval_builtin;
 use crate::error::EvalError;
-use crate::grouping::run_grouping_rule;
-use crate::plan::{ensure_indexes, run_body, HeadKind, RulePlan};
-use crate::unify::eval_term;
+use crate::grouping::Groups;
+use crate::plan::{ensure_plan_indexes, neg_holds, probe_key, HeadKind, RulePlan, Step};
+use crate::unify::{eval_term, match_slice};
+
+/// Enumerate the solutions of `plan`'s body against `db`, calling `k` once
+/// per solution with the satisfying bindings. Scans probe a hash index when
+/// `db` happens to hold one on the bound columns and walk the relation
+/// otherwise.
+fn run_body(plan: &RulePlan, db: &Database, k: &mut dyn FnMut(&mut Bindings)) {
+    run_steps(plan, 0, db, &mut Bindings::new(), k);
+}
+
+fn run_steps(
+    plan: &RulePlan,
+    i: usize,
+    db: &Database,
+    b: &mut Bindings,
+    k: &mut dyn FnMut(&mut Bindings),
+) {
+    let Some(step) = plan.steps.get(i) else {
+        k(b);
+        return;
+    };
+    match step {
+        Step::Scan {
+            pred,
+            args,
+            index_cols,
+        } => {
+            let Some(rel) = db.relation(*pred) else {
+                return; // a positive literal over ∅ has no solutions
+            };
+            let mut on_tuple = |tuple: &[ValueId], b: &mut Bindings| {
+                match_slice(args, tuple, b, &mut |b2| {
+                    run_steps(plan, i + 1, db, b2, k);
+                });
+            };
+            let idx = if index_cols.is_empty() {
+                None
+            } else {
+                rel.index(index_cols)
+            };
+            let Some(idx) = idx else {
+                for tuple in rel.iter() {
+                    on_tuple(tuple, b);
+                }
+                return;
+            };
+            let mut stack = [ValueId::FILLER; 8];
+            let mut heap: Vec<ValueId> = Vec::new();
+            // A key term outside U matches no tuple.
+            if let Some(key) = probe_key(args, index_cols, b, &mut stack, &mut heap) {
+                for &pos in idx.probe(key) {
+                    on_tuple(rel.get(pos), b);
+                }
+            }
+        }
+        Step::NegScan {
+            pred,
+            args,
+            index_cols,
+        } => {
+            if neg_holds(*pred, args, index_cols, db, b) {
+                run_steps(plan, i + 1, db, b, k);
+            }
+        }
+        Step::BuiltinStep {
+            builtin,
+            args,
+            negated,
+        } => {
+            if *negated {
+                let mut any = false;
+                eval_builtin(*builtin, args, b, &mut |_| any = true);
+                if !any {
+                    run_steps(plan, i + 1, db, b, k);
+                }
+            } else {
+                eval_builtin(*builtin, args, b, &mut |b2| {
+                    run_steps(plan, i + 1, db, b2, k);
+                });
+            }
+        }
+    }
+}
+
+/// §3.2's `r(M)`: the head tuples rule `plan` derives from `db` in one
+/// application, duplicates included.
+///
+/// A simple head is projected once per body solution; an argument
+/// evaluating outside `U` (scons onto a non-set, arithmetic failure)
+/// derives nothing (the applicability condition). A grouping head
+/// `p(t̄, <Y>)` partitions the solutions by the variables of `t̄` and
+/// derives one tuple per non-empty class (§2.2).
+pub(crate) fn apply_rule(plan: &RulePlan, db: &Database) -> Vec<Vec<ValueId>> {
+    match plan.head_kind {
+        HeadKind::Simple => {
+            let mut out = Vec::new();
+            run_body(plan, db, &mut |b| {
+                let tuple: Option<Vec<ValueId>> =
+                    plan.head.args.iter().map(|t| eval_term(t, b)).collect();
+                out.extend(tuple);
+            });
+            out
+        }
+        HeadKind::Grouping {
+            group_pos,
+            group_var,
+        } => {
+            let zbar = plan.head.vars_outside_group();
+            let mut groups = Groups::default();
+            run_body(plan, db, &mut |b| {
+                // Range restriction guarantees Y and Z̄ are bound; an
+                // unbound variable here means the rule slipped past
+                // well-formedness — fail loudly.
+                let Some(y) = b.get(group_var) else {
+                    panic!("group variable {group_var} unbound in grouping rule");
+                };
+                let key: Option<Vec<ValueId>> = zbar.iter().map(|&z| b.get(z)).collect();
+                let Some(key) = key else {
+                    panic!("head variable unbound in grouping rule");
+                };
+                groups.add(key, y, || {
+                    plan.head
+                        .args
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| *i != group_pos)
+                        .map(|(_, t)| eval_term(t, b))
+                        .collect()
+                });
+            });
+            groups.into_tuples(group_pos)
+        }
+    }
+}
+
+/// The standard model of `program` w.r.t. `edb` (Theorem 1), computed by
+/// the definition: take the canonical layering, and within each layer
+/// repeat `R_{i+1}(M) = ⋃ r(R_i(M)) ∪ R_i(M)` — every rule of the layer
+/// applied to the same `R_i(M)` — until nothing is added.
+///
+/// Grouping rules take part in every round: admissibility puts their body
+/// predicates strictly below the layer, so each round re-derives the same
+/// groups (Lemma 3.2.3's "apply them once, first" is an optimization this
+/// reference does not need). `program` must be well-formed, as for
+/// [`check_model`]; an inadmissible program or an unschedulable rule is an
+/// error. Cost is that of naive iteration — every round re-derives
+/// everything — so this is the oracle the engine is tested against, not a
+/// way to run programs.
+pub fn reference_model(program: &Program, edb: &Database) -> Result<Database, EvalError> {
+    let strat = Stratification::canonical(program)?;
+    let mut m = edb.clone();
+    for layer in &strat.rules_by_layer {
+        let plans: Vec<RulePlan> = layer
+            .iter()
+            .map(|&ri| RulePlan::compile(&program.rules[ri]))
+            .collect::<Result<_, _>>()?;
+        loop {
+            // Indexes only shorten the scans (a relation first derived in
+            // this layer gets its index the round after it appears).
+            for plan in &plans {
+                ensure_plan_indexes(plan, &mut m);
+            }
+            let derived: Vec<(Symbol, Vec<ValueId>)> = plans
+                .iter()
+                .flat_map(|plan| {
+                    apply_rule(plan, &m)
+                        .into_iter()
+                        .map(|t| (plan.head.pred, t))
+                })
+                .collect();
+            let mut grew = false;
+            for (pred, tuple) in derived {
+                if let Some(expected) = m.relation(pred).map(|r| r.arity()) {
+                    if expected != tuple.len() {
+                        return Err(EvalError::ArityMismatch {
+                            pred: pred.to_string(),
+                            expected,
+                            found: tuple.len(),
+                        });
+                    }
+                }
+                grew |= m.insert_id_slice(pred, &tuple);
+            }
+            if !grew {
+                break;
+            }
+        }
+    }
+    Ok(m)
+}
 
 /// A witness that an interpretation is not a model.
 #[derive(Clone, Debug)]
@@ -43,9 +246,11 @@ impl fmt::Display for ModelViolation {
 
 /// Is `m` a model of `program` (§2.2)? Returns the first violation found.
 ///
-/// Only range-restricted rules are supported (the §7 restriction) — the
-/// search for satisfying bindings then ranges over `m` itself rather than
-/// over all of `U`.
+/// `m` is a model iff `r(m) ⊆ m` for every rule `r`: each body solution's
+/// head fact — for a grouping rule, each `Z̄`-class's fact with its
+/// non-empty finite group — must be present. Only range-restricted rules
+/// are supported (the §7 restriction) — the search for satisfying bindings
+/// then ranges over `m` itself rather than over all of `U`.
 pub fn check_model(program: &Program, m: &FactSet) -> Result<(), ModelViolation> {
     let mut db = Database::from_fact_set(m);
     for rule in &program.rules {
@@ -58,45 +263,14 @@ pub fn check_model(program: &Program, m: &FactSet) -> Result<(), ModelViolation>
             }
             Err(e) => panic!("model checking failed to compile {rule}: {e}"),
         };
-        ensure_indexes(std::slice::from_ref(&plan), &mut db);
-        match plan.head_kind {
-            HeadKind::Grouping { .. } => {
-                // §2.2: for each Z̄-class with a non-empty finite group, the
-                // corresponding p-tuple must be present.
-                let (tuples, _) =
-                    run_grouping_rule(&plan, &db, true, false, crate::RoundGate::open());
-                for tuple in tuples {
-                    let required = resolve_fact(plan.head.pred, &tuple);
-                    if !m.contains(&required) {
-                        return Err(ModelViolation {
-                            rule: rule.clone(),
-                            missing: required,
-                        });
-                    }
-                }
-            }
-            HeadKind::Simple => {
-                let mut violation: Option<Fact> = None;
-                let mut b = Bindings::new();
-                run_body(&plan, &db, None, true, &mut b, &mut |b2| {
-                    if violation.is_some() {
-                        return;
-                    }
-                    let args: Option<Vec<_>> =
-                        plan.head.args.iter().map(|t| eval_term(t, b2)).collect();
-                    if let Some(args) = args {
-                        let f = resolve_fact(plan.head.pred, &args);
-                        if !m.contains(&f) {
-                            violation = Some(f);
-                        }
-                    }
+        ensure_plan_indexes(&plan, &mut db);
+        for tuple in apply_rule(&plan, &db) {
+            let required = resolve_fact(plan.head.pred, &tuple);
+            if !m.contains(&required) {
+                return Err(ModelViolation {
+                    rule: rule.clone(),
+                    missing: required,
                 });
-                if let Some(missing) = violation {
-                    return Err(ModelViolation {
-                        rule: rule.clone(),
-                        missing,
-                    });
-                }
             }
         }
     }

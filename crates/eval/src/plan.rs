@@ -41,7 +41,7 @@ use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::{Symbol, ValueId};
 
 use crate::bindings::Bindings;
-use crate::builtins::{can_schedule, eval_builtin};
+use crate::builtins::can_schedule;
 use crate::error::EvalError;
 use crate::unify::{eval_term, match_slice};
 
@@ -58,13 +58,12 @@ pub fn take_index_probes() -> u64 {
     INDEX_PROBES.with(|c| c.replace(0))
 }
 
-/// Count one index probe (shared with the compiled executor, so both
-/// execution modes report identical totals).
+/// Count one index probe.
 pub(crate) fn note_index_probe() {
     INDEX_PROBES.with(|c| c.set(c.get() + 1));
 }
 
-/// Count one existential short-circuit (shared with the compiled executor).
+/// Count one existential short-circuit.
 pub(crate) fn note_exist_cut() {
     EXIST_CUTS.with(|c| c.set(c.get() + 1));
 }
@@ -153,8 +152,7 @@ pub struct RulePlan {
     /// head (or grouping) variable, so for each prefix solution the head
     /// tuple is already fully determined and execution stops at the first
     /// witness instead of enumerating every remaining match. `steps.len()`
-    /// means no tail (always the case for greedy-compiled plans, which keep
-    /// the ablation comparison clean).
+    /// means no tail (always the case for greedy-compiled plans).
     pub exist_from: usize,
     /// Estimated output cardinality per step at compile time, parallel to
     /// `steps`. `-1.0` where no estimate applies: built-ins, negation,
@@ -167,7 +165,7 @@ pub struct RulePlan {
     /// among workers by join key instead of by contiguous slice.
     pub partition: Option<PartitionSpec>,
     /// The plan's lowered register program ([`crate::ram`]), built lazily on
-    /// first compiled execution and then shared — the `OnceLock` runs the
+    /// first execution and then shared — the `OnceLock` runs the
     /// lowering exactly once even when parallel workers race, which keeps
     /// the `lowerings` stat deterministic. Cloning a plan drops the cache
     /// (the clone may be mutated into a variant before execution).
@@ -192,9 +190,9 @@ impl Clone for RulePlan {
 impl RulePlan {
     /// Compile one rule with the statistics-free greedy planner: ties
     /// between equally-bound scans keep source literal order, and no
-    /// existential tail is computed. This is the legacy entry point (magic
-    /// sets and ad-hoc callers); the fixpoint drivers use
-    /// [`RulePlan::compile_with`].
+    /// existential tail is computed. The magic-set evaluator and the
+    /// reference evaluator ([`crate::model`]) plan with this; the fixpoint
+    /// drivers plan against statistics with [`RulePlan::compile_with`].
     pub fn compile(rule: &Rule) -> Result<RulePlan, EvalError> {
         RulePlan::compile_with(rule, None, false, None)
     }
@@ -208,9 +206,7 @@ impl RulePlan {
     /// * `cost_based` orders relation scans by estimated output cardinality
     ///   (`len / distinct(bound columns)`) instead of bound-argument count,
     ///   and computes the plan's existential tail
-    ///   ([`RulePlan::exist_from`]). Greedy plans disable the tail so the
-    ///   ablation configuration measures ordering and short-circuiting
-    ///   together.
+    ///   ([`RulePlan::exist_from`]); greedy plans have no tail.
     /// * `force_first` pins one body literal (an index into `rule.body`,
     ///   which must be a positive relation literal) as step 0 — the
     ///   delta-first shape of semi-naive evaluation — and plans the rest
@@ -717,128 +713,6 @@ pub struct DeltaRestriction {
     pub hi: u32,
 }
 
-/// Execute a compiled body against `db`, calling `k` once per solution.
-///
-/// `restrict` optionally confines one scan step to a delta range. When
-/// `use_indexes` is false every scan is a full scan (the index-ablation
-/// configuration).
-pub fn run_body(
-    plan: &RulePlan,
-    db: &Database,
-    restrict: Option<DeltaRestriction>,
-    use_indexes: bool,
-    b: &mut Bindings,
-    k: &mut dyn FnMut(&mut Bindings),
-) {
-    // A positive relation literal over an empty (or absent) relation makes
-    // the whole conjunction unsatisfiable — skip the pass without
-    // enumerating the other literals' joins. (Typical win: a rule whose
-    // inner relation is filled by a later round of the same stratum.)
-    for &(_, pred) in &plan.scan_steps {
-        if db.relation(pred).is_none_or(|r| r.is_empty()) {
-            return;
-        }
-    }
-    run_steps(plan, 0, db, restrict, use_indexes, b, k);
-}
-
-pub(crate) fn run_steps(
-    plan: &RulePlan,
-    i: usize,
-    db: &Database,
-    restrict: Option<DeltaRestriction>,
-    use_indexes: bool,
-    b: &mut Bindings,
-    k: &mut dyn FnMut(&mut Bindings),
-) {
-    if i == plan.exist_from && i < plan.steps.len() {
-        // Every remaining step binds no head/grouping variable: the head
-        // tuple is fully determined by `b`, so one witness suffices. The
-        // first-occurrence order of distinct head tuples is unchanged — a
-        // prefix solution either has a witness (the full enumeration would
-        // emit here too, possibly many times) or has none (neither emits).
-        if exists_steps(plan, i, db, restrict, use_indexes, b) {
-            EXIST_CUTS.with(|c| c.set(c.get() + 1));
-            k(b);
-        }
-        return;
-    }
-    let Some(step) = plan.steps.get(i) else {
-        k(b);
-        return;
-    };
-    match step {
-        Step::Scan {
-            pred,
-            args,
-            index_cols,
-        } => {
-            let Some(rel) = db.relation(*pred) else {
-                return;
-            };
-            if rel.is_empty() {
-                return; // a positive literal over ∅ has no solutions
-            }
-            let (lo, hi) = match restrict {
-                Some(r) if r.step == i => (r.lo, r.hi),
-                _ => (0, rel.len() as u32),
-            };
-            let mut on_tuple = |tuple: &[ValueId], b: &mut Bindings| {
-                match_slice(args, tuple, b, &mut |b2| {
-                    run_steps(plan, i + 1, db, restrict, use_indexes, b2, k);
-                });
-            };
-            if use_indexes && !index_cols.is_empty() {
-                if let Some(idx) = rel.index(index_cols) {
-                    let mut stack = [ValueId::FILLER; 8];
-                    let mut heap: Vec<ValueId> = Vec::new();
-                    let Some(key) = probe_key(args, index_cols, b, &mut stack, &mut heap) else {
-                        return;
-                    };
-                    INDEX_PROBES.with(|c| c.set(c.get() + 1));
-                    for &pos in idx.probe(key) {
-                        if pos >= lo && pos < hi {
-                            on_tuple(rel.get(pos), b);
-                        }
-                    }
-                    return;
-                }
-            }
-            for pos in lo..hi {
-                if rel.is_live(pos) {
-                    on_tuple(rel.get(pos), b);
-                }
-            }
-        }
-        Step::NegScan {
-            pred,
-            args,
-            index_cols,
-        } => {
-            if neg_holds(*pred, args, index_cols, db, use_indexes, b) {
-                run_steps(plan, i + 1, db, restrict, use_indexes, b, k);
-            }
-        }
-        Step::BuiltinStep {
-            builtin,
-            args,
-            negated,
-        } => {
-            if *negated {
-                let mut any = false;
-                eval_builtin(*builtin, args, b, &mut |_| any = true);
-                if !any {
-                    run_steps(plan, i + 1, db, restrict, use_indexes, b, k);
-                }
-            } else {
-                eval_builtin(*builtin, args, b, &mut |b2| {
-                    run_steps(plan, i + 1, db, restrict, use_indexes, b2, k);
-                });
-            }
-        }
-    }
-}
-
 /// Evaluate the `cols` argument terms into a contiguous index probe key.
 /// Keys are almost always 1–3 columns, so `stack` makes the common probe
 /// allocation-free; `heap` is the spillover for wider keys. `None` if a key
@@ -874,7 +748,6 @@ pub(crate) fn neg_holds(
     args: &[Term],
     index_cols: &[usize],
     db: &Database,
-    use_indexes: bool,
     b: &mut Bindings,
 ) -> bool {
     if args.iter().any(has_anon) {
@@ -882,7 +755,7 @@ pub(crate) fn neg_holds(
             if rel.is_empty() {
                 return false;
             }
-            if use_indexes && !index_cols.is_empty() {
+            if !index_cols.is_empty() {
                 if let Some(idx) = rel.index(index_cols) {
                     let mut stack = [ValueId::FILLER; 8];
                     let mut heap: Vec<ValueId> = Vec::new();
@@ -890,7 +763,7 @@ pub(crate) fn neg_holds(
                     let Some(key) = probe_key(args, index_cols, b, &mut stack, &mut heap) else {
                         return false;
                     };
-                    INDEX_PROBES.with(|c| c.set(c.get() + 1));
+                    note_index_probe();
                     let mut any = false;
                     for &pos in idx.probe(key) {
                         match_slice(args, rel.get(pos), b, &mut |_| any = true);
@@ -924,101 +797,6 @@ pub(crate) fn neg_holds(
     !db.relation(pred).is_some_and(|r| r.contains(&vals))
 }
 
-/// Does the plan tail `steps[i..]` have at least one solution under `b`?
-/// A short-circuiting mirror of [`run_steps`] (same index probing, same
-/// delta restriction) that stops at the first witness instead of
-/// enumerating — the executor for a plan's existential tail.
-fn exists_steps(
-    plan: &RulePlan,
-    i: usize,
-    db: &Database,
-    restrict: Option<DeltaRestriction>,
-    use_indexes: bool,
-    b: &mut Bindings,
-) -> bool {
-    let Some(step) = plan.steps.get(i) else {
-        return true;
-    };
-    match step {
-        Step::Scan {
-            pred,
-            args,
-            index_cols,
-        } => {
-            let Some(rel) = db.relation(*pred) else {
-                return false;
-            };
-            if rel.is_empty() {
-                return false;
-            }
-            let (lo, hi) = match restrict {
-                Some(r) if r.step == i => (r.lo, r.hi),
-                _ => (0, rel.len() as u32),
-            };
-            let witness = |tuple: &[ValueId], b: &mut Bindings| -> bool {
-                let mut found = false;
-                match_slice(args, tuple, b, &mut |b2| {
-                    // `<t>` patterns can match one tuple several ways; one
-                    // successful continuation is enough.
-                    if !found {
-                        found = exists_steps(plan, i + 1, db, restrict, use_indexes, b2);
-                    }
-                });
-                found
-            };
-            if use_indexes && !index_cols.is_empty() {
-                if let Some(idx) = rel.index(index_cols) {
-                    let mut stack = [ValueId::FILLER; 8];
-                    let mut heap: Vec<ValueId> = Vec::new();
-                    let Some(key) = probe_key(args, index_cols, b, &mut stack, &mut heap) else {
-                        return false;
-                    };
-                    INDEX_PROBES.with(|c| c.set(c.get() + 1));
-                    for &pos in idx.probe(key) {
-                        if pos >= lo && pos < hi && witness(rel.get(pos), b) {
-                            return true;
-                        }
-                    }
-                    return false;
-                }
-            }
-            for pos in lo..hi {
-                if rel.is_live(pos) && witness(rel.get(pos), b) {
-                    return true;
-                }
-            }
-            false
-        }
-        Step::NegScan {
-            pred,
-            args,
-            index_cols,
-        } => {
-            neg_holds(*pred, args, index_cols, db, use_indexes, b)
-                && exists_steps(plan, i + 1, db, restrict, use_indexes, b)
-        }
-        Step::BuiltinStep {
-            builtin,
-            args,
-            negated,
-        } => {
-            if *negated {
-                let mut any = false;
-                eval_builtin(*builtin, args, b, &mut |_| any = true);
-                !any && exists_steps(plan, i + 1, db, restrict, use_indexes, b)
-            } else {
-                let mut found = false;
-                eval_builtin(*builtin, args, b, &mut |b2| {
-                    if !found {
-                        found = exists_steps(plan, i + 1, db, restrict, use_indexes, b2);
-                    }
-                });
-                found
-            }
-        }
-    }
-}
-
 /// Create every index a set of plans needs (call whenever new relations
 /// appear).
 pub fn ensure_indexes(plans: &[RulePlan], db: &mut Database) {
@@ -1039,6 +817,8 @@ pub fn ensure_plan_indexes(plan: &RulePlan, db: &mut Database) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::RoundGate;
+    use crate::fixpoint::derive_once;
     use ldl_parser::parse_rule;
 
     fn plan_of(src: &str) -> RulePlan {
@@ -1195,18 +975,16 @@ mod tests {
         let rule = parse_rule("reach(X) <- cand(X), fan(X, Y).").unwrap();
         let cost = RulePlan::compile_with(&rule, Some(&db), true, None).unwrap();
         assert_eq!(cost.exist_from, 1); // Y is not a head variable
-        let _ = take_exist_cuts();
-        let mut b = Bindings::new();
-        let mut n = 0;
-        run_body(&cost, &db, None, false, &mut b, &mut |_| n += 1);
-        assert_eq!(n, 1); // cand(1) has a witness, cand(2) has none
-        assert_eq!(take_exist_cuts(), 1);
+        let solutions = |plan: &RulePlan| {
+            let out = derive_once(plan, &db, None, RoundGate::open(), None);
+            (out.attempts, out.cuts)
+        };
+        // cand(1) has a witness, cand(2) has none.
+        assert_eq!(solutions(&cost), (1, 1));
         let greedy = RulePlan::compile_with(&rule, Some(&db), false, None).unwrap();
         assert_eq!(greedy.exist_from, greedy.steps.len());
-        let mut n2 = 0;
-        run_body(&greedy, &db, None, false, &mut b, &mut |_| n2 += 1);
-        assert_eq!(n2, 10); // full enumeration of the 10 witnesses
-        assert_eq!(take_exist_cuts(), 0);
+        // Full enumeration of the 10 witnesses.
+        assert_eq!(solutions(&greedy), (10, 0));
     }
 
     #[test]

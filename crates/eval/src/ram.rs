@@ -23,10 +23,9 @@
 //! and every built-in — fall back to ops that bridge into the existing
 //! matcher ([`crate::unify`]) and built-in evaluator through a scratch
 //! [`Bindings`](crate::bindings::Bindings), seeded from registers. The
-//! bridge keeps a single source of truth for the multi-solution semantics:
-//! compiled execution is bit-for-bit identical to interpretation (solution
-//! order, derivation attempts, index-probe and existential-cut counts),
-//! which `tests/differential.rs` pins across every evaluation mode.
+//! bridge keeps a single source of truth for the multi-solution semantics;
+//! `tests/differential.rs` pins the engine's results against the reference
+//! evaluator ([`crate::model`]), which interprets plans directly.
 //!
 //! Lowering happens at most once per plan: `RulePlan::lowered` caches the
 //! program in a `OnceLock`, so a cached plan reused across rounds (or

@@ -379,23 +379,16 @@ fn counting_delete_layer(
                     synth.body[occ].atom.pred = rm_names[&rule.body[occ].atom.pred];
                 }
             }
-            let plan = full_enumeration(&RulePlan::compile_with(
-                &synth,
-                Some(db),
-                opts.cost_based,
-                None,
-            )?);
+            let plan = full_enumeration(&RulePlan::compile_with(&synth, Some(db), true, None)?);
             ensure_plan_indexes(&plan, db);
             meter.check()?;
-            let out = derive_once(&plan, db, None, opts.use_indexes, opts.compiled, gate, None);
+            let out = derive_once(&plan, db, None, gate, None);
             stats.rules_fired += 1;
             stats.index_probes += out.probes;
             stats.exist_cuts += out.cuts;
             stats.attempts += out.attempts;
             stats.lowerings += out.lowerings;
-            if opts.compiled {
-                stats.compiled_rounds += 1;
-            }
+            stats.compiled_rounds += 1;
             meter.charge(out.attempts, 0);
             passes.push((rule.head.pred, out.buf));
         }
@@ -539,7 +532,7 @@ fn dred_delete_layer(
                     synth.body[j].atom.pred = scratch_name("old", p);
                 }
             }
-            let plan = RulePlan::compile_with(&synth, Some(db), opts.cost_based, None)?;
+            let plan = RulePlan::compile_with(&synth, Some(db), true, None)?;
             ensure_plan_indexes(&plan, db);
             del_plans.push(plan);
         }
@@ -586,7 +579,7 @@ fn dred_delete_layer(
                 rule.head.args.clone(),
             )),
         );
-        let plan = RulePlan::compile_with(&synth, Some(db), opts.cost_based, Some(0))?;
+        let plan = RulePlan::compile_with(&synth, Some(db), true, Some(0))?;
         ensure_plan_indexes(&plan, db);
         rederive_plans.push(plan);
     }
@@ -684,12 +677,8 @@ pub(crate) fn counting_insert_layer(
                     base.body[g].atom.args.clone(),
                 )));
             }
-            let plan = full_enumeration(&RulePlan::compile_with(
-                &synth,
-                Some(db),
-                opts.cost_based,
-                Some(occ),
-            )?);
+            let plan =
+                full_enumeration(&RulePlan::compile_with(&synth, Some(db), true, Some(occ))?);
             ensure_plan_indexes(&plan, db);
             run_rule_once(
                 &plan,

@@ -77,16 +77,13 @@ pub struct EvalStats {
     /// rules whose *entire* body is existential (ground heads): each delta
     /// slice then performs its own check.
     pub exist_cuts: u64,
-    /// Rule plans lowered to RAM-style register programs (compiled mode
-    /// only). Each cached plan is lowered at most once, on its first
-    /// compiled execution, so this counts distinct programs built — it does
-    /// not grow with rounds. Always `0` with
-    /// [`EvalOptions::compiled`](crate::EvalOptions) off.
+    /// Rule plans lowered to RAM-style register programs. Each cached plan
+    /// is lowered at most once, on its first execution, so this counts
+    /// distinct programs built — it does not grow with rounds.
     pub lowerings: u64,
-    /// Evaluation rounds (and single rule passes) executed through the
-    /// compiled register programs rather than the plan interpreter. Equal to
-    /// `rounds` plus the per-rule passes of incremental maintenance when
-    /// compiled mode is on; `0` when it is off.
+    /// Evaluation rounds and single rule passes executed (every one runs
+    /// through the lowered register programs): `rounds` plus the per-rule
+    /// passes of incremental and differential maintenance.
     pub compiled_rounds: u64,
     /// Hash-partitioned work units executed: one per shard of each task
     /// split by join key instead of by contiguous delta slice. Like

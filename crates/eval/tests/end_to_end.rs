@@ -1,33 +1,37 @@
 //! End-to-end evaluation tests: every §1 program of the paper, run through
-//! the full pipeline (parse → stratify → plan → layered fixpoint), in every
-//! engine configuration.
+//! the full pipeline (parse → stratify → plan → layered fixpoint)
+//! sequentially and on a worker pool, and checked against the reference
+//! evaluator.
 
-use ldl_eval::{check_model, EvalOptions, Evaluator};
+use ldl_ast::program::Program;
+use ldl_eval::{check_model, reference_model, EvalOptions, Evaluator};
 use ldl_parser::{parse_atom, parse_program};
 use ldl_storage::Database;
 use ldl_stratify::Stratification;
 use ldl_value::{Fact, Value};
 
 fn all_configs() -> Vec<Evaluator> {
-    let mut out = Vec::new();
-    for semi_naive in [false, true] {
-        for use_indexes in [false, true] {
-            for parallelism in [1, 4] {
-                for cost_based in [false, true] {
-                    out.push(Evaluator::with_options(EvalOptions {
-                        semi_naive,
-                        use_indexes,
-                        check_wf: true,
-                        dialect: ldl_ast::wf::Dialect::Ldl1,
-                        parallelism,
-                        cost_based,
-                        ..EvalOptions::default()
-                    }));
-                }
-            }
-        }
-    }
-    out
+    [1, 4]
+        .into_iter()
+        .map(|parallelism| {
+            Evaluator::with_options(EvalOptions {
+                parallelism,
+                ..EvalOptions::default()
+            })
+        })
+        .collect()
+}
+
+/// The engine's model under `ev`, after checking it against the reference
+/// evaluator's (§3.2 executed literally).
+fn evaluate(ev: &Evaluator, program: &Program, edb: &Database) -> Database {
+    let m = ev.evaluate(program, edb).unwrap();
+    assert_eq!(
+        m.to_fact_set(),
+        reference_model(program, edb).unwrap().to_fact_set(),
+        "engine diverged from the reference model"
+    );
+    m
 }
 
 fn atom(s: &str) -> Value {
@@ -51,7 +55,7 @@ fn ancestor_transitive_closure() {
         edb.insert_tuple("parent", vec![atom(a), atom(b)]);
     }
     for ev in all_configs() {
-        let m = ev.evaluate(&program, &edb).unwrap();
+        let m = evaluate(&ev, &program, &edb);
         let anc = ev.facts(&m, "ancestor");
         assert_eq!(anc.len(), 7, "chain pairs plus the e-f edge");
         assert!(m.contains(&Fact::new("ancestor", vec![atom("a"), atom("d")])));
@@ -78,7 +82,7 @@ fn excl_ancestor_negation() {
         edb.insert_tuple("person", vec![atom(p)]);
     }
     for ev in all_configs() {
-        let m = ev.evaluate(&program, &edb).unwrap();
+        let m = evaluate(&ev, &program, &edb);
         // a's ancestors-of: b, c. excl(a, Y, Z) for Y∈{b,c}, Z where
         // ¬ancestor(a,Z): Z = a only.
         assert!(m.contains(&Fact::new(
@@ -106,7 +110,7 @@ fn book_deal_set_enumeration() {
         edb.insert_tuple("book", vec![atom(t), Value::int(p)]);
     }
     for ev in all_configs() {
-        let m = ev.evaluate(&program, &edb).unwrap();
+        let m = evaluate(&ev, &program, &edb);
         let deals = ev.facts(&m, "book_deal");
         // Triples under 100: {logic,sets,?}: 30+40+45=115 ✗; picking with
         // repetition: {logic,logic,logic}=90 ⇒ {logic}; {logic,sets}=100 ✗
@@ -126,7 +130,7 @@ fn book_deal_set_enumeration() {
         for (t, p) in [("a", 10), ("b", 20), ("c", 60)] {
             edb2.insert_tuple("book", vec![atom(t), Value::int(p)]);
         }
-        let m2 = ev.evaluate(&program, &edb2).unwrap();
+        let m2 = evaluate(&ev, &program, &edb2);
         let deals2 = ev.facts(&m2, "book_deal");
         // {a,b,c} = 90 < 100 ✓; doublet {a,b} via (a,a,b)=40 ✓; singleton
         // {a} ✓.
@@ -163,7 +167,7 @@ fn bill_of_materials_tc() {
         edb.insert_tuple("q", vec![Value::int(x), Value::int(c)]);
     }
     for ev in all_configs() {
-        let m = ev.evaluate(&program, &edb).unwrap();
+        let m = evaluate(&ev, &program, &edb);
         // The paper: tc({3}, 25), tc({2}, 45), tc({1}, 245).
         assert!(m.contains(&Fact::new("tc", vec![set(&[3]), Value::int(25)])));
         assert!(m.contains(&Fact::new("tc", vec![set(&[2]), Value::int(45)])));
@@ -193,7 +197,7 @@ fn young_same_generation() {
     edb.insert_tuple("siblings", vec![atom("f"), atom("u")]);
     edb.insert_tuple("siblings", vec![atom("u"), atom("f")]);
     for ev in all_configs() {
-        let m = ev.evaluate(&program, &edb).unwrap();
+        let m = evaluate(&ev, &program, &edb);
         // john has no descendants; same generation: cousin (via f/u
         // siblings).
         let answers = ev.query(&m, &parse_atom("young(john, S)").unwrap());
@@ -233,7 +237,8 @@ fn theorem2_layering_independence() {
     assert_eq!(m1.to_fact_set(), m2.to_fact_set());
 }
 
-/// All four engine configurations agree on a mixed workload.
+/// Sequential and pooled evaluation agree with each other, and with the
+/// reference model, on a mixed workload.
 #[test]
 fn configs_agree() {
     let program = parse_program(
@@ -254,7 +259,7 @@ fn configs_agree() {
     }
     let results: Vec<_> = all_configs()
         .iter()
-        .map(|ev| ev.evaluate(&program, &edb).unwrap().to_fact_set())
+        .map(|ev| evaluate(ev, &program, &edb).to_fact_set())
         .collect();
     for w in results.windows(2) {
         assert_eq!(w[0], w[1]);
@@ -298,7 +303,7 @@ fn program_facts_loaded() {
     )
     .unwrap();
     for ev in all_configs() {
-        let m = ev.evaluate(&program, &Database::new()).unwrap();
+        let m = evaluate(&ev, &program, &Database::new());
         // §2.2's example model, computed: {r(1), h({1}), p({1}), q({1})}.
         assert!(m.contains(&Fact::new("p", vec![set(&[1])])));
         assert!(m.contains(&Fact::new("q", vec![set(&[1])])));
@@ -318,7 +323,7 @@ fn function_symbols_in_heads() {
     )
     .unwrap();
     for ev in all_configs() {
-        let m = ev.evaluate(&program, &Database::new()).unwrap();
+        let m = evaluate(&ev, &program, &Database::new());
         let nums = ev.facts(&m, "num");
         // z, s(z), s(s(z)), s(s(s(z))).
         assert_eq!(nums.len(), 4);
@@ -338,7 +343,7 @@ fn long_chain() {
     for i in 0..n {
         edb.insert_tuple("e", vec![Value::int(i), Value::int(i + 1)]);
     }
-    let ev = Evaluator::new(); // semi-naive + indexes
+    let ev = Evaluator::new();
     let m = ev.evaluate(&program, &edb).unwrap();
     let count = m.relation("r".into()).unwrap().len();
     assert_eq!(count as i64, n * (n + 1) / 2);
@@ -353,7 +358,7 @@ fn query_patterns() {
         edb.insert_tuple("par", vec![Value::int(a), Value::int(b)]);
     }
     let ev = Evaluator::new();
-    let m = ev.evaluate(&program, &edb).unwrap();
+    let m = evaluate(&ev, &program, &edb);
     // Bound key.
     let a1 = ev.query(&m, &parse_atom("kids(1, S)").unwrap());
     assert_eq!(a1.len(), 1);

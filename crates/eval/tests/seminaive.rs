@@ -1,11 +1,30 @@
 //! Semi-naive evaluation internals: delta restrictions must cover exactly
-//! the derivations naive evaluation performs.
+//! the derivations the literal §3.2 iteration performs.
 
-use ldl_eval::plan::{run_body, DeltaRestriction, RulePlan};
-use ldl_eval::{EvalOptions, Evaluator};
+use ldl_eval::fixpoint::run_rule_once;
+use ldl_eval::plan::{DeltaRestriction, RulePlan};
+use ldl_eval::{reference_model, BudgetMeter, EvalOptions, EvalStats, Evaluator};
 use ldl_parser::{parse_program, parse_rule};
 use ldl_storage::Database;
 use ldl_value::{intern, Value};
+
+/// Run `rule` once over `db` with one scan step confined to a delta range,
+/// returning the head relation's (unary) tuples in derivation order.
+fn derive_restricted(rule: &str, db: &mut Database, restrict: DeltaRestriction) -> Vec<Value> {
+    let plan = RulePlan::compile(&parse_rule(rule).unwrap()).unwrap();
+    let opts = EvalOptions::default();
+    run_rule_once(
+        &plan,
+        db,
+        Some(restrict),
+        &opts,
+        &mut EvalStats::new(),
+        &mut BudgetMeter::new(&opts.budget),
+    )
+    .unwrap();
+    let head = db.relation(plan.head.pred).unwrap();
+    head.iter().map(|t| intern::resolve(t[0])).collect()
+}
 
 #[test]
 fn delta_restriction_confines_one_step() {
@@ -14,21 +33,13 @@ fn delta_restriction_confines_one_step() {
     for i in 0..4 {
         db.insert_tuple("e", vec![Value::int(i)]);
     }
-    let plan = RulePlan::compile(&parse_rule("q(X) <- e(X).").unwrap()).unwrap();
-    let mut seen = Vec::new();
-    let mut b = ldl_eval::bindings::Bindings::new();
-    run_body(
-        &plan,
-        &db,
-        Some(DeltaRestriction {
+    let seen = derive_restricted(
+        "q(X) <- e(X).",
+        &mut db,
+        DeltaRestriction {
             step: 0,
             lo: 2,
             hi: 4,
-        }),
-        true,
-        &mut b,
-        &mut |b2| {
-            seen.push(intern::resolve(b2.get("X".into()).unwrap()));
         },
     );
     assert_eq!(seen, vec![Value::int(2), Value::int(3)]);
@@ -43,22 +54,14 @@ fn delta_restriction_applies_through_indexes() {
     db.relation_mut("e".into(), 2).ensure_index(&[0]);
     // f(X) <- k(K), e(K, X): the e-scan probes the index on column 0.
     db.insert_tuple("k", vec![Value::int(0)]);
-    let plan = RulePlan::compile(&parse_rule("f(X) <- k(K), e(K, X).").unwrap()).unwrap();
     // e tuples with K=0 sit at positions 0, 2, 4; restrict to [3, 6).
-    let mut seen = Vec::new();
-    let mut b = ldl_eval::bindings::Bindings::new();
-    run_body(
-        &plan,
-        &db,
-        Some(DeltaRestriction {
+    let seen = derive_restricted(
+        "f(X) <- k(K), e(K, X).",
+        &mut db,
+        DeltaRestriction {
             step: 1,
             lo: 3,
             hi: 6,
-        }),
-        true,
-        &mut b,
-        &mut |b2| {
-            seen.push(intern::resolve(b2.get("X".into()).unwrap()));
         },
     );
     assert_eq!(seen, vec![Value::int(4)]);
@@ -79,15 +82,12 @@ fn closure_sizes_match_formula() {
         for i in 0..n {
             edb.insert_tuple("e", vec![Value::int(i), Value::int(i + 1)]);
         }
-        for semi in [false, true] {
-            let m = Evaluator::with_options(EvalOptions {
-                semi_naive: semi,
-                ..EvalOptions::default()
-            })
-            .evaluate(&program, &edb)
-            .unwrap();
+        for m in [
+            Evaluator::new().evaluate(&program, &edb).unwrap(),
+            reference_model(&program, &edb).unwrap(),
+        ] {
             let count = m.relation("r".into()).unwrap().len() as i64;
-            assert_eq!(count, n * (n + 1) / 2, "n={n}, semi_naive={semi}");
+            assert_eq!(count, n * (n + 1) / 2, "n={n}");
         }
     }
 }
@@ -127,12 +127,7 @@ fn triple_recursive_literal_rule() {
     for i in 0..12 {
         edb.insert_tuple("e", vec![Value::int(i), Value::int(i + 1)]);
     }
-    let naive = Evaluator::with_options(EvalOptions {
-        semi_naive: false,
-        ..EvalOptions::default()
-    })
-    .evaluate(&program, &edb)
-    .unwrap();
+    let reference = reference_model(&program, &edb).unwrap();
     let semi = Evaluator::new().evaluate(&program, &edb).unwrap();
-    assert_eq!(naive.to_fact_set(), semi.to_fact_set());
+    assert_eq!(reference.to_fact_set(), semi.to_fact_set());
 }

@@ -59,8 +59,8 @@ pub use ldl_wal as wal;
 
 pub use ldl_ast::program::Program;
 pub use ldl_eval::{
-    check_model, parse_jobs, Budget, CancelToken, EvalOptions, EvalStats, Evaluator, QueryAnswer,
-    ResourceKind,
+    check_model, parse_jobs, reference_model, Budget, CancelToken, EvalOptions, EvalStats,
+    Evaluator, QueryAnswer, ResourceKind,
 };
 pub use ldl_magic::MagicEvaluator;
 pub use ldl_storage::Database;
@@ -109,18 +109,6 @@ pub enum Error {
     /// system with no data directory attached — use [`System::open`] or
     /// [`System::persist`] first.
     NoDataDir,
-    /// A commit failed twice over: evaluation raised `eval` — after which
-    /// the EDB *kept* the staged facts and the cached model was dropped —
-    /// and then appending those facts to the write-ahead log also failed
-    /// with `wal`, poisoning the store until a successful
-    /// [`System::checkpoint`]. Both failures matter: the first explains
-    /// the in-memory state, the second that it is not durable.
-    EvalAndDurability {
-        /// The evaluation failure that surfaced first.
-        eval: ldl_eval::EvalError,
-        /// The durability failure that followed.
-        wal: Box<Error>,
-    },
 }
 
 /// A mutation batch rejected during validation — raised by
@@ -173,9 +161,6 @@ impl fmt::Display for Error {
                 write!(f, "corrupt durable state at byte {offset}: {detail}")
             }
             Error::NoDataDir => write!(f, "no data directory attached to this system"),
-            Error::EvalAndDurability { eval, wal } => {
-                write!(f, "{eval}; additionally the write-ahead log failed: {wal}")
-            }
         }
     }
 }
@@ -191,7 +176,6 @@ impl std::error::Error for Error {
             Error::Durability(e) => Some(e),
             Error::Corrupt { .. } => None,
             Error::NoDataDir => None,
-            Error::EvalAndDurability { eval, .. } => Some(eval),
         }
     }
 }
@@ -288,7 +272,7 @@ impl Default for System {
 }
 
 impl System {
-    /// A fresh system with default options (semi-naive, indexed).
+    /// A fresh system with default options.
     pub fn new() -> System {
         System {
             source: Program::new(),
@@ -509,8 +493,8 @@ impl System {
     /// syntax. Ground facts go to the EDB; rules are compiled to core LDL1.
     ///
     /// New rules invalidate the cached model; a facts-only `src` is
-    /// committed like a [`System::batch`], maintaining the model
-    /// incrementally.
+    /// committed as one [`System::mutate`] batch of assertions, maintaining
+    /// the model incrementally.
     pub fn load(&mut self, src: &str) -> Result<(), Error> {
         let parsed = ldl_parser::parse_program(src)?;
         let mut facts = Vec::new();
@@ -535,7 +519,11 @@ impl System {
             self.compiled = compile_ldl15(&self.source, self.grouping_semantics)?;
             self.cache = None;
         }
-        self.commit_facts(facts)
+        let mut b = self.mutate();
+        for f in facts {
+            b.push(Mutation::Assert(f));
+        }
+        b.commit()
     }
 
     /// Add one fact, e.g. `sys.fact("parent(abe, bob).")`. A convenience
@@ -565,13 +553,12 @@ impl System {
         b.commit()
     }
 
-    /// Add one fact from parts. A convenience for a batch of one; an
-    /// incremental-maintenance failure invalidates the cached model (the
-    /// error resurfaces from the next full evaluation).
-    pub fn insert(&mut self, pred: &str, args: Vec<Value>) {
+    /// Add one fact from parts — [`System::fact`] without the parsing. A
+    /// convenience for a mutation batch of one.
+    pub fn insert(&mut self, pred: &str, args: Vec<Value>) -> Result<(), Error> {
         let mut b = self.mutate();
         b.assert(pred, args);
-        let _ = b.commit();
+        b.commit()
     }
 
     /// Start a mutation transaction: assertions, retractions, and updates
@@ -587,22 +574,6 @@ impl System {
         }
     }
 
-    /// Start an insert-only transaction.
-    ///
-    /// A compatibility shim from before retractions existed: [`Batch`]
-    /// stages assertions only and forwards to the same commit machinery as
-    /// [`System::mutate`]. Existing code keeps compiling; new code should
-    /// call [`System::mutate`], which also stages retractions and updates.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use System::mutate, which also stages retractions"
-    )]
-    pub fn batch(&mut self) -> Batch<'_> {
-        Batch {
-            inner: self.mutate(),
-        }
-    }
-
     /// Work counters from the most recent evaluation — full or
     /// incremental. After an incremental commit, `strata_skipped` /
     /// `strata_delta` / `strata_replayed` show how each stratum was
@@ -611,109 +582,20 @@ impl System {
         self.last_stats
     }
 
-    /// Apply a committed batch: extend the EDB and, if a model is cached,
-    /// propagate the new tuples through it incrementally.
+    /// Apply a committed mutation batch — the one commit path: `del` and
+    /// `ins` are the net, validated, disjoint deletion and insertion sets.
     ///
-    /// Transactional under resource aborts: if the incremental update runs
-    /// out of budget, the staged facts are rolled back out of the EDB and
-    /// the (half-updated) model is dropped, leaving the system exactly as
-    /// it was before the commit — re-submitting the batch under a
-    /// sufficient budget then produces the same state as an uninterrupted
-    /// commit.
-    fn commit_facts(&mut self, staged: Vec<Fact>) -> Result<(), Error> {
-        let opts = self.eval_options();
-        let edb_mark = self.edb.mark();
-        let Some(cache) = &mut self.cache else {
-            let mut applied = Vec::new();
-            for f in staged {
-                if self.edb.insert(f.clone()) {
-                    applied.push(f);
-                }
-            }
-            return self.log_commit(&[], &applied);
-        };
-        // Stage into the model first, recording each predicate's
-        // pre-insertion length the first time it grows: the delta frontier
-        // `[lo, len)` for incremental propagation. Duplicates (already in
-        // the model) are no-ops and join no frontier.
-        let mut changed = eval::DeltaFrontier::default();
-        let mut applied = Vec::new();
-        for f in staged {
-            let pred = f.pred();
-            let lo = cache.db.relation(pred).map_or(0, |r| r.len());
-            if cache.db.insert(f.clone()) {
-                changed.entry(pred).or_insert(lo);
-            }
-            if self.edb.insert(f.clone()) {
-                applied.push(f);
-            }
-        }
-        if changed.is_empty() {
-            // The model already contained every staged fact (e.g. stored
-            // twins of derived facts), but the EDB may still have grown —
-            // the log tracks the EDB.
-            return self.log_commit(&[], &applied);
-        }
-        let mut stats = EvalStats::new();
-        let res = eval::apply_update(
-            &self.compiled,
-            &cache.strat,
-            &cache.sens,
-            &self.edb,
-            &mut cache.db,
-            changed,
-            &opts,
-            &mut stats,
-        );
-        stats.interner_values = ldl_value::intern::len() as u64;
-        self.last_stats = stats;
-        if let Err(e) = res {
-            if matches!(e, ldl_eval::EvalError::ResourceExhausted { .. }) {
-                // Abort: undo the commit entirely. The staged facts leave
-                // the EDB; the half-updated model is dropped (replay may
-                // have truncated IDB relations with `set_relation`, so a
-                // positional rollback of the model is not possible — a
-                // retry recomputes it from the restored EDB, bit-identical
-                // to a never-interrupted run). The aborted batch is never
-                // logged — the write-ahead log tracks the EDB, which is
-                // back to its pre-commit state.
-                self.edb.truncate_to(&edb_mark);
-                self.cache = None;
-                return Err(e.into());
-            }
-            // Otherwise the model may be half-updated; drop it so the next
-            // query recomputes (and re-raises the error) from scratch. The
-            // EDB *kept* the staged facts, so the log must record them —
-            // if that append also fails the store poisons itself and both
-            // failures surface together as [`Error::EvalAndDurability`].
-            self.cache = None;
-            return Err(match self.log_commit(&[], &applied) {
-                Ok(()) => e.into(),
-                Err(wal) => Error::EvalAndDurability {
-                    eval: e,
-                    wal: Box::new(wal),
-                },
-            });
-        }
-        // The in-memory commit stands even if the append fails (the store
-        // poisons itself), so readers must still see the new model.
-        let logged = self.log_commit(&[], &applied);
-        self.publish();
-        logged
-    }
-
-    /// Apply a committed mutation batch: `del` and `ins` are the net,
-    /// validated, disjoint deletion and insertion sets.
-    ///
-    /// Insert-only batches reuse the pure-insertion path ([`commit_facts`](
-    /// System::commit_facts)). Batches with deletions go through
+    /// With a cached model the batch goes through
     /// [`eval::apply_mutations`]: counting maintenance or delete-rederive
-    /// per stratum, with the EDB restored bit-identically if the budget
-    /// trips mid-batch (the half-updated model is dropped either way, and
-    /// the error resurfaces; a retry recomputes from the restored EDB).
+    /// per stratum for the deletions, delta propagation for the insertions.
+    /// On any error — typically a tripped budget — the EDB is restored
+    /// bit-identically and the half-updated model is dropped, leaving the
+    /// system exactly as it was before the commit; re-submitting the batch
+    /// under a sufficient budget then produces the same state as an
+    /// uninterrupted commit.
     fn commit_mutations(&mut self, del: Vec<Fact>, ins: Vec<Fact>) -> Result<(), Error> {
-        if del.is_empty() {
-            return self.commit_facts(ins);
+        if del.is_empty() && ins.is_empty() {
+            return Ok(()); // netted to nothing: no evaluation, no log record
         }
         let opts = self.eval_options();
         let Some(cache) = &mut self.cache else {
@@ -831,10 +713,9 @@ impl System {
     /// statistics to plan against — the output is what a *re*-evaluation
     /// would use, which is also what incremental maintenance runs.
     pub fn explain(&mut self, pred: Option<&str>) -> Result<String, Error> {
-        let opts = self.eval_options();
         let program = self.compiled.clone();
         let m = self.model()?;
-        Ok(eval::explain(&program, m, &opts, pred))
+        Ok(eval::explain(&program, m, pred))
     }
 }
 
@@ -972,6 +853,7 @@ impl MutationBatch<'_> {
         let mut ins: Vec<Fact> = Vec::new();
         let mut del_set: ldl_value::fxhash::FastSet<Fact> = Default::default();
         let mut ins_set: ldl_value::fxhash::FastSet<Fact> = Default::default();
+        let mut cancelled = false;
         for m in staged {
             let (retract, assert) = match m {
                 Mutation::Assert(f) => (None, Some(f)),
@@ -983,6 +865,7 @@ impl MutationBatch<'_> {
             if let Some(f) = retract {
                 if ins_set.remove(&f) {
                     // cancels an assertion staged earlier in this batch
+                    cancelled = true;
                 } else if sys.edb.contains(&f) && !del_set.contains(&f) {
                     del_set.insert(f.clone());
                     del.push(f);
@@ -993,62 +876,23 @@ impl MutationBatch<'_> {
             if let Some(f) = assert {
                 if del_set.remove(&f) {
                     // cancels a retraction staged earlier in this batch
+                    cancelled = true;
                 } else if !sys.edb.contains(&f) && ins_set.insert(f.clone()) {
                     ins.push(f);
                 }
                 // else: already stored, or already staged — a no-op
             }
         }
-        // Retract-assert-retract cycles can stage the same fact twice; keep
+        // A cancelled staging leaves a stale entry behind, and
+        // retract-assert-retract cycles can stage the same fact twice; keep
         // each net change once, at its first staging position.
-        let mut seen: ldl_value::fxhash::FastSet<Fact> = Default::default();
-        del.retain(|f| del_set.contains(f) && seen.insert(f.clone()));
-        seen.clear();
-        ins.retain(|f| ins_set.contains(f) && seen.insert(f.clone()));
+        if cancelled {
+            let mut seen: ldl_value::fxhash::FastSet<Fact> = Default::default();
+            del.retain(|f| del_set.contains(f) && seen.insert(f.clone()));
+            seen.clear();
+            ins.retain(|f| ins_set.contains(f) && seen.insert(f.clone()));
+        }
         sys.commit_mutations(del, ins)
-    }
-}
-
-/// An insert-only transaction — the pre-retraction batch API, kept as a
-/// source-compatible shim over [`MutationBatch`].
-///
-/// Obtained from the deprecated [`System::batch`]; new code should use
-/// [`System::mutate`].
-#[derive(Debug)]
-pub struct Batch<'a> {
-    inner: MutationBatch<'a>,
-}
-
-impl Batch<'_> {
-    /// Stage one fact written in concrete syntax, e.g.
-    /// `b.fact("parent(abe, bob).")`. Fails with [`Error::NotGround`] if
-    /// the fact contains variables.
-    pub fn fact(&mut self, src: &str) -> Result<&mut Self, Error> {
-        self.inner.assert_fact(src)?;
-        Ok(self)
-    }
-
-    /// Stage one fact from parts.
-    pub fn insert(&mut self, pred: &str, args: Vec<Value>) -> &mut Self {
-        self.inner.assert(pred, args);
-        self
-    }
-
-    /// Number of staged facts (duplicates included — they collapse on
-    /// commit).
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Apply the staged facts: extend the EDB, and bring the cached model
-    /// (if any) up to date in one incremental step.
-    pub fn commit(self) -> Result<(), Error> {
-        self.inner.commit()
     }
 }
 
@@ -1114,9 +958,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn batch_commit_is_one_step() {
-        // Compatibility: the insert-only Batch shim keeps working.
         let mut sys = System::new();
         sys.load(
             "tc(X, Y) <- e(X, Y). tc(X, Y) <- e(X, Z), tc(Z, Y).\n\
@@ -1125,10 +967,10 @@ mod tests {
         .unwrap();
         assert_eq!(sys.query("tc(1, X)").unwrap().len(), 1);
 
-        let mut b = sys.batch();
-        b.fact("e(2, 3).").unwrap();
-        b.fact("e(3, 4).").unwrap();
-        b.fact("e(1, 2).").unwrap(); // duplicate: no-op
+        let mut b = sys.mutate();
+        b.assert_fact("e(2, 3).").unwrap();
+        b.assert_fact("e(3, 4).").unwrap();
+        b.assert_fact("e(1, 2).").unwrap(); // duplicate: no-op
         assert_eq!(b.len(), 3);
         b.commit().unwrap();
 
@@ -1243,6 +1085,21 @@ mod tests {
             "salary",
             vec![Value::atom("sales"), Value::atom("joe"), Value::int(10)]
         )));
+    }
+
+    #[test]
+    fn reloading_a_stored_fact_adds_no_support() {
+        // p(1) is stored and derived, so its tuple carries two supports.
+        // Loading the stored fact again is a no-op — it must not register a
+        // third one, or p(1) outlives the retraction of both real supports.
+        let mut sys = System::new();
+        sys.load("p(X) <- e(X). p(1). e(1).").unwrap();
+        assert_eq!(sys.query("p(X)").unwrap().len(), 1);
+        sys.load("p(1).").unwrap();
+        sys.retract("p(1).").unwrap();
+        assert_eq!(sys.query("p(X)").unwrap().len(), 1, "still derived");
+        sys.retract("e(1).").unwrap();
+        assert_eq!(sys.query("p(X)").unwrap().len(), 0);
     }
 
     #[test]

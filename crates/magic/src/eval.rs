@@ -23,7 +23,7 @@
 use ldl_ast::literal::Atom;
 use ldl_ast::program::{Builtin, Program};
 use ldl_ast::wf::Dialect;
-use ldl_eval::fixpoint::{naive_fixpoint, run_rule_once, semi_naive_fixpoint};
+use ldl_eval::fixpoint::{run_rule_once, semi_naive_fixpoint};
 use ldl_eval::grouping::run_grouping_rule;
 use ldl_eval::plan::{ensure_indexes, HeadKind, RulePlan};
 use ldl_eval::stats::EvalStats;
@@ -128,12 +128,7 @@ impl MagicEvaluator {
                         meter: &mut BudgetMeter<'_>|
          -> Result<(), EvalError> {
             ensure_indexes(&base, db);
-            let mut stats = EvalStats::new();
-            if opts.semi_naive {
-                semi_naive_fixpoint(&base, &base_preds, db, opts, &mut stats, meter)
-            } else {
-                naive_fixpoint(&base, db, opts, &mut stats, meter)
-            }
+            semi_naive_fixpoint(&base, &base_preds, db, opts, &mut EvalStats::new(), meter)
         };
         let apply_guarded = |db: &mut Database,
                              opts: &EvalOptions,
@@ -149,13 +144,7 @@ impl MagicEvaluator {
                 changed += match plan.head_kind {
                     HeadKind::Grouping { .. } => {
                         meter.check()?;
-                        let (tuples, attempts) = run_grouping_rule(
-                            plan,
-                            db,
-                            opts.use_indexes,
-                            opts.compiled,
-                            opts.budget.gate(),
-                        );
+                        let (tuples, attempts) = run_grouping_rule(plan, db, opts.budget.gate());
                         let mut n = 0;
                         for t in tuples {
                             if db.insert_id_slice(plan.head.pred, &t) {

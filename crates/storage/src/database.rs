@@ -41,13 +41,6 @@ impl Database {
         self.insert_id_slice(fact.pred(), &ids)
     }
 
-    /// Insert an already-interned owned tuple.
-    #[deprecated(note = "use `insert_id_slice` — tuples are copied into the relation's arena")]
-    #[allow(deprecated)]
-    pub fn insert_ids(&mut self, pred: Symbol, tuple: crate::relation::Tuple) -> bool {
-        self.insert_id_slice(pred, &tuple)
-    }
-
     /// Insert an interned tuple borrowed from a derivation buffer — the
     /// merge-phase hot path. A rejected duplicate allocates nothing (see
     /// [`Relation::insert_slice`]). Returns `true` iff the tuple was new.
@@ -238,15 +231,8 @@ pub struct Mark {
     lens: FastMap<Symbol, usize>,
 }
 
-/// Convenience: make an interned tuple from structural values.
-#[deprecated(note = "use `intern_ids` — owned shared tuples are gone from the storage layer")]
-#[allow(deprecated)]
-pub fn tuple(vals: Vec<Value>) -> crate::relation::Tuple {
-    vals.iter().map(intern::id_of).collect()
-}
-
-/// Intern structural values into a flat id vector — the borrowed-slice
-/// counterpart of the old `tuple` helper, for [`Database::insert_id_slice`].
+/// Intern structural values into a flat id vector, for
+/// [`Database::insert_id_slice`].
 pub fn intern_ids(vals: &[Value]) -> Vec<ValueId> {
     vals.iter().map(intern::id_of).collect()
 }

@@ -17,9 +17,5 @@
 pub mod database;
 pub mod relation;
 
-#[allow(deprecated)]
-pub use database::tuple;
 pub use database::{intern_ids, resolve_fact, Database, Mark};
-#[allow(deprecated)]
-pub use relation::Tuple;
 pub use relation::{shard_of_key, shard_of_projection, IndexRef, Relation};

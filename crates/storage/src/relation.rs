@@ -12,17 +12,9 @@
 //! at the [`crate::Database`] fact boundary.
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use ldl_value::fxhash::{FastMap, FastSet, FxHasher};
 use ldl_value::{intern, ValueId};
-
-/// A ground tuple of interned values as an owned shared allocation.
-#[deprecated(
-    note = "tuples live in flat paged arenas now; work with `&[ValueId]` row \
-            slices (`Relation::get`, `Relation::insert_slice`) instead"
-)]
-pub type Tuple = Arc<[ValueId]>;
 
 /// Positions are dense `u32`s; the top two values are reserved for the
 /// hash-table sentinels, so a relation holds at most `u32::MAX - 2` rows.
@@ -671,13 +663,6 @@ impl Relation {
     /// Bytes of arena page memory currently reserved.
     pub fn arena_bytes(&self) -> usize {
         self.rows.bytes()
-    }
-
-    /// Insert an owned tuple; returns `true` iff it was new.
-    #[deprecated(note = "use `insert_slice` — rows are copied into the arena, not shared")]
-    #[allow(deprecated)]
-    pub fn insert(&mut self, tuple: Tuple) -> bool {
-        self.insert_slice(&tuple)
     }
 
     /// Insert a borrowed tuple; returns `true` iff it was new. This is the

@@ -1,10 +1,10 @@
 #![warn(missing_docs)]
 
-//! Self-contained test and benchmark support.
+//! Self-contained test support.
 //!
-//! The workspace builds offline, so it cannot pull `proptest`, `rand`, or
-//! `criterion` from crates.io. This crate provides the small slice of that
-//! functionality the tests and benches actually use:
+//! The workspace builds offline, so it cannot pull `proptest` or `rand`
+//! from crates.io. This crate provides the small slice of that
+//! functionality the tests actually use:
 //!
 //! * [`Rng`] — a seeded, deterministic xorshift64* generator;
 //! * [`cases`] — a property-test driver running a closure over many seeds
@@ -16,13 +16,11 @@
 //!   grouping) for differential testing;
 //! * [`fault`] — an I/O fault injector implementing [`ldl_wal::WalFile`],
 //!   for crash-recovery testing of the durability layer;
-//! * [`bench()`] / [`Sample`] — wall-clock timing with median/min reporting
-//!   for the `harness = false` benchmark binaries.
+//! * [`CountingAlloc`] — an allocation-counting global allocator for
+//!   pinning allocation-free hot paths.
 
 pub mod fault;
 pub mod gen;
-
-use std::time::{Duration, Instant};
 
 /// A deterministic xorshift64* pseudo-random generator.
 ///
@@ -157,70 +155,6 @@ fn minimal_failing_size<E>(
         }
     }
     (max_size, original)
-}
-
-/// The compiled-execution settings a suite should cover: both executors by
-/// default, or only the one `LDL1_COMPILED` pins (`0`/`false` ⇒ the plan
-/// interpreter, any other value ⇒ the register programs). Pinning lets a CI
-/// matrix leg run each configuration exactly once instead of every suite
-/// twice; the unpinned default keeps local `cargo test` covering both. The
-/// first element is the configuration whose output a blessing run records.
-pub fn compiled_matrix() -> Vec<bool> {
-    match std::env::var("LDL1_COMPILED") {
-        Err(_) => vec![true, false],
-        Ok(v) => {
-            let v = v.trim();
-            vec![v != "0" && !v.eq_ignore_ascii_case("false")]
-        }
-    }
-}
-
-/// One benchmark measurement: per-iteration wall-clock statistics.
-#[derive(Clone, Copy, Debug)]
-pub struct Sample {
-    /// Median duration of one iteration.
-    pub median: Duration,
-    /// Fastest iteration.
-    pub min: Duration,
-    /// Number of timed iterations.
-    pub iters: usize,
-}
-
-impl Sample {
-    /// Median in milliseconds.
-    pub fn median_ms(&self) -> f64 {
-        self.median.as_secs_f64() * 1e3
-    }
-
-    /// `other.median / self.median` — how many times faster `self` is.
-    pub fn speedup_over(&self, other: &Sample) -> f64 {
-        other.median.as_secs_f64() / self.median.as_secs_f64().max(1e-12)
-    }
-}
-
-/// Time `f` for `iters` iterations (after one untimed warm-up) and print
-/// `group/label: median ms` in a stable, grep-friendly format.
-pub fn bench(group: &str, label: &str, iters: usize, mut f: impl FnMut()) -> Sample {
-    assert!(iters > 0);
-    f(); // warm-up
-    let mut times = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        times.push(t.elapsed());
-    }
-    times.sort();
-    let s = Sample {
-        median: times[times.len() / 2],
-        min: times[0],
-        iters,
-    };
-    println!(
-        "{group}/{label}: {:.3} ms (min {:.3} ms, n={iters})",
-        s.median_ms(),
-        s.min.as_secs_f64() * 1e3
-    );
-    s
 }
 
 /// A [`std::alloc::GlobalAlloc`] wrapper over the system allocator that
@@ -387,14 +321,5 @@ mod tests {
             msg.contains("failed at size 3"),
             "expected the minimal (size 3) failure, got: {msg}"
         );
-    }
-
-    #[test]
-    fn bench_reports_sane_sample() {
-        let s = bench("testkit", "noop", 5, || {
-            std::hint::black_box(1 + 1);
-        });
-        assert_eq!(s.iters, 5);
-        assert!(s.min <= s.median);
     }
 }

@@ -26,16 +26,20 @@ fn forest(sys: &mut System, roots: usize, depth: u32) {
             for node in &level {
                 let (a, b) = (format!("n{id}"), format!("n{}", id + 1));
                 id += 2;
-                sys.insert("p", vec![ldl1::Value::atom(node), ldl1::Value::atom(&a)]);
-                sys.insert("p", vec![ldl1::Value::atom(node), ldl1::Value::atom(&b)]);
+                sys.insert("p", vec![ldl1::Value::atom(node), ldl1::Value::atom(&a)])
+                    .unwrap();
+                sys.insert("p", vec![ldl1::Value::atom(node), ldl1::Value::atom(&b)])
+                    .unwrap();
                 sys.insert(
                     "siblings",
                     vec![ldl1::Value::atom(&a), ldl1::Value::atom(&b)],
-                );
+                )
+                .unwrap();
                 sys.insert(
                     "siblings",
                     vec![ldl1::Value::atom(&b), ldl1::Value::atom(&a)],
-                );
+                )
+                .unwrap();
                 next.push(a);
                 next.push(b);
             }

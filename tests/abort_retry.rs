@@ -1,7 +1,8 @@
 //! Fault-injection differential suite for resource governance: tripping the
 //! cancel token after a random number of derivation attempts, then retrying
 //! with the token reset, must reproduce the clean run *bit for bit* — same
-//! facts, same tuple insertion order — across every evaluation path.
+//! facts, same tuple insertion order — on every evaluation path: one-shot
+//! (sequential, pooled, partitioned), magic-sets, and incremental commits.
 //!
 //! This is the abort-safety contract stated operationally: an abort may cost
 //! the work of the aborted call, but it may not change anything the caller
@@ -13,7 +14,8 @@
 use ldl1::eval::EvalError;
 use ldl1::magic::MagicEvaluator;
 use ldl1::{
-    Budget, CancelToken, Database, EvalOptions, Evaluator, ResourceKind, Symbol, System, Value,
+    reference_model, Budget, CancelToken, Database, EvalOptions, Evaluator, ResourceKind, Symbol,
+    System, Value,
 };
 use ldl_testkit::gen::{stratified_case, GenConst, GeneratedCase};
 use ldl_testkit::{cases_shrink, Rng};
@@ -50,9 +52,8 @@ fn insertion_orders(db: &Database) -> Vec<(Symbol, Vec<Vec<ldl1::value::ValueId>
         .collect()
 }
 
-fn opts(parallelism: usize, semi_naive: bool, cancel: &CancelToken) -> EvalOptions {
+fn opts(parallelism: usize, cancel: &CancelToken) -> EvalOptions {
     EvalOptions {
-        semi_naive,
         parallelism,
         budget: Budget::unlimited().with_cancel(cancel.clone()),
         ..EvalOptions::default()
@@ -88,9 +89,9 @@ fn trip_then_retry(ev: &Evaluator, program: &ldl1::Program, edb: &Database, n: u
         .expect("retry after reset must succeed")
 }
 
-/// 36 random programs × 3 trip points (108 (program, trip-point) cases) ×
-/// 3 evaluator configurations, plus the magic path below: abort + retry is
-/// indistinguishable from never having aborted.
+/// 36 random programs × 3 trip points (108 (program, trip-point) cases),
+/// sequentially and on a worker pool, plus the magic path below: abort +
+/// retry is indistinguishable from never having aborted.
 #[test]
 fn abort_then_retry_matches_clean_run_bit_for_bit() {
     cases_shrink(36, 10, |rng: &mut Rng, size: u32| {
@@ -98,42 +99,33 @@ fn abort_then_retry_matches_clean_run_bit_for_bit() {
         let program = ldl1::parser::parse_program(&case.src).unwrap();
         let edb = edb_of(&case);
 
-        // Clean references. `attempts` scales the random trip points so
-        // they land *inside* the computation, not trivially past its end.
+        // Clean run. `attempts` scales the random trip points so they land
+        // *inside* the computation, not trivially past its end.
         let quiet = CancelToken::new();
-        let (reference, stats) = Evaluator::with_options(opts(1, true, &quiet))
+        let (clean, stats) = Evaluator::with_options(opts(1, &quiet))
             .evaluate_stats(&program, &edb)
             .unwrap();
-        let clean_naive = Evaluator::with_options(opts(1, false, &quiet))
-            .evaluate(&program, &edb)
-            .unwrap();
+        assert_eq!(
+            clean.to_fact_set(),
+            reference_model(&program, &edb).unwrap().to_fact_set(),
+            "clean run diverged from the reference model"
+        );
         let total = stats.attempts.max(1);
 
         for _ in 0..3 {
             let n = rng.range(0, total as i64) as u64;
 
-            // Semi-naive and parallel(4) share the reference's insertion
+            // Sequential and parallel(4) share the clean run's insertion
             // order (bit-for-bit parallel determinism, incl. after abort).
             for jobs in [1, 4] {
-                let ev = Evaluator::with_options(opts(jobs, true, &CancelToken::new()));
+                let ev = Evaluator::with_options(opts(jobs, &CancelToken::new()));
                 let retried = trip_then_retry(&ev, &program, &edb, n);
                 assert_eq!(
                     insertion_orders(&retried),
-                    insertion_orders(&reference),
-                    "semi-naive jobs={jobs} trip={n}"
+                    insertion_orders(&clean),
+                    "jobs={jobs} trip={n}"
                 );
             }
-
-            // Naive iteration has its own insertion order; it must match
-            // its own clean run exactly and the reference as a set.
-            let ev = Evaluator::with_options(opts(1, false, &CancelToken::new()));
-            let retried = trip_then_retry(&ev, &program, &edb, n);
-            assert_eq!(
-                insertion_orders(&retried),
-                insertion_orders(&clean_naive),
-                "naive trip={n}"
-            );
-            assert_eq!(retried.to_fact_set(), reference.to_fact_set());
         }
     });
 }
@@ -149,17 +141,17 @@ fn magic_abort_then_retry_matches_clean_answers() {
         let query = ldl1::parser::parse_atom(&format!("{}(X, Y)", case.top)).unwrap();
 
         let quiet = CancelToken::new();
-        let clean = MagicEvaluator::with_options(opts(1, true, &quiet))
+        let clean = MagicEvaluator::with_options(opts(1, &quiet))
             .query(&program, &edb, &query)
             .unwrap();
-        let (_, stats) = Evaluator::with_options(opts(1, true, &quiet))
+        let (_, stats) = Evaluator::with_options(opts(1, &quiet))
             .evaluate_stats(&program, &edb)
             .unwrap();
 
         for _ in 0..3 {
             let n = rng.range(0, stats.attempts.max(1) as i64) as u64;
             let cancel = CancelToken::new();
-            let mev = MagicEvaluator::with_options(opts(1, true, &cancel));
+            let mev = MagicEvaluator::with_options(opts(1, &cancel));
             cancel.trip_after(n);
             match mev.query(&program, &edb, &query) {
                 Ok(ans) => assert_eq!(ans, clean, "untripped magic run diverged"),
@@ -172,98 +164,26 @@ fn magic_abort_then_retry_matches_clean_answers() {
     });
 }
 
-/// Compiled-mode trip points: the fuel unit is the derivation attempt, and
-/// the compiled executor charges attempts at exactly the interpreter's
-/// points — asserted here via `attempts` parity on the clean runs, then
-/// exercised by tripping both executors at the same counts. Retrying after
-/// an abort reproduces the clean reference bit for bit regardless of which
-/// executor aborted and which one retries.
-#[test]
-fn compiled_abort_then_retry_matches_interpreter() {
-    cases_shrink(24, 10, |rng: &mut Rng, size: u32| {
-        let case = stratified_case(rng, size);
-        let program = ldl1::parser::parse_program(&case.src).unwrap();
-        let edb = edb_of(&case);
-        let mk = |compiled: bool, cancel: &CancelToken| EvalOptions {
-            compiled,
-            ..opts(1, true, cancel)
-        };
-
-        let quiet = CancelToken::new();
-        let (reference, int_stats) = Evaluator::with_options(mk(false, &quiet))
-            .evaluate_stats(&program, &edb)
-            .unwrap();
-        let (compiled_ref, cmp_stats) = Evaluator::with_options(mk(true, &quiet))
-            .evaluate_stats(&program, &edb)
-            .unwrap();
-        assert_eq!(
-            int_stats.attempts, cmp_stats.attempts,
-            "compiled execution changed the attempt accounting"
-        );
-        assert_eq!(
-            insertion_orders(&reference),
-            insertion_orders(&compiled_ref),
-            "clean compiled run diverged"
-        );
-
-        let total = int_stats.attempts.max(1);
-        for _ in 0..3 {
-            let n = rng.range(0, total as i64) as u64;
-            // Same-executor retry, both executors.
-            for compiled in [true, false] {
-                let ev = Evaluator::with_options(mk(compiled, &CancelToken::new()));
-                let retried = trip_then_retry(&ev, &program, &edb, n);
-                assert_eq!(
-                    insertion_orders(&retried),
-                    insertion_orders(&reference),
-                    "compiled={compiled} trip={n}"
-                );
-            }
-            // Cross-executor retry: abort under one executor, retry under
-            // the other — an abort may not leak state that skews either.
-            for (abort_compiled, retry_compiled) in [(true, false), (false, true)] {
-                let cancel = CancelToken::new();
-                cancel.trip_after(n);
-                match Evaluator::with_options(mk(abort_compiled, &cancel)).evaluate(&program, &edb)
-                {
-                    Ok(db) => assert_eq!(insertion_orders(&db), insertion_orders(&reference)),
-                    Err(e) => assert_interrupt(&e),
-                }
-                cancel.reset();
-                let retried = Evaluator::with_options(mk(retry_compiled, &cancel))
-                    .evaluate(&program, &edb)
-                    .expect("cross-executor retry must succeed");
-                assert_eq!(
-                    insertion_orders(&retried),
-                    insertion_orders(&reference),
-                    "abort compiled={abort_compiled}, retry compiled={retry_compiled}, trip={n}"
-                );
-            }
-        }
-    });
-}
-
 /// Partitioned trip points: tripping the cancel token while hash-partitioned
 /// shards are mid-flight must abort cleanly (no partial shard output leaks
 /// into the database), and the retry must reproduce the sequential reference
-/// bit for bit. Exercised at four and eight workers under both executors —
-/// the abort can land inside any shard of a partitioned pass, and the gate
-/// checks are per-derivation, so a tripped shard abandons its run list
-/// before the interleaving merge ever sees it.
+/// bit for bit. Exercised at four and eight workers — the abort can land
+/// inside any shard of a partitioned pass, and the gate checks are
+/// per-derivation, so a tripped shard abandons its run list before the
+/// interleaving merge ever sees it.
 #[test]
 fn partitioned_abort_then_retry_matches_clean_run() {
     cases_shrink(24, 10, |rng: &mut Rng, size: u32| {
         let case = stratified_case(rng, size);
         let program = ldl1::parser::parse_program(&case.src).unwrap();
         let edb = edb_of(&case);
-        let mk = |jobs: usize, compiled: bool, cancel: &CancelToken| EvalOptions {
-            compiled,
+        let mk = |jobs: usize, cancel: &CancelToken| EvalOptions {
             partitioned: true,
-            ..opts(jobs, true, cancel)
+            ..opts(jobs, cancel)
         };
 
         let quiet = CancelToken::new();
-        let (reference, stats) = Evaluator::with_options(mk(1, true, &quiet))
+        let (reference, stats) = Evaluator::with_options(mk(1, &quiet))
             .evaluate_stats(&program, &edb)
             .unwrap();
         let total = stats.attempts.max(1);
@@ -271,92 +191,14 @@ fn partitioned_abort_then_retry_matches_clean_run() {
         for _ in 0..3 {
             let n = rng.range(0, total as i64) as u64;
             for jobs in [4, 8] {
-                for compiled in [true, false] {
-                    let ev = Evaluator::with_options(mk(jobs, compiled, &CancelToken::new()));
-                    let retried = trip_then_retry(&ev, &program, &edb, n);
-                    assert_eq!(
-                        insertion_orders(&retried),
-                        insertion_orders(&reference),
-                        "partitioned jobs={jobs} compiled={compiled} trip={n}"
-                    );
-                }
+                let ev = Evaluator::with_options(mk(jobs, &CancelToken::new()));
+                let retried = trip_then_retry(&ev, &program, &edb, n);
+                assert_eq!(
+                    insertion_orders(&retried),
+                    insertion_orders(&reference),
+                    "partitioned jobs={jobs} trip={n}"
+                );
             }
-        }
-    });
-}
-
-/// Compiled-mode incremental aborts: run the same mutation history through
-/// a compiled and an interpreted system, tripping both at the *same* fuel
-/// count per chunk. Because compiled maintenance charges attempts at the
-/// interpreter's exact points, the two must agree on *whether* each commit
-/// aborts — not just on the final model — and an aborted commit must roll
-/// back to the identical (bit-for-bit) state in both.
-#[test]
-fn compiled_incremental_abort_rolls_back_like_interpreter() {
-    fn commit_chunk(
-        sys: &mut System,
-        chunk: &[(&'static str, Vec<GenConst>)],
-    ) -> Result<(), ldl1::Error> {
-        let mut b = sys.mutate();
-        for (pred, args) in chunk {
-            b.assert(pred, args.iter().map(value_of).collect());
-        }
-        b.commit()
-    }
-
-    cases_shrink(16, 8, |rng: &mut Rng, size: u32| {
-        let case = stratified_case(rng, size);
-        if case.edb.len() < 4 {
-            return;
-        }
-        let split = case.edb.len() / 2;
-        let mk = |compiled: bool| {
-            let cancel = CancelToken::new();
-            let mut sys = System::with_options(EvalOptions {
-                compiled,
-                ..EvalOptions::default()
-            });
-            sys.set_budget(Budget::unlimited().with_cancel(cancel.clone()));
-            sys.load(&case.src).unwrap();
-            for (pred, args) in &case.edb[..split] {
-                sys.insert(pred, args.iter().map(value_of).collect());
-            }
-            sys.model_facts().unwrap(); // cache a model: commits go incremental
-            (sys, cancel)
-        };
-        let (mut compiled, cmp_cancel) = mk(true);
-        let (mut interp, int_cancel) = mk(false);
-
-        for chunk in case.edb[split..].chunks(3) {
-            let fuel = rng.range(0, 50) as u64;
-            let mut aborted = [false, false];
-            for (slot, (sys, cancel)) in [(&mut compiled, &cmp_cancel), (&mut interp, &int_cancel)]
-                .into_iter()
-                .enumerate()
-            {
-                cancel.trip_after(fuel);
-                match commit_chunk(sys, chunk) {
-                    Ok(()) => {}
-                    Err(ldl1::Error::Eval(e)) => {
-                        assert_interrupt(&e);
-                        aborted[slot] = true;
-                    }
-                    Err(other) => panic!("unexpected commit error: {other}"),
-                }
-                cancel.reset();
-                if aborted[slot] {
-                    commit_chunk(sys, chunk).unwrap();
-                }
-            }
-            assert_eq!(
-                aborted[0], aborted[1],
-                "executors disagreed on whether fuel={fuel} trips this commit"
-            );
-            assert_eq!(
-                insertion_orders(compiled.model().unwrap()),
-                insertion_orders(interp.model().unwrap()),
-                "states diverged after fuel={fuel} commit"
-            );
         }
     });
 }
@@ -382,7 +224,8 @@ fn incremental_abort_then_recommit_matches_clean_model() {
         sys.load(&case.src).unwrap();
         let split = case.edb.len() / 2;
         for (pred, args) in &case.edb[..split] {
-            sys.insert(pred, args.iter().map(value_of).collect());
+            sys.insert(pred, args.iter().map(value_of).collect())
+                .unwrap();
         }
         sys.model_facts().unwrap(); // cache a model: commits go incremental
 

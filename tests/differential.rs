@@ -1,34 +1,38 @@
-//! The differential test oracle: eight independent evaluation modes must
-//! compute the *same* model on random stratified programs.
+//! The differential test oracle: on random stratified programs the engine
+//! must compute the model the paper defines, however the work is spread and
+//! however the model was reached.
 //!
-//! The modes cross-check each other's weak spots — naive iteration is the
-//! most literal reading of §3.2 (slow but hard to get wrong), semi-naive
-//! adds the delta-frontier bookkeeping, the parallel configurations add the
-//! snapshot/merge round structure and work partitioning, incremental
-//! maintenance adds delta seeding and truncate-and-replay, and the greedy
-//! planner configuration re-runs the join scheduling without relation
-//! statistics — on skewed EDBs (see [`ldl_testkit::gen`]) the cost-based
-//! planner picks genuinely different join orders, and this oracle is the
-//! proof they derive the same model. The seventh arm pins the compiled
-//! executor: every mode re-run through the lowered register programs
-//! ([`EvalOptions::compiled`]) must reproduce the interpreter bit-for-bit —
-//! same facts, same insertion orders, and at parallelism 1 the same
-//! derivation-attempt / index-probe / existential-cut counts. A bug in any
-//! one of those layers shows up as a divergence here, and the
-//! [`ldl_testkit::cases_shrink`] driver reports the minimal failing
-//! program/EDB size for the offending seed. The eighth arm pins
-//! hash-partitioned parallel execution ([`EvalOptions::partitioned`]):
-//! sharding work by join key instead of by contiguous delta slice must be
-//! invisible — same facts, same insertion orders, same work counters — at
-//! every tested worker count.
+//! The reference is [`ldl1::reference_model`] — §3.2 executed literally:
+//! stratify, then per layer apply every rule to the same database until
+//! nothing is added, through a tree-walking interpreter over greedy
+//! statistics-free plans — together with [`ldl1::check_model`], the §2.2
+//! truth definition. Neither shares the engine's cost-based planner,
+//! register programs, delta frontiers, worker pool or maintenance
+//! algorithms, so a bug in any of those shows up as a divergence here, and
+//! the [`ldl_testkit::cases_shrink`] driver reports the minimal failing
+//! program/EDB size for the offending seed. The arms:
 //!
-//! Beyond set equality, the two parallel configurations must agree on every
-//! relation's *tuple insertion order*: the parallel evaluator's claim is
-//! bit-for-bit determinism (the positional delta frontiers of semi-naive
+//! * engine ≡ reference model, and the engine's result is a model, on every
+//!   generated program (skewed EDBs included — see [`ldl_testkit::gen`]);
+//! * incremental maintenance (delta seeding, truncate-and-replay) reaches
+//!   the same model as a one-shot evaluation;
+//! * random assert/retract/update histories (counting, DRed, replay) end on
+//!   the reference model of the surviving EDB;
+//! * magic-sets answers ≡ plain answers;
+//! * hash-partitioned parallel execution ([`EvalOptions::partitioned`]) ≡
+//!   delta-slice parallel execution — same facts, same insertion orders,
+//!   same work counters — at every tested worker count.
+//!
+//! Beyond set equality, sequential and parallel evaluation must agree on
+//! every relation's *tuple insertion order*: the parallel evaluator's claim
+//! is bit-for-bit determinism (the positional delta frontiers of semi-naive
 //! and incremental evaluation depend on it), not just the same set of
 //! facts.
 
-use ldl1::{Database, EvalOptions, Evaluator, FactSet, Symbol, System, Value};
+use ldl1::{
+    check_model, reference_model, Database, EvalOptions, Evaluator, FactSet, Program, Symbol,
+    System, Value,
+};
 use ldl_testkit::gen::{mutation_sequence, stratified_case, GenConst, GenMutation, GeneratedCase};
 use ldl_testkit::{cases_shrink, Rng};
 
@@ -53,26 +57,25 @@ fn edb_of(case: &GeneratedCase) -> Database {
     edb
 }
 
-fn evaluate(case: &GeneratedCase, semi_naive: bool, parallelism: usize) -> Database {
-    evaluate_with_planner(case, semi_naive, parallelism, true)
+fn program_of(case: &GeneratedCase) -> Program {
+    ldl1::parser::parse_program(&case.src).unwrap()
 }
 
-fn evaluate_with_planner(
-    case: &GeneratedCase,
-    semi_naive: bool,
-    parallelism: usize,
-    cost_based: bool,
-) -> Database {
-    let program = ldl1::parser::parse_program(&case.src).unwrap();
+fn evaluate(case: &GeneratedCase, parallelism: usize) -> Database {
     let opts = EvalOptions {
-        semi_naive,
         parallelism,
-        cost_based,
         ..EvalOptions::default()
     };
     Evaluator::with_options(opts)
-        .evaluate(&program, &edb_of(case))
+        .evaluate(&program_of(case), &edb_of(case))
         .unwrap()
+}
+
+/// The paper's answer for `case`: §3.2 executed literally.
+fn reference(case: &GeneratedCase) -> FactSet {
+    reference_model(&program_of(case), &edb_of(case))
+        .unwrap()
+        .to_fact_set()
 }
 
 /// The model built by incremental maintenance: load the rules, insert a
@@ -83,7 +86,8 @@ fn incremental_model(case: &GeneratedCase) -> FactSet {
     sys.load(&case.src).unwrap();
     let split = case.edb.len() / 2;
     for (pred, args) in &case.edb[..split] {
-        sys.insert(pred, args.iter().map(value_of).collect());
+        sys.insert(pred, args.iter().map(value_of).collect())
+            .unwrap();
     }
     sys.model_facts().unwrap(); // cache a model before the commits
     for chunk in case.edb[split..].chunks(3) {
@@ -111,39 +115,29 @@ fn insertion_orders(db: &Database) -> Vec<(Symbol, Vec<Vec<ldl1::value::ValueId>
         .collect()
 }
 
-/// naive ≡ semi-naive ≡ parallel(1) ≡ parallel(4) ≡ incremental ≡ greedy
-/// planner, over 208 random stratified programs mixing recursion, negation,
-/// grouping, and skewed EDBs whose join plans differ between planners.
+/// engine ≡ reference model, over 208 random stratified programs mixing
+/// recursion, negation, grouping, and skewed EDBs: the sequential engine,
+/// the parallel engine and incremental maintenance all land on the model
+/// §3.2 defines, and that model satisfies every rule (§2.2).
 #[test]
-fn six_evaluation_modes_agree() {
+fn engine_matches_reference_model() {
     cases_shrink(208, 12, |rng: &mut Rng, size: u32| {
         let case = stratified_case(rng, size);
 
-        let naive = evaluate(&case, false, 1);
-        let semi = evaluate(&case, true, 1);
-        let par1 = evaluate(&case, true, 1);
-        let par4 = evaluate(&case, true, 4);
-        let incremental = incremental_model(&case);
-        let greedy = evaluate_with_planner(&case, true, 1, false);
+        let seq = evaluate(&case, 1);
+        let par4 = evaluate(&case, 4);
+        let model = seq.to_fact_set();
 
-        let base = naive.to_fact_set();
-        assert_eq!(base, semi.to_fact_set(), "naive vs semi-naive");
-        assert_eq!(base, par1.to_fact_set(), "naive vs parallel(1)");
-        assert_eq!(base, par4.to_fact_set(), "naive vs parallel(4)");
-        assert_eq!(base, incremental, "naive vs incremental");
-        assert_eq!(base, greedy.to_fact_set(), "cost-based vs greedy planner");
+        assert_eq!(model, reference(&case), "engine vs reference model");
+        check_model(&program_of(&case), &model).unwrap();
+        assert_eq!(model, incremental_model(&case), "one-shot vs incremental");
 
         // Determinism is stronger than set equality: the parallel rounds
         // must reproduce the exact insertion order of the sequential run.
         assert_eq!(
-            insertion_orders(&par1),
+            insertion_orders(&seq),
             insertion_orders(&par4),
             "parallel(4) permuted tuple insertion order"
-        );
-        assert_eq!(
-            insertion_orders(&semi),
-            insertion_orders(&par4),
-            "snapshot rounds diverged from sequential insertion order"
         );
     });
 }
@@ -157,7 +151,8 @@ fn differential_system(case: &GeneratedCase, parallelism: usize) -> System {
     });
     sys.load(&case.src).unwrap();
     for (pred, args) in &case.edb {
-        sys.insert(pred, args.iter().map(value_of).collect());
+        sys.insert(pred, args.iter().map(value_of).collect())
+            .unwrap();
     }
     sys.model_facts().unwrap();
     sys
@@ -187,7 +182,8 @@ fn apply_gen_batch(sys: &mut System, batch: &[GenMutation]) {
 
 /// The differential-maintenance oracle: random interleavings of
 /// assert/retract/update batches, committed against a live model, must land
-/// on exactly the model a one-shot recompute builds from the surviving EDB.
+/// on exactly the model a one-shot recompute builds from the surviving EDB
+/// — which must be the reference model of that EDB, and a model (§2.2).
 /// Sequential and parallel(4) maintenance must agree bit-for-bit with each
 /// other — counting decrements and DRed rederivation are required to be
 /// schedule-invariant, not just set-equivalent.
@@ -209,7 +205,13 @@ fn mutation_interleavings_match_one_shot_recompute() {
             edb: survivors,
             ..case.clone()
         };
-        let oracle = evaluate(&surviving, true, 1).to_fact_set();
+        let oracle = evaluate(&surviving, 1).to_fact_set();
+        assert_eq!(
+            oracle,
+            reference(&surviving),
+            "recompute vs reference model of the surviving EDB"
+        );
+        check_model(&program_of(&case), &oracle).unwrap();
         assert_eq!(
             seq.model_facts().unwrap(),
             oracle,
@@ -260,237 +262,25 @@ fn magic_queries_agree_after_mutations() {
     });
 }
 
-/// The naive evaluator agrees with the parallel one when *it* is the one
-/// running on the pool — the snapshot/merge round is shared machinery.
-#[test]
-fn naive_parallel_agrees_too() {
-    cases_shrink(32, 10, |rng: &mut Rng, size: u32| {
-        let case = stratified_case(rng, size);
-        let seq = evaluate(&case, false, 1);
-        let par = evaluate(&case, false, 4);
-        assert_eq!(seq.to_fact_set(), par.to_fact_set());
-        assert_eq!(insertion_orders(&seq), insertion_orders(&par));
-    });
-}
-
-/// Evaluate one mode with the compiled flag pinned explicitly (rather than
-/// inherited from `LDL1_COMPILED`), returning the work counters too.
-fn evaluate_pinned(
-    case: &GeneratedCase,
-    semi_naive: bool,
-    parallelism: usize,
-    compiled: bool,
-) -> (Database, ldl1::EvalStats) {
-    let program = ldl1::parser::parse_program(&case.src).unwrap();
-    let opts = EvalOptions {
-        semi_naive,
-        parallelism,
-        compiled,
-        ..EvalOptions::default()
-    };
-    Evaluator::with_options(opts)
-        .evaluate_stats(&program, &edb_of(case))
-        .unwrap()
-}
-
-/// [`incremental_model`] with the compiled flag pinned.
-fn incremental_model_pinned(case: &GeneratedCase, compiled: bool) -> FactSet {
-    let mut sys = System::with_options(EvalOptions {
-        compiled,
-        ..EvalOptions::default()
-    });
-    sys.load(&case.src).unwrap();
-    let split = case.edb.len() / 2;
-    for (pred, args) in &case.edb[..split] {
-        sys.insert(pred, args.iter().map(value_of).collect());
-    }
-    sys.model_facts().unwrap();
-    for chunk in case.edb[split..].chunks(3) {
-        let mut b = sys.mutate();
-        for (pred, args) in chunk {
-            b.assert(pred, args.iter().map(value_of).collect());
-        }
-        b.commit().unwrap();
-    }
-    sys.model_facts().unwrap()
-}
-
-/// The seventh arm: compiled execution ≡ interpretation, across naive,
-/// semi-naive, parallel(1), parallel(4), and incremental maintenance, over
-/// 208 random stratified programs. "≡" is the strong claim — identical
-/// fact sets, identical per-relation tuple insertion orders, and (at
-/// parallelism 1, where they are deterministic) identical `attempts`,
-/// `index_probes`, and `exist_cuts` counters. The counter equalities are
-/// what let compiled mode share the interpreter's fuel accounting: a budget
-/// trips at the same derivation in either executor (see
-/// `tests/abort_retry.rs`).
-#[test]
-fn compiled_execution_matches_interpreter() {
-    cases_shrink(208, 12, |rng: &mut Rng, size: u32| {
-        let case = stratified_case(rng, size);
-
-        let (int_semi, int_stats) = evaluate_pinned(&case, true, 1, false);
-        let (cmp_semi, cmp_stats) = evaluate_pinned(&case, true, 1, true);
-        assert_eq!(
-            int_semi.to_fact_set(),
-            cmp_semi.to_fact_set(),
-            "compiled vs interpreted semi-naive"
-        );
-        assert_eq!(
-            insertion_orders(&int_semi),
-            insertion_orders(&cmp_semi),
-            "compiled semi-naive permuted tuple insertion order"
-        );
-        assert_eq!(
-            (
-                int_stats.attempts,
-                int_stats.index_probes,
-                int_stats.exist_cuts
-            ),
-            (
-                cmp_stats.attempts,
-                cmp_stats.index_probes,
-                cmp_stats.exist_cuts
-            ),
-            "compiled execution changed the work counters"
-        );
-        assert_eq!(
-            int_stats.compiled_rounds, 0,
-            "interpreter counted compiled rounds"
-        );
-        assert_eq!(int_stats.lowerings, 0, "interpreter lowered plans");
-        if !case.src.is_empty() {
-            assert!(cmp_stats.compiled_rounds > 0, "compiled run never compiled");
-        }
-
-        let (int_naive, _) = evaluate_pinned(&case, false, 1, false);
-        let (cmp_naive, _) = evaluate_pinned(&case, false, 1, true);
-        assert_eq!(
-            insertion_orders(&int_naive),
-            insertion_orders(&cmp_naive),
-            "compiled vs interpreted naive"
-        );
-
-        let (cmp_par4, _) = evaluate_pinned(&case, true, 4, true);
-        assert_eq!(
-            insertion_orders(&int_semi),
-            insertion_orders(&cmp_par4),
-            "compiled parallel(4) diverged from sequential interpretation"
-        );
-
-        assert_eq!(
-            incremental_model_pinned(&case, false),
-            incremental_model_pinned(&case, true),
-            "compiled vs interpreted incremental maintenance"
-        );
-    });
-}
-
-/// A differential system with the compiled flag pinned and a cached model,
-/// so every commit runs maintenance through the chosen executor.
-fn differential_system_pinned(case: &GeneratedCase, parallelism: usize, compiled: bool) -> System {
-    let mut sys = System::with_options(EvalOptions {
-        parallelism,
-        compiled,
-        ..EvalOptions::default()
-    });
-    sys.load(&case.src).unwrap();
-    for (pred, args) in &case.edb {
-        sys.insert(pred, args.iter().map(value_of).collect());
-    }
-    sys.model_facts().unwrap();
-    sys
-}
-
-/// The mutation-interleaving compiled arm: random assert/retract/update
-/// batches maintained by the compiled executor (sequentially and at
-/// parallelism 4) must land on exactly the state the interpreter maintains
-/// — counting decrements, DRed overdelete/rederive, and replay all run
-/// their rule passes through the register programs, and none of it may
-/// move a tuple.
-#[test]
-fn compiled_mutation_maintenance_matches_interpreter() {
-    cases_shrink(96, 10, |rng: &mut Rng, size: u32| {
-        let case = stratified_case(rng, size);
-        let batches = 1 + rng.index(4);
-        let (muts, survivors) = mutation_sequence(rng, &case, batches);
-
-        let mut interp = differential_system_pinned(&case, 1, false);
-        let mut compiled = differential_system_pinned(&case, 1, true);
-        let mut compiled_par = differential_system_pinned(&case, 4, true);
-        for batch in &muts {
-            apply_gen_batch(&mut interp, batch);
-            apply_gen_batch(&mut compiled, batch);
-            apply_gen_batch(&mut compiled_par, batch);
-        }
-
-        let surviving = GeneratedCase {
-            edb: survivors,
-            ..case.clone()
-        };
-        let (oracle, _) = evaluate_pinned(&surviving, true, 1, true);
-        assert_eq!(
-            compiled.model_facts().unwrap(),
-            oracle.to_fact_set(),
-            "compiled maintenance diverged from one-shot recompute after {muts:?}"
-        );
-        assert_eq!(
-            insertion_orders(interp.model().unwrap()),
-            insertion_orders(compiled.model().unwrap()),
-            "compiled maintenance permuted tuple insertion order"
-        );
-        assert_eq!(
-            insertion_orders(compiled.model().unwrap()),
-            insertion_orders(compiled_par.model().unwrap()),
-            "compiled parallel(4) maintenance permuted tuple insertion order"
-        );
-    });
-}
-
-/// The magic leg of the compiled arm: the §6 pipeline's staged evaluation
-/// (base fixpoints plus guarded grouping/negation rules) runs through the
-/// register programs too, and its answers must match the interpreter's.
-#[test]
-fn compiled_magic_queries_agree() {
-    cases_shrink(48, 8, |rng: &mut Rng, size: u32| {
-        let case = stratified_case(rng, size);
-        let answers = |compiled: bool| -> std::collections::BTreeSet<String> {
-            let sys = differential_system_pinned(&case, 1, compiled);
-            sys.query_magic(&format!("{}(X, Y)", case.top))
-                .unwrap()
-                .iter()
-                .map(|a| format!("{a:?}"))
-                .collect()
-        };
-        assert_eq!(answers(false), answers(true), "compiled magic diverged");
-    });
-}
-
-/// Evaluate one mode with *both* the compiled and the partitioned flag
-/// pinned explicitly (rather than inherited from `LDL1_COMPILED` /
-/// `LDL1_PARTITIONED`), returning the work counters too.
+/// Evaluate with the partitioned flag pinned explicitly (rather than
+/// inherited from `LDL1_PARTITIONED`), returning the work counters too.
 fn evaluate_part(
     case: &GeneratedCase,
     parallelism: usize,
-    compiled: bool,
     partitioned: bool,
 ) -> (Database, ldl1::EvalStats) {
-    let program = ldl1::parser::parse_program(&case.src).unwrap();
     let opts = EvalOptions {
-        semi_naive: true,
         parallelism,
-        compiled,
         partitioned,
         ..EvalOptions::default()
     };
     Evaluator::with_options(opts)
-        .evaluate_stats(&program, &edb_of(case))
+        .evaluate_stats(&program_of(case), &edb_of(case))
         .unwrap()
 }
 
-/// The eighth arm: hash-partitioned parallel execution ≡ delta-slice
-/// parallel execution, bit-for-bit, at every tested worker count and under
-/// both executors. "≡" is the same strong claim the compiled arm makes —
+/// Hash-partitioned parallel execution ≡ delta-slice parallel execution,
+/// bit-for-bit, at every tested worker count. "≡" is the strong claim —
 /// identical fact sets, identical per-relation tuple insertion orders, and
 /// identical `attempts` / `index_probes` / `exist_cuts` counters (shard
 /// routing may answer a probe from a shard-local sub-index, but it must
@@ -501,61 +291,58 @@ fn evaluate_part(
 fn partitioned_execution_matches_slicing() {
     cases_shrink(208, 12, |rng: &mut Rng, size: u32| {
         let case = stratified_case(rng, size);
-        let (base_db, base_stats) = evaluate_part(&case, 1, true, false);
+        let (base_db, _) = evaluate_part(&case, 1, false);
         let base_orders = insertion_orders(&base_db);
         for &jobs in &[1usize, 4, 8] {
-            for &compiled in &[false, true] {
-                let (sliced, s_stats) = evaluate_part(&case, jobs, compiled, false);
-                let (parted, p_stats) = evaluate_part(&case, jobs, compiled, true);
+            let (sliced, s_stats) = evaluate_part(&case, jobs, false);
+            let (parted, p_stats) = evaluate_part(&case, jobs, true);
+            assert_eq!(
+                insertion_orders(&sliced),
+                insertion_orders(&parted),
+                "partitioned permuted insertion order at jobs={jobs}"
+            );
+            assert_eq!(
+                base_orders,
+                insertion_orders(&parted),
+                "partitioned diverged from sequential at jobs={jobs}"
+            );
+            assert_eq!(
+                (s_stats.attempts, s_stats.index_probes, s_stats.exist_cuts),
+                (p_stats.attempts, p_stats.index_probes, p_stats.exist_cuts),
+                "partitioning changed the work counters at jobs={jobs}"
+            );
+            assert_eq!(
+                s_stats.partitioned_passes, 0,
+                "slice-only run counted partitioned passes"
+            );
+            if jobs == 1 {
                 assert_eq!(
-                    insertion_orders(&sliced),
-                    insertion_orders(&parted),
-                    "partitioned permuted insertion order at jobs={jobs} compiled={compiled}"
+                    p_stats.partitioned_passes, 0,
+                    "partitioning engaged at one worker"
                 );
-                assert_eq!(
-                    base_orders,
-                    insertion_orders(&parted),
-                    "partitioned diverged from sequential at jobs={jobs} compiled={compiled}"
-                );
-                assert_eq!(
-                    (s_stats.attempts, s_stats.index_probes, s_stats.exist_cuts),
-                    (p_stats.attempts, p_stats.index_probes, p_stats.exist_cuts),
-                    "partitioning changed the work counters at jobs={jobs} compiled={compiled}"
-                );
-                assert_eq!(
-                    s_stats.partitioned_passes, 0,
-                    "slice-only run counted partitioned passes"
-                );
-                if jobs == 1 {
-                    assert_eq!(
-                        p_stats.partitioned_passes, 0,
-                        "partitioning engaged at one worker"
-                    );
-                }
             }
         }
-        let _ = base_stats;
     });
 }
 
-/// A differential system with parallelism, executor, *and* partitioning all
-/// pinned, so mutation maintenance runs through the chosen configuration.
+/// A differential system with parallelism *and* partitioning pinned, so
+/// mutation maintenance runs through the chosen configuration.
 fn differential_system_part(case: &GeneratedCase, parallelism: usize, partitioned: bool) -> System {
     let mut sys = System::with_options(EvalOptions {
         parallelism,
-        compiled: true,
         partitioned,
         ..EvalOptions::default()
     });
     sys.load(&case.src).unwrap();
     for (pred, args) in &case.edb {
-        sys.insert(pred, args.iter().map(value_of).collect());
+        sys.insert(pred, args.iter().map(value_of).collect())
+            .unwrap();
     }
     sys.model_facts().unwrap();
     sys
 }
 
-/// The mutation-interleaving leg of the eighth arm: differential
+/// The mutation-interleaving leg of the partitioning arm: differential
 /// maintenance (counting decrements, DRed overdelete/rederive, replay) with
 /// partitioning on must land tuple-for-tuple on the state slice-only
 /// maintenance builds, at four and eight workers.
@@ -599,8 +386,7 @@ fn partitioned_mutation_maintenance_matches_slicing() {
 fn parallel_results_are_models() {
     cases_shrink(24, 8, |rng: &mut Rng, size: u32| {
         let case = stratified_case(rng, size);
-        let program = ldl1::parser::parse_program(&case.src).unwrap();
-        let db = evaluate(&case, true, 4);
-        ldl1::check_model(&program, &db.to_fact_set()).unwrap();
+        let db = evaluate(&case, 4);
+        check_model(&program_of(&case), &db.to_fact_set()).unwrap();
     });
 }

@@ -11,18 +11,10 @@
 //!
 //! The diff of the regenerated `.golden` files then *is* the semantic
 //! change, reviewable in the same commit as the code that caused it.
-//!
-//! Each program is rendered under every executor configuration
-//! [`ldl_testkit::compiled_matrix`] reports (register programs and plan
-//! interpreter, unless `LDL1_COMPILED` pins one), and every rendering must
-//! be byte-identical to the *same* snapshot — compiled execution is not
-//! allowed to move a single answer or model line, so there is exactly one
-//! golden file per program and nothing to re-bless.
 
 use std::path::{Path, PathBuf};
 
-use ldl1::{Budget, EvalOptions, System};
-use ldl_testkit::compiled_matrix;
+use ldl1::{Budget, System};
 
 fn repo_root() -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/ldl1; the repo root is two levels up.
@@ -36,12 +28,9 @@ fn repo_root() -> PathBuf {
 /// Evaluate one `.ldl` file the way the CLI does — answer `?-` queries as
 /// they are reached — and append the final model, producing a stable text
 /// rendering of everything the program means.
-fn render(path: &Path, compiled: bool) -> String {
+fn render(path: &Path) -> String {
     let text = std::fs::read_to_string(path).unwrap();
-    let mut sys = System::with_options(EvalOptions {
-        compiled,
-        ..EvalOptions::default()
-    });
+    let mut sys = System::new();
     // A generous cap, far above what any example needs: the golden suite
     // doubles as a regression test that budget governance never aborts a
     // terminating program, while a future program that accidentally
@@ -106,20 +95,7 @@ fn programs_match_golden_snapshots() {
         let stem = program.file_stem().unwrap().to_string_lossy().into_owned();
         let golden_path = golden_dir.join(format!("{stem}.golden"));
         expected_goldens.push(format!("{stem}.golden"));
-        let modes = compiled_matrix();
-        let actual = render(program, modes[0]);
-        for &m in &modes[1..] {
-            let other = render(program, m);
-            if other != actual {
-                failures.push(format!(
-                    "{stem}: compiled={m} rendering differs from compiled={} \
-                     (the executors must be byte-identical)\n\
-                     --- compiled={}\n{actual}\n--- compiled={m}\n{other}",
-                    modes[0], modes[0]
-                ));
-                continue;
-            }
-        }
+        let actual = render(program);
         if bless {
             std::fs::create_dir_all(&golden_dir).unwrap();
             std::fs::write(&golden_path, &actual).unwrap();

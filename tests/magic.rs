@@ -118,7 +118,8 @@ fn magic_computes_less() {
             sys.insert(
                 "par",
                 vec![Value::int(c * 1000 + i), Value::int(c * 1000 + i + 1)],
-            );
+            )
+            .unwrap();
         }
     }
     let program = sys.program().clone();
@@ -150,7 +151,7 @@ fn magic_grab_bag_equivalence() {
     let mut sys = System::new();
     sys.load(src).unwrap();
     for (a, b) in [(0, 1), (1, 2), (2, 3), (1, 4), (5, 6)] {
-        sys.insert("e", vec![Value::int(a), Value::int(b)]);
+        sys.insert("e", vec![Value::int(a), Value::int(b)]).unwrap();
     }
     for q in [
         "sinks(0, S)",

@@ -144,40 +144,42 @@ fn rand_edges(rng: &mut Rng, max_edges: usize, nodes: i64) -> Vec<(i64, i64)> {
 const TC: &str = "r(X, Y) <- e(X, Y).\n\
                   r(X, Y) <- e(X, Z), r(Z, Y).";
 
-fn tc_model(edges: &[(i64, i64)], opts: EvalOptions) -> FactSet {
-    let program = ldl1::parser::parse_program(TC).unwrap();
+fn tc_edb(edges: &[(i64, i64)]) -> Database {
     let mut edb = Database::new();
     for &(a, b) in edges {
         edb.insert_tuple("e", vec![Value::int(a), Value::int(b)]);
     }
+    edb
+}
+
+fn tc_model(edges: &[(i64, i64)], opts: EvalOptions) -> FactSet {
+    let program = ldl1::parser::parse_program(TC).unwrap();
     Evaluator::with_options(opts)
-        .evaluate(&program, &edb)
+        .evaluate(&program, &tc_edb(edges))
         .unwrap()
         .to_fact_set()
 }
 
-/// Naive, semi-naive, indexed, and unindexed evaluation all compute the
-/// same model on arbitrary graphs (cycles included).
+/// Sequential evaluation, pooled evaluation, and the reference evaluator
+/// (§3.2 executed literally) all compute the same model on arbitrary graphs
+/// (cycles included).
 #[test]
 fn all_configs_agree_on_random_graphs() {
     cases(64, |rng| {
         let edges = rand_edges(rng, 24, 12);
         let base = tc_model(&edges, EvalOptions::default());
-        for semi_naive in [false, true] {
-            for use_indexes in [false, true] {
-                let m = tc_model(
-                    &edges,
-                    EvalOptions {
-                        semi_naive,
-                        use_indexes,
-                        ..EvalOptions::default()
-                    },
-                );
-                assert_eq!(&m, &base);
-            }
-        }
-        // And the result is a model of the program (Theorem 1).
+        let pooled = tc_model(
+            &edges,
+            EvalOptions {
+                parallelism: 4,
+                ..EvalOptions::default()
+            },
+        );
+        assert_eq!(&pooled, &base);
         let program = ldl1::parser::parse_program(TC).unwrap();
+        let reference = ldl1::reference_model(&program, &tc_edb(&edges)).unwrap();
+        assert_eq!(&reference.to_fact_set(), &base);
+        // And the result is a model of the program (Theorem 1).
         assert!(check_model(&program, &base).is_ok());
     });
 }
@@ -224,7 +226,7 @@ fn magic_equivalence_fuzzed() {
         let mut sys = System::new();
         sys.load(TC).unwrap();
         for &(a, b) in &edges {
-            sys.insert("e", vec![Value::int(a), Value::int(b)]);
+            sys.insert("e", vec![Value::int(a), Value::int(b)]).unwrap();
         }
         let q = format!("r({src}, Y)");
         assert_eq!(sys.query(&q).unwrap(), sys.query_magic(&q).unwrap());
@@ -243,7 +245,7 @@ fn grouping_collects_exactly() {
         let mut sys = System::new();
         sys.load("kids(P, <K>) <- e(P, K).").unwrap();
         for &(a, b) in &edges {
-            sys.insert("e", vec![Value::int(a), Value::int(b)]);
+            sys.insert("e", vec![Value::int(a), Value::int(b)]).unwrap();
         }
         let kids = sys.facts("kids").unwrap();
         // One tuple per distinct parent.
@@ -343,10 +345,11 @@ fn magic_on_stratified_fuzzed() {
         let mut sys = System::new();
         sys.load(&src).unwrap();
         for &(a, b) in &edges {
-            sys.insert("e0", vec![Value::int(a), Value::int(b)]);
+            sys.insert("e0", vec![Value::int(a), Value::int(b)])
+                .unwrap();
         }
         for &m in &marked {
-            sys.insert("e1", vec![Value::int(m)]);
+            sys.insert("e1", vec![Value::int(m)]).unwrap();
         }
         let q = format!("p2({src_node}, Y)");
         assert_eq!(sys.query(&q).unwrap(), sys.query_magic(&q).unwrap());
@@ -373,7 +376,8 @@ fn incremental_commits_match_full_recompute() {
         for _ in 0..rng.index(8) {
             let e = (rng.range(0, 6), rng.range(0, 6));
             edges.push(e);
-            sys.insert("e0", vec![Value::int(e.0), Value::int(e.1)]);
+            sys.insert("e0", vec![Value::int(e.0), Value::int(e.1)])
+                .unwrap();
         }
         // Force the initial model so later commits go through the
         // incremental path, then interleave batches with queries.
@@ -400,10 +404,12 @@ fn incremental_commits_match_full_recompute() {
         let mut fresh = System::new();
         fresh.load(&src).unwrap();
         for &(a, b) in &edges {
-            fresh.insert("e0", vec![Value::int(a), Value::int(b)]);
+            fresh
+                .insert("e0", vec![Value::int(a), Value::int(b)])
+                .unwrap();
         }
         for &m in &marked {
-            fresh.insert("e1", vec![Value::int(m)]);
+            fresh.insert("e1", vec![Value::int(m)]).unwrap();
         }
         assert_eq!(sys.model_facts().unwrap(), fresh.model_facts().unwrap());
     });

@@ -4,18 +4,7 @@
 use std::time::Duration;
 
 use ldl1::eval::EvalError;
-use ldl1::{Budget, Database, EvalOptions, Evaluator, Fact, ResourceKind, System, Value};
-use ldl_testkit::compiled_matrix;
-
-/// A system with the compiled flag pinned explicitly — the budget/abort
-/// tests below run once per executor ([`compiled_matrix`]), since resource
-/// governance must trip and roll back identically under both.
-fn sys_with(compiled: bool) -> System {
-    System::with_options(EvalOptions {
-        compiled,
-        ..EvalOptions::default()
-    })
-}
+use ldl1::{reference_model, Budget, Database, Fact, ResourceKind, System, Value};
 
 /// The canonical diverging program: its minimal model is infinite (n holds
 /// for z, s(z), s(s(z)), ... — §2.2's omega-closure universe), so bottom-up
@@ -180,7 +169,7 @@ fn large_group_sets() {
     let mut sys = System::new();
     sys.load("all(<X>) <- e(X).").unwrap();
     for i in 0..5000 {
-        sys.insert("e", vec![Value::int(i)]);
+        sys.insert("e", vec![Value::int(i)]).unwrap();
     }
     let all = sys.facts("all").unwrap();
     assert_eq!(all[0].args()[0].as_set().unwrap().len(), 5000);
@@ -188,11 +177,7 @@ fn large_group_sets() {
 
 #[test]
 fn naive_mode_handles_negation_and_grouping_too() {
-    let opts = EvalOptions {
-        semi_naive: false,
-        use_indexes: false,
-        ..EvalOptions::default()
-    };
+    // The reference evaluator is the naive mode: §3.2 iterated literally.
     let program = ldl1::parser::parse_program(
         "r(X, Y) <- e(X, Y).\n\
          r(X, Y) <- e(X, Z), r(Z, Y).\n\
@@ -204,9 +189,7 @@ fn naive_mode_handles_negation_and_grouping_too() {
     for (a, b) in [(0, 1), (1, 2)] {
         edb.insert_tuple("e", vec![Value::int(a), Value::int(b)]);
     }
-    let m = Evaluator::with_options(opts)
-        .evaluate(&program, &edb)
-        .unwrap();
+    let m = reference_model(&program, &edb).unwrap();
     assert!(m.contains(&Fact::new(
         "sinks",
         vec![Value::int(0), Value::set(vec![Value::int(2)])]
@@ -253,51 +236,46 @@ fn update_after_query_recomputes() {
 #[test]
 fn diverging_program_aborts_under_each_cap() {
     // Every cap must stop the infinite fixpoint, sequentially and with a
-    // worker pool, under either executor, and the diagnostic must name the
-    // tripped resource.
-    for compiled in compiled_matrix() {
-        for jobs in [1, 4] {
-            for (budget, want) in [
-                (Budget::unlimited().with_fuel(10_000), ResourceKind::Fuel),
-                (
-                    Budget::unlimited().with_deadline(Duration::from_millis(100)),
-                    ResourceKind::Time,
-                ),
-                (
-                    Budget::unlimited().with_max_facts(5_000),
-                    ResourceKind::Facts,
-                ),
-                // The interner is process-global and already holds values
-                // from other tests, so a cap of 1 is exceeded on the first
-                // check.
-                (
-                    Budget::unlimited().with_max_interned(1),
-                    ResourceKind::Interner,
-                ),
-            ] {
-                let mut sys = sys_with(compiled);
-                sys.set_parallelism(jobs);
-                sys.load(DIVERGING).unwrap();
-                sys.set_budget(budget);
-                expect_abort(sys.model().map(|_| ()).unwrap_err(), want);
-            }
+    // worker pool, and the diagnostic must name the tripped resource.
+    for jobs in [1, 4] {
+        for (budget, want) in [
+            (Budget::unlimited().with_fuel(10_000), ResourceKind::Fuel),
+            (
+                Budget::unlimited().with_deadline(Duration::from_millis(100)),
+                ResourceKind::Time,
+            ),
+            (
+                Budget::unlimited().with_max_facts(5_000),
+                ResourceKind::Facts,
+            ),
+            // The interner is process-global and already holds values
+            // from other tests, so a cap of 1 is exceeded on the first
+            // check.
+            (
+                Budget::unlimited().with_max_interned(1),
+                ResourceKind::Interner,
+            ),
+        ] {
+            let mut sys = System::new();
+            sys.set_parallelism(jobs);
+            sys.load(DIVERGING).unwrap();
+            sys.set_budget(budget);
+            expect_abort(sys.model().map(|_| ()).unwrap_err(), want);
         }
     }
 }
 
 #[test]
 fn cancelled_token_aborts_immediately_and_reset_recovers() {
-    for compiled in compiled_matrix() {
-        let mut sys = sys_with(compiled);
-        sys.load("p(X) <- e(X). e(1).").unwrap();
-        let handle = sys.interrupt_handle();
-        sys.set_budget(Budget::unlimited().with_cancel(handle.clone()));
-        handle.cancel();
-        expect_interrupt(sys.facts("p").map(|_| ()).unwrap_err());
-        // reset() re-arms the same system; the query then succeeds normally.
-        handle.reset();
-        assert_eq!(sys.facts("p").unwrap().len(), 1);
-    }
+    let mut sys = System::new();
+    sys.load("p(X) <- e(X). e(1).").unwrap();
+    let handle = sys.interrupt_handle();
+    sys.set_budget(Budget::unlimited().with_cancel(handle.clone()));
+    handle.cancel();
+    expect_interrupt(sys.facts("p").map(|_| ()).unwrap_err());
+    // reset() re-arms the same system; the query then succeeds normally.
+    handle.reset();
+    assert_eq!(sys.facts("p").unwrap().len(), 1);
 }
 
 /// Like [`expect_abort`] but for external cancellation, where the stratum
@@ -320,56 +298,53 @@ fn aborted_commit_rolls_back_and_retry_matches_clean_run() {
     let rules = "r(X, Y) <- e(X, Y).\n\
                  r(X, Y) <- e(X, Z), r(Z, Y).\n\
                  reach(X, <Y>) <- r(X, Y).";
-    for compiled in compiled_matrix() {
-        let mut sys = sys_with(compiled);
-        sys.load(rules).unwrap();
-        for i in 0..20 {
-            sys.insert("e", vec![Value::int(i), Value::int(i + 1)]);
-        }
-        // Materialise the model so the next commit takes the incremental
-        // path.
-        let before = sys.model().unwrap().dump();
-
-        // A commit whose maintenance work exceeds the fuel budget aborts...
-        sys.set_budget(Budget::unlimited().with_fuel(10));
-        let mut batch = sys.mutate();
-        for i in 20..40 {
-            batch.assert("e", vec![Value::int(i), Value::int(i + 1)]);
-        }
-        let err = batch.commit().map(|_| ()).unwrap_err();
-        match &err {
-            ldl1::Error::Eval(EvalError::ResourceExhausted { resource, .. }) => {
-                assert_eq!(*resource, ResourceKind::Fuel, "{err}");
-            }
-            other => panic!("expected fuel abort, got {other:?}"),
-        }
-
-        // ...and the EDB is rolled back: the model is byte-identical to the
-        // pre-commit state once the budget allows recomputation.
-        sys.set_budget(Budget::unlimited());
-        assert_eq!(sys.model().unwrap().dump(), before);
-
-        // Retrying the same batch under a sufficient budget now succeeds,
-        // and the result is bit-identical to a clean system that never
-        // aborted.
-        let mut batch = sys.mutate();
-        for i in 20..40 {
-            batch.assert("e", vec![Value::int(i), Value::int(i + 1)]);
-        }
-        batch.commit().unwrap();
-        let retried = sys.model().unwrap().dump();
-
-        let mut clean = sys_with(compiled);
-        clean.load(rules).unwrap();
-        for i in 0..40 {
-            clean.insert("e", vec![Value::int(i), Value::int(i + 1)]);
-        }
-        assert_eq!(
-            retried,
-            clean.model().unwrap().dump(),
-            "compiled={compiled}"
-        );
+    let mut sys = System::new();
+    sys.load(rules).unwrap();
+    for i in 0..20 {
+        sys.insert("e", vec![Value::int(i), Value::int(i + 1)])
+            .unwrap();
     }
+    // Materialise the model so the next commit takes the incremental
+    // path.
+    let before = sys.model().unwrap().dump();
+
+    // A commit whose maintenance work exceeds the fuel budget aborts...
+    sys.set_budget(Budget::unlimited().with_fuel(10));
+    let mut batch = sys.mutate();
+    for i in 20..40 {
+        batch.assert("e", vec![Value::int(i), Value::int(i + 1)]);
+    }
+    let err = batch.commit().map(|_| ()).unwrap_err();
+    match &err {
+        ldl1::Error::Eval(EvalError::ResourceExhausted { resource, .. }) => {
+            assert_eq!(*resource, ResourceKind::Fuel, "{err}");
+        }
+        other => panic!("expected fuel abort, got {other:?}"),
+    }
+
+    // ...and the EDB is rolled back: the model is byte-identical to the
+    // pre-commit state once the budget allows recomputation.
+    sys.set_budget(Budget::unlimited());
+    assert_eq!(sys.model().unwrap().dump(), before);
+
+    // Retrying the same batch under a sufficient budget now succeeds,
+    // and the result is bit-identical to a clean system that never
+    // aborted.
+    let mut batch = sys.mutate();
+    for i in 20..40 {
+        batch.assert("e", vec![Value::int(i), Value::int(i + 1)]);
+    }
+    batch.commit().unwrap();
+    let retried = sys.model().unwrap().dump();
+
+    let mut clean = System::new();
+    clean.load(rules).unwrap();
+    for i in 0..40 {
+        clean
+            .insert("e", vec![Value::int(i), Value::int(i + 1)])
+            .unwrap();
+    }
+    assert_eq!(retried, clean.model().unwrap().dump());
 }
 
 #[test]
@@ -379,32 +354,28 @@ fn abort_during_grouping_never_leaks_partial_sets() {
     let rules = "r(X, Y) <- e(X, Y).\n\
                  r(X, Y) <- e(X, Z), r(Z, Y).\n\
                  reach(X, <Y>) <- r(X, Y).";
-    for compiled in compiled_matrix() {
-        let mut aborted = 0;
-        for fuel in [1, 10, 100, 1000] {
-            let mut sys = sys_with(compiled);
-            sys.load(rules).unwrap();
-            for i in 0..30 {
-                sys.insert("e", vec![Value::int(i), Value::int(i + 1)]);
-            }
-            sys.set_budget(Budget::unlimited().with_fuel(fuel));
-            if sys.model().is_err() {
-                aborted += 1;
-            }
-            sys.set_budget(Budget::unlimited());
-            let reach = sys.facts("reach").unwrap();
-            // Node 0 reaches exactly nodes 1..=30.
-            let full = reach
-                .iter()
-                .find(|f| f.args()[0] == Value::int(0))
-                .expect("reach(0, S) exists after retry");
-            assert_eq!(full.args()[1].as_set().unwrap().len(), 30, "fuel={fuel}");
+    let mut aborted = 0;
+    for fuel in [1, 10, 100, 1000] {
+        let mut sys = System::new();
+        sys.load(rules).unwrap();
+        for i in 0..30 {
+            sys.insert("e", vec![Value::int(i), Value::int(i + 1)])
+                .unwrap();
         }
-        assert!(
-            aborted >= 2,
-            "too few fuel levels aborted ({aborted}) compiled={compiled}"
-        );
+        sys.set_budget(Budget::unlimited().with_fuel(fuel));
+        if sys.model().is_err() {
+            aborted += 1;
+        }
+        sys.set_budget(Budget::unlimited());
+        let reach = sys.facts("reach").unwrap();
+        // Node 0 reaches exactly nodes 1..=30.
+        let full = reach
+            .iter()
+            .find(|f| f.args()[0] == Value::int(0))
+            .expect("reach(0, S) exists after retry");
+        assert_eq!(full.args()[1].as_set().unwrap().len(), 30, "fuel={fuel}");
     }
+    assert!(aborted >= 2, "too few fuel levels aborted ({aborted})");
 }
 
 #[test]
@@ -425,7 +396,8 @@ fn abort_during_negation_stratum_is_transactional() {
                     Value::atom(&format!("z{i}")),
                     Value::atom(&format!("z{}", i + 1)),
                 ],
-            );
+            )
+            .unwrap();
         }
         // A second component the z0-walk never reaches.
         for i in 0..15 {
@@ -435,40 +407,39 @@ fn abort_during_negation_stratum_is_transactional() {
                     Value::atom(&format!("w{i}")),
                     Value::atom(&format!("w{}", i + 1)),
                 ],
-            );
+            )
+            .unwrap();
         }
     };
 
     // Find a fuel level that aborts *past* stratum 0 by scanning upward;
     // the exact threshold depends on join order, the property under test
     // does not.
-    for compiled in compiled_matrix() {
-        let mut aborted_in_negation = false;
-        for fuel in (50..2000).step_by(50) {
-            let mut sys = sys_with(compiled);
-            build(&mut sys);
-            sys.set_budget(Budget::unlimited().with_fuel(fuel));
-            match sys.model().map(|db| db.dump()) {
-                Err(ldl1::Error::Eval(EvalError::ResourceExhausted { stratum, .. })) => {
-                    if stratum > 0 {
-                        aborted_in_negation = true;
-                        // Retry under no budget must equal a clean run.
-                        sys.set_budget(Budget::unlimited());
-                        let retried = sys.model().unwrap().dump();
-                        let mut clean = sys_with(compiled);
-                        build(&mut clean);
-                        assert_eq!(retried, clean.model().unwrap().dump());
-                    }
+    let mut aborted_in_negation = false;
+    for fuel in (50..2000).step_by(50) {
+        let mut sys = System::new();
+        build(&mut sys);
+        sys.set_budget(Budget::unlimited().with_fuel(fuel));
+        match sys.model().map(|db| db.dump()) {
+            Err(ldl1::Error::Eval(EvalError::ResourceExhausted { stratum, .. })) => {
+                if stratum > 0 {
+                    aborted_in_negation = true;
+                    // Retry under no budget must equal a clean run.
+                    sys.set_budget(Budget::unlimited());
+                    let retried = sys.model().unwrap().dump();
+                    let mut clean = System::new();
+                    build(&mut clean);
+                    assert_eq!(retried, clean.model().unwrap().dump());
                 }
-                Err(other) => panic!("unexpected error: {other:?}"),
-                Ok(_) => break, // fuel now covers the whole evaluation
             }
+            Err(other) => panic!("unexpected error: {other:?}"),
+            Ok(_) => break, // fuel now covers the whole evaluation
         }
-        assert!(
-            aborted_in_negation,
-            "no fuel level hit the negation stratum (compiled={compiled}); tighten the scan"
-        );
     }
+    assert!(
+        aborted_in_negation,
+        "no fuel level hit the negation stratum; tighten the scan"
+    );
 }
 
 #[test]
@@ -478,18 +449,16 @@ fn magic_query_aborts_under_fuel_too() {
     // magic rewrite reads EDB facts through the original predicate name,
     // and the query is all-free so the rewrite degenerates to the full
     // (infinite) bottom-up evaluation.
-    for compiled in compiled_matrix() {
-        let mut sys = sys_with(compiled);
-        sys.load("n(X) <- base(X).\nn(s(X)) <- n(X).\nbase(z).")
-            .unwrap();
-        sys.set_budget(Budget::unlimited().with_fuel(5_000));
-        let err = sys.query_magic("n(X)").map(|_| ()).unwrap_err();
-        match &err {
-            ldl1::Error::Eval(EvalError::ResourceExhausted { resource, .. }) => {
-                assert_eq!(*resource, ResourceKind::Fuel, "{err}");
-            }
-            other => panic!("expected fuel abort from magic query, got {other:?}"),
+    let mut sys = System::new();
+    sys.load("n(X) <- base(X).\nn(s(X)) <- n(X).\nbase(z).")
+        .unwrap();
+    sys.set_budget(Budget::unlimited().with_fuel(5_000));
+    let err = sys.query_magic("n(X)").map(|_| ()).unwrap_err();
+    match &err {
+        ldl1::Error::Eval(EvalError::ResourceExhausted { resource, .. }) => {
+            assert_eq!(*resource, ResourceKind::Fuel, "{err}");
         }
+        other => panic!("expected fuel abort from magic query, got {other:?}"),
     }
 }
 
