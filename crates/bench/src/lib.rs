@@ -44,63 +44,11 @@ pub const BOM: &str = "part(P, <S>) <- p(P, S).\n\
 pub const BOOK_DEAL: &str = "book_deal({X, Y, Z}) <- book(X, Px), book(Y, Py), \
                              book(Z, Pz), Px + Py + Pz < 100.";
 
-/// The P17 tc_chain kernel: transitive closure over a strided chain (see
-/// [`strided_chain`]) followed by an arithmetic query layer selecting the
-/// far-apart pairs. Closure plus a compose-and-filter query — the filter
-/// rejects most candidate pairs, so the per-candidate join/filter work the
-/// register programs fuse dominates the shared fixpoint bookkeeping.
-pub const TC_FAR: &str = "anc(X, Y) <- par(X, Y).\n\
-                          anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
-                          far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > 2800.";
-
-/// The P17 BOM kernel: component closure over a part tree (see
-/// [`part_tree`]), then a costing query pairing subparts of a common
-/// assembly whose combined price busts a budget. Same shape as the §1
-/// bill-of-materials costing queries, sized so the pair join dominates.
-pub const BOM_PAIRS: &str = "uses(P, S) <- sub(P, S).\n\
-     uses(P, S) <- sub(P, M), uses(M, S).\n\
-     splurge(S, T) <- uses(P, S), uses(P, T), price(S, CS), price(T, CT), \
-     CS + CT > 9500.";
-
 /// A chain `0 → 1 → … → n` as a `par` EDB.
 pub fn chain(n: i64) -> Database {
     let mut db = Database::new();
     for i in 0..n {
         db.insert_tuple("par", vec![Value::int(i), Value::int(i + 1)]);
-    }
-    db
-}
-
-/// A chain `0 → stride → 2·stride → …` of `n` `par` edges. The stride
-/// spreads node ids across the integer range so the [`TC_FAR`] query's
-/// arithmetic works on values outside the interner's small-integer cache —
-/// chain-closure differences all being < 256 would make the kernel
-/// unrepresentatively cheap for the plan interpreter.
-pub fn strided_chain(n: i64, stride: i64) -> Database {
-    let mut db = Database::new();
-    for i in 0..n {
-        db.insert_tuple(
-            "par",
-            vec![Value::int(i * stride), Value::int((i + 1) * stride)],
-        );
-    }
-    db
-}
-
-/// A complete binary part tree of the given depth as a `sub` EDB (parent
-/// part, subpart), every part carrying a seedless pseudo-random `price` in
-/// 500..<5000 — the [`BOM_PAIRS`] workload.
-pub fn part_tree(depth: u32) -> Database {
-    let mut db = Database::new();
-    let n = (1i64 << (depth + 1)) - 1;
-    for i in 2..=n {
-        db.insert_tuple("sub", vec![Value::int(i / 2), Value::int(i)]);
-    }
-    for i in 1..=n {
-        db.insert_tuple(
-            "price",
-            vec![Value::int(i), Value::int(500 + (i * 137) % 4500)],
-        );
     }
     db
 }
@@ -131,26 +79,6 @@ pub fn random_graph(n: i64, e: usize, seed: u64) -> Database {
     }
     for _ in 0..e {
         let a = rng.range(0, n);
-        let b = rng.range(0, n);
-        db.insert_tuple("par", vec![Value::int(a), Value::int(b)]);
-    }
-    db
-}
-
-/// A seeded random `par` graph with a *hub*: half the edges emanate from
-/// node 0, the rest are uniform over `n` nodes. The P18 skewed-key
-/// workload — hash-partitioning the recursive ancestor rule by its join key
-/// routes every hub-sourced delta tuple to the same shard, so this measures
-/// how the partitioned path degrades (and when the planner should prefer
-/// delta slices) under worst-case key skew.
-pub fn skewed_graph(n: i64, e: usize, seed: u64) -> Database {
-    let mut rng = Rng::new(seed);
-    let mut db = Database::new();
-    for i in 0..n {
-        db.insert_tuple("node", vec![Value::int(i)]);
-    }
-    for k in 0..e {
-        let a = if k % 2 == 0 { 0 } else { rng.range(0, n) };
         let b = rng.range(0, n);
         db.insert_tuple("par", vec![Value::int(a), Value::int(b)]);
     }
@@ -290,24 +218,12 @@ mod tests {
         assert!(db.num_facts() > 0);
         assert!(leaf.starts_with('n'));
         assert!(bom(2, 2).num_facts() >= 6);
-        assert_eq!(strided_chain(10, 7).num_facts(), 10);
-        // 2^(d+1)-1 parts: each a price fact, all but the root a sub fact.
-        assert_eq!(part_tree(3).num_facts(), 15 + 14);
         assert_eq!(books(5, 1).num_facts(), 5);
         let g = random_graph(10, 20, 42);
         assert_eq!(
             g.num_facts(),
             10 + g.relation("par".into()).map_or(0, |r| r.len())
         );
-        let s = skewed_graph(10, 40, 42);
-        let hub_edges = s
-            .to_fact_set()
-            .iter()
-            .filter(|f| f.pred().to_string() == "par" && f.args()[0] == Value::int(0))
-            .count();
-        // 20 of the 40 draws source from the hub; distinct hub edges cap at
-        // the 10 possible targets, so most targets should be covered.
-        assert!(hub_edges >= 5, "hub holds a large share of the edges");
     }
 
     #[test]

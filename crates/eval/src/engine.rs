@@ -47,20 +47,8 @@ pub struct EvalOptions {
     /// (read once), which CI uses to run the whole suite through the
     /// parallel path.
     pub parallelism: usize,
-    /// Split large delta ranges across workers by *hash of the join key*
-    /// (shard-local probing of a partitioned index) instead of by
-    /// contiguous position slices, whenever a plan's shape admits it
-    /// ([`PartitionSpec`](crate::PartitionSpec)) — the configuration that
-    /// lets a single large recursive rule use every worker without all of
-    /// them probing one shared index. Tasks without a usable key fall back
-    /// to contiguous slicing. Only engages at an effective parallelism
-    /// above 1; the computed model, every insertion position, and the
-    /// deterministic counters are bit-for-bit identical either way (the
-    /// merge re-interleaves shard outputs in source-position order).
-    ///
-    /// Defaults to `true`; the process-wide default can be overridden with
-    /// the `LDL1_PARTITIONED` environment variable (read once) — `0` or
-    /// `false` forces delta-slice parallelism everywhere.
+    // Read by nothing; declared only because `benchmark/src/cold.rs` names it.
+    #[doc(hidden)]
     pub partitioned: bool,
     /// Resource limits and the cancellation token for every evaluation
     /// drive run under these options. Default: [`Budget::unlimited`].
@@ -78,7 +66,7 @@ impl Default for EvalOptions {
             check_wf: true,
             dialect: Dialect::Ldl1,
             parallelism: env_default_parallelism(),
-            partitioned: env_default_partitioned(),
+            partitioned: false,
             budget: Budget::default(),
         }
     }
@@ -129,20 +117,6 @@ fn env_default_parallelism() -> usize {
             Ok(n) => n,
             Err(e) => panic!("LDL1_JOBS: {e}"),
         },
-    })
-}
-
-/// The process-wide default for [`EvalOptions::partitioned`]: `false` when
-/// `LDL1_PARTITIONED` is set to `0` or `false`, else `true`. Cached after
-/// the first read.
-fn env_default_partitioned() -> bool {
-    use std::sync::OnceLock;
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("LDL1_PARTITIONED").map_or(true, |v| {
-            let v = v.trim();
-            v != "0" && !v.eq_ignore_ascii_case("false")
-        })
     })
 }
 

@@ -5,17 +5,18 @@
 //! dense `ValueId` register file. On entry every op's loop-invariant state —
 //! its relation, its hash index, its delta range — is resolved once into a
 //! `ROp` table, so the per-tuple path never re-hashes a predicate name or an
-//! index descriptor. Ops that bridge into the general matcher or the
-//! built-in evaluator seed a scratch [`Bindings`] from registers
-//! (bind-if-absent: values are single-assignment along a derivation path, so
-//! a variable already present holds the same id) and copy solution values
-//! back into registers — one source of truth for every multi-solution
-//! semantics.
+//! index descriptor. One function, `exec_op`, interprets every op; it is
+//! instantiated per mode — run mode, which hands each solution to the
+//! caller, and the existential tail, which stops at the first. Ops that
+//! bridge into the general matcher or the built-in evaluator seed a scratch
+//! [`Bindings`] from registers and copy solution values back into registers
+//! — one source of truth for every multi-solution semantics.
 //!
 //! `tests/differential.rs` pins the result against the reference evaluator
 //! ([`crate::model::reference_model`]), which walks plan steps against a
 //! binding trail and shares none of this module.
 
+use ldl_ast::term::Var;
 use ldl_storage::{Database, IndexRef, Relation};
 use ldl_value::arith::{ArithOp, CmpOp};
 use ldl_value::intern::{self, Node};
@@ -24,7 +25,7 @@ use ldl_value::ValueId;
 use crate::bindings::Bindings;
 use crate::builtins::eval_builtin;
 use crate::plan::{neg_holds, note_exist_cut, note_index_probe, DeltaRestriction};
-use crate::ram::{eval_expr, ArithDst, ColAct, Op, RamProgram};
+use crate::ram::{eval_expr, ArithDst, ColAct, Op, RamProgram, Reg};
 use crate::unify::match_slice;
 
 /// One op's run-invariant state, resolved once per `run_ram` call: the
@@ -85,68 +86,6 @@ fn resolve<'a>(op: &Op, i: usize, db: &'a Database, restrict: Option<DeltaRestri
     }
 }
 
-/// A lowered body resolved against one frozen database snapshot, ready to
-/// run repeatedly with different step-0 delta ranges. Partitioned execution
-/// drives one `Prepared` per shard, re-pointing the range at each delta
-/// position instead of re-resolving every op per position.
-pub(crate) struct Prepared<'a> {
-    ctx: Ctx<'a>,
-}
-
-impl<'a> Prepared<'a> {
-    /// Re-point op `i`'s scan range (ops mirror plan steps by index, so the
-    /// delta step's index is also its op index).
-    pub(crate) fn set_range(&mut self, i: usize, lo: u32, hi: u32) {
-        let r = &mut self.ctx.rops[i];
-        r.lo = lo;
-        r.hi = hi;
-    }
-
-    /// Run the body, calling `k` once per solution with the register file.
-    /// `regs` must hold at least `prog.nregs` slots; `b` is the scratch
-    /// binding environment for bridge ops (left restored).
-    pub(crate) fn run<K: FnMut(&[ValueId])>(
-        &self,
-        regs: &mut [ValueId],
-        b: &mut Bindings,
-        k: &mut K,
-    ) {
-        exec_op(&self.ctx, 0, regs, b, k);
-    }
-}
-
-/// Resolve every op of `prog` against `db` once. `None` when a positive
-/// scan relation is empty or absent — the whole pass has no solutions.
-/// `shard_idx` substitutes a shard-local sub-index at one op; it is applied
-/// only where normal resolution already produced an index, so a missing
-/// index keeps its full scan.
-pub(crate) fn prepare<'a>(
-    prog: &'a RamProgram,
-    db: &'a Database,
-    restrict: Option<DeltaRestriction>,
-    shard_idx: Option<(usize, IndexRef<'a>)>,
-) -> Option<Prepared<'a>> {
-    for &pred in prog.scan_preds.iter() {
-        if db.relation(pred).is_none_or(|r| r.is_empty()) {
-            return None;
-        }
-    }
-    let mut rops: Box<[ROp<'a>]> = prog
-        .ops
-        .iter()
-        .enumerate()
-        .map(|(i, op)| resolve(op, i, db, restrict))
-        .collect();
-    if let Some((i, idx)) = shard_idx {
-        if rops[i].idx.is_some() {
-            rops[i].idx = Some(idx);
-        }
-    }
-    Some(Prepared {
-        ctx: Ctx { prog, db, rops },
-    })
-}
-
 /// Execute a lowered body against `db`, calling `k` once per solution with
 /// the register file. `regs` must hold at least `prog.nregs` slots; `b` is
 /// the scratch binding environment for bridge ops (left restored). An
@@ -160,9 +99,22 @@ pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
     b: &mut Bindings,
     k: &mut K,
 ) {
-    if let Some(prepared) = prepare(prog, db, restrict, None) {
-        prepared.run(regs, b, k);
+    for &pred in prog.scan_preds.iter() {
+        if db.relation(pred).is_none_or(|r| r.is_empty()) {
+            return;
+        }
     }
+    let rops = prog
+        .ops
+        .iter()
+        .enumerate()
+        .map(|(i, op)| resolve(op, i, db, restrict))
+        .collect();
+    let ctx = Ctx { prog, db, rops };
+    exec_op::<false, _>(&ctx, 0, regs, b, &mut |regs| {
+        k(regs);
+        false
+    });
 }
 
 /// Match one tuple against a fused column-action list. Bind actions write
@@ -302,221 +254,70 @@ fn arith_val(
     arith_i64(op, eval_num(x, regs)?, eval_num(y, regs)?)
 }
 
-fn exec_op<K: FnMut(&[ValueId])>(
+/// The existential tail's continuation: the first solution is the witness,
+/// so it stops the enumeration. A plain `fn`, so the tail is one
+/// instantiation of [`exec_op`] whatever the caller's closure type.
+fn witness(_: &[ValueId]) -> bool {
+    true
+}
+
+/// Seed the scratch bindings of a bridge op from registers. Bind-if-absent:
+/// values are single-assignment along a derivation path, so a variable
+/// already present holds the same id. The caller undoes to its own mark.
+#[inline]
+fn seed(b: &mut Bindings, in_vars: &[(Var, Reg)], regs: &[ValueId]) {
+    for &(v, r) in in_vars {
+        if b.get(v).is_none() {
+            b.bind(v, regs[r as usize]);
+        }
+    }
+}
+
+/// Copy a bridge op's solution values back into registers.
+#[inline]
+fn copy_out(b: &Bindings, out_vars: &[(Var, Reg)], regs: &mut [ValueId]) {
+    for &(v, r) in out_vars {
+        regs[r as usize] = b.get(v).expect("a positive bridge binds its outputs");
+    }
+}
+
+/// Run the ops after `i`. `true` means stop enumerating, which only the
+/// tail's [`witness`] ever asks for: in run mode the result is the constant
+/// `false`, so every `if next(..) { return true }` below folds away there.
+#[inline(always)]
+fn next<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
     ctx: &Ctx<'_>,
     i: usize,
     regs: &mut [ValueId],
     b: &mut Bindings,
     k: &mut K,
-) {
-    if i == ctx.prog.exist_from && i < ctx.prog.ops.len() {
-        // The existential tail: one witness suffices, the head registers
-        // are already final (tail ops bind no head variable).
-        if exists_op(ctx, i, regs, b) {
+) -> bool {
+    exec_op::<TAIL, K>(ctx, i + 1, regs, b, k) && TAIL
+}
+
+/// Enumerate the solutions of `ops[i..]`, calling `k` on each until it asks
+/// to stop; returns whether it did. Run mode (`TAIL = false`) never stops.
+/// On reaching the plan's existential tail it re-enters in tail mode with
+/// [`witness`] as the continuation — same ops, same probes, same order, but
+/// the first solution ends the enumeration.
+fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
+    ctx: &Ctx<'_>,
+    i: usize,
+    regs: &mut [ValueId],
+    b: &mut Bindings,
+    k: &mut K,
+) -> bool {
+    if !TAIL && i == ctx.prog.exist_from && i < ctx.prog.ops.len() {
+        // One witness suffices, and the head registers are already final
+        // (tail ops bind no head variable).
+        if exec_op::<true, fn(&[ValueId]) -> bool>(ctx, i, regs, b, &mut (witness as _)) {
             note_exist_cut();
             k(regs);
         }
-        return;
+        return false;
     }
     let Some(op) = ctx.prog.ops.get(i) else {
-        k(regs);
-        return;
-    };
-    match op {
-        Op::Scan {
-            key,
-            cols,
-            probe_cols,
-            ..
-        } => {
-            let r = &ctx.rops[i];
-            let Some(rel) = r.rel else {
-                return;
-            };
-            if rel.is_empty() {
-                return;
-            }
-            if let Some(idx) = r.idx {
-                let mut stack = [ValueId::FILLER; 8];
-                let mut heap: Vec<ValueId> = Vec::new();
-                let Some(probe) = eval_key(key, regs, &mut stack, &mut heap) else {
-                    return;
-                };
-                note_index_probe();
-                for &pos in idx.probe(probe) {
-                    if pos >= r.lo && pos < r.hi && match_cols(probe_cols, rel.get(pos), regs) {
-                        exec_op(ctx, i + 1, regs, b, k);
-                    }
-                }
-                return;
-            }
-            for pos in r.lo..r.hi {
-                if rel.is_live(pos) && match_cols(cols, rel.get(pos), regs) {
-                    exec_op(ctx, i + 1, regs, b, k);
-                }
-            }
-        }
-        Op::ScanBridge {
-            args,
-            index_cols,
-            in_vars,
-            out_vars,
-            ..
-        } => {
-            let r = &ctx.rops[i];
-            let Some(rel) = r.rel else {
-                return;
-            };
-            if rel.is_empty() {
-                return;
-            }
-            let (lo, hi) = (r.lo, r.hi);
-            let m = b.mark();
-            for &(v, reg) in in_vars.iter() {
-                if b.get(v).is_none() {
-                    b.bind(v, regs[reg as usize]);
-                }
-            }
-            if let Some(idx) = r.idx {
-                let mut stack = [ValueId::FILLER; 8];
-                let mut heap: Vec<ValueId> = Vec::new();
-                let Some(probe) =
-                    crate::plan::probe_key(args, index_cols, b, &mut stack, &mut heap)
-                else {
-                    b.undo(m);
-                    return;
-                };
-                note_index_probe();
-                // The posting list borrows the relation, not `b`, so the
-                // per-position matches below can reborrow `b` freely.
-                for &pos in idx.probe(probe) {
-                    if pos >= lo && pos < hi {
-                        match_slice(args, rel.get(pos), b, &mut |b2| {
-                            for &(v, reg) in out_vars.iter() {
-                                regs[reg as usize] =
-                                    b2.get(v).expect("positive match binds its variables");
-                            }
-                            exec_op(ctx, i + 1, regs, b2, k);
-                        });
-                    }
-                }
-                b.undo(m);
-                return;
-            }
-            for pos in lo..hi {
-                if rel.is_live(pos) {
-                    match_slice(args, rel.get(pos), b, &mut |b2| {
-                        for &(v, reg) in out_vars.iter() {
-                            regs[reg as usize] =
-                                b2.get(v).expect("positive match binds its variables");
-                        }
-                        exec_op(ctx, i + 1, regs, b2, k);
-                    });
-                }
-            }
-            b.undo(m);
-        }
-        Op::Neg { key, .. } => {
-            if neg_op(key, ctx.rops[i].rel, regs) {
-                exec_op(ctx, i + 1, regs, b, k);
-            }
-        }
-        Op::NegBridge {
-            pred,
-            args,
-            index_cols,
-            in_vars,
-        } => {
-            let m = b.mark();
-            for &(v, r) in in_vars.iter() {
-                if b.get(v).is_none() {
-                    b.bind(v, regs[r as usize]);
-                }
-            }
-            let holds = neg_holds(*pred, args, index_cols, ctx.db, b);
-            b.undo(m);
-            if holds {
-                exec_op(ctx, i + 1, regs, b, k);
-            }
-        }
-        Op::Cmp {
-            op,
-            lhs,
-            rhs,
-            negated,
-        } => {
-            if cmp_op(*op, lhs, rhs, regs) != *negated {
-                exec_op(ctx, i + 1, regs, b, k);
-            }
-        }
-        Op::Assign { dst, src } => {
-            if let Some(v) = eval_expr(src, regs) {
-                regs[*dst as usize] = v;
-                exec_op(ctx, i + 1, regs, b, k);
-            }
-        }
-        Op::ArithF {
-            op,
-            x,
-            y,
-            dst,
-            negated,
-        } => {
-            let z = arith_val(*op, x, y, regs);
-            match dst {
-                ArithDst::Bind(r) => {
-                    if let Some(z) = z {
-                        regs[*r as usize] = intern::mk_int(z);
-                        exec_op(ctx, i + 1, regs, b, k);
-                    }
-                }
-                ArithDst::Check(e) => {
-                    let holds = matches!((z, eval_num(e, regs)), (Some(z), Some(c)) if z == c);
-                    if holds != *negated {
-                        exec_op(ctx, i + 1, regs, b, k);
-                    }
-                }
-            }
-        }
-        Op::Builtin {
-            builtin,
-            args,
-            negated,
-            in_vars,
-            out_vars,
-        } => {
-            let m = b.mark();
-            for &(v, r) in in_vars.iter() {
-                if b.get(v).is_none() {
-                    b.bind(v, regs[r as usize]);
-                }
-            }
-            if *negated {
-                let mut any = false;
-                eval_builtin(*builtin, args, b, &mut |_| any = true);
-                b.undo(m);
-                if !any {
-                    exec_op(ctx, i + 1, regs, b, k);
-                }
-            } else {
-                eval_builtin(*builtin, args, b, &mut |b2| {
-                    for &(v, r) in out_vars.iter() {
-                        regs[r as usize] = b2.get(v).expect("built-in mode binds its outputs");
-                    }
-                    exec_op(ctx, i + 1, regs, b2, k);
-                });
-                b.undo(m);
-            }
-        }
-    }
-}
-
-/// Does the op tail `ops[i..]` have at least one solution? A
-/// short-circuiting mirror of [`exec_op`] (same probes, same order) that
-/// stops at the first witness.
-fn exists_op(ctx: &Ctx<'_>, i: usize, regs: &mut [ValueId], b: &mut Bindings) -> bool {
-    let Some(op) = ctx.prog.ops.get(i) else {
-        return true;
+        return k(regs);
     };
     match op {
         Op::Scan {
@@ -543,7 +344,7 @@ fn exists_op(ctx: &Ctx<'_>, i: usize, regs: &mut [ValueId], b: &mut Bindings) ->
                     if pos >= r.lo
                         && pos < r.hi
                         && match_cols(probe_cols, rel.get(pos), regs)
-                        && exists_op(ctx, i + 1, regs, b)
+                        && next::<TAIL, K>(ctx, i, regs, b, k)
                     {
                         return true;
                     }
@@ -553,7 +354,7 @@ fn exists_op(ctx: &Ctx<'_>, i: usize, regs: &mut [ValueId], b: &mut Bindings) ->
             for pos in r.lo..r.hi {
                 if rel.is_live(pos)
                     && match_cols(cols, rel.get(pos), regs)
-                    && exists_op(ctx, i + 1, regs, b)
+                    && next::<TAIL, K>(ctx, i, regs, b, k)
                 {
                     return true;
                 }
@@ -574,46 +375,48 @@ fn exists_op(ctx: &Ctx<'_>, i: usize, regs: &mut [ValueId], b: &mut Bindings) ->
             if rel.is_empty() {
                 return false;
             }
-            let (lo, hi) = (r.lo, r.hi);
             let m = b.mark();
-            for &(v, reg) in in_vars.iter() {
-                if b.get(v).is_none() {
-                    b.bind(v, regs[reg as usize]);
-                }
-            }
-            let found = 'search: {
-                if let Some(idx) = r.idx {
-                    let mut stack = [ValueId::FILLER; 8];
-                    let mut heap: Vec<ValueId> = Vec::new();
-                    let Some(probe) =
-                        crate::plan::probe_key(args, index_cols, b, &mut stack, &mut heap)
-                    else {
-                        break 'search false;
-                    };
+            seed(b, in_vars, regs);
+            // `<t>` patterns can match one tuple several ways; the matcher
+            // cannot be interrupted, so matches after a stop are skipped.
+            let mut stop = false;
+            let mut visit = |pos: u32, b: &mut Bindings| {
+                match_slice(args, rel.get(pos), b, &mut |b2| {
+                    if !stop {
+                        copy_out(b2, out_vars, regs);
+                        stop = next::<TAIL, K>(ctx, i, regs, b2, k);
+                    }
+                });
+                stop
+            };
+            if let Some(idx) = r.idx {
+                let mut stack = [ValueId::FILLER; 8];
+                let mut heap: Vec<ValueId> = Vec::new();
+                if let Some(probe) =
+                    crate::plan::probe_key(args, index_cols, b, &mut stack, &mut heap)
+                {
                     note_index_probe();
+                    // The posting list borrows the relation, not `b`, so the
+                    // per-position matches can reborrow `b` freely.
                     for &pos in idx.probe(probe) {
-                        if pos >= lo
-                            && pos < hi
-                            && bridge_witness(ctx, i, args, out_vars, rel.get(pos), regs, b)
-                        {
-                            break 'search true;
+                        if pos >= r.lo && pos < r.hi && visit(pos, b) {
+                            break;
                         }
                     }
-                    break 'search false;
                 }
-                for pos in lo..hi {
-                    if rel.is_live(pos)
-                        && bridge_witness(ctx, i, args, out_vars, rel.get(pos), regs, b)
-                    {
-                        break 'search true;
+            } else {
+                for pos in r.lo..r.hi {
+                    if rel.is_live(pos) && visit(pos, b) {
+                        break;
                     }
                 }
-                false
-            };
+            }
             b.undo(m);
-            found
+            stop
         }
-        Op::Neg { key, .. } => neg_op(key, ctx.rops[i].rel, regs) && exists_op(ctx, i + 1, regs, b),
+        Op::Neg { key, .. } => {
+            neg_op(key, ctx.rops[i].rel, regs) && next::<TAIL, K>(ctx, i, regs, b, k)
+        }
         Op::NegBridge {
             pred,
             args,
@@ -621,25 +424,21 @@ fn exists_op(ctx: &Ctx<'_>, i: usize, regs: &mut [ValueId], b: &mut Bindings) ->
             in_vars,
         } => {
             let m = b.mark();
-            for &(v, r) in in_vars.iter() {
-                if b.get(v).is_none() {
-                    b.bind(v, regs[r as usize]);
-                }
-            }
+            seed(b, in_vars, regs);
             let holds = neg_holds(*pred, args, index_cols, ctx.db, b);
             b.undo(m);
-            holds && exists_op(ctx, i + 1, regs, b)
+            holds && next::<TAIL, K>(ctx, i, regs, b, k)
         }
         Op::Cmp {
             op,
             lhs,
             rhs,
             negated,
-        } => (cmp_op(*op, lhs, rhs, regs) != *negated) && exists_op(ctx, i + 1, regs, b),
+        } => cmp_op(*op, lhs, rhs, regs) != *negated && next::<TAIL, K>(ctx, i, regs, b, k),
         Op::Assign { dst, src } => match eval_expr(src, regs) {
             Some(v) => {
                 regs[*dst as usize] = v;
-                exists_op(ctx, i + 1, regs, b)
+                next::<TAIL, K>(ctx, i, regs, b, k)
             }
             None => false,
         },
@@ -655,13 +454,13 @@ fn exists_op(ctx: &Ctx<'_>, i: usize, regs: &mut [ValueId], b: &mut Bindings) ->
                 ArithDst::Bind(r) => match z {
                     Some(z) => {
                         regs[*r as usize] = intern::mk_int(z);
-                        exists_op(ctx, i + 1, regs, b)
+                        next::<TAIL, K>(ctx, i, regs, b, k)
                     }
                     None => false,
                 },
                 ArithDst::Check(e) => {
                     let holds = matches!((z, eval_num(e, regs)), (Some(z), Some(c)) if z == c);
-                    holds != *negated && exists_op(ctx, i + 1, regs, b)
+                    holds != *negated && next::<TAIL, K>(ctx, i, regs, b, k)
                 }
             }
         }
@@ -673,54 +472,23 @@ fn exists_op(ctx: &Ctx<'_>, i: usize, regs: &mut [ValueId], b: &mut Bindings) ->
             out_vars,
         } => {
             let m = b.mark();
-            for &(v, r) in in_vars.iter() {
-                if b.get(v).is_none() {
-                    b.bind(v, regs[r as usize]);
-                }
-            }
-            let result = if *negated {
+            seed(b, in_vars, regs);
+            if *negated {
                 let mut any = false;
                 eval_builtin(*builtin, args, b, &mut |_| any = true);
                 b.undo(m);
-                !any && exists_op(ctx, i + 1, regs, b)
+                !any && next::<TAIL, K>(ctx, i, regs, b, k)
             } else {
-                let mut found = false;
+                let mut stop = false;
                 eval_builtin(*builtin, args, b, &mut |b2| {
-                    if !found {
-                        for &(v, r) in out_vars.iter() {
-                            regs[r as usize] = b2.get(v).expect("built-in mode binds its outputs");
-                        }
-                        found = exists_op(ctx, i + 1, regs, b2);
+                    if !stop {
+                        copy_out(b2, out_vars, regs);
+                        stop = next::<TAIL, K>(ctx, i, regs, b2, k);
                     }
                 });
                 b.undo(m);
-                found
-            };
-            result
+                stop
+            }
         }
     }
-}
-
-/// One tuple's witness check for a bridge scan in exists mode: `<t>`
-/// patterns can match a tuple several ways, and one successful continuation
-/// is enough.
-fn bridge_witness(
-    ctx: &Ctx<'_>,
-    i: usize,
-    args: &[ldl_ast::term::Term],
-    out_vars: &[(ldl_ast::term::Var, crate::ram::Reg)],
-    tuple: &[ValueId],
-    regs: &mut [ValueId],
-    b: &mut Bindings,
-) -> bool {
-    let mut found = false;
-    match_slice(args, tuple, b, &mut |b2| {
-        if !found {
-            for &(v, r) in out_vars {
-                regs[r as usize] = b2.get(v).expect("positive match binds its variables");
-            }
-            found = exists_op(ctx, i + 1, regs, b2);
-        }
-    });
-    found
 }

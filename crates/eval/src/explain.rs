@@ -41,16 +41,6 @@ pub fn explain(program: &Program, db: &Database, pred: Option<&str>) -> String {
                 if plan.steps.is_empty() {
                     let _ = writeln!(out, "  (no body: the head is a fact)");
                 }
-                if let Some(part) = &plan.partition {
-                    let _ = writeln!(
-                        out,
-                        "  partition: hash step-1 cols {:?} -> shard-local probe of {} at step {} (gated: delta >= {} tuples)",
-                        part.scan_cols,
-                        part.probe_pred,
-                        part.probe_step + 1,
-                        part.min_delta
-                    );
-                }
                 if !plan.steps.is_empty() {
                     let _ = writeln!(out, "  compiled:");
                     for line in crate::ram::render(&plan.lowered()) {
@@ -150,21 +140,6 @@ mod tests {
 
         let none = explain(&program, &db, Some("nosuch"));
         assert!(none.contains("no rules define nosuch"), "{none}");
-    }
-
-    #[test]
-    fn explain_shows_partition_key() {
-        let program =
-            parse_program("anc(X, Y) <- par(X, Y).\nanc(X, Y) <- par(X, Z), anc(Z, Y).").unwrap();
-        let mut db = Database::new();
-        for i in 0..10 {
-            db.insert_tuple("par", vec![Value::int(i), Value::int(i + 1)]);
-        }
-        let text = explain(&program, &db, None);
-        assert!(
-            text.contains("partition: hash step-1 cols"),
-            "recursive rule should advertise its partition key:\n{text}"
-        );
     }
 
     #[test]

@@ -6,17 +6,18 @@
 //! buffers into the database in fixed rule order. Because §3.2 defines one
 //! bottom-up step as `R(M) = ⋃ r(M)` — every rule applied to the *same*
 //! `M` — the passes of a round are independent and can execute on a worker
-//! pool ([`crate::pool`]); large delta ranges are additionally partitioned
-//! into contiguous slices, one task per slice. The ordered merge makes the
-//! result — including every tuple's insertion position, which the
-//! [`DeltaRestriction`] frontiers and incremental maintenance depend on —
-//! bit-for-bit identical at any worker count, including 1.
+//! pool ([`crate::pool`]); a pass whose first step scans a large range is
+//! additionally cut into contiguous slices, one task per slice — the only
+//! way a pass is ever split. The ordered merge makes the result — including
+//! every tuple's insertion position, which the [`DeltaRestriction`]
+//! frontiers and incremental maintenance depend on — bit-for-bit identical
+//! at any worker count, including 1.
 
 use std::sync::Arc;
 
 use ldl_ast::program::{Builtin, Program};
 use ldl_ast::rule::Rule;
-use ldl_storage::{shard_of_projection, Database, Relation};
+use ldl_storage::Database;
 use ldl_stratify::Stratification;
 use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::{Symbol, ValueId};
@@ -25,14 +26,14 @@ use crate::bindings::Bindings;
 use crate::budget::{BudgetMeter, RoundGate};
 use crate::engine::EvalOptions;
 use crate::error::EvalError;
-use crate::exec::{prepare, run_ram};
+use crate::exec::run_ram;
 use crate::grouping::run_grouping_rule;
 use crate::plan::{
     ensure_indexes, ensure_plan_indexes, take_exist_cuts, take_index_probes, DeltaRestriction,
-    PartitionSpec, RulePlan,
+    RulePlan, Step,
 };
 use crate::pool::{Job, Pool};
-use crate::ram::{eval_expr, take_lowerings, Expr, HeadIr, RamProgram};
+use crate::ram::{eval_expr, take_lowerings, Expr, HeadIr};
 use crate::stats::EvalStats;
 
 /// One layer's rules, split the way Lemma 3.2.3 executes them. Rules are
@@ -500,16 +501,6 @@ pub(crate) struct PassOut {
     pub(crate) attempts: u64,
     /// Plan lowerings performed (first use of a plan).
     pub(crate) lowerings: u64,
-    /// Partitioned units only: `(step-0 position, tuples emitted)` per
-    /// source position that emitted anything, in ascending position order.
-    /// The merge interleaves the runs of one task's shard group by
-    /// position, reconstructing the exact sequential derivation order.
-    pub(crate) runs: Vec<(u32, u32)>,
-    /// Partitioned units only: candidates dropped by shard-local pre-dedup
-    /// (already in the snapshot head relation, or repeated within this
-    /// unit). Counted into `dedup_inserts` at merge so the total is
-    /// identical to an unpartitioned run.
-    pub(crate) prefiltered: u64,
 }
 
 /// Evaluate `plan` against an immutable `db`, returning the id-tuples its
@@ -523,16 +514,11 @@ pub(crate) struct PassOut {
 /// tick per body solution, and an entry check that skips the whole pass
 /// when the token has already tripped (a partially-skipped round is fine —
 /// its buffers are discarded wholesale at the round boundary, never merged).
-///
-/// With `part` set the unit is one shard of a hash-partitioned task: only
-/// the delta positions whose key projection hashes onto the shard are
-/// enumerated (see [`partitioned_pass`]).
 pub(crate) fn derive_once(
     plan: &RulePlan,
     db: &Database,
     restrict: Option<DeltaRestriction>,
     gate: RoundGate<'_>,
-    part: Option<PartCfg<'_>>,
 ) -> PassOut {
     take_index_probes(); // discard counts from unrelated callers
     take_exist_cuts();
@@ -550,23 +536,15 @@ pub(crate) fn derive_once(
         let HeadIr::Simple(head) = &prog.head else {
             panic!("derive_once on a grouping plan");
         };
-        match part {
-            Some(p) => {
-                let r = restrict.expect("partitioned units are delta-restricted");
-                partitioned_pass(plan, &prog, head, db, r, gate, p, &mut out);
+        let mut regs = vec![ValueId::FILLER; prog.nregs];
+        let mut b = Bindings::new();
+        run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
+            out.attempts += 1;
+            gate.tick();
+            if project_head(head, regs, &mut out.buf.data) {
+                out.buf.count += 1;
             }
-            None => {
-                let mut regs = vec![ValueId::FILLER; prog.nregs];
-                let mut b = Bindings::new();
-                run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
-                    out.attempts += 1;
-                    gate.tick();
-                    if project_head(head, regs, &mut out.buf.data) {
-                        out.buf.count += 1;
-                    }
-                });
-            }
-        }
+        });
     }
     out.probes = take_index_probes();
     out.cuts = take_exist_cuts();
@@ -593,169 +571,36 @@ fn project_head(head: &[Expr], regs: &[ValueId], data: &mut Vec<ValueId>) -> boo
     true
 }
 
-/// One shard's view of a hash-partitioned task: this unit enumerates only
-/// the delta positions whose key projection hashes onto `shard`, probing
-/// the partitioned index's matching sub-index.
-#[derive(Clone, Copy)]
-pub(crate) struct PartCfg<'p> {
-    /// The plan's partitioning recipe.
-    pub(crate) spec: &'p PartitionSpec,
-    /// This unit's shard (`0..nshards`).
-    pub(crate) shard: u32,
-    /// Total shard count (the round's worker count).
-    pub(crate) nshards: u32,
-    /// Drop candidates already present in the snapshot head relation (or
-    /// repeated within this unit) on the worker, before the sequential
-    /// merge. Sound only when the head relation carries no derivation
-    /// counts — a counting head needs every duplicate insert.
-    pub(crate) prededup: bool,
-}
-
-/// The body of [`derive_once`] for one shard of a partitioned task: walk
-/// the delta range position by position, keep only this shard's tuples, and
-/// run the body restricted to `[pos, pos + 1)`. The per-position runs
-/// recorded in [`PassOut::runs`] let the merge interleave the shard group
-/// back into ascending position order — the exact sequential derivation
-/// order — so solutions, insertion positions, and every deterministic
-/// counter are bit-for-bit identical to slice-parallel and sequential
-/// execution (the [`PartitionSpec`] shape constraints are what make the
-/// per-position walk observationally equivalent; see `plan.rs`).
-#[allow(clippy::too_many_arguments)]
-fn partitioned_pass(
-    plan: &RulePlan,
-    prog: &RamProgram,
-    head: &[Expr],
-    db: &Database,
-    restrict: DeltaRestriction,
-    gate: RoundGate<'_>,
-    part: PartCfg<'_>,
-    out: &mut PassOut,
-) {
-    debug_assert_eq!(restrict.step, 0, "partitioned units drive step 0");
-    let spec = part.spec;
-    let Some(&(0, scan_pred)) = plan.scan_steps.first() else {
-        unreachable!("partition spec requires a step-0 scan");
-    };
-    let Some(rel0) = db.relation(scan_pred) else {
-        return;
-    };
-    // Zero-arity heads skip pre-dedup: their single tuple is not worth a
-    // seen-set, and the run counts must keep carrying the emissions.
-    let prededup = part.prededup && plan.head.arity() > 0;
-    let head_rel = db.relation(plan.head.pred);
-    let mut seen: FastSet<Box<[ValueId]>> = FastSet::default();
-
-    // Shard-local probing: substitute this shard's sub-index at the probe
-    // op. When the partitioned index is missing the full probe stands in
-    // (identical matches — a shard's scan tuples only ever probe keys that
-    // hash to the same shard).
-    let shard_idx = db
-        .relation(spec.probe_pred)
-        .and_then(|r| r.part_shard(&spec.probe_cols, part.nshards, part.shard))
-        .map(|idx| (spec.probe_step, idx));
-    let Some(mut prepared) = prepare(prog, db, Some(restrict), shard_idx) else {
-        return; // an empty body relation: no solutions
-    };
-    let mut regs = vec![ValueId::FILLER; prog.nregs];
-    let mut b = Bindings::new();
-    for pos in restrict.lo..restrict.hi {
-        if !rel0.is_live(pos)
-            || shard_of_projection(&spec.scan_cols, rel0.get(pos), part.nshards) != part.shard
-        {
-            continue;
-        }
-        let before = out.buf.count;
-        prepared.set_range(0, pos, pos + 1);
-        prepared.run(&mut regs, &mut b, &mut |regs| {
-            out.attempts += 1;
-            gate.tick();
-            let start = out.buf.data.len();
-            if !project_head(head, regs, &mut out.buf.data) {
-                return;
-            }
-            // Keep the head tuple, or pre-filter a duplicate away (the
-            // dedup the merge would otherwise perform).
-            if prededup {
-                let t = &out.buf.data[start..];
-                if head_rel.is_some_and(|r| r.contains(t)) || seen.contains(t) {
-                    out.prefiltered += 1;
-                    out.buf.data.truncate(start);
-                    return;
-                }
-                seen.insert(t.into());
-            }
-            out.buf.count += 1;
-        });
-        let emitted = (out.buf.count - before) as u32;
-        if emitted > 0 {
-            out.runs.push((pos, emitted));
-        }
-    }
-}
-
-/// Merge one partitioned task's shard group: repeatedly take the shard
-/// whose next run has the smallest source position. Positions are disjoint
-/// across shards and ascending within each, so this emits every candidate
-/// in ascending step-0 position order — exactly the order the unsplit
-/// sequential pass would have produced. Returns `(new, dedup)` insert
-/// counts.
-fn merge_interleaved(
-    pred: Symbol,
-    arity: usize,
-    outs: &[PassOut],
-    db: &mut Database,
-) -> (u64, u64) {
-    let mut new = 0u64;
-    let mut dedup = 0u64;
-    // Per shard: (next run index, data offset of that run).
-    let mut cur: Vec<(usize, usize)> = vec![(0, 0); outs.len()];
-    loop {
-        let mut best: Option<(usize, u32)> = None;
-        for (s, out) in outs.iter().enumerate() {
-            if let Some(&(pos, _)) = out.runs.get(cur[s].0) {
-                if best.is_none_or(|(_, bp)| pos < bp) {
-                    best = Some((s, pos));
-                }
-            }
-        }
-        let Some((s, _)) = best else {
-            return (new, dedup);
-        };
-        let (ri, off) = cur[s];
-        let n = outs[s].runs[ri].1 as usize;
-        if arity == 0 {
-            for _ in 0..n {
-                if db.insert_id_slice(pred, &[]) {
-                    new += 1;
-                } else {
-                    dedup += 1;
-                }
-            }
-            cur[s] = (ri + 1, off);
-        } else {
-            for t in outs[s].buf.data[off..off + n * arity].chunks_exact(arity) {
-                if db.insert_id_slice(pred, t) {
-                    new += 1;
-                } else {
-                    dedup += 1;
-                }
-            }
-            cur[s] = (ri + 1, off + n * arity);
-        }
-    }
-}
-
 /// Below this many delta tuples a pass is not worth splitting across
 /// workers: the per-task dispatch cost would outweigh the join work.
 const MIN_SLICE: u32 = 64;
+
+/// The position range a task's pass can be cut along: the delta range of a
+/// restricted pass, or the whole relation of an unrestricted pass's step 0
+/// (the full-range restriction is semantically a no-op). `None` unless that
+/// step is a *full* scan — a probing scan visits one posting list whatever
+/// its range, so every slice would repeat the same probe.
+fn slice_range(t: &RoundTask<'_>, db: &Database) -> Option<DeltaRestriction> {
+    let step = t.restrict.map_or(0, |r| r.step);
+    match t.plan.steps.get(step)? {
+        Step::Scan {
+            pred, index_cols, ..
+        } if index_cols.is_empty() => Some(t.restrict.unwrap_or(DeltaRestriction {
+            step,
+            lo: 0,
+            hi: len_of(db, *pred) as u32,
+        })),
+        _ => None,
+    }
+}
 
 /// Execute one evaluation round: run every task against the current
 /// database state (immutable for the duration), then merge the derived
 /// buffers in task order. Returns the number of new facts.
 ///
 /// Work distribution: each task is one unit, except that a task whose
-/// step-0 scan covers a range of ≥ 2·[`MIN_SLICE`] tuples is split into up
-/// to `parallelism` contiguous slices. Slices of one task stay adjacent in
+/// [`slice_range`] covers ≥ 2·[`MIN_SLICE`] tuples is split into up to
+/// `parallelism` contiguous slices. Slices of one task stay adjacent in
 /// the merge, so the concatenated derivation order — and therefore every
 /// insertion position — is identical to an unsplit, single-threaded pass.
 ///
@@ -778,62 +623,10 @@ pub(crate) fn run_round(
     stats.rounds += 1;
     stats.rules_fired += tasks.len() as u64;
 
-    // Expand tasks into work units: hash-partition by join key where a
-    // task's plan admits it, slice large ranges contiguously otherwise.
-    type Unit<'p> = (&'p RulePlan, Option<DeltaRestriction>, Option<PartCfg<'p>>);
-    let mut units: Vec<Unit<'_>> = Vec::new();
+    let mut units: Vec<(&RulePlan, Option<DeltaRestriction>)> = Vec::new();
     for t in tasks {
-        let range = match t.restrict {
-            Some(r) => Some(r),
-            // An unrestricted pass whose first step is a scan can be
-            // partitioned on that scan's position range; the full range
-            // restriction is semantically a no-op.
-            None => t.plan.scan_steps.first().and_then(|&(step, pred)| {
-                if step != 0 {
-                    return None;
-                }
-                let len = len_of(db, pred) as u32;
-                Some(DeltaRestriction {
-                    step: 0,
-                    lo: 0,
-                    hi: len,
-                })
-            }),
-        };
-        match range {
+        match slice_range(t, db) {
             Some(r) if pool.parallelism() > 1 && r.hi - r.lo >= 2 * MIN_SLICE => {
-                if let Some(spec) = t.plan.partition.as_ref().filter(|spec| {
-                    // Volume gate (P18): below `min_delta` tuples the
-                    // nshards-fold delta walk costs more than the join work
-                    // it distributes — fall through to contiguous slicing.
-                    opts.partitioned && r.step == 0 && r.hi - r.lo >= spec.min_delta
-                }) {
-                    // One unit per shard, each probing its own sub-index of
-                    // the partitioned index (built here, against the
-                    // pre-round database — the snapshot workers will read).
-                    let nshards = pool.parallelism() as u32;
-                    if let Some(arity) = db.relation(spec.probe_pred).map(Relation::arity) {
-                        db.relation_mut(spec.probe_pred, arity)
-                            .ensure_part_index(&spec.probe_cols, nshards);
-                    }
-                    let prededup = !db
-                        .relation(t.plan.head.pred)
-                        .is_some_and(Relation::counts_enabled);
-                    for shard in 0..nshards {
-                        units.push((
-                            t.plan,
-                            Some(r),
-                            Some(PartCfg {
-                                spec,
-                                shard,
-                                nshards,
-                                prededup,
-                            }),
-                        ));
-                    }
-                    stats.partitioned_passes += u64::from(nshards);
-                    continue;
-                }
                 let span = r.hi - r.lo;
                 let slices = (span / MIN_SLICE).min(pool.parallelism() as u32).max(1);
                 let step = span / slices;
@@ -847,11 +640,10 @@ pub(crate) fn run_round(
                             lo,
                             hi,
                         }),
-                        None,
                     ));
                 }
             }
-            _ => units.push((t.plan, t.restrict, None)),
+            _ => units.push((t.plan, t.restrict)),
         }
     }
     stats.parallel_tasks += units.len() as u64;
@@ -864,17 +656,17 @@ pub(crate) fn run_round(
     let mut buffers: Vec<PassOut> = Vec::new();
     buffers.resize_with(units.len(), Default::default);
     if pool.parallelism() == 1 || units.len() <= 1 {
-        for ((plan, restrict, part), buf) in units.iter().zip(&mut buffers) {
-            *buf = derive_once(plan, db, *restrict, gate, *part);
+        for ((plan, restrict), buf) in units.iter().zip(&mut buffers) {
+            *buf = derive_once(plan, db, *restrict, gate);
         }
     } else {
         let snapshot: &Database = db;
         let jobs: Vec<Job<'_>> = units
             .iter()
             .zip(buffers.iter_mut())
-            .map(|(&(plan, restrict, part), buf)| {
+            .map(|(&(plan, restrict), buf)| {
                 Box::new(move || {
-                    *buf = derive_once(plan, snapshot, restrict, gate, part);
+                    *buf = derive_once(plan, snapshot, restrict, gate);
                 }) as Job<'_>
             })
             .collect();
@@ -883,45 +675,23 @@ pub(crate) fn run_round(
 
     // Merge phase: sequential, in unit order — deterministic positions. The
     // tuples are already interned ids, so a rejected duplicate costs one
-    // hash of a few u32s. A partitioned task's group of shard units merges
-    // as one interleave in source-position order.
+    // hash of a few u32s.
     let mut new = 0u64;
     let mut dedup = 0u64;
     let mut attempts = 0u64;
-    let mut i = 0;
-    while i < units.len() {
-        let (plan, _, part) = units[i];
-        if let Some(p) = part {
-            let group = &buffers[i..i + p.nshards as usize];
-            for out in group {
-                stats.index_probes += out.probes;
-                stats.shard_probes += out.probes;
-                stats.exist_cuts += out.cuts;
-                stats.lowerings += out.lowerings;
-                stats.partition_prefiltered += out.prefiltered;
-                attempts += out.attempts;
-                dedup += out.prefiltered;
+    for ((plan, _), out) in units.iter().zip(&buffers) {
+        stats.index_probes += out.probes;
+        stats.exist_cuts += out.cuts;
+        stats.lowerings += out.lowerings;
+        attempts += out.attempts;
+        let pred = plan.head.pred;
+        out.buf.for_each(&mut |t| {
+            if db.insert_id_slice(pred, t) {
+                new += 1;
+            } else {
+                dedup += 1;
             }
-            let (n, d) = merge_interleaved(plan.head.pred, plan.head.arity(), group, db);
-            new += n;
-            dedup += d;
-            i += p.nshards as usize;
-        } else {
-            let out = &buffers[i];
-            stats.index_probes += out.probes;
-            stats.exist_cuts += out.cuts;
-            stats.lowerings += out.lowerings;
-            attempts += out.attempts;
-            let pred = plan.head.pred;
-            out.buf.for_each(&mut |t| {
-                if db.insert_id_slice(pred, t) {
-                    new += 1;
-                } else {
-                    dedup += 1;
-                }
-            });
-            i += 1;
-        }
+        });
     }
     stats.dedup_inserts += dedup;
     stats.facts_derived += new;
@@ -1030,7 +800,7 @@ pub fn run_rule_once(
     meter: &mut BudgetMeter<'_>,
 ) -> Result<usize, EvalError> {
     meter.check()?;
-    let out = derive_once(plan, db, restrict, opts.budget.gate(), None);
+    let out = derive_once(plan, db, restrict, opts.budget.gate());
     stats.index_probes += out.probes;
     stats.exist_cuts += out.cuts;
     stats.lowerings += out.lowerings;
@@ -1079,7 +849,7 @@ pub(crate) fn semi_naive_pooled(
 ) -> Result<(), EvalError> {
     // Invariant: every derivation whose recursive-literal tuples all have
     // positions below `delta_lo` has already been performed.
-    let delta_lo: FastMap<Symbol, usize> =
+    let mut delta_lo: FastMap<Symbol, usize> =
         layer_preds.iter().map(|&p| (p, len_of(db, p))).collect();
 
     // Round 0: full evaluation of every rule against the layer's input
@@ -1094,38 +864,6 @@ pub(crate) fn semi_naive_pooled(
         .collect();
     run_round(&tasks, db, pool, opts, stats, meter)?;
 
-    semi_naive_continue_pooled(plans, layer_preds, db, delta_lo, pool, opts, stats, meter)
-}
-
-/// The semi-naive delta loop, starting from a given per-predicate delta
-/// frontier instead of a fresh full pass. Every derivation all of whose
-/// recursive-literal tuples lie below `delta_lo` must already have been
-/// performed by the caller — either by [`semi_naive_fixpoint`]'s round 0 or
-/// by the incremental driver's delta-injection passes.
-pub fn semi_naive_continue(
-    plans: &[RulePlan],
-    layer_preds: &FastSet<Symbol>,
-    db: &mut Database,
-    delta_lo: FastMap<Symbol, usize>,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
-    let pool = Pool::new(opts.effective_parallelism());
-    semi_naive_continue_pooled(plans, layer_preds, db, delta_lo, &pool, opts, stats, meter)
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn semi_naive_continue_pooled(
-    plans: &[RulePlan],
-    layer_preds: &FastSet<Symbol>,
-    db: &mut Database,
-    mut delta_lo: FastMap<Symbol, usize>,
-    pool: &Pool,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
     // For each plan, a delta-first variant per scan over a predicate
     // defined in this layer: the delta literal runs as step 0 so a
     // restricted pass costs O(delta), not O(outer relation).

@@ -44,6 +44,5 @@ pub use engine::{parse_jobs, EvalOptions, Evaluator, QueryAnswer};
 pub use error::EvalError;
 pub use explain::explain;
 pub use model::{check_model, reference_model, ModelViolation};
-pub use plan::PartitionSpec;
 pub use retract::apply_mutations;
 pub use stats::EvalStats;

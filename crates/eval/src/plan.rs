@@ -37,7 +37,7 @@ use ldl_ast::program::Builtin;
 use ldl_ast::rule::Rule;
 use ldl_ast::term::{Term, Var};
 use ldl_storage::{Database, Relation};
-use ldl_value::fxhash::{FastMap, FastSet};
+use ldl_value::fxhash::FastSet;
 use ldl_value::{Symbol, ValueId};
 
 use crate::bindings::Bindings;
@@ -159,11 +159,6 @@ pub struct RulePlan {
     /// statistics-free compiles, and delta-restricted first steps (their
     /// cardinality is the delta's, unknown at compile time).
     pub est_rows: Vec<f64>,
-    /// Hash-partitioning recipe for parallel execution, when the plan's
-    /// shape admits one (see [`PartitionSpec`]). Presence never changes
-    /// results — the fixpoint driver consults it only to split a delta
-    /// among workers by join key instead of by contiguous slice.
-    pub partition: Option<PartitionSpec>,
     /// The plan's lowered register program ([`crate::ram`]), built lazily on
     /// first execution and then shared — the `OnceLock` runs the
     /// lowering exactly once even when parallel workers race, which keeps
@@ -181,7 +176,6 @@ impl Clone for RulePlan {
             scan_steps: self.scan_steps.clone(),
             exist_from: self.exist_from,
             est_rows: self.est_rows.clone(),
-            partition: self.partition.clone(),
             ram: std::sync::OnceLock::new(),
         }
     }
@@ -349,7 +343,6 @@ impl RulePlan {
             steps.len()
         };
 
-        let partition = compute_partition(&steps, exist_from, db);
         Ok(RulePlan {
             head: rule.head.clone(),
             head_kind,
@@ -357,7 +350,6 @@ impl RulePlan {
             scan_steps,
             exist_from,
             est_rows,
-            partition,
             ram: std::sync::OnceLock::new(),
         })
     }
@@ -439,10 +431,6 @@ impl RulePlan {
         } else {
             compute_exist_from(&self.head, &steps)
         };
-        // Recompute the partition recipe structurally (no statistics gate:
-        // the base compile already vetted usefulness for this rule's shape,
-        // and a spec only changes how work is split, never what it derives).
-        let partition = compute_partition(&steps, exist_from, None);
         RulePlan {
             head: self.head.clone(),
             head_kind: self.head_kind.clone(),
@@ -450,7 +438,6 @@ impl RulePlan {
             scan_steps,
             exist_from,
             est_rows,
-            partition,
             ram: std::sync::OnceLock::new(),
         }
     }
@@ -583,122 +570,6 @@ pub(crate) fn has_anon(t: &Term) -> bool {
         Term::Group(g) => has_anon(g),
         Term::Arith(_, l, r) => has_anon(l) || has_anon(r),
     }
-}
-
-/// Hash-partitioning recipe for a delta-first plan: which step-0 columns
-/// carry the join key, and which later step probes that key shard-locally.
-///
-/// Derived purely from the plan's shape (plus an optional statistics gate),
-/// never from evaluation state, so every configuration computes the same
-/// spec. The shape constraints make per-position partitioned execution
-/// *observationally identical* to contiguous delta slicing — same
-/// solutions, same order, same attempt/probe/cut counts:
-///
-/// * step 0 is a full scan (empty `index_cols`), so enumerating its delta
-///   positions one at a time does exactly the per-tuple work a slice
-///   enumeration would;
-/// * the plan's head is not ground (`exist_from > 0`) — a ground head
-///   collapses the whole pass into one existence test, which per-position
-///   execution would repeat once per tuple;
-/// * every probe key column is a plain variable first bound by step 0, so
-///   a scan tuple's shard (the hash of its key projection) is exactly the
-///   shard whose sub-index holds all of that key's probe postings.
-#[derive(Clone, Debug)]
-pub struct PartitionSpec {
-    /// Step-0 argument columns carrying the partition key, ordered to match
-    /// `probe_cols` (so a scan tuple's projection *is* the probe key).
-    pub scan_cols: Vec<usize>,
-    /// Index into `steps` of the shard-local probe.
-    pub probe_step: usize,
-    /// The relation probed at `probe_step`.
-    pub probe_pred: Symbol,
-    /// The probe step's (sorted) index columns — the partitioned index key.
-    pub probe_cols: Vec<usize>,
-    /// Tuple-volume gate: a pass whose delta covers fewer tuples than this
-    /// is not worth sharding — each shard walks the whole delta to filter
-    /// its keys, so nshards × (hash + skip) dominates the actual join work
-    /// on tiny passes (the P18 single-core regression). The round executor
-    /// falls back to contiguous slicing below the threshold.
-    pub min_delta: u32,
-}
-
-/// Default partition volume gate (see [`PartitionSpec::min_delta`]): below
-/// ~1k delta tuples the per-shard delta walk costs more than it saves.
-pub const PARTITION_MIN_DELTA: u32 = 1024;
-
-/// Find a partitioning for a delta-first plan, or `None` when no later step
-/// probes a key bound entirely by step 0 (the caller then falls back to
-/// contiguous delta slicing). With a database at hand, keys estimated to
-/// hold fewer than two distinct values on the driving relation are rejected
-/// — hashing everything onto one shard would serialize the round behind a
-/// single worker.
-fn compute_partition(
-    steps: &[Step],
-    exist_from: usize,
-    db: Option<&Database>,
-) -> Option<PartitionSpec> {
-    if exist_from == 0 {
-        return None; // ground head: the whole pass is one existence test
-    }
-    let Some(Step::Scan {
-        pred: scan_pred,
-        args,
-        index_cols,
-    }) = steps.first()
-    else {
-        return None;
-    };
-    if !index_cols.is_empty() {
-        return None; // step 0 must be a pure (delta-ranged) full scan
-    }
-    // First-occurrence top-level variable columns of the driving scan.
-    let mut var_col: FastMap<Var, usize> = FastMap::default();
-    for (c, t) in args.iter().enumerate() {
-        if let Term::Var(v) = t {
-            var_col.entry(*v).or_insert(c);
-        }
-    }
-    'candidate: for (i, step) in steps.iter().enumerate().skip(1) {
-        let Step::Scan {
-            pred,
-            args: pargs,
-            index_cols: pcols,
-        } = step
-        else {
-            continue;
-        };
-        if pcols.is_empty() {
-            continue;
-        }
-        let mut scan_cols = Vec::with_capacity(pcols.len());
-        for &pc in pcols {
-            match &pargs[pc] {
-                Term::Var(v) => match var_col.get(v) {
-                    Some(&c) => scan_cols.push(c),
-                    None => continue 'candidate, // bound after step 0
-                },
-                _ => continue 'candidate, // constant or computed key part
-            }
-        }
-        if let Some(rel) = db.and_then(|d| d.relation(*scan_pred)) {
-            if !rel.is_empty() {
-                let mut key = scan_cols.clone();
-                key.sort_unstable();
-                key.dedup();
-                if rel.key_distinct_estimate(&key) < 2.0 {
-                    continue; // everything would hash onto one shard
-                }
-            }
-        }
-        return Some(PartitionSpec {
-            scan_cols,
-            probe_step: i,
-            probe_pred: *pred,
-            probe_cols: pcols.clone(),
-            min_delta: PARTITION_MIN_DELTA,
-        });
-    }
-    None
 }
 
 /// Restriction of one scan step to a tuple-position range (semi-naive
@@ -976,7 +847,7 @@ mod tests {
         let cost = RulePlan::compile_with(&rule, Some(&db), true, None).unwrap();
         assert_eq!(cost.exist_from, 1); // Y is not a head variable
         let solutions = |plan: &RulePlan| {
-            let out = derive_once(plan, &db, None, RoundGate::open(), None);
+            let out = derive_once(plan, &db, None, RoundGate::open());
             (out.attempts, out.cuts)
         };
         // cand(1) has a witness, cand(2) has none.
@@ -1019,61 +890,6 @@ mod tests {
             panic!("par step must be a scan")
         };
         assert_eq!(index_cols, &vec![1]);
-    }
-
-    #[test]
-    fn partition_spec_follows_delta_first_shape() {
-        let p = plan_of("anc(X, Y) <- par(X, Z), anc(Z, Y).");
-        // Base greedy plan: par scans first (no key), anc probed on col 0
-        // with Z — which par binds at its column 1.
-        let spec = p.partition.as_ref().expect("base plan partitions");
-        assert_eq!(spec.scan_cols, vec![1]);
-        assert_eq!(spec.probe_step, 1);
-        assert_eq!(spec.probe_pred.as_str(), "anc");
-        assert_eq!(spec.probe_cols, vec![0]);
-        // Delta-first variant: anc(Z, Y) drives, par probed on col 1 via Z
-        // (step-0 column 0).
-        let (anc_step, _) = p.scan_steps[1];
-        let d = p.delta_first(anc_step);
-        let spec = d.partition.as_ref().expect("variant partitions");
-        assert_eq!(spec.scan_cols, vec![0]);
-        assert_eq!(spec.probe_step, 1);
-        assert_eq!(spec.probe_pred.as_str(), "par");
-        assert_eq!(spec.probe_cols, vec![1]);
-    }
-
-    #[test]
-    fn partition_spec_rejects_unsuitable_shapes() {
-        // No later probe keyed on step-0 variables: cartesian product.
-        assert!(plan_of("q(X, Y) <- r(X), s(Y).").partition.is_none());
-        // Probe key includes a constant: shard routing can't follow it.
-        assert!(plan_of("q(X) <- r(X), s(X, 3).").partition.is_none());
-        use ldl_value::Value;
-        // Ground head under cost-based planning: exist_from == 0 makes the
-        // whole pass one existence test — never partitioned.
-        let mut db = Database::new();
-        db.insert_tuple("r", vec![Value::int(1)]);
-        db.insert_tuple("r", vec![Value::int(2)]);
-        let rule = parse_rule("hit(1) <- r(X), s(X).").unwrap();
-        let p = RulePlan::compile_with(&rule, Some(&db), true, None).unwrap();
-        assert_eq!(p.exist_from, 0);
-        assert!(p.partition.is_none());
-        // Statistics gate: a single-valued key hashes onto one shard.
-        let mut db1 = Database::new();
-        for i in 0..50 {
-            db1.insert_tuple("r2", vec![Value::int(7), Value::int(i)]);
-        }
-        for i in 0..100 {
-            db1.insert_tuple("s2", vec![Value::int(7), Value::int(i)]);
-        }
-        let rule = parse_rule("q(X, Y) <- r2(K, X), s2(K, Y).").unwrap();
-        let p = RulePlan::compile_with(&rule, Some(&db1), false, None).unwrap();
-        assert_eq!(p.scan_steps[0].1.as_str(), "r2", "smaller relation leads");
-        assert!(p.partition.is_none(), "1-distinct key must be gated out");
-        // Same shape without statistics keeps the spec (delta variants).
-        assert!(plan_of("q(X, Y) <- r2(K, X), s2(K, Y).")
-            .partition
-            .is_some());
     }
 
     #[test]

@@ -382,7 +382,7 @@ fn counting_delete_layer(
             let plan = full_enumeration(&RulePlan::compile_with(&synth, Some(db), true, None)?);
             ensure_plan_indexes(&plan, db);
             meter.check()?;
-            let out = derive_once(&plan, db, None, gate, None);
+            let out = derive_once(&plan, db, None, gate);
             stats.rules_fired += 1;
             stats.index_probes += out.probes;
             stats.exist_cuts += out.cuts;

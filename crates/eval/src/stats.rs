@@ -56,8 +56,8 @@ pub struct EvalStats {
     /// a stratum applied against one immutable database snapshot). This is
     /// deterministic: it does not vary with `EvalOptions::parallelism`.
     pub rounds: u64,
-    /// Parallel work units executed (a rule pass, or one slice of a
-    /// partitioned delta range). Unlike every other counter this *does*
+    /// Parallel work units executed (a rule pass, or one contiguous slice
+    /// of a delta range). Unlike every other counter this *does*
     /// depend on `parallelism` — large deltas split into more tasks when
     /// more workers are available — so it measures how much work was
     /// available to spread, not what was derived.
@@ -85,22 +85,14 @@ pub struct EvalStats {
     /// through the lowered register programs): `rounds` plus the per-rule
     /// passes of incremental and differential maintenance.
     pub compiled_rounds: u64,
-    /// Hash-partitioned work units executed: one per shard of each task
-    /// split by join key instead of by contiguous delta slice. Like
-    /// `parallel_tasks` this depends on `parallelism` (partitioning only
-    /// engages above one worker); always `0` with
-    /// [`EvalOptions::partitioned`](crate::EvalOptions) off.
+    // Never written; declared only because `benchmark/src/pipeline.rs` names it.
+    #[doc(hidden)]
     pub partitioned_passes: u64,
-    /// Index probes answered by a shard-local sub-index rather than the
-    /// full index (a subset of `index_probes`, which counts both kinds).
-    /// Varies with `parallelism` exactly as `partitioned_passes` does.
+    // Never written; declared only because `benchmark/src/pipeline.rs` names it.
+    #[doc(hidden)]
     pub shard_probes: u64,
-    /// Candidate tuples dropped by a partitioned unit's shard-local
-    /// pre-dedup before the sequential merge (already present in the
-    /// snapshot head relation, or repeated within the unit). These are
-    /// counted into `dedup_inserts` at merge time — that total stays
-    /// identical to an unpartitioned run — so this counter measures how
-    /// much duplicate traffic never reached the merge thread.
+    // Never written; declared only because `benchmark/src/pipeline.rs` names it.
+    #[doc(hidden)]
     pub partition_prefiltered: u64,
     /// Bytes of flat tuple-arena page memory reserved across the model
     /// database's relations when the operation finished. A gauge like
@@ -162,9 +154,6 @@ impl AddAssign for EvalStats {
         self.exist_cuts += rhs.exist_cuts;
         self.lowerings += rhs.lowerings;
         self.compiled_rounds += rhs.compiled_rounds;
-        self.partitioned_passes += rhs.partitioned_passes;
-        self.shard_probes += rhs.shard_probes;
-        self.partition_prefiltered += rhs.partition_prefiltered;
         self.arena_bytes = self.arena_bytes.max(rhs.arena_bytes);
         self.arena_pages = self.arena_pages.max(rhs.arena_pages);
         self.wal_records += rhs.wal_records;
@@ -176,7 +165,7 @@ impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, strata replayed: {}, delta-updated: {}, counting: {}, dred: {}, skipped: {}, rounds: {}, tasks: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, partitioned passes: {}, shard probes: {}, prefiltered: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}",
+            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, strata replayed: {}, delta-updated: {}, counting: {}, dred: {}, skipped: {}, rounds: {}, tasks: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}",
             self.rules_fired,
             self.attempts,
             self.facts_derived,
@@ -197,9 +186,6 @@ impl fmt::Display for EvalStats {
             self.exist_cuts,
             self.lowerings,
             self.compiled_rounds,
-            self.partitioned_passes,
-            self.shard_probes,
-            self.partition_prefiltered,
             self.arena_bytes,
             self.arena_pages,
             self.wal_records,

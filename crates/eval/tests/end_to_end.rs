@@ -349,6 +349,32 @@ fn long_chain() {
     assert_eq!(count as i64, n * (n + 1) / 2);
 }
 
+/// A pass whose first step probes an index (constant key) is never sliced:
+/// every slice would walk the same posting list, so the work — visible as
+/// `index_probes` — would grow with the worker count.
+#[test]
+fn probing_first_step_does_the_same_work_at_any_worker_count() {
+    let program = parse_program("q(X) <- r(1, X).").unwrap();
+    let mut edb = Database::new();
+    for i in 0..600 {
+        edb.insert_tuple("r", vec![Value::int(i % 3), Value::int(i)]);
+    }
+    let [seq, par] = [1, 4].map(|parallelism| {
+        let ev = Evaluator::with_options(EvalOptions {
+            parallelism,
+            ..EvalOptions::default()
+        });
+        let (m, stats) = ev.evaluate_stats(&program, &edb).unwrap();
+        assert_eq!(m.relation("q".into()).unwrap().len(), 200);
+        stats
+    });
+    assert_eq!(seq.index_probes, 1);
+    assert_eq!(
+        (seq.index_probes, seq.attempts),
+        (par.index_probes, par.attempts)
+    );
+}
+
 /// Query patterns with sets and partial bindings.
 #[test]
 fn query_patterns() {

@@ -18,4 +18,4 @@ pub mod database;
 pub mod relation;
 
 pub use database::{intern_ids, resolve_fact, Database, Mark};
-pub use relation::{shard_of_key, shard_of_projection, IndexRef, Relation};
+pub use relation::{IndexRef, Relation};

@@ -313,35 +313,6 @@ impl<'a> IndexRef<'a> {
     }
 }
 
-/// The shard in `0..nshards` that owns the key `tuple[cols[0]],
-/// tuple[cols[1]], …` — an FNV-style fold of each key value's
-/// [`intern::struct_hash`]. Like the column sketches, the fold depends only
-/// on value *structure*, never on raw id numbering, so shard assignment is
-/// bit-for-bit identical across runs, worker counts, and interning orders.
-pub fn shard_of_projection(cols: &[usize], tuple: &[ValueId], nshards: u32) -> u32 {
-    debug_assert!(nshards > 0, "shard count must be positive");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &c in cols {
-        h ^= intern::struct_hash(tuple[c]);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % u64::from(nshards)) as u32
-}
-
-/// [`shard_of_projection`] over an already-projected key (ids in key-column
-/// order). The two agree whenever the key values are the projection: that
-/// agreement is what lets a worker that owns shard `s` probe a shard-local
-/// sub-index and see exactly the postings the full index would return.
-pub fn shard_of_key(key: &[ValueId], nshards: u32) -> u32 {
-    debug_assert!(nshards > 0, "shard count must be positive");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in key {
-        h ^= intern::struct_hash(v);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % u64::from(nshards)) as u32
-}
-
 /// A hash index over a subset of columns, keyed by row position.
 ///
 /// Maps the projection of a tuple onto `cols` to the positions (insertion
@@ -482,40 +453,6 @@ impl Index {
     }
 }
 
-/// A hash index split into shard-local sub-indexes by [`shard_of_key`] of
-/// the key projection. Each shard's sub-index holds exactly the posting
-/// lists of the keys it owns, so a partitioned join worker probes a private
-/// table — and because a key hashes to one shard, a probe routed to the
-/// right shard returns the identical (ascending) posting list the full
-/// index would. Maintained incrementally alongside the plain indexes.
-#[derive(Clone, Debug)]
-struct PartIndex {
-    cols: Vec<usize>,
-    nshards: u32,
-    shards: Vec<Index>,
-}
-
-impl PartIndex {
-    fn shard_of(&self, tuple: &[ValueId]) -> usize {
-        shard_of_projection(&self.cols, tuple, self.nshards) as usize
-    }
-
-    fn add(&mut self, tuple: &[ValueId], pos: u32) {
-        let s = self.shard_of(tuple);
-        self.shards[s].add(tuple, pos);
-    }
-
-    fn remove(&mut self, tuple: &[ValueId], pos: u32) {
-        let s = self.shard_of(tuple);
-        self.shards[s].remove(tuple, pos);
-    }
-
-    fn add_sorted(&mut self, tuple: &[ValueId], pos: u32) {
-        let s = self.shard_of(tuple);
-        self.shards[s].add_sorted(tuple, pos);
-    }
-}
-
 /// A fixed-width linear-counting sketch estimating the number of distinct
 /// values in one column.
 ///
@@ -598,11 +535,6 @@ pub struct Relation {
     /// Keyed by the sorted, deduplicated column list (probed borrowed as
     /// `&[usize]`), so relations of any width can be indexed.
     indexes: FastMap<Vec<usize>, Index>,
-    /// Shard-partitioned variants of indexes, keyed like `indexes`. Built
-    /// only when partitioned join execution requests them
-    /// ([`Relation::ensure_part_index`]); empty on the insert hot path
-    /// otherwise.
-    part_indexes: FastMap<Vec<usize>, PartIndex>,
     /// One distinct-count sketch per column, maintained on every insert.
     sketches: Vec<ColSketch>,
     /// Bumped whenever the relation's statistics have drifted enough to
@@ -625,7 +557,6 @@ impl Relation {
             live: 0,
             counts: None,
             indexes: FastMap::default(),
-            part_indexes: FastMap::default(),
             sketches: vec![ColSketch::default(); arity],
             stats_epoch: 0,
             next_epoch_len: 1,
@@ -686,9 +617,6 @@ impl Relation {
         self.seen.insert(&self.rows, pos);
         for idx in self.indexes.values_mut() {
             idx.add(tuple, pos);
-        }
-        for pidx in self.part_indexes.values_mut() {
-            pidx.add(tuple, pos);
         }
         for (sk, &v) in self.sketches.iter_mut().zip(tuple.iter()) {
             sk.observe(v);
@@ -763,9 +691,6 @@ impl Relation {
         for idx in self.indexes.values_mut() {
             idx.remove(rows.get(pos), pos);
         }
-        for pidx in self.part_indexes.values_mut() {
-            pidx.remove(rows.get(pos), pos);
-        }
         self.stats_epoch += 1;
         Some(pos)
     }
@@ -781,9 +706,6 @@ impl Relation {
         let rows = &self.rows;
         for idx in self.indexes.values_mut() {
             idx.add_sorted(rows.get(pos), pos);
-        }
-        for pidx in self.part_indexes.values_mut() {
-            pidx.add_sorted(rows.get(pos), pos);
         }
         self.seen.insert(&self.rows, pos);
         self.live += 1;
@@ -846,52 +768,6 @@ impl Relation {
             idx.add(self.rows.get(pos), pos);
         }
         self.indexes.insert(cols, idx);
-    }
-
-    /// Ensure a shard-partitioned index exists on `cols` with exactly
-    /// `nshards` shards ([`shard_of_key`] routing). A partitioned index
-    /// with a different shard count is rebuilt; otherwise this is a no-op.
-    /// Like [`Relation::ensure_index`], tombstoned positions are skipped so
-    /// a shard probe never needs a liveness check.
-    pub fn ensure_part_index(&mut self, cols: &[usize], nshards: u32) {
-        assert!(nshards > 0, "shard count must be positive");
-        let mut cols: Vec<usize> = cols.to_vec();
-        cols.sort_unstable();
-        cols.dedup();
-        assert!(
-            cols.iter().all(|&c| c < self.arity),
-            "index column out of range"
-        );
-        if self
-            .part_indexes
-            .get(cols.as_slice())
-            .is_some_and(|p| p.nshards == nshards)
-        {
-            return;
-        }
-        let mut pidx = PartIndex {
-            cols: cols.clone(),
-            nshards,
-            shards: (0..nshards).map(|_| Index::new(cols.clone())).collect(),
-        };
-        for pos in 0..self.rows.len {
-            if self.dead.as_ref().is_some_and(|d| d.contains(&pos)) {
-                continue;
-            }
-            pidx.add(self.rows.get(pos), pos);
-        }
-        self.part_indexes.insert(cols, pidx);
-    }
-
-    /// Shard `shard` of the partitioned index on `cols`, if one exists with
-    /// exactly `nshards` shards. The handle probes like any [`IndexRef`];
-    /// it answers correctly only for keys that hash to `shard`.
-    pub fn part_shard(&self, cols: &[usize], nshards: u32, shard: u32) -> Option<IndexRef<'_>> {
-        let pidx = self.part_indexes.get(cols)?;
-        if pidx.nshards != nshards {
-            return None;
-        }
-        pidx.shards.get(shard as usize).map(|idx| IndexRef { idx })
     }
 
     /// Probe the index on `cols` (which must exist) with `key` ids in the
@@ -989,11 +865,6 @@ impl Relation {
         self.live = len - self.dead.as_ref().map_or(0, |d| d.len());
         for idx in self.indexes.values_mut() {
             idx.truncate(cutoff);
-        }
-        for pidx in self.part_indexes.values_mut() {
-            for idx in &mut pidx.shards {
-                idx.truncate(cutoff);
-            }
         }
         // Sketch bits cannot be un-set per dropped tuple; rebuild them from
         // the surviving live tuples (truncation is the rare
@@ -1337,102 +1208,6 @@ mod tests {
         r.remove_slice(&[id(19)]);
         assert!(r.is_empty());
         assert_eq!(r.key_distinct_estimate(&[0]), 0.0);
-    }
-
-    #[test]
-    fn part_index_shards_cover_full_index() {
-        let nshards = 4;
-        let mut r = Relation::new(2);
-        for x in 0..200 {
-            r.insert_slice(&t(&[x % 20, x]));
-        }
-        r.ensure_index(&[0]);
-        r.ensure_part_index(&[0], nshards);
-        for key_val in 0..20 {
-            let key = [id(key_val)];
-            let full = r.probe(&[0], &key).to_vec();
-            let s = shard_of_key(&key, nshards);
-            let shard = r.part_shard(&[0], nshards, s).unwrap();
-            // The owning shard returns the identical ascending posting
-            // list; every other shard returns nothing for this key.
-            assert_eq!(shard.probe(&key), full);
-            for other in (0..nshards).filter(|&o| o != s) {
-                assert!(r
-                    .part_shard(&[0], nshards, other)
-                    .unwrap()
-                    .probe(&key)
-                    .is_empty());
-            }
-        }
-        // A different shard count is not served stale.
-        assert!(r.part_shard(&[0], 8, 0).is_none());
-        r.ensure_part_index(&[0], 8);
-        let key = [id(3)];
-        let s8 = shard_of_key(&key, 8);
-        assert_eq!(
-            r.part_shard(&[0], 8, s8).unwrap().probe(&key),
-            r.probe(&[0], &key)
-        );
-    }
-
-    #[test]
-    fn part_index_maintained_on_insert_remove_revive_truncate() {
-        let nshards = 3;
-        let mut r = Relation::new(2);
-        r.ensure_part_index(&[0], nshards);
-        r.insert_slice(&t(&[1, 10]));
-        r.insert_slice(&t(&[1, 20]));
-        let mark = r.len();
-        r.insert_slice(&t(&[1, 30]));
-        let key = [id(1)];
-        let s = shard_of_key(&key, nshards);
-        let probe = |r: &Relation| -> Vec<u32> {
-            r.part_shard(&[0], nshards, s).unwrap().probe(&key).to_vec()
-        };
-        assert_eq!(probe(&r), vec![0, 1, 2]);
-
-        let pos = r.remove_slice(&[id(1), id(10)]).unwrap();
-        assert_eq!(probe(&r), vec![1, 2]);
-        r.revive(pos);
-        assert_eq!(probe(&r), vec![0, 1, 2], "revive restores sorted slot");
-
-        r.truncate(mark);
-        assert_eq!(probe(&r), vec![0, 1]);
-        // An index built after removals skips tombstones, like ensure_index.
-        r.remove_slice(&[id(1), id(10)]).unwrap();
-        let mut fresh = r.clone();
-        fresh.ensure_part_index(&[1], nshards);
-        let k20 = [id(20)];
-        let s20 = shard_of_key(&k20, nshards);
-        assert_eq!(
-            fresh.part_shard(&[1], nshards, s20).unwrap().probe(&k20),
-            &[1]
-        );
-        let k10 = [id(10)];
-        let s10 = shard_of_key(&k10, nshards);
-        assert!(fresh
-            .part_shard(&[1], nshards, s10)
-            .unwrap()
-            .probe(&k10)
-            .is_empty());
-    }
-
-    #[test]
-    fn shard_routing_is_structural_and_total() {
-        // Every key lands in range, and the projection/key forms agree.
-        let mut r = Relation::new(2);
-        for x in 0..50 {
-            r.insert_slice(&t(&[x, x * 2]));
-        }
-        for x in 0..50i64 {
-            let s = shard_of_key(&[id(x)], 7);
-            assert!(s < 7);
-            assert_eq!(shard_of_projection(&[0], &t(&[x, x * 2]), 7), s);
-        }
-        // Canonical sets shard by structure: {2,1} routes like {1,2}.
-        let s12 = intern::id_of(&Value::set(vec![Value::int(1), Value::int(2)]));
-        let s21 = intern::id_of(&Value::set(vec![Value::int(2), Value::int(1)]));
-        assert_eq!(shard_of_key(&[s12], 5), shard_of_key(&[s21], 5));
     }
 
     #[test]

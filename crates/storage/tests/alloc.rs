@@ -33,7 +33,6 @@ fn insert_path_allocates_sublinearly() {
 
     let mut rel = Relation::new(ARITY);
     rel.ensure_index(&[1]);
-    rel.ensure_part_index(&[1], 4);
 
     // Warm up so the first page, table, and bucket pool exist — the
     // steady-state claim is about the hot loop, not first-touch setup.

@@ -1,15 +1,15 @@
 //! Storage-level property tests: random insert / tombstone / revive /
-//! index / part-index / truncate sequences checked against a naive
+//! index / truncate sequences checked against a naive
 //! `Vec<Vec<ValueId>>` model, plus an arena-paging regression sweep.
 //!
 //! The model is the obvious thing a relation pretends to be: an
 //! insertion-ordered list of rows with a live flag (and a derivation count
 //! when counting is on). Every storage invariant the evaluator relies on is
 //! phrased against it — physical `len`, live iteration order, eager posting
-//! removal, ascending probe results, shard-routing agreement, and
-//! truncate's interaction with tombstones.
+//! removal, ascending probe results, and truncate's interaction with
+//! tombstones.
 
-use ldl_storage::{shard_of_key, Relation};
+use ldl_storage::Relation;
 use ldl_testkit::{cases, Rng};
 use ldl_value::{intern, ValueId};
 
@@ -62,7 +62,7 @@ impl Model {
     }
 }
 
-fn check_agreement(r: &Relation, m: &Model, indexes: &[Vec<usize>], parts: &[(Vec<usize>, u32)]) {
+fn check_agreement(r: &Relation, m: &Model, indexes: &[Vec<usize>]) {
     assert_eq!(r.len(), m.rows.len(), "physical len");
     let live_count = m.live.iter().filter(|&&l| l).count();
     assert_eq!(r.live_len(), live_count, "live len");
@@ -125,36 +125,6 @@ fn check_agreement(r: &Relation, m: &Model, indexes: &[Vec<usize>], parts: &[(Ve
         let miss: Vec<ValueId> = cols.iter().map(|_| intern::mk_int(-777)).collect();
         assert!(r.probe(cols, &miss).is_empty());
     }
-
-    // Partitioned indexes: the owning shard returns the full index's
-    // postings; the other shards return nothing for that key.
-    for (cols, nshards) in parts {
-        let mut keys: Vec<Vec<ValueId>> = Vec::new();
-        for (p, row) in m.rows.iter().enumerate() {
-            if !m.live[p] {
-                continue;
-            }
-            let key: Vec<ValueId> = cols.iter().map(|&c| row[c]).collect();
-            if !keys.contains(&key) {
-                keys.push(key);
-            }
-        }
-        for key in &keys {
-            let want: Vec<u32> = m
-                .rows
-                .iter()
-                .enumerate()
-                .filter(|&(p, row)| m.live[p] && cols.iter().zip(key).all(|(&c, &k)| row[c] == k))
-                .map(|(p, _)| p as u32)
-                .collect();
-            let owner = shard_of_key(key, *nshards);
-            for s in 0..*nshards {
-                let shard = r.part_shard(cols, *nshards, s).expect("shard exists");
-                let expect: &[u32] = if s == owner { &want } else { &[] };
-                assert_eq!(shard.probe(key), expect, "shard {s}/{nshards} of {key:?}");
-            }
-        }
-    }
 }
 
 #[test]
@@ -169,7 +139,6 @@ fn random_op_sequences_match_naive_model() {
             r.enable_counts();
         }
         let mut indexes: Vec<Vec<usize>> = Vec::new();
-        let mut parts: Vec<(Vec<usize>, u32)> = Vec::new();
         let tuple = |rng: &mut Rng| -> Vec<ValueId> {
             (0..arity)
                 .map(|_| intern::mk_int(rng.range(0, pool)))
@@ -197,7 +166,7 @@ fn random_op_sequences_match_naive_model() {
                         m.live[p] = true;
                     }
                 }
-                80..=87 => {
+                80..=93 => {
                     let mut cols: Vec<usize> = (0..arity).filter(|_| rng.chance(1, 2)).collect();
                     if cols.is_empty() {
                         cols.push(rng.range(0, arity as i64) as usize);
@@ -209,13 +178,6 @@ fn random_op_sequences_match_naive_model() {
                         indexes.push(cols);
                     }
                 }
-                88..=93 => {
-                    let col = rng.range(0, arity as i64) as usize;
-                    let nshards = rng.range(1, 5) as u32;
-                    r.ensure_part_index(&[col], nshards);
-                    parts.retain(|(c, _)| c != &vec![col]);
-                    parts.push((vec![col], nshards));
-                }
                 _ => {
                     let n = rng.range(0, m.rows.len() as i64 + 1) as usize;
                     r.truncate(n);
@@ -223,10 +185,10 @@ fn random_op_sequences_match_naive_model() {
                 }
             }
             if op % 13 == 0 {
-                check_agreement(&r, &m, &indexes, &parts);
+                check_agreement(&r, &m, &indexes);
             }
         }
-        check_agreement(&r, &m, &indexes, &parts);
+        check_agreement(&r, &m, &indexes);
     });
 }
 
