@@ -1,17 +1,28 @@
-//! Layered fixpoint evaluation (Theorem 1), with parallel rounds.
+//! Layered fixpoint evaluation (Theorem 1): one semi-naive loop over one
+//! kind of round.
 //!
-//! Every fixpoint here is driven by one primitive, `run_round`: apply a
-//! batch of rule passes to an *immutable snapshot* of the database,
-//! collecting each pass's derived facts into its own buffer, then merge the
-//! buffers into the database in fixed rule order. Because §3.2 defines one
-//! bottom-up step as `R(M) = ⋃ r(M)` — every rule applied to the *same*
-//! `M` — the passes of a round are independent and can execute on a worker
-//! pool ([`crate::pool`]); a pass whose first step scans a large range is
-//! additionally cut into contiguous slices, one task per slice — the only
-//! way a pass is ever split. The ordered merge makes the result — including
-//! every tuple's insertion position, which the [`DeltaRestriction`]
-//! frontiers and incremental maintenance depend on — bit-for-bit identical
-//! at any worker count, including 1.
+//! §3.2 has exactly one way to reach a layer's fixpoint — repeat
+//! `R(M) = ⋃ r(M)`, every rule applied to the *same* `M` — and the engine
+//! has exactly one of each piece of it:
+//!
+//! * [`run_round`] is one application of `R`: a batch of rule passes
+//!   (simple or grouping heads alike) runs against an *immutable snapshot*
+//!   of the database, each pass collecting its derived facts into its own
+//!   buffer, then the buffers are merged in fixed task order — the only
+//!   place derived facts enter the database. The passes are independent, so
+//!   they execute on a worker pool ([`crate::pool`]); a pass whose first
+//!   step scans a large range is additionally cut into contiguous slices,
+//!   one work unit per slice — the only way a pass is ever split. The
+//!   ordered merge makes the result — including every tuple's insertion
+//!   position, which the [`DeltaFrontier`] marks depend on — bit-for-bit
+//!   identical at any worker count, including 1.
+//! * [`delta_loop`] is the only semi-naive driver: it runs rounds of
+//!   delta-first passes over a [`DeltaFrontier`] until no delta predicate
+//!   has grown. Its callers differ only in the frontier they hand it: a
+//!   cold layer (after one full round), insertion maintenance
+//!   ([`crate::incremental`]), DRed's overdelete and rederive phases
+//!   ([`crate::retract`]), and the magic-set evaluator's staged schedule.
+//! * a [`Drive`] carries what one operation's rounds share.
 
 use std::sync::Arc;
 
@@ -29,12 +40,39 @@ use crate::error::EvalError;
 use crate::exec::run_ram;
 use crate::grouping::run_grouping_rule;
 use crate::plan::{
-    ensure_indexes, ensure_plan_indexes, take_exist_cuts, take_index_probes, DeltaRestriction,
-    RulePlan, Step,
+    check_arity, ensure_plan_indexes, take_exist_cuts, take_index_probes, DeltaRestriction,
+    HeadKind, RulePlan, Step,
 };
 use crate::pool::{Job, Pool};
 use crate::ram::{eval_expr, take_lowerings, Expr, HeadIr};
 use crate::stats::EvalStats;
+
+/// What the rounds of one operation — a full evaluation, a mutation batch,
+/// a magic-set query — share: the options they run under, the worker pool
+/// (its threads are spawned once per operation, not once per fixpoint), the
+/// work counters every round folds into, and the budget meter that makes
+/// the operation abort as a unit.
+pub struct Drive<'a> {
+    opts: &'a EvalOptions,
+    pool: Pool,
+    /// The operation's work counters.
+    pub stats: &'a mut EvalStats,
+    /// The operation's consumption ledger, checked at round boundaries.
+    pub meter: BudgetMeter<'a>,
+}
+
+impl<'a> Drive<'a> {
+    /// Start an operation under `opts`, counting into `stats`; the budget's
+    /// deadline clock starts now.
+    pub fn new(opts: &'a EvalOptions, stats: &'a mut EvalStats) -> Drive<'a> {
+        Drive {
+            opts,
+            pool: Pool::new(opts.effective_parallelism()),
+            stats,
+            meter: BudgetMeter::new(&opts.budget),
+        }
+    }
+}
 
 /// One layer's rules, split the way Lemma 3.2.3 executes them. Rules are
 /// kept as program indices — the compiled plans live in the [`PlanCache`],
@@ -73,31 +111,22 @@ impl LayerSplit {
             preds,
         }
     }
+}
 
-    /// Pre-create head relations (so negation/containment tests see empty
-    /// relations rather than missing ones), checking arity consistency.
-    pub(crate) fn ensure_head_relations(
-        &self,
-        program: &Program,
-        db: &mut Database,
-    ) -> Result<(), EvalError> {
-        for &ri in self.grouping.iter().chain(&self.rest) {
-            let head = &program.rules[ri].head;
-            let arity = head.arity();
-            let existing = db.relation(head.pred).map(|r| r.arity());
-            if let Some(a) = existing {
-                if a != arity {
-                    return Err(EvalError::ArityMismatch {
-                        pred: head.pred.to_string(),
-                        expected: a,
-                        found: arity,
-                    });
-                }
-            }
-            db.relation_mut(head.pred, arity);
-        }
-        Ok(())
+/// Pre-create the head relation of every rule in `rule_ids` (so negation and
+/// containment tests see empty relations rather than missing ones),
+/// checking arity consistency.
+pub fn ensure_head_relations(
+    program: &Program,
+    rule_ids: &[usize],
+    db: &mut Database,
+) -> Result<(), EvalError> {
+    for &ri in rule_ids {
+        let head = &program.rules[ri].head;
+        check_arity(db, head.pred, head.arity())?;
+        db.relation_mut(head.pred, head.arity());
     }
+    Ok(())
 }
 
 /// Can this layer's fixpoint predicates carry exact derivation counts?
@@ -143,7 +172,7 @@ pub(crate) fn full_enumeration(plan: &RulePlan) -> RulePlan {
     full
 }
 
-/// Compiled-plan cache for one evaluation (or incremental-update) drive.
+/// Compiled-plan cache for one program over one operation.
 ///
 /// Keyed by `(rule id, role)`: role 0 is the full round-0 plan, role
 /// `occ + 1` the delta-first variant pinning body literal `occ` as step 0.
@@ -152,14 +181,10 @@ pub(crate) fn full_enumeration(plan: &RulePlan) -> RulePlan {
 /// has drifted (relations bump their epoch geometrically on growth, so a
 /// stabilizing fixpoint stops re-planning after O(log n) rounds).
 #[derive(Default)]
-pub(crate) struct PlanCache {
+pub struct PlanCache {
     map: FastMap<(usize, usize), CacheEntry>,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that compiled a plan for the first time.
-    pub misses: u64,
-    /// Cached plans discarded because a body relation's epoch drifted.
-    pub replans: u64,
+    /// Plan without statistics: see [`PlanCache::source_order`].
+    source_order: bool,
 }
 
 struct CacheEntry {
@@ -170,59 +195,53 @@ struct CacheEntry {
 }
 
 impl PlanCache {
-    /// The plan for `(rule_id, role)`, compiled against `db`'s current
-    /// statistics — cached, or (re)compiled when absent or stale.
-    pub(crate) fn get(
+    /// A cache whose plans are compiled *without* statistics, so every body
+    /// runs in executable source order (existential tail included) and is
+    /// never re-costed. For programs whose bodies were already ordered by
+    /// whoever wrote them — the magic rewriting emits them in sip order.
+    pub fn source_order() -> PlanCache {
+        PlanCache {
+            source_order: true,
+            ..PlanCache::default()
+        }
+    }
+
+    /// The plan for `(rule_id, role)`, ready to run a pass against `db`:
+    /// compiled against `db`'s current statistics — cached, or (re)compiled
+    /// when absent or stale — with its body arities checked and the indexes
+    /// it probes built ([`ensure_plan_indexes`]).
+    fn prepare(
         &mut self,
         program: &Program,
         rule_id: usize,
         role: usize,
-        db: &Database,
+        db: &mut Database,
+        stats: &mut EvalStats,
     ) -> Result<Arc<RulePlan>, EvalError> {
-        use std::collections::hash_map::Entry;
         let rule = &program.rules[rule_id];
-        let epochs = body_epochs(rule, db);
-        match self.map.entry((rule_id, role)) {
-            Entry::Occupied(mut e) => {
-                if e.get().epochs == epochs {
-                    self.hits += 1;
-                    return Ok(e.get().plan.clone());
+        let planning_db = (!self.source_order).then_some(&*db);
+        let epochs = planning_db.map_or_else(Vec::new, |db| body_epochs(rule, db));
+        let plan = match self.map.get(&(rule_id, role)) {
+            Some(e) if e.epochs == epochs => {
+                stats.plan_cache_hits += 1;
+                e.plan.clone()
+            }
+            _ => {
+                let force_first = role.checked_sub(1);
+                let plan = Arc::new(RulePlan::compile_with(rule, planning_db, force_first)?);
+                let entry = CacheEntry {
+                    epochs,
+                    plan: plan.clone(),
+                };
+                match self.map.insert((rule_id, role), entry) {
+                    Some(_stale) => stats.plan_replans += 1,
+                    None => stats.plan_cache_misses += 1,
                 }
-                self.replans += 1;
-                let plan = Arc::new(RulePlan::compile_with(
-                    rule,
-                    Some(db),
-                    true,
-                    role.checked_sub(1),
-                )?);
-                e.insert(CacheEntry {
-                    epochs,
-                    plan: plan.clone(),
-                });
-                Ok(plan)
+                plan
             }
-            Entry::Vacant(v) => {
-                self.misses += 1;
-                let plan = Arc::new(RulePlan::compile_with(
-                    rule,
-                    Some(db),
-                    true,
-                    role.checked_sub(1),
-                )?);
-                v.insert(CacheEntry {
-                    epochs,
-                    plan: plan.clone(),
-                });
-                Ok(plan)
-            }
-        }
-    }
-
-    /// Fold the cache's counters into an [`EvalStats`].
-    pub(crate) fn fold_into(&self, stats: &mut EvalStats) {
-        stats.plan_cache_hits += self.hits;
-        stats.plan_cache_misses += self.misses;
-        stats.plan_replans += self.replans;
+        };
+        ensure_plan_indexes(&plan, db)?;
+        Ok(plan)
     }
 }
 
@@ -245,7 +264,7 @@ pub fn evaluate(
     stats: &mut EvalStats,
 ) -> Result<Database, EvalError> {
     let mut db = edb.clone();
-    evaluate_layers(program, &mut db, strat, 0, opts, stats)?;
+    evaluate_layers(program, &mut db, strat, 0, &mut Drive::new(opts, stats))?;
     Ok(db)
 }
 
@@ -253,209 +272,181 @@ pub fn evaluate(
 /// already contain the complete relations of every layer below `from`.
 /// This is both the body of [`evaluate`] (with `from = 0`) and the replay
 /// step of incremental maintenance (with `from = k` after the layers ≥ `k`
-/// have been truncated back to their EDB state).
-pub fn evaluate_layers(
+/// have been truncated back to their EDB state, on the mutation batch's own
+/// [`Drive`] so the batch is metered as a whole).
+pub(crate) fn evaluate_layers(
     program: &Program,
     db: &mut Database,
     strat: &Stratification,
     from: usize,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
+    drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
-    let mut meter = BudgetMeter::new(&opts.budget);
-    evaluate_layers_metered(program, db, strat, from, opts, stats, &mut meter)
-}
-
-/// [`evaluate_layers`] against a caller-owned [`BudgetMeter`], so one
-/// operation spanning several drives (an incremental update that falls back
-/// to replay) is metered as a whole.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_layers_metered(
-    program: &Program,
-    db: &mut Database,
-    strat: &Stratification,
-    from: usize,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
-    let pool = Pool::new(opts.effective_parallelism());
     let mut cache = PlanCache::default();
     for (k, layer_rules) in strat.rules_by_layer.iter().enumerate().skip(from) {
         let split = LayerSplit::classify(program, layer_rules);
-        meter.set_context(
+        drive.meter.set_context(
             k,
             layer_rules.first().map(|&ri| program.rules[ri].head.pred),
         );
-        split.ensure_head_relations(program, db)?;
-
-        // Non-recursive layers carry per-tuple derivation counts so that a
-        // later retraction can be absorbed by decrement-to-zero instead of
-        // a replay (see `counting_eligible`). Enabling is idempotent, and a
-        // replayed layer re-enables after its relations were reset.
-        let counting = counting_eligible(program, &split);
-        if counting {
-            for &ri in &split.rest {
-                let head = &program.rules[ri].head;
-                db.relation_mut(head.pred, head.arity()).enable_counts();
-            }
-        }
+        ensure_head_relations(program, layer_rules, db)?;
 
         // Lemma 3.2.3: grouping rules first, once, over the lower layers.
         // Admissibility (§3.1 clause 2) puts every grouping body predicate
         // strictly below this layer, so the grouping rules cannot observe
         // each other's heads — one parallel round, merged in rule order.
-        let gplans = lookup_round_plans(&split.grouping, program, &mut cache, db)?;
-        run_grouping_round(&gplans, db, &pool, opts, stats, meter)?;
+        full_round(program, &split.grouping, &mut cache, db, drive)?;
 
-        // Then the remaining rules to fixpoint. A counting layer reads only
-        // completed lower layers (that is what made it eligible), so one
-        // full round *is* its fixpoint — run it over plans whose
+        // Then the remaining rules to fixpoint. Non-recursive layers carry
+        // per-tuple derivation counts so that a later retraction can be
+        // absorbed by decrement-to-zero instead of a replay (see
+        // `counting_eligible`; enabling is idempotent, and a replayed layer
+        // re-enables after its relations were reset). Such a layer reads
+        // only completed lower layers (that is what made it eligible), so
+        // one full round *is* its fixpoint — run it over plans whose
         // existential tails are disabled, because the duplicate-insert
         // count increments must see every body solution, not the first
         // witness of a projected-away tail.
-        if counting {
-            let plans = lookup_round_plans(&split.rest, program, &mut cache, db)?;
-            let full: Vec<RulePlan> = plans.iter().map(|p| full_enumeration(p)).collect();
-            let tasks: Vec<RoundTask<'_>> = full
+        if counting_eligible(program, &split) {
+            for &ri in &split.rest {
+                let head = &program.rules[ri].head;
+                db.relation_mut(head.pred, head.arity()).enable_counts();
+            }
+            let full: Vec<RulePlan> = round_plans(program, &split.rest, &mut cache, db, drive)?
                 .iter()
-                .map(|plan| RoundTask {
-                    plan,
-                    restrict: None,
-                })
+                .map(|p| full_enumeration(p))
                 .collect();
-            run_round(&tasks, db, &pool, opts, stats, meter)?;
+            let tasks: Vec<RoundTask<'_>> = full.iter().map(RoundTask::whole).collect();
+            run_round(&tasks, db, drive)?;
         } else {
-            semi_naive_cached(program, &split, &mut cache, db, &pool, opts, stats, meter)?;
+            // Semi-naive: a full round 0 covers every tuple below the
+            // pre-round marks, the delta loop everything above them.
+            let mut frontier = frontier_at(db, split.preds.iter().copied());
+            full_round(program, &split.rest, &mut cache, db, drive)?;
+            delta_loop(program, &split.rest, &mut cache, db, &mut frontier, drive)?;
         }
     }
-    cache.fold_into(stats);
     Ok(())
 }
 
-/// Look up the role-0 (full) plan of every rule in `rule_ids` against the
-/// database's current statistics, building any indexes the plans probe.
-pub(crate) fn lookup_round_plans(
+/// The role-0 (full) plan of every rule in `rule_ids`, prepared against the
+/// database's current statistics.
+fn round_plans(
+    program: &Program,
     rule_ids: &[usize],
-    program: &Program,
     cache: &mut PlanCache,
     db: &mut Database,
+    drive: &mut Drive<'_>,
 ) -> Result<Vec<Arc<RulePlan>>, EvalError> {
-    let mut plans = Vec::with_capacity(rule_ids.len());
+    rule_ids
+        .iter()
+        .map(|&ri| cache.prepare(program, ri, 0, db, drive.stats))
+        .collect()
+}
+
+/// One full round: every rule of `rule_ids` applied once, unrestricted, to
+/// the same snapshot. Returns the number of new facts.
+pub fn full_round(
+    program: &Program,
+    rule_ids: &[usize],
+    cache: &mut PlanCache,
+    db: &mut Database,
+    drive: &mut Drive<'_>,
+) -> Result<usize, EvalError> {
+    let plans = round_plans(program, rule_ids, cache, db, drive)?;
+    let tasks: Vec<RoundTask<'_>> = plans.iter().map(|p| RoundTask::whole(p)).collect();
+    run_round(&tasks, db, drive)
+}
+
+/// Which predicates are semi-naive deltas, and from where: for each key,
+/// the insertion position of its first tuple that no pass has joined *as a
+/// delta* yet — the delta is `[mark, len)`. Invariant: every derivation
+/// whose delta-predicate tuples all sit below their marks has already been
+/// performed.
+pub type DeltaFrontier = FastMap<Symbol, usize>;
+
+/// The frontier marking each of `preds` at its current length: nothing in
+/// them is new (yet).
+pub fn frontier_at(db: &Database, preds: impl IntoIterator<Item = Symbol>) -> DeltaFrontier {
+    preds.into_iter().map(|p| (p, len_of(db, p))).collect()
+}
+
+/// The semi-naive delta loop — the engine's only one. The *keys* of
+/// `frontier` say which predicates are deltas. Each round runs, for every
+/// positive body occurrence (in rule order, then body order) of a frontier
+/// predicate with tuples above its mark, one pass of the delta-first plan
+/// variant pinning that occurrence as step 0 (cache role `occ + 1`,
+/// re-costed when the statistics epoch of a body relation drifted),
+/// restricted to `[mark, len)` while every other literal reads the whole
+/// relation; then the marks advance to the pre-round lengths. All passes of
+/// a round read the same snapshot; a derivation needing two new tuples
+/// surfaces through whichever lands first, in the next round. The loop ends
+/// when no frontier predicate has grown, leaving every mark at its
+/// relation's length — so a caller that keeps the frontier can add facts by
+/// other means and re-enter to join exactly those.
+pub fn delta_loop(
+    program: &Program,
+    rule_ids: &[usize],
+    cache: &mut PlanCache,
+    db: &mut Database,
+    frontier: &mut DeltaFrontier,
+    drive: &mut Drive<'_>,
+) -> Result<(), EvalError> {
+    let mut occs: Vec<(usize, usize, Symbol)> = Vec::new();
     for &ri in rule_ids {
-        let plan = cache.get(program, ri, 0, db)?;
-        ensure_plan_indexes(&plan, db);
-        plans.push(plan);
-    }
-    Ok(plans)
-}
-
-/// Semi-naive iteration over cached, re-costable plans: a full round 0,
-/// then the delta loop.
-#[allow(clippy::too_many_arguments)]
-fn semi_naive_cached(
-    program: &Program,
-    split: &LayerSplit,
-    cache: &mut PlanCache,
-    db: &mut Database,
-    pool: &Pool,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
-    let delta_lo: FastMap<Symbol, usize> =
-        split.preds.iter().map(|&p| (p, len_of(db, p))).collect();
-    let plans = lookup_round_plans(&split.rest, program, cache, db)?;
-    let tasks: Vec<RoundTask<'_>> = plans
-        .iter()
-        .map(|plan| RoundTask {
-            plan,
-            restrict: None,
-        })
-        .collect();
-    run_round(&tasks, db, pool, opts, stats, meter)?;
-    drop(tasks);
-    drop(plans);
-    delta_loop_cached(
-        program, split, cache, db, delta_lo, pool, opts, stats, meter,
-    )
-}
-
-/// The cached semi-naive delta loop: each round looks its delta-first plan
-/// variants up in the cache (re-costing them when the statistics epoch of a
-/// body relation drifted since the last round) and runs one delta-restricted
-/// pass per occurrence of a layer predicate with new tuples. Shared between
-/// [`evaluate_layers`] and the incremental driver's delta propagation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn delta_loop_cached(
-    program: &Program,
-    split: &LayerSplit,
-    cache: &mut PlanCache,
-    db: &mut Database,
-    mut delta_lo: FastMap<Symbol, usize>,
-    pool: &Pool,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
-    // The delta occurrences: (rule id, body literal index) of every
-    // positive relation literal over a predicate defined in this layer.
-    let occs: Vec<(usize, usize, Symbol)> = split
-        .rest
-        .iter()
-        .flat_map(|&ri| {
-            program.rules[ri]
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| {
-                    l.positive
-                        && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
-                        && split.preds.contains(&l.atom.pred)
-                })
-                .map(move |(occ, l)| (ri, occ, l.atom.pred))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-
-    loop {
-        let delta_hi: FastMap<Symbol, usize> =
-            split.preds.iter().map(|&p| (p, len_of(db, p))).collect();
-        if delta_hi == delta_lo {
-            break; // previous round derived nothing new
-        }
-        // Non-recursive rules are complete after round 0. All delta passes
-        // of one round read the same snapshot; cross-delta derivations
-        // (one new tuple per pass) surface in the next round's frontier.
-        let mut round_plans: Vec<(Arc<RulePlan>, DeltaRestriction)> = Vec::new();
-        for &(ri, occ, pred) in &occs {
-            let (lo, hi) = (delta_lo[&pred] as u32, delta_hi[&pred] as u32);
-            if lo >= hi {
-                continue; // no new facts feed this literal
+        for (occ, l) in program.rules[ri].body.iter().enumerate() {
+            if l.positive
+                && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
+                && frontier.contains_key(&l.atom.pred)
+            {
+                occs.push((ri, occ, l.atom.pred));
             }
-            let plan = cache.get(program, ri, occ + 1, db)?;
-            ensure_plan_indexes(&plan, db);
-            // The forced delta literal is always step 0.
-            round_plans.push((plan, DeltaRestriction { step: 0, lo, hi }));
         }
-        let tasks: Vec<RoundTask<'_>> = round_plans
+    }
+    loop {
+        let mut passes: Vec<(Arc<RulePlan>, DeltaRestriction)> = Vec::new();
+        for &(ri, occ, pred) in &occs {
+            let (lo, hi) = (frontier[&pred] as u32, len_of(db, pred) as u32);
+            if lo < hi {
+                let plan = cache.prepare(program, ri, occ + 1, db, drive.stats)?;
+                // The forced delta literal is always step 0.
+                passes.push((plan, DeltaRestriction { step: 0, lo, hi }));
+            }
+        }
+        for (&p, mark) in frontier.iter_mut() {
+            *mark = len_of(db, p);
+        }
+        if passes.is_empty() {
+            return Ok(()); // nothing new feeds any literal
+        }
+        let tasks: Vec<RoundTask<'_>> = passes
             .iter()
             .map(|(plan, restrict)| RoundTask {
                 plan,
                 restrict: Some(*restrict),
             })
             .collect();
-        run_round(&tasks, db, pool, opts, stats, meter)?;
-        delta_lo = delta_hi;
+        run_round(&tasks, db, drive)?;
     }
-    Ok(())
 }
 
 /// One rule pass of a round: a compiled plan, optionally restricted to a
-/// delta range of its step-0 scan.
-pub(crate) struct RoundTask<'p> {
+/// tuple-position range of one scan step (the delta range of its step 0, in
+/// every pass the engine itself schedules).
+pub struct RoundTask<'p> {
+    /// The plan to run.
     pub plan: &'p RulePlan,
+    /// The scan step confined to a position range, if any.
     pub restrict: Option<DeltaRestriction>,
+}
+
+impl<'p> RoundTask<'p> {
+    /// An unrestricted pass of `plan`.
+    pub fn whole(plan: &'p RulePlan) -> RoundTask<'p> {
+        RoundTask {
+            plan,
+            restrict: None,
+        }
+    }
 }
 
 /// Derived tuples of one rule pass, stored flat in body-solution order
@@ -504,7 +495,8 @@ pub(crate) struct PassOut {
 }
 
 /// Evaluate `plan` against an immutable `db`, returning the id-tuples its
-/// head derives (in body-solution order, duplicates included) plus the
+/// head derives (in body-solution order, duplicates included; for a
+/// grouping head, one tuple per group in first-solution order) plus the
 /// index probes, existential short-circuits, plan lowerings, and derivation
 /// attempts (body solutions enumerated — the fuel unit) the pass performed.
 /// This is the parallel work unit: it never mutates anything. The body runs
@@ -523,33 +515,46 @@ pub(crate) fn derive_once(
     take_index_probes(); // discard counts from unrelated callers
     take_exist_cuts();
     take_lowerings();
-    let mut out = PassOut {
-        buf: DerivedBuf {
-            arity: plan.head.arity(),
-            data: Vec::new(),
-            count: 0,
-        },
-        ..PassOut::default()
-    };
+    let mut out = PassOut::default();
+    out.buf.arity = plan.head.arity();
     if !gate.is_cancelled() {
         let prog = plan.lowered();
-        let HeadIr::Simple(head) = &prog.head else {
-            panic!("derive_once on a grouping plan");
-        };
-        let mut regs = vec![ValueId::FILLER; prog.nregs];
-        let mut b = Bindings::new();
-        run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
-            out.attempts += 1;
-            gate.tick();
-            if project_head(head, regs, &mut out.buf.data) {
-                out.buf.count += 1;
+        match &prog.head {
+            HeadIr::Simple(head) => {
+                let mut regs = vec![ValueId::FILLER; prog.nregs];
+                let mut b = Bindings::new();
+                run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
+                    out.attempts += 1;
+                    gate.tick();
+                    if project_head(head, regs, &mut out.buf.data) {
+                        out.buf.count += 1;
+                    }
+                });
             }
-        });
+            // A grouping rule must see *all* body solutions of its group in
+            // one pass (the aggregation is not decomposable): never a slice.
+            HeadIr::Grouping { .. } => {
+                debug_assert!(restrict.is_none(), "grouping pass restricted");
+                derive_grouped(plan, db, gate, &mut out);
+            }
+        }
     }
     out.probes = take_index_probes();
     out.cuts = take_exist_cuts();
     out.lowerings = take_lowerings();
     out
+}
+
+/// The grouping arm of [`derive_once`]: one tuple per group, flattened into
+/// the pass buffer. Out of line on purpose — with these writes to `out` in
+/// `derive_once`'s own body the simple-head emit loop beside them compiled
+/// ~5 % slower (EXPERIMENTS.md P21).
+#[inline(never)]
+fn derive_grouped(plan: &RulePlan, db: &Database, gate: RoundGate<'_>, out: &mut PassOut) {
+    let (tuples, attempts) = run_grouping_rule(plan, db, gate);
+    out.attempts = attempts;
+    out.buf.count = tuples.len();
+    out.buf.data = tuples.into_iter().flatten().collect();
 }
 
 /// Append the head tuple of one body solution to `data`. §3.2
@@ -579,8 +584,12 @@ const MIN_SLICE: u32 = 64;
 /// restricted pass, or the whole relation of an unrestricted pass's step 0
 /// (the full-range restriction is semantically a no-op). `None` unless that
 /// step is a *full* scan — a probing scan visits one posting list whatever
-/// its range, so every slice would repeat the same probe.
+/// its range, so every slice would repeat the same probe — and for a
+/// grouping plan, whose groups must be collected whole.
 fn slice_range(t: &RoundTask<'_>, db: &Database) -> Option<DeltaRestriction> {
+    if matches!(t.plan.head_kind, HeadKind::Grouping { .. }) {
+        return None;
+    }
     let step = t.restrict.map_or(0, |r| r.step);
     match t.plan.steps.get(step)? {
         Step::Scan {
@@ -594,41 +603,36 @@ fn slice_range(t: &RoundTask<'_>, db: &Database) -> Option<DeltaRestriction> {
     }
 }
 
-/// Execute one evaluation round: run every task against the current
-/// database state (immutable for the duration), then merge the derived
-/// buffers in task order. Returns the number of new facts.
+/// The derive phase of a round: run every task against `db` (immutable for
+/// the duration) and return each work unit's head predicate and derived
+/// buffer, in task order, with the passes' counters folded into the
+/// operation's stats and their attempts charged to its meter.
 ///
 /// Work distribution: each task is one unit, except that a task whose
 /// [`slice_range`] covers ≥ 2·[`MIN_SLICE`] tuples is split into up to
-/// `parallelism` contiguous slices. Slices of one task stay adjacent in
-/// the merge, so the concatenated derivation order — and therefore every
-/// insertion position — is identical to an unsplit, single-threaded pass.
+/// `parallelism` contiguous slices. Slices of one task stay adjacent, so
+/// the concatenated derivation order is identical to an unsplit,
+/// single-threaded pass.
 ///
-/// Budget checks bracket the round ([`BudgetMeter::check`] before the
-/// derive phase, charge-and-check after the merge). A round is therefore
-/// all-or-nothing with respect to aborts: either its full merge lands, or
-/// the error propagates with the caller responsible for discarding `db`.
-pub(crate) fn run_round(
+/// [`run_round`] merges the buffers; the one caller that must not —
+/// counting deletion, whose derived tuples are *losses* to decrement —
+/// reads them instead.
+pub(crate) fn derive_round(
     tasks: &[RoundTask<'_>],
-    db: &mut Database,
-    pool: &Pool,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<usize, EvalError> {
-    meter.check()?;
+    db: &Database,
+    drive: &mut Drive<'_>,
+) -> Result<Vec<(Symbol, DerivedBuf)>, EvalError> {
+    drive.meter.check()?;
     if tasks.is_empty() {
-        return Ok(0);
+        return Ok(Vec::new());
     }
-    stats.rounds += 1;
-    stats.rules_fired += tasks.len() as u64;
-
+    let parallelism = drive.pool.parallelism();
     let mut units: Vec<(&RulePlan, Option<DeltaRestriction>)> = Vec::new();
     for t in tasks {
         match slice_range(t, db) {
-            Some(r) if pool.parallelism() > 1 && r.hi - r.lo >= 2 * MIN_SLICE => {
+            Some(r) if parallelism > 1 && r.hi - r.lo >= 2 * MIN_SLICE => {
                 let span = r.hi - r.lo;
-                let slices = (span / MIN_SLICE).min(pool.parallelism() as u32).max(1);
+                let slices = (span / MIN_SLICE).min(parallelism as u32).max(1);
                 let step = span / slices;
                 for s in 0..slices {
                     let lo = r.lo + s * step;
@@ -646,270 +650,85 @@ pub(crate) fn run_round(
             _ => units.push((t.plan, t.restrict)),
         }
     }
-    stats.parallel_tasks += units.len() as u64;
 
-    // Derive phase: immutable snapshot, one buffer per unit. The gate is a
-    // `Copy` view of the budget's cancel token, so every worker taps the
-    // same countdown/flag without touching the (exclusively borrowed) meter.
-    let gate = opts.budget.gate();
-    stats.compiled_rounds += 1;
-    let mut buffers: Vec<PassOut> = Vec::new();
-    buffers.resize_with(units.len(), Default::default);
-    if pool.parallelism() == 1 || units.len() <= 1 {
-        for ((plan, restrict), buf) in units.iter().zip(&mut buffers) {
-            *buf = derive_once(plan, db, *restrict, gate);
+    // One buffer per unit. The gate is a `Copy` view of the budget's cancel
+    // token, so every worker taps the same countdown/flag without touching
+    // the (exclusively borrowed) meter.
+    let gate = drive.opts.budget.gate();
+    let mut outs: Vec<PassOut> = Vec::new();
+    outs.resize_with(units.len(), Default::default);
+    if parallelism == 1 || units.len() <= 1 {
+        for ((plan, restrict), out) in units.iter().zip(&mut outs) {
+            *out = derive_once(plan, db, *restrict, gate);
         }
     } else {
-        let snapshot: &Database = db;
         let jobs: Vec<Job<'_>> = units
             .iter()
-            .zip(buffers.iter_mut())
-            .map(|(&(plan, restrict), buf)| {
+            .zip(outs.iter_mut())
+            .map(|(&(plan, restrict), out)| {
                 Box::new(move || {
-                    *buf = derive_once(plan, snapshot, restrict, gate);
+                    *out = derive_once(plan, db, restrict, gate);
                 }) as Job<'_>
             })
             .collect();
-        pool.run(jobs);
+        drive.pool.run(jobs);
     }
 
-    // Merge phase: sequential, in unit order — deterministic positions. The
-    // tuples are already interned ids, so a rejected duplicate costs one
-    // hash of a few u32s.
-    let mut new = 0u64;
-    let mut dedup = 0u64;
+    let stats = &mut *drive.stats;
+    stats.rounds += 1;
+    stats.compiled_rounds += 1;
+    stats.rules_fired += tasks.len() as u64;
+    stats.parallel_tasks += units.len() as u64;
     let mut attempts = 0u64;
-    for ((plan, _), out) in units.iter().zip(&buffers) {
+    for out in &outs {
         stats.index_probes += out.probes;
         stats.exist_cuts += out.cuts;
         stats.lowerings += out.lowerings;
         attempts += out.attempts;
-        let pred = plan.head.pred;
-        out.buf.for_each(&mut |t| {
-            if db.insert_id_slice(pred, t) {
+    }
+    stats.attempts += attempts;
+    drive.meter.charge(attempts, 0);
+    Ok(units
+        .iter()
+        .zip(outs)
+        .map(|((plan, _), out)| (plan.head.pred, out.buf))
+        .collect())
+}
+
+/// Execute one evaluation round — one application of §3.2's `R` — and the
+/// only place derived facts enter the database: `derive_round` runs every
+/// task against the current state, then the buffers are merged in unit
+/// order, sequentially, so every insertion position is identical at any
+/// worker count. The tuples are already interned ids, so a rejected
+/// duplicate costs one hash of a few u32s. Returns the number of new facts.
+///
+/// Budget checks bracket the round ([`BudgetMeter::check`] before the
+/// derive phase, charge-and-check after the merge). A round is therefore
+/// all-or-nothing with respect to aborts: either its full merge lands, or
+/// the error propagates with the caller responsible for discarding `db` —
+/// a partially-built group set, in particular, is never observable.
+pub fn run_round(
+    tasks: &[RoundTask<'_>],
+    db: &mut Database,
+    drive: &mut Drive<'_>,
+) -> Result<usize, EvalError> {
+    let derived = derive_round(tasks, db, drive)?;
+    let mut new = 0u64;
+    let mut dedup = 0u64;
+    for (pred, buf) in &derived {
+        buf.for_each(&mut |t| {
+            if db.insert_id_slice(*pred, t) {
                 new += 1;
             } else {
                 dedup += 1;
             }
         });
     }
-    stats.dedup_inserts += dedup;
-    stats.facts_derived += new;
-    stats.attempts += attempts;
-    meter.charge(attempts, new);
-    meter.check()?;
+    drive.stats.dedup_inserts += dedup;
+    drive.stats.facts_derived += new;
+    drive.meter.charge(0, new);
+    drive.meter.check()?;
     Ok(new as usize)
-}
-
-/// Apply every grouping rule of a layer once, in one parallel round.
-///
-/// Budget checks bracket the round exactly like [`run_round`]'s: an abort
-/// either fires before any grouping pass runs or after the whole round's
-/// merge, so a partially-built group set is never observable in `db`.
-fn run_grouping_round(
-    plans: &[Arc<RulePlan>],
-    db: &mut Database,
-    pool: &Pool,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
-    if plans.is_empty() {
-        return Ok(());
-    }
-    meter.check()?;
-    stats.rounds += 1;
-    stats.rules_fired += plans.len() as u64;
-    stats.parallel_tasks += plans.len() as u64;
-    // A grouping rule must see *all* body solutions of its group in one
-    // task (the aggregation is not decomposable), so the unit is the whole
-    // rule — never a delta slice.
-    let gate = opts.budget.gate();
-    stats.compiled_rounds += 1;
-    #[allow(clippy::type_complexity)]
-    let mut buffers: Vec<(Vec<Vec<ValueId>>, u64, u64, u64, u64)> = Vec::new();
-    buffers.resize_with(plans.len(), Default::default);
-    if pool.parallelism() == 1 || plans.len() <= 1 {
-        for (plan, buf) in plans.iter().zip(&mut buffers) {
-            take_index_probes();
-            take_exist_cuts();
-            take_lowerings();
-            let (out, att) = run_grouping_rule(plan, db, gate);
-            *buf = (
-                out,
-                take_index_probes(),
-                take_exist_cuts(),
-                take_lowerings(),
-                att,
-            );
-        }
-    } else {
-        let snapshot: &Database = db;
-        let jobs: Vec<Job<'_>> = plans
-            .iter()
-            .zip(buffers.iter_mut())
-            .map(|(plan, buf)| {
-                Box::new(move || {
-                    take_index_probes();
-                    take_exist_cuts();
-                    take_lowerings();
-                    let (out, att) = run_grouping_rule(plan, snapshot, gate);
-                    *buf = (
-                        out,
-                        take_index_probes(),
-                        take_exist_cuts(),
-                        take_lowerings(),
-                        att,
-                    );
-                }) as Job<'_>
-            })
-            .collect();
-        pool.run(jobs);
-    }
-    let mut new = 0u64;
-    let mut attempts = 0u64;
-    for (plan, (buf, probes, cuts, lowerings, att)) in plans.iter().zip(buffers) {
-        stats.index_probes += probes;
-        stats.exist_cuts += cuts;
-        stats.lowerings += lowerings;
-        attempts += att;
-        for t in buf {
-            if db.insert_id_slice(plan.head.pred, &t) {
-                new += 1;
-            } else {
-                stats.dedup_inserts += 1;
-            }
-        }
-    }
-    stats.facts_derived += new;
-    stats.attempts += attempts;
-    meter.charge(attempts, new);
-    meter.check()
-}
-
-/// Run one compiled non-grouping rule, inserting derived facts. Returns the
-/// number of new facts, or the budget abort that cut the pass short. (The
-/// sequential convenience used by the magic-set evaluator's guarded passes;
-/// the fixpoints below batch whole rounds instead.)
-pub fn run_rule_once(
-    plan: &RulePlan,
-    db: &mut Database,
-    restrict: Option<DeltaRestriction>,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<usize, EvalError> {
-    meter.check()?;
-    let out = derive_once(plan, db, restrict, opts.budget.gate());
-    stats.index_probes += out.probes;
-    stats.exist_cuts += out.cuts;
-    stats.lowerings += out.lowerings;
-    stats.compiled_rounds += 1;
-    let mut new = 0usize;
-    let mut dedup = 0u64;
-    out.buf.for_each(&mut |t| {
-        if db.insert_id_slice(plan.head.pred, t) {
-            new += 1;
-        } else {
-            dedup += 1;
-        }
-    });
-    stats.dedup_inserts += dedup;
-    stats.rules_fired += 1;
-    stats.facts_derived += new as u64;
-    stats.attempts += out.attempts;
-    meter.charge(out.attempts, new as u64);
-    meter.check()?;
-    Ok(new)
-}
-
-/// Semi-naive iteration: after one full pass, re-evaluate each rule once per
-/// recursive body literal, restricting that literal to the facts derived in
-/// the previous round.
-pub fn semi_naive_fixpoint(
-    plans: &[RulePlan],
-    layer_preds: &FastSet<Symbol>,
-    db: &mut Database,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
-    let pool = Pool::new(opts.effective_parallelism());
-    semi_naive_pooled(plans, layer_preds, db, &pool, opts, stats, meter)
-}
-
-pub(crate) fn semi_naive_pooled(
-    plans: &[RulePlan],
-    layer_preds: &FastSet<Symbol>,
-    db: &mut Database,
-    pool: &Pool,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<(), EvalError> {
-    // Invariant: every derivation whose recursive-literal tuples all have
-    // positions below `delta_lo` has already been performed.
-    let mut delta_lo: FastMap<Symbol, usize> =
-        layer_preds.iter().map(|&p| (p, len_of(db, p))).collect();
-
-    // Round 0: full evaluation of every rule against the layer's input
-    // snapshot (covers all tuples existing before the round, i.e.
-    // positions below the initial `delta_lo`).
-    let tasks: Vec<RoundTask<'_>> = plans
-        .iter()
-        .map(|plan| RoundTask {
-            plan,
-            restrict: None,
-        })
-        .collect();
-    run_round(&tasks, db, pool, opts, stats, meter)?;
-
-    // For each plan, a delta-first variant per scan over a predicate
-    // defined in this layer: the delta literal runs as step 0 so a
-    // restricted pass costs O(delta), not O(outer relation).
-    let variants: Vec<Vec<(Symbol, RulePlan)>> = plans
-        .iter()
-        .map(|p| {
-            p.scan_steps
-                .iter()
-                .filter(|(_, pred)| layer_preds.contains(pred))
-                .map(|&(step, pred)| (pred, p.delta_first(step)))
-                .collect()
-        })
-        .collect();
-    for vs in &variants {
-        for (_, v) in vs {
-            ensure_indexes(std::slice::from_ref(v), db);
-        }
-    }
-
-    loop {
-        let delta_hi: FastMap<Symbol, usize> =
-            layer_preds.iter().map(|&p| (p, len_of(db, p))).collect();
-        if delta_hi == delta_lo {
-            break; // previous round derived nothing new
-        }
-        // Non-recursive rules are complete after round 0. All delta passes
-        // of one round read the same snapshot; cross-delta derivations
-        // (one new tuple per pass) surface in the next round's frontier.
-        let mut tasks: Vec<RoundTask<'_>> = Vec::new();
-        for vs in &variants {
-            for (pred, variant) in vs {
-                let (lo, hi) = (delta_lo[pred] as u32, delta_hi[pred] as u32);
-                if lo >= hi {
-                    continue; // no new facts feed this literal
-                }
-                let step = variant.scan_steps[0].0;
-                tasks.push(RoundTask {
-                    plan: variant,
-                    restrict: Some(DeltaRestriction { step, lo, hi }),
-                });
-            }
-        }
-        run_round(&tasks, db, pool, opts, stats, meter)?;
-        delta_lo = delta_hi;
-    }
-    Ok(())
 }
 
 pub(crate) fn len_of(db: &Database, p: Symbol) -> usize {

@@ -9,10 +9,11 @@
 //! * A layer that reads a changed predicate only through **positive,
 //!   non-grouping** literals is monotone in it: the old conclusions all
 //!   remain valid, and the new ones are exactly those derivable with at
-//!   least one new tuple — so the existing semi-naive machinery is *seeded*
-//!   with the new tuples as the initial delta ([`DeltaRestriction`] passes,
-//!   one per occurrence of a changed predicate), then run to fixpoint
-//!   within the layer.
+//!   least one new tuple — so *the new tuples are the initial frontier*:
+//!   the layer runs the engine's one semi-naive loop
+//!   ([`delta_loop`]) with the changed
+//!   predicates marked at their first new tuple beside the layer's own
+//!   heads, and that is all there is to insertion maintenance.
 //! * A layer with a **negated** literal or a **grouping** body over a
 //!   changed predicate is not monotone: `~p(…)` can flip from true to
 //!   false, and a grouped set `<X>` must be *replaced* by a larger set, not
@@ -28,166 +29,98 @@
 use ldl_ast::program::Program;
 use ldl_storage::{Database, Relation};
 use ldl_stratify::{LayerSensitivity, Stratification};
-use ldl_value::fxhash::FastMap;
-use ldl_value::Symbol;
 
-use std::sync::Arc;
-
-use crate::budget::BudgetMeter;
-use crate::engine::EvalOptions;
 use crate::error::EvalError;
 use crate::fixpoint::{
-    counting_eligible, delta_loop_cached, evaluate_layers_metered, len_of, run_round, LayerSplit,
-    PlanCache, RoundTask,
+    counting_eligible, delta_loop, ensure_head_relations, evaluate_layers, frontier_at, len_of,
+    DeltaFrontier, Drive, LayerSplit, PlanCache,
 };
-use crate::plan::{ensure_plan_indexes, DeltaRestriction, RulePlan};
-use crate::pool::Pool;
 use crate::retract::counting_insert_layer;
-use crate::stats::EvalStats;
-
-/// The changed-predicate frontier: for each predicate, the insertion
-/// position of its first new tuple in the model database (the delta is
-/// `[lo, len)`).
-pub type DeltaFrontier = FastMap<Symbol, usize>;
 
 /// Propagate newly inserted EDB tuples through an evaluated model, in
-/// place — the insertion phase of [`crate::retract::apply_mutations`],
-/// metered by the batch's [`BudgetMeter`] so the deletion sweep and the
-/// insertion propagation share one budget.
+/// place — the insertion phase of [`crate::retract::apply_mutations`], run
+/// on the batch's [`Drive`] so the deletion sweep and the insertion
+/// propagation share one budget.
 ///
 /// Preconditions:
 /// * `db` is a model of `program` w.r.t. the pre-change EDB, *plus* the new
-///   tuples already appended (their start positions recorded in `changed`);
+///   tuples already appended — `changed` maps each changed predicate to the
+///   insertion position of its first new tuple;
 /// * `edb` is the post-change extensional database (used to rebuild IDB
 ///   relations when a stratum must replay);
 /// * `program` has already passed well-formedness (the initial evaluation
 ///   checked it).
 ///
 /// On return `db` is a model of `program` w.r.t. the post-change EDB.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_update_metered(
+pub(crate) fn apply_update(
     program: &Program,
     strat: &Stratification,
     sens: &[LayerSensitivity],
     edb: &Database,
     db: &mut Database,
     mut changed: DeltaFrontier,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
+    drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
     debug_assert_eq!(sens.len(), strat.num_layers());
-    let pool = Pool::new(opts.effective_parallelism());
     let mut cache = PlanCache::default();
     for (k, sens_k) in sens.iter().enumerate() {
-        meter.set_context(
+        let layer_rules = &strat.rules_by_layer[k];
+        drive.meter.set_context(
             k,
-            strat.rules_by_layer[k]
-                .first()
-                .map(|&ri| program.rules[ri].head.pred),
+            layer_rules.first().map(|&ri| program.rules[ri].head.pred),
         );
         if changed.keys().any(|&p| sens_k.requires_replay_for(p)) {
-            cache.fold_into(stats);
-            return replay_from(program, strat, edb, db, k, opts, stats, meter);
+            return replay_from(program, strat, edb, db, k, drive);
         }
         if !changed.keys().any(|p| sens_k.positive.contains(p)) {
-            stats.strata_skipped += 1;
+            drive.stats.strata_skipped += 1;
             continue; // no changed predicate reaches this layer
         }
 
         // Monotone delta propagation. Grouping rules of this layer are
         // untouched: their body predicates are all unchanged (otherwise the
         // replay branch above would have fired).
-        let split = LayerSplit::classify(program, &strat.rules_by_layer[k]);
-        split.ensure_head_relations(program, db)?;
+        let split = LayerSplit::classify(program, layer_rules);
+        ensure_head_relations(program, layer_rules, db)?;
 
-        let pre: DeltaFrontier = split.preds.iter().map(|&p| (p, len_of(db, p))).collect();
+        let pre = frontier_at(db, split.preds.iter().copied());
 
         // A layer carrying derivation counts needs *exact* delta passes:
-        // the one-occurrence-at-a-time seed scheme below enumerates a
-        // derivation once per changed occurrence it uses, which is fine for
-        // sets (duplicates merge away) but would inflate counts. The
-        // counting variant decomposes the delta exactly instead.
+        // the one-occurrence-at-a-time passes of the delta loop enumerate a
+        // derivation once per new tuple it uses, which is fine for sets
+        // (duplicates merge away) but would inflate counts. The counting
+        // variant decomposes the delta exactly instead.
         let counting = counting_eligible(program, &split)
-            && !split.preds.is_empty()
             && split
                 .preds
                 .iter()
                 .all(|&p| db.relation(p).is_some_and(|r| r.counts_enabled()));
         if counting {
-            counting_insert_layer(program, &split, db, &changed, opts, stats, meter)?;
+            counting_insert_layer(program, &split, db, &changed, drive)?;
         } else {
-            // Seed: one delta-restricted pass per occurrence of a changed
-            // predicate in a rule body. Restricting one occurrence at a time
-            // while the others see the full (new-tuple-inclusive) relation
-            // covers every derivation that uses at least one new tuple. Each
-            // pass runs a delta-first plan variant — the same cached role the
-            // semi-naive loop uses, so its cost is proportional to the delta,
-            // not to the database. All seed passes read the same snapshot, so
-            // they run as one parallel round; anything a seed pass derives
-            // lands above `pre` and is picked up by the delta loop below.
-            let mut seed: Vec<(Arc<RulePlan>, DeltaRestriction)> = Vec::new();
-            for &ri in &split.rest {
-                for (occ, lit) in program.rules[ri].body.iter().enumerate() {
-                    if !lit.positive
-                        || ldl_ast::program::Builtin::resolve(lit.atom.pred, lit.atom.arity())
-                            .is_some()
-                    {
-                        continue;
-                    }
-                    if let Some(&lo) = changed.get(&lit.atom.pred) {
-                        let hi = len_of(db, lit.atom.pred) as u32;
-                        if (lo as u32) < hi {
-                            let variant = cache.get(program, ri, occ + 1, db)?;
-                            ensure_plan_indexes(&variant, db);
-                            let restrict = DeltaRestriction {
-                                step: 0,
-                                lo: lo as u32,
-                                hi,
-                            };
-                            seed.push((variant, restrict));
-                        }
-                    }
-                }
-            }
-            let tasks: Vec<RoundTask<'_>> = seed
-                .iter()
-                .map(|(variant, restrict)| RoundTask {
-                    plan: variant,
-                    restrict: Some(*restrict),
-                })
-                .collect();
-            run_round(&tasks, db, &pool, opts, stats, meter)?;
-            drop(tasks);
-            drop(seed);
-
-            // Everything the seed round derived sits above `pre`; let the
-            // ordinary semi-naive delta loop run the layer to fixpoint from
-            // there.
-            delta_loop_cached(
-                program,
-                &split,
-                &mut cache,
-                db,
-                pre.clone(),
-                &pool,
-                opts,
-                stats,
-                meter,
-            )?;
+            // The layer's own heads have nothing new yet; every changed
+            // predicate is new from its first new tuple on (also where it
+            // is one of the heads — new EDB tuples for an IDB predicate).
+            // The first round restricts one changed occurrence at a time
+            // while the others see the full, new-tuple-inclusive relation,
+            // which covers every derivation using at least one new tuple;
+            // whatever it derives lands above `pre` and keeps the loop
+            // going.
+            let mut frontier = pre.clone();
+            frontier.extend(changed.iter().map(|(&p, &lo)| (p, lo)));
+            delta_loop(program, &split.rest, &mut cache, db, &mut frontier, drive)?;
         }
-        stats.strata_delta += 1;
+        drive.stats.strata_delta += 1;
 
         // New facts of this layer's predicates join the frontier for the
         // layers above. (A predicate already in `changed` — new EDB tuples
         // for an IDB predicate — keeps its earlier, lower mark.)
-        for &p in &split.preds {
-            if len_of(db, p) > pre[&p] {
-                changed.entry(p).or_insert(pre[&p]);
+        for (&p, &lo) in &pre {
+            if len_of(db, p) > lo {
+                changed.entry(p).or_insert(lo);
             }
         }
     }
-    cache.fold_into(stats);
     Ok(())
 }
 
@@ -195,16 +128,13 @@ pub(crate) fn apply_update_metered(
 /// re-evaluate those layers. Lower layers are already final (they were
 /// either untouched or delta-updated before `k` was reached), so this is
 /// exactly the `Mₖ = Lₖ(Mₖ₋₁)` suffix of Theorem 1's computation.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn replay_from(
     program: &Program,
     strat: &Stratification,
     edb: &Database,
     db: &mut Database,
     k: usize,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
+    drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
     for rules in strat.rules_by_layer.iter().skip(k) {
         for &ri in rules {
@@ -215,15 +145,17 @@ pub(crate) fn replay_from(
             }
         }
     }
-    stats.strata_replayed += (strat.num_layers() - k) as u64;
-    evaluate_layers_metered(program, db, strat, k, opts, stats, meter)
+    drive.stats.strata_replayed += (strat.num_layers() - k) as u64;
+    evaluate_layers(program, db, strat, k, drive)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EvalOptions;
+    use crate::stats::EvalStats;
     use ldl_parser::parse_program;
-    use ldl_value::{Fact, Value};
+    use ldl_value::{Fact, Symbol, Value};
 
     fn setup(
         src: &str,
@@ -261,16 +193,14 @@ mod tests {
         let sens = strat.sensitivity(program);
         let mut stats = EvalStats::new();
         let opts = EvalOptions::default();
-        apply_update_metered(
+        apply_update(
             program,
             strat,
             &sens,
             edb,
             db,
             changed,
-            &opts,
-            &mut stats,
-            &mut BudgetMeter::new(&opts.budget),
+            &mut Drive::new(&opts, &mut stats),
         )
         .unwrap();
         stats
@@ -448,6 +378,4 @@ mod tests {
         assert_eq!(stats.strata_replayed, 0);
         assert_eq!(db.to_fact_set(), full(&program, &edb).to_fact_set());
     }
-
-    use ldl_value::Symbol;
 }

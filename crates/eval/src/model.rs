@@ -33,7 +33,9 @@ use crate::bindings::Bindings;
 use crate::builtins::eval_builtin;
 use crate::error::EvalError;
 use crate::grouping::Groups;
-use crate::plan::{ensure_plan_indexes, neg_holds, probe_key, HeadKind, RulePlan, Step};
+use crate::plan::{
+    check_arity, ensure_plan_indexes, neg_holds, probe_key, HeadKind, RulePlan, Step,
+};
 use crate::unify::{eval_term, match_slice};
 
 /// Enumerate the solutions of `plan`'s body against `db`, calling `k` once
@@ -194,7 +196,7 @@ pub fn reference_model(program: &Program, edb: &Database) -> Result<Database, Ev
             // Indexes only shorten the scans (a relation first derived in
             // this layer gets its index the round after it appears).
             for plan in &plans {
-                ensure_plan_indexes(plan, &mut m);
+                ensure_plan_indexes(plan, &mut m)?;
             }
             let derived: Vec<(Symbol, Vec<ValueId>)> = plans
                 .iter()
@@ -206,15 +208,7 @@ pub fn reference_model(program: &Program, edb: &Database) -> Result<Database, Ev
                 .collect();
             let mut grew = false;
             for (pred, tuple) in derived {
-                if let Some(expected) = m.relation(pred).map(|r| r.arity()) {
-                    if expected != tuple.len() {
-                        return Err(EvalError::ArityMismatch {
-                            pred: pred.to_string(),
-                            expected,
-                            found: tuple.len(),
-                        });
-                    }
-                }
+                check_arity(&m, pred, tuple.len())?;
                 grew |= m.insert_id_slice(pred, &tuple);
             }
             if !grew {
@@ -263,7 +257,9 @@ pub fn check_model(program: &Program, m: &FactSet) -> Result<(), ModelViolation>
             }
             Err(e) => panic!("model checking failed to compile {rule}: {e}"),
         };
-        ensure_plan_indexes(&plan, &mut db);
+        if let Err(e) = ensure_plan_indexes(&plan, &mut db) {
+            panic!("model checking cannot run {rule}: {e}");
+        }
         for tuple in apply_rule(&plan, &db) {
             let required = resolve_fact(plan.head.pred, &tuple);
             if !m.contains(&required) {

@@ -2,27 +2,33 @@
 //!
 //! LDL1 is assertional — "the LDL programmer does not have explicit control
 //! over the order of execution of the predicates within a rule" (§1) — so
-//! the system chooses an order. The planner picks greedily:
+//! the system chooses an order, one literal at a time, by class:
 //!
-//! 1. fully-bound built-ins and negated literals run as soon as their
-//!    variables are bound (cheap filters; negation *requires* groundness,
-//!    §3.2 condition 2′);
+//! 1. fully-bound built-ins, containment checks and negated literals run
+//!    as soon as their variables are bound (cheap filters; negation
+//!    *requires* groundness, §3.2 condition 2′);
 //! 2. generative built-ins run when a supported mode is available;
-//! 3. relation literals are chosen by how many argument positions are
-//!    already bound (those positions become hash-index keys).
+//! 3. relation literals come last, and how one is chosen among them is
+//!    what distinguishes the two planners.
 //!
 //! If no executable literal remains, the rule is *unschedulable* — e.g.
 //! `q(X) <- X < 3` — and compilation fails with a diagnostic rather than
 //! evaluation silently misbehaving.
 //!
-//! With a database at hand ([`RulePlan::compile_with`]) the planner is
-//! *cost-based*: among the executable relation literals it picks the one
-//! with the smallest **estimated output cardinality** — `len(R)` for an
-//! unbound scan, `len(R) / distinct(bound columns)` for an indexable one,
-//! using the per-column distinct-value sketches `ldl-storage` maintains on
-//! insert. Ties (and the statistics-free greedy mode) break by relation
-//! size, then by source literal order — never by anything
-//! evaluation-order-dependent, so any worker count compiles the same plan.
+//! The engine's planner ([`RulePlan::compile_with`]) is *cost-based*: among
+//! the executable relation literals it picks the one with the smallest
+//! **estimated output cardinality** — `len(R)` for an unbound scan,
+//! `len(R) / distinct(bound columns)` for an indexable one, using the
+//! per-column distinct-value sketches `ldl-storage` maintains on insert.
+//! Ties break by relation size, then by source literal order — never by
+//! anything evaluation-order-dependent, so any worker count compiles the
+//! same plan. Without a database every estimate ties and the body runs in
+//! executable source order, which is what the magic-set evaluator asks
+//! for: its rewritten bodies are already in sip order. The reference
+//! evaluator ([`crate::model`]) plans with [`RulePlan::compile`] instead —
+//! statistics-free and *greedy*, relation literals ordered by how many
+//! argument positions are already bound — so the oracle shares neither
+//! the cost model nor the existential tail.
 //!
 //! Plans also carry an *existential tail*: the first step index after which
 //! no head or grouping variable can be bound ([`RulePlan::exist_from`]).
@@ -182,25 +188,24 @@ impl Clone for RulePlan {
 }
 
 impl RulePlan {
-    /// Compile one rule with the statistics-free greedy planner: ties
-    /// between equally-bound scans keep source literal order, and no
-    /// existential tail is computed. The magic-set evaluator and the
-    /// reference evaluator ([`crate::model`]) plan with this; the fixpoint
-    /// drivers plan against statistics with [`RulePlan::compile_with`].
+    /// Compile one rule with the statistics-free greedy planner: relation
+    /// literals are ordered by bound-argument count, ties keep source
+    /// literal order, and no existential tail is computed. This is the
+    /// reference evaluator's planner ([`crate::model`]); the engine plans
+    /// with [`RulePlan::compile_with`].
     pub fn compile(rule: &Rule) -> Result<RulePlan, EvalError> {
-        RulePlan::compile_with(rule, None, false, None)
+        RulePlan::plan(rule, None, false, None)
     }
 
-    /// Compile one rule, optionally cost-based.
+    /// Compile one rule with the cost-based planner: relation scans are
+    /// ordered by estimated output cardinality (`len / distinct(bound
+    /// columns)`) and the plan's existential tail
+    /// ([`RulePlan::exist_from`]) is computed.
     ///
     /// * `db` supplies relation statistics — tuple counts and the
     ///   per-column distinct-value sketches `ldl-storage` maintains on
     ///   insert. Without it every estimate degrades to zero and only the
-    ///   class priorities order the body.
-    /// * `cost_based` orders relation scans by estimated output cardinality
-    ///   (`len / distinct(bound columns)`) instead of bound-argument count,
-    ///   and computes the plan's existential tail
-    ///   ([`RulePlan::exist_from`]); greedy plans have no tail.
+    ///   class priorities order the body: executable source order.
     /// * `force_first` pins one body literal (an index into `rule.body`,
     ///   which must be a positive relation literal) as step 0 — the
     ///   delta-first shape of semi-naive evaluation — and plans the rest
@@ -211,6 +216,18 @@ impl RulePlan {
     /// on worker count or map iteration order, so every configuration
     /// compiles bit-for-bit identical plans.
     pub fn compile_with(
+        rule: &Rule,
+        db: Option<&Database>,
+        force_first: Option<usize>,
+    ) -> Result<RulePlan, EvalError> {
+        RulePlan::plan(rule, db, true, force_first)
+    }
+
+    /// The planner behind both entry points: `cost_based` orders relation
+    /// scans by estimated cardinality and computes the existential tail
+    /// ([`RulePlan::compile_with`]); without it scans are ordered by
+    /// bound-argument count ([`RulePlan::compile`]).
+    fn plan(
         rule: &Rule,
         db: Option<&Database>,
         cost_based: bool,
@@ -359,87 +376,6 @@ impl RulePlan {
         self.ram
             .get_or_init(|| std::sync::Arc::new(crate::ram::lower(self)))
             .clone()
-    }
-
-    /// A variant of this plan that executes scan step `step` (an index into
-    /// `steps`, which must be a [`Step::Scan`]) *first* — the delta-first
-    /// ordering of semi-naive evaluation. Restricting the moved step (now
-    /// step 0) to a delta range makes the whole pass proportional to the
-    /// delta instead of to the outer relation: the remaining steps keep
-    /// their relative order (so every literal still runs after its
-    /// binders), with index columns recomputed for the new binding order.
-    pub fn delta_first(&self, step: usize) -> RulePlan {
-        assert!(
-            matches!(self.steps[step], Step::Scan { .. }),
-            "delta_first target must be a scan step"
-        );
-        let mut steps = self.steps.clone();
-        let moved = steps.remove(step);
-        steps.insert(0, moved);
-        let mut est_rows = self.est_rows.clone();
-        let moved_est = est_rows.remove(step);
-        est_rows.insert(0, moved_est);
-
-        // Recompute which argument positions are bound (probeable) at each
-        // scan, mirroring `compile`'s bookkeeping: positive steps bind all
-        // their variables, negation binds nothing.
-        let mut bound: FastSet<Var> = FastSet::default();
-        let bind_all = |args: &[Term], bound: &mut FastSet<Var>| {
-            let mut vs = Vec::new();
-            for t in args {
-                t.vars(&mut vs);
-            }
-            bound.extend(vs);
-        };
-        for s in &mut steps {
-            match s {
-                Step::Scan {
-                    args, index_cols, ..
-                } => {
-                    *index_cols = bound_cols(args, &bound);
-                    bind_all(args, &mut bound);
-                }
-                Step::BuiltinStep { args, negated, .. } => {
-                    if !*negated {
-                        bind_all(args, &mut bound);
-                    }
-                }
-                Step::NegScan {
-                    args, index_cols, ..
-                } => {
-                    *index_cols = if args.iter().any(has_anon) {
-                        bound_cols(args, &bound)
-                    } else {
-                        Vec::new()
-                    };
-                }
-            }
-        }
-
-        let scan_steps = steps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                Step::Scan { pred, .. } => Some((i, *pred)),
-                _ => None,
-            })
-            .collect();
-        // Re-derive the existential tail for the new order (disabled plans
-        // stay disabled: both lengths are the same).
-        let exist_from = if self.exist_from >= self.steps.len() {
-            steps.len()
-        } else {
-            compute_exist_from(&self.head, &steps)
-        };
-        RulePlan {
-            head: self.head.clone(),
-            head_kind: self.head_kind.clone(),
-            steps,
-            scan_steps,
-            exist_from,
-            est_rows,
-            ram: std::sync::OnceLock::new(),
-        }
     }
 
     /// The (predicate, index columns) pairs this plan probes — the indexes
@@ -668,21 +604,37 @@ pub(crate) fn neg_holds(
     !db.relation(pred).is_some_and(|r| r.contains(&vals))
 }
 
-/// Create every index a set of plans needs (call whenever new relations
-/// appear).
-pub fn ensure_indexes(plans: &[RulePlan], db: &mut Database) {
-    for plan in plans {
-        ensure_plan_indexes(plan, db);
+/// A predicate has one arity: `found` — a literal's, a rule head's, a derived
+/// tuple's — must match the stored relation's, where one exists.
+pub(crate) fn check_arity(db: &Database, pred: Symbol, found: usize) -> Result<(), EvalError> {
+    match db.relation(pred).map(Relation::arity) {
+        Some(expected) if expected != found => Err(EvalError::ArityMismatch {
+            pred: pred.to_string(),
+            expected,
+            found,
+        }),
+        _ => Ok(()),
     }
 }
 
-/// Create every index one plan needs.
-pub fn ensure_plan_indexes(plan: &RulePlan, db: &mut Database) {
+/// Prepare `db` for one pass of `plan` — the one place a plan meets the
+/// stored relations before it runs. Every relation literal's arity is
+/// checked against the relation it scans (the executor indexes tuples by
+/// argument position and must never see a shorter row), then every index
+/// the plan probes is built. A literal over a relation that does not exist
+/// yet scans nothing and needs neither.
+pub fn ensure_plan_indexes(plan: &RulePlan, db: &mut Database) -> Result<(), EvalError> {
+    for step in &plan.steps {
+        if let Step::Scan { pred, args, .. } | Step::NegScan { pred, args, .. } = step {
+            check_arity(db, *pred, args.len())?;
+        }
+    }
     for (pred, cols) in plan.required_indexes() {
         if let Some(arity) = db.relation(pred).map(Relation::arity) {
             db.relation_mut(pred, arity).ensure_index(&cols);
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -805,10 +757,10 @@ mod tests {
                 })
                 .collect()
         };
-        let greedy = RulePlan::compile_with(&rule, Some(&db), false, None).unwrap();
+        let greedy = RulePlan::compile(&rule).unwrap();
         assert_eq!(order(&greedy), ["tag", "big", "small"]);
         assert_eq!(greedy.exist_from, greedy.steps.len());
-        let cost = RulePlan::compile_with(&rule, Some(&db), true, None).unwrap();
+        let cost = RulePlan::compile_with(&rule, Some(&db), None).unwrap();
         assert_eq!(order(&cost), ["tag", "small", "big"]);
         // X is bound after small: the fully-bound big check is existential.
         assert_eq!(cost.exist_from, 2);
@@ -817,21 +769,16 @@ mod tests {
 
     #[test]
     fn greedy_ties_break_by_relation_size_then_source_order() {
-        use ldl_value::Value;
-        let mut db = Database::new();
-        for i in 0..50 {
-            db.insert_tuple("r1", vec![Value::int(i)]);
-        }
-        for i in 0..5 {
-            db.insert_tuple("r2", vec![Value::int(i)]);
-        }
         let rule = parse_rule("q(X) <- r1(X), r2(X).").unwrap();
-        // Equal bound counts: the smaller relation leads when sizes are known.
-        let p = RulePlan::compile_with(&rule, Some(&db), false, None).unwrap();
-        assert_eq!(p.scan_steps[0].1.as_str(), "r2");
-        // Without statistics the tie keeps source order.
-        let p0 = RulePlan::compile(&rule).unwrap();
-        assert_eq!(p0.scan_steps[0].1.as_str(), "r1");
+        // Without statistics every relation literal ties and the body keeps
+        // source order — under the greedy planner and under the cost-based
+        // one (which is how the magic-set evaluator plans).
+        for p in [
+            RulePlan::compile(&rule).unwrap(),
+            RulePlan::compile_with(&rule, None, None).unwrap(),
+        ] {
+            assert_eq!(p.scan_steps[0].1.as_str(), "r1");
+        }
     }
 
     #[test]
@@ -844,7 +791,7 @@ mod tests {
             db.insert_tuple("fan", vec![Value::int(1), Value::int(y)]);
         }
         let rule = parse_rule("reach(X) <- cand(X), fan(X, Y).").unwrap();
-        let cost = RulePlan::compile_with(&rule, Some(&db), true, None).unwrap();
+        let cost = RulePlan::compile_with(&rule, Some(&db), None).unwrap();
         assert_eq!(cost.exist_from, 1); // Y is not a head variable
         let solutions = |plan: &RulePlan| {
             let out = derive_once(plan, &db, None, RoundGate::open());
@@ -852,7 +799,7 @@ mod tests {
         };
         // cand(1) has a witness, cand(2) has none.
         assert_eq!(solutions(&cost), (1, 1));
-        let greedy = RulePlan::compile_with(&rule, Some(&db), false, None).unwrap();
+        let greedy = RulePlan::compile(&rule).unwrap();
         assert_eq!(greedy.exist_from, greedy.steps.len());
         // Full enumeration of the 10 witnesses.
         assert_eq!(solutions(&greedy), (10, 0));
@@ -881,33 +828,12 @@ mod tests {
         db.insert_tuple("anc", vec![Value::int(0), Value::int(1)]);
         let rule = parse_rule("anc(X, Y) <- par(X, Z), anc(Z, Y).").unwrap();
         // Body literal 1 (anc) runs first even though par would cost less.
-        let p = RulePlan::compile_with(&rule, Some(&db), true, Some(1)).unwrap();
+        let p = RulePlan::compile_with(&rule, Some(&db), Some(1)).unwrap();
         assert_eq!(p.scan_steps[0].0, 0);
         assert_eq!(p.scan_steps[0].1.as_str(), "anc");
         assert_eq!(p.est_rows[0], -1.0);
         // par is probed on its now-bound second column (Z).
         let Step::Scan { index_cols, .. } = &p.steps[1] else {
-            panic!("par step must be a scan")
-        };
-        assert_eq!(index_cols, &vec![1]);
-    }
-
-    #[test]
-    fn delta_first_reorders_and_reindexes() {
-        // Original order: par(X, Z) then anc(Z, Y) probed on column 0.
-        let p = plan_of("anc(X, Y) <- par(X, Z), anc(Z, Y).");
-        let (anc_step, _) = p.scan_steps[1];
-        let d = p.delta_first(anc_step);
-        // The anc scan now runs first, unrestricted by an index...
-        assert_eq!(d.scan_steps[0].0, 0);
-        assert_eq!(d.scan_steps[0].1.as_str(), "anc");
-        let Step::Scan { index_cols, .. } = &d.steps[0] else {
-            panic!("moved step must be a scan")
-        };
-        assert!(index_cols.is_empty());
-        // ...and par is probed on its now-bound second column (Z).
-        assert_eq!(d.scan_steps[1].1.as_str(), "par");
-        let Step::Scan { index_cols, .. } = &d.steps[d.scan_steps[1].0] else {
             panic!("par step must be a scan")
         };
         assert_eq!(index_cols, &vec![1]);

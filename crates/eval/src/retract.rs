@@ -22,30 +22,34 @@
 //!   bag-semantics argument of "Datalog: Bag Semantics via Set Semantics"
 //!   specialized to the non-recursive case.
 //! * **DRed** (recursive strata, or strata without counts): overdelete
-//!   everything derivable from a deleted tuple (`del$` rules, run by the
-//!   ordinary semi-naive machinery since overdeletion is itself recursive),
-//!   then rederive the overdeleted tuples still supported by the surviving
-//!   facts — a `del$h`-first join per rule, run to fixpoint.
+//!   everything derivable from a deleted tuple, then rederive the
+//!   overdeleted tuples still supported by the surviving facts. Both phases
+//!   are fixpoints of synthesised rules (`del$` variants; the stratum's
+//!   rules guarded by `del$h`) and both run on the engine's one semi-naive
+//!   loop ([`delta_loop`]) — all that is DRed-specific is the frontier:
+//!   every `del$` relation from its first tuple for the overdeletion,
+//!   `del$h` from its first tuple beside the stratum's heads at their
+//!   current length for the rederivation.
 //! * **Replay**: a deleted predicate read under negation or inside a
 //!   grouping body, a retraction aimed at a grouping head, or a rule head
 //!   whose arguments are not invertible patterns (set construction,
 //!   arithmetic) falls back to the stratum truncate-and-replay path that
 //!   insertion already uses — always sound, never differential.
 //!
-//! Everything is metered by one [`BudgetMeter`]: a batch that trips its
-//! budget mid-flight aborts as a unit, and [`apply_mutations`] restores the
-//! EDB bit-identically (tombstoned positions revived, appended tuples
-//! truncated) so a retry replays the exact same insertion positions.
+//! Everything runs on one [`Drive`] — one worker pool, one budget meter: a
+//! batch that trips its budget mid-flight aborts as a unit, and
+//! [`apply_mutations`] restores the EDB bit-identically (tombstoned
+//! positions revived, appended tuples truncated) so a retry replays the
+//! exact same insertion positions.
 
 use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::{Builtin, Program};
+use ldl_ast::rule::Rule;
 use ldl_ast::term::{Term, Var};
 use ldl_storage::{Database, Relation};
 use ldl_stratify::{LayerSensitivity, Stratification};
 use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::{Fact, Symbol, ValueId};
-
-use crate::budget::BudgetMeter;
 
 /// An owned row snapshot — tuples pulled out of a relation's arena so they
 /// survive the mutations the deletion sweep performs on it.
@@ -53,12 +57,11 @@ type Row = Vec<ValueId>;
 use crate::engine::EvalOptions;
 use crate::error::EvalError;
 use crate::fixpoint::{
-    counting_eligible, derive_once, full_enumeration, len_of, run_rule_once, semi_naive_pooled,
-    DerivedBuf, LayerSplit,
+    counting_eligible, delta_loop, derive_round, frontier_at, full_enumeration, len_of, run_round,
+    DeltaFrontier, Drive, LayerSplit, PlanCache, RoundTask,
 };
-use crate::incremental::{apply_update_metered, replay_from, DeltaFrontier};
+use crate::incremental::{apply_update, replay_from};
 use crate::plan::{ensure_plan_indexes, DeltaRestriction, RulePlan};
-use crate::pool::Pool;
 use crate::stats::EvalStats;
 
 /// Apply a net mutation batch — `retractions` then `assertions`, both
@@ -91,6 +94,9 @@ pub fn apply_mutations(
 ) -> Result<(), EvalError> {
     let mark = edb.mark();
     let mut undo: Vec<(Symbol, u32)> = Vec::new();
+    // One drive spans the deletion sweep, any replay suffix, and the
+    // insertion propagation: the batch aborts as a unit.
+    let mut drive = Drive::new(opts, stats);
     let result = mutate_inner(
         program,
         strat,
@@ -99,8 +105,7 @@ pub fn apply_mutations(
         db,
         retractions,
         assertions,
-        opts,
-        stats,
+        &mut drive,
         &mut undo,
     );
     if result.is_err() {
@@ -126,8 +131,7 @@ fn mutate_inner(
     db: &mut Database,
     retractions: &[Fact],
     assertions: &[Fact],
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
+    drive: &mut Drive<'_>,
     undo: &mut Vec<(Symbol, u32)>,
 ) -> Result<(), EvalError> {
     debug_assert_eq!(sens.len(), strat.num_layers());
@@ -150,15 +154,10 @@ fn mutate_inner(
         if idb_heads.contains(&f.pred()) {
             pending.entry(f.pred()).or_default().push(tuple);
         } else if db.remove_ids(f.pred(), &tuple).is_some() {
-            stats.facts_retracted += 1;
+            drive.stats.facts_retracted += 1;
             deleted.entry(f.pred()).or_default().push(tuple);
         }
     }
-
-    // One meter spans the deletion sweep, any replay suffix, and the
-    // insertion propagation: the batch aborts as a unit.
-    let mut meter = BudgetMeter::new(&opts.budget);
-    let pool = Pool::new(opts.effective_parallelism());
 
     // Phase 2: deletion sweep, bottom-up. Each stratum absorbs the frontier
     // reaching it (counting or DRed) and contributes its own losses, or the
@@ -168,7 +167,7 @@ fn mutate_inner(
         if deleted.is_empty() && pending.is_empty() {
             break;
         }
-        meter.set_context(
+        drive.meter.set_context(
             k,
             strat.rules_by_layer[k]
                 .first()
@@ -198,7 +197,7 @@ fn mutate_inner(
             || grouping_pending
             || (affected && !counting && !rederive_compatible(program, &split))
         {
-            replay_from(program, strat, edb, db, k, opts, stats, &mut meter)?;
+            replay_from(program, strat, edb, db, k, drive)?;
             deleted.clear();
             pending.clear();
             replayed = true;
@@ -214,16 +213,7 @@ fn mutate_inner(
             .collect();
 
         let losses = if counting {
-            counting_delete_layer(
-                program,
-                &split,
-                db,
-                &deleted,
-                &layer_pending,
-                opts,
-                stats,
-                &mut meter,
-            )?
+            counting_delete_layer(program, &split, db, &deleted, &layer_pending, drive)?
         } else {
             dred_delete_layer(
                 program,
@@ -233,13 +223,10 @@ fn mutate_inner(
                 db,
                 &deleted,
                 &layer_pending,
-                &pool,
-                opts,
-                stats,
-                &mut meter,
+                drive,
             )?
         };
-        stats.facts_retracted += losses.len() as u64;
+        drive.stats.facts_retracted += losses.len() as u64;
         for (h, t) in losses {
             deleted.entry(h).or_default().push(t);
         }
@@ -259,9 +246,7 @@ fn mutate_inner(
         }
     }
     if !changed.is_empty() {
-        apply_update_metered(
-            program, strat, sens, edb, db, changed, opts, stats, &mut meter,
-        )?;
+        apply_update(program, strat, sens, edb, db, changed, drive)?;
     }
     Ok(())
 }
@@ -321,18 +306,14 @@ fn lose_support(db: &mut Database, h: Symbol, t: &[ValueId], out: &mut Vec<(Symb
 /// Counting deletion for one non-recursive stratum: enumerate the lost
 /// derivations with the subset rules, decrement, and tombstone at zero.
 /// Returns the tuples this stratum lost, in death order.
-#[allow(clippy::too_many_arguments)]
 fn counting_delete_layer(
     program: &Program,
     split: &LayerSplit,
     db: &mut Database,
     deleted: &FastMap<Symbol, Vec<Row>>,
     layer_pending: &[(Symbol, Vec<Row>)],
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
+    drive: &mut Drive<'_>,
 ) -> Result<Vec<(Symbol, Row)>, EvalError> {
-    meter.check()?;
     // `rm$q` holds exactly the tuples q lost — the deleted side of the
     // OLD = NEW ∪ deleted split the subset rules enumerate over.
     let mut rm_names: FastMap<Symbol, Symbol> = FastMap::default();
@@ -349,13 +330,13 @@ fn counting_delete_layer(
         rm_names.insert(q, name);
     }
 
-    // Enumerate lost derivations. Each pass is a read-only `derive_once`
-    // over the post-deletion database plus the `rm$` relations; plans are
-    // compiled fresh (they mix scratch relations, so the per-drive cache
-    // does not apply) with existential tails disabled — the loss count must
-    // match the full enumeration that built the counts.
-    let gate = opts.budget.gate();
-    let mut passes: Vec<(Symbol, DerivedBuf)> = Vec::new();
+    // Enumerate lost derivations: one derive-only round over the
+    // post-deletion database plus the `rm$` relations — the derived tuples
+    // are losses to decrement, not facts to merge. Plans are compiled fresh
+    // (they mix scratch relations, so the per-operation cache does not
+    // apply) with existential tails disabled — the loss count must match
+    // the full enumeration that built the counts.
+    let mut plans: Vec<RulePlan> = Vec::new();
     for &ri in &split.rest {
         let rule = &program.rules[ri];
         let occs: Vec<usize> = rule
@@ -369,9 +350,6 @@ fn counting_delete_layer(
             })
             .map(|(i, _)| i)
             .collect();
-        if occs.is_empty() {
-            continue;
-        }
         for mask in 1u32..(1u32 << occs.len()) {
             let mut synth = rule.clone();
             for (bit, &occ) in occs.iter().enumerate() {
@@ -379,20 +357,13 @@ fn counting_delete_layer(
                     synth.body[occ].atom.pred = rm_names[&rule.body[occ].atom.pred];
                 }
             }
-            let plan = full_enumeration(&RulePlan::compile_with(&synth, Some(db), true, None)?);
-            ensure_plan_indexes(&plan, db);
-            meter.check()?;
-            let out = derive_once(&plan, db, None, gate);
-            stats.rules_fired += 1;
-            stats.index_probes += out.probes;
-            stats.exist_cuts += out.cuts;
-            stats.attempts += out.attempts;
-            stats.lowerings += out.lowerings;
-            stats.compiled_rounds += 1;
-            meter.charge(out.attempts, 0);
-            passes.push((rule.head.pred, out.buf));
+            let plan = full_enumeration(&RulePlan::compile_with(&synth, Some(db), None)?);
+            ensure_plan_indexes(&plan, db)?;
+            plans.push(plan);
         }
     }
+    let tasks: Vec<RoundTask<'_>> = plans.iter().map(RoundTask::whole).collect();
+    let passes = derive_round(&tasks, db, drive)?;
     for (_, name) in rm_names {
         db.remove_relation(name);
     }
@@ -409,9 +380,24 @@ fn counting_delete_layer(
     for (h, buf) in &passes {
         buf.for_each(&mut |t| lose_support(db, *h, t, &mut out));
     }
-    stats.strata_counting += 1;
-    meter.check()?;
+    drive.stats.strata_counting += 1;
+    drive.meter.check()?;
     Ok(out)
+}
+
+/// Run synthesised `rules` to their semi-naive fixpoint from `frontier` —
+/// the shape of both DRed phases. The rules mix scratch relations, so they
+/// form a program (and get a plan cache) of their own.
+fn scratch_fixpoint(
+    rules: Vec<Rule>,
+    mut frontier: DeltaFrontier,
+    db: &mut Database,
+    drive: &mut Drive<'_>,
+) -> Result<(), EvalError> {
+    let program = Program::from_rules(rules);
+    let all: Vec<usize> = (0..program.len()).collect();
+    let mut cache = PlanCache::default();
+    delta_loop(&program, &all, &mut cache, db, &mut frontier, drive)
 }
 
 /// DRed for one stratum: overdelete everything derivable from a lost
@@ -426,13 +412,10 @@ fn dred_delete_layer(
     db: &mut Database,
     deleted: &FastMap<Symbol, Vec<Row>>,
     layer_pending: &[(Symbol, Vec<Row>)],
-    pool: &Pool,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
+    drive: &mut Drive<'_>,
 ) -> Result<Vec<(Symbol, Row)>, EvalError> {
-    meter.check()?;
-    let layer_set: FastSet<Symbol> = heads.iter().map(|&(h, _)| h).collect();
+    drive.meter.check()?;
+    let layer_set = &split.preds;
     let is_deletable = |l: &Literal| {
         l.positive
             && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
@@ -488,7 +471,7 @@ fn dred_delete_layer(
     for (&q, tuples) in deleted {
         let Some(qrel) = db.relation(q) else { continue };
         let arity = qrel.arity();
-        let old = if needs_old.contains(&q) {
+        if needs_old.contains(&q) {
             let mut orel = Relation::new(arity);
             for t in qrel.iter() {
                 orel.insert_slice(t);
@@ -496,10 +479,10 @@ fn dred_delete_layer(
             for t in tuples {
                 orel.insert_slice(t);
             }
-            Some(orel)
-        } else {
-            None
-        };
+            let on = scratch_name("old", q);
+            db.set_relation(on, orel);
+            temp.push(on);
+        }
         let mut drel = Relation::new(arity);
         for t in tuples {
             drel.insert_slice(t);
@@ -507,43 +490,44 @@ fn dred_delete_layer(
         let dn = scratch_name("del", q);
         db.set_relation(dn, drel);
         temp.push(dn);
-        if let Some(orel) = old {
-            let on = scratch_name("old", q);
-            db.set_relation(on, orel);
-            temp.push(on);
-        }
     }
 
     // Overdeletion rules: one variant per deletable occurrence (the
     // pivot), head rewritten to del$h, the pivot to del$p, and later
     // lower-frontier occurrences to old$q. Same-stratum occurrences other
     // than the pivot keep reading the stratum's relations, which still
-    // hold their pre-deletion contents throughout this fixpoint.
-    let mut del_plans: Vec<RulePlan> = Vec::new();
+    // hold their pre-deletion contents throughout this fixpoint. Every
+    // del$ relation is a delta from its first tuple on, and the pivot is a
+    // variant's only del$ literal: the first round joins each variant
+    // pivot-first over the seeded losses, later rounds over what del$h
+    // gained.
+    let mut del_rules: Vec<Rule> = Vec::new();
+    let mut del_frontier: DeltaFrontier = heads
+        .iter()
+        .map(|&(h, _)| (scratch_name("del", h), 0))
+        .collect();
     for (ri, occs) in &rule_occs {
         let rule = &program.rules[*ri];
         for (vi, &occ) in occs.iter().enumerate() {
             let mut synth = rule.clone();
             synth.head = Atom::new(scratch_name("del", rule.head.pred), rule.head.args.clone());
-            synth.body[occ].atom.pred = scratch_name("del", rule.body[occ].atom.pred);
+            let pivot = scratch_name("del", rule.body[occ].atom.pred);
+            synth.body[occ].atom.pred = pivot;
+            del_frontier.insert(pivot, 0);
             for &j in &occs[vi + 1..] {
                 let p = rule.body[j].atom.pred;
                 if needs_old.contains(&p) {
                     synth.body[j].atom.pred = scratch_name("old", p);
                 }
             }
-            let plan = RulePlan::compile_with(&synth, Some(db), true, None)?;
-            ensure_plan_indexes(&plan, db);
-            del_plans.push(plan);
+            del_rules.push(synth);
         }
     }
-    let del_set: FastSet<Symbol> = heads.iter().map(|&(h, _)| scratch_name("del", h)).collect();
-    semi_naive_pooled(&del_plans, &del_set, db, pool, opts, stats, meter)?;
+    scratch_fixpoint(del_rules, del_frontier, db, drive)?;
 
     // Remove the overdeleted tuples, then rederive: a tuple comes back if
     // it is still an EDB fact, or if some rule body still derives it from
-    // the surviving facts — the latter via a del$h-first join so the pass
-    // costs O(overdeleted), not O(stratum).
+    // the surviving facts.
     let mut over: Vec<(Symbol, Vec<Row>)> = Vec::new();
     for &(h, _) in heads {
         let dn = scratch_name("del", h);
@@ -568,22 +552,27 @@ fn dred_delete_layer(
             }
         }
     }
-    let mut rederive_plans: Vec<RulePlan> = Vec::new();
-    for &ri in &split.rest {
-        let rule = &program.rules[ri];
-        let mut synth = rule.clone();
-        synth.body.insert(
-            0,
-            Literal::pos(Atom::new(
-                scratch_name("del", rule.head.pred),
-                rule.head.args.clone(),
-            )),
-        );
-        let plan = RulePlan::compile_with(&synth, Some(db), true, Some(0))?;
-        ensure_plan_indexes(&plan, db);
-        rederive_plans.push(plan);
-    }
-    semi_naive_pooled(&rederive_plans, &layer_set, db, pool, opts, stats, meter)?;
+    // Rederivation rules: each stratum rule guarded by del$h(head args) in
+    // front of its body. del$h is a delta from its first tuple on, the
+    // stratum's heads from their current length: the first round is the
+    // del$h-first join — O(overdeleted), not O(stratum) — and later rounds
+    // join what came back.
+    let rederive_rules: Vec<Rule> = split
+        .rest
+        .iter()
+        .map(|&ri| {
+            let mut synth = program.rules[ri].clone();
+            let guard = Atom::new(
+                scratch_name("del", synth.head.pred),
+                synth.head.args.clone(),
+            );
+            synth.body.insert(0, Literal::pos(guard));
+            synth
+        })
+        .collect();
+    let mut rederive_frontier = frontier_at(db, layer_set.iter().copied());
+    rederive_frontier.extend(heads.iter().map(|&(h, _)| (scratch_name("del", h), 0)));
+    scratch_fixpoint(rederive_rules, rederive_frontier, db, drive)?;
 
     for name in temp {
         db.remove_relation(name);
@@ -596,15 +585,15 @@ fn dred_delete_layer(
             }
         }
     }
-    stats.strata_dred += 1;
-    meter.check()?;
+    drive.stats.strata_dred += 1;
+    drive.meter.check()?;
     Ok(out)
 }
 
 /// The exact insertion pass for a counting stratum, replacing the
-/// one-occurrence-at-a-time seed scheme of [`crate::incremental`] (which
-/// enumerates a derivation once per changed occurrence it uses — harmless
-/// for sets, wrong for counts). The delta is decomposed by *first changed
+/// one-occurrence-at-a-time passes of the delta loop (which enumerate a
+/// derivation once per changed occurrence it uses — harmless for sets,
+/// wrong for counts). The delta is decomposed by *first changed
 /// occurrence*: variant `i` restricts occurrence `i` to the delta range,
 /// guards every earlier changed occurrence with `~ins$q(args)` so it binds
 /// an old tuple, and leaves later occurrences unrestricted. Each new
@@ -615,9 +604,7 @@ pub(crate) fn counting_insert_layer(
     split: &LayerSplit,
     db: &mut Database,
     changed: &DeltaFrontier,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-    meter: &mut BudgetMeter<'_>,
+    drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
     let mut ins_names: FastMap<Symbol, Symbol> = FastMap::default();
     let mut temp: Vec<Symbol> = Vec::new();
@@ -677,17 +664,13 @@ pub(crate) fn counting_insert_layer(
                     base.body[g].atom.args.clone(),
                 )));
             }
-            let plan =
-                full_enumeration(&RulePlan::compile_with(&synth, Some(db), true, Some(occ))?);
-            ensure_plan_indexes(&plan, db);
-            run_rule_once(
-                &plan,
-                db,
-                Some(DeltaRestriction { step: 0, lo, hi }),
-                opts,
-                stats,
-                meter,
-            )?;
+            let plan = full_enumeration(&RulePlan::compile_with(&synth, Some(db), Some(occ))?);
+            ensure_plan_indexes(&plan, db)?;
+            let pass = RoundTask {
+                plan: &plan,
+                restrict: Some(DeltaRestriction { step: 0, lo, hi }),
+            };
+            run_round(&[pass], db, drive)?;
         }
     }
     for name in temp {

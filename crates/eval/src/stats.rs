@@ -11,7 +11,8 @@ use std::ops::AddAssign;
 /// planner show up deterministically in tests and benches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Rule-pass executions (each `run_rule_once` or grouping-rule run).
+    /// Rule-pass executions: the tasks of every round, simple and grouping
+    /// heads alike (a pass cut into slices still counts once).
     pub rules_fired: u64,
     /// Derivation attempts: body solutions enumerated across all rule
     /// passes (including ones whose head fell outside `U` or deduplicated
@@ -52,9 +53,10 @@ pub struct EvalStats {
     pub facts_retracted: u64,
     /// Strata skipped entirely because no changed predicate reaches them.
     pub strata_skipped: u64,
-    /// Evaluation rounds executed (one round = every eligible rule pass of
-    /// a stratum applied against one immutable database snapshot). This is
-    /// deterministic: it does not vary with `EvalOptions::parallelism`.
+    /// Evaluation rounds executed (one round = a batch of rule passes — all
+    /// eligible passes of a stratum, or one counting-insert variant or magic
+    /// guarded rule — applied against one immutable database snapshot).
+    /// Deterministic: it does not vary with `EvalOptions::parallelism`.
     pub rounds: u64,
     /// Parallel work units executed (a rule pass, or one contiguous slice
     /// of a delta range). Unlike every other counter this *does*
@@ -81,9 +83,8 @@ pub struct EvalStats {
     /// is lowered at most once, on its first execution, so this counts
     /// distinct programs built — it does not grow with rounds.
     pub lowerings: u64,
-    /// Evaluation rounds and single rule passes executed (every one runs
-    /// through the lowered register programs): `rounds` plus the per-rule
-    /// passes of incremental and differential maintenance.
+    /// Rounds executed through the lowered register programs — every
+    /// round, so always equal to `rounds`.
     pub compiled_rounds: u64,
     // Never written; declared only because `benchmark/src/pipeline.rs` names it.
     #[doc(hidden)]

@@ -1,28 +1,31 @@
 //! Semi-naive evaluation internals: delta restrictions must cover exactly
 //! the derivations the literal §3.2 iteration performs.
 
-use ldl_eval::fixpoint::run_rule_once;
+use ldl_eval::fixpoint::{run_round, Drive, RoundTask};
 use ldl_eval::plan::{DeltaRestriction, RulePlan};
-use ldl_eval::{reference_model, BudgetMeter, EvalOptions, EvalStats, Evaluator};
+use ldl_eval::{reference_model, EvalOptions, EvalStats, Evaluator};
 use ldl_parser::{parse_program, parse_rule};
 use ldl_storage::Database;
 use ldl_value::{intern, Value};
 
-/// Run `rule` once over `db` with one scan step confined to a delta range,
-/// returning the head relation's (unary) tuples in derivation order.
+/// Run `rule` once over `db` — one round of one pass — with one scan step
+/// confined to a delta range, returning the head relation's (unary) tuples
+/// in derivation order.
 fn derive_restricted(rule: &str, db: &mut Database, restrict: DeltaRestriction) -> Vec<Value> {
     let plan = RulePlan::compile(&parse_rule(rule).unwrap()).unwrap();
     let opts = EvalOptions::default();
-    run_rule_once(
-        &plan,
-        db,
-        Some(restrict),
-        &opts,
-        &mut EvalStats::new(),
-        &mut BudgetMeter::new(&opts.budget),
-    )
-    .unwrap();
+    let mut stats = EvalStats::new();
+    let pass = RoundTask {
+        plan: &plan,
+        restrict: Some(restrict),
+    };
+    let new = run_round(&[pass], db, &mut Drive::new(&opts, &mut stats)).unwrap();
     let head = db.relation(plan.head.pred).unwrap();
+    assert_eq!(
+        (new, stats.facts_derived as usize),
+        (head.len(), head.len())
+    );
+    assert_eq!((stats.rounds, stats.rules_fired), (1, 1));
     head.iter().map(|t| intern::resolve(t[0])).collect()
 }
 

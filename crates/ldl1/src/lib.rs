@@ -128,6 +128,15 @@ pub enum MutationError {
         /// The missing fact.
         fact: Fact,
     },
+    /// An assertion's argument count differs from the arity its predicate
+    /// already has — in the stored relation, in the cached model, or in an
+    /// earlier assertion of the same batch. A predicate has one arity.
+    ArityMismatch {
+        /// The offending fact.
+        fact: Fact,
+        /// The arity the predicate already has.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for MutationError {
@@ -136,6 +145,11 @@ impl fmt::Display for MutationError {
             MutationError::RetractUnknownFact { fact } => {
                 write!(f, "cannot retract {fact}: not in the extensional database")
             }
+            MutationError::ArityMismatch { fact, expected } => write!(
+                f,
+                "cannot assert {fact}: predicate {} has arity {expected}",
+                fact.pred()
+            ),
         }
     }
 }
@@ -844,7 +858,9 @@ impl MutationBatch<'_> {
     /// fact is *present* if it is stored and not yet retracted by the
     /// batch, or asserted earlier in the batch. A retraction of an absent
     /// fact fails the whole commit with
-    /// [`MutationError::RetractUnknownFact`], applying nothing. The
+    /// [`MutationError::RetractUnknownFact`], an assertion whose arity
+    /// disagrees with its predicate's with
+    /// [`MutationError::ArityMismatch`], applying nothing. The
     /// surviving net deletions and insertions then commit atomically; see
     /// [`MutationBatch`] for the transactional guarantees.
     pub fn commit(self) -> Result<(), Error> {
@@ -853,6 +869,9 @@ impl MutationBatch<'_> {
         let mut ins: Vec<Fact> = Vec::new();
         let mut del_set: ldl_value::fxhash::FastSet<Fact> = Default::default();
         let mut ins_set: ldl_value::fxhash::FastSet<Fact> = Default::default();
+        // Each asserted predicate's one arity: the stored relation's (EDB,
+        // else the cached model's), else its first assertion's.
+        let mut arities: ldl_value::fxhash::FastMap<Symbol, usize> = Default::default();
         let mut cancelled = false;
         for m in staged {
             let (retract, assert) = match m {
@@ -874,6 +893,16 @@ impl MutationBatch<'_> {
                 }
             }
             if let Some(f) = assert {
+                let expected = *arities.entry(f.pred()).or_insert_with(|| {
+                    let stored = sys
+                        .edb
+                        .relation(f.pred())
+                        .or_else(|| sys.cache.as_ref()?.db.relation(f.pred()));
+                    stored.map_or(f.arity(), |r| r.arity())
+                });
+                if expected != f.arity() {
+                    return Err(MutationError::ArityMismatch { fact: f, expected }.into());
+                }
                 if del_set.remove(&f) {
                     // cancels a retraction staged earlier in this batch
                     cancelled = true;

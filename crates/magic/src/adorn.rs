@@ -108,7 +108,8 @@ impl fmt::Display for AdornError {
 impl std::error::Error for AdornError {}
 
 /// Compute the adornment of the query atom: argument positions whose terms
-/// are ground are bound. Grouped positions are never bound (§6).
+/// are ground are bound — before [`adorn_program`] frees the positions the
+/// query predicate groups (§6).
 pub fn query_adornment(query: &Atom) -> Adornment {
     Adornment(
         query
@@ -131,7 +132,22 @@ pub fn adorn_program(program: &Program, query: &Atom) -> Result<AdornedProgram, 
     if !idb.contains_key(&query.pred) {
         return Err(AdornError::NotIdb(query.pred.to_string()));
     }
-    let q_adorn = query_adornment(query);
+    // §6: a grouped head argument is never bound — restricting the body to
+    // the values inside a bound set would be unsound, the grouped set being
+    // defined as *all* values satisfying the body. So a position that any
+    // rule head of a predicate groups is `f` in every adornment of that
+    // predicate, the query's included (a ground term there is post-filtered
+    // against the answers, like `scons(1, 2)`). Callers, import rules, seed
+    // and guards then all agree on one arity per magic predicate.
+    let grouped = |pred: Symbol, pos: usize| {
+        program
+            .rules_for(pred)
+            .any(|r| r.head.args.get(pos).is_some_and(Term::has_group))
+    };
+    let mut q_adorn = query_adornment(query);
+    for (pos, b) in q_adorn.0.iter_mut().enumerate() {
+        *b &= !grouped(query.pred, pos);
+    }
 
     let mut done: FastSet<(Symbol, Adornment)> = FastSet::default();
     let mut queue: VecDeque<(Symbol, Adornment)> = VecDeque::new();
@@ -141,20 +157,13 @@ pub fn adorn_program(program: &Program, query: &Atom) -> Result<AdornedProgram, 
 
     while let Some((pred, adornment)) = queue.pop_front() {
         for rule in program.rules_for(pred) {
-            // §6: grouped head arguments are never bound.
-            let bound_args: Vec<bool> = adornment
-                .0
-                .iter()
-                .zip(&rule.head.args)
-                .map(|(&b, t)| b && !t.has_group())
-                .collect();
-            let Some(sip) = default_sip(rule, &bound_args) else {
+            let Some(sip) = default_sip(rule, &adornment.0) else {
                 return Err(AdornError::NoSip {
                     rule: rule.to_string(),
                     adornment: adornment.suffix(),
                 });
             };
-            let adorned = adorn_rule(rule, &bound_args, &adornment, &sip, &idb);
+            let adorned = adorn_rule(rule, &adornment, &sip, &idb, &grouped);
             // Enqueue newly-discovered adorned predicates.
             for entry in adorned.body_adornments.iter().flatten() {
                 if done.insert(entry.clone()) {
@@ -175,10 +184,10 @@ pub fn adorn_program(program: &Program, query: &Atom) -> Result<AdornedProgram, 
 
 fn adorn_rule(
     rule: &Rule,
-    bound_args: &[bool],
     head_adornment: &Adornment,
     sip: &Sip,
     idb: &FastMap<Symbol, usize>,
+    grouped: &dyn Fn(Symbol, usize) -> bool,
 ) -> AdornedRule {
     let mut body = Vec::with_capacity(rule.body.len());
     let mut body_adornments = Vec::with_capacity(rule.body.len());
@@ -191,7 +200,10 @@ fn adorn_rule(
                 lit.atom
                     .args
                     .iter()
-                    .map(|t| t.is_bound_under(&|v| bound.contains(&v)))
+                    .enumerate()
+                    .map(|(pos, t)| {
+                        t.is_bound_under(&|v| bound.contains(&v)) && !grouped(lit.atom.pred, pos)
+                    })
                     .collect(),
             );
             let renamed = Atom::new(
@@ -212,7 +224,7 @@ fn adorn_rule(
         .head
         .args
         .iter()
-        .zip(bound_args)
+        .zip(&head_adornment.0)
         .filter(|(_, &b)| b)
         .map(|(t, _)| t.clone())
         .collect();
@@ -313,11 +325,12 @@ mod tests {
     #[test]
     fn grouped_query_position_is_free() {
         let p = young_program();
-        // Even a ground second argument must not bind the grouped position.
+        // Even a ground second argument must not bind the grouped position:
+        // the adornment itself says so, so the seed, the callers and the
+        // young rule's guard agree that the magic args are [X].
         let ap = adorn_program(&p, &parse_atom("young(john, {a})").unwrap()).unwrap();
-        assert_eq!(ap.query_adornment.suffix(), "bb");
-        // ... the query adornment records it, but the head-side binding is
-        // dropped for the grouped arg: the young rule's magic args are [X].
+        assert_eq!(ap.query_adornment.suffix(), "bf");
+        assert_eq!(ap.query_pred.as_str(), "young'bf");
         let young_rule = ap
             .rules
             .iter()

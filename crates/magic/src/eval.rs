@@ -10,8 +10,18 @@
 //!   fixpoint;
 //! * **guarded rules** — grouping heads, and any rule with a negated
 //!   literal — run only at a base fixpoint, ordered by the *original*
-//!   program's layering, with a fresh base fixpoint after each layer;
+//!   program's layering, with the base fixpoint re-entered after each
+//!   layer;
 //! * the whole schedule repeats until nothing changes.
+//!
+//! All of it runs on the engine's own driver ([`ldl_eval::fixpoint`]): one
+//! full round of the base rules, then the one semi-naive loop
+//! ([`delta_loop`]) over **one frontier kept across the whole schedule** —
+//! every rule head is a delta predicate, so a base fixpoint re-entered
+//! after guarded rules ran joins exactly the tuples they added instead of
+//! re-deriving the model — with each guarded rule applied as a one-pass
+//! round ([`full_round`]). Plans come from a statistics-free
+//! [`PlanCache`]: the rewriting already put every body in sip order.
 //!
 //! Soundness of applying a guarded rule at a base fixpoint: a magic tuple's
 //! downward closure (all magic tuples it implies, and all ordinary facts
@@ -20,18 +30,17 @@
 //! that tuple are final — later magic tuples only add facts for *their*
 //! closures, and overlapping closures derive identical facts.
 
-use ldl_ast::literal::Atom;
+use std::ops::Range;
+
+use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::{Builtin, Program};
-use ldl_ast::wf::Dialect;
-use ldl_eval::fixpoint::{run_rule_once, semi_naive_fixpoint};
-use ldl_eval::grouping::run_grouping_rule;
-use ldl_eval::plan::{ensure_indexes, HeadKind, RulePlan};
-use ldl_eval::stats::EvalStats;
-use ldl_eval::{BudgetMeter, EvalError, EvalOptions, Evaluator, QueryAnswer};
+use ldl_eval::fixpoint::{
+    delta_loop, ensure_head_relations, frontier_at, full_round, Drive, PlanCache,
+};
+use ldl_eval::{EvalError, EvalOptions, EvalStats, Evaluator, QueryAnswer};
 use ldl_storage::Database;
 use ldl_stratify::Stratification;
-use ldl_value::fxhash::FastSet;
-use ldl_value::Symbol;
+use ldl_value::{intern, Symbol};
 
 use crate::adorn::adorn_program;
 use crate::rewrite::{rewrite_magic, MagicProgram};
@@ -70,6 +79,16 @@ impl MagicEvaluator {
         original: &Program,
         edb: &Database,
     ) -> Result<Database, EvalError> {
+        self.evaluate_stats(mp, original, edb).map(|(db, _)| db)
+    }
+
+    /// [`MagicEvaluator::evaluate`], also returning the work counters.
+    pub fn evaluate_stats(
+        &self,
+        mp: &MagicProgram,
+        original: &Program,
+        edb: &Database,
+    ) -> Result<(Database, EvalStats), EvalError> {
         let strat = Stratification::canonical(original)?;
         let stratum_of = |pred: Symbol| -> usize {
             mp.adorned_to_original
@@ -78,89 +97,61 @@ impl MagicEvaluator {
                 .unwrap_or(0)
         };
 
-        // Compile all rules; classify.
-        let mut base: Vec<RulePlan> = Vec::new();
-        let mut base_preds: FastSet<Symbol> = FastSet::default();
-        // (stratum, plan) for guarded rules.
-        let mut guarded: Vec<(usize, RulePlan)> = Vec::new();
-        for rule in &mp.program.rules {
-            let plan = RulePlan::compile(rule)?;
-            let has_negation = rule
-                .body
-                .iter()
-                .any(|l| !l.positive && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none());
-            let is_grouping = matches!(plan.head_kind, HeadKind::Grouping { .. });
-            if has_negation || is_grouping {
-                let mut s = stratum_of(rule.head.pred);
-                for l in &rule.body {
-                    if !l.positive && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none() {
-                        s = s.max(stratum_of(l.atom.pred) + 1);
-                    }
-                }
-                guarded.push((s, plan));
+        // Classify the rules: base, or guarded at a stratum.
+        let program = &mp.program;
+        let negated =
+            |l: &&Literal| !l.positive && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none();
+        let mut base: Vec<usize> = Vec::new();
+        let mut guarded: Vec<(usize, usize)> = Vec::new(); // (stratum, rule id)
+        for (ri, rule) in program.rules.iter().enumerate() {
+            // A negated literal puts the rule above the stratum it tests.
+            let mut above = rule.body.iter().filter(negated).peekable();
+            if above.peek().is_some() || !rule.head.simple_group_positions().is_empty() {
+                let s = above
+                    .map(|l| stratum_of(l.atom.pred) + 1)
+                    .fold(stratum_of(rule.head.pred), usize::max);
+                guarded.push((s, ri));
             } else {
-                base_preds.insert(rule.head.pred);
-                base.push(plan);
+                base.push(ri);
             }
         }
         guarded.sort_by_key(|(s, _)| *s);
-        // Guarded heads also produce facts the base fixpoint consumes;
-        // their predicates must be deltas for semi-naive restarts.
-        for (_, p) in &guarded {
-            base_preds.insert(p.head.pred);
-        }
 
         let mut db = edb.clone();
         // Pre-create head relations (so negation sees empty relations, not
         // missing ones) and insert the seed.
-        for rule in &mp.program.rules {
-            db.relation_mut(rule.head.pred, rule.head.arity());
-        }
-        db.relation_mut(mp.seed.pred(), mp.seed.arity());
+        let all: Vec<usize> = (0..program.len()).collect();
+        ensure_head_relations(program, &all, &mut db)?;
         db.insert(mp.seed.clone());
 
-        // One meter spans the whole staged schedule, so a budget covers the
-        // query end to end rather than per fixpoint. The magic schedule is
-        // not layered; report the original query predicate's stratum.
-        let mut meter = BudgetMeter::new(&self.options.budget);
-        let run_base = |db: &mut Database,
-                        opts: &EvalOptions,
-                        meter: &mut BudgetMeter<'_>|
-         -> Result<(), EvalError> {
-            ensure_indexes(&base, db);
-            semi_naive_fixpoint(&base, &base_preds, db, opts, &mut EvalStats::new(), meter)
-        };
-        let apply_guarded = |db: &mut Database,
-                             opts: &EvalOptions,
-                             meter: &mut BudgetMeter<'_>,
-                             pick: &dyn Fn(usize) -> bool|
+        // One drive spans the whole staged schedule, so a budget covers the
+        // query end to end rather than per fixpoint, and the worker pool is
+        // spawned once.
+        let mut stats = EvalStats::new();
+        let mut drive = Drive::new(&self.options, &mut stats);
+        // `adorn_rule` emits every rewritten body in sip order (§6), so
+        // executable source order *is* the plan: no statistics. (With them
+        // the cost model ranks `partition` in its set-constructing mode
+        // above the magic-predicate scan that would have made it a check,
+        // and every junk union is interned for the life of the process.)
+        let mut cache = PlanCache::source_order();
+        // Every rule head is a delta predicate — guarded heads too, since
+        // base rules consume what guarded rules produce. The one frontier
+        // lives across the whole schedule: a base fixpoint re-entered after
+        // guarded rules ran joins only what they added.
+        let mut frontier = frontier_at(&db, program.rules.iter().map(|r| r.head.pred));
+        let run_guarded = |strata: Range<usize>,
+                           cache: &mut PlanCache,
+                           db: &mut Database,
+                           drive: &mut Drive<'_>|
          -> Result<usize, EvalError> {
-            let mut changed = 0;
-            for (gs, plan) in &guarded {
-                if !pick(*gs) {
-                    continue;
+            let mut new = 0;
+            for &(gs, ri) in &guarded {
+                if strata.contains(&gs) {
+                    new += full_round(program, &[ri], cache, db, drive)?;
                 }
-                ensure_indexes(std::slice::from_ref(plan), db);
-                changed += match plan.head_kind {
-                    HeadKind::Grouping { .. } => {
-                        meter.check()?;
-                        let (tuples, attempts) = run_grouping_rule(plan, db, opts.budget.gate());
-                        let mut n = 0;
-                        for t in tuples {
-                            if db.insert_id_slice(plan.head.pred, &t) {
-                                n += 1;
-                            }
-                        }
-                        meter.charge(attempts, n);
-                        meter.check()?;
-                        n as usize
-                    }
-                    HeadKind::Simple => {
-                        run_rule_once(plan, db, None, opts, &mut EvalStats::new(), meter)?
-                    }
-                };
             }
-            Ok(changed)
+            Ok(new)
         };
 
         // Stage-by-stage schedule. A guarded rule at stratum s (a group or a
@@ -173,24 +164,33 @@ impl MagicEvaluator {
         // lower strata and enable new stratum-s bindings. Already-emitted
         // groups/negation results stay valid — a binding's derivations are
         // determined by its own magic closure, which was saturated when the
-        // binding was processed.
+        // binding was processed. The magic schedule is not layered; abort
+        // diagnostics report the stage and the query predicate.
+        drive.meter.set_context(0, Some(mp.query.pred));
+        full_round(program, &base, &mut cache, &mut db, &mut drive)?;
         let max_stratum = guarded.iter().map(|(s, _)| *s).max().unwrap_or(0);
         for s in 0..=max_stratum {
-            meter.set_context(s, Some(mp.query.pred));
+            drive.meter.set_context(s, Some(mp.query.pred));
             loop {
-                loop {
-                    run_base(&mut db, &self.options, &mut meter)?;
-                    if apply_guarded(&mut db, &self.options, &mut meter, &|gs| gs < s)? == 0 {
-                        break;
-                    }
-                }
-                if apply_guarded(&mut db, &self.options, &mut meter, &|gs| gs == s)? == 0 {
+                delta_loop(
+                    program,
+                    &base,
+                    &mut cache,
+                    &mut db,
+                    &mut frontier,
+                    &mut drive,
+                )?;
+                // The stratum-s rules only once the lower ones add nothing.
+                if run_guarded(0..s, &mut cache, &mut db, &mut drive)? == 0
+                    && run_guarded(s..s + 1, &mut cache, &mut db, &mut drive)? == 0
+                {
                     break;
                 }
             }
         }
-        run_base(&mut db, &self.options, &mut meter)?;
-        Ok(db)
+        stats.interner_values = intern::len() as u64;
+        stats.record_arena(&db);
+        Ok((db, stats))
     }
 
     /// One-shot: compile, evaluate, and answer the query. This is
@@ -204,7 +204,7 @@ impl MagicEvaluator {
         // Check the *original* program (the rewritten one is deliberately
         // non-layered).
         if self.options.check_wf {
-            ldl_ast::wf::check_program(program, Dialect::Ldl1).map_err(EvalError::from)?;
+            ldl_ast::wf::check_program(program, self.options.dialect).map_err(EvalError::from)?;
         }
         Stratification::canonical(program)?;
         let mp = Self::compile(program, query)?;

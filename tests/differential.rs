@@ -21,7 +21,8 @@
 //! * magic-sets answers ≡ plain answers;
 //! * sliced parallel execution at 4 and 8 workers ≡ sequential execution —
 //!   same facts, same insertion orders, same work counters — for one-shot
-//!   evaluation and for mutation maintenance.
+//!   evaluation, for mutation maintenance, and for the magic evaluator's
+//!   staged schedule.
 //!
 //! Beyond set equality, sequential and parallel evaluation must agree on
 //! every relation's *tuple insertion order*: the parallel evaluator's claim
@@ -31,8 +32,8 @@
 //! decides who does the work, never how much of it there is.
 
 use ldl1::{
-    check_model, reference_model, Database, EvalOptions, Evaluator, FactSet, Program, Symbol,
-    System, Value,
+    check_model, reference_model, Database, EvalOptions, Evaluator, FactSet, MagicEvaluator,
+    Program, Symbol, System, Value,
 };
 use ldl_testkit::gen::{mutation_sequence, stratified_case, GenConst, GenMutation, GeneratedCase};
 use ldl_testkit::{cases_shrink, Rng};
@@ -265,6 +266,56 @@ fn magic_queries_agree_after_mutations() {
             .map(|a| format!("{a:?}"))
             .collect();
         assert_eq!(plain, magic, "magic vs plain diverged on {q}");
+    });
+}
+
+/// The magic evaluator runs its staged schedule on the engine's own rounds,
+/// so it owes the same determinism: at 1, 4 and 8 workers the rewritten
+/// program's model has identical per-relation insertion orders and costs
+/// identical work — and a query with its first argument bound (to a
+/// constant the EDB actually holds) answers as the plain engine does.
+#[test]
+fn magic_evaluation_matches_across_worker_counts() {
+    cases_shrink(96, 12, |rng: &mut Rng, size: u32| {
+        let case = stratified_case(rng, size);
+        let (program, edb) = (program_of(&case), edb_of(&case));
+        let q = match case.edb.iter().find(|(pred, _)| *pred == "e0") {
+            Some((_, args)) => format!("{}({}, Y)", case.top, value_of(&args[0])),
+            None => format!("{}(X, Y)", case.top),
+        };
+        let query = ldl1::parser::parse_atom(&q).unwrap();
+        let mp = MagicEvaluator::compile(&program, &query).unwrap();
+        let run = |parallelism: usize| {
+            let opts = EvalOptions {
+                parallelism,
+                ..EvalOptions::default()
+            };
+            MagicEvaluator::with_options(opts)
+                .evaluate_stats(&mp, &program, &edb)
+                .unwrap()
+        };
+        let work = |s: &ldl1::EvalStats| (s.attempts, s.index_probes, s.dedup_inserts, s.rounds);
+
+        let (seq, seq_stats) = run(1);
+        assert_eq!(
+            Evaluator::new().query(&evaluate(&case, 1), &query),
+            Evaluator::new().query(&seq, &mp.query),
+            "magic vs plain diverged on {q}"
+        );
+        let seq_orders = insertion_orders(&seq);
+        for jobs in [4, 8] {
+            let (par, par_stats) = run(jobs);
+            assert_eq!(
+                seq_orders,
+                insertion_orders(&par),
+                "magic schedule permuted insertion order at jobs={jobs} on {q}"
+            );
+            assert_eq!(
+                work(&seq_stats),
+                work(&par_stats),
+                "magic schedule changed (attempts, index_probes, dedup_inserts, rounds) at jobs={jobs} on {q}"
+            );
+        }
     });
 }
 

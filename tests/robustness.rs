@@ -482,3 +482,85 @@ fn magic_query_with_outside_u_term() {
     assert!(sys2.query_magic("anc(scons(1, 2), Y)").unwrap().is_empty());
     assert_eq!(sys2.query_magic("anc(1, Y)").unwrap().len(), 1);
 }
+
+/// A predicate has one arity. An assertion that disagrees — with the
+/// stored relation, with the cached model, or with an earlier assertion of
+/// its own batch — fails validation before anything is applied (it used to
+/// abort the process in the storage layer's `assert_eq!`).
+#[test]
+fn asserting_a_second_arity_is_a_mutation_error() {
+    use ldl1::{Error, MutationError};
+    let rejected = |res: Result<(), Error>, want: usize| match res {
+        Err(Error::Mutation(MutationError::ArityMismatch { fact, expected })) => {
+            assert_eq!((fact.arity(), expected), (3, want), "{fact}")
+        }
+        other => panic!("expected MutationError::ArityMismatch, got {other:?}"),
+    };
+
+    // Against the stored relation, with no model cached.
+    let mut sys = System::new();
+    sys.load("q(X) <- e(X, _). e(1, 2).").unwrap();
+    rejected(sys.fact("e(1, 2, 3)."), 2);
+    rejected(sys.load("e(3, 4). e(1, 2, 3)."), 2);
+    assert_eq!(sys.edb().num_facts(), 1, "a rejected batch applies nothing");
+    assert_eq!(sys.query("q(X)").unwrap().len(), 1);
+    assert_eq!(sys.query_magic("q(X)").unwrap().len(), 1);
+
+    // Onto a cached model: against the EDB relation, and against a relation
+    // only the model holds (a derived predicate with no stored facts).
+    rejected(sys.fact("e(1, 2, 3)."), 2);
+    rejected(sys.fact("q(1, 2, 3)."), 1);
+    // Against an earlier assertion of the same batch.
+    let mut b = sys.mutate();
+    b.assert_fact("fresh(1).").unwrap();
+    b.assert_fact("fresh(1, 2, 3).").unwrap();
+    rejected(b.commit(), 1);
+    assert!(sys.query("fresh(X)").unwrap().is_empty());
+
+    // The system keeps committing and answering.
+    sys.fact("e(5, 6).").unwrap();
+    assert_eq!(sys.query("q(X)").unwrap().len(), 2);
+    assert_eq!(sys.query_magic("q(X)").unwrap().len(), 2);
+}
+
+/// A body literal whose argument count differs from the stored relation's
+/// is an `ArityMismatch` wherever the rule is run — not an index out of
+/// bounds in the executor, not a silently short match with `_`, and the
+/// same under `query`, `query_magic` and the reference evaluator.
+#[test]
+fn body_literal_arity_conflict_is_an_eval_error() {
+    let arity_error = |res: Result<Vec<ldl1::QueryAnswer>, ldl1::Error>| match res {
+        Err(ldl1::Error::Eval(EvalError::ArityMismatch {
+            pred,
+            expected,
+            found,
+        })) => (pred, expected, found),
+        other => panic!("expected EvalError::ArityMismatch, got {other:?}"),
+    };
+    for body in ["e(X, Y, Z)", "e(X, _, _)", "ok(X), ~e(X, _, _)"] {
+        let mut sys = System::new();
+        sys.load(&format!("q(X) <- {body}. ok(X) <- f(X). e(1, 2). f(1)."))
+            .unwrap();
+        for _ in 0..2 {
+            let want = ("e".to_string(), 2, 3);
+            assert_eq!(arity_error(sys.query("q(X)")), want, "{body}");
+            assert_eq!(arity_error(sys.query_magic("q(X)")), want, "{body}");
+        }
+        assert!(matches!(
+            reference_model(sys.program(), sys.edb()),
+            Err(EvalError::ArityMismatch { .. })
+        ));
+        // Magic evaluation only runs the rules the query reaches.
+        assert_eq!(sys.query_magic("ok(X)").unwrap().len(), 1);
+    }
+
+    // A stored fact at odds with the rules defining its predicate: the same
+    // error under both strategies (`query_magic` used to panic).
+    let mut sys = System::new();
+    sys.load("r(X, Y) <- e(X, Y). q(X) <- r(X, _). ok(X) <- e(X, _). e(1, 2). r(7).")
+        .unwrap();
+    let want = ("r".to_string(), 1, 2);
+    assert_eq!(arity_error(sys.query("q(X)")), want);
+    assert_eq!(arity_error(sys.query_magic("q(X)")), want);
+    assert_eq!(sys.query_magic("ok(X)").unwrap().len(), 1);
+}
