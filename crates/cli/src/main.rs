@@ -33,8 +33,6 @@ Commands:
   :plan [PRED]        show the join plans (step order, indexes, estimates)
   :magic QUERY.       answer a query via the magic-set pipeline
   :stats              work counters of the last evaluation (full or incremental)
-  :jobs [N]           show or set evaluation worker count
-                      (a positive integer, or 'auto'/'all' for every core)
   :limits [...]       show or set resource limits:
                       :limits fuel N | timeout DUR | facts N | off
                       (DUR like 500ms or 2s; programs with infinite models
@@ -125,18 +123,29 @@ fn open_data_dir(dir: &str) -> System {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `--data-dir` decides how the system is *constructed*, so resolve it
-    // before the positional left-to-right pass loads any file.
+    // before the positional left-to-right pass loads any file — and reject
+    // an unknown option here too, before anything is opened or loaded.
     let mut data_dir: Option<String> = None;
     let mut pre = args.iter();
     while let Some(a) = pre.next() {
-        if a == "--data-dir" {
-            match pre.next() {
+        match a.as_str() {
+            "--data-dir" => match pre.next() {
                 Some(d) => data_dir = Some(d.clone()),
                 None => {
                     eprintln!("error: --data-dir requires a directory");
                     std::process::exit(1);
                 }
+            },
+            // The operand is validated by the pass below.
+            "--timeout" | "--fuel" | "--max-facts" => {
+                let _ = pre.next();
             }
+            "--batch" | "-b" | "--stats" | "--explain" | "--help" | "-h" => {}
+            opt if opt.starts_with('-') => {
+                eprintln!("error: unknown option '{opt}' (see --help)");
+                std::process::exit(2);
+            }
+            _file => {}
         }
     }
     let mut sys = match &data_dir {
@@ -159,7 +168,7 @@ fn main() {
             "--explain" => show_plans = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: ldl1 [--batch] [--stats] [--explain] [--jobs N] \
+                    "usage: ldl1 [--batch] [--stats] [--explain] \
                      [--timeout DUR] [--fuel N] [--max-facts N] \
                      [--data-dir DIR] [FILE...]\n\n{HELP}"
                 );
@@ -168,19 +177,6 @@ fn main() {
             "--data-dir" => {
                 // Consumed by the pre-scan; skip the directory operand here.
                 let _ = iter.next();
-            }
-            "--jobs" | "-j" => {
-                let jobs = iter
-                    .next()
-                    .ok_or_else(|| "--jobs requires a worker count".to_string())
-                    .and_then(|v| ldl1::parse_jobs(v));
-                match jobs {
-                    Ok(n) => sys.set_parallelism(n),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
-                }
             }
             "--timeout" => {
                 let dur = iter.next().and_then(|v| parse_duration(v));
@@ -418,16 +414,6 @@ fn command(sys: &mut System, cmd: &str) -> bool {
                         show_limits(sys);
                     }
                     _ => eprintln!("error: usage: :limits [fuel N | timeout DUR | facts N | off]"),
-                }
-            }
-        }
-        ":jobs" => {
-            if rest.is_empty() {
-                println!("jobs: {}", sys.parallelism());
-            } else {
-                match ldl1::parse_jobs(rest) {
-                    Ok(n) => sys.set_parallelism(n),
-                    Err(e) => eprintln!("error: :jobs: {e}"),
                 }
             }
         }

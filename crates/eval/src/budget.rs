@@ -13,11 +13,11 @@
 //!   *cooperatively at round boundaries*: the fixpoints call
 //!   [`BudgetMeter::check`] before and after each evaluation round, never
 //!   inside one. A round reads one immutable snapshot and merges its
-//!   buffers in fixed order, so aborting only *between* rounds preserves
-//!   the bit-for-bit determinism of the parallel evaluator — a run either
-//!   completes identically to a sequential run or aborts wholesale;
-//! * a [`RoundGate`] is the per-derivation-attempt hook handed to the
-//!   parallel work units. On the production path it is a no-op (no atomics
+//!   buffers in fixed order, so aborting only *between* rounds keeps every
+//!   run deterministic — it either completes identically to an unbudgeted
+//!   run or aborts wholesale;
+//! * a [`RoundGate`] is the per-derivation-attempt hook handed to every
+//!   rule pass. On the production path it is a no-op (no atomics
 //!   per tuple — the per-round check is the only real cost); when a test
 //!   arms the token with [`CancelToken::trip_after`], each attempt counts
 //!   down and trips cancellation at a chosen derivation — the fault
@@ -195,8 +195,7 @@ impl fmt::Display for ResourceKind {
 pub struct Budget {
     /// Maximum derivation attempts (body solutions enumerated across all
     /// rule passes). The deterministic work cap: independent of machine
-    /// speed, and — except for fully-existential ground-head rules, see
-    /// [`EvalStats::attempts`](crate::EvalStats) — of worker count.
+    /// speed.
     pub fuel: Option<u64>,
     /// Wall-clock limit for the whole drive, measured from the moment the
     /// evaluation starts (checked at round boundaries).
@@ -266,12 +265,13 @@ impl Budget {
     }
 }
 
-/// Per-derivation-attempt hook handed to parallel work units.
+/// Per-derivation-attempt hook handed to every rule pass.
 ///
-/// `Copy` and `Sync`, so every slice of a round can carry one. On the
-/// production path [`tick`](RoundGate::tick) does nothing; when the budget's
-/// token is armed with [`CancelToken::trip_after`] it counts attempts down
-/// and trips cancellation.
+/// `Copy`, so every pass of a round can carry one while the meter stays
+/// exclusively borrowed. On the production path [`tick`](RoundGate::tick)
+/// does nothing; when the budget's token is armed with
+/// [`CancelToken::trip_after`] it counts attempts down and trips
+/// cancellation.
 #[derive(Clone, Copy, Debug)]
 pub struct RoundGate<'a> {
     cancel: Option<&'a CancelInner>,

@@ -21,8 +21,7 @@ use crate::unify::match_slice;
 /// How a rule is evaluated is not configurable: the engine always iterates
 /// semi-naively over indexed relations, plans joins from relation
 /// statistics, and runs them as lowered register programs ([`crate::exec`]).
-/// These options choose what is checked, how work is spread over threads,
-/// and the resource limits.
+/// These options choose what is checked and the resource limits.
 ///
 /// Not `Copy`: the [`Budget`] carries a shared [`CancelToken`](crate::CancelToken)
 /// handle. Clone it where a copy was implied.
@@ -34,27 +33,16 @@ pub struct EvalOptions {
     /// `<t>` patterns in rule bodies, which the matcher evaluates natively
     /// with the §4.1 uniform-structure semantics.
     pub dialect: Dialect,
-    /// Worker count for parallel stratum evaluation: each fixpoint round
-    /// evaluates its rule passes (and slices of large delta ranges) on this
-    /// many threads against an immutable database snapshot, merging the
-    /// derived-fact buffers in fixed rule order. The computed model —
-    /// including every tuple's insertion position — is bit-for-bit
-    /// identical at any setting.
-    ///
-    /// `1` (the default) evaluates inline with no threads; `0` means "use
-    /// [`std::thread::available_parallelism`]". The default can be
-    /// overridden process-wide with the `LDL1_JOBS` environment variable
-    /// (read once), which CI uses to run the whole suite through the
-    /// parallel path.
+    // Read by nothing; declared only because `benchmark/src/cold.rs` names it.
+    #[doc(hidden)]
     pub parallelism: usize,
     // Read by nothing; declared only because `benchmark/src/cold.rs` names it.
     #[doc(hidden)]
     pub partitioned: bool,
     /// Resource limits and the cancellation token for every evaluation
     /// drive run under these options. Default: [`Budget::unlimited`].
-    /// Checked cooperatively at round boundaries, so an abort never breaks
-    /// the parallel evaluator's determinism — a run either completes
-    /// bit-identically or fails with
+    /// Checked cooperatively at round boundaries — a run either completes
+    /// or fails with
     /// [`EvalError::ResourceExhausted`](crate::EvalError) and leaves the
     /// caller's state untouched.
     pub budget: Budget,
@@ -65,59 +53,11 @@ impl Default for EvalOptions {
         EvalOptions {
             check_wf: true,
             dialect: Dialect::Ldl1,
-            parallelism: env_default_parallelism(),
+            parallelism: 1,
             partitioned: false,
             budget: Budget::default(),
         }
     }
-}
-
-impl EvalOptions {
-    /// The actual worker count to use: `parallelism`, with `0` resolved to
-    /// the machine's available parallelism (at least 1).
-    pub fn effective_parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-    }
-}
-
-/// Parse a worker-count spelling as used by `LDL1_JOBS` and the CLI's
-/// `--jobs`: a positive integer, or `auto`/`all` for "every available
-/// core" (the programmatic `parallelism = 0`). Rejections are explicit —
-/// `0` and garbage produce an error instead of a silent fallback, so a
-/// typo in CI cannot quietly serialize (or fail to serialize) a run.
-pub fn parse_jobs(s: &str) -> Result<usize, String> {
-    let s = s.trim();
-    if s.eq_ignore_ascii_case("auto") || s.eq_ignore_ascii_case("all") {
-        return Ok(0);
-    }
-    match s.parse::<usize>() {
-        Ok(0) => {
-            Err("worker count 0 is reserved; use 'auto' (or 'all') for every available core".into())
-        }
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "invalid worker count '{s}': expected a positive integer, 'auto', or 'all'"
-        )),
-    }
-}
-
-/// The process-wide default for [`EvalOptions::parallelism`]: `LDL1_JOBS`
-/// parsed by [`parse_jobs`] when set, else 1. An invalid value panics with
-/// a diagnostic rather than silently falling back to one worker. Cached
-/// after the first read.
-fn env_default_parallelism() -> usize {
-    use std::sync::OnceLock;
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| match std::env::var("LDL1_JOBS") {
-        Err(_) => 1,
-        Ok(v) => match parse_jobs(&v) {
-            Ok(n) => n,
-            Err(e) => panic!("LDL1_JOBS: {e}"),
-        },
-    })
 }
 
 /// One answer to a query: the queried atom's variables bound to values.

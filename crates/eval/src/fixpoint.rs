@@ -9,13 +9,11 @@
 //!   (simple or grouping heads alike) runs against an *immutable snapshot*
 //!   of the database, each pass collecting its derived facts into its own
 //!   buffer, then the buffers are merged in fixed task order — the only
-//!   place derived facts enter the database. The passes are independent, so
-//!   they execute on a worker pool ([`crate::pool`]); a pass whose first
-//!   step scans a large range is additionally cut into contiguous slices,
-//!   one work unit per slice — the only way a pass is ever split. The
-//!   ordered merge makes the result — including every tuple's insertion
-//!   position, which the [`DeltaFrontier`] marks depend on — bit-for-bit
-//!   identical at any worker count, including 1.
+//!   place derived facts enter the database. Derive-then-merge is the
+//!   definition, not an optimisation: no pass of a round sees what another
+//!   pass of the same round derived, and every tuple's insertion position —
+//!   which the [`DeltaFrontier`] marks depend on — is a function of the
+//!   program and the data alone.
 //! * [`delta_loop`] is the only semi-naive driver: it runs rounds of
 //!   delta-first passes over a [`DeltaFrontier`] until no delta predicate
 //!   has grown. Its callers differ only in the frontier they hand it: a
@@ -41,20 +39,17 @@ use crate::exec::run_ram;
 use crate::grouping::run_grouping_rule;
 use crate::plan::{
     check_arity, ensure_plan_indexes, take_exist_cuts, take_index_probes, DeltaRestriction,
-    HeadKind, RulePlan, Step,
+    RulePlan,
 };
-use crate::pool::{Job, Pool};
 use crate::ram::{eval_expr, take_lowerings, Expr, HeadIr};
 use crate::stats::EvalStats;
 
 /// What the rounds of one operation — a full evaluation, a mutation batch,
-/// a magic-set query — share: the options they run under, the worker pool
-/// (its threads are spawned once per operation, not once per fixpoint), the
-/// work counters every round folds into, and the budget meter that makes
-/// the operation abort as a unit.
+/// a magic-set query — share: the options they run under, the work counters
+/// every round folds into, and the budget meter that makes the operation
+/// abort as a unit.
 pub struct Drive<'a> {
     opts: &'a EvalOptions,
-    pool: Pool,
     /// The operation's work counters.
     pub stats: &'a mut EvalStats,
     /// The operation's consumption ledger, checked at round boundaries.
@@ -67,7 +62,6 @@ impl<'a> Drive<'a> {
     pub fn new(opts: &'a EvalOptions, stats: &'a mut EvalStats) -> Drive<'a> {
         Drive {
             opts,
-            pool: Pool::new(opts.effective_parallelism()),
             stats,
             meter: BudgetMeter::new(&opts.budget),
         }
@@ -293,7 +287,7 @@ pub(crate) fn evaluate_layers(
         // Lemma 3.2.3: grouping rules first, once, over the lower layers.
         // Admissibility (§3.1 clause 2) puts every grouping body predicate
         // strictly below this layer, so the grouping rules cannot observe
-        // each other's heads — one parallel round, merged in rule order.
+        // each other's heads — one round, merged in rule order.
         full_round(program, &split.grouping, &mut cache, db, drive)?;
 
         // Then the remaining rules to fixpoint. Non-recursive layers carry
@@ -479,7 +473,7 @@ impl DerivedBuf {
 }
 
 /// One rule pass's output: the derived buffer plus the per-pass counters,
-/// drained from the worker thread's thread-locals.
+/// drained from the evaluating thread's thread-locals.
 #[derive(Default)]
 pub(crate) struct PassOut {
     /// Derived head tuples in body-solution order.
@@ -499,8 +493,8 @@ pub(crate) struct PassOut {
 /// grouping head, one tuple per group in first-solution order) plus the
 /// index probes, existential short-circuits, plan lowerings, and derivation
 /// attempts (body solutions enumerated — the fuel unit) the pass performed.
-/// This is the parallel work unit: it never mutates anything. The body runs
-/// through the plan's lowered register program ([`crate::exec`]).
+/// It never mutates anything. The body runs through the plan's lowered
+/// register program ([`crate::exec`]).
 ///
 /// The `gate` is the cooperative-cancellation tap: one armed-only atomic
 /// tick per body solution, and an entry check that skips the whole pass
@@ -532,7 +526,7 @@ pub(crate) fn derive_once(
                 });
             }
             // A grouping rule must see *all* body solutions of its group in
-            // one pass (the aggregation is not decomposable): never a slice.
+            // one pass (the aggregation is not decomposable): never a range.
             HeadIr::Grouping { .. } => {
                 debug_assert!(restrict.is_none(), "grouping pass restricted");
                 derive_grouped(plan, db, gate, &mut out);
@@ -576,43 +570,10 @@ fn project_head(head: &[Expr], regs: &[ValueId], data: &mut Vec<ValueId>) -> boo
     true
 }
 
-/// Below this many delta tuples a pass is not worth splitting across
-/// workers: the per-task dispatch cost would outweigh the join work.
-const MIN_SLICE: u32 = 64;
-
-/// The position range a task's pass can be cut along: the delta range of a
-/// restricted pass, or the whole relation of an unrestricted pass's step 0
-/// (the full-range restriction is semantically a no-op). `None` unless that
-/// step is a *full* scan — a probing scan visits one posting list whatever
-/// its range, so every slice would repeat the same probe — and for a
-/// grouping plan, whose groups must be collected whole.
-fn slice_range(t: &RoundTask<'_>, db: &Database) -> Option<DeltaRestriction> {
-    if matches!(t.plan.head_kind, HeadKind::Grouping { .. }) {
-        return None;
-    }
-    let step = t.restrict.map_or(0, |r| r.step);
-    match t.plan.steps.get(step)? {
-        Step::Scan {
-            pred, index_cols, ..
-        } if index_cols.is_empty() => Some(t.restrict.unwrap_or(DeltaRestriction {
-            step,
-            lo: 0,
-            hi: len_of(db, *pred) as u32,
-        })),
-        _ => None,
-    }
-}
-
-/// The derive phase of a round: run every task against `db` (immutable for
-/// the duration) and return each work unit's head predicate and derived
-/// buffer, in task order, with the passes' counters folded into the
-/// operation's stats and their attempts charged to its meter.
-///
-/// Work distribution: each task is one unit, except that a task whose
-/// [`slice_range`] covers ≥ 2·[`MIN_SLICE`] tuples is split into up to
-/// `parallelism` contiguous slices. Slices of one task stay adjacent, so
-/// the concatenated derivation order is identical to an unsplit,
-/// single-threaded pass.
+/// The derive phase of a round: run every task, in task order, against `db`
+/// (immutable for the duration) and return each task's head predicate and
+/// derived buffer, with the passes' counters folded into the operation's
+/// stats and their attempts charged to its meter.
 ///
 /// [`run_round`] merges the buffers; the one caller that must not —
 /// counting deletion, whose derived tuples are *losses* to decrement —
@@ -626,81 +587,33 @@ pub(crate) fn derive_round(
     if tasks.is_empty() {
         return Ok(Vec::new());
     }
-    let parallelism = drive.pool.parallelism();
-    let mut units: Vec<(&RulePlan, Option<DeltaRestriction>)> = Vec::new();
-    for t in tasks {
-        match slice_range(t, db) {
-            Some(r) if parallelism > 1 && r.hi - r.lo >= 2 * MIN_SLICE => {
-                let span = r.hi - r.lo;
-                let slices = (span / MIN_SLICE).min(parallelism as u32).max(1);
-                let step = span / slices;
-                for s in 0..slices {
-                    let lo = r.lo + s * step;
-                    let hi = if s + 1 == slices { r.hi } else { lo + step };
-                    units.push((
-                        t.plan,
-                        Some(DeltaRestriction {
-                            step: r.step,
-                            lo,
-                            hi,
-                        }),
-                    ));
-                }
-            }
-            _ => units.push((t.plan, t.restrict)),
-        }
-    }
-
-    // One buffer per unit. The gate is a `Copy` view of the budget's cancel
-    // token, so every worker taps the same countdown/flag without touching
-    // the (exclusively borrowed) meter.
+    // The gate is a `Copy` view of the budget's cancel token, so a pass taps
+    // the countdown/flag without touching the (exclusively borrowed) meter.
     let gate = drive.opts.budget.gate();
-    let mut outs: Vec<PassOut> = Vec::new();
-    outs.resize_with(units.len(), Default::default);
-    if parallelism == 1 || units.len() <= 1 {
-        for ((plan, restrict), out) in units.iter().zip(&mut outs) {
-            *out = derive_once(plan, db, *restrict, gate);
-        }
-    } else {
-        let jobs: Vec<Job<'_>> = units
-            .iter()
-            .zip(outs.iter_mut())
-            .map(|(&(plan, restrict), out)| {
-                Box::new(move || {
-                    *out = derive_once(plan, db, restrict, gate);
-                }) as Job<'_>
-            })
-            .collect();
-        drive.pool.run(jobs);
-    }
-
     let stats = &mut *drive.stats;
     stats.rounds += 1;
     stats.compiled_rounds += 1;
     stats.rules_fired += tasks.len() as u64;
-    stats.parallel_tasks += units.len() as u64;
     let mut attempts = 0u64;
-    for out in &outs {
+    let mut derived = Vec::with_capacity(tasks.len());
+    for t in tasks {
+        let out = derive_once(t.plan, db, t.restrict, gate);
         stats.index_probes += out.probes;
         stats.exist_cuts += out.cuts;
         stats.lowerings += out.lowerings;
         attempts += out.attempts;
+        derived.push((t.plan.head.pred, out.buf));
     }
     stats.attempts += attempts;
     drive.meter.charge(attempts, 0);
-    Ok(units
-        .iter()
-        .zip(outs)
-        .map(|((plan, _), out)| (plan.head.pred, out.buf))
-        .collect())
+    Ok(derived)
 }
 
 /// Execute one evaluation round — one application of §3.2's `R` — and the
 /// only place derived facts enter the database: `derive_round` runs every
-/// task against the current state, then the buffers are merged in unit
-/// order, sequentially, so every insertion position is identical at any
-/// worker count. The tuples are already interned ids, so a rejected
-/// duplicate costs one hash of a few u32s. Returns the number of new facts.
+/// task against the current state, then the buffers are merged in task
+/// order. The tuples are already interned ids, so a rejected duplicate
+/// costs one hash of a few u32s. Returns the number of new facts.
 ///
 /// Budget checks bracket the round ([`BudgetMeter::check`] before the
 /// derive phase, charge-and-check after the merge). A round is therefore

@@ -33,14 +33,13 @@ pub mod grouping;
 pub mod incremental;
 pub mod model;
 pub mod plan;
-pub mod pool;
 pub mod ram;
 pub mod retract;
 pub mod stats;
 pub mod unify;
 
 pub use budget::{Budget, BudgetMeter, CancelToken, ResourceKind, RoundGate};
-pub use engine::{parse_jobs, EvalOptions, Evaluator, QueryAnswer};
+pub use engine::{EvalOptions, Evaluator, QueryAnswer};
 pub use error::EvalError;
 pub use explain::explain;
 pub use model::{check_model, reference_model, ModelViolation};

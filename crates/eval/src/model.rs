@@ -14,7 +14,7 @@
 //!   engine's computed model is indeed a model.
 //! * [`reference_model`] computes the standard model by iterating
 //!   `R(M) = ⋃ r(M) ∪ M` layer by layer (§3.2, Theorem 1) — no deltas, no
-//!   statistics, no lowering, no worker pool, no budget.
+//!   statistics, no lowering, no budget.
 //!
 //! Both are built on `apply_rule`, the paper's `r(M)`: a tree-walking
 //! interpreter over greedy, statistics-free plans ([`RulePlan::compile`]).

@@ -21,8 +21,8 @@
 //! `len(R) / distinct(bound columns)` for an indexable one, using the
 //! per-column distinct-value sketches `ldl-storage` maintains on insert.
 //! Ties break by relation size, then by source literal order — never by
-//! anything evaluation-order-dependent, so any worker count compiles the
-//! same plan. Without a database every estimate ties and the body runs in
+//! map iteration order, so the same program over the same data compiles
+//! the same plan. Without a database every estimate ties and the body runs in
 //! executable source order, which is what the magic-set evaluator asks
 //! for: its rewritten bodies are already in sip order. The reference
 //! evaluator ([`crate::model`]) plans with [`RulePlan::compile`] instead —
@@ -53,9 +53,9 @@ use crate::unify::{eval_term, match_slice};
 
 thread_local! {
     /// Hash-index probes performed on this thread since the last
-    /// [`take_index_probes`]. Thread-local so parallel workers count
-    /// independently; the fixpoint driver drains the counter per work unit,
-    /// which keeps the summed total deterministic at any worker count.
+    /// [`take_index_probes`]. Thread-local so two systems evaluating on
+    /// two threads count independently; the fixpoint driver drains the
+    /// counter per rule pass.
     static INDEX_PROBES: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -77,9 +77,7 @@ pub(crate) fn note_exist_cut() {
 thread_local! {
     /// Existential short-circuits taken on this thread since the last
     /// [`take_exist_cuts`]: body-tail existence checks that found a witness
-    /// and stopped. Drained per work unit like [`INDEX_PROBES`], so the
-    /// summed total is deterministic at any worker count (up to delta
-    /// slicing of ground-head rules — see `EvalStats::exist_cuts`).
+    /// and stopped. Drained per rule pass like [`INDEX_PROBES`].
     static EXIST_CUTS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -166,9 +164,8 @@ pub struct RulePlan {
     /// cardinality is the delta's, unknown at compile time).
     pub est_rows: Vec<f64>,
     /// The plan's lowered register program ([`crate::ram`]), built lazily on
-    /// first execution and then shared — the `OnceLock` runs the
-    /// lowering exactly once even when parallel workers race, which keeps
-    /// the `lowerings` stat deterministic. Cloning a plan drops the cache
+    /// first execution and then shared across rounds — the `OnceLock` runs
+    /// the lowering exactly once. Cloning a plan drops the cache
     /// (the clone may be mutated into a variant before execution).
     pub(crate) ram: std::sync::OnceLock<std::sync::Arc<crate::ram::RamProgram>>,
 }
@@ -213,8 +210,8 @@ impl RulePlan {
     ///
     /// Tie-breaking is fully deterministic: class priority, then estimated
     /// cost, then relation size, then source literal order. Nothing depends
-    /// on worker count or map iteration order, so every configuration
-    /// compiles bit-for-bit identical plans.
+    /// on map iteration order, so every run compiles bit-for-bit identical
+    /// plans.
     pub fn compile_with(
         rule: &Rule,
         db: Option<&Database>,

@@ -28,9 +28,9 @@
 //! evaluator ([`crate::model`]), which interprets plans directly.
 //!
 //! Lowering happens at most once per plan: `RulePlan::lowered` caches the
-//! program in a `OnceLock`, so a cached plan reused across rounds (or
-//! shared by parallel workers) is lowered exactly once — the total counted
-//! by [`take_lowerings`] is deterministic at any worker count.
+//! program in a `OnceLock`, so a cached plan reused across rounds is
+//! lowered exactly once — the total counted by [`take_lowerings`] does not
+//! grow with rounds.
 
 use std::cell::Cell;
 
@@ -45,9 +45,8 @@ use crate::plan::{has_anon, term_bound, HeadKind, RulePlan, Step};
 
 thread_local! {
     /// Plan lowerings performed on this thread since the last
-    /// [`take_lowerings`]. Drained per work unit like the index-probe
-    /// counter, so the summed total is deterministic at any worker count
-    /// (each plan's `OnceLock` runs the lowering exactly once).
+    /// [`take_lowerings`]. Drained per rule pass like the index-probe
+    /// counter (each plan's `OnceLock` runs the lowering exactly once).
     static LOWERINGS: Cell<u64> = const { Cell::new(0) };
 }
 

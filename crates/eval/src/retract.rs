@@ -36,7 +36,7 @@
 //!   arithmetic) falls back to the stratum truncate-and-replay path that
 //!   insertion already uses — always sound, never differential.
 //!
-//! Everything runs on one [`Drive`] — one worker pool, one budget meter: a
+//! Everything runs on one [`Drive`] — one set of counters, one budget meter: a
 //! batch that trips its budget mid-flight aborts as a unit, and
 //! [`apply_mutations`] restores the EDB bit-identically (tombstoned
 //! positions revived, appended tuples truncated) so a retry replays the

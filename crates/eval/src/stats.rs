@@ -12,14 +12,12 @@ use std::ops::AddAssign;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Rule-pass executions: the tasks of every round, simple and grouping
-    /// heads alike (a pass cut into slices still counts once).
+    /// heads alike.
     pub rules_fired: u64,
     /// Derivation attempts: body solutions enumerated across all rule
     /// passes (including ones whose head fell outside `U` or deduplicated
     /// away). This is the unit the fuel budget
-    /// ([`Budget::fuel`](crate::Budget)) meters. Deterministic except for
-    /// rules whose *entire* body is existential (ground heads): their
-    /// short-circuit point, like `exist_cuts`, can vary with `parallelism`.
+    /// ([`Budget::fuel`](crate::Budget)) meters.
     pub attempts: u64,
     /// Facts newly inserted into the database (duplicates excluded).
     pub facts_derived: u64,
@@ -56,13 +54,9 @@ pub struct EvalStats {
     /// Evaluation rounds executed (one round = a batch of rule passes — all
     /// eligible passes of a stratum, or one counting-insert variant or magic
     /// guarded rule — applied against one immutable database snapshot).
-    /// Deterministic: it does not vary with `EvalOptions::parallelism`.
     pub rounds: u64,
-    /// Parallel work units executed (a rule pass, or one contiguous slice
-    /// of a delta range). Unlike every other counter this *does*
-    /// depend on `parallelism` — large deltas split into more tasks when
-    /// more workers are available — so it measures how much work was
-    /// available to spread, not what was derived.
+    // Never written; declared only because `benchmark/src/pipeline.rs` names it.
+    #[doc(hidden)]
     pub parallel_tasks: u64,
     /// Plan-cache lookups answered from the cache (same rule, same delta
     /// role, same relation-statistics epochs as when the plan was built).
@@ -75,9 +69,6 @@ pub struct EvalStats {
     /// Existential short-circuits: body-tail existence checks (steps past a
     /// plan's `exist_from` point, which bind no head or grouping variable)
     /// that found a witness and stopped instead of enumerating all matches.
-    /// Like `parallel_tasks` this can vary with `parallelism`, but only for
-    /// rules whose *entire* body is existential (ground heads): each delta
-    /// slice then performs its own check.
     pub exist_cuts: u64,
     /// Rule plans lowered to RAM-style register programs. Each cached plan
     /// is lowered at most once, on its first execution, so this counts
@@ -148,7 +139,6 @@ impl AddAssign for EvalStats {
         self.facts_retracted += rhs.facts_retracted;
         self.strata_skipped += rhs.strata_skipped;
         self.rounds += rhs.rounds;
-        self.parallel_tasks += rhs.parallel_tasks;
         self.plan_cache_hits += rhs.plan_cache_hits;
         self.plan_cache_misses += rhs.plan_cache_misses;
         self.plan_replans += rhs.plan_replans;
@@ -166,7 +156,7 @@ impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, strata replayed: {}, delta-updated: {}, counting: {}, dred: {}, skipped: {}, rounds: {}, tasks: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}",
+            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, strata replayed: {}, delta-updated: {}, counting: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}",
             self.rules_fired,
             self.attempts,
             self.facts_derived,
@@ -180,7 +170,6 @@ impl fmt::Display for EvalStats {
             self.strata_dred,
             self.strata_skipped,
             self.rounds,
-            self.parallel_tasks,
             self.plan_cache_hits,
             self.plan_cache_misses,
             self.plan_replans,

@@ -1,26 +1,13 @@
 //! End-to-end evaluation tests: every §1 program of the paper, run through
-//! the full pipeline (parse → stratify → plan → layered fixpoint)
-//! sequentially and on a worker pool, and checked against the reference
-//! evaluator.
+//! the full pipeline (parse → stratify → plan → layered fixpoint) and
+//! checked against the reference evaluator.
 
 use ldl_ast::program::Program;
-use ldl_eval::{check_model, reference_model, EvalOptions, Evaluator};
+use ldl_eval::{check_model, reference_model, Evaluator};
 use ldl_parser::{parse_atom, parse_program};
 use ldl_storage::Database;
 use ldl_stratify::Stratification;
 use ldl_value::{Fact, Value};
-
-fn all_configs() -> Vec<Evaluator> {
-    [1, 4]
-        .into_iter()
-        .map(|parallelism| {
-            Evaluator::with_options(EvalOptions {
-                parallelism,
-                ..EvalOptions::default()
-            })
-        })
-        .collect()
-}
 
 /// The engine's model under `ev`, after checking it against the reference
 /// evaluator's (§3.2 executed literally).
@@ -54,15 +41,14 @@ fn ancestor_transitive_closure() {
     for (a, b) in [("a", "b"), ("b", "c"), ("c", "d"), ("e", "f")] {
         edb.insert_tuple("parent", vec![atom(a), atom(b)]);
     }
-    for ev in all_configs() {
-        let m = evaluate(&ev, &program, &edb);
-        let anc = ev.facts(&m, "ancestor");
-        assert_eq!(anc.len(), 7, "chain pairs plus the e-f edge");
-        assert!(m.contains(&Fact::new("ancestor", vec![atom("a"), atom("d")])));
-        assert!(!m.contains(&Fact::new("ancestor", vec![atom("a"), atom("f")])));
-        // The result is a model (Theorem 1).
-        assert!(check_model(&program, &m.to_fact_set()).is_ok());
-    }
+    let ev = Evaluator::new();
+    let m = evaluate(&ev, &program, &edb);
+    let anc = ev.facts(&m, "ancestor");
+    assert_eq!(anc.len(), 7, "chain pairs plus the e-f edge");
+    assert!(m.contains(&Fact::new("ancestor", vec![atom("a"), atom("d")])));
+    assert!(!m.contains(&Fact::new("ancestor", vec![atom("a"), atom("f")])));
+    // The result is a model (Theorem 1).
+    assert!(check_model(&program, &m.to_fact_set()).is_ok());
 }
 
 /// §1: excl_ancestor — stratified negation.
@@ -81,20 +67,19 @@ fn excl_ancestor_negation() {
     for p in ["a", "b", "c"] {
         edb.insert_tuple("person", vec![atom(p)]);
     }
-    for ev in all_configs() {
-        let m = evaluate(&ev, &program, &edb);
-        // a's ancestors-of: b, c. excl(a, Y, Z) for Y∈{b,c}, Z where
-        // ¬ancestor(a,Z): Z = a only.
-        assert!(m.contains(&Fact::new(
-            "excl_ancestor",
-            vec![atom("a"), atom("b"), atom("a")]
-        )));
-        assert!(!m.contains(&Fact::new(
-            "excl_ancestor",
-            vec![atom("a"), atom("b"), atom("c")]
-        )));
-        assert!(check_model(&program, &m.to_fact_set()).is_ok());
-    }
+    let ev = Evaluator::new();
+    let m = evaluate(&ev, &program, &edb);
+    // a's ancestors-of: b, c. excl(a, Y, Z) for Y∈{b,c}, Z where
+    // ¬ancestor(a,Z): Z = a only.
+    assert!(m.contains(&Fact::new(
+        "excl_ancestor",
+        vec![atom("a"), atom("b"), atom("a")]
+    )));
+    assert!(!m.contains(&Fact::new(
+        "excl_ancestor",
+        vec![atom("a"), atom("b"), atom("c")]
+    )));
+    assert!(check_model(&program, &m.to_fact_set()).is_ok());
 }
 
 /// §1: book_deal — set enumeration with an arithmetic filter.
@@ -109,41 +94,40 @@ fn book_deal_set_enumeration() {
     for (t, p) in [("logic", 30), ("sets", 40), ("magic", 45), ("opus", 90)] {
         edb.insert_tuple("book", vec![atom(t), Value::int(p)]);
     }
-    for ev in all_configs() {
-        let m = evaluate(&ev, &program, &edb);
-        let deals = ev.facts(&m, "book_deal");
-        // Triples under 100: {logic,sets,?}: 30+40+45=115 ✗; picking with
-        // repetition: {logic,logic,logic}=90 ⇒ {logic}; {logic,sets}=100 ✗
-        // via X=logic,Y=logic,Z=sets → 30+30+40=100 ✗; 30+30+45=105 ✗;
-        // {sets} = 120 ✗... singleton {logic} (90), {sets}? 40*3=120 ✗,
-        // {magic}? 135 ✗. {logic,sets} needs sum<100: 30+30+40=100 ✗,
-        // 30+40+40=110 ✗ ⇒ absent.
-        assert!(deals.contains(&Fact::new(
-            "book_deal",
-            vec![Value::set(vec![atom("logic")])]
-        )));
-        assert!(!deals
-            .iter()
-            .any(|f| f.args()[0] == Value::set(vec![atom("logic"), atom("sets")])));
-        // "book_deal may yield singleton and doublet sets": lower a price.
-        let mut edb2 = Database::new();
-        for (t, p) in [("a", 10), ("b", 20), ("c", 60)] {
-            edb2.insert_tuple("book", vec![atom(t), Value::int(p)]);
-        }
-        let m2 = evaluate(&ev, &program, &edb2);
-        let deals2 = ev.facts(&m2, "book_deal");
-        // {a,b,c} = 90 < 100 ✓; doublet {a,b} via (a,a,b)=40 ✓; singleton
-        // {a} ✓.
-        assert!(deals2.contains(&Fact::new(
-            "book_deal",
-            vec![Value::set(vec![atom("a"), atom("b"), atom("c")])]
-        )));
-        assert!(deals2.contains(&Fact::new(
-            "book_deal",
-            vec![Value::set(vec![atom("a"), atom("b")])]
-        )));
-        assert!(deals2.contains(&Fact::new("book_deal", vec![Value::set(vec![atom("a")])])));
+    let ev = Evaluator::new();
+    let m = evaluate(&ev, &program, &edb);
+    let deals = ev.facts(&m, "book_deal");
+    // Triples under 100: {logic,sets,?}: 30+40+45=115 ✗; picking with
+    // repetition: {logic,logic,logic}=90 ⇒ {logic}; {logic,sets}=100 ✗
+    // via X=logic,Y=logic,Z=sets → 30+30+40=100 ✗; 30+30+45=105 ✗;
+    // {sets} = 120 ✗... singleton {logic} (90), {sets}? 40*3=120 ✗,
+    // {magic}? 135 ✗. {logic,sets} needs sum<100: 30+30+40=100 ✗,
+    // 30+40+40=110 ✗ ⇒ absent.
+    assert!(deals.contains(&Fact::new(
+        "book_deal",
+        vec![Value::set(vec![atom("logic")])]
+    )));
+    assert!(!deals
+        .iter()
+        .any(|f| f.args()[0] == Value::set(vec![atom("logic"), atom("sets")])));
+    // "book_deal may yield singleton and doublet sets": lower a price.
+    let mut edb2 = Database::new();
+    for (t, p) in [("a", 10), ("b", 20), ("c", 60)] {
+        edb2.insert_tuple("book", vec![atom(t), Value::int(p)]);
     }
+    let m2 = evaluate(&ev, &program, &edb2);
+    let deals2 = ev.facts(&m2, "book_deal");
+    // {a,b,c} = 90 < 100 ✓; doublet {a,b} via (a,a,b)=40 ✓; singleton
+    // {a} ✓.
+    assert!(deals2.contains(&Fact::new(
+        "book_deal",
+        vec![Value::set(vec![atom("a"), atom("b"), atom("c")])]
+    )));
+    assert!(deals2.contains(&Fact::new(
+        "book_deal",
+        vec![Value::set(vec![atom("a"), atom("b")])]
+    )));
+    assert!(deals2.contains(&Fact::new("book_deal", vec![Value::set(vec![atom("a")])])));
 }
 
 /// §1: the bill-of-materials program (part / tc / result) with grouping,
@@ -166,16 +150,15 @@ fn bill_of_materials_tc() {
     for (x, c) in [(4, 20), (5, 10), (6, 15), (7, 200)] {
         edb.insert_tuple("q", vec![Value::int(x), Value::int(c)]);
     }
-    for ev in all_configs() {
-        let m = evaluate(&ev, &program, &edb);
-        // The paper: tc({3}, 25), tc({2}, 45), tc({1}, 245).
-        assert!(m.contains(&Fact::new("tc", vec![set(&[3]), Value::int(25)])));
-        assert!(m.contains(&Fact::new("tc", vec![set(&[2]), Value::int(45)])));
-        assert!(m.contains(&Fact::new("tc", vec![set(&[1]), Value::int(245)])));
-        // result projects the singletons.
-        assert!(m.contains(&Fact::new("result", vec![Value::int(1), Value::int(245)])));
-        assert!(m.contains(&Fact::new("result", vec![Value::int(4), Value::int(20)])));
-    }
+    let ev = Evaluator::new();
+    let m = evaluate(&ev, &program, &edb);
+    // The paper: tc({3}, 25), tc({2}, 45), tc({1}, 245).
+    assert!(m.contains(&Fact::new("tc", vec![set(&[3]), Value::int(25)])));
+    assert!(m.contains(&Fact::new("tc", vec![set(&[2]), Value::int(45)])));
+    assert!(m.contains(&Fact::new("tc", vec![set(&[1]), Value::int(245)])));
+    // result projects the singletons.
+    assert!(m.contains(&Fact::new("result", vec![Value::int(1), Value::int(245)])));
+    assert!(m.contains(&Fact::new("result", vec![Value::int(4), Value::int(20)])));
 }
 
 /// §6: the young query — grouping over sg with a negated ancestor test.
@@ -196,21 +179,20 @@ fn young_same_generation() {
     }
     edb.insert_tuple("siblings", vec![atom("f"), atom("u")]);
     edb.insert_tuple("siblings", vec![atom("u"), atom("f")]);
-    for ev in all_configs() {
-        let m = evaluate(&ev, &program, &edb);
-        // john has no descendants; same generation: cousin (via f/u
-        // siblings).
-        let answers = ev.query(&m, &parse_atom("young(john, S)").unwrap());
-        assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0].bindings[0].1, Value::set(vec![atom("cousin")]));
-        // f has descendants ⇒ the query young(f, S) fails.
-        assert!(ev.query(&m, &parse_atom("young(f, S)").unwrap()).is_empty());
-        // gp has no same-generation member ⇒ empty group ⇒ no tuple
-        // (the §6 footnote: the query fails if S would be empty).
-        assert!(ev
-            .query(&m, &parse_atom("young(gp, S)").unwrap())
-            .is_empty());
-    }
+    let ev = Evaluator::new();
+    let m = evaluate(&ev, &program, &edb);
+    // john has no descendants; same generation: cousin (via f/u
+    // siblings).
+    let answers = ev.query(&m, &parse_atom("young(john, S)").unwrap());
+    assert_eq!(answers.len(), 1);
+    assert_eq!(answers[0].bindings[0].1, Value::set(vec![atom("cousin")]));
+    // f has descendants ⇒ the query young(f, S) fails.
+    assert!(ev.query(&m, &parse_atom("young(f, S)").unwrap()).is_empty());
+    // gp has no same-generation member ⇒ empty group ⇒ no tuple
+    // (the §6 footnote: the query fails if S would be empty).
+    assert!(ev
+        .query(&m, &parse_atom("young(gp, S)").unwrap())
+        .is_empty());
 }
 
 /// Theorem 2: canonical and fine layerings compute the same model.
@@ -237,8 +219,8 @@ fn theorem2_layering_independence() {
     assert_eq!(m1.to_fact_set(), m2.to_fact_set());
 }
 
-/// Sequential and pooled evaluation agree with each other, and with the
-/// reference model, on a mixed workload.
+/// The engine agrees with the reference model on a mixed workload
+/// (recursion, negation, grouping, arithmetic in one program).
 #[test]
 fn configs_agree() {
     let program = parse_program(
@@ -257,14 +239,8 @@ fn configs_agree() {
             edb.insert_tuple("par", vec![Value::int(i / 2), Value::int(i)]);
         }
     }
-    let results: Vec<_> = all_configs()
-        .iter()
-        .map(|ev| evaluate(ev, &program, &edb).to_fact_set())
-        .collect();
-    for w in results.windows(2) {
-        assert_eq!(w[0], w[1]);
-    }
-    assert!(check_model(&program, &results[0]).is_ok());
+    let model = evaluate(&Evaluator::new(), &program, &edb).to_fact_set();
+    assert!(check_model(&program, &model).is_ok());
 }
 
 /// Inadmissible programs are rejected end to end.
@@ -302,13 +278,12 @@ fn program_facts_loaded() {
          q(X) <- p(X), h(X).",
     )
     .unwrap();
-    for ev in all_configs() {
-        let m = evaluate(&ev, &program, &Database::new());
-        // §2.2's example model, computed: {r(1), h({1}), p({1}), q({1})}.
-        assert!(m.contains(&Fact::new("p", vec![set(&[1])])));
-        assert!(m.contains(&Fact::new("q", vec![set(&[1])])));
-        assert_eq!(m.num_facts(), 4);
-    }
+    let ev = Evaluator::new();
+    let m = evaluate(&ev, &program, &Database::new());
+    // §2.2's example model, computed: {r(1), h({1}), p({1}), q({1})}.
+    assert!(m.contains(&Fact::new("p", vec![set(&[1])])));
+    assert!(m.contains(&Fact::new("q", vec![set(&[1])])));
+    assert_eq!(m.num_facts(), 4);
 }
 
 /// Function symbols: terms with constructors work through recursion.
@@ -322,12 +297,11 @@ fn function_symbols_in_heads() {
          small(s(s(z))).",
     )
     .unwrap();
-    for ev in all_configs() {
-        let m = evaluate(&ev, &program, &Database::new());
-        let nums = ev.facts(&m, "num");
-        // z, s(z), s(s(z)), s(s(s(z))).
-        assert_eq!(nums.len(), 4);
-    }
+    let ev = Evaluator::new();
+    let m = evaluate(&ev, &program, &Database::new());
+    let nums = ev.facts(&m, "num");
+    // z, s(z), s(s(z)), s(s(s(z))).
+    assert_eq!(nums.len(), 4);
 }
 
 /// Deep recursion: a 2000-long chain terminates and is complete.
@@ -349,30 +323,18 @@ fn long_chain() {
     assert_eq!(count as i64, n * (n + 1) / 2);
 }
 
-/// A pass whose first step probes an index (constant key) is never sliced:
-/// every slice would walk the same posting list, so the work — visible as
-/// `index_probes` — would grow with the worker count.
+/// A pass whose first step has a constant key probes the index once and
+/// walks one posting list — it does not scan the relation.
 #[test]
-fn probing_first_step_does_the_same_work_at_any_worker_count() {
+fn constant_keyed_first_step_probes_once() {
     let program = parse_program("q(X) <- r(1, X).").unwrap();
     let mut edb = Database::new();
     for i in 0..600 {
         edb.insert_tuple("r", vec![Value::int(i % 3), Value::int(i)]);
     }
-    let [seq, par] = [1, 4].map(|parallelism| {
-        let ev = Evaluator::with_options(EvalOptions {
-            parallelism,
-            ..EvalOptions::default()
-        });
-        let (m, stats) = ev.evaluate_stats(&program, &edb).unwrap();
-        assert_eq!(m.relation("q".into()).unwrap().len(), 200);
-        stats
-    });
-    assert_eq!(seq.index_probes, 1);
-    assert_eq!(
-        (seq.index_probes, seq.attempts),
-        (par.index_probes, par.attempts)
-    );
+    let (m, stats) = Evaluator::new().evaluate_stats(&program, &edb).unwrap();
+    assert_eq!(m.relation("q".into()).unwrap().len(), 200);
+    assert_eq!((stats.index_probes, stats.attempts), (1, 200));
 }
 
 /// Query patterns with sets and partial bindings.

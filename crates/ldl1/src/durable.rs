@@ -124,6 +124,14 @@ impl Snapshot {
 /// A concurrent read handle: clone it into as many threads as you like;
 /// each [`Reader::latest`] call returns the most recently published
 /// [`Snapshot`].
+///
+/// Every successful commit publishes, and so does a rule load. The one gap:
+/// a commit that *aborts* (typically on a tripped budget) drops the writer's
+/// half-maintained model, so until the writer next evaluates — any
+/// [`System::query`](crate::System::query),
+/// [`System::model`](crate::System::model) or rule load — later commits
+/// change the EDB only and `latest()` keeps returning the last snapshot
+/// published before the abort. It is stale, never torn.
 #[derive(Clone, Debug)]
 pub struct Reader {
     shared: Arc<ReaderShared>,

@@ -59,8 +59,8 @@ pub use ldl_wal as wal;
 
 pub use ldl_ast::program::Program;
 pub use ldl_eval::{
-    check_model, parse_jobs, reference_model, Budget, CancelToken, EvalOptions, EvalStats,
-    Evaluator, QueryAnswer, ResourceKind,
+    check_model, reference_model, Budget, CancelToken, EvalOptions, EvalStats, Evaluator,
+    QueryAnswer, ResourceKind,
 };
 pub use ldl_magic::MagicEvaluator;
 pub use ldl_storage::Database;
@@ -391,7 +391,8 @@ impl System {
     /// committing mutations. Forces an initial model computation, and
     /// from then on every successful commit publishes the freshly
     /// maintained model (one model clone per commit — the cost is only
-    /// paid once a reader exists).
+    /// paid once a reader exists); see [`Reader`] for the one exception,
+    /// a commit following an aborted one.
     pub fn reader(&mut self) -> Result<Reader, Error> {
         self.model()?;
         let shared = match &self.readers {
@@ -456,19 +457,6 @@ impl System {
         }
     }
 
-    /// Set the worker count for parallel stratum evaluation (see
-    /// [`EvalOptions::parallelism`]: `1` = inline, `0` = all available
-    /// cores). The computed model is bit-for-bit identical at any setting,
-    /// so a cached model — if any — stays valid.
-    pub fn set_parallelism(&mut self, jobs: usize) {
-        self.options.parallelism = jobs;
-    }
-
-    /// The configured worker count ([`EvalOptions::parallelism`]).
-    pub fn parallelism(&self) -> usize {
-        self.options.parallelism
-    }
-
     /// Set the resource budget every subsequent evaluation runs under:
     /// fuel (derivation attempts), a wall-clock deadline, derived-fact and
     /// interner-size caps, and/or a [`CancelToken`]. Aborted operations are
@@ -500,15 +488,29 @@ impl System {
         self.grouping_semantics = s;
         self.compiled = compiled;
         self.cache = None;
+        self.republish()
+    }
+
+    /// After a change of rules dropped the cached model: with a [`Reader`]
+    /// attached, recompute it now — [`System::model`] publishes — so the
+    /// commits that follow are maintained and published instead of landing
+    /// in the EDB only, unseen by readers until the writer next queries. An
+    /// evaluation error surfaces here as that query would have reported it;
+    /// the rules stay loaded.
+    fn republish(&mut self) -> Result<(), Error> {
+        if self.readers.is_some() {
+            self.model()?;
+        }
         Ok(())
     }
 
     /// Load rules (and inline facts) written in LDL1 / LDL1.5 concrete
     /// syntax. Ground facts go to the EDB; rules are compiled to core LDL1.
     ///
-    /// New rules invalidate the cached model; a facts-only `src` is
-    /// committed as one [`System::mutate`] batch of assertions, maintaining
-    /// the model incrementally.
+    /// New rules invalidate the cached model (with a [`Reader`] attached it
+    /// is recomputed and published before `load` returns); a facts-only
+    /// `src` is committed as one [`System::mutate`] batch of assertions,
+    /// maintaining the model incrementally.
     pub fn load(&mut self, src: &str) -> Result<(), Error> {
         let parsed = ldl_parser::parse_program(src)?;
         let mut facts = Vec::new();
@@ -528,7 +530,8 @@ impl System {
             }
             rules.push(rule);
         }
-        if !rules.is_empty() {
+        let new_rules = !rules.is_empty();
+        if new_rules {
             self.source.rules.extend(rules);
             self.compiled = compile_ldl15(&self.source, self.grouping_semantics)?;
             self.cache = None;
@@ -537,7 +540,11 @@ impl System {
         for f in facts {
             b.push(Mutation::Assert(f));
         }
-        b.commit()
+        b.commit()?;
+        if new_rules {
+            self.republish()?;
+        }
+        Ok(())
     }
 
     /// Add one fact, e.g. `sys.fact("parent(abe, bob).")`. A convenience

@@ -125,8 +125,7 @@ impl MagicEvaluator {
         db.insert(mp.seed.clone());
 
         // One drive spans the whole staged schedule, so a budget covers the
-        // query end to end rather than per fixpoint, and the worker pool is
-        // spawned once.
+        // query end to end rather than per fixpoint.
         let mut stats = EvalStats::new();
         let mut drive = Drive::new(&self.options, &mut stats);
         // `adorn_rule` emits every rewritten body in sip order (§6), so

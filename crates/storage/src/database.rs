@@ -9,19 +9,19 @@ use crate::relation::Relation;
 /// facts"), organized as one [`Relation`] per predicate symbol.
 ///
 /// A `&Database` is a valid *shared snapshot*: every read path is `&self`,
-/// so the parallel evaluator hands one borrow to each worker of a round and
-/// all of them see the identical state — the compiler rules out any
-/// mutation while those borrows live. The `Send + Sync` assertion below
-/// turns an accidental introduction of interior mutability (`Cell`,
-/// `RefCell`, `Rc`) anywhere in the storage types into a compile error
-/// rather than a data race.
+/// so a published model behind an `Arc` can be read from any number of
+/// snapshot-reader threads and all of them see the identical state — the
+/// compiler rules out any mutation while those borrows live. The
+/// `Send + Sync` assertion below turns an accidental introduction of
+/// interior mutability (`Cell`, `RefCell`, `Rc`) anywhere in the storage
+/// types into a compile error rather than a data race.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     relations: FastMap<Symbol, Relation>,
 }
 
 // Shared-snapshot contract: a `&Database` must be usable from many threads
-// at once (see the parallel round in `ldl-eval`).
+// at once (see `Reader`/`Snapshot` in `ldl1`).
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<Database>()

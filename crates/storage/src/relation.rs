@@ -467,7 +467,7 @@ impl Index {
 /// Values are observed through [`intern::struct_hash`], which depends only
 /// on value *structure* — never on raw id numbering, which varies by run
 /// and thread interleaving — so the sketch bits, and every plan choice
-/// derived from them, are bit-for-bit reproducible at any worker count.
+/// derived from them, are bit-for-bit reproducible.
 #[derive(Clone, Copy, Debug, Default)]
 struct ColSketch {
     bits: [u64; 4],
@@ -508,12 +508,10 @@ impl ColSketch {
 ///
 /// Tuples keep their insertion order and are never removed, so a *delta*
 /// (the tuples derived since some point in time) is just the index range
-/// `[mark, len)` — exactly what semi-naive evaluation needs. The same
-/// property makes a contiguous sub-range `[lo, hi)` a well-defined slice of
-/// work: the parallel evaluator partitions a delta into such slices, one
-/// per worker, each reading through a shared `&Relation`. All reads are
+/// `[mark, len)` — exactly what semi-naive evaluation needs. All reads are
 /// `&self` with no interior mutability (enforced by the `Send + Sync`
-/// assertion on `Database`), so a borrow shared across threads is safe.
+/// assertion on `Database`), so a snapshot shared with reader threads is
+/// safe.
 #[derive(Clone, Debug)]
 pub struct Relation {
     arity: usize,

@@ -52,9 +52,8 @@ fn insertion_orders(db: &Database) -> Vec<(Symbol, Vec<Vec<ldl1::value::ValueId>
         .collect()
 }
 
-fn opts(parallelism: usize, cancel: &CancelToken) -> EvalOptions {
+fn opts(cancel: &CancelToken) -> EvalOptions {
     EvalOptions {
-        parallelism,
         budget: Budget::unlimited().with_cancel(cancel.clone()),
         ..EvalOptions::default()
     }
@@ -90,9 +89,8 @@ fn trip_then_retry(ev: &Evaluator, program: &ldl1::Program, edb: &Database, n: u
 }
 
 /// 36 random programs × 3 trip points (108 (program, trip-point) cases),
-/// sequentially and on worker pools of four and eight (the abort can land
-/// inside any slice of a split pass), plus the magic path below: abort +
-/// retry is indistinguishable from never having aborted.
+/// plus the magic path below: abort + retry is indistinguishable from never
+/// having aborted.
 #[test]
 fn abort_then_retry_matches_clean_run_bit_for_bit() {
     cases_shrink(36, 10, |rng: &mut Rng, size: u32| {
@@ -103,7 +101,7 @@ fn abort_then_retry_matches_clean_run_bit_for_bit() {
         // Clean run. `attempts` scales the random trip points so they land
         // *inside* the computation, not trivially past its end.
         let quiet = CancelToken::new();
-        let (clean, stats) = Evaluator::with_options(opts(1, &quiet))
+        let (clean, stats) = Evaluator::with_options(opts(&quiet))
             .evaluate_stats(&program, &edb)
             .unwrap();
         assert_eq!(
@@ -116,17 +114,15 @@ fn abort_then_retry_matches_clean_run_bit_for_bit() {
         for _ in 0..3 {
             let n = rng.range(0, total as i64) as u64;
 
-            // Sequential and parallel share the clean run's insertion order
-            // (bit-for-bit parallel determinism, incl. after abort).
-            for jobs in [1, 4, 8] {
-                let ev = Evaluator::with_options(opts(jobs, &CancelToken::new()));
-                let retried = trip_then_retry(&ev, &program, &edb, n);
-                assert_eq!(
-                    insertion_orders(&retried),
-                    insertion_orders(&clean),
-                    "jobs={jobs} trip={n}"
-                );
-            }
+            // The retry reproduces the clean run's insertion order, not just
+            // its fact set.
+            let ev = Evaluator::with_options(opts(&CancelToken::new()));
+            let retried = trip_then_retry(&ev, &program, &edb, n);
+            assert_eq!(
+                insertion_orders(&retried),
+                insertion_orders(&clean),
+                "trip={n}"
+            );
         }
     });
 }
@@ -142,17 +138,17 @@ fn magic_abort_then_retry_matches_clean_answers() {
         let query = ldl1::parser::parse_atom(&format!("{}(X, Y)", case.top)).unwrap();
 
         let quiet = CancelToken::new();
-        let clean = MagicEvaluator::with_options(opts(1, &quiet))
+        let clean = MagicEvaluator::with_options(opts(&quiet))
             .query(&program, &edb, &query)
             .unwrap();
-        let (_, stats) = Evaluator::with_options(opts(1, &quiet))
+        let (_, stats) = Evaluator::with_options(opts(&quiet))
             .evaluate_stats(&program, &edb)
             .unwrap();
 
         for _ in 0..3 {
             let n = rng.range(0, stats.attempts.max(1) as i64) as u64;
             let cancel = CancelToken::new();
-            let mev = MagicEvaluator::with_options(opts(1, &cancel));
+            let mev = MagicEvaluator::with_options(opts(&cancel));
             cancel.trip_after(n);
             match mev.query(&program, &edb, &query) {
                 Ok(ans) => assert_eq!(ans, clean, "untripped magic run diverged"),

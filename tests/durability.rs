@@ -11,7 +11,7 @@
 //! flipped bit, or a dropped final fsync — materializes the surviving
 //! bytes as a post-`kill -9` data directory, reopens it, and asserts the
 //! recovered EDB and recomputed model equal the recorded state at the
-//! recovered sequence number. Run at parallelism 1 and 4, this is 200
+//! recovered sequence number. Two seed streams of 100 cases make 200
 //! random crash points per suite run.
 
 use std::collections::HashMap;
@@ -77,15 +77,8 @@ fn commit_gen_batch(sys: &mut System, batch: &[GenMutation]) -> Result<(), Error
     b.commit()
 }
 
-fn eval_opts(jobs: usize) -> EvalOptions {
-    EvalOptions {
-        parallelism: jobs,
-        ..EvalOptions::default()
-    }
-}
-
 /// One random crash case: returns `(crash fault exercised)` for counting.
-fn run_crash_case(rng: &mut Rng, jobs: usize) {
+fn run_crash_case(rng: &mut Rng) {
     let size = 6 + rng.index(4) as u32;
     let case = stratified_case(rng, size);
     let batches = 2 + rng.index(3);
@@ -96,7 +89,7 @@ fn run_crash_case(rng: &mut Rng, jobs: usize) {
     let dir0 = temp_dir("clean");
     let mut expect: HashMap<u64, (String, FactSet)> = HashMap::new();
     let (final_seq, total_bytes, final_dump) = {
-        let mut sys = System::open_with(&dir0, eval_opts(jobs), StoreOptions::default()).unwrap();
+        let mut sys = System::open(&dir0).unwrap();
         sys.load(&case.src).unwrap();
         expect.insert(0, (sys.edb().dump(), sys.model_facts().unwrap()));
         commit_edb(&mut sys, &case).unwrap();
@@ -114,7 +107,7 @@ fn run_crash_case(rng: &mut Rng, jobs: usize) {
     };
     {
         // Clean reopen: everything replays, nothing truncated.
-        let sys2 = System::open_with(&dir0, eval_opts(jobs), StoreOptions::default()).unwrap();
+        let sys2 = System::open(&dir0).unwrap();
         let info = sys2.recovery_info().unwrap();
         assert!(
             info.truncation.is_none(),
@@ -141,7 +134,7 @@ fn run_crash_case(rng: &mut Rng, jobs: usize) {
     let dir1 = temp_dir("fault");
     let injector = IoFault::new(fault);
     let last_ok_seq = {
-        let mut sys = System::open_with(&dir1, eval_opts(jobs), StoreOptions::default()).unwrap();
+        let mut sys = System::open(&dir1).unwrap();
         sys.load(&case.src).unwrap();
         let pre_attach = fs::read(dir1.join(ldl1::wal::WAL_FILE)).unwrap();
         sys.wal_store_mut()
@@ -161,7 +154,7 @@ fn run_crash_case(rng: &mut Rng, jobs: usize) {
     };
 
     // ---- Restart: recovery must land exactly on a committed prefix.
-    let mut sys2 = System::open_with(&dir1, eval_opts(jobs), StoreOptions::default()).unwrap();
+    let mut sys2 = System::open(&dir1).unwrap();
     let info = sys2.recovery_info().unwrap().clone();
     let recovered = info.last_seq;
     let (expect_dump, expect_model) = expect.get(&recovered).unwrap_or_else(|| {
@@ -194,13 +187,11 @@ fn run_crash_case(rng: &mut Rng, jobs: usize) {
     let _ = fs::remove_dir_all(&dir1);
 }
 
-/// 100 random crash cases per parallelism setting — 200 per suite run.
+/// 100 random crash cases from each of two seed streams — 200 per suite run.
 #[test]
 fn crash_recovery_lands_on_a_committed_prefix() {
-    for jobs in [1, 4] {
-        cases_from(9000 + jobs as u64 * 1000, 100, |rng| {
-            run_crash_case(rng, jobs)
-        });
+    for seed in [10_000, 13_000] {
+        cases_from(seed, 100, run_crash_case);
     }
 }
 

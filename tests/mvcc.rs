@@ -209,3 +209,34 @@ fn one_off_snapshots_are_frozen() {
         "old snapshot must stay frozen"
     );
 }
+
+/// Loading rules drops the writer's model; with a reader attached it must be
+/// rebuilt and published by the load itself, so the commits that follow
+/// reach the reader without the writer ever querying.
+#[test]
+fn commits_after_a_rule_load_reach_the_reader() {
+    let mut sys = System::new();
+    sys.load("r(X) <- e(X). e(1).").unwrap();
+    let reader = sys.reader().unwrap();
+    let first = reader.latest();
+    assert_eq!((first.facts("r").len(), first.facts("s").len()), (1, 0));
+
+    sys.load("s(X) <- e(X).").unwrap();
+    sys.fact("e(2).").unwrap();
+    sys.fact("e(3).").unwrap();
+
+    let snap = reader.latest();
+    assert!(
+        snap.epoch() > first.epoch(),
+        "nothing published since the load"
+    );
+    assert_eq!((snap.facts("r").len(), snap.facts("s").len()), (3, 3));
+
+    // The other call that drops the model publishes too.
+    let before = reader.epoch();
+    sys.set_grouping_semantics(ldl1::GroupingSemantics::WithContext)
+        .unwrap();
+    sys.fact("e(4).").unwrap();
+    assert!(reader.epoch() > before);
+    assert_eq!(reader.latest().facts("s").len(), 4);
+}

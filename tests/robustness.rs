@@ -235,33 +235,29 @@ fn update_after_query_recomputes() {
 
 #[test]
 fn diverging_program_aborts_under_each_cap() {
-    // Every cap must stop the infinite fixpoint, sequentially and with a
-    // worker pool, and the diagnostic must name the tripped resource.
-    for jobs in [1, 4] {
-        for (budget, want) in [
-            (Budget::unlimited().with_fuel(10_000), ResourceKind::Fuel),
-            (
-                Budget::unlimited().with_deadline(Duration::from_millis(100)),
-                ResourceKind::Time,
-            ),
-            (
-                Budget::unlimited().with_max_facts(5_000),
-                ResourceKind::Facts,
-            ),
-            // The interner is process-global and already holds values
-            // from other tests, so a cap of 1 is exceeded on the first
-            // check.
-            (
-                Budget::unlimited().with_max_interned(1),
-                ResourceKind::Interner,
-            ),
-        ] {
-            let mut sys = System::new();
-            sys.set_parallelism(jobs);
-            sys.load(DIVERGING).unwrap();
-            sys.set_budget(budget);
-            expect_abort(sys.model().map(|_| ()).unwrap_err(), want);
-        }
+    // Every cap must stop the infinite fixpoint, and the diagnostic must
+    // name the tripped resource.
+    for (budget, want) in [
+        (Budget::unlimited().with_fuel(10_000), ResourceKind::Fuel),
+        (
+            Budget::unlimited().with_deadline(Duration::from_millis(100)),
+            ResourceKind::Time,
+        ),
+        (
+            Budget::unlimited().with_max_facts(5_000),
+            ResourceKind::Facts,
+        ),
+        // The interner is process-global and already holds values from
+        // other tests, so a cap of 1 is exceeded on the first check.
+        (
+            Budget::unlimited().with_max_interned(1),
+            ResourceKind::Interner,
+        ),
+    ] {
+        let mut sys = System::new();
+        sys.load(DIVERGING).unwrap();
+        sys.set_budget(budget);
+        expect_abort(sys.model().map(|_| ()).unwrap_err(), want);
     }
 }
 
