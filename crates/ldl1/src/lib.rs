@@ -867,7 +867,9 @@ impl MutationBatch<'_> {
     /// fact fails the whole commit with
     /// [`MutationError::RetractUnknownFact`], an assertion whose arity
     /// disagrees with its predicate's with
-    /// [`MutationError::ArityMismatch`], applying nothing. The
+    /// [`MutationError::ArityMismatch`], applying nothing. (A predicate
+    /// whose facts were all retracted by *earlier* commits, and that no
+    /// rule mentions, has no arity and takes its next assertion's.) The
     /// surviving net deletions and insertions then commit atomically; see
     /// [`MutationBatch`] for the transactional guarantees.
     pub fn commit(self) -> Result<(), Error> {
@@ -879,6 +881,17 @@ impl MutationBatch<'_> {
         // Each asserted predicate's one arity: the stored relation's (EDB,
         // else the cached model's), else its first assertion's.
         let mut arities: ldl_value::fxhash::FastMap<Symbol, usize> = Default::default();
+        // Predicates whose stored relation held no live fact before this
+        // batch and that no rule mentions: they have no arity left to
+        // disagree with, so an assertion at another one replaces the
+        // all-tombstoned relation instead of being refused until restart.
+        let mut vacated: Vec<Symbol> = Vec::new();
+        let mentioned = |p: Symbol| {
+            let rules = &sys.compiled.rules;
+            rules
+                .iter()
+                .any(|r| r.head.pred == p || r.body.iter().any(|l| l.atom.pred == p))
+        };
         let mut cancelled = false;
         for m in staged {
             let (retract, assert) = match m {
@@ -905,7 +918,16 @@ impl MutationBatch<'_> {
                         .edb
                         .relation(f.pred())
                         .or_else(|| sys.cache.as_ref()?.db.relation(f.pred()));
-                    stored.map_or(f.arity(), |r| r.arity())
+                    match stored {
+                        Some(r)
+                            if r.arity() != f.arity() && r.is_empty() && !mentioned(f.pred()) =>
+                        {
+                            vacated.push(f.pred());
+                            f.arity()
+                        }
+                        Some(r) => r.arity(),
+                        None => f.arity(),
+                    }
                 });
                 if expected != f.arity() {
                     return Err(MutationError::ArityMismatch { fact: f, expected }.into());
@@ -927,6 +949,12 @@ impl MutationBatch<'_> {
             del.retain(|f| del_set.contains(f) && seen.insert(f.clone()));
             seen.clear();
             ins.retain(|f| ins_set.contains(f) && seen.insert(f.clone()));
+        }
+        for p in vacated {
+            sys.edb.remove_relation(p);
+            if let Some(cache) = &mut sys.cache {
+                cache.db.remove_relation(p);
+            }
         }
         sys.commit_mutations(del, ins)
     }

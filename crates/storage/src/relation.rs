@@ -8,8 +8,12 @@
 //! allocation, no pointer chasing. The duplicate filter and every index
 //! key onto that arena by *row position*: a lookup hashes the probe slice
 //! and compares it against rows in place, so neither the insert path nor
-//! the probe path allocates. Structural [`ldl_value::Value`]s exist only
-//! at the [`crate::Database`] fact boundary.
+//! the probe path allocates. Index posting lists live in one flat arena
+//! per index, so nothing is allocated per key either: a relation is a
+//! fixed number of flat buffers per index plus its row pages, and cloning
+//! one — what every snapshot, publication and EDB → model copy does — is
+//! that many `memcpy`s. Structural [`ldl_value::Value`]s exist only at the
+//! [`crate::Database`] fact boundary.
 
 use std::hash::{Hash, Hasher};
 
@@ -280,6 +284,16 @@ impl Seen {
         self.table.find(hash_ids(key), |p| rows.get(p) == key)
     }
 
+    /// The same lookup as a posting list — what a probe with every column
+    /// bound returns: the one live position on a hit, nothing on a miss.
+    #[inline]
+    fn probe<'a>(&'a self, rows: &Rows, key: &[ValueId]) -> &'a [u32] {
+        match self.table.find_slot(hash_ids(key), |p| rows.get(p) == key) {
+            Some(i) => std::slice::from_ref(&self.table.slots[i]),
+            None => &[],
+        }
+    }
+
     /// Record `pos` (whose row must not already be present).
     fn insert(&mut self, rows: &Rows, pos: u32) {
         let h = hash_ids(rows.get(pos));
@@ -300,28 +314,214 @@ impl Seen {
 /// An opaque handle to one of a relation's hash indexes (see
 /// [`Relation::index`]).
 #[derive(Clone, Copy, Debug)]
-pub struct IndexRef<'a> {
-    idx: &'a Index,
+pub struct IndexRef<'a>(Handle<'a>);
+
+#[derive(Clone, Copy, Debug)]
+enum Handle<'a> {
+    /// A posting-list [`Index`] over a proper subset of the columns.
+    Partial(&'a Index),
+    /// Every column bound: the duplicate filter already maps the key to
+    /// its one live position, so it *is* the index (see [`Seen::probe`]).
+    Full(&'a Relation),
 }
 
 impl<'a> IndexRef<'a> {
     /// Insertion positions of all tuples whose projection equals `key` (ids
     /// in sorted column order). Borrowed key: a probe allocates nothing.
     pub fn probe(self, key: &[ValueId]) -> &'a [u32] {
-        debug_assert_eq!(key.len(), self.idx.cols.len());
-        self.idx.probe(key)
+        match self.0 {
+            Handle::Partial(idx) => {
+                debug_assert_eq!(key.len(), idx.cols.len());
+                idx.probe(key)
+            }
+            Handle::Full(rel) => {
+                debug_assert_eq!(key.len(), rel.arity);
+                rel.seen.probe(&rel.rows, key)
+            }
+        }
     }
 }
 
-/// A hash index over a subset of columns, keyed by row position.
+/// One posting list's fixed-size record in [`Postings::lists`].
+///
+/// `cap == 0` is the inline form: `len` is 0 (a free bucket) or 1, and
+/// `at` *is* the one position. Otherwise the list is
+/// `arena[at .. at + len]` inside an extent of `cap` (a power of two ≥ 2)
+/// slots.
+#[derive(Clone, Copy, Debug, Default)]
+struct List {
+    len: u32,
+    cap: u32,
+    at: u32,
+}
+
+/// Empty free-list link.
+const NIL: u32 = u32::MAX;
+
+/// Extent offsets are `u32`s and `NIL` is reserved, so the posting arena
+/// of one index holds fewer than `u32::MAX` slots.
+const MAX_SLOTS: usize = u32::MAX as usize;
+
+/// Every posting list of one index, in two flat vectors: a [`List`]
+/// record per bucket, and one `u32` arena holding each multi-element list
+/// as a contiguous extent of power-of-two capacity. Nothing is allocated
+/// per key — cloning or dropping the lot is two buffers whatever the key
+/// count — while a list is still one plain ascending `&[u32]`.
+///
+/// A list that outgrows its extent relocates to one of twice the size
+/// (amortized O(1) per posting, however skewed the key), and the extent it
+/// leaves goes on its size class's free list: a chain threaded through
+/// the free extents' own first slots, so the allocator state is 32 heads.
+#[derive(Clone, Debug)]
+struct Postings {
+    lists: Vec<List>,
+    arena: Vec<u32>,
+    /// `free[c]` heads the chain of free extents of capacity `1 << c`.
+    free: [u32; 32],
+}
+
+impl Postings {
+    fn new() -> Postings {
+        Postings {
+            lists: Vec::new(),
+            arena: Vec::new(),
+            free: [NIL; 32],
+        }
+    }
+
+    /// Bucket `b`'s postings, ascending.
+    #[inline]
+    fn get(&self, b: u32) -> &[u32] {
+        let l = &self.lists[b as usize];
+        if l.cap == 0 {
+            &std::slice::from_ref(&l.at)[..l.len as usize]
+        } else {
+            &self.arena[l.at as usize..(l.at + l.len) as usize]
+        }
+    }
+
+    /// Add `pos` to bucket `b`: appended (positions only grow), or at its
+    /// ascending slot when `sorted` (a revived position).
+    fn insert(&mut self, b: u32, pos: u32, sorted: bool) {
+        let l = self.lists[b as usize];
+        if l.len == 0 {
+            // Extents are released at length 0, so an empty list is inline.
+            self.lists[b as usize] = List {
+                len: 1,
+                cap: 0,
+                at: pos,
+            };
+            return;
+        }
+        let l = if l.len < l.cap { l } else { self.grow(b) };
+        let (at, len) = (l.at as usize, l.len as usize);
+        let ext = &mut self.arena[at..=at + len];
+        let slot = if sorted {
+            ext[..len].partition_point(|&p| p < pos)
+        } else {
+            len
+        };
+        ext.copy_within(slot..len, slot + 1);
+        ext[slot] = pos;
+        self.lists[b as usize].len += 1;
+    }
+
+    /// Move bucket `b`'s full list (an inline singleton included) to an
+    /// extent of twice the capacity.
+    fn grow(&mut self, b: u32) -> List {
+        let old = self.lists[b as usize];
+        let cap = (old.cap as usize * 2).max(2);
+        let at = self.alloc(cap);
+        if old.cap == 0 {
+            self.arena[at as usize] = old.at;
+        } else {
+            let from = old.at as usize;
+            self.arena
+                .copy_within(from..from + old.len as usize, at as usize);
+            self.release(old.at, old.cap);
+        }
+        let l = List {
+            len: old.len,
+            cap: cap as u32,
+            at,
+        };
+        self.lists[b as usize] = l;
+        l
+    }
+
+    /// An extent of `cap` slots: the size class's most recently freed one,
+    /// else fresh arena.
+    fn alloc(&mut self, cap: usize) -> u32 {
+        let class = cap.trailing_zeros() as usize;
+        let head = self.free[class];
+        if head != NIL {
+            self.free[class] = self.arena[head as usize];
+            return head;
+        }
+        let at = self.arena.len();
+        assert!(at + cap <= MAX_SLOTS, "index postings exceed u32 slots");
+        self.arena.resize(at + cap, 0);
+        at as u32
+    }
+
+    /// Put the extent `[at, at + cap)` on its size class's free list.
+    fn release(&mut self, at: u32, cap: u32) {
+        let class = cap.trailing_zeros() as usize;
+        self.arena[at as usize] = self.free[class];
+        self.free[class] = at;
+    }
+
+    /// Cut bucket `b`'s list to its first `len` postings; an emptied list
+    /// gives its extent back and becomes a free (inline, empty) record.
+    fn shrink(&mut self, b: u32, len: u32) {
+        let l = self.lists[b as usize];
+        if len > 0 {
+            self.lists[b as usize].len = len;
+            return;
+        }
+        if l.cap > 0 {
+            self.release(l.at, l.cap);
+        }
+        self.lists[b as usize] = List::default();
+    }
+
+    /// Drop `pos` from bucket `b`, closing the gap in place. Returns
+    /// whether the list is now empty.
+    fn remove(&mut self, b: u32, pos: u32) -> bool {
+        let l = self.lists[b as usize];
+        let Ok(i) = self.get(b).binary_search(&pos) else {
+            return false;
+        };
+        if l.cap > 0 {
+            let at = l.at as usize;
+            self.arena[at..at + l.len as usize].copy_within(i + 1.., i);
+        }
+        self.shrink(b, l.len - 1);
+        l.len == 1
+    }
+
+    /// Keep only bucket `b`'s postings below `cutoff` (a prefix: lists
+    /// ascend). Returns whether the list is now empty.
+    fn truncate(&mut self, b: u32, cutoff: u32) -> bool {
+        let keep = self.get(b).partition_point(|&p| p < cutoff) as u32;
+        self.shrink(b, keep);
+        keep == 0
+    }
+}
+
+/// A hash index over a proper subset of the columns, keyed by row
+/// position.
 ///
 /// Maps the projection of a tuple onto `cols` to the positions (insertion
 /// indices) of all tuples with that projection. The table stores bucket
 /// handles; bucket `b`'s projected key lives at stride-`cols.len()` offset
 /// `b` of the flat `keys` arena, immediately comparable against a borrowed
-/// probe slice — a probe never touches the row arena, and the only
-/// allocations are the amortized growth of `keys` and the posting lists
-/// (nothing per tuple). Maintained incrementally as tuples are inserted.
+/// probe slice — a probe never touches the row arena — and its posting
+/// list is record `b` of [`Postings`]. The only allocations are the
+/// amortized growth of five flat buffers (nothing per tuple, nothing per
+/// key), so a clone is five `memcpy`s. Maintained incrementally as tuples
+/// are inserted. An index on *every* column is never built: see
+/// [`Relation::index`].
 #[derive(Clone, Debug)]
 struct Index {
     cols: Vec<usize>,
@@ -329,9 +529,9 @@ struct Index {
     /// Flat key arena: bucket `b`'s projected key ids are
     /// `keys[b*k .. (b+1)*k]` with `k = cols.len()`.
     keys: Vec<ValueId>,
-    /// Posting lists (ascending positions). An empty list is a free
-    /// bucket awaiting reuse via `free`.
-    buckets: Vec<Vec<u32>>,
+    /// Posting lists (ascending positions), one per bucket. An empty list
+    /// is a free bucket awaiting reuse via `free`.
+    postings: Postings,
     free: Vec<u32>,
 }
 
@@ -341,7 +541,7 @@ impl Index {
             cols,
             table: RawTable::default(),
             keys: Vec::new(),
-            buckets: Vec::new(),
+            postings: Postings::new(),
             free: Vec::new(),
         }
     }
@@ -357,7 +557,7 @@ impl Index {
     fn probe(&self, key: &[ValueId]) -> &[u32] {
         let h = hash_ids(key);
         match self.table.find(h, |b| self.key_at(b) == key) {
-            Some(b) => &self.buckets[b as usize],
+            Some(b) => self.postings.get(b),
             None => &[],
         }
     }
@@ -381,13 +581,7 @@ impl Index {
                 .zip(self.key_at(b))
                 .all(|(&c, &k)| tuple[c] == k)
         }) {
-            let postings = &mut self.buckets[b as usize];
-            if sorted {
-                let at = postings.partition_point(|&p| p < pos);
-                postings.insert(at, pos);
-            } else {
-                postings.push(pos);
-            }
+            self.postings.insert(b, pos, sorted);
             return;
         }
         let (keys, k) = (&self.keys, self.cols.len());
@@ -402,12 +596,12 @@ impl Index {
                 b
             }
             None => {
-                self.buckets.push(Vec::new());
+                self.postings.lists.push(List::default());
                 self.keys.extend(self.cols.iter().map(|&c| tuple[c]));
-                (self.buckets.len() - 1) as u32
+                (self.postings.lists.len() - 1) as u32
             }
         };
-        self.buckets[b as usize].push(pos);
+        self.postings.insert(b, pos, sorted);
         self.table.insert(h, b);
     }
 
@@ -423,9 +617,7 @@ impl Index {
             return;
         };
         let b = self.table.slots[i];
-        let postings = &mut self.buckets[b as usize];
-        postings.retain(|&p| p != pos);
-        if postings.is_empty() {
+        if self.postings.remove(b, pos) {
             self.table.delete_slot(i);
             self.free.push(b);
         }
@@ -438,17 +630,16 @@ impl Index {
     fn truncate(&mut self, cutoff: u32) {
         self.table.clear();
         self.free.clear();
-        for b in 0..self.buckets.len() {
-            self.buckets[b].retain(|&p| p < cutoff);
-            if self.buckets[b].is_empty() {
-                self.free.push(b as u32);
+        for b in 0..self.postings.lists.len() as u32 {
+            if self.postings.truncate(b, cutoff) {
+                self.free.push(b);
                 continue;
             }
-            let h = hash_ids(self.key_at(b as u32));
+            let h = hash_ids(self.key_at(b));
             let (keys, k) = (&self.keys, self.cols.len());
             self.table
                 .ensure_cap(|bb| hash_ids(&keys[bb as usize * k..(bb as usize + 1) * k]));
-            self.table.insert(h, b as u32);
+            self.table.insert(h, b);
         }
     }
 }
@@ -511,7 +702,9 @@ impl ColSketch {
 /// `[mark, len)` — exactly what semi-naive evaluation needs. All reads are
 /// `&self` with no interior mutability (enforced by the `Send + Sync`
 /// assertion on `Database`), so a snapshot shared with reader threads is
-/// safe.
+/// safe. A clone shares nothing with its source: it is a deep copy whose
+/// cost is the bytes — row pages plus a fixed handful of flat buffers per
+/// index — never the number of keys or tuples.
 #[derive(Clone, Debug)]
 pub struct Relation {
     arity: usize,
@@ -531,7 +724,8 @@ pub struct Relation {
     /// position's count instead of being a pure no-op.
     counts: Option<Vec<u32>>,
     /// Keyed by the sorted, deduplicated column list (probed borrowed as
-    /// `&[usize]`), so relations of any width can be indexed.
+    /// `&[usize]`), so relations of any width can be indexed. Never holds
+    /// the list of *every* column: `seen` answers that one.
     indexes: FastMap<Vec<usize>, Index>,
     /// One distinct-count sketch per column, maintained on every insert.
     sketches: Vec<ColSketch>,
@@ -598,10 +792,11 @@ impl Relation {
     /// merge-phase hot path: a rejected duplicate hashes the borrowed
     /// slice and compares it against the arena, and an accepted tuple is
     /// copied into the current arena page — neither side performs a
-    /// per-tuple heap allocation (pages, tables, and posting lists
-    /// amortize their growth). On a count-carrying relation a rejected
-    /// duplicate still bumps the tuple's derivation count. Panics on arity
-    /// mismatch (a schema violation is a caller bug, not data).
+    /// per-tuple or per-key heap allocation (pages, tables, and the
+    /// posting arenas amortize their growth). On a count-carrying relation
+    /// a rejected duplicate still bumps the tuple's derivation count.
+    /// Panics on arity mismatch (a schema violation is a caller bug, not
+    /// data).
     pub fn insert_slice(&mut self, tuple: &[ValueId]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
         if let Some(pos) = self.seen.get(&self.rows, tuple) {
@@ -751,7 +946,7 @@ impl Relation {
             cols.iter().all(|&c| c < self.arity),
             "index column out of range"
         );
-        if self.indexes.contains_key(cols.as_slice()) {
+        if self.has_index(&cols) {
             return;
         }
         let mut idx = Index::new(cols.clone());
@@ -780,14 +975,26 @@ impl Relation {
 
     /// The index on `cols`, if one exists — resolve the column list once,
     /// then probe through the handle (one hash of `cols` instead of one per
-    /// probe).
+    /// probe). Every column of a relation of arity ≥ 1 always has one: a
+    /// fully bound probe asks the duplicate filter's question, so the
+    /// filter answers it and no second table is built or maintained.
     pub fn index(&self, cols: &[usize]) -> Option<IndexRef<'_>> {
-        self.indexes.get(cols).map(|idx| IndexRef { idx })
+        let handle = if self.is_full_key(cols) {
+            Handle::Full(self)
+        } else {
+            Handle::Partial(self.indexes.get(cols)?)
+        };
+        Some(IndexRef(handle))
     }
 
     /// Does an index exist on `cols`?
     pub fn has_index(&self, cols: &[usize]) -> bool {
-        self.indexes.contains_key(cols)
+        self.is_full_key(cols) || self.indexes.contains_key(cols)
+    }
+
+    /// Is `cols` (sorted, deduplicated) the list of every column?
+    fn is_full_key(&self, cols: &[usize]) -> bool {
+        self.arity >= 1 && cols.iter().copied().eq(0..self.arity)
     }
 
     /// The statistics epoch: bumped when tuple count / distinct-value
@@ -939,6 +1146,63 @@ mod tests {
         assert_eq!(r.probe(&[1], &[id(10)]).len(), 2);
         r.insert_slice(&t(&[3, 10]));
         assert_eq!(r.probe(&[1], &[id(10)]).len(), 3);
+    }
+
+    #[test]
+    fn full_key_probe_is_the_duplicate_filter() {
+        let mut r = Relation::new(2);
+        r.insert_slice(&t(&[1, 10]));
+        r.insert_slice(&t(&[1, 20]));
+        // Present without being asked for, and asking builds nothing.
+        assert!(r.has_index(&[0, 1]));
+        r.ensure_index(&[1, 0]);
+        r.ensure_index(&[0, 1]);
+        assert!(r.indexes.is_empty());
+        assert_eq!(r.probe(&[0, 1], &[id(1), id(20)]), &[1]);
+        assert!(r.probe(&[0, 1], &[id(20), id(1)]).is_empty());
+        // It follows tombstones, revival and truncation like any index.
+        let pos = r.remove_slice(&[id(1), id(20)]).unwrap();
+        assert!(r.index(&[0, 1]).unwrap().probe(&[id(1), id(20)]).is_empty());
+        r.revive(pos);
+        assert_eq!(r.probe(&[0, 1], &[id(1), id(20)]), &[1]);
+        r.truncate(1);
+        assert!(r.probe(&[0, 1], &[id(1), id(20)]).is_empty());
+        assert_eq!(r.probe(&[0, 1], &[id(1), id(10)]), &[0]);
+        // A proper subset is still a built index; arity 0 has no columns
+        // to bind, so nothing stands in for its empty column list.
+        r.ensure_index(&[1]);
+        assert_eq!(r.indexes.len(), 1);
+        assert!(!Relation::new(0).has_index(&[]));
+    }
+
+    #[test]
+    fn released_extents_are_reused_by_size_class() {
+        // 300 keys × 9 postings: every list has moved 1 → 2 → 4 → 8 → 16
+        // slots and left three extents behind.
+        let fill = |r: &mut Relation, base: i64| {
+            for round in 0..9 {
+                for key in 0..300 {
+                    r.insert_slice(&t(&[key, base + round]));
+                }
+            }
+        };
+        let mut r = Relation::new(2);
+        r.ensure_index(&[0]);
+        fill(&mut r, 0);
+        let slots = r.indexes[&[0usize][..]].postings.arena.len();
+        assert_eq!(slots, 300 * (2 + 4 + 8 + 16));
+        // Emptied lists give their last extent back too, and refilling
+        // every key then finds each size it asks for on a free list: no
+        // fresh arena.
+        for round in 0..9 {
+            for key in 0..300 {
+                r.remove_slice(&[id(key), id(round)]).unwrap();
+            }
+        }
+        assert!(r.probe(&[0], &[id(7)]).is_empty());
+        fill(&mut r, 100);
+        assert_eq!(r.probe(&[0], &[id(7)]).len(), 9);
+        assert_eq!(r.indexes[&[0usize][..]].postings.arena.len(), slots);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Asserts the acceptance criterion of the arena migration: the insert
 //! hot path performs **zero per-tuple heap allocations**. Pages, hash
-//! tables, and posting lists amortize their growth, so N inserts into an
+//! tables, and posting arenas amortize their growth, so N inserts into an
 //! indexed relation must allocate o(N) times — we assert a hard ceiling
-//! far below one allocation per tuple.
+//! far below one allocation per tuple — and nothing is allocated per index
+//! *key* either, so a clone costs a fixed number of buffers per index.
 //!
 //! This lives in its own integration-test binary because the counting
 //! allocator must be the process-global allocator.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ldl_storage::Relation;
 use ldl_testkit::CountingAlloc;
@@ -14,8 +17,17 @@ use ldl_value::{intern, ValueId};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
+/// The counter is process-wide and the harness runs tests on parallel
+/// threads: each test counts under this lock (a failed test's poison is
+/// no reason to fail the others).
+fn counting() -> MutexGuard<'static, ()> {
+    static COUNTING: Mutex<()> = Mutex::new(());
+    COUNTING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn insert_path_allocates_sublinearly() {
+    let _counting = counting();
     const N: usize = 100_000;
     const ARITY: usize = 3;
 
@@ -64,4 +76,73 @@ fn insert_path_allocates_sublinearly() {
          (ceiling {})",
         inserted / 10
     );
+}
+
+/// Every tuple opens a new key in the `[0]` index — the case the test above
+/// cannot see, its indexed column having 257 values. A posting list per
+/// key on the heap is one allocation per insert here.
+#[test]
+fn distinct_keys_allocate_sublinearly() {
+    let _counting = counting();
+    const N: usize = 100_000;
+    let rows: Vec<[ValueId; 2]> = (0..N)
+        .map(|i| [intern::mk_int(i as i64), intern::mk_int((i % 9) as i64)])
+        .collect();
+
+    let mut rel = Relation::new(2);
+    rel.ensure_index(&[0]);
+    rel.ensure_index(&[0, 1]);
+    for row in &rows[..N / 10] {
+        rel.insert_slice(row);
+    }
+
+    let before = ALLOC.count();
+    for row in &rows[N / 10..] {
+        rel.insert_slice(row);
+    }
+    let allocs = ALLOC.delta(before) as usize;
+    let inserted = N - N / 10;
+    assert!(
+        allocs < inserted / 10,
+        "{allocs} allocations for {inserted} inserts of distinct keys"
+    );
+
+    // Probes through either handle allocate nothing; the every-column one
+    // answers with the tuple's own position.
+    let (by_first, by_all) = (rel.index(&[0]).unwrap(), rel.index(&[0, 1]).unwrap());
+    let before = ALLOC.count();
+    for (pos, row) in rows.iter().enumerate() {
+        assert_eq!(by_all.probe(row), &[pos as u32]);
+        assert_eq!(by_first.probe(&row[..1]), &[pos as u32]);
+    }
+    assert_eq!(ALLOC.delta(before), 0);
+}
+
+/// A clone copies a fixed number of flat buffers per index plus the row
+/// pages: the same count whether the `[0]` index holds 10 000 keys or
+/// 20 000 over the same 40 000 rows (the `[1]` index holds 40 000 either
+/// way).
+#[test]
+fn clone_allocations_do_not_depend_on_key_count() {
+    let _counting = counting();
+    const N: i64 = 40_000;
+    let clone_allocs = |keys: i64| {
+        let mut rel = Relation::new(2);
+        rel.ensure_index(&[0]);
+        rel.ensure_index(&[1]);
+        for i in 0..N {
+            rel.insert_slice(&[intern::mk_int(i % keys), intern::mk_int(i)]);
+        }
+        let before = ALLOC.count();
+        let copy = rel.clone();
+        let allocs = ALLOC.delta(before);
+        assert_eq!(
+            copy.probe(&[0], &[intern::mk_int(7)]).len() as i64,
+            N / keys
+        );
+        allocs
+    };
+    let allocs = clone_allocs(10_000);
+    assert!(allocs <= 64, "clone allocated {allocs} times");
+    assert_eq!(clone_allocs(20_000), allocs);
 }

@@ -1,6 +1,8 @@
 //! Storage-level property tests: random insert / tombstone / revive /
 //! index / truncate sequences checked against a naive
-//! `Vec<Vec<ValueId>>` model, plus an arena-paging regression sweep.
+//! `Vec<Vec<ValueId>>` model — clones frozen along the way included — plus
+//! a posting-arena sweep over one hub key and an arena-paging regression
+//! sweep.
 //!
 //! The model is the obvious thing a relation pretends to be: an
 //! insertion-ordered list of rows with a live flag (and a derivation count
@@ -14,7 +16,7 @@ use ldl_testkit::{cases, Rng};
 use ldl_value::{intern, ValueId};
 
 /// The naive reference: rows in insertion order with liveness + counts.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Model {
     rows: Vec<Vec<ValueId>>,
     live: Vec<bool>,
@@ -139,6 +141,10 @@ fn random_op_sequences_match_naive_model() {
             r.enable_counts();
         }
         let mut indexes: Vec<Vec<usize>> = Vec::new();
+        // A clone shares nothing with its source: each frozen relation must
+        // still agree with the model frozen beside it after every later
+        // mutation of `r` — a snapshot at epoch N is the deep copy at N.
+        let mut frozen: Vec<(Relation, Model, Vec<Vec<usize>>)> = Vec::new();
         let tuple = |rng: &mut Rng| -> Vec<ValueId> {
             (0..arity)
                 .map(|_| intern::mk_int(rng.range(0, pool)))
@@ -187,9 +193,98 @@ fn random_op_sequences_match_naive_model() {
             if op % 13 == 0 {
                 check_agreement(&r, &m, &indexes);
             }
+            if op == ops / 2 || rng.chance(1, 25) {
+                frozen.push((r.clone(), m.clone(), indexes.clone()));
+            }
         }
         check_agreement(&r, &m, &indexes);
+        for (r, m, indexes) in &frozen {
+            check_agreement(r, m, indexes);
+        }
     });
+}
+
+/// One hub key grown to 5 000 postings — through every extent relocation
+/// from the inline singleton to 8 192 slots — interleaved with small keys
+/// whose lists take over the extents it leaves, then random removal,
+/// revival and truncation across the same size classes. Every key's probe
+/// is compared with the naive model after each step.
+#[test]
+fn hub_key_postings_stay_exact_across_relocation_and_reuse() {
+    const HUB: i64 = 0;
+    const KEYS: i64 = 1 + 40;
+    let mut rng = Rng::new(0x1D1_1987);
+    let mut r = Relation::new(2);
+    let mut m = Model::default();
+    r.ensure_index(&[0]);
+    let check = |r: &Relation, m: &Model| {
+        for key in (0..KEYS).map(intern::mk_int) {
+            let want: Vec<u32> = (0..m.rows.len())
+                .filter(|&p| m.live[p] && m.rows[p][0] == key)
+                .map(|p| p as u32)
+                .collect();
+            assert_eq!(r.probe(&[0], &[key]), want, "key {key:?}");
+        }
+    };
+    // Every tuple is `(key, serial)`, hence new: the model appends without
+    // its linear duplicate search.
+    let mut serial = 0i64;
+    let mut insert = |r: &mut Relation, m: &mut Model, key: i64| {
+        let t = vec![intern::mk_int(key), intern::mk_int(serial)];
+        serial += 1;
+        assert!(r.insert_slice(&t));
+        m.rows.push(t);
+        m.live.push(true);
+        m.counts.push(1);
+    };
+
+    let mut hub = 0u32;
+    while hub < 5000 {
+        // Mostly the hub; a small key every few inserts, so the hub's
+        // relocations and the small lists' growth share the free lists.
+        let key = if rng.chance(3, 4) {
+            hub += 1;
+            HUB
+        } else {
+            rng.range(1, KEYS)
+        };
+        insert(&mut r, &mut m, key);
+        if hub.is_power_of_two() || m.rows.len() % 500 == 0 {
+            check(&r, &m);
+        }
+    }
+    check(&r, &m);
+
+    for _ in 0..400 {
+        match rng.range(0, 10) {
+            0..=5 => {
+                for _ in 0..rng.range(1, 60) {
+                    let p = rng.index(m.rows.len());
+                    let was_live = std::mem::replace(&mut m.live[p], false);
+                    let want = was_live.then_some(p as u32);
+                    assert_eq!(r.remove_slice(&m.rows[p]), want);
+                }
+            }
+            6..=8 => {
+                let dead = (0..m.rows.len()).filter(|&p| !m.live[p]);
+                for p in dead.take(rng.range(1, 40) as usize).collect::<Vec<_>>() {
+                    r.revive(p as u32);
+                    m.live[p] = true;
+                }
+            }
+            _ => {
+                // Cut a tail off, then grow the hub back over it.
+                let cut = m.rows.len() - rng.index(m.rows.len() / 8);
+                r.truncate(cut);
+                m.truncate(cut);
+                for _ in 0..rng.range(0, 300) {
+                    insert(&mut r, &mut m, HUB);
+                }
+            }
+        }
+        check(&r, &m);
+    }
+    assert_eq!(r.live_len(), m.live.iter().filter(|&&l| l).count());
 }
 
 /// Pages hold `prev_pow2(max(1, 4096 / arity))` rows; this sweep crosses

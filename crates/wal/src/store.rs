@@ -223,6 +223,15 @@ impl Store {
                             db.remove(f);
                         }
                         for f in ins {
+                            // A commit may re-assert, at another arity, a
+                            // predicate emptied by earlier ones (never by
+                            // itself): the all-tombstoned relation goes.
+                            if db
+                                .relation(f.pred())
+                                .is_some_and(|r| r.is_empty() && r.arity() != f.arity())
+                            {
+                                db.remove_relation(f.pred());
+                            }
                             db.insert(f);
                         }
                         last_seq = *seq;

@@ -560,3 +560,79 @@ fn body_literal_arity_conflict_is_an_eval_error() {
     assert_eq!(arity_error(sys.query_magic("q(X)")), want);
     assert_eq!(sys.query_magic("ok(X)").unwrap().len(), 1);
 }
+
+/// A predicate with no facts left — and no rule that mentions it — has no
+/// arity: retracting its last fact must not pin the old arity until a fresh
+/// `System` (the all-tombstoned relation used to keep it). The log replays
+/// the same history, so a durable system recovers it too. What stays
+/// rejected: a batch that itself empties the predicate and refills it at
+/// another arity, and any predicate a loaded rule gives an arity to.
+#[test]
+fn emptied_predicate_forgets_its_arity() {
+    use ldl1::{Error, MutationError, Value};
+    let answers = |sys: &mut System, q: &str| -> Vec<String> {
+        let mut rows: Vec<String> = sys
+            .query(q)
+            .unwrap()
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        rows.sort();
+        rows
+    };
+
+    let dir = std::env::temp_dir().join(format!("ldl1-arity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for durable in [false, true] {
+        let mut sys = if durable {
+            System::open(&dir).unwrap()
+        } else {
+            System::new()
+        };
+        sys.load("q(X) <- e(X, _). p(1, 2). e(1, 2).").unwrap();
+        if durable {
+            assert_eq!(sys.query("q(X)").unwrap().len(), 1); // maintain a model too
+        }
+
+        // Emptying and refilling in one batch is still one predicate with
+        // two arities; the rejected batch applies nothing.
+        let mut b = sys.mutate();
+        b.retract("p", vec![Value::int(1), Value::int(2)]);
+        b.assert("p", vec![Value::int(7)]);
+        assert!(matches!(
+            b.commit(),
+            Err(Error::Mutation(MutationError::ArityMismatch {
+                expected: 2,
+                ..
+            }))
+        ));
+        assert_eq!(sys.edb().num_facts(), 2);
+
+        let mut b = sys.mutate();
+        b.retract("p", vec![Value::int(1), Value::int(2)]);
+        b.commit().unwrap();
+        assert_eq!(sys.edb().num_facts(), 1);
+        sys.fact("p(7).").unwrap();
+        sys.load("p(8).").unwrap();
+        assert_eq!(answers(&mut sys, "p(X)"), ["X = 7", "X = 8"]);
+        assert!(sys.query("p(X, Y)").unwrap().is_empty());
+
+        // `e` is emptied as well, but a rule fixes its arity.
+        sys.retract("e(1, 2).").unwrap();
+        assert!(matches!(
+            sys.fact("e(1, 2, 3)."),
+            Err(Error::Mutation(MutationError::ArityMismatch {
+                expected: 2,
+                ..
+            }))
+        ));
+
+        if durable {
+            drop(sys);
+            let mut sys = System::open(&dir).unwrap();
+            assert_eq!(sys.recovery_info().unwrap().replayed, 5);
+            assert_eq!(answers(&mut sys, "p(X)"), ["X = 7", "X = 8"]);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
