@@ -28,7 +28,7 @@ Commands:
   :strata             show the layering of the current program
   :facts PRED         list the model's facts for one predicate
   :retract FACT.      remove a stored fact (the model is maintained
-                      differentially — counting / delete-rederive)
+                      differentially — delete-rederive / replay)
   :update OLD. => NEW.  replace a stored fact in one transaction
   :plan [PRED]        show the join plans (step order, indexes, estimates)
   :magic QUERY.       answer a query via the magic-set pipeline

@@ -44,3 +44,35 @@ fn help_lists_no_worker_count_setting() {
     assert!(help.contains("--timeout") && help.contains(":limits"));
     assert!(!help.contains("jobs"), "{help}");
 }
+
+#[test]
+fn rejected_rule_does_not_poison_the_repl() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut repl = Command::new(env!("CARGO_BIN_EXE_ldl1"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ldl1 binary runs");
+    repl.stdin
+        .take()
+        .unwrap()
+        .write_all(
+            b"r(X) <- e(X). e(1).\n\
+              bad(X, {<Y>}) <- e2(X, Y).\n\
+              s(X) <- r(X).\n\
+              ?- s(X).\n\
+              :quit\n",
+        )
+        .unwrap();
+    let out = repl.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    let shown = format!("{stdout}{stderr}");
+    assert_eq!(shown.matches("error:").count(), 1, "{shown}");
+    assert!(stdout.contains("X = 1"), "{shown}");
+}

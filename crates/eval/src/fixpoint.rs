@@ -123,49 +123,6 @@ pub fn ensure_head_relations(
     Ok(())
 }
 
-/// Can this layer's fixpoint predicates carry exact derivation counts?
-///
-/// Counting maintenance (the non-recursive arm of differential deletion,
-/// see [`crate::retract`]) needs every tuple's count to equal its number of
-/// distinct derivations (plus one EDB unit when the tuple is also stored).
-/// That bookkeeping is exact precisely when the layer is *non-recursive*:
-/// no fixpoint rule reads any of the layer's own fixpoint predicates, so
-/// semi-naive round 0 enumerates every derivation exactly once and the
-/// duplicate-insert path of [`ldl_storage::Relation`] turns each duplicate
-/// into a count increment. Layers where a grouping head coincides with a
-/// fixpoint head are excluded too — grouping inserts are replacements, not
-/// derivations.
-pub(crate) fn counting_eligible(program: &Program, split: &LayerSplit) -> bool {
-    if split.rest.is_empty() {
-        return false;
-    }
-    if split
-        .grouping
-        .iter()
-        .any(|&ri| split.preds.contains(&program.rules[ri].head.pred))
-    {
-        return false;
-    }
-    split.rest.iter().all(|&ri| {
-        program.rules[ri].body.iter().all(|l| {
-            Builtin::resolve(l.atom.pred, l.atom.arity()).is_some()
-                || !split.preds.contains(&l.atom.pred)
-        })
-    })
-}
-
-/// A copy of `plan` with its existential tail disabled, so a pass
-/// enumerates *every* body solution. Counting layers need this: a tuple's
-/// derivation count is its number of body solutions across all rules, and
-/// that number must not depend on which plan shape (round 0, delta-first,
-/// or a retraction's `rm$`-variant) produced or removed the derivation.
-/// Full enumeration is join-order-invariant, witness cuts are not.
-pub(crate) fn full_enumeration(plan: &RulePlan) -> RulePlan {
-    let mut full = plan.clone();
-    full.exist_from = plan.steps.len();
-    full
-}
-
 /// Compiled-plan cache for one program over one operation.
 ///
 /// Keyed by `(rule id, role)`: role 0 is the full round-0 plan, role
@@ -290,51 +247,15 @@ pub(crate) fn evaluate_layers(
         // each other's heads — one round, merged in rule order.
         full_round(program, &split.grouping, &mut cache, db, drive)?;
 
-        // Then the remaining rules to fixpoint. Non-recursive layers carry
-        // per-tuple derivation counts so that a later retraction can be
-        // absorbed by decrement-to-zero instead of a replay (see
-        // `counting_eligible`; enabling is idempotent, and a replayed layer
-        // re-enables after its relations were reset). Such a layer reads
-        // only completed lower layers (that is what made it eligible), so
-        // one full round *is* its fixpoint — run it over plans whose
-        // existential tails are disabled, because the duplicate-insert
-        // count increments must see every body solution, not the first
-        // witness of a projected-away tail.
-        if counting_eligible(program, &split) {
-            for &ri in &split.rest {
-                let head = &program.rules[ri].head;
-                db.relation_mut(head.pred, head.arity()).enable_counts();
-            }
-            let full: Vec<RulePlan> = round_plans(program, &split.rest, &mut cache, db, drive)?
-                .iter()
-                .map(|p| full_enumeration(p))
-                .collect();
-            let tasks: Vec<RoundTask<'_>> = full.iter().map(RoundTask::whole).collect();
-            run_round(&tasks, db, drive)?;
-        } else {
-            // Semi-naive: a full round 0 covers every tuple below the
-            // pre-round marks, the delta loop everything above them.
-            let mut frontier = frontier_at(db, split.preds.iter().copied());
-            full_round(program, &split.rest, &mut cache, db, drive)?;
-            delta_loop(program, &split.rest, &mut cache, db, &mut frontier, drive)?;
-        }
+        // Then the remaining rules to fixpoint, semi-naive: a full round 0
+        // covers every tuple below the pre-round marks, the delta loop
+        // everything above them (nothing, in a non-recursive layer: its one
+        // round is its fixpoint).
+        let mut frontier = frontier_at(db, split.preds.iter().copied());
+        full_round(program, &split.rest, &mut cache, db, drive)?;
+        delta_loop(program, &split.rest, &mut cache, db, &mut frontier, drive)?;
     }
     Ok(())
-}
-
-/// The role-0 (full) plan of every rule in `rule_ids`, prepared against the
-/// database's current statistics.
-fn round_plans(
-    program: &Program,
-    rule_ids: &[usize],
-    cache: &mut PlanCache,
-    db: &mut Database,
-    drive: &mut Drive<'_>,
-) -> Result<Vec<Arc<RulePlan>>, EvalError> {
-    rule_ids
-        .iter()
-        .map(|&ri| cache.prepare(program, ri, 0, db, drive.stats))
-        .collect()
 }
 
 /// One full round: every rule of `rule_ids` applied once, unrestricted, to
@@ -346,7 +267,10 @@ pub fn full_round(
     db: &mut Database,
     drive: &mut Drive<'_>,
 ) -> Result<usize, EvalError> {
-    let plans = round_plans(program, rule_ids, cache, db, drive)?;
+    let plans = rule_ids
+        .iter()
+        .map(|&ri| cache.prepare(program, ri, 0, db, drive.stats))
+        .collect::<Result<Vec<_>, _>>()?;
     let tasks: Vec<RoundTask<'_>> = plans.iter().map(|p| RoundTask::whole(p)).collect();
     run_round(&tasks, db, drive)
 }
@@ -570,49 +494,12 @@ fn project_head(head: &[Expr], regs: &[ValueId], data: &mut Vec<ValueId>) -> boo
     true
 }
 
-/// The derive phase of a round: run every task, in task order, against `db`
-/// (immutable for the duration) and return each task's head predicate and
-/// derived buffer, with the passes' counters folded into the operation's
-/// stats and their attempts charged to its meter.
-///
-/// [`run_round`] merges the buffers; the one caller that must not —
-/// counting deletion, whose derived tuples are *losses* to decrement —
-/// reads them instead.
-pub(crate) fn derive_round(
-    tasks: &[RoundTask<'_>],
-    db: &Database,
-    drive: &mut Drive<'_>,
-) -> Result<Vec<(Symbol, DerivedBuf)>, EvalError> {
-    drive.meter.check()?;
-    if tasks.is_empty() {
-        return Ok(Vec::new());
-    }
-    // The gate is a `Copy` view of the budget's cancel token, so a pass taps
-    // the countdown/flag without touching the (exclusively borrowed) meter.
-    let gate = drive.opts.budget.gate();
-    let stats = &mut *drive.stats;
-    stats.rounds += 1;
-    stats.compiled_rounds += 1;
-    stats.rules_fired += tasks.len() as u64;
-    let mut attempts = 0u64;
-    let mut derived = Vec::with_capacity(tasks.len());
-    for t in tasks {
-        let out = derive_once(t.plan, db, t.restrict, gate);
-        stats.index_probes += out.probes;
-        stats.exist_cuts += out.cuts;
-        stats.lowerings += out.lowerings;
-        attempts += out.attempts;
-        derived.push((t.plan.head.pred, out.buf));
-    }
-    stats.attempts += attempts;
-    drive.meter.charge(attempts, 0);
-    Ok(derived)
-}
-
 /// Execute one evaluation round — one application of §3.2's `R` — and the
-/// only place derived facts enter the database: `derive_round` runs every
-/// task against the current state, then the buffers are merged in task
-/// order. The tuples are already interned ids, so a rejected duplicate
+/// only place derived facts enter the database. The derive phase runs every
+/// task, in task order, against the current state (immutable for the
+/// duration), folding the passes' counters into the operation's stats and
+/// charging their attempts to its meter; then the buffers are merged in
+/// task order. The tuples are already interned ids, so a rejected duplicate
 /// costs one hash of a few u32s. Returns the number of new facts.
 ///
 /// Budget checks bracket the round ([`BudgetMeter::check`] before the
@@ -625,7 +512,30 @@ pub fn run_round(
     db: &mut Database,
     drive: &mut Drive<'_>,
 ) -> Result<usize, EvalError> {
-    let derived = derive_round(tasks, db, drive)?;
+    drive.meter.check()?;
+    if tasks.is_empty() {
+        return Ok(0);
+    }
+    // The gate is a `Copy` view of the budget's cancel token, so a pass taps
+    // the countdown/flag without touching the (exclusively borrowed) meter.
+    let gate = drive.opts.budget.gate();
+    let stats = &mut *drive.stats;
+    stats.rounds += 1;
+    stats.compiled_rounds += 1;
+    stats.rules_fired += tasks.len() as u64;
+    let mut attempts = 0u64;
+    let mut derived: Vec<(Symbol, DerivedBuf)> = Vec::with_capacity(tasks.len());
+    for t in tasks {
+        let out = derive_once(t.plan, db, t.restrict, gate);
+        stats.index_probes += out.probes;
+        stats.exist_cuts += out.cuts;
+        stats.lowerings += out.lowerings;
+        attempts += out.attempts;
+        derived.push((t.plan.head.pred, out.buf));
+    }
+    stats.attempts += attempts;
+    drive.meter.charge(attempts, 0);
+
     let mut new = 0u64;
     let mut dedup = 0u64;
     for (pred, buf) in &derived {

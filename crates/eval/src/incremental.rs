@@ -32,10 +32,9 @@ use ldl_stratify::{LayerSensitivity, Stratification};
 
 use crate::error::EvalError;
 use crate::fixpoint::{
-    counting_eligible, delta_loop, ensure_head_relations, evaluate_layers, frontier_at, len_of,
-    DeltaFrontier, Drive, LayerSplit, PlanCache,
+    delta_loop, ensure_head_relations, evaluate_layers, frontier_at, len_of, DeltaFrontier, Drive,
+    LayerSplit, PlanCache,
 };
-use crate::retract::counting_insert_layer;
 
 /// Propagate newly inserted EDB tuples through an evaluated model, in
 /// place — the insertion phase of [`crate::retract::apply_mutations`], run
@@ -85,31 +84,16 @@ pub(crate) fn apply_update(
 
         let pre = frontier_at(db, split.preds.iter().copied());
 
-        // A layer carrying derivation counts needs *exact* delta passes:
-        // the one-occurrence-at-a-time passes of the delta loop enumerate a
-        // derivation once per new tuple it uses, which is fine for sets
-        // (duplicates merge away) but would inflate counts. The counting
-        // variant decomposes the delta exactly instead.
-        let counting = counting_eligible(program, &split)
-            && split
-                .preds
-                .iter()
-                .all(|&p| db.relation(p).is_some_and(|r| r.counts_enabled()));
-        if counting {
-            counting_insert_layer(program, &split, db, &changed, drive)?;
-        } else {
-            // The layer's own heads have nothing new yet; every changed
-            // predicate is new from its first new tuple on (also where it
-            // is one of the heads — new EDB tuples for an IDB predicate).
-            // The first round restricts one changed occurrence at a time
-            // while the others see the full, new-tuple-inclusive relation,
-            // which covers every derivation using at least one new tuple;
-            // whatever it derives lands above `pre` and keeps the loop
-            // going.
-            let mut frontier = pre.clone();
-            frontier.extend(changed.iter().map(|(&p, &lo)| (p, lo)));
-            delta_loop(program, &split.rest, &mut cache, db, &mut frontier, drive)?;
-        }
+        // The layer's own heads have nothing new yet; every changed
+        // predicate is new from its first new tuple on (also where it is
+        // one of the heads — new EDB tuples for an IDB predicate). The
+        // first round restricts one changed occurrence at a time while the
+        // others see the full, new-tuple-inclusive relation, which covers
+        // every derivation using at least one new tuple; whatever it
+        // derives lands above `pre` and keeps the loop going.
+        let mut frontier = pre.clone();
+        frontier.extend(changed.iter().map(|(&p, &lo)| (p, lo)));
+        delta_loop(program, &split.rest, &mut cache, db, &mut frontier, drive)?;
         drive.stats.strata_delta += 1;
 
         // New facts of this layer's predicates join the frontier for the

@@ -1,40 +1,27 @@
-//! Differential deletion: counting maintenance and DRed.
+//! Differential deletion: DRed, and replay where DRed cannot anchor.
 //!
 //! [`apply_mutations`] is the transactional entry point behind the `ldl1`
 //! mutation-batch API: it applies a net set of EDB retractions and
 //! assertions to an already-evaluated model *in place*, producing the same
 //! fact set a from-scratch evaluation over the surviving EDB would. The
-//! deletion side picks its algorithm per stratum, driven by the same
+//! deletion side sweeps the strata bottom-up, driven by the same
 //! sensitivity analysis the insert path uses:
 //!
-//! * **Counting** (non-recursive strata): every tuple of the stratum's
-//!   fixpoint predicates carries a derivation count — the number of body
-//!   solutions that derive it, plus one unit when the tuple is also stored
-//!   as an EDB fact (see `fixpoint::counting_eligible`). Deleting
-//!   a set of lower-stratum tuples removes exactly the derivations
-//!   enumerated by the *subset rules*: for each rule and each non-empty
-//!   subset `S` of its deleted-predicate occurrences, a pass that reads the
-//!   deleted tuples (`rm$q`) at the occurrences in `S` and the surviving
-//!   relation elsewhere. Each lost body solution is produced by exactly one
-//!   subset — the set of occurrences where it used a deleted tuple — so
-//!   decrementing per derived head tuple and tombstoning at zero is exact,
-//!   and costs work proportional to the *affected* derivations. This is the
-//!   bag-semantics argument of "Datalog: Bag Semantics via Set Semantics"
-//!   specialized to the non-recursive case.
-//! * **DRed** (recursive strata, or strata without counts): overdelete
-//!   everything derivable from a deleted tuple, then rederive the
-//!   overdeleted tuples still supported by the surviving facts. Both phases
-//!   are fixpoints of synthesised rules (`del$` variants; the stratum's
-//!   rules guarded by `del$h`) and both run on the engine's one semi-naive
-//!   loop ([`delta_loop`]) — all that is DRed-specific is the frontier:
-//!   every `del$` relation from its first tuple for the overdeletion,
-//!   `del$h` from its first tuple beside the stratum's heads at their
-//!   current length for the rederivation.
+//! * **DRed**: overdelete everything derivable from a deleted tuple, then
+//!   rederive the overdeleted tuples still supported by the surviving
+//!   facts. Both phases are fixpoints of synthesised rules (`del$`
+//!   variants; the stratum's rules guarded by `del$h`) and both run on the
+//!   engine's one semi-naive loop ([`delta_loop`]) — all that is
+//!   DRed-specific is the frontier: every `del$` relation from its first
+//!   tuple for the overdeletion, `del$h` from its first tuple beside the
+//!   stratum's heads at their current length for the rederivation.
 //! * **Replay**: a deleted predicate read under negation or inside a
-//!   grouping body, a retraction aimed at a grouping head, or a rule head
-//!   whose arguments are not invertible patterns (set construction,
-//!   arithmetic) falls back to the stratum truncate-and-replay path that
-//!   insertion already uses — always sound, never differential.
+//!   grouping body, a retraction aimed at a grouping head, or rule heads
+//!   the rederive guard cannot anchor on (`rederive_compatible`: a
+//!   non-invertible argument — set construction, arithmetic — in a
+//!   recursive stratum, or a head with no invertible argument at all) fall
+//!   back to the stratum truncate-and-replay path that insertion already
+//!   uses — always sound, never differential.
 //!
 //! Everything runs on one [`Drive`] — one set of counters, one budget meter: a
 //! batch that trips its budget mid-flight aborts as a unit, and
@@ -45,7 +32,7 @@
 use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::{Builtin, Program};
 use ldl_ast::rule::Rule;
-use ldl_ast::term::{Term, Var};
+use ldl_ast::term::Term;
 use ldl_storage::{Database, Relation};
 use ldl_stratify::{LayerSensitivity, Stratification};
 use ldl_value::fxhash::{FastMap, FastSet};
@@ -57,11 +44,9 @@ type Row = Vec<ValueId>;
 use crate::engine::EvalOptions;
 use crate::error::EvalError;
 use crate::fixpoint::{
-    counting_eligible, delta_loop, derive_round, frontier_at, full_enumeration, len_of, run_round,
-    DeltaFrontier, Drive, LayerSplit, PlanCache, RoundTask,
+    delta_loop, frontier_at, len_of, DeltaFrontier, Drive, LayerSplit, PlanCache,
 };
 use crate::incremental::{apply_update, replay_from};
-use crate::plan::{ensure_plan_indexes, DeltaRestriction, RulePlan};
 use crate::stats::EvalStats;
 
 /// Apply a net mutation batch — `retractions` then `assertions`, both
@@ -160,8 +145,8 @@ fn mutate_inner(
     }
 
     // Phase 2: deletion sweep, bottom-up. Each stratum absorbs the frontier
-    // reaching it (counting or DRed) and contributes its own losses, or the
-    // whole suffix replays from the post-retraction EDB.
+    // reaching it (DRed) and contributes its own losses, or the whole
+    // suffix replays from the post-retraction EDB.
     let mut replayed = false;
     for (k, sens_k) in sens.iter().enumerate() {
         if deleted.is_empty() && pending.is_empty() {
@@ -183,19 +168,15 @@ fn mutate_inner(
         // Deletions under negation or grouping bodies flip conclusions the
         // differential passes cannot retract one by one; a retraction aimed
         // at a grouping head replaces a set rather than removing a tuple;
-        // and a non-invertible rule head cannot anchor the DRed rederive
-        // join. All three fall back to stratum replay over the
-        // post-retraction EDB — the same path the insert side uses.
-        let counting = !heads.is_empty()
-            && counting_eligible(program, &split)
-            && heads
-                .iter()
-                .all(|&(h, _)| db.relation(h).is_some_and(|r| r.counts_enabled()));
+        // and a rule head DRed cannot anchor its rederive join on (see
+        // `rederive_compatible`) leaves nothing to guard with. All three
+        // fall back to stratum replay over the post-retraction EDB — the
+        // same path the insert side uses.
         let layer_pending_any = heads.iter().any(|&(h, _)| pending.contains_key(&h));
         let affected = layer_pending_any || deleted.keys().any(|p| sens_k.positive.contains(p));
         if deleted.keys().any(|&p| sens_k.requires_replay_for(p))
             || grouping_pending
-            || (affected && !counting && !rederive_compatible(program, &split))
+            || (affected && !rederive_compatible(program, &split))
         {
             replay_from(program, strat, edb, db, k, drive)?;
             deleted.clear();
@@ -212,20 +193,16 @@ fn mutate_inner(
             .filter_map(|&(h, _)| pending.remove(&h).map(|ts| (h, ts)))
             .collect();
 
-        let losses = if counting {
-            counting_delete_layer(program, &split, db, &deleted, &layer_pending, drive)?
-        } else {
-            dred_delete_layer(
-                program,
-                &split,
-                &heads,
-                edb,
-                db,
-                &deleted,
-                &layer_pending,
-                drive,
-            )?
-        };
+        let losses = dred_delete_layer(
+            program,
+            &split,
+            &heads,
+            edb,
+            db,
+            &deleted,
+            &layer_pending,
+            drive,
+        )?;
         drive.stats.facts_retracted += losses.len() as u64;
         for (h, t) in losses {
             deleted.entry(h).or_default().push(t);
@@ -235,8 +212,7 @@ fn mutate_inner(
 
     // Phase 3: append the assertions to both databases and propagate them
     // through the (now deletion-consistent) model with the ordinary
-    // insert-side machinery. A fact that is already derived registers its
-    // EDB support as a count increment on counting strata.
+    // insert-side machinery.
     let mut changed = DeltaFrontier::default();
     for f in assertions {
         edb.insert(f.clone());
@@ -264,125 +240,52 @@ fn layer_heads(program: &Program, split: &LayerSplit) -> Vec<(Symbol, usize)> {
     heads
 }
 
-/// Can every head argument of this layer's fixpoint rules be used as a
-/// *pattern* in a body literal? The DRed rederive join puts `del$h(head
-/// args)` in body position; variables, constants, and free compounds unify
-/// against stored values, but evaluating terms (arithmetic, `scons`, set
-/// enumeration, grouping) do not invert.
-fn rederive_compatible(program: &Program, split: &LayerSplit) -> bool {
-    fn invertible(t: &Term) -> bool {
-        match t {
-            Term::Var(_) | Term::Const(_) => true,
-            Term::Compound(_, args) => args.iter().all(invertible),
-            _ => false,
-        }
+/// Can this head argument be used as a *pattern* in a body literal?
+/// Variables, constants, and free compounds unify against stored values;
+/// evaluating terms (arithmetic, `scons`, set enumeration, grouping) do not
+/// invert.
+fn invertible(t: &Term) -> bool {
+    match t {
+        Term::Var(_) | Term::Const(_) => true,
+        Term::Compound(_, args) => args.iter().all(invertible),
+        _ => false,
     }
-    split
-        .rest
-        .iter()
-        .all(|&ri| program.rules[ri].head.args.iter().all(invertible))
+}
+
+/// Can DRed anchor this layer's rederive join? The join puts `del$h(…)` in
+/// front of each rule body with the head's arguments as patterns and every
+/// non-invertible argument replaced by `_`. The guard is only a work
+/// limiter — whatever the guarded rules derive comes from surviving facts,
+/// so it belongs to the new model whether or not it was overdeleted — but
+/// how much it limits decides the gate:
+///
+/// * every head argument invertible: the guard matches exactly the
+///   overdeleted tuples, in any layer;
+/// * a non-recursive layer whose every head keeps at least one invertible
+///   argument: the weaker guard re-joins each overdeleted tuple's anchor
+///   group, once — one round, no cascade.
+///
+/// A head with no invertible argument has no anchor. In a recursive layer
+/// the weakened guard re-joins whole anchor groups round after round behind
+/// an overdeletion that already cascades through everything built on the
+/// lost tuple (every superset, for the BOM's set-valued closure) — sound,
+/// but measured slower than replay (EXPERIMENTS.md P24). Both replay.
+fn rederive_compatible(program: &Program, split: &LayerSplit) -> bool {
+    let heads = || split.rest.iter().map(|&ri| &program.rules[ri].head);
+    if heads().all(|h| h.args.iter().all(invertible)) {
+        return true;
+    }
+    let recursive = split.rest.iter().any(|&ri| {
+        program.rules[ri]
+            .body
+            .iter()
+            .any(|l| split.preds.contains(&l.atom.pred))
+    });
+    !recursive && heads().all(|h| h.args.iter().any(invertible))
 }
 
 fn scratch_name(prefix: &str, p: Symbol) -> Symbol {
     Symbol::intern(&format!("{prefix}${p}"))
-}
-
-/// One support loss for `h`'s tuple `t`: decrement its derivation count and
-/// tombstone it when the last support is gone.
-fn lose_support(db: &mut Database, h: Symbol, t: &[ValueId], out: &mut Vec<(Symbol, Row)>) {
-    let rel = db.relation_mut(h, t.len());
-    let Some(pos) = rel.position_of(t) else {
-        // Exactness of the counting scheme guarantees every enumerated loss
-        // targets a live tuple; tolerate drift rather than corrupt state.
-        debug_assert!(false, "support loss for absent tuple of {h}");
-        return;
-    };
-    if rel.decrement_count(pos, 1) == 0 {
-        rel.remove_slice(t);
-        out.push((h, t.to_vec()));
-    }
-}
-
-/// Counting deletion for one non-recursive stratum: enumerate the lost
-/// derivations with the subset rules, decrement, and tombstone at zero.
-/// Returns the tuples this stratum lost, in death order.
-fn counting_delete_layer(
-    program: &Program,
-    split: &LayerSplit,
-    db: &mut Database,
-    deleted: &FastMap<Symbol, Vec<Row>>,
-    layer_pending: &[(Symbol, Vec<Row>)],
-    drive: &mut Drive<'_>,
-) -> Result<Vec<(Symbol, Row)>, EvalError> {
-    // `rm$q` holds exactly the tuples q lost — the deleted side of the
-    // OLD = NEW ∪ deleted split the subset rules enumerate over.
-    let mut rm_names: FastMap<Symbol, Symbol> = FastMap::default();
-    for (&q, tuples) in deleted {
-        let Some(arity) = db.relation(q).map(Relation::arity) else {
-            continue;
-        };
-        let name = scratch_name("rm", q);
-        let mut rel = Relation::new(arity);
-        for t in tuples {
-            rel.insert_slice(t);
-        }
-        db.set_relation(name, rel);
-        rm_names.insert(q, name);
-    }
-
-    // Enumerate lost derivations: one derive-only round over the
-    // post-deletion database plus the `rm$` relations — the derived tuples
-    // are losses to decrement, not facts to merge. Plans are compiled fresh
-    // (they mix scratch relations, so the per-operation cache does not
-    // apply) with existential tails disabled — the loss count must match
-    // the full enumeration that built the counts.
-    let mut plans: Vec<RulePlan> = Vec::new();
-    for &ri in &split.rest {
-        let rule = &program.rules[ri];
-        let occs: Vec<usize> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| {
-                l.positive
-                    && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
-                    && rm_names.contains_key(&l.atom.pred)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        for mask in 1u32..(1u32 << occs.len()) {
-            let mut synth = rule.clone();
-            for (bit, &occ) in occs.iter().enumerate() {
-                if mask & (1 << bit) != 0 {
-                    synth.body[occ].atom.pred = rm_names[&rule.body[occ].atom.pred];
-                }
-            }
-            let plan = full_enumeration(&RulePlan::compile_with(&synth, Some(db), None)?);
-            ensure_plan_indexes(&plan, db)?;
-            plans.push(plan);
-        }
-    }
-    let tasks: Vec<RoundTask<'_>> = plans.iter().map(RoundTask::whole).collect();
-    let passes = derive_round(&tasks, db, drive)?;
-    for (_, name) in rm_names {
-        db.remove_relation(name);
-    }
-
-    // Apply the losses: pending EDB units first, then the enumerated
-    // derivations in pass order — a fixed order, so the death order (and
-    // with it every downstream frontier) is deterministic.
-    let mut out: Vec<(Symbol, Row)> = Vec::new();
-    for (h, tuples) in layer_pending {
-        for t in tuples {
-            lose_support(db, *h, t, &mut out);
-        }
-    }
-    for (h, buf) in &passes {
-        buf.for_each(&mut |t| lose_support(db, *h, t, &mut out));
-    }
-    drive.stats.strata_counting += 1;
-    drive.meter.check()?;
-    Ok(out)
 }
 
 /// Run synthesised `rules` to their semi-naive fixpoint from `frontier` —
@@ -553,7 +456,8 @@ fn dred_delete_layer(
         }
     }
     // Rederivation rules: each stratum rule guarded by del$h(head args) in
-    // front of its body. del$h is a delta from its first tuple on, the
+    // front of its body, a non-invertible argument as `_` (see
+    // `rederive_compatible`). del$h is a delta from its first tuple on, the
     // stratum's heads from their current length: the first round is the
     // del$h-first join — O(overdeleted), not O(stratum) — and later rounds
     // join what came back.
@@ -562,10 +466,9 @@ fn dred_delete_layer(
         .iter()
         .map(|&ri| {
             let mut synth = program.rules[ri].clone();
-            let guard = Atom::new(
-                scratch_name("del", synth.head.pred),
-                synth.head.args.clone(),
-            );
+            let anchor = synth.head.args.iter();
+            let anchor = anchor.map(|a| if invertible(a) { a.clone() } else { Term::Anon });
+            let guard = Atom::new(scratch_name("del", synth.head.pred), anchor.collect());
             synth.body.insert(0, Literal::pos(guard));
             synth
         })
@@ -588,117 +491,6 @@ fn dred_delete_layer(
     drive.stats.strata_dred += 1;
     drive.meter.check()?;
     Ok(out)
-}
-
-/// The exact insertion pass for a counting stratum, replacing the
-/// one-occurrence-at-a-time passes of the delta loop (which enumerate a
-/// derivation once per changed occurrence it uses — harmless for sets,
-/// wrong for counts). The delta is decomposed by *first changed
-/// occurrence*: variant `i` restricts occurrence `i` to the delta range,
-/// guards every earlier changed occurrence with `~ins$q(args)` so it binds
-/// an old tuple, and leaves later occurrences unrestricted. Each new
-/// derivation is enumerated exactly once, and the duplicate-insert path
-/// turns it into a count increment.
-pub(crate) fn counting_insert_layer(
-    program: &Program,
-    split: &LayerSplit,
-    db: &mut Database,
-    changed: &DeltaFrontier,
-    drive: &mut Drive<'_>,
-) -> Result<(), EvalError> {
-    let mut ins_names: FastMap<Symbol, Symbol> = FastMap::default();
-    let mut temp: Vec<Symbol> = Vec::new();
-    for &ri in &split.rest {
-        let rule = &program.rules[ri];
-        let occs: Vec<usize> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| {
-                l.positive
-                    && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
-                    && changed
-                        .get(&l.atom.pred)
-                        .is_some_and(|&lo| lo < len_of(db, l.atom.pred))
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if occs.is_empty() {
-            continue;
-        }
-        // `_` in a changed occurrence gets a fresh name: the not-in-delta
-        // guard must test the exact tuple its positive twin bound, and an
-        // anonymous column would quantify over the whole delta instead.
-        let mut base = rule.clone();
-        let mut fresh = 0usize;
-        for &occ in &occs {
-            for a in &mut base.body[occ].atom.args {
-                *a = deanon(a, &mut fresh);
-            }
-        }
-        for (vi, &occ) in occs.iter().enumerate() {
-            let pred = rule.body[occ].atom.pred;
-            let lo = changed[&pred] as u32;
-            let hi = len_of(db, pred) as u32;
-            let mut synth = base.clone();
-            for &g in &occs[..vi] {
-                let gpred = rule.body[g].atom.pred;
-                let gname = match ins_names.get(&gpred) {
-                    Some(&n) => n,
-                    None => {
-                        let n = scratch_name("ins", gpred);
-                        let rel_src = db.relation(gpred).expect("changed predicate exists");
-                        let glo = changed[&gpred];
-                        let mut rel = Relation::new(rel_src.arity());
-                        for t in rel_src.range(glo, rel_src.len()) {
-                            rel.insert_slice(t);
-                        }
-                        db.set_relation(n, rel);
-                        ins_names.insert(gpred, n);
-                        temp.push(n);
-                        n
-                    }
-                };
-                synth.body.push(Literal::neg(Atom::new(
-                    gname,
-                    base.body[g].atom.args.clone(),
-                )));
-            }
-            let plan = full_enumeration(&RulePlan::compile_with(&synth, Some(db), Some(occ))?);
-            ensure_plan_indexes(&plan, db)?;
-            let pass = RoundTask {
-                plan: &plan,
-                restrict: Some(DeltaRestriction { step: 0, lo, hi }),
-            };
-            run_round(&[pass], db, drive)?;
-        }
-    }
-    for name in temp {
-        db.remove_relation(name);
-    }
-    Ok(())
-}
-
-/// Replace every anonymous variable in `t` with a fresh named one (`$dN` —
-/// `$` cannot appear in source identifiers, so no capture is possible).
-fn deanon(t: &Term, fresh: &mut usize) -> Term {
-    match t {
-        Term::Anon => {
-            let v = Term::Var(Var::new(&format!("$d{fresh}")));
-            *fresh += 1;
-            v
-        }
-        Term::Compound(f, args) => {
-            Term::Compound(*f, args.iter().map(|a| deanon(a, fresh)).collect())
-        }
-        Term::SetEnum(xs) => Term::SetEnum(xs.iter().map(|a| deanon(a, fresh)).collect()),
-        Term::Scons(h, s) => Term::Scons(Box::new(deanon(h, fresh)), Box::new(deanon(s, fresh))),
-        Term::Arith(op, l, r) => {
-            Term::Arith(*op, Box::new(deanon(l, fresh)), Box::new(deanon(r, fresh)))
-        }
-        Term::Group(inner) => Term::Group(Box::new(deanon(inner, fresh))),
-        Term::Var(_) | Term::Const(_) => t.clone(),
-    }
 }
 
 #[cfg(test)]
@@ -766,7 +558,7 @@ mod tests {
 
     #[test]
     fn counting_retraction_removes_unsupported_facts() {
-        // Non-recursive: p is counting-maintained.
+        // Non-recursive, two rules for one head.
         let src = "p(X) <- e(X).\np(X) <- f(X).";
         let (program, strat, mut edb, mut db) = setup(
             src,
@@ -785,7 +577,7 @@ mod tests {
             &[("e", vec![Value::int(1)])],
             &[],
         );
-        assert_eq!(stats.strata_counting, 1);
+        assert_eq!(stats.strata_dred, 1);
         assert_eq!(stats.strata_replayed, 0);
         assert!(db.contains(&Fact::new("p", vec![Value::int(1)])));
         // Removing f(1) kills the last support.
@@ -837,8 +629,8 @@ mod tests {
 
     #[test]
     fn counting_self_join_subsets_are_exact() {
-        // Two occurrences of e in one rule: the subset rules must count a
-        // derivation using two deleted tuples exactly once.
+        // Two occurrences of e in one rule: a derivation using two deleted
+        // tuples is covered by its first deleted occurrence.
         let src = "p(X, Z) <- e(X, Y), e(Y, Z).";
         let (program, strat, mut edb, mut db) = setup(
             src,
@@ -861,8 +653,126 @@ mod tests {
             ],
             &[],
         );
-        assert_eq!(stats.strata_counting, 1);
+        assert_eq!(stats.strata_dred, 1);
         assert_eq!(db.to_fact_set(), full(&program, &edb).to_fact_set());
+    }
+
+    type Case = (Program, Stratification, Database, Database);
+    type Tuple = (&'static str, Vec<Value>);
+
+    /// Apply the batch and hold the maintained model to the paper's
+    /// definition: §3.2 run literally over the surviving EDB.
+    fn mutate_vs_reference(case: &mut Case, retract: &[Tuple], assert: &[Tuple]) -> EvalStats {
+        let (program, strat, edb, db) = case;
+        let stats = mutate(program, strat, edb, db, retract, assert);
+        let reference = crate::model::reference_model(program, edb).unwrap();
+        assert_eq!(db.to_fact_set(), reference.to_fact_set());
+        stats
+    }
+
+    fn ints(p: &'static str, rows: &[&[i64]]) -> Vec<Tuple> {
+        rows.iter()
+            .map(|r| (p, r.iter().map(|&i| Value::int(i)).collect()))
+            .collect()
+    }
+
+    fn holds(case: &Case, pred: &str, args: Vec<Value>) -> bool {
+        case.3.contains(&Fact::new(pred, args))
+    }
+
+    #[test]
+    fn arithmetic_head_keeps_second_rule_support() {
+        // `P + P` does not invert: the rederive guard is `del$d(X, _)`.
+        let src = "d(X, P + P) <- b(X, P).\nd(X, Q) <- c(X, Q).";
+        let facts = [ints("b", &[&[1, 2], &[2, 5]]), ints("c", &[&[1, 4]])].concat();
+        let mut case = setup(src, &facts);
+        let d14 = || vec![Value::int(1), Value::int(4)];
+        let stats = mutate_vs_reference(&mut case, &ints("b", &[&[1, 2]]), &[]);
+        assert_eq!((stats.strata_dred, stats.strata_replayed), (1, 0));
+        assert!(holds(&case, "d", d14()), "c(1, 4) still derives it");
+        let stats = mutate_vs_reference(&mut case, &ints("c", &[&[1, 4]]), &[]);
+        assert_eq!((stats.strata_dred, stats.strata_replayed), (1, 0));
+        assert!(!holds(&case, "d", d14()));
+    }
+
+    #[test]
+    fn arithmetic_head_keeps_a_sum_with_two_derivations() {
+        // s(1, 3) = 1 + 2 = 2 + 1: losing a(1, 1) overdeletes it, and the
+        // anchored rederive must bring it back from a(1, 2), b(1, 1).
+        let src = "s(X, P + Q) <- a(X, P), b(X, Q).";
+        let facts = [
+            ints("a", &[&[1, 1], &[1, 2]]),
+            ints("b", &[&[1, 2], &[1, 1]]),
+        ]
+        .concat();
+        let mut case = setup(src, &facts);
+        let stats = mutate_vs_reference(&mut case, &ints("a", &[&[1, 1]]), &[]);
+        assert_eq!((stats.strata_dred, stats.strata_replayed), (1, 0));
+        assert!(holds(&case, "s", vec![Value::int(1), Value::int(3)]));
+        assert!(!holds(&case, "s", vec![Value::int(1), Value::int(2)]));
+    }
+
+    #[test]
+    fn set_valued_head_is_anchored_on_its_plain_argument() {
+        let src = "pair(X, {X, Y}) <- e(X, Y).";
+        let mut case = setup(src, &ints("e", &[&[1, 2], &[2, 1], &[1, 3], &[1, 1]]));
+        let pair = |x: i64, s: [i64; 2]| vec![Value::int(x), Value::set(s.map(Value::int))];
+        let stats = mutate_vs_reference(&mut case, &ints("e", &[&[1, 2]]), &[]);
+        assert_eq!((stats.strata_dred, stats.strata_replayed), (1, 0));
+        assert!(!holds(&case, "pair", pair(1, [1, 2])));
+        assert!(holds(&case, "pair", pair(2, [1, 2])));
+        assert!(holds(&case, "pair", pair(1, [1, 3])));
+    }
+
+    #[test]
+    fn head_without_an_anchor_replays() {
+        let src = "s(P + Q) <- a(P), b(Q).";
+        let facts = [ints("a", &[&[1], &[2]]), ints("b", &[&[2], &[1]])].concat();
+        let mut case = setup(src, &facts);
+        let stats = mutate_vs_reference(&mut case, &ints("a", &[&[1]]), &[]);
+        assert!(stats.strata_replayed >= 1);
+        assert_eq!(stats.strata_dred, 0);
+        assert!(holds(&case, "s", vec![Value::int(3)]));
+    }
+
+    #[test]
+    fn recursive_arithmetic_head_replays() {
+        // A weakened guard in a recursive layer would let the overdeletion
+        // of one distance cascade through every distance of the node.
+        let src = "dist(X, 0) <- src(X).\n\
+                   dist(Y, D + 1) <- dist(X, D), edge(X, Y), D < 6.";
+        // A chain 1→2→3→4, a self-loop on 2, and the shortcut 1→3.
+        let edges: [&[i64]; 5] = [&[1, 2], &[2, 3], &[3, 4], &[2, 2], &[1, 3]];
+        let mut case = setup(src, &[ints("src", &[&[1]]), ints("edge", &edges)].concat());
+        for gone in [[2, 2], [1, 3]] {
+            let stats = mutate_vs_reference(&mut case, &ints("edge", &[&gone]), &[]);
+            assert!(stats.strata_replayed >= 1);
+            assert_eq!(stats.strata_dred, 0);
+        }
+        assert!(holds(&case, "dist", vec![Value::int(4), Value::int(3)]));
+        assert!(!holds(&case, "dist", vec![Value::int(4), Value::int(2)]));
+    }
+
+    #[test]
+    fn bom_price_update_replays() {
+        // §1's bill of materials: `tc({X}, C)` heads a recursive layer.
+        let src = "part(P, <S>) <- p(P, S).\n\
+                   tc({X}, C) <- q(X, C).\n\
+                   tc({X}, C) <- part(X, S), tc(S, C).\n\
+                   tc(S, C) <- partition(S, S1, S2), S1 /= {}, S2 /= {}, \
+                               tc(S1, C1), tc(S2, C2), +(C1, C2, C).\n\
+                   result(X, C) <- tc({X}, C).";
+        let facts = [
+            ints("p", &[&[1, 2], &[1, 3], &[2, 4], &[2, 5]]),
+            ints("q", &[&[3, 7], &[4, 20], &[5, 10]]),
+        ]
+        .concat();
+        let mut case = setup(src, &facts);
+        let (old, new) = (ints("q", &[&[5, 10]]), ints("q", &[&[5, 11]]));
+        let stats = mutate_vs_reference(&mut case, &old, &new);
+        assert!(stats.strata_replayed >= 1);
+        assert_eq!(stats.strata_dred, 0);
+        assert!(holds(&case, "result", vec![Value::int(1), Value::int(38)]));
     }
 
     const TC: &str = "r(X, Y) <- e(X, Y).\nr(X, Y) <- e(X, Z), r(Z, Y).";
@@ -1088,9 +998,9 @@ mod tests {
 
     #[test]
     fn deletions_cascade_across_strata() {
-        // Layer 0 counting (p), layer above recursive over p. The `~stop`
-        // literal forces the layer boundary — all-positive rules would
-        // collapse into one (recursive, hence DRed-only) stratum.
+        // Layer 0 non-recursive (p), layer above recursive over p. The
+        // `~stop` literal forces the layer boundary — all-positive rules
+        // would collapse into one stratum.
         let src = "p(X, Y) <- e(X, Y).\n\
                    q(X, Y) <- p(X, Y), ~stop(X).\n\
                    q(X, Y) <- p(X, Z), q(Z, Y), ~stop(X).";
@@ -1109,8 +1019,7 @@ mod tests {
             &[("e", vec![Value::int(2), Value::int(3)])],
             &[],
         );
-        assert!(stats.strata_counting >= 1);
-        assert!(stats.strata_dred >= 1);
+        assert_eq!(stats.strata_dred, 2);
         assert!(!db.contains(&Fact::new("q", vec![Value::int(1), Value::int(3)])));
         assert_eq!(db.to_fact_set(), full(&program, &edb).to_fact_set());
     }

@@ -39,11 +39,10 @@ pub struct EvalStats {
     pub strata_replayed: u64,
     /// Strata updated by delta-restricted propagation only.
     pub strata_delta: u64,
-    /// Strata whose deletions were absorbed by counting maintenance
-    /// (derivation-count decrements, non-recursive strata only).
+    // Always zero; declared only because `benchmark/src/stream.rs` names it.
+    #[doc(hidden)]
     pub strata_counting: u64,
-    /// Strata whose deletions ran the DRed overdelete/rederive pass
-    /// (recursive strata, or strata without derivation counts).
+    /// Strata whose deletions ran the DRed overdelete/rederive pass.
     pub strata_dred: u64,
     /// Facts removed from the model database by differential maintenance
     /// (tombstoned EDB facts plus derived facts that lost their last
@@ -52,8 +51,8 @@ pub struct EvalStats {
     /// Strata skipped entirely because no changed predicate reaches them.
     pub strata_skipped: u64,
     /// Evaluation rounds executed (one round = a batch of rule passes — all
-    /// eligible passes of a stratum, or one counting-insert variant or magic
-    /// guarded rule — applied against one immutable database snapshot).
+    /// eligible passes of a stratum, or one magic guarded rule — applied
+    /// against one immutable database snapshot).
     pub rounds: u64,
     // Never written; declared only because `benchmark/src/pipeline.rs` names it.
     #[doc(hidden)]
@@ -156,7 +155,7 @@ impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, strata replayed: {}, delta-updated: {}, counting: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}",
+            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, strata replayed: {}, delta-updated: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}",
             self.rules_fired,
             self.attempts,
             self.facts_derived,
@@ -166,7 +165,6 @@ impl fmt::Display for EvalStats {
             self.interner_values,
             self.strata_replayed,
             self.strata_delta,
-            self.strata_counting,
             self.strata_dred,
             self.strata_skipped,
             self.rounds,

@@ -134,3 +134,39 @@ fn triple_recursive_literal_rule() {
     let semi = Evaluator::new().evaluate(&program, &edb).unwrap();
     assert_eq!(reference.to_fact_set(), semi.to_fact_set());
 }
+
+/// A cold non-recursive layer runs with its existential tail like any other:
+/// `anc(X, _)` binds nothing the head needs, so the pass stops at a node's
+/// first descendant instead of enumerating them all.
+#[test]
+fn cold_non_recursive_layer_takes_its_existential_cuts() {
+    let program = parse_program(
+        "anc(X, Y) <- par(X, Y).\n\
+         anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+         busy(X) <- node(X), ~idle(X), anc(X, _).",
+    )
+    .unwrap();
+    let (chains, len) = (5i64, 6i64); // `len` edges, `len + 1` nodes a chain
+    let mut edb = Database::new();
+    for c in 0..chains {
+        for i in 0..=len {
+            edb.insert_tuple("node", vec![Value::int(100 * c + i)]);
+            if i < len {
+                let (x, y) = (100 * c + i, 100 * c + i + 1);
+                edb.insert_tuple("par", vec![Value::int(x), Value::int(y)]);
+            }
+        }
+    }
+    edb.insert_tuple("idle", vec![Value::int(0)]);
+    edb.insert_tuple("idle", vec![Value::int(203)]);
+
+    let (m, stats) = Evaluator::new().evaluate_stats(&program, &edb).unwrap();
+    // Every node but a chain's last has a descendant; two of those are idle.
+    let busy = chains * len - 2;
+    assert_eq!(m.relation("busy".into()).unwrap().len() as i64, busy);
+    // In a chain every `anc` tuple has one derivation, and `busy` costs one
+    // body solution per answer — not one per descendant (`closure` again).
+    let closure = chains * len * (len + 1) / 2;
+    assert_eq!(stats.attempts as i64, closure + busy);
+    assert!(stats.exist_cuts > 0);
+}

@@ -8,12 +8,12 @@
 //! of threads can hold while one thread owns the `&mut System` and
 //! commits mutations. Each successful commit *publishes* the freshly
 //! maintained model: an immutable [`Snapshot`] (an `Arc` of the model
-//! database plus its evaluation options) swapped into a shared slot under
-//! a mutex, with a monotonically increasing epoch. Readers grab the
-//! current `Arc` and query it lock-free from then on — they never see a
-//! half-applied batch, because publication happens only after a commit
-//! has fully succeeded, and the published database is never mutated
-//! again (maintenance works on the writer's own copy).
+//! database) swapped into a shared slot under a mutex, with a
+//! monotonically increasing epoch. Readers grab the current `Arc` and
+//! query it lock-free from then on — they never see a half-applied batch,
+//! because publication happens only after a commit has fully succeeded,
+//! and the published database is never mutated again (maintenance works
+//! on the writer's own copy).
 //!
 //! Publication clones the model once per commit, so it costs nothing
 //! until the first [`System::reader`] call activates it. The clone is a
@@ -27,7 +27,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use ldl_eval::{EvalOptions, Evaluator, QueryAnswer};
+use ldl_eval::{Evaluator, QueryAnswer};
 use ldl_storage::Database;
 use ldl_value::Fact;
 
@@ -37,7 +37,6 @@ use crate::Error;
 #[derive(Debug)]
 pub(crate) struct PublishedModel {
     pub(crate) model: Database,
-    pub(crate) options: EvalOptions,
     pub(crate) epoch: u64,
 }
 
@@ -51,13 +50,9 @@ pub(crate) struct ReaderShared {
 }
 
 impl ReaderShared {
-    pub(crate) fn new(model: Database, options: EvalOptions) -> ReaderShared {
+    pub(crate) fn new(model: Database) -> ReaderShared {
         ReaderShared {
-            slot: Mutex::new(Arc::new(PublishedModel {
-                model,
-                options,
-                epoch: 1,
-            })),
+            slot: Mutex::new(Arc::new(PublishedModel { model, epoch: 1 })),
         }
     }
 
@@ -70,12 +65,8 @@ impl ReaderShared {
     /// one is dropped after unlocking — when no reader still holds it that
     /// drop frees a whole model, and `latest()`/`epoch()` on other threads
     /// must not wait for it.
-    pub(crate) fn publish(&self, model: Database, options: EvalOptions) {
-        let mut new = Arc::new(PublishedModel {
-            model,
-            options,
-            epoch: 0,
-        });
+    pub(crate) fn publish(&self, model: Database) {
+        let mut new = Arc::new(PublishedModel { model, epoch: 0 });
         let mut slot = self.slot.lock().expect("reader slot poisoned");
         Arc::get_mut(&mut new).expect("not shared yet").epoch = slot.epoch + 1;
         let old = std::mem::replace(&mut *slot, new);
@@ -102,13 +93,9 @@ pub struct Snapshot {
 impl Snapshot {
     /// A snapshot outside any publication channel (from
     /// [`System::snapshot`](crate::System::snapshot)).
-    pub(crate) fn one_off(model: Database, options: EvalOptions, epoch: u64) -> Snapshot {
+    pub(crate) fn one_off(model: Database, epoch: u64) -> Snapshot {
         Snapshot {
-            inner: Arc::new(PublishedModel {
-                model,
-                options,
-                epoch,
-            }),
+            inner: Arc::new(PublishedModel { model, epoch }),
         }
     }
 
@@ -123,12 +110,12 @@ impl Snapshot {
     /// (the model was computed before publication).
     pub fn query(&self, query: &str) -> Result<Vec<QueryAnswer>, Error> {
         let atom = ldl_parser::parse_atom(query)?;
-        Ok(Evaluator::with_options(self.inner.options.clone()).query(&self.inner.model, &atom))
+        Ok(Evaluator::new().query(&self.inner.model, &atom))
     }
 
     /// All facts of one predicate in this snapshot's model, sorted.
     pub fn facts(&self, pred: &str) -> Vec<Fact> {
-        Evaluator::with_options(self.inner.options.clone()).facts(&self.inner.model, pred)
+        Evaluator::new().facts(&self.inner.model, pred)
     }
 
     /// Total facts in the snapshot's model.

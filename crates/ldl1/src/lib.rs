@@ -229,9 +229,9 @@ impl From<ldl_eval::EvalError> for Error {
 /// [`System::update`], or transactionally with [`System::mutate`]. Once a
 /// model has been computed it is *maintained*: committed assertions seed
 /// the semi-naive machinery as the initial delta, and committed
-/// retractions run counting-based or delete-rederive maintenance per
-/// stratum (see [`eval::incremental`] and [`eval::retract`]) instead of
-/// recomputing from scratch. Loading new rules or changing the grouping
+/// retractions run delete-rederive (DRed) maintenance per stratum — or
+/// replay the strata it does not apply to — (see [`eval::incremental`] and
+/// [`eval::retract`]) instead of recomputing from scratch. Loading new rules or changing the grouping
 /// semantics invalidates the cache.
 #[derive(Debug)]
 pub struct System {
@@ -399,10 +399,7 @@ impl System {
             Some(s) => Arc::clone(s),
             None => {
                 let cache = self.cache.as_ref().expect("model just computed");
-                let shared = Arc::new(durable::ReaderShared::new(
-                    cache.db.clone(),
-                    self.eval_options(),
-                ));
+                let shared = Arc::new(durable::ReaderShared::new(cache.db.clone()));
                 self.readers = Some(Arc::clone(&shared));
                 shared
             }
@@ -417,11 +414,7 @@ impl System {
         self.model()?;
         let cache = self.cache.as_ref().expect("model just computed");
         let epoch = self.readers.as_ref().map_or(0, |s| s.current_epoch());
-        Ok(Snapshot::one_off(
-            cache.db.clone(),
-            self.eval_options(),
-            epoch,
-        ))
+        Ok(Snapshot::one_off(cache.db.clone(), epoch))
     }
 
     /// Append a committed batch to the write-ahead log, if one is
@@ -446,7 +439,7 @@ impl System {
         let (Some(shared), Some(cache)) = (&self.readers, &self.cache) else {
             return;
         };
-        shared.publish(cache.db.clone(), self.eval_options());
+        shared.publish(cache.db.clone());
     }
 
     /// Override evaluation options.
@@ -532,8 +525,17 @@ impl System {
         }
         let new_rules = !rules.is_empty();
         if new_rules {
+            // A rejected rule must not stay in `source`, where it would
+            // fail every later load: take the candidate rules back out.
+            let loaded = self.source.rules.len();
             self.source.rules.extend(rules);
-            self.compiled = compile_ldl15(&self.source, self.grouping_semantics)?;
+            match compile_ldl15(&self.source, self.grouping_semantics) {
+                Ok(compiled) => self.compiled = compiled,
+                Err(e) => {
+                    self.source.rules.truncate(loaded);
+                    return Err(e);
+                }
+            }
             self.cache = None;
         }
         let mut b = self.mutate();
@@ -586,8 +588,9 @@ impl System {
     /// staged on the returned [`MutationBatch`] become visible all at once
     /// when it commits, and the cached model (if any) is brought from the
     /// old state to the new state in a single differential-maintenance
-    /// step — counting or delete-rederive per stratum, never a full
-    /// recompute unless a deletion touches negation or grouping.
+    /// step — delta propagation or delete-rederive per stratum, replaying
+    /// only the strata where a change touches negation or grouping or a
+    /// deletion meets rule heads delete-rederive cannot anchor on.
     pub fn mutate(&mut self) -> MutationBatch<'_> {
         MutationBatch {
             sys: self,
@@ -607,8 +610,8 @@ impl System {
     /// `ins` are the net, validated, disjoint deletion and insertion sets.
     ///
     /// With a cached model the batch goes through
-    /// [`eval::apply_mutations`]: counting maintenance or delete-rederive
-    /// per stratum for the deletions, delta propagation for the insertions.
+    /// [`eval::apply_mutations`]: delete-rederive (or replay) per stratum
+    /// for the deletions, delta propagation for the insertions.
     /// On any error — typically a tripped budget — the EDB is restored
     /// bit-identically and the half-updated model is dropped, leaving the
     /// system exactly as it was before the commit; re-submitting the batch
@@ -699,9 +702,7 @@ impl System {
     /// evaluation, then pattern matching).
     pub fn query(&mut self, query: &str) -> Result<Vec<QueryAnswer>, Error> {
         let atom = ldl_parser::parse_atom(query)?;
-        let options = self.options.clone();
-        let m = self.model()?;
-        Ok(Evaluator::with_options(options).query(m, &atom))
+        Ok(Evaluator::new().query(self.model()?, &atom))
     }
 
     /// Answer a query through the §6 magic-set pipeline (sips → adornment →
@@ -716,9 +717,7 @@ impl System {
 
     /// All facts of one predicate in the model, sorted.
     pub fn facts(&mut self, pred: &str) -> Result<Vec<Fact>, Error> {
-        let options = self.options.clone();
-        let m = self.model()?;
-        Ok(Evaluator::with_options(options).facts(m, pred))
+        Ok(Evaluator::new().facts(self.model()?, pred))
     }
 
     /// The model as an interpretation (for model checking / domination

@@ -718,11 +718,6 @@ pub struct Relation {
     dead: Option<Box<FastSet<u32>>>,
     /// Live tuple count: `rows.len - dead.len()`.
     live: usize,
-    /// Per-position derivation counts (counting-based maintenance for
-    /// non-recursive strata). `None` unless [`Relation::enable_counts`] was
-    /// called; when present, a duplicate insert *increments* the existing
-    /// position's count instead of being a pure no-op.
-    counts: Option<Vec<u32>>,
     /// Keyed by the sorted, deduplicated column list (probed borrowed as
     /// `&[usize]`), so relations of any width can be indexed. Never holds
     /// the list of *every* column: `seen` answers that one.
@@ -747,7 +742,6 @@ impl Relation {
             seen: Seen::default(),
             dead: None,
             live: 0,
-            counts: None,
             indexes: FastMap::default(),
             sketches: vec![ColSketch::default(); arity],
             stats_epoch: 0,
@@ -793,16 +787,11 @@ impl Relation {
     /// slice and compares it against the arena, and an accepted tuple is
     /// copied into the current arena page — neither side performs a
     /// per-tuple or per-key heap allocation (pages, tables, and the
-    /// posting arenas amortize their growth). On a count-carrying relation
-    /// a rejected duplicate still bumps the tuple's derivation count.
-    /// Panics on arity mismatch (a schema violation is a caller bug, not
-    /// data).
+    /// posting arenas amortize their growth). Panics on arity mismatch (a
+    /// schema violation is a caller bug, not data).
     pub fn insert_slice(&mut self, tuple: &[ValueId]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        if let Some(pos) = self.seen.get(&self.rows, tuple) {
-            if let Some(counts) = &mut self.counts {
-                counts[pos as usize] += 1;
-            }
+        if self.seen.get(&self.rows, tuple).is_some() {
             return false;
         }
         assert!(self.rows.len < MAX_ROWS, "relation exceeds u32 tuples");
@@ -813,9 +802,6 @@ impl Relation {
         }
         for (sk, &v) in self.sketches.iter_mut().zip(tuple.iter()) {
             sk.observe(v);
-        }
-        if let Some(counts) = &mut self.counts {
-            counts.push(1);
         }
         self.live += 1;
         if self.len() >= self.next_epoch_len {
@@ -903,37 +889,6 @@ impl Relation {
         self.seen.insert(&self.rows, pos);
         self.live += 1;
         self.stats_epoch += 1;
-    }
-
-    /// Start carrying per-tuple derivation counts (counting-based
-    /// maintenance). Existing tuples are assigned count 1; from here on a
-    /// duplicate insert increments the tuple's count instead of being a
-    /// pure no-op, so the semi-naive merge phase records multiplicities as
-    /// a side effect. Idempotent.
-    pub fn enable_counts(&mut self) {
-        if self.counts.is_none() {
-            self.counts = Some(vec![1; self.len()]);
-        }
-    }
-
-    /// Does this relation carry derivation counts?
-    pub fn counts_enabled(&self) -> bool {
-        self.counts.is_some()
-    }
-
-    /// The derivation count at position `pos`. Panics unless
-    /// [`Relation::enable_counts`] was called.
-    pub fn count_at(&self, pos: u32) -> u32 {
-        self.counts.as_ref().expect("counts not enabled")[pos as usize]
-    }
-
-    /// Decrement the derivation count at `pos` by `by` (saturating) and
-    /// return the new count. The caller tombstones the tuple when this
-    /// reaches zero. Panics unless counts are enabled.
-    pub fn decrement_count(&mut self, pos: u32, by: u32) -> u32 {
-        let c = &mut self.counts.as_mut().expect("counts not enabled")[pos as usize];
-        *c = c.saturating_sub(by);
-        *c
     }
 
     /// Ensure a hash index exists on `cols` (sorted, deduplicated by caller
@@ -1064,9 +1019,6 @@ impl Relation {
             }
         }
         self.rows.truncate(cutoff);
-        if let Some(counts) = &mut self.counts {
-            counts.truncate(len);
-        }
         self.live = len - self.dead.as_ref().map_or(0, |d| d.len());
         for idx in self.indexes.values_mut() {
             idx.truncate(cutoff);
@@ -1434,26 +1386,6 @@ mod tests {
         r.revive(p1);
         assert!(r.contains(&[id(1)]));
         assert_eq!(r.live_len(), 2);
-    }
-
-    #[test]
-    fn counts_track_duplicate_insertions() {
-        let mut r = Relation::new(1);
-        r.insert_slice(&t(&[1]));
-        r.enable_counts();
-        assert!(r.counts_enabled());
-        assert_eq!(r.count_at(0), 1, "existing tuples start at count 1");
-        r.insert_slice(&t(&[1])); // duplicate → increment
-        r.insert_slice(&[id(1)]);
-        assert_eq!(r.count_at(0), 3);
-        r.insert_slice(&t(&[2]));
-        assert_eq!(r.count_at(1), 1);
-        assert_eq!(r.decrement_count(0, 2), 1);
-        assert_eq!(r.decrement_count(0, 1), 0);
-        // Count 0 is the caller's cue to tombstone; storage doesn't do it.
-        assert!(r.contains(&[id(1)]));
-        r.enable_counts(); // idempotent: counts survive
-        assert_eq!(r.count_at(1), 1);
     }
 
     #[test]

@@ -5,22 +5,20 @@
 //! sweep.
 //!
 //! The model is the obvious thing a relation pretends to be: an
-//! insertion-ordered list of rows with a live flag (and a derivation count
-//! when counting is on). Every storage invariant the evaluator relies on is
-//! phrased against it — physical `len`, live iteration order, eager posting
-//! removal, ascending probe results, and truncate's interaction with
-//! tombstones.
+//! insertion-ordered list of rows with a live flag. Every storage invariant
+//! the evaluator relies on is phrased against it — physical `len`, live
+//! iteration order, eager posting removal, ascending probe results, and
+//! truncate's interaction with tombstones.
 
 use ldl_storage::Relation;
 use ldl_testkit::{cases, Rng};
 use ldl_value::{intern, ValueId};
 
-/// The naive reference: rows in insertion order with liveness + counts.
+/// The naive reference: rows in insertion order with liveness.
 #[derive(Clone, Default)]
 struct Model {
     rows: Vec<Vec<ValueId>>,
     live: Vec<bool>,
-    counts: Vec<u32>,
 }
 
 impl Model {
@@ -28,16 +26,12 @@ impl Model {
         (0..self.rows.len()).find(|&p| self.live[p] && self.rows[p] == t)
     }
 
-    fn insert(&mut self, t: &[ValueId], counting: bool) -> bool {
-        if let Some(p) = self.live_pos_of(t) {
-            if counting {
-                self.counts[p] += 1;
-            }
+    fn insert(&mut self, t: &[ValueId]) -> bool {
+        if self.live_pos_of(t).is_some() {
             return false;
         }
         self.rows.push(t.to_vec());
         self.live.push(true);
-        self.counts.push(1);
         true
     }
 
@@ -51,7 +45,6 @@ impl Model {
         if n < self.rows.len() {
             self.rows.truncate(n);
             self.live.truncate(n);
-            self.counts.truncate(n);
         }
     }
 
@@ -77,9 +70,6 @@ fn check_agreement(r: &Relation, m: &Model, indexes: &[Vec<usize>]) {
         if m.live[p] {
             assert_eq!(r.position_of(row), Some(p as u32));
             assert!(r.contains(row));
-            if r.counts_enabled() {
-                assert_eq!(r.count_at(p as u32), m.counts[p], "count at {p}");
-            }
         }
     }
     // Tuples with no live occurrence are absent from the dedup filter.
@@ -134,12 +124,8 @@ fn random_op_sequences_match_naive_model() {
     cases(40, |rng: &mut Rng| {
         let arity = rng.range(1, 5) as usize;
         let pool = rng.range(2, 5); // small value pool → frequent duplicates
-        let counting = rng.chance(1, 2);
         let mut r = Relation::new(arity);
         let mut m = Model::default();
-        if counting {
-            r.enable_counts();
-        }
         let mut indexes: Vec<Vec<usize>> = Vec::new();
         // A clone shares nothing with its source: each frozen relation must
         // still agree with the model frozen beside it after every later
@@ -157,7 +143,7 @@ fn random_op_sequences_match_naive_model() {
                 // Insert (the common op — the others need population).
                 0..=54 => {
                     let t = tuple(rng);
-                    assert_eq!(r.insert_slice(&t), m.insert(&t, counting), "insert {t:?}");
+                    assert_eq!(r.insert_slice(&t), m.insert(&t), "insert {t:?}");
                 }
                 55..=69 => {
                     let t = tuple(rng);
@@ -235,7 +221,6 @@ fn hub_key_postings_stay_exact_across_relocation_and_reuse() {
         assert!(r.insert_slice(&t));
         m.rows.push(t);
         m.live.push(true);
-        m.counts.push(1);
     };
 
     let mut hub = 0u32;

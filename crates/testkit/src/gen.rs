@@ -8,12 +8,13 @@
 //!
 //! The shape mirrors the paper's layering discipline: a transitive-closure
 //! base layer `p0` over edge relation `e0(X, Y)`, then a random stack of
-//! layers `p1, p2, …` where each `pl` reads `p(l-1)` through one of five
+//! layers `p1, p2, …` where each `pl` reads `p(l-1)` through one of six
 //! templates (recursion, negation on the marker relation `e1(X)`,
 //! grouping with `member` flattening, a three-way join back through `e0`,
-//! or negated self-comparison). Every template keeps arity 2 so layers
-//! compose freely, and every negated/grouped read looks strictly down the
-//! stack — the program is admissible by construction.
+//! a set-constructing head, or negated self-comparison). Every template
+//! keeps arity 2 so layers compose freely, and every negated/grouped read
+//! looks strictly down the stack — the program is admissible by
+//! construction.
 //!
 //! EDB constants are not just integers: a slice of every node domain is
 //! set-valued (`{a, b}`) or compound-valued (`f(a, b)`), so joins,
@@ -77,7 +78,7 @@ pub fn stratified_case(rng: &mut Rng, size: u32) -> GeneratedCase {
     let mut src = String::from("p0(X, Y) <- e0(X, Y).\np0(X, Y) <- e0(X, Z), p0(Z, Y).\n");
     for l in 1..layers {
         let below = l - 1;
-        match rng.index(5) {
+        match rng.index(6) {
             0 => src.push_str(&format!(
                 "p{l}(X, Y) <- p{below}(X, Y).\np{l}(X, Y) <- p{below}(X, Z), p{l}(Z, Y).\n"
             )),
@@ -97,6 +98,15 @@ pub fn stratified_case(rng: &mut Rng, size: u32) -> GeneratedCase {
                     "p{l}(X, Y) <- e0(X, Z), p{below}(Z, W), e0(W, Y).\n"
                 ));
             }
+            // A head argument that does not invert. `~e1(X)` keeps the rules
+            // out of `p0`'s recursive stratum, so over `p0` they form a
+            // non-recursive one whose deletions rederive through a
+            // `del$p(X, _)` anchor; the second rule is there so a tuple can
+            // outlive one of its supports.
+            4 => src.push_str(&format!(
+                "p{l}(X, {{Y}}) <- p{below}(X, Y), ~e1(X).\n\
+                 p{l}(X, {{Y}}) <- e0(Y, X), ~e1(X).\n"
+            )),
             _ => src.push_str(&format!("p{l}(X, Y) <- p{below}(X, Y), ~p{below}(Y, X).\n")),
         }
     }

@@ -636,3 +636,22 @@ fn emptied_predicate_forgets_its_arity() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A rule `load` rejects must not stay behind in the system's source: it
+/// used to, and every later rule load — re-compiling source + new rules —
+/// failed with the rejected rule's error until a fresh `System`.
+#[test]
+fn rejected_load_leaves_the_system_usable() {
+    use ldl1::Error;
+    let mut sys = System::new();
+    sys.load("r(X) <- e(X). e(1).").unwrap();
+    assert!(matches!(
+        sys.load("bad(X, {<Y>}) <- e2(X, Y). e(2)."),
+        Err(Error::Transform(_))
+    ));
+    assert_eq!(sys.edb().num_facts(), 1, "a rejected load commits no facts");
+    sys.load("s(X) <- r(X).").unwrap();
+    let answers = sys.query("s(X)").unwrap();
+    assert_eq!(answers.len(), 1);
+    assert_eq!(answers[0].to_string(), "X = 1");
+}
