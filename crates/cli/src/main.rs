@@ -31,6 +31,7 @@ Commands:
                       differentially — delete-rederive / replay)
   :update OLD. => NEW.  replace a stored fact in one transaction
   :plan [PRED]        show the join plans (step order, indexes, estimates)
+  :plan QUERY.        show how a query reads the model (index probe or scan)
   :magic QUERY.       answer a query via the magic-set pipeline
   :stats              work counters of the last evaluation (full or incremental)
   :limits [...]       show or set resource limits:
@@ -341,6 +342,11 @@ fn command(sys: &mut System, cmd: &str) -> bool {
                     println!("{f}");
                 }
             }
+            Err(e) => eprintln!("error: {e}"),
+        },
+        // An argument with a `(` is a query atom, not a predicate name.
+        ":plan" if rest.contains('(') => match sys.explain_query(rest) {
+            Ok(line) => println!("{line}"),
             Err(e) => eprintln!("error: {e}"),
         },
         ":plan" => match sys.explain(if rest.is_empty() { None } else { Some(rest) }) {

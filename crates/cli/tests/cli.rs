@@ -76,3 +76,55 @@ fn rejected_rule_does_not_poison_the_repl() {
     assert_eq!(shown.matches("error:").count(), 1, "{shown}");
     assert!(stdout.contains("X = 1"), "{shown}");
 }
+
+/// A rule the stratifier refuses is refused at the prompt — not installed to
+/// fail every later query — and `:plan QUERY.` says how a query reads the
+/// model: a scan after the cold evaluation, a probe of the index the first
+/// maintained commit leaves behind.
+#[test]
+fn inadmissible_rule_does_not_poison_the_repl() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut repl = Command::new(env!("CARGO_BIN_EXE_ldl1"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ldl1 binary runs");
+    repl.stdin
+        .take()
+        .unwrap()
+        .write_all(
+            b"anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+              par(0, 1). par(1, 2). par(2, 3).\n\
+              ?- anc(0, Y).\n\
+              p(X) <- par(X, _), ~p(X).\n\
+              t(X) <- par(X, _).\n\
+              ?- t(2).\n\
+              :plan anc(0, Y).\n\
+              :retract par(2, 3).\n\
+              :plan anc(0, Y).\n\
+              :plan anc(X, Y).\n\
+              :quit\n",
+        )
+        .unwrap();
+    let out = repl.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    let shown = format!("{stdout}{stderr}");
+    assert_eq!(shown.matches("error:").count(), 1, "{shown}");
+    assert!(stderr.contains("not admissible") && stderr.contains("cycle: p"));
+    assert!(stdout.contains("yes"), "{shown}");
+    assert!(
+        stdout.contains("anc(0, Y): scan anc, 6 rows, filter on [0] — no index covers [0]"),
+        "{shown}"
+    );
+    assert!(
+        stdout.contains("anc(0, Y): probe anc[0], 2 of 3 rows"),
+        "{shown}"
+    );
+    assert!(stdout.contains("anc(X, Y): scan anc, 3 rows\n"), "{shown}");
+}

@@ -4,15 +4,17 @@ use std::fmt;
 
 use ldl_ast::literal::Atom;
 use ldl_ast::program::Program;
+use ldl_ast::term::Term;
 use ldl_ast::wf::{check_program, Dialect};
-use ldl_storage::Database;
+use ldl_storage::{Database, IndexRef, Relation};
 use ldl_stratify::Stratification;
-use ldl_value::{intern, Fact, Value};
+use ldl_value::{intern, Fact, Value, ValueId};
 
 use crate::bindings::Bindings;
 use crate::budget::Budget;
 use crate::error::EvalError;
 use crate::fixpoint;
+use crate::plan::{probe_key, probe_matches};
 use crate::stats::EvalStats;
 use crate::unify::match_slice;
 
@@ -140,6 +142,115 @@ pub struct Evaluator {
     pub options: EvalOptions,
 }
 
+/// Why no tuple can match a query, before any row is read.
+enum NoMatch {
+    /// The database has no relation of that name.
+    NoRelation,
+    /// The relation's arity (carried) differs from the query's.
+    Arity(usize),
+    /// A ground argument fails to evaluate: the pattern denotes no `U`-fact.
+    OutsideU,
+}
+
+/// How a query reads its relation: decided once by [`access_path`], run by
+/// [`Evaluator::query`], described by [`Evaluator::explain_query`].
+///
+/// (The split into this struct, [`AccessPath::matches`] and the plain loop
+/// in `query` is the measured one: two tidier spellings moved
+/// `excl_ancestor` and `tc_chain` by code placement alone — EXPERIMENTS
+/// P25.)
+struct AccessPath<'a> {
+    rel: &'a Relation,
+    /// The pattern's ground columns, ascending (empty: nothing bound)…
+    cols: Vec<usize>,
+    /// …and the ids they evaluate to.
+    key: Vec<ValueId>,
+    /// The index to probe when the relation has one keyed inside `cols`:
+    /// its columns, `key` projected onto them, and the handle.
+    probe: Option<(Vec<usize>, Vec<ValueId>, IndexRef<'a>)>,
+}
+
+/// Evaluate `query`'s ground arguments once and pick the best index `db`
+/// already has over their columns. Read-only, and deliberately silent in
+/// the evaluation counters: `note_index_probe` feeds a thread-local that
+/// the *next* evaluation drains into its own statistics.
+fn access_path<'a>(db: &'a Database, query: &Atom) -> Result<AccessPath<'a>, NoMatch> {
+    let rel = db.relation(query.pred).ok_or(NoMatch::NoRelation)?;
+    if rel.arity() != query.arity() {
+        return Err(NoMatch::Arity(rel.arity()));
+    }
+    let cols: Vec<usize> = (0..query.args.len())
+        .filter(|&c| query.args[c].is_ground())
+        .collect();
+    let mut stack = [ValueId::FILLER; 8];
+    let mut heap = Vec::new();
+    let key = probe_key(
+        &query.args,
+        &cols,
+        &mut Bindings::new(),
+        &mut stack,
+        &mut heap,
+    )
+    .ok_or(NoMatch::OutsideU)?
+    .to_vec();
+    let probe = rel.covering_index(&cols).map(|(idx_cols, idx)| {
+        let projected = cols
+            .iter()
+            .zip(&key)
+            .filter(|(c, _)| idx_cols.contains(c))
+            .map(|(_, &k)| k)
+            .collect();
+        (idx_cols.to_vec(), projected, idx)
+    });
+    Ok(AccessPath {
+        rel,
+        cols,
+        key,
+        probe,
+    })
+}
+
+impl AccessPath<'_> {
+    /// The bound-argument arms of a query: the probed posting list, or the
+    /// scan pre-filtered by id on the ground columns. Kept out of
+    /// [`Evaluator::query`] so its nothing-bound loop stays the plain scan.
+    fn matches(&self, args: &[Term], b: &mut Bindings, k: &mut dyn FnMut(&mut Bindings)) {
+        match &self.probe {
+            Some((_, key, idx)) => {
+                probe_matches(self.rel, *idx, key, args, b, &mut |b2| {
+                    k(b2);
+                    false
+                });
+            }
+            None => {
+                for tuple in self.rel.iter() {
+                    if self
+                        .cols
+                        .iter()
+                        .zip(&self.key)
+                        .all(|(&c, &v)| tuple[c] == v)
+                    {
+                        match_slice(args, tuple, b, k);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `n` with a space between thousands (`55 000`).
+fn spaced(n: usize) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, d) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(' ');
+        }
+        out.push(d);
+    }
+    out
+}
+
 impl Evaluator {
     /// Evaluator with default options.
     pub fn new() -> Evaluator {
@@ -200,37 +311,96 @@ impl Evaluator {
     /// Answer a query atom against an evaluated database: every fact of the
     /// query predicate matching the pattern, as variable bindings.
     ///
+    /// The constants of the query restrict the work (§6): the pattern's
+    /// ground arguments — constants, ground compounds and sets, ground
+    /// arithmetic — are evaluated once, and if the relation *already has* an
+    /// index keyed inside those columns ([`Relation::covering_index`]; every
+    /// column bound is one probe of the duplicate filter) only the rows it
+    /// posts are visited. With no such index the relation is scanned and
+    /// rows are pre-filtered by id on the ground columns. Either way the
+    /// pattern matcher runs on every surviving row — repeated variables, `_`,
+    /// set patterns — so an index narrows the candidates and never decides a
+    /// match. A ground argument that does not evaluate (`1 + overflow`,
+    /// `scons` onto a non-set) matches no tuple. [`Evaluator::explain_query`]
+    /// reports which of these a query takes.
+    ///
+    /// **A query never builds an index.** A build hashes every row — several
+    /// times the price of the id-filtered scan it would replace, so it pays
+    /// only for a missed shape that repeats — and `db` is immutable here
+    /// (a published snapshot is shared between threads). The indexes a
+    /// query finds are the ones rule evaluation and commit maintenance
+    /// built for their own joins, which every clone of a model carries.
+    ///
     /// A query on an unknown predicate, or with the wrong arity for a known
     /// one, matches nothing and returns no answers — the Datalog convention
     /// (absent facts are false). Use [`Database::relation`] to distinguish
     /// "empty relation" from "no such relation".
     pub fn query(&self, db: &Database, query: &Atom) -> Vec<QueryAnswer> {
         let mut out = Vec::new();
-        let Some(rel) = db.relation(query.pred) else {
+        let Ok(path) = access_path(db, query) else {
             return out;
         };
-        if rel.arity() != query.arity() {
-            return out;
-        }
         let vars = query.vars();
         let mut b = Bindings::new();
-        for tuple in rel.iter() {
-            match_slice(&query.args, tuple, &mut b, &mut |b2| {
-                let bindings = vars
-                    .iter()
-                    .map(|v| {
-                        (
-                            v.name().to_string(),
-                            intern::resolve(b2.get(*v).expect("query var bound by match")),
-                        )
-                    })
-                    .collect();
-                out.push(QueryAnswer { bindings });
-            });
+        let mut emit = |b2: &mut Bindings| {
+            let bindings = vars
+                .iter()
+                .map(|v| {
+                    (
+                        v.name().to_string(),
+                        intern::resolve(b2.get(*v).expect("query var bound by match")),
+                    )
+                })
+                .collect();
+            out.push(QueryAnswer { bindings });
+        };
+        if path.cols.is_empty() {
+            for tuple in path.rel.iter() {
+                match_slice(&query.args, tuple, &mut b, &mut emit);
+            }
+        } else {
+            path.matches(&query.args, &mut b, &mut emit);
         }
         out.sort();
         out.dedup();
         out
+    }
+
+    /// One line saying how [`Evaluator::query`] reads `db` for this atom —
+    /// `anc(0, Y): probe anc[0], 10 of 55 000 rows`, or `scan` with the row
+    /// count, the ground columns it filters on and the indexes that exist
+    /// when none covers them. Computed from the same access path the query
+    /// runs, so it cannot drift from what a query does.
+    pub fn explain_query(&self, db: &Database, query: &Atom) -> String {
+        let line = match access_path(db, query) {
+            Err(NoMatch::NoRelation) => format!("no relation {}", query.pred),
+            Err(NoMatch::Arity(n)) => format!("no match, {} has arity {n}", query.pred),
+            Err(NoMatch::OutsideU) => "no match, a ground argument does not evaluate".to_string(),
+            Ok(path) => {
+                let rows = spaced(path.rel.live_len());
+                match &path.probe {
+                    Some((cols, key, idx)) => format!(
+                        "probe {}{cols:?}, {} of {rows} rows",
+                        query.pred,
+                        spaced(idx.probe(key).len())
+                    ),
+                    None if path.cols.is_empty() => format!("scan {}, {rows} rows", query.pred),
+                    None => format!(
+                        "scan {}, {rows} rows, filter on {:?} — no index covers {:?} (have: {})",
+                        query.pred,
+                        path.cols,
+                        path.cols,
+                        path.rel
+                            .index_columns()
+                            .iter()
+                            .map(|c| format!("{c:?}"))
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    ),
+                }
+            }
+        };
+        format!("{query}: {line}")
     }
 
     /// All facts of one predicate in the database, sorted for determinism.

@@ -42,7 +42,7 @@ use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::Builtin;
 use ldl_ast::rule::Rule;
 use ldl_ast::term::{Term, Var};
-use ldl_storage::{Database, Relation};
+use ldl_storage::{Database, IndexRef, Relation};
 use ldl_value::fxhash::FastSet;
 use ldl_value::{Symbol, ValueId};
 
@@ -541,6 +541,35 @@ pub(crate) fn probe_key<'k>(
     }
 }
 
+/// Match `args` against each row `idx` posts under `key`, in insertion
+/// order, handing every solution to `k` until it answers `true` (stop);
+/// returns whether it did. Posting lists hold live positions only, so no
+/// liveness test is needed, and the probe only narrows the candidates —
+/// `match_slice` still decides each one. Shared by the negated existential
+/// ([`neg_holds`]) and the query path ([`crate::Evaluator::query`]).
+pub(crate) fn probe_matches(
+    rel: &Relation,
+    idx: IndexRef<'_>,
+    key: &[ValueId],
+    args: &[Term],
+    b: &mut Bindings,
+    k: &mut dyn FnMut(&mut Bindings) -> bool,
+) -> bool {
+    // The matcher cannot be interrupted: solutions after a stop are skipped.
+    let mut stop = false;
+    for &pos in idx.probe(key) {
+        match_slice(args, rel.get(pos), b, &mut |b2| {
+            if !stop {
+                stop = k(b2);
+            }
+        });
+        if stop {
+            break;
+        }
+    }
+    stop
+}
+
 /// §3.2 (2′): does ¬Bθ hold, i.e. is Bθ ∉ M? Named variables are bound here
 /// (planner guarantee); anonymous variables make this a negated
 /// *existential* — the shape of the paper's own §6 rule
@@ -568,14 +597,7 @@ pub(crate) fn neg_holds(
                         return false;
                     };
                     note_index_probe();
-                    let mut any = false;
-                    for &pos in idx.probe(key) {
-                        match_slice(args, rel.get(pos), b, &mut |_| any = true);
-                        if any {
-                            break;
-                        }
-                    }
-                    return any;
+                    return probe_matches(rel, idx, key, args, b, &mut |_| true);
                 }
             }
             let mut any = false;

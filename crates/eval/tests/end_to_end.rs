@@ -358,3 +358,35 @@ fn query_patterns() {
     // No match.
     assert!(ev.query(&m, &parse_atom("kids(9, S)").unwrap()).is_empty());
 }
+
+/// `explain_query` names the arm `query` takes: the probe of an index the
+/// database already has, the id-filtered scan when none covers the ground
+/// columns (with the indexes there are), the plain scan.
+#[test]
+fn query_explanations() {
+    let mut db = Database::new();
+    for i in 0..1500 {
+        db.insert_tuple("e", vec![Value::int(i % 3), Value::int(i), Value::int(7)]);
+    }
+    let ev = Evaluator::new();
+    let explain = |db: &Database, q: &str| ev.explain_query(db, &parse_atom(q).unwrap());
+    assert_eq!(explain(&db, "e(X, Y, Z)"), "e(X, Y, Z): scan e, 1 500 rows");
+    assert_eq!(
+        explain(&db, "e(1, Y, 7)"),
+        "e(1, Y, 7): scan e, 1 500 rows, filter on [0, 2] — \
+         no index covers [0, 2] (have: [0, 1, 2])"
+    );
+    assert_eq!(
+        explain(&db, "e(1, 4, 7)"),
+        "e(1, 4, 7): probe e[0, 1, 2], 1 of 1 500 rows"
+    );
+    db.relation_mut("e".into(), 3).ensure_index(&[2]);
+    db.relation_mut("e".into(), 3).ensure_index(&[0]);
+    assert_eq!(
+        explain(&db, "e(1, Y, 7)"),
+        "e(1, Y, 7): probe e[0], 500 of 1 500 rows"
+    );
+    assert_eq!(ev.query(&db, &parse_atom("e(1, Y, 7)").unwrap()).len(), 500);
+    assert_eq!(explain(&db, "e(1, 2)"), "e(1, 2): no match, e has arity 3");
+    assert_eq!(explain(&db, "f(1)"), "f(1): no relation f");
+}

@@ -477,7 +477,7 @@ impl System {
     /// (ii)′ `WithContext`. Recompiles the loaded rules; an error leaves
     /// the previous compilation (and semantics choice) in place.
     pub fn set_grouping_semantics(&mut self, s: GroupingSemantics) -> Result<(), Error> {
-        let compiled = compile_ldl15(&self.source, s)?;
+        let compiled = self.admit(s)?;
         self.grouping_semantics = s;
         self.compiled = compiled;
         self.cache = None;
@@ -497,8 +497,28 @@ impl System {
         Ok(())
     }
 
+    /// Compile `source` to core LDL1 under `semantics` and raise whatever
+    /// [`System::model`] would raise before evaluating a single rule —
+    /// inadmissibility (§3.1) and ill-formedness — so that a program no
+    /// model can be computed for is never installed.
+    fn admit(&self, semantics: GroupingSemantics) -> Result<Program, Error> {
+        let compiled = compile_ldl15(&self.source, semantics)?;
+        Stratification::canonical(&compiled).map_err(ldl_eval::EvalError::from)?;
+        let opts = self.eval_options();
+        if opts.check_wf {
+            ast::wf::check_program(&compiled, opts.dialect).map_err(ldl_eval::EvalError::from)?;
+        }
+        Ok(compiled)
+    }
+
     /// Load rules (and inline facts) written in LDL1 / LDL1.5 concrete
     /// syntax. Ground facts go to the EDB; rules are compiled to core LDL1.
+    ///
+    /// A `src` whose rules are rejected — a parse or transform error, or
+    /// rules that would make the loaded program inadmissible or ill-formed
+    /// — changes nothing: the rules loaded before, the cached model and the
+    /// published snapshot stay as they were, and its inline facts are not
+    /// committed.
     ///
     /// New rules invalidate the cached model (with a [`Reader`] attached it
     /// is recomputed and published before `load` returns); a facts-only
@@ -529,7 +549,7 @@ impl System {
             // fail every later load: take the candidate rules back out.
             let loaded = self.source.rules.len();
             self.source.rules.extend(rules);
-            match compile_ldl15(&self.source, self.grouping_semantics) {
+            match self.admit(self.grouping_semantics) {
                 Ok(compiled) => self.compiled = compiled,
                 Err(e) => {
                     self.source.rules.truncate(loaded);
@@ -698,11 +718,23 @@ impl System {
         }
     }
 
-    /// Answer a query against the standard model (full bottom-up
-    /// evaluation, then pattern matching).
+    /// Answer a query against the standard model. The model is computed
+    /// bottom-up on first use and maintained across commits from then on, so
+    /// most queries evaluate nothing: they read the cached model, through
+    /// an index when the query binds the columns of one the model already
+    /// has and by a filtered scan otherwise (see [`Evaluator::query`]; a
+    /// query never builds an index). [`System::explain_query`] says which.
     pub fn query(&mut self, query: &str) -> Result<Vec<QueryAnswer>, Error> {
         let atom = ldl_parser::parse_atom(query)?;
         Ok(Evaluator::new().query(self.model()?, &atom))
+    }
+
+    /// One line saying how [`System::query`] would read the model for this
+    /// query — index probe or scan, and over how many rows (see
+    /// [`Evaluator::explain_query`]). Forces evaluation first, like a query.
+    pub fn explain_query(&mut self, query: &str) -> Result<String, Error> {
+        let atom = ldl_parser::parse_atom(query)?;
+        Ok(Evaluator::new().explain_query(self.model()?, &atom))
     }
 
     /// Answer a query through the §6 magic-set pipeline (sips → adornment →
@@ -1228,10 +1260,14 @@ mod tests {
         let mut sys = System::new();
         assert!(matches!(sys.load("p(X) <-"), Err(Error::Parse(_))));
         assert!(matches!(sys.fact("p(X)."), Err(Error::NotGround { .. })));
-        sys.load("even(s(X)) <- num(X), ~even(X). num(z). even(z).")
-            .unwrap();
-        let err = sys.query("even(X)").unwrap_err();
+        // An inadmissible program is refused at load, facts and all, and
+        // the system keeps answering.
+        let err = sys
+            .load("even(s(X)) <- num(X), ~even(X). num(z). even(z).")
+            .unwrap_err();
         assert!(matches!(err, Error::Eval(_)));
+        assert_eq!(sys.edb().num_facts(), 0);
+        assert!(sys.query("even(X)").unwrap().is_empty());
         // source() forwards to the wrapped error.
         assert!(std::error::Error::source(&err).is_some());
         assert!(std::error::Error::source(&Error::NotGround {

@@ -942,6 +942,52 @@ impl Relation {
         Some(IndexRef(handle))
     }
 
+    /// The best index this relation *already has* for a lookup that binds
+    /// the columns `bound` (sorted, deduplicated), with the columns it is
+    /// keyed on — a subset of `bound`, so its probe key is a projection of
+    /// the bound values. Read-only: nothing is built, nothing allocated.
+    ///
+    /// The index on exactly `bound` wins (the duplicate filter when `bound`
+    /// is every column, see [`Relation::index`]); otherwise the one over
+    /// the most columns of `bound`, ties going to the lexicographically
+    /// smallest column list so the choice never depends on map order.
+    /// `None` when no index is keyed inside `bound` — always the case when
+    /// nothing is bound.
+    pub fn covering_index<'a: 'b, 'b>(
+        &'a self,
+        bound: &'b [usize],
+    ) -> Option<(&'b [usize], IndexRef<'a>)> {
+        if self.is_full_key(bound) {
+            return Some((bound, IndexRef(Handle::Full(self))));
+        }
+        let mut best: Option<&'a Index> = None;
+        for idx in self.indexes.values() {
+            // Both lists ascend, so containment is one merge walk. (An
+            // index on no column narrows nothing.)
+            let mut rest = bound.iter();
+            if idx.cols.is_empty() || !idx.cols.iter().all(|c| rest.any(|b| b == c)) {
+                continue;
+            }
+            if best.is_none_or(|b| (idx.cols.len(), &b.cols[..]) > (b.cols.len(), &idx.cols[..])) {
+                best = Some(idx);
+            }
+        }
+        best.map(|idx| (&idx.cols[..], IndexRef(Handle::Partial(idx))))
+    }
+
+    /// The column list of every index the relation has, sorted: the built
+    /// ones and, for arity ≥ 1, the duplicate filter standing in for the
+    /// index on every column. For diagnostics — lookups go through
+    /// [`Relation::index`] / [`Relation::covering_index`].
+    pub fn index_columns(&self) -> Vec<Vec<usize>> {
+        let mut all: Vec<Vec<usize>> = self.indexes.keys().cloned().collect();
+        if self.arity >= 1 {
+            all.push((0..self.arity).collect());
+        }
+        all.sort_unstable();
+        all
+    }
+
     /// Does an index exist on `cols`?
     pub fn has_index(&self, cols: &[usize]) -> bool {
         self.is_full_key(cols) || self.indexes.contains_key(cols)
@@ -1125,6 +1171,50 @@ mod tests {
         r.ensure_index(&[1]);
         assert_eq!(r.indexes.len(), 1);
         assert!(!Relation::new(0).has_index(&[]));
+    }
+
+    #[test]
+    fn covering_index_prefers_exact_then_largest_then_smallest_columns() {
+        let mut r = Relation::new(4);
+        r.insert_slice(&t(&[1, 2, 3, 4]));
+        r.insert_slice(&t(&[1, 2, 5, 6]));
+        let cols_of =
+            |r: &Relation, bound: &[usize]| r.covering_index(bound).map(|(cols, _)| cols.to_vec());
+        // No index yet: only the full key (the duplicate filter) answers.
+        assert_eq!(cols_of(&r, &[0]), None);
+        assert_eq!(cols_of(&r, &[0, 1, 2, 3]), Some(vec![0, 1, 2, 3]));
+        assert!(r.indexes.is_empty(), "a lookup builds nothing");
+        for cols in [&[0][..], &[2], &[1, 3], &[0, 1], &[]] {
+            r.ensure_index(cols);
+        }
+        assert_eq!(cols_of(&r, &[]), None, "nothing bound");
+        assert_eq!(cols_of(&r, &[3]), None, "no index inside [3]");
+        assert_eq!(cols_of(&r, &[2]), Some(vec![2]), "exact");
+        assert_eq!(cols_of(&r, &[1, 3]), Some(vec![1, 3]), "exact");
+        // [0, 1] over the most columns beats [0] and [2]…
+        assert_eq!(cols_of(&r, &[0, 1, 2]), Some(vec![0, 1]));
+        // …[0] beats [2] on column order, [0, 1] beats [1, 3] likewise.
+        assert_eq!(cols_of(&r, &[0, 2]), Some(vec![0]));
+        assert_eq!(cols_of(&r, &[0, 1, 3]), Some(vec![0, 1]));
+        // Every column bound is the duplicate filter, whatever else exists.
+        let (cols, idx) = r.covering_index(&[0, 1, 2, 3]).unwrap();
+        assert_eq!(cols, &[0, 1, 2, 3]);
+        assert_eq!(idx.probe(&t(&[1, 2, 5, 6])), &[1]);
+        // The handle probes with the projection onto the chosen columns.
+        let (cols, idx) = r.covering_index(&[0, 1, 2]).unwrap();
+        let key: Vec<ValueId> = cols.iter().map(|&c| t(&[1, 2, 5])[c]).collect();
+        assert_eq!(idx.probe(&key), &[0, 1]);
+        assert_eq!(
+            r.index_columns(),
+            [
+                vec![],
+                vec![0],
+                vec![0, 1],
+                vec![0, 1, 2, 3],
+                vec![1, 3],
+                vec![2]
+            ]
+        );
     }
 
     #[test]

@@ -116,6 +116,18 @@ fn distinct_keys_allocate_sublinearly() {
         assert_eq!(by_first.probe(&row[..1]), &[pos as u32]);
     }
     assert_eq!(ALLOC.delta(before), 0);
+
+    // Choosing the index for a set of bound columns allocates nothing
+    // either — exact, every column, a miss, nothing bound.
+    let unindexed = Relation::new(2);
+    let before = ALLOC.count();
+    assert_eq!(rel.covering_index(&[0]).unwrap().0, &[0]);
+    let (cols, idx) = rel.covering_index(&[0, 1]).unwrap();
+    assert_eq!((cols, idx.probe(&rows[7])), (&[0, 1][..], &[7][..]));
+    assert!(rel.covering_index(&[1]).is_none());
+    assert!(unindexed.covering_index(&[0]).is_none());
+    assert!(rel.covering_index(&[]).is_none());
+    assert_eq!(ALLOC.delta(before), 0);
 }
 
 /// A clone copies a fixed number of flat buffers per index plus the row

@@ -39,10 +39,9 @@ fn main() -> Result<(), ldl1::Error> {
     // 2. The Russell-style program has no model; the stratifier rejects it.
     println!("\n== p(<X>) <- p(X): no model, rejected as inadmissible ==");
     let mut sys = System::new();
-    sys.load("p(<X>) <- p(X). p(1).")?;
-    match sys.query("p(X)") {
+    match sys.load("p(<X>) <- p(X). p(1).") {
         Err(e) => println!("  engine says: {e}"),
-        Ok(_) => unreachable!("must be rejected"),
+        Ok(()) => unreachable!("must be rejected"),
     }
 
     // 3. A positive program with two incomparable minimal models.
@@ -91,10 +90,9 @@ fn main() -> Result<(), ldl1::Error> {
     // grouping), so the engine refuses to pick a model — exactly the class
     // of programs §3 excludes.
     let mut sys = System::new();
-    sys.load("q(1). p(<X>) <- q(X). q(2) <- p({1, 2}).")?;
-    match sys.model_facts() {
+    match sys.load("q(1). p(<X>) <- q(X). q(2) <- p({1, 2}).") {
         Err(e) => println!("\n  engine: {e}"),
-        Ok(_) => unreachable!("must be rejected"),
+        Ok(()) => unreachable!("must be rejected"),
     }
     Ok(())
 }

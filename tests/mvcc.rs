@@ -240,3 +240,50 @@ fn commits_after_a_rule_load_reach_the_reader() {
     assert!(reader.epoch() > before);
     assert_eq!(reader.latest().facts("s").len(), 4);
 }
+
+/// A snapshot's index posting lists are its own. Maintenance leaves `anc`
+/// with an index on its first column, every published clone carries it, and
+/// a bound query probes it: the snapshot taken before a mid-chain
+/// retraction keeps answering with the full chain while the writer's later
+/// publication answers with the cut one — both by probe.
+#[test]
+fn old_snapshots_probe_their_own_index() {
+    const N: i64 = 12;
+    let chain = |to: i64| -> Vec<String> { (1..=to).map(|y| format!("Y = {y}")).collect() };
+    let answers = |snap: &ldl1::Snapshot| -> Vec<String> {
+        let found = snap.query("anc(0, Y)").unwrap();
+        found.iter().map(|a| a.to_string()).collect()
+    };
+
+    let mut sys = System::new();
+    sys.load("anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y).")
+        .unwrap();
+    for x in 0..N - 1 {
+        sys.insert("par", vec![Value::int(x), Value::int(x + 1)])
+            .unwrap();
+    }
+    let reader = sys.reader().unwrap();
+    // A cold evaluation never probes `anc` by its first column alone…
+    let cold = reader.latest().explain_query("anc(0, Y)").unwrap();
+    assert!(
+        cold.contains("scan anc") && cold.contains("no index covers [0]"),
+        "{cold}"
+    );
+    // …the first maintained commit does, and leaves the index behind.
+    sys.insert("par", vec![Value::int(N - 1), Value::int(N)])
+        .unwrap();
+    let before = reader.latest();
+    sys.retract("par(5, 6).").unwrap();
+    let after = reader.latest();
+    assert!(after.epoch() > before.epoch());
+
+    assert_eq!(answers(&before), chain(N));
+    assert_eq!(answers(&after), chain(5));
+    let rows = |n: i64| format!("anc(0, Y): probe anc[0], {n} of ");
+    let (old, new) = (
+        before.explain_query("anc(0, Y)").unwrap(),
+        after.explain_query("anc(0, Y)").unwrap(),
+    );
+    assert!(old.starts_with(&rows(N)), "{old}");
+    assert!(new.starts_with(&rows(5)), "{new}");
+}

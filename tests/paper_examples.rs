@@ -58,14 +58,14 @@ fn excl_ancestor_program() {
 #[test]
 fn even_program_inadmissible() {
     let mut sys = System::new();
-    sys.load(
-        "int(0).\n\
-         int(s(X)) <- int(X).\n\
-         even(0).\n\
-         even(s(X)) <- int(X), ~even(X).",
-    )
-    .unwrap();
-    let err = sys.query("even(X)").unwrap_err();
+    let err = sys
+        .load(
+            "int(0).\n\
+             int(s(X)) <- int(X).\n\
+             even(0).\n\
+             even(s(X)) <- int(X), ~even(X).",
+        )
+        .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("not admissible"), "{msg}");
     assert!(msg.contains("even"), "{msg}");

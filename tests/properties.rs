@@ -4,8 +4,12 @@
 use std::collections::BTreeSet;
 
 use ldl1::value::order::{dominates_elaborate, factset_dominated};
-use ldl1::{check_model, Database, EvalOptions, Evaluator, FactSet, SetValue, System, Value};
-use ldl_testkit::{cases, Rng};
+use ldl1::{
+    check_model, Database, EvalOptions, Evaluator, Fact, FactSet, QueryAnswer, SetValue, Symbol,
+    System, Value,
+};
+use ldl_testkit::gen::{stratified_case, GenConst};
+use ldl_testkit::{cases, cases_shrink, Rng};
 
 // ---------------------------------------------------------------- values --
 
@@ -403,5 +407,276 @@ fn incremental_commits_match_full_recompute() {
             fresh.insert("e1", vec![Value::int(m)]).unwrap();
         }
         assert_eq!(sys.model_facts().unwrap(), fresh.model_facts().unwrap());
+    });
+}
+
+// ------------------------------------------------------------ query path --
+
+fn gen_value(c: &GenConst) -> Value {
+    match c {
+        GenConst::Int(i) => Value::int(*i),
+        GenConst::Set(xs) => Value::set(xs.iter().map(|&i| Value::int(i))),
+        GenConst::Compound(f, xs) => {
+            Value::compound(*f, xs.iter().map(|&i| Value::int(i)).collect())
+        }
+    }
+}
+
+/// A ground value as query text, in spellings that must all denote it:
+/// plain, or — for integers — as ground arithmetic, and — for sets — with
+/// the elements out of canonical order and one of them repeated.
+fn spell(v: &Value, style: usize) -> String {
+    match v {
+        Value::Int(i) if style % 2 == 1 => format!("{i} + 1 - 1"),
+        Value::Set(s) if style % 2 == 1 && (1..64).contains(&s.len()) => {
+            let mut elems: Vec<String> = s.iter().rev().map(|e| e.to_string()).collect();
+            elems.push(elems[0].clone());
+            format!("{{{}}}", elems.join(", "))
+        }
+        _ => v.to_string(),
+    }
+}
+
+/// Variable names by column; the generated relations have at most three.
+const NAMES: [&str; 3] = ["A", "B", "C"];
+
+/// One argument of a generated query pattern.
+#[derive(Clone)]
+enum Pat {
+    Ground(Value),
+    Var(&'static str),
+    Anon,
+}
+
+/// What the definition says `pred(pats…)` answers over `facts`: keep the
+/// facts equal on the ground arguments and consistent on repeated
+/// variables, project onto the variables in first-occurrence order.
+fn hand_filter(facts: &[Fact], pats: &[Pat]) -> Vec<QueryAnswer> {
+    let mut out = Vec::new();
+    'facts: for f in facts {
+        let mut bindings: Vec<(String, Value)> = Vec::new();
+        for (pat, v) in pats.iter().zip(f.args()) {
+            match pat {
+                Pat::Ground(g) if g != v => continue 'facts,
+                Pat::Var(x) => match bindings.iter().find(|(name, _)| name == x) {
+                    Some((_, bound)) if bound != v => continue 'facts,
+                    Some(_) => {}
+                    None => bindings.push((x.to_string(), v.clone())),
+                },
+                _ => {}
+            }
+        }
+        out.push(QueryAnswer { bindings });
+    }
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// `db`'s predicates by name: map order follows symbol ids, which depend on
+/// what the other tests of this binary interned first.
+fn predicates_by_name(db: &Database) -> Vec<Symbol> {
+    let mut preds: Vec<Symbol> = db.predicates().collect();
+    preds.sort_by_key(|p| p.to_string());
+    preds
+}
+
+/// `db` with an index on every non-empty column subset of every relation.
+fn index_every_subset(db: &mut Database) {
+    for pred in predicates_by_name(db) {
+        let arity = db.relation(pred).unwrap().arity();
+        for mask in 1u32..1 << arity {
+            let cols: Vec<usize> = (0..arity).filter(|c| mask & (1 << c) != 0).collect();
+            db.relation_mut(pred, arity).ensure_index(&cols);
+        }
+    }
+}
+
+/// Every query shape over every predicate and column subset of `dbs[0]`
+/// answers the same on each of `dbs` — which hold the same facts behind
+/// different sets of indexes, `dbs[0]` behind all of them — as the hand
+/// filter of the facts does.
+fn assert_query_paths_agree(dbs: &[&Database], rng: &mut Rng) {
+    let ev = Evaluator::new();
+    let ask = |text: &str, want: &[QueryAnswer]| {
+        let atom = ldl1::parser::parse_atom(text).unwrap();
+        for (i, db) in dbs.iter().enumerate() {
+            assert_eq!(ev.query(db, &atom), want, "db {i}: {text}");
+        }
+        ev.explain_query(dbs[0], &atom)
+    };
+    for pred in predicates_by_name(dbs[0]) {
+        let rel = dbs[0].relation(pred).unwrap();
+        let arity = rel.arity();
+        let facts = dbs[0].facts_of(pred);
+        // Tuples to take bound values from. (Not ones holding a grouped set
+        // of more than 64 elements: written out as a query argument that is
+        // an enumerated-set pattern the matcher refuses — ROADMAP 5(c).)
+        let small = |f: &&Fact| {
+            let big = |v: &Value| matches!(v, Value::Set(s) if s.len() > 64);
+            !f.args().iter().any(big)
+        };
+        let spellable: Vec<&Fact> = facts.iter().filter(small).collect();
+        if arity == 0 || spellable.is_empty() {
+            continue;
+        }
+        for mask in 1u32..1 << arity {
+            let bound = |c: usize| mask & (1 << c) != 0;
+            let free = (0..arity).filter(|&c| !bound(c)).count();
+            // Bound to an existing tuple's values, then to a value no
+            // relation holds.
+            let hit = spellable[rng.index(spellable.len())];
+            for absent in [false, true] {
+                // The unbound columns as distinct variables, as `_`, and as
+                // one repeated variable.
+                for shape in 0..3 {
+                    let pats: Vec<Pat> = (0..arity)
+                        .map(|c| match (bound(c), shape) {
+                            (true, _) if absent => Pat::Ground(Value::atom("nowhere")),
+                            (true, _) => Pat::Ground(hit.args()[c].clone()),
+                            (false, 0) => Pat::Var(NAMES[c]),
+                            (false, 1) => Pat::Anon,
+                            (false, _) => Pat::Var("R"),
+                        })
+                        .collect();
+                    let args: Vec<String> = pats
+                        .iter()
+                        .enumerate()
+                        .map(|(c, p)| match p {
+                            Pat::Ground(v) => spell(v, c + shape),
+                            Pat::Var(x) => x.to_string(),
+                            Pat::Anon => "_".to_string(),
+                        })
+                        .collect();
+                    let text = format!("{pred}({})", args.join(", "));
+                    let want = hand_filter(&facts, &pats);
+                    // The hand filter is not vacuous: the tuple the values
+                    // came from is an answer unless `R` has to repeat.
+                    assert!(want.is_empty() == absent || shape == 2, "{text}");
+                    let how = ask(&text, &want);
+                    assert!(how.contains(": probe "), "{how}");
+                    if free == 0 {
+                        assert!(how.contains(&format!("{} of ", want.len())), "{how}");
+                    }
+                }
+            }
+        }
+        // Nothing bound: the plain scan.
+        let all: Vec<Pat> = NAMES[..arity].iter().map(|x| Pat::Var(x)).collect();
+        let how = ask(
+            &format!("{pred}({})", NAMES[..arity].join(", ")),
+            &hand_filter(&facts, &all),
+        );
+        assert!(how.contains(&format!(": scan {pred}, ")), "{how}");
+        // A set pattern with a variable stays with the matcher, behind a
+        // scan and behind a probe of column 0: `{X, e}` is the sets {e}
+        // (X = e) and {e, X}.
+        for col in 0..arity {
+            let small_set = |v: &Value| matches!(v, Value::Set(s) if (1..=2).contains(&s.len()));
+            let Some(hit) = spellable.iter().find(|f| small_set(&f.args()[col])) else {
+                continue;
+            };
+            let e = hit.args()[col].as_set().unwrap().iter().next().unwrap();
+            for key in [None, Some(&hit.args()[0])] {
+                if col == 0 && key.is_some() {
+                    continue;
+                }
+                let mut want = Vec::new();
+                for f in facts
+                    .iter()
+                    .filter(|f| key.is_none_or(|k| *k == f.args()[0]))
+                {
+                    let Value::Set(t) = &f.args()[col] else {
+                        continue;
+                    };
+                    for x in t.iter() {
+                        if Value::set(vec![x.clone(), e.clone()]) == f.args()[col] {
+                            let bindings = vec![("X".to_string(), x.clone())];
+                            want.push(QueryAnswer { bindings });
+                        }
+                    }
+                }
+                want.sort();
+                want.dedup();
+                let args: Vec<String> = (0..arity)
+                    .map(|c| match key {
+                        _ if c == col => format!("{{X, {e}}}"),
+                        Some(k) if c == 0 => k.to_string(),
+                        _ => "_".to_string(),
+                    })
+                    .collect();
+                assert!(!want.is_empty());
+                ask(&format!("{pred}({})", args.join(", ")), &want);
+            }
+        }
+        // A ground argument outside U matches nothing; neither does the
+        // wrong arity.
+        let rest = vec!["_"; arity - 1].join(", ");
+        let sep = if arity > 1 { ", " } else { "" };
+        for outside in ["9223372036854775807 + 1", "scons(1, 2)", "1 / 0"] {
+            let how = ask(&format!("{pred}({outside}{sep}{rest})"), &[]);
+            assert!(how.contains("does not evaluate"), "{how}");
+        }
+        ask(&format!("{pred}(_, {})", vec!["_"; arity].join(", ")), &[]);
+    }
+    ask("nosuch(X, 1)", &[]);
+}
+
+/// The three ways a query reads a relation — index probe, id-filtered scan,
+/// plain scan — are one function of the facts: over random stratified
+/// models, with every index / the indexes evaluation left / none at all,
+/// through tombstoning, revival and truncation.
+#[test]
+fn query_probe_scan_and_filter_agree() {
+    cases_shrink(48, 8, |rng: &mut Rng, size: u32| {
+        let case = stratified_case(rng, size);
+        let mut edb = Database::new();
+        for (pred, args) in &case.edb {
+            let args: Vec<Value> = args.iter().map(gen_value).collect();
+            // A three-column relation too, so column subsets nest.
+            if *pred == "e0" {
+                edb.insert_tuple(
+                    "w3",
+                    vec![args[1].clone(), args[0].clone(), args[1].clone()],
+                );
+            }
+            edb.insert_tuple(*pred, args);
+        }
+        let program = ldl1::parser::parse_program(&case.src).unwrap();
+        let mut model = Evaluator::new().evaluate(&program, &edb).unwrap();
+        let mut indexed = model.clone();
+        index_every_subset(&mut indexed);
+        let unindexed = |db: &Database| Database::from_fact_set(&db.to_fact_set());
+        assert_query_paths_agree(&[&indexed, &model, &unindexed(&model)], rng);
+
+        // Tombstone one tuple per relation: no probe may return its position.
+        let removed: Vec<(Fact, u32)> = predicates_by_name(&indexed)
+            .into_iter()
+            .filter_map(|p| {
+                let facts = indexed.facts_of(p);
+                let f = facts.get(rng.index(facts.len().max(1)))?.clone();
+                let pos = indexed.remove(&f)?;
+                assert_eq!(model.remove(&f), Some(pos));
+                Some((f, pos))
+            })
+            .collect();
+        assert_query_paths_agree(&[&indexed, &model, &unindexed(&model)], rng);
+        // Revive them, then grow past a mark and truncate back to it.
+        for (f, pos) in &removed {
+            indexed.revive(f.pred(), *pos);
+            model.revive(f.pred(), *pos);
+        }
+        assert_query_paths_agree(&[&indexed, &model, &unindexed(&model)], rng);
+        let (mark, model_mark) = (indexed.mark(), model.mark());
+        for (f, _) in &removed {
+            let mut args = f.args().to_vec();
+            args[0] = Value::atom("later");
+            indexed.insert_tuple(f.pred(), args.clone());
+            model.insert_tuple(f.pred(), args);
+        }
+        assert_query_paths_agree(&[&indexed, &model, &unindexed(&model)], rng);
+        indexed.truncate_to(&mark);
+        model.truncate_to(&model_mark);
+        assert_query_paths_agree(&[&indexed, &model, &unindexed(&model)], rng);
     });
 }

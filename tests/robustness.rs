@@ -655,3 +655,36 @@ fn rejected_load_leaves_the_system_usable() {
     assert_eq!(answers.len(), 1);
     assert_eq!(answers[0].to_string(), "X = 1");
 }
+
+/// A `load` whose rules compile but make the program inadmissible used to
+/// be installed anyway: no model could be computed from then on, so every
+/// query — and every query after a later, perfectly good `load` — failed
+/// with the cycle until a fresh `System`, and an attached `Reader` got no
+/// further publication. It is rejected whole now, like a transform error.
+#[test]
+fn inadmissible_load_leaves_the_system_usable() {
+    use ldl1::Error;
+    let mut sys = System::new();
+    sys.load("q(1). q(2). r(X) <- q(X).").unwrap();
+    assert_eq!(sys.query("r(X)").unwrap().len(), 2);
+    let reader = sys.reader().unwrap();
+    let epoch = reader.epoch();
+
+    let err = sys.load("p(X) <- q(X), ~p(X). q(3).").unwrap_err();
+    assert!(matches!(err, Error::Eval(_)), "{err}");
+    assert!(err.to_string().contains("cycle: p"), "{err}");
+    assert_eq!(sys.edb().num_facts(), 2, "a rejected load commits no facts");
+    assert_eq!(sys.program().rules.len(), 1, "nor installs its rules");
+    assert_eq!(reader.epoch(), epoch, "nor publishes anything");
+    // So is a rule that is ill-formed rather than inadmissible.
+    assert!(matches!(sys.load("s(X) <- ~q(X)."), Err(Error::Eval(_))));
+
+    // The cached model, later loads and the reader all keep working.
+    assert_eq!(sys.query("r(X)").unwrap().len(), 2);
+    sys.load("t(X) <- q(X).").unwrap();
+    assert_eq!(sys.query("t(X)").unwrap().len(), 2);
+    let epoch = reader.epoch();
+    sys.fact("q(4).").unwrap();
+    assert!(reader.epoch() > epoch, "the next commit is published");
+    assert_eq!(reader.latest().query("t(X)").unwrap().len(), 3);
+}
