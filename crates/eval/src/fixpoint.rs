@@ -17,9 +17,9 @@
 //! * [`delta_loop`] is the only semi-naive driver: it runs rounds of
 //!   delta-first passes over a [`DeltaFrontier`] until no delta predicate
 //!   has grown. Its callers differ only in the frontier they hand it: a
-//!   cold layer (after one full round), insertion maintenance
-//!   ([`crate::incremental`]), DRed's overdelete and rederive phases
-//!   ([`crate::retract`]), and the magic-set evaluator's staged schedule.
+//!   cold layer (after one full round), the maintenance sweep's insertion
+//!   delta and DRed's overdelete and rederive phases ([`crate::retract`]),
+//!   and the magic-set evaluator's staged schedule.
 //! * a [`Drive`] carries what one operation's rounds share.
 
 use std::sync::Arc;

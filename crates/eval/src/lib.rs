@@ -30,7 +30,6 @@ pub mod exec;
 pub mod explain;
 pub mod fixpoint;
 pub mod grouping;
-pub mod incremental;
 pub mod model;
 pub mod plan;
 pub mod ram;

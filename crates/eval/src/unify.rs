@@ -193,7 +193,8 @@ pub fn match_slice(
 /// Match an enumerated-set pattern `{p₁, …, pₖ}` against a ground set with
 /// canonical elements `s`: assign each pattern element to some element of
 /// `s` such that the assigned elements *cover* all of `s` (so the evaluated
-/// pattern equals `s`).
+/// pattern equals `s`). Sets of any size: the cover is one count per
+/// element of `s`, on the stack for the small sets rules usually spell out.
 fn match_set_enum(
     pats: &[Term],
     s: &[ValueId],
@@ -205,46 +206,48 @@ fn match_set_enum(
     if s.len() > pats.len() {
         return;
     }
-    if pats.is_empty() {
-        if s.is_empty() {
-            k(b);
-        }
-        return;
-    }
-    // `covered` is a bitmask of s-elements hit so far.
+    // `hits[i]` counts the patterns assigned to `s[i]` so far; `missing`
+    // is the number of elements with none.
     fn go(
         pats: &[Term],
         s: &[ValueId],
-        covered: u64,
+        hits: &mut [u32],
+        missing: usize,
         b: &mut Bindings,
         k: &mut dyn FnMut(&mut Bindings),
     ) {
         match pats.split_first() {
             None => {
-                if covered == (1u64 << s.len()) - 1 {
+                if missing == 0 {
                     k(b);
                 }
             }
             Some((p0, rest)) => {
                 // Remaining patterns must still be able to cover the
                 // remaining elements.
-                let missing = s.len() as u32 - covered.count_ones();
-                if (rest.len() as u32) + 1 < missing {
+                if rest.len() + 1 < missing {
                     return;
                 }
                 for (i, &e) in s.iter().enumerate() {
                     match_term(p0, e, b, &mut |b2| {
-                        go(rest, s, covered | (1 << i), b2, k);
+                        hits[i] += 1;
+                        go(rest, s, hits, missing - usize::from(hits[i] == 1), b2, k);
+                        hits[i] -= 1;
                     });
                 }
             }
         }
     }
-    assert!(
-        s.len() <= 64,
-        "enumerated-set pattern against a set of >64 elements"
-    );
-    go(pats, s, 0, b, k);
+    let mut stack = [0u32; 8];
+    let mut heap: Vec<u32> = Vec::new();
+    let hits = match stack.get_mut(..s.len()) {
+        Some(hits) => hits,
+        None => {
+            heap.resize(s.len(), 0);
+            &mut heap[..]
+        }
+    };
+    go(pats, s, hits, s.len(), b, k);
 }
 
 /// Collect all solutions of matching `t` against `v` as binding snapshots

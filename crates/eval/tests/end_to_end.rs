@@ -359,6 +359,40 @@ fn query_patterns() {
     assert!(ev.query(&m, &parse_atom("kids(9, S)").unwrap()).is_empty());
 }
 
+/// Enumerated-set patterns cover stored sets of any size, as a query and
+/// as a body literal, ground and with a variable. (The cover used to be a
+/// `u64` mask: 64 elements answered `no` with overflow checks off and
+/// panicked with them on, 65 and up panicked in both.)
+#[test]
+fn big_set_patterns() {
+    for n in [63, 64, 65, 130] {
+        let elems: Vec<String> = (1..=n).map(|i| i.to_string()).collect();
+        let ground = format!("{{{}}}", elems.join(", "));
+        // `{X, 2, …, n}` equals `{1, …, n}` exactly when X = 1.
+        let open = format!("{{X, {}}}", elems[1..].join(", "));
+        let src = format!(
+            "p({ground}).\n\
+             whole(yes) <- p({ground}).\n\
+             rest(X) <- p({open}).\n\
+             other(yes) <- p({{0, {}}}).",
+            elems[1..].join(", ")
+        );
+        let ev = Evaluator::new();
+        let m = evaluate(&ev, &parse_program(&src).unwrap(), &Database::new());
+        assert!(m.contains(&Fact::new("whole", vec![atom("yes")])), "{n}");
+        assert!(m.contains(&Fact::new("rest", vec![Value::int(1)])), "{n}");
+        assert_eq!(m.relation("rest".into()).unwrap().len(), 1, "{n}");
+        assert!(m.relation("other".into()).is_none_or(|r| r.is_empty()));
+
+        let query = |q: String| ev.query(&m, &parse_atom(&q).unwrap());
+        assert_eq!(query(format!("p({ground})")).len(), 1, "{n}");
+        let answers = query(format!("p({open})"));
+        assert_eq!(answers.len(), 1, "{n}");
+        assert_eq!(answers[0].bindings[0].1, Value::int(1), "{n}");
+        assert!(query(format!("p({{X, {}}})", elems[2..].join(", "))).is_empty());
+    }
+}
+
 /// `explain_query` names the arm `query` takes: the probe of an index the
 /// database already has, the id-filtered scan when none covers the ground
 /// columns (with the indexes there are), the plain scan.

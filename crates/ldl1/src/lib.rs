@@ -227,12 +227,12 @@ impl From<ldl_eval::EvalError> for Error {
 /// core LDL1 on load (§4). Facts can be asserted, retracted, and updated —
 /// one at a time with [`System::fact`] / [`System::retract`] /
 /// [`System::update`], or transactionally with [`System::mutate`]. Once a
-/// model has been computed it is *maintained*: committed assertions seed
-/// the semi-naive machinery as the initial delta, and committed
-/// retractions run delete-rederive (DRed) maintenance per stratum — or
-/// replay the strata it does not apply to — (see [`eval::incremental`] and
-/// [`eval::retract`]) instead of recomputing from scratch. Loading new rules or changing the grouping
-/// semantics invalidates the cache.
+/// model has been computed it is *maintained*: a committed batch is swept
+/// up the strata once — retractions run delete-rederive (DRed) maintenance
+/// per stratum, assertions seed the semi-naive machinery as the initial
+/// delta, and the strata neither applies to are replayed (see
+/// [`eval::retract`]) — instead of recomputing from scratch. Loading new
+/// rules or changing the grouping semantics invalidates the cache.
 #[derive(Debug)]
 pub struct System {
     source: Program,

@@ -5,10 +5,10 @@ use std::collections::BTreeSet;
 
 use ldl1::value::order::{dominates_elaborate, factset_dominated};
 use ldl1::{
-    check_model, Database, EvalOptions, Evaluator, Fact, FactSet, QueryAnswer, SetValue, Symbol,
-    System, Value,
+    check_model, Database, EvalOptions, Evaluator, Fact, FactSet, Mutation, QueryAnswer, SetValue,
+    Symbol, System, Value,
 };
-use ldl_testkit::gen::{stratified_case, GenConst};
+use ldl_testkit::gen::{stratified_case, GenConst, GeneratedCase};
 use ldl_testkit::{cases, cases_shrink, Rng};
 
 // ---------------------------------------------------------------- values --
@@ -408,6 +408,133 @@ fn incremental_commits_match_full_recompute() {
         }
         assert_eq!(sys.model_facts().unwrap(), fresh.model_facts().unwrap());
     });
+}
+
+// -------------------------------------------------------- batch stagings --
+
+/// Commit `steps` — `(retract?, fact)` in staging order — as one batch on a
+/// fresh durable system holding `case` and its evaluated model. Returns
+/// what the commit *is*: the model it leaves, how the sweep maintained each
+/// stratum (`strata_skipped`, `_delta`, `_dred`, `_replayed`,
+/// `facts_retracted`), and the bytes it appended to the log.
+fn commit_staging(case: &GeneratedCase, steps: &[(bool, Fact)]) -> (FactSet, [u64; 5], Vec<u8>) {
+    static N: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+    let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ldl-staging-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut sys = System::open(&dir).unwrap();
+    sys.load(&case.src).unwrap();
+    let mut b = sys.mutate();
+    for (pred, args) in &case.edb {
+        b.assert(pred, args.iter().map(gen_value).collect());
+    }
+    b.commit().unwrap();
+    sys.model_facts().unwrap(); // cache a model: the batch is maintained
+    let log = dir.join(ldl1::wal::WAL_FILE);
+    let before = std::fs::read(&log).unwrap().len();
+    let mut b = sys.mutate();
+    for (retract, f) in steps {
+        b.push(if *retract {
+            Mutation::Retract(f.clone())
+        } else {
+            Mutation::Assert(f.clone())
+        });
+    }
+    b.commit().unwrap();
+    let s = sys.last_stats();
+    let how = [
+        s.strata_skipped,
+        s.strata_delta,
+        s.strata_dred,
+        s.strata_replayed,
+        s.facts_retracted,
+    ];
+    let logged = std::fs::read(&log).unwrap()[before..].to_vec();
+    let model = sys.model_facts().unwrap();
+    drop(sys);
+    let _ = std::fs::remove_dir_all(&dir);
+    (model, how, logged)
+}
+
+/// U-Datalog's deferred-update reading of a transaction (PAPERS.md): a
+/// batch is the *set* of its net changes, applied together. However one net
+/// batch is staged — padded with assert/retract pairs that cancel, or its
+/// steps shuffled — it commits to the same model by the same maintenance
+/// decisions. The log record lists the net changes in staging order: the
+/// padded staging appends byte-identical records, the shuffled one a record
+/// of the same length. Run over programs with negation and grouping strata,
+/// so mixed batches reach the sweep's replay arm as well as DRed-then-delta.
+#[test]
+fn stagings_of_one_net_batch_commit_alike() {
+    let replays = std::cell::Cell::new(0u64);
+    cases_shrink(48, 8, |rng: &mut Rng, size: u32| {
+        let case = stratified_case(rng, size);
+        let mut stored: Vec<Fact> = Vec::new();
+        for (pred, args) in &case.edb {
+            let f = Fact::new(*pred, args.iter().map(gen_value).collect());
+            if !stored.contains(&f) {
+                stored.push(f);
+            }
+        }
+        // Arguments of new facts: the case's own constants, so they join,
+        // and a few the case has never seen.
+        let mut pool: Vec<Value> = (100..103).map(Value::int).collect();
+        pool.extend(stored.iter().flat_map(|f| f.args().iter().cloned()));
+        let absent = |rng: &mut Rng, taken: &[(bool, Fact)]| loop {
+            let (pred, arity) = [("e0", 2), ("e1", 1), ("p0", 2)][rng.index(3)];
+            let f = Fact::new(pred, (0..arity).map(|_| rng.pick(&pool).clone()).collect());
+            if !stored.contains(&f) && !taken.iter().any(|(_, t)| *t == f) {
+                return f;
+            }
+        };
+
+        // The net batch: up to three stored facts go, up to three new come.
+        let mut kept = stored.clone();
+        let mut net: Vec<(bool, Fact)> = Vec::new();
+        for _ in 0..rng.index(4).min(kept.len()) {
+            net.push((true, kept.swap_remove(rng.index(kept.len()))));
+        }
+        for _ in 0..rng.index(4) {
+            let f = absent(rng, &net);
+            net.push((false, f));
+        }
+        if net.is_empty() {
+            return;
+        }
+
+        // Padded: cancelling pairs on facts outside the net batch, each
+        // pair in order, anywhere among the net steps.
+        let mut padded = net.clone();
+        for _ in 0..1 + rng.index(3) {
+            let (first, f) = if kept.is_empty() || rng.chance(1, 2) {
+                (false, absent(rng, &padded)) // assert it, then retract it
+            } else {
+                (true, rng.pick(&kept).clone()) // retract it, then assert it
+            };
+            if padded.iter().any(|(_, t)| *t == f) {
+                continue;
+            }
+            let i = rng.index(padded.len() + 1);
+            padded.insert(i, (first, f.clone()));
+            let j = i + 1 + rng.index(padded.len() - i);
+            padded.insert(j, (!first, f));
+        }
+        let mut shuffled = net.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.index(i + 1));
+        }
+
+        let plain = commit_staging(&case, &net);
+        replays.set(replays.get() + plain.1[3]);
+        assert_eq!(commit_staging(&case, &padded), plain, "padded {padded:?}");
+        let (model, how, logged) = commit_staging(&case, &shuffled);
+        assert_eq!(
+            (model, how, logged.len()),
+            (plain.0, plain.1, plain.2.len()),
+            "shuffled {shuffled:?}"
+        );
+    });
+    assert!(replays.get() > 0, "no case reached the replay arm");
 }
 
 // ------------------------------------------------------------ query path --
