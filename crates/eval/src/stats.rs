@@ -50,6 +50,19 @@ pub struct EvalStats {
     pub facts_retracted: u64,
     /// Strata skipped entirely because no changed predicate reaches them.
     pub strata_skipped: u64,
+    /// Publications to `ldl1::Reader`s that *replayed* the commit's change
+    /// log onto the snapshot being replaced (the O(change) arm; `0` for a
+    /// system without a reader, like the three counters below).
+    pub publish_replays: u64,
+    /// Changes those replays applied: rows appended, tombstoned or revived,
+    /// plus every row of a relation a replayed stratum rebuilt.
+    pub publish_changes: u64,
+    /// Publications that *cloned* the model instead.
+    pub publish_clones: u64,
+    /// The clones taken because a reader still held the snapshot being
+    /// replaced; the others published a model that was not a logged
+    /// descendant of it (rebuilt after a rule load or an aborted commit).
+    pub publish_clones_held: u64,
     /// Evaluation rounds executed (one round = a batch of rule passes — all
     /// eligible passes of a stratum, or one magic guarded rule — applied
     /// against one immutable database snapshot).
@@ -137,6 +150,10 @@ impl AddAssign for EvalStats {
         self.strata_dred += rhs.strata_dred;
         self.facts_retracted += rhs.facts_retracted;
         self.strata_skipped += rhs.strata_skipped;
+        self.publish_replays += rhs.publish_replays;
+        self.publish_changes += rhs.publish_changes;
+        self.publish_clones += rhs.publish_clones;
+        self.publish_clones_held += rhs.publish_clones_held;
         self.rounds += rhs.rounds;
         self.plan_cache_hits += rhs.plan_cache_hits;
         self.plan_cache_misses += rhs.plan_cache_misses;
@@ -155,7 +172,7 @@ impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, strata replayed: {}, delta-updated: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}",
+            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, strata replayed: {}, delta-updated: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}, published by replay: {} ({} changes), by clone: {} ({} snapshot still held, {} new model)",
             self.rules_fired,
             self.attempts,
             self.facts_derived,
@@ -177,7 +194,12 @@ impl fmt::Display for EvalStats {
             self.arena_bytes,
             self.arena_pages,
             self.wal_records,
-            self.wal_bytes
+            self.wal_bytes,
+            self.publish_replays,
+            self.publish_changes,
+            self.publish_clones,
+            self.publish_clones_held,
+            self.publish_clones - self.publish_clones_held
         )
     }
 }

@@ -15,18 +15,37 @@
 //! and the published database is never mutated again (maintenance works
 //! on the writer's own copy).
 //!
-//! Publication clones the model once per commit, so it costs nothing
-//! until the first [`System::reader`] call activates it. The clone is a
-//! deep copy — no structure is shared with the writer — but every
-//! structure of a [`Database`] is a flat buffer, so its price is the
-//! model's bytes, not its keys or tuples: 0.2 ms for a 65 000-fact model
-//! with five indexes (`snapshot_reads`; DESIGN §3h has the table). The
-//! writer pays for the copy and for freeing the snapshot it replaces; the
-//! slot mutex covers only the pointer swap between the two (see
-//! `ReaderShared::publish`).
+//! # Publishing is O(change): two copies leapfrog
 //!
-//! The copy includes the model's hash indexes — the ones the writer's rule
-//! evaluation and commit maintenance built for their own joins — so a
+//! Once a [`Reader`] exists there are two copies of the model — the
+//! published one in the slot and the writer's working one, equal between
+//! commits — and a commit does not make a third. Maintenance changes the
+//! working copy, which keeps a change log while it does
+//! ([`Database::open_log`]: a length watermark per relation and the
+//! positions tombstoned or revived, nothing per insert). Publication
+//! *moves* the working copy into the slot and takes the snapshot it
+//! replaces back out; if no reader still holds that one
+//! (`Arc::try_unwrap`), the commit's log is replayed onto it
+//! ([`Database::catch_up`]: the new rows are read from the copy just
+//! published) and it is the working copy of the next commit. The cost is
+//! the commit's own change — tens of tuples on `snapshot_reads` against a
+//! 65 000-fact model — and nothing is allocated or freed per model
+//! (DESIGN §3k has the ordering argument and the numbers).
+//!
+//! One clone is left, chosen by what `System::publish` can see, never by an
+//! option: a reader still holds the retired snapshot (it stays frozen and is
+//! freed by whoever drops it last), or the working copy is not a logged
+//! descendant of the published one — the first publication, or a model
+//! rebuilt after a rule load, [`System::set_grouping_semantics`](
+//! crate::System::set_grouping_semantics) or an aborted commit. The log
+//! carries the epoch it was opened against and does not survive a
+//! `Database::clone`, so a log is never replayed onto a foreign base.
+//! [`EvalStats`](crate::EvalStats)`::publish_replays` / `publish_clones`
+//! say which arm a commit took. Before the first [`System::reader`](
+//! crate::System::reader) call nothing is published and no log is open.
+//!
+//! Every snapshot owns its rows and its hash indexes — the ones the writer's
+//! rule evaluation and commit maintenance built for their own joins — so a
 //! [`Snapshot::query`] that binds the columns of one is an index probe,
 //! not a scan of the predicate (`anc(root, Y)` on `snapshot_reads`: 10 of
 //! 55 000 rows; DESIGN §3j). The posting lists are the snapshot's own: the
@@ -36,7 +55,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use ldl_eval::{Evaluator, QueryAnswer};
+use ldl_eval::{EvalStats, Evaluator, QueryAnswer};
 use ldl_storage::Database;
 use ldl_value::Fact;
 
@@ -59,28 +78,58 @@ pub(crate) struct ReaderShared {
 }
 
 impl ReaderShared {
-    pub(crate) fn new(model: Database) -> ReaderShared {
+    /// Open the channel on a copy of `working` — the first publication,
+    /// epoch 1 — and start `working`'s change log against it.
+    pub(crate) fn new(working: &mut Database) -> ReaderShared {
+        let model = working.clone();
+        working.open_log(1);
         ReaderShared {
             slot: Mutex::new(Arc::new(PublishedModel { model, epoch: 1 })),
         }
     }
 
-    /// Swap in a new model under the next epoch. Readers holding the old
-    /// `Arc` keep their consistent view; new [`Reader::latest`] calls see
-    /// this one.
+    /// Publish the writer's `working` model under the next epoch, leaving
+    /// in its place an equal copy — the working model of the next commit,
+    /// its change log open against the new epoch — and count in `stats`
+    /// how that copy was come by (module docs): the retired snapshot caught
+    /// up by `working`'s log, or a clone.
     ///
-    /// The slot mutex is held for the epoch stamp and the pointer swap
-    /// alone: the new `Arc` is allocated before locking, and the replaced
-    /// one is dropped after unlocking — when no reader still holds it that
-    /// drop frees a whole model, and `latest()`/`epoch()` on other threads
-    /// must not wait for it.
-    pub(crate) fn publish(&self, model: Database) {
+    /// Readers holding the old `Arc` keep their consistent view; new
+    /// [`Reader::latest`] calls see the new one. The slot mutex is held for
+    /// the epoch stamp and the pointer swap alone: the new `Arc` is
+    /// allocated before locking, and the replaced one is caught up, or
+    /// released — possibly the last reference to a whole model — after
+    /// unlocking, so `latest()`/`epoch()` on other threads never wait for
+    /// either.
+    pub(crate) fn publish(&self, working: &mut Database, stats: &mut EvalStats) {
+        let base = working.log_base();
+        let model = std::mem::take(working);
         let mut new = Arc::new(PublishedModel { model, epoch: 0 });
         let mut slot = self.slot.lock().expect("reader slot poisoned");
         Arc::get_mut(&mut new).expect("not shared yet").epoch = slot.epoch + 1;
-        let old = std::mem::replace(&mut *slot, new);
+        let old = std::mem::replace(&mut *slot, Arc::clone(&new));
         drop(slot);
-        drop(old);
+
+        // Replay only a log opened against the very snapshot that came out
+        // of the slot, and only onto a snapshot nobody else can still read.
+        let logged = base == Some(old.epoch);
+        match Arc::try_unwrap(old).ok().filter(|_| logged) {
+            Some(retired) => {
+                *working = retired.model;
+                stats.publish_replays += 1;
+                stats.publish_changes += working.catch_up(&new.model) as u64;
+                #[cfg(debug_assertions)]
+                if let Err(diff) = working.same_state(&new.model) {
+                    panic!("replayed publication differs from the published model: {diff}");
+                }
+            }
+            None => {
+                *working = new.model.clone();
+                stats.publish_clones += 1;
+                stats.publish_clones_held += u64::from(logged);
+            }
+        }
+        working.open_log(new.epoch);
     }
 
     /// The current publication epoch — the epoch of the slot's model.
@@ -116,10 +165,10 @@ impl Snapshot {
 
     /// Answer a query against this snapshot's model — the same semantics
     /// as [`System::query`](crate::System::query), minus any evaluation
-    /// (the model was computed before publication). A snapshot is a clone
-    /// of the writer's model and carries the indexes that model had, so a
-    /// query binding their columns is an index probe here too; the
-    /// snapshot is immutable, so nothing is ever built for one.
+    /// (the model was computed before publication). A snapshot is a full
+    /// copy of the model with the indexes the writer's copy had, so a query
+    /// binding their columns is an index probe here too; the snapshot is
+    /// immutable, so nothing is ever built for one.
     pub fn query(&self, query: &str) -> Result<Vec<QueryAnswer>, Error> {
         let atom = ldl_parser::parse_atom(query)?;
         Ok(Evaluator::new().query(&self.inner.model, &atom))

@@ -388,18 +388,22 @@ impl System {
     /// A concurrent read handle: clone it into any number of threads,
     /// each calling [`Reader::latest`] for an immutable [`Snapshot`] of
     /// the most recently committed model while this thread keeps
-    /// committing mutations. Forces an initial model computation, and
-    /// from then on every successful commit publishes the freshly
-    /// maintained model (one model clone per commit — the cost is only
-    /// paid once a reader exists); see [`Reader`] for the one exception,
-    /// a commit following an aborted one.
+    /// committing mutations. Forces an initial model computation and
+    /// copies it once; from then on every successful commit publishes the
+    /// freshly maintained model at a cost proportional to what the commit
+    /// changed — the writer's copy and the published one leapfrog, and the
+    /// model is cloned again only while a reader still holds the snapshot
+    /// being replaced, or after the model was rebuilt (see
+    /// [`EvalStats::publish_replays`] / [`EvalStats::publish_clones`]).
+    /// Nothing is paid until a reader exists. See [`Reader`] for the one
+    /// commit that does not publish, the one following an aborted one.
     pub fn reader(&mut self) -> Result<Reader, Error> {
         self.model()?;
         let shared = match &self.readers {
             Some(s) => Arc::clone(s),
             None => {
-                let cache = self.cache.as_ref().expect("model just computed");
-                let shared = Arc::new(durable::ReaderShared::new(cache.db.clone()));
+                let cache = self.cache.as_mut().expect("model just computed");
+                let shared = Arc::new(durable::ReaderShared::new(&mut cache.db));
                 self.readers = Some(Arc::clone(&shared));
                 shared
             }
@@ -434,12 +438,13 @@ impl System {
         Ok(())
     }
 
-    /// Publish the cached model to concurrent readers, if both exist.
+    /// Publish the cached model to concurrent readers, if both exist,
+    /// counting the arm taken in [`System::last_stats`].
     fn publish(&mut self) {
-        let (Some(shared), Some(cache)) = (&self.readers, &self.cache) else {
+        let (Some(shared), Some(cache)) = (&self.readers, &mut self.cache) else {
             return;
         };
-        shared.publish(cache.db.clone());
+        shared.publish(&mut cache.db, &mut self.last_stats);
     }
 
     /// Override evaluation options.

@@ -15,9 +15,35 @@ use crate::relation::Relation;
 /// `Send + Sync` assertion below turns an accidental introduction of
 /// interior mutability (`Cell`, `RefCell`, `Rc`) anywhere in the storage
 /// types into a compile error rather than a data race.
-#[derive(Clone, Debug, Default)]
+///
+/// # Change log
+///
+/// [`Database::open_log`] makes the database record what is done to it from
+/// then on, cheaply enough to leave on: rows appended are a length
+/// watermark per relation, tombstones and revivals a list of positions, and
+/// a relation that arrives, leaves or is replaced is noticed by its
+/// absence from the log. [`Database::catch_up`] reads the log back to bring
+/// a second copy, equal to this one when the log was opened, to this one's
+/// state in time proportional to the change — a left-right pair of model
+/// copies needs no more to publish a commit. The log is part of no state
+/// ([`Database::same_state`] ignores it) and does not survive a clone.
+#[derive(Debug, Default)]
 pub struct Database {
     relations: FastMap<Symbol, Relation>,
+    /// The caller's stamp for the state the open change log started from;
+    /// `None` when no log is open.
+    log_base: Option<u64>,
+}
+
+impl Clone for Database {
+    /// A deep copy of the facts, indexes and statistics, with no change log
+    /// open: a log is the history of one copy from one base state.
+    fn clone(&self) -> Database {
+        Database {
+            relations: self.relations.clone(),
+            log_base: None,
+        }
+    }
 }
 
 // Shared-snapshot contract: a `&Database` must be usable from many threads
@@ -216,12 +242,77 @@ impl Database {
     /// Remove one relation wholesale (used when an IDB predicate is rebuilt
     /// from scratch during incremental maintenance).
     pub fn remove_relation(&mut self, pred: Symbol) -> Option<Relation> {
-        self.relations.remove(&pred)
+        let mut rel = self.relations.remove(&pred)?;
+        rel.drop_log();
+        Some(rel)
     }
 
     /// Install `rel` as the relation for `pred`, replacing any existing one.
-    pub fn set_relation(&mut self, pred: Symbol, rel: Relation) {
+    /// Under an open change log the relation counts as new, wherever it
+    /// came from.
+    pub fn set_relation(&mut self, pred: Symbol, mut rel: Relation) {
+        rel.drop_log();
         self.relations.insert(pred, rel);
+    }
+
+    /// Start recording changes, from the present state, which the caller
+    /// names `base` (any stamp it can later recognise the matching second
+    /// copy by). Restarts a log already open.
+    pub fn open_log(&mut self, base: u64) {
+        self.log_base = Some(base);
+        for rel in self.relations.values_mut() {
+            rel.open_log();
+        }
+    }
+
+    /// The stamp the open change log was started with, if one is open.
+    pub fn log_base(&self) -> Option<u64> {
+        self.log_base
+    }
+
+    /// Bring this database to `new`'s state by replaying `new`'s change
+    /// log, given that the two were in the same state when that log was
+    /// opened — the caller's side of the bargain, which is what
+    /// [`Database::log_base`] is for. Returns the number of changes applied
+    /// (rows appended, tombstoned or revived; every row of a relation that
+    /// had to be copied whole). No log is open on `self` afterwards.
+    ///
+    /// A relation logged since the base state is caught up in place; one
+    /// that was created, replaced or truncated since has no log and is
+    /// copied; one that is gone is dropped. With no log open
+    /// on `new` that makes this a plain, correct, full copy.
+    pub fn catch_up(&mut self, new: &Database) -> usize {
+        self.log_base = None;
+        let mut changes = 0;
+        for (&pred, rel) in &new.relations {
+            // A relation `self` lacks starts empty: `rel`, created since the
+            // base state, has no log, and is copied.
+            changes += self.relation_mut(pred, rel.arity()).catch_up(rel);
+        }
+        self.relations
+            .retain(|pred, _| new.relations.contains_key(pred));
+        changes
+    }
+
+    /// `Ok` when both databases hold the same relations in the same
+    /// observable state ([`Relation::same_state`]), else the first
+    /// difference found. Linear in the database: what the tests of
+    /// [`Database::catch_up`] and the debug-build check on every replayed
+    /// publication compare with.
+    pub fn same_state(&self, other: &Database) -> Result<(), String> {
+        let names = |db: &Database| {
+            let mut names: Vec<String> = db.predicates().map(|p| p.to_string()).collect();
+            names.sort_unstable();
+            names
+        };
+        let (mine, theirs) = (names(self), names(other));
+        if mine != theirs {
+            return Err(format!("relations: {mine:?} vs {theirs:?}"));
+        }
+        self.relations.iter().try_for_each(|(pred, rel)| {
+            rel.same_state(&other.relations[pred])
+                .map_err(|e| format!("{pred}: {e}"))
+        })
     }
 }
 

@@ -15,6 +15,7 @@
 //! that many `memcpy`s. Structural [`ldl_value::Value`]s exist only at the
 //! [`crate::Database`] fact boundary.
 
+use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use ldl_value::fxhash::{FastMap, FastSet, FxHasher};
@@ -52,7 +53,7 @@ fn hash_projection(cols: &[usize], row: &[ValueId]) -> u64 {
 /// positions are stable and borrowed row slices stay valid for the life
 /// of a `&Rows` borrow regardless of how many rows were appended before
 /// it was taken.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Rows {
     arity: usize,
     /// `log2` of rows per page.
@@ -62,6 +63,19 @@ struct Rows {
     /// Row count.
     len: u32,
     pages: Vec<Vec<ValueId>>,
+}
+
+impl Clone for Rows {
+    /// The copy's tail page is given full capacity, like every page
+    /// [`Rows::push`] opens: a derived clone sizes it to its length, and the
+    /// copy's next `push` would move it.
+    fn clone(&self) -> Rows {
+        let mut pages = self.pages.clone();
+        if let Some(tail) = pages.last_mut() {
+            tail.reserve_exact(self.page_cap() - tail.len());
+        }
+        Rows { pages, ..*self }
+    }
 }
 
 impl Rows {
@@ -80,6 +94,12 @@ impl Rows {
             len: 0,
             pages: Vec::new(),
         }
+    }
+
+    /// Ids per page: the capacity every page is created with.
+    #[inline]
+    fn page_cap(&self) -> usize {
+        ((self.mask as usize) + 1) * self.arity
     }
 
     /// The row at `pos` as a borrowed slice of `arity` ids.
@@ -103,8 +123,7 @@ impl Rows {
         if self.arity > 0 {
             let page = (pos >> self.shift) as usize;
             if page == self.pages.len() {
-                let cap = ((self.mask as usize) + 1) * self.arity;
-                self.pages.push(Vec::with_capacity(cap));
+                self.pages.push(Vec::with_capacity(self.page_cap()));
             }
             self.pages[page].extend_from_slice(row);
         }
@@ -695,6 +714,31 @@ impl ColSketch {
     }
 }
 
+/// What a relation records while a change log is open on it (see
+/// [`Relation::catch_up`] for how it is read back).
+#[derive(Debug)]
+struct RelLog {
+    /// The row count when the log was opened. Positions never move, so the
+    /// rows appended since are exactly `[base_len, len)`: the insert path
+    /// records nothing.
+    base_len: u32,
+    /// Positions tombstoned or revived since, repeats included. Order and
+    /// direction are not kept: what a position ended up as is read off the
+    /// relation itself.
+    touched: Vec<u32>,
+}
+
+/// A relation's change-log slot. A log describes one relation object's
+/// history from one base state, so a clone starts without one.
+#[derive(Debug, Default)]
+struct LogSlot(Option<RelLog>);
+
+impl Clone for LogSlot {
+    fn clone(&self) -> LogSlot {
+        LogSlot(None)
+    }
+}
+
 /// An append-only, duplicate-free relation.
 ///
 /// Tuples keep their insertion order and are never removed, so a *delta*
@@ -731,6 +775,8 @@ pub struct Relation {
     stats_epoch: u64,
     /// The tuple count at which the next epoch bump fires.
     next_epoch_len: usize,
+    /// The open change log, if any (see [`Relation::catch_up`]).
+    log: LogSlot,
 }
 
 impl Relation {
@@ -746,6 +792,7 @@ impl Relation {
             sketches: vec![ColSketch::default(); arity],
             stats_epoch: 0,
             next_epoch_len: 1,
+            log: LogSlot::default(),
         }
     }
 
@@ -871,6 +918,9 @@ impl Relation {
             idx.remove(rows.get(pos), pos);
         }
         self.stats_epoch += 1;
+        if let Some(log) = &mut self.log.0 {
+            log.touched.push(pos);
+        }
         Some(pos)
     }
 
@@ -889,6 +939,9 @@ impl Relation {
         self.seen.insert(&self.rows, pos);
         self.live += 1;
         self.stats_epoch += 1;
+        if let Some(log) = &mut self.log.0 {
+            log.touched.push(pos);
+        }
     }
 
     /// Ensure a hash index exists on `cols` (sorted, deduplicated by caller
@@ -1046,6 +1099,9 @@ impl Relation {
             return;
         }
         let cutoff = len as u32;
+        // Positions are about to be reused, which a length watermark cannot
+        // describe: the log ends here and `catch_up` copies the relation.
+        self.log.0 = None;
         // Tombstones at or beyond the cutoff die with their positions;
         // tombstones below it survive (rollback revives them separately).
         if let Some(d) = &mut self.dead {
@@ -1086,6 +1142,137 @@ impl Relation {
         }
         self.stats_epoch += 1;
         self.next_epoch_len = self.len() + (self.len() / 2).max(16);
+    }
+
+    /// Start (or restart) this relation's change log at its present state.
+    pub(crate) fn open_log(&mut self) {
+        self.log.0 = Some(RelLog {
+            base_len: self.rows.len,
+            touched: Vec::new(),
+        });
+    }
+
+    /// Forget the change log: from here on [`Relation::catch_up`] reads
+    /// this relation as a new one.
+    pub(crate) fn drop_log(&mut self) {
+        self.log.0 = None;
+    }
+
+    /// Bring this relation to `new`'s state, given that it equalled `new`
+    /// when `new`'s change log was opened. Returns the number of changes
+    /// applied: rows appended, tombstoned or revived — every row when there
+    /// is no usable log (none open, a truncation closed it, or its
+    /// watermark is not this relation's length) and `new` is copied whole.
+    ///
+    /// The cost is the change, not the relation: `new`'s appended rows are
+    /// read from `new`'s arena and inserted, and the touched positions below
+    /// the watermark are set to the liveness they have in `new`. That needs
+    /// no order among the logged events. Tombstones go first, then the
+    /// appended rows, then revivals, so the live set only ever holds
+    /// positions live in `new` — which never holds one tuple twice — and the
+    /// duplicate filter never meets a second copy of a key; a posting list
+    /// is the ascending list of its key's live positions whichever way it
+    /// was reached (appends land at the end, revivals at their sorted slot).
+    /// The statistics are a function of history, not of the final rows, so
+    /// they are copied: both copies plan alike.
+    pub(crate) fn catch_up(&mut self, new: &Relation) -> usize {
+        self.log.0 = None;
+        let log = match &new.log.0 {
+            Some(log) if log.base_len == self.rows.len && self.arity == new.arity => log,
+            _ => {
+                *self = new.clone();
+                return self.len();
+            }
+        };
+        let below = |&&pos: &&u32| pos < log.base_len;
+        let mut changes = 0;
+        for &pos in log.touched.iter().filter(below) {
+            // Rows below the watermark are the same in both copies.
+            if self.is_live(pos) && !new.is_live(pos) {
+                self.remove_slice(new.get(pos));
+                changes += 1;
+            }
+        }
+        for pos in log.base_len..new.rows.len {
+            if new.is_live(pos) {
+                let fresh = self.insert_slice(new.get(pos));
+                debug_assert!(fresh, "a live tuple of `new` was live here too");
+            } else {
+                self.rows.push(new.get(pos));
+                self.dead.get_or_insert_with(Default::default).insert(pos);
+            }
+            changes += 1;
+        }
+        for &pos in log.touched.iter().filter(below) {
+            if !self.is_live(pos) && new.is_live(pos) {
+                self.revive(pos);
+                changes += 1;
+            }
+        }
+        debug_assert_eq!(self.live, new.live);
+        self.sketches.clone_from(&new.sketches);
+        self.stats_epoch = new.stats_epoch;
+        self.next_epoch_len = new.next_epoch_len;
+        // An index `new` gained is a function of rows and liveness, which
+        // now agree: copy it rather than rebuild it.
+        for (cols, idx) in &new.indexes {
+            if !self.indexes.contains_key(cols) {
+                self.indexes.insert(cols.clone(), idx.clone());
+            }
+        }
+        changes
+    }
+
+    /// `Ok` when the two relations are in the same observable state — rows
+    /// and liveness position by position, the duplicate filter, index
+    /// column sets and every posting list, statistics, arena footprint —
+    /// else what differs first. Hash-table layouts and change logs are not
+    /// state. Linear in the relation: for tests and debug self-checks.
+    pub fn same_state(&self, other: &Relation) -> Result<(), String> {
+        fn same<T: PartialEq + fmt::Debug>(what: &str, a: T, b: T) -> Result<(), String> {
+            if a == b {
+                Ok(())
+            } else {
+                Err(format!("{what}: {a:?} vs {b:?}"))
+            }
+        }
+        same("arity", self.arity, other.arity)?;
+        same("len", self.len(), other.len())?;
+        same("live_len", self.live, other.live)?;
+        for pos in 0..self.rows.len {
+            same("row", (pos, self.get(pos)), (pos, other.get(pos)))?;
+            same(
+                "liveness",
+                (pos, self.is_live(pos)),
+                (pos, other.is_live(pos)),
+            )?;
+            let want = self.is_live(pos).then_some(pos);
+            let found = |r: &Relation| r.position_of(r.get(pos)).filter(|&p| p == pos);
+            same("position_of", (pos, found(self)), (pos, want))?;
+            same("position_of", (pos, found(other)), (pos, want))?;
+        }
+        same("indexes", self.index_columns(), other.index_columns())?;
+        for (cols, idx) in &self.indexes {
+            let theirs = &other.indexes[cols];
+            let keys = |i: &Index| i.table.live;
+            same("index keys", (cols, keys(idx)), (cols, keys(theirs)))?;
+            for b in 0..idx.postings.lists.len() as u32 {
+                let (key, list) = (idx.key_at(b), idx.postings.get(b));
+                if !list.is_empty() {
+                    same(
+                        "postings",
+                        (cols, key, list),
+                        (cols, key, theirs.probe(key)),
+                    )?;
+                }
+            }
+        }
+        same("stats_epoch", self.stats_epoch, other.stats_epoch)?;
+        same("next_epoch_len", self.next_epoch_len, other.next_epoch_len)?;
+        let bits = |r: &Relation| r.sketches.iter().map(|s| s.bits).collect::<Vec<_>>();
+        same("sketches", bits(self), bits(other))?;
+        same("arena_pages", self.arena_pages(), other.arena_pages())?;
+        same("arena_bytes", self.arena_bytes(), other.arena_bytes())
     }
 }
 
@@ -1336,6 +1523,23 @@ mod tests {
         assert_eq!(r.arena_pages(), 1);
         assert!(r.insert_slice(&t(&[9999, 0, 0])));
         assert_eq!(r.get(per_page as u32)[0], id(9999));
+    }
+
+    #[test]
+    fn a_clone_keeps_every_page_at_full_capacity() {
+        let mut r = Relation::new(3);
+        let per_page = 1usize << r.rows.shift;
+        for x in 0..(per_page + 7) as i64 {
+            r.insert_slice(&t(&[x, x, x]));
+        }
+        let mut c = r.clone();
+        assert_eq!(c.arena_bytes(), r.arena_bytes());
+        // The derived clone sized the tail page to its 7 rows, and this
+        // push reallocated it.
+        let tail = c.rows.pages[1].as_ptr();
+        assert!(c.insert_slice(&t(&[-1, -1, -1])));
+        assert_eq!(c.rows.pages[1].as_ptr(), tail, "tail page moved");
+        assert_eq!(c.arena_bytes(), r.arena_bytes());
     }
 
     #[test]

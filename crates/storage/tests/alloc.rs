@@ -3,16 +3,18 @@
 //! tables, and posting arenas amortize their growth, so N inserts into an
 //! indexed relation must allocate o(N) times — we assert a hard ceiling
 //! far below one allocation per tuple — and nothing is allocated per index
-//! *key* either, so a clone costs a fixed number of buffers per index.
+//! *key* either, so a clone costs a fixed number of buffers per index; and
+//! replaying a change log costs what the change costs, whatever the size of
+//! the relation it lands on.
 //!
 //! This lives in its own integration-test binary because the counting
 //! allocator must be the process-global allocator.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use ldl_storage::Relation;
+use ldl_storage::{Database, Relation};
 use ldl_testkit::CountingAlloc;
-use ldl_value::{intern, ValueId};
+use ldl_value::{intern, Symbol, ValueId};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -157,4 +159,41 @@ fn clone_allocations_do_not_depend_on_key_count() {
     let allocs = clone_allocs(10_000);
     assert!(allocs <= 64, "clone allocated {allocs} times");
     assert_eq!(clone_allocs(20_000), allocs);
+}
+
+/// Catching a second copy up by a change log of *k* changes — appended rows,
+/// tombstones, a revival — allocates the same handful of times under 1 000
+/// rows as under 64 000: nothing in it is proportional to the relation. (A
+/// copy of the 64 000-row relation alone is 32 page allocations.)
+#[test]
+fn catch_up_allocations_do_not_depend_on_relation_size() {
+    let _counting = counting();
+    const K: i64 = 12;
+    let p = Symbol::intern("p");
+    let row = |i: i64| [intern::mk_int(i % 500), intern::mk_int(i)];
+    let catch_up_allocs = |n: i64| {
+        let mut working = Database::new();
+        for i in 0..n {
+            working.insert_id_slice(p, &row(i));
+        }
+        working.relation_mut(p, 2).ensure_index(&[0]);
+        let gone = working.remove_ids(p, &row(1)).unwrap();
+        let mut retired = working.clone();
+
+        working.open_log(1);
+        for i in 0..K {
+            working.insert_id_slice(p, &row(n + i));
+            working.remove_ids(p, &row(10 + i)).unwrap();
+        }
+        working.revive(p, gone);
+        let before = ALLOC.count();
+        let changes = retired.catch_up(&working);
+        let allocs = ALLOC.delta(before);
+        assert_eq!(changes as i64, 2 * K + 1);
+        assert_eq!(retired.same_state(&working), Ok(()));
+        allocs
+    };
+    let allocs = catch_up_allocs(1_000);
+    assert!(allocs <= 16, "catch-up allocated {allocs} times");
+    assert_eq!(catch_up_allocs(64_000), allocs);
 }

@@ -2,7 +2,8 @@
 //! index / truncate sequences checked against a naive
 //! `Vec<Vec<ValueId>>` model — clones frozen along the way included — plus
 //! a posting-arena sweep over one hub key and an arena-paging regression
-//! sweep.
+//! sweep; and, a level up, random histories of a logged `Database` checked
+//! against the deep clone its change log stands in for.
 //!
 //! The model is the obvious thing a relation pretends to be: an
 //! insertion-ordered list of rows with a live flag. Every storage invariant
@@ -10,9 +11,9 @@
 //! iteration order, eager posting removal, ascending probe results, and
 //! truncate's interaction with tombstones.
 
-use ldl_storage::Relation;
+use ldl_storage::{Database, Relation};
 use ldl_testkit::{cases, Rng};
-use ldl_value::{intern, ValueId};
+use ldl_value::{intern, Symbol, ValueId};
 
 /// The naive reference: rows in insertion order with liveness.
 #[derive(Clone, Default)]
@@ -319,4 +320,211 @@ fn arena_paging_is_exact_across_page_boundaries_at_arities_1_to_8() {
         assert_eq!(r.get((per_page + 1) as u32), row(per_page + 1).as_slice());
         assert!(r.arena_bytes() >= 2 * per_page * arity * std::mem::size_of::<ValueId>());
     }
+}
+
+// ---- The change log: retired copy + log ≡ deep clone ----
+
+/// The predicates the logged histories run over (two share an arity, so one
+/// can be installed as the other) and a scratch name that comes and goes.
+const PREDS: [(&str, usize); 4] = [("p", 2), ("q", 1), ("r", 3), ("s", 2)];
+const SCRATCH: &str = "del$p";
+
+/// Everything a reader or the planner can observe of a database, compared
+/// through the public API alone: facts, insertion positions, liveness, the
+/// duplicate filter, index column sets, every probe (ascending, live,
+/// matching), `stats_epoch`, `scan_estimate`, and the arena footprint.
+fn assert_same_observable(a: &Database, b: &Database) {
+    let names = |db: &Database| {
+        let mut names: Vec<String> = db.predicates().map(|p| p.to_string()).collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(a), names(b), "relations");
+    for pred in a.predicates() {
+        let (ra, rb) = (a.relation(pred).unwrap(), b.relation(pred).unwrap());
+        assert_eq!(ra.arity(), rb.arity(), "{pred}: arity");
+        assert_eq!(ra.len(), rb.len(), "{pred}: physical len");
+        assert_eq!(ra.live_len(), rb.live_len(), "{pred}: live len");
+        for pos in 0..ra.len() as u32 {
+            assert_eq!(ra.get(pos), rb.get(pos), "{pred}: row {pos}");
+            assert_eq!(ra.is_live(pos), rb.is_live(pos), "{pred}: liveness {pos}");
+            assert_eq!(
+                ra.position_of(ra.get(pos)),
+                rb.position_of(rb.get(pos)),
+                "{pred}: position_of row {pos}"
+            );
+        }
+        assert_eq!(ra.index_columns(), rb.index_columns(), "{pred}: indexes");
+        for cols in ra.index_columns() {
+            for pos in 0..ra.len() as u32 {
+                let key: Vec<ValueId> = cols.iter().map(|&c| ra.get(pos)[c]).collect();
+                let hits = ra.probe(&cols, &key);
+                assert_eq!(hits, rb.probe(&cols, &key), "{pred}: probe {cols:?}");
+                assert!(hits.windows(2).all(|w| w[0] < w[1]), "{pred}: ascending");
+                let matches = |&p: &u32| cols.iter().zip(&key).all(|(&c, &k)| ra.get(p)[c] == k);
+                assert!(hits.iter().all(|p| ra.is_live(*p) && matches(p)));
+                assert_eq!(hits.contains(&pos), ra.is_live(pos), "{pred}: {pos} listed");
+            }
+            assert_eq!(a.scan_estimate(pred, &cols), b.scan_estimate(pred, &cols));
+        }
+        assert_eq!(a.scan_estimate(pred, &[]), b.scan_estimate(pred, &[]));
+        assert_eq!(a.stats_epoch(pred), b.stats_epoch(pred), "{pred}: epoch");
+        assert_eq!(ra.arena_bytes(), rb.arena_bytes(), "{pred}: arena bytes");
+        assert_eq!(ra.arena_pages(), rb.arena_pages(), "{pred}: arena pages");
+    }
+}
+
+/// One random storage operation of the kinds commit maintenance performs —
+/// and a few it does not, which the log must survive all the same.
+fn random_op(rng: &mut Rng, db: &mut Database) {
+    let (name, arity) = PREDS[rng.index(PREDS.len())];
+    let pred = Symbol::intern(name);
+    let tuple = |rng: &mut Rng| -> Vec<ValueId> {
+        (0..arity)
+            .map(|_| intern::mk_int(rng.range(0, 4)))
+            .collect()
+    };
+    match rng.range(0, 100) {
+        0..=44 => {
+            db.insert_id_slice(pred, &tuple(rng));
+        }
+        45..=64 => {
+            db.remove_ids(pred, &tuple(rng));
+        }
+        65..=74 => {
+            // Revive a dead position whose tuple is not live elsewhere (the
+            // only way rollback calls it).
+            let Some(rel) = db.relation(pred) else { return };
+            let dead = |&p: &u32| !rel.is_live(p) && !rel.contains(rel.get(p));
+            if let Some(pos) = (0..rel.len() as u32).find(dead) {
+                db.revive(pred, pos);
+            }
+        }
+        75..=84 => {
+            let cols: Vec<usize> = (0..arity).filter(|_| rng.chance(1, 2)).collect();
+            db.relation_mut(pred, arity).ensure_index(&cols);
+        }
+        85..=88 => {
+            let rel = db.relation_mut(pred, arity);
+            let n = rng.range(0, rel.len() as i64 + 1) as usize;
+            rel.truncate(n);
+        }
+        89..=91 => {
+            // A replayed stratum: the relation is rebuilt and installed.
+            let mut rel = Relation::new(arity);
+            for _ in 0..rng.range(0, 6) {
+                rel.insert_slice(&tuple(rng));
+            }
+            db.set_relation(pred, rel);
+        }
+        92..=93 => {
+            // Installed from another relation of the same arity, and the
+            // same relation object taken out and put back.
+            let p = Symbol::intern("p");
+            if let Some(rel) = db.relation(p).filter(|r| r.arity() == arity) {
+                db.set_relation(pred, rel.clone());
+            }
+            if let Some(rel) = db.remove_relation(p) {
+                db.set_relation(p, rel);
+            }
+        }
+        94..=96 => {
+            db.remove_relation(pred);
+        }
+        _ => {
+            // DRed's scratch relations: created and removed inside one log.
+            let scratch = Symbol::intern(SCRATCH);
+            db.set_relation(scratch, Relation::new(arity));
+            db.relation_mut(scratch, arity).insert_slice(&tuple(rng));
+            db.remove_relation(scratch);
+        }
+    }
+}
+
+/// The leapfrog as `ldl1` runs it, over random histories: the working copy
+/// is changed under an open log and becomes the published one; the copy it
+/// replaces is caught up from the log and must then be indistinguishable
+/// from a deep clone of the published copy — and becomes the working copy of
+/// the next round, so both copies descend from catch-ups.
+#[test]
+fn retired_copy_plus_log_equals_deep_clone() {
+    cases(60, |rng: &mut Rng| {
+        let mut working = Database::new();
+        for _ in 0..rng.range(0, 60) {
+            random_op(rng, &mut working);
+        }
+        let mut published = working.clone();
+        assert_eq!(published.log_base(), None, "a clone carries no log");
+        for epoch in 1..rng.range(3, 9) as u64 {
+            working.open_log(epoch);
+            let ops = rng.range(0, 40);
+            for _ in 0..ops {
+                random_op(rng, &mut working);
+            }
+            assert_eq!(working.log_base(), Some(epoch));
+            let mut retired = std::mem::replace(&mut published, working);
+            let deep = published.clone();
+
+            let changes = retired.catch_up(&published);
+            assert_same_observable(&retired, &deep);
+            retired.same_state(&deep).unwrap();
+            assert_eq!(retired.log_base(), None);
+            if ops == 0 {
+                assert_eq!(changes, 0, "nothing happened, nothing replayed");
+            }
+            working = retired;
+        }
+    });
+}
+
+/// Without a log on the source, `catch_up` is a full copy — whatever the two
+/// databases were before.
+#[test]
+fn catch_up_without_a_log_copies() {
+    cases(20, |rng: &mut Rng| {
+        let (mut a, mut b) = (Database::new(), Database::new());
+        for _ in 0..rng.range(0, 50) {
+            random_op(rng, &mut a);
+            random_op(rng, &mut b);
+        }
+        a.catch_up(&b);
+        assert_same_observable(&a, &b.clone());
+    });
+}
+
+/// The comparison the debug-build publish check rests on tells states
+/// apart: a fact, a tombstone, an index, a statistics epoch.
+#[test]
+fn same_state_tells_states_apart() {
+    let p = Symbol::intern("p");
+    let row = |x: i64| [intern::mk_int(x), intern::mk_int(x + 1)];
+    let mut a = Database::new();
+    for x in 0..40 {
+        a.insert_id_slice(p, &row(x));
+    }
+    let differs = |change: &dyn Fn(&mut Database)| {
+        let mut b = a.clone();
+        assert_eq!(a.same_state(&b), Ok(()));
+        change(&mut b);
+        a.same_state(&b).unwrap_err()
+    };
+    let e = differs(&|b| {
+        b.insert_id_slice(p, &row(99));
+    });
+    assert!(e.starts_with("p: len"), "{e}");
+    let e = differs(&|b| {
+        b.remove_ids(p, &row(3));
+    });
+    assert!(e.starts_with("p: live_len"), "{e}");
+    let e = differs(&|b| b.relation_mut(p, 2).ensure_index(&[1]));
+    assert!(e.starts_with("p: indexes"), "{e}");
+    let e = differs(&|b| {
+        let pos = b.remove_ids(p, &row(3)).unwrap();
+        b.revive(p, pos);
+    });
+    assert!(e.starts_with("p: stats_epoch"), "{e}");
+    let e = differs(&|b| {
+        b.insert_id_slice(Symbol::intern("q"), &row(0));
+    });
+    assert!(e.starts_with("relations"), "{e}");
 }

@@ -16,7 +16,8 @@
 //! * incremental maintenance (delta seeding, truncate-and-replay) reaches
 //!   the same model as a one-shot evaluation;
 //! * random assert/retract/update histories (delta, DRed, replay) end on
-//!   the reference model of the surviving EDB;
+//!   the reference model of the surviving EDB — and with a `Reader`
+//!   attached, every snapshot published along the way is the writer's model;
 //! * magic-sets answers ≡ plain answers.
 
 use ldl1::{
@@ -171,6 +172,44 @@ fn mutation_interleavings_match_one_shot_recompute() {
             "maintenance diverged after {muts:?}"
         );
     });
+}
+
+/// The same histories with a `Reader` attached. A commit then publishes by
+/// replaying its change log onto the snapshot it replaces — after delta,
+/// DRed and replayed strata alike, and debug builds compare the caught-up
+/// copy with the published one each time — and what a reader sees after
+/// every commit is the model the writer holds.
+#[test]
+fn published_snapshots_follow_mutation_interleavings() {
+    let replays = std::cell::Cell::new(0);
+    cases_shrink(96, 10, |rng: &mut Rng, size: u32| {
+        let case = stratified_case(rng, size);
+        let batches = 1 + rng.index(4);
+        let (muts, _) = mutation_sequence(rng, &case, batches);
+
+        let mut sys = differential_system(&case);
+        let reader = sys.reader().unwrap();
+        for batch in &muts {
+            let before = reader.epoch();
+            apply_gen_batch(&mut sys, batch);
+            if reader.epoch() > before {
+                replays.set(replays.get() + sys.last_stats().publish_replays);
+            }
+            let model = sys.model_facts().unwrap();
+            let snap = reader.latest();
+            assert_eq!(snap.num_facts(), model.len(), "after {batch:?}");
+            let mut preds: Vec<String> = model.iter().map(|f| f.pred().to_string()).collect();
+            preds.sort();
+            preds.dedup();
+            for pred in preds {
+                let of_pred = model.iter().filter(|f| f.pred().to_string() == pred);
+                let mut facts: Vec<_> = of_pred.cloned().collect();
+                facts.sort();
+                assert_eq!(snap.facts(&pred), facts, "{pred} after {batch:?}");
+            }
+        }
+    });
+    assert!(replays.get() > 0, "no commit took the replay arm");
 }
 
 /// The magic arm of the oracle: after a churned mutation history — which

@@ -287,3 +287,179 @@ fn old_snapshots_probe_their_own_index() {
     assert!(old.starts_with(&rows(N)), "{old}");
     assert!(new.starts_with(&rows(5)), "{new}");
 }
+
+// ---- O(change) publication: which arm a commit took, and that neither arm
+// ---- ever shows a reader anything but the model of the committed facts.
+
+const ANC: &str = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y).";
+
+/// A writer with a reader attached over a `par` chain `0 → … → n`.
+fn chain_with_reader(n: i64) -> (System, ldl1::Reader) {
+    let mut sys = System::new();
+    sys.load(ANC).unwrap();
+    for x in 0..n {
+        sys.insert("par", vec![Value::int(x), Value::int(x + 1)])
+            .unwrap();
+    }
+    let reader = sys.reader().unwrap();
+    (sys, reader)
+}
+
+/// The snapshot holds exactly the standard model of the writer's rules and
+/// facts, by the definition (`reference_model` is §3.2 run literally).
+fn assert_is_reference_model(snap: &ldl1::Snapshot, sys: &System) {
+    let want = ldl1::reference_model(sys.program(), sys.edb()).unwrap();
+    assert_eq!(snap.num_facts(), want.num_facts());
+    for pred in want.predicates() {
+        let mut facts = want.facts_of(pred);
+        facts.sort();
+        assert_eq!(snap.facts(&pred.to_string()), facts, "{pred}");
+    }
+}
+
+/// (replays, clones, clones because the retired snapshot was still held)
+/// of the writer's last commit or evaluation.
+fn arms(sys: &System) -> (u64, u64, u64) {
+    let s = sys.last_stats();
+    (s.publish_replays, s.publish_clones, s.publish_clones_held)
+}
+
+/// The replay arm: with no snapshot held across a commit, every publication
+/// replays the commit's change log — retractions (DRed tombstones, rederived
+/// tuples at new positions), assertions and updates alike — and each
+/// published model is the reference model.
+#[test]
+fn unpinned_commits_publish_by_replay() {
+    let (mut sys, reader) = chain_with_reader(12);
+    for round in 0..6 {
+        match round % 3 {
+            0 => sys.retract(&format!("par({}, {}).", 5 + round, 6 + round)),
+            1 => sys.insert("par", vec![Value::int(100 + round), Value::int(0)]),
+            _ => sys.update(
+                &format!("par({}, {}).", round / 3, round / 3 + 1),
+                &format!("par({}, {}).", round / 3, 200 + round),
+            ),
+        }
+        .unwrap();
+        let (replays, clones, _) = arms(&sys);
+        assert_eq!((replays, clones), (1, 0), "round {round}");
+        assert!(sys.last_stats().publish_changes > 0);
+        // Looked at, and dropped before the next commit.
+        assert_is_reference_model(&reader.latest(), &sys);
+    }
+}
+
+/// The clone arm, `snapshot still held`: a reader that pins every snapshot it
+/// sees forces a clone per commit, each pinned snapshot stays frozen at its
+/// own epoch's model, and the commit after the pins are dropped is back on
+/// the replay arm. A single snapshot pinned across K commits costs one
+/// clone — the commit that retires it — not K.
+#[test]
+fn pinned_snapshots_stay_frozen_on_the_clone_arm() {
+    const K: i64 = 5;
+    let (mut sys, reader) = chain_with_reader(8);
+    let anc_of_0 = |snap: &ldl1::Snapshot| snap.query("anc(0, Y)").unwrap().len();
+
+    let mut pins = vec![reader.latest()];
+    for k in 0..K {
+        sys.insert("par", vec![Value::int(8 + k), Value::int(9 + k)])
+            .unwrap();
+        assert_eq!(
+            arms(&sys),
+            (0, 1, 1),
+            "commit {k} retires a pinned snapshot"
+        );
+        pins.push(reader.latest());
+    }
+    for (k, pin) in pins.iter().enumerate() {
+        assert_eq!(anc_of_0(pin), 8 + k, "pin {k} moved");
+        assert_eq!(pin.epoch(), 1 + k as u64);
+    }
+    drop(pins);
+    sys.retract("par(3, 4).").unwrap();
+    assert_eq!(arms(&sys), (1, 0, 0), "nothing held: replay");
+    assert_is_reference_model(&reader.latest(), &sys);
+
+    let pinned = reader.latest();
+    let frozen = anc_of_0(&pinned);
+    let mut cloned = 0;
+    for k in 0..K {
+        sys.insert("par", vec![Value::int(50 + k), Value::int(0)])
+            .unwrap();
+        cloned += arms(&sys).1;
+        assert_eq!(anc_of_0(&pinned), frozen);
+    }
+    assert_eq!(cloned, 1, "only the commit that retired the pin clones");
+    assert_is_reference_model(&reader.latest(), &sys);
+}
+
+/// The clone arm, `new model`: a model rebuilt from scratch — by a rule load,
+/// by `set_grouping_semantics`, by `model()` after a budget-aborted commit —
+/// carries no log of the published snapshot, so it is published by clone,
+/// never by replaying a log onto a base it does not descend from; the
+/// commits after it replay again. Every published model is the reference
+/// model.
+#[test]
+fn a_rebuilt_model_is_never_replayed_onto_a_foreign_base() {
+    let (mut sys, reader) = chain_with_reader(10);
+    sys.retract("par(4, 5).").unwrap();
+    assert_eq!(arms(&sys), (1, 0, 0));
+
+    let check_rebuilt = |sys: &mut System, what: &str| {
+        assert_eq!(arms(sys), (0, 1, 0), "{what}: published by clone");
+        assert_is_reference_model(&reader.latest(), sys);
+        sys.insert("par", vec![Value::int(4), Value::int(5)])
+            .unwrap();
+        assert_eq!(arms(sys), (1, 0, 0), "{what}: next commit replays");
+        assert_is_reference_model(&reader.latest(), sys);
+        sys.retract("par(4, 5).").unwrap();
+    };
+
+    sys.load("top(X) <- anc(0, X), ~par(X, _).").unwrap();
+    check_rebuilt(&mut sys, "rule load");
+
+    sys.set_grouping_semantics(ldl1::GroupingSemantics::WithContext)
+        .unwrap();
+    check_rebuilt(&mut sys, "set_grouping_semantics");
+
+    // An aborted commit drops the half-maintained working copy, log and
+    // all; the published snapshot stays as it was.
+    let before = reader.epoch();
+    sys.set_budget(ldl1::Budget::unlimited().with_fuel(1));
+    assert!(sys
+        .insert("par", vec![Value::int(4), Value::int(5)])
+        .is_err());
+    sys.set_budget(ldl1::Budget::unlimited());
+    assert_eq!(reader.epoch(), before);
+    sys.model().unwrap();
+    assert!(reader.epoch() > before);
+    check_rebuilt(&mut sys, "model() after an aborted commit");
+}
+
+/// `System::clone` and `System::snapshot` taken mid-stream — a change log
+/// open on the writer's working copy — are copies without a log: later
+/// leapfrogs of the original reach neither, and a fork that gets a reader of
+/// its own starts a lineage of its own.
+#[test]
+fn forks_and_one_off_snapshots_are_outside_the_leapfrog() {
+    let (mut sys, reader) = chain_with_reader(10);
+    sys.retract("par(6, 7).").unwrap();
+    let snap = sys.snapshot().unwrap();
+    let mut fork = sys.clone();
+    let at_fork = snap.num_facts();
+
+    for k in 0..4 {
+        sys.insert("par", vec![Value::int(20 + k), Value::int(0)])
+            .unwrap();
+        assert_eq!(arms(&sys), (1, 0, 0));
+    }
+    assert_eq!(snap.num_facts(), at_fork);
+    assert_eq!(fork.model().unwrap().num_facts(), at_fork);
+
+    let fork_reader = fork.reader().unwrap();
+    fork.retract("par(2, 3).").unwrap();
+    assert_eq!(arms(&fork), (1, 0, 0), "the fork's own first commit");
+    assert_is_reference_model(&fork_reader.latest(), &fork);
+    assert_eq!(snap.num_facts(), at_fork);
+    assert_is_reference_model(&reader.latest(), &sys);
+}
