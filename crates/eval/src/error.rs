@@ -36,10 +36,10 @@ pub enum EvalError {
     },
     /// Evaluation was aborted by its [`Budget`](crate::Budget): a resource
     /// limit was exceeded, or the [`CancelToken`](crate::CancelToken)
-    /// tripped. The aborting operation is transactional — the `System` (or
-    /// the caller's database) is left in its pre-call state, and a retry
-    /// with a sufficient budget recomputes a model bit-identical to an
-    /// uninterrupted run.
+    /// tripped. The aborting operation is transactional — the EDB keeps its
+    /// pre-call rows, positions and liveness (sketches and statistics epochs
+    /// are rebuilt), and a retry with a sufficient budget recomputes a
+    /// model bit-identical to an uninterrupted run.
     ResourceExhausted {
         /// Which limit tripped.
         resource: ResourceKind,

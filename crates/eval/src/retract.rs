@@ -36,9 +36,9 @@
 //! insertion delta of a monotone stratum does not depend on its deletions.
 //!
 //! Everything runs on one [`Drive`] — one set of counters, one budget meter: a
-//! batch that trips its budget mid-flight aborts as a unit, and
-//! [`apply_mutations`] restores the EDB bit-identically (tombstoned
-//! positions revived, appended tuples truncated) so a retry replays the
+//! batch that trips its budget mid-flight aborts as a unit, and the EDB's
+//! change log, open while the batch is applied, rewinds it to its rows,
+//! positions and liveness (`Database::rewind`), so a retry replays the
 //! exact same insertion positions.
 
 use ldl_ast::literal::{Atom, Literal};
@@ -73,8 +73,8 @@ use crate::stats::EvalStats;
 ///
 /// On success `edb` holds the post-batch extensional database and `db` is a
 /// model of `program` w.r.t. it. On error (typically a tripped
-/// [`crate::Budget`]) `edb` is restored bit-identically — every tombstoned
-/// position revived, every appended tuple truncated — and `db` is left
+/// [`crate::Budget`]) `edb` is rewound to its rows, positions and liveness
+/// (sketches and statistics epochs rebuilt) and `db` is left
 /// *inconsistent*: the caller must discard it and re-evaluate from `edb`.
 /// A retried batch therefore reproduces the exact same insertion positions.
 #[allow(clippy::too_many_arguments)]
@@ -90,25 +90,21 @@ pub fn apply_mutations(
     stats: &mut EvalStats,
 ) -> Result<(), EvalError> {
     debug_assert_eq!(sens.len(), strat.num_layers());
-    let mark = edb.mark();
     // Predicates defined by rules: a retraction on one of those is a
     // *support* loss — the fact may survive via a derivation — and must be
     // resolved at the defining stratum, not applied to `db` up front.
     let idb_heads: FastSet<Symbol> = program.rules.iter().map(|r| r.head.pred).collect();
 
-    // Phase 1: apply the batch to the EDB, recording tombstoned positions
-    // for rollback. Pure-EDB retractions are deleted from the model
-    // immediately and seed the deletion frontier; assertions are appended
-    // to the model and seed the insertion frontier.
-    let mut undo: Vec<(Symbol, u32)> = Vec::new();
+    // Phase 1: apply the batch to the EDB under a change log, which an
+    // abort reads backwards. Pure-EDB retractions are deleted from the
+    // model immediately and seed the deletion frontier; assertions are
+    // appended to the model and seed the insertion frontier.
+    edb.open_log(0);
+    edb.apply(retractions, assertions);
     let mut deleted: FastMap<Symbol, Vec<Row>> = FastMap::default();
     let mut pending: FastMap<Symbol, Vec<Row>> = FastMap::default();
     let mut inserted = DeltaFrontier::default();
     for f in retractions {
-        let Some(pos) = edb.remove(f) else {
-            continue; // caller validates presence; tolerate a stale entry
-        };
-        undo.push((f.pred(), pos));
         let tuple = ldl_storage::intern_ids(f.args());
         if idb_heads.contains(&f.pred()) {
             pending.entry(f.pred()).or_default().push(tuple);
@@ -118,7 +114,6 @@ pub fn apply_mutations(
         }
     }
     for f in assertions {
-        edb.insert(f.clone());
         let lo = len_of(db, f.pred());
         if db.insert(f.clone()) {
             inserted.entry(f.pred()).or_insert(lo);
@@ -137,15 +132,11 @@ pub fn apply_mutations(
         inserted,
         &mut Drive::new(opts, stats),
     );
+    // No EDB log outlives the commit: model-less commits would grow it.
     if result.is_err() {
-        // Roll the EDB back: drop post-mark appends, then revive the
-        // tombstoned positions (their tuples were never physically removed,
-        // so the original insertion order — and thus every future delta
-        // frontier — is preserved exactly).
-        edb.truncate_to(&mark);
-        for &(p, pos) in &undo {
-            edb.revive(p, pos);
-        }
+        edb.rewind();
+    } else {
+        edb.close_log();
     }
     stats.record_arena(db);
     result
@@ -1124,6 +1115,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(before, after);
+        assert_eq!(edb.log_base(), None, "no log outlives the commit");
     }
 
     #[test]

@@ -458,8 +458,8 @@ impl System {
     /// Set the resource budget every subsequent evaluation runs under:
     /// fuel (derivation attempts), a wall-clock deadline, derived-fact and
     /// interner-size caps, and/or a [`CancelToken`]. Aborted operations are
-    /// transactional — see [`eval::Budget`] — so a cached model (if any)
-    /// stays valid and the budget can be raised and the call retried.
+    /// transactional — see [`eval::Budget`] — so the budget can be raised
+    /// and the call retried; an aborted *commit* drops the cached model.
     pub fn set_budget(&mut self, budget: Budget) {
         self.options.budget = budget;
     }
@@ -637,23 +637,17 @@ impl System {
     /// With a cached model the batch goes through
     /// [`eval::apply_mutations`]: delete-rederive (or replay) per stratum
     /// for the deletions, delta propagation for the insertions.
-    /// On any error — typically a tripped budget — the EDB is restored
-    /// bit-identically and the half-updated model is dropped, leaving the
-    /// system exactly as it was before the commit; re-submitting the batch
-    /// under a sufficient budget then produces the same state as an
-    /// uninterrupted commit.
+    /// On any error — typically a tripped budget — the EDB is rewound to its
+    /// rows, positions and liveness and the half-updated model is dropped;
+    /// re-submitting the batch under a sufficient budget then produces the
+    /// same state as an uninterrupted commit.
     fn commit_mutations(&mut self, del: Vec<Fact>, ins: Vec<Fact>) -> Result<(), Error> {
         if del.is_empty() && ins.is_empty() {
             return Ok(()); // netted to nothing: no evaluation, no log record
         }
         let opts = self.eval_options();
         let Some(cache) = &mut self.cache else {
-            for f in &del {
-                self.edb.remove(f);
-            }
-            for f in &ins {
-                self.edb.insert(f.clone());
-            }
+            self.edb.apply(&del, &ins);
             return self.log_commit(&del, &ins);
         };
         let mut stats = EvalStats::new();
@@ -809,10 +803,11 @@ pub enum Mutation {
 /// it down to one set of deletions and one set of insertions, and applies
 /// both atomically: the cached model goes from the old state to the new
 /// state in one differential-maintenance step, never exposing a
-/// half-updated intermediate. A batch aborted by a resource budget rolls
-/// the EDB back bit-identically, so a retried commit reproduces the exact
-/// state an uninterrupted one would have. Dropping a batch without
-/// committing discards it.
+/// half-updated intermediate. A batch aborted by a resource budget restores
+/// the EDB's rows, positions and liveness (sketches and statistics epochs
+/// are rebuilt), so a retried commit reproduces the exact state an
+/// uninterrupted one would have. Dropping a batch without committing
+/// discards it.
 ///
 /// ```
 /// use ldl1::System;
@@ -920,7 +915,7 @@ impl MutationBatch<'_> {
         // Predicates whose stored relation held no live fact before this
         // batch and that no rule mentions: they have no arity left to
         // disagree with, so an assertion at another one replaces the
-        // all-tombstoned relation instead of being refused until restart.
+        // all-tombstoned relation (`Database::apply` replaces the EDB's).
         let mut vacated: Vec<Symbol> = Vec::new();
         let mentioned = |p: Symbol| {
             let rules = &sys.compiled.rules;
@@ -986,9 +981,8 @@ impl MutationBatch<'_> {
             seen.clear();
             ins.retain(|f| ins_set.contains(f) && seen.insert(f.clone()));
         }
-        for p in vacated {
-            sys.edb.remove_relation(p);
-            if let Some(cache) = &mut sys.cache {
+        if let Some(cache) = &mut sys.cache {
+            for p in vacated {
                 cache.db.remove_relation(p);
             }
         }

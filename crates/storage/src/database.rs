@@ -22,17 +22,25 @@ use crate::relation::Relation;
 /// then on, cheaply enough to leave on: rows appended are a length
 /// watermark per relation, tombstones and revivals a list of positions, and
 /// a relation that arrives, leaves or is replaced is noticed by its
-/// absence from the log. [`Database::catch_up`] reads the log back to bring
-/// a second copy, equal to this one when the log was opened, to this one's
-/// state in time proportional to the change — a left-right pair of model
-/// copies needs no more to publish a commit. The log is part of no state
-/// ([`Database::same_state`] ignores it) and does not survive a clone.
+/// absence from the log. [`Database::catch_up`] reads the log forwards to
+/// bring a second copy, equal to this one when the log was opened, to this
+/// one's state in time proportional to the change (how a left-right pair of
+/// model copies publishes a commit); [`Database::rewind`] reads it backwards.
+/// The log is part of no state ([`Database::same_state`] ignores it) and
+/// does not survive a clone.
 #[derive(Debug, Default)]
 pub struct Database {
     relations: FastMap<Symbol, Relation>,
-    /// The caller's stamp for the state the open change log started from;
-    /// `None` when no log is open.
-    log_base: Option<u64>,
+    /// `None` when no change log is open.
+    log: Option<DbLog>,
+}
+
+#[derive(Debug)]
+struct DbLog {
+    /// The caller's stamp for the state the log started from.
+    base: u64,
+    /// Relations [`Database::apply`] replaced at another arity, in order.
+    replaced: Vec<(Symbol, Relation)>,
 }
 
 impl Clone for Database {
@@ -41,7 +49,7 @@ impl Clone for Database {
     fn clone(&self) -> Database {
         Database {
             relations: self.relations.clone(),
-            log_base: None,
+            log: None,
         }
     }
 }
@@ -81,13 +89,6 @@ impl Database {
     /// Insert a fact given as predicate + values.
     pub fn insert_tuple(&mut self, pred: impl Into<Symbol>, args: Vec<Value>) -> bool {
         self.insert(Fact::new(pred, args))
-    }
-
-    /// Bulk insert.
-    pub fn extend(&mut self, facts: impl IntoIterator<Item = Fact>) {
-        for f in facts {
-            self.insert(f);
-        }
     }
 
     /// The relation for `pred`, if any facts exist.
@@ -135,11 +136,25 @@ impl Database {
         self.relations.get_mut(&pred)?.remove_slice(tuple)
     }
 
-    /// Undo a tombstone recorded by [`Database::remove`] — the rollback
-    /// half of a failed mutation batch (see [`Relation::revive`]).
-    pub fn revive(&mut self, pred: Symbol, pos: u32) {
-        if let Some(rel) = self.relations.get_mut(&pred) {
-            rel.revive(pos);
+    /// Apply one net mutation batch — the one way a batch reaches an EDB:
+    /// tombstone the retractions, then append the assertions. A predicate
+    /// earlier batches emptied has no arity left (the caller has checked
+    /// that no rule fixes one): an assertion at another arity replaces its
+    /// all-tombstoned relation.
+    pub fn apply(&mut self, del: &[Fact], ins: &[Fact]) {
+        for f in del {
+            self.remove(f);
+        }
+        for f in ins {
+            let (pred, ids) = (f.pred(), intern_ids(f.args()));
+            let vacated = self.relations.get_mut(&pred);
+            if let Some(rel) = vacated.filter(|r| r.is_empty() && r.arity() != ids.len()) {
+                let old = std::mem::replace(rel, Relation::new(ids.len()));
+                if let Some(log) = &mut self.log {
+                    log.replaced.push((pred, old));
+                }
+            }
+            self.insert_id_slice(pred, &ids);
         }
     }
 
@@ -186,36 +201,6 @@ impl Database {
         db
     }
 
-    /// Snapshot the current size of every relation. Together with
-    /// [`Database::truncate_to`] this gives an *epoch* mechanism over the
-    /// append-only storage: facts inserted after a mark form the delta
-    /// `[mark, len)` per relation, and the database can be rolled back to
-    /// the mark without copying any tuples.
-    pub fn mark(&self) -> Mark {
-        Mark {
-            lens: self.relations.iter().map(|(&p, r)| (p, r.len())).collect(),
-        }
-    }
-
-    /// The number of tuples relation `pred` held at `mark` (0 if it did not
-    /// exist yet).
-    pub fn len_at(mark: &Mark, pred: Symbol) -> usize {
-        mark.lens.get(&pred).copied().unwrap_or(0)
-    }
-
-    /// Roll every relation back to its size at `mark`. Relations created
-    /// after the mark are removed entirely; the rest drop the tuples
-    /// appended since (indexes are pruned, not rebuilt).
-    pub fn truncate_to(&mut self, mark: &Mark) {
-        self.relations.retain(|p, r| match mark.lens.get(p) {
-            Some(&len) => {
-                r.truncate(len);
-                true
-            }
-            None => false,
-        });
-    }
-
     /// The statistics epoch of `pred`'s relation, or 0 when the relation
     /// does not exist yet. Epoch drift (see [`Relation::stats_epoch`]) is
     /// how the evaluator's plan cache decides a cached join plan is stale.
@@ -259,15 +244,38 @@ impl Database {
     /// names `base` (any stamp it can later recognise the matching second
     /// copy by). Restarts a log already open.
     pub fn open_log(&mut self, base: u64) {
-        self.log_base = Some(base);
+        self.log = Some(DbLog {
+            base,
+            replaced: Vec::new(),
+        });
         for rel in self.relations.values_mut() {
             rel.open_log();
         }
     }
 
+    /// Stop recording changes; the state stays as it is.
+    pub fn close_log(&mut self) {
+        self.log = None;
+        for rel in self.relations.values_mut() {
+            rel.drop_log();
+        }
+    }
+
     /// The stamp the open change log was started with, if one is open.
     pub fn log_base(&self) -> Option<u64> {
-        self.log_base
+        self.log.as_ref().map(|log| log.base)
+    }
+
+    /// Return to the rows, positions and liveness of when the change log
+    /// opened (sketches and statistics epochs are rebuilt), and close it.
+    /// Undoes what `apply`, inserts, removals and revivals did, not other
+    /// replacements, removals or truncations. Panics when no log is open.
+    pub fn rewind(&mut self) {
+        let log = self.log.take().expect("rewind without an open change log");
+        // The first relation replaced under a name is the one that was there
+        // when the log opened; relations created since have no log.
+        self.relations.extend(log.replaced.into_iter().rev());
+        self.relations.retain(|_, rel| rel.rewind());
     }
 
     /// Bring this database to `new`'s state by replaying `new`'s change
@@ -282,7 +290,7 @@ impl Database {
     /// copied; one that is gone is dropped. With no log open
     /// on `new` that makes this a plain, correct, full copy.
     pub fn catch_up(&mut self, new: &Database) -> usize {
-        self.log_base = None;
+        self.log = None;
         let mut changes = 0;
         for (&pred, rel) in &new.relations {
             // A relation `self` lacks starts empty: `rel`, created since the
@@ -314,12 +322,6 @@ impl Database {
                 .map_err(|e| format!("{pred}: {e}"))
         })
     }
-}
-
-/// A per-relation length snapshot — see [`Database::mark`].
-#[derive(Clone, Debug, Default)]
-pub struct Mark {
-    lens: FastMap<Symbol, usize>,
 }
 
 /// Intern structural values into a flat id vector, for
@@ -386,25 +388,41 @@ mod tests {
     }
 
     #[test]
-    fn mark_and_truncate_roll_back_epochs() {
+    fn rewind_returns_to_where_the_log_opened() {
+        let fact =
+            |p: &str, args: &[i64]| Fact::new(p, args.iter().map(|&i| Value::int(i)).collect());
+        let (p, e) = (Symbol::intern("p"), Symbol::intern("e"));
         let mut db = Database::new();
-        db.insert_tuple("p", vec![Value::int(1)]);
-        db.insert_tuple("q", vec![Value::int(1), Value::int(2)]);
-        let mark = db.mark();
-        assert_eq!(Database::len_at(&mark, Symbol::intern("p")), 1);
-        assert_eq!(Database::len_at(&mark, Symbol::intern("fresh")), 0);
+        db.apply(&[], &[fact("p", &[1]), fact("q", &[1, 2]), fact("e", &[5])]);
+        db.apply(&[fact("e", &[5])], &[]);
+        db.open_log(7);
 
-        db.insert_tuple("p", vec![Value::int(2)]);
-        db.insert_tuple("fresh", vec![Value::int(9)]);
+        // `e` has no live fact left: an assertion at another arity replaces
+        // it. `p(1)` is retracted and re-asserted at a new position.
+        db.apply(
+            &[fact("p", &[1])],
+            &[fact("p", &[2]), fact("fresh", &[9]), fact("e", &[5, 6])],
+        );
+        db.apply(&[fact("p", &[2])], &[fact("p", &[1])]);
+        assert_eq!(db.relation(e).unwrap().arity(), 2);
+        assert_eq!(
+            db.relation(p)
+                .unwrap()
+                .position_of(&intern_ids(&[Value::int(1)])),
+            Some(2)
+        );
         assert_eq!(db.num_facts(), 4);
 
-        db.truncate_to(&mark);
+        db.rewind();
+        assert_eq!(db.log_base(), None);
         assert_eq!(db.num_facts(), 2);
         assert!(db.relation(Symbol::intern("fresh")).is_none());
-        assert!(db.contains(&Fact::new("p", vec![Value::int(1)])));
-        assert!(!db.contains(&Fact::new("p", vec![Value::int(2)])));
-        // Rolled-back facts can be inserted again as new.
+        let (rp, re) = (db.relation(p).unwrap(), db.relation(e).unwrap());
+        assert_eq!((rp.len(), rp.is_live(0)), (1, true));
+        assert_eq!((re.arity(), re.len(), re.is_live(0)), (1, 1, false));
+        // Rolled-back facts are inserted again at the positions they had.
         assert!(db.insert_tuple("p", vec![Value::int(2)]));
+        assert_eq!(db.relation(p).unwrap().len(), 2);
     }
 
     #[test]
@@ -417,7 +435,7 @@ mod tests {
         assert_eq!(db.num_facts(), 1);
         assert!(db.remove(&Fact::new("p", vec![Value::int(9)])).is_none());
         assert!(db.remove(&Fact::new("q", vec![Value::int(1)])).is_none());
-        db.revive(Symbol::intern("p"), pos);
+        db.relation_mut(Symbol::intern("p"), 1).revive(pos);
         assert!(db.contains(&Fact::new("p", vec![Value::int(1)])));
         assert_eq!(db.num_facts(), 2);
         // to_fact_set / dump see only live facts.

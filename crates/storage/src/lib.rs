@@ -17,5 +17,5 @@
 pub mod database;
 pub mod relation;
 
-pub use database::{intern_ids, resolve_fact, Database, Mark};
+pub use database::{intern_ids, resolve_fact, Database};
 pub use relation::{IndexRef, Relation};

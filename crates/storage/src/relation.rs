@@ -722,9 +722,9 @@ struct RelLog {
     /// rows appended since are exactly `[base_len, len)`: the insert path
     /// records nothing.
     base_len: u32,
-    /// Positions tombstoned or revived since, repeats included. Order and
-    /// direction are not kept: what a position ended up as is read off the
-    /// relation itself.
+    /// Positions tombstoned or revived since, in order, repeats included:
+    /// each entry is one liveness flip, so no direction is kept.
+    /// [`Relation::rewind`] undoes them newest first.
     touched: Vec<u32>,
 }
 
@@ -1156,6 +1156,27 @@ impl Relation {
     /// this relation as a new one.
     pub(crate) fn drop_log(&mut self) {
         self.log.0 = None;
+    }
+
+    /// Return to the rows, positions and liveness of when the change log
+    /// opened, and close it; `false`, changing nothing, when no log is open.
+    /// Undoing the flips newest first passes only through past states minus
+    /// the truncated rows, so no tuple is ever live twice (DESIGN §3k). An
+    /// index built since stays; statistics are rebuilt, not restored.
+    pub(crate) fn rewind(&mut self) -> bool {
+        let Some(log) = self.log.0.take() else {
+            return false;
+        };
+        self.truncate(log.base_len as usize);
+        for &pos in log.touched.iter().rev().filter(|&&pos| pos < log.base_len) {
+            if self.is_live(pos) {
+                let row = self.get(pos).to_vec();
+                self.remove_slice(&row);
+            } else {
+                self.revive(pos);
+            }
+        }
+        true
     }
 
     /// Bring this relation to `new`'s state, given that it equalled `new`

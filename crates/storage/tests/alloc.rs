@@ -185,7 +185,7 @@ fn catch_up_allocations_do_not_depend_on_relation_size() {
             working.insert_id_slice(p, &row(n + i));
             working.remove_ids(p, &row(10 + i)).unwrap();
         }
-        working.revive(p, gone);
+        working.relation_mut(p, 2).revive(gone);
         let before = ALLOC.count();
         let changes = retired.catch_up(&working);
         let allocs = ALLOC.delta(before);

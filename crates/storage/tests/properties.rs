@@ -3,7 +3,8 @@
 //! `Vec<Vec<ValueId>>` model — clones frozen along the way included — plus
 //! a posting-arena sweep over one hub key and an arena-paging regression
 //! sweep; and, a level up, random histories of a logged `Database` checked
-//! against the deep clone its change log stands in for.
+//! against the deep clone its change log stands in for — read forwards
+//! (`catch_up`) and backwards (`rewind`).
 //!
 //! The model is the obvious thing a relation pretends to be: an
 //! insertion-ordered list of rows with a live flag. Every storage invariant
@@ -11,9 +12,9 @@
 //! iteration order, eager posting removal, ascending probe results, and
 //! truncate's interaction with tombstones.
 
-use ldl_storage::{Database, Relation};
+use ldl_storage::{intern_ids, Database, Relation};
 use ldl_testkit::{cases, Rng};
-use ldl_value::{intern, Symbol, ValueId};
+use ldl_value::{intern, Fact, Symbol, Value, ValueId};
 
 /// The naive reference: rows in insertion order with liveness.
 #[derive(Clone, Default)]
@@ -374,6 +375,18 @@ fn assert_same_observable(a: &Database, b: &Database) {
     }
 }
 
+/// Revive the first dead position of `pred` whose tuple is not live
+/// elsewhere (the only kind `catch_up` and `rewind` revive).
+fn revive_one(db: &mut Database, pred: Symbol) {
+    let Some(rel) = db.relation(pred) else { return };
+    let (arity, dead) = (rel.arity(), |&p: &u32| {
+        !rel.is_live(p) && !rel.contains(rel.get(p))
+    });
+    if let Some(pos) = (0..rel.len() as u32).find(dead) {
+        db.relation_mut(pred, arity).revive(pos);
+    }
+}
+
 /// One random storage operation of the kinds commit maintenance performs —
 /// and a few it does not, which the log must survive all the same.
 fn random_op(rng: &mut Rng, db: &mut Database) {
@@ -394,11 +407,7 @@ fn random_op(rng: &mut Rng, db: &mut Database) {
         65..=74 => {
             // Revive a dead position whose tuple is not live elsewhere (the
             // only way rollback calls it).
-            let Some(rel) = db.relation(pred) else { return };
-            let dead = |&p: &u32| !rel.is_live(p) && !rel.contains(rel.get(p));
-            if let Some(pos) = (0..rel.len() as u32).find(dead) {
-                db.revive(pred, pos);
-            }
+            revive_one(db, pred);
         }
         75..=84 => {
             let cols: Vec<usize> = (0..arity).filter(|_| rng.chance(1, 2)).collect();
@@ -520,11 +529,149 @@ fn same_state_tells_states_apart() {
     assert!(e.starts_with("p: indexes"), "{e}");
     let e = differs(&|b| {
         let pos = b.remove_ids(p, &row(3)).unwrap();
-        b.revive(p, pos);
+        b.relation_mut(p, 2).revive(pos);
     });
     assert!(e.starts_with("p: stats_epoch"), "{e}");
     let e = differs(&|b| {
         b.insert_id_slice(Symbol::intern("q"), &row(0));
     });
     assert!(e.starts_with("relations"), "{e}");
+}
+
+// ---- The change log read backwards: rewind ≡ the clone taken at open_log ----
+
+/// `got` holds `want`'s relations with the same rows, positions, liveness,
+/// `position_of` answers and posting lists. Statistics are not compared: a
+/// rewind rebuilds them rather than restores them. An index `got` gained
+/// since is compared with the same index built on a copy of `want`.
+fn assert_same_rows(got: &Database, want: &Database) {
+    let names = |db: &Database| {
+        let mut names: Vec<String> = db.predicates().map(|p| p.to_string()).collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(got), names(want), "relations");
+    for pred in want.predicates() {
+        let (rg, mut rw) = (
+            got.relation(pred).unwrap(),
+            want.relation(pred).unwrap().clone(),
+        );
+        let shape = |r: &Relation| (r.arity(), r.len(), r.live_len());
+        assert_eq!(shape(rg), shape(&rw), "{pred}: arity, len, live len");
+        for pos in 0..rw.len() as u32 {
+            assert_eq!(rg.get(pos), rw.get(pos), "{pred}: row {pos}");
+            assert_eq!(rg.is_live(pos), rw.is_live(pos), "{pred}: liveness {pos}");
+            let row = rw.get(pos);
+            assert_eq!(
+                rg.position_of(row),
+                rw.position_of(row),
+                "{pred}: position_of {pos}"
+            );
+        }
+        let had = rw.index_columns();
+        for cols in rg.index_columns() {
+            rw.ensure_index(&cols);
+            for pos in 0..rw.len() as u32 {
+                let key: Vec<ValueId> = cols.iter().map(|&c| rw.get(pos)[c]).collect();
+                assert_eq!(
+                    rg.probe(&cols, &key),
+                    rw.probe(&cols, &key),
+                    "{pred}: probe {cols:?}"
+                );
+            }
+        }
+        assert!(
+            had.iter().all(|cols| rg.has_index(cols)),
+            "{pred}: lost an index"
+        );
+    }
+}
+
+/// The predicates a logged history changes: three that may predate the log
+/// and one that never does.
+const LOGGED: [(&str, usize); 4] = [("p", 2), ("q", 1), ("r", 3), ("fresh", 2)];
+
+/// One change of the kinds a batch makes to an EDB under its log — mostly
+/// through `Database::apply` — and the storage calls beside it that a
+/// rewind must undo as well.
+fn logged_op(rng: &mut Rng, db: &mut Database) {
+    let (name, arity) = LOGGED[rng.index(LOGGED.len())];
+    let pred = Symbol::intern(name);
+    let arity = db.relation(pred).map_or(arity, Relation::arity);
+    let args = |rng: &mut Rng, arity: usize| -> Vec<Value> {
+        (0..arity).map(|_| Value::int(rng.range(0, 4))).collect()
+    };
+    match rng.range(0, 100) {
+        0..=39 => {
+            // A net batch: some live facts out, some facts in — a tuple
+            // retracted by an earlier batch comes back at a new position.
+            let del: Vec<Fact> = db
+                .facts_of(pred)
+                .into_iter()
+                .filter(|_| rng.chance(1, 3))
+                .collect();
+            let ins: Vec<Fact> = (0..rng.range(0, 4))
+                .map(|_| Fact::new(pred, args(rng, arity)))
+                .filter(|f| !del.contains(f))
+                .collect();
+            db.apply(&del, &ins);
+        }
+        40..=54 => {
+            db.insert_id_slice(pred, &intern_ids(&args(rng, arity)));
+        }
+        55..=69 => {
+            // A removal, often followed by a revival — of an older dead copy
+            // of the same tuple, at times: undoing those two oldest first
+            // would have the tuple live twice.
+            let gone = db.remove_ids(pred, &intern_ids(&args(rng, arity)));
+            if gone.is_some() && rng.chance(1, 2) {
+                revive_one(db, pred);
+            }
+        }
+        70..=79 => revive_one(db, pred),
+        80..=89 => {
+            let cols: Vec<usize> = (0..arity).filter(|_| rng.chance(1, 2)).collect();
+            db.relation_mut(pred, arity).ensure_index(&cols);
+        }
+        _ => {
+            // Empty the predicate in one batch; the next re-asserts it at
+            // another arity, replacing the all-tombstoned relation.
+            db.apply(&db.facts_of(pred), &[]);
+            let other = arity % 3 + 1;
+            db.apply(&[], &[Fact::new(pred, args(rng, other))]);
+        }
+    }
+}
+
+/// Whatever a logged history did — batches, re-assertions, revivals, new
+/// indexes, new relations, relations replaced at another arity — `rewind`
+/// lands on the rows, positions, liveness and posting lists of the deep
+/// clone taken when the log opened, closes the log, and goes on from there
+/// as that clone would.
+#[test]
+fn rewind_equals_the_clone_taken_at_open_log() {
+    cases(60, |rng: &mut Rng| {
+        let mut db = Database::new();
+        for _ in 0..rng.range(0, 60) {
+            random_op(rng, &mut db);
+        }
+        for round in 0..rng.range(1, 4) as u64 {
+            let mut base = db.clone();
+            db.open_log(round);
+            for _ in 0..rng.range(0, 40) {
+                logged_op(rng, &mut db);
+            }
+            db.rewind();
+            assert_eq!(db.log_base(), None);
+            assert_same_rows(&db, &base);
+
+            let ops = rng.range(0, 10);
+            let mut twin = rng.clone();
+            for _ in 0..ops {
+                logged_op(rng, &mut db);
+                logged_op(&mut twin, &mut base);
+            }
+            assert_same_rows(&db, &base);
+        }
+    });
 }

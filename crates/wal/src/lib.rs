@@ -4,7 +4,7 @@
 //! snapshots of the extensional database, with crash recovery.
 //!
 //! The in-memory engine is already transactional — mutation batches commit
-//! atomically and aborted batches roll back bit-identically — but every
+//! atomically and aborted batches are rewound without a trace — but every
 //! model dies with the process. This crate makes the *extensional*
 //! database durable, treating the committed mutation batch (the engine's
 //! atomic unit of change, after U-Datalog) as the logged unit:

@@ -219,21 +219,7 @@ impl Store {
             if *seq > snap_seq {
                 match decode_batch(payload) {
                     Ok((del, ins)) => {
-                        for f in &del {
-                            db.remove(f);
-                        }
-                        for f in ins {
-                            // A commit may re-assert, at another arity, a
-                            // predicate emptied by earlier ones (never by
-                            // itself): the all-tombstoned relation goes.
-                            if db
-                                .relation(f.pred())
-                                .is_some_and(|r| r.is_empty() && r.arity() != f.arity())
-                            {
-                                db.remove_relation(f.pred());
-                            }
-                            db.insert(f);
-                        }
+                        db.apply(&del, &ins);
                         last_seq = *seq;
                         replayed += 1;
                     }

@@ -17,7 +17,7 @@ use ldl1::{
     reference_model, Budget, CancelToken, Database, EvalOptions, Evaluator, ResourceKind, Symbol,
     System, Value,
 };
-use ldl_testkit::gen::{stratified_case, GenConst, GeneratedCase};
+use ldl_testkit::gen::{mutation_sequence, stratified_case, GenConst, GenMutation, GenTuple};
 use ldl_testkit::{cases_shrink, Rng};
 
 fn value_of(c: &GenConst) -> Value {
@@ -30,9 +30,9 @@ fn value_of(c: &GenConst) -> Value {
     }
 }
 
-fn edb_of(case: &GeneratedCase) -> Database {
+fn edb_of(tuples: &[GenTuple]) -> Database {
     let mut edb = Database::new();
-    for (pred, args) in &case.edb {
+    for (pred, args) in tuples {
         edb.insert_tuple(*pred, args.iter().map(value_of).collect());
     }
     edb
@@ -96,7 +96,7 @@ fn abort_then_retry_matches_clean_run_bit_for_bit() {
     cases_shrink(36, 10, |rng: &mut Rng, size: u32| {
         let case = stratified_case(rng, size);
         let program = ldl1::parser::parse_program(&case.src).unwrap();
-        let edb = edb_of(&case);
+        let edb = edb_of(&case.edb);
 
         // Clean run. `attempts` scales the random trip points so they land
         // *inside* the computation, not trivially past its end.
@@ -134,7 +134,7 @@ fn magic_abort_then_retry_matches_clean_answers() {
     cases_shrink(16, 8, |rng: &mut Rng, size: u32| {
         let case = stratified_case(rng, size);
         let program = ldl1::parser::parse_program(&case.src).unwrap();
-        let edb = edb_of(&case);
+        let edb = edb_of(&case.edb);
         let query = ldl1::parser::parse_atom(&format!("{}(X, Y)", case.top)).unwrap();
 
         let quiet = CancelToken::new();
@@ -161,9 +161,45 @@ fn magic_abort_then_retry_matches_clean_answers() {
     });
 }
 
-/// The incremental path: a batch commit aborted mid-maintenance rolls the
-/// EDB back, and re-committing the same facts converges to the same model a
-/// never-aborted incremental run (and a from-scratch run) produces.
+/// Stage one generated batch — retractions, assertions, updates — and
+/// commit it.
+fn commit_batch(sys: &mut System, batch: &[GenMutation]) -> Result<(), ldl1::Error> {
+    let vals = |args: &[GenConst]| args.iter().map(value_of).collect::<Vec<_>>();
+    let mut b = sys.mutate();
+    for m in batch {
+        match m {
+            GenMutation::Assert(p, args) => b.assert(p, vals(args)),
+            GenMutation::Retract(p, args) => b.retract(p, vals(args)),
+            GenMutation::Update { pred, old, new } => b.update(pred, vals(old), vals(new)),
+        };
+    }
+    b.commit()
+}
+
+/// `got` holds `want`'s relations position by position: the same `len()`,
+/// and the same `get(pos)` and `is_live(pos)` at every position.
+fn assert_same_positions(got: &Database, want: &Database, what: &str) {
+    let names = |db: &Database| {
+        let mut names: Vec<Symbol> = db.predicates().collect();
+        names.sort_by_key(|p| p.to_string());
+        names
+    };
+    assert_eq!(names(got), names(want), "{what}: relations");
+    for p in names(want) {
+        let (g, w) = (got.relation(p).unwrap(), want.relation(p).unwrap());
+        assert_eq!(g.len(), w.len(), "{what}: {p} len");
+        for pos in 0..w.len() as u32 {
+            let at = |r: &ldl1::storage::Relation| (r.get(pos).to_vec(), r.is_live(pos));
+            assert_eq!(at(g), at(w), "{what}: {p} at {pos}");
+        }
+    }
+}
+
+/// The incremental path: a batch commit — retractions, assertions and
+/// updates — aborted mid-maintenance leaves the EDB as it was, position by
+/// position (tombstones revived, appended tuples gone), and re-committing the
+/// same batch converges to the state a never-aborted run reaches: the same
+/// EDB positions, the same model, the from-scratch model of the survivors.
 #[test]
 fn incremental_abort_then_recommit_matches_clean_model() {
     cases_shrink(16, 8, |rng: &mut Rng, size: u32| {
@@ -171,55 +207,61 @@ fn incremental_abort_then_recommit_matches_clean_model() {
         if case.edb.len() < 4 {
             return;
         }
-
-        // Clean reference: from-scratch model over the full EDB.
+        let (batches, survivors) = mutation_sequence(rng, &case, 6);
         let program = ldl1::parser::parse_program(&case.src).unwrap();
-        let reference = Evaluator::new().evaluate(&program, &edb_of(&case)).unwrap();
+        let reference = Evaluator::new()
+            .evaluate(&program, &edb_of(&survivors))
+            .unwrap();
+        let system = |cancel: &CancelToken| {
+            let mut sys = System::new();
+            sys.set_budget(Budget::unlimited().with_cancel(cancel.clone()));
+            sys.load(&case.src).unwrap();
+            for (pred, args) in &case.edb {
+                sys.insert(pred, args.iter().map(value_of).collect())
+                    .unwrap();
+            }
+            sys
+        };
+
+        let mut clean = system(&CancelToken::new());
+        clean.model_facts().unwrap();
+        for batch in &batches {
+            commit_batch(&mut clean, batch).unwrap();
+        }
 
         let cancel = CancelToken::new();
-        let mut sys = System::new();
-        sys.set_budget(Budget::unlimited().with_cancel(cancel.clone()));
-        sys.load(&case.src).unwrap();
-        let split = case.edb.len() / 2;
-        for (pred, args) in &case.edb[..split] {
-            sys.insert(pred, args.iter().map(value_of).collect())
-                .unwrap();
-        }
-        sys.model_facts().unwrap(); // cache a model: commits go incremental
-
-        for chunk in case.edb[split..].chunks(3) {
-            // Trip somewhere inside the maintenance work for this chunk
-            // (0 trips before the first attempt — the commit must still be
+        let mut sys = system(&cancel);
+        for batch in &batches {
+            sys.model_facts().unwrap(); // cache a model: the commit goes incremental
+            let before = sys.edb().clone();
+            // Trip somewhere inside the maintenance work for this batch (0
+            // trips before the first attempt — the commit must still be
             // transactional).
             cancel.trip_after(rng.range(0, 50) as u64);
-            let mut failed = false;
-            {
-                let mut b = sys.mutate();
-                for (pred, args) in chunk {
-                    b.assert(pred, args.iter().map(value_of).collect());
-                }
-                match b.commit() {
-                    Ok(()) => {}
-                    Err(ldl1::Error::Eval(e)) => {
-                        assert_interrupt(&e);
-                        failed = true;
-                    }
-                    Err(other) => panic!("unexpected commit error: {other}"),
-                }
-            }
+            let res = commit_batch(&mut sys, batch);
             cancel.reset();
-            if failed {
-                // Rolled back: re-stage the identical chunk and commit for
-                // real this time.
-                let mut b = sys.mutate();
-                for (pred, args) in chunk {
-                    b.assert(pred, args.iter().map(value_of).collect());
+            match res {
+                Ok(()) => {}
+                Err(ldl1::Error::Eval(e)) => {
+                    assert_interrupt(&e);
+                    assert_same_positions(sys.edb(), &before, "after abort");
+                    // Rewound: re-stage the identical batch and commit for
+                    // real this time, over a model re-evaluated from it.
+                    sys.model_facts().unwrap();
+                    commit_batch(&mut sys, batch).unwrap();
                 }
-                b.commit().unwrap();
+                Err(other) => panic!("unexpected commit error: {other}"),
             }
         }
+        assert_same_positions(sys.edb(), clean.edb(), "retried vs clean");
+        let model = sys.model_facts().unwrap();
         assert_eq!(
-            sys.model_facts().unwrap(),
+            model,
+            clean.model_facts().unwrap(),
+            "retried vs clean model"
+        );
+        assert_eq!(
+            model,
             reference.to_fact_set(),
             "incremental model after aborted commits diverged from scratch run"
         );
