@@ -205,6 +205,19 @@ pub fn magic_query(src: &str, db: &Database, query: &str) -> Vec<ldl1::QueryAnsw
         .expect("magic evaluation succeeds")
 }
 
+/// A system that has loaded `src` and `db` and evaluated nothing: its first
+/// `query` picks its own arm, as a user's cold session does.
+pub fn cold_system(src: &str, db: &Database) -> ldl1::System {
+    let mut sys = ldl1::System::new();
+    sys.load(src).expect("benchmark program loads");
+    let mut batch = sys.mutate();
+    for f in db.to_fact_set() {
+        batch.push(ldl1::Mutation::Assert(f));
+    }
+    batch.commit().expect("benchmark facts commit");
+    sys
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,9 +31,13 @@ Commands:
                       differentially — delete-rederive / replay)
   :update OLD. => NEW.  replace a stored fact in one transaction
   :plan [PRED]        show the join plans (step order, indexes, estimates)
-  :plan QUERY.        show how a query reads the model (index probe or scan)
-  :magic QUERY.       answer a query via the magic-set pipeline
-  :stats              work counters of the last evaluation (full or incremental)
+  :plan QUERY.        show which arm a query takes: magic sets (no model yet,
+                      an argument bound; nothing is evaluated), or how it
+                      reads the model (index probe or scan)
+  :magic QUERY.       answer a query via the magic-set pipeline, whatever
+                      is cached
+  :stats              work counters of the last evaluation (full,
+                      incremental, or a bound query's magic sets)
   :limits [...]       show or set resource limits:
                       :limits fuel N | timeout DUR | facts N | off
                       (DUR like 500ms or 2s; programs with infinite models

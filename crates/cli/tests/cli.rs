@@ -128,3 +128,51 @@ fn inadmissible_rule_does_not_poison_the_repl() {
     );
     assert!(stdout.contains("anc(X, Y): scan anc, 3 rows\n"), "{shown}");
 }
+
+/// On a system with no model, a bound query runs §6 magic sets: `:plan
+/// QUERY.` names that arm without evaluating anything, `:stats` then shows
+/// the magic evaluation's counters (the cone of node 0, not the model), and
+/// the next query builds the model, so `:plan` reads it.
+#[test]
+fn cold_bound_query_takes_the_magic_arm() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut repl = Command::new(env!("CARGO_BIN_EXE_ldl1"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ldl1 binary runs");
+    repl.stdin
+        .take()
+        .unwrap()
+        .write_all(
+            b"anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+              par(0, 1). par(1, 2). par(2, 3). par(7, 8).\n\
+              :plan anc(0, Y).\n\
+              :stats\n\
+              ?- anc(0, Y).\n\
+              :stats\n\
+              :plan anc(0, Y).\n\
+              :quit\n",
+        )
+        .unwrap();
+    let out = repl.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let plan = "anc(0, Y): magic anc'bf: seed m'anc'bf(0), 4 rules";
+    let at = |needle: &str| {
+        stdout
+            .find(needle)
+            .unwrap_or_else(|| panic!("{needle:?} missing from {stdout}"))
+    };
+    // `:plan` evaluated nothing: the `:stats` after it still reads zero.
+    assert!(at(plan) < at("facts derived: 0,"), "{stdout}");
+    // Three answers; the magic set {1, 2, 3} and the six `anc'bf` pairs it
+    // admits were derived, not the model's seven `anc` facts.
+    assert!(at("Y = 3") < at("facts derived: 9,"), "{stdout}");
+    assert!(
+        at("facts derived: 9,") < at("anc(0, Y): scan anc, 7 rows, filter on [0]"),
+        "{stdout}"
+    );
+}

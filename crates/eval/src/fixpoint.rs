@@ -146,8 +146,9 @@ struct CacheEntry {
 }
 
 impl PlanCache {
-    /// A cache whose plans are compiled *without* statistics, so every body
-    /// runs in executable source order (existential tail included) and is
+    /// A cache whose plans are compiled *without* statistics — relation
+    /// scans ordered by bound-argument count, ties in source order
+    /// (existential tail included; see [`RulePlan::compile_with`]) — and
     /// never re-costed. For programs whose bodies were already ordered by
     /// whoever wrote them — the magic rewriting emits them in sip order.
     pub fn source_order() -> PlanCache {

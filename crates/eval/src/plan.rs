@@ -201,8 +201,11 @@ impl RulePlan {
     ///
     /// * `db` supplies relation statistics — tuple counts and the
     ///   per-column distinct-value sketches `ldl-storage` maintains on
-    ///   insert. Without it every estimate degrades to zero and only the
-    ///   class priorities order the body: executable source order.
+    ///   insert. Without it relation scans are ordered as the greedy
+    ///   planner orders them, by bound-argument count with ties in source
+    ///   order — the rule §6's sips follow, so a body the magic rewriting
+    ///   emitted in sip order keeps it, and a delta-first variant probes
+    ///   what its delta binds before it scans anything free.
     /// * `force_first` pins one body literal (an index into `rule.body`,
     ///   which must be a positive relation literal) as step 0 — the
     ///   delta-first shape of semi-naive evaluation — and plans the rest
@@ -220,10 +223,10 @@ impl RulePlan {
         RulePlan::plan(rule, db, true, force_first)
     }
 
-    /// The planner behind both entry points: `cost_based` orders relation
-    /// scans by estimated cardinality and computes the existential tail
-    /// ([`RulePlan::compile_with`]); without it scans are ordered by
-    /// bound-argument count ([`RulePlan::compile`]).
+    /// The planner behind both entry points: `cost_based` computes the
+    /// existential tail and, given `db`'s statistics, orders relation scans
+    /// by estimated cardinality ([`RulePlan::compile_with`]); otherwise
+    /// scans are ordered by bound-argument count ([`RulePlan::compile`]).
     fn plan(
         rule: &Rule,
         db: Option<&Database>,
@@ -292,7 +295,7 @@ impl RulePlan {
                             if all_vars_bound {
                                 // Pure containment check: as cheap as a filter.
                                 Some((95, 0.0, len))
-                            } else if cost_based {
+                            } else if cost_based && db.is_some() {
                                 let cols = bound_cols(&lit.atom.args, &bound);
                                 let cost = scan_estimate(db, lit.atom.pred, &cols).unwrap_or(0.0);
                                 Some((10, cost, len))
@@ -798,6 +801,20 @@ mod tests {
         ] {
             assert_eq!(p.scan_steps[0].1.as_str(), "r1");
         }
+    }
+
+    /// The magic rewrite's recursive rule pinned on its delta literal, as
+    /// semi-naive evaluation runs it: the delta binds `Z`, so `par(X, Z)`
+    /// is a probe and goes before the free scan of the magic set `m(X)`. In
+    /// source order the magic set was scanned once per delta tuple, which
+    /// made a bound closure over a 600-node chain 25× slower than plain
+    /// evaluation.
+    #[test]
+    fn statistics_free_delta_variant_probes_before_it_scans() {
+        let rule = parse_rule("a(X, Y) <- m(X), par(X, Z), a(Z, Y).").unwrap();
+        let p = RulePlan::compile_with(&rule, None, Some(2)).unwrap();
+        let order: Vec<&str> = p.scan_steps.iter().map(|(_, s)| s.as_str()).collect();
+        assert_eq!(order, ["a", "par", "m"]);
     }
 
     #[test]

@@ -226,7 +226,10 @@ impl From<ldl_eval::EvalError> for Error {
 /// Programs may use the full LDL1.5 surface; they are macro-expanded to
 /// core LDL1 on load (§4). Facts can be asserted, retracted, and updated —
 /// one at a time with [`System::fact`] / [`System::retract`] /
-/// [`System::update`], or transactionally with [`System::mutate`]. Once a
+/// [`System::update`], or transactionally with [`System::mutate`]. The
+/// model is computed when something needs all of it: [`System::model`], a
+/// [`Reader`], a query with nothing bound, or the second bound query (the
+/// first one runs §6 magic sets instead — see [`System::query`]). Once a
 /// model has been computed it is *maintained*: a committed batch is swept
 /// up the strata once — retractions run delete-rederive (DRed) maintenance
 /// per stratum, assertions seed the semi-naive machinery as the initial
@@ -241,6 +244,9 @@ pub struct System {
     options: EvalOptions,
     grouping_semantics: GroupingSemantics,
     cache: Option<CachedModel>,
+    /// A bound query ran the §6 pipeline since the cache was last dropped,
+    /// so the next query builds and caches the model (rent-or-buy).
+    magic_answered: bool,
     last_stats: EvalStats,
     durable: Option<ldl_wal::Store>,
     recovery: Option<RecoveryInfo>,
@@ -261,6 +267,7 @@ impl Clone for System {
             options: self.options.clone(),
             grouping_semantics: self.grouping_semantics,
             cache: self.cache.clone(),
+            magic_answered: self.magic_answered,
             last_stats: self.last_stats,
             durable: None,
             recovery: None,
@@ -295,6 +302,7 @@ impl System {
             options: EvalOptions::default(),
             grouping_semantics: GroupingSemantics::PerGroup,
             cache: None,
+            magic_answered: false,
             last_stats: EvalStats::new(),
             durable: None,
             recovery: None,
@@ -388,11 +396,13 @@ impl System {
     /// A concurrent read handle: clone it into any number of threads,
     /// each calling [`Reader::latest`] for an immutable [`Snapshot`] of
     /// the most recently committed model while this thread keeps
-    /// committing mutations. Forces an initial model computation and
-    /// copies it once; from then on every successful commit publishes the
-    /// freshly maintained model at a cost proportional to what the commit
-    /// changed — the writer's copy and the published one leapfrog, and the
-    /// model is cloned again only while a reader still holds the snapshot
+    /// committing mutations. Forces an initial model computation — readers
+    /// read whole models, so from here on [`System::query`] reads the
+    /// cached one too and never runs magic sets — and copies it once; from
+    /// then on every successful commit publishes the freshly maintained
+    /// model at a cost proportional to what the commit changed — the
+    /// writer's copy and the published one leapfrog, and the model is
+    /// cloned again only while a reader still holds the snapshot
     /// being replaced, or after the model was rebuilt (see
     /// [`EvalStats::publish_replays`] / [`EvalStats::publish_clones`]).
     /// Nothing is paid until a reader exists. See [`Reader`] for the one
@@ -485,8 +495,15 @@ impl System {
         let compiled = self.admit(s)?;
         self.grouping_semantics = s;
         self.compiled = compiled;
-        self.cache = None;
+        self.drop_model();
         self.republish()
+    }
+
+    /// Forget the cached model. The next bound query may run the §6
+    /// pipeline again: rent-or-buy starts over.
+    fn drop_model(&mut self) {
+        self.cache = None;
+        self.magic_answered = false;
     }
 
     /// After a change of rules dropped the cached model: with a [`Reader`]
@@ -561,7 +578,7 @@ impl System {
                     return Err(e);
                 }
             }
-            self.cache = None;
+            self.drop_model();
         }
         let mut b = self.mutate();
         for f in facts {
@@ -623,10 +640,10 @@ impl System {
         }
     }
 
-    /// Work counters from the most recent evaluation — full or
-    /// incremental. After an incremental commit, `strata_skipped` /
-    /// `strata_delta` / `strata_replayed` show how each stratum was
-    /// maintained.
+    /// Work counters from the most recent evaluation — full, incremental,
+    /// or the magic-set evaluation of a bound [`System::query`]. After an
+    /// incremental commit, `strata_skipped` / `strata_delta` /
+    /// `strata_replayed` show how each stratum was maintained.
     pub fn last_stats(&self) -> EvalStats {
         self.last_stats
     }
@@ -671,7 +688,7 @@ impl System {
             // EDB means the aborted batch must leave zero trace in the
             // write-ahead log, which it does: logging happens below, only
             // after success.
-            self.cache = None;
+            self.drop_model();
             return Err(e.into());
         }
         // The in-memory commit stands even if the append fails (the store
@@ -717,29 +734,85 @@ impl System {
         }
     }
 
-    /// Answer a query against the standard model. The model is computed
-    /// bottom-up on first use and maintained across commits from then on, so
-    /// most queries evaluate nothing: they read the cached model, through
-    /// an index when the query binds the columns of one the model already
-    /// has and by a filtered scan otherwise (see [`Evaluator::query`]; a
-    /// query never builds an index). [`System::explain_query`] says which.
+    /// Answer a query against the standard model, by one of three arms —
+    /// the caller does not choose:
+    ///
+    /// * **a model is cached** (or a [`Reader`] is attached): read it,
+    ///   through an index when the query binds the columns of one the model
+    ///   already has and by a filtered scan otherwise (see
+    ///   [`Evaluator::query`]; a query never builds an index);
+    /// * **no model, and the query binds an argument of a predicate rules
+    ///   define**: run the §6 magic-set pipeline over the EDB, which derives
+    ///   only what the bound arguments reach (Theorems 3/4: same answers).
+    ///   No model is cached, and [`System::last_stats`] reports the magic
+    ///   evaluation. This arm runs at most once per uncached state — the
+    ///   next query builds the model, as below, so a session that keeps
+    ///   asking pays for one model rather than one cone per question
+    ///   (rent-or-buy). A query whose rules have no executable sip for its
+    ///   binding pattern takes the arm below instead;
+    /// * **otherwise**: evaluate the whole model bottom-up, cache it, and
+    ///   read it. From then on it is maintained across commits.
+    ///
+    /// [`System::explain_query`] says which arm a query takes.
     pub fn query(&mut self, query: &str) -> Result<Vec<QueryAnswer>, Error> {
         let atom = ldl_parser::parse_atom(query)?;
+        if let Some(mp) = self.magic_arm(&atom) {
+            let ev = MagicEvaluator::with_options(self.eval_options());
+            let (answers, stats) = ev.answer(&mp, &self.compiled, &self.edb)?;
+            self.last_stats = stats;
+            self.magic_answered = true;
+            return Ok(answers);
+        }
         Ok(Evaluator::new().query(self.model()?, &atom))
     }
 
-    /// One line saying how [`System::query`] would read the model for this
-    /// query — index probe or scan, and over how many rows (see
-    /// [`Evaluator::explain_query`]). Forces evaluation first, like a query.
+    /// The magic-set program [`System::query`] runs for `atom`, or `None`
+    /// when it reads a model instead: one is cached or a reader needs one,
+    /// a magic query already ran on this uncached state, `atom` is not a
+    /// rule-defined predicate at its arity, nothing is bound, or a rule has
+    /// no executable sip for the binding pattern.
+    fn magic_arm(&self, atom: &ast::literal::Atom) -> Option<magic::MagicProgram> {
+        if self.cache.is_some() || self.readers.is_some() || self.magic_answered {
+            return None;
+        }
+        let defined = self
+            .compiled
+            .rules_for(atom.pred)
+            .any(|r| r.head.arity() == atom.arity());
+        if !defined || magic::adorn::query_adornment(atom).bound_count() == 0 {
+            return None;
+        }
+        // Only a grouped position was bound: the adornment frees it (§6).
+        MagicEvaluator::compile(&self.compiled, atom)
+            .ok()
+            .filter(|mp| mp.seed.arity() > 0)
+    }
+
+    /// One line saying which arm [`System::query`] would take for this
+    /// query, without running it when that is the magic arm —
+    /// `anc(0, Y): magic anc'bf: seed m'anc'bf(0), 4 rules` — and otherwise
+    /// how it reads the model: index probe or scan, and over how many rows
+    /// (see [`Evaluator::explain_query`]). The model arms force evaluation
+    /// first, like the query.
     pub fn explain_query(&mut self, query: &str) -> Result<String, Error> {
         let atom = ldl_parser::parse_atom(query)?;
+        if let Some(mp) = self.magic_arm(&atom) {
+            return Ok(format!(
+                "{atom}: magic {}: seed {}, {} rules",
+                mp.query.pred,
+                mp.seed,
+                mp.program.len()
+            ));
+        }
         Ok(Evaluator::new().explain_query(self.model()?, &atom))
     }
 
     /// Answer a query through the §6 magic-set pipeline (sips → adornment →
-    /// generalized magic rewriting → constrained evaluation). Usually much
-    /// faster for queries with bound arguments; always produces the same
-    /// answers (Theorems 3/4).
+    /// generalized magic rewriting → constrained evaluation) whatever is
+    /// cached — the forced spelling of [`System::query`]'s magic arm. It
+    /// always produces the same answers (Theorems 3/4), caches nothing, and
+    /// fails with [`eval::EvalError::Adornment`] where no executable sip
+    /// exists.
     pub fn query_magic(&self, query: &str) -> Result<Vec<QueryAnswer>, Error> {
         let atom = ldl_parser::parse_atom(query)?;
         let ev = MagicEvaluator::with_options(self.eval_options());
@@ -1060,6 +1133,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sys.query("tc(1, X)").unwrap().len(), 1);
+        sys.model().unwrap();
 
         let mut b = sys.mutate();
         b.assert_fact("e(2, 3).").unwrap();

@@ -74,6 +74,10 @@ pub struct AdornedProgram {
     pub query_adornment: Adornment,
     /// Original predicate of the query.
     pub original_query_pred: Symbol,
+    /// How many negated literals probe an earlier positive literal's
+    /// adorned relation instead of their own fully bound one (see
+    /// [`adorn_program`]).
+    pub negations_reused: usize,
 }
 
 /// Errors from adornment.
@@ -127,6 +131,19 @@ pub fn query_adornment(query: &Atom) -> Adornment {
 
 /// Produce the adorned program reachable from `query` (e.g. the paper's
 /// rules 1–5 become the `a^bf`/`sg^bf`/`young^bf` set).
+///
+/// A negated IDB literal is adorned by the arguments bound when the sip
+/// reaches it — with one exception. If an earlier positive literal of the
+/// same predicate in the same body has, at every position its adornment
+/// binds, the very term the negated literal has there, the negated literal
+/// takes that adornment: in `excl(X, Y, Z) <- anc(X, Y), node(Z), ~anc(X,
+/// Z)` queried `excl'bff`, `~anc(X, Z)` becomes `~anc'bf(X, Z)`, a lookup
+/// in the `anc'bf` relation the positive literal already has the magic
+/// evaluation compute, where `~anc'bb` would seed `m'anc'bb` with every
+/// (reachable, node) pair. Soundness does not rest on the earlier literal:
+/// the rewrite still emits the negated literal's own magic rule, seeding
+/// `m'anc'bf(X)`, and the staged evaluation applies a negation only at a
+/// base fixpoint, where `anc'bf` is complete for every magic tuple.
 pub fn adorn_program(program: &Program, query: &Atom) -> Result<AdornedProgram, AdornError> {
     let idb = program.idb_predicates();
     if !idb.contains_key(&query.pred) {
@@ -152,6 +169,7 @@ pub fn adorn_program(program: &Program, query: &Atom) -> Result<AdornedProgram, 
     let mut done: FastSet<(Symbol, Adornment)> = FastSet::default();
     let mut queue: VecDeque<(Symbol, Adornment)> = VecDeque::new();
     let mut rules = Vec::new();
+    let mut negations_reused = 0;
     queue.push_back((query.pred, q_adorn.clone()));
     done.insert((query.pred, q_adorn.clone()));
 
@@ -163,7 +181,14 @@ pub fn adorn_program(program: &Program, query: &Atom) -> Result<AdornedProgram, 
                     adornment: adornment.suffix(),
                 });
             };
-            let adorned = adorn_rule(rule, &adornment, &sip, &idb, &grouped);
+            let adorned = adorn_rule(
+                rule,
+                &adornment,
+                &sip,
+                &idb,
+                &grouped,
+                &mut negations_reused,
+            );
             // Enqueue newly-discovered adorned predicates.
             for entry in adorned.body_adornments.iter().flatten() {
                 if done.insert(entry.clone()) {
@@ -179,6 +204,26 @@ pub fn adorn_program(program: &Program, query: &Atom) -> Result<AdornedProgram, 
         query_pred: adorned_name(query.pred, &q_adorn),
         query_adornment: q_adorn,
         original_query_pred: query.pred,
+        negations_reused,
+    })
+}
+
+/// The adornment of the first positive literal of `body` (adorned as
+/// `adornments` says) that calls `atom`'s predicate with `atom`'s terms at
+/// every position it binds.
+fn earlier_positive(
+    atom: &Atom,
+    body: &[Literal],
+    adornments: &[Option<(Symbol, Adornment)>],
+) -> Option<Adornment> {
+    body.iter().zip(adornments).find_map(|(lit, adorned)| {
+        let (pred, a) = adorned.as_ref()?;
+        let same_terms =
+            a.0.iter()
+                .zip(&lit.atom.args)
+                .zip(&atom.args)
+                .all(|((&b, earlier), t)| !b || earlier == t);
+        (lit.positive && *pred == atom.pred && same_terms).then(|| a.clone())
     })
 }
 
@@ -188,6 +233,7 @@ fn adorn_rule(
     sip: &Sip,
     idb: &FastMap<Symbol, usize>,
     grouped: &dyn Fn(Symbol, usize) -> bool,
+    negations_reused: &mut usize,
 ) -> AdornedRule {
     let mut body = Vec::with_capacity(rule.body.len());
     let mut body_adornments = Vec::with_capacity(rule.body.len());
@@ -196,7 +242,7 @@ fn adorn_rule(
         let is_builtin = Builtin::resolve(lit.atom.pred, lit.atom.arity()).is_some();
         if !is_builtin && idb.contains_key(&lit.atom.pred) {
             let bound = &sip.bound_before[k];
-            let adornment = Adornment(
+            let mut adornment = Adornment(
                 lit.atom
                     .args
                     .iter()
@@ -206,6 +252,14 @@ fn adorn_rule(
                     })
                     .collect(),
             );
+            if !lit.positive {
+                if let Some(a) = earlier_positive(&lit.atom, &body, &body_adornments) {
+                    if a != adornment {
+                        *negations_reused += 1;
+                        adornment = a;
+                    }
+                }
+            }
             let renamed = Atom::new(
                 adorned_name(lit.atom.pred, &adornment),
                 lit.atom.args.clone(),
@@ -277,6 +331,49 @@ mod tests {
         assert!(seen.contains(&Symbol::intern("young'bf")));
         // 5 original rules, each adorned exactly once.
         assert_eq!(ap.rules.len(), 5);
+    }
+
+    fn heads(ap: &AdornedProgram) -> Vec<&str> {
+        ap.rules.iter().map(|r| r.rule.head.pred.as_str()).collect()
+    }
+
+    /// §1's exclusive ancestors: `~anc(X, Z)` has the term `X` where
+    /// `anc(X, Y)` binds, so it probes `anc'bf` and no `anc'bb` is adorned.
+    #[test]
+    fn negated_literal_reuses_an_earlier_positive_adornment() {
+        let p = parse_program(
+            "anc(X, Y) <- par(X, Y).\n\
+             anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+             excl(X, Y, Z) <- anc(X, Y), node(Z), ~anc(X, Z).",
+        )
+        .unwrap();
+        let ap = adorn_program(&p, &parse_atom("excl(0, Y, Z)").unwrap()).unwrap();
+        assert_eq!(ap.negations_reused, 1);
+        let excl = &ap.rules[0];
+        assert_eq!(
+            excl.rule.to_string(),
+            "excl'bff(X, Y, Z) <- anc'bf(X, Y), node(Z), ~anc'bf(X, Z)."
+        );
+        assert!(!heads(&ap).contains(&"anc'bb"), "{:?}", heads(&ap));
+    }
+
+    /// The earlier literal binds `X` where the negated one has `Z`: not the
+    /// same relation slice, so the negated literal keeps its own `bb`.
+    #[test]
+    fn different_bound_terms_keep_the_full_adornment() {
+        let p = parse_program(
+            "anc(X, Y) <- par(X, Y).\n\
+             anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+             p(X, Y) <- anc(X, Y), node(Z), ~anc(Z, Y).",
+        )
+        .unwrap();
+        let ap = adorn_program(&p, &parse_atom("p(a, Y)").unwrap()).unwrap();
+        assert_eq!(ap.negations_reused, 0);
+        assert!(heads(&ap).contains(&"anc'bb"), "{:?}", heads(&ap));
+        assert_eq!(
+            ap.rules[0].rule.to_string(),
+            "p'bf(X, Y) <- anc'bf(X, Y), node(Z), ~anc'bb(Z, Y)."
+        );
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! after guarded rules ran joins exactly the tuples they added instead of
 //! re-deriving the model — with each guarded rule applied as a one-pass
 //! round ([`full_round`]). Plans come from a statistics-free
-//! [`PlanCache`]: the rewriting already put every body in sip order.
+//! [`PlanCache`]: the rewriting already put every body in sip order, and a
+//! delta-first variant orders the rest by bound arguments, as the sip does.
 //!
 //! Soundness of applying a guarded rule at a base fixpoint: a magic tuple's
 //! downward closure (all magic tuples it implies, and all ordinary facts
@@ -128,8 +129,10 @@ impl MagicEvaluator {
         // query end to end rather than per fixpoint.
         let mut stats = EvalStats::new();
         let mut drive = Drive::new(&self.options, &mut stats);
-        // `adorn_rule` emits every rewritten body in sip order (§6), so
-        // executable source order *is* the plan: no statistics. (With them
+        // `adorn_rule` emits every rewritten body in sip order (§6), and the
+        // statistics-free planner orders a body by the sip's own rule —
+        // bound arguments first, ties in source order — so the plan follows
+        // the sip, delta-first variants included. (With statistics
         // the cost model ranks `partition` in its set-constructing mode
         // above the magic-predicate scan that would have made it a check,
         // and every junk union is interned for the life of the process.)
@@ -192,6 +195,18 @@ impl MagicEvaluator {
         Ok((db, stats))
     }
 
+    /// Evaluate a compiled `mp` over `edb` and read off its query's
+    /// answers, with the evaluation's work counters.
+    pub fn answer(
+        &self,
+        mp: &MagicProgram,
+        original: &Program,
+        edb: &Database,
+    ) -> Result<(Vec<QueryAnswer>, EvalStats), EvalError> {
+        let (db, stats) = self.evaluate_stats(mp, original, edb)?;
+        Ok((Evaluator::new().query(&db, &mp.query), stats))
+    }
+
     /// One-shot: compile, evaluate, and answer the query. This is
     /// `(P^mg ∪ {seed}, q^a)` of Theorem 4.
     pub fn query(
@@ -207,11 +222,6 @@ impl MagicEvaluator {
         }
         Stratification::canonical(program)?;
         let mp = Self::compile(program, query)?;
-        let db = self.evaluate(&mp, program, edb)?;
-        let plain = Evaluator::with_options(EvalOptions {
-            check_wf: false,
-            ..self.options.clone()
-        });
-        Ok(plain.query(&db, &mp.query))
+        Ok(self.answer(&mp, program, edb)?.0)
     }
 }

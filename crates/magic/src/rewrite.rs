@@ -225,6 +225,33 @@ mod tests {
         assert_eq!(mp.query.pred.as_str(), "anc'bf");
     }
 
+    /// The negated literal probes the positive literal's `anc'bf`, and its
+    /// own magic rule is still emitted — what the staged evaluation's
+    /// soundness argument needs, whichever adornment it carries.
+    #[test]
+    fn excl_negation_probes_the_positive_relation() {
+        let p = parse_program(
+            "anc(X, Y) <- par(X, Y).\n\
+             anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+             excl(X, Y, Z) <- anc(X, Y), node(Z), ~anc(X, Z).",
+        )
+        .unwrap();
+        let q = parse_atom("excl(0, Y, Z)").unwrap();
+        let mp = rewrite_magic(&adorn_program(&p, &q).unwrap(), &q);
+        let text = mp.program.to_string();
+        assert!(
+            text.contains(
+                "excl'bff(X, Y, Z) <- m'excl'bff(X), anc'bf(X, Y), node(Z), ~anc'bf(X, Z)."
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("m'anc'bf(X) <- m'excl'bff(X), anc'bf(X, Y), node(Z)."),
+            "{text}"
+        );
+        assert!(!text.contains("anc'bb"), "{text}");
+    }
+
     #[test]
     fn all_free_query_degenerates() {
         let p = parse_program("anc(X, Y) <- par(X, Y).").unwrap();

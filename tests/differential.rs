@@ -18,7 +18,10 @@
 //! * random assert/retract/update histories (delta, DRed, replay) end on
 //!   the reference model of the surviving EDB — and with a `Reader`
 //!   attached, every snapshot published along the way is the writer's model;
-//! * magic-sets answers ≡ plain answers.
+//! * magic-sets answers ≡ plain answers, and `System::query` ≡
+//!   `query_magic` ≡ the reference model's answers whichever arm the query
+//!   takes on a cold system (magic sets for a bound query, the model for an
+//!   unbound one).
 
 use ldl1::{
     check_model, reference_model, Database, Evaluator, FactSet, MagicEvaluator, Program, System,
@@ -104,15 +107,21 @@ fn engine_matches_reference_model() {
     });
 }
 
-/// A differential system over `case`, with a cached model so every commit
-/// runs maintenance (delta / DRed / replay) rather than a recompute.
-fn differential_system(case: &GeneratedCase) -> System {
+/// `case` loaded into a fresh system that has evaluated nothing.
+fn cold_system(case: &GeneratedCase) -> System {
     let mut sys = System::new();
     sys.load(&case.src).unwrap();
     for (pred, args) in &case.edb {
         sys.insert(pred, args.iter().map(value_of).collect())
             .unwrap();
     }
+    sys
+}
+
+/// A differential system over `case`, with a cached model so every commit
+/// runs maintenance (delta / DRed / replay) rather than a recompute.
+fn differential_system(case: &GeneratedCase) -> System {
+    let mut sys = cold_system(case);
     sys.model_facts().unwrap();
     sys
 }
@@ -265,4 +274,61 @@ fn magic_evaluation_matches_plain_on_bound_queries() {
             "magic vs plain diverged on {q}"
         );
     });
+}
+
+/// `System::query` picks its arm itself, and every arm answers what the
+/// paper's model does. On a cold system a bound `top(c, Y)` runs §6 magic
+/// sets (where the rules admit a sip for it) and an unbound `top(X, Y)`
+/// builds the model; both ≡ `query_magic` ≡ the reference model's answers.
+/// The second bound query buys the model (rent-or-buy): the commit after it
+/// is maintained, which only a cached model is.
+///
+/// Also counted: bound queries whose rewrite reuses an earlier positive
+/// literal's adornment for a negated one. The generator's only negated IDB
+/// literal, `~p(Y, X)` after `p(X, Y)`, swaps the bound term, so none does;
+/// `tests/magic.rs` holds the hand-written case.
+#[test]
+fn query_arms_match_reference_model() {
+    let (magic_arm, reused) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    cases_shrink(208, 12, |rng: &mut Rng, size: u32| {
+        let case = stratified_case(rng, size);
+        let (program, edb) = (program_of(&case), edb_of(&case));
+        let reference = reference_model(&program, &edb).unwrap();
+        let c = case
+            .edb
+            .iter()
+            .find(|(pred, _)| *pred == "e0")
+            .map_or(Value::int(0), |(_, args)| value_of(&args[0]));
+        let bound = format!("{}({c}, Y)", case.top);
+        let unbound = format!("{}(X, Y)", case.top);
+        for (q, asks) in [(&bound, 2), (&unbound, 1)] {
+            let atom = ldl1::parser::parse_atom(q).unwrap();
+            let expected = Evaluator::new().query(&reference, &atom);
+            let mut sys = cold_system(&case);
+            let arm = sys.explain_query(q).unwrap();
+            if arm.contains(": magic ") {
+                magic_arm.set(magic_arm.get() + 1);
+            }
+            for _ in 0..asks {
+                assert_eq!(sys.query(q).unwrap(), expected, "{q} via {arm}");
+            }
+            assert_eq!(sys.query_magic(q).unwrap(), expected, "query_magic {q}");
+            sys.insert("e0", vec![Value::int(-1), Value::int(-1)])
+                .unwrap();
+            let s = sys.last_stats();
+            assert!(
+                s.strata_delta + s.strata_dred + s.strata_replayed + s.strata_skipped > 0,
+                "no model cached after {asks} × {q}: {s}"
+            );
+        }
+        let bound = ldl1::parser::parse_atom(&bound).unwrap();
+        let adorned = ldl1::magic::adorn::adorn_program(&program, &bound).unwrap();
+        reused.set(reused.get() + usize::from(adorned.negations_reused > 0));
+    });
+    eprintln!(
+        "query arms: {} of 208 bound queries took the magic arm, {} reused a negated adornment",
+        magic_arm.get(),
+        reused.get()
+    );
+    assert!(magic_arm.get() > 0, "no bound query took the magic arm");
 }

@@ -248,3 +248,86 @@ fn magic_schedule_derives_each_fact_once() {
     assert_eq!(stats.attempts, stats.facts_derived, "{stats}");
     assert_eq!(stats.dedup_inserts, 0, "{stats}");
 }
+
+/// §1's exclusive ancestors through `System::query` on a cold system: the
+/// negated `~anc(X, Z)` has `X` where the positive `anc(X, Y)` binds, so
+/// the rewrite probes `anc'bf` instead of seeding `m'anc'bb` with every
+/// (reachable, node) pair — and the answers are the paper's model's.
+#[test]
+fn negated_literal_probes_the_positive_literals_relation() {
+    const EXCL: &str = "anc(X, Y) <- par(X, Y).\n\
+                        anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+                        excl(X, Y, Z) <- anc(X, Y), node(Z), ~anc(X, Z).";
+    let mut sys = System::new();
+    sys.load(EXCL).unwrap();
+    for n in 0..12 {
+        sys.insert("node", vec![Value::int(n)]).unwrap();
+    }
+    for (a, b) in [(0, 1), (1, 2), (2, 0), (2, 3), (5, 6), (6, 7), (9, 10)] {
+        sys.insert("par", vec![Value::int(a), Value::int(b)])
+            .unwrap();
+    }
+    let q = "excl(0, Y, Z)";
+    let atom = ldl1::parser::parse_atom(q).unwrap();
+    let adorned = ldl1::magic::adorn::adorn_program(sys.program(), &atom).unwrap();
+    assert_eq!(adorned.negations_reused, 1);
+    let arm = sys.explain_query(q).unwrap();
+    assert!(
+        arm.starts_with("excl(0, Y, Z): magic excl'bff: seed m'excl'bff(0), "),
+        "{arm}"
+    );
+
+    let reference = ldl1::reference_model(sys.program(), sys.edb()).unwrap();
+    let expected = ldl1::Evaluator::new().query(&reference, &atom);
+    // Y ∈ {0, 1, 2, 3}, Z one of the eight nodes 0 cannot reach.
+    assert_eq!(expected.len(), 4 * 8);
+    assert_eq!(sys.query(q).unwrap(), expected);
+    let magic = sys.last_stats();
+    assert_eq!(sys.query_magic(q).unwrap(), expected);
+    // The second query builds the model, which holds more than the cone.
+    assert_eq!(sys.query(q).unwrap(), expected);
+    assert!(
+        magic.facts_derived < sys.last_stats().facts_derived,
+        "magic {magic} vs model {}",
+        sys.last_stats()
+    );
+}
+
+/// The cold path end to end: a 2 000-chain forest, one bound `anc(0, Y)`
+/// on a system that has never evaluated. The §6 arm derives the ten-node
+/// cone of chain 0 — under 1 % of what the model holds — and caches
+/// nothing; the second query buys the model, and a commit after it is
+/// maintained instead of landing in the EDB only.
+#[test]
+fn cold_bound_query_derives_its_cone_then_buys_the_model() {
+    let mut sys = System::new();
+    sys.load(
+        "anc(X, Y) <- par(X, Y).\n\
+         anc(X, Y) <- par(X, Z), anc(Z, Y).",
+    )
+    .unwrap();
+    let mut batch = sys.mutate();
+    for c in 0..2_000 {
+        for k in 0..10 {
+            batch.assert(
+                "par",
+                vec![Value::int(c * 100 + k), Value::int(c * 100 + k + 1)],
+            );
+        }
+    }
+    batch.commit().unwrap();
+
+    let answers = sys.query("anc(0, Y)").unwrap();
+    assert_eq!(answers.len(), 10);
+    let cone = sys.last_stats().facts_derived;
+
+    assert_eq!(sys.query("anc(0, Y)").unwrap(), answers);
+    let model = sys.last_stats().facts_derived;
+    assert_eq!(model, 2_000 * 55, "the second query evaluates the model");
+    assert!(cone * 100 < model, "magic derived {cone} of {model}");
+
+    sys.insert("par", vec![Value::int(10), Value::int(11)])
+        .unwrap();
+    assert_eq!(sys.last_stats().strata_delta, 1, "{}", sys.last_stats());
+    assert_eq!(sys.query("anc(0, Y)").unwrap().len(), 11);
+}
