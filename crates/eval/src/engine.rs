@@ -171,9 +171,9 @@ struct AccessPath<'a> {
 }
 
 /// Evaluate `query`'s ground arguments once and pick the best index `db`
-/// already has over their columns. Read-only, and deliberately silent in
-/// the evaluation counters: `note_index_probe` feeds a thread-local that
-/// the *next* evaluation drains into its own statistics.
+/// already has over their columns. Read-only, and it counts nothing: a
+/// query is not an evaluation, and [`EvalStats`] belong to the operation
+/// that did the work.
 fn access_path<'a>(db: &'a Database, query: &Atom) -> Result<AccessPath<'a>, NoMatch> {
     let rel = db.relation(query.pred).ok_or(NoMatch::NoRelation)?;
     if rel.arity() != query.arity() {

@@ -10,11 +10,15 @@
 //! caller, and the existential tail, which stops at the first. Ops that
 //! bridge into the general matcher or the built-in evaluator seed a scratch
 //! [`Bindings`] from registers and copy solution values back into registers
-//! — one source of truth for every multi-solution semantics.
+//! — one source of truth for every multi-solution semantics. A pass counts
+//! its index probes and existential cuts in its context and returns them
+//! once, when it ends.
 //!
 //! `tests/differential.rs` pins the result against the reference evaluator
 //! ([`crate::model::reference_model`]), which walks plan steps against a
 //! binding trail and shares none of this module.
+
+use std::cell::Cell;
 
 use ldl_ast::term::Var;
 use ldl_storage::{Database, IndexRef, Relation};
@@ -24,7 +28,7 @@ use ldl_value::ValueId;
 
 use crate::bindings::Bindings;
 use crate::builtins::eval_builtin;
-use crate::plan::{neg_holds, note_exist_cut, note_index_probe, DeltaRestriction};
+use crate::plan::{neg_holds, DeltaRestriction};
 use crate::ram::{eval_expr, ArithDst, ColAct, Op, RamProgram, Reg};
 use crate::unify::match_slice;
 
@@ -43,11 +47,16 @@ struct ROp<'a> {
     hi: u32,
 }
 
-/// Per-run execution context (everything loop-invariant).
+/// Per-run execution context: everything loop-invariant, and the pass's
+/// two counters.
 struct Ctx<'a> {
     prog: &'a RamProgram,
     db: &'a Database,
     rops: Box<[ROp<'a>]>,
+    /// Index probes performed.
+    probes: Cell<u64>,
+    /// Existential short-circuits taken.
+    cuts: Cell<u64>,
 }
 
 fn resolve<'a>(op: &Op, i: usize, db: &'a Database, restrict: Option<DeltaRestriction>) -> ROp<'a> {
@@ -90,7 +99,8 @@ fn resolve<'a>(op: &Op, i: usize, db: &'a Database, restrict: Option<DeltaRestri
 /// the register file. `regs` must hold at least `prog.nregs` slots; `b` is
 /// the scratch binding environment for bridge ops (left restored). An
 /// empty positive scan relation short-circuits the whole pass; `restrict`
-/// confines op `step` to a delta range.
+/// confines op `step` to a delta range. Returns the pass's index probes and
+/// existential cuts.
 pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
     prog: &RamProgram,
     db: &Database,
@@ -98,10 +108,10 @@ pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
     regs: &mut [ValueId],
     b: &mut Bindings,
     k: &mut K,
-) {
+) -> (u64, u64) {
     for &pred in prog.scan_preds.iter() {
         if db.relation(pred).is_none_or(|r| r.is_empty()) {
-            return;
+            return (0, 0);
         }
     }
     let rops = prog
@@ -110,11 +120,18 @@ pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
         .enumerate()
         .map(|(i, op)| resolve(op, i, db, restrict))
         .collect();
-    let ctx = Ctx { prog, db, rops };
+    let ctx = Ctx {
+        prog,
+        db,
+        rops,
+        probes: Cell::new(0),
+        cuts: Cell::new(0),
+    };
     exec_op::<false, _>(&ctx, 0, regs, b, &mut |regs| {
         k(regs);
         false
     });
+    (ctx.probes.get(), ctx.cuts.get())
 }
 
 /// Match one tuple against a fused column-action list. Bind actions write
@@ -311,7 +328,7 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
         // One witness suffices, and the head registers are already final
         // (tail ops bind no head variable).
         if exec_op::<true, fn(&[ValueId]) -> bool>(ctx, i, regs, b, &mut (witness as _)) {
-            note_exist_cut();
+            ctx.cuts.set(ctx.cuts.get() + 1);
             k(regs);
         }
         return false;
@@ -339,7 +356,7 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
                 let Some(probe) = eval_key(key, regs, &mut stack, &mut heap) else {
                     return false;
                 };
-                note_index_probe();
+                ctx.probes.set(ctx.probes.get() + 1);
                 for &pos in idx.probe(probe) {
                     if pos >= r.lo
                         && pos < r.hi
@@ -395,7 +412,7 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
                 if let Some(probe) =
                     crate::plan::probe_key(args, index_cols, b, &mut stack, &mut heap)
                 {
-                    note_index_probe();
+                    ctx.probes.set(ctx.probes.get() + 1);
                     // The posting list borrows the relation, not `b`, so the
                     // per-position matches can reborrow `b` freely.
                     for &pos in idx.probe(probe) {
@@ -425,7 +442,7 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
         } => {
             let m = b.mark();
             seed(b, in_vars, regs);
-            let holds = neg_holds(*pred, args, index_cols, ctx.db, b);
+            let holds = neg_holds(*pred, args, index_cols, ctx.db, b, &ctx.probes);
             b.undo(m);
             holds && next::<TAIL, K>(ctx, i, regs, b, k)
         }

@@ -30,7 +30,7 @@ pub fn explain(program: &Program, db: &Database, pred: Option<&str>) -> String {
         }
         shown += 1;
         let _ = writeln!(out, "{rule}");
-        match RulePlan::compile_with(rule, Some(db), None) {
+        match RulePlan::compile(rule, Some(db), None) {
             Err(e) => {
                 let _ = writeln!(out, "  ! {e}");
             }

@@ -37,11 +37,8 @@ use crate::engine::EvalOptions;
 use crate::error::EvalError;
 use crate::exec::run_ram;
 use crate::grouping::run_grouping_rule;
-use crate::plan::{
-    check_arity, ensure_plan_indexes, take_exist_cuts, take_index_probes, DeltaRestriction,
-    RulePlan,
-};
-use crate::ram::{eval_expr, take_lowerings, Expr, HeadIr};
+use crate::plan::{check_arity, ensure_plan_indexes, DeltaRestriction, RulePlan};
+use crate::ram::{eval_expr, Expr, HeadIr};
 use crate::stats::EvalStats;
 
 /// What the rounds of one operation — a full evaluation, a mutation batch,
@@ -148,7 +145,7 @@ struct CacheEntry {
 impl PlanCache {
     /// A cache whose plans are compiled *without* statistics — relation
     /// scans ordered by bound-argument count, ties in source order
-    /// (existential tail included; see [`RulePlan::compile_with`]) — and
+    /// (existential tail included; see [`RulePlan::compile`]) — and
     /// never re-costed. For programs whose bodies were already ordered by
     /// whoever wrote them — the magic rewriting emits them in sip order.
     pub fn source_order() -> PlanCache {
@@ -180,7 +177,7 @@ impl PlanCache {
             }
             _ => {
                 let force_first = role.checked_sub(1);
-                let plan = Arc::new(RulePlan::compile_with(rule, planning_db, force_first)?);
+                let plan = Arc::new(RulePlan::compile(rule, planning_db, force_first)?);
                 let entry = CacheEntry {
                     epochs,
                     plan: plan.clone(),
@@ -397,29 +394,13 @@ impl DerivedBuf {
     }
 }
 
-/// One rule pass's output: the derived buffer plus the per-pass counters,
-/// drained from the evaluating thread's thread-locals.
-#[derive(Default)]
-pub(crate) struct PassOut {
-    /// Derived head tuples in body-solution order.
-    pub(crate) buf: DerivedBuf,
-    /// Index probes performed.
-    pub(crate) probes: u64,
-    /// Existential short-circuits taken.
-    pub(crate) cuts: u64,
-    /// Body solutions enumerated (the fuel unit).
-    pub(crate) attempts: u64,
-    /// Plan lowerings performed (first use of a plan).
-    pub(crate) lowerings: u64,
-}
-
 /// Evaluate `plan` against an immutable `db`, returning the id-tuples its
 /// head derives (in body-solution order, duplicates included; for a
-/// grouping head, one tuple per group in first-solution order) plus the
-/// index probes, existential short-circuits, plan lowerings, and derivation
-/// attempts (body solutions enumerated — the fuel unit) the pass performed.
-/// It never mutates anything. The body runs through the plan's lowered
-/// register program ([`crate::exec`]).
+/// grouping head, one tuple per group in first-solution order), and add
+/// the index probes, existential short-circuits, plan lowering, and
+/// derivation attempts (body solutions enumerated — the fuel unit) the pass
+/// performed to `stats`. It mutates nothing else. The body runs through the
+/// plan's lowered register program ([`crate::exec`]).
 ///
 /// The `gate` is the cooperative-cancellation tap: one armed-only atomic
 /// tick per body solution, and an entry check that skips the whole pass
@@ -430,50 +411,58 @@ pub(crate) fn derive_once(
     db: &Database,
     restrict: Option<DeltaRestriction>,
     gate: RoundGate<'_>,
-) -> PassOut {
-    take_index_probes(); // discard counts from unrelated callers
-    take_exist_cuts();
-    take_lowerings();
-    let mut out = PassOut::default();
-    out.buf.arity = plan.head.arity();
-    if !gate.is_cancelled() {
-        let prog = plan.lowered();
-        match &prog.head {
-            HeadIr::Simple(head) => {
-                let mut regs = vec![ValueId::FILLER; prog.nregs];
-                let mut b = Bindings::new();
-                run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
-                    out.attempts += 1;
-                    gate.tick();
-                    if project_head(head, regs, &mut out.buf.data) {
-                        out.buf.count += 1;
-                    }
-                });
-            }
-            // A grouping rule must see *all* body solutions of its group in
-            // one pass (the aggregation is not decomposable): never a range.
-            HeadIr::Grouping { .. } => {
-                debug_assert!(restrict.is_none(), "grouping pass restricted");
-                derive_grouped(plan, db, gate, &mut out);
-            }
+    stats: &mut EvalStats,
+) -> DerivedBuf {
+    let mut buf = DerivedBuf {
+        arity: plan.head.arity(),
+        ..DerivedBuf::default()
+    };
+    if gate.is_cancelled() {
+        return buf;
+    }
+    stats.lowerings += u64::from(plan.ram.get().is_none());
+    let prog = plan.lowered();
+    match &prog.head {
+        HeadIr::Simple(head) => {
+            let mut regs = vec![ValueId::FILLER; prog.nregs];
+            let mut b = Bindings::new();
+            let mut attempts = 0u64;
+            let (probes, cuts) = run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
+                attempts += 1;
+                gate.tick();
+                if project_head(head, regs, &mut buf.data) {
+                    buf.count += 1;
+                }
+            });
+            stats.attempts += attempts;
+            stats.index_probes += probes;
+            stats.exist_cuts += cuts;
+        }
+        // A grouping rule must see *all* body solutions of its group in
+        // one pass (the aggregation is not decomposable): never a range.
+        HeadIr::Grouping { .. } => {
+            debug_assert!(restrict.is_none(), "grouping pass restricted");
+            derive_grouped(plan, db, gate, stats, &mut buf);
         }
     }
-    out.probes = take_index_probes();
-    out.cuts = take_exist_cuts();
-    out.lowerings = take_lowerings();
-    out
+    buf
 }
 
 /// The grouping arm of [`derive_once`]: one tuple per group, flattened into
-/// the pass buffer. Out of line on purpose — with these writes to `out` in
+/// the pass buffer. Out of line on purpose — with these writes in
 /// `derive_once`'s own body the simple-head emit loop beside them compiled
 /// ~5 % slower (EXPERIMENTS.md P21).
 #[inline(never)]
-fn derive_grouped(plan: &RulePlan, db: &Database, gate: RoundGate<'_>, out: &mut PassOut) {
-    let (tuples, attempts) = run_grouping_rule(plan, db, gate);
-    out.attempts = attempts;
-    out.buf.count = tuples.len();
-    out.buf.data = tuples.into_iter().flatten().collect();
+fn derive_grouped(
+    plan: &RulePlan,
+    db: &Database,
+    gate: RoundGate<'_>,
+    stats: &mut EvalStats,
+    buf: &mut DerivedBuf,
+) {
+    let tuples = run_grouping_rule(plan, db, gate, stats);
+    buf.count = tuples.len();
+    buf.data = tuples.into_iter().flatten().collect();
 }
 
 /// Append the head tuple of one body solution to `data`. §3.2
@@ -524,18 +513,13 @@ pub fn run_round(
     stats.rounds += 1;
     stats.compiled_rounds += 1;
     stats.rules_fired += tasks.len() as u64;
-    let mut attempts = 0u64;
+    let attempts_before = stats.attempts;
     let mut derived: Vec<(Symbol, DerivedBuf)> = Vec::with_capacity(tasks.len());
     for t in tasks {
-        let out = derive_once(t.plan, db, t.restrict, gate);
-        stats.index_probes += out.probes;
-        stats.exist_cuts += out.cuts;
-        stats.lowerings += out.lowerings;
-        attempts += out.attempts;
-        derived.push((t.plan.head.pred, out.buf));
+        let buf = derive_once(t.plan, db, t.restrict, gate, stats);
+        derived.push((t.plan.head.pred, buf));
     }
-    stats.attempts += attempts;
-    drive.meter.charge(attempts, 0);
+    drive.meter.charge(stats.attempts - attempts_before, 0);
 
     let mut new = 0u64;
     let mut dedup = 0u64;

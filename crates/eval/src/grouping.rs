@@ -23,6 +23,7 @@ use crate::budget::RoundGate;
 use crate::exec::run_ram;
 use crate::plan::{HeadKind, RulePlan};
 use crate::ram::{eval_expr, HeadIr};
+use crate::stats::EvalStats;
 
 /// The body solutions of one grouping rule, partitioned by their `Z̄`
 /// values. Shared by the engine's executor ([`run_grouping_rule`]) and the
@@ -84,8 +85,9 @@ impl Groups {
 }
 
 /// Evaluate a grouping rule once against `db`, returning the derived tuples
-/// (for the plan's head predicate) and the number of body solutions
-/// enumerated (the derivation attempts charged against a fuel budget).
+/// (for the plan's head predicate). The body solutions enumerated (the
+/// derivation attempts charged against a fuel budget), index probes and
+/// existential cuts are added to `stats`.
 ///
 /// Admissibility guarantees every body predicate lies in a strictly lower
 /// layer (§3.1 clause 2), so `db` already holds their complete relations.
@@ -97,7 +99,8 @@ pub fn run_grouping_rule(
     plan: &RulePlan,
     db: &Database,
     gate: RoundGate<'_>,
-) -> (Vec<Vec<ValueId>>, u64) {
+    stats: &mut EvalStats,
+) -> Vec<Vec<ValueId>> {
     let HeadKind::Grouping {
         group_pos,
         group_var,
@@ -120,7 +123,7 @@ pub fn run_grouping_rule(
     let mut attempts = 0u64;
     let mut regs = vec![ValueId::FILLER; prog.nregs];
     let mut b = Bindings::new();
-    run_ram(&prog, db, None, &mut regs, &mut b, &mut |regs| {
+    let (probes, cuts) = run_ram(&prog, db, None, &mut regs, &mut b, &mut |regs| {
         attempts += 1;
         gate.tick();
         // Range restriction guarantees Y and Z̄ are bound; an unbound
@@ -140,7 +143,10 @@ pub fn run_grouping_rule(
             other.iter().map(|e| eval_expr(e, regs)).collect()
         });
     });
-    (groups.into_tuples(group_pos), attempts)
+    stats.attempts += attempts;
+    stats.index_probes += probes;
+    stats.exist_cuts += cuts;
+    groups.into_tuples(group_pos)
 }
 
 #[cfg(test)]
@@ -159,11 +165,11 @@ mod tests {
     }
 
     fn plan(src: &str) -> RulePlan {
-        RulePlan::compile(&parse_rule(src).unwrap()).unwrap()
+        RulePlan::compile(&parse_rule(src).unwrap(), None, None).unwrap()
     }
 
     fn run(plan: &RulePlan, db: &Database) -> Vec<Fact> {
-        let tuples = run_grouping_rule(plan, db, RoundGate::open()).0;
+        let tuples = run_grouping_rule(plan, db, RoundGate::open(), &mut EvalStats::new());
         assert_eq!(
             tuples,
             crate::model::apply_rule(plan, db),

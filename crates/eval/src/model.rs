@@ -17,10 +17,13 @@
 //!   statistics, no lowering, no budget.
 //!
 //! Both are built on `apply_rule`, the paper's `r(M)`: a tree-walking
-//! interpreter over greedy, statistics-free plans ([`RulePlan::compile`]).
-//! There are no options; the engine is tested against this, not the other
-//! way round.
+//! interpreter over plans compiled without statistics
+//! ([`RulePlan::compile`] with no database), which enumerates every body
+//! solution — it never reads the plan's existential tail — and counts
+//! nothing. There are no options; the engine is tested against this, not
+//! the other way round.
 
+use std::cell::Cell;
 use std::fmt;
 
 use ldl_ast::program::Program;
@@ -96,7 +99,7 @@ fn run_steps(
             args,
             index_cols,
         } => {
-            if neg_holds(*pred, args, index_cols, db, b) {
+            if neg_holds(*pred, args, index_cols, db, b, &Cell::new(0)) {
                 run_steps(plan, i + 1, db, b, k);
             }
         }
@@ -190,7 +193,7 @@ pub fn reference_model(program: &Program, edb: &Database) -> Result<Database, Ev
     for layer in &strat.rules_by_layer {
         let plans: Vec<RulePlan> = layer
             .iter()
-            .map(|&ri| RulePlan::compile(&program.rules[ri]))
+            .map(|&ri| RulePlan::compile(&program.rules[ri], None, None))
             .collect::<Result<_, _>>()?;
         loop {
             // Indexes only shorten the scans (a relation first derived in
@@ -248,7 +251,7 @@ impl fmt::Display for ModelViolation {
 pub fn check_model(program: &Program, m: &FactSet) -> Result<(), ModelViolation> {
     let mut db = Database::from_fact_set(m);
     for rule in &program.rules {
-        let plan = match RulePlan::compile(rule) {
+        let plan = match RulePlan::compile(rule, None, None) {
             Ok(p) => p,
             Err(EvalError::Unschedulable { .. }) => {
                 // A rule we cannot enumerate bindings for; with range

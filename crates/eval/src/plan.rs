@@ -8,27 +8,25 @@
 //!    as soon as their variables are bound (cheap filters; negation
 //!    *requires* groundness, §3.2 condition 2′);
 //! 2. generative built-ins run when a supported mode is available;
-//! 3. relation literals come last, and how one is chosen among them is
-//!    what distinguishes the two planners.
+//! 3. relation literals come last, ordered by estimated cost.
 //!
 //! If no executable literal remains, the rule is *unschedulable* — e.g.
 //! `q(X) <- X < 3` — and compilation fails with a diagnostic rather than
 //! evaluation silently misbehaving.
 //!
-//! The engine's planner ([`RulePlan::compile_with`]) is *cost-based*: among
-//! the executable relation literals it picks the one with the smallest
-//! **estimated output cardinality** — `len(R)` for an unbound scan,
-//! `len(R) / distinct(bound columns)` for an indexable one, using the
-//! per-column distinct-value sketches `ldl-storage` maintains on insert.
-//! Ties break by relation size, then by source literal order — never by
-//! map iteration order, so the same program over the same data compiles
-//! the same plan. Without a database every estimate ties and the body runs in
-//! executable source order, which is what the magic-set evaluator asks
-//! for: its rewritten bodies are already in sip order. The reference
-//! evaluator ([`crate::model`]) plans with [`RulePlan::compile`] instead —
-//! statistics-free and *greedy*, relation literals ordered by how many
-//! argument positions are already bound — so the oracle shares neither
-//! the cost model nor the existential tail.
+//! There is one planner, [`RulePlan::compile`]. Given a database it is
+//! *cost-based*: among the executable relation literals it picks the one
+//! with the smallest **estimated output cardinality** — `len(R)` for an
+//! unbound scan, `len(R) / distinct(bound columns)` for an indexable one,
+//! using the per-column distinct-value sketches `ldl-storage` maintains on
+//! insert. Ties break by relation size, then by source literal order —
+//! never by map iteration order, so the same program over the same data
+//! compiles the same plan. Without a database it orders relation literals
+//! by how many argument positions are already bound, ties in source order,
+//! which is what the magic-set evaluator asks for: its rewritten bodies
+//! are already in sip order. The reference evaluator ([`crate::model`])
+//! plans without a database too and never reads the existential tail, so
+//! the oracle shares neither the cost model nor the tail with the engine.
 //!
 //! Plans also carry an *existential tail*: the first step index after which
 //! no head or grouping variable can be bound ([`RulePlan::exist_from`]).
@@ -50,42 +48,6 @@ use crate::bindings::Bindings;
 use crate::builtins::can_schedule;
 use crate::error::EvalError;
 use crate::unify::{eval_term, match_slice};
-
-thread_local! {
-    /// Hash-index probes performed on this thread since the last
-    /// [`take_index_probes`]. Thread-local so two systems evaluating on
-    /// two threads count independently; the fixpoint driver drains the
-    /// counter per rule pass.
-    static INDEX_PROBES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Drain this thread's index-probe counter (returns the count, resets to 0).
-pub fn take_index_probes() -> u64 {
-    INDEX_PROBES.with(|c| c.replace(0))
-}
-
-/// Count one index probe.
-pub(crate) fn note_index_probe() {
-    INDEX_PROBES.with(|c| c.set(c.get() + 1));
-}
-
-/// Count one existential short-circuit.
-pub(crate) fn note_exist_cut() {
-    EXIST_CUTS.with(|c| c.set(c.get() + 1));
-}
-
-thread_local! {
-    /// Existential short-circuits taken on this thread since the last
-    /// [`take_exist_cuts`]: body-tail existence checks that found a witness
-    /// and stopped. Drained per rule pass like [`INDEX_PROBES`].
-    static EXIST_CUTS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Drain this thread's existential-cut counter (returns the count, resets
-/// to 0).
-pub fn take_exist_cuts() -> u64 {
-    EXIST_CUTS.with(|c| c.replace(0))
-}
 
 /// One executable body step.
 #[derive(Clone, Debug)]
@@ -156,7 +118,7 @@ pub struct RulePlan {
     /// head (or grouping) variable, so for each prefix solution the head
     /// tuple is already fully determined and execution stops at the first
     /// witness instead of enumerating every remaining match. `steps.len()`
-    /// means no tail (always the case for greedy-compiled plans).
+    /// means no tail.
     pub exist_from: usize,
     /// Estimated output cardinality per step at compile time, parallel to
     /// `steps`. `-1.0` where no estimate applies: built-ins, negation,
@@ -185,27 +147,17 @@ impl Clone for RulePlan {
 }
 
 impl RulePlan {
-    /// Compile one rule with the statistics-free greedy planner: relation
-    /// literals are ordered by bound-argument count, ties keep source
-    /// literal order, and no existential tail is computed. This is the
-    /// reference evaluator's planner ([`crate::model`]); the engine plans
-    /// with [`RulePlan::compile_with`].
-    pub fn compile(rule: &Rule) -> Result<RulePlan, EvalError> {
-        RulePlan::plan(rule, None, false, None)
-    }
-
-    /// Compile one rule with the cost-based planner: relation scans are
-    /// ordered by estimated output cardinality (`len / distinct(bound
-    /// columns)`) and the plan's existential tail
-    /// ([`RulePlan::exist_from`]) is computed.
+    /// Compile one rule: order its body into executable steps and compute
+    /// the plan's existential tail ([`RulePlan::exist_from`]).
     ///
     /// * `db` supplies relation statistics — tuple counts and the
     ///   per-column distinct-value sketches `ldl-storage` maintains on
-    ///   insert. Without it relation scans are ordered as the greedy
-    ///   planner orders them, by bound-argument count with ties in source
-    ///   order — the rule §6's sips follow, so a body the magic rewriting
-    ///   emitted in sip order keeps it, and a delta-first variant probes
-    ///   what its delta binds before it scans anything free.
+    ///   insert — and relation scans are ordered by estimated output
+    ///   cardinality (`len / distinct(bound columns)`). Without it they are
+    ///   ordered by bound-argument count with ties in source order — the
+    ///   rule §6's sips follow, so a body the magic rewriting emitted in sip
+    ///   order keeps it, and a delta-first variant probes what its delta
+    ///   binds before it scans anything free.
     /// * `force_first` pins one body literal (an index into `rule.body`,
     ///   which must be a positive relation literal) as step 0 — the
     ///   delta-first shape of semi-naive evaluation — and plans the rest
@@ -215,22 +167,9 @@ impl RulePlan {
     /// cost, then relation size, then source literal order. Nothing depends
     /// on map iteration order, so every run compiles bit-for-bit identical
     /// plans.
-    pub fn compile_with(
+    pub fn compile(
         rule: &Rule,
         db: Option<&Database>,
-        force_first: Option<usize>,
-    ) -> Result<RulePlan, EvalError> {
-        RulePlan::plan(rule, db, true, force_first)
-    }
-
-    /// The planner behind both entry points: `cost_based` computes the
-    /// existential tail and, given `db`'s statistics, orders relation scans
-    /// by estimated cardinality ([`RulePlan::compile_with`]); otherwise
-    /// scans are ordered by bound-argument count ([`RulePlan::compile`]).
-    fn plan(
-        rule: &Rule,
-        db: Option<&Database>,
-        cost_based: bool,
         force_first: Option<usize>,
     ) -> Result<RulePlan, EvalError> {
         let head_kind = match rule.head.simple_group_positions().as_slice() {
@@ -295,7 +234,7 @@ impl RulePlan {
                             if all_vars_bound {
                                 // Pure containment check: as cheap as a filter.
                                 Some((95, 0.0, len))
-                            } else if cost_based && db.is_some() {
+                            } else if db.is_some() {
                                 let cols = bound_cols(&lit.atom.args, &bound);
                                 let cost = scan_estimate(db, lit.atom.pred, &cols).unwrap_or(0.0);
                                 Some((10, cost, len))
@@ -354,18 +293,13 @@ impl RulePlan {
                 _ => None,
             })
             .collect();
-        let exist_from = if cost_based {
-            compute_exist_from(&rule.head, &steps)
-        } else {
-            steps.len()
-        };
 
         Ok(RulePlan {
             head: rule.head.clone(),
             head_kind,
+            exist_from: compute_exist_from(&rule.head, &steps),
             steps,
             scan_steps,
-            exist_from,
             est_rows,
             ram: std::sync::OnceLock::new(),
         })
@@ -578,13 +512,15 @@ pub(crate) fn probe_matches(
 /// *existential* — the shape of the paper's own §6 rule
 /// `young(X, <Y>) <- ¬a(X, Z), sg(X, Y)` when written safely as `~a(X, _)`
 /// ("X has no descendants"). The existential probes an index on the ground
-/// columns when one is available and stops at the first match either way.
+/// columns when one is available, counting the probe in `probes`, and stops
+/// at the first match either way.
 pub(crate) fn neg_holds(
     pred: Symbol,
     args: &[Term],
     index_cols: &[usize],
     db: &Database,
     b: &mut Bindings,
+    probes: &Cell<u64>,
 ) -> bool {
     if args.iter().any(has_anon) {
         let present = db.relation(pred).is_some_and(|rel| {
@@ -599,7 +535,7 @@ pub(crate) fn neg_holds(
                     let Some(key) = probe_key(args, index_cols, b, &mut stack, &mut heap) else {
                         return false;
                     };
-                    note_index_probe();
+                    probes.set(probes.get() + 1);
                     return probe_matches(rel, idx, key, args, b, &mut |_| true);
                 }
             }
@@ -664,10 +600,11 @@ mod tests {
     use super::*;
     use crate::budget::RoundGate;
     use crate::fixpoint::derive_once;
+    use crate::stats::EvalStats;
     use ldl_parser::parse_rule;
 
     fn plan_of(src: &str) -> RulePlan {
-        RulePlan::compile(&parse_rule(src).unwrap()).unwrap()
+        RulePlan::compile(&parse_rule(src).unwrap(), None, None).unwrap()
     }
 
     #[test]
@@ -679,11 +616,15 @@ mod tests {
 
     #[test]
     fn unschedulable_rule_rejected() {
-        let err = RulePlan::compile(&parse_rule("q(X) <- X < 3, r(X).").unwrap());
+        let err = RulePlan::compile(&parse_rule("q(X) <- X < 3, r(X).").unwrap(), None, None);
         // `<` can never run first, but the planner reorders: r(X) then <.
         assert!(err.is_ok());
         // Genuinely unschedulable: member with its set never bound.
-        let err2 = RulePlan::compile(&parse_rule("q(X) <- member(X, S), r(X).").unwrap());
+        let err2 = RulePlan::compile(
+            &parse_rule("q(X) <- member(X, S), r(X).").unwrap(),
+            None,
+            None,
+        );
         assert!(matches!(err2, Err(EvalError::Unschedulable { .. })));
     }
 
@@ -779,10 +720,9 @@ mod tests {
                 })
                 .collect()
         };
-        let greedy = RulePlan::compile(&rule).unwrap();
+        let greedy = RulePlan::compile(&rule, None, None).unwrap();
         assert_eq!(order(&greedy), ["tag", "big", "small"]);
-        assert_eq!(greedy.exist_from, greedy.steps.len());
-        let cost = RulePlan::compile_with(&rule, Some(&db), None).unwrap();
+        let cost = RulePlan::compile(&rule, Some(&db), None).unwrap();
         assert_eq!(order(&cost), ["tag", "small", "big"]);
         // X is bound after small: the fully-bound big check is existential.
         assert_eq!(cost.exist_from, 2);
@@ -793,14 +733,9 @@ mod tests {
     fn greedy_ties_break_by_relation_size_then_source_order() {
         let rule = parse_rule("q(X) <- r1(X), r2(X).").unwrap();
         // Without statistics every relation literal ties and the body keeps
-        // source order — under the greedy planner and under the cost-based
-        // one (which is how the magic-set evaluator plans).
-        for p in [
-            RulePlan::compile(&rule).unwrap(),
-            RulePlan::compile_with(&rule, None, None).unwrap(),
-        ] {
-            assert_eq!(p.scan_steps[0].1.as_str(), "r1");
-        }
+        // source order (which is how the magic-set evaluator plans).
+        let p = RulePlan::compile(&rule, None, None).unwrap();
+        assert_eq!(p.scan_steps[0].1.as_str(), "r1");
     }
 
     /// The magic rewrite's recursive rule pinned on its delta literal, as
@@ -812,7 +747,7 @@ mod tests {
     #[test]
     fn statistics_free_delta_variant_probes_before_it_scans() {
         let rule = parse_rule("a(X, Y) <- m(X), par(X, Z), a(Z, Y).").unwrap();
-        let p = RulePlan::compile_with(&rule, None, Some(2)).unwrap();
+        let p = RulePlan::compile(&rule, None, Some(2)).unwrap();
         let order: Vec<&str> = p.scan_steps.iter().map(|(_, s)| s.as_str()).collect();
         assert_eq!(order, ["a", "par", "m"]);
     }
@@ -827,18 +762,19 @@ mod tests {
             db.insert_tuple("fan", vec![Value::int(1), Value::int(y)]);
         }
         let rule = parse_rule("reach(X) <- cand(X), fan(X, Y).").unwrap();
-        let cost = RulePlan::compile_with(&rule, Some(&db), None).unwrap();
-        assert_eq!(cost.exist_from, 1); // Y is not a head variable
-        let solutions = |plan: &RulePlan| {
-            let out = derive_once(plan, &db, None, RoundGate::open());
-            (out.attempts, out.cuts)
-        };
+        let plan = RulePlan::compile(&rule, Some(&db), None).unwrap();
+        assert_eq!(plan.exist_from, 1); // Y is not a head variable
+        let mut stats = EvalStats::default();
+        let derived = derive_once(&plan, &db, None, RoundGate::open(), &mut stats);
         // cand(1) has a witness, cand(2) has none.
-        assert_eq!(solutions(&cost), (1, 1));
-        let greedy = RulePlan::compile(&rule).unwrap();
-        assert_eq!(greedy.exist_from, greedy.steps.len());
-        // Full enumeration of the 10 witnesses.
-        assert_eq!(solutions(&greedy), (10, 0));
+        assert_eq!((stats.attempts, stats.exist_cuts), (1, 1));
+        let mut engine = Vec::new();
+        derived.for_each(&mut |t| engine.push(t.to_vec()));
+        // The reference runs the same plan without the tail: one head tuple
+        // per witness, all 10 of them the engine's one.
+        let full = crate::model::apply_rule(&plan, &db);
+        assert_eq!(full.len(), 10);
+        assert!(full.iter().all(|t| engine == [t.clone()]), "{engine:?}");
     }
 
     #[test]
@@ -864,7 +800,7 @@ mod tests {
         db.insert_tuple("anc", vec![Value::int(0), Value::int(1)]);
         let rule = parse_rule("anc(X, Y) <- par(X, Z), anc(Z, Y).").unwrap();
         // Body literal 1 (anc) runs first even though par would cost less.
-        let p = RulePlan::compile_with(&rule, Some(&db), Some(1)).unwrap();
+        let p = RulePlan::compile(&rule, Some(&db), Some(1)).unwrap();
         assert_eq!(p.scan_steps[0].0, 0);
         assert_eq!(p.scan_steps[0].1.as_str(), "anc");
         assert_eq!(p.est_rows[0], -1.0);

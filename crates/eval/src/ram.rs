@@ -29,10 +29,9 @@
 //!
 //! Lowering happens at most once per plan: `RulePlan::lowered` caches the
 //! program in a `OnceLock`, so a cached plan reused across rounds is
-//! lowered exactly once — the total counted by [`take_lowerings`] does not
-//! grow with rounds.
-
-use std::cell::Cell;
+//! lowered exactly once — the pass that finds the lock empty counts it in
+//! [`EvalStats::lowerings`](crate::EvalStats), which does not grow with
+//! rounds.
 
 use ldl_ast::program::Builtin;
 use ldl_ast::term::{Term, Var};
@@ -42,18 +41,6 @@ use ldl_value::intern::{self, Node};
 use ldl_value::{Symbol, ValueId};
 
 use crate::plan::{has_anon, term_bound, HeadKind, RulePlan, Step};
-
-thread_local! {
-    /// Plan lowerings performed on this thread since the last
-    /// [`take_lowerings`]. Drained per rule pass like the index-probe
-    /// counter (each plan's `OnceLock` runs the lowering exactly once).
-    static LOWERINGS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Drain this thread's lowering counter (returns the count, resets to 0).
-pub fn take_lowerings() -> u64 {
-    LOWERINGS.with(|c| c.replace(0))
-}
 
 /// A register index into the program's dense `ValueId` file.
 pub(crate) type Reg = u32;
@@ -550,7 +537,6 @@ fn lower_scan(
 /// Lower a compiled plan into a flat register program. Called exactly once
 /// per plan through `RulePlan::lowered`'s `OnceLock`.
 pub(crate) fn lower(plan: &RulePlan) -> RamProgram {
-    LOWERINGS.with(|c| c.set(c.get() + 1));
     let mut regs: FastMap<Var, Reg> = FastMap::default();
     let mut bound: FastSet<Var> = FastSet::default();
     let mut ops: Vec<Op> = Vec::with_capacity(plan.steps.len());

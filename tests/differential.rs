@@ -311,6 +311,14 @@ fn query_arms_match_reference_model() {
             }
             for _ in 0..asks {
                 assert_eq!(sys.query(q).unwrap(), expected, "{q} via {arm}");
+                // The query's evaluation — magic sets, or the model it
+                // built — ran every plan it compiled, and lowered each once.
+                let s = sys.last_stats();
+                assert_eq!(
+                    s.lowerings,
+                    s.plan_cache_misses + s.plan_replans,
+                    "{q} via {arm}: {s}"
+                );
             }
             assert_eq!(sys.query_magic(q).unwrap(), expected, "query_magic {q}");
             sys.insert("e0", vec![Value::int(-1), Value::int(-1)])

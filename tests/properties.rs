@@ -2,11 +2,12 @@
 //! driven by the deterministic [`ldl_testkit::cases`] harness.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use ldl1::value::order::{dominates_elaborate, factset_dominated};
 use ldl1::{
-    check_model, Database, EvalOptions, Evaluator, Fact, FactSet, Mutation, QueryAnswer, SetValue,
-    Symbol, System, Value,
+    check_model, reference_model, Database, EvalOptions, EvalStats, Evaluator, Fact, FactSet,
+    Mutation, QueryAnswer, SetValue, Symbol, System, Value,
 };
 use ldl_testkit::gen::{stratified_case, GenConst, GeneratedCase};
 use ldl_testkit::{cases, cases_shrink, Rng};
@@ -804,4 +805,89 @@ fn query_probe_scan_and_filter_agree() {
         model.rewind();
         assert_query_paths_agree(&[&indexed, &model, &unindexed(&model)], rng);
     });
+}
+
+// ------------------------------------------------------------- counters --
+
+/// A program whose evaluation moves every per-pass counter: index probes
+/// (the closure's delta joins, and `~par(X, _)` probing `par` by its bound
+/// column), existential cuts (`busy` needs one descendant, not all) and
+/// plan lowerings.
+const COUNTED: &str = "anc(X, Y) <- par(X, Y).\n\
+                       anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+                       leaf(X) <- node(X), ~par(X, _).\n\
+                       busy(X) <- node(X), ~idle(X), anc(X, _).";
+
+/// `COUNTED` over six chains of seven nodes, nothing evaluated yet.
+fn counted_system() -> System {
+    let mut sys = System::new();
+    sys.load(COUNTED).unwrap();
+    for c in 0..6i64 {
+        for i in 0..7 {
+            sys.insert("node", vec![Value::int(100 * c + i)]).unwrap();
+            if i < 6 {
+                let edge = vec![Value::int(100 * c + i), Value::int(100 * c + i + 1)];
+                sys.insert("par", edge).unwrap();
+            }
+        }
+    }
+    sys.insert("idle", vec![Value::int(0)]).unwrap();
+    sys
+}
+
+/// The work counters of two operations on a fresh system: a bound query,
+/// which a cold system answers by magic sets, then the full evaluation.
+/// The gauges are masked — `interner_values` and `arena_*` describe the
+/// process and the model, not the work.
+fn operation_counters() -> [EvalStats; 2] {
+    let work = |s: EvalStats| EvalStats {
+        interner_values: 0,
+        arena_bytes: 0,
+        arena_pages: 0,
+        ..s
+    };
+    let mut sys = counted_system();
+    assert!(sys.explain_query("busy(100)").unwrap().contains(": magic "));
+    sys.query("busy(100)").unwrap();
+    let magic = work(sys.last_stats());
+    sys.model().unwrap();
+    [magic, work(sys.last_stats())]
+}
+
+/// An operation's counters are its own: the same whether it runs alone,
+/// right after `explain`, `explain_query`, `reference_model` and
+/// `check_model` on the same thread (which lower plans and probe indexes
+/// outside any operation), or while another system evaluates on a second
+/// thread.
+#[test]
+fn work_counters_belong_to_their_operation() {
+    let alone = operation_counters();
+    for s in &alone {
+        assert!(s.index_probes > 0 && s.lowerings > 0, "{s}");
+    }
+    assert!(alone[1].exist_cuts > 0, "{}", alone[1]);
+
+    let mut other = counted_system();
+    other.explain(None).unwrap();
+    other.explain_query("anc(100, Y)").unwrap();
+    let m = reference_model(other.program(), other.edb()).unwrap();
+    check_model(other.program(), &m.to_fact_set()).unwrap();
+    assert_eq!(operation_counters(), alone, "after explain and the oracle");
+
+    let (started, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+    let beside = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                counted_system().model().unwrap();
+                started.store(true, Ordering::Relaxed);
+            }
+        });
+        while !started.load(Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
+        let beside = operation_counters();
+        stop.store(true, Ordering::Relaxed);
+        beside
+    });
+    assert_eq!(beside, alone, "beside another thread's evaluation");
 }
