@@ -123,7 +123,16 @@ fn p4() {
     println!("query, with full evaluation only at the paper-scale instance.)\n");
     println!("| depth | branching | facts | full model | magic query |");
     println!("|---|---|---|---|---|");
-    for (depth, branching) in [(2u32, 2i64), (3, 2), (4, 2), (5, 2), (2, 3)] {
+    for (depth, branching) in [
+        (2u32, 2i64),
+        (3, 2),
+        (4, 2),
+        (5, 2),
+        (6, 2),
+        (7, 2),
+        (8, 2),
+        (2, 3),
+    ] {
         let db = bom(depth, branching);
         let tm = time(|| {
             magic_query(BOM, &db, "result(1, C)");

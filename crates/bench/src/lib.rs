@@ -114,9 +114,12 @@ pub fn family_forest(roots: usize, depth: u32) -> (Database, String) {
 }
 
 /// A part hierarchy for the bill-of-materials program: a tree of aggregate
-/// parts of the given depth and branching factor, leaves priced 1..=k.
-/// Branching beyond 4 makes `partition` enumerate too many splits to be
-/// interesting as a benchmark — the paper's example uses 2.
+/// parts of the given depth and branching factor, leaf `i` priced `i % 97 + 1`.
+/// `partition` enumerates all 2^b splits of a b-part set only where just
+/// the whole set is bound (the magic rule that seeds the parts, and the
+/// full plan of the `tc` rule); with a part bound it is a check. So the
+/// branching factor still multiplies the work per set — the paper's example
+/// uses 2.
 pub fn bom(depth: u32, branching: i64) -> Database {
     let mut db = Database::new();
     let mut next_id = 2i64;

@@ -12,9 +12,11 @@
 //! no tree walks, no allocation beyond the result.
 //!
 //! Generative modes that enumerate subsets (`union` with only the result
-//! bound, `partition`, `subset` with the subset free) are exponential in the
-//! set size; they mirror the paper's use of `partition` on small constituent
-//! sets (§1 `tc` example). The set size is capped to keep mistakes loud.
+//! bound, `partition` with only the whole bound, `subset` with the subset
+//! free) are exponential in the set size; they mirror the paper's use of
+//! `partition` on small constituent sets (§1 `tc` example). The set size is
+//! capped to keep mistakes loud. A mode with more bound — `partition` with
+//! a part bound, `subset` with both — is a check and has no cap.
 
 use std::cmp::Ordering;
 
@@ -281,33 +283,37 @@ fn eval_union(args: &[Term], b: &mut Bindings, k: &mut dyn FnMut(&mut Bindings))
     }
 }
 
+/// `partition(S, S1, S2)`: `S1 ∪ S2 = S` and `S1 ∩ S2 = ∅`. Three modes, by
+/// what is ground:
+///
+/// * `S` and a part (`S1` or `S2`) — a *check*: the part must be a subset
+///   of `S`, and then the other part is `S \ part` — one intern, matched
+///   against the other argument (an equality test when that is ground
+///   too). Exactly one two-colouring of `S` puts the part on its side, so
+///   this is the enumeration's answer without the enumeration, and no size
+///   cap applies;
+/// * `S` alone — *generative*: every two-colouring of `S`, 2^|S| splits
+///   ([`partition_splits`], capped at [`MAX_ENUMERATED_SET`]);
+/// * both parts — *inverse*: they must be disjoint, and `S` is their union.
 fn eval_partition(args: &[Term], b: &mut Bindings, k: &mut dyn FnMut(&mut Bindings)) {
     if is_ground_under(&args[0], b) {
         let Some(v0) = eval_term(&args[0], b) else {
             return;
         };
         let Some(s) = as_set(v0) else { return };
-        let n = s.len();
-        assert!(
-            n <= MAX_ENUMERATED_SET,
-            "partition/3 of a set of {n} elements"
-        );
-        // Every two-coloring of the elements; both halves stay canonical.
-        for mask in 0..(1usize << n) {
-            let mut left = Vec::new();
-            let mut right = Vec::new();
-            for (i, &e) in s.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    left.push(e);
-                } else {
-                    right.push(e);
+        for (part, other) in [(1, 2), (2, 1)] {
+            if is_ground_under(&args[part], b) {
+                let Some(p) = eval_term(&args[part], b).and_then(as_set) else {
+                    return;
+                };
+                if is_subset(p, s) {
+                    let rest = intern::mk_set_sorted(merge_filter(s, p, false));
+                    match_term(&args[other], rest, b, k);
                 }
+                return;
             }
-            let right = intern::mk_set_sorted(right);
-            match_term(&args[1], intern::mk_set_sorted(left), b, &mut |b2| {
-                match_term(&args[2], right, b2, k);
-            });
         }
+        partition_splits(s, args, b, k);
         return;
     }
     // Inverse mode: both parts bound — must be disjoint; S is their union.
@@ -319,6 +325,37 @@ fn eval_partition(args: &[Term], b: &mut Bindings, k: &mut dyn FnMut(&mut Bindin
     };
     if is_disjoint(s1, s2) {
         match_term(&args[0], intern::mk_set_sorted(merge_union(s1, s2)), b, k);
+    }
+}
+
+/// `partition`'s generative mode over the canonical elements `s` of the
+/// ground `S`: every two-colouring, matched against `args[1]` and then
+/// `args[2]` (both halves stay canonical).
+fn partition_splits(
+    s: &[ValueId],
+    args: &[Term],
+    b: &mut Bindings,
+    k: &mut dyn FnMut(&mut Bindings),
+) {
+    let n = s.len();
+    assert!(
+        n <= MAX_ENUMERATED_SET,
+        "partition/3 of a set of {n} elements"
+    );
+    for mask in 0..(1usize << n) {
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        for (i, &e) in s.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                left.push(e);
+            } else {
+                right.push(e);
+            }
+        }
+        let right = intern::mk_set_sorted(right);
+        match_term(&args[1], intern::mk_set_sorted(left), b, &mut |b2| {
+            match_term(&args[2], right, b2, k);
+        });
     }
 }
 
@@ -491,6 +528,79 @@ mod tests {
             &[("A", set(&[1])), ("B", set(&[1, 2]))],
         );
         assert!(none.is_empty());
+    }
+
+    /// With `S` and a part bound, `partition` is a check. Against the
+    /// enumeration it replaces, for every `S` ⊆ a 5-element universe and
+    /// every candidate part — each subset of the universe (so subsets and
+    /// non-subsets of `S`), a non-set, and a term outside `U` — bound as
+    /// `S1`, as `S2`, or as both: the same solutions, in the same order.
+    #[test]
+    fn partition_check_mode_equals_filtered_enumeration() {
+        let universe = [1, 2, 3, 4, 5];
+        let subsets: Vec<Value> = (0..32usize)
+            .map(|mask| {
+                let xs: Vec<i64> = (0..5)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| universe[i])
+                    .collect();
+                set(&xs)
+            })
+            .collect();
+        let outside_u = Term::Scons(Box::new(Term::int(1)), Box::new(Term::int(2)));
+        let mut candidates: Vec<Term> = subsets.iter().map(|v| Term::Const(v.clone())).collect();
+        candidates.push(Term::int(7));
+        candidates.push(outside_u);
+        let (a, b) = (Term::var("A"), Term::var("B"));
+        let solutions = |args: &[Term], s: &Value, enumerate: bool| {
+            let mut bs = Bindings::new();
+            bs.bind(Var::new("S"), intern::id_of(s));
+            let mut out = Vec::new();
+            let mut k = |b2: &mut Bindings| {
+                out.push([Var::new("A"), Var::new("B")].map(|v| b2.get(v)));
+            };
+            if enumerate {
+                partition_splits(as_set(intern::id_of(s)).unwrap(), args, &mut bs, &mut k);
+            } else {
+                eval_builtin(Builtin::Partition, args, &mut bs, &mut k);
+            }
+            out
+        };
+        let mut answered = 0;
+        for s in &subsets {
+            for c in &candidates {
+                let mut shapes = vec![
+                    [Term::var("S"), c.clone(), b.clone()],
+                    [Term::var("S"), a.clone(), c.clone()],
+                ];
+                shapes.extend(
+                    candidates
+                        .iter()
+                        .map(|d| [Term::var("S"), c.clone(), d.clone()]),
+                );
+                for args in &shapes {
+                    let check = solutions(args, s, false);
+                    assert_eq!(check, solutions(args, s, true), "partition({s}, {args:?})");
+                    assert!(check.len() <= 1, "partition({s}, {args:?})");
+                    answered += check.len();
+                }
+            }
+        }
+        // Per S: each of its 2^|S| subsets as S1 and as S2, and the one
+        // right (S1, S2) pair per subset — 3 · Σ 2^|S| = 3 · 3^5.
+        assert_eq!(answered, 3 * 243);
+    }
+
+    /// The check mode has no size cap: a bound part of a 30-element set.
+    #[test]
+    fn partition_check_mode_takes_large_sets() {
+        let whole: Vec<i64> = (0..30).collect();
+        let sols = run(
+            Builtin::Partition,
+            &[Term::var("S"), Term::var("A"), Term::var("B")],
+            &[("S", set(&whole)), ("A", set(&whole[..10]))],
+        );
+        assert_eq!(sols, vec![vec![("B".to_string(), set(&whole[10..]))]]);
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //!   which the [`DeltaFrontier`] marks depend on — is a function of the
 //!   program and the data alone.
 //! * [`delta_loop`] is the only semi-naive driver: it runs rounds of
-//!   delta-first passes over a [`DeltaFrontier`] until no delta predicate
-//!   has grown. Its callers differ only in the frontier they hand it: a
-//!   cold layer (after one full round), the maintenance sweep's insertion
-//!   delta and DRed's overdelete and rederive phases ([`crate::retract`]),
-//!   and the magic-set evaluator's staged schedule.
+//!   delta passes over a [`DeltaFrontier`] until no delta predicate has
+//!   grown. A pass is the delta-first variant of a rule, pinning the delta
+//!   occurrence as step 0 — unless that variant would scan a relation in
+//!   full once per delta tuple, when it is the full plan run in place with
+//!   the delta range on the occurrence's step (`PlanCache::delta_pass`).
+//!   Its callers differ only in the frontier they hand it: a cold layer
+//!   (after one full round), the maintenance sweep's insertion delta and
+//!   DRed's overdelete and rederive phases ([`crate::retract`]), and the
+//!   magic-set evaluator's staged schedule.
 //! * a [`Drive`] carries what one operation's rounds share.
 
 use std::sync::Arc;
@@ -122,12 +126,17 @@ pub fn ensure_head_relations(
 
 /// Compiled-plan cache for one program over one operation.
 ///
-/// Keyed by `(rule id, role)`: role 0 is the full round-0 plan, role
-/// `occ + 1` the delta-first variant pinning body literal `occ` as step 0.
-/// Each entry remembers the statistics epoch of every body relation at
-/// compile time; a lookup re-costs the plan only when one of those epochs
-/// has drifted (relations bump their epoch geometrically on growth, so a
-/// stabilizing fixpoint stops re-planning after O(log n) rounds).
+/// Keyed by `(rule id, role)`: role 0 is the full round-0 plan `F`, role
+/// `occ + 1` the pass that joins the delta of body literal `occ`
+/// (`PlanCache::delta_pass`) — the delta-first variant pinning that
+/// literal as step 0, or `F` itself run in place. Each entry remembers the
+/// statistics epoch of every body relation at compile time; a lookup
+/// re-costs the plan only when one of those epochs has drifted (relations
+/// bump their epoch geometrically on growth, so a stabilizing fixpoint
+/// stops re-planning after O(log n) rounds).
+///
+/// Every lookup counts one hit, miss or replan, and every plan counted as
+/// a miss or replan is one that runs — so each is lowered exactly once.
 #[derive(Default)]
 pub struct PlanCache {
     map: FastMap<(usize, usize), CacheEntry>,
@@ -140,6 +149,9 @@ struct CacheEntry {
     /// `stats_epoch` when the plan was compiled.
     epochs: Vec<u64>,
     plan: Arc<RulePlan>,
+    /// The step a delta range confines: 0, except for a delta role whose
+    /// pass runs `F` in place — then `F`'s step for the delta literal.
+    delta_step: usize,
 }
 
 impl PlanCache {
@@ -155,7 +167,7 @@ impl PlanCache {
         }
     }
 
-    /// The plan for `(rule_id, role)`, ready to run a pass against `db`:
+    /// The full plan `F` of `rule_id`, ready to run a pass against `db`:
     /// compiled against `db`'s current statistics — cached, or (re)compiled
     /// when absent or stale — with its body arities checked and the indexes
     /// it probes built ([`ensure_plan_indexes`]).
@@ -163,34 +175,142 @@ impl PlanCache {
         &mut self,
         program: &Program,
         rule_id: usize,
-        role: usize,
         db: &mut Database,
         stats: &mut EvalStats,
     ) -> Result<Arc<RulePlan>, EvalError> {
         let rule = &program.rules[rule_id];
-        let planning_db = (!self.source_order).then_some(&*db);
-        let epochs = planning_db.map_or_else(Vec::new, |db| body_epochs(rule, db));
-        let plan = match self.map.get(&(rule_id, role)) {
-            Some(e) if e.epochs == epochs => {
+        let epochs = self.epochs(rule, db);
+        let plan = match self.fresh((rule_id, 0), &epochs) {
+            Some((plan, _)) => {
                 stats.plan_cache_hits += 1;
-                e.plan.clone()
+                plan
             }
-            _ => {
-                let force_first = role.checked_sub(1);
-                let plan = Arc::new(RulePlan::compile(rule, planning_db, force_first)?);
-                let entry = CacheEntry {
-                    epochs,
-                    plan: plan.clone(),
-                };
-                match self.map.insert((rule_id, role), entry) {
-                    Some(_stale) => stats.plan_replans += 1,
-                    None => stats.plan_cache_misses += 1,
-                }
+            None => {
+                let plan = Arc::new(self.compile(rule, db, None)?);
+                self.store((rule_id, 0), epochs, plan.clone(), stats);
                 plan
             }
         };
         ensure_plan_indexes(&plan, db)?;
         Ok(plan)
+    }
+
+    /// The pass that joins the delta of body literal `occ` of `rule_id`:
+    /// the plan to run, ready against `db` as [`PlanCache::prepare`] leaves
+    /// it, and the step its delta range confines.
+    ///
+    /// The pass is the delta-first variant `V` (the literal pinned as step
+    /// 0) unless `V` would read a relation in full once per delta tuple:
+    /// when `F` starts with an unindexed scan of some literal that `V`
+    /// scans unindexed at a later step, the pass runs `F` in place, with
+    /// the delta range on `F`'s step for the literal. It then reads that
+    /// relation once per round — what `V` pays for a single delta tuple —
+    /// and finds exactly `V`'s derivations: one literal reads the delta,
+    /// every other one the whole relation. The decision is cached with the
+    /// plan and re-made when the plan is re-costed; `V` is compiled to
+    /// make it but is neither counted nor kept when `F` runs, and `F`'s
+    /// indexes are built only then.
+    fn delta_pass(
+        &mut self,
+        program: &Program,
+        rule_id: usize,
+        occ: usize,
+        db: &mut Database,
+        stats: &mut EvalStats,
+    ) -> Result<(Arc<RulePlan>, usize), EvalError> {
+        let rule = &program.rules[rule_id];
+        let key = (rule_id, occ + 1);
+        let epochs = self.epochs(rule, db);
+        let pass = match self.fresh(key, &epochs) {
+            Some(pass) => {
+                stats.plan_cache_hits += 1;
+                pass
+            }
+            None => {
+                let variant = self.compile(rule, db, Some(occ))?;
+                let rescans = (1..variant.steps.len()).any(|i| variant.full_scan_at(i).is_some());
+                let cached_full = self.fresh((rule_id, 0), &epochs).map(|(f, _)| f);
+                // `F` is looked at only when `V` reads something in full
+                // after its delta; compiled here, it is counted if it runs.
+                let full = match &cached_full {
+                    Some(f) => Some(f.clone()),
+                    None if rescans => Some(Arc::new(self.compile(rule, db, None)?)),
+                    None => None,
+                };
+                match full.filter(|f| variant.rescans_first_scan_of(f)) {
+                    Some(full) => {
+                        if cached_full.is_some() {
+                            stats.plan_cache_hits += 1;
+                        } else {
+                            self.store((rule_id, 0), epochs.clone(), full.clone(), stats);
+                        }
+                        let step = full.step_of(occ);
+                        let entry = CacheEntry {
+                            epochs,
+                            plan: full.clone(),
+                            delta_step: step,
+                        };
+                        self.map.insert(key, entry);
+                        (full, step)
+                    }
+                    None => {
+                        let variant = Arc::new(variant);
+                        self.store(key, epochs, variant.clone(), stats);
+                        (variant, 0)
+                    }
+                }
+            }
+        };
+        ensure_plan_indexes(&pass.0, db)?;
+        Ok(pass)
+    }
+
+    /// The statistics epochs a plan of `rule` is compiled against: none
+    /// without statistics.
+    fn epochs(&self, rule: &Rule, db: &Database) -> Vec<u64> {
+        if self.source_order {
+            Vec::new()
+        } else {
+            body_epochs(rule, db)
+        }
+    }
+
+    fn compile(
+        &self,
+        rule: &Rule,
+        db: &Database,
+        force_first: Option<usize>,
+    ) -> Result<RulePlan, EvalError> {
+        RulePlan::compile(rule, (!self.source_order).then_some(db), force_first)
+    }
+
+    /// The plan cached under `key` and its delta step, if it was compiled
+    /// against `epochs`.
+    fn fresh(&self, key: (usize, usize), epochs: &[u64]) -> Option<(Arc<RulePlan>, usize)> {
+        self.map
+            .get(&key)
+            .filter(|e| e.epochs == epochs)
+            .map(|e| (e.plan.clone(), e.delta_step))
+    }
+
+    /// Cache a plan just compiled against `epochs`, counting a replan if it
+    /// replaces a stale entry, else a miss.
+    fn store(
+        &mut self,
+        key: (usize, usize),
+        epochs: Vec<u64>,
+        plan: Arc<RulePlan>,
+        stats: &mut EvalStats,
+    ) {
+        let entry = CacheEntry {
+            epochs,
+            plan,
+            delta_step: 0,
+        };
+        match self.map.insert(key, entry) {
+            Some(_stale) => stats.plan_replans += 1,
+            None => stats.plan_cache_misses += 1,
+        }
     }
 }
 
@@ -267,7 +387,7 @@ pub fn full_round(
 ) -> Result<usize, EvalError> {
     let plans = rule_ids
         .iter()
-        .map(|&ri| cache.prepare(program, ri, 0, db, drive.stats))
+        .map(|&ri| cache.prepare(program, ri, db, drive.stats))
         .collect::<Result<Vec<_>, _>>()?;
     let tasks: Vec<RoundTask<'_>> = plans.iter().map(|p| RoundTask::whole(p)).collect();
     run_round(&tasks, db, drive)
@@ -289,16 +409,22 @@ pub fn frontier_at(db: &Database, preds: impl IntoIterator<Item = Symbol>) -> De
 /// The semi-naive delta loop — the engine's only one. The *keys* of
 /// `frontier` say which predicates are deltas. Each round runs, for every
 /// positive body occurrence (in rule order, then body order) of a frontier
-/// predicate with tuples above its mark, one pass of the delta-first plan
-/// variant pinning that occurrence as step 0 (cache role `occ + 1`,
-/// re-costed when the statistics epoch of a body relation drifted),
-/// restricted to `[mark, len)` while every other literal reads the whole
-/// relation; then the marks advance to the pre-round lengths. All passes of
-/// a round read the same snapshot; a derivation needing two new tuples
-/// surfaces through whichever lands first, in the next round. The loop ends
-/// when no frontier predicate has grown, leaving every mark at its
-/// relation's length — so a caller that keeps the frontier can add facts by
-/// other means and re-enter to join exactly those.
+/// predicate with tuples above its mark, one pass (`PlanCache::delta_pass`,
+/// cache role `occ + 1`, re-costed when the statistics epoch of a body
+/// relation drifted) in which that occurrence reads only `[mark, len)`
+/// while every other literal reads the whole relation; then the marks
+/// advance to the pre-round lengths. The pass is normally the delta-first
+/// variant pinning the occurrence as step 0, so its cost follows the delta.
+/// When that variant would scan some relation in full once per delta tuple
+/// — a relation the full plan scans first — the pass runs the full plan in
+/// place instead, with the range on the occurrence's own step: one scan of
+/// that relation per round rather than one per delta tuple, which is what
+/// made such a rule quadratic. All passes of a round read the same
+/// snapshot; a derivation needing two new tuples surfaces through whichever
+/// lands first, in the next round. The loop ends when no frontier predicate
+/// has grown, leaving every mark at its relation's length — so a caller
+/// that keeps the frontier can add facts by other means and re-enter to
+/// join exactly those.
 pub fn delta_loop(
     program: &Program,
     rule_ids: &[usize],
@@ -323,9 +449,8 @@ pub fn delta_loop(
         for &(ri, occ, pred) in &occs {
             let (lo, hi) = (frontier[&pred] as u32, len_of(db, pred) as u32);
             if lo < hi {
-                let plan = cache.prepare(program, ri, occ + 1, db, drive.stats)?;
-                // The forced delta literal is always step 0.
-                passes.push((plan, DeltaRestriction { step: 0, lo, hi }));
+                let (plan, step) = cache.delta_pass(program, ri, occ, db, drive.stats)?;
+                passes.push((plan, DeltaRestriction { step, lo, hi }));
             }
         }
         for (&p, mark) in frontier.iter_mut() {
@@ -346,8 +471,8 @@ pub fn delta_loop(
 }
 
 /// One rule pass of a round: a compiled plan, optionally restricted to a
-/// tuple-position range of one scan step (the delta range of its step 0, in
-/// every pass the engine itself schedules).
+/// tuple-position range of one scan step (in every pass the delta loop
+/// schedules, the delta range of the occurrence it joins).
 pub struct RoundTask<'p> {
     /// The plan to run.
     pub plan: &'p RulePlan,
@@ -541,4 +666,103 @@ pub fn run_round(
 
 pub(crate) fn len_of(db: &Database, p: Symbol) -> usize {
     db.relation(p).map_or(0, |r| r.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ldl_parser::parse_program;
+
+    /// The pass `delta_loop` schedules for every delta occurrence of
+    /// `rules` (every positive literal over a rule head, in a rule without a
+    /// grouping head), as `[rule, occ, first literal of the plan, delta
+    /// step]`.
+    fn delta_passes(cache: &mut PlanCache, rules: &str) -> (Vec<[usize; 4]>, EvalStats) {
+        let program = parse_program(rules).unwrap();
+        let heads: FastSet<Symbol> = program.rules.iter().map(|r| r.head.pred).collect();
+        let mut db = Database::new();
+        let mut stats = EvalStats::default();
+        let mut out = Vec::new();
+        for (ri, rule) in program.rules.iter().enumerate() {
+            if !rule.head.simple_group_positions().is_empty() {
+                continue;
+            }
+            for (occ, l) in rule.body.iter().enumerate() {
+                if l.positive && heads.contains(&l.atom.pred) {
+                    let (plan, step) = cache
+                        .delta_pass(&program, ri, occ, &mut db, &mut stats)
+                        .unwrap();
+                    assert_eq!(
+                        plan.literals[step], occ,
+                        "the delta step runs the occurrence"
+                    );
+                    out.push([ri, occ, plan.literals[0], step]);
+                }
+            }
+        }
+        (out, stats)
+    }
+
+    /// §1's bill of materials, rewritten for `result(1, C)` (§6; magic and
+    /// adorned names spelled without quotes). In the two `partition` rules
+    /// the delta-first variant pinning `tc_bf(S1, C1)` or `tc_bf(S2, C2)`
+    /// binds nothing that indexes `m_tc_bf(S)`, so it would scan the magic
+    /// set once per delta tuple: those passes run the full plan in place,
+    /// which scans it once, with the delta range on the occurrence's step.
+    /// Every other pass pins its delta as step 0.
+    #[test]
+    fn bom_partition_passes_run_the_full_plan_in_place() {
+        let bom = "m_tc_bf({X}) <- m_result_bf(X).\n\
+                   result_bf(X, C) <- m_result_bf(X), tc_bf({X}, C).\n\
+                   tc_bf({X}, C) <- m_tc_bf({X}), q(X, C).\n\
+                   m_part_bf(X) <- m_tc_bf({X}).\n\
+                   m_tc_bf(S) <- m_tc_bf({X}), part_bf(X, S).\n\
+                   tc_bf({X}, C) <- m_tc_bf({X}), part_bf(X, S), tc_bf(S, C).\n\
+                   m_tc_bf(S1) <- m_tc_bf(S), partition(S, S1, S2), S1 /= {}, S2 /= {}.\n\
+                   m_tc_bf(S2) <- m_tc_bf(S), partition(S, S1, S2), S1 /= {}, S2 /= {}, \
+                                  tc_bf(S1, C1).\n\
+                   tc_bf(S, C) <- m_tc_bf(S), partition(S, S1, S2), S1 /= {}, S2 /= {}, \
+                                  tc_bf(S1, C1), tc_bf(S2, C2), +(C1, C2, C).\n\
+                   part_bf(P, <S>) <- m_part_bf(P), p(P, S).";
+        let (passes, stats) = delta_passes(&mut PlanCache::source_order(), bom);
+        let in_place: Vec<[usize; 2]> = passes
+            .iter()
+            .filter(|[_, occ, first, _]| first != occ)
+            .map(|&[ri, occ, ..]| [ri, occ])
+            .collect();
+        // m_tc_bf(S2)'s tc_bf(S1, C1), and tc_bf(S, C)'s two tc_bf literals.
+        assert_eq!(in_place, [[7, 4], [8, 4], [8, 5]]);
+        for [_, occ, first, step] in &passes {
+            assert_eq!(*step == 0, first == occ, "{passes:?}");
+        }
+        // The first in-place pass compiled the full plan (a miss; it is the
+        // one that runs), the second found it cached. A delta-first variant
+        // compiled only to decide is not counted.
+        let delta_first = passes.len() - in_place.len();
+        assert_eq!(stats.plan_cache_misses as usize, delta_first + 2, "{stats}");
+        assert_eq!(stats.plan_cache_hits, 1, "{stats}");
+    }
+
+    /// The ancestor rule and its §6 rewrite keep every pass delta-first: a
+    /// delta-first variant that probes everything after its delta reads no
+    /// relation in full, with statistics or without.
+    #[test]
+    fn ancestor_passes_stay_delta_first() {
+        let plain = "anc(X, Y) <- par(X, Y).\n\
+                     anc(X, Y) <- par(X, Z), anc(Z, Y).";
+        let magic = "anc_bf(X, Y) <- m_anc_bf(X), par(X, Y).\n\
+                     m_anc_bf(Z) <- m_anc_bf(X), par(X, Z).\n\
+                     anc_bf(X, Y) <- m_anc_bf(X), par(X, Z), anc_bf(Z, Y).";
+        for (mut cache, rules, expect) in [
+            (PlanCache::default(), plain, 1),
+            (PlanCache::source_order(), plain, 1),
+            (PlanCache::source_order(), magic, 4),
+        ] {
+            let (passes, _) = delta_passes(&mut cache, rules);
+            assert_eq!(passes.len(), expect, "{rules}");
+            for [_, occ, first, step] in passes {
+                assert_eq!((first, step), (occ, 0), "{rules}");
+            }
+        }
+    }
 }

@@ -111,6 +111,9 @@ pub struct RulePlan {
     pub head_kind: HeadKind,
     /// Body steps in execution order.
     pub steps: Vec<Step>,
+    /// Per step, the index in the rule body of the literal it runs
+    /// (parallel to `steps`).
+    pub literals: Vec<usize>,
     /// Positions (into `steps`) of positive relation literals, paired with
     /// their predicate — the candidates for semi-naive delta restriction.
     pub scan_steps: Vec<(usize, Symbol)>,
@@ -138,6 +141,7 @@ impl Clone for RulePlan {
             head: self.head.clone(),
             head_kind: self.head_kind.clone(),
             steps: self.steps.clone(),
+            literals: self.literals.clone(),
             scan_steps: self.scan_steps.clone(),
             exist_from: self.exist_from,
             est_rows: self.est_rows.clone(),
@@ -189,6 +193,7 @@ impl RulePlan {
         let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
         let mut bound: FastSet<Var> = FastSet::default();
         let mut steps = Vec::with_capacity(rule.body.len());
+        let mut literals = Vec::with_capacity(rule.body.len());
         let mut est_rows = Vec::with_capacity(rule.body.len());
 
         if let Some(li) = force_first {
@@ -199,6 +204,7 @@ impl RulePlan {
             );
             remaining.retain(|&x| x != li);
             steps.push(emit_step(lit, &mut bound));
+            literals.push(li);
             est_rows.push(-1.0); // restricted to a delta range at run time
         }
 
@@ -282,6 +288,7 @@ impl RulePlan {
                 -1.0
             };
             steps.push(emit_step(lit, &mut bound));
+            literals.push(li);
             est_rows.push(est);
         }
 
@@ -299,6 +306,7 @@ impl RulePlan {
             head_kind,
             exist_from: compute_exist_from(&rule.head, &steps),
             steps,
+            literals,
             scan_steps,
             est_rows,
             ram: std::sync::OnceLock::new(),
@@ -310,6 +318,33 @@ impl RulePlan {
         self.ram
             .get_or_init(|| std::sync::Arc::new(crate::ram::lower(self)))
             .clone()
+    }
+
+    /// The body literal step `i` reads in full — an unindexed positive
+    /// scan — if it is one.
+    pub(crate) fn full_scan_at(&self, i: usize) -> Option<usize> {
+        match self.steps.get(i)? {
+            Step::Scan { index_cols, .. } if index_cols.is_empty() => Some(self.literals[i]),
+            _ => None,
+        }
+    }
+
+    /// Does this delta-first variant read, at a step after its first, a
+    /// body literal in full that `full` — the same rule's full plan —
+    /// starts by scanning? Run as a delta pass, it would then read that
+    /// relation once per delta tuple; the delta loop runs `full` in place
+    /// instead (`PlanCache::delta_pass` in [`crate::fixpoint`]).
+    pub fn rescans_first_scan_of(&self, full: &RulePlan) -> bool {
+        full.full_scan_at(0)
+            .is_some_and(|j| (1..self.steps.len()).any(|i| self.full_scan_at(i) == Some(j)))
+    }
+
+    /// The step that runs body literal `li`.
+    pub(crate) fn step_of(&self, li: usize) -> usize {
+        self.literals
+            .iter()
+            .position(|&l| l == li)
+            .expect("every body literal has a step")
     }
 
     /// The (predicate, index columns) pairs this plan probes — the indexes

@@ -393,6 +393,23 @@ fn big_set_patterns() {
     }
 }
 
+/// `partition(S, S1, S2)` with `S` and `S1` bound is a check, so it answers
+/// over a set too large to enumerate: at 21 elements, one past the
+/// generative mode's cap, it used to panic although `S1` was bound.
+#[test]
+fn partition_with_a_bound_part_takes_large_sets() {
+    let whole: Vec<i64> = (1..=21).collect();
+    let program = parse_program("q(S2) <- pair(S, S1), partition(S, S1, S2).").unwrap();
+    let mut edb = Database::new();
+    edb.insert_tuple("pair", vec![set(&whole), set(&whole[..5])]);
+    // Not a part of S: no solution.
+    edb.insert_tuple("pair", vec![set(&whole), set(&[0, 1])]);
+    let ev = Evaluator::new();
+    let m = evaluate(&ev, &program, &edb);
+    assert_eq!(ev.facts(&m, "q").len(), 1);
+    assert!(m.contains(&Fact::new("q", vec![set(&whole[5..])])));
+}
+
 /// `explain_query` names the arm `query` takes: the probe of an index the
 /// database already has, the id-filtered scan when none covers the ground
 /// columns (with the indexes there are), the plain scan.

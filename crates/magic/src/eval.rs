@@ -23,6 +23,10 @@
 //! round ([`full_round`]). Plans come from a statistics-free
 //! [`PlanCache`]: the rewriting already put every body in sip order, and a
 //! delta-first variant orders the rest by bound arguments, as the sip does.
+//! Where that variant would still scan a magic set once per delta tuple —
+//! the delta binds nothing the guard is indexed by, as in the bill of
+//! materials' `partition` rules — the delta loop runs the sip-ordered full
+//! plan in place, with the delta range on the delta literal's step.
 //!
 //! Soundness of applying a guarded rule at a base fixpoint: a magic tuple's
 //! downward closure (all magic tuples it implies, and all ordinary facts
@@ -132,10 +136,12 @@ impl MagicEvaluator {
         // `adorn_rule` emits every rewritten body in sip order (§6), and the
         // statistics-free planner orders a body by the sip's own rule —
         // bound arguments first, ties in source order — so the plan follows
-        // the sip, delta-first variants included. (With statistics
-        // the cost model ranks `partition` in its set-constructing mode
-        // above the magic-predicate scan that would have made it a check,
-        // and every junk union is interned for the life of the process.)
+        // the sip, delta-first variants included; a variant that would
+        // rescan the magic set per delta tuple gives way to the full plan
+        // run in place. (With statistics the cost model ranks `partition`
+        // in its set-constructing mode above the magic-predicate scan whose
+        // binding makes it a check, and every junk split is interned for
+        // the life of the process.)
         let mut cache = PlanCache::source_order();
         // Every rule head is a delta predicate — guarded heads too, since
         // base rules consume what guarded rules produce. The one frontier

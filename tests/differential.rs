@@ -286,10 +286,13 @@ fn magic_evaluation_matches_plain_on_bound_queries() {
 /// Also counted: bound queries whose rewrite reuses an earlier positive
 /// literal's adornment for a negated one. The generator's only negated IDB
 /// literal, `~p(Y, X)` after `p(X, Y)`, swaps the bound term, so none does;
-/// `tests/magic.rs` holds the hand-written case.
+/// `tests/magic.rs` holds the hand-written case. And magic-arm queries
+/// whose rewrite has a delta pass that runs its rule's full plan in place
+/// (the bill of materials' `partition` rules are the hand-written case).
 #[test]
 fn query_arms_match_reference_model() {
     let (magic_arm, reused) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    let in_place = std::cell::Cell::new(0);
     cases_shrink(208, 12, |rng: &mut Rng, size: u32| {
         let case = stratified_case(rng, size);
         let (program, edb) = (program_of(&case), edb_of(&case));
@@ -308,6 +311,8 @@ fn query_arms_match_reference_model() {
             let arm = sys.explain_query(q).unwrap();
             if arm.contains(": magic ") {
                 magic_arm.set(magic_arm.get() + 1);
+                let mp = MagicEvaluator::compile(&program, &atom).unwrap();
+                in_place.set(in_place.get() + usize::from(runs_a_pass_in_place(&mp.program)));
             }
             for _ in 0..asks {
                 assert_eq!(sys.query(q).unwrap(), expected, "{q} via {arm}");
@@ -334,9 +339,52 @@ fn query_arms_match_reference_model() {
         reused.set(reused.get() + usize::from(adorned.negations_reused > 0));
     });
     eprintln!(
-        "query arms: {} of 208 bound queries took the magic arm, {} reused a negated adornment",
+        "query arms: {} of 208 bound queries took the magic arm, {} reused a negated adornment, \
+         {} ran a delta pass in place",
         magic_arm.get(),
-        reused.get()
+        reused.get(),
+        in_place.get()
     );
     assert!(magic_arm.get() > 0, "no bound query took the magic arm");
+    let bom = ldl1::parser::parse_program(
+        "tc({X}, C) <- q(X, C).\n\
+         tc(S, C) <- partition(S, S1, S2), S1 /= {}, S2 /= {}, tc(S1, C1), tc(S2, C2), +(C1, C2, C).",
+    )
+    .unwrap();
+    let tc = ldl1::parser::parse_atom("tc({1, 2}, C)").unwrap();
+    let mp = MagicEvaluator::compile(&bom, &tc).unwrap();
+    assert!(runs_a_pass_in_place(&mp.program), "{}", mp.program);
+}
+
+/// Does a delta pass of the magic-rewritten `program` run its rule's full
+/// plan in place? The magic evaluator's delta passes are the positive
+/// literals over rule heads in its base rules — no grouping head, no
+/// negated relation literal — planned without statistics; one runs in
+/// place when its delta-first variant rescans what the full plan scans
+/// first.
+fn runs_a_pass_in_place(program: &Program) -> bool {
+    use ldl1::ast::program::Builtin;
+    use ldl1::eval::plan::RulePlan;
+    let heads: std::collections::HashSet<_> = program.rules.iter().map(|r| r.head.pred).collect();
+    program
+        .rules
+        .iter()
+        .filter(|rule| {
+            rule.head.simple_group_positions().is_empty()
+                && rule
+                    .body
+                    .iter()
+                    .all(|l| l.positive || Builtin::resolve(l.atom.pred, l.atom.arity()).is_some())
+        })
+        .any(|rule| {
+            let full = RulePlan::compile(rule, None, None).unwrap();
+            (0..rule.body.len()).any(|occ| {
+                let l = &rule.body[occ];
+                l.positive
+                    && heads.contains(&l.atom.pred)
+                    && RulePlan::compile(rule, None, Some(occ))
+                        .unwrap()
+                        .rescans_first_scan_of(&full)
+            })
+        })
 }

@@ -293,6 +293,46 @@ fn negated_literal_probes_the_positive_literals_relation() {
     );
 }
 
+/// §1's bill of materials through §6 on a cold system: a binary part tree
+/// of depth 7 (128 priced leaves), and `result(1, C)` answers the sum of the
+/// leaf prices. The delta passes of the two `partition` rules used to scan
+/// the whole magic set once per delta tuple, and `partition` enumerated
+/// every split of a set whose first part was bound: this took ~95 ms in
+/// release and grew 4× per level (EXPERIMENTS.md P4).
+#[test]
+fn bill_of_materials_depth_7_answers_the_leaf_price_sum() {
+    const BOM: &str = "part(P, <S>) <- p(P, S).\n\
+                       tc({X}, C) <- q(X, C).\n\
+                       tc({X}, C) <- part(X, S), tc(S, C).\n\
+                       tc(S, C) <- partition(S, S1, S2), S1 /= {}, S2 /= {}, \
+                                   tc(S1, C1), tc(S2, C2), +(C1, C2, C).\n\
+                       result(X, C) <- tc({X}, C).";
+    let mut sys = System::new();
+    sys.load(BOM).unwrap();
+    let mut batch = sys.mutate();
+    let mut total = 0;
+    // Heap numbering: part i has children 2i and 2i + 1; depth 7 ends at
+    // the leaves 128..=255.
+    for part in 1..128 {
+        for child in [2 * part, 2 * part + 1] {
+            batch.assert("p", vec![Value::int(part), Value::int(child)]);
+        }
+    }
+    for leaf in 128..256 {
+        let price = leaf % 97 + 1;
+        total += price;
+        batch.assert("q", vec![Value::int(leaf), Value::int(price)]);
+    }
+    batch.commit().unwrap();
+    assert!(sys
+        .explain_query("result(1, C)")
+        .unwrap()
+        .contains(": magic "));
+    let answers = sys.query("result(1, C)").unwrap();
+    assert_eq!(answers.len(), 1, "{answers:?}");
+    assert_eq!(answers[0].bindings[0].1, Value::int(total));
+}
+
 /// The cold path end to end: a 2 000-chain forest, one bound `anc(0, Y)`
 /// on a system that has never evaluated. The §6 arm derives the ten-node
 /// cone of chain 0 — under 1 % of what the model holds — and caches
