@@ -17,6 +17,7 @@
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
+use ldl1::stratify::LayerSchedule;
 use ldl1::{Budget, CancelToken, Stratification, System};
 
 const HELP: &str = "\
@@ -25,7 +26,8 @@ Commands:
   :help               this message
   :load FILE          load a program file (rules, facts, ?- queries)
   :program            show the compiled core-LDL1 program
-  :strata             show the layering of the current program
+  :strata             show the layering of the current program, each layer's
+                      rules in the order they run
   :facts PRED         list the model's facts for one predicate
   :retract FACT.      remove a stored fact (the model is maintained
                       differentially — delete-rederive / replay)
@@ -329,13 +331,8 @@ fn command(sys: &mut System, cmd: &str) -> bool {
         ":program" => print!("{}", sys.program()),
         ":strata" => match Stratification::canonical(sys.program()) {
             Ok(s) => {
-                let mut by_layer: Vec<Vec<String>> = vec![Vec::new(); s.num_layers()];
-                for (p, &l) in &s.layer_of {
-                    by_layer[l].push(p.to_string());
-                }
-                for (l, preds) in by_layer.iter_mut().enumerate() {
-                    preds.sort();
-                    println!("layer {l}: {}", preds.join(", "));
+                for (l, layer) in s.schedule.iter().enumerate() {
+                    println!("layer {l}: {}", run_order(sys.program(), layer));
                 }
             }
             Err(e) => eprintln!("error: {e}"),
@@ -430,6 +427,32 @@ fn command(sys: &mut System, cmd: &str) -> bool {
         other => eprintln!("unknown command {other}; try :help"),
     }
     true
+}
+
+/// One layer as the engine runs it: `{part} (grouping) → {tc} (recursive) →
+/// {result}` — its grouping heads in one round, then each component's
+/// heads to their fixpoint, dependency-first.
+fn run_order(program: &ldl1::Program, layer: &LayerSchedule) -> String {
+    fn heads(preds: impl Iterator<Item = ldl1::Symbol>) -> String {
+        let mut names: Vec<String> = preds.map(|p| p.to_string()).collect();
+        names.sort();
+        names.dedup();
+        format!("{{{}}}", names.join(", "))
+    }
+    let mut steps = Vec::new();
+    if !layer.grouping.is_empty() {
+        let preds = layer.grouping.iter().map(|&ri| program.rules[ri].head.pred);
+        steps.push(format!("{} (grouping)", heads(preds)));
+    }
+    for c in &layer.components {
+        let mark = if c.recursive { " (recursive)" } else { "" };
+        steps.push(format!("{}{mark}", heads(c.preds.iter().copied())));
+    }
+    if steps.is_empty() {
+        "(no rules)".into()
+    } else {
+        steps.join(" → ")
+    }
 }
 
 /// Handle one source statement: a query or program text.

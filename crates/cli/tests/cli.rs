@@ -176,3 +176,37 @@ fn cold_bound_query_takes_the_magic_arm() {
         "{stdout}"
     );
 }
+
+/// `:strata` prints each layer in the order the engine runs it: grouping
+/// heads first, then one component at a time, dependency-first, whatever
+/// order the rules were written in.
+#[test]
+fn strata_shows_the_run_order() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut repl = Command::new(env!("CARGO_BIN_EXE_ldl1"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ldl1 binary runs");
+    repl.stdin
+        .take()
+        .unwrap()
+        .write_all(
+            b"far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > 2.\n\
+              anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+              big(P) <- kids(P, S), card(S, N), N > 1.\n\
+              kids(P, <K>) <- par(P, K).\n\
+              :strata\n\
+              :quit\n",
+        )
+        .unwrap();
+    let out = repl.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("layer 0: {anc} (recursive) → {far}\nlayer 1: {kids} (grouping) → {big}\n"),
+        "{stdout}"
+    );
+}

@@ -224,13 +224,14 @@ fn arith_i64(op: ArithOp, x: i64, y: i64) -> Option<i64> {
 /// intermediate*: the win that makes compiled arithmetic filters fast — the
 /// interpreter's `eval_ids` hashes every partial sum through the intern
 /// table. `None` exactly when the interpreted evaluation would be `None` or
-/// a non-integer: a non-`Int` register/constant, an arithmetic failure, or
-/// a shape (compound, set) that can only evaluate to a non-integer.
+/// a non-integer: a non-`Int` register, a non-integer constant, an
+/// arithmetic failure, or a shape (compound, set) that can only evaluate to
+/// a non-integer. An integer constant was decoded when it was lowered.
 fn eval_num(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
     use crate::ram::Expr;
     match e {
         Expr::Reg(r) => as_int(regs[*r as usize]),
-        Expr::Const(v) => as_int(*v),
+        Expr::Int(_, n) => Some(*n),
         Expr::Arith(op, l, r) => arith_i64(*op, eval_num(l, regs)?, eval_num(r, regs)?),
         _ => None,
     }

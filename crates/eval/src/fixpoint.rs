@@ -20,8 +20,9 @@
 //!   occurrence as step 0 — unless that variant would scan a relation in
 //!   full once per delta tuple, when it is the full plan run in place with
 //!   the delta range on the occurrence's step (`PlanCache::delta_pass`).
-//!   Its callers differ only in the frontier they hand it: a cold layer
-//!   (after one full round), the maintenance sweep's insertion delta and
+//!   Its callers differ only in the frontier they hand it: a cold
+//!   component of a layer (after one full round; [`evaluate`] runs them
+//!   dependency-first), the maintenance sweep's insertion delta and
 //!   DRed's overdelete and rederive phases ([`crate::retract`]), and the
 //!   magic-set evaluator's staged schedule.
 //! * a [`Drive`] carries what one operation's rounds share.
@@ -32,7 +33,7 @@ use ldl_ast::program::{Builtin, Program};
 use ldl_ast::rule::Rule;
 use ldl_storage::Database;
 use ldl_stratify::Stratification;
-use ldl_value::fxhash::{FastMap, FastSet};
+use ldl_value::fxhash::FastMap;
 use ldl_value::{Symbol, ValueId};
 
 use crate::bindings::Bindings;
@@ -65,45 +66,6 @@ impl<'a> Drive<'a> {
             opts,
             stats,
             meter: BudgetMeter::new(&opts.budget),
-        }
-    }
-}
-
-/// One layer's rules, split the way Lemma 3.2.3 executes them. Rules are
-/// kept as program indices — the compiled plans live in the [`PlanCache`],
-/// which can re-cost them as the database grows.
-pub(crate) struct LayerSplit {
-    /// Grouping-head rules (run once, up front).
-    pub grouping: Vec<usize>,
-    /// Simple-head rules (run to fixpoint).
-    pub rest: Vec<usize>,
-    /// Head predicates of the fixpoint rules — the semi-naive deltas.
-    pub preds: FastSet<Symbol>,
-}
-
-impl LayerSplit {
-    pub(crate) fn classify(program: &Program, rule_ids: &[usize]) -> LayerSplit {
-        let mut grouping = Vec::new();
-        let mut rest = Vec::new();
-        let mut preds: FastSet<Symbol> = FastSet::default();
-        for &ri in rule_ids {
-            let rule = &program.rules[ri];
-            // Predicates defined by *fixpoint* rules in this layer are the
-            // ones whose deltas drive semi-naive iteration. Grouping heads
-            // are excluded: they are computed once, up front. (A malformed
-            // multi-grouping head classifies as grouping and fails with a
-            // diagnostic when its plan is compiled.)
-            if rule.head.simple_group_positions().is_empty() {
-                preds.insert(rule.head.pred);
-                rest.push(ri);
-            } else {
-                grouping.push(ri);
-            }
-        }
-        LayerSplit {
-            grouping,
-            rest,
-            preds,
         }
     }
 }
@@ -352,7 +314,7 @@ pub(crate) fn evaluate_layers(
 ) -> Result<(), EvalError> {
     let mut cache = PlanCache::default();
     for (k, layer_rules) in strat.rules_by_layer.iter().enumerate().skip(from) {
-        let split = LayerSplit::classify(program, layer_rules);
+        let layer = &strat.schedule[k];
         drive.meter.set_context(
             k,
             layer_rules.first().map(|&ri| program.rules[ri].head.pred),
@@ -363,15 +325,19 @@ pub(crate) fn evaluate_layers(
         // Admissibility (§3.1 clause 2) puts every grouping body predicate
         // strictly below this layer, so the grouping rules cannot observe
         // each other's heads — one round, merged in rule order.
-        full_round(program, &split.grouping, &mut cache, db, drive)?;
+        full_round(program, &layer.grouping, &mut cache, db, drive)?;
 
-        // Then the remaining rules to fixpoint, semi-naive: a full round 0
+        // Then each component to its fixpoint, dependency-first, so a rule
+        // reading a lower component runs once that component is complete
+        // rather than once per round of it. Semi-naive: a full round 0
         // covers every tuple below the pre-round marks, the delta loop
-        // everything above them (nothing, in a non-recursive layer: its one
-        // round is its fixpoint).
-        let mut frontier = frontier_at(db, split.preds.iter().copied());
-        full_round(program, &split.rest, &mut cache, db, drive)?;
-        delta_loop(program, &split.rest, &mut cache, db, &mut frontier, drive)?;
+        // everything above them (nothing, in a non-recursive component: no
+        // body literal reads a delta, and its one round is its fixpoint).
+        for comp in &layer.components {
+            let mut frontier = frontier_at(db, comp.preds.iter().copied());
+            full_round(program, &comp.rules, &mut cache, db, drive)?;
+            delta_loop(program, &comp.rules, &mut cache, db, &mut frontier, drive)?;
+        }
     }
     Ok(())
 }
@@ -672,6 +638,7 @@ pub(crate) fn len_of(db: &Database, p: Symbol) -> usize {
 mod tests {
     use super::*;
     use ldl_parser::parse_program;
+    use ldl_value::fxhash::FastSet;
 
     /// The pass `delta_loop` schedules for every delta occurrence of
     /// `rules` (every positive literal over a rule head, in a rule without a

@@ -32,7 +32,9 @@
 //! no head or grouping variable can be bound ([`RulePlan::exist_from`]).
 //! From that point every body solution projects to the same head tuple, so
 //! execution switches to a semi-join existence check that stops at the
-//! first witness instead of enumerating all matches.
+//! first witness instead of enumerating all matches. A tail of checks alone
+//! (comparisons, negation, ground built-ins) has at most one witness, so it
+//! is no tail.
 
 use std::cell::Cell;
 
@@ -121,7 +123,8 @@ pub struct RulePlan {
     /// head (or grouping) variable, so for each prefix solution the head
     /// tuple is already fully determined and execution stops at the first
     /// witness instead of enumerating every remaining match. `steps.len()`
-    /// means no tail.
+    /// means no tail — also where the steps after the head's last binding
+    /// are checks only, which have no second witness to skip.
     pub exist_from: usize,
     /// Estimated output cardinality per step at compile time, parallel to
     /// `steps`. `-1.0` where no estimate applies: built-ins, negation,
@@ -437,33 +440,48 @@ fn scan_estimate(db: Option<&Database>, pred: Symbol, cols: &[usize]) -> Option<
 /// head needs the very last step's bindings (or is never covered, which
 /// well-formedness rules out but an unchecked program may exhibit — the
 /// tail is then simply disabled).
+///
+/// `steps.len()` too when the tail is only checks: no relation scan and no
+/// built-in with an argument not yet ground. Such a tail yields at most one
+/// solution per prefix, so stopping at the first cuts nothing, and entering
+/// the tail costs a re-entry of the executor per prefix.
 fn compute_exist_from(head: &Atom, steps: &[Step]) -> usize {
     let needed = head.vars();
     let mut bound: FastSet<Var> = FastSet::default();
-    if needed.iter().all(|v| bound.contains(v)) {
-        return 0; // ground head: the whole body is one existence test
-    }
-    for (i, s) in steps.iter().enumerate() {
-        match s {
-            Step::Scan { args, .. }
-            | Step::BuiltinStep {
-                args,
-                negated: false,
-                ..
-            } => {
-                let mut vs = Vec::new();
-                for t in args {
-                    t.vars(&mut vs);
-                }
-                bound.extend(vs);
+    let mut from = 0; // a ground head: the whole body is one existence test
+    while !needed.iter().all(|v| bound.contains(v)) {
+        let Some(s) = steps.get(from) else {
+            return steps.len();
+        };
+        if let Step::Scan { args, .. }
+        | Step::BuiltinStep {
+            args,
+            negated: false,
+            ..
+        } = s
+        {
+            let mut vs = Vec::new();
+            for t in args {
+                t.vars(&mut vs);
             }
-            _ => {}
+            bound.extend(vs);
         }
-        if needed.iter().all(|v| bound.contains(v)) {
-            return i + 1;
-        }
+        from += 1;
     }
-    steps.len()
+    let generates = |s: &Step| match s {
+        Step::Scan { .. } => true,
+        Step::BuiltinStep {
+            args,
+            negated: false,
+            ..
+        } => !args.iter().all(|t| term_bound(t, &bound)),
+        Step::BuiltinStep { .. } | Step::NegScan { .. } => false,
+    };
+    if steps[from..].iter().any(generates) {
+        from
+    } else {
+        steps.len()
+    }
 }
 
 pub(crate) fn has_anon(t: &Term) -> bool {
@@ -810,6 +828,33 @@ mod tests {
         let full = crate::model::apply_rule(&plan, &db);
         assert_eq!(full.len(), 10);
         assert!(full.iter().all(|t| engine == [t.clone()]), "{engine:?}");
+    }
+
+    /// After the head's last binding, checks alone — a comparison, a
+    /// negation — have at most one witness, so the plan keeps no tail.
+    #[test]
+    fn a_tail_of_checks_is_no_tail() {
+        for rule in [
+            "far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > 1000.",
+            "q(X) <- r(X), ~p(X).",
+            "q(X) <- r(X, Y), Y > 2, ~p(Y, X).",
+        ] {
+            let p = plan_of(rule);
+            assert_eq!(p.exist_from, p.steps.len(), "{rule}");
+        }
+    }
+
+    /// A tail that scans a relation, or a built-in that binds a variable,
+    /// can have many witnesses and stops at the first.
+    #[test]
+    fn a_tail_that_generates_keeps_its_tail() {
+        for (rule, from) in [
+            ("busy(X) <- node(X), ~idle(X), anc(X, _).", 1),
+            ("q(X) <- r(X, S), member(Y, S).", 1),
+            ("q(X) <- r(X, S), member(Y, S), Y > 2.", 1),
+        ] {
+            assert_eq!(plan_of(rule).exist_from, from, "{rule}");
+        }
     }
 
     #[test]

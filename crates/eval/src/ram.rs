@@ -10,7 +10,8 @@
 //! a dense file of [`ValueId`] registers:
 //!
 //! * simple columns compile to `bind r` / `check r` / `const #id` actions
-//!   (constants are interned **once**, at lowering time);
+//!   (constants are interned **once**, at lowering time, and integer
+//!   constants decoded then too);
 //! * index probe keys compile to per-column `Expr`s evaluated straight
 //!   from registers;
 //! * all-ground negation compiles to expression evaluation plus one hash
@@ -38,7 +39,7 @@ use ldl_ast::term::{Term, Var};
 use ldl_value::arith::{ArithOp, CmpOp};
 use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::intern::{self, Node};
-use ldl_value::{Symbol, ValueId};
+use ldl_value::{Symbol, Value, ValueId};
 
 use crate::plan::{has_anon, term_bound, HeadKind, RulePlan, Step};
 
@@ -54,8 +55,11 @@ pub(crate) type Reg = u32;
 pub(crate) enum Expr {
     /// Read a register.
     Reg(Reg),
-    /// A constant, interned at lowering time.
+    /// A non-integer constant, interned at lowering time.
     Const(ValueId),
+    /// An integer constant: its id, and its value decoded at lowering time
+    /// so that native arithmetic reads no interner.
+    Int(ValueId, i64),
     /// `f(e₁, …, eₙ)`.
     Compound(Symbol, Box<[Expr]>),
     /// An enumerated set `{e₁, …, eₙ}`.
@@ -73,7 +77,7 @@ pub(crate) enum Expr {
 pub(crate) fn eval_expr(e: &Expr, regs: &[ValueId]) -> Option<ValueId> {
     match e {
         Expr::Reg(r) => Some(regs[*r as usize]),
-        Expr::Const(v) => Some(*v),
+        Expr::Const(v) | Expr::Int(v, _) => Some(*v),
         Expr::Compound(f, args) => {
             let ids: Option<Vec<ValueId>> = args.iter().map(|a| eval_expr(a, regs)).collect();
             Some(intern::mk_compound(*f, ids?))
@@ -319,6 +323,7 @@ fn lower_expr(t: &Term, regs: &mut FastMap<Var, Reg>, bound: &FastSet<Var>) -> E
             }
         }
         Term::Anon | Term::Group(_) => Expr::Fail,
+        Term::Const(v @ Value::Int(n)) => Expr::Int(intern::id_of(v), *n),
         Term::Const(v) => Expr::Const(intern::id_of(v)),
         Term::Compound(f, args) => Expr::Compound(
             *f,
@@ -663,7 +668,7 @@ pub(crate) fn render(prog: &RamProgram) -> Vec<String> {
     fn expr(e: &Expr) -> String {
         match e {
             Expr::Reg(r) => format!("r{r}"),
-            Expr::Const(v) => format!("{}", intern::resolve(*v)),
+            Expr::Const(v) | Expr::Int(v, _) => format!("{}", intern::resolve(*v)),
             Expr::Compound(f, args) => {
                 let inner: Vec<String> = args.iter().map(expr).collect();
                 format!("{f}({})", inner.join(", "))

@@ -46,7 +46,7 @@ use ldl_ast::program::{Builtin, Program};
 use ldl_ast::rule::Rule;
 use ldl_ast::term::Term;
 use ldl_storage::{Database, Relation};
-use ldl_stratify::{LayerSensitivity, Stratification};
+use ldl_stratify::{LayerSchedule, LayerSensitivity, Stratification};
 use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::{Fact, Symbol, ValueId};
 
@@ -57,9 +57,33 @@ use crate::engine::EvalOptions;
 use crate::error::EvalError;
 use crate::fixpoint::{
     delta_loop, ensure_head_relations, evaluate_layers, frontier_at, len_of, DeltaFrontier, Drive,
-    LayerSplit, PlanCache,
+    PlanCache,
 };
 use crate::stats::EvalStats;
+
+/// One layer's rules as maintenance reads them: the whole layer at once,
+/// not component by component as a cold evaluation runs it.
+struct LayerSplit {
+    /// Grouping-head rules.
+    grouping: Vec<usize>,
+    /// The other rules, in program order.
+    rest: Vec<usize>,
+    /// Head predicates of `rest`: the semi-naive deltas.
+    preds: FastSet<Symbol>,
+}
+
+impl LayerSplit {
+    fn of(layer: &LayerSchedule) -> LayerSplit {
+        let comps = || layer.components.iter();
+        let mut rest: Vec<usize> = comps().flat_map(|c| c.rules.iter().copied()).collect();
+        rest.sort_unstable();
+        LayerSplit {
+            grouping: layer.grouping.clone(),
+            rest,
+            preds: comps().flat_map(|c| c.preds.iter().copied()).collect(),
+        }
+    }
+}
 
 /// Apply a net mutation batch — `retractions` and `assertions`, both
 /// already validated and deduplicated by the caller — to an evaluated
@@ -186,7 +210,7 @@ fn sweep(
         // and a rule head DRed cannot anchor its rederive join on (see
         // `rederive_compatible`) leaves nothing to guard with.
         drive.meter.set_context(k, layer_rules.first().map(head_of));
-        let split = LayerSplit::classify(program, layer_rules);
+        let split = LayerSplit::of(&strat.schedule[k]);
         if flipped
             || split
                 .grouping
@@ -1289,6 +1313,33 @@ mod tests {
         assert!(stats.strata_replayed < strat.num_layers() as u64 || strat.num_layers() == 1);
         assert!(!db.contains(&Fact::new("iso", vec![Value::int(3)])));
         assert_eq!(db.to_fact_set(), full(&program, &edb).to_fact_set());
+    }
+
+    /// Replay re-runs a layer as a cold evaluation does, one component at a
+    /// time: `anc` to its fixpoint, then `far`. `~blocked` lifts both above
+    /// `src`, and `far` reads `src` under negation, so a node losing its
+    /// only edge replays the layer.
+    #[test]
+    fn replay_runs_a_multi_component_layer() {
+        let src = "src(X) <- par(X, _).\n\
+                   anc(X, Y) <- par(X, Y), ~blocked(X, Y).\n\
+                   anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+                   far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > 2, ~src(Y).";
+        let chain: [&[i64]; 6] = [&[0, 1], &[1, 2], &[2, 3], &[3, 4], &[4, 5], &[5, 6]];
+        let mut case = setup(src, &ints("par", &chain));
+        let layer = &case.1.schedule[case.1.layer(Symbol::intern("far"))];
+        let comps: Vec<(Vec<usize>, bool)> = layer
+            .components
+            .iter()
+            .map(|c| (c.rules.clone(), c.recursive))
+            .collect();
+        assert_eq!(comps, [(vec![1, 2], true), (vec![3], false)]);
+        assert!(holds(&case, "far", vec![Value::int(0), Value::int(6)]));
+
+        let stats = mutate_vs_reference(&mut case, &ints("par", &[&[3, 4]]), &[]);
+        assert_eq!(stats.strata_replayed, 1);
+        assert!(holds(&case, "far", vec![Value::int(0), Value::int(3)]));
+        assert!(!holds(&case, "far", vec![Value::int(0), Value::int(6)]));
     }
 
     #[test]

@@ -6,7 +6,8 @@ use ldl_eval::plan::{DeltaRestriction, RulePlan};
 use ldl_eval::{reference_model, EvalOptions, EvalStats, Evaluator};
 use ldl_parser::{parse_program, parse_rule};
 use ldl_storage::Database;
-use ldl_value::{intern, Value};
+use ldl_stratify::Stratification;
+use ldl_value::{intern, Fact, Value};
 
 /// Run `rule` once over `db` — one round of one pass — with one scan step
 /// confined to a delta range, returning the head relation's (unary) tuples
@@ -170,4 +171,78 @@ fn cold_non_recursive_layer_takes_its_existential_cuts() {
     let closure = chains * len * (len + 1) / 2;
     assert_eq!(stats.attempts as i64, closure + busy);
     assert_eq!(stats.exist_cuts as i64, busy);
+}
+
+/// A layer runs its components in dependency order. `far` shares `anc`'s
+/// layer without being recursive, so it waits for `anc` to converge and
+/// then fires once — one rule, one round — instead of joining `anc`'s
+/// deltas in each of its rounds.
+#[test]
+fn non_recursive_component_fires_once_after_the_closure() {
+    let anc = "anc(X, Y) <- par(X, Y).\n\
+               anc(X, Y) <- par(X, Z), anc(Z, Y).\n";
+    let far = format!("{anc}far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > 250.");
+    let mut edb = Database::new(); // a 40-edge chain, stride 10
+    for i in 0..40 {
+        edb.insert_tuple("par", vec![Value::int(10 * i), Value::int(10 * i + 10)]);
+    }
+    let ev = Evaluator::new();
+    let (_, alone) = ev
+        .evaluate_stats(&parse_program(anc).unwrap(), &edb)
+        .unwrap();
+    let program = parse_program(&far).unwrap();
+    let (m, stats) = ev.evaluate_stats(&program, &edb).unwrap();
+    assert_eq!(
+        (stats.rules_fired, stats.rounds),
+        (alone.rules_fired + 1, alone.rounds + 1)
+    );
+    // Fired once, it saw the whole closure: every pair more than 25 edges
+    // apart, so Σ_{d=26}^{40} (41 − d).
+    assert_eq!(m.relation("far".into()).unwrap().len(), 120);
+    let reference = reference_model(&program, &edb).unwrap();
+    assert_eq!(m.to_fact_set(), reference.to_fact_set());
+}
+
+/// One layer holding a grouping head, a three-rule non-recursive chain
+/// written in reverse dependency order, and a recursive pair: the engine
+/// agrees with the reference under the canonical layering (one layer, run
+/// component by component) and the fine one (a layer per component).
+#[test]
+fn mixed_layer_matches_the_reference_under_both_layerings() {
+    let program = parse_program(
+        "c(X) <- b(X), node(X).\n\
+         b(X) <- a(X).\n\
+         a(P) <- kids(P, S), card(S, N), N >= 2.\n\
+         kids(P, <K>) <- par(P, K).\n\
+         ev(X) <- c(X).\n\
+         od(Y) <- ev(X), par(X, Y).\n\
+         ev(Y) <- od(X), par(X, Y).",
+    )
+    .unwrap();
+    let canon = Stratification::canonical(&program).unwrap();
+    let layer = &canon.schedule[canon.layer("kids".into())];
+    assert_eq!(layer.grouping, [3]);
+    let order: Vec<(Vec<usize>, bool)> = layer
+        .components
+        .iter()
+        .map(|c| (c.rules.clone(), c.recursive))
+        .collect();
+    let want = [(2, false), (1, false), (0, false)].map(|(r, rec)| (vec![r], rec));
+    assert_eq!(order[..3], want);
+    assert_eq!(order[3], (vec![4, 5, 6], true));
+
+    let mut edb = Database::new();
+    for (p, k) in [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 6), (4, 7)] {
+        edb.insert_tuple("par", vec![Value::int(p), Value::int(k)]);
+    }
+    for n in 0..8 {
+        edb.insert_tuple("node", vec![Value::int(n)]);
+    }
+    let reference = reference_model(&program, &edb).unwrap().to_fact_set();
+    let ev = Evaluator::new();
+    for strat in [canon.clone(), Stratification::fine(&program).unwrap()] {
+        let m = ev.evaluate_with(&program, &edb, &strat).unwrap();
+        assert_eq!(m.to_fact_set(), reference);
+    }
+    assert!(reference.contains(&Fact::new("od", vec![Value::int(6)])));
 }

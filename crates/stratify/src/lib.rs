@@ -67,6 +67,34 @@ pub struct Stratification {
     pub layer_of: FastMap<Symbol, usize>,
     /// Rule indices (into `program.rules`) per layer.
     pub rules_by_layer: Vec<Vec<usize>>,
+    /// The order each layer's rules run in, per layer.
+    pub schedule: Vec<LayerSchedule>,
+}
+
+/// The order one layer's rules run in. Lemma 3.2.3 runs the grouping rules
+/// first, once. The remaining rules run one strongly connected component of
+/// the dependency graph at a time, each to its fixpoint, dependency-first.
+/// Theorem 2 makes that sound: splitting the layer into one layer per
+/// component is a valid layering too, and every layering has the same model.
+#[derive(Clone, Debug, Default)]
+pub struct LayerSchedule {
+    /// Rules with a `<X>` head argument, in program order. A malformed
+    /// multi-grouping head is one of them; it fails with a diagnostic when
+    /// its plan is compiled.
+    pub grouping: Vec<usize>,
+    /// The remaining rules, one entry per component, dependency-first.
+    pub components: Vec<Component>,
+}
+
+/// The simple-head rules of one strongly connected component.
+#[derive(Clone, Debug)]
+pub struct Component {
+    /// Their head predicates, in first-rule order: the semi-naive deltas.
+    pub preds: Vec<Symbol>,
+    /// Rule indices (into `program.rules`), in program order.
+    pub rules: Vec<usize>,
+    /// Does a rule read one of `preds`, so that the fixpoint loops?
+    pub recursive: bool,
 }
 
 impl Stratification {
@@ -130,13 +158,46 @@ impl Stratification {
             }
         }
         let mut rules_by_layer = vec![Vec::new(); max_layer + 1];
+        let mut schedule = vec![LayerSchedule::default(); max_layer + 1];
+        let mut comp_rules: Vec<Vec<usize>> = vec![Vec::new(); sccs.components.len()];
         for (i, r) in program.rules.iter().enumerate() {
-            let l = layer_of.get(&r.head.pred).copied().unwrap_or(0);
+            let l = layer_of[&r.head.pred];
             rules_by_layer[l].push(i);
+            if r.head.simple_group_positions().is_empty() {
+                comp_rules[sccs.comp_of[&r.head.pred]].push(i);
+            } else {
+                schedule[l].grouping.push(i);
+            }
+        }
+        // Component indices are dependency-first, so pushing them in index
+        // order keeps every layer's list dependency-first.
+        for (ci, rules) in comp_rules.into_iter().enumerate() {
+            if rules.is_empty() {
+                continue;
+            }
+            let mut preds: Vec<Symbol> = Vec::new();
+            for &ri in &rules {
+                let p = program.rules[ri].head.pred;
+                if !preds.contains(&p) {
+                    preds.push(p);
+                }
+            }
+            let recursive = rules.iter().any(|&ri| {
+                program.rules[ri].body.iter().any(|l| {
+                    Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
+                        && sccs.comp_of.get(&l.atom.pred) == Some(&ci)
+                })
+            });
+            schedule[scc_layer[ci]].components.push(Component {
+                preds,
+                rules,
+                recursive,
+            });
         }
         Stratification {
             layer_of,
             rules_by_layer,
+            schedule,
         }
     }
 

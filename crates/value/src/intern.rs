@@ -160,8 +160,11 @@ fn intern_node(node: Node) -> ValueId {
 #[inline]
 fn slot(id: ValueId) -> &'static Slot {
     let arena = arena();
-    let len = arena.len.load(Ordering::Acquire);
-    debug_assert!(id.0 < len, "ValueId {} out of bounds (len {len})", id.0);
+    #[cfg(debug_assertions)]
+    {
+        let len = arena.len.load(Ordering::Acquire);
+        assert!(id.0 < len, "ValueId {} out of bounds (len {len})", id.0);
+    }
     let (chunk, offset, _) = locate(id.0);
     let ptr = arena.chunks[chunk].load(Ordering::Acquire);
     // SAFETY: `id` was handed out by `intern_node`, which wrote the slot
