@@ -332,7 +332,7 @@ fn command(sys: &mut System, cmd: &str) -> bool {
         ":strata" => match Stratification::canonical(sys.program()) {
             Ok(s) => {
                 for (l, layer) in s.schedule.iter().enumerate() {
-                    println!("layer {l}: {}", run_order(sys.program(), layer));
+                    println!("layer {l}: {}", run_order(layer));
                 }
             }
             Err(e) => eprintln!("error: {e}"),
@@ -432,7 +432,7 @@ fn command(sys: &mut System, cmd: &str) -> bool {
 /// One layer as the engine runs it: `{part} (grouping) → {tc} (recursive) →
 /// {result}` — its grouping heads in one round, then each component's
 /// heads to their fixpoint, dependency-first.
-fn run_order(program: &ldl1::Program, layer: &LayerSchedule) -> String {
+fn run_order(layer: &LayerSchedule) -> String {
     fn heads(preds: impl Iterator<Item = ldl1::Symbol>) -> String {
         let mut names: Vec<String> = preds.map(|p| p.to_string()).collect();
         names.sort();
@@ -440,8 +440,8 @@ fn run_order(program: &ldl1::Program, layer: &LayerSchedule) -> String {
         format!("{{{}}}", names.join(", "))
     }
     let mut steps = Vec::new();
-    if !layer.grouping.is_empty() {
-        let preds = layer.grouping.iter().map(|&ri| program.rules[ri].head.pred);
+    if !layer.grouping.rules.is_empty() {
+        let preds = layer.grouping.preds.iter().copied();
         steps.push(format!("{} (grouping)", heads(preds)));
     }
     for c in &layer.components {

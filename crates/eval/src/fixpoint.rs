@@ -20,11 +20,11 @@
 //!   occurrence as step 0 — unless that variant would scan a relation in
 //!   full once per delta tuple, when it is the full plan run in place with
 //!   the delta range on the occurrence's step (`PlanCache::delta_pass`).
-//!   Its callers differ only in the frontier they hand it: a cold
-//!   component of a layer (after one full round; [`evaluate`] runs them
-//!   dependency-first), the maintenance sweep's insertion delta and
-//!   DRed's overdelete and rederive phases ([`crate::retract`]), and the
-//!   magic-set evaluator's staged schedule.
+//!   Its callers differ only in the frontier they hand it: a schedule
+//!   entry run cold (after one full round, `run_entry`: every entry of
+//!   [`evaluate`], and an entry the maintenance sweep replays), the sweep's
+//!   insertion delta and DRed's overdelete and rederive phases
+//!   ([`crate::retract`]), and the magic-set evaluator's staged schedule.
 //! * a [`Drive`] carries what one operation's rounds share.
 
 use std::sync::Arc;
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use ldl_ast::program::{Builtin, Program};
 use ldl_ast::rule::Rule;
 use ldl_storage::Database;
-use ldl_stratify::Stratification;
+use ldl_stratify::{Component, Stratification};
 use ldl_value::fxhash::FastMap;
 use ldl_value::{Symbol, ValueId};
 
@@ -286,7 +286,8 @@ fn body_epochs(rule: &Rule, db: &Database) -> Vec<u64> {
 }
 
 /// Evaluate `program` bottom-up over `edb` using the given layering,
-/// returning the extended database `Mₙ` (EDB plus all derived facts).
+/// returning the extended database `Mₙ` (EDB plus all derived facts): every
+/// entry of its schedule in turn, each to its fixpoint (`run_entry`).
 pub fn evaluate(
     program: &Program,
     edb: &Database,
@@ -295,51 +296,40 @@ pub fn evaluate(
     stats: &mut EvalStats,
 ) -> Result<Database, EvalError> {
     let mut db = edb.clone();
-    evaluate_layers(program, &mut db, strat, 0, &mut Drive::new(opts, stats))?;
+    let (mut cache, mut drive) = (PlanCache::default(), Drive::new(opts, stats));
+    for (layer, entry) in strat.entries() {
+        run_entry(program, layer, entry, &mut cache, &mut db, &mut drive)?;
+    }
     Ok(db)
 }
 
-/// Evaluate layers `from ..` of `program` in place over `db`, which must
-/// already contain the complete relations of every layer below `from`.
-/// This is both the body of [`evaluate`] (with `from = 0`) and the replay
-/// step of incremental maintenance (with `from = k` after the layers ≥ `k`
-/// have been truncated back to their EDB state, on the mutation batch's own
-/// [`Drive`] so the batch is metered as a whole).
-pub(crate) fn evaluate_layers(
+/// Run one schedule entry of `layer` to its fixpoint in place over `db`,
+/// which must already hold the complete relations of every entry before it
+/// — so a rule reading a lower component runs once that component is
+/// complete rather than once per round of it. This is both the body of
+/// [`evaluate`] and the replay arm of incremental maintenance, which runs
+/// it on the mutation batch's own [`Drive`] so the batch is metered as a
+/// whole.
+///
+/// Semi-naive: a full round 0 covers every tuple below the pre-round marks,
+/// the delta loop everything above them (nothing, in a non-recursive entry:
+/// no body literal reads a delta, and its one round is its fixpoint). A
+/// grouping rule runs in round 0 only — Lemma 3.2.3, once, over the lower
+/// layers: admissibility (§3.1 clause 2) puts its whole body strictly below
+/// this layer, so no delta reaches it.
+pub(crate) fn run_entry(
     program: &Program,
+    layer: usize,
+    entry: &Component,
+    cache: &mut PlanCache,
     db: &mut Database,
-    strat: &Stratification,
-    from: usize,
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
-    let mut cache = PlanCache::default();
-    for (k, layer_rules) in strat.rules_by_layer.iter().enumerate().skip(from) {
-        let layer = &strat.schedule[k];
-        drive.meter.set_context(
-            k,
-            layer_rules.first().map(|&ri| program.rules[ri].head.pred),
-        );
-        ensure_head_relations(program, layer_rules, db)?;
-
-        // Lemma 3.2.3: grouping rules first, once, over the lower layers.
-        // Admissibility (§3.1 clause 2) puts every grouping body predicate
-        // strictly below this layer, so the grouping rules cannot observe
-        // each other's heads — one round, merged in rule order.
-        full_round(program, &layer.grouping, &mut cache, db, drive)?;
-
-        // Then each component to its fixpoint, dependency-first, so a rule
-        // reading a lower component runs once that component is complete
-        // rather than once per round of it. Semi-naive: a full round 0
-        // covers every tuple below the pre-round marks, the delta loop
-        // everything above them (nothing, in a non-recursive component: no
-        // body literal reads a delta, and its one round is its fixpoint).
-        for comp in &layer.components {
-            let mut frontier = frontier_at(db, comp.preds.iter().copied());
-            full_round(program, &comp.rules, &mut cache, db, drive)?;
-            delta_loop(program, &comp.rules, &mut cache, db, &mut frontier, drive)?;
-        }
-    }
-    Ok(())
+    drive.meter.set_context(layer, entry.preds.first().copied());
+    ensure_head_relations(program, &entry.rules, db)?;
+    let mut frontier = frontier_at(db, entry.preds.iter().copied());
+    full_round(program, &entry.rules, cache, db, drive)?;
+    delta_loop(program, &entry.rules, cache, db, &mut frontier, drive)
 }
 
 /// One full round: every rule of `rule_ids` applied once, unrestricted, to

@@ -34,28 +34,33 @@ pub struct EvalStats {
     /// shared, so this only ever grows across operations and is combined by
     /// `max`, not `+`, in [`AddAssign`].
     pub interner_values: u64,
-    /// Strata evaluated from scratch (initial evaluation, or the replayed
-    /// suffix of an incremental update).
+    /// The four `strata_*` counters below count the *entries* an
+    /// incremental update's sweep visits, one arm each: an entry is one
+    /// strongly connected component, or one layer's grouping rules
+    /// (`ldl_stratify::Stratification::entries`). This one counts entries
+    /// replayed: re-evaluated from their heads' EDB rows, then diffed into
+    /// the model.
     pub strata_replayed: u64,
-    /// Strata updated by delta-restricted propagation only.
+    /// Entries updated by delta-restricted propagation.
     pub strata_delta: u64,
     // Always zero; declared only because `benchmark/src/stream.rs` names it.
     #[doc(hidden)]
     pub strata_counting: u64,
-    /// Strata whose deletions ran the DRed overdelete/rederive pass.
+    /// Entries whose deletions ran the DRed overdelete/rederive pass.
     pub strata_dred: u64,
     /// Facts removed from the model database by differential maintenance
-    /// (tombstoned EDB facts plus derived facts that lost their last
-    /// derivation), net of rederivations.
+    /// (tombstoned EDB facts, derived facts that lost their last
+    /// derivation net of rederivations, and rows a replay no longer
+    /// derives).
     pub facts_retracted: u64,
-    /// Strata skipped entirely because no changed predicate reaches them.
+    /// Entries skipped because no changed predicate reaches them.
     pub strata_skipped: u64,
     /// Publications to `ldl1::Reader`s that *replayed* the commit's change
     /// log onto the snapshot being replaced (the O(change) arm; `0` for a
     /// system without a reader, like the three counters below).
     pub publish_replays: u64,
     /// Changes those replays applied: rows appended, tombstoned or revived,
-    /// plus every row of a relation a replayed stratum rebuilt.
+    /// plus every row of a relation the commit created.
     pub publish_changes: u64,
     /// Publications that *cloned* the model instead.
     pub publish_clones: u64,
@@ -172,7 +177,7 @@ impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, strata replayed: {}, delta-updated: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}, published by replay: {} ({} changes), by clone: {} ({} snapshot still held, {} new model)",
+            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, entries replayed: {}, delta-updated: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}, published by replay: {} ({} changes), by clone: {} ({} snapshot still held, {} new model)",
             self.rules_fired,
             self.attempts,
             self.facts_derived,

@@ -221,7 +221,7 @@ fn mixed_layer_matches_the_reference_under_both_layerings() {
     .unwrap();
     let canon = Stratification::canonical(&program).unwrap();
     let layer = &canon.schedule[canon.layer("kids".into())];
-    assert_eq!(layer.grouping, [3]);
+    assert_eq!(layer.grouping.rules, [3]);
     let order: Vec<(Vec<usize>, bool)> = layer
         .components
         .iter()

@@ -231,10 +231,11 @@ impl From<ldl_eval::EvalError> for Error {
 /// [`Reader`], a query with nothing bound, or the second bound query (the
 /// first one runs §6 magic sets instead — see [`System::query`]). Once a
 /// model has been computed it is *maintained*: a committed batch is swept
-/// up the strata once — retractions run delete-rederive (DRed) maintenance
-/// per stratum, assertions seed the semi-naive machinery as the initial
-/// delta, and the strata neither applies to are replayed (see
-/// [`eval::retract`]) — instead of recomputing from scratch. Loading new
+/// once up the schedule cold evaluation runs, one component at a time —
+/// retractions run delete-rederive (DRed) maintenance, assertions seed the
+/// semi-naive machinery as the initial delta, and a component neither
+/// applies to is replayed alone (see [`eval::retract`]) — instead of
+/// recomputing from scratch. Loading new
 /// rules or changing the grouping semantics invalidates the cache.
 #[derive(Debug)]
 pub struct System {
@@ -277,13 +278,13 @@ impl Clone for System {
 }
 
 /// The evaluated model plus everything incremental maintenance needs to
-/// keep it current: the layering it was computed under and the per-layer
-/// read-sensitivity classification.
+/// keep it current: the layering it was computed under, whose schedule
+/// entries the commit sweep walks, and each entry's read sets.
 #[derive(Clone, Debug)]
 struct CachedModel {
     db: Database,
     strat: Stratification,
-    sens: Vec<ldl_stratify::LayerSensitivity>,
+    sens: Vec<ldl_stratify::Sensitivity>,
 }
 
 impl Default for System {
@@ -630,9 +631,9 @@ impl System {
     /// staged on the returned [`MutationBatch`] become visible all at once
     /// when it commits, and the cached model (if any) is brought from the
     /// old state to the new state in a single differential-maintenance
-    /// step — delta propagation or delete-rederive per stratum, replaying
-    /// only the strata where a change touches negation or grouping or a
-    /// deletion meets rule heads delete-rederive cannot anchor on.
+    /// step — delta propagation or delete-rederive per component, replaying
+    /// only the components where a change touches negation or grouping or
+    /// a deletion meets rule heads delete-rederive cannot maintain.
     pub fn mutate(&mut self) -> MutationBatch<'_> {
         MutationBatch {
             sys: self,
@@ -643,7 +644,8 @@ impl System {
     /// Work counters from the most recent evaluation — full, incremental,
     /// or the magic-set evaluation of a bound [`System::query`]. After an
     /// incremental commit, `strata_skipped` / `strata_delta` /
-    /// `strata_replayed` show how each stratum was maintained.
+    /// `strata_dred` / `strata_replayed` count the schedule entries (a
+    /// component, or a layer's grouping rules) each arm maintained.
     pub fn last_stats(&self) -> EvalStats {
         self.last_stats
     }
@@ -652,8 +654,8 @@ impl System {
     /// `ins` are the net, validated, disjoint deletion and insertion sets.
     ///
     /// With a cached model the batch goes through
-    /// [`eval::apply_mutations`]: delete-rederive (or replay) per stratum
-    /// for the deletions, delta propagation for the insertions.
+    /// [`eval::apply_mutations`]: delete-rederive (or replay) per schedule
+    /// entry for the deletions, delta propagation for the insertions.
     /// On any error — typically a tripped budget — the EDB is rewound to its
     /// rows, positions and liveness and the half-updated model is dropped;
     /// re-submitting the batch under a sufficient budget then produces the

@@ -71,23 +71,31 @@ pub struct Stratification {
     pub schedule: Vec<LayerSchedule>,
 }
 
-/// The order one layer's rules run in. Lemma 3.2.3 runs the grouping rules
-/// first, once. The remaining rules run one strongly connected component of
-/// the dependency graph at a time, each to its fixpoint, dependency-first.
-/// Theorem 2 makes that sound: splitting the layer into one layer per
-/// component is a valid layering too, and every layering has the same model.
+/// The order one layer's rules run in, as *entries*: the units cold
+/// evaluation runs to a fixpoint one after another and maintenance keeps
+/// one at a time. Lemma 3.2.3 runs the grouping rules first, once. The
+/// remaining rules run one strongly connected component of the dependency
+/// graph at a time, each to its fixpoint, dependency-first. Theorem 2 makes
+/// that sound: splitting the layer into one layer per entry is a valid
+/// layering too, and every layering has the same model.
 #[derive(Clone, Debug, Default)]
 pub struct LayerSchedule {
-    /// Rules with a `<X>` head argument, in program order. A malformed
+    /// Rules with a `<X>` head argument whose head no other rule defines,
+    /// in program order: one entry, never recursive. A malformed
     /// multi-grouping head is one of them; it fails with a diagnostic when
     /// its plan is compiled.
-    pub grouping: Vec<usize>,
-    /// The remaining rules, one entry per component, dependency-first.
+    pub grouping: Component,
+    /// The remaining rules, one entry per component, dependency-first. A
+    /// grouping rule whose head a simple rule also defines belongs to that
+    /// head's component: its body lies strictly below the layer, so it may
+    /// run anywhere in it, and the head's rows are then one entry's to
+    /// rebuild.
     pub components: Vec<Component>,
 }
 
-/// The simple-head rules of one strongly connected component.
-#[derive(Clone, Debug)]
+/// The rules of one schedule entry: a strongly connected component, or a
+/// layer's grouping rules.
+#[derive(Clone, Debug, Default)]
 pub struct Component {
     /// Their head predicates, in first-rule order: the semi-naive deltas.
     pub preds: Vec<Symbol>,
@@ -95,6 +103,27 @@ pub struct Component {
     pub rules: Vec<usize>,
     /// Does a rule read one of `preds`, so that the fixpoint loops?
     pub recursive: bool,
+}
+
+impl Component {
+    fn new(program: &Program, rules: Vec<usize>) -> Component {
+        let mut preds: Vec<Symbol> = Vec::new();
+        for &ri in &rules {
+            let p = program.rules[ri].head.pred;
+            if !preds.contains(&p) {
+                preds.push(p);
+            }
+        }
+        let recursive = rules.iter().any(|&ri| {
+            let body = &program.rules[ri].body;
+            body.iter().any(|l| preds.contains(&l.atom.pred))
+        });
+        Component {
+            preds,
+            rules,
+            recursive,
+        }
+    }
 }
 
 impl Stratification {
@@ -157,42 +186,38 @@ impl Stratification {
                 max_layer = max_layer.max(scc_layer[ci]);
             }
         }
+        let simple_heads: FastSet<Symbol> = program
+            .rules
+            .iter()
+            .filter(|r| r.head.simple_group_positions().is_empty())
+            .map(|r| r.head.pred)
+            .collect();
         let mut rules_by_layer = vec![Vec::new(); max_layer + 1];
-        let mut schedule = vec![LayerSchedule::default(); max_layer + 1];
+        let mut grouping = vec![Vec::new(); max_layer + 1];
         let mut comp_rules: Vec<Vec<usize>> = vec![Vec::new(); sccs.components.len()];
         for (i, r) in program.rules.iter().enumerate() {
             let l = layer_of[&r.head.pred];
             rules_by_layer[l].push(i);
-            if r.head.simple_group_positions().is_empty() {
+            if simple_heads.contains(&r.head.pred) {
                 comp_rules[sccs.comp_of[&r.head.pred]].push(i);
             } else {
-                schedule[l].grouping.push(i);
+                grouping[l].push(i);
             }
         }
+        let mut schedule: Vec<LayerSchedule> = grouping
+            .into_iter()
+            .map(|rules| LayerSchedule {
+                grouping: Component::new(program, rules),
+                components: Vec::new(),
+            })
+            .collect();
         // Component indices are dependency-first, so pushing them in index
         // order keeps every layer's list dependency-first.
         for (ci, rules) in comp_rules.into_iter().enumerate() {
-            if rules.is_empty() {
-                continue;
+            if !rules.is_empty() {
+                let layer = &mut schedule[scc_layer[ci]];
+                layer.components.push(Component::new(program, rules));
             }
-            let mut preds: Vec<Symbol> = Vec::new();
-            for &ri in &rules {
-                let p = program.rules[ri].head.pred;
-                if !preds.contains(&p) {
-                    preds.push(p);
-                }
-            }
-            let recursive = rules.iter().any(|&ri| {
-                program.rules[ri].body.iter().any(|l| {
-                    Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
-                        && sccs.comp_of.get(&l.atom.pred) == Some(&ci)
-                })
-            });
-            schedule[scc_layer[ci]].components.push(Component {
-                preds,
-                rules,
-                recursive,
-            });
         }
         Stratification {
             layer_of,
@@ -201,46 +226,57 @@ impl Stratification {
         }
     }
 
-    /// How each layer *reads* lower predicates — the dependency query that
-    /// drives incremental maintenance. For a layer `k` and a predicate `p`
-    /// whose facts changed:
+    /// Every entry of the schedule with its layer, in run order: each
+    /// layer's grouping rules (where it has any), then its components.
+    pub fn entries(&self) -> impl Iterator<Item = (usize, &Component)> {
+        self.schedule.iter().enumerate().flat_map(|(k, layer)| {
+            let grouping = Some(&layer.grouping).filter(|g| !g.rules.is_empty());
+            grouping
+                .into_iter()
+                .chain(&layer.components)
+                .map(move |c| (k, c))
+        })
+    }
+
+    /// How each entry of [`Stratification::entries`] *reads* predicates —
+    /// the dependency query that drives incremental maintenance. For an
+    /// entry `e` and a predicate `p` whose facts changed:
     ///
-    /// * `p ∈ positive(k)` — some rule of layer `k` reads `p` through a
+    /// * `p ∈ positive(e)` — some rule of `e` reads `p` through a
     ///   positive, non-grouping body literal. New `p` facts only *add*
     ///   derivations (monotone), so they can be propagated by
     ///   delta-restricted rule passes.
-    /// * `p ∈ nonmonotone(k)` — some rule of layer `k` reads `p` under
-    ///   negation, or from the body of a grouping-head rule. New `p` facts
-    ///   can *retract* conclusions (a `~p(…)` test flips to false; a grouped
+    /// * `p ∈ nonmonotone(e)` — some rule of `e` reads `p` under negation,
+    ///   or from the body of a grouping-head rule. New `p` facts can
+    ///   *retract* conclusions (a `~p(…)` test flips to false; a grouped
     ///   set `<X>` grows, and §2.2 semantics replace the old set rather than
-    ///   keep both), so the layer's output must be recomputed from scratch.
+    ///   keep both), so the entry's output must be recomputed from scratch.
     ///
     /// Admissibility (§3.1) guarantees every `nonmonotone` predicate lies in
-    /// a strictly lower layer, which is what makes "recompute from layer `k`
-    /// up" sound: layers below `k` are already final when `k` replays.
-    pub fn sensitivity(&self, program: &Program) -> Vec<LayerSensitivity> {
-        let mut out: Vec<LayerSensitivity> = (0..self.num_layers())
-            .map(|_| LayerSensitivity::default())
-            .collect();
-        for (layer, rules) in self.rules_by_layer.iter().enumerate() {
-            let sens = &mut out[layer];
-            for &ri in rules {
-                let rule = &program.rules[ri];
-                let grouping = rule.head.has_group();
-                for lit in &rule.body {
-                    let q = lit.atom.pred;
-                    if Builtin::resolve(q, lit.atom.arity()).is_some() {
-                        continue;
-                    }
-                    if grouping || !lit.positive {
-                        sens.nonmonotone.insert(q);
-                    } else {
-                        sens.positive.insert(q);
+    /// a strictly lower layer, which is what makes "recompute `e`" sound:
+    /// everything `e` reads is final when `e` replays.
+    pub fn sensitivity(&self, program: &Program) -> Vec<Sensitivity> {
+        self.entries()
+            .map(|(_, entry)| {
+                let mut sens = Sensitivity::default();
+                for &ri in &entry.rules {
+                    let rule = &program.rules[ri];
+                    let grouping = rule.head.has_group();
+                    for lit in &rule.body {
+                        let q = lit.atom.pred;
+                        if Builtin::resolve(q, lit.atom.arity()).is_some() {
+                            continue;
+                        }
+                        if grouping || !lit.positive {
+                            sens.nonmonotone.insert(q);
+                        } else {
+                            sens.positive.insert(q);
+                        }
                     }
                 }
-            }
-        }
-        out
+                sens
+            })
+            .collect()
     }
 
     /// Validate the layering conditions against a program (§3.1). Used by
@@ -273,25 +309,26 @@ impl Stratification {
     }
 }
 
-/// What one layer reads from the database — see [`Stratification::sensitivity`].
+/// What one schedule entry reads from the database — see
+/// [`Stratification::sensitivity`].
 #[derive(Clone, Debug, Default)]
-pub struct LayerSensitivity {
+pub struct Sensitivity {
     /// Predicates read by positive literals of non-grouping rules: changes
     /// propagate monotonically (delta passes suffice).
     pub positive: FastSet<Symbol>,
     /// Predicates read under negation or inside grouping-rule bodies:
-    /// changes force the layer (and everything above) to replay.
+    /// changes force the entry to replay.
     pub nonmonotone: FastSet<Symbol>,
 }
 
-impl LayerSensitivity {
-    /// Does a change to `p` affect this layer at all?
+impl Sensitivity {
+    /// Does a change to `p` affect this entry at all?
     pub fn affected_by(&self, p: Symbol) -> bool {
         self.positive.contains(&p) || self.nonmonotone.contains(&p)
     }
 
     /// Does a change to `p` invalidate (rather than merely extend) this
-    /// layer's output?
+    /// entry's output?
     pub fn requires_replay_for(&self, p: Symbol) -> bool {
         self.nonmonotone.contains(&p)
     }
@@ -509,23 +546,41 @@ mod tests {
         let p = parse_program(src).unwrap();
         let s = Stratification::canonical(&p).unwrap();
         let sens = s.sensitivity(&p);
-        assert_eq!(sens.len(), s.num_layers());
+        // One read set per entry: {anc}, kids' grouping rule, {excl}.
+        assert_eq!(sens.len(), 3);
+        let of = |head: &str| {
+            let head = Symbol::intern(head);
+            &sens[s
+                .entries()
+                .position(|(_, e)| e.preds.contains(&head))
+                .unwrap()]
+        };
         let (par, anc) = (Symbol::intern("par"), Symbol::intern("anc"));
 
-        // Layer 0 (anc): par and anc are read positively, nothing replays.
-        let l0 = &sens[s.layer(anc)];
+        // anc's component: par and anc are read positively, nothing replays.
+        let l0 = of("anc");
         assert!(l0.affected_by(par) && l0.affected_by(anc));
         assert!(!l0.requires_replay_for(par));
 
-        // kids' layer groups over par: a par change forces replay.
-        let lk = &sens[s.layer(Symbol::intern("kids"))];
+        // kids groups over par: a par change forces replay.
+        let lk = of("kids");
         assert!(lk.requires_replay_for(par));
 
-        // excl's layer negates anc (replay) but reads node positively.
-        let le = &sens[s.layer(Symbol::intern("excl"))];
+        // excl negates anc (replay) but reads node positively.
+        let le = of("excl");
         assert!(le.requires_replay_for(anc));
         assert!(le.affected_by(Symbol::intern("node")));
         assert!(!le.requires_replay_for(Symbol::intern("node")));
+    }
+
+    #[test]
+    fn a_head_with_grouping_and_simple_rules_is_one_entry() {
+        let src = "p(X, <Y>) <- e(X, Y).\n\
+                   p(X, S) <- f(X, S).\n\
+                   k(X, <Y>) <- e(X, Y).";
+        let s = strat(src).unwrap();
+        let entries: Vec<&Vec<usize>> = s.entries().map(|(_, c)| &c.rules).collect();
+        assert_eq!(entries, [&vec![2], &vec![0, 1]]);
     }
 
     #[test]

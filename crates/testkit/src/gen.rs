@@ -8,10 +8,11 @@
 //!
 //! The shape mirrors the paper's layering discipline: a transitive-closure
 //! base layer `p0` over edge relation `e0(X, Y)`, then a random stack of
-//! layers `p1, p2, …` where each `pl` reads `p(l-1)` through one of six
+//! layers `p1, p2, …` where each `pl` reads `p(l-1)` through one of seven
 //! templates (recursion, negation on the marker relation `e1(X)`,
 //! grouping with `member` flattening, a three-way join back through `e0`,
-//! a set-constructing head, or negated self-comparison). Every template
+//! a set-constructing head, a head both a grouping and a simple rule
+//! define, or negated self-comparison). Every template
 //! keeps arity 2 so layers compose freely, and every negated/grouped read
 //! looks strictly down the stack — the program is admissible by
 //! construction.
@@ -78,7 +79,7 @@ pub fn stratified_case(rng: &mut Rng, size: u32) -> GeneratedCase {
     let mut src = String::from("p0(X, Y) <- e0(X, Y).\np0(X, Y) <- e0(X, Z), p0(Z, Y).\n");
     for l in 1..layers {
         let below = l - 1;
-        match rng.index(6) {
+        match rng.index(7) {
             0 => src.push_str(&format!(
                 "p{l}(X, Y) <- p{below}(X, Y).\np{l}(X, Y) <- p{below}(X, Z), p{l}(Z, Y).\n"
             )),
@@ -106,6 +107,14 @@ pub fn stratified_case(rng: &mut Rng, size: u32) -> GeneratedCase {
             4 => src.push_str(&format!(
                 "p{l}(X, {{Y}}) <- p{below}(X, Y), ~e1(X).\n\
                  p{l}(X, {{Y}}) <- e0(Y, X), ~e1(X).\n"
+            )),
+            // One head, a grouping rule and a simple one: a single schedule
+            // entry, which must replay on an `e1` retraction, not rederive
+            // the singletons alone.
+            5 => src.push_str(&format!(
+                "g{l}(X, <Y>) <- p{below}(X, Y).\n\
+                 g{l}(X, {{Y}}) <- p{below}(X, Y), e1(X).\n\
+                 p{l}(X, Y) <- g{l}(X, S), member(Y, S).\n"
             )),
             _ => src.push_str(&format!("p{l}(X, Y) <- p{below}(X, Y), ~p{below}(Y, X).\n")),
         }
@@ -343,6 +352,7 @@ mod tests {
         let mut grouping = false;
         let mut recursion = false;
         let mut threeway = false;
+        let mut mixed_head = false;
         let mut sets = false;
         let mut compounds = false;
         let mut balanced = false;
@@ -356,6 +366,7 @@ mod tests {
             grouping |= c.src.contains("<Y>");
             recursion |= c.src.contains("p1(X, Z), p1(Z, Y)") || c.layers == 2;
             threeway |= c.src.contains("e0(X, Z), p0(Z, W), e0(W, Y)");
+            mixed_head |= c.src.contains(", e1(X).");
             balanced |= c.skew_factor == 1;
             skewed |= c.skew_factor > 1;
             if c.skew_factor > 1 {
@@ -369,7 +380,7 @@ mod tests {
                 }
             }
         }
-        assert!(negation && grouping && recursion && threeway);
+        assert!(negation && grouping && recursion && threeway && mixed_head);
         assert!(sets && compounds, "nested EDB constants never generated");
         assert!(balanced && skewed, "skew profiles never varied");
     }

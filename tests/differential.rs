@@ -13,7 +13,7 @@
 //!
 //! * engine ≡ reference model, and the engine's result is a model, on every
 //!   generated program (skewed EDBs included — see [`ldl_testkit::gen`]);
-//! * incremental maintenance (delta seeding, truncate-and-replay) reaches
+//! * incremental maintenance (delta seeding, replay) reaches
 //!   the same model as a one-shot evaluation;
 //! * random assert/retract/update histories (delta, DRed, replay) end on
 //!   the reference model of the surviving EDB — and with a `Reader`

@@ -357,7 +357,7 @@ fn magic_on_stratified_fuzzed() {
 /// Interleaved incremental commits against a cached model yield exactly
 /// the model a one-shot recompute over the final EDB produces — across
 /// recursion, negation, and grouping strata (delta propagation for the
-/// monotone layers, truncate-and-replay for the rest).
+/// monotone components, replay for the rest).
 #[test]
 fn incremental_commits_match_full_recompute() {
     cases(48, |rng| {
