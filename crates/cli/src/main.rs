@@ -32,7 +32,8 @@ Commands:
   :retract FACT.      remove a stored fact (the model is maintained
                       differentially — delete-rederive / replay)
   :update OLD. => NEW.  replace a stored fact in one transaction
-  :plan [PRED]        show the join plans (step order, indexes, estimates)
+  :plan [PRED]        show the join plans (step order, indexes, existential
+                      tails); nothing is evaluated
   :plan QUERY.        show which arm a query takes: magic sets (no model yet,
                       an argument bound; nothing is evaluated), or how it
                       reads the model (index probe or scan)
@@ -236,15 +237,7 @@ fn main() {
         }
     }
     if show_plans {
-        // Explain against post-model statistics so IDB relation sizes are
-        // visible to the cost model, like `:plan` would.
-        match sys.explain(None) {
-            Ok(text) => print!("{text}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
+        print!("{}", sys.explain(None));
     }
     if show_stats {
         // Force a model so the counters reflect the loaded program even if
@@ -350,10 +343,7 @@ fn command(sys: &mut System, cmd: &str) -> bool {
             Ok(line) => println!("{line}"),
             Err(e) => eprintln!("error: {e}"),
         },
-        ":plan" => match sys.explain(if rest.is_empty() { None } else { Some(rest) }) {
-            Ok(text) => print!("{text}"),
-            Err(e) => eprintln!("error: {e}"),
-        },
+        ":plan" => print!("{}", sys.explain(Some(rest).filter(|r| !r.is_empty()))),
         ":save" => {
             let result = sys
                 .model()

@@ -36,6 +36,21 @@ fn batch_run_answers_the_file_queries() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("?-"));
 }
 
+/// Plans read no data, so `--explain` evaluates nothing: it prints the plans
+/// of a program whose model is infinite and exits. (The timeout only turns
+/// an evaluation that would never end into a failure.)
+#[test]
+fn explain_evaluates_nothing() {
+    let diverging = concat!(env!("CARGO_MANIFEST_DIR"), "/../../programs/diverging.ldl");
+    let out = ldl1(&["--batch", "--timeout", "5s", "--explain", diverging]);
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("n(s(X)) <- n(X)") && text.contains("scan n"),
+        "{text}"
+    );
+}
+
 #[test]
 fn help_lists_no_worker_count_setting() {
     let out = ldl1(&["--help"]);

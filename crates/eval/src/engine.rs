@@ -21,8 +21,8 @@ use crate::unify::match_slice;
 /// Evaluation configuration.
 ///
 /// How a rule is evaluated is not configurable: the engine always iterates
-/// semi-naively over indexed relations, plans joins from relation
-/// statistics, and runs them as lowered register programs ([`crate::exec`]).
+/// semi-naively over indexed relations, plans joins by §6's sip rule, and
+/// runs them as lowered register programs ([`crate::exec`]).
 /// These options choose what is checked and the resource limits.
 ///
 /// Not `Copy`: the [`Budget`] carries a shared [`CancelToken`](crate::CancelToken)

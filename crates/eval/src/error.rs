@@ -37,8 +37,7 @@ pub enum EvalError {
     /// Evaluation was aborted by its [`Budget`](crate::Budget): a resource
     /// limit was exceeded, or the [`CancelToken`](crate::CancelToken)
     /// tripped. The aborting operation is transactional — the EDB keeps its
-    /// pre-call rows, positions and liveness (sketches and statistics epochs
-    /// are rebuilt), and a retry with a sufficient budget recomputes a
+    /// pre-call rows, positions and liveness, and a retry with a sufficient budget recomputes a
     /// model bit-identical to an uninterrupted run.
     ResourceExhausted {
         /// Which limit tripped.

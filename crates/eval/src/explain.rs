@@ -2,27 +2,23 @@
 //! CLI `--explain` flag.
 //!
 //! For each rule the explanation shows the executable step order the
-//! planner chose against the *current* database statistics, the index
-//! columns each scan probes, the estimated output cardinality per step, and
-//! where the plan's existential tail begins (steps that stop at the first
-//! witness). Rules that fail to compile print their diagnostic inline
-//! instead of a plan.
+//! planner chose, the index columns each scan probes, and where the plan's
+//! existential tail begins (steps that stop at the first witness). Plans
+//! read no data, so nothing is evaluated to explain them. Rules that fail
+//! to compile print their diagnostic inline instead of a plan.
 
 use std::fmt::Write;
 
 use ldl_ast::program::Program;
 use ldl_ast::term::Term;
-use ldl_storage::Database;
 
 use crate::plan::{RulePlan, Step};
 
 /// Render the join plans of `program` (or of the rules defining `pred`
-/// only) as compiled against `db`'s current relation statistics, each
-/// followed by the register program it lowers to. The output is stable
-/// line-oriented text meant for a terminal.
-pub fn explain(program: &Program, db: &Database, pred: Option<&str>) -> String {
+/// only), each followed by the register program it lowers to. The output
+/// is stable line-oriented text meant for a terminal.
+pub fn explain(program: &Program, pred: Option<&str>) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "planner: cost-based (relation statistics)");
     let mut shown = 0usize;
     for rule in &program.rules {
         if pred.is_some_and(|p| rule.head.pred.as_str() != p) {
@@ -30,7 +26,7 @@ pub fn explain(program: &Program, db: &Database, pred: Option<&str>) -> String {
         }
         shown += 1;
         let _ = writeln!(out, "{rule}");
-        match RulePlan::compile(rule, Some(db), None) {
+        match RulePlan::compile(rule, None) {
             Err(e) => {
                 let _ = writeln!(out, "  ! {e}");
             }
@@ -59,7 +55,7 @@ pub fn explain(program: &Program, db: &Database, pred: Option<&str>) -> String {
     out
 }
 
-/// One formatted plan step: kind, literal, index columns, estimate, and the
+/// One formatted plan step: kind, literal, index columns, and the
 /// existential-tail marker.
 fn step_line(plan: &RulePlan, i: usize, step: &Step) -> String {
     let mut line = match step {
@@ -94,11 +90,6 @@ fn step_line(plan: &RulePlan, i: usize, step: &Step) -> String {
             format!("builtin {neg}{builtin:?}({})", join_terms(args))
         }
     };
-    if let Some(&est) = plan.est_rows.get(i) {
-        if est >= 0.0 {
-            let _ = write!(line, "  est~{:.0} rows", est);
-        }
-    }
     if i >= plan.exist_from {
         line.push_str("  [first witness only]");
     }
@@ -116,37 +107,32 @@ fn join_terms(args: &[Term]) -> String {
 mod tests {
     use super::*;
     use ldl_parser::parse_program;
-    use ldl_value::Value;
 
+    /// Bound arguments first, ties in source order: `big(X, C)` has one
+    /// bound argument after `tag(C)`, `small(X)` none, and `small` is then a
+    /// fully bound check in the existential tail.
     #[test]
     fn explain_shows_cost_order_and_existential_tail() {
         let program = parse_program("q(X) <- tag(C), big(X, C), small(X).").unwrap();
-        let mut db = Database::new();
-        for i in 0..400 {
-            db.insert_tuple("big", vec![Value::int(i), Value::int(i % 4)]);
-        }
-        for i in 0..20 {
-            db.insert_tuple("small", vec![Value::int(i)]);
-        }
-        db.insert_tuple("tag", vec![Value::int(0)]);
-        let text = explain(&program, &db, None);
-        assert!(text.contains("cost-based"), "{text}");
+        let text = explain(&program, None);
         let tag = text.find("scan tag").unwrap();
+        let big = text.find("scan big(X, C) via index [1]").unwrap();
         let small = text.find("scan small").unwrap();
-        let big = text.find("scan big").unwrap();
-        assert!(tag < small && small < big, "{text}");
+        assert!(tag < big && big < small, "{text}");
         assert!(text.contains("[first witness only]"), "{text}");
-        assert!(text.contains("est~"), "{text}");
+        assert!(
+            !text.contains("est~") && !text.contains("cost-based"),
+            "{text}"
+        );
 
-        let none = explain(&program, &db, Some("nosuch"));
+        let none = explain(&program, Some("nosuch"));
         assert!(none.contains("no rules define nosuch"), "{none}");
     }
 
     #[test]
     fn explain_reports_unschedulable_rules_inline() {
         let program = parse_program("q(X) <- member(X, S), r(X).").unwrap();
-        let db = Database::new();
-        let text = explain(&program, &db, None);
+        let text = explain(&program, None);
         assert!(text.contains("!"), "{text}");
     }
 }

@@ -30,7 +30,6 @@
 use std::sync::Arc;
 
 use ldl_ast::program::{Builtin, Program};
-use ldl_ast::rule::Rule;
 use ldl_storage::Database;
 use ldl_stratify::{Component, Stratification};
 use ldl_value::fxhash::FastMap;
@@ -91,48 +90,23 @@ pub fn ensure_head_relations(
 /// Keyed by `(rule id, role)`: role 0 is the full round-0 plan `F`, role
 /// `occ + 1` the pass that joins the delta of body literal `occ`
 /// (`PlanCache::delta_pass`) — the delta-first variant pinning that
-/// literal as step 0, or `F` itself run in place. Each entry remembers the
-/// statistics epoch of every body relation at compile time; a lookup
-/// re-costs the plan only when one of those epochs has drifted (relations
-/// bump their epoch geometrically on growth, so a stabilizing fixpoint
-/// stops re-planning after O(log n) rounds).
+/// literal as step 0, or `F` itself run in place. A plan reads no data, so
+/// an entry never goes stale.
 ///
-/// Every lookup counts one hit, miss or replan, and every plan counted as
-/// a miss or replan is one that runs — so each is lowered exactly once.
+/// Every lookup counts one hit or miss, and every plan counted as a miss is
+/// one that runs — so each is lowered exactly once.
 #[derive(Default)]
 pub struct PlanCache {
-    map: FastMap<(usize, usize), CacheEntry>,
-    /// Plan without statistics: see [`PlanCache::source_order`].
-    source_order: bool,
-}
-
-struct CacheEntry {
-    /// Per body relation literal (in body order): the relation's
-    /// `stats_epoch` when the plan was compiled.
-    epochs: Vec<u64>,
-    plan: Arc<RulePlan>,
-    /// The step a delta range confines: 0, except for a delta role whose
-    /// pass runs `F` in place — then `F`'s step for the delta literal.
-    delta_step: usize,
+    /// Per key: the plan, and the step a delta range confines — 0, except
+    /// for a delta role whose pass runs `F` in place, then `F`'s step for
+    /// the delta literal.
+    map: FastMap<(usize, usize), (Arc<RulePlan>, usize)>,
 }
 
 impl PlanCache {
-    /// A cache whose plans are compiled *without* statistics — relation
-    /// scans ordered by bound-argument count, ties in source order
-    /// (existential tail included; see [`RulePlan::compile`]) — and
-    /// never re-costed. For programs whose bodies were already ordered by
-    /// whoever wrote them — the magic rewriting emits them in sip order.
-    pub fn source_order() -> PlanCache {
-        PlanCache {
-            source_order: true,
-            ..PlanCache::default()
-        }
-    }
-
     /// The full plan `F` of `rule_id`, ready to run a pass against `db`:
-    /// compiled against `db`'s current statistics — cached, or (re)compiled
-    /// when absent or stale — with its body arities checked and the indexes
-    /// it probes built ([`ensure_plan_indexes`]).
+    /// cached, or compiled when absent, with its body arities checked and
+    /// the indexes it probes built ([`ensure_plan_indexes`]).
     fn prepare(
         &mut self,
         program: &Program,
@@ -140,16 +114,14 @@ impl PlanCache {
         db: &mut Database,
         stats: &mut EvalStats,
     ) -> Result<Arc<RulePlan>, EvalError> {
-        let rule = &program.rules[rule_id];
-        let epochs = self.epochs(rule, db);
-        let plan = match self.fresh((rule_id, 0), &epochs) {
+        let plan = match self.map.get(&(rule_id, 0)) {
             Some((plan, _)) => {
                 stats.plan_cache_hits += 1;
-                plan
+                plan.clone()
             }
             None => {
-                let plan = Arc::new(self.compile(rule, db, None)?);
-                self.store((rule_id, 0), epochs, plan.clone(), stats);
+                let plan = Arc::new(RulePlan::compile(&program.rules[rule_id], None)?);
+                self.store((rule_id, 0), (plan.clone(), 0), stats);
                 plan
             }
         };
@@ -169,9 +141,8 @@ impl PlanCache {
     /// relation once per round — what `V` pays for a single delta tuple —
     /// and finds exactly `V`'s derivations: one literal reads the delta,
     /// every other one the whole relation. The decision is cached with the
-    /// plan and re-made when the plan is re-costed; `V` is compiled to
-    /// make it but is neither counted nor kept when `F` runs, and `F`'s
-    /// indexes are built only then.
+    /// plan; `V` is compiled to make it but is neither counted nor kept
+    /// when `F` runs, and `F`'s indexes are built only then.
     fn delta_pass(
         &mut self,
         program: &Program,
@@ -182,21 +153,20 @@ impl PlanCache {
     ) -> Result<(Arc<RulePlan>, usize), EvalError> {
         let rule = &program.rules[rule_id];
         let key = (rule_id, occ + 1);
-        let epochs = self.epochs(rule, db);
-        let pass = match self.fresh(key, &epochs) {
+        let pass = match self.map.get(&key) {
             Some(pass) => {
                 stats.plan_cache_hits += 1;
-                pass
+                pass.clone()
             }
             None => {
-                let variant = self.compile(rule, db, Some(occ))?;
+                let variant = RulePlan::compile(rule, Some(occ))?;
                 let rescans = (1..variant.steps.len()).any(|i| variant.full_scan_at(i).is_some());
-                let cached_full = self.fresh((rule_id, 0), &epochs).map(|(f, _)| f);
+                let cached_full = self.map.get(&(rule_id, 0)).map(|(f, _)| f.clone());
                 // `F` is looked at only when `V` reads something in full
                 // after its delta; compiled here, it is counted if it runs.
                 let full = match &cached_full {
                     Some(f) => Some(f.clone()),
-                    None if rescans => Some(Arc::new(self.compile(rule, db, None)?)),
+                    None if rescans => Some(Arc::new(RulePlan::compile(rule, None)?)),
                     None => None,
                 };
                 match full.filter(|f| variant.rescans_first_scan_of(f)) {
@@ -204,21 +174,16 @@ impl PlanCache {
                         if cached_full.is_some() {
                             stats.plan_cache_hits += 1;
                         } else {
-                            self.store((rule_id, 0), epochs.clone(), full.clone(), stats);
+                            self.store((rule_id, 0), (full.clone(), 0), stats);
                         }
-                        let step = full.step_of(occ);
-                        let entry = CacheEntry {
-                            epochs,
-                            plan: full.clone(),
-                            delta_step: step,
-                        };
-                        self.map.insert(key, entry);
-                        (full, step)
+                        let pass = (full.clone(), full.step_of(occ));
+                        self.map.insert(key, pass.clone());
+                        pass
                     }
                     None => {
-                        let variant = Arc::new(variant);
-                        self.store(key, epochs, variant.clone(), stats);
-                        (variant, 0)
+                        let pass = (Arc::new(variant), 0);
+                        self.store(key, pass.clone(), stats);
+                        pass
                     }
                 }
             }
@@ -227,62 +192,11 @@ impl PlanCache {
         Ok(pass)
     }
 
-    /// The statistics epochs a plan of `rule` is compiled against: none
-    /// without statistics.
-    fn epochs(&self, rule: &Rule, db: &Database) -> Vec<u64> {
-        if self.source_order {
-            Vec::new()
-        } else {
-            body_epochs(rule, db)
-        }
+    /// Cache a plan just compiled, counting a miss.
+    fn store(&mut self, key: (usize, usize), pass: (Arc<RulePlan>, usize), stats: &mut EvalStats) {
+        self.map.insert(key, pass);
+        stats.plan_cache_misses += 1;
     }
-
-    fn compile(
-        &self,
-        rule: &Rule,
-        db: &Database,
-        force_first: Option<usize>,
-    ) -> Result<RulePlan, EvalError> {
-        RulePlan::compile(rule, (!self.source_order).then_some(db), force_first)
-    }
-
-    /// The plan cached under `key` and its delta step, if it was compiled
-    /// against `epochs`.
-    fn fresh(&self, key: (usize, usize), epochs: &[u64]) -> Option<(Arc<RulePlan>, usize)> {
-        self.map
-            .get(&key)
-            .filter(|e| e.epochs == epochs)
-            .map(|e| (e.plan.clone(), e.delta_step))
-    }
-
-    /// Cache a plan just compiled against `epochs`, counting a replan if it
-    /// replaces a stale entry, else a miss.
-    fn store(
-        &mut self,
-        key: (usize, usize),
-        epochs: Vec<u64>,
-        plan: Arc<RulePlan>,
-        stats: &mut EvalStats,
-    ) {
-        let entry = CacheEntry {
-            epochs,
-            plan,
-            delta_step: 0,
-        };
-        match self.map.insert(key, entry) {
-            Some(_stale) => stats.plan_replans += 1,
-            None => stats.plan_cache_misses += 1,
-        }
-    }
-}
-
-/// The statistics epoch of each body *relation* literal, in body order.
-fn body_epochs(rule: &Rule, db: &Database) -> Vec<u64> {
-    rule.body
-        .iter()
-        .filter(|l| Builtin::resolve(l.atom.pred, l.atom.arity()).is_none())
-        .map(|l| db.stats_epoch(l.atom.pred))
-        .collect()
 }
 
 /// Evaluate `program` bottom-up over `edb` using the given layering,
@@ -366,8 +280,7 @@ pub fn frontier_at(db: &Database, preds: impl IntoIterator<Item = Symbol>) -> De
 /// `frontier` say which predicates are deltas. Each round runs, for every
 /// positive body occurrence (in rule order, then body order) of a frontier
 /// predicate with tuples above its mark, one pass (`PlanCache::delta_pass`,
-/// cache role `occ + 1`, re-costed when the statistics epoch of a body
-/// relation drifted) in which that occurrence reads only `[mark, len)`
+/// cache role `occ + 1`) in which that occurrence reads only `[mark, len)`
 /// while every other literal reads the whole relation; then the marks
 /// advance to the pre-round lengths. The pass is normally the delta-first
 /// variant pinning the occurrence as step 0, so its cost follows the delta.
@@ -681,7 +594,7 @@ mod tests {
                    tc_bf(S, C) <- m_tc_bf(S), partition(S, S1, S2), S1 /= {}, S2 /= {}, \
                                   tc_bf(S1, C1), tc_bf(S2, C2), +(C1, C2, C).\n\
                    part_bf(P, <S>) <- m_part_bf(P), p(P, S).";
-        let (passes, stats) = delta_passes(&mut PlanCache::source_order(), bom);
+        let (passes, stats) = delta_passes(&mut PlanCache::default(), bom);
         let in_place: Vec<[usize; 2]> = passes
             .iter()
             .filter(|[_, occ, first, _]| first != occ)
@@ -702,7 +615,7 @@ mod tests {
 
     /// The ancestor rule and its §6 rewrite keep every pass delta-first: a
     /// delta-first variant that probes everything after its delta reads no
-    /// relation in full, with statistics or without.
+    /// relation in full.
     #[test]
     fn ancestor_passes_stay_delta_first() {
         let plain = "anc(X, Y) <- par(X, Y).\n\
@@ -710,12 +623,8 @@ mod tests {
         let magic = "anc_bf(X, Y) <- m_anc_bf(X), par(X, Y).\n\
                      m_anc_bf(Z) <- m_anc_bf(X), par(X, Z).\n\
                      anc_bf(X, Y) <- m_anc_bf(X), par(X, Z), anc_bf(Z, Y).";
-        for (mut cache, rules, expect) in [
-            (PlanCache::default(), plain, 1),
-            (PlanCache::source_order(), plain, 1),
-            (PlanCache::source_order(), magic, 4),
-        ] {
-            let (passes, _) = delta_passes(&mut cache, rules);
+        for (rules, expect) in [(plain, 1), (magic, 4)] {
+            let (passes, _) = delta_passes(&mut PlanCache::default(), rules);
             assert_eq!(passes.len(), expect, "{rules}");
             for [_, occ, first, step] in passes {
                 assert_eq!((first, step), (occ, 0), "{rules}");

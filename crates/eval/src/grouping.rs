@@ -165,7 +165,7 @@ mod tests {
     }
 
     fn plan(src: &str) -> RulePlan {
-        RulePlan::compile(&parse_rule(src).unwrap(), None, None).unwrap()
+        RulePlan::compile(&parse_rule(src).unwrap(), None).unwrap()
     }
 
     fn run(plan: &RulePlan, db: &Database) -> Vec<Fact> {

@@ -193,7 +193,7 @@ pub fn reference_model(program: &Program, edb: &Database) -> Result<Database, Ev
     for layer in &strat.rules_by_layer {
         let plans: Vec<RulePlan> = layer
             .iter()
-            .map(|&ri| RulePlan::compile(&program.rules[ri], None, None))
+            .map(|&ri| RulePlan::compile(&program.rules[ri], None))
             .collect::<Result<_, _>>()?;
         loop {
             // Indexes only shorten the scans (a relation first derived in
@@ -251,7 +251,7 @@ impl fmt::Display for ModelViolation {
 pub fn check_model(program: &Program, m: &FactSet) -> Result<(), ModelViolation> {
     let mut db = Database::from_fact_set(m);
     for rule in &program.rules {
-        let plan = match RulePlan::compile(rule, None, None) {
+        let plan = match RulePlan::compile(rule, None) {
             Ok(p) => p,
             Err(EvalError::Unschedulable { .. }) => {
                 // A rule we cannot enumerate bindings for; with range

@@ -8,25 +8,19 @@
 //!    as soon as their variables are bound (cheap filters; negation
 //!    *requires* groundness, §3.2 condition 2′);
 //! 2. generative built-ins run when a supported mode is available;
-//! 3. relation literals come last, ordered by estimated cost.
+//! 3. relation literals come last, the one with the most bound arguments
+//!    first, ties in source order.
 //!
 //! If no executable literal remains, the rule is *unschedulable* — e.g.
 //! `q(X) <- X < 3` — and compilation fails with a diagnostic rather than
 //! evaluation silently misbehaving.
 //!
-//! There is one planner, [`RulePlan::compile`]. Given a database it is
-//! *cost-based*: among the executable relation literals it picks the one
-//! with the smallest **estimated output cardinality** — `len(R)` for an
-//! unbound scan, `len(R) / distinct(bound columns)` for an indexable one,
-//! using the per-column distinct-value sketches `ldl-storage` maintains on
-//! insert. Ties break by relation size, then by source literal order —
-//! never by map iteration order, so the same program over the same data
-//! compiles the same plan. Without a database it orders relation literals
-//! by how many argument positions are already bound, ties in source order,
-//! which is what the magic-set evaluator asks for: its rewritten bodies
-//! are already in sip order. The reference evaluator ([`crate::model`])
-//! plans without a database too and never reads the existential tail, so
-//! the oracle shares neither the cost model nor the tail with the engine.
+//! There is one planner, [`RulePlan::compile`], and it reads no data: a plan
+//! is a function of its rule and of the literal a semi-naive delta pins
+//! first. Class 3 is §6's sip rule, so a body the magic rewriting emitted
+//! in sip order keeps it. The reference evaluator ([`crate::model`]) plans
+//! with the same rule, but shares neither the executor nor the existential
+//! tail with the engine.
 //!
 //! Plans also carry an *existential tail*: the first step index after which
 //! no head or grouping variable can be bound ([`RulePlan::exist_from`]).
@@ -126,11 +120,6 @@ pub struct RulePlan {
     /// means no tail — also where the steps after the head's last binding
     /// are checks only, which have no second witness to skip.
     pub exist_from: usize,
-    /// Estimated output cardinality per step at compile time, parallel to
-    /// `steps`. `-1.0` where no estimate applies: built-ins, negation,
-    /// statistics-free compiles, and delta-restricted first steps (their
-    /// cardinality is the delta's, unknown at compile time).
-    pub est_rows: Vec<f64>,
     /// The plan's lowered register program ([`crate::ram`]), built lazily on
     /// first execution and then shared across rounds — the `OnceLock` runs
     /// the lowering exactly once. Cloning a plan drops the cache
@@ -147,7 +136,6 @@ impl Clone for RulePlan {
             literals: self.literals.clone(),
             scan_steps: self.scan_steps.clone(),
             exist_from: self.exist_from,
-            est_rows: self.est_rows.clone(),
             ram: std::sync::OnceLock::new(),
         }
     }
@@ -157,28 +145,17 @@ impl RulePlan {
     /// Compile one rule: order its body into executable steps and compute
     /// the plan's existential tail ([`RulePlan::exist_from`]).
     ///
-    /// * `db` supplies relation statistics — tuple counts and the
-    ///   per-column distinct-value sketches `ldl-storage` maintains on
-    ///   insert — and relation scans are ordered by estimated output
-    ///   cardinality (`len / distinct(bound columns)`). Without it they are
-    ///   ordered by bound-argument count with ties in source order — the
-    ///   rule §6's sips follow, so a body the magic rewriting emitted in sip
-    ///   order keeps it, and a delta-first variant probes what its delta
-    ///   binds before it scans anything free.
-    /// * `force_first` pins one body literal (an index into `rule.body`,
-    ///   which must be a positive relation literal) as step 0 — the
-    ///   delta-first shape of semi-naive evaluation — and plans the rest
-    ///   around the bindings it provides.
+    /// Relation scans are ordered by bound-argument count with ties in
+    /// source order — the rule §6's sips follow. `force_first` pins one
+    /// body literal (an index into `rule.body`, which must be a positive
+    /// relation literal) as step 0 — the delta-first shape of semi-naive
+    /// evaluation — and plans the rest around the bindings it provides, so
+    /// a delta-first variant probes what its delta binds before it scans
+    /// anything free.
     ///
-    /// Tie-breaking is fully deterministic: class priority, then estimated
-    /// cost, then relation size, then source literal order. Nothing depends
-    /// on map iteration order, so every run compiles bit-for-bit identical
-    /// plans.
-    pub fn compile(
-        rule: &Rule,
-        db: Option<&Database>,
-        force_first: Option<usize>,
-    ) -> Result<RulePlan, EvalError> {
+    /// Nothing depends on data or map iteration order, so every run
+    /// compiles bit-for-bit identical plans.
+    pub fn compile(rule: &Rule, force_first: Option<usize>) -> Result<RulePlan, EvalError> {
         let head_kind = match rule.head.simple_group_positions().as_slice() {
             [] => HeadKind::Simple,
             [(pos, var)] => HeadKind::Grouping {
@@ -197,7 +174,6 @@ impl RulePlan {
         let mut bound: FastSet<Var> = FastSet::default();
         let mut steps = Vec::with_capacity(rule.body.len());
         let mut literals = Vec::with_capacity(rule.body.len());
-        let mut est_rows = Vec::with_capacity(rule.body.len());
 
         if let Some(li) = force_first {
             let lit = &rule.body[li];
@@ -208,63 +184,37 @@ impl RulePlan {
             remaining.retain(|&x| x != li);
             steps.push(emit_step(lit, &mut bound));
             literals.push(li);
-            est_rows.push(-1.0); // restricted to a delta range at run time
         }
 
         while !remaining.is_empty() {
-            // Score each remaining literal; pick the best executable one.
-            // A score is (class, estimated cost, relation size): maximize
-            // class, then minimize cost, then size. Scanning `remaining` in
-            // source order with strict-improvement updates keeps the
-            // earliest literal on full ties.
-            let mut best: Option<(usize, (i32, f64, u64))> = None;
+            // The executable literal of the highest class. Scanning
+            // `remaining` in source order with strict-improvement updates
+            // keeps the earliest literal on ties.
+            let mut best: Option<(usize, i32)> = None;
             for (ri, &li) in remaining.iter().enumerate() {
                 let lit = &rule.body[li];
-                let builtin = Builtin::resolve(lit.atom.pred, lit.atom.arity());
                 let all_vars_bound = lit.vars().iter().all(|v| bound.contains(v));
-                let score: Option<(i32, f64, u64)> = match builtin {
-                    Some(bi) => {
-                        if lit.positive {
-                            if all_vars_bound {
-                                Some((100, 0.0, 0))
-                            } else if can_schedule(bi, &lit.atom.args, &|t| term_bound(t, &bound)) {
-                                Some((50, 0.0, 0))
-                            } else {
-                                None
-                            }
-                        } else {
-                            // Negated built-in: pure filter, needs groundness.
-                            all_vars_bound.then_some((100, 0.0, 0))
-                        }
+                let class = match Builtin::resolve(lit.atom.pred, lit.atom.arity()) {
+                    // A negated built-in is a pure filter: it needs groundness.
+                    Some(_) if all_vars_bound => Some(100),
+                    Some(bi)
+                        if lit.positive
+                            && can_schedule(bi, &lit.atom.args, &|t| term_bound(t, &bound)) =>
+                    {
+                        Some(50)
                     }
-                    None => {
-                        if lit.positive {
-                            let len = relation_len(db, lit.atom.pred);
-                            if all_vars_bound {
-                                // Pure containment check: as cheap as a filter.
-                                Some((95, 0.0, len))
-                            } else if db.is_some() {
-                                let cols = bound_cols(&lit.atom.args, &bound);
-                                let cost = scan_estimate(db, lit.atom.pred, &cols).unwrap_or(0.0);
-                                Some((10, cost, len))
-                            } else {
-                                let bound_args = bound_cols(&lit.atom.args, &bound).len() as i32;
-                                Some((10 + bound_args, 0.0, len))
-                            }
-                        } else {
-                            all_vars_bound.then_some((90, 0.0, 0))
-                        }
+                    Some(_) => None,
+                    // Pure containment check: as cheap as a filter.
+                    None if lit.positive && all_vars_bound => Some(95),
+                    None if lit.positive => {
+                        let bound_args = lit.atom.args.iter().filter(|t| term_bound(t, &bound));
+                        Some(10 + bound_args.count() as i32)
                     }
+                    None => all_vars_bound.then_some(90),
                 };
-                if let Some(s) = score {
-                    let better = match best {
-                        None => true,
-                        Some((_, b)) => {
-                            s.0 > b.0 || (s.0 == b.0 && (s.1 < b.1 || (s.1 == b.1 && s.2 < b.2)))
-                        }
-                    };
-                    if better {
-                        best = Some((ri, s));
+                if let Some(c) = class {
+                    if best.is_none_or(|(_, b)| c > b) {
+                        best = Some((ri, c));
                     }
                 }
             }
@@ -282,17 +232,8 @@ impl RulePlan {
                 });
             };
             let li = remaining.remove(ri);
-            let lit = &rule.body[li];
-            let est = if lit.positive && Builtin::resolve(lit.atom.pred, lit.atom.arity()).is_none()
-            {
-                scan_estimate(db, lit.atom.pred, &bound_cols(&lit.atom.args, &bound))
-                    .unwrap_or(-1.0)
-            } else {
-                -1.0
-            };
-            steps.push(emit_step(lit, &mut bound));
+            steps.push(emit_step(&rule.body[li], &mut bound));
             literals.push(li);
-            est_rows.push(est);
         }
 
         let scan_steps = steps
@@ -311,7 +252,6 @@ impl RulePlan {
             steps,
             literals,
             scan_steps,
-            est_rows,
             ram: std::sync::OnceLock::new(),
         })
     }
@@ -419,20 +359,6 @@ fn emit_step(lit: &Literal, bound: &mut FastSet<Var>) -> Step {
         }
     }
     step
-}
-
-/// `pred`'s current tuple count, `0` without statistics.
-fn relation_len(db: Option<&Database>, pred: Symbol) -> u64 {
-    db.and_then(|d| d.relation(pred))
-        .map_or(0, |r| r.len() as u64)
-}
-
-/// Estimated output cardinality of scanning `pred` with `cols` ground:
-/// `len / distinct(cols)` per the stored sketches (the per-key selectivity
-/// model), or plain `len` for a full scan. `None` when the relation is
-/// absent (no statistics at all).
-fn scan_estimate(db: Option<&Database>, pred: Symbol, cols: &[usize]) -> Option<f64> {
-    db?.scan_estimate(pred, cols)
 }
 
 /// The first step index after which every head (and grouping) variable is
@@ -632,13 +558,21 @@ pub(crate) fn check_arity(db: &Database, pred: Symbol, found: usize) -> Result<(
 /// stored relations before it runs. Every relation literal's arity is
 /// checked against the relation it scans (the executor indexes tuples by
 /// argument position and must never see a shorter row), then every index
-/// the plan probes is built. A literal over a relation that does not exist
-/// yet scans nothing and needs neither.
+/// the plan probes is built — once every relation it scans has a live
+/// tuple. Until then the pass derives nothing (`run_ram` skips it), and an
+/// index built early is paid for before it is needed, or never: the round-0
+/// plan of `anc(X, Y) <- par(X, Z), anc(Z, Y)` would index `anc` while it
+/// is still empty. A missing index only means a full scan. A literal over a
+/// relation that does not exist yet scans nothing and needs neither.
 pub fn ensure_plan_indexes(plan: &RulePlan, db: &mut Database) -> Result<(), EvalError> {
     for step in &plan.steps {
         if let Step::Scan { pred, args, .. } | Step::NegScan { pred, args, .. } = step {
             check_arity(db, *pred, args.len())?;
         }
+    }
+    let empty = |&(_, pred): &(usize, Symbol)| db.relation(pred).is_none_or(Relation::is_empty);
+    if plan.scan_steps.iter().any(empty) {
+        return Ok(());
     }
     for (pred, cols) in plan.required_indexes() {
         if let Some(arity) = db.relation(pred).map(Relation::arity) {
@@ -657,7 +591,7 @@ mod tests {
     use ldl_parser::parse_rule;
 
     fn plan_of(src: &str) -> RulePlan {
-        RulePlan::compile(&parse_rule(src).unwrap(), None, None).unwrap()
+        RulePlan::compile(&parse_rule(src).unwrap(), None).unwrap()
     }
 
     #[test]
@@ -669,15 +603,11 @@ mod tests {
 
     #[test]
     fn unschedulable_rule_rejected() {
-        let err = RulePlan::compile(&parse_rule("q(X) <- X < 3, r(X).").unwrap(), None, None);
+        let err = RulePlan::compile(&parse_rule("q(X) <- X < 3, r(X).").unwrap(), None);
         // `<` can never run first, but the planner reorders: r(X) then <.
         assert!(err.is_ok());
         // Genuinely unschedulable: member with its set never bound.
-        let err2 = RulePlan::compile(
-            &parse_rule("q(X) <- member(X, S), r(X).").unwrap(),
-            None,
-            None,
-        );
+        let err2 = RulePlan::compile(&parse_rule("q(X) <- member(X, S), r(X).").unwrap(), None);
         assert!(matches!(err2, Err(EvalError::Unschedulable { .. })));
     }
 
@@ -749,45 +679,11 @@ mod tests {
     }
 
     #[test]
-    fn cost_ordering_prefers_small_estimated_output() {
-        use ldl_value::Value;
-        // Greedy schedules big(X, C) right after tag(C): one bound argument
-        // beats small's zero. The sketches know big's C column holds only 4
-        // distinct values, so probing it still yields ~len/4 rows while
-        // small yields 20 — cost ordering flips the join.
-        let mut db = Database::new();
-        for i in 0..400 {
-            db.insert_tuple("big", vec![Value::int(i), Value::int(i % 4)]);
-        }
-        for i in 0..20 {
-            db.insert_tuple("small", vec![Value::int(i)]);
-        }
-        db.insert_tuple("tag", vec![Value::int(0)]);
-        let rule = parse_rule("q(X) <- tag(C), big(X, C), small(X).").unwrap();
-        let order = |p: &RulePlan| -> Vec<String> {
-            p.steps
-                .iter()
-                .map(|s| match s {
-                    Step::Scan { pred, .. } => pred.to_string(),
-                    other => panic!("expected scan, got {other:?}"),
-                })
-                .collect()
-        };
-        let greedy = RulePlan::compile(&rule, None, None).unwrap();
-        assert_eq!(order(&greedy), ["tag", "big", "small"]);
-        let cost = RulePlan::compile(&rule, Some(&db), None).unwrap();
-        assert_eq!(order(&cost), ["tag", "small", "big"]);
-        // X is bound after small: the fully-bound big check is existential.
-        assert_eq!(cost.exist_from, 2);
-        assert!(cost.est_rows[1] >= 1.0 && cost.est_rows[1] <= 40.0);
-    }
-
-    #[test]
     fn greedy_ties_break_by_relation_size_then_source_order() {
         let rule = parse_rule("q(X) <- r1(X), r2(X).").unwrap();
-        // Without statistics every relation literal ties and the body keeps
-        // source order (which is how the magic-set evaluator plans).
-        let p = RulePlan::compile(&rule, None, None).unwrap();
+        // Relation literals with as many bound arguments tie, and the body
+        // keeps source order.
+        let p = RulePlan::compile(&rule, None).unwrap();
         assert_eq!(p.scan_steps[0].1.as_str(), "r1");
     }
 
@@ -800,7 +696,7 @@ mod tests {
     #[test]
     fn statistics_free_delta_variant_probes_before_it_scans() {
         let rule = parse_rule("a(X, Y) <- m(X), par(X, Z), a(Z, Y).").unwrap();
-        let p = RulePlan::compile(&rule, None, Some(2)).unwrap();
+        let p = RulePlan::compile(&rule, Some(2)).unwrap();
         let order: Vec<&str> = p.scan_steps.iter().map(|(_, s)| s.as_str()).collect();
         assert_eq!(order, ["a", "par", "m"]);
     }
@@ -815,7 +711,7 @@ mod tests {
             db.insert_tuple("fan", vec![Value::int(1), Value::int(y)]);
         }
         let rule = parse_rule("reach(X) <- cand(X), fan(X, Y).").unwrap();
-        let plan = RulePlan::compile(&rule, Some(&db), None).unwrap();
+        let plan = RulePlan::compile(&rule, None).unwrap();
         assert_eq!(plan.exist_from, 1); // Y is not a head variable
         let mut stats = EvalStats::default();
         let derived = derive_once(&plan, &db, None, RoundGate::open(), &mut stats);
@@ -872,18 +768,11 @@ mod tests {
 
     #[test]
     fn force_first_pins_delta_literal() {
-        use ldl_value::Value;
-        let mut db = Database::new();
-        for i in 0..100 {
-            db.insert_tuple("par", vec![Value::int(i), Value::int(i + 1)]);
-        }
-        db.insert_tuple("anc", vec![Value::int(0), Value::int(1)]);
         let rule = parse_rule("anc(X, Y) <- par(X, Z), anc(Z, Y).").unwrap();
-        // Body literal 1 (anc) runs first even though par would cost less.
-        let p = RulePlan::compile(&rule, Some(&db), Some(1)).unwrap();
+        // Body literal 1 (anc) runs first although par comes first in source.
+        let p = RulePlan::compile(&rule, Some(1)).unwrap();
         assert_eq!(p.scan_steps[0].0, 0);
         assert_eq!(p.scan_steps[0].1.as_str(), "anc");
-        assert_eq!(p.est_rows[0], -1.0);
         // par is probed on its now-bound second column (Z).
         let Step::Scan { index_cols, .. } = &p.steps[1] else {
             panic!("par step must be a scan")

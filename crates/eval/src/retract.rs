@@ -77,7 +77,7 @@ use crate::stats::EvalStats;
 /// On success `edb` holds the post-batch extensional database and `db` is a
 /// model of `program` w.r.t. it. On error (typically a tripped
 /// [`crate::Budget`]) `edb` is rewound to its rows, positions and liveness
-/// (sketches and statistics epochs rebuilt) and `db` is left
+/// and `db` is left
 /// *inconsistent*: the caller must discard it and re-evaluate from `edb`.
 /// A retried batch therefore reproduces the exact same insertion positions.
 #[allow(clippy::too_many_arguments)]

@@ -76,12 +76,12 @@ pub struct EvalStats {
     #[doc(hidden)]
     pub parallel_tasks: u64,
     /// Plan-cache lookups answered from the cache (same rule, same delta
-    /// role, same relation-statistics epochs as when the plan was built).
+    /// role).
     pub plan_cache_hits: u64,
     /// Plan-cache lookups that compiled a plan for the first time.
     pub plan_cache_misses: u64,
-    /// Cached plans discarded and recompiled because a body relation's
-    /// statistics epoch drifted between rounds.
+    // Never written; declared only because `benchmark/src/pipeline.rs` names it.
+    #[doc(hidden)]
     pub plan_replans: u64,
     /// Existential short-circuits: body-tail existence checks (steps past a
     /// plan's `exist_from` point, which bind no head or grouping variable)
@@ -162,7 +162,6 @@ impl AddAssign for EvalStats {
         self.rounds += rhs.rounds;
         self.plan_cache_hits += rhs.plan_cache_hits;
         self.plan_cache_misses += rhs.plan_cache_misses;
-        self.plan_replans += rhs.plan_replans;
         self.exist_cuts += rhs.exist_cuts;
         self.lowerings += rhs.lowerings;
         self.compiled_rounds += rhs.compiled_rounds;
@@ -177,7 +176,7 @@ impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, entries replayed: {}, delta-updated: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, replans: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}, published by replay: {} ({} changes), by clone: {} ({} snapshot still held, {} new model)",
+            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, entries replayed: {}, delta-updated: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}, published by replay: {} ({} changes), by clone: {} ({} snapshot still held, {} new model)",
             self.rules_fired,
             self.attempts,
             self.facts_derived,
@@ -192,7 +191,6 @@ impl fmt::Display for EvalStats {
             self.rounds,
             self.plan_cache_hits,
             self.plan_cache_misses,
-            self.plan_replans,
             self.exist_cuts,
             self.lowerings,
             self.compiled_rounds,

@@ -13,7 +13,7 @@ use ldl_value::{intern, Fact, Value};
 /// confined to a delta range, returning the head relation's (unary) tuples
 /// in derivation order.
 fn derive_restricted(rule: &str, db: &mut Database, restrict: DeltaRestriction) -> Vec<Value> {
-    let plan = RulePlan::compile(&parse_rule(rule).unwrap(), None, None).unwrap();
+    let plan = RulePlan::compile(&parse_rule(rule).unwrap(), None).unwrap();
     let opts = EvalOptions::default();
     let mut stats = EvalStats::new();
     let pass = RoundTask {
@@ -201,6 +201,50 @@ fn non_recursive_component_fires_once_after_the_closure() {
     assert_eq!(m.relation("far".into()).unwrap().len(), 120);
     let reference = reference_model(&program, &edb).unwrap();
     assert_eq!(m.to_fact_set(), reference.to_fact_set());
+}
+
+/// A plan's indexes are built once every relation it scans has a row. Cold
+/// evaluation of the ancestor program runs `anc(X, Y) <- par(X, Z),
+/// anc(Z, Y)` in full only in round 0, while `anc` is empty, so `anc[0]` is
+/// never built; the delta passes probe `par[1]`. The first assertion into
+/// `par` runs the rule on the `par` delta and leaves `anc[0]`, which a
+/// query `anc(0, Y)` then probes. (`[0, 1]` is the duplicate filter.)
+#[test]
+fn indexes_wait_for_rows() {
+    let program = parse_program(
+        "anc(X, Y) <- par(X, Y).\n\
+         anc(X, Y) <- par(X, Z), anc(Z, Y).",
+    )
+    .unwrap();
+    let mut edb = Database::new();
+    for i in 0..10 {
+        edb.insert_tuple("par", vec![Value::int(i), Value::int(i + 1)]);
+    }
+    let mut db = Evaluator::new().evaluate(&program, &edb).unwrap();
+    let cols = |db: &Database, p: &str| db.relation(p.into()).unwrap().index_columns();
+    assert_eq!(cols(&db, "anc"), [vec![0, 1]]);
+    assert_eq!(cols(&db, "par"), [vec![0, 1], vec![1]]);
+
+    let strat = Stratification::canonical(&program).unwrap();
+    let sens = strat.sensitivity(&program);
+    let new = Fact::new("par", vec![Value::int(10), Value::int(11)]);
+    let (opts, mut stats) = (EvalOptions::default(), EvalStats::new());
+    ldl_eval::apply_mutations(
+        &program,
+        &strat,
+        &sens,
+        &mut edb,
+        &mut db,
+        &[],
+        &[new],
+        &opts,
+        &mut stats,
+    )
+    .unwrap();
+    assert_eq!(cols(&db, "anc"), [vec![0], vec![0, 1]]);
+    let query = ldl_parser::parse_atom("anc(0, Y)").unwrap();
+    let arm = Evaluator::new().explain_query(&db, &query);
+    assert!(arm.starts_with("anc(0, Y): probe anc[0], 11 of "), "{arm}");
 }
 
 /// One layer holding a grouping head, a three-rule non-recursive chain

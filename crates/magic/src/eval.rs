@@ -20,9 +20,10 @@
 //! every rule head is a delta predicate, so a base fixpoint re-entered
 //! after guarded rules ran joins exactly the tuples they added instead of
 //! re-deriving the model — with each guarded rule applied as a one-pass
-//! round ([`full_round`]). Plans come from a statistics-free
-//! [`PlanCache`]: the rewriting already put every body in sip order, and a
-//! delta-first variant orders the rest by bound arguments, as the sip does.
+//! round ([`full_round`]). Plans come from a [`PlanCache`] like every other
+//! caller's: the rewriting already put every body in sip order, which the
+//! planner's rule keeps, and a delta-first variant orders the rest by bound
+//! arguments, as the sip does.
 //! Where that variant would still scan a magic set once per delta tuple —
 //! the delta binds nothing the guard is indexed by, as in the bill of
 //! materials' `partition` rules — the delta loop runs the sip-ordered full
@@ -134,15 +135,11 @@ impl MagicEvaluator {
         let mut stats = EvalStats::new();
         let mut drive = Drive::new(&self.options, &mut stats);
         // `adorn_rule` emits every rewritten body in sip order (§6), and the
-        // statistics-free planner orders a body by the sip's own rule —
-        // bound arguments first, ties in source order — so the plan follows
-        // the sip, delta-first variants included; a variant that would
-        // rescan the magic set per delta tuple gives way to the full plan
-        // run in place. (With statistics the cost model ranks `partition`
-        // in its set-constructing mode above the magic-predicate scan whose
-        // binding makes it a check, and every junk split is interned for
-        // the life of the process.)
-        let mut cache = PlanCache::source_order();
+        // planner orders a body by the sip's own rule — bound arguments
+        // first, ties in source order — so the plan follows the sip,
+        // delta-first variants included; a variant that would rescan the
+        // magic set per delta tuple gives way to the full plan run in place.
+        let mut cache = PlanCache::default();
         // Every rule head is a delta predicate — guarded heads too, since
         // base rules consume what guarded rules produce. The one frontier
         // lives across the whole schedule: a base fixpoint re-entered after

@@ -44,7 +44,7 @@ struct DbLog {
 }
 
 impl Clone for Database {
-    /// A deep copy of the facts, indexes and statistics, with no change log
+    /// A deep copy of the facts and indexes, with no change log
     /// open: a log is the history of one copy from one base state.
     fn clone(&self) -> Database {
         Database {
@@ -201,29 +201,6 @@ impl Database {
         db
     }
 
-    /// The statistics epoch of `pred`'s relation, or 0 when the relation
-    /// does not exist yet. Epoch drift (see [`Relation::stats_epoch`]) is
-    /// how the evaluator's plan cache decides a cached join plan is stale.
-    pub fn stats_epoch(&self, pred: Symbol) -> u64 {
-        self.relations.get(&pred).map_or(0, |r| r.stats_epoch())
-    }
-
-    /// Estimated output cardinality of scanning `pred` with the given
-    /// columns ground: `len / distinct(bound_cols)` per the incrementally
-    /// maintained sketches, `len` for a full scan, `0` for an empty
-    /// relation, and `None` when the relation does not exist (no
-    /// statistics at all — the planner falls back to greedy ordering).
-    pub fn scan_estimate(&self, pred: Symbol, bound_cols: &[usize]) -> Option<f64> {
-        let rel = self.relations.get(&pred)?;
-        if rel.is_empty() {
-            return Some(0.0);
-        }
-        if bound_cols.is_empty() {
-            return Some(rel.live_len() as f64);
-        }
-        Some(rel.live_len() as f64 / rel.key_distinct_estimate(bound_cols))
-    }
-
     /// Remove one relation wholesale (used when an IDB predicate is rebuilt
     /// from scratch during incremental maintenance).
     pub fn remove_relation(&mut self, pred: Symbol) -> Option<Relation> {
@@ -267,7 +244,7 @@ impl Database {
     }
 
     /// Return to the rows, positions and liveness of when the change log
-    /// opened (sketches and statistics epochs are rebuilt), and close it.
+    /// opened, and close it.
     /// Undoes what `apply`, inserts, removals and revivals did, not other
     /// replacements, removals or truncations. Panics when no log is open.
     pub fn rewind(&mut self) {

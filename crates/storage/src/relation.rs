@@ -19,7 +19,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use ldl_value::fxhash::{FastMap, FastSet, FxHasher};
-use ldl_value::{intern, ValueId};
+use ldl_value::ValueId;
 
 /// Positions are dense `u32`s; the top two values are reserved for the
 /// hash-table sentinels, so a relation holds at most `u32::MAX - 2` rows.
@@ -663,57 +663,6 @@ impl Index {
     }
 }
 
-/// A fixed-width linear-counting sketch estimating the number of distinct
-/// values in one column.
-///
-/// 256 one-bit bins (`[u64; 4]`, 32 bytes, allocated inline with the
-/// relation — observing a value is a hash, a shift, and an OR, with no heap
-/// traffic on the insert hot path). The classic linear-counting estimator
-/// `m · ln(m / zeros)` recovers the distinct count from the zero-bin count
-/// with good accuracy up to a few times `m`; a saturated sketch reports the
-/// tuple count (i.e. "assume all distinct"), which errs toward full-scan
-/// cost estimates rather than over-promising selectivity.
-///
-/// Values are observed through [`intern::struct_hash`], which depends only
-/// on value *structure* — never on raw id numbering, which varies by run
-/// and thread interleaving — so the sketch bits, and every plan choice
-/// derived from them, are bit-for-bit reproducible.
-#[derive(Clone, Copy, Debug, Default)]
-struct ColSketch {
-    bits: [u64; 4],
-}
-
-/// Bin count of [`ColSketch`] (must match `bits` capacity).
-const SKETCH_BINS: u32 = 256;
-
-impl ColSketch {
-    #[inline]
-    fn observe(&mut self, v: ValueId) {
-        let h = intern::struct_hash(v);
-        let bin = (h % u64::from(SKETCH_BINS)) as usize;
-        self.bits[bin / 64] |= 1u64 << (bin % 64);
-    }
-
-    /// Estimated distinct count, clamped to `[1, len]` (0 when `len == 0`).
-    fn estimate(&self, len: usize) -> f64 {
-        if len == 0 {
-            return 0.0;
-        }
-        let zeros = self
-            .bits
-            .iter()
-            .map(|w| w.count_zeros() as u64)
-            .sum::<u64>();
-        let m = f64::from(SKETCH_BINS);
-        let est = if zeros == 0 {
-            len as f64 // saturated: assume all distinct
-        } else {
-            m * (m / zeros as f64).ln()
-        };
-        est.clamp(1.0, len as f64)
-    }
-}
-
 /// What a relation records while a change log is open on it (see
 /// [`Relation::catch_up`] for how it is read back).
 #[derive(Debug)]
@@ -766,15 +715,6 @@ pub struct Relation {
     /// `&[usize]`), so relations of any width can be indexed. Never holds
     /// the list of *every* column: `seen` answers that one.
     indexes: FastMap<Vec<usize>, Index>,
-    /// One distinct-count sketch per column, maintained on every insert.
-    sketches: Vec<ColSketch>,
-    /// Bumped whenever the relation's statistics have drifted enough to
-    /// justify re-planning (a ~1.5× growth schedule — O(log n) bumps over a
-    /// relation's lifetime), and on every truncation. Plan caches key on
-    /// this.
-    stats_epoch: u64,
-    /// The tuple count at which the next epoch bump fires.
-    next_epoch_len: usize,
     /// The open change log, if any (see [`Relation::catch_up`]).
     log: LogSlot,
 }
@@ -789,9 +729,6 @@ impl Relation {
             dead: None,
             live: 0,
             indexes: FastMap::default(),
-            sketches: vec![ColSketch::default(); arity],
-            stats_epoch: 0,
-            next_epoch_len: 1,
             log: LogSlot::default(),
         }
     }
@@ -847,14 +784,7 @@ impl Relation {
         for idx in self.indexes.values_mut() {
             idx.add(tuple, pos);
         }
-        for (sk, &v) in self.sketches.iter_mut().zip(tuple.iter()) {
-            sk.observe(v);
-        }
         self.live += 1;
-        if self.len() >= self.next_epoch_len {
-            self.stats_epoch += 1;
-            self.next_epoch_len = self.len() + (self.len() / 2).max(16);
-        }
         true
     }
 
@@ -903,8 +833,8 @@ impl Relation {
     }
 
     /// Tombstone a live tuple: removes it from the duplicate filter and
-    /// every index posting list, marks its position dead, and bumps the
-    /// statistics epoch. The position itself (and the row data) is
+    /// every index posting list, and marks its position dead. The position
+    /// itself (and the row data) is
     /// retained so outstanding marks/deltas stay valid and
     /// [`Relation::revive`] can restore the exact pre-removal state.
     /// Returns the tombstoned position, or `None` if the tuple was not
@@ -917,7 +847,6 @@ impl Relation {
         for idx in self.indexes.values_mut() {
             idx.remove(rows.get(pos), pos);
         }
-        self.stats_epoch += 1;
         if let Some(log) = &mut self.log.0 {
             log.touched.push(pos);
         }
@@ -938,7 +867,6 @@ impl Relation {
         }
         self.seen.insert(&self.rows, pos);
         self.live += 1;
-        self.stats_epoch += 1;
         if let Some(log) = &mut self.log.0 {
             log.touched.push(pos);
         }
@@ -1051,43 +979,6 @@ impl Relation {
         self.arity >= 1 && cols.iter().copied().eq(0..self.arity)
     }
 
-    /// The statistics epoch: bumped when tuple count / distinct-value
-    /// statistics have drifted enough (≈1.5× growth, or any truncation)
-    /// that cost-based plans built against older statistics should be
-    /// reconsidered. Monotone per relation *state* — two databases in the
-    /// same logical state can disagree on the epoch value, but within one
-    /// evaluation the sequence of epochs observed between rounds is
-    /// deterministic.
-    pub fn stats_epoch(&self) -> u64 {
-        self.stats_epoch
-    }
-
-    /// Estimated number of distinct values in column `col` (linear-counting
-    /// sketch, clamped to `[1, live_len]`; `0.0` for an empty relation).
-    pub fn distinct_estimate(&self, col: usize) -> f64 {
-        self.sketches[col].estimate(self.live)
-    }
-
-    /// Estimated number of distinct *combinations* over `cols`: the product
-    /// of the per-column estimates, capped at the tuple count. The
-    /// independence assumption overestimates distinctness for correlated
-    /// columns, which errs toward predicting *fewer* matching rows — the
-    /// same bias every textbook System-R-style estimator accepts.
-    pub fn key_distinct_estimate(&self, cols: &[usize]) -> f64 {
-        if self.live == 0 {
-            return 0.0;
-        }
-        let len = self.live as f64;
-        let mut combo = 1.0f64;
-        for &c in cols {
-            combo *= self.sketches[c].estimate(self.live);
-            if combo >= len {
-                return len;
-            }
-        }
-        combo.clamp(1.0, len)
-    }
-
     /// Discard every tuple at insertion position `len` or beyond, restoring
     /// the relation to an earlier snapshot (see [`Relation::len`], whose
     /// value is exactly such a snapshot mark). Hash indexes and the
@@ -1125,23 +1016,6 @@ impl Relation {
         for idx in self.indexes.values_mut() {
             idx.truncate(cutoff);
         }
-        // Sketch bits cannot be un-set per dropped tuple; rebuild them from
-        // the surviving live tuples (truncation is the rare
-        // snapshot-rollback path, never the insert hot path) and invalidate
-        // cached plans.
-        for sk in &mut self.sketches {
-            *sk = ColSketch::default();
-        }
-        for pos in 0..self.rows.len {
-            if self.dead.as_ref().is_some_and(|d| d.contains(&pos)) {
-                continue;
-            }
-            for (sk, &v) in self.sketches.iter_mut().zip(self.rows.get(pos)) {
-                sk.observe(v);
-            }
-        }
-        self.stats_epoch += 1;
-        self.next_epoch_len = self.len() + (self.len() / 2).max(16);
     }
 
     /// Start (or restart) this relation's change log at its present state.
@@ -1162,7 +1036,7 @@ impl Relation {
     /// opened, and close it; `false`, changing nothing, when no log is open.
     /// Undoing the flips newest first passes only through past states minus
     /// the truncated rows, so no tuple is ever live twice (DESIGN §3k). An
-    /// index built since stays; statistics are rebuilt, not restored.
+    /// index built since stays.
     pub(crate) fn rewind(&mut self) -> bool {
         let Some(log) = self.log.0.take() else {
             return false;
@@ -1194,8 +1068,6 @@ impl Relation {
     /// duplicate filter never meets a second copy of a key; a posting list
     /// is the ascending list of its key's live positions whichever way it
     /// was reached (appends land at the end, revivals at their sorted slot).
-    /// The statistics are a function of history, not of the final rows, so
-    /// they are copied: both copies plan alike.
     pub(crate) fn catch_up(&mut self, new: &Relation) -> usize {
         self.log.0 = None;
         let log = match &new.log.0 {
@@ -1231,9 +1103,6 @@ impl Relation {
             }
         }
         debug_assert_eq!(self.live, new.live);
-        self.sketches.clone_from(&new.sketches);
-        self.stats_epoch = new.stats_epoch;
-        self.next_epoch_len = new.next_epoch_len;
         // An index `new` gained is a function of rows and liveness, which
         // now agree: copy it rather than rebuild it.
         for (cols, idx) in &new.indexes {
@@ -1246,7 +1115,7 @@ impl Relation {
 
     /// `Ok` when the two relations are in the same observable state — rows
     /// and liveness position by position, the duplicate filter, index
-    /// column sets and every posting list, statistics, arena footprint —
+    /// column sets and every posting list, arena footprint —
     /// else what differs first. Hash-table layouts and change logs are not
     /// state. Linear in the relation: for tests and debug self-checks.
     pub fn same_state(&self, other: &Relation) -> Result<(), String> {
@@ -1288,10 +1157,6 @@ impl Relation {
                 }
             }
         }
-        same("stats_epoch", self.stats_epoch, other.stats_epoch)?;
-        same("next_epoch_len", self.next_epoch_len, other.next_epoch_len)?;
-        let bits = |r: &Relation| r.sketches.iter().map(|s| s.bits).collect::<Vec<_>>();
-        same("sketches", bits(self), bits(other))?;
         same("arena_pages", self.arena_pages(), other.arena_pages())?;
         same("arena_bytes", self.arena_bytes(), other.arena_bytes())
     }
@@ -1564,69 +1429,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_estimates_track_column_cardinality() {
-        let mut r = Relation::new(2);
-        for x in 0..600 {
-            r.insert_slice(&t(&[x, x % 4])); // column 0: 600 distinct, column 1: 4
-        }
-        assert_eq!(r.distinct_estimate(0), 600.0, "saturated sketch → len");
-        let low = r.distinct_estimate(1);
-        assert!((1.0..=12.0).contains(&low), "4-distinct column got {low}");
-        // Key combo: capped product, never above len.
-        assert!(r.key_distinct_estimate(&[0, 1]) <= 600.0);
-        assert!(r.key_distinct_estimate(&[1]) <= 12.0);
-        assert_eq!(Relation::new(2).distinct_estimate(0), 0.0);
-    }
-
-    #[test]
-    fn distinct_estimate_small_relation_is_accurate() {
-        let mut r = Relation::new(1);
-        for x in 0..20 {
-            r.insert_slice(&t(&[x]));
-        }
-        let est = r.distinct_estimate(0);
-        assert!((15.0..=25.0).contains(&est), "20 distinct estimated {est}");
-    }
-
-    #[test]
-    fn stats_epoch_bumps_geometrically_and_on_truncate() {
-        let mut r = Relation::new(1);
-        assert_eq!(r.stats_epoch(), 0);
-        r.insert_slice(&t(&[0]));
-        let e1 = r.stats_epoch();
-        assert_eq!(e1, 1, "first insert crosses the initial threshold");
-        for x in 1..1000 {
-            r.insert_slice(&t(&[x]));
-        }
-        let grown = r.stats_epoch();
-        // ~1.5× growth schedule: far fewer epochs than inserts.
-        assert!(
-            grown > e1 && grown < 25,
-            "epoch after 1000 inserts: {grown}"
-        );
-        // Duplicates never bump (len does not change).
-        let before = r.stats_epoch();
-        r.insert_slice(&t(&[5]));
-        assert_eq!(r.stats_epoch(), before);
-
-        r.truncate(10);
-        assert!(r.stats_epoch() > grown, "truncate must invalidate plans");
-        // Sketches rebuilt from survivors: estimate reflects 10 tuples.
-        assert!(r.distinct_estimate(0) <= 10.0);
-    }
-
-    #[test]
-    fn set_valued_columns_sketch_structurally() {
-        use ldl_value::Value;
-        let mut r = Relation::new(1);
-        // Same canonical set inserted via two surface orders is one value…
-        let s12 = intern::id_of(&Value::set(vec![Value::int(1), Value::int(2)]));
-        r.insert_slice(&[s12]);
-        let one = r.distinct_estimate(0);
-        assert!((0.9..=1.5).contains(&one));
-    }
-
-    #[test]
     fn zero_arity_relation_holds_one_tuple() {
         let mut r = Relation::new(0);
         assert!(r.insert_slice(&[]));
@@ -1701,22 +1503,6 @@ mod tests {
         r.revive(p1);
         assert!(r.contains(&[id(1)]));
         assert_eq!(r.live_len(), 2);
-    }
-
-    #[test]
-    fn estimates_follow_live_count() {
-        let mut r = Relation::new(1);
-        for x in 0..20 {
-            r.insert_slice(&t(&[x]));
-        }
-        for x in 0..19 {
-            r.remove_slice(&[id(x)]);
-        }
-        assert!(r.distinct_estimate(0) <= 1.0);
-        assert_eq!(r.key_distinct_estimate(&[0]), 1.0);
-        r.remove_slice(&[id(19)]);
-        assert!(r.is_empty());
-        assert_eq!(r.key_distinct_estimate(&[0]), 0.0);
     }
 
     #[test]

@@ -22,11 +22,10 @@
 //! is why a resolved set prints identically to its structural counterpart
 //! and why §2.4 domination comparisons are unaffected by interning.
 
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::fxhash::{FastMap, FxHasher};
+use crate::fxhash::FastMap;
 use crate::symbol::Symbol;
 use crate::value::Value;
 
@@ -89,25 +88,9 @@ fn locate(idx: u32) -> (usize, usize, usize) {
     (bucket as usize, (idx as u64 - start) as usize, cap)
 }
 
-/// One arena slot: the node plus its cached *structural* hash.
-///
-/// The structural hash is computed bottom-up at intern time — children are
-/// always interned first, so their hashes are already cached — from the
-/// node's shape, constant payloads, and *names* (never from raw ids or
-/// [`Symbol`]s, both of which are assignment-order-dependent). Two runs, or
-/// two thread interleavings, that intern the same value therefore agree on
-/// its structural hash even when they disagree on its id. This is what
-/// makes hash-based statistics over stored values (the per-column
-/// distinct-count sketches in `ldl-storage`) deterministic at any worker
-/// count.
-struct Slot {
-    node: Node,
-    shash: u64,
-}
-
 struct Arena {
     /// Lazily allocated, never freed; slot `i` is valid once `len > index`.
-    chunks: [AtomicPtr<Slot>; CHUNK_COUNT],
+    chunks: [AtomicPtr<Node>; CHUNK_COUNT],
     /// Published length: a `Release` store after the slot write makes the
     /// node visible to any reader that `Acquire`-loads a length past it.
     len: AtomicU32,
@@ -134,31 +117,26 @@ fn intern_node(node: Node) -> ValueId {
     }
     let idx = arena.len.load(Ordering::Relaxed);
     assert!(idx != u32::MAX, "too many interned values");
-    let shash = structural_hash(&node);
     let (chunk, offset, cap) = locate(idx);
     let mut ptr = arena.chunks[chunk].load(Ordering::Acquire);
     if ptr.is_null() {
         // Leak an uninitialized chunk; slots are written before `len`
         // publishes them, so readers never see an uninitialized node.
-        let chunk_mem: Box<[std::mem::MaybeUninit<Slot>]> = Box::new_uninit_slice(cap);
-        ptr = Box::leak(chunk_mem).as_mut_ptr().cast::<Slot>();
+        let chunk_mem: Box<[std::mem::MaybeUninit<Node>]> = Box::new_uninit_slice(cap);
+        ptr = Box::leak(chunk_mem).as_mut_ptr().cast::<Node>();
         arena.chunks[chunk].store(ptr, Ordering::Release);
     }
     // SAFETY: `offset < cap` by `locate`, the slot is below `len` for no
     // reader yet, and the `ids` mutex makes this the only writer.
-    unsafe {
-        ptr.add(offset).write(Slot {
-            node: node.clone(),
-            shash,
-        })
-    };
+    unsafe { ptr.add(offset).write(node.clone()) };
     arena.len.store(idx + 1, Ordering::Release);
     ids.insert(node, idx);
     ValueId(idx)
 }
 
+/// The interned node for `id` — the lock-free hot read path.
 #[inline]
-fn slot(id: ValueId) -> &'static Slot {
+pub fn node(id: ValueId) -> &'static Node {
     let arena = arena();
     #[cfg(debug_assertions)]
     {
@@ -171,60 +149,6 @@ fn slot(id: ValueId) -> &'static Slot {
     // and its chunk pointer before publishing `len`; the id reached this
     // thread through some synchronization that happened after.
     unsafe { &*ptr.add(offset) }
-}
-
-/// The interned node for `id` — the lock-free hot read path.
-#[inline]
-pub fn node(id: ValueId) -> &'static Node {
-    &slot(id).node
-}
-
-/// The cached *structural* hash of `id`'s value: a function of the value's
-/// shape, constants, and names only — never of raw ids — so it is identical
-/// across runs, worker counts, and interleavings (unlike `Hash for
-/// ValueId`, which hashes the assignment-order-dependent id). This is the
-/// hash the storage layer's per-column distinct-count sketches observe;
-/// O(1), one arena read.
-#[inline]
-pub fn struct_hash(id: ValueId) -> u64 {
-    slot(id).shash
-}
-
-/// Compute a node's structural hash from its payload and its children's
-/// cached hashes (children are interned — and therefore hashed — first).
-fn structural_hash(node: &Node) -> u64 {
-    let mut h = FxHasher::default();
-    match node {
-        Node::Int(i) => {
-            h.write_u8(0);
-            h.write_u64(*i as u64);
-        }
-        Node::Str(s) => {
-            h.write_u8(1);
-            h.write(s.as_bytes());
-        }
-        Node::Atom(a) => {
-            h.write_u8(2);
-            h.write(a.as_str().as_bytes());
-        }
-        Node::Compound(f, args) => {
-            h.write_u8(3);
-            h.write(f.as_str().as_bytes());
-            h.write_usize(args.len());
-            for &a in args.iter() {
-                h.write_u64(struct_hash(a));
-            }
-        }
-        Node::Set(elems) => {
-            h.write_u8(4);
-            h.write_usize(elems.len());
-            // Canonical element order makes this order-insensitive.
-            for &e in elems.iter() {
-                h.write_u64(struct_hash(e));
-            }
-        }
-    }
-    h.finish()
 }
 
 /// Number of distinct values interned so far (the interner size statistic).
@@ -447,24 +371,6 @@ mod tests {
         for (k, &id) in results[0].iter().enumerate() {
             assert_eq!(resolve(id), build(k as i64));
         }
-    }
-
-    #[test]
-    fn struct_hash_is_structural() {
-        // Equal values agree (trivially: one id), distinct values disagree.
-        let a = id_of(&Value::compound("f", vec![Value::int(1), Value::int(2)]));
-        let b = id_of(&Value::compound("f", vec![Value::int(2), Value::int(1)]));
-        assert_ne!(struct_hash(a), struct_hash(b));
-        assert_ne!(struct_hash(mk_int(1)), struct_hash(mk_int(2)));
-        assert_ne!(
-            struct_hash(mk_atom("x".into())),
-            struct_hash(mk_str(&Arc::from("x")))
-        );
-        // Set canonicalization: element order does not matter.
-        let s1 = mk_set(vec![mk_int(9), mk_int(8)]);
-        let s2 = mk_set(vec![mk_int(8), mk_int(9)]);
-        assert_eq!(struct_hash(s1), struct_hash(s2));
-        assert_ne!(struct_hash(s1), struct_hash(empty_set()));
     }
 
     #[test]

@@ -868,7 +868,7 @@ fn work_counters_belong_to_their_operation() {
     assert!(alone[1].exist_cuts > 0, "{}", alone[1]);
 
     let mut other = counted_system();
-    other.explain(None).unwrap();
+    other.explain(None);
     other.explain_query("anc(100, Y)").unwrap();
     let m = reference_model(other.program(), other.edb()).unwrap();
     check_model(other.program(), &m.to_fact_set()).unwrap();
