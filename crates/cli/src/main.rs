@@ -117,6 +117,7 @@ fn open_data_dir(dir: &str) -> System {
                 if let Some(t) = &info.truncation {
                     eprintln!("{dir}: warning: {t}");
                 }
+                eprintln!("{dir}: {}", info.times);
             }
             sys
         }

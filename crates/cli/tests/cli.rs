@@ -225,3 +225,56 @@ fn strata_shows_the_run_order() {
         "{stdout}"
     );
 }
+
+/// Opening a data directory prints where the open's time went, on one
+/// line: reading, the snapshot's CRC, node table and rows, the log scan
+/// and the replay.
+#[test]
+fn data_dir_open_prints_its_time_split() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("ldl1-cli-open-times-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().unwrap();
+    let run_repl = |input: &[u8]| {
+        let mut repl = Command::new(env!("CARGO_BIN_EXE_ldl1"))
+            .args(["--data-dir", dir_arg])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("ldl1 binary runs");
+        repl.stdin.take().unwrap().write_all(input).unwrap();
+        let out = repl.wait_with_output().unwrap();
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    run_repl(b"p(1). p(2).\n:checkpoint\nq({3, 4}).\n:quit\n");
+    let stderr = run_repl(b":quit\n");
+    let line = stderr
+        .lines()
+        .find(|l| l.contains(": open "))
+        .unwrap_or_else(|| panic!("no open line in {stderr}"));
+    let ms: Vec<f64> = line[line.find(": open ").unwrap()..]
+        .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .filter(|w| w.contains('.'))
+        .map(|w| w.parse().unwrap())
+        .collect();
+    assert_eq!(ms.len(), 7, "{line}");
+    for part in [
+        "open ",
+        " ms: read ",
+        ", crc ",
+        ", nodes ",
+        ", rows ",
+        ", log scan ",
+        ", replay ",
+    ] {
+        assert!(line.contains(part), "{part:?} missing from {line}");
+    }
+    // Each part printed to 3 decimals: the sum may round past the whole by
+    // at most half a unit per part.
+    assert!(ms[1..].iter().sum::<f64>() <= ms[0] + 0.0035, "{line}");
+    assert!(stderr.contains("loaded snapshot at batch 1"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -67,7 +67,7 @@ pub use ldl_storage::Database;
 pub use ldl_stratify::Stratification;
 pub use ldl_transform::head_terms::GroupingSemantics;
 pub use ldl_value::{Fact, FactSet, SetValue, Symbol, Value};
-pub use ldl_wal::{CheckpointInfo, RecoveryInfo, StoreOptions, SyncPolicy, Truncation};
+pub use ldl_wal::{CheckpointInfo, OpenTimes, RecoveryInfo, StoreOptions, SyncPolicy, Truncation};
 
 /// Any error the system can raise.
 ///

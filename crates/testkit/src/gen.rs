@@ -25,10 +25,9 @@
 //!
 //! Above a minimum size, a third of the cases **skew** one EDB relation
 //! 10–50× past the others (profiles: balanced, `e0`-heavy, `e1`-heavy).
-//! Skewed cases make join order matter: a planner that reads relation
-//! statistics schedules them differently from one counting bound argument
-//! positions, so the differential oracle actually exercises the claim that
-//! cost-based and greedy plans compute the same model.
+//! Plans read no relation sizes (the sip rule), so skew does not change a
+//! plan; it changes how far each join fans out, so the oracle sees
+//! lopsided joins as well as balanced ones.
 
 use crate::Rng;
 
@@ -62,7 +61,7 @@ pub struct GeneratedCase {
     /// layer below.
     pub top: String,
     /// How far one EDB relation was inflated past the others (1 = balanced,
-    /// 10–50 = skewed). Skewed cases are join-order-sensitive.
+    /// 10–50 = skewed). Skewed cases have lopsided join fan-outs.
     pub skew_factor: u32,
 }
 
@@ -156,11 +155,11 @@ pub fn stratified_case(rng: &mut Rng, size: u32) -> GeneratedCase {
         }
     }
 
-    // A third of the larger cases skew one relation far past the others so
-    // join order matters. The inflating tuples draw from a domain about 4×
-    // wider than their own count: large relations with high distinct-value
-    // estimates, but sparse enough that `p0`'s transitive closure stays
-    // near-linear and the oracle's naive mode stays fast. Sizes below 4
+    // A third of the larger cases skew one relation far past the others.
+    // The inflating tuples draw from a domain about 4× wider than their
+    // own count: large relations with many distinct values, but sparse
+    // enough that `p0`'s transitive closure stays near-linear and the
+    // oracle's naive mode stays fast. Sizes below 4
     // never skew, so case shrinking still converges on tiny programs.
     let skew_factor = if size < 4 {
         1

@@ -23,7 +23,7 @@
 //! and why §2.4 domination comparisons are unaffected by interning.
 
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::fxhash::FastMap;
 use crate::symbol::Symbol;
@@ -112,6 +112,14 @@ fn arena() -> &'static Arena {
 fn intern_node(node: Node) -> ValueId {
     let arena = arena();
     let mut ids = arena.ids.lock().expect("value interner poisoned");
+    intern_locked(arena, &mut ids, node)
+}
+
+/// [`intern_node`] with the `ids` guard already held — the one writer
+/// path, shared by single interns and a [`Batch`]. Always inlined, so a
+/// single intern's hit path stays one lock and one lookup.
+#[inline(always)]
+fn intern_locked(arena: &Arena, ids: &mut FastMap<Node, u32>, node: Node) -> ValueId {
     if let Some(&id) = ids.get(&node) {
         return ValueId(id);
     }
@@ -127,7 +135,8 @@ fn intern_node(node: Node) -> ValueId {
         arena.chunks[chunk].store(ptr, Ordering::Release);
     }
     // SAFETY: `offset < cap` by `locate`, the slot is below `len` for no
-    // reader yet, and the `ids` mutex makes this the only writer.
+    // reader yet, and the `ids` mutex (held by the caller) makes this the
+    // only writer.
     unsafe { ptr.add(offset).write(node.clone()) };
     arena.len.store(idx + 1, Ordering::Release);
     ids.insert(node, idx);
@@ -252,6 +261,63 @@ pub fn empty_set() -> ValueId {
     *EMPTY.get_or_init(|| intern_node(Node::Set(Box::from([]))))
 }
 
+/// Many interns under one lock: see [`batch`].
+pub struct Batch {
+    arena: &'static Arena,
+    ids: MutexGuard<'static, FastMap<Node, u32>>,
+}
+
+impl Batch {
+    /// Intern an integer — the same id [`mk_int`] gives.
+    pub fn int(&mut self, i: i64) -> ValueId {
+        // Not `mk_int`: its small-integer cache fills through
+        // `intern_node`, which would wait for the lock this batch holds.
+        self.node(Node::Int(i))
+    }
+
+    /// Intern a string constant.
+    pub fn str(&mut self, s: &str) -> ValueId {
+        self.node(Node::Str(Arc::from(s)))
+    }
+
+    /// Intern an atom.
+    pub fn atom(&mut self, sym: Symbol) -> ValueId {
+        self.node(Node::Atom(sym))
+    }
+
+    /// Intern `functor(args…)`, as [`mk_compound`] does.
+    pub fn compound(&mut self, functor: Symbol, args: &[ValueId]) -> ValueId {
+        if args.is_empty() {
+            self.atom(functor)
+        } else {
+            self.node(Node::Compound(functor, args.into()))
+        }
+    }
+
+    /// Intern a set from arbitrary elements, as [`mk_set`] does; `elems`
+    /// is left sorted and deduplicated.
+    pub fn set(&mut self, elems: &mut Vec<ValueId>) -> ValueId {
+        elems.sort_unstable_by(|&a, &b| cmp_ids(a, b));
+        elems.dedup();
+        self.node(Node::Set(elems.as_slice().into()))
+    }
+
+    fn node(&mut self, node: Node) -> ValueId {
+        intern_locked(self.arena, &mut self.ids, node)
+    }
+}
+
+/// Run `f` with the interner's write lock held once for all its interns
+/// — a bulk load (a snapshot's node table) pays one lock, not one per
+/// value. Lock-free reads ([`node`], [`cmp_ids`]) work inside `f`; any
+/// other intern call (`mk_*`, [`id_of`], another `batch`) on this thread
+/// deadlocks, and other threads' interns wait until `f` returns.
+pub fn batch<R>(f: impl FnOnce(&mut Batch) -> R) -> R {
+    let arena = arena();
+    let ids = arena.ids.lock().expect("value interner poisoned");
+    f(&mut Batch { arena, ids })
+}
+
 /// Intern a structural [`Value`]. Set elements arrive sorted by
 /// `Value::cmp`, which coincides with [`cmp_ids`], so no re-sort happens.
 pub fn id_of(v: &Value) -> ValueId {
@@ -371,6 +437,32 @@ mod tests {
         for (k, &id) in results[0].iter().enumerate() {
             assert_eq!(resolve(id), build(k as i64));
         }
+    }
+
+    #[test]
+    fn batch_interns_what_mk_interns() {
+        let s: Arc<str> = Arc::from("batch_str");
+        let (i, big, st, at, f, set, elems) = batch(|b| {
+            let i = b.int(7);
+            let big = b.int(1 << 40);
+            let st = b.str("batch_str");
+            let at = b.atom("batch_atom".into());
+            let f = b.compound("batch_f".into(), &[i, st]);
+            let mut elems = vec![f, i, at, i];
+            let set = b.set(&mut elems);
+            (i, big, st, at, f, set, elems)
+        });
+        assert_eq!(i, mk_int(7));
+        assert_eq!(big, mk_int(1 << 40));
+        assert_eq!(st, mk_str(&s));
+        assert_eq!(at, mk_atom("batch_atom".into()));
+        assert_eq!(f, mk_compound("batch_f".into(), vec![i, st]));
+        assert_eq!(set, mk_set(vec![at, f, i]));
+        assert_eq!(elems, vec![i, at, f], "left in canonical order");
+        assert_eq!(
+            batch(|b| b.compound("batch_a".into(), &[])),
+            mk_atom("batch_a".into())
+        );
     }
 
     #[test]

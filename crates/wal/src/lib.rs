@@ -40,7 +40,9 @@ pub use codec::{decode_batch, encode_batch};
 pub use crc::crc32;
 pub use log::{WAL_FILE, WAL_HEADER_LEN};
 pub use snapshot::SNAPSHOT_FILE;
-pub use store::{AppendInfo, CheckpointInfo, RecoveryInfo, Store, StoreOptions, Truncation};
+pub use store::{
+    AppendInfo, CheckpointInfo, OpenTimes, RecoveryInfo, Store, StoreOptions, Truncation,
+};
 
 use std::fmt;
 use std::io;

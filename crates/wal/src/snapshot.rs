@@ -22,10 +22,16 @@
 //! Unlike the log, a snapshot is never partially trusted: it is written
 //! whole to a temporary file, fsynced, and installed by atomic rename, so
 //! either the old or the new snapshot is present after a crash. Any
-//! checksum or structure failure is [`WalError::Corrupt`].
+//! checksum or structure failure — a child index that is not an earlier
+//! node, a relation listed twice, a repeated row — is
+//! [`WalError::Corrupt`].
+//!
+//! Loading is a bulk load: the node table is interned under one interner
+//! lock ([`intern::batch`]), and each relation's duplicate filter is sized
+//! from its row count before the rows go in.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::time::Instant;
 
 use ldl_storage::Database;
 use ldl_value::intern::{self, Node};
@@ -33,7 +39,7 @@ use ldl_value::{Symbol, ValueId};
 
 use crate::codec::{put_str, put_u32, put_u64, Cursor};
 use crate::crc::crc32;
-use crate::WalError;
+use crate::{OpenTimes, WalError};
 
 /// The snapshot's file name within a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -144,19 +150,22 @@ fn corrupt(offset: usize, detail: impl Into<String>) -> WalError {
 }
 
 /// Decode a snapshot's bytes back into the database image and the log
-/// sequence it covers. Any damage is [`WalError::Corrupt`] — snapshots
-/// are installed atomically, so unlike the log there is no torn tail to
-/// forgive.
-pub(crate) fn decode(bytes: &[u8]) -> Result<(Database, u64), WalError> {
+/// sequence it covers, adding the checksum, node-table and row times to
+/// `times`. Any damage is [`WalError::Corrupt`] — snapshots are installed
+/// atomically, so unlike the log there is no torn tail to forgive.
+pub(crate) fn decode(bytes: &[u8], times: &mut OpenTimes) -> Result<(Database, u64), WalError> {
     if bytes.len() < 8 || &bytes[..8] != SNAP_MAGIC {
         return Err(corrupt(0, "bad snapshot magic (not an LDL1 snapshot)"));
     }
     if bytes.len() < 32 {
         return Err(corrupt(bytes.len(), "snapshot shorter than its header"));
     }
+    let t = Instant::now();
     let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
     let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != stored {
+    let crc_ok = crc32(body) == stored;
+    times.crc += t.elapsed();
+    if !crc_ok {
         return Err(corrupt(body.len(), "snapshot checksum mismatch"));
     }
 
@@ -172,8 +181,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(Database, u64), WalError> {
     let _reserved = c.u32("reserved").map_err(|e| fail(&c, e))?;
     let seq = c.u64("snapshot sequence").map_err(|e| fail(&c, e))?;
 
-    // Node table: each entry may only reference earlier entries, so one
-    // forward pass rebuilds interner ids.
     let node_count = c.u32("node count").map_err(|e| fail(&c, e))? as usize;
     if node_count > body.len() {
         return Err(fail(
@@ -181,54 +188,12 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(Database, u64), WalError> {
             format!("node count {node_count} exceeds snapshot size"),
         ));
     }
-    let mut ids: Vec<ValueId> = Vec::with_capacity(node_count);
-    let child_ids = |c: &mut Cursor<'_>, ids: &Vec<ValueId>| -> Result<Vec<ValueId>, String> {
-        let n = c.u32("child count")? as usize;
-        if n > c.remaining() / 4 {
-            return Err(format!("child count {n} exceeds remaining bytes"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let idx = c.u32("child index")? as usize;
-            out.push(*ids.get(idx).ok_or_else(|| {
-                format!(
-                    "child index {idx} is not an earlier node (table has {})",
-                    ids.len()
-                )
-            })?);
-        }
-        Ok(out)
-    };
-    for _ in 0..node_count {
-        let tag = c.u8("node tag").map_err(|e| fail(&c, e))?;
-        let id = match tag {
-            NODE_INT => intern::mk_int(c.i64("int node").map_err(|e| fail(&c, e))?),
-            NODE_STR => {
-                let s: Arc<str> = Arc::from(c.str("string node").map_err(|e| fail(&c, e))?);
-                intern::mk_str(&s)
-            }
-            NODE_ATOM => {
-                intern::mk_atom(Symbol::intern(c.str("atom node").map_err(|e| fail(&c, e))?))
-            }
-            NODE_COMPOUND => {
-                let functor = Symbol::intern(c.str("functor name").map_err(|e| fail(&c, e))?);
-                let args = child_ids(&mut c, &ids).map_err(|e| fail(&c, e))?;
-                if args.is_empty() {
-                    return Err(fail(&c, "compound node with zero children".into()));
-                }
-                intern::mk_compound(functor, args)
-            }
-            NODE_SET => {
-                // Writer emitted the canonical (sorted, deduped) element
-                // order, but a hostile file may not have — re-canonicalize.
-                intern::mk_set(child_ids(&mut c, &ids).map_err(|e| fail(&c, e))?)
-            }
-            other => return Err(fail(&c, format!("unknown node tag {other}"))),
-        };
-        ids.push(id);
-    }
+    let t = Instant::now();
+    let ids = intern::batch(|b| read_nodes(&mut c, node_count, b)).map_err(|e| fail(&c, e))?;
+    times.nodes += t.elapsed();
 
     // Relations.
+    let t = Instant::now();
     let rel_count = c.u32("relation count").map_err(|e| fail(&c, e))? as usize;
     if rel_count > body.len() {
         return Err(fail(
@@ -241,6 +206,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(Database, u64), WalError> {
     for _ in 0..rel_count {
         let name = c.str("relation name").map_err(|e| fail(&c, e))?;
         let pred = Symbol::intern(name);
+        if db.relation(pred).is_some() {
+            return Err(fail(&c, format!("relation {name} listed twice")));
+        }
         let arity = c.u32("relation arity").map_err(|e| fail(&c, e))? as usize;
         let nrows = c.u32("relation row count").map_err(|e| fail(&c, e))? as usize;
         if arity.saturating_mul(nrows) > c.remaining() / 4 + 1 {
@@ -249,8 +217,15 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(Database, u64), WalError> {
                 format!("relation {name}: {nrows}×{arity} rows exceed remaining bytes"),
             ));
         }
+        if arity == 0 && nrows > 1 {
+            return Err(fail(
+                &c,
+                format!("relation {name}: {nrows} rows, but a nullary relation holds one"),
+            ));
+        }
         // Materialize the relation even when empty, preserving arity.
-        db.relation_mut(pred, arity);
+        let rel = db.relation_mut(pred, arity);
+        rel.reserve(nrows);
         for _ in 0..nrows {
             row.clear();
             for _ in 0..arity {
@@ -262,9 +237,14 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(Database, u64), WalError> {
                     )
                 })?);
             }
-            db.insert_id_slice(pred, &row);
+            // The writer emits a relation's live rows, which are distinct:
+            // a repeat means the file was damaged or forged.
+            if !rel.insert_slice(&row) {
+                return Err(fail(&c, format!("relation {name}: duplicate row")));
+            }
         }
     }
+    times.rows += t.elapsed();
     if !c.is_empty() {
         return Err(fail(
             &c,
@@ -274,10 +254,98 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(Database, u64), WalError> {
     Ok((db, seq))
 }
 
+/// Intern the node table. Each entry may only reference earlier entries,
+/// so one forward pass under one interner lock rebuilds the ids.
+fn read_nodes(
+    c: &mut Cursor<'_>,
+    count: usize,
+    b: &mut intern::Batch,
+) -> Result<Vec<ValueId>, String> {
+    let mut ids = Vec::with_capacity(count);
+    let mut kids = Vec::new();
+    for _ in 0..count {
+        let id = match c.u8("node tag")? {
+            NODE_INT => b.int(c.i64("int node")?),
+            NODE_STR => b.str(c.str("string node")?),
+            NODE_ATOM => b.atom(Symbol::intern(c.str("atom node")?)),
+            NODE_COMPOUND => {
+                let functor = Symbol::intern(c.str("functor name")?);
+                read_children(c, &ids, &mut kids)?;
+                if kids.is_empty() {
+                    return Err("compound node with zero children".into());
+                }
+                b.compound(functor, &kids)
+            }
+            NODE_SET => {
+                // Writer emitted the canonical (sorted, deduped) element
+                // order, but a hostile file may not have — re-canonicalize.
+                read_children(c, &ids, &mut kids)?;
+                b.set(&mut kids)
+            }
+            other => return Err(format!("unknown node tag {other}")),
+        };
+        ids.push(id);
+    }
+    Ok(ids)
+}
+
+/// Read a child list into `out` (cleared first), each index checked to
+/// name an earlier node.
+fn read_children(
+    c: &mut Cursor<'_>,
+    ids: &[ValueId],
+    out: &mut Vec<ValueId>,
+) -> Result<(), String> {
+    out.clear();
+    let n = c.u32("child count")? as usize;
+    if n > c.remaining() / 4 {
+        return Err(format!("child count {n} exceeds remaining bytes"));
+    }
+    for _ in 0..n {
+        let idx = c.u32("child index")? as usize;
+        out.push(*ids.get(idx).ok_or_else(|| {
+            format!(
+                "child index {idx} is not an earlier node (table has {})",
+                ids.len()
+            )
+        })?);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ldl_value::{Fact, Value};
+
+    fn load(bytes: &[u8]) -> Result<(Database, u64), WalError> {
+        decode(bytes, &mut OpenTimes::default())
+    }
+
+    /// A snapshot of an encoded node table and relation list, with a
+    /// fresh CRC.
+    fn forge(node_count: u32, nodes: &[u8], rel_count: u32, rels: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(SNAP_MAGIC);
+        put_u32(&mut body, SNAP_VERSION);
+        put_u32(&mut body, 0);
+        put_u64(&mut body, 1);
+        put_u32(&mut body, node_count);
+        body.extend_from_slice(nodes);
+        put_u32(&mut body, rel_count);
+        body.extend_from_slice(rels);
+        let crc = crc32(&body);
+        put_u32(&mut body, crc);
+        body
+    }
+
+    fn corrupt_detail(bytes: &[u8]) -> String {
+        match load(bytes) {
+            Err(WalError::Corrupt { detail, .. }) => detail,
+            Err(other) => panic!("unexpected error {other}"),
+            Ok(_) => panic!("hostile snapshot decoded"),
+        }
+    }
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -309,7 +377,7 @@ mod tests {
     fn snapshot_round_trips() {
         let db = sample_db();
         let bytes = encode(&db, 42);
-        let (got, seq) = decode(&bytes).unwrap();
+        let (got, seq) = load(&bytes).unwrap();
         assert_eq!(seq, 42);
         assert_eq!(got.dump(), db.dump());
         assert_eq!(got.num_facts(), db.num_facts());
@@ -319,7 +387,7 @@ mod tests {
     fn empty_database_round_trips() {
         let db = Database::new();
         let bytes = encode(&db, 0);
-        let (got, seq) = decode(&bytes).unwrap();
+        let (got, seq) = load(&bytes).unwrap();
         assert_eq!(seq, 0);
         assert_eq!(got.num_facts(), 0);
     }
@@ -335,7 +403,7 @@ mod tests {
         // 100 rows × a 51-node term stored per-row would need tens of
         // kilobytes; shared storage keeps it near one copy.
         assert!(bytes.len() < 4000, "snapshot is {} bytes", bytes.len());
-        let (got, _) = decode(&bytes).unwrap();
+        let (got, _) = load(&bytes).unwrap();
         assert_eq!(got.dump(), db.dump());
     }
 
@@ -344,13 +412,13 @@ mod tests {
         let clean = encode(&sample_db(), 7);
         // Truncations.
         for cut in 0..clean.len() {
-            assert!(decode(&clean[..cut]).is_err(), "prefix {cut} decoded");
+            assert!(load(&clean[..cut]).is_err(), "prefix {cut} decoded");
         }
         // Bit flips: the CRC (or magic check) catches every one.
         for byte in 0..clean.len() {
             let mut bad = clean.clone();
             bad[byte] ^= 0x10;
-            assert!(decode(&bad).is_err(), "flip at {byte} undetected");
+            assert!(load(&bad).is_err(), "flip at {byte} undetected");
         }
     }
 
@@ -358,22 +426,63 @@ mod tests {
     fn hostile_structure_is_rejected() {
         // Forge a snapshot with a forward child reference and a fresh CRC:
         // structural validation has to catch what the checksum cannot.
-        let mut body = Vec::new();
-        body.extend_from_slice(SNAP_MAGIC);
-        put_u32(&mut body, SNAP_VERSION);
-        put_u32(&mut body, 0);
-        put_u64(&mut body, 1);
-        put_u32(&mut body, 1); // one node…
-        body.push(NODE_SET);
-        put_u32(&mut body, 1);
-        put_u32(&mut body, 5); // …whose child is node 5
-        put_u32(&mut body, 0); // no relations
-        let crc = crc32(&body);
-        put_u32(&mut body, crc);
-        let err = decode(&body).unwrap_err();
-        match err {
-            WalError::Corrupt { detail, .. } => assert!(detail.contains("child index"), "{detail}"),
-            other => panic!("unexpected error {other}"),
+        let mut nodes = vec![NODE_SET];
+        put_u32(&mut nodes, 1);
+        put_u32(&mut nodes, 5); // the one node's child is node 5
+        let detail = corrupt_detail(&forge(1, &nodes, 0, &[]));
+        assert!(detail.contains("child index"), "{detail}");
+    }
+
+    /// Two int nodes, 1 and 2.
+    fn two_ints() -> Vec<u8> {
+        let mut nodes = Vec::new();
+        for i in [1u64, 2] {
+            nodes.push(NODE_INT);
+            put_u64(&mut nodes, i);
         }
+        nodes
+    }
+
+    /// Relation `name`/`arity` holding `rows` (node indexes).
+    fn relation(out: &mut Vec<u8>, name: &str, arity: u32, rows: &[&[u32]]) {
+        put_str(out, name);
+        put_u32(out, arity);
+        put_u32(out, rows.len() as u32);
+        for row in rows {
+            for &idx in *row {
+                put_u32(out, idx);
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_row_is_corrupt() {
+        // The writer emits each live row once, so a repeat is damage —
+        // not a row to drop quietly below the header's count.
+        let mut rels = Vec::new();
+        relation(&mut rels, "e", 2, &[&[0, 1], &[1, 0], &[0, 1]]);
+        let detail = corrupt_detail(&forge(2, &two_ints(), 1, &rels));
+        assert!(detail.contains("relation e: duplicate row"), "{detail}");
+
+        let mut rels = Vec::new();
+        relation(&mut rels, "flag", 0, &[&[], &[]]);
+        let detail = corrupt_detail(&forge(2, &two_ints(), 1, &rels));
+        assert!(detail.contains("a nullary relation holds one"), "{detail}");
+
+        // The distinct rows alone load, all of them.
+        let mut rels = Vec::new();
+        relation(&mut rels, "e", 2, &[&[0, 1], &[1, 0]]);
+        let (db, _) = load(&forge(2, &two_ints(), 1, &rels)).unwrap();
+        assert_eq!(db.num_facts(), 2);
+    }
+
+    #[test]
+    fn relation_listed_twice_is_corrupt() {
+        // Even at a different arity: an error, not an arity panic.
+        let mut rels = Vec::new();
+        relation(&mut rels, "e", 2, &[&[0, 1]]);
+        relation(&mut rels, "e", 1, &[&[0]]);
+        let detail = corrupt_detail(&forge(2, &two_ints(), 2, &rels));
+        assert!(detail.contains("relation e listed twice"), "{detail}");
     }
 }

@@ -37,6 +37,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use ldl_storage::Database;
 use ldl_value::Fact;
@@ -88,6 +89,47 @@ pub struct RecoveryInfo {
     /// Valid log length in bytes after recovery (header-only when the
     /// log was recreated fresh).
     pub wal_bytes: u64,
+    /// Where the open's time went.
+    pub times: OpenTimes,
+}
+
+/// [`Store::open`]'s wall time, split by step. The parts never sum past
+/// `total`, which also covers creating the directory and repairing or
+/// recreating the log.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OpenTimes {
+    /// Reading the snapshot and log files.
+    pub read: Duration,
+    /// Checking the snapshot's CRC.
+    pub crc: Duration,
+    /// Interning the snapshot's node table.
+    pub nodes: Duration,
+    /// Inserting the snapshot's rows.
+    pub rows: Duration,
+    /// Scanning the log: framing and every record's CRC.
+    pub scan: Duration,
+    /// Decoding and applying the log records past the snapshot.
+    pub replay: Duration,
+    /// The whole open.
+    pub total: Duration,
+}
+
+impl fmt::Display for OpenTimes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        write!(
+            f,
+            "open {:.3} ms: read {:.3}, crc {:.3}, nodes {:.3}, rows {:.3}, \
+             log scan {:.3}, replay {:.3}",
+            ms(self.total),
+            ms(self.read),
+            ms(self.crc),
+            ms(self.nodes),
+            ms(self.rows),
+            ms(self.scan),
+            ms(self.replay)
+        )
+    }
 }
 
 /// Result of appending one committed batch to the log.
@@ -172,13 +214,18 @@ impl Store {
         dir: impl AsRef<Path>,
         options: StoreOptions,
     ) -> Result<(Store, Database, RecoveryInfo), WalError> {
+        let start = Instant::now();
+        let mut times = OpenTimes::default();
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
 
         // 1. Snapshot (all-or-nothing).
-        let (mut db, snap_seq, snapshot_seq) = match fs::read(dir.join(SNAPSHOT_FILE)) {
+        let t = Instant::now();
+        let snap = fs::read(dir.join(SNAPSHOT_FILE));
+        times.read += t.elapsed();
+        let (mut db, snap_seq, snapshot_seq) = match snap {
             Ok(bytes) => {
-                let (db, seq) = snapshot::decode(&bytes)?;
+                let (db, seq) = snapshot::decode(&bytes, &mut times)?;
                 (db, seq, Some(seq))
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => (Database::new(), 0, None),
@@ -187,12 +234,16 @@ impl Store {
 
         // 2. Log scan.
         let wal_path = dir.join(WAL_FILE);
+        let t = Instant::now();
         let bytes = match fs::read(&wal_path) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
         };
+        times.read += t.elapsed();
+        let t = Instant::now();
         let scan = log::scan(&bytes)?;
+        times.scan = t.elapsed();
         let mut truncation = scan.truncated;
         let fresh = scan.valid_len == 0;
         if !fresh && scan.base_seq > snap_seq {
@@ -214,6 +265,7 @@ impl Store {
         let mut log_tail_seq = scan.base_seq;
         let mut replayed = 0u64;
         let mut offset = WAL_HEADER_LEN;
+        let t = Instant::now();
         for (seq, payload) in &scan.records {
             let rec_len = 16 + payload.len() as u64;
             if *seq > snap_seq {
@@ -237,6 +289,7 @@ impl Store {
             log_tail_seq = *seq;
             offset += rec_len;
         }
+        times.replay = t.elapsed();
 
         // 4. Make the on-disk log agree with what we recovered, and open
         // the append handle. The kept log must end exactly at `last_seq`:
@@ -275,6 +328,10 @@ impl Store {
             last_seq,
             truncation,
             wal_bytes: wal_len,
+            times: OpenTimes {
+                total: start.elapsed(),
+                ..times
+            },
         };
         let store = Store {
             dir,
@@ -450,6 +507,29 @@ mod tests {
         assert!(info2.truncation.is_none());
         assert_eq!(store2.last_seq(), 11);
         assert_eq!(db2.dump(), expect);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_times_split_the_whole_open() {
+        let dir = temp_dir("times");
+        let (mut store, mut db, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        for i in 0..200 {
+            db.insert(fact("p", i));
+        }
+        store.checkpoint(&db).unwrap();
+        for i in 200..210 {
+            store.append(&[], &[fact("p", i)]).unwrap();
+        }
+        drop(store);
+
+        let (_, db2, info) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!((db2.num_facts(), info.replayed), (210, 10));
+        let t = info.times;
+        let parts = t.read + t.crc + t.nodes + t.rows + t.scan + t.replay;
+        assert!(parts <= t.total, "{t:?}");
+        assert!(t.nodes > Duration::ZERO && t.rows > Duration::ZERO, "{t:?}");
+        assert!(t.replay > Duration::ZERO, "{t:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 
