@@ -48,7 +48,7 @@ use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::{Builtin, Program};
 use ldl_ast::rule::Rule;
 use ldl_ast::term::Term;
-use ldl_storage::{Database, Relation};
+use ldl_storage::{Database, IdRows, Relation};
 use ldl_stratify::{Component, Sensitivity, Stratification};
 use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::{Fact, Symbol, ValueId};
@@ -101,25 +101,26 @@ pub fn apply_mutations(
     // Phase 1: apply the batch to the EDB under a change log, which an
     // abort reads backwards. Pure-EDB retractions are deleted from the
     // model immediately and seed the deletion frontier; assertions are
-    // appended to the model and seed the insertion frontier.
+    // appended to the model and seed the insertion frontier. Each fact is
+    // interned once, for both databases.
+    let (retractions, assertions) = (IdRows::intern(retractions), IdRows::intern(assertions));
     edb.open_log(0);
-    edb.apply(retractions, assertions);
+    edb.apply(&retractions, &assertions).expect("validated");
     let mut deleted: FastMap<Symbol, Vec<Row>> = FastMap::default();
     let mut pending: FastMap<Symbol, Vec<Row>> = FastMap::default();
     let mut inserted = DeltaFrontier::default();
-    for f in retractions {
-        let tuple = ldl_storage::intern_ids(f.args());
-        if idb_heads.contains(&f.pred()) {
-            pending.entry(f.pred()).or_default().push(tuple);
-        } else if db.remove_ids(f.pred(), &tuple).is_some() {
+    for (pred, tuple) in retractions.iter() {
+        if idb_heads.contains(&pred) {
+            pending.entry(pred).or_default().push(tuple.to_vec());
+        } else if db.remove_ids(pred, tuple).is_some() {
             stats.facts_retracted += 1;
-            deleted.entry(f.pred()).or_default().push(tuple);
+            deleted.entry(pred).or_default().push(tuple.to_vec());
         }
     }
-    for f in assertions {
-        let lo = len_of(db, f.pred());
-        if db.insert(f.clone()) {
-            inserted.entry(f.pred()).or_insert(lo);
+    for (pred, tuple) in assertions.iter() {
+        let lo = len_of(db, pred);
+        if db.insert_id_slice(pred, tuple) {
+            inserted.entry(pred).or_insert(lo);
         }
     }
 

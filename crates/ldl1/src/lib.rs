@@ -666,7 +666,8 @@ impl System {
         }
         let opts = self.eval_options();
         let Some(cache) = &mut self.cache else {
-            self.edb.apply(&del, &ins);
+            let rows = ldl_storage::IdRows::intern;
+            self.edb.apply(&rows(&del), &rows(&ins)).expect("validated");
             return self.log_commit(&del, &ins);
         };
         let mut stats = EvalStats::new();

@@ -140,13 +140,28 @@ impl Database {
     /// tombstone the retractions, then append the assertions. A predicate
     /// earlier batches emptied has no arity left (the caller has checked
     /// that no rule fixes one): an assertion at another arity replaces its
-    /// all-tombstoned relation.
-    pub fn apply(&mut self, del: &[Fact], ins: &[Fact]) {
-        for f in del {
-            self.remove(f);
+    /// all-tombstoned relation. A batch asserting a predicate at two
+    /// arities, or at one its live relation lacks, changes nothing.
+    pub fn apply(&mut self, del: &IdRows, ins: &IdRows) -> Result<(), String> {
+        // Each asserted predicate's one arity: its live relation's, else
+        // its first assertion's.
+        let mut arities: FastMap<Symbol, usize> = FastMap::default();
+        for (pred, ids) in ins.iter() {
+            let live = self.relations.get(&pred).filter(|r| !r.is_empty());
+            let arity = *arities
+                .entry(pred)
+                .or_insert_with(|| live.map_or(ids.len(), Relation::arity));
+            if ids.len() != arity {
+                return Err(format!(
+                    "{pred} asserted at arity {}, but it has arity {arity}",
+                    ids.len()
+                ));
+            }
         }
-        for f in ins {
-            let (pred, ids) = (f.pred(), intern_ids(f.args()));
+        for (pred, ids) in del.iter() {
+            self.remove_ids(pred, ids);
+        }
+        for (pred, ids) in ins.iter() {
             let vacated = self.relations.get_mut(&pred);
             if let Some(rel) = vacated.filter(|r| r.is_empty() && r.arity() != ids.len()) {
                 let old = std::mem::replace(rel, Relation::new(ids.len()));
@@ -154,8 +169,9 @@ impl Database {
                     log.replaced.push((pred, old));
                 }
             }
-            self.insert_id_slice(pred, &ids);
+            self.insert_id_slice(pred, ids);
         }
+        Ok(())
     }
 
     /// All facts of one predicate (ids resolved back to structural values —
@@ -307,6 +323,45 @@ pub fn intern_ids(vals: &[Value]) -> Vec<ValueId> {
     vals.iter().map(intern::id_of).collect()
 }
 
+/// A batch's interned facts, flat — each fact's predicate and arity, and
+/// every argument id in one buffer: the form a batch takes into
+/// [`Database::apply`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct IdRows {
+    heads: Vec<(Symbol, u32)>,
+    ids: Vec<ValueId>,
+}
+
+impl IdRows {
+    /// Intern structural facts.
+    pub fn intern(facts: &[Fact]) -> IdRows {
+        IdRows {
+            heads: facts.iter().map(|f| (f.pred(), f.arity() as u32)).collect(),
+            ids: facts
+                .iter()
+                .flat_map(Fact::args)
+                .map(intern::id_of)
+                .collect(),
+        }
+    }
+
+    /// Append the fact `pred(ids…)`.
+    pub fn push(&mut self, pred: Symbol, ids: &[ValueId]) {
+        self.heads.push((pred, ids.len() as u32));
+        self.ids.extend_from_slice(ids);
+    }
+
+    /// The facts in order, each as its predicate and argument ids.
+    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &[ValueId])> + '_ {
+        let mut rest = self.ids.as_slice();
+        self.heads.iter().map(move |&(pred, arity)| {
+            let (row, tail) = rest.split_at(arity as usize);
+            rest = tail;
+            (pred, row)
+        })
+    }
+}
+
 /// Resolve an interned tuple of `pred` back into a structural [`Fact`].
 pub fn resolve_fact(pred: Symbol, tuple: &[ValueId]) -> Fact {
     Fact::new(pred, tuple.iter().map(|&i| intern::resolve(i)).collect())
@@ -364,23 +419,32 @@ mod tests {
         assert_eq!(Database::new().dump(), "");
     }
 
+    /// Interned `pred(i…)` facts.
+    fn rows(facts: &[(&str, &[i64])]) -> IdRows {
+        let mut rows = IdRows::default();
+        for (pred, args) in facts {
+            let args: Vec<Value> = args.iter().map(|&i| Value::int(i)).collect();
+            rows.push(Symbol::intern(pred), &intern_ids(&args));
+        }
+        rows
+    }
+
     #[test]
     fn rewind_returns_to_where_the_log_opened() {
-        let fact =
-            |p: &str, args: &[i64]| Fact::new(p, args.iter().map(|&i| Value::int(i)).collect());
         let (p, e) = (Symbol::intern("p"), Symbol::intern("e"));
         let mut db = Database::new();
-        db.apply(&[], &[fact("p", &[1]), fact("q", &[1, 2]), fact("e", &[5])]);
-        db.apply(&[fact("e", &[5])], &[]);
+        let none = rows(&[]);
+        let batch = rows(&[("p", &[1]), ("q", &[1, 2]), ("e", &[5])]);
+        db.apply(&none, &batch).unwrap();
+        db.apply(&rows(&[("e", &[5])]), &none).unwrap();
         db.open_log(7);
 
         // `e` has no live fact left: an assertion at another arity replaces
         // it. `p(1)` is retracted and re-asserted at a new position.
-        db.apply(
-            &[fact("p", &[1])],
-            &[fact("p", &[2]), fact("fresh", &[9]), fact("e", &[5, 6])],
-        );
-        db.apply(&[fact("p", &[2])], &[fact("p", &[1])]);
+        let batch = rows(&[("p", &[2]), ("fresh", &[9]), ("e", &[5, 6])]);
+        db.apply(&rows(&[("p", &[1])]), &batch).unwrap();
+        db.apply(&rows(&[("p", &[2])]), &rows(&[("p", &[1])]))
+            .unwrap();
         assert_eq!(db.relation(e).unwrap().arity(), 2);
         assert_eq!(
             db.relation(p)
@@ -400,6 +464,29 @@ mod tests {
         // Rolled-back facts are inserted again at the positions they had.
         assert!(db.insert_tuple("p", vec![Value::int(2)]));
         assert_eq!(db.relation(p).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_batch_at_a_conflicting_arity_changes_nothing() {
+        let mut db = Database::new();
+        let none = rows(&[]);
+        db.apply(&none, &rows(&[("p", &[1, 2]), ("e", &[5])]))
+            .unwrap();
+        db.apply(&rows(&[("e", &[5])]), &none).unwrap();
+        let before = db.dump();
+        // Against a live relation's arity, even when the batch empties it;
+        // a new predicate at two arities; a vacated one at two.
+        for (del, ins) in [
+            (rows(&[("p", &[1, 2])]), rows(&[("p", &[3])])),
+            (none.clone(), rows(&[("q", &[1]), ("q", &[1, 2])])),
+            (none.clone(), rows(&[("e", &[1]), ("e", &[1, 2])])),
+        ] {
+            let err = db.apply(&del, &ins).unwrap_err();
+            assert!(err.contains("asserted at arity"), "{err}");
+            assert_eq!(db.dump(), before);
+        }
+        assert!(db.relation(Symbol::intern("q")).is_none());
+        assert_eq!(db.relation(Symbol::intern("e")).unwrap().arity(), 1);
     }
 
     #[test]

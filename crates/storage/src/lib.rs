@@ -17,5 +17,5 @@
 pub mod database;
 pub mod relation;
 
-pub use database::{intern_ids, resolve_fact, Database};
+pub use database::{intern_ids, resolve_fact, Database, IdRows};
 pub use relation::{IndexRef, Relation};

@@ -8,8 +8,11 @@
 //! the relation it lands on.
 //!
 //! This lives in its own integration-test binary because the counting
-//! allocator must be the process-global allocator.
+//! allocator must be the process-global allocator. It counts only the
+//! measuring thread's calls, so the harness's own allocations — spawning
+//! the next test thread, collecting a result — never reach a pin.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ldl_storage::{Database, Relation};
@@ -19,9 +22,9 @@ use ldl_value::{intern, Symbol, ValueId};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// The counter is process-wide and the harness runs tests on parallel
-/// threads: each test counts under this lock (a failed test's poison is
-/// no reason to fail the others).
+/// The allocator holds one measurement at a time and the harness runs
+/// tests on parallel threads: each test measures under this lock (a
+/// failed test's poison is no reason to fail the others).
 fn counting() -> MutexGuard<'static, ()> {
     static COUNTING: Mutex<()> = Mutex::new(());
     COUNTING.lock().unwrap_or_else(PoisonError::into_inner)
@@ -54,16 +57,16 @@ fn insert_path_allocates_sublinearly() {
         rel.insert_slice(row);
     }
 
-    let before = ALLOC.count();
-    for row in &rows[N / 10..] {
-        rel.insert_slice(row);
-    }
-    // Duplicates take the dedup-hit path: hash borrowed slice, compare
-    // in-arena, return. That path must allocate nothing at all.
-    for row in &rows {
-        assert!(!rel.insert_slice(row));
-    }
-    let allocs = ALLOC.delta(before);
+    let ((), allocs) = ALLOC.measure(|| {
+        for row in &rows[N / 10..] {
+            rel.insert_slice(row);
+        }
+        // Duplicates take the dedup-hit path: hash borrowed slice, compare
+        // in-arena, return. That path must allocate nothing at all.
+        for row in &rows {
+            assert!(!rel.insert_slice(row));
+        }
+    });
 
     let inserted = N - N / 10;
     assert_eq!(rel.live_len(), N);
@@ -98,11 +101,12 @@ fn distinct_keys_allocate_sublinearly() {
         rel.insert_slice(row);
     }
 
-    let before = ALLOC.count();
-    for row in &rows[N / 10..] {
-        rel.insert_slice(row);
-    }
-    let allocs = ALLOC.delta(before) as usize;
+    let ((), allocs) = ALLOC.measure(|| {
+        for row in &rows[N / 10..] {
+            rel.insert_slice(row);
+        }
+    });
+    let allocs = allocs as usize;
     let inserted = N - N / 10;
     assert!(
         allocs < inserted / 10,
@@ -112,24 +116,26 @@ fn distinct_keys_allocate_sublinearly() {
     // Probes through either handle allocate nothing; the every-column one
     // answers with the tuple's own position.
     let (by_first, by_all) = (rel.index(&[0]).unwrap(), rel.index(&[0, 1]).unwrap());
-    let before = ALLOC.count();
-    for (pos, row) in rows.iter().enumerate() {
-        assert_eq!(by_all.probe(row), &[pos as u32]);
-        assert_eq!(by_first.probe(&row[..1]), &[pos as u32]);
-    }
-    assert_eq!(ALLOC.delta(before), 0);
+    let ((), allocs) = ALLOC.measure(|| {
+        for (pos, row) in rows.iter().enumerate() {
+            assert_eq!(by_all.probe(row), &[pos as u32]);
+            assert_eq!(by_first.probe(&row[..1]), &[pos as u32]);
+        }
+    });
+    assert_eq!(allocs, 0);
 
     // Choosing the index for a set of bound columns allocates nothing
     // either — exact, every column, a miss, nothing bound.
     let unindexed = Relation::new(2);
-    let before = ALLOC.count();
-    assert_eq!(rel.covering_index(&[0]).unwrap().0, &[0]);
-    let (cols, idx) = rel.covering_index(&[0, 1]).unwrap();
-    assert_eq!((cols, idx.probe(&rows[7])), (&[0, 1][..], &[7][..]));
-    assert!(rel.covering_index(&[1]).is_none());
-    assert!(unindexed.covering_index(&[0]).is_none());
-    assert!(rel.covering_index(&[]).is_none());
-    assert_eq!(ALLOC.delta(before), 0);
+    let ((), allocs) = ALLOC.measure(|| {
+        assert_eq!(rel.covering_index(&[0]).unwrap().0, &[0]);
+        let (cols, idx) = rel.covering_index(&[0, 1]).unwrap();
+        assert_eq!((cols, idx.probe(&rows[7])), (&[0, 1][..], &[7][..]));
+        assert!(rel.covering_index(&[1]).is_none());
+        assert!(unindexed.covering_index(&[0]).is_none());
+        assert!(rel.covering_index(&[]).is_none());
+    });
+    assert_eq!(allocs, 0);
 }
 
 /// A clone copies a fixed number of flat buffers per index plus the row
@@ -147,9 +153,7 @@ fn clone_allocations_do_not_depend_on_key_count() {
         for i in 0..N {
             rel.insert_slice(&[intern::mk_int(i % keys), intern::mk_int(i)]);
         }
-        let before = ALLOC.count();
-        let copy = rel.clone();
-        let allocs = ALLOC.delta(before);
+        let (copy, allocs) = ALLOC.measure(|| rel.clone());
         assert_eq!(
             copy.probe(&[0], &[intern::mk_int(7)]).len() as i64,
             N / keys
@@ -186,9 +190,7 @@ fn catch_up_allocations_do_not_depend_on_relation_size() {
             working.remove_ids(p, &row(10 + i)).unwrap();
         }
         working.relation_mut(p, 2).revive(gone);
-        let before = ALLOC.count();
-        let changes = retired.catch_up(&working);
-        let allocs = ALLOC.delta(before);
+        let (changes, allocs) = ALLOC.measure(|| retired.catch_up(&working));
         assert_eq!(changes as i64, 2 * K + 1);
         assert_eq!(retired.same_state(&working), Ok(()));
         allocs
@@ -196,4 +198,32 @@ fn catch_up_allocations_do_not_depend_on_relation_size() {
     let allocs = catch_up_allocs(1_000);
     assert!(allocs <= 16, "catch-up allocated {allocs} times");
     assert_eq!(catch_up_allocs(64_000), allocs);
+}
+
+/// What the pins above rest on: a measurement counts the measuring
+/// thread's calls, every one of them, and none of another thread's — here
+/// one that allocates a thousand times while the measurement runs.
+#[test]
+fn only_the_measuring_thread_counts() {
+    let _counting = counting();
+    let (stop, other) = (AtomicBool::new(false), AtomicUsize::new(0));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(vec![0u8; 16]);
+                other.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let (rows, allocs) = ALLOC.measure(|| {
+            let rows: Vec<Vec<u8>> = (0..100).map(|i| vec![i; 16]).collect();
+            let start = other.load(Ordering::Relaxed);
+            while other.load(Ordering::Relaxed) < start + 1000 {
+                std::thread::yield_now();
+            }
+            rows
+        });
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(rows.len(), 100);
+        assert_eq!(allocs, 101, "one per row and one for the list");
+    });
 }

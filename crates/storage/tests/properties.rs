@@ -12,7 +12,7 @@
 //! iteration order, eager posting removal, ascending probe results, and
 //! truncate's interaction with tombstones.
 
-use ldl_storage::{intern_ids, Database, Relation};
+use ldl_storage::{intern_ids, Database, IdRows, Relation};
 use ldl_testkit::{cases, Rng};
 use ldl_value::{intern, Fact, Symbol, Value, ValueId};
 
@@ -605,7 +605,8 @@ fn logged_op(rng: &mut Rng, db: &mut Database) {
                 .map(|_| Fact::new(pred, args(rng, arity)))
                 .filter(|f| !del.contains(f))
                 .collect();
-            db.apply(&del, &ins);
+            db.apply(&IdRows::intern(&del), &IdRows::intern(&ins))
+                .unwrap();
         }
         40..=54 => {
             db.insert_id_slice(pred, &intern_ids(&args(rng, arity)));
@@ -627,9 +628,13 @@ fn logged_op(rng: &mut Rng, db: &mut Database) {
         _ => {
             // Empty the predicate in one batch; the next re-asserts it at
             // another arity, replacing the all-tombstoned relation.
-            db.apply(&db.facts_of(pred), &[]);
+            let none = IdRows::default();
+            db.apply(&IdRows::intern(&db.facts_of(pred)), &none)
+                .unwrap();
             let other = arity % 3 + 1;
-            db.apply(&[], &[Fact::new(pred, args(rng, other))]);
+            let mut ins = IdRows::default();
+            ins.push(pred, &intern_ids(&args(rng, other)));
+            db.apply(&none, &ins).unwrap();
         }
     }
 }

@@ -22,6 +22,8 @@
 pub mod fault;
 pub mod gen;
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
 /// A deterministic xorshift64* pseudo-random generator.
 ///
 /// Not cryptographic; statistically fine for generating test workloads.
@@ -159,37 +161,58 @@ fn minimal_failing_size<E>(
 
 /// A [`std::alloc::GlobalAlloc`] wrapper over the system allocator that
 /// counts allocation calls, for asserting that a hot path is
-/// allocation-free. Install it in a dedicated integration-test binary (its
-/// own process — the counter is global) with:
+/// allocation-free. Install it in a dedicated integration-test binary
+/// with:
 ///
 /// ```ignore
 /// #[global_allocator]
 /// static ALLOC: ldl_testkit::CountingAlloc = ldl_testkit::CountingAlloc::new();
 /// ```
 ///
-/// then bracket the code under test with [`CountingAlloc::count`] /
-/// [`CountingAlloc::delta`]. Reallocations count as one call; frees count
-/// nothing.
+/// then run the code under test inside [`CountingAlloc::measure`]. Only
+/// the measuring thread's calls count, so the test harness allocating on
+/// its own threads (spawning the next test, collecting a result) cannot
+/// move a pin. Reallocations count as one call; frees count nothing.
 pub struct CountingAlloc {
-    allocs: std::sync::atomic::AtomicU64,
+    /// The measuring thread (`pthread_self`), or 0 when none is.
+    armed: AtomicUsize,
+    allocs: AtomicU64,
+}
+
+extern "C" {
+    // POSIX; reads the calling thread's handle without allocating, so it
+    // is safe to call from inside the allocator.
+    fn pthread_self() -> usize;
+}
+
+fn this_thread() -> usize {
+    // SAFETY: `pthread_self` has no preconditions and cannot fail.
+    unsafe { pthread_self() }
 }
 
 impl CountingAlloc {
-    /// A zeroed counting allocator (usable as a `static` initializer).
+    /// A disarmed counting allocator (usable as a `static` initializer).
     pub const fn new() -> CountingAlloc {
         CountingAlloc {
-            allocs: std::sync::atomic::AtomicU64::new(0),
+            armed: AtomicUsize::new(0),
+            allocs: AtomicU64::new(0),
         }
     }
 
-    /// Allocation calls made so far by this process.
-    pub fn count(&self) -> u64 {
-        self.allocs.load(std::sync::atomic::Ordering::Relaxed)
+    /// Run `f`, returning its result and the allocation calls the calling
+    /// thread made while it ran. Measurements must not overlap.
+    pub fn measure<R>(&self, f: impl FnOnce() -> R) -> (R, u64) {
+        self.allocs.store(0, Ordering::Relaxed);
+        self.armed.store(this_thread(), Ordering::Relaxed);
+        let out = f();
+        self.armed.store(0, Ordering::Relaxed);
+        (out, self.allocs.load(Ordering::Relaxed))
     }
 
-    /// Allocation calls since a previous [`CountingAlloc::count`] reading.
-    pub fn delta(&self, since: u64) -> u64 {
-        self.count() - since
+    fn count(&self) {
+        if self.armed.load(Ordering::Relaxed) == this_thread() {
+            self.allocs.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -203,8 +226,7 @@ impl Default for CountingAlloc {
 // with no effect on allocation behavior.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        self.allocs
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.count();
         unsafe { std::alloc::System.alloc(layout) }
     }
 
@@ -213,8 +235,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        self.allocs
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.count();
         unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
     }
 }

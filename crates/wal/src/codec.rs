@@ -1,33 +1,47 @@
-//! Structural binary serialization of facts and mutation batches.
+//! The crate's one value codec: a post-order node table, shared by
+//! snapshots and log records.
 //!
-//! Everything is encoded by *structure* — integer payloads, UTF-8 names,
-//! child values in place — never by interner id. Two processes that
-//! interned the same values in different orders therefore produce and
-//! accept identical bytes, which is what makes a write-ahead log written
-//! by one process replayable by any other (or by the same process after a
-//! restart with an empty interner).
+//! ```text
+//! node_count:u32
+//!   node*          -- tag:u8, then by tag:
+//!                  --   int: i64 | str: str | atom: name:str
+//!                  --   compound: functor:str  n:u32  n × child:u32
+//!                  --   set: n:u32  n × child:u32
+//! ```
+//!
+//! A child is the index of an *earlier* node, so one forward pass
+//! rebuilds the values and no value nests in the bytes. Nodes are written
+//! by *structure* — integer payloads and UTF-8 names, indexes local to
+//! the table, never interner ids — so two processes that interned the
+//! same values in different orders write and accept identical bytes: a
+//! log or snapshot written by one process loads in any other, or in the
+//! same one after a restart with an empty interner. Rows that share a
+//! value share its node.
+//!
+//! A log record's payload is a node table followed by the batch's rows:
+//!
+//! ```text
+//! node table  ndel:u32 fact*  nins:u32 fact*
+//! fact:  pred:str  arity:u32  arity × node:u32   -- in commit order
+//! ```
 //!
 //! All integers are little-endian. Decoding is defensive: every length is
-//! bounds-checked against the remaining buffer and value nesting is
-//! depth-limited, so a corrupt payload that slipped past the CRC (or a
-//! deliberately hostile file) produces an error, never a panic or an
+//! bounds-checked against the remaining buffer and every index against
+//! the nodes read so far, so a corrupt payload that slipped past the CRC
+//! (or a deliberately hostile file) produces an error, never a panic or an
 //! absurd allocation.
 
-use std::sync::Arc;
+use ldl_storage::IdRows;
+use ldl_value::fxhash::FastMap;
+use ldl_value::intern::{self, Node};
+use ldl_value::{Fact, Symbol, ValueId};
 
-use ldl_value::{Fact, Symbol, Value};
-
-/// Value tags. Stable on-disk numbers — append-only.
-const TAG_INT: u8 = 0;
-const TAG_STR: u8 = 1;
-const TAG_ATOM: u8 = 2;
-const TAG_COMPOUND: u8 = 3;
-const TAG_SET: u8 = 4;
-
-/// Values nest only as deep as the parser (128 levels) plus what grouping
-/// builds on top; 512 is far beyond any legitimate value and small enough
-/// that recursive decoding cannot overflow the stack.
-const MAX_DEPTH: u32 = 512;
+/// Node tags. Stable on-disk numbers — append-only.
+pub(crate) const NODE_INT: u8 = 0;
+const NODE_STR: u8 = 1;
+const NODE_ATOM: u8 = 2;
+const NODE_COMPOUND: u8 = 3;
+pub(crate) const NODE_SET: u8 = 4;
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -107,136 +121,174 @@ impl<'a> Cursor<'a> {
     }
 }
 
-pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            put_u64(out, *i as u64);
+/// A node table being written at the end of a buffer: each distinct value
+/// once, children before their parents.
+pub(crate) struct NodeTable {
+    index: FastMap<ValueId, u32>,
+    out: Vec<u8>,
+    /// Where the node count goes once it is known.
+    count_at: usize,
+}
+
+impl NodeTable {
+    /// Start a table at the end of `out`.
+    pub(crate) fn new(mut out: Vec<u8>) -> NodeTable {
+        let count_at = out.len();
+        put_u32(&mut out, 0);
+        NodeTable {
+            index: FastMap::default(),
+            out,
+            count_at,
         }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            put_str(out, s);
+    }
+
+    /// `id`'s index in the table, appending its structure (children
+    /// first) when it is new.
+    pub(crate) fn add(&mut self, id: ValueId) -> u32 {
+        if let Some(&idx) = self.index.get(&id) {
+            return idx;
         }
-        Value::Atom(a) => {
-            out.push(TAG_ATOM);
-            put_str(out, a.as_str());
+        let node = intern::node(id);
+        let kids: Vec<u32> = match node {
+            Node::Compound(_, kids) | Node::Set(kids) => {
+                kids.iter().map(|&k| self.add(k)).collect()
+            }
+            _ => Vec::new(),
+        };
+        let out = &mut self.out;
+        match node {
+            Node::Int(i) => {
+                out.push(NODE_INT);
+                put_u64(out, *i as u64);
+            }
+            Node::Str(s) => {
+                out.push(NODE_STR);
+                put_str(out, s);
+            }
+            Node::Atom(a) => {
+                out.push(NODE_ATOM);
+                put_str(out, a.as_str());
+            }
+            Node::Compound(f, _) => {
+                out.push(NODE_COMPOUND);
+                put_str(out, f.as_str());
+            }
+            Node::Set(_) => out.push(NODE_SET),
         }
-        Value::Compound(c) => {
-            out.push(TAG_COMPOUND);
-            put_str(out, c.functor().as_str());
-            put_u32(out, c.args().len() as u32);
-            for a in c.args() {
-                encode_value(a, out);
+        if matches!(node, Node::Compound(..) | Node::Set(_)) {
+            put_u32(out, kids.len() as u32);
+            for k in kids {
+                put_u32(out, k);
             }
         }
-        Value::Set(s) => {
-            out.push(TAG_SET);
-            put_u32(out, s.len() as u32);
-            for e in s.iter() {
-                encode_value(e, out);
-            }
-        }
+        let idx = self.index.len() as u32;
+        self.index.insert(id, idx);
+        idx
+    }
+
+    /// Close the table, writing its node count, and hand back the buffer.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        let count = (self.index.len() as u32).to_le_bytes();
+        self.out[self.count_at..self.count_at + 4].copy_from_slice(&count);
+        self.out
     }
 }
 
-pub(crate) fn decode_value(c: &mut Cursor<'_>, depth: u32) -> Result<Value, String> {
-    if depth >= MAX_DEPTH {
-        return Err(format!("value nesting exceeds {MAX_DEPTH} levels"));
+/// Read a node table and intern it under one interner lock
+/// ([`intern::batch`]), returning each node's id by index.
+pub(crate) fn read_nodes(c: &mut Cursor<'_>) -> Result<Vec<ValueId>, String> {
+    let count = c.u32("node count")? as usize;
+    if count > c.remaining() {
+        return Err(format!("node count {count} exceeds remaining bytes"));
     }
-    let tag = c.u8("value tag")?;
-    match tag {
-        TAG_INT => Ok(Value::Int(c.i64("int payload")?)),
-        TAG_STR => Ok(Value::Str(Arc::from(c.str("string payload")?))),
-        TAG_ATOM => Ok(Value::Atom(Symbol::intern(c.str("atom name")?))),
-        TAG_COMPOUND => {
-            let functor = Symbol::intern(c.str("functor name")?);
-            let argc = c.u32("compound arity")? as usize;
-            // Each argument takes ≥ 1 byte, so an arity beyond the buffer
-            // remainder is corruption, not a big term.
-            if argc > c.remaining() {
-                return Err(format!("compound arity {argc} exceeds remaining bytes"));
-            }
-            if argc == 0 {
-                return Err("compound with zero arity (should be an atom)".into());
-            }
-            let mut args = Vec::with_capacity(argc);
-            for _ in 0..argc {
-                args.push(decode_value(c, depth + 1)?);
-            }
-            Ok(Value::compound(functor, args))
+    intern::batch(|b| {
+        let mut ids = Vec::with_capacity(count);
+        let mut kids = Vec::new();
+        for _ in 0..count {
+            let id = match c.u8("node tag")? {
+                NODE_INT => b.int(c.i64("int node")?),
+                NODE_STR => b.str(c.str("string node")?),
+                NODE_ATOM => b.atom(Symbol::intern(c.str("atom node")?)),
+                NODE_COMPOUND => {
+                    let functor = Symbol::intern(c.str("functor name")?);
+                    let n = c.u32("child count")? as usize;
+                    read_ids(c, &ids, n, "child index", &mut kids)?;
+                    if kids.is_empty() {
+                        return Err("compound node with zero children".into());
+                    }
+                    b.compound(functor, &kids)
+                }
+                NODE_SET => {
+                    // The writer emits the canonical (sorted, deduped)
+                    // element order, but a hostile file may not have —
+                    // `set` re-canonicalizes.
+                    let n = c.u32("child count")? as usize;
+                    read_ids(c, &ids, n, "child index", &mut kids)?;
+                    b.set(&mut kids)
+                }
+                other => return Err(format!("unknown node tag {other}")),
+            };
+            ids.push(id);
         }
-        TAG_SET => {
-            let n = c.u32("set size")? as usize;
-            if n > c.remaining() {
-                return Err(format!("set size {n} exceeds remaining bytes"));
-            }
-            let mut elems = Vec::with_capacity(n);
-            for _ in 0..n {
-                elems.push(decode_value(c, depth + 1)?);
-            }
-            Ok(Value::set(elems))
-        }
-        other => Err(format!("unknown value tag {other}")),
-    }
+        Ok(ids)
+    })
 }
 
-pub(crate) fn encode_fact(f: &Fact, out: &mut Vec<u8>) {
-    put_str(out, f.pred().as_str());
-    put_u32(out, f.args().len() as u32);
-    for a in f.args() {
-        encode_value(a, out);
+/// Read `n` node indexes into `out` (cleared first), each resolved
+/// through `ids`, the nodes read so far.
+pub(crate) fn read_ids(
+    c: &mut Cursor<'_>,
+    ids: &[ValueId],
+    n: usize,
+    what: &str,
+    out: &mut Vec<ValueId>,
+) -> Result<(), String> {
+    out.clear();
+    if n > c.remaining() / 4 {
+        return Err(format!("{n} {what}es exceed remaining bytes"));
     }
-}
-
-pub(crate) fn decode_fact(c: &mut Cursor<'_>) -> Result<Fact, String> {
-    let pred = Symbol::intern(c.str("predicate name")?);
-    let argc = c.u32("fact arity")? as usize;
-    if argc > c.remaining() {
-        return Err(format!("fact arity {argc} exceeds remaining bytes"));
+    for _ in 0..n {
+        let idx = c.u32(what)? as usize;
+        out.push(*ids.get(idx).ok_or_else(|| {
+            format!(
+                "{what} {idx} is not an earlier node (table has {})",
+                ids.len()
+            )
+        })?);
     }
-    let mut args = Vec::with_capacity(argc);
-    for _ in 0..argc {
-        args.push(decode_value(c, 0)?);
-    }
-    Ok(Fact::from_arc(pred, args.into()))
+    Ok(())
 }
 
 /// Encode one committed mutation batch — the net deletions and insertions,
 /// in commit order — as a log-record payload.
 pub fn encode_batch(del: &[Fact], ins: &[Fact]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + 32 * (del.len() + ins.len()));
-    put_u32(&mut out, del.len() as u32);
-    for f in del {
-        encode_fact(f, &mut out);
-    }
-    put_u32(&mut out, ins.len() as u32);
-    for f in ins {
-        encode_fact(f, &mut out);
+    let mut nodes = NodeTable::new(Vec::with_capacity(16 + 32 * (del.len() + ins.len())));
+    let args = del.iter().chain(ins).flat_map(Fact::args);
+    let idxs: Vec<u32> = args.map(|a| nodes.add(intern::id_of(a))).collect();
+    let mut out = nodes.finish();
+    let mut idxs = idxs.into_iter();
+    for facts in [del, ins] {
+        put_u32(&mut out, facts.len() as u32);
+        for f in facts {
+            put_str(&mut out, f.pred().as_str());
+            put_u32(&mut out, f.arity() as u32);
+            for idx in idxs.by_ref().take(f.arity()) {
+                put_u32(&mut out, idx);
+            }
+        }
     }
     out
 }
 
-/// Decode a log-record payload back into its `(deletions, insertions)`.
-/// Fails (with a description, for a [`crate::WalError::Corrupt`] report)
-/// on any truncation, bad tag, or trailing garbage.
-pub fn decode_batch(payload: &[u8]) -> Result<(Vec<Fact>, Vec<Fact>), String> {
+/// Decode a log-record payload into its interned `(deletions,
+/// insertions)`, the node table under one interner lock. Fails (with a
+/// description, for a [`crate::Truncation`] report) on any truncation, bad
+/// tag or index, or trailing garbage.
+pub(crate) fn decode_batch(payload: &[u8]) -> Result<(IdRows, IdRows), String> {
     let mut c = Cursor::new(payload);
-    let ndel = c.u32("deletion count")? as usize;
-    if ndel > c.remaining() {
-        return Err(format!("deletion count {ndel} exceeds remaining bytes"));
-    }
-    let mut del = Vec::with_capacity(ndel);
-    for _ in 0..ndel {
-        del.push(decode_fact(&mut c)?);
-    }
-    let nins = c.u32("insertion count")? as usize;
-    if nins > c.remaining() {
-        return Err(format!("insertion count {nins} exceeds remaining bytes"));
-    }
-    let mut ins = Vec::with_capacity(nins);
-    for _ in 0..nins {
-        ins.push(decode_fact(&mut c)?);
-    }
+    let ids = read_nodes(&mut c)?;
+    let del = read_facts(&mut c, &ids, "deletion count")?;
+    let ins = read_facts(&mut c, &ids, "insertion count")?;
     if !c.is_empty() {
         return Err(format!(
             "{} bytes of trailing garbage after batch",
@@ -246,9 +298,29 @@ pub fn decode_batch(payload: &[u8]) -> Result<(Vec<Fact>, Vec<Fact>), String> {
     Ok((del, ins))
 }
 
+/// Read one list of a record's facts: a count, then each fact's predicate,
+/// arity and node indexes.
+fn read_facts(c: &mut Cursor<'_>, ids: &[ValueId], what: &str) -> Result<IdRows, String> {
+    let n = c.u32(what)? as usize;
+    // A fact takes at least its name length and arity: 8 bytes.
+    if n > c.remaining() / 8 {
+        return Err(format!("{what} {n} exceeds remaining bytes"));
+    }
+    let mut facts = IdRows::default();
+    let mut row = Vec::new();
+    for _ in 0..n {
+        let pred = Symbol::intern(c.str("predicate name")?);
+        let arity = c.u32("fact arity")? as usize;
+        read_ids(c, ids, arity, "row index", &mut row)?;
+        facts.push(pred, &row);
+    }
+    Ok(facts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldl_value::Value;
 
     fn sample_facts() -> Vec<Fact> {
         vec![
@@ -274,11 +346,11 @@ mod tests {
         let facts = sample_facts();
         let payload = encode_batch(&facts[..2], &facts[2..]);
         let (del, ins) = decode_batch(&payload).unwrap();
-        assert_eq!(del, facts[..2]);
-        assert_eq!(ins, facts[2..]);
+        assert_eq!(del, IdRows::intern(&facts[..2]));
+        assert_eq!(ins, IdRows::intern(&facts[2..]));
         // Empty batch round-trips too.
         let (d, i) = decode_batch(&encode_batch(&[], &[])).unwrap();
-        assert!(d.is_empty() && i.is_empty());
+        assert_eq!((d, i), (IdRows::default(), IdRows::default()));
     }
 
     #[test]
@@ -288,6 +360,19 @@ mod tests {
         let a = Fact::new("q", vec![Value::set(vec![Value::int(1), Value::int(2)])]);
         let b = Fact::new("q", vec![Value::set(vec![Value::int(2), Value::int(1)])]);
         assert_eq!(encode_batch(&[], &[a]), encode_batch(&[], &[b]));
+    }
+
+    #[test]
+    fn shared_values_share_a_node() {
+        // `1` is written once, for both rows and inside the set.
+        let one = Value::int(1);
+        let facts = [
+            Fact::new("e", vec![one.clone(), one.clone()]),
+            Fact::new("w", vec![Value::set(vec![one])]),
+        ];
+        let payload = encode_batch(&[], &facts);
+        assert_eq!(&payload[..4], &2u32.to_le_bytes(), "two nodes: 1 and {{1}}");
+        assert_eq!(decode_batch(&payload).unwrap().1, IdRows::intern(&facts));
     }
 
     #[test]
@@ -319,5 +404,41 @@ mod tests {
         let mut hostile = Vec::new();
         put_u32(&mut hostile, u32::MAX);
         assert!(decode_batch(&hostile).is_err());
+    }
+
+    /// Node 0 is `7` and, given a `child`, node 1 a set of that one child;
+    /// the one insertion is `p(row)`.
+    fn forged(child: Option<u32>, row: u32) -> Vec<u8> {
+        let mut b = Vec::new();
+        put_u32(&mut b, 1 + child.is_some() as u32);
+        b.push(NODE_INT);
+        put_u64(&mut b, 7);
+        if let Some(child) = child {
+            b.push(NODE_SET);
+            put_u32(&mut b, 1);
+            put_u32(&mut b, child);
+        }
+        put_u32(&mut b, 0);
+        put_u32(&mut b, 1);
+        put_str(&mut b, "p");
+        put_u32(&mut b, 1);
+        put_u32(&mut b, row);
+        b
+    }
+
+    #[test]
+    fn indexes_must_name_earlier_nodes() {
+        let mut seven = IdRows::default();
+        seven.push(Symbol::intern("p"), &[intern::mk_int(7)]);
+        assert_eq!(decode_batch(&forged(None, 0)).unwrap().1, seven);
+        assert!(decode_batch(&forged(Some(0), 1)).is_ok());
+        // A set naming itself, and a row past the table.
+        let err = decode_batch(&forged(Some(1), 1)).unwrap_err();
+        assert!(
+            err.contains("child index 1 is not an earlier node"),
+            "{err}"
+        );
+        let err = decode_batch(&forged(None, 1)).unwrap_err();
+        assert!(err.contains("row index 1 is not an earlier node"), "{err}");
     }
 }

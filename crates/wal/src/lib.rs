@@ -18,7 +18,10 @@
 //!   raw [`ldl_value::ValueId`]s or [`ldl_value::Symbol`] ids), so
 //!   recovery is independent of the interning order of the writing
 //!   process — the ids a recovering process assigns may differ; the
-//!   values cannot.
+//!   values cannot. Snapshots and log records share one codec: a
+//!   post-order node table of the values, then rows of node indexes.
+//!   Recovery interns each table under one interner lock and hands the
+//!   rows to [`ldl_storage::Database::apply`].
 //! * [`Store::open`] recovers: load the latest valid snapshot, replay the
 //!   log's tail, and *truncate* a torn or corrupt trailing record
 //!   (reporting it in [`RecoveryInfo`]) instead of failing — a crash mid
@@ -36,7 +39,7 @@ mod log;
 mod snapshot;
 mod store;
 
-pub use codec::{decode_batch, encode_batch};
+pub use codec::encode_batch;
 pub use crc::crc32;
 pub use log::{WAL_FILE, WAL_HEADER_LEN};
 pub use snapshot::SNAPSHOT_FILE;

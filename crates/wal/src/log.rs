@@ -29,7 +29,7 @@ pub const WAL_FILE: &str = "wal.log";
 pub const WAL_HEADER_LEN: u64 = 24;
 
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"LDL1WAL\0";
-pub(crate) const WAL_VERSION: u32 = 1;
+pub(crate) const WAL_VERSION: u32 = 2;
 /// A record longer than this is a corrupt length field, not a real batch.
 pub(crate) const MAX_RECORD_LEN: u32 = 1 << 30;
 

@@ -3,9 +3,8 @@
 //!
 //! ```text
 //! "LDL1SNAP"  version:u32  reserved:u32  seq:u64
-//! node_count:u32
-//!   node*          -- structural value nodes, post-order: a node's
-//!                  -- children are u32 indexes into *earlier* entries
+//! node table       -- the crate's value codec (`codec.rs`), as in a log
+//!                  -- record: post-order, children name earlier nodes
 //! rel_count:u32
 //!   relation*      -- sorted by predicate name:
 //!                  --   name:str  arity:u32  nrows:u32  (nrows × arity
@@ -15,9 +14,9 @@
 //!
 //! Rows share their value nodes through the table, so a database whose
 //! facts overlap structurally (the common case) snapshots far smaller
-//! than one fact-per-fact dump. Like the log, nodes are structural —
-//! indexes are *local to this file*, never interner ids — so any process
-//! can load a snapshot regardless of interning order.
+//! than one fact-per-fact dump. Nodes are structural — indexes are *local
+//! to this file*, never interner ids — so any process can load a snapshot
+//! regardless of interning order.
 //!
 //! Unlike the log, a snapshot is never partially trusted: it is written
 //! whole to a temporary file, fsynced, and installed by atomic rename, so
@@ -27,17 +26,15 @@
 //! [`WalError::Corrupt`].
 //!
 //! Loading is a bulk load: the node table is interned under one interner
-//! lock ([`intern::batch`]), and each relation's duplicate filter is sized
-//! from its row count before the rows go in.
+//! lock, and each relation's duplicate filter is sized from its row count
+//! before the rows go in.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use ldl_storage::Database;
-use ldl_value::intern::{self, Node};
-use ldl_value::{Symbol, ValueId};
+use ldl_value::Symbol;
 
-use crate::codec::{put_str, put_u32, put_u64, Cursor};
+use crate::codec::{put_str, put_u32, put_u64, read_ids, read_nodes, Cursor, NodeTable};
 use crate::crc::crc32;
 use crate::{OpenTimes, WalError};
 
@@ -47,73 +44,18 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAP_MAGIC: &[u8; 8] = b"LDL1SNAP";
 const SNAP_VERSION: u32 = 1;
 
-const NODE_INT: u8 = 0;
-const NODE_STR: u8 = 1;
-const NODE_ATOM: u8 = 2;
-const NODE_COMPOUND: u8 = 3;
-const NODE_SET: u8 = 4;
-
-/// Append `id`'s structure to the node table (children first), returning
-/// its local index.
-fn add_node(
-    id: ValueId,
-    table: &mut HashMap<ValueId, u32>,
-    out: &mut Vec<u8>,
-    count: &mut u32,
-) -> u32 {
-    if let Some(&idx) = table.get(&id) {
-        return idx;
-    }
-    let emit = |children: &[ValueId],
-                tag: u8,
-                name: Option<Symbol>,
-                table: &mut HashMap<ValueId, u32>,
-                out: &mut Vec<u8>,
-                count: &mut u32| {
-        let idxs: Vec<u32> = children
-            .iter()
-            .map(|&c| add_node(c, table, out, count))
-            .collect();
-        out.push(tag);
-        if let Some(n) = name {
-            put_str(out, n.as_str());
-        }
-        put_u32(out, idxs.len() as u32);
-        for i in idxs {
-            put_u32(out, i);
-        }
-    };
-    match intern::node(id) {
-        Node::Int(i) => {
-            out.push(NODE_INT);
-            put_u64(out, *i as u64);
-        }
-        Node::Str(s) => {
-            out.push(NODE_STR);
-            put_str(out, s);
-        }
-        Node::Atom(a) => {
-            out.push(NODE_ATOM);
-            put_str(out, a.as_str());
-        }
-        Node::Compound(f, args) => emit(args, NODE_COMPOUND, Some(*f), table, out, count),
-        Node::Set(elems) => emit(elems, NODE_SET, None, table, out, count),
-    }
-    let idx = *count;
-    *count += 1;
-    table.insert(id, idx);
-    idx
-}
-
 /// Serialize `db` as a snapshot covering log sequence `seq`.
 pub(crate) fn encode(db: &Database, seq: u64) -> Vec<u8> {
     let mut preds: Vec<Symbol> = db.predicates().collect();
     preds.sort_by_key(|p| p.as_str());
 
+    let mut out = Vec::new();
+    out.extend_from_slice(SNAP_MAGIC);
+    put_u32(&mut out, SNAP_VERSION);
+    put_u32(&mut out, 0); // reserved
+    put_u64(&mut out, seq);
     // Node table and per-relation row indexes, in one pass.
-    let mut table = HashMap::new();
-    let mut nodes = Vec::new();
-    let mut count = 0u32;
+    let mut nodes = NodeTable::new(out);
     let mut rels = Vec::new();
     for &pred in &preds {
         let rel = db.relation(pred).expect("listed predicate");
@@ -122,19 +64,13 @@ pub(crate) fn encode(db: &Database, seq: u64) -> Vec<u8> {
         put_u32(&mut rels, rel.live_len() as u32);
         for row in rel.iter() {
             for &id in row {
-                let idx = add_node(id, &mut table, &mut nodes, &mut count);
-                put_u32(&mut rels, idx);
+                put_u32(&mut rels, nodes.add(id));
             }
         }
     }
 
-    let mut out = Vec::with_capacity(32 + nodes.len() + rels.len());
-    out.extend_from_slice(SNAP_MAGIC);
-    put_u32(&mut out, SNAP_VERSION);
-    put_u32(&mut out, 0); // reserved
-    put_u64(&mut out, seq);
-    put_u32(&mut out, count);
-    out.extend_from_slice(&nodes);
+    let mut out = nodes.finish();
+    out.reserve_exact(8 + rels.len());
     put_u32(&mut out, preds.len() as u32);
     out.extend_from_slice(&rels);
     let crc = crc32(&out);
@@ -181,15 +117,8 @@ pub(crate) fn decode(bytes: &[u8], times: &mut OpenTimes) -> Result<(Database, u
     let _reserved = c.u32("reserved").map_err(|e| fail(&c, e))?;
     let seq = c.u64("snapshot sequence").map_err(|e| fail(&c, e))?;
 
-    let node_count = c.u32("node count").map_err(|e| fail(&c, e))? as usize;
-    if node_count > body.len() {
-        return Err(fail(
-            &c,
-            format!("node count {node_count} exceeds snapshot size"),
-        ));
-    }
     let t = Instant::now();
-    let ids = intern::batch(|b| read_nodes(&mut c, node_count, b)).map_err(|e| fail(&c, e))?;
+    let ids = read_nodes(&mut c).map_err(|e| fail(&c, e))?;
     times.nodes += t.elapsed();
 
     // Relations.
@@ -227,16 +156,7 @@ pub(crate) fn decode(bytes: &[u8], times: &mut OpenTimes) -> Result<(Database, u
         let rel = db.relation_mut(pred, arity);
         rel.reserve(nrows);
         for _ in 0..nrows {
-            row.clear();
-            for _ in 0..arity {
-                let idx = c.u32("row value index").map_err(|e| fail(&c, e))? as usize;
-                row.push(*ids.get(idx).ok_or_else(|| {
-                    fail(
-                        &c,
-                        format!("row value index {idx} out of range ({} nodes)", ids.len()),
-                    )
-                })?);
-            }
+            read_ids(&mut c, &ids, arity, "row index", &mut row).map_err(|e| fail(&c, e))?;
             // The writer emits a relation's live rows, which are distinct:
             // a repeat means the file was damaged or forged.
             if !rel.insert_slice(&row) {
@@ -254,68 +174,10 @@ pub(crate) fn decode(bytes: &[u8], times: &mut OpenTimes) -> Result<(Database, u
     Ok((db, seq))
 }
 
-/// Intern the node table. Each entry may only reference earlier entries,
-/// so one forward pass under one interner lock rebuilds the ids.
-fn read_nodes(
-    c: &mut Cursor<'_>,
-    count: usize,
-    b: &mut intern::Batch,
-) -> Result<Vec<ValueId>, String> {
-    let mut ids = Vec::with_capacity(count);
-    let mut kids = Vec::new();
-    for _ in 0..count {
-        let id = match c.u8("node tag")? {
-            NODE_INT => b.int(c.i64("int node")?),
-            NODE_STR => b.str(c.str("string node")?),
-            NODE_ATOM => b.atom(Symbol::intern(c.str("atom node")?)),
-            NODE_COMPOUND => {
-                let functor = Symbol::intern(c.str("functor name")?);
-                read_children(c, &ids, &mut kids)?;
-                if kids.is_empty() {
-                    return Err("compound node with zero children".into());
-                }
-                b.compound(functor, &kids)
-            }
-            NODE_SET => {
-                // Writer emitted the canonical (sorted, deduped) element
-                // order, but a hostile file may not have — re-canonicalize.
-                read_children(c, &ids, &mut kids)?;
-                b.set(&mut kids)
-            }
-            other => return Err(format!("unknown node tag {other}")),
-        };
-        ids.push(id);
-    }
-    Ok(ids)
-}
-
-/// Read a child list into `out` (cleared first), each index checked to
-/// name an earlier node.
-fn read_children(
-    c: &mut Cursor<'_>,
-    ids: &[ValueId],
-    out: &mut Vec<ValueId>,
-) -> Result<(), String> {
-    out.clear();
-    let n = c.u32("child count")? as usize;
-    if n > c.remaining() / 4 {
-        return Err(format!("child count {n} exceeds remaining bytes"));
-    }
-    for _ in 0..n {
-        let idx = c.u32("child index")? as usize;
-        out.push(*ids.get(idx).ok_or_else(|| {
-            format!(
-                "child index {idx} is not an earlier node (table has {})",
-                ids.len()
-            )
-        })?);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{NODE_INT, NODE_SET};
     use ldl_value::{Fact, Value};
 
     fn load(bytes: &[u8]) -> Result<(Database, u64), WalError> {

@@ -108,7 +108,8 @@ pub struct OpenTimes {
     pub rows: Duration,
     /// Scanning the log: framing and every record's CRC.
     pub scan: Duration,
-    /// Decoding and applying the log records past the snapshot.
+    /// Replaying the log records past the snapshot: interning each
+    /// record's node table and applying its rows.
     pub replay: Duration,
     /// The whole open.
     pub total: Duration,
@@ -259,7 +260,8 @@ impl Store {
         }
 
         // 3. Replay records past the snapshot. A record that passed its
-        // CRC but does not decode is treated like any other corrupt tail.
+        // CRC but does not decode, or whose rows do not apply, is treated
+        // like any other corrupt tail.
         let mut valid_len = scan.valid_len;
         let mut last_seq = snap_seq;
         let mut log_tail_seq = scan.base_seq;
@@ -269,9 +271,8 @@ impl Store {
         for (seq, payload) in &scan.records {
             let rec_len = 16 + payload.len() as u64;
             if *seq > snap_seq {
-                match decode_batch(payload) {
-                    Ok((del, ins)) => {
-                        db.apply(&del, &ins);
+                match decode_batch(payload).and_then(|(del, ins)| db.apply(&del, &ins)) {
+                    Ok(()) => {
                         last_seq = *seq;
                         replayed += 1;
                     }
@@ -279,7 +280,7 @@ impl Store {
                         truncation = Some(Truncation {
                             offset,
                             dropped_bytes: bytes.len() as u64 - offset,
-                            reason: format!("undecodable batch at sequence {seq}: {reason}"),
+                            reason: format!("bad batch at sequence {seq}: {reason}"),
                         });
                         valid_len = offset;
                         break;
@@ -608,6 +609,106 @@ mod tests {
         // Reopening again is clean.
         let (_s, _d, info2) = Store::open(&dir, StoreOptions::default()).unwrap();
         assert!(info2.truncation.is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Append each batch to a fresh store, reopen, and return the reopened
+    /// database and report, with the log offset each record began at.
+    fn reopen_after(
+        tag: &str,
+        batches: &[(Vec<Fact>, Vec<Fact>)],
+    ) -> (Database, RecoveryInfo, Vec<u64>) {
+        let dir = temp_dir(tag);
+        let (mut store, _, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        let mut starts = Vec::new();
+        for (del, ins) in batches {
+            starts.push(store.wal_len());
+            store.append(del, ins).unwrap();
+        }
+        drop(store);
+        let (store, db, info) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(
+            fs::metadata(dir.join(WAL_FILE)).unwrap().len(),
+            store.wal_len()
+        );
+        drop(store);
+        let (_, again, info2) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert!(info2.truncation.is_none(), "{:?}", info2.truncation);
+        assert_eq!(again.dump(), db.dump());
+        let _ = fs::remove_dir_all(&dir);
+        (db, info, starts)
+    }
+
+    #[test]
+    fn record_at_another_arity_truncates() {
+        let p12 = Fact::new("p", vec![Value::int(1), Value::int(2)]);
+        let (db, info, starts) = reopen_after(
+            "arity",
+            &[
+                (vec![], vec![p12.clone()]),
+                (vec![], vec![fact("p", 3)]),
+                (vec![], vec![fact("q", 4)]),
+            ],
+        );
+        let t = info.truncation.expect("the conflicting record is dropped");
+        assert_eq!(t.offset, starts[1]);
+        assert!(t.reason.contains("bad batch at sequence 2"), "{}", t.reason);
+        assert!(t.reason.contains("p asserted at arity 1"), "{}", t.reason);
+        assert_eq!((info.replayed, info.last_seq), (1, 1));
+        assert_eq!(db.dump(), "p(1, 2).\n");
+
+        // A relation the log emptied takes its next assertion's arity.
+        let (db, info, _) = reopen_after(
+            "vacated",
+            &[
+                (vec![], vec![p12.clone()]),
+                (vec![p12], vec![]),
+                (vec![], vec![fact("p", 3)]),
+            ],
+        );
+        assert!(info.truncation.is_none(), "{:?}", info.truncation);
+        assert_eq!(db.dump(), "p(3).\n");
+    }
+
+    #[test]
+    fn record_at_two_arities_truncates() {
+        let q12 = Fact::new("q", vec![Value::int(1), Value::int(2)]);
+        let (db, info, starts) = reopen_after(
+            "two-arities",
+            &[
+                (vec![], vec![fact("p", 1)]),
+                (vec![], vec![fact("q", 1), q12]),
+            ],
+        );
+        let t = info.truncation.expect("the conflicting record is dropped");
+        assert_eq!(t.offset, starts[1]);
+        assert!(t.reason.contains("q asserted at arity 2"), "{}", t.reason);
+        assert_eq!(info.replayed, 1);
+        assert_eq!(db.dump(), "p(1).\n");
+    }
+
+    #[test]
+    fn version_one_log_is_refused_and_left_alone() {
+        let dir = temp_dir("v1");
+        let (mut store, _, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        store.append(&[], &[fact("p", 1)]).unwrap();
+        drop(store);
+        let wal_path = dir.join(WAL_FILE);
+        let mut bytes = fs::read(&wal_path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&wal_path, &bytes).unwrap();
+
+        match Store::open(&dir, StoreOptions::default()) {
+            Err(WalError::Corrupt { detail, .. }) => {
+                assert_eq!(detail, "unsupported log version 1 (expected 2)")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(
+            fs::read(&wal_path).unwrap(),
+            bytes,
+            "not read as a torn tail"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
