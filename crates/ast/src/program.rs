@@ -4,7 +4,7 @@
 use std::fmt;
 
 use ldl_value::arith::{ArithOp, CmpOp};
-use ldl_value::fxhash::{FastMap, FastSet};
+use ldl_value::fxhash::FastMap;
 use ldl_value::Symbol;
 
 use crate::rule::Rule;
@@ -109,20 +109,6 @@ impl Program {
                 let (p, n) = (l.atom.pred, l.atom.arity());
                 if !idb.contains_key(&p) && Builtin::resolve(p, n).is_none() {
                     out.insert(p, n);
-                }
-            }
-        }
-        out
-    }
-
-    /// Every non-built-in predicate symbol mentioned anywhere.
-    pub fn all_predicates(&self) -> FastSet<Symbol> {
-        let mut out = FastSet::default();
-        for r in &self.rules {
-            out.insert(r.head.pred);
-            for l in &r.body {
-                if Builtin::resolve(l.atom.pred, l.atom.arity()).is_none() {
-                    out.insert(l.atom.pred);
                 }
             }
         }

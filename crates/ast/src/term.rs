@@ -261,11 +261,14 @@ impl Term {
             Term::Scons(h, t) => {
                 let head = h.to_value()?;
                 match t.to_value()? {
-                    Value::Set(s) => Some(Value::Set(s.insert(head))),
+                    Value::Set(s) => Some(Value::set(s.iter().cloned().chain([head]))),
                     _ => None,
                 }
             }
-            Term::Arith(op, l, r) => op.eval(&l.to_value()?, &r.to_value()?),
+            Term::Arith(op, l, r) => match (l.to_value()?, r.to_value()?) {
+                (Value::Int(x), Value::Int(y)) => op.eval_i64(x, y).map(Value::Int),
+                _ => None,
+            },
         }
     }
 }

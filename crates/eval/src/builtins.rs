@@ -7,9 +7,11 @@
 //! for that.
 //!
 //! Set arguments are interned ids whose element slices are already in
-//! canonical [`intern::cmp_ids`] order, so union / intersection /
-//! difference / subset / disjoint are all linear merges over `&[ValueId]` —
-//! no tree walks, no allocation beyond the result.
+//! canonical [`intern::cmp_ids`] order; union / intersection / difference /
+//! subset / disjoint are the linear merges of [`ldl_value::set`], the one
+//! implementation of §2.2's set algebra — no tree walks, no allocation
+//! beyond the result. What stays here is the built-ins' modes, and the
+//! enumerations of the generative ones.
 //!
 //! Generative modes that enumerate subsets (`union` with only the result
 //! bound, `partition` with only the whole bound, `subset` with the subset
@@ -18,12 +20,11 @@
 //! capped to keep mistakes loud. A mode with more bound — `partition` with
 //! a part bound, `subset` with both — is a check and has no cap.
 
-use std::cmp::Ordering;
-
 use ldl_ast::program::Builtin;
 use ldl_ast::term::Term;
 use ldl_value::arith::{ArithOp, CmpOp};
-use ldl_value::intern::{self, Node};
+use ldl_value::intern;
+use ldl_value::set::{as_set, is_disjoint, is_subset, merge_filter, merge_union};
 use ldl_value::ValueId;
 
 use crate::bindings::Bindings;
@@ -55,86 +56,6 @@ pub fn can_schedule(bi: Builtin, args: &[Term], bound: &dyn Fn(&Term) -> bool) -
             }
         }
     }
-}
-
-/// The canonical element slice of a set id, or `None` for non-sets.
-fn as_set(v: ValueId) -> Option<&'static [ValueId]> {
-    match intern::node(v) {
-        Node::Set(elems) => Some(elems),
-        _ => None,
-    }
-}
-
-/// Merge-union of two canonical element slices.
-fn merge_union(a: &[ValueId], b: &[ValueId]) -> Vec<ValueId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match intern::cmp_ids(a[i], b[j]) {
-            Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Merge-intersection (`keep = true`) or merge-difference (`keep = false`)
-/// of two canonical element slices: keeps the elements of `a` that are /
-/// are not in `b`.
-fn merge_filter(a: &[ValueId], b: &[ValueId], keep: bool) -> Vec<ValueId> {
-    let mut out = Vec::new();
-    let mut j = 0;
-    for &x in a {
-        while j < b.len() && intern::cmp_ids(b[j], x) == Ordering::Less {
-            j += 1;
-        }
-        let present = j < b.len() && b[j] == x;
-        if present == keep {
-            out.push(x);
-        }
-    }
-    out
-}
-
-/// Is canonical `a` a subset of canonical `b`?
-fn is_subset(a: &[ValueId], b: &[ValueId]) -> bool {
-    let mut j = 0;
-    for &x in a {
-        while j < b.len() && intern::cmp_ids(b[j], x) == Ordering::Less {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != x {
-            return false;
-        }
-        j += 1;
-    }
-    true
-}
-
-/// Are canonical `a` and `b` disjoint?
-fn is_disjoint(a: &[ValueId], b: &[ValueId]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match intern::cmp_ids(a[i], b[j]) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => return false,
-        }
-    }
-    true
 }
 
 /// Evaluate a built-in literal, calling `k` once per solution.
@@ -418,6 +339,11 @@ mod tests {
         Value::set(xs.iter().map(|&i| Value::int(i)))
     }
 
+    /// The canonical element ids of a set value.
+    fn elems(s: &Value) -> Vec<ValueId> {
+        as_set(intern::id_of(s)).unwrap().to_vec()
+    }
+
     fn run(bi: Builtin, args: &[Term], pre: &[(&str, Value)]) -> Vec<Vec<(String, Value)>> {
         let mut b = Bindings::new();
         for (n, v) in pre {
@@ -494,9 +420,8 @@ mod tests {
         );
         assert_eq!(sols.len(), 9);
         for s in &sols {
-            let a = s[0].1.as_set().unwrap();
-            let bs = s[1].1.as_set().unwrap();
-            assert_eq!(Value::Set(a.union(bs)), set(&[1, 2]));
+            let (a, bs) = (elems(&s[0].1), elems(&s[1].1));
+            assert_eq!(merge_union(&a, &bs), elems(&set(&[1, 2])));
         }
     }
 
@@ -509,9 +434,7 @@ mod tests {
         );
         assert_eq!(sols.len(), 4);
         for s in &sols {
-            let a = s[0].1.as_set().unwrap();
-            let bs = s[1].1.as_set().unwrap();
-            assert!(a.is_disjoint(bs));
+            assert!(is_disjoint(&elems(&s[0].1), &elems(&s[1].1)));
         }
         // Inverse mode.
         let sols2 = run(
@@ -741,12 +664,7 @@ mod tests {
 
     #[test]
     fn merge_helpers_agree_with_set_semantics() {
-        let ids = |xs: &[i64]| -> Vec<ValueId> {
-            match intern::node(intern::id_of(&set(xs))) {
-                Node::Set(e) => e.to_vec(),
-                _ => unreachable!(),
-            }
-        };
+        let ids = |xs: &[i64]| elems(&set(xs));
         assert_eq!(merge_union(&ids(&[1, 3]), &ids(&[2, 3])), ids(&[1, 2, 3]));
         assert_eq!(merge_filter(&ids(&[1, 2, 3]), &ids(&[2]), true), ids(&[2]));
         assert_eq!(

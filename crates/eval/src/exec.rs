@@ -207,19 +207,6 @@ fn as_int(v: ValueId) -> Option<i64> {
     }
 }
 
-/// `ArithOp` on native integers — the same checked operations as
-/// [`ArithOp::eval_ids`], minus the interning of the result.
-#[inline]
-fn arith_i64(op: ArithOp, x: i64, y: i64) -> Option<i64> {
-    match op {
-        ArithOp::Add => x.checked_add(y),
-        ArithOp::Sub => x.checked_sub(y),
-        ArithOp::Mul => x.checked_mul(y),
-        ArithOp::Div => x.checked_div(y),
-        ArithOp::Mod => x.checked_rem(y),
-    }
-}
-
 /// Evaluate an expression to a native integer *without interning any
 /// intermediate*: the win that makes compiled arithmetic filters fast — the
 /// interpreter's `eval_ids` hashes every partial sum through the intern
@@ -232,7 +219,7 @@ fn eval_num(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
     match e {
         Expr::Reg(r) => as_int(regs[*r as usize]),
         Expr::Int(_, n) => Some(*n),
-        Expr::Arith(op, l, r) => arith_i64(*op, eval_num(l, regs)?, eval_num(r, regs)?),
+        Expr::Arith(op, l, r) => op.eval_i64(eval_num(l, regs)?, eval_num(r, regs)?),
         _ => None,
     }
 }
@@ -245,14 +232,7 @@ fn eval_num(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
 /// `eval_term`'s `None` in both of the interpreter's `Cmp` arms.
 fn cmp_op(op: CmpOp, lhs: &crate::ram::Expr, rhs: &crate::ram::Expr, regs: &[ValueId]) -> bool {
     if let (Some(l), Some(r)) = (eval_num(lhs, regs), eval_num(rhs, regs)) {
-        return match op {
-            CmpOp::Eq => l == r,
-            CmpOp::Ne => l != r,
-            CmpOp::Lt => l < r,
-            CmpOp::Le => l <= r,
-            CmpOp::Gt => l > r,
-            CmpOp::Ge => l >= r,
-        };
+        return op.holds(l.cmp(&r));
     }
     match (eval_expr(lhs, regs), eval_expr(rhs, regs)) {
         (Some(l), Some(r)) => op.eval_ids(l, r) == Some(true),
@@ -269,7 +249,7 @@ fn arith_val(
     y: &crate::ram::Expr,
     regs: &[ValueId],
 ) -> Option<i64> {
-    arith_i64(op, eval_num(x, regs)?, eval_num(y, regs)?)
+    op.eval_i64(eval_num(x, regs)?, eval_num(y, regs)?)
 }
 
 /// The existential tail's continuation: the first solution is the witness,

@@ -15,12 +15,14 @@
 //! `q(X) <- X < 3` — and compilation fails with a diagnostic rather than
 //! evaluation silently misbehaving.
 //!
-//! There is one planner, [`RulePlan::compile`], and it reads no data: a plan
-//! is a function of its rule and of the literal a semi-naive delta pins
-//! first. Class 3 is §6's sip rule, so a body the magic rewriting emitted
-//! in sip order keeps it. The reference evaluator ([`crate::model`]) plans
-//! with the same rule, but shares neither the executor nor the existential
-//! tail with the engine.
+//! That order is §6's sip, and it is written once, [`sip_order`]: the one
+//! planner, [`RulePlan::compile`], runs it from no bound variable, and the
+//! magic rewriting's sips (`ldl_magic::sip`) run it from the bound head
+//! variables, so a body the rewriting emitted in sip order keeps it. It
+//! reads no data: a plan is a function of its rule and of the literal a
+//! semi-naive delta pins first. The reference evaluator ([`crate::model`])
+//! plans with the same rule, but shares neither the executor nor the
+//! existential tail with the engine.
 //!
 //! Plans also carry an *existential tail*: the first step index after which
 //! no head or grouping variable can be bound ([`RulePlan::exist_from`]).
@@ -145,16 +147,12 @@ impl RulePlan {
     /// Compile one rule: order its body into executable steps and compute
     /// the plan's existential tail ([`RulePlan::exist_from`]).
     ///
-    /// Relation scans are ordered by bound-argument count with ties in
-    /// source order — the rule §6's sips follow. `force_first` pins one
-    /// body literal (an index into `rule.body`, which must be a positive
-    /// relation literal) as step 0 — the delta-first shape of semi-naive
-    /// evaluation — and plans the rest around the bindings it provides, so
-    /// a delta-first variant probes what its delta binds before it scans
-    /// anything free.
-    ///
-    /// Nothing depends on data or map iteration order, so every run
-    /// compiles bit-for-bit identical plans.
+    /// The steps follow [`sip_order`] from no bound variable. `force_first`
+    /// pins one body literal (an index into `rule.body`, which must be a
+    /// positive relation literal) as step 0 — the delta-first shape of
+    /// semi-naive evaluation — and plans the rest around the bindings it
+    /// provides, so a delta-first variant probes what its delta binds
+    /// before it scans anything free.
     pub fn compile(rule: &Rule, force_first: Option<usize>) -> Result<RulePlan, EvalError> {
         let head_kind = match rule.head.simple_group_positions().as_slice() {
             [] => HeadKind::Simple,
@@ -170,71 +168,23 @@ impl RulePlan {
             }
         };
 
-        let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
-        let mut bound: FastSet<Var> = FastSet::default();
         let mut steps = Vec::with_capacity(rule.body.len());
         let mut literals = Vec::with_capacity(rule.body.len());
-
-        if let Some(li) = force_first {
-            let lit = &rule.body[li];
-            debug_assert!(
-                lit.positive && Builtin::resolve(lit.atom.pred, lit.atom.arity()).is_none(),
-                "force_first must name a positive relation literal"
-            );
-            remaining.retain(|&x| x != li);
-            steps.push(emit_step(lit, &mut bound));
+        sip_order(rule, FastSet::default(), force_first, |li, bound| {
+            steps.push(emit_step(&rule.body[li], bound));
             literals.push(li);
-        }
-
-        while !remaining.is_empty() {
-            // The executable literal of the highest class. Scanning
-            // `remaining` in source order with strict-improvement updates
-            // keeps the earliest literal on ties.
-            let mut best: Option<(usize, i32)> = None;
-            for (ri, &li) in remaining.iter().enumerate() {
-                let lit = &rule.body[li];
-                let all_vars_bound = lit.vars().iter().all(|v| bound.contains(v));
-                let class = match Builtin::resolve(lit.atom.pred, lit.atom.arity()) {
-                    // A negated built-in is a pure filter: it needs groundness.
-                    Some(_) if all_vars_bound => Some(100),
-                    Some(bi)
-                        if lit.positive
-                            && can_schedule(bi, &lit.atom.args, &|t| term_bound(t, &bound)) =>
-                    {
-                        Some(50)
-                    }
-                    Some(_) => None,
-                    // Pure containment check: as cheap as a filter.
-                    None if lit.positive && all_vars_bound => Some(95),
-                    None if lit.positive => {
-                        let bound_args = lit.atom.args.iter().filter(|t| term_bound(t, &bound));
-                        Some(10 + bound_args.count() as i32)
-                    }
-                    None => all_vars_bound.then_some(90),
-                };
-                if let Some(c) = class {
-                    if best.is_none_or(|(_, b)| c > b) {
-                        best = Some((ri, c));
-                    }
-                }
-            }
-            let Some((ri, _)) = best else {
-                let unsched: Vec<String> = remaining
+        })
+        .map_err(|unsched| EvalError::Unschedulable {
+            rule: rule.clone(),
+            detail: format!(
+                "no executable ordering for literals: {}",
+                unsched
                     .iter()
                     .map(|&li| rule.body[li].to_string())
-                    .collect();
-                return Err(EvalError::Unschedulable {
-                    rule: rule.clone(),
-                    detail: format!(
-                        "no executable ordering for literals: {}",
-                        unsched.join(", ")
-                    ),
-                });
-            };
-            let li = remaining.remove(ri);
-            steps.push(emit_step(&rule.body[li], &mut bound));
-            literals.push(li);
-        }
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
+        })?;
 
         let scan_steps = steps
             .iter()
@@ -308,6 +258,88 @@ impl RulePlan {
     }
 }
 
+/// §6's sip rule — the one body order, for [`RulePlan::compile`] (from no
+/// bound variable) and for the magic rewriting's sips (from the bound head
+/// variables). Starting from `bound` and `force_first` (an index into
+/// `rule.body`, which must be a positive relation literal), it repeatedly
+/// takes the executable literal of the highest [`sip_class`], the earliest
+/// on ties, and hands its body index to `visit` together with the variables
+/// bound before it; a positive literal's variables are then bound (negation
+/// binds nothing). `Err` holds the body indexes left when none of them can
+/// run.
+///
+/// Nothing depends on data or map iteration order, so an order is a
+/// function of the rule and its starting bindings.
+pub fn sip_order(
+    rule: &Rule,
+    mut bound: FastSet<Var>,
+    mut force_first: Option<usize>,
+    mut visit: impl FnMut(usize, &FastSet<Var>),
+) -> Result<(), Vec<usize>> {
+    let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
+    while !remaining.is_empty() {
+        let ri = match force_first.take() {
+            // First pass: `remaining` still holds every body index, so the
+            // literal's position in it is its index.
+            Some(li) => {
+                let lit = &rule.body[li];
+                debug_assert!(
+                    lit.positive && Builtin::resolve(lit.atom.pred, lit.atom.arity()).is_none(),
+                    "force_first must name a positive relation literal"
+                );
+                li
+            }
+            None => {
+                // Strict-improvement updates over `remaining`, which is in
+                // source order, keep the earliest literal on ties.
+                let mut best: Option<(usize, i32)> = None;
+                for (ri, &li) in remaining.iter().enumerate() {
+                    if let Some(c) = sip_class(&rule.body[li], &bound) {
+                        if best.is_none_or(|(_, b)| c > b) {
+                            best = Some((ri, c));
+                        }
+                    }
+                }
+                match best {
+                    Some((ri, _)) => ri,
+                    None => return Err(remaining),
+                }
+            }
+        };
+        let li = remaining.remove(ri);
+        visit(li, &bound);
+        let lit = &rule.body[li];
+        if lit.positive {
+            bound.extend(lit.vars());
+        }
+    }
+    Ok(())
+}
+
+/// The class [`sip_order`] ranks `lit` by once the variables in `bound`
+/// are bound, higher first; `None` when it cannot execute yet. A built-in
+/// with every variable bound is a filter (100), and a positive one with a
+/// supported mode generates (50); a positive relation literal with every
+/// variable bound is a containment check (95), else a scan ranked by its
+/// bound arguments (`10 + bound`); a negated one needs every variable bound
+/// (90, §3.2 condition 2′).
+fn sip_class(lit: &Literal, bound: &FastSet<Var>) -> Option<i32> {
+    let all_vars_bound = lit.vars().iter().all(|v| bound.contains(v));
+    match Builtin::resolve(lit.atom.pred, lit.atom.arity()) {
+        Some(_) if all_vars_bound => Some(100),
+        Some(bi) if lit.positive && can_schedule(bi, &lit.atom.args, &|t| term_bound(t, bound)) => {
+            Some(50)
+        }
+        Some(_) => None,
+        None if lit.positive && all_vars_bound => Some(95),
+        None if lit.positive => {
+            let bound_args = lit.atom.args.iter().filter(|t| term_bound(t, bound));
+            Some(10 + bound_args.count() as i32)
+        }
+        None => all_vars_bound.then_some(90),
+    }
+}
+
 /// Can `t` be evaluated to a single key value right now? `_` never binds
 /// and `<t>` patterns are multi-valued, so neither qualifies.
 pub(crate) fn term_bound(t: &Term, bound: &FastSet<Var>) -> bool {
@@ -327,12 +359,9 @@ fn bound_cols(args: &[Term], bound: &FastSet<Var>) -> Vec<usize> {
 }
 
 /// Build the executable step for body literal `lit` given the variables
-/// bound so far, then mark the literal's variables bound (positive literals
-/// bind by matching or via built-in modes; negation binds nothing but
-/// required groundness anyway).
-fn emit_step(lit: &Literal, bound: &mut FastSet<Var>) -> Step {
-    let builtin = Builtin::resolve(lit.atom.pred, lit.atom.arity());
-    let step = match builtin {
+/// bound before it.
+fn emit_step(lit: &Literal, bound: &FastSet<Var>) -> Step {
+    match Builtin::resolve(lit.atom.pred, lit.atom.arity()) {
         Some(bi) => Step::BuiltinStep {
             builtin: bi,
             args: lit.atom.args.clone(),
@@ -352,13 +381,7 @@ fn emit_step(lit: &Literal, bound: &mut FastSet<Var>) -> Step {
                 Vec::new()
             },
         },
-    };
-    if lit.positive {
-        for v in lit.vars() {
-            bound.insert(v);
-        }
     }
-    step
 }
 
 /// The first step index after which every head (and grouping) variable is

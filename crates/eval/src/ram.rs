@@ -38,8 +38,8 @@ use ldl_ast::program::Builtin;
 use ldl_ast::term::{Term, Var};
 use ldl_value::arith::{ArithOp, CmpOp};
 use ldl_value::fxhash::{FastMap, FastSet};
-use ldl_value::intern::{self, Node};
-use ldl_value::{Symbol, Value, ValueId};
+use ldl_value::intern;
+use ldl_value::{set, Symbol, Value, ValueId};
 
 use crate::plan::{has_anon, term_bound, HeadKind, RulePlan, Step};
 
@@ -88,23 +88,7 @@ pub(crate) fn eval_expr(e: &Expr, regs: &[ValueId]) -> Option<ValueId> {
         }
         Expr::Scons(h, tail) => {
             let head = eval_expr(h, regs)?;
-            let tail = eval_expr(tail, regs)?;
-            match intern::node(tail) {
-                Node::Set(elems) => {
-                    // S ∪ {h}: same insertion the interpreter performs.
-                    match elems.binary_search_by(|&x| intern::cmp_ids(x, head)) {
-                        Ok(_) => Some(tail),
-                        Err(at) => {
-                            let mut out = Vec::with_capacity(elems.len() + 1);
-                            out.extend_from_slice(&elems[..at]);
-                            out.push(head);
-                            out.extend_from_slice(&elems[at..]);
-                            Some(intern::mk_set_sorted(out))
-                        }
-                    }
-                }
-                _ => None,
-            }
+            set::insert(eval_expr(tail, regs)?, head)
         }
         Expr::Arith(op, l, r) => op.eval_ids(eval_expr(l, regs)?, eval_expr(r, regs)?),
         Expr::Fail => None,

@@ -15,7 +15,7 @@
 
 use ldl_ast::term::Term;
 use ldl_value::intern::{self, Node};
-use ldl_value::ValueId;
+use ldl_value::{set, ValueId};
 
 use crate::bindings::Bindings;
 
@@ -37,42 +37,9 @@ pub fn eval_term(t: &Term, b: &Bindings) -> Option<ValueId> {
         }
         Term::Scons(h, tail) => {
             let head = eval_term(h, b)?;
-            let tail = eval_term(tail, b)?;
-            match intern::node(tail) {
-                Node::Set(elems) => Some(set_insert(tail, elems, head)),
-                _ => None,
-            }
+            set::insert(eval_term(tail, b)?, head)
         }
         Term::Arith(op, l, r) => op.eval_ids(eval_term(l, b)?, eval_term(r, b)?),
-    }
-}
-
-/// `S ∪ {h}` for a canonical element slice `elems` of the set `s`. Returns
-/// `s` itself when `h` is already a member.
-fn set_insert(s: ValueId, elems: &[ValueId], h: ValueId) -> ValueId {
-    match elems.binary_search_by(|&e| intern::cmp_ids(e, h)) {
-        Ok(_) => s,
-        Err(at) => {
-            let mut out = Vec::with_capacity(elems.len() + 1);
-            out.extend_from_slice(&elems[..at]);
-            out.push(h);
-            out.extend_from_slice(&elems[at..]);
-            intern::mk_set_sorted(out)
-        }
-    }
-}
-
-/// `S − {h}` for a canonical element slice `elems` of the set `s`. Returns
-/// `s` itself when `h` is not a member.
-fn set_remove(s: ValueId, elems: &[ValueId], h: ValueId) -> ValueId {
-    match elems.binary_search_by(|&e| intern::cmp_ids(e, h)) {
-        Ok(at) => {
-            let mut out = Vec::with_capacity(elems.len() - 1);
-            out.extend_from_slice(&elems[..at]);
-            out.extend_from_slice(&elems[at + 1..]);
-            intern::mk_set_sorted(out)
-        }
-        Err(_) => s,
     }
 }
 
@@ -131,9 +98,9 @@ pub fn match_term(t: &Term, v: ValueId, b: &mut Bindings, k: &mut dyn FnMut(&mut
                 // {Hθ} ∪ Tθ = S requires Hθ ∈ S and Tθ ∈ {S, S − {Hθ}}.
                 for &e in elems.iter() {
                     match_term(h, e, b, &mut |b2| {
-                        let without = set_remove(v, elems, e);
+                        let without = set::remove(v, e).filter(|&w| w != v);
                         match_term(tail, v, b2, k);
-                        if without != v {
+                        if let Some(without) = without {
                             match_term(tail, without, b2, k);
                         }
                     });
@@ -360,9 +327,8 @@ mod tests {
         assert_eq!(sols.len(), 4);
         // Every solution satisfies {H} ∪ T = {1,2}.
         for sol in &sols {
-            let h = &sol[0].1;
-            let tval = sol[1].1.as_set().unwrap();
-            assert_eq!(Value::Set(tval.insert(h.clone())), set(&[1, 2]));
+            let with = set::insert(id(&sol[1].1), id(&sol[0].1)).unwrap();
+            assert_eq!(with, id(&set(&[1, 2])));
         }
         // vs {}: no solutions (no element to pick).
         assert!(solutions(&t, &set(&[])).is_empty());

@@ -3,9 +3,10 @@
 //! A sip for a rule (given a set of bound head arguments) is, for our
 //! purposes, a total order on the body literals together with, per literal,
 //! the set of variables bound when it is reached. The paper's graph
-//! formulation (conditions 1–3) admits many sips; we construct the greedy
-//! one the join planner would execute, which satisfies the paper's
-//! conditions by construction:
+//! formulation (conditions 1–3) admits many sips; we take the greedy one
+//! the join planner executes — `ldl_eval::plan::sip_order`, the one
+//! ordering function, started from the bound head variables — which
+//! satisfies the paper's conditions by construction:
 //!
 //! * arc labels only use variables from bound head arguments or earlier
 //!   *positive* literals (negated literals supply no bindings);
@@ -14,9 +15,9 @@
 //!   bound grouped argument would be unsound, because the grouped set is
 //!   defined as *all* values satisfying the body.
 
-use ldl_ast::program::Builtin;
 use ldl_ast::rule::Rule;
-use ldl_ast::term::{Term, Var};
+use ldl_ast::term::Var;
+use ldl_eval::plan::sip_order;
 use ldl_value::fxhash::FastSet;
 
 /// The sip-induced execution order for one rule.
@@ -47,81 +48,23 @@ pub fn head_bound_vars(rule: &Rule, bound_args: &[bool]) -> FastSet<Var> {
     out
 }
 
-/// Is every variable of `t` in `bound` (and `t` free of `_` and `<…>`)?
-fn term_bound(t: &Term, bound: &FastSet<Var>) -> bool {
-    let mut vs = Vec::new();
-    t.vars(&mut vs);
-    if t.has_group() {
-        return false;
-    }
-    fn has_anon(t: &Term) -> bool {
-        match t {
-            Term::Anon => true,
-            Term::Var(_) | Term::Const(_) => false,
-            Term::Compound(_, args) | Term::SetEnum(args) => args.iter().any(has_anon),
-            Term::Scons(h, s) => has_anon(h) || has_anon(s),
-            Term::Group(g) => has_anon(g),
-            Term::Arith(_, l, r) => has_anon(l) || has_anon(r),
-        }
-    }
-    !has_anon(t) && vs.iter().all(|v| bound.contains(v))
-}
-
 /// Build the default sip for `rule` with the given bound head argument
-/// positions. Returns `None` when no executable order exists (the same
+/// positions: the planner's order ([`sip_order`]) run from the bound head
+/// variables. Returns `None` when no executable order exists (the same
 /// condition the planner reports as unschedulable).
 pub fn default_sip(rule: &Rule, bound_args: &[bool]) -> Option<Sip> {
-    let mut bound = head_bound_vars(rule, bound_args);
-    let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
-    let mut order = Vec::new();
-    let mut bound_before = Vec::new();
-
-    while !remaining.is_empty() {
-        let mut best: Option<(usize, i32)> = None;
-        for (ri, &li) in remaining.iter().enumerate() {
-            let lit = &rule.body[li];
-            let builtin = Builtin::resolve(lit.atom.pred, lit.atom.arity());
-            let all_bound = lit.vars().iter().all(|v| bound.contains(v));
-            let score = match builtin {
-                Some(bi) => {
-                    if all_bound {
-                        Some(100)
-                    } else if lit.positive
-                        && ldl_eval::builtins::can_schedule(bi, &lit.atom.args, &|t| {
-                            term_bound(t, &bound)
-                        })
-                    {
-                        Some(50)
-                    } else {
-                        None
-                    }
-                }
-                None if lit.positive => {
-                    let bound_cnt = lit
-                        .atom
-                        .args
-                        .iter()
-                        .filter(|t| term_bound(t, &bound))
-                        .count() as i32;
-                    Some(10 + bound_cnt)
-                }
-                None => all_bound.then_some(90),
-            };
-            if let Some(s) = score {
-                if best.is_none_or(|(_, bs)| s > bs) {
-                    best = Some((ri, s));
-                }
-            }
-        }
-        let (ri, _) = best?;
-        let li = remaining.remove(ri);
-        order.push(li);
-        bound_before.push(bound.clone());
-        let lit = &rule.body[li];
-        if lit.positive {
-            bound.extend(lit.vars());
-        }
-    }
+    let mut order = Vec::with_capacity(rule.body.len());
+    let mut bound_before = Vec::with_capacity(rule.body.len());
+    sip_order(
+        rule,
+        head_bound_vars(rule, bound_args),
+        None,
+        |li, bound| {
+            order.push(li);
+            bound_before.push(bound.clone());
+        },
+    )
+    .ok()?;
     Some(Sip {
         order,
         bound_before,
@@ -161,6 +104,16 @@ mod tests {
         let r = parse_rule("q(X) <- member(X, S).").unwrap();
         assert!(default_sip(&r, &[false]).is_none());
         assert!(default_sip(&r, &[true]).is_none()); // S still unbound
+    }
+
+    /// The sip is the planner's order: a fully bound relation literal is a
+    /// containment check and runs before a generative built-in, as
+    /// `RulePlan::compile` would run it.
+    #[test]
+    fn fully_bound_relation_literal_is_a_check() {
+        let r = parse_rule("p(X, S) <- q(X), member(Y, S), r(Y).").unwrap();
+        let sip = default_sip(&r, &[true, true]).unwrap();
+        assert_eq!(sip.order, vec![0, 1, 2]);
     }
 
     #[test]

@@ -106,10 +106,11 @@ impl Database {
 
     /// Does the database contain this fact?
     pub fn contains(&self, fact: &Fact) -> bool {
-        let ids: Vec<ValueId> = fact.args().iter().map(intern::id_of).collect();
-        self.relations
-            .get(&fact.pred())
-            .is_some_and(|r| r.contains(&ids))
+        find_ids(fact).is_some_and(|ids| {
+            self.relations
+                .get(&fact.pred())
+                .is_some_and(|r| r.contains(&ids))
+        })
     }
 
     /// All predicate symbols with at least one relation (possibly empty).
@@ -126,8 +127,7 @@ impl Database {
     /// tombstoned insertion position, or `None` when the fact is not
     /// (live) in the database.
     pub fn remove(&mut self, fact: &Fact) -> Option<u32> {
-        let ids: Vec<ValueId> = fact.args().iter().map(intern::id_of).collect();
-        self.remove_ids(fact.pred(), &ids)
+        self.remove_ids(fact.pred(), &find_ids(fact)?)
     }
 
     /// Tombstone one already-interned tuple. Returns the tombstoned
@@ -321,6 +321,12 @@ impl Database {
 /// [`Database::insert_id_slice`].
 pub fn intern_ids(vals: &[Value]) -> Vec<ValueId> {
     vals.iter().map(intern::id_of).collect()
+}
+
+/// A fact's argument ids, interning nothing: `None` when some argument
+/// was never interned, so no relation can hold the fact.
+fn find_ids(fact: &Fact) -> Option<Vec<ValueId>> {
+    fact.args().iter().map(intern::find).collect()
 }
 
 /// A batch's interned facts, flat — each fact's predicate and arity, and

@@ -6,9 +6,17 @@
 //! `tc`). We give them the standard evaluable-predicate semantics: arguments
 //! must be bound to integers; division by zero and overflow make the binding
 //! fail rather than panic (the candidate binding is simply not a U-fact).
+//!
+//! Each operator is implemented once: [`ArithOp::eval_i64`] is the checked
+//! `i64` kernel and [`CmpOp::holds`] the comparison kernel. The id forms
+//! ([`ArithOp::eval_ids`], [`CmpOp::eval_ids`]), the compiled executor's
+//! native-integer path and `Term::to_value` all call them. Both are
+//! `#[inline]`: the workspace builds without LTO, and the executor calls
+//! them once per candidate row.
+
+use std::cmp::Ordering;
 
 use crate::intern::{self, Node, ValueId};
-use crate::value::Value;
 
 /// Binary arithmetic operators available in rule bodies.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -26,34 +34,27 @@ pub enum ArithOp {
 }
 
 impl ArithOp {
-    /// Evaluate on two values; `None` if either is not an integer or the
-    /// result is undefined (division by zero, overflow).
-    pub fn eval(self, a: &Value, b: &Value) -> Option<Value> {
-        let (x, y) = (a.as_int()?, b.as_int()?);
-        let r = match self {
-            ArithOp::Add => x.checked_add(y)?,
-            ArithOp::Sub => x.checked_sub(y)?,
-            ArithOp::Mul => x.checked_mul(y)?,
-            ArithOp::Div => x.checked_div(y)?,
-            ArithOp::Mod => x.checked_rem(y)?,
-        };
-        Some(Value::Int(r))
+    /// The operator on native integers — the one checked-`i64` kernel;
+    /// `None` when the result is undefined (division by zero, overflow).
+    #[inline]
+    pub fn eval_i64(self, x: i64, y: i64) -> Option<i64> {
+        match self {
+            ArithOp::Add => x.checked_add(y),
+            ArithOp::Sub => x.checked_sub(y),
+            ArithOp::Mul => x.checked_mul(y),
+            ArithOp::Div => x.checked_div(y),
+            ArithOp::Mod => x.checked_rem(y),
+        }
     }
 
-    /// [`ArithOp::eval`] on interned ids — the evaluation hot path; touches
-    /// no structural value.
+    /// [`ArithOp::eval_i64`] on interned ids — the evaluation hot path;
+    /// touches no structural value. `None` if either is not an integer or
+    /// the result is undefined.
     pub fn eval_ids(self, a: ValueId, b: ValueId) -> Option<ValueId> {
         let (Node::Int(x), Node::Int(y)) = (intern::node(a), intern::node(b)) else {
             return None;
         };
-        let r = match self {
-            ArithOp::Add => x.checked_add(*y)?,
-            ArithOp::Sub => x.checked_sub(*y)?,
-            ArithOp::Mul => x.checked_mul(*y)?,
-            ArithOp::Div => x.checked_div(*y)?,
-            ArithOp::Mod => x.checked_rem(*y)?,
-        };
-        Some(intern::mk_int(r))
+        self.eval_i64(*x, *y).map(intern::mk_int)
     }
 
     /// The name used in the concrete (functional) syntax, e.g. `+(C1,C2,C)`.
@@ -99,34 +100,27 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// Evaluate on two ground values.
-    ///
-    /// `=` and `/=` are defined on all of U; the ordered comparisons are
-    /// defined on integers and strings (same-variant only) and return `None`
-    /// — binding failure — otherwise.
-    pub fn eval(self, a: &Value, b: &Value) -> Option<bool> {
+    /// Does a left operand that compares `ord` to the right one satisfy
+    /// the comparison? The one comparison kernel, for ids and native
+    /// integers alike.
+    #[inline]
+    pub fn holds(self, ord: Ordering) -> bool {
         match self {
-            CmpOp::Eq => Some(a == b),
-            CmpOp::Ne => Some(a != b),
-            _ => {
-                let ord = match (a, b) {
-                    (Value::Int(x), Value::Int(y)) => x.cmp(y),
-                    (Value::Str(x), Value::Str(y)) => x.cmp(y),
-                    _ => return None,
-                };
-                Some(match self {
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                    CmpOp::Eq | CmpOp::Ne => unreachable!(),
-                })
-            }
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
         }
     }
 
-    /// [`CmpOp::eval`] on interned ids. Hash-consing turns `=`/`/=` into an
-    /// integer compare regardless of value depth.
+    /// Evaluate on two interned ground values.
+    ///
+    /// `=` and `/=` are defined on all of U, and hash-consing turns them
+    /// into an id compare regardless of value depth; the ordered
+    /// comparisons are defined on integers and strings (same-variant only)
+    /// and return `None` — binding failure — otherwise.
     pub fn eval_ids(self, a: ValueId, b: ValueId) -> Option<bool> {
         match self {
             CmpOp::Eq => Some(a == b),
@@ -137,13 +131,7 @@ impl CmpOp {
                     (Node::Str(x), Node::Str(y)) => x.cmp(y),
                     _ => return None,
                 };
-                Some(match self {
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                    CmpOp::Eq | CmpOp::Ne => unreachable!(),
-                })
+                Some(self.holds(ord))
             }
         }
     }
@@ -177,53 +165,70 @@ impl CmpOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
+
+    fn ar(op: ArithOp, a: &Value, b: &Value) -> Option<Value> {
+        op.eval_ids(intern::id_of(a), intern::id_of(b))
+            .map(intern::resolve)
+    }
+
+    fn cmp(op: CmpOp, a: &Value, b: &Value) -> Option<bool> {
+        op.eval_ids(intern::id_of(a), intern::id_of(b))
+    }
 
     #[test]
     fn arithmetic_evaluates() {
         assert_eq!(
-            ArithOp::Add.eval(&Value::int(20), &Value::int(25)),
+            ar(ArithOp::Add, &Value::int(20), &Value::int(25)),
             Some(Value::int(45))
         );
         assert_eq!(
-            ArithOp::Mul.eval(&Value::int(6), &Value::int(7)),
+            ar(ArithOp::Mul, &Value::int(6), &Value::int(7)),
             Some(Value::int(42))
         );
         assert_eq!(
-            ArithOp::Mod.eval(&Value::int(7), &Value::int(3)),
+            ar(ArithOp::Mod, &Value::int(7), &Value::int(3)),
             Some(Value::int(1))
         );
+        assert_eq!(ArithOp::Sub.eval_i64(3, 5), Some(-2));
     }
 
     #[test]
     fn arithmetic_fails_cleanly() {
-        assert_eq!(ArithOp::Div.eval(&Value::int(1), &Value::int(0)), None);
+        assert_eq!(ar(ArithOp::Div, &Value::int(1), &Value::int(0)), None);
+        assert_eq!(ar(ArithOp::Mod, &Value::int(1), &Value::int(0)), None);
         assert_eq!(
-            ArithOp::Add.eval(&Value::int(i64::MAX), &Value::int(1)),
+            ar(ArithOp::Add, &Value::int(i64::MAX), &Value::int(1)),
             None
         );
-        assert_eq!(ArithOp::Add.eval(&Value::atom("a"), &Value::int(1)), None);
+        assert_eq!(ArithOp::Div.eval_i64(i64::MIN, -1), None);
+        assert_eq!(ar(ArithOp::Add, &Value::atom("a"), &Value::int(1)), None);
     }
 
     #[test]
     fn equality_is_universal() {
         let s = Value::set(vec![Value::int(1)]);
-        assert_eq!(CmpOp::Eq.eval(&s, &s), Some(true));
-        assert_eq!(CmpOp::Ne.eval(&s, &Value::int(1)), Some(true));
+        assert_eq!(cmp(CmpOp::Eq, &s, &s), Some(true));
+        assert_eq!(cmp(CmpOp::Ne, &s, &Value::int(1)), Some(true));
+        assert_eq!(cmp(CmpOp::Lt, &s, &s), None);
     }
 
     #[test]
     fn ordered_comparisons() {
         assert_eq!(
-            CmpOp::Lt.eval(&Value::int(95), &Value::int(100)),
+            cmp(CmpOp::Lt, &Value::int(95), &Value::int(100)),
             Some(true)
         );
-        assert_eq!(CmpOp::Ge.eval(&Value::int(5), &Value::int(5)), Some(true));
+        assert_eq!(cmp(CmpOp::Ge, &Value::int(5), &Value::int(5)), Some(true));
+        assert_eq!(cmp(CmpOp::Gt, &Value::int(5), &Value::int(5)), Some(false));
         assert_eq!(
-            CmpOp::Lt.eval(&Value::str("a"), &Value::str("b")),
+            cmp(CmpOp::Lt, &Value::str("a"), &Value::str("b")),
             Some(true)
         );
         // Mixed types: binding failure, not falsity.
-        assert_eq!(CmpOp::Lt.eval(&Value::int(1), &Value::atom("a")), None);
+        assert_eq!(cmp(CmpOp::Lt, &Value::int(1), &Value::atom("a")), None);
+        // The native path's kernel is the same one.
+        assert!(CmpOp::Le.holds(4.cmp(&5)) && !CmpOp::Ne.holds(5.cmp(&5)));
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl Fact {
         }
     }
 
-    /// Build a fact sharing an existing argument slice.
-    pub fn from_arc(pred: Symbol, args: Arc<[Value]>) -> Fact {
-        Fact { pred, args }
-    }
-
     /// The predicate symbol.
     pub fn pred(&self) -> Symbol {
         self.pred
@@ -44,11 +39,6 @@ impl Fact {
     /// The argument values.
     pub fn args(&self) -> &[Value] {
         &self.args
-    }
-
-    /// Shared handle to the argument values.
-    pub fn args_arc(&self) -> Arc<[Value]> {
-        Arc::clone(&self.args)
     }
 
     /// Number of arguments.

@@ -333,6 +333,36 @@ pub fn id_of(v: &Value) -> ValueId {
     }
 }
 
+/// The id of `v` if every node of it is interned, interning nothing —
+/// the probe for a value that may never have been stored. `None` means no
+/// stored row can hold `v`, and a rejected probe leaves the process-global
+/// interner as it was.
+pub fn find(v: &Value) -> Option<ValueId> {
+    let ids = arena().ids.lock().expect("value interner poisoned");
+    find_locked(&ids, v)
+}
+
+fn find_locked(ids: &FastMap<Node, u32>, v: &Value) -> Option<ValueId> {
+    let node = match v {
+        Value::Int(i) => Node::Int(*i),
+        Value::Str(s) => Node::Str(Arc::clone(s)),
+        Value::Atom(a) => Node::Atom(*a),
+        Value::Compound(c) => Node::Compound(
+            c.functor(),
+            c.args()
+                .iter()
+                .map(|a| find_locked(ids, a))
+                .collect::<Option<_>>()?,
+        ),
+        Value::Set(s) => Node::Set(
+            s.iter()
+                .map(|e| find_locked(ids, e))
+                .collect::<Option<_>>()?,
+        ),
+    };
+    ids.get(&node).map(|&id| ValueId(id))
+}
+
 /// Reconstruct the structural [`Value`] for `id` — the display/public-API
 /// boundary; never on the evaluation hot path.
 pub fn resolve(id: ValueId) -> Value {

@@ -23,7 +23,7 @@ use crate::value::Value;
 /// everything else by equality (§2.4, first definition).
 pub fn dominates(a: &Value, b: &Value) -> bool {
     match (a, b) {
-        (Value::Set(sa), Value::Set(sb)) => sa.is_subset(sb),
+        (Value::Set(sa), Value::Set(sb)) => sa.iter().all(|x| sb.contains(x)),
         _ => a == b,
     }
 }

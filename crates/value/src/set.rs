@@ -1,16 +1,24 @@
-//! Canonical finite sets — the `F(·)` closure of §2.2.
+//! Finite sets — the `F(·)` closure of §2.2 — and the one implementation
+//! of its set algebra.
 //!
-//! A [`SetValue`] stores its elements sorted (by the total order on
-//! [`Value`]) and deduplicated behind an `Arc`, so:
+//! A [`SetValue`] is the structural form: elements sorted (by the total
+//! order on [`Value`]) and deduplicated behind an `Arc`, so equality and
+//! hashing are structural, membership is a binary search, and cloning a
+//! set is a refcount bump. It is a constructor and a container only.
 //!
-//! * equality and hashing are structural and O(n),
-//! * membership is a binary search,
-//! * union/intersection/difference are linear merges,
-//! * cloning a set (e.g. when copying tuples) is a refcount bump.
+//! The operations — `scons` (`S ∪ {h}`), `S − {h}`, union, intersection,
+//! difference, subset and disjointness — are the kernels below, on the
+//! interned form the engine runs on: a set's element slice in canonical
+//! [`intern::cmp_ids`] order, so each is one binary search or one linear
+//! merge, and a result slice is canonical as built (it interns through
+//! [`intern::mk_set_sorted`]). The built-ins, matching and the register
+//! programs all call these.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::intern::{self, Node, ValueId};
 use crate::value::Value;
 
 /// A canonical (sorted, deduplicated) finite set of values.
@@ -42,14 +50,6 @@ impl SetValue {
         SetValue { elems: v.into() }
     }
 
-    /// Build from a vector already known to be sorted and deduplicated.
-    ///
-    /// Checked in debug builds; used by the merge operations below.
-    fn from_sorted(v: Vec<Value>) -> SetValue {
-        debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "not canonical");
-        SetValue { elems: v.into() }
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.elems.len()
@@ -73,148 +73,6 @@ impl SetValue {
     /// Membership test (`member(t, S)` built-in): binary search.
     pub fn contains(&self, v: &Value) -> bool {
         self.elems.binary_search(v).is_ok()
-    }
-
-    /// `scons(t, S) = {t} ∪ S` (restriction (1) of §2.2).
-    pub fn insert(&self, v: Value) -> SetValue {
-        match self.elems.binary_search(&v) {
-            Ok(_) => self.clone(),
-            Err(pos) => {
-                let mut out = Vec::with_capacity(self.len() + 1);
-                out.extend_from_slice(&self.elems[..pos]);
-                out.push(v);
-                out.extend_from_slice(&self.elems[pos..]);
-                SetValue::from_sorted(out)
-            }
-        }
-    }
-
-    /// Set union (the `union(S₁, S₂, S₃)` built-in checks `S₁ ∪ S₂ = S₃`).
-    pub fn union(&self, other: &SetValue) -> SetValue {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.len() && j < other.len() {
-            match self.elems[i].cmp(&other.elems[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.elems[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.elems[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(self.elems[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&self.elems[i..]);
-        out.extend_from_slice(&other.elems[j..]);
-        SetValue::from_sorted(out)
-    }
-
-    /// Set intersection.
-    pub fn intersection(&self, other: &SetValue) -> SetValue {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.len() && j < other.len() {
-            match self.elems[i].cmp(&other.elems[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(self.elems[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        SetValue::from_sorted(out)
-    }
-
-    /// Set difference `self − other`.
-    pub fn difference(&self, other: &SetValue) -> SetValue {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.len() {
-            if j >= other.len() {
-                out.extend_from_slice(&self.elems[i..]);
-                break;
-            }
-            match self.elems[i].cmp(&other.elems[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.elems[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        SetValue::from_sorted(out)
-    }
-
-    /// Is `self ⊆ other`?
-    pub fn is_subset(&self, other: &SetValue) -> bool {
-        if self.len() > other.len() {
-            return false;
-        }
-        let mut j = 0;
-        'outer: for e in self.iter() {
-            while j < other.len() {
-                match other.elems[j].cmp(e) {
-                    std::cmp::Ordering::Less => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        j += 1;
-                        continue 'outer;
-                    }
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-            return false;
-        }
-        true
-    }
-
-    /// Is `self ∩ other = ∅`? (the LPS `disj` example of §5).
-    pub fn is_disjoint(&self, other: &SetValue) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.len() && j < other.len() {
-            match self.elems[i].cmp(&other.elems[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return false,
-            }
-        }
-        true
-    }
-
-    /// All ways to split `self` into two *disjoint* subsets `(S₁, S₂)` with
-    /// `S₁ ∪ S₂ = self` — the `partition(S, S1, S2)` built-in used by the §1
-    /// `tc` example. 2^n pairs; callers restrict to small sets.
-    pub fn partitions(&self) -> Vec<(SetValue, SetValue)> {
-        let n = self.len();
-        assert!(
-            n <= 20,
-            "partitions of a set with {n} elements is too large"
-        );
-        let mut out = Vec::with_capacity(1usize << n);
-        for mask in 0..(1usize << n) {
-            let mut left = Vec::new();
-            let mut right = Vec::new();
-            for (idx, e) in self.iter().enumerate() {
-                if mask & (1 << idx) != 0 {
-                    left.push(e.clone());
-                } else {
-                    right.push(e.clone());
-                }
-            }
-            out.push((SetValue::from_sorted(left), SetValue::from_sorted(right)));
-        }
-        out
     }
 }
 
@@ -251,6 +109,120 @@ impl<'a> IntoIterator for &'a SetValue {
     }
 }
 
+/// The canonical element slice of an interned set, or `None` for a
+/// non-set.
+#[inline]
+pub fn as_set(v: ValueId) -> Option<&'static [ValueId]> {
+    match intern::node(v) {
+        Node::Set(elems) => Some(elems),
+        _ => None,
+    }
+}
+
+/// `scons(h, S) = S ∪ {h}` (restriction (1) of §2.2): `s` itself when `h`
+/// is already a member; `None` when `s` is not a set — an object outside
+/// `U`.
+pub fn insert(s: ValueId, h: ValueId) -> Option<ValueId> {
+    let elems = as_set(s)?;
+    Some(match elems.binary_search_by(|&e| intern::cmp_ids(e, h)) {
+        Ok(_) => s,
+        Err(at) => {
+            let mut out = Vec::with_capacity(elems.len() + 1);
+            out.extend_from_slice(&elems[..at]);
+            out.push(h);
+            out.extend_from_slice(&elems[at..]);
+            intern::mk_set_sorted(out)
+        }
+    })
+}
+
+/// `S − {h}`: `s` itself when `h` is not a member; `None` when `s` is not a
+/// set.
+pub fn remove(s: ValueId, h: ValueId) -> Option<ValueId> {
+    let elems = as_set(s)?;
+    Some(match elems.binary_search_by(|&e| intern::cmp_ids(e, h)) {
+        Ok(at) => {
+            let mut out = Vec::with_capacity(elems.len() - 1);
+            out.extend_from_slice(&elems[..at]);
+            out.extend_from_slice(&elems[at + 1..]);
+            intern::mk_set_sorted(out)
+        }
+        Err(_) => s,
+    })
+}
+
+/// `a ∪ b` of two canonical element slices, canonical.
+pub fn merge_union(a: &[ValueId], b: &[ValueId]) -> Vec<ValueId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match intern::cmp_ids(a[i], b[j]) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// `a ∩ b` (`keep = true`) or `a − b` (`keep = false`) of two canonical
+/// element slices: the elements of `a` that are / are not in `b`,
+/// canonical.
+pub fn merge_filter(a: &[ValueId], b: &[ValueId], keep: bool) -> Vec<ValueId> {
+    let mut out = Vec::new();
+    let mut j = 0;
+    for &x in a {
+        while j < b.len() && intern::cmp_ids(b[j], x) == Ordering::Less {
+            j += 1;
+        }
+        let present = j < b.len() && b[j] == x;
+        if present == keep {
+            out.push(x);
+        }
+    }
+    out
+}
+
+/// Is canonical `a` a subset of canonical `b`?
+pub fn is_subset(a: &[ValueId], b: &[ValueId]) -> bool {
+    let mut j = 0;
+    for &x in a {
+        while j < b.len() && intern::cmp_ids(b[j], x) == Ordering::Less {
+            j += 1;
+        }
+        if j >= b.len() || b[j] != x {
+            return false;
+        }
+        j += 1;
+    }
+    true
+}
+
+/// Are canonical `a` and `b` disjoint (the LPS `disj` example of §5)?
+pub fn is_disjoint(a: &[ValueId], b: &[ValueId]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match intern::cmp_ids(a[i], b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => return false,
+        }
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,45 +243,6 @@ mod tests {
         let s = ints(&[1, 3, 5]);
         assert!(s.contains(&Value::int(3)));
         assert!(!s.contains(&Value::int(2)));
-    }
-
-    #[test]
-    fn insert_is_scons() {
-        let s = ints(&[2]);
-        assert_eq!(s.insert(Value::int(1)), ints(&[1, 2]));
-        // Duplicate insertion eliminates duplicates, as §1 requires for
-        // set-enumeration ("duplicate elements are eliminated").
-        assert_eq!(s.insert(Value::int(2)), ints(&[2]));
-    }
-
-    #[test]
-    fn union_intersection_difference() {
-        let a = ints(&[1, 2, 3]);
-        let b = ints(&[2, 3, 4]);
-        assert_eq!(a.union(&b), ints(&[1, 2, 3, 4]));
-        assert_eq!(a.intersection(&b), ints(&[2, 3]));
-        assert_eq!(a.difference(&b), ints(&[1]));
-        assert_eq!(b.difference(&a), ints(&[4]));
-    }
-
-    #[test]
-    fn subset_and_disjoint() {
-        assert!(ints(&[1, 3]).is_subset(&ints(&[1, 2, 3])));
-        assert!(!ints(&[1, 4]).is_subset(&ints(&[1, 2, 3])));
-        assert!(ints(&[]).is_subset(&ints(&[])));
-        assert!(ints(&[1, 2]).is_disjoint(&ints(&[3, 4])));
-        assert!(!ints(&[1, 2]).is_disjoint(&ints(&[2, 3])));
-    }
-
-    #[test]
-    fn partitions_cover_all_splits() {
-        let s = ints(&[1, 2]);
-        let parts = s.partitions();
-        assert_eq!(parts.len(), 4);
-        for (l, r) in &parts {
-            assert!(l.is_disjoint(r));
-            assert_eq!(l.union(r), s);
-        }
     }
 
     #[test]

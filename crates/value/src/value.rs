@@ -105,11 +105,6 @@ impl Value {
         Value::atom("'⊥'")
     }
 
-    /// Is this value a set?
-    pub fn is_set(&self) -> bool {
-        matches!(self, Value::Set(_))
-    }
-
     /// View as a set, if it is one.
     pub fn as_set(&self) -> Option<&SetValue> {
         match self {
@@ -122,14 +117,6 @@ impl Value {
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// View as an atom symbol, if it is one.
-    pub fn as_atom(&self) -> Option<Symbol> {
-        match self {
-            Value::Atom(s) => Some(*s),
             _ => None,
         }
     }

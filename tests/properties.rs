@@ -4,10 +4,12 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use ldl1::value::intern::{self, ValueId};
 use ldl1::value::order::{dominates_elaborate, factset_dominated};
+use ldl1::value::set;
 use ldl1::{
     check_model, reference_model, Database, EvalOptions, EvalStats, Evaluator, Fact, FactSet,
-    Mutation, QueryAnswer, SetValue, Symbol, System, Value,
+    Mutation, QueryAnswer, Symbol, System, Value,
 };
 use ldl_testkit::gen::{stratified_case, GenConst, GeneratedCase};
 use ldl_testkit::{cases, cases_shrink, Rng};
@@ -34,54 +36,87 @@ fn rand_value(rng: &mut Rng, depth: u32) -> Value {
     }
 }
 
-fn rand_int_vec(rng: &mut Rng) -> Vec<i64> {
-    (0..rng.index(12)).map(|_| rng.range(-8, 8)).collect()
+/// A random set of mixed-shape elements — ints, atoms, compounds and
+/// nested sets — interned, with its `BTreeSet` model.
+fn rand_set(rng: &mut Rng) -> (ValueId, BTreeSet<Value>) {
+    let elems: Vec<Value> = (0..rng.index(8)).map(|_| rand_value(rng, 2)).collect();
+    let model: BTreeSet<Value> = elems.iter().cloned().collect();
+    (intern::id_of(&Value::set(elems)), model)
 }
 
-/// SetValue agrees with a BTreeSet model on every operation.
+/// A kernel's result `ids` is the model set: the same elements in the same
+/// (canonical) order, and it interns through `mk_set_sorted` — whose
+/// canonical-order `debug_assert` runs here — to the model's own id.
+fn assert_is(ids: &[ValueId], model: &BTreeSet<Value>) -> ValueId {
+    let got: Vec<Value> = ids.iter().map(|&e| intern::resolve(e)).collect();
+    assert_eq!(got, model.iter().cloned().collect::<Vec<_>>());
+    let id = intern::mk_set_sorted(ids.to_vec());
+    assert_eq!(id, intern::id_of(&Value::set(model.iter().cloned())));
+    id
+}
+
+/// The set kernels the engine runs (`ldl_value::set`) agree with a
+/// `BTreeSet` model on every operation.
 #[test]
 fn set_ops_match_btreeset() {
     cases(256, |rng| {
-        let xs = rand_int_vec(rng);
-        let ys = rand_int_vec(rng);
-        let sx: SetValue = xs.iter().map(|&i| Value::int(i)).collect();
-        let sy: SetValue = ys.iter().map(|&i| Value::int(i)).collect();
-        let bx: BTreeSet<i64> = xs.iter().copied().collect();
-        let by: BTreeSet<i64> = ys.iter().copied().collect();
-
-        assert_eq!(sx.len(), bx.len());
-        let as_vals =
-            |b: &BTreeSet<i64>| -> SetValue { b.iter().map(|&i| Value::int(i)).collect() };
-        assert_eq!(sx.union(&sy), as_vals(&bx.union(&by).copied().collect()));
-        assert_eq!(
-            sx.intersection(&sy),
-            as_vals(&bx.intersection(&by).copied().collect())
+        let (x, bx) = rand_set(rng);
+        let (y, by) = rand_set(rng);
+        let (sx, sy) = (set::as_set(x).unwrap(), set::as_set(y).unwrap());
+        assert_is(sx, &bx);
+        assert_is(&set::merge_union(sx, sy), &bx.union(&by).cloned().collect());
+        assert_is(
+            &set::merge_filter(sx, sy, true),
+            &bx.intersection(&by).cloned().collect(),
         );
-        assert_eq!(
-            sx.difference(&sy),
-            as_vals(&bx.difference(&by).copied().collect())
+        assert_is(
+            &set::merge_filter(sx, sy, false),
+            &bx.difference(&by).cloned().collect(),
         );
-        assert_eq!(sx.is_subset(&sy), bx.is_subset(&by));
-        assert_eq!(sx.is_disjoint(&sy), bx.is_disjoint(&by));
-        for i in -8..8 {
-            assert_eq!(sx.contains(&Value::int(i)), bx.contains(&i));
-        }
+        assert_eq!(set::is_subset(sx, sy), bx.is_subset(&by));
+        assert!(set::is_subset(sx, sx));
+        assert_eq!(set::is_disjoint(sx, sy), bx.is_disjoint(&by));
+        assert!(set::as_set(intern::id_of(&rand_value(rng, 0))).is_none());
     });
 }
 
-/// insert is idempotent and grows by at most one.
+/// `S ∪ {h}` and `S − {h}` match the model, return `S` itself when they
+/// change nothing, and round-trip: inserting a non-member and removing it
+/// again gives back `S`.
 #[test]
 fn set_insert_properties() {
     cases(256, |rng| {
-        let xs = rand_int_vec(rng);
-        let x = rng.range(-8, 8);
-        let s: SetValue = xs.iter().map(|&i| Value::int(i)).collect();
-        let s1 = s.insert(Value::int(x));
-        let s2 = s1.insert(Value::int(x));
-        assert_eq!(&s1, &s2);
-        assert!(s1.contains(&Value::int(x)));
-        assert!(s1.len() <= s.len() + 1);
-        assert!(s.is_subset(&s1));
+        let (s, model) = rand_set(rng);
+        let hv = match model.iter().nth(rng.index(model.len() + 1)) {
+            Some(member) if rng.chance(1, 2) => member.clone(),
+            _ => rand_value(rng, 2),
+        };
+        let h = intern::id_of(&hv);
+        let with = set::insert(s, h).unwrap();
+        let mut m_with = model.clone();
+        m_with.insert(hv.clone());
+        assert_eq!(with, assert_is(set::as_set(with).unwrap(), &m_with));
+        let without = set::remove(s, h).unwrap();
+        let mut m_without = model.clone();
+        m_without.remove(&hv);
+        assert_eq!(
+            without,
+            assert_is(set::as_set(without).unwrap(), &m_without)
+        );
+        if model.contains(&hv) {
+            assert_eq!(with, s);
+            assert_eq!(set::insert(without, h), Some(s));
+        } else {
+            assert_eq!(without, s);
+            assert_eq!(set::remove(with, h), Some(s));
+        }
+        assert_eq!(set::insert(with, h), Some(with));
+        assert_eq!(set::remove(without, h), Some(without));
+        // `scons` onto a non-set is outside U.
+        if !matches!(hv, Value::Set(_)) {
+            assert_eq!(set::insert(h, s), None);
+            assert_eq!(set::remove(h, s), None);
+        }
     });
 }
 
@@ -121,7 +156,7 @@ fn domination_is_preorder() {
             assert!(dominates_elaborate(&a, &c));
         }
         if let (Value::Set(sa), Value::Set(_)) = (&a, &b) {
-            let bigger = Value::Set(sa.insert(b.clone()));
+            let bigger = Value::set(sa.iter().cloned().chain([b.clone()]));
             assert!(dominates_elaborate(&a, &bigger));
         }
     });
