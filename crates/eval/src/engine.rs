@@ -14,9 +14,8 @@ use crate::bindings::Bindings;
 use crate::budget::Budget;
 use crate::error::EvalError;
 use crate::fixpoint;
-use crate::plan::{probe_key, probe_matches};
 use crate::stats::EvalStats;
-use crate::unify::match_slice;
+use crate::unify::{eval_term, match_slice};
 
 /// Evaluation configuration.
 ///
@@ -182,17 +181,12 @@ fn access_path<'a>(db: &'a Database, query: &Atom) -> Result<AccessPath<'a>, NoM
     let cols: Vec<usize> = (0..query.args.len())
         .filter(|&c| query.args[c].is_ground())
         .collect();
-    let mut stack = [ValueId::FILLER; 8];
-    let mut heap = Vec::new();
-    let key = probe_key(
-        &query.args,
-        &cols,
-        &mut Bindings::new(),
-        &mut stack,
-        &mut heap,
-    )
-    .ok_or(NoMatch::OutsideU)?
-    .to_vec();
+    let b = Bindings::new();
+    let key: Vec<ValueId> = cols
+        .iter()
+        .map(|&c| eval_term(&query.args[c], &b))
+        .collect::<Option<_>>()
+        .ok_or(NoMatch::OutsideU)?;
     let probe = rel.covering_index(&cols).map(|(idx_cols, idx)| {
         let projected = cols
             .iter()
@@ -216,11 +210,12 @@ impl AccessPath<'_> {
     /// [`Evaluator::query`] so its nothing-bound loop stays the plain scan.
     fn matches(&self, args: &[Term], b: &mut Bindings, k: &mut dyn FnMut(&mut Bindings)) {
         match &self.probe {
+            // Posting lists hold live positions only, and the probe only
+            // narrows the candidates: `match_slice` decides each one.
             Some((_, key, idx)) => {
-                probe_matches(self.rel, *idx, key, args, b, &mut |b2| {
-                    k(b2);
-                    false
-                });
+                for &pos in idx.probe(key) {
+                    match_slice(args, self.rel.get(pos), b, k);
+                }
             }
             None => {
                 for tuple in self.rel.iter() {

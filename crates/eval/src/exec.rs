@@ -7,12 +7,15 @@
 //! `ROp` table, so the per-tuple path never re-hashes a predicate name or an
 //! index descriptor. One function, `exec_op`, interprets every op; it is
 //! instantiated per mode — run mode, which hands each solution to the
-//! caller, and the existential tail, which stops at the first. Ops that
-//! bridge into the general matcher or the built-in evaluator seed a scratch
-//! [`Bindings`] from registers and copy solution values back into registers
-//! — one source of truth for every multi-solution semantics. A pass counts
-//! its index probes and existential cuts in its context and returns them
-//! once, when it ends.
+//! caller, and the existential tail, which stops at the first; an
+//! `_`-existential negation runs its ops in the tail's mode too. Every
+//! relation access is a register op. The one op that bridges to the
+//! built-in evaluator, `Builtin` — which also runs a match step, the `=` of
+//! a flattened set, `scons`, `<t>` or open compound pattern — seeds a
+//! scratch [`Bindings`] from registers and copies solution values back:
+//! it is the only place this module reaches the term-tree matcher. A pass
+//! counts its index probes and existential cuts in its context and returns
+//! them once, when it ends.
 //!
 //! `tests/differential.rs` pins the result against the reference evaluator
 //! ([`crate::model::reference_model`]), which walks plan steps against a
@@ -28,15 +31,14 @@ use ldl_value::ValueId;
 
 use crate::bindings::Bindings;
 use crate::builtins::eval_builtin;
-use crate::plan::{neg_holds, DeltaRestriction};
+use crate::plan::DeltaRestriction;
 use crate::ram::{eval_expr, ArithDst, ColAct, Op, RamProgram, Reg};
-use crate::unify::match_slice;
 
 /// One op's run-invariant state, resolved once per `run_ram` call: the
 /// database is frozen for the duration of a pass, so relation pointers,
 /// index handles, and the delta range cannot change under the join.
 struct ROp<'a> {
-    /// The op's relation (scans, bridges, all-ground negation).
+    /// The op's relation (scans, all-ground negation).
     rel: Option<&'a Relation>,
     /// The probe index, when the op names key columns the relation has an
     /// index for; `None` falls back to the full scan.
@@ -51,7 +53,6 @@ struct ROp<'a> {
 /// two counters.
 struct Ctx<'a> {
     prog: &'a RamProgram,
-    db: &'a Database,
     rops: Box<[ROp<'a>]>,
     /// Index probes performed.
     probes: Cell<u64>,
@@ -62,9 +63,6 @@ struct Ctx<'a> {
 fn resolve<'a>(op: &Op, i: usize, db: &'a Database, restrict: Option<DeltaRestriction>) -> ROp<'a> {
     match op {
         Op::Scan {
-            pred, index_cols, ..
-        }
-        | Op::ScanBridge {
             pred, index_cols, ..
         } => {
             let rel = db.relation(*pred);
@@ -97,10 +95,10 @@ fn resolve<'a>(op: &Op, i: usize, db: &'a Database, restrict: Option<DeltaRestri
 
 /// Execute a lowered body against `db`, calling `k` once per solution with
 /// the register file. `regs` must hold at least `prog.nregs` slots; `b` is
-/// the scratch binding environment for bridge ops (left restored). An
+/// the scratch binding environment for `Builtin` ops (left restored). An
 /// empty positive scan relation short-circuits the whole pass; `restrict`
-/// confines op `step` to a delta range. Returns the pass's index probes and
-/// existential cuts.
+/// confines plan step `step` — its first op, the scan — to a delta range.
+/// Returns the pass's index probes and existential cuts.
 pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
     prog: &RamProgram,
     db: &Database,
@@ -114,6 +112,10 @@ pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
             return (0, 0);
         }
     }
+    let restrict = restrict.map(|r| DeltaRestriction {
+        step: prog.step_op[r.step],
+        ..r
+    });
     let rops = prog
         .ops
         .iter()
@@ -122,7 +124,6 @@ pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
         .collect();
     let ctx = Ctx {
         prog,
-        db,
         rops,
         probes: Cell::new(0),
         cuts: Cell::new(0),
@@ -188,7 +189,7 @@ fn eval_key<'k>(
 /// Evaluate an all-ground negation (shared by run and exists modes): the
 /// argument expressions in order — a failure means the fact is outside `U`,
 /// so ¬ holds — then one hash containment test against the frozen lower
-/// layers. Mirror of `neg_holds`'s all-ground arm.
+/// layers.
 fn neg_op(key: &[crate::ram::Expr], rel: Option<&Relation>, regs: &[ValueId]) -> bool {
     let mut stack = [ValueId::FILLER; 8];
     let mut heap: Vec<ValueId> = Vec::new();
@@ -252,14 +253,15 @@ fn arith_val(
     op.eval_i64(eval_num(x, regs)?, eval_num(y, regs)?)
 }
 
-/// The existential tail's continuation: the first solution is the witness,
-/// so it stops the enumeration. A plain `fn`, so the tail is one
-/// instantiation of [`exec_op`] whatever the caller's closure type.
+/// The continuation of the existential tail and of an `Absent`'s ops: the
+/// first solution is the witness, so it stops the enumeration. A plain
+/// `fn`, so the tail is one instantiation of [`exec_op`] whatever the
+/// caller's closure type.
 fn witness(_: &[ValueId]) -> bool {
     true
 }
 
-/// Seed the scratch bindings of a bridge op from registers. Bind-if-absent:
+/// Seed the scratch bindings of a `Builtin` op from registers. Bind-if-absent:
 /// values are single-assignment along a derivation path, so a variable
 /// already present holds the same id. The caller undoes to its own mark.
 #[inline]
@@ -271,11 +273,11 @@ fn seed(b: &mut Bindings, in_vars: &[(Var, Reg)], regs: &[ValueId]) {
     }
 }
 
-/// Copy a bridge op's solution values back into registers.
+/// Copy a `Builtin` op's solution values back into registers.
 #[inline]
 fn copy_out(b: &Bindings, out_vars: &[(Var, Reg)], regs: &mut [ValueId]) {
     for &(v, r) in out_vars {
-        regs[r as usize] = b.get(v).expect("a positive bridge binds its outputs");
+        regs[r as usize] = b.get(v).expect("a positive built-in binds its outputs");
     }
 }
 
@@ -359,74 +361,17 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
             }
             false
         }
-        Op::ScanBridge {
-            args,
-            index_cols,
-            in_vars,
-            out_vars,
-            ..
-        } => {
-            let r = &ctx.rops[i];
-            let Some(rel) = r.rel else {
-                return false;
-            };
-            if rel.is_empty() {
-                return false;
-            }
-            let m = b.mark();
-            seed(b, in_vars, regs);
-            // `<t>` patterns can match one tuple several ways; the matcher
-            // cannot be interrupted, so matches after a stop are skipped.
-            let mut stop = false;
-            let mut visit = |pos: u32, b: &mut Bindings| {
-                match_slice(args, rel.get(pos), b, &mut |b2| {
-                    if !stop {
-                        copy_out(b2, out_vars, regs);
-                        stop = next::<TAIL, K>(ctx, i, regs, b2, k);
-                    }
-                });
-                stop
-            };
-            if let Some(idx) = r.idx {
-                let mut stack = [ValueId::FILLER; 8];
-                let mut heap: Vec<ValueId> = Vec::new();
-                if let Some(probe) =
-                    crate::plan::probe_key(args, index_cols, b, &mut stack, &mut heap)
-                {
-                    ctx.probes.set(ctx.probes.get() + 1);
-                    // The posting list borrows the relation, not `b`, so the
-                    // per-position matches can reborrow `b` freely.
-                    for &pos in idx.probe(probe) {
-                        if pos >= r.lo && pos < r.hi && visit(pos, b) {
-                            break;
-                        }
-                    }
-                }
-            } else {
-                for pos in r.lo..r.hi {
-                    if rel.is_live(pos) && visit(pos, b) {
-                        break;
-                    }
-                }
-            }
-            b.undo(m);
-            stop
-        }
         Op::Neg { key, .. } => {
             neg_op(key, ctx.rops[i].rel, regs) && next::<TAIL, K>(ctx, i, regs, b, k)
         }
-        Op::NegBridge {
-            pred,
-            args,
-            index_cols,
-            in_vars,
-        } => {
-            let m = b.mark();
-            seed(b, in_vars, regs);
-            let holds = neg_holds(*pred, args, index_cols, ctx.db, b, &ctx.probes);
-            b.undo(m);
-            holds && next::<TAIL, K>(ctx, i, regs, b, k)
+        Op::Absent { end } => {
+            // Its first solution refutes the negation. Its ops write only
+            // their own fresh registers, so nothing leaks past it.
+            let found =
+                exec_op::<true, fn(&[ValueId]) -> bool>(ctx, i + 1, regs, b, &mut (witness as _));
+            !found && exec_op::<TAIL, K>(ctx, *end + 1, regs, b, k) && TAIL
         }
+        Op::Found => k(regs),
         Op::Cmp {
             op,
             lhs,

@@ -129,6 +129,51 @@ mod tests {
         assert!(none.contains("no rules define nosuch"), "{none}");
     }
 
+    /// A set pattern is bound to a register by the scan and matched by the
+    /// step after it; `~e(X, _)` probes `e` on its ground column and stops
+    /// at the first row. Neither bridges a whole literal to the matcher.
+    #[test]
+    fn flattened_patterns_and_the_existential_probe_render() {
+        let program = parse_program(
+            "result(X, C) <- tc({X}, C).\n\
+             leaf(X) <- node(X), ~e(X, _).",
+        )
+        .unwrap();
+        let text = explain(&program, None);
+        let compiled = |rule: &str| -> Vec<String> {
+            let text = explain(&program, Some(rule));
+            let at = text.find("compiled:\n").unwrap() + "compiled:\n".len();
+            text[at..]
+                .lines()
+                .map(|l| l.trim_start().to_string())
+                .collect()
+        };
+        assert_eq!(
+            compiled("result"),
+            [
+                "0. scan tc [0→r0, 1→r1]",
+                "1. match r0 = {X}",
+                "emit [r2, r1]"
+            ],
+            "{text}"
+        );
+        assert_eq!(
+            compiled("leaf"),
+            [
+                "0. scan node [0→r0]",
+                "1. reject if found:",
+                "2.   probe e via [0] key [r0] [0=r0]",
+                "3.   found",
+                "emit [r0]",
+            ],
+            "{text}"
+        );
+        assert!(
+            !text.contains("(general match)") && !text.contains("(existential)"),
+            "{text}"
+        );
+    }
+
     #[test]
     fn explain_reports_unschedulable_rules_inline() {
         let program = parse_program("q(X) <- member(X, S), r(X).").unwrap();

@@ -17,17 +17,19 @@
 //!   statistics, no lowering, no budget.
 //!
 //! Both are built on `apply_rule`, the paper's `r(M)`: a tree-walking
-//! interpreter over plans compiled without statistics
-//! ([`RulePlan::compile`] with no database), which enumerates every body
+//! interpreter over the engine's own plans ([`RulePlan::compile`], the sip
+//! rule, no delta literal pinned first), which enumerates every body
 //! solution — it never reads the plan's existential tail — and counts
-//! nothing. There are no options; the engine is tested against this, not
-//! the other way round.
+//! nothing. It matches every pattern with the term-tree matcher
+//! ([`crate::unify`]) and decides an `_`-existential negation by its own
+//! unindexed walk of the relation. There are no options; the engine is
+//! tested against this, not the other way round.
 
-use std::cell::Cell;
 use std::fmt;
 
 use ldl_ast::program::Program;
 use ldl_ast::rule::Rule;
+use ldl_ast::term::Term;
 use ldl_storage::{resolve_fact, Database};
 use ldl_stratify::Stratification;
 use ldl_value::{Fact, FactSet, Symbol, ValueId};
@@ -36,9 +38,7 @@ use crate::bindings::Bindings;
 use crate::builtins::eval_builtin;
 use crate::error::EvalError;
 use crate::grouping::Groups;
-use crate::plan::{
-    check_arity, ensure_plan_indexes, neg_holds, probe_key, HeadKind, RulePlan, Step,
-};
+use crate::plan::{check_arity, ensure_plan_indexes, has_anon, HeadKind, RulePlan, Step};
 use crate::unify::{eval_term, match_slice};
 
 /// Enumerate the solutions of `plan`'s body against `db`, calling `k` once
@@ -85,21 +85,17 @@ fn run_steps(
                 }
                 return;
             };
-            let mut stack = [ValueId::FILLER; 8];
-            let mut heap: Vec<ValueId> = Vec::new();
+            let key: Option<Vec<ValueId>> =
+                index_cols.iter().map(|&c| eval_term(&args[c], b)).collect();
             // A key term outside U matches no tuple.
-            if let Some(key) = probe_key(args, index_cols, b, &mut stack, &mut heap) {
-                for &pos in idx.probe(key) {
+            if let Some(key) = key {
+                for &pos in idx.probe(&key) {
                     on_tuple(rel.get(pos), b);
                 }
             }
         }
-        Step::NegScan {
-            pred,
-            args,
-            index_cols,
-        } => {
-            if neg_holds(*pred, args, index_cols, db, b, &Cell::new(0)) {
+        Step::NegScan { pred, args, .. } => {
+            if neg_holds(*pred, args, db, b) {
                 run_steps(plan, i + 1, db, b, k);
             }
         }
@@ -121,6 +117,32 @@ fn run_steps(
             }
         }
     }
+}
+
+/// §3.2 (2′): does ¬Bθ hold, i.e. is Bθ ∉ M? Named variables are bound here
+/// (planner guarantee); anonymous variables make this a negated
+/// *existential* — the shape of the paper's own §6 rule
+/// `young(X, <Y>) <- ¬a(X, Z), sg(X, Y)` when written safely as `~a(X, _)`
+/// ("X has no descendants") — decided by walking the relation to the first
+/// match, with no index.
+fn neg_holds(pred: Symbol, args: &[Term], db: &Database, b: &mut Bindings) -> bool {
+    let Some(rel) = db.relation(pred) else {
+        return true;
+    };
+    if args.iter().any(has_anon) {
+        let mut any = false;
+        for tuple in rel.iter() {
+            match_slice(args, tuple, b, &mut |_| any = true);
+            if any {
+                return false;
+            }
+        }
+        return true;
+    }
+    // An argument outside U: Bθ is not a U-fact, so it is certainly not in
+    // M; the negation succeeds.
+    let vals: Option<Vec<ValueId>> = args.iter().map(|t| eval_term(t, b)).collect();
+    vals.is_none_or(|vals| !rel.contains(&vals))
 }
 
 /// §3.2's `r(M)`: the head tuples rule `plan` derives from `db` in one

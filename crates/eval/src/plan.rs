@@ -24,6 +24,12 @@
 //! plans with the same rule, but shares neither the executor nor the
 //! existential tail with the engine.
 //!
+//! A plan is data, and this module matches no term against a row. The
+//! engine lowers each plan into a register program ([`crate::ram`]), where
+//! one step may become several ops — a scan plus the match steps of its
+//! complex column patterns — and the reference evaluator walks the steps
+//! with the term-tree matcher.
+//!
 //! Plans also carry an *existential tail*: the first step index after which
 //! no head or grouping variable can be bound ([`RulePlan::exist_from`]).
 //! From that point every body solution projects to the same head tuple, so
@@ -32,20 +38,16 @@
 //! (comparisons, negation, ground built-ins) has at most one witness, so it
 //! is no tail.
 
-use std::cell::Cell;
-
 use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::Builtin;
 use ldl_ast::rule::Rule;
 use ldl_ast::term::{Term, Var};
-use ldl_storage::{Database, IndexRef, Relation};
+use ldl_storage::{Database, Relation};
 use ldl_value::fxhash::FastSet;
-use ldl_value::{Symbol, ValueId};
+use ldl_value::Symbol;
 
-use crate::bindings::Bindings;
 use crate::builtins::can_schedule;
 use crate::error::EvalError;
-use crate::unify::{eval_term, match_slice};
 
 /// One executable body step.
 #[derive(Clone, Debug)]
@@ -262,7 +264,7 @@ impl RulePlan {
 /// bound variable) and for the magic rewriting's sips (from the bound head
 /// variables). Starting from `bound` and `force_first` (an index into
 /// `rule.body`, which must be a positive relation literal), it repeatedly
-/// takes the executable literal of the highest [`sip_class`], the earliest
+/// takes the executable literal of the highest `sip_class`, the earliest
 /// on ties, and hands its body index to `visit` together with the variables
 /// bound before it; a positive literal's variables are then bound (negation
 /// binds nothing). `Err` holds the body indexes left when none of them can
@@ -454,114 +456,6 @@ pub struct DeltaRestriction {
     pub lo: u32,
     /// End of the delta (exclusive).
     pub hi: u32,
-}
-
-/// Evaluate the `cols` argument terms into a contiguous index probe key.
-/// Keys are almost always 1–3 columns, so `stack` makes the common probe
-/// allocation-free; `heap` is the spillover for wider keys. `None` if a key
-/// term fails to evaluate (e.g. arithmetic overflow) — no tuple can match.
-pub(crate) fn probe_key<'k>(
-    args: &[Term],
-    cols: &[usize],
-    b: &mut Bindings,
-    stack: &'k mut [ValueId; 8],
-    heap: &'k mut Vec<ValueId>,
-) -> Option<&'k [ValueId]> {
-    if cols.len() <= stack.len() {
-        for (slot, &c) in stack.iter_mut().zip(cols) {
-            *slot = eval_term(&args[c], b)?;
-        }
-        Some(&stack[..cols.len()])
-    } else {
-        for &c in cols {
-            heap.push(eval_term(&args[c], b)?);
-        }
-        Some(&heap[..])
-    }
-}
-
-/// Match `args` against each row `idx` posts under `key`, in insertion
-/// order, handing every solution to `k` until it answers `true` (stop);
-/// returns whether it did. Posting lists hold live positions only, so no
-/// liveness test is needed, and the probe only narrows the candidates —
-/// `match_slice` still decides each one. Shared by the negated existential
-/// ([`neg_holds`]) and the query path ([`crate::Evaluator::query`]).
-pub(crate) fn probe_matches(
-    rel: &Relation,
-    idx: IndexRef<'_>,
-    key: &[ValueId],
-    args: &[Term],
-    b: &mut Bindings,
-    k: &mut dyn FnMut(&mut Bindings) -> bool,
-) -> bool {
-    // The matcher cannot be interrupted: solutions after a stop are skipped.
-    let mut stop = false;
-    for &pos in idx.probe(key) {
-        match_slice(args, rel.get(pos), b, &mut |b2| {
-            if !stop {
-                stop = k(b2);
-            }
-        });
-        if stop {
-            break;
-        }
-    }
-    stop
-}
-
-/// §3.2 (2′): does ¬Bθ hold, i.e. is Bθ ∉ M? Named variables are bound here
-/// (planner guarantee); anonymous variables make this a negated
-/// *existential* — the shape of the paper's own §6 rule
-/// `young(X, <Y>) <- ¬a(X, Z), sg(X, Y)` when written safely as `~a(X, _)`
-/// ("X has no descendants"). The existential probes an index on the ground
-/// columns when one is available, counting the probe in `probes`, and stops
-/// at the first match either way.
-pub(crate) fn neg_holds(
-    pred: Symbol,
-    args: &[Term],
-    index_cols: &[usize],
-    db: &Database,
-    b: &mut Bindings,
-    probes: &Cell<u64>,
-) -> bool {
-    if args.iter().any(has_anon) {
-        let present = db.relation(pred).is_some_and(|rel| {
-            if rel.is_empty() {
-                return false;
-            }
-            if !index_cols.is_empty() {
-                if let Some(idx) = rel.index(index_cols) {
-                    let mut stack = [ValueId::FILLER; 8];
-                    let mut heap: Vec<ValueId> = Vec::new();
-                    // A key term outside U ⇒ Bθ is not a U-fact ⇒ absent.
-                    let Some(key) = probe_key(args, index_cols, b, &mut stack, &mut heap) else {
-                        return false;
-                    };
-                    probes.set(probes.get() + 1);
-                    return probe_matches(rel, idx, key, args, b, &mut |_| true);
-                }
-            }
-            let mut any = false;
-            for tuple in rel.iter() {
-                match_slice(args, tuple, b, &mut |_| any = true);
-                if any {
-                    break;
-                }
-            }
-            any
-        });
-        return !present;
-    }
-    let mut vals: Vec<ValueId> = Vec::with_capacity(args.len());
-    for t in args {
-        match eval_term(t, b) {
-            Some(v) => vals.push(v),
-            // An argument outside U: Bθ is not a U-fact, so it is
-            // certainly not in M; the negation succeeds.
-            None => return true,
-        }
-    }
-    !db.relation(pred).is_some_and(|r| r.contains(&vals))
 }
 
 /// A predicate has one arity: `found` — a literal's, a rule head's, a derived

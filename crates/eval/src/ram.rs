@@ -5,26 +5,32 @@
 //! dispatches on the pattern's shape, every variable read scans the binding
 //! trail, and every constant re-hashes its `Value` through the interner.
 //! Lowering removes all of that from the hot loop. A `RamProgram` is a
-//! `Vec<Op>` mirroring the plan's steps one-to-one (so delta restrictions,
-//! `exist_from`, and delta-first variants carry over by index), operating on
-//! a dense file of [`ValueId`] registers:
+//! `Vec<Op>` operating on a dense file of [`ValueId`] registers:
 //!
 //! * simple columns compile to `bind r` / `check r` / `const #id` actions
 //!   (constants are interned **once**, at lowering time, and integer
 //!   constants decoded then too);
+//! * a column pattern no register action expresses — a set enumeration
+//!   like `{X, Y}`, `scons(H, T)`, `<t>`, or a compound with an unbound
+//!   variable or a nested `_` — binds a fresh register, and a *match step*
+//!   `rN = pattern` after the scan matches it. The step is lowered like a
+//!   user's own `=` literal: a comparison op when the pattern is by then
+//!   ground, else the `Op::Builtin` `=` that runs the term-tree matcher
+//!   ([`crate::unify`]) — the one place, beside the other built-ins, that
+//!   the executor still calls it;
 //! * index probe keys compile to per-column `Expr`s evaluated straight
 //!   from registers;
 //! * all-ground negation compiles to expression evaluation plus one hash
-//!   containment test;
+//!   containment test, and `_`-existential negation to the literal's own
+//!   flattened scan and match steps, run to their first solution;
 //! * head projection compiles to an `Expr` per head argument, written
 //!   directly into the derivation buffer.
 //!
-//! Columns and literals the register machine cannot express natively —
-//! multi-solution set patterns like `{X, Y}` or `scons(H, T)`, `_`-negation,
-//! and every built-in — fall back to ops that bridge into the existing
-//! matcher ([`crate::unify`]) and built-in evaluator through a scratch
-//! [`Bindings`](crate::bindings::Bindings), seeded from registers. The
-//! bridge keeps a single source of truth for the multi-solution semantics;
+//! A plan step therefore lowers to one op or to several, and ops do not
+//! match steps by index. `RamProgram::step_op` maps each step to its first
+//! op: a [`DeltaRestriction`](crate::plan::DeltaRestriction) naming step `i`
+//! restricts op `step_op[i]` (a positive scan's first op is its scan), and
+//! the plan's `exist_from` splits the op list at `step_op[exist_from]`.
 //! `tests/differential.rs` pins the engine's results against the reference
 //! evaluator ([`crate::model`]), which interprets plans directly.
 //!
@@ -110,16 +116,14 @@ pub(crate) enum ColAct {
     Eval(Expr),
 }
 
-/// One fused operator. Ops mirror the source plan's steps by index, so a
-/// [`DeltaRestriction`](crate::plan::DeltaRestriction) naming step `i`
-/// restricts op `i`, and `exist_from` splits the op list exactly where it
-/// split the step list.
+/// One fused operator. A plan step lowers to one or more ops
+/// ([`RamProgram::step_op`]).
 #[derive(Clone, Debug)]
 pub(crate) enum Op {
-    /// A positive relation literal whose columns are all register-expressible:
-    /// full scan over `cols`, or an index probe evaluating `key` and
-    /// matching only `probe_cols` (key equality is implied by the posting
-    /// list).
+    /// A relation literal's rows: full scan over `cols`, or an index probe
+    /// evaluating `key` and matching only `probe_cols` (key equality is
+    /// implied by the posting list). A complex column pattern is a `Bind`
+    /// here and a match step after.
     Scan {
         /// The relation scanned/probed.
         pred: Symbol,
@@ -132,22 +136,6 @@ pub(crate) enum Op {
         /// `cols` minus the index-key columns, for the probed path.
         probe_cols: Box<[(usize, ColAct)]>,
     },
-    /// A positive literal with at least one multi-solution column pattern:
-    /// bridge to the general matcher through a scratch `Bindings` seeded
-    /// from `in_vars`, reading solution values back via `out_vars`.
-    ScanBridge {
-        /// The relation scanned/probed.
-        pred: Symbol,
-        /// The literal's argument patterns.
-        args: Box<[Term]>,
-        /// Index key columns (ground at this point), empty ⇒ full scan.
-        index_cols: Box<[usize]>,
-        /// Variables already bound: seeded into the scratch bindings.
-        in_vars: Box<[(Var, Reg)]>,
-        /// Variables this literal binds: copied back into registers per
-        /// solution.
-        out_vars: Box<[(Var, Reg)]>,
-    },
     /// All-ground negation: evaluate the argument expressions in order (a
     /// failure means the fact is outside `U`, so the negation holds) and
     /// test containment against the frozen lower layers.
@@ -157,18 +145,17 @@ pub(crate) enum Op {
         /// Argument expressions, in argument order.
         key: Box<[Expr]>,
     },
-    /// `_`-existential negation: bridge to the interpreter's existence
-    /// check (index-probed on the ground columns when possible).
-    NegBridge {
-        /// The negated relation.
-        pred: Symbol,
-        /// The argument patterns (containing `_`).
-        args: Box<[Term]>,
-        /// Ground columns probed through an index.
-        index_cols: Box<[usize]>,
-        /// Bound variables to seed into the scratch bindings.
-        in_vars: Box<[(Var, Reg)]>,
+    /// `_`-existential negation: ops `i + 1 .. end` — the literal's scan,
+    /// probing an index on its ground columns or checking them by id, and
+    /// its match steps — must have no solution. They run to the first one
+    /// and write only their own fresh registers; `ops[end]` is the
+    /// [`Op::Found`] that ends them, and the body resumes at `end + 1`.
+    Absent {
+        /// Index of the closing [`Op::Found`].
+        end: usize,
     },
+    /// Ends an [`Op::Absent`]'s ops: reaching it is a solution.
+    Found,
     /// A comparison whose solutions are decidable by expression evaluation
     /// alone: evaluate both sides and test. Covers every ordered comparison
     /// and `/=` (the interpreter's `eval_ids` arm), plus `=` when the
@@ -210,8 +197,9 @@ pub(crate) enum Op {
         /// `Check`: negated built-ins are fully bound).
         negated: bool,
     },
-    /// A built-in literal: bridge to the built-in evaluator (single source
-    /// of truth for modes and multi-solution semantics).
+    /// A built-in literal, or a match step that no register op expresses:
+    /// bridge to the built-in evaluator (single source of truth for modes
+    /// and multi-solution semantics) through a scratch `Bindings`.
     Builtin {
         /// Which built-in.
         builtin: Builtin,
@@ -265,8 +253,10 @@ pub(crate) enum HeadIr {
 /// [`crate::exec`] runs.
 #[derive(Debug)]
 pub(crate) struct RamProgram {
-    /// Fused operators, one per plan step (same indices).
+    /// Fused operators.
     pub(crate) ops: Box<[Op]>,
+    /// Per plan step, the index of its first op.
+    pub(crate) step_op: Box<[usize]>,
     /// Head projection.
     pub(crate) head: HeadIr,
     /// First op of the existential tail (`ops.len()` ⇒ no tail).
@@ -351,14 +341,43 @@ fn unbound_var(t: &Term, bound: &FastSet<Var>) -> Option<Var> {
     }
 }
 
-/// Try to lower a built-in literal to a fused register op; `None` falls
-/// back to the evaluator bridge. Each specialization mirrors one arm of
-/// [`eval_builtin`](crate::builtins::eval_builtin): comparisons and `=` with
-/// an eval-matchable matched side become [`Op::Cmp`], `=` binding a fresh
-/// variable becomes [`Op::Assign`], forward-mode arithmetic becomes
-/// [`Op::ArithF`]. Set built-ins and the inverse/generative modes keep the
-/// bridge (multi-solution semantics live in one place).
+/// Lower a built-in literal, given the variables bound before it. Each
+/// fused op mirrors one arm of [`eval_builtin`](crate::builtins::eval_builtin):
+/// comparisons and `=` with an eval-matchable matched side become
+/// [`Op::Cmp`], `=` binding a fresh variable becomes [`Op::Assign`],
+/// forward-mode arithmetic becomes [`Op::ArithF`]. Set built-ins, the
+/// inverse/generative modes and `=` against a pattern keep the bridge,
+/// [`Op::Builtin`] (multi-solution semantics live in one place).
 fn lower_builtin(
+    builtin: Builtin,
+    args: &[Term],
+    negated: bool,
+    regs: &mut FastMap<Var, Reg>,
+    bound: &FastSet<Var>,
+) -> Op {
+    if let Some(op) = fused_builtin(builtin, args, negated, regs, bound) {
+        return op;
+    }
+    let vars = ordered_vars(args);
+    let mut io = |want_bound: bool| -> Box<[(Var, Reg)]> {
+        vars.iter()
+            .filter(|v| bound.contains(v) == want_bound)
+            .map(|&v| (v, reg_of(regs, v)))
+            .collect()
+    };
+    let in_vars = io(true);
+    let out_vars = io(false);
+    Op::Builtin {
+        builtin,
+        args: args.into(),
+        negated,
+        in_vars,
+        out_vars,
+    }
+}
+
+/// The fused register op for a built-in literal, when one expresses it.
+fn fused_builtin(
     builtin: Builtin,
     args: &[Term],
     negated: bool,
@@ -436,19 +455,28 @@ fn lower_builtin(
     }
 }
 
-/// Lower a positive scan step. Columns are walked left-to-right with a
-/// running bound set (mirroring the matcher's binding order): a repeated
-/// variable within one literal — `e(X, X)` — binds at its first column and
-/// checks at the second. Any multi-solution column (a set pattern or a
-/// complex term with an unbound variable) makes the whole literal a bridge
-/// op.
+/// Lower a relation literal's scan onto `ops`, given the variables bound
+/// before it. Columns are walked left-to-right with a running bound set
+/// (mirroring the matcher's binding order): a repeated variable —
+/// `e(X, X)` — binds at its first column and checks at the second, and a
+/// ground complex term compares ids. Any other column binds a fresh
+/// register `rN`, and the match step `rN = pattern` follows the scan,
+/// lowered like a written `=` literal. Match steps run in column order,
+/// after every plain column, so a row's solutions come in the matcher's
+/// order: binding a variable before the pattern only prunes the
+/// pattern's solutions to those that agree with it.
+///
+/// A fresh register's variable is named `rN`. No rule variable can be:
+/// LDL1 variables start with an upper-case letter or `_`, and generated
+/// ones carry a `'`.
 fn lower_scan(
     pred: Symbol,
     args: &[Term],
     index_cols: &[usize],
+    ops: &mut Vec<Op>,
     regs: &mut FastMap<Var, Reg>,
-    bound: &mut FastSet<Var>,
-) -> Op {
+    bound: &FastSet<Var>,
+) {
     // Key expressions read the step-entry bindings; the planner only puts
     // ground-at-entry terms into `index_cols`.
     let key: Box<[Expr]> = index_cols
@@ -458,69 +486,43 @@ fn lower_scan(
 
     let mut cur = bound.clone();
     let mut cols: Vec<(usize, ColAct)> = Vec::new();
-    let mut fused = true;
+    let mut matches: Vec<[Term; 2]> = Vec::new();
     for (c, t) in args.iter().enumerate() {
-        match t {
-            Term::Anon => {}
+        let act = match t {
+            Term::Anon => continue,
+            Term::Var(v) if cur.contains(v) => ColAct::Check(reg_of(regs, *v)),
             Term::Var(v) => {
-                if cur.contains(v) {
-                    cols.push((c, ColAct::Check(reg_of(regs, *v))));
-                } else {
-                    cols.push((c, ColAct::Bind(reg_of(regs, *v))));
-                    cur.insert(*v);
-                }
+                cur.insert(*v);
+                ColAct::Bind(reg_of(regs, *v))
             }
-            Term::Const(v) => cols.push((c, ColAct::Const(intern::id_of(v)))),
-            t if term_bound(t, &cur) => {
-                // Ground complex term: one canonical value, so the
-                // structural match is an id comparison.
-                cols.push((c, ColAct::Eval(lower_expr(t, regs, &cur))));
+            Term::Const(v) => ColAct::Const(intern::id_of(v)),
+            t if term_bound(t, &cur) => ColAct::Eval(lower_expr(t, regs, &cur)),
+            t => {
+                let r = Var::new(&format!("r{}", regs.len()));
+                cur.insert(r);
+                matches.push([Term::Var(r), t.clone()]);
+                ColAct::Bind(reg_of(regs, r))
             }
-            _ => {
-                fused = false;
-                break;
-            }
-        }
+        };
+        cols.push((c, act));
     }
-
-    let op = if fused {
-        let probe_cols: Box<[(usize, ColAct)]> = cols
-            .iter()
-            .filter(|(c, _)| !index_cols.contains(c))
-            .cloned()
-            .collect();
-        Op::Scan {
-            pred,
-            index_cols: index_cols.into(),
-            key,
-            cols: cols.into_boxed_slice(),
-            probe_cols,
-        }
-    } else {
-        let vars = ordered_vars(args);
-        let in_vars: Box<[(Var, Reg)]> = vars
-            .iter()
-            .filter(|v| bound.contains(v))
-            .map(|&v| (v, reg_of(regs, v)))
-            .collect();
-        let out_vars: Box<[(Var, Reg)]> = vars
-            .iter()
-            .filter(|v| !bound.contains(v))
-            .map(|&v| (v, reg_of(regs, v)))
-            .collect();
-        Op::ScanBridge {
-            pred,
-            args: args.into(),
-            index_cols: index_cols.into(),
-            in_vars,
-            out_vars,
-        }
-    };
-    // Positive literals bind all their variables (emit_step's bookkeeping).
-    for v in ordered_vars(args) {
-        bound.insert(v);
+    let probe_cols: Box<[(usize, ColAct)]> = cols
+        .iter()
+        .filter(|(c, _)| !index_cols.contains(c))
+        .cloned()
+        .collect();
+    ops.push(Op::Scan {
+        pred,
+        index_cols: index_cols.into(),
+        key,
+        cols: cols.into_boxed_slice(),
+        probe_cols,
+    });
+    for args in &matches {
+        let eq = Builtin::Cmp(CmpOp::Eq);
+        ops.push(lower_builtin(eq, args, false, regs, &cur));
+        cur.extend(ordered_vars(args));
     }
-    op
 }
 
 /// Lower a compiled plan into a flat register program. Called exactly once
@@ -529,70 +531,45 @@ pub(crate) fn lower(plan: &RulePlan) -> RamProgram {
     let mut regs: FastMap<Var, Reg> = FastMap::default();
     let mut bound: FastSet<Var> = FastSet::default();
     let mut ops: Vec<Op> = Vec::with_capacity(plan.steps.len());
+    let mut step_op: Vec<usize> = Vec::with_capacity(plan.steps.len());
     for step in &plan.steps {
+        step_op.push(ops.len());
         match step {
             Step::Scan {
                 pred,
                 args,
                 index_cols,
-            } => ops.push(lower_scan(*pred, args, index_cols, &mut regs, &mut bound)),
+            } => {
+                lower_scan(*pred, args, index_cols, &mut ops, &mut regs, &bound);
+                bound.extend(ordered_vars(args));
+            }
             Step::NegScan {
                 pred,
                 args,
                 index_cols,
-            } => {
-                if args.iter().any(has_anon) {
-                    let in_vars: Box<[(Var, Reg)]> = ordered_vars(args)
-                        .into_iter()
-                        .filter(|v| bound.contains(v))
-                        .map(|v| (v, reg_of(&mut regs, v)))
-                        .collect();
-                    ops.push(Op::NegBridge {
-                        pred: *pred,
-                        args: args.as_slice().into(),
-                        index_cols: index_cols.as_slice().into(),
-                        in_vars,
-                    });
-                } else {
-                    let key: Box<[Expr]> = args
-                        .iter()
-                        .map(|t| lower_expr(t, &mut regs, &bound))
-                        .collect();
-                    ops.push(Op::Neg { pred: *pred, key });
-                }
+            } if args.iter().any(has_anon) => {
+                let mut body = Vec::new();
+                lower_scan(*pred, args, index_cols, &mut body, &mut regs, &bound);
+                let end = ops.len() + 1 + body.len();
+                ops.push(Op::Absent { end });
+                ops.append(&mut body);
+                ops.push(Op::Found);
+            }
+            Step::NegScan { pred, args, .. } => {
+                let key: Box<[Expr]> = args
+                    .iter()
+                    .map(|t| lower_expr(t, &mut regs, &bound))
+                    .collect();
+                ops.push(Op::Neg { pred: *pred, key });
             }
             Step::BuiltinStep {
                 builtin,
                 args,
                 negated,
             } => {
-                let vars = ordered_vars(args);
-                let op = lower_builtin(*builtin, args, *negated, &mut regs, &bound).unwrap_or_else(
-                    || {
-                        let in_vars: Box<[(Var, Reg)]> = vars
-                            .iter()
-                            .filter(|v| bound.contains(v))
-                            .map(|&v| (v, reg_of(&mut regs, v)))
-                            .collect();
-                        let out_vars: Box<[(Var, Reg)]> = vars
-                            .iter()
-                            .filter(|v| !bound.contains(v))
-                            .map(|&v| (v, reg_of(&mut regs, v)))
-                            .collect();
-                        Op::Builtin {
-                            builtin: *builtin,
-                            args: args.as_slice().into(),
-                            negated: *negated,
-                            in_vars,
-                            out_vars,
-                        }
-                    },
-                );
-                ops.push(op);
+                ops.push(lower_builtin(*builtin, args, *negated, &mut regs, &bound));
                 if !negated {
-                    for v in vars {
-                        bound.insert(v);
-                    }
+                    bound.extend(ordered_vars(args));
                 }
             }
         }
@@ -638,9 +615,10 @@ pub(crate) fn lower(plan: &RulePlan) -> RamProgram {
     };
 
     RamProgram {
+        exist_from: step_op.get(plan.exist_from).copied().unwrap_or(ops.len()),
         ops: ops.into_boxed_slice(),
+        step_op: step_op.into_boxed_slice(),
         head,
-        exist_from: plan.exist_from,
         scan_preds: plan.scan_steps.iter().map(|&(_, p)| p).collect(),
         nregs: regs.len(),
     }
@@ -679,6 +657,7 @@ pub(crate) fn render(prog: &RamProgram) -> Vec<String> {
         format!("[{}]", inner.join(", "))
     }
     let mut out = Vec::with_capacity(prog.ops.len() + 1);
+    let mut inside = 0..0;
     for (i, op) in prog.ops.iter().enumerate() {
         let tail = if i >= prog.exist_from { " ∃" } else { "" };
         let line = match op {
@@ -700,20 +679,12 @@ pub(crate) fn render(prog: &RamProgram) -> Vec<String> {
                     )
                 }
             }
-            Op::ScanBridge {
-                pred, index_cols, ..
-            } => {
-                if index_cols.is_empty() {
-                    format!("scan {pred} (general match){tail}")
-                } else {
-                    format!("probe {pred} via {index_cols:?} (general match){tail}")
-                }
-            }
             Op::Neg { pred, key } => {
                 let ks: Vec<String> = key.iter().map(expr).collect();
                 format!("reject {pred}({}){tail}", ks.join(", "))
             }
-            Op::NegBridge { pred, .. } => format!("reject {pred} (existential){tail}"),
+            Op::Absent { .. } => format!("reject if found:{tail}"),
+            Op::Found => format!("found{tail}"),
             Op::Cmp {
                 op,
                 lhs,
@@ -744,13 +715,26 @@ pub(crate) fn render(prog: &RamProgram) -> Vec<String> {
                 }
             }
             Op::Builtin {
-                builtin, negated, ..
+                builtin,
+                args,
+                negated,
+                ..
             } => {
                 let neg = if *negated { "~" } else { "" };
-                format!("builtin {neg}{builtin:?}{tail}")
+                match builtin {
+                    Builtin::Cmp(CmpOp::Eq) => {
+                        format!("match {neg}{} = {}{tail}", args[0], args[1])
+                    }
+                    _ => format!("builtin {neg}{builtin:?}{tail}"),
+                }
             }
         };
-        out.push(format!("{i}. {line}"));
+        // An `Absent`'s ops, through its `Found`, are indented under it.
+        let indent = if inside.contains(&i) { "  " } else { "" };
+        if let Op::Absent { end } = op {
+            inside = i + 1..end + 1;
+        }
+        out.push(format!("{i}. {indent}{line}"));
     }
     match &prog.head {
         HeadIr::Simple(exprs) => {

@@ -393,6 +393,53 @@ fn big_set_patterns() {
     }
 }
 
+/// A `_` nested in a negated literal's argument: `~p(X, f(_))` and
+/// `~p(X, {Y, _})` reject exactly the bindings some row matches, `~p(_, _)`
+/// asks whether `p` has a row at all, and over a relation that does not
+/// exist every one of them holds.
+#[test]
+fn nested_anonymous_variables_under_negation() {
+    let program = parse_program(
+        "p(1, f(2)). p(1, g(2)). p(2, {3, 4}). p(3, {5}). p(4, 7). p(5, f(g(1))).\n\
+         n(1). n(2). n(3). n(4). n(5). m(3). m(5).\n\
+         no_f(X) <- n(X), ~p(X, f(_)).\n\
+         no_pair(X, Y) <- n(X), m(Y), ~p(X, {Y, _}).\n\
+         no_p(X) <- n(X), ~p(_, _).\n\
+         no_q(X) <- n(X), ~q(X, f(_)).\n\
+         no_q_pair(X, Y) <- n(X), m(Y), ~q(X, {Y, _}).\n\
+         no_q_at_all(X) <- n(X), ~q(_, _).",
+    )
+    .unwrap();
+    let ev = Evaluator::new();
+    let m = evaluate(&ev, &program, &Database::new());
+    check_model(&program, &m.to_fact_set()).unwrap();
+    // `facts` sorts, so the rows come in value order.
+    let ints = |pred: &str| -> Vec<Vec<Value>> {
+        ev.facts(&m, pred)
+            .iter()
+            .map(|f| f.args().to_vec())
+            .collect()
+    };
+    let col = |xs: &[i64]| -> Vec<Vec<Value>> { xs.iter().map(|&x| vec![Value::int(x)]).collect() };
+    // p(1, f(2)) and p(5, f(g(1))) match `f(_)`; p(1, g(2)) and p(4, 7) do not.
+    assert_eq!(ints("no_f"), col(&[2, 3, 4]));
+    // `{Y, _}` matches a set of Y and at most one other element: p(2, {3, 4})
+    // rejects (2, 3), p(3, {5}) rejects (3, 5).
+    let mut pairs: Vec<Vec<Value>> = Vec::new();
+    for x in 1..=5 {
+        for y in [3, 5] {
+            if ![(2, 3), (3, 5)].contains(&(x, y)) {
+                pairs.push(vec![Value::int(x), Value::int(y)]);
+            }
+        }
+    }
+    assert_eq!(ints("no_pair"), pairs);
+    assert!(ints("no_p").is_empty());
+    assert_eq!(ints("no_q"), col(&[1, 2, 3, 4, 5]));
+    assert_eq!(ints("no_q_pair").len(), 10);
+    assert_eq!(ints("no_q_at_all"), col(&[1, 2, 3, 4, 5]));
+}
+
 /// `partition(S, S1, S2)` with `S` and `S1` bound is a check, so it answers
 /// over a set too large to enumerate: at 21 elements, one past the
 /// generative mode's cap, it used to panic although `S1` was bound.

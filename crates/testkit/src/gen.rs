@@ -8,11 +8,12 @@
 //!
 //! The shape mirrors the paper's layering discipline: a transitive-closure
 //! base layer `p0` over edge relation `e0(X, Y)`, then a random stack of
-//! layers `p1, p2, …` where each `pl` reads `p(l-1)` through one of seven
+//! layers `p1, p2, …` where each `pl` reads `p(l-1)` through one of eight
 //! templates (recursion, negation on the marker relation `e1(X)`,
 //! grouping with `member` flattening, a three-way join back through `e0`,
 //! a set-constructing head, a head both a grouping and a simple rule
-//! define, or negated self-comparison). Every template
+//! define, negated self-comparison, or set, compound and `_` patterns in
+//! relation literals). Every template
 //! keeps arity 2 so layers compose freely, and every negated/grouped read
 //! looks strictly down the stack — the program is admissible by
 //! construction.
@@ -78,7 +79,7 @@ pub fn stratified_case(rng: &mut Rng, size: u32) -> GeneratedCase {
     let mut src = String::from("p0(X, Y) <- e0(X, Y).\np0(X, Y) <- e0(X, Z), p0(Z, Y).\n");
     for l in 1..layers {
         let below = l - 1;
-        match rng.index(7) {
+        match rng.index(8) {
             0 => src.push_str(&format!(
                 "p{l}(X, Y) <- p{below}(X, Y).\np{l}(X, Y) <- p{below}(X, Z), p{l}(Z, Y).\n"
             )),
@@ -115,7 +116,16 @@ pub fn stratified_case(rng: &mut Rng, size: u32) -> GeneratedCase {
                  g{l}(X, {{Y}}) <- p{below}(X, Y), e1(X).\n\
                  p{l}(X, Y) <- g{l}(X, S), member(Y, S).\n"
             )),
-            _ => src.push_str(&format!("p{l}(X, Y) <- p{below}(X, Y), ~p{below}(Y, X).\n")),
+            6 => src.push_str(&format!("p{l}(X, Y) <- p{below}(X, Y), ~p{below}(Y, X).\n")),
+            // Patterns that match a row's column by decomposition: a set
+            // enumeration with a free variable and a `_`, a compound over
+            // the pool's `f(n)` values, an existential negation whose `_`
+            // is a whole argument, and one whose `_` is nested.
+            _ => src.push_str(&format!(
+                "p{l}(X, Y) <- p{below}(X, {{Y, _}}).\n\
+                 p{l}(X, Y) <- p{below}(X, f(Y)), ~e0(Y, _).\n\
+                 p{l}(X, Y) <- p{below}(X, Y), ~p{below}(Y, f(_)).\n"
+            )),
         }
     }
 
@@ -352,6 +362,7 @@ mod tests {
         let mut recursion = false;
         let mut threeway = false;
         let mut mixed_head = false;
+        let mut patterns = false;
         let mut sets = false;
         let mut compounds = false;
         let mut balanced = false;
@@ -366,6 +377,7 @@ mod tests {
             recursion |= c.src.contains("p1(X, Z), p1(Z, Y)") || c.layers == 2;
             threeway |= c.src.contains("e0(X, Z), p0(Z, W), e0(W, Y)");
             mixed_head |= c.src.contains(", e1(X).");
+            patterns |= c.src.contains("(X, {Y, _})") && c.src.contains("~e0(Y, _)");
             balanced |= c.skew_factor == 1;
             skewed |= c.skew_factor > 1;
             if c.skew_factor > 1 {
@@ -379,7 +391,7 @@ mod tests {
                 }
             }
         }
-        assert!(negation && grouping && recursion && threeway && mixed_head);
+        assert!(negation && grouping && recursion && threeway && mixed_head && patterns);
         assert!(sets && compounds, "nested EDB constants never generated");
         assert!(balanced && skewed, "skew profiles never varied");
     }
