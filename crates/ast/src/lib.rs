@@ -9,7 +9,8 @@
 //!   `{t₁,…,tₙ}` (sugar for nested `scons`), and grouping terms `<X>`;
 //! * LDL1.5 (§4) additionally allows arbitrary *head terms* mixing tuples,
 //!   functors and `<…>` at any nesting depth, and `<t>` patterns in bodies —
-//!   these are macro-expanded away by the `ldl-transform` crate;
+//!   the `ldl-transform` crate macro-expands the heads away, and the
+//!   evaluator matches a body `<t>` natively;
 //! * a *rule* is `head <- body` with a positive head predicate and a
 //!   (possibly empty) sequence of body literals; a rule with `<…>` in its
 //!   head is a *grouping rule* and must have an all-positive body.

@@ -4,7 +4,7 @@ use std::fmt;
 
 use ldl_value::Value;
 
-use crate::program::Program;
+use crate::program::{Builtin, Program};
 use crate::rule::Rule;
 use crate::term::{Term, Var};
 
@@ -14,8 +14,9 @@ pub enum Dialect {
     /// Core LDL1 (§2.1): grouping only as a whole head argument `<X>`, no
     /// `<…>` in bodies.
     Ldl1,
-    /// LDL1.5 (§4): complex head terms and `<t>` body patterns allowed; they
-    /// are macro-expanded to LDL1 before evaluation.
+    /// LDL1.5 (§4): complex head terms and `<t>` body patterns allowed.
+    /// Complex heads are macro-expanded to LDL1 before evaluation; a body
+    /// `<t>` is matched natively, and §4.1's macro is kept as its oracle.
     Ldl15,
 }
 
@@ -47,6 +48,10 @@ pub enum WfError {
     BottomInProgram(Rule),
     /// Grouping inside a negative literal (meaningless in any dialect).
     GroupInNegativeLiteral(Rule),
+    /// §4.1 (LDL1.5 dialect): a `<t>` in a relation literal nested inside a
+    /// set enumeration, `scons` or arithmetic. The paper's macro rewrites a
+    /// `<t>` reached through function symbols only.
+    GroupInUnsupportedPosition(Rule),
 }
 
 impl fmt::Display for WfError {
@@ -76,6 +81,10 @@ impl fmt::Display for WfError {
             WfError::GroupInNegativeLiteral(r) => {
                 write!(f, "<...> may not occur under negation: {r}")
             }
+            WfError::GroupInUnsupportedPosition(r) => write!(
+                f,
+                "<...> in a body literal may not sit inside a set, scons or arithmetic: {r}"
+            ),
         }
     }
 }
@@ -101,6 +110,17 @@ fn term_mentions_bottom(t: &Term) -> bool {
     }
 }
 
+/// Is every outermost `<…>` of a relation-literal argument reached through
+/// function symbols only? Inside a `<t>`, anything goes: §4.1's macro moves
+/// `t` into built-in literals.
+fn groups_reachable(t: &Term) -> bool {
+    match t {
+        Term::Group(_) | Term::Var(_) | Term::Anon | Term::Const(_) => true,
+        Term::Compound(_, args) => args.iter().all(groups_reachable),
+        Term::SetEnum(_) | Term::Scons(..) | Term::Arith(..) => !t.has_group(),
+    }
+}
+
 fn count_groups(t: &Term) -> usize {
     match t {
         Term::Group(inner) => 1 + count_groups(inner),
@@ -123,6 +143,10 @@ pub fn check_rule(rule: &Rule, dialect: Dialect) -> Vec<WfError> {
                 errs.push(WfError::GroupInNegativeLiteral(rule.clone()));
             } else if dialect == Dialect::Ldl1 {
                 errs.push(WfError::GroupInBody(rule.clone()));
+            } else if Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
+                && !l.atom.args.iter().all(groups_reachable)
+            {
+                errs.push(WfError::GroupInUnsupportedPosition(rule.clone()));
             }
         }
     }
@@ -241,6 +265,47 @@ mod tests {
             check_rule(&r, Dialect::Ldl1).as_slice(),
             [WfError::GroupInBody(_)]
         ));
+        assert!(check_rule(&r, Dialect::Ldl15).is_empty());
+    }
+
+    #[test]
+    fn body_group_positions_in_ldl15() {
+        let q = || Atom::new("q", vec![Term::var("X")]);
+        let x = || Term::group_var("X");
+        let in_p = |t: Term| rule(q(), vec![Literal::pos(Atom::new("p", vec![t]))]);
+        // Reached through function symbols, or inside another `<…>`: fine.
+        for t in [
+            Term::compound("h", vec![Term::var("Y"), x()]),
+            Term::group(Term::SetEnum(vec![x()])),
+        ] {
+            assert!(check_rule(&in_p(t), Dialect::Ldl15).is_empty());
+        }
+        // Under a set enumeration, scons or arithmetic: rejected.
+        for t in [
+            Term::SetEnum(vec![x()]),
+            Term::Scons(Box::new(Term::Const(Value::int(3))), Box::new(x())),
+            Term::Arith(
+                ldl_value::arith::ArithOp::Add,
+                Box::new(x()),
+                Box::new(Term::Const(Value::int(1))),
+            ),
+        ] {
+            assert!(matches!(
+                check_rule(&in_p(t), Dialect::Ldl15).as_slice(),
+                [WfError::GroupInUnsupportedPosition(_)]
+            ));
+        }
+        // A built-in literal keeps whatever pattern it has.
+        let r = rule(
+            q(),
+            vec![
+                Literal::pos(Atom::new("p", vec![Term::var("S")])),
+                Literal::pos(Atom::new(
+                    "=",
+                    vec![Term::var("S"), Term::SetEnum(vec![x()])],
+                )),
+            ],
+        );
         assert!(check_rule(&r, Dialect::Ldl15).is_empty());
     }
 

@@ -25,7 +25,7 @@ Input is LDL1/LDL1.5 source: facts, rules, and ?- queries.
 Commands:
   :help               this message
   :load FILE          load a program file (rules, facts, ?- queries)
-  :program            show the compiled core-LDL1 program
+  :program            show the compiled program (core LDL1 heads)
   :strata             show the layering of the current program, each layer's
                       rules in the order they run
   :facts PRED         list the model's facts for one predicate

@@ -32,7 +32,8 @@ pub struct EvalOptions {
     pub check_wf: bool,
     /// Dialect for the well-formedness check. `Ldl15` additionally permits
     /// `<t>` patterns in rule bodies, which the matcher evaluates natively
-    /// with the §4.1 uniform-structure semantics.
+    /// with the §4.1 uniform-structure semantics; no macro runs first (the
+    /// paper's `body_angle` macro is the tests' oracle for the matcher).
     pub dialect: Dialect,
     // Read by nothing; declared only because `benchmark/src/cold.rs` names it.
     #[doc(hidden)]

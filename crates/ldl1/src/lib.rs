@@ -223,8 +223,9 @@ impl From<ldl_eval::EvalError> for Error {
 
 /// A deductive database session: rules + facts + cached model.
 ///
-/// Programs may use the full LDL1.5 surface; they are macro-expanded to
-/// core LDL1 on load (§4). Facts can be asserted, retracted, and updated —
+/// Programs may use the full LDL1.5 surface. On load, complex heads are
+/// macro-expanded to core LDL1 (§4.2); a body `<t>` stays and is matched
+/// natively (§4.1). Facts can be asserted, retracted, and updated —
 /// one at a time with [`System::fact`] / [`System::retract`] /
 /// [`System::update`], or transactionally with [`System::mutate`]. The
 /// model is computed when something needs all of it: [`System::model`], a
@@ -520,7 +521,7 @@ impl System {
         Ok(())
     }
 
-    /// Compile `source` to core LDL1 under `semantics` and raise whatever
+    /// Compile `source` under `semantics` and raise whatever
     /// [`System::model`] would raise before evaluating a single rule —
     /// inadmissibility (§3.1) and ill-formedness — so that a program no
     /// model can be computed for is never installed.
@@ -535,7 +536,8 @@ impl System {
     }
 
     /// Load rules (and inline facts) written in LDL1 / LDL1.5 concrete
-    /// syntax. Ground facts go to the EDB; rules are compiled to core LDL1.
+    /// syntax. Ground facts go to the EDB; rules are compiled: complex heads
+    /// to core LDL1, a body `<t>` kept.
     ///
     /// A `src` whose rules are rejected — a parse or transform error, or
     /// rules that would make the loaded program inadmissible or ill-formed
@@ -701,7 +703,8 @@ impl System {
         logged
     }
 
-    /// The compiled core-LDL1 program.
+    /// The compiled program: core LDL1 heads, and bodies that may keep a
+    /// `<t>` pattern (§4.1).
     pub fn program(&self) -> &Program {
         &self.compiled
     }
@@ -727,9 +730,9 @@ impl System {
         Ok(&self.cache.as_ref().expect("just computed").db)
     }
 
-    /// The compiled program is trusted output of the LDL1.5 compiler and
-    /// may retain `<t>` patterns inside built-in literals, which the
-    /// evaluator matches natively — so it is checked as LDL1.5.
+    /// The compiled program keeps its body `<t>` patterns, in relation and
+    /// built-in literals alike, and the evaluator matches them natively
+    /// (§4.1) — so it is checked as LDL1.5.
     fn eval_options(&self) -> EvalOptions {
         EvalOptions {
             dialect: ast::wf::Dialect::Ldl15,
@@ -1071,9 +1074,10 @@ fn parse_ground_fact(src: &str) -> Result<Fact, Error> {
     Ok(Fact::new(atom.pred, args))
 }
 
+/// LDL1.5 to the program `System` runs: §4.2's complex heads are expanded.
+/// A body `<t>` (§4.1) stays; the evaluator matches it natively.
 fn compile_ldl15(source: &Program, semantics: GroupingSemantics) -> Result<Program, Error> {
-    let p = ldl_transform::body_angle::eliminate_body_groups(source)?;
-    let p = ldl_transform::head_terms::eliminate_complex_heads(&p, semantics)?;
+    let p = ldl_transform::head_terms::eliminate_complex_heads(source, semantics)?;
     Ok(p)
 }
 

@@ -1,6 +1,8 @@
 //! The predicate dependency graph of §3.1.
 
+use ldl_ast::literal::Literal;
 use ldl_ast::program::{Builtin, Program};
+use ldl_ast::rule::Rule;
 use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::Symbol;
 
@@ -12,6 +14,27 @@ pub enum EdgeKind {
     /// `p > q`: `q` must be in a strictly lower layer (negation or grouping
     /// head).
     Greater,
+}
+
+/// The edge body literal `lit` of `rule` gives the rule's head, per §3.1;
+/// `None` for a built-in, which is no node of the graph.
+///
+/// * Clause (2): a grouping head ⇒ `>`, whatever the polarity.
+/// * Clause (3): a negated literal ⇒ `>`.
+/// * §4.1: a relation literal with a `<t>` argument ⇒ `>`. The paper's
+///   macro reads it through a grouping `collect` rule, so recursion through
+///   it is recursion through grouping.
+/// * Clause (1): otherwise `≥`.
+pub fn edge_kind(rule: &Rule, lit: &Literal) -> Option<EdgeKind> {
+    if Builtin::resolve(lit.atom.pred, lit.atom.arity()).is_some() {
+        return None;
+    }
+    let greater = rule.head.has_group() || !lit.positive || lit.atom.has_group();
+    Some(if greater {
+        EdgeKind::Greater
+    } else {
+        EdgeKind::GreaterEq
+    })
 }
 
 /// Dependency graph over the non-built-in predicate symbols of a program.
@@ -37,22 +60,11 @@ impl DepGraph {
         for r in &program.rules {
             let p = r.head.pred;
             add_node(&mut g, p, &mut seen);
-            let grouping = r.head.has_group();
             for l in &r.body {
-                let q = l.atom.pred;
-                if Builtin::resolve(q, l.atom.arity()).is_some() {
-                    continue;
+                if let Some(kind) = edge_kind(r, l) {
+                    add_node(&mut g, l.atom.pred, &mut seen);
+                    g.add_edge(p, l.atom.pred, kind);
                 }
-                add_node(&mut g, q, &mut seen);
-                // Clause (2): grouping head ⇒ `>` regardless of polarity.
-                // Clause (3): negated body ⇒ `>`.
-                // Clause (1): otherwise `≥`.
-                let kind = if grouping || !l.positive {
-                    EdgeKind::Greater
-                } else {
-                    EdgeKind::GreaterEq
-                };
-                g.add_edge(p, q, kind);
             }
         }
         g
@@ -255,6 +267,23 @@ mod tests {
         // Grouping head: `>` to every body predicate.
         assert!(edges.contains(&(sym("d"), sym("b"), EdgeKind::Greater)));
         assert!(edges.contains(&(sym("d"), sym("c"), EdgeKind::Greater)));
+    }
+
+    #[test]
+    fn a_body_group_is_a_greater_edge() {
+        // §4.1: `<t>` in a relation literal reads through grouping; in a
+        // built-in literal it is no edge at all.
+        let p = parse_program(
+            "a(X) <- b(<X>), c(X).\n\
+             d(X) <- b(S), member(<X>, S).",
+        )
+        .unwrap();
+        let g = DepGraph::build(&p);
+        let edges: Vec<_> = g.edges().collect();
+        assert!(edges.contains(&(sym("a"), sym("b"), EdgeKind::Greater)));
+        assert!(edges.contains(&(sym("a"), sym("c"), EdgeKind::GreaterEq)));
+        assert!(edges.contains(&(sym("d"), sym("b"), EdgeKind::GreaterEq)));
+        assert!(!g.nodes().contains(&sym("member")));
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //!    head and `q` occurs (in any polarity) in the body;
 //! 3. `p > q` — some rule has head `p` and `q` occurs *negated* in the body.
 //!
+//! An LDL1.5 body literal `q(…, <t>, …)` (§4.1) also gives `p > q`: the
+//! paper's macro reads `q` through a grouping `collect` rule, and the edge
+//! keeps the macro's admissibility and layers. [`graph::edge_kind`] is the
+//! one place these clauses are written.
+//!
 //! `P` is *admissible* iff there is no cyclic sequence `p₁ θ₁ p₂ … θₖ₋₁ pₖ`
 //! with `p₁ = pₖ` in which some `θⱼ` is `>`. A *layering* is a partition
 //! `L₀, …, Lₘ` of the predicate symbols such that `p ≥ q` implies
@@ -285,14 +290,13 @@ impl Stratification {
         for r in &program.rules {
             let hp = r.head.pred;
             let hl = self.layer(hp);
-            let grouping = r.head.has_group();
             for l in &r.body {
-                let q = l.atom.pred;
-                if Builtin::resolve(q, l.atom.arity()).is_some() {
+                let Some(kind) = graph::edge_kind(r, l) else {
                     continue;
-                }
+                };
+                let q = l.atom.pred;
                 let ql = self.layer(q);
-                if grouping || !l.positive {
+                if kind == EdgeKind::Greater {
                     if hl <= ql {
                         return Err(format!(
                             "layering violated: {hp} (layer {hl}) must be above {q} (layer {ql}) in rule {r}"

@@ -1,22 +1,24 @@
 //! Random stratified-program generation for differential testing.
 //!
-//! Produces admissible LDL1 programs exercising the constructs whose
+//! Produces admissible LDL1.5 programs exercising the constructs whose
 //! interaction is hardest to get right — recursion, stratified negation,
-//! and grouping — together with a matching random EDB. The output is plain
-//! data (source text + tuples), so this crate stays dependency-free; the
-//! caller parses and loads it with whatever pipeline it is testing.
+//! and grouping — together with a matching random EDB. The only LDL1.5
+//! construct is a body `<t>` (§4.1), so evaluate under `Dialect::Ldl15`.
+//! The output is plain data (source text + tuples), so this crate stays
+//! dependency-free; the caller parses and loads it with whatever pipeline
+//! it is testing.
 //!
 //! The shape mirrors the paper's layering discipline: a transitive-closure
 //! base layer `p0` over edge relation `e0(X, Y)`, then a random stack of
-//! layers `p1, p2, …` where each `pl` reads `p(l-1)` through one of eight
+//! layers `p1, p2, …` where each `pl` reads `p(l-1)` through one of nine
 //! templates (recursion, negation on the marker relation `e1(X)`,
 //! grouping with `member` flattening, a three-way join back through `e0`,
 //! a set-constructing head, a head both a grouping and a simple rule
-//! define, negated self-comparison, or set, compound and `_` patterns in
-//! relation literals). Every template
-//! keeps arity 2 so layers compose freely, and every negated/grouped read
-//! looks strictly down the stack — the program is admissible by
-//! construction.
+//! define, negated self-comparison, set, compound and `_` patterns in
+//! relation literals, or §4.1 `<t>` patterns over set-valued columns).
+//! Every template keeps arity 2 so layers compose freely, and every
+//! negated, grouped or `<t>` read looks strictly down the stack — the
+//! program is admissible by construction.
 //!
 //! EDB constants are not just integers: a slice of every node domain is
 //! set-valued (`{a, b}`) or compound-valued (`f(a, b)`), so joins,
@@ -79,7 +81,7 @@ pub fn stratified_case(rng: &mut Rng, size: u32) -> GeneratedCase {
     let mut src = String::from("p0(X, Y) <- e0(X, Y).\np0(X, Y) <- e0(X, Z), p0(Z, Y).\n");
     for l in 1..layers {
         let below = l - 1;
-        match rng.index(8) {
+        match rng.index(9) {
             0 => src.push_str(&format!(
                 "p{l}(X, Y) <- p{below}(X, Y).\np{l}(X, Y) <- p{below}(X, Z), p{l}(Z, Y).\n"
             )),
@@ -121,10 +123,19 @@ pub fn stratified_case(rng: &mut Rng, size: u32) -> GeneratedCase {
             // enumeration with a free variable and a `_`, a compound over
             // the pool's `f(n)` values, an existential negation whose `_`
             // is a whole argument, and one whose `_` is nested.
-            _ => src.push_str(&format!(
+            7 => src.push_str(&format!(
                 "p{l}(X, Y) <- p{below}(X, {{Y, _}}).\n\
                  p{l}(X, Y) <- p{below}(X, f(Y)), ~e0(Y, _).\n\
                  p{l}(X, Y) <- p{below}(X, Y), ~p{below}(Y, f(_)).\n"
+            )),
+            // §4.1 body `<t>` over set-valued columns: a grouped set matches
+            // `<f(Y)>` only when every element is an `f(n)` — the pool mixes
+            // ints, sets and compounds, so some sets are uniform and some
+            // are not — and `<Y>` flattens the pool's `{a, b}` values.
+            _ => src.push_str(&format!(
+                "s{l}(X, <Y>) <- p{below}(X, Y).\n\
+                 p{l}(X, Y) <- s{l}(X, <f(Y)>).\n\
+                 p{l}(X, Y) <- p{below}(X, <Y>).\n"
             )),
         }
     }
@@ -363,6 +374,7 @@ mod tests {
         let mut threeway = false;
         let mut mixed_head = false;
         let mut patterns = false;
+        let mut angle = false;
         let mut sets = false;
         let mut compounds = false;
         let mut balanced = false;
@@ -378,6 +390,7 @@ mod tests {
             threeway |= c.src.contains("e0(X, Z), p0(Z, W), e0(W, Y)");
             mixed_head |= c.src.contains(", e1(X).");
             patterns |= c.src.contains("(X, {Y, _})") && c.src.contains("~e0(Y, _)");
+            angle |= c.src.contains("(X, <f(Y)>)") && c.src.contains("(X, <Y>).");
             balanced |= c.skew_factor == 1;
             skewed |= c.skew_factor > 1;
             if c.skew_factor > 1 {
@@ -391,7 +404,7 @@ mod tests {
                 }
             }
         }
-        assert!(negation && grouping && recursion && threeway && mixed_head && patterns);
+        assert!(negation && grouping && recursion && threeway && mixed_head && patterns && angle);
         assert!(sets && compounds, "nested EDB constants never generated");
         assert!(balanced && skewed, "skew profiles never varied");
     }

@@ -13,6 +13,12 @@
 //! element matches. Our version specializes `collect` with a domain
 //! predicate (the enclosing literal projected onto the rewritten argument)
 //! so the result is range-restricted and evaluable bottom-up.
+//!
+//! `System` does not run this rewrite: the evaluator matches a body `<t>`
+//! natively (`match_term`'s `Term::Group` arm), and the stratifier gives a
+//! relation literal with a `<t>` argument the `>` edge the `collect` rule
+//! would have. The macro stays as the paper's definition, the oracle the
+//! native matcher is tested against.
 
 use ldl_ast::gensym::Gensym;
 use ldl_ast::literal::{Atom, Literal};
@@ -43,11 +49,12 @@ pub fn eliminate_body_groups(program: &Program) -> Result<Program, TransformErro
 /// deeper occurrences — the caller iterates). `None` if the rule is clean.
 fn rewrite_one(rule: &Rule, g: &Gensym) -> Result<Option<Vec<Rule>>, TransformError> {
     for (li, lit) in rule.body.iter().enumerate() {
-        // Built-in literals keep their `<t>` patterns: the evaluator gives
-        // them the §4.1 semantics natively, and the domain-projection trick
-        // below is only meaningful for stored relations. (These arise from
-        // this very transformation, when the extracted `t` of a nested
-        // group lands inside the generated `member`/`=` literals.)
+        // Built-in literals keep their `<t>` patterns: the domain-projection
+        // trick below is only meaningful for stored relations, so the
+        // rewrite stops at them and leaves their `<t>` to the evaluator's
+        // native matcher. (These arise from this very transformation, when
+        // the extracted `t` of a nested group lands inside the generated
+        // `member`/`=` literals.)
         if Builtin::resolve(lit.atom.pred, lit.atom.arity()).is_some() {
             continue;
         }

@@ -7,7 +7,9 @@
 //! "can be thought of as source rewriting rules or macros which can be
 //! expanded into LDL1 rules":
 //!
-//! * [`body_angle`] — `<t>` patterns in rule bodies (§4.1);
+//! * [`body_angle`] — `<t>` patterns in rule bodies (§4.1). `System` does
+//!   not run it: the evaluator matches a body `<t>` natively, and this
+//!   macro is the oracle that matcher is tested against;
 //! * [`head_terms`] — complex head terms mixing tuples, functors and `<…>`
 //!   at any nesting depth (§4.2), via the Distribution / Grouping / Nesting
 //!   rewrite rules, their degenerate cases, and the alternative grouping
@@ -39,9 +41,10 @@ pub mod neg_elim;
 
 use ldl_ast::program::Program;
 
-/// Compile an LDL1.5 program down to core LDL1: eliminate body `<t>`
-/// patterns, then complex head terms, repeating until the program is plain
-/// LDL1.
+/// Compile an LDL1.5 program down to core LDL1 by the paper's macros:
+/// eliminate body `<t>` patterns, then complex head terms, repeating until
+/// the program is plain LDL1. `System` runs only the head rewrite; this is
+/// the whole §4 expansion, kept as an oracle.
 pub fn ldl15_to_ldl1(program: &Program) -> Result<Program, TransformError> {
     let p = body_angle::eliminate_body_groups(program)?;
     head_terms::eliminate_complex_heads(&p, head_terms::GroupingSemantics::PerGroup)

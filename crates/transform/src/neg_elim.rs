@@ -88,9 +88,9 @@ fn rewrite_rule(rule: &Rule, g: &Gensym, out: &mut Program) -> Result<(), Transf
     );
     let s = g.var("S");
     let tbar_as_term = if tbar.len() == 1 {
-        tbar[0].clone()
+        fill_anon(&tbar[0])
     } else {
-        Term::Compound(tuple_functor(), tbar.clone())
+        Term::Compound(tuple_functor(), tbar.iter().map(fill_anon).collect())
     };
     let mut ok_p_args = tvar_terms.clone();
     ok_p_args.push(Term::Var(s));
@@ -133,6 +133,22 @@ fn rewrite_rule(rule: &Rule, g: &Gensym, out: &mut Program) -> Result<(), Transf
     rewrite_rule(&new_rule, g, out)
 }
 
+/// `t` with every `_` replaced by the constant `0`. The witness `{T̄}` of
+/// an `ok` rule need only differ from `⊥`, and an `_` left in it could never
+/// be bound, so the rule would not be schedulable.
+fn fill_anon(t: &Term) -> Term {
+    let fill = |t: &Term| Box::new(fill_anon(t));
+    match t {
+        Term::Anon => Term::Const(Value::int(0)),
+        Term::Var(_) | Term::Const(_) => t.clone(),
+        Term::Compound(f, args) => Term::Compound(*f, args.iter().map(fill_anon).collect()),
+        Term::SetEnum(args) => Term::SetEnum(args.iter().map(fill_anon).collect()),
+        Term::Scons(h, rest) => Term::Scons(fill(h), fill(rest)),
+        Term::Group(inner) => Term::Group(fill(inner)),
+        Term::Arith(op, l, r) => Term::Arith(*op, fill(l), fill(r)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +177,14 @@ mod tests {
         let out = eliminate_negation(&p).unwrap();
         assert!(out.is_positive());
         assert_eq!(out.len(), 9); // 4 + 4 + the final rewritten rule
+    }
+
+    #[test]
+    fn anonymous_variables_leave_the_witness_ground() {
+        // `S = {(Y, _)}` could never bind S; the witness fills `_` in.
+        let p = parse_program("q(Y) <- r(Y), ~s(Y, _).").unwrap();
+        let out = eliminate_negation(&p).unwrap();
+        assert!(out.to_string().contains("{(Y, 0)}"), "{out}");
     }
 
     #[test]

@@ -52,8 +52,11 @@ fn insertion_orders(db: &Database) -> Vec<(Symbol, Vec<Vec<ldl1::value::ValueId>
         .collect()
 }
 
+/// A generated program is LDL1.5 (a template reads sets through a body
+/// `<t>`), so it is checked as such.
 fn opts(cancel: &CancelToken) -> EvalOptions {
     EvalOptions {
+        dialect: ldl1::ast::wf::Dialect::Ldl15,
         budget: Budget::unlimited().with_cancel(cancel.clone()),
         ..EvalOptions::default()
     }
@@ -209,7 +212,7 @@ fn incremental_abort_then_recommit_matches_clean_model() {
         }
         let (batches, survivors) = mutation_sequence(rng, &case, 6);
         let program = ldl1::parser::parse_program(&case.src).unwrap();
-        let reference = Evaluator::new()
+        let reference = Evaluator::with_options(opts(&CancelToken::new()))
             .evaluate(&program, &edb_of(&survivors))
             .unwrap();
         let system = |cancel: &CancelToken| {

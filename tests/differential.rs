@@ -23,9 +23,10 @@
 //!   takes on a cold system (magic sets for a bound query, the model for an
 //!   unbound one).
 
+use ldl1::ast::wf::Dialect;
 use ldl1::{
-    check_model, reference_model, Database, Evaluator, FactSet, MagicEvaluator, Program, System,
-    Value,
+    check_model, reference_model, Database, EvalOptions, Evaluator, FactSet, MagicEvaluator,
+    Program, System, Value,
 };
 use ldl_testkit::gen::{mutation_sequence, stratified_case, GenConst, GenMutation, GeneratedCase};
 use ldl_testkit::{cases_shrink, Rng};
@@ -55,8 +56,17 @@ fn program_of(case: &GeneratedCase) -> Program {
     ldl1::parser::parse_program(&case.src).unwrap()
 }
 
+/// A generated program is LDL1.5: one template reads sets through a body
+/// `<t>`.
+fn ldl15() -> EvalOptions {
+    EvalOptions {
+        dialect: Dialect::Ldl15,
+        ..EvalOptions::default()
+    }
+}
+
 fn evaluate(case: &GeneratedCase) -> Database {
-    Evaluator::new()
+    Evaluator::with_options(ldl15())
         .evaluate(&program_of(case), &edb_of(case))
         .unwrap()
 }
@@ -90,12 +100,35 @@ fn incremental_model(case: &GeneratedCase) -> FactSet {
     sys.model_facts().unwrap()
 }
 
+/// How a grouped set `s{l}(X, S)` of the §4.1 template meets its body
+/// pattern `<f(Y)>`: `Some(true)` when every element is an `f(n)` (a
+/// match), `Some(false)` when an `f(n)` sits beside another shape (a
+/// uniformity failure), `None` otherwise.
+fn meets_f_pattern(fact: &ldl1::Fact) -> Option<bool> {
+    let name = fact.pred().as_str();
+    if !name.starts_with('s') || !name[1..].chars().all(|c| c.is_ascii_digit()) {
+        return None;
+    }
+    let Value::Set(set) = &fact.args()[1] else {
+        return None;
+    };
+    let is_f = |v: &Value| matches!(v, Value::Compound(c) if c.functor().as_str() == "f");
+    let fs = set.iter().filter(|v| is_f(v)).count();
+    match fs {
+        0 => None,
+        n => Some(n == set.len()),
+    }
+}
+
 /// engine ≡ reference model, over 208 random stratified programs mixing
-/// recursion, negation, grouping, and skewed EDBs: one-shot evaluation and
-/// incremental maintenance both land on the model §3.2 defines, and that
-/// model satisfies every rule (§2.2).
+/// recursion, negation, grouping, §4.1 body `<t>` and skewed EDBs: one-shot
+/// evaluation and incremental maintenance both land on the model §3.2
+/// defines, and that model satisfies every rule (§2.2). The `<t>` template
+/// meets both outcomes of `<f(Y)>` on these cases: a match and a uniformity
+/// failure.
 #[test]
 fn engine_matches_reference_model() {
+    let (matched, refused) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
     cases_shrink(208, 12, |rng: &mut Rng, size: u32| {
         let case = stratified_case(rng, size);
 
@@ -104,7 +137,18 @@ fn engine_matches_reference_model() {
         assert_eq!(model, reference(&case), "engine vs reference model");
         check_model(&program_of(&case), &model).unwrap();
         assert_eq!(model, incremental_model(&case), "one-shot vs incremental");
+        for f in model.iter() {
+            match meets_f_pattern(f) {
+                Some(true) => matched.set(matched.get() + 1),
+                Some(false) => refused.set(refused.get() + 1),
+                None => {}
+            }
+        }
     });
+    assert!(
+        matched.get() > 0 && refused.get() > 0,
+        "{matched:?} {refused:?}"
+    );
 }
 
 /// `case` loaded into a fresh system that has evaluated nothing.
@@ -267,7 +311,9 @@ fn magic_evaluation_matches_plain_on_bound_queries() {
         };
         let query = ldl1::parser::parse_atom(&q).unwrap();
         let mp = MagicEvaluator::compile(&program, &query).unwrap();
-        let magic = MagicEvaluator::new().evaluate(&mp, &program, &edb).unwrap();
+        let magic = MagicEvaluator::with_options(ldl15())
+            .evaluate(&mp, &program, &edb)
+            .unwrap();
         assert_eq!(
             Evaluator::new().query(&evaluate(&case), &query),
             Evaluator::new().query(&magic, &mp.query),

@@ -4,6 +4,7 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use ldl1::transform::{body_angle, neg_elim};
 use ldl1::value::intern::{self, ValueId};
 use ldl1::value::order::{dominates_elaborate, factset_dominated};
 use ldl1::value::set;
@@ -335,31 +336,41 @@ fn rand_choices(rng: &mut Rng, n: usize) -> Vec<u8> {
     (0..n).map(|_| (rng.next_u64() % 4) as u8).collect()
 }
 
-/// Theorem 2, fuzzed: canonical and fine layerings agree on random
-/// admissible programs with negation and grouping at random strata.
+/// A generated case's EDB as a `Database`.
+fn gen_edb(case: &GeneratedCase) -> Database {
+    let mut edb = Database::new();
+    for (pred, args) in &case.edb {
+        edb.insert_tuple(*pred, args.iter().map(gen_value).collect());
+    }
+    edb
+}
+
+/// The generated programs are LDL1.5: a template reads sets through a body
+/// `<t>`.
+fn ldl15() -> Evaluator {
+    Evaluator::with_options(EvalOptions {
+        dialect: ldl1::ast::wf::Dialect::Ldl15,
+        ..EvalOptions::default()
+    })
+}
+
+/// Theorem 2: the model does not depend on the layering. The canonical
+/// (fewest layers) and fine (one layer per component) layerings of every
+/// generated stratified program are both valid and evaluate to one model.
 #[test]
 fn theorem2_fuzzed() {
-    cases(32, |rng| {
-        let edges = rand_edges(rng, 14, 8);
-        let marked: Vec<i64> = (0..rng.index(5)).map(|_| rng.range(0, 8)).collect();
-        let choices = rand_choices(rng, 3);
-        let src = random_stratified_program(4, &choices);
-        let program = ldl1::parser::parse_program(&src).unwrap();
-        let mut edb = Database::new();
-        for &(a, b) in &edges {
-            edb.insert_tuple("e0", vec![Value::int(a), Value::int(b)]);
-        }
-        for &m in &marked {
-            edb.insert_tuple("e1", vec![Value::int(m)]);
-        }
-        let ev = Evaluator::new();
+    cases_shrink(96, 10, |rng: &mut Rng, size: u32| {
+        let case = stratified_case(rng, size);
+        let program = ldl1::parser::parse_program(&case.src).unwrap();
+        let edb = gen_edb(&case);
         let canon = ldl1::Stratification::canonical(&program).unwrap();
         let fine = ldl1::Stratification::fine(&program).unwrap();
         canon.validate(&program).unwrap();
         fine.validate(&program).unwrap();
+        let ev = ldl15();
         let m1 = ev.evaluate_with(&program, &edb, &canon).unwrap();
         let m2 = ev.evaluate_with(&program, &edb, &fine).unwrap();
-        assert_eq!(m1.to_fact_set(), m2.to_fact_set());
+        assert_eq!(m1.to_fact_set(), m2.to_fact_set(), "{}", case.src);
     });
 }
 
@@ -806,7 +817,7 @@ fn query_probe_scan_and_filter_agree() {
             edb.insert_tuple(*pred, args);
         }
         let program = ldl1::parser::parse_program(&case.src).unwrap();
-        let mut model = Evaluator::new().evaluate(&program, &edb).unwrap();
+        let mut model = ldl15().evaluate(&program, &edb).unwrap();
         let mut indexed = model.clone();
         index_every_subset(&mut indexed);
         let unindexed = |db: &Database| Database::from_fact_set(&db.to_fact_set());
@@ -956,13 +967,13 @@ fn spell_nested(rng: &mut Rng, depth: u32) -> String {
 }
 
 /// §4.1: a body `<t>` means the same matched natively as rewritten by the
-/// paper's macro. `Evaluator` under `Dialect::Ldl15` matches `<X>`, `<<X>>`
-/// and `<f(X, _)>` itself — in a relation literal through the match step
-/// after the scan, in a built-in literal through `=` and `member`. `System`
-/// first rewrites each relation literal's `<t>` into a grouping
-/// `collect'` rule over a `dom'` predicate (`body_angle`). On nested sets of
-/// ints and compounds, uniform and not, the two models agree on every user
-/// predicate.
+/// paper's macro. `System` matches `<X>`, `<<X>>` and `<f(X, _)>` itself —
+/// in a relation literal through the match step after the scan, in a
+/// built-in literal through `=` and `member`. The oracle is
+/// `reference_model` run over `body_angle`'s rewrite, which turns each
+/// relation literal's `<t>` into a grouping `collect'` rule over a `dom'`
+/// predicate. On nested sets of ints and compounds, uniform and not, the
+/// two models agree on every user predicate.
 #[test]
 fn body_group_patterns_match_the_section_4_1_macro() {
     const RULES: [&str; 8] = [
@@ -993,22 +1004,46 @@ fn body_group_patterns_match_the_section_4_1_macro() {
             }
         }
         let program = ldl1::parser::parse_program(&src).unwrap();
-        let native = Evaluator::with_options(EvalOptions {
-            dialect: ldl1::ast::wf::Dialect::Ldl15,
-            ..EvalOptions::default()
-        })
-        .evaluate(&program, &Database::new())
-        .unwrap()
-        .to_fact_set();
+        let rewritten = body_angle::eliminate_body_groups(&program).unwrap();
+        let by_macro = reference_model(&rewritten, &Database::new())
+            .unwrap()
+            .to_fact_set();
         let mut sys = System::new();
         sys.load(&src).unwrap();
-        let rewritten = sys.model_facts().unwrap();
+        let native = sys.model_facts().unwrap();
         let user = |m: &FactSet| -> BTreeSet<String> {
             m.iter()
                 .filter(|f| preds.contains(&f.pred().as_str()))
                 .map(|f| f.to_string())
                 .collect()
         };
-        assert_eq!(user(&native), user(&rewritten), "{src}");
+        assert_eq!(user(&native), user(&by_macro), "{src}");
+    });
+}
+
+// ------------------------------------------ §3.3 negation into grouping --
+
+/// §3.3: grouping subsumes negation. `neg_elim::eliminate_negation(P)` is
+/// positive, and its model, restricted to `P`'s predicates, is
+/// `reference_model(P)` on every generated stratified program. This pits
+/// the engine's grouping operator, which evaluates the rewrite, against the
+/// negation probe the reference runs.
+#[test]
+fn negation_compiled_into_grouping_matches_the_reference() {
+    cases_shrink(96, 10, |rng: &mut Rng, size: u32| {
+        let case = stratified_case(rng, size);
+        let program = ldl1::parser::parse_program(&case.src).unwrap();
+        let edb = gen_edb(&case);
+        let expected = reference_model(&program, &edb).unwrap().to_fact_set();
+        let positive = neg_elim::eliminate_negation(&program).unwrap();
+        assert!(positive.is_positive(), "{positive}");
+        let model = ldl15().evaluate(&positive, &edb).unwrap().to_fact_set();
+        // The rewrite's own predicates carry a `'`, which user names cannot.
+        let restricted: FactSet = model
+            .iter()
+            .filter(|f| !f.pred().as_str().contains('\''))
+            .cloned()
+            .collect();
+        assert_eq!(restricted, expected, "{}", case.src);
     });
 }

@@ -63,6 +63,81 @@ fn body_angle_patterns() {
     }));
 }
 
+/// X12 — admission of a body `<t>` is the macro's. `System` matches `<t>`
+/// natively, so the positions and cycles §4.1's macro cannot rewrite are
+/// refused by the well-formedness check and by the stratifier's `>` edge
+/// for a `<t>` literal. Each program is refused by the macro too, and a
+/// refused cycle names the user's predicates.
+#[test]
+fn body_angle_admission_matches_the_macro() {
+    use ldl1::eval::EvalError;
+    use ldl1::Error;
+
+    use ldl1::ast::wf::WfError;
+    // Which refusal an error is; a cycle must name only user predicates.
+    let refusal = |e: &Error| match e {
+        Error::Eval(EvalError::WellFormedness(errs)) => match errs.as_slice() {
+            [WfError::GroupInUnsupportedPosition(_)] => "position",
+            [WfError::GroupInNegativeLiteral(_)] => "negation",
+            _ => "other",
+        },
+        Error::Eval(EvalError::NotAdmissible(n))
+            if n.cycle.iter().all(|p| !p.as_str().contains('\'')) =>
+        {
+            "cycle"
+        }
+        _ => "other",
+    };
+    let cases = [
+        ("q(X) <- p({<X>}).", "position"),
+        ("q(X) <- p(scons(3, <X>)).", "position"),
+        ("q(X) <- p(<X> + 1).", "position"),
+        ("q(X) <- r(X), ~p(<X>).", "negation"),
+        ("s({X}) <- s(<X>).", "cycle"),
+        ("u(X) <- s(<X>). s({X}) <- u(X).", "cycle"),
+    ];
+    for (src, expected) in cases {
+        let mut sys = System::new();
+        let err = sys.load(src).unwrap_err();
+        assert_eq!(refusal(&err), expected, "{src}: {err:?}");
+        assert!(sys.program().rules.is_empty(), "{src}");
+
+        let program = ldl1::parser::parse_program(src).unwrap();
+        let by_macro = ldl1::transform::ldl15_to_ldl1(&program);
+        assert!(
+            by_macro.map_or(true, |p| Stratification::canonical(&p).is_err()),
+            "{src}: the macro admits it"
+        );
+    }
+}
+
+/// X12 — on §4.1's examples, `System` runs the rule as written: one rule
+/// and one schedule entry, where the macro adds a `dom'` and a grouping
+/// `collect'` rule per `<t>`. The layer count is the macro's.
+#[test]
+fn body_angle_runs_as_written() {
+    for src in [
+        "q(X) <- p(<X>).",
+        "q(X) <- p(<<X>>).",
+        "t(A, X) <- s(A, <f(X, _)>).",
+        "class(T, X) <- students(T, <X>).",
+        "q(T, X) <- r(T, <h(<X>)>).",
+    ] {
+        let mut sys = System::new();
+        sys.load(src).unwrap();
+        let native = sys.program();
+        assert_eq!(native.rules.len(), 1, "{src}");
+        let strat = Stratification::canonical(native).unwrap();
+        assert_eq!(strat.entries().count(), 1, "{src}");
+
+        let program = ldl1::parser::parse_program(src).unwrap();
+        let by_macro = ldl1::transform::ldl15_to_ldl1(&program).unwrap();
+        assert_eq!(by_macro.rules.len(), 3, "{src}");
+        let macro_strat = Stratification::canonical(&by_macro).unwrap();
+        assert_eq!(strat.num_layers(), macro_strat.num_layers(), "{src}");
+    }
+}
+
 /// X13 — §4.2.1 head terms through the facade (exactness of the three
 /// shapes is covered crate-side; here: end-to-end + the degenerate cases).
 #[test]
