@@ -43,8 +43,9 @@ pub struct EvalOptions {
     pub partitioned: bool,
     /// Resource limits and the cancellation token for every evaluation
     /// drive run under these options. Default: [`Budget::unlimited`].
-    /// Checked cooperatively at round boundaries — a run either completes
-    /// or fails with
+    /// Checked only at round boundaries: a limit crossed or a token
+    /// cancelled mid-round lets that round finish, and the check after it
+    /// aborts. A run either completes or fails with
     /// [`EvalError::ResourceExhausted`](crate::EvalError) and leaves the
     /// caller's state untouched.
     pub budget: Budget,

@@ -28,15 +28,16 @@
 //! * a [`Drive`] carries what one operation's rounds share.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use ldl_ast::program::{Builtin, Program};
 use ldl_storage::Database;
 use ldl_stratify::{Component, Stratification};
 use ldl_value::fxhash::FastMap;
-use ldl_value::{Symbol, ValueId};
+use ldl_value::{intern, Symbol, ValueId};
 
 use crate::bindings::Bindings;
-use crate::budget::{BudgetMeter, RoundGate};
+use crate::budget::ResourceKind;
 use crate::engine::EvalOptions;
 use crate::error::EvalError;
 use crate::exec::run_ram;
@@ -47,25 +48,94 @@ use crate::stats::EvalStats;
 
 /// What the rounds of one operation — a full evaluation, a mutation batch,
 /// a magic-set query — share: the options they run under, the work counters
-/// every round folds into, and the budget meter that makes the operation
-/// abort as a unit.
+/// every round folds into, and the budget that makes the operation abort as
+/// a unit.
+///
+/// The counters are the budget's ledger: fuel and the fact cap compare
+/// `stats.attempts` and `stats.facts_derived` with their values when the
+/// drive started, so a drive handed counters another operation already
+/// filled meters only its own work. The deadline is resolved to an absolute
+/// instant at construction, so nested fixpoints (the magic-set schedule)
+/// share one clock.
 pub struct Drive<'a> {
     opts: &'a EvalOptions,
     /// The operation's work counters.
     pub stats: &'a mut EvalStats,
-    /// The operation's consumption ledger, checked at round boundaries.
-    pub meter: BudgetMeter<'a>,
+    /// `(attempts, facts_derived)` when the drive started.
+    base: (u64, u64),
+    started: Instant,
+    deadline: Option<Instant>,
+    /// The layer (or magic stage) and a head predicate being evaluated, for
+    /// abort diagnostics.
+    context: (usize, Option<Symbol>),
 }
 
 impl<'a> Drive<'a> {
     /// Start an operation under `opts`, counting into `stats`; the budget's
     /// deadline clock starts now.
     pub fn new(opts: &'a EvalOptions, stats: &'a mut EvalStats) -> Drive<'a> {
+        let started = Instant::now();
         Drive {
             opts,
+            base: (stats.attempts, stats.facts_derived),
             stats,
-            meter: BudgetMeter::new(&opts.budget),
+            started,
+            deadline: opts.budget.deadline.map(|d| started + d),
+            context: (0, None),
         }
+    }
+
+    /// Record which stratum (and representative head predicate) is being
+    /// evaluated, for abort diagnostics.
+    pub fn set_context(&mut self, stratum: usize, pred: Option<Symbol>) {
+        self.context = (stratum, pred);
+    }
+
+    /// The round-boundary check: abort if the token was cancelled or any
+    /// limit is exceeded. Cheap when nothing is configured — one atomic
+    /// load for the token, a compare per set limit, a clock read only under
+    /// a deadline, an interner-size read only under an interner cap.
+    pub fn check(&self) -> Result<(), EvalError> {
+        let b = &self.opts.budget;
+        let attempts = self.stats.attempts - self.base.0;
+        let facts = self.stats.facts_derived - self.base.1;
+        let exhausted = |resource, consumed, limit| {
+            let (stratum, pred) = self.context;
+            Err(EvalError::ResourceExhausted {
+                resource,
+                consumed,
+                limit,
+                stratum,
+                pred: pred.map_or_else(|| "?".to_string(), |p| p.to_string()),
+            })
+        };
+        if b.cancel.is_cancelled() {
+            return exhausted(ResourceKind::Interrupt, attempts, 0);
+        }
+        if let Some(limit) = b.fuel.filter(|&l| attempts > l) {
+            return exhausted(ResourceKind::Fuel, attempts, limit);
+        }
+        if let Some(limit) = b.max_facts.filter(|&l| facts > l) {
+            return exhausted(ResourceKind::Facts, facts, limit);
+        }
+        if let Some(deadline) = self.deadline {
+            let now = Instant::now();
+            if now >= deadline {
+                let limit = b.deadline.unwrap_or_default().as_millis() as u64;
+                return exhausted(
+                    ResourceKind::Time,
+                    (now - self.started).as_millis() as u64,
+                    limit,
+                );
+            }
+        }
+        if let Some(limit) = b.max_interned {
+            let len = intern::len() as u64;
+            if len > limit {
+                return exhausted(ResourceKind::Interner, len, limit);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -239,7 +309,7 @@ pub(crate) fn run_entry(
     db: &mut Database,
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
-    drive.meter.set_context(layer, entry.preds.first().copied());
+    drive.set_context(layer, entry.preds.first().copied());
     ensure_head_relations(program, &entry.rules, db)?;
     let mut frontier = frontier_at(db, entry.preds.iter().copied());
     full_round(program, &entry.rules, cache, db, drive)?;
@@ -395,25 +465,16 @@ impl DerivedBuf {
 /// derivation attempts (body solutions enumerated — the fuel unit) the pass
 /// performed to `stats`. It mutates nothing else. The body runs through the
 /// plan's lowered register program ([`crate::exec`]).
-///
-/// The `gate` is the cooperative-cancellation tap: one armed-only atomic
-/// tick per body solution, and an entry check that skips the whole pass
-/// when the token has already tripped (a partially-skipped round is fine —
-/// its buffers are discarded wholesale at the round boundary, never merged).
 pub(crate) fn derive_once(
     plan: &RulePlan,
     db: &Database,
     restrict: Option<DeltaRestriction>,
-    gate: RoundGate<'_>,
     stats: &mut EvalStats,
 ) -> DerivedBuf {
     let mut buf = DerivedBuf {
         arity: plan.head.arity(),
         ..DerivedBuf::default()
     };
-    if gate.is_cancelled() {
-        return buf;
-    }
     stats.lowerings += u64::from(plan.ram.get().is_none());
     let prog = plan.lowered();
     match &prog.head {
@@ -423,7 +484,6 @@ pub(crate) fn derive_once(
             let mut attempts = 0u64;
             let (probes, cuts) = run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
                 attempts += 1;
-                gate.tick();
                 if project_head(head, regs, &mut buf.data) {
                     buf.count += 1;
                 }
@@ -436,7 +496,7 @@ pub(crate) fn derive_once(
         // one pass (the aggregation is not decomposable): never a range.
         HeadIr::Grouping { .. } => {
             debug_assert!(restrict.is_none(), "grouping pass restricted");
-            derive_grouped(plan, db, gate, stats, &mut buf);
+            derive_grouped(plan, db, stats, &mut buf);
         }
     }
     buf
@@ -447,14 +507,8 @@ pub(crate) fn derive_once(
 /// `derive_once`'s own body the simple-head emit loop beside them compiled
 /// ~5 % slower (EXPERIMENTS.md P21).
 #[inline(never)]
-fn derive_grouped(
-    plan: &RulePlan,
-    db: &Database,
-    gate: RoundGate<'_>,
-    stats: &mut EvalStats,
-    buf: &mut DerivedBuf,
-) {
-    let tuples = run_grouping_rule(plan, db, gate, stats);
+fn derive_grouped(plan: &RulePlan, db: &Database, stats: &mut EvalStats, buf: &mut DerivedBuf) {
+    let tuples = run_grouping_rule(plan, db, stats);
     buf.count = tuples.len();
     buf.data = tuples.into_iter().flatten().collect();
 }
@@ -481,39 +535,36 @@ fn project_head(head: &[Expr], regs: &[ValueId], data: &mut Vec<ValueId>) -> boo
 /// Execute one evaluation round — one application of §3.2's `R` — and the
 /// only place derived facts enter the database. The derive phase runs every
 /// task, in task order, against the current state (immutable for the
-/// duration), folding the passes' counters into the operation's stats and
-/// charging their attempts to its meter; then the buffers are merged in
-/// task order. The tuples are already interned ids, so a rejected duplicate
-/// costs one hash of a few u32s. Returns the number of new facts.
+/// duration), folding the passes' counters into the operation's stats;
+/// then the buffers are merged in task order. The tuples are already
+/// interned ids, so a rejected duplicate costs one hash of a few u32s.
+/// Returns the number of new facts.
 ///
-/// Budget checks bracket the round ([`BudgetMeter::check`] before the
-/// derive phase, charge-and-check after the merge). A round is therefore
-/// all-or-nothing with respect to aborts: either its full merge lands, or
-/// the error propagates with the caller responsible for discarding `db` —
-/// a partially-built group set, in particular, is never observable.
+/// Budget checks bracket the round ([`Drive::check`] before the derive
+/// phase and after the merge), and nothing inside it stops early: a limit
+/// crossed or a token cancelled mid-round lets the round finish and aborts
+/// at its boundary. A round is therefore all-or-nothing with respect to
+/// aborts: either its full merge lands, or the error propagates with the
+/// caller responsible for discarding `db` — a partially-built group set, in
+/// particular, is never observable.
 pub fn run_round(
     tasks: &[RoundTask<'_>],
     db: &mut Database,
     drive: &mut Drive<'_>,
 ) -> Result<usize, EvalError> {
-    drive.meter.check()?;
+    drive.check()?;
     if tasks.is_empty() {
         return Ok(0);
     }
-    // The gate is a `Copy` view of the budget's cancel token, so a pass taps
-    // the countdown/flag without touching the (exclusively borrowed) meter.
-    let gate = drive.opts.budget.gate();
     let stats = &mut *drive.stats;
     stats.rounds += 1;
     stats.compiled_rounds += 1;
     stats.rules_fired += tasks.len() as u64;
-    let attempts_before = stats.attempts;
     let mut derived: Vec<(Symbol, DerivedBuf)> = Vec::with_capacity(tasks.len());
     for t in tasks {
-        let buf = derive_once(t.plan, db, t.restrict, gate, stats);
+        let buf = derive_once(t.plan, db, t.restrict, stats);
         derived.push((t.plan.head.pred, buf));
     }
-    drive.meter.charge(stats.attempts - attempts_before, 0);
 
     let mut new = 0u64;
     let mut dedup = 0u64;
@@ -526,10 +577,9 @@ pub fn run_round(
             }
         });
     }
-    drive.stats.dedup_inserts += dedup;
-    drive.stats.facts_derived += new;
-    drive.meter.charge(0, new);
-    drive.meter.check()?;
+    stats.dedup_inserts += dedup;
+    stats.facts_derived += new;
+    drive.check()?;
     Ok(new as usize)
 }
 

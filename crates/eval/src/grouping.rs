@@ -19,7 +19,6 @@ use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::{intern, ValueId};
 
 use crate::bindings::Bindings;
-use crate::budget::RoundGate;
 use crate::exec::run_ram;
 use crate::plan::{HeadKind, RulePlan};
 use crate::ram::{eval_expr, HeadIr};
@@ -91,14 +90,9 @@ impl Groups {
 ///
 /// Admissibility guarantees every body predicate lies in a strictly lower
 /// layer (§3.1 clause 2), so `db` already holds their complete relations.
-/// The `gate` only *flags* cancellation ([`RoundGate::tick`] per solution);
-/// the rule still runs to completion so its output is never a partial group
-/// set — the caller discards the whole round on abort. Pass
-/// [`RoundGate::open`] when evaluating without a budget.
 pub fn run_grouping_rule(
     plan: &RulePlan,
     db: &Database,
-    gate: RoundGate<'_>,
     stats: &mut EvalStats,
 ) -> Vec<Vec<ValueId>> {
     let HeadKind::Grouping {
@@ -125,7 +119,6 @@ pub fn run_grouping_rule(
     let mut b = Bindings::new();
     let (probes, cuts) = run_ram(&prog, db, None, &mut regs, &mut b, &mut |regs| {
         attempts += 1;
-        gate.tick();
         // Range restriction guarantees Y and Z̄ are bound; an unbound
         // register here means the rule slipped past well-formedness — fail
         // loudly.
@@ -169,7 +162,7 @@ mod tests {
     }
 
     fn run(plan: &RulePlan, db: &Database) -> Vec<Fact> {
-        let tuples = run_grouping_rule(plan, db, RoundGate::open(), &mut EvalStats::new());
+        let tuples = run_grouping_rule(plan, db, &mut EvalStats::new());
         assert_eq!(
             tuples,
             crate::model::apply_rule(plan, db),

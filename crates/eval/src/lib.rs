@@ -37,7 +37,7 @@ pub mod retract;
 pub mod stats;
 pub mod unify;
 
-pub use budget::{Budget, BudgetMeter, CancelToken, ResourceKind, RoundGate};
+pub use budget::{Budget, CancelToken, ResourceKind};
 pub use engine::{EvalOptions, Evaluator, QueryAnswer};
 pub use error::EvalError;
 pub use explain::explain;

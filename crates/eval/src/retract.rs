@@ -193,7 +193,7 @@ fn sweep(
             replay(program, layer, entry, edb, db, &mut cache, del, ins, drive)?;
             continue;
         }
-        drive.meter.set_context(layer, entry.preds.first().copied());
+        drive.set_context(layer, entry.preds.first().copied());
         ensure_head_relations(program, &entry.rules, db)?;
         // Marked before DRed: rederivation joins against relations that
         // already hold the batch's insertions, so it can derive tuples only
@@ -362,7 +362,7 @@ fn dred(
     entry_pending: &[(Symbol, Vec<Row>)],
     drive: &mut Drive<'_>,
 ) -> Result<Vec<(Symbol, Row)>, EvalError> {
-    drive.meter.check()?;
+    drive.check()?;
     let heads = &entry.preds;
     let is_deletable = |l: &Literal| {
         l.positive
@@ -533,13 +533,14 @@ fn dred(
         }
     }
     drive.stats.strata_dred += 1;
-    drive.meter.check()?;
+    drive.check()?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{Budget, ResourceKind};
     use ldl_parser::parse_program;
     use ldl_value::Value;
 
@@ -1100,5 +1101,52 @@ mod tests {
         // Extend the chain: both predicates must advance.
         let stats = mutate_vs_reference(&mut case, &[], &ints("succ", &[&[10, 11], &[11, 12]]));
         assert_eq!(stats.strata_replayed, 0);
+    }
+
+    /// The budget meters a commit's own work: a batch handed counters that
+    /// earlier operations already filled runs under a limit set to what the
+    /// batch alone spends, and one below it aborts at that amount.
+    #[test]
+    fn a_commit_on_filled_counters_meters_only_its_own_work() {
+        let chain: Vec<Tuple> = (0..8).map(|i| ("e", vals(&[i, i + 1]))).collect();
+        let batch = (ints("e", &[&[3, 4]]), ints("e", &[&[8, 9]]));
+        let own = mutate_vs_reference(&mut setup(TC, &chain), &batch.0, &batch.1);
+        assert!(own.attempts > 0 && own.facts_derived > 0);
+
+        let commit = |budget: Budget| {
+            let (program, strat, mut edb, mut db) = setup(TC, &chain);
+            let sens = strat.sensitivity(&program);
+            let mut stats = EvalStats::new();
+            (stats.attempts, stats.facts_derived) = (1_000_000, 1_000_000);
+            let facts = |ts: &[Tuple]| -> Vec<Fact> {
+                ts.iter().map(|(p, a)| Fact::new(*p, a.clone())).collect()
+            };
+            let opts = EvalOptions {
+                budget,
+                ..EvalOptions::default()
+            };
+            let (del, ins) = (facts(&batch.0), facts(&batch.1));
+            let res = apply_mutations(
+                &program, &strat, &sens, &mut edb, &mut db, &del, &ins, &opts, &mut stats,
+            );
+            match res {
+                Ok(()) => None,
+                Err(EvalError::ResourceExhausted {
+                    resource, consumed, ..
+                }) => Some((resource, consumed)),
+                Err(e) => panic!("{e}"),
+            }
+        };
+        let (attempts, facts) = (own.attempts, own.facts_derived);
+        assert_eq!(commit(Budget::unlimited().with_fuel(attempts)), None);
+        assert_eq!(commit(Budget::unlimited().with_max_facts(facts)), None);
+        assert_eq!(
+            commit(Budget::unlimited().with_fuel(attempts - 1)),
+            Some((ResourceKind::Fuel, attempts))
+        );
+        assert_eq!(
+            commit(Budget::unlimited().with_max_facts(facts - 1)),
+            Some((ResourceKind::Facts, facts))
+        );
     }
 }

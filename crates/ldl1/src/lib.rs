@@ -483,9 +483,11 @@ impl System {
 
     /// The cancel token evaluations run under — share it with another
     /// thread (or a signal handler) and call [`CancelToken::cancel`] to
-    /// interrupt an evaluation in progress. The interrupted call fails with
-    /// [`eval::EvalError::ResourceExhausted`] and leaves the system in its
-    /// pre-call state; [`CancelToken::reset`] re-arms for the next call.
+    /// interrupt an evaluation in progress. The evaluation finishes the
+    /// round in flight and stops at its boundary, like a deadline: the
+    /// interrupted call fails with [`eval::EvalError::ResourceExhausted`]
+    /// and leaves the system in its pre-call state; [`CancelToken::reset`]
+    /// re-arms for the next call.
     pub fn interrupt_handle(&self) -> CancelToken {
         self.options.budget.cancel.clone()
     }

@@ -18,11 +18,6 @@ use crate::sip::{default_sip, Sip};
 pub struct Adornment(pub Vec<bool>);
 
 impl Adornment {
-    /// The all-free adornment of the given arity.
-    pub fn all_free(arity: usize) -> Adornment {
-        Adornment(vec![false; arity])
-    }
-
     /// Number of bound positions.
     pub fn bound_count(&self) -> usize {
         self.0.iter().filter(|&&b| b).count()

@@ -171,11 +171,11 @@ impl MagicEvaluator {
         // determined by its own magic closure, which was saturated when the
         // binding was processed. The magic schedule is not layered; abort
         // diagnostics report the stage and the query predicate.
-        drive.meter.set_context(0, Some(mp.query.pred));
+        drive.set_context(0, Some(mp.query.pred));
         full_round(program, &base, &mut cache, &mut db, &mut drive)?;
         let max_stratum = guarded.iter().map(|(s, _)| *s).max().unwrap_or(0);
         for s in 0..=max_stratum {
-            drive.meter.set_context(s, Some(mp.query.pred));
+            drive.set_context(s, Some(mp.query.pred));
             loop {
                 delta_loop(
                     program,

@@ -70,13 +70,6 @@ impl fmt::Debug for Fact {
     }
 }
 
-/// Render a fact set deterministically (sorted), for tests and debugging.
-pub fn display_sorted(facts: &FactSet) -> String {
-    let mut v: Vec<String> = facts.iter().map(|f| f.to_string()).collect();
-    v.sort();
-    format!("{{{}}}", v.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,16 +90,5 @@ mod tests {
         let mut s = FactSet::default();
         s.insert(a);
         assert!(!s.insert(b));
-    }
-
-    #[test]
-    fn display_sorted_is_deterministic() {
-        let s: FactSet = [
-            Fact::new("q", vec![Value::int(2)]),
-            Fact::new("q", vec![Value::int(1)]),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(display_sorted(&s), "{q(1), q(2)}");
     }
 }

@@ -83,15 +83,6 @@ impl From<&str> for Symbol {
     }
 }
 
-/// Compare two symbols by their *names*, not their interner ids.
-///
-/// `Ord` on [`Symbol`] orders by interner id (fast, arbitrary but stable
-/// within a run); this helper gives the human ordering where needed for
-/// deterministic output.
-pub fn cmp_by_name(a: Symbol, b: Symbol) -> std::cmp::Ordering {
-    a.as_str().cmp(b.as_str())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,14 +118,6 @@ mod tests {
         let s = Symbol::intern("tc");
         assert_eq!(format!("{s}"), "tc");
         assert_eq!(format!("{s:?}"), "Symbol(\"tc\")");
-    }
-
-    #[test]
-    fn cmp_by_name_is_lexicographic() {
-        // Intern in reverse order so ids disagree with names.
-        let z = Symbol::intern("zzz_order_test");
-        let a = Symbol::intern("aaa_order_test");
-        assert_eq!(cmp_by_name(a, z), std::cmp::Ordering::Less);
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! Fault-injection differential suite for resource governance: tripping the
-//! cancel token after a random number of derivation attempts, then retrying
-//! with the token reset, must reproduce the clean run *bit for bit* — same
-//! facts, same tuple insertion order — on every evaluation path: one-shot
-//! (sequential, pooled), magic-sets, and incremental commits.
+//! Abort-then-retry differential suite for resource governance: aborting an
+//! evaluation after a random number of derivation attempts, then retrying
+//! without a limit, must reproduce the clean run *bit for bit* — same facts,
+//! same tuple insertion order — on every evaluation path: one-shot,
+//! magic-sets, and incremental commits.
 //!
 //! This is the abort-safety contract stated operationally: an abort may cost
 //! the work of the aborted call, but it may not change anything the caller
-//! can observe afterwards. Each random case picks several trip points
+//! can observe afterwards. Each random case picks several abort points
 //! spanning "almost immediately" to "almost done", so the abort lands in
-//! different strata, inside grouping rounds, and inside negation strata —
-//! wherever the budget checks are, a partial round must never leak.
+//! different strata, after grouping rounds, and in negation strata — a
+//! partial operation must never leak.
+//!
+//! An abort lands only at a round boundary, so "stop at the `n`-th attempt"
+//! is fuel `n − 1`: the drive aborts at the end of the first round whose
+//! cumulative attempts reach `n`. A draw of `n = 0` stops before the first
+//! round, with a token cancelled in advance.
 
 use ldl1::eval::EvalError;
 use ldl1::magic::MagicEvaluator;
@@ -54,44 +59,68 @@ fn insertion_orders(db: &Database) -> Vec<(Symbol, Vec<Vec<ldl1::value::ValueId>
 
 /// A generated program is LDL1.5 (a template reads sets through a body
 /// `<t>`), so it is checked as such.
-fn opts(cancel: &CancelToken) -> EvalOptions {
+fn opts(budget: Budget) -> EvalOptions {
     EvalOptions {
         dialect: ldl1::ast::wf::Dialect::Ldl15,
-        budget: Budget::unlimited().with_cancel(cancel.clone()),
+        budget,
         ..EvalOptions::default()
     }
 }
 
-/// An aborted run must fail with the `Interrupt` resource — anything else
-/// (wrong variant, panic, wrong resource) is a bug in the abort plumbing.
-fn assert_interrupt(err: &EvalError) {
+/// The budget that stops a drive at its `n`-th derivation attempt: for
+/// `n` ≥ 1, fuel `n − 1`, which aborts at the boundary of the round that
+/// makes the `n`-th attempt; for `n = 0`, a token cancelled before the
+/// first round.
+fn abort_at(n: u64) -> Budget {
+    match n {
+        0 => {
+            let cancel = CancelToken::new();
+            cancel.cancel();
+            Budget::unlimited().with_cancel(cancel)
+        }
+        n => Budget::unlimited().with_fuel(n - 1),
+    }
+}
+
+/// An aborted run must fail with the resource its draw names — fuel
+/// spent on at least `n` attempts, or (for `n = 0`) an interrupt before any
+/// attempt. Anything else (wrong variant, panic, wrong resource) is a bug
+/// in the abort plumbing.
+fn assert_aborted_at(err: &EvalError, n: u64) {
     match err {
-        EvalError::ResourceExhausted { resource, .. } => {
-            assert_eq!(*resource, ResourceKind::Interrupt, "{err}");
+        EvalError::ResourceExhausted {
+            resource, consumed, ..
+        } if n == 0 => {
+            assert_eq!(
+                (*resource, *consumed),
+                (ResourceKind::Interrupt, 0),
+                "{err}"
+            );
         }
-        other => panic!("expected interrupt abort, got {other}"),
+        EvalError::ResourceExhausted {
+            resource, consumed, ..
+        } => {
+            assert_eq!(*resource, ResourceKind::Fuel, "{err}");
+            assert!(*consumed >= n, "aborted before attempt {n}: {err}");
+        }
+        other => panic!("expected a budget abort, got {other}"),
     }
 }
 
-/// Trip after `n` attempts, expect abort-or-completion, reset, re-run
-/// clean, and return the retried database.
-fn trip_then_retry(ev: &Evaluator, program: &ldl1::Program, edb: &Database, n: u64) -> Database {
-    let cancel = &ev.options.budget.cancel;
-    cancel.trip_after(n);
+/// Abort at attempt `n` (which lies inside the run, so the abort must
+/// happen), lift the limit, re-run, and return the retried database.
+fn abort_then_retry(program: &ldl1::Program, edb: &Database, n: u64) -> Database {
+    let mut ev = Evaluator::with_options(opts(abort_at(n)));
     match ev.evaluate(program, edb) {
-        // n past this path's total attempts: nothing to abort.
-        Ok(db) => {
-            cancel.reset();
-            return db;
-        }
-        Err(e) => assert_interrupt(&e),
+        Ok(_) => panic!("attempt {n} lies inside the run, yet it completed"),
+        Err(e) => assert_aborted_at(&e, n),
     }
-    cancel.reset();
+    ev.options.budget = Budget::unlimited();
     ev.evaluate(program, edb)
-        .expect("retry after reset must succeed")
+        .expect("retry without a limit must succeed")
 }
 
-/// 36 random programs × 3 trip points (108 (program, trip-point) cases),
+/// 36 random programs × 3 abort points (108 (program, abort-point) cases),
 /// plus the magic path below: abort + retry is indistinguishable from never
 /// having aborted.
 #[test]
@@ -101,10 +130,9 @@ fn abort_then_retry_matches_clean_run_bit_for_bit() {
         let program = ldl1::parser::parse_program(&case.src).unwrap();
         let edb = edb_of(&case.edb);
 
-        // Clean run. `attempts` scales the random trip points so they land
+        // Clean run. `attempts` scales the random abort points so they land
         // *inside* the computation, not trivially past its end.
-        let quiet = CancelToken::new();
-        let (clean, stats) = Evaluator::with_options(opts(&quiet))
+        let (clean, stats) = Evaluator::with_options(opts(Budget::unlimited()))
             .evaluate_stats(&program, &edb)
             .unwrap();
         assert_eq!(
@@ -119,18 +147,17 @@ fn abort_then_retry_matches_clean_run_bit_for_bit() {
 
             // The retry reproduces the clean run's insertion order, not just
             // its fact set.
-            let ev = Evaluator::with_options(opts(&CancelToken::new()));
-            let retried = trip_then_retry(&ev, &program, &edb, n);
+            let retried = abort_then_retry(&program, &edb, n);
             assert_eq!(
                 insertion_orders(&retried),
                 insertion_orders(&clean),
-                "trip={n}"
+                "abort at {n}"
             );
         }
     });
 }
 
-/// The magic-sets query path: tripping mid-query and retrying returns the
+/// The magic-sets query path: aborting mid-query and retrying returns the
 /// same answers the clean magic query computes.
 #[test]
 fn magic_abort_then_retry_matches_clean_answers() {
@@ -140,26 +167,24 @@ fn magic_abort_then_retry_matches_clean_answers() {
         let edb = edb_of(&case.edb);
         let query = ldl1::parser::parse_atom(&format!("{}(X, Y)", case.top)).unwrap();
 
-        let quiet = CancelToken::new();
-        let clean = MagicEvaluator::with_options(opts(&quiet))
+        let clean = MagicEvaluator::with_options(opts(Budget::unlimited()))
             .query(&program, &edb, &query)
             .unwrap();
-        let (_, stats) = Evaluator::with_options(opts(&quiet))
+        let (_, stats) = Evaluator::with_options(opts(Budget::unlimited()))
             .evaluate_stats(&program, &edb)
             .unwrap();
 
         for _ in 0..3 {
             let n = rng.range(0, stats.attempts.max(1) as i64) as u64;
-            let cancel = CancelToken::new();
-            let mev = MagicEvaluator::with_options(opts(&cancel));
-            cancel.trip_after(n);
+            let mut mev = MagicEvaluator::with_options(opts(abort_at(n)));
             match mev.query(&program, &edb, &query) {
-                Ok(ans) => assert_eq!(ans, clean, "untripped magic run diverged"),
-                Err(e) => assert_interrupt(&e),
+                // The magic run can need fewer attempts than the full one.
+                Ok(ans) => assert_eq!(ans, clean, "unaborted magic run diverged"),
+                Err(e) => assert_aborted_at(&e, n),
             }
-            cancel.reset();
+            mev.options.budget = Budget::unlimited();
             let retried = mev.query(&program, &edb, &query).unwrap();
-            assert_eq!(retried, clean, "magic retry after trip={n}");
+            assert_eq!(retried, clean, "magic retry after abort at {n}");
         }
     });
 }
@@ -212,12 +237,11 @@ fn incremental_abort_then_recommit_matches_clean_model() {
         }
         let (batches, survivors) = mutation_sequence(rng, &case, 6);
         let program = ldl1::parser::parse_program(&case.src).unwrap();
-        let reference = Evaluator::with_options(opts(&CancelToken::new()))
+        let reference = Evaluator::with_options(opts(Budget::unlimited()))
             .evaluate(&program, &edb_of(&survivors))
             .unwrap();
-        let system = |cancel: &CancelToken| {
+        let system = || {
             let mut sys = System::new();
-            sys.set_budget(Budget::unlimited().with_cancel(cancel.clone()));
             sys.load(&case.src).unwrap();
             for (pred, args) in &case.edb {
                 sys.insert(pred, args.iter().map(value_of).collect())
@@ -226,27 +250,30 @@ fn incremental_abort_then_recommit_matches_clean_model() {
             sys
         };
 
-        let mut clean = system(&CancelToken::new());
+        let mut clean = system();
         clean.model_facts().unwrap();
         for batch in &batches {
             commit_batch(&mut clean, batch).unwrap();
         }
 
-        let cancel = CancelToken::new();
-        let mut sys = system(&cancel);
+        let mut sys = system();
         for batch in &batches {
             sys.model_facts().unwrap(); // cache a model: the commit goes incremental
             let before = sys.edb().clone();
-            // Trip somewhere inside the maintenance work for this batch (0
-            // trips before the first attempt — the commit must still be
+            // Abort somewhere inside the maintenance work for this batch (0
+            // stops before the first round — the commit must still be
             // transactional).
-            cancel.trip_after(rng.range(0, 50) as u64);
+            let n = rng.range(0, 50) as u64;
+            sys.set_budget(abort_at(n));
             let res = commit_batch(&mut sys, batch);
-            cancel.reset();
+            sys.set_budget(Budget::unlimited());
             match res {
                 Ok(()) => {}
                 Err(ldl1::Error::Eval(e)) => {
-                    assert_interrupt(&e);
+                    assert_aborted_at(&e, n);
+                    if n == 0 {
+                        assert_eq!(sys.last_stats().rounds, 0, "a round ran");
+                    }
                     assert_same_positions(sys.edb(), &before, "after abort");
                     // Rewound: re-stage the identical batch and commit for
                     // real this time, over a model re-evaluated from it.

@@ -374,6 +374,72 @@ fn theorem2_fuzzed() {
     });
 }
 
+/// Theorem 2 again, over layerings the stratifier never builds: the fine
+/// layering's one-component layers put into a random topological order of
+/// the dependency graph's condensation. Every such order is a valid
+/// layering, and evaluating under it gives the canonical model — the
+/// paper's `R(M)` run literally.
+#[test]
+fn theorem2_any_topological_order_of_the_fine_layers() {
+    cases_shrink(96, 10, |rng: &mut Rng, size: u32| {
+        let case = stratified_case(rng, size);
+        let program = ldl1::parser::parse_program(&case.src).unwrap();
+        let edb = gen_edb(&case);
+        let fine = ldl1::Stratification::fine(&program).unwrap();
+
+        // The condensation: fine has one layer per component, so an edge
+        // p → q (p reads q) is the layer edge layer(q) before layer(p).
+        let n = fine.schedule.len();
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (p, q, _) in ldl1::stratify::DepGraph::build(&program).edges() {
+            let (lp, lq) = (fine.layer_of[&p], fine.layer_of[&q]);
+            if lp != lq {
+                preds[lp].push(lq);
+            }
+        }
+        // Kahn's algorithm, taking a random ready layer at every step.
+        let mut waiting: Vec<usize> = preds.iter().map(|ps| ps.len()).collect();
+        let mut ready: Vec<usize> = (0..n).filter(|&l| waiting[l] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while !ready.is_empty() {
+            let l = ready.swap_remove(rng.index(ready.len()));
+            order.push(l);
+            for (m, ps) in preds.iter().enumerate() {
+                for _ in ps.iter().filter(|&&q| q == l) {
+                    waiting[m] -= 1;
+                    if waiting[m] == 0 {
+                        ready.push(m);
+                    }
+                }
+            }
+        }
+        assert_eq!(order.len(), n, "the condensation has a cycle");
+
+        // `order[k]` is the fine layer that runs k-th.
+        let mut at = vec![0; n];
+        for (k, &l) in order.iter().enumerate() {
+            at[l] = k;
+        }
+        let mut strat = fine.clone();
+        strat.layer_of.values_mut().for_each(|l| *l = at[*l]);
+        strat.rules_by_layer = order
+            .iter()
+            .map(|&l| fine.rules_by_layer[l].clone())
+            .collect();
+        strat.schedule = order.iter().map(|&l| fine.schedule[l].clone()).collect();
+        strat.validate(&program).unwrap();
+
+        let model = ldl15()
+            .evaluate_with(&program, &edb, &strat)
+            .unwrap()
+            .to_fact_set();
+        let canonical = ldl15().evaluate(&program, &edb).unwrap().to_fact_set();
+        assert_eq!(model, canonical, "order {order:?}\n{}", case.src);
+        let reference = reference_model(&program, &edb).unwrap().to_fact_set();
+        assert_eq!(model, reference, "order {order:?}\n{}", case.src);
+    });
+}
+
 /// Magic-set equivalence on the random stratified programs, querying the
 /// top predicate with a bound first argument.
 #[test]
