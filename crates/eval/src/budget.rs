@@ -116,7 +116,8 @@ pub enum ResourceKind {
     Time,
     /// The derived-fact cap ([`Budget::max_facts`]).
     Facts,
-    /// The value-interner size cap ([`Budget::max_interned`]).
+    /// The value-interner size cap ([`Budget::max_interned`]): arena
+    /// values, not counting in-range integers.
     Interner,
     /// External cancellation: the [`CancelToken`] was cancelled (Ctrl-C,
     /// another thread).
@@ -153,6 +154,8 @@ pub struct Budget {
     /// Cap on the *process-global* value interner's size. Coarse by nature
     /// (the interner is shared and append-only) but the only lever against
     /// unbounded term growth — `n(s(X))` interns a new value every round.
+    /// An integer in `−2^30 ..= 2^30 − 1` is its own id and takes no slot,
+    /// so counting up through that range does not move it.
     pub max_interned: Option<u64>,
     /// Cooperative cancellation handle; see [`CancelToken`].
     pub cancel: CancelToken,

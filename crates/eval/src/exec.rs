@@ -26,7 +26,7 @@ use std::cell::Cell;
 use ldl_ast::term::Var;
 use ldl_storage::{Database, IndexRef, Relation};
 use ldl_value::arith::{ArithOp, CmpOp};
-use ldl_value::intern::{self, Node};
+use ldl_value::intern;
 use ldl_value::ValueId;
 
 use crate::bindings::Bindings;
@@ -199,30 +199,44 @@ fn neg_op(key: &[crate::ram::Expr], rel: Option<&Relation>, regs: &[ValueId]) ->
     }
 }
 
-/// The integer behind an interned id, if it is one.
-#[inline]
-fn as_int(v: ValueId) -> Option<i64> {
-    match intern::node(v) {
-        Node::Int(x) => Some(*x),
-        _ => None,
-    }
-}
-
 /// Evaluate an expression to a native integer *without interning any
 /// intermediate*: the win that makes compiled arithmetic filters fast — the
 /// interpreter's `eval_ids` hashes every partial sum through the intern
 /// table. `None` exactly when the interpreted evaluation would be `None` or
-/// a non-integer: a non-`Int` register, a non-integer constant, an
-/// arithmetic failure, or a shape (compound, set) that can only evaluate to
-/// a non-integer. An integer constant was decoded when it was lowered.
+/// a non-integer: a non-integer register or constant, an arithmetic
+/// failure, or a shape (compound, set) that can only evaluate to a
+/// non-integer. An integer in the immediate range decodes from its id
+/// alone, with no interner read.
+///
+/// Always inlined, with its operands' registers and constants: a filter
+/// such as `Y - X > k` then runs as straight-line code in the executor,
+/// and only an operand nested deeper takes the out-of-line
+/// [`eval_num_nested`].
+#[inline(always)]
 fn eval_num(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
     use crate::ram::Expr;
     match e {
-        Expr::Reg(r) => as_int(regs[*r as usize]),
-        Expr::Int(_, n) => Some(*n),
-        Expr::Arith(op, l, r) => op.eval_i64(eval_num(l, regs)?, eval_num(r, regs)?),
+        Expr::Arith(op, l, r) => op.eval_i64(num_operand(l, regs)?, num_operand(r, regs)?),
+        _ => num_operand(e, regs),
+    }
+}
+
+/// [`eval_num`] on an operand: a register or a constant in line.
+#[inline(always)]
+fn num_operand(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
+    use crate::ram::Expr;
+    match e {
+        Expr::Reg(r) => intern::int_of(regs[*r as usize]),
+        Expr::Const(v) => intern::int_of(*v),
+        Expr::Arith(..) => eval_num_nested(e, regs),
         _ => None,
     }
+}
+
+/// [`eval_num`] out of line, for an operand that is itself arithmetic.
+#[inline(never)]
+fn eval_num_nested(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
+    eval_num(e, regs)
 }
 
 /// Evaluate a fused comparison: `true` exactly when the *positive* literal

@@ -569,8 +569,14 @@ pub fn run_round(
     let mut new = 0u64;
     let mut dedup = 0u64;
     for (pred, buf) in &derived {
+        // One relation lookup per buffer, not per tuple; an empty buffer
+        // creates no relation.
+        if buf.count == 0 {
+            continue;
+        }
+        let rel = db.relation_mut(*pred, buf.arity);
         buf.for_each(&mut |t| {
-            if db.insert_id_slice(*pred, t) {
+            if rel.insert_slice(t) {
                 new += 1;
             } else {
                 dedup += 1;

@@ -45,7 +45,7 @@ use ldl_ast::term::{Term, Var};
 use ldl_value::arith::{ArithOp, CmpOp};
 use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::intern;
-use ldl_value::{set, Symbol, Value, ValueId};
+use ldl_value::{set, Symbol, ValueId};
 
 use crate::plan::{has_anon, term_bound, HeadKind, RulePlan, Step};
 
@@ -61,11 +61,8 @@ pub(crate) type Reg = u32;
 pub(crate) enum Expr {
     /// Read a register.
     Reg(Reg),
-    /// A non-integer constant, interned at lowering time.
+    /// A constant, interned at lowering time.
     Const(ValueId),
-    /// An integer constant: its id, and its value decoded at lowering time
-    /// so that native arithmetic reads no interner.
-    Int(ValueId, i64),
     /// `f(e₁, …, eₙ)`.
     Compound(Symbol, Box<[Expr]>),
     /// An enumerated set `{e₁, …, eₙ}`.
@@ -83,7 +80,7 @@ pub(crate) enum Expr {
 pub(crate) fn eval_expr(e: &Expr, regs: &[ValueId]) -> Option<ValueId> {
     match e {
         Expr::Reg(r) => Some(regs[*r as usize]),
-        Expr::Const(v) | Expr::Int(v, _) => Some(*v),
+        Expr::Const(v) => Some(*v),
         Expr::Compound(f, args) => {
             let ids: Option<Vec<ValueId>> = args.iter().map(|a| eval_expr(a, regs)).collect();
             Some(intern::mk_compound(*f, ids?))
@@ -297,7 +294,6 @@ fn lower_expr(t: &Term, regs: &mut FastMap<Var, Reg>, bound: &FastSet<Var>) -> E
             }
         }
         Term::Anon | Term::Group(_) => Expr::Fail,
-        Term::Const(v @ Value::Int(n)) => Expr::Int(intern::id_of(v), *n),
         Term::Const(v) => Expr::Const(intern::id_of(v)),
         Term::Compound(f, args) => Expr::Compound(
             *f,
@@ -630,7 +626,7 @@ pub(crate) fn render(prog: &RamProgram) -> Vec<String> {
     fn expr(e: &Expr) -> String {
         match e {
             Expr::Reg(r) => format!("r{r}"),
-            Expr::Const(v) | Expr::Int(v, _) => format!("{}", intern::resolve(*v)),
+            Expr::Const(v) => format!("{}", intern::resolve(*v)),
             Expr::Compound(f, args) => {
                 let inner: Vec<String> = args.iter().map(expr).collect();
                 format!("{f}({})", inner.join(", "))

@@ -29,10 +29,12 @@ pub struct EvalStats {
     /// Hash-index probes performed by rule passes (each probe is one lookup
     /// of an interned key tuple; a full scan counts zero).
     pub index_probes: u64,
-    /// Distinct values in the process-global interner when the operation
-    /// finished. A *gauge*, not a counter: the interner is append-only and
-    /// shared, so this only ever grows across operations and is combined by
-    /// `max`, not `+`, in [`AddAssign`].
+    /// Distinct values in the process-global interner's arena when the
+    /// operation finished. An integer in `−2^30 ..= 2^30 − 1` is its own id
+    /// and takes no slot, so it is not counted. A *gauge*, not a counter:
+    /// the interner is append-only and shared, so this only ever grows
+    /// across operations and is combined by `max`, not `+`, in
+    /// [`AddAssign`].
     pub interner_values: u64,
     /// The four `strata_*` counters below count the *entries* an
     /// incremental update's sweep visits, one arm each: an entry is one

@@ -80,7 +80,7 @@ pub fn match_term(t: &Term, v: ValueId, b: &mut Bindings, k: &mut dyn FnMut(&mut
             }
         }
         Term::Compound(f, args) => {
-            if let Node::Compound(g, ids) = intern::node(v) {
+            if let Some(Node::Compound(g, ids)) = intern::node(v) {
                 if g == f && ids.len() == args.len() {
                     match_slice(args, ids, b, k);
                     b.undo(m);
@@ -88,13 +88,13 @@ pub fn match_term(t: &Term, v: ValueId, b: &mut Bindings, k: &mut dyn FnMut(&mut
             }
         }
         Term::SetEnum(pats) => {
-            if let Node::Set(elems) = intern::node(v) {
+            if let Some(Node::Set(elems)) = intern::node(v) {
                 match_set_enum(pats, elems, b, k);
                 b.undo(m);
             }
         }
         Term::Scons(h, tail) => {
-            if let Node::Set(elems) = intern::node(v) {
+            if let Some(Node::Set(elems)) = intern::node(v) {
                 // {Hθ} ∪ Tθ = S requires Hθ ∈ S and Tθ ∈ {S, S − {Hθ}}.
                 for &e in elems.iter() {
                     match_term(h, e, b, &mut |b2| {
@@ -116,7 +116,7 @@ pub fn match_term(t: &Term, v: ValueId, b: &mut Bindings, k: &mut dyn FnMut(&mut
             // Uniformity is structural — checked with a fresh variable
             // scope, exactly like the fresh-variable copy of `t` in the
             // paper's `collect` rule.
-            if let Node::Set(elems) = intern::node(v) {
+            if let Some(Node::Set(elems)) = intern::node(v) {
                 let uniform = elems.iter().all(|&e| {
                     let mut scratch = Bindings::new();
                     let mut any = false;

@@ -51,10 +51,10 @@ impl ArithOp {
     /// touches no structural value. `None` if either is not an integer or
     /// the result is undefined.
     pub fn eval_ids(self, a: ValueId, b: ValueId) -> Option<ValueId> {
-        let (Node::Int(x), Node::Int(y)) = (intern::node(a), intern::node(b)) else {
+        let (Some(x), Some(y)) = (intern::int_of(a), intern::int_of(b)) else {
             return None;
         };
-        self.eval_i64(*x, *y).map(intern::mk_int)
+        self.eval_i64(x, y).map(intern::mk_int)
     }
 
     /// The name used in the concrete (functional) syntax, e.g. `+(C1,C2,C)`.
@@ -126,9 +126,12 @@ impl CmpOp {
             CmpOp::Eq => Some(a == b),
             CmpOp::Ne => Some(a != b),
             _ => {
-                let ord = match (intern::node(a), intern::node(b)) {
-                    (Node::Int(x), Node::Int(y)) => x.cmp(y),
-                    (Node::Str(x), Node::Str(y)) => x.cmp(y),
+                let ord = match (intern::int_of(a), intern::int_of(b)) {
+                    (Some(x), Some(y)) => x.cmp(&y),
+                    (None, None) => match (intern::node(a), intern::node(b)) {
+                        (Some(Node::Str(x)), Some(Node::Str(y))) => x.cmp(y),
+                        _ => return None,
+                    },
                     _ => return None,
                 };
                 Some(self.holds(ord))

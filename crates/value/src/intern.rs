@@ -1,4 +1,4 @@
-//! Hash-consing interner: dense `u32` ids for ground values.
+//! Hash-consing interner: `u32` ids for ground values.
 //!
 //! Bottom-up evaluation (§3.2) spends its time on duplicate-elimination
 //! inserts, hash-index probes, and grouping — all of which hash and compare
@@ -6,6 +6,15 @@
 //! [`ValueId`] makes those operations O(1) per value: equal values *are*
 //! equal ids, and hashing a tuple hashes a few `u32`s instead of walking
 //! trees.
+//!
+//! **Integers are their own ids.** Bit 31 of a [`ValueId`] tags an
+//! *immediate* signed integer in `−2^30 ..= 2^30 − 1`, stored in the low 31
+//! bits: every integer in that range has exactly that id and never enters
+//! the arena, so decoding it ([`int_of`]) is a tag test and a shift, and
+//! interning it ([`mk_int`]) takes no lock. Integers outside the range are
+//! [`Node::Int`] arena nodes like any other value, so id equality is still
+//! value equality. Arena ids stay below `1 << 31`, so no arena id can alias
+//! an immediate.
 //!
 //! Like [`crate::Symbol`], the interner is process-global and append-only.
 //! The id table is a chunked arena published with release/acquire atomics,
@@ -33,7 +42,8 @@ use crate::value::Value;
 ///
 /// Ids are process-global and never expire. Their numeric order is
 /// *assignment* order — meaningless and run-dependent; use [`cmp_ids`] for
-/// the structural total order.
+/// the structural total order. An id with bit 31 set is an immediate
+/// integer (see the module docs); any other id indexes the arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ValueId(u32);
 
@@ -42,15 +52,37 @@ impl ValueId {
     /// probe keys and the like): the id of the first value ever interned.
     /// Slots holding the filler must never be read as values.
     pub const FILLER: ValueId = ValueId(0);
+
+    #[inline]
+    fn is_immediate(self) -> bool {
+        self.0 & IMMEDIATE != 0
+    }
 }
 
-/// One interned node: the shallow structure of a value, children by id.
+/// The tag bit of an immediate integer id.
+const IMMEDIATE: u32 = 1 << 31;
+
+/// The immediate integer range, `−2^30 ..= 2^30 − 1`: the signed values
+/// the 31 bits below the tag hold.
+const IMMEDIATE_INTS: std::ops::RangeInclusive<i64> = -(1 << 30)..=(1 << 30) - 1;
+
+/// The immediate id of `i`, or `None` if `i` lives in the arena — the one
+/// place the range is decided.
+#[inline]
+fn immediate(i: i64) -> Option<ValueId> {
+    IMMEDIATE_INTS
+        .contains(&i)
+        .then_some(ValueId(IMMEDIATE | (i as u32 & !IMMEDIATE)))
+}
+
+/// One arena node: the shallow structure of a value, children by id.
+/// An immediate integer has no node.
 ///
 /// Set children are sorted by [`cmp_ids`] and deduplicated — the canonical
 /// form, so structurally equal sets intern to the same node.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Node {
-    /// An integer constant.
+    /// An integer constant outside the immediate range.
     Int(i64),
     /// A string constant.
     Str(Arc<str>),
@@ -76,8 +108,8 @@ impl Node {
 
 /// Chunk 0 holds `1 << FIRST_CHUNK_BITS` nodes; each later chunk doubles.
 const FIRST_CHUNK_BITS: u32 = 12;
-/// 21 doubling chunks cover the whole `u32` id space.
-const CHUNK_COUNT: usize = 21;
+/// 20 doubling chunks cover every arena id, `0 .. 1 << 31`.
+const CHUNK_COUNT: usize = 20;
 
 /// `(chunk, offset, capacity)` of arena index `idx`.
 #[inline]
@@ -124,7 +156,7 @@ fn intern_locked(arena: &Arena, ids: &mut FastMap<Node, u32>, node: Node) -> Val
         return ValueId(id);
     }
     let idx = arena.len.load(Ordering::Relaxed);
-    assert!(idx != u32::MAX, "too many interned values");
+    assert!(idx < IMMEDIATE, "too many interned values");
     let (chunk, offset, cap) = locate(idx);
     let mut ptr = arena.chunks[chunk].load(Ordering::Acquire);
     if ptr.is_null() {
@@ -143,9 +175,16 @@ fn intern_locked(arena: &Arena, ids: &mut FastMap<Node, u32>, node: Node) -> Val
     ValueId(idx)
 }
 
-/// The interned node for `id` — the lock-free hot read path.
+/// The arena node for `id` — the lock-free hot read path — or `None` for
+/// an immediate integer, which has none ([`int_of`] reads it).
 #[inline]
-pub fn node(id: ValueId) -> &'static Node {
+pub fn node(id: ValueId) -> Option<&'static Node> {
+    (!id.is_immediate()).then(|| arena_node(id))
+}
+
+/// The arena node of a non-immediate `id`.
+#[inline]
+fn arena_node(id: ValueId) -> &'static Node {
     let arena = arena();
     #[cfg(debug_assertions)]
     {
@@ -160,7 +199,23 @@ pub fn node(id: ValueId) -> &'static Node {
     unsafe { &*ptr.add(offset) }
 }
 
-/// Number of distinct values interned so far (the interner size statistic).
+/// The integer `id` stands for, if it is one: an immediate decoded from
+/// its bits, an arena integer read from its node. The one way integers
+/// are read.
+#[inline]
+pub fn int_of(id: ValueId) -> Option<i64> {
+    if id.is_immediate() {
+        // Shift the tag out, then sign-extend the 31-bit payload.
+        return Some(i64::from((id.0 << 1) as i32 >> 1));
+    }
+    match arena_node(id) {
+        Node::Int(x) => Some(*x),
+        _ => None,
+    }
+}
+
+/// Number of distinct values in the arena so far (the interner size
+/// statistic). Immediate integers take no slot.
 #[inline]
 pub fn len() -> usize {
     arena().len.load(Ordering::Acquire) as usize
@@ -176,7 +231,15 @@ pub fn cmp_ids(a: ValueId, b: ValueId) -> std::cmp::Ordering {
     if a == b {
         return Equal;
     }
-    let (na, nb) = (node(a), node(b));
+    if a.is_immediate() || b.is_immediate() {
+        // Integers sort first.
+        return match (int_of(a), int_of(b)) {
+            (Some(x), Some(y)) => x.cmp(&y),
+            (Some(_), None) => Less,
+            (None, _) => Greater,
+        };
+    }
+    let (na, nb) = (arena_node(a), arena_node(b));
     match (na, nb) {
         (Node::Int(x), Node::Int(y)) => x.cmp(y),
         (Node::Str(x), Node::Str(y)) => x.cmp(y),
@@ -202,17 +265,11 @@ pub fn cmp_id_slices(xs: &[ValueId], ys: &[ValueId]) -> std::cmp::Ordering {
     xs.len().cmp(&ys.len())
 }
 
-/// Intern an integer.
+/// Intern an integer: its immediate id, or an arena node outside
+/// `−2^30 ..= 2^30 − 1`.
 #[inline]
 pub fn mk_int(i: i64) -> ValueId {
-    // Small non-negative integers dominate generated EDBs and arithmetic;
-    // serve them from a lock-free table.
-    static SMALL: OnceLock<[ValueId; 256]> = OnceLock::new();
-    if (0..256).contains(&i) {
-        return SMALL.get_or_init(|| std::array::from_fn(|k| intern_node(Node::Int(k as i64))))
-            [i as usize];
-    }
-    intern_node(Node::Int(i))
+    immediate(i).unwrap_or_else(|| intern_node(Node::Int(i)))
 }
 
 /// Intern a string constant.
@@ -270,9 +327,7 @@ pub struct Batch {
 impl Batch {
     /// Intern an integer — the same id [`mk_int`] gives.
     pub fn int(&mut self, i: i64) -> ValueId {
-        // Not `mk_int`: its small-integer cache fills through
-        // `intern_node`, which would wait for the lock this batch holds.
-        self.node(Node::Int(i))
+        immediate(i).unwrap_or_else(|| self.node(Node::Int(i)))
     }
 
     /// Intern a string constant.
@@ -309,7 +364,8 @@ impl Batch {
 
 /// Run `f` with the interner's write lock held once for all its interns
 /// — a bulk load (a snapshot's node table) pays one lock, not one per
-/// value. Lock-free reads ([`node`], [`cmp_ids`]) work inside `f`; any
+/// value. Lock-free reads ([`node`], [`int_of`], [`cmp_ids`]) and
+/// [`mk_int`] of an immediate work inside `f`; any
 /// other intern call (`mk_*`, [`id_of`], another `batch`) on this thread
 /// deadlocks, and other threads' interns wait until `f` returns.
 pub fn batch<R>(f: impl FnOnce(&mut Batch) -> R) -> R {
@@ -333,7 +389,8 @@ pub fn id_of(v: &Value) -> ValueId {
     }
 }
 
-/// The id of `v` if every node of it is interned, interning nothing —
+/// The id of `v` if every node of it is interned (an immediate integer
+/// needs none), interning nothing —
 /// the probe for a value that may never have been stored. `None` means no
 /// stored row can hold `v`, and a rejected probe leaves the process-global
 /// interner as it was.
@@ -344,7 +401,10 @@ pub fn find(v: &Value) -> Option<ValueId> {
 
 fn find_locked(ids: &FastMap<Node, u32>, v: &Value) -> Option<ValueId> {
     let node = match v {
-        Value::Int(i) => Node::Int(*i),
+        Value::Int(i) => match immediate(*i) {
+            Some(id) => return Some(id),
+            None => Node::Int(*i),
+        },
         Value::Str(s) => Node::Str(Arc::clone(s)),
         Value::Atom(a) => Node::Atom(*a),
         Value::Compound(c) => Node::Compound(
@@ -366,8 +426,11 @@ fn find_locked(ids: &FastMap<Node, u32>, v: &Value) -> Option<ValueId> {
 /// Reconstruct the structural [`Value`] for `id` — the display/public-API
 /// boundary; never on the evaluation hot path.
 pub fn resolve(id: ValueId) -> Value {
-    match node(id) {
-        Node::Int(i) => Value::Int(*i),
+    if let Some(i) = int_of(id) {
+        return Value::Int(i);
+    }
+    match arena_node(id) {
+        Node::Int(_) => unreachable!("int_of reads every integer"),
         Node::Str(s) => Value::Str(Arc::clone(s)),
         Node::Atom(a) => Value::Atom(*a),
         Node::Compound(f, args) => Value::compound(*f, args.iter().map(|&a| resolve(a)).collect()),
@@ -502,7 +565,7 @@ mod tests {
         assert_eq!(locate(4096), (1, 0, 8192));
         assert_eq!(locate(12287), (1, 8191, 8192));
         assert_eq!(locate(12288), (2, 0, 16384));
-        let (c, o, cap) = locate(u32::MAX - 1);
+        let (c, o, cap) = locate(IMMEDIATE - 1);
         assert!(c < CHUNK_COUNT && o < cap);
     }
 }

@@ -114,7 +114,7 @@ impl<'a> IntoIterator for &'a SetValue {
 #[inline]
 pub fn as_set(v: ValueId) -> Option<&'static [ValueId]> {
     match intern::node(v) {
-        Node::Set(elems) => Some(elems),
+        Some(Node::Set(elems)) => Some(elems),
         _ => None,
     }
 }

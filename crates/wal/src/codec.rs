@@ -148,37 +148,40 @@ impl NodeTable {
         if let Some(&idx) = self.index.get(&id) {
             return idx;
         }
-        let node = intern::node(id);
-        let kids: Vec<u32> = match node {
-            Node::Compound(_, kids) | Node::Set(kids) => {
-                kids.iter().map(|&k| self.add(k)).collect()
+        if let Some(i) = intern::int_of(id) {
+            // An immediate and an arena integer write the same entry.
+            self.out.push(NODE_INT);
+            put_u64(&mut self.out, i as u64);
+        } else {
+            let node = intern::node(id).expect("a non-integer is an arena node");
+            let kids: Vec<u32> = match node {
+                Node::Compound(_, kids) | Node::Set(kids) => {
+                    kids.iter().map(|&k| self.add(k)).collect()
+                }
+                _ => Vec::new(),
+            };
+            let out = &mut self.out;
+            match node {
+                Node::Str(s) => {
+                    out.push(NODE_STR);
+                    put_str(out, s);
+                }
+                Node::Atom(a) => {
+                    out.push(NODE_ATOM);
+                    put_str(out, a.as_str());
+                }
+                Node::Compound(f, _) => {
+                    out.push(NODE_COMPOUND);
+                    put_str(out, f.as_str());
+                }
+                Node::Set(_) => out.push(NODE_SET),
+                _ => unreachable!("int_of reads every integer"),
             }
-            _ => Vec::new(),
-        };
-        let out = &mut self.out;
-        match node {
-            Node::Int(i) => {
-                out.push(NODE_INT);
-                put_u64(out, *i as u64);
-            }
-            Node::Str(s) => {
-                out.push(NODE_STR);
-                put_str(out, s);
-            }
-            Node::Atom(a) => {
-                out.push(NODE_ATOM);
-                put_str(out, a.as_str());
-            }
-            Node::Compound(f, _) => {
-                out.push(NODE_COMPOUND);
-                put_str(out, f.as_str());
-            }
-            Node::Set(_) => out.push(NODE_SET),
-        }
-        if matches!(node, Node::Compound(..) | Node::Set(_)) {
-            put_u32(out, kids.len() as u32);
-            for k in kids {
-                put_u32(out, k);
+            if matches!(node, Node::Compound(..) | Node::Set(_)) {
+                put_u32(out, kids.len() as u32);
+                for k in kids {
+                    put_u32(out, k);
+                }
             }
         }
         let idx = self.index.len() as u32;

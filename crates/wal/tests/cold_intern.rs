@@ -1,8 +1,8 @@
 //! A snapshot's node table is interned under one interner lock
 //! (`intern::batch`). This binary checks that in a process where nothing
-//! has interned yet — the small-integer cache is still empty, so an
-//! `mk_int` inside the batch would wait on the lock the batch holds — and
-//! beside another thread that interns at the same time.
+//! has interned yet — the arena is empty, and the batch must give each
+//! integer the id `mk_int` gives, immediate or not — and beside another
+//! thread that interns at the same time.
 
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -26,7 +26,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 ///
 /// | node | value |
 /// |---|---|
-/// | 0, 1, 2 | `7`, `200`, `255` (below 256: the small-integer cache) |
+/// | 0, 1, 2 | `7`, `200`, `255` (immediate: no arena node) |
 /// | 3 | `"cold"` |
 /// | 4 | `cold_atom` |
 /// | 5 | `f(7, "cold")` |
@@ -123,7 +123,7 @@ fn cold_decode_interns_what_mk_interns() {
     });
     assert_eq!(got, expected());
     match intern::node(got[6]) {
-        Node::Set(elems) => assert_eq!(&elems[..], &[got[0], got[1], got[4]]),
+        Some(Node::Set(elems)) => assert_eq!(&elems[..], &[got[0], got[1], got[4]]),
         other => panic!("not a set: {other:?}"),
     }
     assert_eq!(

@@ -1,7 +1,9 @@
 //! The log record format, pinned byte for byte: a record built by hand
 //! from the documented layout must replay to its rows, `encode_batch`
 //! must write exactly those bytes, and forged indexes must cost the
-//! record — never a panic, never a row.
+//! record — never a panic, never a row. Integers at the edges of the
+//! interner's immediate range are pinned in a log record and in a
+//! snapshot.
 //!
 //! ```text
 //! header:   "LDL1WAL\0"  version:u32 = 2  reserved:u32  base_seq:u64
@@ -13,7 +15,7 @@
 use std::path::PathBuf;
 
 use ldl_value::{Fact, Value};
-use ldl_wal::{crc32, encode_batch, Store, StoreOptions, WAL_FILE, WAL_HEADER_LEN};
+use ldl_wal::{crc32, encode_batch, Store, StoreOptions, SNAPSHOT_FILE, WAL_FILE, WAL_HEADER_LEN};
 
 const INT: u8 = 0;
 const STR: u8 = 1;
@@ -208,5 +210,85 @@ fn forged_indexes_truncate_at_their_record() {
         "{}",
         db.dump()
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Integers on both sides of each edge of the interner's immediate range
+/// (`−2^30 ..= 2^30 − 1`), and the `i64` extremes: an immediate and an
+/// arena integer must write the same entry, so neither format moves.
+const EDGE_INTS: [i64; 6] = [
+    i64::MIN,
+    -(1 << 30) - 1,
+    -(1 << 30),
+    (1 << 30) - 1,
+    1 << 30,
+    i64::MAX,
+];
+
+fn edge_facts() -> Vec<Fact> {
+    EDGE_INTS
+        .iter()
+        .map(|&i| Fact::new("n", vec![Value::int(i)]))
+        .collect()
+}
+
+/// The node table of [`EDGE_INTS`], node `k` being the `k`th integer.
+fn edge_nodes(b: &mut Vec<u8>) {
+    put_u32(b, EDGE_INTS.len() as u32);
+    for i in EDGE_INTS {
+        int(b, i);
+    }
+}
+
+#[test]
+fn integers_at_the_immediate_edges_keep_the_log_bytes() {
+    let mut want = Vec::new();
+    edge_nodes(&mut want);
+    put_u32(&mut want, 0); // deletions
+    put_u32(&mut want, EDGE_INTS.len() as u32);
+    for k in 0..EDGE_INTS.len() as u32 {
+        fact(&mut want, "n", &[k]);
+    }
+    assert_eq!(encode_batch(&[], &edge_facts()), want);
+    let dir = data_dir("edge-log", &log(&[want]));
+    let (_, db, info) = Store::open(&dir, StoreOptions::default()).unwrap();
+    assert!(info.truncation.is_none(), "{:?}", info.truncation);
+    for f in edge_facts() {
+        assert!(db.contains(&f), "{f} replayed");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn integers_at_the_immediate_edges_keep_the_snapshot_bytes() {
+    let dir = data_dir("edge-snapshot", &log(&[]));
+    let (mut store, _, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+    let mut db = ldl_storage::Database::new();
+    for f in edge_facts() {
+        db.insert(f);
+    }
+    store.checkpoint(&db).unwrap();
+    drop(store);
+
+    let mut want = Vec::new();
+    want.extend_from_slice(b"LDL1SNAP");
+    put_u32(&mut want, 1); // version
+    put_u32(&mut want, 0); // reserved
+    want.extend_from_slice(&0u64.to_le_bytes()); // sequence
+    edge_nodes(&mut want);
+    put_u32(&mut want, 1); // relations
+    put_str(&mut want, "n");
+    put_u32(&mut want, 1); // arity
+    put_u32(&mut want, EDGE_INTS.len() as u32); // rows
+    for k in 0..EDGE_INTS.len() as u32 {
+        put_u32(&mut want, k);
+    }
+    let crc = crc32(&want);
+    put_u32(&mut want, crc);
+    assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), want);
+
+    let (_, back, info) = Store::open(&dir, StoreOptions::default()).unwrap();
+    assert_eq!(info.snapshot_seq, Some(0));
+    assert_eq!(back.dump(), db.dump());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -174,6 +174,93 @@ fn value_display_reparses() {
     });
 }
 
+/// An integer near an edge of the immediate range (`±2^30` and their
+/// neighbours), an `i64` extreme, one from around the range, or one from
+/// anywhere.
+fn edge_int(rng: &mut Rng) -> i64 {
+    const TOP: i64 = (1 << 30) - 1;
+    const BOTTOM: i64 = -(1 << 30);
+    const EDGES: [i64; 10] = [
+        TOP - 1,
+        TOP,
+        TOP + 1,
+        TOP + 2,
+        BOTTOM - 2,
+        BOTTOM - 1,
+        BOTTOM,
+        BOTTOM + 1,
+        i64::MIN,
+        i64::MAX,
+    ];
+    match rng.index(3) {
+        0 => *rng.pick(&EDGES),
+        1 => rng.range(2 * BOTTOM, 2 * TOP),
+        _ => rng.next_u64() as i64,
+    }
+}
+
+/// An in-range integer is its own id and any other is an arena node, and
+/// nothing can tell the two apart: every constructor gives one id, the id
+/// resolves back, `cmp_ids` is `Value::cmp`, arithmetic crosses the edge
+/// into the arena and back, and a set mixing both kinds is canonical.
+#[test]
+fn immediate_integers_agree_with_the_arena() {
+    use ldl1::value::arith::{ArithOp, CmpOp};
+    cases_shrink(256, 8, |rng, size| {
+        let ints: Vec<i64> = (0..size).map(|_| edge_int(rng)).collect();
+        for &i in &ints {
+            let v = Value::int(i);
+            let id = intern::id_of(&v);
+            assert_eq!(intern::mk_int(i), id, "mk_int({i})");
+            assert_eq!(intern::batch(|b| b.int(i)), id, "batch int({i})");
+            assert_eq!(intern::find(&v), Some(id), "find({i})");
+            assert_eq!(intern::int_of(id), Some(i), "int_of({i})");
+            assert_eq!(intern::resolve(id), v);
+        }
+        let mut vals: Vec<Value> = ints.iter().map(|&i| Value::int(i)).collect();
+        vals.push(Value::str("s"));
+        vals.push(Value::atom("a"));
+        vals.push(Value::compound("f", vec![Value::int(ints[0])]));
+        vals.push(Value::set(ints.iter().map(|&i| Value::int(i))));
+        for a in &vals {
+            for b in &vals {
+                let (x, y) = (intern::id_of(a), intern::id_of(b));
+                assert_eq!(intern::cmp_ids(x, y), a.cmp(b), "{a} vs {b}");
+            }
+        }
+        for w in ints.windows(2) {
+            let (x, y) = (intern::mk_int(w[0]), intern::mk_int(w[1]));
+            for op in [
+                ArithOp::Add,
+                ArithOp::Sub,
+                ArithOp::Mul,
+                ArithOp::Div,
+                ArithOp::Mod,
+            ] {
+                let want = op.eval_i64(w[0], w[1]).map(intern::mk_int);
+                assert_eq!(op.eval_ids(x, y), want, "{w:?} {}", op.name());
+            }
+            for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq] {
+                let want = op.holds(w[0].cmp(&w[1]));
+                assert_eq!(op.eval_ids(x, y), Some(want), "{w:?} {}", op.name());
+            }
+        }
+        let mut ids: Vec<ValueId> = ints.iter().map(|&i| intern::mk_int(i)).collect();
+        let model: BTreeSet<Value> = ints.iter().map(|&i| Value::int(i)).collect();
+        let forward = intern::mk_set(ids.clone());
+        ids.reverse();
+        assert_eq!(intern::mk_set(ids), forward);
+        assert_is(set::as_set(forward).unwrap(), &model);
+    });
+    let top = intern::mk_int((1 << 30) - 1);
+    let past = ArithOp::Add.eval_ids(top, intern::mk_int(1)).unwrap();
+    assert_eq!(past, intern::mk_int(1 << 30));
+    assert!(intern::node(top).is_none(), "2^30 - 1 is immediate");
+    assert_eq!(intern::node(past), Some(&intern::Node::Int(1 << 30)));
+    let back = ArithOp::Sub.eval_ids(past, intern::mk_int(1)).unwrap();
+    assert_eq!(back, top);
+}
+
 // ---------------------------------------------------------------- engine --
 
 fn rand_edges(rng: &mut Rng, max_edges: usize, nodes: i64) -> Vec<(i64, i64)> {
