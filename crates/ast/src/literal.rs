@@ -4,6 +4,7 @@ use std::fmt;
 
 use ldl_value::Symbol;
 
+use crate::program::Builtin;
 use crate::term::{Term, Var};
 
 /// A positive predicate application `p(t₁, …, tₙ)`.
@@ -122,6 +123,13 @@ impl Literal {
             positive: false,
             atom,
         }
+    }
+
+    /// The built-in this literal calls, if its predicate and arity name one
+    /// — the one place that decides whether a literal reads a relation.
+    #[inline]
+    pub fn builtin(&self) -> Option<Builtin> {
+        Builtin::resolve(self.atom.pred, self.atom.arity())
     }
 
     /// All named variables of the underlying atom.

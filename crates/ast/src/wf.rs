@@ -4,7 +4,7 @@ use std::fmt;
 
 use ldl_value::Value;
 
-use crate::program::{Builtin, Program};
+use crate::program::Program;
 use crate::rule::Rule;
 use crate::term::{Term, Var};
 
@@ -143,9 +143,7 @@ pub fn check_rule(rule: &Rule, dialect: Dialect) -> Vec<WfError> {
                 errs.push(WfError::GroupInNegativeLiteral(rule.clone()));
             } else if dialect == Dialect::Ldl1 {
                 errs.push(WfError::GroupInBody(rule.clone()));
-            } else if Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
-                && !l.atom.args.iter().all(groups_reachable)
-            {
+            } else if l.builtin().is_none() && !l.atom.args.iter().all(groups_reachable) {
                 errs.push(WfError::GroupInUnsupportedPosition(rule.clone()));
             }
         }

@@ -30,7 +30,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ldl_ast::program::{Builtin, Program};
+use ldl_ast::program::Program;
 use ldl_storage::Database;
 use ldl_stratify::{Component, Stratification};
 use ldl_value::fxhash::FastMap;
@@ -375,10 +375,7 @@ pub fn delta_loop(
     let mut occs: Vec<(usize, usize, Symbol)> = Vec::new();
     for &ri in rule_ids {
         for (occ, l) in program.rules[ri].body.iter().enumerate() {
-            if l.positive
-                && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
-                && frontier.contains_key(&l.atom.pred)
-            {
+            if l.positive && l.builtin().is_none() && frontier.contains_key(&l.atom.pred) {
                 occs.push((ri, occ, l.atom.pred));
             }
         }

@@ -286,7 +286,7 @@ pub fn sip_order(
             Some(li) => {
                 let lit = &rule.body[li];
                 debug_assert!(
-                    lit.positive && Builtin::resolve(lit.atom.pred, lit.atom.arity()).is_none(),
+                    lit.positive && lit.builtin().is_none(),
                     "force_first must name a positive relation literal"
                 );
                 li
@@ -327,7 +327,7 @@ pub fn sip_order(
 /// (90, §3.2 condition 2′).
 fn sip_class(lit: &Literal, bound: &FastSet<Var>) -> Option<i32> {
     let all_vars_bound = lit.vars().iter().all(|v| bound.contains(v));
-    match Builtin::resolve(lit.atom.pred, lit.atom.arity()) {
+    match lit.builtin() {
         Some(_) if all_vars_bound => Some(100),
         Some(bi) if lit.positive && can_schedule(bi, &lit.atom.args, &|t| term_bound(t, bound)) => {
             Some(50)
@@ -363,7 +363,7 @@ fn bound_cols(args: &[Term], bound: &FastSet<Var>) -> Vec<usize> {
 /// Build the executable step for body literal `lit` given the variables
 /// bound before it.
 fn emit_step(lit: &Literal, bound: &FastSet<Var>) -> Step {
-    match Builtin::resolve(lit.atom.pred, lit.atom.arity()) {
+    match lit.builtin() {
         Some(bi) => Step::BuiltinStep {
             builtin: bi,
             args: lit.atom.args.clone(),

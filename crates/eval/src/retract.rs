@@ -10,8 +10,8 @@
 //! components, dependency-first; by Theorem 2 every entry may be a layer of
 //! its own). The retractions are tombstoned and the assertions appended up
 //! front, then each entry, with everything before it already final, takes
-//! one of three arms, chosen by its read sets ([`Sensitivity`]) from what
-//! the batch's deletion and insertion frontiers reach:
+//! one of three arms, chosen by its read sets ([`Component::reads`]) from
+//! what the batch's deletion and insertion frontiers reach:
 //!
 //! * **Skip**: neither frontier reaches the entry.
 //! * **Replay**: a changed predicate is read under negation or inside a
@@ -30,6 +30,17 @@
 //!   only positively is monotone in it, so the new tuples are the initial
 //!   frontier. Each feeds its net losses and growth to the entries above.
 //!
+//! The deletion frontier is one *ledger*: per predicate, a [`Relation`] of
+//! the tuples the batch has cost the model, in loss order. A retracted fact
+//! of a predicate no rule defines is lost at once. One of a rule-defined
+//! predicate may still be derived, so it enters that predicate's ledger as
+//! a *candidate*, for the predicate's entry to settle. DRed moves the
+//! ledger's relations into the model as the `del$p` relations its rules
+//! read, and settles the head's own in place: it tombstones the candidates
+//! the head never held and the tuples that came back, and what is left is
+//! the head's net loss. Replay makes its difference's losses the head's
+//! ledger, in place of the candidates.
+//!
 //! All of it runs on the engine's one semi-naive loop ([`delta_loop`]); what
 //! is specific to each phase is its frontier. Doing both halves at an entry
 //! before moving up is sound for the reason each is alone: the lower
@@ -45,17 +56,14 @@
 //! exact same insertion positions.
 
 use ldl_ast::literal::{Atom, Literal};
-use ldl_ast::program::{Builtin, Program};
+use ldl_ast::program::Program;
 use ldl_ast::rule::Rule;
 use ldl_ast::term::Term;
 use ldl_storage::{Database, IdRows, Relation};
-use ldl_stratify::{Component, Sensitivity, Stratification};
+use ldl_stratify::{Component, Stratification};
 use ldl_value::fxhash::{FastMap, FastSet};
-use ldl_value::{Fact, Symbol, ValueId};
+use ldl_value::Symbol;
 
-/// An owned row snapshot — tuples pulled out of a relation's arena so they
-/// survive the mutations the deletion passes perform on it.
-type Row = Vec<ValueId>;
 use crate::engine::EvalOptions;
 use crate::error::EvalError;
 use crate::fixpoint::{
@@ -64,9 +72,14 @@ use crate::fixpoint::{
 };
 use crate::stats::EvalStats;
 
+/// The batch's losses (module docs): per predicate, the tuples the model
+/// has lost, in loss order — for a rule-defined predicate whose entry has
+/// not run yet, the candidates that entry settles. Never an empty relation.
+type Ledger = FastMap<Symbol, Relation>;
+
 /// Apply a net mutation batch — `retractions` and `assertions`, both
-/// already validated and deduplicated by the caller — to an evaluated
-/// model, in place.
+/// already validated, deduplicated and interned by the caller — to an
+/// evaluated model, in place.
 ///
 /// Preconditions:
 /// * `db` is a model of `program` w.r.t. `edb`;
@@ -84,15 +97,13 @@ use crate::stats::EvalStats;
 pub fn apply_mutations(
     program: &Program,
     strat: &Stratification,
-    sens: &[Sensitivity],
     edb: &mut Database,
     db: &mut Database,
-    retractions: &[Fact],
-    assertions: &[Fact],
+    retractions: &IdRows,
+    assertions: &IdRows,
     opts: &EvalOptions,
     stats: &mut EvalStats,
 ) -> Result<(), EvalError> {
-    debug_assert_eq!(sens.len(), strat.entries().count());
     // Predicates defined by rules: a retraction on one of those is a
     // *support* loss — the fact may survive via a derivation — and must be
     // resolved at the defining entry, not applied to `db` up front.
@@ -100,22 +111,23 @@ pub fn apply_mutations(
 
     // Phase 1: apply the batch to the EDB under a change log, which an
     // abort reads backwards. Pure-EDB retractions are deleted from the
-    // model immediately and seed the deletion frontier; assertions are
-    // appended to the model and seed the insertion frontier. Each fact is
-    // interned once, for both databases.
-    let (retractions, assertions) = (IdRows::intern(retractions), IdRows::intern(assertions));
+    // model immediately and open the ledger, beside the candidates;
+    // assertions are appended to the model and seed the insertion frontier.
     edb.open_log(0);
-    edb.apply(&retractions, &assertions).expect("validated");
-    let mut deleted: FastMap<Symbol, Vec<Row>> = FastMap::default();
-    let mut pending: FastMap<Symbol, Vec<Row>> = FastMap::default();
+    edb.apply(retractions, assertions).expect("validated");
+    let mut ledger = Ledger::default();
     let mut inserted = DeltaFrontier::default();
     for (pred, tuple) in retractions.iter() {
-        if idb_heads.contains(&pred) {
-            pending.entry(pred).or_default().push(tuple.to_vec());
-        } else if db.remove_ids(pred, tuple).is_some() {
+        if !idb_heads.contains(&pred) {
+            if db.remove_ids(pred, tuple).is_none() {
+                continue;
+            }
             stats.facts_retracted += 1;
-            deleted.entry(pred).or_default().push(tuple.to_vec());
         }
+        let lost = ledger
+            .entry(pred)
+            .or_insert_with(|| Relation::new(tuple.len()));
+        lost.insert_slice(tuple);
     }
     for (pred, tuple) in assertions.iter() {
         let lo = len_of(db, pred);
@@ -125,17 +137,8 @@ pub fn apply_mutations(
     }
 
     // Phase 2: the sweep, on one drive — the batch aborts as a unit.
-    let result = sweep(
-        program,
-        strat,
-        sens,
-        edb,
-        db,
-        deleted,
-        pending,
-        inserted,
-        &mut Drive::new(opts, stats),
-    );
+    let mut drive = Drive::new(opts, stats);
+    let result = sweep(program, strat, edb, db, ledger, inserted, &mut drive);
     // No EDB log outlives the commit: model-less commits would grow it.
     if result.is_err() {
         edb.rewind();
@@ -148,37 +151,28 @@ pub fn apply_mutations(
 
 /// The one pass up the schedule (module docs): skip, replay, or
 /// DRed-then-delta, per entry. What the batch has changed before the entry
-/// it is at:
-/// * `deleted`: tuples the model lost, per predicate, in loss order;
-/// * `pending`: retracted EDB facts of rule-defined predicates — support
-///   losses their defining entry has yet to resolve;
-/// * `inserted`: predicates the model gained tuples of, each marked at its
-///   first new one.
-#[allow(clippy::too_many_arguments)]
+/// it is at: the `ledger` of its losses, and `inserted`, the predicates the
+/// model gained tuples of, each marked at its first new one.
 fn sweep(
     program: &Program,
     strat: &Stratification,
-    sens: &[Sensitivity],
     edb: &Database,
     db: &mut Database,
-    mut deleted: FastMap<Symbol, Vec<Row>>,
-    mut pending: FastMap<Symbol, Vec<Row>>,
+    mut ledger: Ledger,
     mut inserted: DeltaFrontier,
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
     let mut cache = PlanCache::default();
-    for ((layer, entry), sens) in strat.entries().zip(sens) {
-        let entry_pending: Vec<(Symbol, Vec<Row>)> = entry
-            .preds
-            .iter()
-            .filter_map(|&h| pending.remove(&h).map(|ts| (h, ts)))
-            .collect();
-        let lost = !entry_pending.is_empty() || deleted.keys().any(|p| sens.positive.contains(p));
-        let grew = inserted.keys().any(|p| sens.positive.contains(p));
-        let flipped = deleted
+    for (layer, entry) in strat.entries() {
+        let reads = &entry.reads;
+        let lost = ledger
+            .keys()
+            .any(|p| entry.preds.contains(p) || reads.positive.contains(p));
+        let grew = inserted.keys().any(|p| reads.positive.contains(p));
+        let flipped = ledger
             .keys()
             .chain(inserted.keys())
-            .any(|&p| sens.requires_replay_for(p));
+            .any(|&p| reads.requires_replay_for(p));
         if !(lost || grew || flipped) {
             drive.stats.strata_skipped += 1;
             continue;
@@ -189,8 +183,10 @@ fn sweep(
         // cannot rederive (see `rederive_compatible`) leaves nothing to
         // guard with.
         if flipped || (lost && !rederive_compatible(program, entry)) {
-            let (del, ins) = (&mut deleted, &mut inserted);
-            replay(program, layer, entry, edb, db, &mut cache, del, ins, drive)?;
+            let (ledger, ins) = (&mut ledger, &mut inserted);
+            replay(
+                program, layer, entry, edb, db, &mut cache, ledger, ins, drive,
+            )?;
             continue;
         }
         drive.set_context(layer, entry.preds.first().copied());
@@ -201,11 +197,7 @@ fn sweep(
         let pre = grew.then(|| frontier_at(db, entry.preds.iter().copied()));
 
         if lost {
-            let losses = dred(program, entry, edb, db, &deleted, &entry_pending, drive)?;
-            drive.stats.facts_retracted += losses.len() as u64;
-            for (h, t) in losses {
-                deleted.entry(h).or_default().push(t);
-            }
+            dred(program, entry, edb, db, &mut ledger, drive)?;
         }
         if let Some(pre) = pre {
             // Every grown predicate is new from its first new tuple on
@@ -229,8 +221,24 @@ fn sweep(
             }
         }
     }
-    debug_assert!(pending.is_empty());
+    // Every candidate was settled by its entry: a tuple the ledger holds is
+    // gone from the model, or came back as one of the batch's new tuples.
+    debug_assert!(ledger.iter().all(|(p, lost)| lost.iter().all(|t| {
+        let at = db.relation(*p).and_then(|r| r.position_of(t));
+        at.is_none_or(|at| inserted.get(p).is_some_and(|&lo| at as usize >= lo))
+    })));
     Ok(())
+}
+
+/// Make `lost` head `h`'s ledger entry: its net losses, in place of the
+/// candidates its entry has settled.
+fn settle(ledger: &mut Ledger, h: Symbol, lost: Relation, drive: &mut Drive<'_>) {
+    drive.stats.facts_retracted += lost.live_len() as u64;
+    if lost.is_empty() {
+        ledger.remove(&h);
+    } else {
+        ledger.insert(h, lost);
+    }
 }
 
 /// Replay one entry: reset its heads to their post-batch EDB rows and run
@@ -238,9 +246,9 @@ fn sweep(
 /// Theorem 2 that computes exactly its relations in the new model. Then
 /// bring the old relations to the new rows by their difference: rows in
 /// both keep their positions (and an open change log sees only the
-/// difference), the losses are tombstoned and join `deleted`, and the gains
-/// are appended and marked in `inserted` — the entries above join only the
-/// difference.
+/// difference), the losses are tombstoned and become the heads' ledger,
+/// and the gains are appended and marked in `inserted` — the entries above
+/// join only the difference.
 #[allow(clippy::too_many_arguments)]
 fn replay(
     program: &Program,
@@ -249,7 +257,7 @@ fn replay(
     edb: &Database,
     db: &mut Database,
     cache: &mut PlanCache,
-    deleted: &mut FastMap<Symbol, Vec<Row>>,
+    ledger: &mut Ledger,
     inserted: &mut DeltaFrontier,
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
@@ -267,12 +275,11 @@ fn replay(
         // `new` takes the replayed rows.
         let rel = db.relation_mut(h, 0);
         std::mem::swap(rel, &mut new);
-        let lost: Vec<Row> = rel
-            .iter()
-            .filter(|t| !new.contains(t))
-            .map(<[_]>::to_vec)
-            .collect();
-        for t in &lost {
+        let mut lost = Relation::new(rel.arity());
+        for t in rel.iter().filter(|t| !new.contains(t)) {
+            lost.insert_slice(t);
+        }
+        for t in lost.iter() {
             rel.remove_slice(t);
         }
         let lo = rel.len();
@@ -282,10 +289,7 @@ fn replay(
         if rel.len() > lo {
             inserted.entry(h).or_insert(lo);
         }
-        drive.stats.facts_retracted += lost.len() as u64;
-        if !lost.is_empty() {
-            deleted.entry(h).or_default().extend(lost);
-        }
+        settle(ledger, h, lost, drive);
     }
     drive.stats.strata_replayed += 1;
     Ok(())
@@ -351,23 +355,26 @@ fn scratch_fixpoint(
 }
 
 /// DRed for one entry: overdelete everything derivable from a lost tuple,
-/// then rederive what the surviving facts still support. Returns the net
-/// losses in overdeletion order.
+/// then rederive what the surviving facts still support. The ledger lends
+/// the losses of each lower predicate the rules read as its `del$q`, and
+/// each head's candidates as its `del$h`, to which overdeletion adds;
+/// settled in place, `del$h` returns as the head's net losses, in
+/// overdeletion order.
 fn dred(
     program: &Program,
     entry: &Component,
     edb: &Database,
     db: &mut Database,
-    deleted: &FastMap<Symbol, Vec<Row>>,
-    entry_pending: &[(Symbol, Vec<Row>)],
+    ledger: &mut Ledger,
     drive: &mut Drive<'_>,
-) -> Result<Vec<(Symbol, Row)>, EvalError> {
+) -> Result<(), EvalError> {
     drive.check()?;
     let heads = &entry.preds;
+    let del = |p| scratch_name("del", p);
     let is_deletable = |l: &Literal| {
         l.positive
-            && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none()
-            && (deleted.contains_key(&l.atom.pred) || heads.contains(&l.atom.pred))
+            && l.builtin().is_none()
+            && (ledger.contains_key(&l.atom.pred) || heads.contains(&l.atom.pred))
     };
     // Deletable body occurrences per rule, in body order — the pivots of
     // the overdeletion variants.
@@ -386,59 +393,46 @@ fn dred(
         })
         .collect();
 
-    // A lower-frontier occurrence *after* the pivot must read the
-    // pre-deletion value (OLD = NEW ∪ deleted); occurrences before the
-    // pivot read the surviving relation, so each lost solution is covered
-    // by its first deleted occurrence. `old$q` is materialized only where
-    // actually needed.
+    // The lower predicates with losses the rules read. A lower-frontier
+    // occurrence *after* the pivot must read the pre-deletion value (OLD =
+    // NEW ∪ deleted); occurrences before the pivot read the surviving
+    // relation, so each lost solution is covered by its first deleted
+    // occurrence. `old$q` is materialized only where actually needed.
+    let mut lower: Vec<Symbol> = Vec::new();
     let mut needs_old: FastSet<Symbol> = FastSet::default();
     for (ri, occs) in &rule_occs {
-        for &j in occs.iter().skip(1) {
+        for (k, &j) in occs.iter().enumerate() {
             let p = program.rules[*ri].body[j].atom.pred;
-            if deleted.contains_key(&p) && !heads.contains(&p) {
-                needs_old.insert(p);
+            if !heads.contains(&p) {
+                if !lower.contains(&p) {
+                    lower.push(p);
+                }
+                if k > 0 {
+                    needs_old.insert(p);
+                }
             }
         }
     }
 
-    // Scratch relations: del$h per head of the entry (seeded with its
-    // pending EDB-support losses), del$q per lower frontier predicate
-    // (seeded with its losses), old$q where required.
-    let mut temp: Vec<Symbol> = Vec::new();
-    for &h in heads {
-        let dn = scratch_name("del", h);
-        let arity = db.relation(h).map_or(0, Relation::arity);
-        db.set_relation(dn, Relation::new(arity));
-        temp.push(dn);
-    }
-    for (h, tuples) in entry_pending {
-        for t in tuples {
-            db.relation_mut(scratch_name("del", *h), t.len())
-                .insert_slice(t);
-        }
-    }
-    for (&q, tuples) in deleted {
-        let Some(qrel) = db.relation(q) else { continue };
-        let arity = qrel.arity();
+    // Scratch relations: del$q per lower predicate, moved in from the
+    // ledger (with old$q where required), and del$h per head, its
+    // candidates or empty.
+    for &q in &lower {
+        let lost = ledger.remove(&q).expect("a lower pivot has losses");
         if needs_old.contains(&q) {
-            let mut orel = Relation::new(arity);
-            for t in qrel.iter() {
-                orel.insert_slice(t);
+            let mut old = Relation::new(lost.arity());
+            let survivors = db.relation(q).into_iter().flat_map(Relation::iter);
+            for t in survivors.chain(lost.iter()) {
+                old.insert_slice(t);
             }
-            for t in tuples {
-                orel.insert_slice(t);
-            }
-            let on = scratch_name("old", q);
-            db.set_relation(on, orel);
-            temp.push(on);
+            db.set_relation(scratch_name("old", q), old);
         }
-        let mut drel = Relation::new(arity);
-        for t in tuples {
-            drel.insert_slice(t);
-        }
-        let dn = scratch_name("del", q);
-        db.set_relation(dn, drel);
-        temp.push(dn);
+        db.set_relation(del(q), lost);
+    }
+    for &h in heads {
+        let arity = db.relation(h).map_or(0, Relation::arity);
+        let candidates = ledger.remove(&h).unwrap_or_else(|| Relation::new(arity));
+        db.set_relation(del(h), candidates);
     }
 
     // Overdeletion rules: one variant per deletable occurrence (the
@@ -448,17 +442,16 @@ fn dred(
     // their pre-deletion contents throughout this fixpoint. Every
     // del$ relation is a delta from its first tuple on, and the pivot is a
     // variant's only del$ literal: the first round joins each variant
-    // pivot-first over the seeded losses, later rounds over what del$h
+    // pivot-first over the ledger's losses, later rounds over what del$h
     // gained.
     let mut del_rules: Vec<Rule> = Vec::new();
-    let mut del_frontier: DeltaFrontier =
-        heads.iter().map(|&h| (scratch_name("del", h), 0)).collect();
+    let mut del_frontier: DeltaFrontier = heads.iter().map(|&h| (del(h), 0)).collect();
     for (ri, occs) in &rule_occs {
         let rule = &program.rules[*ri];
         for (vi, &occ) in occs.iter().enumerate() {
             let mut synth = rule.clone();
-            synth.head = Atom::new(scratch_name("del", rule.head.pred), rule.head.args.clone());
-            let pivot = scratch_name("del", rule.body[occ].atom.pred);
+            synth.head = Atom::new(del(rule.head.pred), rule.head.args.clone());
+            let pivot = del(rule.body[occ].atom.pred);
             synth.body[occ].atom.pred = pivot;
             del_frontier.insert(pivot, 0);
             for &j in &occs[vi + 1..] {
@@ -472,32 +465,28 @@ fn dred(
     }
     scratch_fixpoint(del_rules, del_frontier, db, drive)?;
 
-    // Remove the overdeleted tuples, then rederive: a tuple comes back if
-    // it is still an EDB fact, or if some rule body still derives it from
-    // the surviving facts.
-    let mut over: Vec<(Symbol, Vec<Row>)> = Vec::new();
+    // Remove the overdeleted tuples. Overdeletion joins lower relations
+    // that already hold the batch's insertions, so it can reach a tuple the
+    // head never held: no loss, it leaves the ledger — and the rederive
+    // guard, which only bounds work. A removed tuple still stored in the
+    // EDB comes straight back.
+    let mut row = Vec::new();
     for &h in heads {
-        let dn = scratch_name("del", h);
-        let candidates: Vec<Row> = db
-            .relation(dn)
-            .map(|r| r.iter().map(<[ValueId]>::to_vec).collect())
-            .unwrap_or_default();
-        let mut removed = Vec::new();
-        for t in candidates {
-            if db.remove_ids(h, &t).is_some() {
-                removed.push(t);
+        let mut candidates = db.remove_relation(del(h)).expect("installed above");
+        for pos in 0..candidates.len() as u32 {
+            if db.remove_ids(h, candidates.get(pos)).is_none() {
+                // Through a copy: a relation cannot lend the row it removes.
+                row.clear();
+                row.extend_from_slice(candidates.get(pos));
+                candidates.remove_slice(&row);
             }
         }
-        over.push((h, removed));
-    }
-    for (h, removed) in &over {
-        if let Some(erel) = edb.relation(*h) {
-            for t in removed {
-                if erel.contains(t) {
-                    db.insert_id_slice(*h, t);
-                }
+        if let Some(stored) = edb.relation(h) {
+            for t in candidates.iter().filter(|t| stored.contains(t)) {
+                db.insert_id_slice(h, t);
             }
         }
+        db.set_relation(del(h), candidates);
     }
     // Rederivation rules: each rule of the entry guarded by del$h(head
     // args) in front of its body, a non-invertible argument as `_` (see
@@ -512,29 +501,36 @@ fn dred(
             let mut synth = program.rules[ri].clone();
             let anchor = synth.head.args.iter();
             let anchor = anchor.map(|a| if invertible(a) { a.clone() } else { Term::Anon });
-            let guard = Atom::new(scratch_name("del", synth.head.pred), anchor.collect());
+            let guard = Atom::new(del(synth.head.pred), anchor.collect());
             synth.body.insert(0, Literal::pos(guard));
             synth
         })
         .collect();
     let mut rederive_frontier = frontier_at(db, heads.iter().copied());
-    rederive_frontier.extend(heads.iter().map(|&h| (scratch_name("del", h), 0)));
+    rederive_frontier.extend(heads.iter().map(|&h| (del(h), 0)));
     scratch_fixpoint(rederive_rules, rederive_frontier, db, drive)?;
 
-    for name in temp {
-        db.remove_relation(name);
-    }
-    let mut out: Vec<(Symbol, Row)> = Vec::new();
-    for (h, removed) in over {
-        for t in removed {
-            if !db.relation(h).is_some_and(|r| r.contains(&t)) {
-                out.push((h, t));
+    // What came back, from the EDB or through a rule, is no loss either:
+    // tombstoned, it leaves del$h holding the head's net losses.
+    for &h in heads {
+        let mut lost = db.remove_relation(del(h)).expect("installed above");
+        let rel = db.relation(h).expect("a head relation");
+        for pos in 0..lost.len() as u32 {
+            if let Some(at) = rel.position_of(lost.get(pos)) {
+                lost.remove_slice(rel.get(at));
             }
+        }
+        settle(ledger, h, lost, drive);
+    }
+    for q in lower {
+        ledger.insert(q, db.remove_relation(del(q)).expect("installed above"));
+        if needs_old.contains(&q) {
+            db.remove_relation(scratch_name("old", q));
         }
     }
     drive.stats.strata_dred += 1;
     drive.check()?;
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -542,7 +538,7 @@ mod tests {
     use super::*;
     use crate::budget::{Budget, ResourceKind};
     use ldl_parser::parse_program;
-    use ldl_value::Value;
+    use ldl_value::{Fact, Value, ValueId};
 
     type Case = (Program, Stratification, Database, Database);
     type Tuple = (&'static str, Vec<Value>);
@@ -570,12 +566,13 @@ mod tests {
                 .map(|(p, args)| Fact::new(*p, args.clone()))
                 .collect()
         };
-        let (sens, mut stats) = (strat.sensitivity(program), EvalStats::new());
-        let (del, ins, opts) = (facts(retract), facts(assert), EvalOptions::default());
-        apply_mutations(
-            program, strat, &sens, edb, db, &del, &ins, &opts, &mut stats,
-        )
-        .unwrap();
+        let mut stats = EvalStats::new();
+        let (del, ins) = (
+            IdRows::intern(&facts(retract)),
+            IdRows::intern(&facts(assert)),
+        );
+        let opts = EvalOptions::default();
+        apply_mutations(program, strat, edb, db, &del, &ins, &opts, &mut stats).unwrap();
         let reference = crate::model::reference_model(program, edb).unwrap();
         assert_eq!(db.to_fact_set(), reference.to_fact_set());
         stats
@@ -926,18 +923,54 @@ mod tests {
         assert!(holds(&case, "far", vec![Value::int(1), Value::int(3)]));
     }
 
+    /// Overdeletion joins relations that already hold the batch's
+    /// insertions: losing `q(1, 2)` reaches `r(1, 3)` and also `r(1, 5)`,
+    /// through the new `s(2, 5)`, which the old model never held. Settling
+    /// drops it from the ledger, so neither the count nor `u`'s DRed sees a
+    /// loss that never happened.
+    #[test]
+    fn a_candidate_the_head_never_held_is_no_loss() {
+        let src = "r(X, Y) <- q(X, Z), s(Z, Y).\nu(X) <- r(X, _).";
+        let mut case = setup(
+            src,
+            &[ints("q", &[&[1, 2]]), ints("s", &[&[2, 3]])].concat(),
+        );
+        let stats = mutate_vs_reference(&mut case, &ints("q", &[&[1, 2]]), &ints("s", &[&[2, 5]]));
+        let arms = (stats.strata_dred, stats.strata_delta);
+        assert_eq!((stats.facts_retracted, arms), (3, (2, 1)));
+        assert!(!holds(&case, "r", vals(&[1, 5])));
+    }
+
+    /// A retracted stored fact of a rule-defined predicate is a candidate
+    /// its entry settles. `h` groups, so its entry replays and still
+    /// derives `h(1, {2})`: the replay's difference, empty, replaces the
+    /// candidate, and `v`, which reads `h` positively, has nothing to do.
+    #[test]
+    fn a_replay_replaces_its_heads_candidates() {
+        let h12 = ("h", vec![Value::int(1), Value::set([Value::int(2)])]);
+        let src = "h(X, <Y>) <- e(X, Y).\nv(X) <- h(X, _).";
+        let mut case = setup(src, &[ints("e", &[&[1, 2]]), vec![h12.clone()]].concat());
+        let stats = mutate_vs_reference(&mut case, &[h12], &[]);
+        let arms = (
+            stats.strata_replayed,
+            stats.strata_skipped,
+            stats.strata_dred,
+        );
+        assert_eq!((arms, stats.facts_retracted), ((1, 1, 0), 0));
+        assert!(holds(&case, "v", vals(&[1])));
+    }
+
     #[test]
     fn budget_abort_rolls_the_edb_back_bit_identically() {
         use crate::budget::Budget;
         let (program, strat, mut edb, mut db) = setup(TC, &ints("e", &[&[1, 2], &[2, 3]]));
-        let rows = |edb: &Database| -> Vec<(Symbol, Vec<Row>)> {
+        let rows = |edb: &Database| -> Vec<(Symbol, Vec<Vec<ValueId>>)> {
             let mut preds: Vec<Symbol> = edb.predicates().collect();
             preds.sort_by_key(|p| p.to_string());
             let rel = |p| edb.relation(p).unwrap().iter().map(<[ValueId]>::to_vec);
             preds.into_iter().map(|p| (p, rel(p).collect())).collect()
         };
         let before = rows(&edb);
-        let sens = strat.sensitivity(&program);
         let mut stats = EvalStats::new();
         let opts = EvalOptions {
             budget: Budget {
@@ -949,11 +982,10 @@ mod tests {
         let err = apply_mutations(
             &program,
             &strat,
-            &sens,
             &mut edb,
             &mut db,
-            &[Fact::new("e", vec![Value::int(2), Value::int(3)])],
-            &[Fact::new("e", vec![Value::int(3), Value::int(4)])],
+            &IdRows::intern(&[Fact::new("e", vec![Value::int(2), Value::int(3)])]),
+            &IdRows::intern(&[Fact::new("e", vec![Value::int(3), Value::int(4)])]),
             &opts,
             &mut stats,
         );
@@ -1115,7 +1147,6 @@ mod tests {
 
         let commit = |budget: Budget| {
             let (program, strat, mut edb, mut db) = setup(TC, &chain);
-            let sens = strat.sensitivity(&program);
             let mut stats = EvalStats::new();
             (stats.attempts, stats.facts_derived) = (1_000_000, 1_000_000);
             let facts = |ts: &[Tuple]| -> Vec<Fact> {
@@ -1125,9 +1156,12 @@ mod tests {
                 budget,
                 ..EvalOptions::default()
             };
-            let (del, ins) = (facts(&batch.0), facts(&batch.1));
+            let (del, ins) = (
+                IdRows::intern(&facts(&batch.0)),
+                IdRows::intern(&facts(&batch.1)),
+            );
             let res = apply_mutations(
-                &program, &strat, &sens, &mut edb, &mut db, &del, &ins, &opts, &mut stats,
+                &program, &strat, &mut edb, &mut db, &del, &ins, &opts, &mut stats,
             );
             match res {
                 Ok(()) => None,

@@ -5,7 +5,7 @@ use ldl_eval::fixpoint::{run_round, Drive, RoundTask};
 use ldl_eval::plan::{DeltaRestriction, RulePlan};
 use ldl_eval::{reference_model, EvalOptions, EvalStats, Evaluator};
 use ldl_parser::{parse_program, parse_rule};
-use ldl_storage::Database;
+use ldl_storage::{Database, IdRows};
 use ldl_stratify::Stratification;
 use ldl_value::{intern, Fact, Value};
 
@@ -226,17 +226,15 @@ fn indexes_wait_for_rows() {
     assert_eq!(cols(&db, "par"), [vec![0, 1], vec![1]]);
 
     let strat = Stratification::canonical(&program).unwrap();
-    let sens = strat.sensitivity(&program);
     let new = Fact::new("par", vec![Value::int(10), Value::int(11)]);
     let (opts, mut stats) = (EvalOptions::default(), EvalStats::new());
     ldl_eval::apply_mutations(
         &program,
         &strat,
-        &sens,
         &mut edb,
         &mut db,
-        &[],
-        &[new],
+        &IdRows::intern(&[]),
+        &IdRows::intern(&[new]),
         &opts,
         &mut stats,
     )

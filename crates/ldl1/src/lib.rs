@@ -278,14 +278,13 @@ impl Clone for System {
     }
 }
 
-/// The evaluated model plus everything incremental maintenance needs to
-/// keep it current: the layering it was computed under, whose schedule
-/// entries the commit sweep walks, and each entry's read sets.
+/// The evaluated model plus what incremental maintenance needs to keep it
+/// current: the layering it was computed under, whose schedule entries —
+/// each with its read sets — the commit sweep walks.
 #[derive(Clone, Debug)]
 struct CachedModel {
     db: Database,
     strat: Stratification,
-    sens: Vec<ldl_stratify::Sensitivity>,
 }
 
 impl Default for System {
@@ -669,20 +668,21 @@ impl System {
             return Ok(()); // netted to nothing: no evaluation, no log record
         }
         let opts = self.eval_options();
+        // Interned once, for the EDB and the model alike.
+        let rows = ldl_storage::IdRows::intern;
+        let (del_rows, ins_rows) = (rows(&del), rows(&ins));
         let Some(cache) = &mut self.cache else {
-            let rows = ldl_storage::IdRows::intern;
-            self.edb.apply(&rows(&del), &rows(&ins)).expect("validated");
+            self.edb.apply(&del_rows, &ins_rows).expect("validated");
             return self.log_commit(&del, &ins);
         };
         let mut stats = EvalStats::new();
         let res = eval::apply_mutations(
             &self.compiled,
             &cache.strat,
-            &cache.sens,
             &mut self.edb,
             &mut cache.db,
-            &del,
-            &ins,
+            &del_rows,
+            &ins_rows,
             &opts,
             &mut stats,
         );
@@ -724,9 +724,8 @@ impl System {
                 .map_err(ldl_eval::EvalError::from)
                 .map_err(Error::Eval)?;
             let (db, stats) = ev.evaluate_with_stats(&self.compiled, &self.edb, &strat)?;
-            let sens = strat.sensitivity(&self.compiled);
             self.last_stats = stats;
-            self.cache = Some(CachedModel { db, strat, sens });
+            self.cache = Some(CachedModel { db, strat });
             self.publish();
         }
         Ok(&self.cache.as_ref().expect("just computed").db)

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use ldl_ast::literal::{Atom, Literal};
-use ldl_ast::program::{Builtin, Program};
+use ldl_ast::program::Program;
 use ldl_ast::rule::Rule;
 use ldl_ast::term::Term;
 use ldl_value::fxhash::{FastMap, FastSet};
@@ -234,7 +234,7 @@ fn adorn_rule(
     let mut body_adornments = Vec::with_capacity(rule.body.len());
     for (k, &li) in sip.order.iter().enumerate() {
         let lit = &rule.body[li];
-        let is_builtin = Builtin::resolve(lit.atom.pred, lit.atom.arity()).is_some();
+        let is_builtin = lit.builtin().is_some();
         if !is_builtin && idb.contains_key(&lit.atom.pred) {
             let bound = &sip.bound_before[k];
             let mut adornment = Adornment(

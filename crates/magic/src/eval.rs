@@ -39,7 +39,7 @@
 use std::ops::Range;
 
 use ldl_ast::literal::{Atom, Literal};
-use ldl_ast::program::{Builtin, Program};
+use ldl_ast::program::Program;
 use ldl_eval::fixpoint::{
     delta_loop, ensure_head_relations, frontier_at, full_round, Drive, PlanCache,
 };
@@ -105,8 +105,7 @@ impl MagicEvaluator {
 
         // Classify the rules: base, or guarded at a stratum.
         let program = &mp.program;
-        let negated =
-            |l: &&Literal| !l.positive && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none();
+        let negated = |l: &&Literal| !l.positive && l.builtin().is_none();
         let mut base: Vec<usize> = Vec::new();
         let mut guarded: Vec<(usize, usize)> = Vec::new(); // (stratum, rule id)
         for (ri, rule) in program.rules.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! The predicate dependency graph of §3.1.
 
 use ldl_ast::literal::Literal;
-use ldl_ast::program::{Builtin, Program};
+use ldl_ast::program::Program;
 use ldl_ast::rule::Rule;
 use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::Symbol;
@@ -26,7 +26,7 @@ pub enum EdgeKind {
 ///   it is recursion through grouping.
 /// * Clause (1): otherwise `≥`.
 pub fn edge_kind(rule: &Rule, lit: &Literal) -> Option<EdgeKind> {
-    if Builtin::resolve(lit.atom.pred, lit.atom.arity()).is_some() {
+    if lit.builtin().is_some() {
         return None;
     }
     let greater = rule.head.has_group() || !lit.positive || lit.atom.has_group();

@@ -22,7 +22,7 @@
 
 use ldl_ast::gensym::Gensym;
 use ldl_ast::literal::{Atom, Literal};
-use ldl_ast::program::{Builtin, Program};
+use ldl_ast::program::Program;
 use ldl_ast::rule::Rule;
 use ldl_ast::term::Term;
 
@@ -55,7 +55,7 @@ fn rewrite_one(rule: &Rule, g: &Gensym) -> Result<Option<Vec<Rule>>, TransformEr
         // native matcher. (These arise from this very transformation, when
         // the extracted `t` of a nested group lands inside the generated
         // `member`/`=` literals.)
-        if Builtin::resolve(lit.atom.pred, lit.atom.arity()).is_some() {
+        if lit.builtin().is_some() {
             continue;
         }
         for (ai, arg) in lit.atom.args.iter().enumerate() {
@@ -176,7 +176,7 @@ mod tests {
     fn assert_no_relation_groups(p: &Program) {
         for r in &p.rules {
             for l in &r.body {
-                if ldl_ast::program::Builtin::resolve(l.atom.pred, l.atom.arity()).is_some() {
+                if l.builtin().is_some() {
                     continue;
                 }
                 assert!(l.atom.args.iter().all(|t| !t.has_group()), "{r}");

@@ -24,7 +24,7 @@
 
 use ldl_ast::gensym::Gensym;
 use ldl_ast::literal::{Atom, Literal};
-use ldl_ast::program::{Builtin, Program};
+use ldl_ast::program::Program;
 use ldl_ast::rule::Rule;
 use ldl_ast::term::{tuple_functor, Term, Var};
 use ldl_value::Value;
@@ -51,7 +51,7 @@ fn rewrite_rule(rule: &Rule, g: &Gensym, out: &mut Program) -> Result<(), Transf
     let neg_idx = rule
         .body
         .iter()
-        .position(|l| !l.positive && Builtin::resolve(l.atom.pred, l.atom.arity()).is_none());
+        .position(|l| !l.positive && l.builtin().is_none());
     let Some(idx) = neg_idx else {
         out.push(rule.clone());
         return Ok(());
