@@ -626,8 +626,11 @@ mod tests {
         (out, stats)
     }
 
-    /// §1's bill of materials, rewritten for `result(1, C)` (§6; magic and
-    /// adorned names spelled without quotes). In the two `partition` rules
+    /// §1's bill of materials, rewritten for `result(1, C)` by the form of
+    /// §6 that copies each body prefix (magic and adorned names spelled
+    /// without quotes; the supplementary rewrite that replaced it has no
+    /// such pass, and plain evaluation's `partition` rule has one). In the
+    /// two `partition` rules
     /// the delta-first variant pinning `tc_bf(S1, C1)` or `tc_bf(S2, C2)`
     /// binds nothing that indexes `m_tc_bf(S)`, so it would scan the magic
     /// set once per delta tuple: those passes run the full plan in place,

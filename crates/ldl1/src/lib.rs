@@ -797,7 +797,7 @@ impl System {
 
     /// One line saying which arm [`System::query`] would take for this
     /// query, without running it when that is the magic arm —
-    /// `anc(0, Y): magic anc'bf: seed m'anc'bf(0), 4 rules` — and otherwise
+    /// `anc(0, Y): magic anc'bf: seed m'anc'bf(0), 5 rules` — and otherwise
     /// how it reads the model: index probe or scan, and over how many rows
     /// (see [`Evaluator::explain_query`]). The model arms force evaluation
     /// first, like the query.

@@ -5,13 +5,14 @@
 //! apparent paradox: "we only need to evaluate these body predicates fully
 //! *for a given tuple in the magic predicate*". Concretely:
 //!
-//! * **base rules** — magic rules and modified rules without grouping heads
-//!   or negated literals — are monotone and run to a joint semi-naive
-//!   fixpoint;
+//! * **base rules** — supplementary, magic and modified rules without
+//!   grouping heads or negated literals — are monotone and run to a joint
+//!   semi-naive fixpoint;
 //! * **guarded rules** — grouping heads, and any rule with a negated
 //!   literal — run only at a base fixpoint, ordered by the *original*
-//!   program's layering, with the base fixpoint re-entered after each
-//!   layer;
+//!   program's layering (a supplementary predicate takes its rule head's
+//!   layer), with the base fixpoint re-entered after each one that adds a
+//!   fact;
 //! * the whole schedule repeats until nothing changes.
 //!
 //! All of it runs on the engine's own driver ([`ldl_eval::fixpoint`]): one
@@ -23,11 +24,12 @@
 //! round ([`full_round`]). Plans come from a [`PlanCache`] like every other
 //! caller's: the rewriting already put every body in sip order, which the
 //! planner's rule keeps, and a delta-first variant orders the rest by bound
-//! arguments, as the sip does.
-//! Where that variant would still scan a magic set once per delta tuple —
-//! the delta binds nothing the guard is indexed by, as in the bill of
-//! materials' `partition` rules — the delta loop runs the sip-ordered full
-//! plan in place, with the delta range on the delta literal's step.
+//! arguments, as the sip does. A supplementary relation carries the
+//! variables a later literal shares with the prefix, so that variant probes
+//! it by what its delta binds. Where a variant would still scan a relation
+//! once per delta tuple, the delta loop runs the full plan in place
+//! (`PlanCache::delta_pass`). No rewrite of a benchmark workload or of a
+//! program in `programs/` has such a pass (EXPERIMENTS.md P43).
 //!
 //! Soundness of applying a guarded rule at a base fixpoint: a magic tuple's
 //! downward closure (all magic tuples it implies, and all ordinary facts
@@ -35,8 +37,6 @@
 //! the tuple itself, so the facts feeding a group or a negation test for
 //! that tuple are final — later magic tuples only add facts for *their*
 //! closures, and overlapping closures derive identical facts.
-
-use std::ops::Range;
 
 use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::Program;
@@ -95,7 +95,17 @@ impl MagicEvaluator {
         original: &Program,
         edb: &Database,
     ) -> Result<(Database, EvalStats), EvalError> {
-        let strat = Stratification::canonical(original)?;
+        self.evaluate_staged(mp, &Stratification::canonical(original)?, edb)
+    }
+
+    /// The staged schedule, with the layering `strat` of the original
+    /// program ordering the guarded rules.
+    fn evaluate_staged(
+        &self,
+        mp: &MagicProgram,
+        strat: &Stratification,
+        edb: &Database,
+    ) -> Result<(Database, EvalStats), EvalError> {
         let stratum_of = |pred: Symbol| -> usize {
             mp.adorned_to_original
                 .get(&pred)
@@ -136,40 +146,43 @@ impl MagicEvaluator {
         // `adorn_rule` emits every rewritten body in sip order (§6), and the
         // planner orders a body by the sip's own rule — bound arguments
         // first, ties in source order — so the plan follows the sip,
-        // delta-first variants included; a variant that would rescan the
-        // magic set per delta tuple gives way to the full plan run in place.
+        // delta-first variants included.
         let mut cache = PlanCache::default();
         // Every rule head is a delta predicate — guarded heads too, since
         // base rules consume what guarded rules produce. The one frontier
         // lives across the whole schedule: a base fixpoint re-entered after
         // guarded rules ran joins only what they added.
         let mut frontier = frontier_at(&db, program.rules.iter().map(|r| r.head.pred));
-        let run_guarded = |strata: Range<usize>,
+        // The guarded rules up to stratum `top`, lowest stratum first,
+        // until one adds a fact: true if one did.
+        let run_guarded = |top: usize,
                            cache: &mut PlanCache,
                            db: &mut Database,
                            drive: &mut Drive<'_>|
-         -> Result<usize, EvalError> {
-            let mut new = 0;
-            for &(gs, ri) in &guarded {
-                if strata.contains(&gs) {
-                    new += full_round(program, &[ri], cache, db, drive)?;
+         -> Result<bool, EvalError> {
+            for &(_, ri) in guarded.iter().take_while(|(gs, _)| *gs <= top) {
+                if full_round(program, &[ri], cache, db, drive)? > 0 {
+                    return Ok(true);
                 }
             }
-            Ok(new)
+            Ok(false)
         };
 
         // Stage-by-stage schedule. A guarded rule at stratum s (a group or a
         // negation test) may only run when everything its bindings can reach
         // in strata < s is saturated — for *every* magic tuple existing at
         // that moment, including tuples minted by lower guarded rules a
-        // heartbeat earlier. So each stage first drives (base ∪ guarded<s)
-        // to a joint fixpoint, then applies the stratum-s guarded rules, and
-        // repeats: their outputs can mint new magic tuples that extend the
-        // lower strata and enable new stratum-s bindings. Already-emitted
-        // groups/negation results stay valid — a binding's derivations are
-        // determined by its own magic closure, which was saturated when the
-        // binding was processed. The magic schedule is not layered; abort
-        // diagnostics report the stage and the query predicate.
+        // heartbeat earlier. So each stage drives the base rules to a
+        // fixpoint, then applies the guarded rules up to stratum s in order
+        // until one adds something, and repeats. What that rule added — a
+        // supplementary tuple, or a magic tuple another guarded rule's
+        // negation needs — is saturated by the base fixpoint before any
+        // later guarded rule runs, and can extend the lower strata and
+        // enable new stratum-s bindings. Already-emitted groups/negation
+        // results stay valid — a binding's derivations are determined by
+        // its own magic closure, which was saturated when the binding was
+        // processed. The magic schedule is not layered; abort diagnostics
+        // report the stage and the query predicate.
         drive.set_context(0, Some(mp.query.pred));
         full_round(program, &base, &mut cache, &mut db, &mut drive)?;
         let max_stratum = guarded.iter().map(|(s, _)| *s).max().unwrap_or(0);
@@ -184,10 +197,7 @@ impl MagicEvaluator {
                     &mut frontier,
                     &mut drive,
                 )?;
-                // The stratum-s rules only once the lower ones add nothing.
-                if run_guarded(0..s, &mut cache, &mut db, &mut drive)? == 0
-                    && run_guarded(s..s + 1, &mut cache, &mut db, &mut drive)? == 0
-                {
+                if !run_guarded(s, &mut cache, &mut db, &mut drive)? {
                     break;
                 }
             }
@@ -222,8 +232,9 @@ impl MagicEvaluator {
         if self.options.check_wf {
             ldl_ast::wf::check_program(program, self.options.dialect).map_err(EvalError::from)?;
         }
-        Stratification::canonical(program)?;
+        let strat = Stratification::canonical(program)?;
         let mp = Self::compile(program, query)?;
-        Ok(self.answer(&mp, program, edb)?.0)
+        let (db, _) = self.evaluate_staged(&mp, &strat, edb)?;
+        Ok(Evaluator::new().query(&db, &mp.query))
     }
 }

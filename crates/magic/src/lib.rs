@@ -14,9 +14,12 @@
 //! 2. **adornment** ([`adorn`]) — starting from the query's binding
 //!    pattern, specialize every reachable IDB predicate by a `b`/`f`
 //!    string, exactly as in \[BR87\].
-//! 3. **Generalized Magic Sets rewriting** ([`rewrite`]) — `magic_p`
-//!    predicates restrict each rule, with one magic rule per IDB body
-//!    literal collecting the sip-preceding literals, plus the query seed.
+//! 3. **Generalized Supplementary Magic Sets rewriting** ([`rewrite`]) —
+//!    `magic_p` predicates restrict each rule, with one magic rule per IDB
+//!    body literal reading the sip-preceding literals, plus the query seed;
+//!    a prefix that binds what a magic rule needs is joined once, into a
+//!    supplementary predicate that the magic rule and the rest of the body
+//!    read.
 //!
 //! The rewritten program "is not layered because of such cyclicity" between
 //! magic predicates and guarded bodies; [`eval`] implements the §6

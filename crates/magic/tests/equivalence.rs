@@ -285,3 +285,27 @@ fn negation_waits_for_lower_grouping() {
     assert!(magic_answers(src, &edb, "p2(2, Y)").is_empty());
     assert_equiv(src, &edb, "p2(X, Y)");
 }
+
+/// Regression: two guarded rules of one stratum, where the first mints the
+/// magic tuple that the second's negation needs. The magic rule of `~q(X)`
+/// reads `~r(X)`, so it is guarded at `q`'s stratum + 1 — `h`'s, like the
+/// modified rule. Run in one pass, the modified rule tested `~q'b(1)`
+/// before any base rule had derived `q'b(1)` and answered `h(1)`. Each
+/// guarded rule now waits for the base fixpoint after the one before it
+/// added something. The second program is the same shape with the
+/// negation behind a supplementary rule.
+#[test]
+fn negation_waits_for_a_magic_tuple_minted_in_its_stratum() {
+    let mut edb = Database::new();
+    edb.insert_tuple("e", vec![Value::int(1)]);
+    edb.insert_tuple("f", vec![Value::int(1), Value::int(2)]);
+    edb.insert_tuple("t", vec![Value::int(1)]);
+    edb.insert_tuple("t", vec![Value::int(2)]);
+    for src in [
+        "r(X) <- s(X).\nq(X) <- t(X).\nh(X) <- e(X), ~r(X), ~q(X).",
+        "r(X) <- s(X).\nq(Y) <- t(Y).\nh(X) <- e(X), ~r(X), f(X, Y), ~q(Y).",
+    ] {
+        assert_equiv(src, &edb, "h(1)");
+        assert!(magic_answers(src, &edb, "h(1)").is_empty(), "{src}");
+    }
+}
