@@ -167,6 +167,7 @@ fn main() {
     sys.set_budget(Budget::unlimited().with_cancel(CancelToken::global()));
     install_sigint();
     let mut batch = false;
+    let mut queried = false;
     let mut show_stats = false;
     let mut show_plans = false;
     let mut iter = args.iter();
@@ -229,23 +230,27 @@ fn main() {
                     }
                 }
             }
-            file => {
-                if let Err(e) = load_file(&mut sys, file) {
+            file => match load_file(&mut sys, file) {
+                Ok(queries) => queried |= queries > 0,
+                Err(e) => {
                     eprintln!("error: {e}");
                     std::process::exit(1);
                 }
-            }
+            },
         }
     }
     if show_plans {
         print!("{}", sys.explain(None));
     }
     if show_stats {
-        // Force a model so the counters reflect the loaded program even if
-        // no file contained a query, then print them like `:stats` would.
-        if let Err(e) = sys.model() {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+        // The counters of the last operation, like `:stats`: the files'
+        // last query — a bound one on the magic arm counts its cone — or,
+        // when no file asked one, the model, built for them.
+        if !queried {
+            if let Err(e) = sys.model() {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
         }
         eprintln!("{}", sys.last_stats());
     }
@@ -467,11 +472,13 @@ fn print_answers(answers: &[ldl1::QueryAnswer]) {
     }
 }
 
-fn load_file(sys: &mut System, path: &str) -> Result<(), String> {
+/// Load a program file, answering its `?-` queries as they are reached.
+/// Returns how many it answered.
+fn load_file(sys: &mut System, path: &str) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     // Split into statements on '.' boundaries is fragile ('.' inside
     // strings); instead: split out ?- query lines, load the rest wholesale.
-    let mut program = String::new();
+    let (mut program, mut queries) = (String::new(), 0);
     for line in text.lines() {
         if line.trim_start().starts_with("?-") {
             // Flush what we have so the query sees it.
@@ -480,6 +487,7 @@ fn load_file(sys: &mut System, path: &str) -> Result<(), String> {
                 program.clear();
             }
             let answers = sys.query(line.trim()).map_err(|e| e.to_string())?;
+            queries += 1;
             println!("{}", line.trim());
             print_answers(&answers);
         } else {
@@ -490,5 +498,5 @@ fn load_file(sys: &mut System, path: &str) -> Result<(), String> {
     if !program.trim().is_empty() {
         sys.load(&program).map_err(|e| e.to_string())?;
     }
-    Ok(())
+    Ok(queries)
 }

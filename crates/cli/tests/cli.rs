@@ -279,3 +279,50 @@ fn data_dir_open_prints_its_time_split() {
     assert!(stderr.contains("loaded snapshot at batch 1"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `--stats` prints the counters of the last operation. A file whose one
+/// query is bound answers it on the magic arm, and `--stats` then reports
+/// that evaluation — the cone of part 1 — without building the model: on a
+/// bill of materials with 64 leaves the model's `tc` ranges over every
+/// subset of them and would never finish.
+#[test]
+fn stats_after_a_bound_bom_query_reports_the_magic_arm() {
+    let bom = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../programs/bill_of_materials.ldl"
+    );
+    let rules: String = std::fs::read_to_string(bom)
+        .unwrap()
+        .lines()
+        .take_while(|l| !l.starts_with("p("))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    // A complete binary part tree of depth 6: part n has parts 2n, 2n + 1.
+    let mut src = rules.clone();
+    let mut total = 0;
+    for part in 1..64i64 {
+        src += &format!("p({part}, {}). p({part}, {}).\n", 2 * part, 2 * part + 1);
+    }
+    for leaf in 64..128i64 {
+        src += &format!("q({leaf}, {}).\n", leaf % 7 + 1);
+        total += leaf % 7 + 1;
+    }
+    let file = std::env::temp_dir().join(format!("ldl1-cli-bom-{}.ldl", std::process::id()));
+    std::fs::write(&file, format!("{src}?- result(1, C).\n")).unwrap();
+    let out = ldl1(&["--batch", "--stats", file.to_str().unwrap()]);
+    std::fs::remove_file(&file).unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&format!("C = {total}")), "{stdout}");
+
+    let mut sys = ldl1::System::new();
+    sys.load(&src).unwrap();
+    assert!(sys
+        .explain_query("result(1, C)")
+        .unwrap()
+        .contains(": magic "));
+    sys.query("result(1, C)").unwrap();
+    let magic = sys.last_stats();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.trim(), magic.to_string(), "{stderr}");
+}

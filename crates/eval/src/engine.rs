@@ -12,6 +12,7 @@ use ldl_value::{intern, Fact, Value, ValueId};
 
 use crate::bindings::Bindings;
 use crate::budget::Budget;
+use crate::compiled::{Compiled, PlanTable};
 use crate::error::EvalError;
 use crate::fixpoint;
 use crate::stats::EvalStats;
@@ -262,8 +263,7 @@ impl Evaluator {
     /// Compute the standard (minimal) model of `program` w.r.t. `edb`,
     /// using the canonical layering.
     pub fn evaluate(&self, program: &Program, edb: &Database) -> Result<Database, EvalError> {
-        let strat = Stratification::canonical(program)?;
-        self.evaluate_with(program, edb, &strat)
+        self.evaluate_stats(program, edb).map(|(db, _)| db)
     }
 
     /// [`Evaluator::evaluate`], also returning the work counters.
@@ -272,8 +272,9 @@ impl Evaluator {
         program: &Program,
         edb: &Database,
     ) -> Result<(Database, EvalStats), EvalError> {
-        let strat = Stratification::canonical(program)?;
-        self.evaluate_with_stats(program, edb, &strat)
+        let compiled = Compiled::new(program.clone())?;
+        self.check(program)?;
+        self.evaluate_compiled(&compiled, edb)
     }
 
     /// Compute the model using a caller-supplied layering (Theorem 2: the
@@ -295,11 +296,37 @@ impl Evaluator {
         edb: &Database,
         strat: &Stratification,
     ) -> Result<(Database, EvalStats), EvalError> {
+        self.check(program)?;
+        self.run(&PlanTable::new(program.clone()), strat, edb)
+    }
+
+    /// The model of a program compiled once ([`Compiled`]), with the work
+    /// counters. Its well-formedness is not checked again: whoever compiled
+    /// it checked it once.
+    pub fn evaluate_compiled(
+        &self,
+        compiled: &Compiled,
+        edb: &Database,
+    ) -> Result<(Database, EvalStats), EvalError> {
+        self.run(compiled.plans(), compiled.stratification(), edb)
+    }
+
+    /// Well-formedness, where the options ask for it.
+    fn check(&self, program: &Program) -> Result<(), EvalError> {
         if self.options.check_wf {
-            check_program(program, self.options.dialect).map_err(EvalError::from)?;
+            check_program(program, self.options.dialect)?;
         }
+        Ok(())
+    }
+
+    fn run(
+        &self,
+        plans: &PlanTable,
+        strat: &Stratification,
+        edb: &Database,
+    ) -> Result<(Database, EvalStats), EvalError> {
         let mut stats = EvalStats::new();
-        let db = fixpoint::evaluate(program, edb, strat, &self.options, &mut stats)?;
+        let db = fixpoint::evaluate(plans, edb, strat, &self.options, &mut stats)?;
         stats.interner_values = intern::len() as u64;
         stats.record_arena(&db);
         Ok((db, stats))

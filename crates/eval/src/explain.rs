@@ -9,24 +9,26 @@
 
 use std::fmt::Write;
 
-use ldl_ast::program::Program;
 use ldl_ast::term::Term;
 
+use crate::compiled::PlanTable;
 use crate::plan::{RulePlan, Step};
 
-/// Render the join plans of `program` (or of the rules defining `pred`
-/// only), each followed by the register program it lowers to. The output
-/// is stable line-oriented text meant for a terminal.
-pub fn explain(program: &Program, pred: Option<&str>) -> String {
+/// Render the join plans of the program `plans` plans (or of the rules
+/// defining `pred` only), each followed by the register program it lowers
+/// to: the full plans its table holds, planned and lowered here if no
+/// evaluation has yet. The output is stable line-oriented text meant for a
+/// terminal.
+pub fn explain(plans: &PlanTable, pred: Option<&str>) -> String {
     let mut out = String::new();
     let mut shown = 0usize;
-    for rule in &program.rules {
+    for (ri, rule) in plans.program().rules.iter().enumerate() {
         if pred.is_some_and(|p| rule.head.pred.as_str() != p) {
             continue;
         }
         shown += 1;
         let _ = writeln!(out, "{rule}");
-        match RulePlan::compile(rule, None) {
+        match plans.full_plan(ri) {
             Err(e) => {
                 let _ = writeln!(out, "  ! {e}");
             }
@@ -113,7 +115,8 @@ mod tests {
     /// fully bound check in the existential tail.
     #[test]
     fn explain_shows_cost_order_and_existential_tail() {
-        let program = parse_program("q(X) <- tag(C), big(X, C), small(X).").unwrap();
+        let program =
+            PlanTable::new(parse_program("q(X) <- tag(C), big(X, C), small(X).").unwrap());
         let text = explain(&program, None);
         let tag = text.find("scan tag").unwrap();
         let big = text.find("scan big(X, C) via index [1]").unwrap();
@@ -134,11 +137,13 @@ mod tests {
     /// at the first row. Neither bridges a whole literal to the matcher.
     #[test]
     fn flattened_patterns_and_the_existential_probe_render() {
-        let program = parse_program(
-            "result(X, C) <- tc({X}, C).\n\
+        let program = PlanTable::new(
+            parse_program(
+                "result(X, C) <- tc({X}, C).\n\
              leaf(X) <- node(X), ~e(X, _).",
-        )
-        .unwrap();
+            )
+            .unwrap(),
+        );
         let text = explain(&program, None);
         let compiled = |rule: &str| -> Vec<String> {
             let text = explain(&program, Some(rule));
@@ -176,7 +181,7 @@ mod tests {
 
     #[test]
     fn explain_reports_unschedulable_rules_inline() {
-        let program = parse_program("q(X) <- member(X, S), r(X).").unwrap();
+        let program = PlanTable::new(parse_program("q(X) <- member(X, S), r(X).").unwrap());
         let text = explain(&program, None);
         assert!(text.contains("!"), "{text}");
     }

@@ -19,7 +19,7 @@
 //!   grown. A pass is the delta-first variant of a rule, pinning the delta
 //!   occurrence as step 0 — unless that variant would scan a relation in
 //!   full once per delta tuple, when it is the full plan run in place with
-//!   the delta range on the occurrence's step (`PlanCache::delta_pass`).
+//!   the delta range on the occurrence's step (`PlanTable::delta_pass`).
 //!   Its callers differ only in the frontier they hand it: a schedule
 //!   entry run cold (after one full round, `run_entry`: every entry of
 //!   [`evaluate`], and an entry the maintenance sweep replays), the sweep's
@@ -38,11 +38,12 @@ use ldl_value::{intern, Symbol, ValueId};
 
 use crate::bindings::Bindings;
 use crate::budget::ResourceKind;
+use crate::compiled::PlanTable;
 use crate::engine::EvalOptions;
 use crate::error::EvalError;
 use crate::exec::run_ram;
 use crate::grouping::run_grouping_rule;
-use crate::plan::{check_arity, ensure_plan_indexes, DeltaRestriction, RulePlan};
+use crate::plan::{check_arity, DeltaRestriction, RulePlan};
 use crate::ram::{eval_expr, Expr, HeadIr};
 use crate::stats::EvalStats;
 
@@ -155,134 +156,21 @@ pub fn ensure_head_relations(
     Ok(())
 }
 
-/// Compiled-plan cache for one program over one operation.
-///
-/// Keyed by `(rule id, role)`: role 0 is the full round-0 plan `F`, role
-/// `occ + 1` the pass that joins the delta of body literal `occ`
-/// (`PlanCache::delta_pass`) — the delta-first variant pinning that
-/// literal as step 0, or `F` itself run in place. A plan reads no data, so
-/// an entry never goes stale.
-///
-/// Every lookup counts one hit or miss, and every plan counted as a miss is
-/// one that runs — so each is lowered exactly once.
-#[derive(Default)]
-pub struct PlanCache {
-    /// Per key: the plan, and the step a delta range confines — 0, except
-    /// for a delta role whose pass runs `F` in place, then `F`'s step for
-    /// the delta literal.
-    map: FastMap<(usize, usize), (Arc<RulePlan>, usize)>,
-}
-
-impl PlanCache {
-    /// The full plan `F` of `rule_id`, ready to run a pass against `db`:
-    /// cached, or compiled when absent, with its body arities checked and
-    /// the indexes it probes built ([`ensure_plan_indexes`]).
-    fn prepare(
-        &mut self,
-        program: &Program,
-        rule_id: usize,
-        db: &mut Database,
-        stats: &mut EvalStats,
-    ) -> Result<Arc<RulePlan>, EvalError> {
-        let plan = match self.map.get(&(rule_id, 0)) {
-            Some((plan, _)) => {
-                stats.plan_cache_hits += 1;
-                plan.clone()
-            }
-            None => {
-                let plan = Arc::new(RulePlan::compile(&program.rules[rule_id], None)?);
-                self.store((rule_id, 0), (plan.clone(), 0), stats);
-                plan
-            }
-        };
-        ensure_plan_indexes(&plan, db)?;
-        Ok(plan)
-    }
-
-    /// The pass that joins the delta of body literal `occ` of `rule_id`:
-    /// the plan to run, ready against `db` as [`PlanCache::prepare`] leaves
-    /// it, and the step its delta range confines.
-    ///
-    /// The pass is the delta-first variant `V` (the literal pinned as step
-    /// 0) unless `V` would read a relation in full once per delta tuple:
-    /// when `F` starts with an unindexed scan of some literal that `V`
-    /// scans unindexed at a later step, the pass runs `F` in place, with
-    /// the delta range on `F`'s step for the literal. It then reads that
-    /// relation once per round — what `V` pays for a single delta tuple —
-    /// and finds exactly `V`'s derivations: one literal reads the delta,
-    /// every other one the whole relation. The decision is cached with the
-    /// plan; `V` is compiled to make it but is neither counted nor kept
-    /// when `F` runs, and `F`'s indexes are built only then.
-    fn delta_pass(
-        &mut self,
-        program: &Program,
-        rule_id: usize,
-        occ: usize,
-        db: &mut Database,
-        stats: &mut EvalStats,
-    ) -> Result<(Arc<RulePlan>, usize), EvalError> {
-        let rule = &program.rules[rule_id];
-        let key = (rule_id, occ + 1);
-        let pass = match self.map.get(&key) {
-            Some(pass) => {
-                stats.plan_cache_hits += 1;
-                pass.clone()
-            }
-            None => {
-                let variant = RulePlan::compile(rule, Some(occ))?;
-                let rescans = (1..variant.steps.len()).any(|i| variant.full_scan_at(i).is_some());
-                let cached_full = self.map.get(&(rule_id, 0)).map(|(f, _)| f.clone());
-                // `F` is looked at only when `V` reads something in full
-                // after its delta; compiled here, it is counted if it runs.
-                let full = match &cached_full {
-                    Some(f) => Some(f.clone()),
-                    None if rescans => Some(Arc::new(RulePlan::compile(rule, None)?)),
-                    None => None,
-                };
-                match full.filter(|f| variant.rescans_first_scan_of(f)) {
-                    Some(full) => {
-                        if cached_full.is_some() {
-                            stats.plan_cache_hits += 1;
-                        } else {
-                            self.store((rule_id, 0), (full.clone(), 0), stats);
-                        }
-                        let pass = (full.clone(), full.step_of(occ));
-                        self.map.insert(key, pass.clone());
-                        pass
-                    }
-                    None => {
-                        let pass = (Arc::new(variant), 0);
-                        self.store(key, pass.clone(), stats);
-                        pass
-                    }
-                }
-            }
-        };
-        ensure_plan_indexes(&pass.0, db)?;
-        Ok(pass)
-    }
-
-    /// Cache a plan just compiled, counting a miss.
-    fn store(&mut self, key: (usize, usize), pass: (Arc<RulePlan>, usize), stats: &mut EvalStats) {
-        self.map.insert(key, pass);
-        stats.plan_cache_misses += 1;
-    }
-}
-
-/// Evaluate `program` bottom-up over `edb` using the given layering,
-/// returning the extended database `Mₙ` (EDB plus all derived facts): every
-/// entry of its schedule in turn, each to its fixpoint (`run_entry`).
+/// Evaluate the program `plans` plans bottom-up over `edb` using the given
+/// layering, returning the extended database `Mₙ` (EDB plus all derived
+/// facts): every entry of its schedule in turn, each to its fixpoint
+/// (`run_entry`).
 pub fn evaluate(
-    program: &Program,
+    plans: &PlanTable,
     edb: &Database,
     strat: &Stratification,
     opts: &EvalOptions,
     stats: &mut EvalStats,
 ) -> Result<Database, EvalError> {
     let mut db = edb.clone();
-    let (mut cache, mut drive) = (PlanCache::default(), Drive::new(opts, stats));
+    let mut drive = Drive::new(opts, stats);
     for (layer, entry) in strat.entries() {
-        run_entry(program, layer, entry, &mut cache, &mut db, &mut drive)?;
+        run_entry(plans, layer, entry, &mut db, &mut drive)?;
     }
     Ok(db)
 }
@@ -302,32 +190,30 @@ pub fn evaluate(
 /// layers: admissibility (§3.1 clause 2) puts its whole body strictly below
 /// this layer, so no delta reaches it.
 pub(crate) fn run_entry(
-    program: &Program,
+    plans: &PlanTable,
     layer: usize,
     entry: &Component,
-    cache: &mut PlanCache,
     db: &mut Database,
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
     drive.set_context(layer, entry.preds.first().copied());
-    ensure_head_relations(program, &entry.rules, db)?;
+    ensure_head_relations(plans.program(), &entry.rules, db)?;
     let mut frontier = frontier_at(db, entry.preds.iter().copied());
-    full_round(program, &entry.rules, cache, db, drive)?;
-    delta_loop(program, &entry.rules, cache, db, &mut frontier, drive)
+    full_round(plans, &entry.rules, db, drive)?;
+    delta_loop(plans, &entry.rules, db, &mut frontier, drive)
 }
 
 /// One full round: every rule of `rule_ids` applied once, unrestricted, to
 /// the same snapshot. Returns the number of new facts.
 pub fn full_round(
-    program: &Program,
+    plans: &PlanTable,
     rule_ids: &[usize],
-    cache: &mut PlanCache,
     db: &mut Database,
     drive: &mut Drive<'_>,
 ) -> Result<usize, EvalError> {
     let plans = rule_ids
         .iter()
-        .map(|&ri| cache.prepare(program, ri, db, drive.stats))
+        .map(|&ri| plans.prepare(ri, db, drive.stats))
         .collect::<Result<Vec<_>, _>>()?;
     let tasks: Vec<RoundTask<'_>> = plans.iter().map(|p| RoundTask::whole(p)).collect();
     run_round(&tasks, db, drive)
@@ -349,8 +235,8 @@ pub fn frontier_at(db: &Database, preds: impl IntoIterator<Item = Symbol>) -> De
 /// The semi-naive delta loop — the engine's only one. The *keys* of
 /// `frontier` say which predicates are deltas. Each round runs, for every
 /// positive body occurrence (in rule order, then body order) of a frontier
-/// predicate with tuples above its mark, one pass (`PlanCache::delta_pass`,
-/// cache role `occ + 1`) in which that occurrence reads only `[mark, len)`
+/// predicate with tuples above its mark, one pass (`PlanTable::delta_pass`,
+/// table role `occ + 1`) in which that occurrence reads only `[mark, len)`
 /// while every other literal reads the whole relation; then the marks
 /// advance to the pre-round lengths. The pass is normally the delta-first
 /// variant pinning the occurrence as step 0, so its cost follows the delta.
@@ -365,16 +251,15 @@ pub fn frontier_at(db: &Database, preds: impl IntoIterator<Item = Symbol>) -> De
 /// that keeps the frontier can add facts by other means and re-enter to
 /// join exactly those.
 pub fn delta_loop(
-    program: &Program,
+    plans: &PlanTable,
     rule_ids: &[usize],
-    cache: &mut PlanCache,
     db: &mut Database,
     frontier: &mut DeltaFrontier,
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
     let mut occs: Vec<(usize, usize, Symbol)> = Vec::new();
     for &ri in rule_ids {
-        for (occ, l) in program.rules[ri].body.iter().enumerate() {
+        for (occ, l) in plans.program().rules[ri].body.iter().enumerate() {
             if l.positive && l.builtin().is_none() && frontier.contains_key(&l.atom.pred) {
                 occs.push((ri, occ, l.atom.pred));
             }
@@ -385,7 +270,7 @@ pub fn delta_loop(
         for &(ri, occ, pred) in &occs {
             let (lo, hi) = (frontier[&pred] as u32, len_of(db, pred) as u32);
             if lo < hi {
-                let (plan, step) = cache.delta_pass(program, ri, occ, db, drive.stats)?;
+                let (plan, step) = plans.delta_pass(ri, occ, db, drive.stats)?;
                 passes.push((plan, DeltaRestriction { step, lo, hi }));
             }
         }
@@ -600,8 +485,9 @@ mod tests {
     /// `rules` (every positive literal over a rule head, in a rule without a
     /// grouping head), as `[rule, occ, first literal of the plan, delta
     /// step]`.
-    fn delta_passes(cache: &mut PlanCache, rules: &str) -> (Vec<[usize; 4]>, EvalStats) {
-        let program = parse_program(rules).unwrap();
+    fn delta_passes(rules: &str) -> (Vec<[usize; 4]>, EvalStats) {
+        let plans = PlanTable::new(parse_program(rules).unwrap());
+        let program = plans.program();
         let heads: FastSet<Symbol> = program.rules.iter().map(|r| r.head.pred).collect();
         let mut db = Database::new();
         let mut stats = EvalStats::default();
@@ -612,9 +498,7 @@ mod tests {
             }
             for (occ, l) in rule.body.iter().enumerate() {
                 if l.positive && heads.contains(&l.atom.pred) {
-                    let (plan, step) = cache
-                        .delta_pass(&program, ri, occ, &mut db, &mut stats)
-                        .unwrap();
+                    let (plan, step) = plans.delta_pass(ri, occ, &mut db, &mut stats).unwrap();
                     assert_eq!(
                         plan.literals[step], occ,
                         "the delta step runs the occurrence"
@@ -650,7 +534,7 @@ mod tests {
                    tc_bf(S, C) <- m_tc_bf(S), partition(S, S1, S2), S1 /= {}, S2 /= {}, \
                                   tc_bf(S1, C1), tc_bf(S2, C2), +(C1, C2, C).\n\
                    part_bf(P, <S>) <- m_part_bf(P), p(P, S).";
-        let (passes, stats) = delta_passes(&mut PlanCache::default(), bom);
+        let (passes, stats) = delta_passes(bom);
         let in_place: Vec<[usize; 2]> = passes
             .iter()
             .filter(|[_, occ, first, _]| first != occ)
@@ -680,7 +564,7 @@ mod tests {
                      m_anc_bf(Z) <- m_anc_bf(X), par(X, Z).\n\
                      anc_bf(X, Y) <- m_anc_bf(X), par(X, Z), anc_bf(Z, Y).";
         for (rules, expect) in [(plain, 1), (magic, 4)] {
-            let (passes, _) = delta_passes(&mut PlanCache::default(), rules);
+            let (passes, _) = delta_passes(rules);
             assert_eq!(passes.len(), expect, "{rules}");
             for [_, occ, first, step] in passes {
                 assert_eq!((first, step), (occ, 0), "{rules}");

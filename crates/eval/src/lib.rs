@@ -15,8 +15,8 @@
 //!
 //! The result is a minimal model of `P` w.r.t. `M₀` (unique when `P` is
 //! positive). Rule bodies are compiled to index-backed join plans
-//! ([`plan`]), lowered to register programs ([`ram`], [`exec`]), and
-//! iterated semi-naively ([`fixpoint`]). [`model`] is the reference the
+//! ([`plan`]), once per program ([`compiled`]), lowered to register
+//! programs ([`ram`], [`exec`]), and iterated semi-naively ([`fixpoint`]). [`model`] is the reference the
 //! engine is tested against: the §2.2 truth definition ([`check_model`],
 //! also used to reproduce the §2.3/§2.4 counterexamples) and the §3.2
 //! fixpoint executed literally ([`reference_model`]).
@@ -24,6 +24,7 @@
 pub mod bindings;
 pub mod budget;
 pub mod builtins;
+pub mod compiled;
 pub mod engine;
 pub mod error;
 pub mod exec;
@@ -38,6 +39,7 @@ pub mod stats;
 pub mod unify;
 
 pub use budget::{Budget, CancelToken, ResourceKind};
+pub use compiled::{Compiled, PlanTable};
 pub use engine::{EvalOptions, Evaluator, QueryAnswer};
 pub use error::EvalError;
 pub use explain::explain;

@@ -228,7 +228,7 @@ impl RulePlan {
     /// body literal in full that `full` — the same rule's full plan —
     /// starts by scanning? Run as a delta pass, it would then read that
     /// relation once per delta tuple; the delta loop runs `full` in place
-    /// instead (`PlanCache::delta_pass` in [`crate::fixpoint`]).
+    /// instead (`PlanTable::delta_pass` in [`crate::compiled`]).
     pub fn rescans_first_scan_of(&self, full: &RulePlan) -> bool {
         full.full_scan_at(0)
             .is_some_and(|j| (1..self.steps.len()).any(|i| self.full_scan_at(i) == Some(j)))

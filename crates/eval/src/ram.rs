@@ -35,10 +35,10 @@
 //! evaluator ([`crate::model`]), which interprets plans directly.
 //!
 //! Lowering happens at most once per plan: `RulePlan::lowered` caches the
-//! program in a `OnceLock`, so a cached plan reused across rounds is
-//! lowered exactly once — the pass that finds the lock empty counts it in
-//! [`EvalStats::lowerings`](crate::EvalStats), which does not grow with
-//! rounds.
+//! program in a `OnceLock`, so a plan kept in its program's plan table
+//! ([`crate::compiled`]) is lowered exactly once, however many rounds and
+//! operations run it — the pass that finds the lock empty counts it in
+//! [`EvalStats::lowerings`](crate::EvalStats).
 
 use ldl_ast::program::Builtin;
 use ldl_ast::term::{Term, Var};

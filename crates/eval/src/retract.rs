@@ -6,9 +6,9 @@
 //! fact set a from-scratch evaluation over the post-batch EDB would. A batch
 //! is one state transition, so it is maintained the way Theorem 1 computes a
 //! model — one pass up the schedule cold evaluation runs
-//! ([`Stratification::entries`]: each layer's grouping rules, then its
-//! components, dependency-first; by Theorem 2 every entry may be a layer of
-//! its own). The retractions are tombstoned and the assertions appended up
+//! ([`ldl_stratify::Stratification::entries`]: each layer's grouping rules,
+//! then its components, dependency-first; by Theorem 2 every entry may be a
+//! layer of its own). The retractions are tombstoned and the assertions appended up
 //! front, then each entry, with everything before it already final, takes
 //! one of three arms, chosen by its read sets ([`Component::reads`]) from
 //! what the batch's deletion and insertion frontiers reach:
@@ -55,20 +55,22 @@
 //! positions and liveness (`Database::rewind`), so a retry replays the
 //! exact same insertion positions.
 
+use std::sync::{Arc, PoisonError};
+
 use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::Program;
 use ldl_ast::rule::Rule;
 use ldl_ast::term::Term;
 use ldl_storage::{Database, IdRows, Relation};
-use ldl_stratify::{Component, Stratification};
+use ldl_stratify::Component;
 use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::Symbol;
 
+use crate::compiled::{Compiled, PlanTable};
 use crate::engine::EvalOptions;
 use crate::error::EvalError;
 use crate::fixpoint::{
     delta_loop, ensure_head_relations, frontier_at, len_of, run_entry, DeltaFrontier, Drive,
-    PlanCache,
 };
 use crate::stats::EvalStats;
 
@@ -82,21 +84,19 @@ type Ledger = FastMap<Symbol, Relation>;
 /// evaluated model, in place.
 ///
 /// Preconditions:
-/// * `db` is a model of `program` w.r.t. `edb`;
+/// * `db` is a model of `compiled`'s program w.r.t. `edb`;
 /// * every retraction is currently present in `edb`, and no fact appears in
 ///   both lists (the `ldl1` batch builder nets mutations before calling);
-/// * `program` passed well-formedness when the model was built.
+/// * the program passed well-formedness when the model was built.
 ///
 /// On success `edb` holds the post-batch extensional database and `db` is a
-/// model of `program` w.r.t. it. On error (typically a tripped
+/// model of the program w.r.t. it. On error (typically a tripped
 /// [`crate::Budget`]) `edb` is rewound to its rows, positions and liveness
 /// and `db` is left
 /// *inconsistent*: the caller must discard it and re-evaluate from `edb`.
 /// A retried batch therefore reproduces the exact same insertion positions.
-#[allow(clippy::too_many_arguments)]
 pub fn apply_mutations(
-    program: &Program,
-    strat: &Stratification,
+    compiled: &Compiled,
     edb: &mut Database,
     db: &mut Database,
     retractions: &IdRows,
@@ -107,7 +107,8 @@ pub fn apply_mutations(
     // Predicates defined by rules: a retraction on one of those is a
     // *support* loss — the fact may survive via a derivation — and must be
     // resolved at the defining entry, not applied to `db` up front.
-    let idb_heads: FastSet<Symbol> = program.rules.iter().map(|r| r.head.pred).collect();
+    let rules = &compiled.program().rules;
+    let idb_heads: FastSet<Symbol> = rules.iter().map(|r| r.head.pred).collect();
 
     // Phase 1: apply the batch to the EDB under a change log, which an
     // abort reads backwards. Pure-EDB retractions are deleted from the
@@ -138,7 +139,7 @@ pub fn apply_mutations(
 
     // Phase 2: the sweep, on one drive — the batch aborts as a unit.
     let mut drive = Drive::new(opts, stats);
-    let result = sweep(program, strat, edb, db, ledger, inserted, &mut drive);
+    let result = sweep(compiled, edb, db, ledger, inserted, &mut drive);
     // No EDB log outlives the commit: model-less commits would grow it.
     if result.is_err() {
         edb.rewind();
@@ -154,16 +155,15 @@ pub fn apply_mutations(
 /// it is at: the `ledger` of its losses, and `inserted`, the predicates the
 /// model gained tuples of, each marked at its first new one.
 fn sweep(
-    program: &Program,
-    strat: &Stratification,
+    compiled: &Compiled,
     edb: &Database,
     db: &mut Database,
     mut ledger: Ledger,
     mut inserted: DeltaFrontier,
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
-    let mut cache = PlanCache::default();
-    for (layer, entry) in strat.entries() {
+    let (program, plans) = (compiled.program(), compiled.plans());
+    for (at, (layer, entry)) in compiled.stratification().entries().enumerate() {
         let reads = &entry.reads;
         let lost = ledger
             .keys()
@@ -184,9 +184,7 @@ fn sweep(
         // guard with.
         if flipped || (lost && !rederive_compatible(program, entry)) {
             let (ledger, ins) = (&mut ledger, &mut inserted);
-            replay(
-                program, layer, entry, edb, db, &mut cache, ledger, ins, drive,
-            )?;
+            replay(plans, layer, entry, edb, db, ledger, ins, drive)?;
             continue;
         }
         drive.set_context(layer, entry.preds.first().copied());
@@ -197,7 +195,7 @@ fn sweep(
         let pre = grew.then(|| frontier_at(db, entry.preds.iter().copied()));
 
         if lost {
-            dred(program, entry, edb, db, &mut ledger, drive)?;
+            dred(compiled, at, entry, edb, db, &mut ledger, drive)?;
         }
         if let Some(pre) = pre {
             // Every grown predicate is new from its first new tuple on
@@ -210,7 +208,7 @@ fn sweep(
             // pass: a grown predicate in its body would have replayed.
             let mut frontier = pre.clone();
             frontier.extend(&inserted);
-            delta_loop(program, &entry.rules, &mut cache, db, &mut frontier, drive)?;
+            delta_loop(plans, &entry.rules, db, &mut frontier, drive)?;
             drive.stats.strata_delta += 1;
             // New facts of this entry join the frontier for the entries
             // above (a head already in `inserted` keeps its lower mark).
@@ -251,17 +249,16 @@ fn settle(ledger: &mut Ledger, h: Symbol, lost: Relation, drive: &mut Drive<'_>)
 /// join only the difference.
 #[allow(clippy::too_many_arguments)]
 fn replay(
-    program: &Program,
+    plans: &PlanTable,
     layer: usize,
     entry: &Component,
     edb: &Database,
     db: &mut Database,
-    cache: &mut PlanCache,
     ledger: &mut Ledger,
     inserted: &mut DeltaFrontier,
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
-    ensure_head_relations(program, &entry.rules, db)?;
+    ensure_head_relations(plans.program(), &entry.rules, db)?;
     let mut old: Vec<Relation> = Vec::new();
     for &h in &entry.preds {
         let rel = db.relation_mut(h, 0);
@@ -269,7 +266,7 @@ fn replay(
         let fresh = fresh.unwrap_or_else(|| Relation::new(rel.arity()));
         old.push(std::mem::replace(rel, fresh));
     }
-    run_entry(program, layer, entry, cache, db, drive)?;
+    run_entry(plans, layer, entry, db, drive)?;
     for (&h, mut new) in entry.preds.iter().zip(old) {
         // The old relation goes back, with its indexes and change log;
         // `new` takes the replayed rows.
@@ -339,29 +336,145 @@ fn scratch_name(prefix: &str, p: Symbol) -> Symbol {
     Symbol::intern(&format!("{prefix}${p}"))
 }
 
-/// Run synthesised `rules` to their semi-naive fixpoint from `frontier` —
-/// the shape of both DRed phases. The rules mix scratch relations, so they
-/// form a program (and get a plan cache) of their own.
+/// DRed's programs for one schedule entry and one set of lower predicates
+/// with losses, built once per [`Compiled`] (`Compiled::dred`): the
+/// overdeletion variants and the guarded rederivation rules, each with a
+/// plan table of its own, and the scratch relations they read, named once.
+#[derive(Debug)]
+pub(crate) struct DredPlans {
+    /// Per lower predicate with losses the rules read, in first-occurrence
+    /// order: the predicate, its `del$q`, and its `old$q` where an
+    /// occurrence after a pivot reads the pre-deletion relation.
+    lower: Vec<(Symbol, Symbol, Option<Symbol>)>,
+    /// Per head of the entry: the predicate and its `del$h`.
+    heads: Vec<(Symbol, Symbol)>,
+    /// The overdeletion variants.
+    overdelete: PlanTable,
+    /// The `del$` relations the variants join as deltas, from their first
+    /// tuple on: every head's, and every pivot's.
+    overdelete_deltas: Vec<Symbol>,
+    /// Every rule of the entry, guarded by its head's `del$h`.
+    rederive: PlanTable,
+}
+
+impl DredPlans {
+    /// The programs for `entry` when the batch has cost the model tuples of
+    /// each of `lower` — the lower predicates its rules read positively.
+    fn new(program: &Program, entry: &Component, lower: &[Symbol]) -> DredPlans {
+        let heads = &entry.preds;
+        let del = |p| scratch_name("del", p);
+        let is_deletable = |l: &Literal| {
+            l.positive
+                && l.builtin().is_none()
+                && (lower.contains(&l.atom.pred) || heads.contains(&l.atom.pred))
+        };
+        // Deletable body occurrences per rule, in body order — the pivots
+        // of the overdeletion variants.
+        let rule_occs: Vec<(&Rule, Vec<usize>)> = entry
+            .rules
+            .iter()
+            .map(|&ri| {
+                let rule = &program.rules[ri];
+                let occs = rule.body.iter().enumerate();
+                (
+                    rule,
+                    occs.filter(|(_, l)| is_deletable(l))
+                        .map(|(i, _)| i)
+                        .collect(),
+                )
+            })
+            .collect();
+
+        // A lower occurrence *after* the pivot must read the pre-deletion
+        // value (OLD = NEW ∪ deleted); occurrences before the pivot read the
+        // surviving relation, so each lost solution is covered by its first
+        // deleted occurrence. `old$q` is materialized only where needed.
+        let mut needs_old: FastSet<Symbol> = FastSet::default();
+        for (rule, occs) in &rule_occs {
+            for &j in occs.iter().skip(1) {
+                let p = rule.body[j].atom.pred;
+                if !heads.contains(&p) {
+                    needs_old.insert(p);
+                }
+            }
+        }
+        let old = |p| needs_old.contains(&p).then(|| scratch_name("old", p));
+
+        // Overdeletion rules: one variant per deletable occurrence (the
+        // pivot), head rewritten to del$h, the pivot to del$p, and later
+        // lower occurrences to old$q. Occurrences of the entry's heads
+        // other than the pivot keep reading its relations, which still hold
+        // their pre-deletion contents throughout this fixpoint. Every
+        // del$ relation is a delta from its first tuple on, and the pivot is
+        // a variant's only del$ literal: the first round joins each variant
+        // pivot-first over the ledger's losses, later rounds over what
+        // del$h gained.
+        let mut del_rules: Vec<Rule> = Vec::new();
+        let mut overdelete_deltas: Vec<Symbol> = heads.iter().map(|&h| del(h)).collect();
+        for (rule, occs) in &rule_occs {
+            for (vi, &occ) in occs.iter().enumerate() {
+                let mut synth = (*rule).clone();
+                synth.head = Atom::new(del(rule.head.pred), rule.head.args.clone());
+                let pivot = del(rule.body[occ].atom.pred);
+                synth.body[occ].atom.pred = pivot;
+                if !overdelete_deltas.contains(&pivot) {
+                    overdelete_deltas.push(pivot);
+                }
+                for &j in &occs[vi + 1..] {
+                    if let Some(old) = old(rule.body[j].atom.pred) {
+                        synth.body[j].atom.pred = old;
+                    }
+                }
+                del_rules.push(synth);
+            }
+        }
+
+        // Rederivation rules: each rule of the entry guarded by del$h(head
+        // args) in front of its body, a non-invertible argument as `_` (see
+        // `rederive_compatible`).
+        let rederive_rules: Vec<Rule> = rule_occs
+            .iter()
+            .map(|(rule, _)| {
+                let mut synth = (*rule).clone();
+                let anchor = synth.head.args.iter();
+                let anchor = anchor.map(|a| if invertible(a) { a.clone() } else { Term::Anon });
+                let guard = Atom::new(del(synth.head.pred), anchor.collect());
+                synth.body.insert(0, Literal::pos(guard));
+                synth
+            })
+            .collect();
+
+        DredPlans {
+            lower: lower.iter().map(|&q| (q, del(q), old(q))).collect(),
+            heads: heads.iter().map(|&h| (h, del(h))).collect(),
+            overdelete: PlanTable::new(Program::from_rules(del_rules)),
+            overdelete_deltas,
+            rederive: PlanTable::new(Program::from_rules(rederive_rules)),
+        }
+    }
+}
+
+/// Run the synthesised program `plans` plans to its semi-naive fixpoint
+/// from `frontier` — the shape of both DRed phases.
 fn scratch_fixpoint(
-    rules: Vec<Rule>,
+    plans: &PlanTable,
     mut frontier: DeltaFrontier,
     db: &mut Database,
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
-    let program = Program::from_rules(rules);
-    let all: Vec<usize> = (0..program.len()).collect();
-    let mut cache = PlanCache::default();
-    delta_loop(&program, &all, &mut cache, db, &mut frontier, drive)
+    let all: Vec<usize> = (0..plans.program().len()).collect();
+    delta_loop(plans, &all, db, &mut frontier, drive)
 }
 
-/// DRed for one entry: overdelete everything derivable from a lost tuple,
-/// then rederive what the surviving facts still support. The ledger lends
-/// the losses of each lower predicate the rules read as its `del$q`, and
-/// each head's candidates as its `del$h`, to which overdeletion adds;
-/// settled in place, `del$h` returns as the head's net losses, in
-/// overdeletion order.
+/// DRed for the entry at position `at` of the schedule: overdelete
+/// everything derivable from a lost tuple, then rederive what the
+/// surviving facts still support. The ledger lends the losses of each lower
+/// predicate the rules read as its `del$q`, and each head's candidates as
+/// its `del$h`, to which overdeletion adds; settled in place, `del$h`
+/// returns as the head's net losses, in overdeletion order.
 fn dred(
-    program: &Program,
+    compiled: &Compiled,
+    at: usize,
     entry: &Component,
     edb: &Database,
     db: &mut Database,
@@ -369,101 +482,47 @@ fn dred(
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
     drive.check()?;
-    let heads = &entry.preds;
-    let del = |p| scratch_name("del", p);
-    let is_deletable = |l: &Literal| {
-        l.positive
-            && l.builtin().is_none()
-            && (ledger.contains_key(&l.atom.pred) || heads.contains(&l.atom.pred))
-    };
-    // Deletable body occurrences per rule, in body order — the pivots of
-    // the overdeletion variants.
-    let rule_occs: Vec<(usize, Vec<usize>)> = entry
-        .rules
-        .iter()
-        .map(|&ri| {
-            let occs = program.rules[ri]
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| is_deletable(l))
-                .map(|(i, _)| i)
-                .collect();
-            (ri, occs)
-        })
-        .collect();
-
-    // The lower predicates with losses the rules read. A lower-frontier
-    // occurrence *after* the pivot must read the pre-deletion value (OLD =
-    // NEW ∪ deleted); occurrences before the pivot read the surviving
-    // relation, so each lost solution is covered by its first deleted
-    // occurrence. `old$q` is materialized only where actually needed.
+    // The lower predicates with losses the rules read, which pick the
+    // entry's programs.
+    let program = compiled.program();
     let mut lower: Vec<Symbol> = Vec::new();
-    let mut needs_old: FastSet<Symbol> = FastSet::default();
-    for (ri, occs) in &rule_occs {
-        for (k, &j) in occs.iter().enumerate() {
-            let p = program.rules[*ri].body[j].atom.pred;
-            if !heads.contains(&p) {
-                if !lower.contains(&p) {
-                    lower.push(p);
-                }
-                if k > 0 {
-                    needs_old.insert(p);
-                }
-            }
+    for l in entry.rules.iter().flat_map(|&ri| &program.rules[ri].body) {
+        let p = l.atom.pred;
+        let lost = ledger.contains_key(&p) && !entry.preds.contains(&p);
+        if l.positive && l.builtin().is_none() && lost && !lower.contains(&p) {
+            lower.push(p);
         }
     }
+    let plans = {
+        let mut table = compiled.dred.lock().unwrap_or_else(PoisonError::into_inner);
+        let key = (at, lower);
+        let build =
+            |(_, lower): &(usize, Vec<Symbol>)| Arc::new(DredPlans::new(program, entry, lower));
+        table.entry(key).or_insert_with_key(build).clone()
+    };
 
     // Scratch relations: del$q per lower predicate, moved in from the
     // ledger (with old$q where required), and del$h per head, its
     // candidates or empty.
-    for &q in &lower {
+    for &(q, del_q, old_q) in &plans.lower {
         let lost = ledger.remove(&q).expect("a lower pivot has losses");
-        if needs_old.contains(&q) {
+        if let Some(old_q) = old_q {
             let mut old = Relation::new(lost.arity());
             let survivors = db.relation(q).into_iter().flat_map(Relation::iter);
             for t in survivors.chain(lost.iter()) {
                 old.insert_slice(t);
             }
-            db.set_relation(scratch_name("old", q), old);
+            db.set_relation(old_q, old);
         }
-        db.set_relation(del(q), lost);
+        db.set_relation(del_q, lost);
     }
-    for &h in heads {
+    for &(h, del_h) in &plans.heads {
         let arity = db.relation(h).map_or(0, Relation::arity);
         let candidates = ledger.remove(&h).unwrap_or_else(|| Relation::new(arity));
-        db.set_relation(del(h), candidates);
+        db.set_relation(del_h, candidates);
     }
-
-    // Overdeletion rules: one variant per deletable occurrence (the
-    // pivot), head rewritten to del$h, the pivot to del$p, and later
-    // lower-frontier occurrences to old$q. Occurrences of the entry's heads
-    // other than the pivot keep reading its relations, which still hold
-    // their pre-deletion contents throughout this fixpoint. Every
-    // del$ relation is a delta from its first tuple on, and the pivot is a
-    // variant's only del$ literal: the first round joins each variant
-    // pivot-first over the ledger's losses, later rounds over what del$h
-    // gained.
-    let mut del_rules: Vec<Rule> = Vec::new();
-    let mut del_frontier: DeltaFrontier = heads.iter().map(|&h| (del(h), 0)).collect();
-    for (ri, occs) in &rule_occs {
-        let rule = &program.rules[*ri];
-        for (vi, &occ) in occs.iter().enumerate() {
-            let mut synth = rule.clone();
-            synth.head = Atom::new(del(rule.head.pred), rule.head.args.clone());
-            let pivot = del(rule.body[occ].atom.pred);
-            synth.body[occ].atom.pred = pivot;
-            del_frontier.insert(pivot, 0);
-            for &j in &occs[vi + 1..] {
-                let p = rule.body[j].atom.pred;
-                if needs_old.contains(&p) {
-                    synth.body[j].atom.pred = scratch_name("old", p);
-                }
-            }
-            del_rules.push(synth);
-        }
-    }
-    scratch_fixpoint(del_rules, del_frontier, db, drive)?;
+    let frontier = plans.overdelete_deltas.iter().map(|&p| (p, 0)).collect();
+    scratch_fixpoint(&plans.overdelete, frontier, db, drive)?;
 
     // Remove the overdeleted tuples. Overdeletion joins lower relations
     // that already hold the batch's insertions, so it can reach a tuple the
@@ -471,8 +530,8 @@ fn dred(
     // guard, which only bounds work. A removed tuple still stored in the
     // EDB comes straight back.
     let mut row = Vec::new();
-    for &h in heads {
-        let mut candidates = db.remove_relation(del(h)).expect("installed above");
+    for &(h, del_h) in &plans.heads {
+        let mut candidates = db.remove_relation(del_h).expect("installed above");
         for pos in 0..candidates.len() as u32 {
             if db.remove_ids(h, candidates.get(pos)).is_none() {
                 // Through a copy: a relation cannot lend the row it removes.
@@ -486,34 +545,20 @@ fn dred(
                 db.insert_id_slice(h, t);
             }
         }
-        db.set_relation(del(h), candidates);
+        db.set_relation(del_h, candidates);
     }
-    // Rederivation rules: each rule of the entry guarded by del$h(head
-    // args) in front of its body, a non-invertible argument as `_` (see
-    // `rederive_compatible`). del$h is a delta from its first tuple on, the
-    // entry's heads from their current length: the first round is the
-    // del$h-first join — O(overdeleted), not O(entry) — and later rounds
-    // join what came back.
-    let rederive_rules: Vec<Rule> = entry
-        .rules
-        .iter()
-        .map(|&ri| {
-            let mut synth = program.rules[ri].clone();
-            let anchor = synth.head.args.iter();
-            let anchor = anchor.map(|a| if invertible(a) { a.clone() } else { Term::Anon });
-            let guard = Atom::new(del(synth.head.pred), anchor.collect());
-            synth.body.insert(0, Literal::pos(guard));
-            synth
-        })
-        .collect();
-    let mut rederive_frontier = frontier_at(db, heads.iter().copied());
-    rederive_frontier.extend(heads.iter().map(|&h| (del(h), 0)));
-    scratch_fixpoint(rederive_rules, rederive_frontier, db, drive)?;
+    // Rederivation: del$h is a delta from its first tuple on, the entry's
+    // heads from their current length: the first round is the del$h-first
+    // join — O(overdeleted), not O(entry) — and later rounds join what
+    // came back.
+    let mut frontier = frontier_at(db, entry.preds.iter().copied());
+    frontier.extend(plans.heads.iter().map(|&(_, del_h)| (del_h, 0)));
+    scratch_fixpoint(&plans.rederive, frontier, db, drive)?;
 
     // What came back, from the EDB or through a rule, is no loss either:
     // tombstoned, it leaves del$h holding the head's net losses.
-    for &h in heads {
-        let mut lost = db.remove_relation(del(h)).expect("installed above");
+    for &(h, del_h) in &plans.heads {
+        let mut lost = db.remove_relation(del_h).expect("installed above");
         let rel = db.relation(h).expect("a head relation");
         for pos in 0..lost.len() as u32 {
             if let Some(at) = rel.position_of(lost.get(pos)) {
@@ -522,10 +567,10 @@ fn dred(
         }
         settle(ledger, h, lost, drive);
     }
-    for q in lower {
-        ledger.insert(q, db.remove_relation(del(q)).expect("installed above"));
-        if needs_old.contains(&q) {
-            db.remove_relation(scratch_name("old", q));
+    for &(q, del_q, old_q) in &plans.lower {
+        ledger.insert(q, db.remove_relation(del_q).expect("installed above"));
+        if let Some(old_q) = old_q {
+            db.remove_relation(old_q);
         }
     }
     drive.stats.strata_dred += 1;
@@ -540,27 +585,26 @@ mod tests {
     use ldl_parser::parse_program;
     use ldl_value::{Fact, Value, ValueId};
 
-    type Case = (Program, Stratification, Database, Database);
+    type Case = (Compiled, Database, Database);
     type Tuple = (&'static str, Vec<Value>);
 
     fn setup(src: &str, edb_facts: &[Tuple]) -> Case {
-        let program = parse_program(src).unwrap();
-        let strat = Stratification::canonical(&program).unwrap();
+        let compiled = Compiled::new(parse_program(src).unwrap()).unwrap();
         let mut edb = Database::new();
         for (p, args) in edb_facts {
             edb.insert_tuple(*p, args.clone());
         }
-        let mut stats = EvalStats::new();
+        let (strat, mut stats) = (compiled.stratification(), EvalStats::new());
+        let opts = EvalOptions::default();
         let db =
-            crate::fixpoint::evaluate(&program, &edb, &strat, &EvalOptions::default(), &mut stats)
-                .unwrap();
-        (program, strat, edb, db)
+            crate::fixpoint::evaluate(compiled.plans(), &edb, strat, &opts, &mut stats).unwrap();
+        (compiled, edb, db)
     }
 
     /// Apply the batch and hold the maintained model to the paper's
     /// definition: §3.2 run literally over the surviving EDB.
     fn mutate_vs_reference(case: &mut Case, retract: &[Tuple], assert: &[Tuple]) -> EvalStats {
-        let (program, strat, edb, db) = case;
+        let (compiled, edb, db) = case;
         let facts = |ts: &[Tuple]| -> Vec<Fact> {
             ts.iter()
                 .map(|(p, args)| Fact::new(*p, args.clone()))
@@ -572,8 +616,8 @@ mod tests {
             IdRows::intern(&facts(assert)),
         );
         let opts = EvalOptions::default();
-        apply_mutations(program, strat, edb, db, &del, &ins, &opts, &mut stats).unwrap();
-        let reference = crate::model::reference_model(program, edb).unwrap();
+        apply_mutations(compiled, edb, db, &del, &ins, &opts, &mut stats).unwrap();
+        let reference = crate::model::reference_model(compiled.program(), edb).unwrap();
         assert_eq!(db.to_fact_set(), reference.to_fact_set());
         stats
     }
@@ -592,7 +636,7 @@ mod tests {
     }
 
     fn holds(case: &Case, pred: &str, args: Vec<Value>) -> bool {
-        case.3.contains(&Fact::new(pred, args))
+        case.2.contains(&Fact::new(pred, args))
     }
 
     #[test]
@@ -792,7 +836,7 @@ mod tests {
         let mut case = setup("kids(P, <K>) <- par(P, K).", &par);
         let stats = mutate_vs_reference(&mut case, &par[1..], &[]);
         assert!(stats.strata_replayed > 0);
-        let kids = case.3.relation(Symbol::intern("kids")).unwrap();
+        let kids = case.2.relation(Symbol::intern("kids")).unwrap();
         assert_eq!(kids.live_len(), 1);
     }
 
@@ -963,7 +1007,7 @@ mod tests {
     #[test]
     fn budget_abort_rolls_the_edb_back_bit_identically() {
         use crate::budget::Budget;
-        let (program, strat, mut edb, mut db) = setup(TC, &ints("e", &[&[1, 2], &[2, 3]]));
+        let (compiled, mut edb, mut db) = setup(TC, &ints("e", &[&[1, 2], &[2, 3]]));
         let rows = |edb: &Database| -> Vec<(Symbol, Vec<Vec<ValueId>>)> {
             let mut preds: Vec<Symbol> = edb.predicates().collect();
             preds.sort_by_key(|p| p.to_string());
@@ -980,8 +1024,7 @@ mod tests {
             ..EvalOptions::default()
         };
         let err = apply_mutations(
-            &program,
-            &strat,
+            &compiled,
             &mut edb,
             &mut db,
             &IdRows::intern(&[Fact::new("e", vec![Value::int(2), Value::int(3)])]),
@@ -1021,10 +1064,10 @@ mod tests {
     #[test]
     fn duplicate_commit_is_noop() {
         let mut case = setup(TC, &ints("e", &[&[1, 2]]));
-        let before = case.3.to_fact_set();
+        let before = case.2.to_fact_set();
         let stats = mutate_vs_reference(&mut case, &[], &ints("e", &[&[1, 2]]));
         assert_eq!(stats.facts_derived, 0);
-        assert_eq!(case.3.to_fact_set(), before);
+        assert_eq!(case.2.to_fact_set(), before);
     }
 
     #[test]
@@ -1057,7 +1100,7 @@ mod tests {
         let stats = mutate_vs_reference(&mut case, &[], &atoms("par", &[&["p", "b"]]));
         assert!(stats.strata_replayed > 0);
         // The old singleton {a} is gone; only the replaced set remains.
-        let kids = case.3.relation(Symbol::intern("kids")).unwrap();
+        let kids = case.2.relation(Symbol::intern("kids")).unwrap();
         assert_eq!(kids.live_len(), 1);
     }
 
@@ -1068,7 +1111,7 @@ mod tests {
                    q(X) <- e2(X), ~e3(X).";
         let mut case = setup(src, &[ints("e1", &[&[1]]), ints("e2", &[&[7]])].concat());
         let stats = mutate_vs_reference(&mut case, &[], &ints("e1", &[&[2]]));
-        let entries = case.1.entries().count() as u64;
+        let entries = case.0.stratification().entries().count() as u64;
         assert_eq!(
             (
                 stats.strata_replayed,
@@ -1107,7 +1150,8 @@ mod tests {
                    far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > 2, ~src(Y).";
         let chain: [&[i64]; 6] = [&[0, 1], &[1, 2], &[2, 3], &[3, 4], &[4, 5], &[5, 6]];
         let mut case = setup(src, &ints("par", &chain));
-        let layer = &case.1.schedule[case.1.layer(Symbol::intern("far"))];
+        let strat = case.0.stratification();
+        let layer = &strat.schedule[strat.layer(Symbol::intern("far"))];
         let comps: Vec<(Vec<usize>, bool)> = layer
             .components
             .iter()
@@ -1146,7 +1190,7 @@ mod tests {
         assert!(own.attempts > 0 && own.facts_derived > 0);
 
         let commit = |budget: Budget| {
-            let (program, strat, mut edb, mut db) = setup(TC, &chain);
+            let (compiled, mut edb, mut db) = setup(TC, &chain);
             let mut stats = EvalStats::new();
             (stats.attempts, stats.facts_derived) = (1_000_000, 1_000_000);
             let facts = |ts: &[Tuple]| -> Vec<Fact> {
@@ -1160,9 +1204,7 @@ mod tests {
                 IdRows::intern(&facts(&batch.0)),
                 IdRows::intern(&facts(&batch.1)),
             );
-            let res = apply_mutations(
-                &program, &strat, &mut edb, &mut db, &del, &ins, &opts, &mut stats,
-            );
+            let res = apply_mutations(&compiled, &mut edb, &mut db, &del, &ins, &opts, &mut stats);
             match res {
                 Ok(()) => None,
                 Err(EvalError::ResourceExhausted {

@@ -77,10 +77,12 @@ pub struct EvalStats {
     // Never written; declared only because `benchmark/src/pipeline.rs` names it.
     #[doc(hidden)]
     pub parallel_tasks: u64,
-    /// Plan-cache lookups answered from the cache (same rule, same delta
-    /// role).
+    /// Plan-table lookups that found their plan already built (same rule,
+    /// same delta role) — by this operation or an earlier one on the same
+    /// compiled program ([`crate::compiled`]).
     pub plan_cache_hits: u64,
-    /// Plan-cache lookups that compiled a plan for the first time.
+    /// Plan-table lookups that compiled a plan: the first run of a pass on
+    /// its compiled program, so these count per load, not per operation.
     pub plan_cache_misses: u64,
     // Never written; declared only because `benchmark/src/pipeline.rs` names it.
     #[doc(hidden)]
@@ -89,9 +91,10 @@ pub struct EvalStats {
     /// plan's `exist_from` point, which bind no head or grouping variable)
     /// that found a witness and stopped instead of enumerating all matches.
     pub exist_cuts: u64,
-    /// Rule plans lowered to RAM-style register programs. Each cached plan
-    /// is lowered at most once, on its first execution, so this counts
-    /// distinct programs built — it does not grow with rounds.
+    /// Rule plans lowered to RAM-style register programs. A plan is lowered
+    /// once, on its first execution, and kept in its program's plan table,
+    /// so this counts per load: it grows with neither rounds nor repeated
+    /// operations.
     pub lowerings: u64,
     /// Rounds executed through the lowered register programs — every
     /// round, so always equal to `rounds`.

@@ -3,7 +3,7 @@
 
 use ldl_eval::fixpoint::{run_round, Drive, RoundTask};
 use ldl_eval::plan::{DeltaRestriction, RulePlan};
-use ldl_eval::{reference_model, EvalOptions, EvalStats, Evaluator};
+use ldl_eval::{reference_model, Compiled, EvalOptions, EvalStats, Evaluator};
 use ldl_parser::{parse_program, parse_rule};
 use ldl_storage::{Database, IdRows};
 use ldl_stratify::Stratification;
@@ -225,12 +225,11 @@ fn indexes_wait_for_rows() {
     assert_eq!(cols(&db, "anc"), [vec![0, 1]]);
     assert_eq!(cols(&db, "par"), [vec![0, 1], vec![1]]);
 
-    let strat = Stratification::canonical(&program).unwrap();
+    let compiled = Compiled::new(program).unwrap();
     let new = Fact::new("par", vec![Value::int(10), Value::int(11)]);
     let (opts, mut stats) = (EvalOptions::default(), EvalStats::new());
     ldl_eval::apply_mutations(
-        &program,
-        &strat,
+        &compiled,
         &mut edb,
         &mut db,
         &IdRows::intern(&[]),

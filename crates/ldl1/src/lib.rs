@@ -238,14 +238,21 @@ impl From<ldl_eval::EvalError> for Error {
 /// applies to is replayed alone (see [`eval::retract`]) — instead of
 /// recomputing from scratch. Loading new
 /// rules or changing the grouping semantics invalidates the cache.
+///
+/// The program is compiled once per load ([`eval::compiled`]): its
+/// layering, its plans, DRed's programs and the §6 rewrite of each query
+/// form are built the first time an operation needs them and kept until
+/// new rules, or another grouping semantics, replace the program.
 #[derive(Debug)]
 pub struct System {
     source: Program,
-    compiled: Program,
+    compiled: Arc<Compiled>,
     edb: Database,
     options: EvalOptions,
     grouping_semantics: GroupingSemantics,
-    cache: Option<CachedModel>,
+    /// The model, once computed; it was computed under `compiled`, and is
+    /// dropped whenever that is replaced.
+    cache: Option<Database>,
     /// A bound query ran the §6 pipeline since the cache was last dropped,
     /// so the next query builds and caches the model (rent-or-buy).
     magic_answered: bool,
@@ -278,13 +285,13 @@ impl Clone for System {
     }
 }
 
-/// The evaluated model plus what incremental maintenance needs to keep it
-/// current: the layering it was computed under, whose schedule entries —
-/// each with its read sets — the commit sweep walks.
-#[derive(Clone, Debug)]
-struct CachedModel {
-    db: Database,
-    strat: Stratification,
+/// One admitted program, compiled once and shared by everything that runs
+/// it: evaluation, maintenance and `explain` read its layering, plan table
+/// and DRed programs, and the magic arm its rewrites, one per query form.
+#[derive(Debug)]
+struct Compiled {
+    eval: eval::Compiled,
+    magic: magic::MagicTable,
 }
 
 impl Default for System {
@@ -298,7 +305,10 @@ impl System {
     pub fn new() -> System {
         System {
             source: Program::new(),
-            compiled: Program::new(),
+            compiled: Arc::new(Compiled {
+                eval: eval::Compiled::new(Program::new()).expect("no rules, no cycle"),
+                magic: magic::MagicTable::default(),
+            }),
             edb: Database::new(),
             options: EvalOptions::default(),
             grouping_semantics: GroupingSemantics::PerGroup,
@@ -414,7 +424,7 @@ impl System {
             Some(s) => Arc::clone(s),
             None => {
                 let cache = self.cache.as_mut().expect("model just computed");
-                let shared = Arc::new(durable::ReaderShared::new(&mut cache.db));
+                let shared = Arc::new(durable::ReaderShared::new(cache));
                 self.readers = Some(Arc::clone(&shared));
                 shared
             }
@@ -429,7 +439,7 @@ impl System {
         self.model()?;
         let cache = self.cache.as_ref().expect("model just computed");
         let epoch = self.readers.as_ref().map_or(0, |s| s.current_epoch());
-        Ok(Snapshot::one_off(cache.db.clone(), epoch))
+        Ok(Snapshot::one_off(cache.clone(), epoch))
     }
 
     /// Append a committed batch to the write-ahead log, if one is
@@ -455,7 +465,7 @@ impl System {
         let (Some(shared), Some(cache)) = (&self.readers, &mut self.cache) else {
             return;
         };
-        shared.publish(&mut cache.db, &mut self.last_stats);
+        shared.publish(cache, &mut self.last_stats);
     }
 
     /// Override evaluation options.
@@ -495,9 +505,8 @@ impl System {
     /// (ii)′ `WithContext`. Recompiles the loaded rules; an error leaves
     /// the previous compilation (and semantics choice) in place.
     pub fn set_grouping_semantics(&mut self, s: GroupingSemantics) -> Result<(), Error> {
-        let compiled = self.admit(s)?;
+        self.compiled = self.admit(s)?;
         self.grouping_semantics = s;
-        self.compiled = compiled;
         self.drop_model();
         self.republish()
     }
@@ -522,18 +531,21 @@ impl System {
         Ok(())
     }
 
-    /// Compile `source` under `semantics` and raise whatever
-    /// [`System::model`] would raise before evaluating a single rule —
-    /// inadmissibility (§3.1) and ill-formedness — so that a program no
-    /// model can be computed for is never installed.
-    fn admit(&self, semantics: GroupingSemantics) -> Result<Program, Error> {
-        let compiled = compile_ldl15(&self.source, semantics)?;
-        Stratification::canonical(&compiled).map_err(ldl_eval::EvalError::from)?;
+    /// Compile `source` under `semantics` — the one compilation of the
+    /// program: layered, and checked for what [`System::model`] would raise
+    /// before evaluating a single rule — inadmissibility (§3.1) and
+    /// ill-formedness — so that a program no model can be computed for is
+    /// never installed.
+    fn admit(&self, semantics: GroupingSemantics) -> Result<Arc<Compiled>, Error> {
+        let program = compile_ldl15(&self.source, semantics)?;
+        let eval = eval::Compiled::new(program)?;
         let opts = self.eval_options();
         if opts.check_wf {
-            ast::wf::check_program(&compiled, opts.dialect).map_err(ldl_eval::EvalError::from)?;
+            ast::wf::check_program(eval.program(), opts.dialect)
+                .map_err(ldl_eval::EvalError::from)?;
         }
-        Ok(compiled)
+        let magic = magic::MagicTable::default();
+        Ok(Arc::new(Compiled { eval, magic }))
     }
 
     /// Load rules (and inline facts) written in LDL1 / LDL1.5 concrete
@@ -677,10 +689,9 @@ impl System {
         };
         let mut stats = EvalStats::new();
         let res = eval::apply_mutations(
-            &self.compiled,
-            &cache.strat,
+            &self.compiled.eval,
             &mut self.edb,
-            &mut cache.db,
+            cache,
             &del_rows,
             &ins_rows,
             &opts,
@@ -708,7 +719,7 @@ impl System {
     /// The compiled program: core LDL1 heads, and bodies that may keep a
     /// `<t>` pattern (§4.1).
     pub fn program(&self) -> &Program {
-        &self.compiled
+        self.compiled.eval.program()
     }
 
     /// The extensional database.
@@ -720,15 +731,12 @@ impl System {
     pub fn model(&mut self) -> Result<&Database, Error> {
         if self.cache.is_none() {
             let ev = Evaluator::with_options(self.eval_options());
-            let strat = Stratification::canonical(&self.compiled)
-                .map_err(ldl_eval::EvalError::from)
-                .map_err(Error::Eval)?;
-            let (db, stats) = ev.evaluate_with_stats(&self.compiled, &self.edb, &strat)?;
+            let (db, stats) = ev.evaluate_compiled(&self.compiled.eval, &self.edb)?;
             self.last_stats = stats;
-            self.cache = Some(CachedModel { db, strat });
+            self.cache = Some(db);
             self.publish();
         }
-        Ok(&self.cache.as_ref().expect("just computed").db)
+        Ok(self.cache.as_ref().expect("just computed"))
     }
 
     /// The compiled program keeps its body `<t>` patterns, in relation and
@@ -763,9 +771,8 @@ impl System {
     /// [`System::explain_query`] says which arm a query takes.
     pub fn query(&mut self, query: &str) -> Result<Vec<QueryAnswer>, Error> {
         let atom = ldl_parser::parse_atom(query)?;
-        if let Some(mp) = self.magic_arm(&atom) {
-            let ev = MagicEvaluator::with_options(self.eval_options());
-            let (answers, stats) = ev.answer(&mp, &self.compiled, &self.edb)?;
+        if let Some(form) = self.magic_arm(&atom) {
+            let (answers, stats) = form.answer(&atom, &self.edb, &self.eval_options())?;
             self.last_stats = stats;
             self.magic_answered = true;
             return Ok(answers);
@@ -773,26 +780,26 @@ impl System {
         Ok(Evaluator::new().query(self.model()?, &atom))
     }
 
-    /// The magic-set program [`System::query`] runs for `atom`, or `None`
+    /// The magic-set form [`System::query`] runs for `atom`, or `None`
     /// when it reads a model instead: one is cached or a reader needs one,
     /// a magic query already ran on this uncached state, `atom` is not a
     /// rule-defined predicate at its arity, nothing is bound, or a rule has
     /// no executable sip for the binding pattern.
-    fn magic_arm(&self, atom: &ast::literal::Atom) -> Option<magic::MagicProgram> {
+    fn magic_arm(&self, atom: &ast::literal::Atom) -> Option<Arc<magic::MagicForm>> {
         if self.cache.is_some() || self.readers.is_some() || self.magic_answered {
             return None;
         }
         let defined = self
-            .compiled
+            .program()
             .rules_for(atom.pred)
             .any(|r| r.head.arity() == atom.arity());
         if !defined || magic::adorn::query_adornment(atom).bound_count() == 0 {
             return None;
         }
         // Only a grouped position was bound: the adornment frees it (§6).
-        MagicEvaluator::compile(&self.compiled, atom)
-            .ok()
-            .filter(|mp| mp.seed.arity() > 0)
+        let compiled = &self.compiled;
+        let form = compiled.magic.form(&compiled.eval, atom).ok()?;
+        (form.adornment().bound_count() > 0).then_some(form)
     }
 
     /// One line saying which arm [`System::query`] would take for this
@@ -803,12 +810,12 @@ impl System {
     /// first, like the query.
     pub fn explain_query(&mut self, query: &str) -> Result<String, Error> {
         let atom = ldl_parser::parse_atom(query)?;
-        if let Some(mp) = self.magic_arm(&atom) {
+        if let Some(form) = self.magic_arm(&atom) {
             return Ok(format!(
                 "{atom}: magic {}: seed {}, {} rules",
-                mp.query.pred,
-                mp.seed,
-                mp.program.len()
+                form.query_atom(&atom).pred,
+                form.seed(&atom),
+                form.program().len()
             ));
         }
         Ok(Evaluator::new().explain_query(self.model()?, &atom))
@@ -817,13 +824,15 @@ impl System {
     /// Answer a query through the §6 magic-set pipeline (sips → adornment →
     /// generalized magic rewriting → constrained evaluation) whatever is
     /// cached — the forced spelling of [`System::query`]'s magic arm. It
-    /// always produces the same answers (Theorems 3/4), caches nothing, and
-    /// fails with [`eval::EvalError::Adornment`] where no executable sip
-    /// exists.
+    /// always produces the same answers (Theorems 3/4), and fails with
+    /// [`eval::EvalError::Adornment`] where no executable sip exists. It
+    /// caches the rewritten program per adornment, never a model: the first
+    /// query of a form — predicate, binding pattern and repeated variables
+    /// — rewrites and plans it, and each later one builds only its seed.
     pub fn query_magic(&self, query: &str) -> Result<Vec<QueryAnswer>, Error> {
         let atom = ldl_parser::parse_atom(query)?;
-        let ev = MagicEvaluator::with_options(self.eval_options());
-        Ok(ev.query(&self.compiled, &self.edb, &atom)?)
+        let form = self.compiled.magic.form(&self.compiled.eval, &atom)?;
+        Ok(form.answer(&atom, &self.edb, &self.eval_options())?.0)
     }
 
     /// All facts of one predicate in the model, sorted.
@@ -841,7 +850,7 @@ impl System {
     /// `pred` only): the step order the planner picks, index columns, and
     /// existential tails. Plans read no data, so nothing is evaluated.
     pub fn explain(&self, pred: Option<&str>) -> String {
-        eval::explain(&self.compiled, pred)
+        eval::explain(self.compiled.eval.plans(), pred)
     }
 }
 
@@ -992,7 +1001,7 @@ impl MutationBatch<'_> {
         // all-tombstoned relation (`Database::apply` replaces the EDB's).
         let mut vacated: Vec<Symbol> = Vec::new();
         let mentioned = |p: Symbol| {
-            let rules = &sys.compiled.rules;
+            let rules = &sys.program().rules;
             rules
                 .iter()
                 .any(|r| r.head.pred == p || r.body.iter().any(|l| l.atom.pred == p))
@@ -1022,7 +1031,7 @@ impl MutationBatch<'_> {
                     let stored = sys
                         .edb
                         .relation(f.pred())
-                        .or_else(|| sys.cache.as_ref()?.db.relation(f.pred()));
+                        .or_else(|| sys.cache.as_ref()?.relation(f.pred()));
                     match stored {
                         Some(r)
                             if r.arity() != f.arity() && r.is_empty() && !mentioned(f.pred()) =>
@@ -1057,7 +1066,7 @@ impl MutationBatch<'_> {
         }
         if let Some(cache) = &mut sys.cache {
             for p in vacated {
-                cache.db.remove_relation(p);
+                cache.remove_relation(p);
             }
         }
         sys.commit_mutations(del, ins)

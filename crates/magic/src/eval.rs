@@ -21,14 +21,16 @@
 //! every rule head is a delta predicate, so a base fixpoint re-entered
 //! after guarded rules ran joins exactly the tuples they added instead of
 //! re-deriving the model — with each guarded rule applied as a one-pass
-//! round ([`full_round`]). Plans come from a [`PlanCache`] like every other
-//! caller's: the rewriting already put every body in sip order, which the
+//! round ([`full_round`]). Plans come from a [`PlanTable`] like every other
+//! caller's — one per [`MagicForm`], so a form's plans are built by its
+//! first query and kept for the next: the rewriting already put every
+//! body in sip order, which the
 //! planner's rule keeps, and a delta-first variant orders the rest by bound
 //! arguments, as the sip does. A supplementary relation carries the
 //! variables a later literal shares with the prefix, so that variant probes
 //! it by what its delta binds. Where a variant would still scan a relation
 //! once per delta tuple, the delta loop runs the full plan in place
-//! (`PlanCache::delta_pass`). No rewrite of a benchmark workload or of a
+//! (`PlanTable::delta_pass`). No rewrite of a benchmark workload or of a
 //! program in `programs/` has such a pass (EXPERIMENTS.md P43).
 //!
 //! Soundness of applying a guarded rule at a base fixpoint: a magic tuple's
@@ -40,16 +42,14 @@
 
 use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::Program;
-use ldl_eval::fixpoint::{
-    delta_loop, ensure_head_relations, frontier_at, full_round, Drive, PlanCache,
-};
-use ldl_eval::{EvalError, EvalOptions, EvalStats, Evaluator, QueryAnswer};
+use ldl_eval::fixpoint::{delta_loop, ensure_head_relations, frontier_at, full_round, Drive};
+use ldl_eval::{EvalError, EvalOptions, EvalStats, Evaluator, PlanTable, QueryAnswer};
 use ldl_storage::Database;
 use ldl_stratify::Stratification;
-use ldl_value::{intern, Symbol};
+use ldl_value::{intern, Fact, Symbol};
 
-use crate::adorn::adorn_program;
-use crate::rewrite::{rewrite_magic, MagicProgram};
+use crate::adorn::{adorn_program, Adornment};
+use crate::rewrite::{rewrite_magic, seed, MagicProgram};
 
 /// Evaluator for magic-rewritten programs.
 #[derive(Clone, Debug, Default)]
@@ -95,30 +95,76 @@ impl MagicEvaluator {
         original: &Program,
         edb: &Database,
     ) -> Result<(Database, EvalStats), EvalError> {
-        self.evaluate_staged(mp, &Stratification::canonical(original)?, edb)
+        let form = MagicForm::new(mp.clone(), &Stratification::canonical(original)?);
+        form.evaluate(&mp.seed, edb, &self.options)
     }
 
-    /// The staged schedule, with the layering `strat` of the original
-    /// program ordering the guarded rules.
-    fn evaluate_staged(
+    /// One-shot: compile, evaluate, and answer the query. This is
+    /// `(P^mg ∪ {seed}, q^a)` of Theorem 4. A program that answers many
+    /// queries compiles each form once instead ([`crate::MagicTable`]).
+    pub fn query(
         &self,
-        mp: &MagicProgram,
-        strat: &Stratification,
+        program: &Program,
         edb: &Database,
-    ) -> Result<(Database, EvalStats), EvalError> {
+        query: &Atom,
+    ) -> Result<Vec<QueryAnswer>, EvalError> {
+        // Check the *original* program (the rewritten one is deliberately
+        // non-layered).
+        if self.options.check_wf {
+            ldl_ast::wf::check_program(program, self.options.dialect).map_err(EvalError::from)?;
+        }
+        let strat = Stratification::canonical(program)?;
+        let form = MagicForm::compile(program, &strat, query)?;
+        Ok(form.answer(query, edb, &self.options)?.0)
+    }
+}
+
+/// One query form's §6 rewrite, ready to run for any query of the form:
+/// its rules classified for the staged schedule (module docs) under the
+/// original program's layering, and planned through a [`PlanTable`] of its
+/// own. A query of the form brings only its seed and its adorned query
+/// atom.
+#[derive(Debug)]
+pub struct MagicForm {
+    plans: PlanTable,
+    /// The base rules.
+    base: Vec<usize>,
+    /// The guarded rules with their strata, lowest first.
+    guarded: Vec<(usize, usize)>,
+    seed_pred: Symbol,
+    adornment: Adornment,
+    query_pred: Symbol,
+}
+
+impl MagicForm {
+    /// Compile `query`'s form over an admissible `program` with layering
+    /// `strat`: adornment and rewrite ([`MagicEvaluator::compile`]), then
+    /// the staged schedule's classification. Fails where a rule has no
+    /// executable sip for the form's binding pattern.
+    pub fn compile(
+        program: &Program,
+        strat: &Stratification,
+        query: &Atom,
+    ) -> Result<MagicForm, EvalError> {
+        Ok(MagicForm::new(
+            MagicEvaluator::compile(program, query)?,
+            strat,
+        ))
+    }
+
+    /// Classify the rules of `mp` — base, or guarded at a stratum of
+    /// `strat`, the original program's layering. Nothing is planned yet.
+    fn new(mp: MagicProgram, strat: &Stratification) -> MagicForm {
         let stratum_of = |pred: Symbol| -> usize {
             mp.adorned_to_original
                 .get(&pred)
                 .map(|&orig| strat.layer(orig))
                 .unwrap_or(0)
         };
-
-        // Classify the rules: base, or guarded at a stratum.
-        let program = &mp.program;
         let negated = |l: &&Literal| !l.positive && l.builtin().is_none();
         let mut base: Vec<usize> = Vec::new();
         let mut guarded: Vec<(usize, usize)> = Vec::new(); // (stratum, rule id)
-        for (ri, rule) in program.rules.iter().enumerate() {
+        for (ri, rule) in mp.program.rules.iter().enumerate() {
             // A negated literal puts the rule above the stratum it tests.
             let mut above = rule.body.iter().filter(negated).peekable();
             if above.peek().is_some() || !rule.head.simple_group_positions().is_empty() {
@@ -131,23 +177,75 @@ impl MagicEvaluator {
             }
         }
         guarded.sort_by_key(|(s, _)| *s);
+        MagicForm {
+            base,
+            guarded,
+            seed_pred: mp.seed.pred(),
+            adornment: mp.adornment,
+            query_pred: mp.query.pred,
+            plans: PlanTable::new(mp.program),
+        }
+    }
 
+    /// The rewritten program.
+    pub fn program(&self) -> &Program {
+        self.plans.program()
+    }
+
+    /// The form's binding pattern, which the seed takes the query's
+    /// arguments at.
+    pub fn adornment(&self) -> &Adornment {
+        &self.adornment
+    }
+
+    /// The seed for `query`, a query of this form.
+    pub fn seed(&self, query: &Atom) -> Fact {
+        seed(self.seed_pred, &self.adornment, query)
+    }
+
+    /// `query` against the rewritten program: the adorned predicate with
+    /// the query's argument patterns.
+    pub fn query_atom(&self, query: &Atom) -> Atom {
+        Atom::new(self.query_pred, query.args.clone())
+    }
+
+    /// Evaluate the form seeded by `query`, a query of this form, over
+    /// `edb` and read off its answers, with the evaluation's work counters.
+    pub fn answer(
+        &self,
+        query: &Atom,
+        edb: &Database,
+        opts: &EvalOptions,
+    ) -> Result<(Vec<QueryAnswer>, EvalStats), EvalError> {
+        let (db, stats) = self.evaluate(&self.seed(query), edb, opts)?;
+        Ok((Evaluator::new().query(&db, &self.query_atom(query)), stats))
+    }
+
+    /// The staged schedule over `edb` with `seed`.
+    fn evaluate(
+        &self,
+        seed: &Fact,
+        edb: &Database,
+        opts: &EvalOptions,
+    ) -> Result<(Database, EvalStats), EvalError> {
+        let (plans, base, guarded) = (&self.plans, &self.base, &self.guarded);
+        let program = plans.program();
         let mut db = edb.clone();
         // Pre-create head relations (so negation sees empty relations, not
         // missing ones) and insert the seed.
         let all: Vec<usize> = (0..program.len()).collect();
         ensure_head_relations(program, &all, &mut db)?;
-        db.insert(mp.seed.clone());
+        db.insert(seed.clone());
 
         // One drive spans the whole staged schedule, so a budget covers the
         // query end to end rather than per fixpoint.
         let mut stats = EvalStats::new();
-        let mut drive = Drive::new(&self.options, &mut stats);
+        let mut drive = Drive::new(opts, &mut stats);
         // `adorn_rule` emits every rewritten body in sip order (§6), and the
         // planner orders a body by the sip's own rule — bound arguments
         // first, ties in source order — so the plan follows the sip,
         // delta-first variants included.
-        let mut cache = PlanCache::default();
+        //
         // Every rule head is a delta predicate — guarded heads too, since
         // base rules consume what guarded rules produce. The one frontier
         // lives across the whole schedule: a base fixpoint re-entered after
@@ -155,18 +253,15 @@ impl MagicEvaluator {
         let mut frontier = frontier_at(&db, program.rules.iter().map(|r| r.head.pred));
         // The guarded rules up to stratum `top`, lowest stratum first,
         // until one adds a fact: true if one did.
-        let run_guarded = |top: usize,
-                           cache: &mut PlanCache,
-                           db: &mut Database,
-                           drive: &mut Drive<'_>|
-         -> Result<bool, EvalError> {
-            for &(_, ri) in guarded.iter().take_while(|(gs, _)| *gs <= top) {
-                if full_round(program, &[ri], cache, db, drive)? > 0 {
-                    return Ok(true);
+        let run_guarded =
+            |top: usize, db: &mut Database, drive: &mut Drive<'_>| -> Result<bool, EvalError> {
+                for &(_, ri) in guarded.iter().take_while(|(gs, _)| *gs <= top) {
+                    if full_round(plans, &[ri], db, drive)? > 0 {
+                        return Ok(true);
+                    }
                 }
-            }
-            Ok(false)
-        };
+                Ok(false)
+            };
 
         // Stage-by-stage schedule. A guarded rule at stratum s (a group or a
         // negation test) may only run when everything its bindings can reach
@@ -183,21 +278,14 @@ impl MagicEvaluator {
         // its own magic closure, which was saturated when the binding was
         // processed. The magic schedule is not layered; abort diagnostics
         // report the stage and the query predicate.
-        drive.set_context(0, Some(mp.query.pred));
-        full_round(program, &base, &mut cache, &mut db, &mut drive)?;
+        drive.set_context(0, Some(self.query_pred));
+        full_round(plans, base, &mut db, &mut drive)?;
         let max_stratum = guarded.iter().map(|(s, _)| *s).max().unwrap_or(0);
         for s in 0..=max_stratum {
-            drive.set_context(s, Some(mp.query.pred));
+            drive.set_context(s, Some(self.query_pred));
             loop {
-                delta_loop(
-                    program,
-                    &base,
-                    &mut cache,
-                    &mut db,
-                    &mut frontier,
-                    &mut drive,
-                )?;
-                if !run_guarded(s, &mut cache, &mut db, &mut drive)? {
+                delta_loop(plans, base, &mut db, &mut frontier, &mut drive)?;
+                if !run_guarded(s, &mut db, &mut drive)? {
                     break;
                 }
             }
@@ -205,36 +293,5 @@ impl MagicEvaluator {
         stats.interner_values = intern::len() as u64;
         stats.record_arena(&db);
         Ok((db, stats))
-    }
-
-    /// Evaluate a compiled `mp` over `edb` and read off its query's
-    /// answers, with the evaluation's work counters.
-    pub fn answer(
-        &self,
-        mp: &MagicProgram,
-        original: &Program,
-        edb: &Database,
-    ) -> Result<(Vec<QueryAnswer>, EvalStats), EvalError> {
-        let (db, stats) = self.evaluate_stats(mp, original, edb)?;
-        Ok((Evaluator::new().query(&db, &mp.query), stats))
-    }
-
-    /// One-shot: compile, evaluate, and answer the query. This is
-    /// `(P^mg ∪ {seed}, q^a)` of Theorem 4.
-    pub fn query(
-        &self,
-        program: &Program,
-        edb: &Database,
-        query: &Atom,
-    ) -> Result<Vec<QueryAnswer>, EvalError> {
-        // Check the *original* program (the rewritten one is deliberately
-        // non-layered).
-        if self.options.check_wf {
-            ldl_ast::wf::check_program(program, self.options.dialect).map_err(EvalError::from)?;
-        }
-        let strat = Stratification::canonical(program)?;
-        let mp = Self::compile(program, query)?;
-        let (db, _) = self.evaluate_staged(&mp, &strat, edb)?;
-        Ok(Evaluator::new().query(&db, &mp.query))
     }
 }

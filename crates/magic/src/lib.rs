@@ -27,12 +27,19 @@
 //! sub-program feeding them is saturated for every magic tuple seen so far,
 //! which is sound because a magic tuple's downward closure is saturated
 //! together with it (see `eval`'s module docs).
+//!
+//! The rewrite depends on the query's binding pattern, not its constants,
+//! so a program that answers many queries compiles each *form* once
+//! ([`form`]): its rewrite, classification and plans are kept, and each
+//! query brings only its seed.
 
 pub mod adorn;
 pub mod eval;
+pub mod form;
 pub mod rewrite;
 pub mod sip;
 
 pub use adorn::{AdornedProgram, Adornment};
-pub use eval::MagicEvaluator;
+pub use eval::{MagicEvaluator, MagicForm};
+pub use form::MagicTable;
 pub use rewrite::{rewrite_magic, MagicProgram};

@@ -38,7 +38,7 @@ use ldl_ast::program::Program;
 use ldl_ast::rule::Rule;
 use ldl_ast::term::{Term, Var};
 use ldl_value::fxhash::{FastMap, FastSet};
-use ldl_value::{Fact, Symbol, Value};
+use ldl_value::{Fact, Symbol};
 
 use crate::adorn::{adorned_name, AdornedProgram, Adornment};
 
@@ -60,12 +60,31 @@ pub struct MagicProgram {
     pub program: Program,
     /// The seed fact for the query.
     pub seed: Fact,
+    /// The query's binding pattern: the seed holds the query's arguments at
+    /// its bound positions. The rewrite depends on the query only through
+    /// its predicate and this pattern, so another query of the same form
+    /// differs only in the seed (`crate::MagicForm::seed`).
+    pub adornment: Adornment,
     /// The query against the rewritten program: the adorned predicate with
     /// the original argument patterns.
     pub query: Atom,
     /// Adorned and supplementary predicate → original predicate (for
     /// stratum lookup and for restricting answers back to user predicates).
     pub adorned_to_original: FastMap<Symbol, Symbol>,
+}
+
+/// The seed `pred(query constants)`: the query's ground arguments at the
+/// bound positions of `adornment`. Adornment marks a position bound only
+/// when the term evaluates into U, so `to_value` cannot fail here — and if
+/// that invariant ever breaks we want a clear message, not a downstream
+/// arity panic.
+pub(crate) fn seed(pred: Symbol, adornment: &Adornment, query: &Atom) -> Fact {
+    let args = query.args.iter().zip(&adornment.0).filter(|(_, &b)| b);
+    let args = args.map(|(t, _)| {
+        t.to_value()
+            .unwrap_or_else(|| panic!("bound query argument {t} does not denote a U-value"))
+    });
+    Fact::new(pred, args.collect())
 }
 
 /// Rewrite an adorned program into its magic version, seeding from `query`
@@ -162,29 +181,13 @@ pub fn rewrite_magic(adorned: &AdornedProgram, query: &Atom) -> MagicProgram {
         ));
     }
 
-    // Seed: the ground query arguments at bound positions. Adornment marks
-    // a position bound only when the term evaluates into U, so to_value
-    // cannot fail here — and if that invariant ever breaks we want a clear
-    // message, not a downstream arity panic.
-    let seed_args: Vec<Value> = query
-        .args
-        .iter()
-        .zip(&adorned.query_adornment.0)
-        .filter(|(_, &b)| b)
-        .map(|(t, _)| {
-            t.to_value()
-                .unwrap_or_else(|| panic!("bound query argument {t} does not denote a U-value"))
-        })
-        .collect();
-    let seed_pred = magic_name(adorned.original_query_pred, &adorned.query_adornment);
-    let seed = Fact::new(seed_pred, seed_args);
-
-    let query_atom = Atom::new(adorned.query_pred, query.args.clone());
-
+    let adornment = adorned.query_adornment.clone();
+    let seed_pred = magic_name(adorned.original_query_pred, &adornment);
     MagicProgram {
         program,
-        seed,
-        query: query_atom,
+        seed: seed(seed_pred, &adornment, query),
+        adornment,
+        query: Atom::new(adorned.query_pred, query.args.clone()),
         adorned_to_original,
     }
 }
