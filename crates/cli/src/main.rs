@@ -284,6 +284,11 @@ fn main() {
             }
         }
         let trimmed = line.trim();
+        // A blank or comment line between statements starts none: left in
+        // `pending`, it made the next `:command` part of a statement.
+        if pending.is_empty() && (trimmed.is_empty() || trimmed.starts_with('%')) {
+            continue;
+        }
         if pending.is_empty() && trimmed.starts_with(':') {
             // A Ctrl-C that tripped the token during (or between) earlier
             // statements must not abort this one: re-arm before evaluating.

@@ -193,6 +193,59 @@ fn cold_bound_query_takes_the_magic_arm() {
     );
 }
 
+/// `programs/exclusive_ancestor.ldl` reads `anc` positively and negated
+/// under one binding pattern, so the magic rewrite of its first query drops
+/// a rule another subsumes, and `:plan` on a system with no model says so.
+/// `--explain` on the file answers its queries and then prints the plans
+/// of its rules.
+#[test]
+fn plan_counts_the_subsumed_rules_of_a_magic_rewrite() {
+    use std::io::Write;
+    use std::process::Stdio;
+    const EXCL: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../programs/exclusive_ancestor.ldl"
+    );
+    let out = ldl1(&["--batch", "--explain", EXCL]);
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("?- excl(0, Y, Z).\nY = 1, Z = 0\n")
+            && text.contains("excl(X, Y, Z) <- anc(X, Y), node(Z), ~anc(X, Z)."),
+        "{text}"
+    );
+
+    // The program without its queries, so that nothing has evaluated it.
+    // Its comments and blank lines go to the REPL as they are.
+    let rules: String = std::fs::read_to_string(EXCL)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.starts_with("?-"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let mut repl = Command::new(env!("CARGO_BIN_EXE_ldl1"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ldl1 binary runs");
+    let mut stdin = repl.stdin.take().unwrap();
+    stdin.write_all(rules.as_bytes()).unwrap();
+    stdin
+        .write_all(b":plan excl(0, Y, Z).\n:plan anc(0, Y).\n:quit\n")
+        .unwrap();
+    drop(stdin);
+    let out = repl.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for line in [
+        "excl(0, Y, Z): magic excl'bff: seed m'excl'bff(0), 8 rules, 1 subsumed\n",
+        "anc(0, Y): magic anc'bf: seed m'anc'bf(0), 5 rules\n",
+    ] {
+        assert!(stdout.contains(line), "{line:?} missing from {stdout}");
+    }
+}
+
 /// `:strata` prints each layer in the order the engine runs it: grouping
 /// heads first, then one component at a time, dependency-first, whatever
 /// order the rules were written in.

@@ -804,19 +804,24 @@ impl System {
 
     /// One line saying which arm [`System::query`] would take for this
     /// query, without running it when that is the magic arm —
-    /// `anc(0, Y): magic anc'bf: seed m'anc'bf(0), 5 rules` — and otherwise
-    /// how it reads the model: index probe or scan, and over how many rows
-    /// (see [`Evaluator::explain_query`]). The model arms force evaluation
-    /// first, like the query.
+    /// `anc(0, Y): magic anc'bf: seed m'anc'bf(0), 5 rules`, ending `, 1
+    /// subsumed` when the rewrite dropped a rule another one subsumes — and
+    /// otherwise how it reads the model: index probe or scan, and over how
+    /// many rows (see [`Evaluator::explain_query`]). The model arms force
+    /// evaluation first, like the query.
     pub fn explain_query(&mut self, query: &str) -> Result<String, Error> {
         let atom = ldl_parser::parse_atom(query)?;
         if let Some(form) = self.magic_arm(&atom) {
-            return Ok(format!(
+            let mut line = format!(
                 "{atom}: magic {}: seed {}, {} rules",
                 form.query_atom(&atom).pred,
                 form.seed(&atom),
                 form.program().len()
-            ));
+            );
+            if form.subsumed() > 0 {
+                line += &format!(", {} subsumed", form.subsumed());
+            }
+            return Ok(line);
         }
         Ok(Evaluator::new().explain_query(self.model()?, &atom))
     }

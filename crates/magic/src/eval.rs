@@ -13,7 +13,15 @@
 //!   program's layering (a supplementary predicate takes its rule head's
 //!   layer), with the base fixpoint re-entered after each one that adds a
 //!   fact;
-//! * the whole schedule repeats until nothing changes.
+//! * the whole schedule repeats until nothing changes;
+//! * a guarded rule is applied again only once a relation its body reads —
+//!   positive or negated — has grown since it was last applied. Nothing is
+//!   deleted during a magic evaluation, so equal lengths are equal
+//!   relations, and a second application over them could only re-derive
+//!   what the first derived: it adds no fact, so skipping it leaves the
+//!   schedule's course, its facts and its answers as they were, and saves
+//!   the round (EXPERIMENTS.md P45). A rule that reads its own head runs
+//!   again after it grew.
 //!
 //! All of it runs on the engine's own driver ([`ldl_eval::fixpoint`]): one
 //! full round of the base rules, then the one semi-naive loop
@@ -129,11 +137,25 @@ pub struct MagicForm {
     plans: PlanTable,
     /// The base rules.
     base: Vec<usize>,
-    /// The guarded rules with their strata, lowest first.
-    guarded: Vec<(usize, usize)>,
+    /// The guarded rules, lowest stratum first.
+    guarded: Vec<Guarded>,
+    /// How many rewritten rules were dropped as subsumed
+    /// ([`MagicProgram::subsumed`]).
+    subsumed: usize,
     seed_pred: Symbol,
     adornment: Adornment,
     query_pred: Symbol,
+}
+
+/// A guarded rule of a [`MagicForm`]'s staged schedule.
+#[derive(Debug)]
+struct Guarded {
+    stratum: usize,
+    rule: usize,
+    /// The predicates its body literals read, positive and negated,
+    /// built-ins excluded: the rule is applied again only once one of
+    /// them has grown.
+    reads: Vec<Symbol>,
 }
 
 impl MagicForm {
@@ -163,23 +185,34 @@ impl MagicForm {
         };
         let negated = |l: &&Literal| !l.positive && l.builtin().is_none();
         let mut base: Vec<usize> = Vec::new();
-        let mut guarded: Vec<(usize, usize)> = Vec::new(); // (stratum, rule id)
+        let mut guarded: Vec<Guarded> = Vec::new();
         for (ri, rule) in mp.program.rules.iter().enumerate() {
             // A negated literal puts the rule above the stratum it tests.
             let mut above = rule.body.iter().filter(negated).peekable();
             if above.peek().is_some() || !rule.head.simple_group_positions().is_empty() {
-                let s = above
+                let stratum = above
                     .map(|l| stratum_of(l.atom.pred) + 1)
                     .fold(stratum_of(rule.head.pred), usize::max);
-                guarded.push((s, ri));
+                let mut reads: Vec<Symbol> = Vec::new();
+                for l in rule.body.iter().filter(|l| l.builtin().is_none()) {
+                    if !reads.contains(&l.atom.pred) {
+                        reads.push(l.atom.pred);
+                    }
+                }
+                guarded.push(Guarded {
+                    stratum,
+                    rule: ri,
+                    reads,
+                });
             } else {
                 base.push(ri);
             }
         }
-        guarded.sort_by_key(|(s, _)| *s);
+        guarded.sort_by_key(|g| g.stratum);
         MagicForm {
             base,
             guarded,
+            subsumed: mp.subsumed,
             seed_pred: mp.seed.pred(),
             adornment: mp.adornment,
             query_pred: mp.query.pred,
@@ -190,6 +223,12 @@ impl MagicForm {
     /// The rewritten program.
     pub fn program(&self) -> &Program {
         self.plans.program()
+    }
+
+    /// How many rules of the rewrite were dropped because another rule
+    /// with the same head reads a subset of their body.
+    pub fn subsumed(&self) -> usize {
+        self.subsumed
     }
 
     /// The form's binding pattern, which the seed takes the query's
@@ -252,11 +291,25 @@ impl MagicForm {
         // guarded rules ran joins only what they added.
         let mut frontier = frontier_at(&db, program.rules.iter().map(|r| r.head.pred));
         // The guarded rules up to stratum `top`, lowest stratum first,
-        // until one adds a fact: true if one did.
-        let run_guarded =
+        // until one adds a fact: true if one did. A rule none of whose
+        // reads grew since its last application is skipped (module docs).
+        let mut read_lens: Vec<Option<Vec<usize>>> = vec![None; guarded.len()];
+        let mut run_guarded =
             |top: usize, db: &mut Database, drive: &mut Drive<'_>| -> Result<bool, EvalError> {
-                for &(_, ri) in guarded.iter().take_while(|(gs, _)| *gs <= top) {
-                    if full_round(plans, &[ri], db, drive)? > 0 {
+                for (g, last) in guarded.iter().zip(&mut read_lens) {
+                    if g.stratum > top {
+                        break;
+                    }
+                    let lens: Vec<usize> = g
+                        .reads
+                        .iter()
+                        .map(|&p| db.relation(p).map_or(0, |r| r.len()))
+                        .collect();
+                    if last.as_ref() == Some(&lens) {
+                        continue;
+                    }
+                    *last = Some(lens);
+                    if full_round(plans, &[g.rule], db, drive)? > 0 {
                         return Ok(true);
                     }
                 }
@@ -280,7 +333,7 @@ impl MagicForm {
         // report the stage and the query predicate.
         drive.set_context(0, Some(self.query_pred));
         full_round(plans, base, &mut db, &mut drive)?;
-        let max_stratum = guarded.iter().map(|(s, _)| *s).max().unwrap_or(0);
+        let max_stratum = guarded.last().map_or(0, |g| g.stratum);
         for s in 0..=max_stratum {
             drive.set_context(s, Some(self.query_pred));
             loop {

@@ -28,6 +28,14 @@
 //! `anc × node`. Unfolding every supplementary literal into the body of its
 //! one rule gives back the generalized magic sets rewrite, rule for rule.
 //!
+//! Last, a rule another rule *subsumes* — same head, a subset of its body —
+//! is dropped (`drop_subsumed`). `excl(X, Y, Z) <- anc(X, Y), node(Z),
+//! ~anc(X, Z)` emits `m'anc'bf(X) <- m'excl'bff(X)` for `anc(X, Y)` and
+//! `m'anc'bf(X) <- m'excl'bff(X), anc'bf(X, Y), node(Z)` for `~anc(X, Z)`:
+//! the second ran a delta pass per new `anc'bf` tuple to re-derive the
+//! first's one fact. Two rules of one predicate whose first literals read
+//! the same relation emit the same magic rule twice, and it is kept once.
+//!
 //! A supplementary predicate is named `sup'p'a'i'j` — the adorned head,
 //! the adorned rule's index and the position of `Bⱼ` — and, like a magic
 //! name, cannot be written in a program. It maps to its rule's original
@@ -71,6 +79,9 @@ pub struct MagicProgram {
     /// Adorned and supplementary predicate → original predicate (for
     /// stratum lookup and for restricting answers back to user predicates).
     pub adorned_to_original: FastMap<Symbol, Symbol>,
+    /// How many rewritten rules were dropped as subsumed by another
+    /// (`drop_subsumed`); `program` holds the rest.
+    pub subsumed: usize,
 }
 
 /// The seed `pred(query constants)`: the query's ground arguments at the
@@ -181,6 +192,7 @@ pub fn rewrite_magic(adorned: &AdornedProgram, query: &Atom) -> MagicProgram {
         ));
     }
 
+    let subsumed = drop_subsumed(&mut program);
     let adornment = adorned.query_adornment.clone();
     let seed_pred = magic_name(adorned.original_query_pred, &adornment);
     MagicProgram {
@@ -189,7 +201,36 @@ pub fn rewrite_magic(adorned: &AdornedProgram, query: &Atom) -> MagicProgram {
         adornment,
         query: Atom::new(adorned.query_pred, query.args.clone()),
         adorned_to_original,
+        subsumed,
     }
+}
+
+/// Drop every rule `r2` that another rule `r1` subsumes: `r1` has the same
+/// head atom, its body literals are a subset of `r2`'s, and neither has a
+/// grouping head. Of identical rules the first is kept. Every fact `r2`
+/// derives, `r1` derives from a subset of the same bindings, and `r1`'s
+/// stratum in the staged evaluation is no higher than `r2`'s — a negated
+/// literal of `r1` is one of `r2`'s — so it runs no later. A grouping rule
+/// forms groups of its own bindings, so a larger body derives other facts,
+/// and both rules stay. Returns how many rules were dropped.
+fn drop_subsumed(program: &mut Program) -> usize {
+    let subsumes = |r1: &Rule, r2: &Rule| {
+        r1.head == r2.head
+            && !r1.is_grouping()
+            && !r2.is_grouping()
+            && r1.body.iter().all(|l| r2.body.contains(l))
+    };
+    let rules = std::mem::take(&mut program.rules);
+    for (i, r2) in rules.iter().enumerate() {
+        let subsumed = rules
+            .iter()
+            .enumerate()
+            .any(|(j, r1)| j != i && subsumes(r1, r2) && (j < i || !subsumes(r2, r1)));
+        if !subsumed {
+            program.push(r2.clone());
+        }
+    }
+    rules.len() - program.len()
 }
 
 #[cfg(test)]
@@ -197,7 +238,12 @@ pub fn rewrite_magic(adorned: &AdornedProgram, query: &Atom) -> MagicProgram {
 mod unfold;
 
 #[cfg(test)]
+#[path = "../tests/support/subsumed.rs"]
+mod subsumed;
+
+#[cfg(test)]
 mod tests {
+    use super::subsumed::subsumed_pairs;
     use super::unfold::unfold;
     use super::*;
     use crate::adorn::adorn_program;
@@ -307,10 +353,15 @@ mod tests {
             ),
             "{text}"
         );
+        // The magic rule of `~anc'bf(X, Z)` reads `m'excl'bff(X), anc'bf(X,
+        // Y), node(Z)`; the one of `anc'bf(X, Y)` derives the same heads
+        // from its guard alone, so only that one is kept.
+        assert!(text.contains("m'anc'bf(X) <- m'excl'bff(X)."), "{text}");
         assert!(
-            text.contains("m'anc'bf(X) <- m'excl'bff(X), anc'bf(X, Y), node(Z)."),
+            !text.contains("m'anc'bf(X) <- m'excl'bff(X), anc'bf(X, Y), node(Z)."),
             "{text}"
         );
+        assert_eq!(mp.subsumed, 1);
         assert!(!text.contains("anc'bb"), "{text}");
         // Folded, too, nothing is joined before `~anc'bf(X, Z)`: its magic
         // rule needs only `X`, which the guard binds, so no supplementary
@@ -326,7 +377,6 @@ mod tests {
             excl,
             [
                 "m'anc'bf(X) <- m'excl'bff(X).",
-                "m'anc'bf(X) <- m'excl'bff(X), anc'bf(X, Y), node(Z).",
                 "excl'bff(X, Y, Z) <- m'excl'bff(X), anc'bf(X, Y), node(Z), ~anc'bf(X, Z).",
                 "excl'bff(V0, V1, V2) <- m'excl'bff(V0), excl(V0, V1, V2).",
             ]
@@ -371,6 +421,64 @@ mod tests {
             mp.adorned_to_original.get(&sup.pred),
             Some(&Symbol::intern("tc"))
         );
+    }
+
+    /// §1's exclusive ancestors: of the nine rewritten rules, the magic
+    /// rule of the negated literal is subsumed by the positive literal's,
+    /// and the eight left hold no subsumed pair.
+    #[test]
+    fn excl_rewrite_keeps_eight_rules() {
+        let p = parse_program(
+            "anc(X, Y) <- par(X, Y).\n\
+             anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+             excl(X, Y, Z) <- anc(X, Y), node(Z), ~anc(X, Z).",
+        )
+        .unwrap();
+        let q = parse_atom("excl(0, Y, Z)").unwrap();
+        let mp = rewrite_magic(&adorn_program(&p, &q).unwrap(), &q);
+        assert_eq!((mp.program.len(), mp.subsumed), (8, 1), "{}", mp.program);
+        assert_eq!(subsumed_pairs(&mp.program), [], "{}", mp.program);
+    }
+
+    /// A grouping head is never dropped: each grouping rule forms its own
+    /// groups, so over `e(1, 2), e(1, 3), f(2)` these two rules derive
+    /// `g(1, {2, 3})` and `g(1, {2})`, and the rule with the larger body
+    /// derives a fact the other does not.
+    #[test]
+    fn grouping_rules_are_kept_whatever_their_bodies() {
+        let p = parse_program(
+            "g(X, <Y>) <- e(X, Y).\n\
+             g(X, <Y>) <- e(X, Y), f(Y).",
+        )
+        .unwrap();
+        let q = parse_atom("g(1, S)").unwrap();
+        let mp = rewrite_magic(&adorn_program(&p, &q).unwrap(), &q);
+        let text = mp.program.to_string();
+        for rule in [
+            "g'bf(X, <Y>) <- m'g'bf(X), e(X, Y).",
+            "g'bf(X, <Y>) <- m'g'bf(X), e(X, Y), f(Y).",
+        ] {
+            assert!(text.contains(rule), "missing {rule}: {text}");
+        }
+        assert_eq!(mp.subsumed, 0, "{text}");
+    }
+
+    /// Of two identical rules the first is kept.
+    #[test]
+    fn a_duplicated_rule_is_kept_once() {
+        let p = parse_program(
+            "anc(X, Y) <- par(X, Y).\n\
+             anc(X, Y) <- par(X, Y).\n\
+             anc(X, Y) <- par(X, Z), anc(Z, Y).",
+        )
+        .unwrap();
+        let q = parse_atom("anc(0, Y)").unwrap();
+        let mp = rewrite_magic(&adorn_program(&p, &q).unwrap(), &q);
+        let text = mp.program.to_string();
+        let modified = "anc'bf(X, Y) <- m'anc'bf(X), par(X, Y).";
+        assert_eq!(text.matches(modified).count(), 1, "{text}");
+        assert_eq!(mp.subsumed, 1, "{text}");
+        assert_eq!(subsumed_pairs(&mp.program), [], "{text}");
     }
 
     #[test]

@@ -9,6 +9,10 @@ use ldl1::magic::MagicEvaluator;
 use ldl1::{Symbol, System, Value};
 use unfold::unfold;
 
+const EXCL_ANCESTOR: &str = "anc(X, Y) <- par(X, Y).\n\
+                             anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+                             excl(X, Y, Z) <- anc(X, Y), node(Z), ~anc(X, Z).";
+
 const YOUNG: &str = "a(X, Y) <- p(X, Y).\n\
                      a(X, Y) <- a(X, Z), a(Z, Y).\n\
                      sg(X, Y) <- siblings(X, Y).\n\
@@ -262,11 +266,8 @@ fn magic_schedule_derives_each_fact_once() {
 /// (reachable, node) pair — and the answers are the paper's model's.
 #[test]
 fn negated_literal_probes_the_positive_literals_relation() {
-    const EXCL: &str = "anc(X, Y) <- par(X, Y).\n\
-                        anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
-                        excl(X, Y, Z) <- anc(X, Y), node(Z), ~anc(X, Z).";
     let mut sys = System::new();
-    sys.load(EXCL).unwrap();
+    sys.load(EXCL_ANCESTOR).unwrap();
     for n in 0..12 {
         sys.insert("node", vec![Value::int(n)]).unwrap();
     }
@@ -379,4 +380,50 @@ fn cold_bound_query_derives_its_cone_then_buys_the_model() {
         .unwrap();
     assert_eq!(sys.last_stats().strata_delta, 1, "{}", sys.last_stats());
     assert_eq!(sys.query("anc(0, Y)").unwrap().len(), 11);
+}
+
+/// §1's exclusive ancestors on a chain `0 → 1 → 2 → 3` with two nodes off
+/// it, through `System::query` on a cold system. The staged schedule applies
+/// the guarded `excl'bff` rule once: it reads `m'excl'bff`, `anc'bf` and
+/// `node`, and none of them grows after it ran, so the closing pass of the
+/// schedule skips it rather than re-deriving every answer as a duplicate.
+/// And the magic rule of `~anc'bf(X, Z)`, subsumed by the one of
+/// `anc'bf(X, Y)`, is dropped: it would re-derive `m'anc'bf(0)` once per
+/// `anc'bf(0, Y)` tuple.
+#[test]
+fn excl_applies_its_guarded_rule_once() {
+    let mut sys = System::new();
+    sys.load(EXCL_ANCESTOR).unwrap();
+    for n in 0..6 {
+        sys.insert("node", vec![Value::int(n)]).unwrap();
+    }
+    for (a, b) in [(0, 1), (1, 2), (2, 3)] {
+        sys.insert("par", vec![Value::int(a), Value::int(b)])
+            .unwrap();
+    }
+    let q = "excl(0, Y, Z)";
+    let atom = ldl1::parser::parse_atom(q).unwrap();
+    assert_eq!(
+        sys.explain_query(q).unwrap(),
+        "excl(0, Y, Z): magic excl'bff: seed m'excl'bff(0), 8 rules, 1 subsumed"
+    );
+    let reference = ldl1::reference_model(sys.program(), sys.edb()).unwrap();
+    let expected = ldl1::Evaluator::new().query(&reference, &atom);
+    // Y ∈ {1, 2, 3}, Z ∈ {0, 4, 5}.
+    assert_eq!(expected.len(), 3 * 3);
+    assert_eq!(sys.query(q).unwrap(), expected);
+    // One full round of the seven base rules; eight delta rounds of 24
+    // passes in all, which derive `m'anc'bf` {0, …, 3}, the three `sup`
+    // edges and the six `anc'bf` pairs; then one round of `excl'bff`, whose
+    // nine answers no base rule reads. Applied a second time, `excl'bff`
+    // would add a round and re-derive its nine answers as duplicates; and
+    // the subsumed rule would add a pass per delta round that reads a new
+    // `anc'bf`, each re-deriving `m'anc'bf(0)`.
+    let s = sys.last_stats();
+    assert_eq!((s.rules_fired, s.rounds), (7 + 24 + 1, 1 + 8 + 1), "{s}");
+    assert_eq!(
+        (s.facts_derived, s.dedup_inserts),
+        (4 + 3 + 6 + 9, 0),
+        "{s}"
+    );
 }

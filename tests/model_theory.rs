@@ -3,7 +3,14 @@
 //! the engine's computed standard model).
 
 use ldl1::value::order::{dominates, dominates_elaborate, fact_dominates, strictly_smaller_model};
-use ldl1::{check_model, Fact, FactSet, Program, System, Value};
+use std::collections::{HashMap, HashSet};
+
+use ldl1::ast::rule::Rule;
+use ldl1::{
+    check_model, Database, EvalOptions, Evaluator, Fact, FactSet, Program, Symbol, System, Value,
+};
+use ldl_testkit::gen::{stratified_case, GenConst, GeneratedCase};
+use ldl_testkit::{cases_shrink, Rng};
 
 fn facts(list: &[Fact]) -> FactSet {
     list.iter().cloned().collect()
@@ -203,4 +210,165 @@ fn computed_model_is_minimal_model() {
             "removing {f} should break the model"
         );
     }
+}
+
+// ------------------------------------------- §2.4 on generated programs --
+
+fn gen_value(c: &GenConst) -> Value {
+    match c {
+        GenConst::Int(i) => Value::int(*i),
+        GenConst::Set(xs) => Value::set(xs.iter().map(|&i| Value::int(i))),
+        GenConst::Compound(f, xs) => {
+            Value::compound(*f, xs.iter().map(|&i| Value::int(i)).collect())
+        }
+    }
+}
+
+/// A generated case's program, EDB facts and the engine's model of them.
+fn generated_model(case: &GeneratedCase) -> (Program, FactSet, FactSet) {
+    let p = program(&case.src);
+    let mut edb = Database::new();
+    for (pred, args) in &case.edb {
+        edb.insert_tuple(*pred, args.iter().map(gen_value).collect());
+    }
+    let options = EvalOptions {
+        dialect: ldl1::ast::wf::Dialect::Ldl15,
+        ..EvalOptions::default()
+    };
+    let m = Evaluator::with_options(options).evaluate(&p, &edb).unwrap();
+    (p, edb.to_fact_set(), m.to_fact_set())
+}
+
+/// The models one step below `m` in the §2.4 order that `check_model`
+/// accepts: `m` without one of its derived facts, or with one derived fact
+/// dominated down — one element taken out of one of its set arguments.
+/// Each candidate is checked to be smaller through `value::order`. The
+/// facts of `edb` are given, not derived, and stay. A minimal model has no
+/// such neighbour.
+fn smaller_models(p: &Program, edb: &FactSet, m: &FactSet) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut near: HashMap<Symbol, (Program, FactSet)> = HashMap::new();
+    for f in m.iter().filter(|f| !edb.contains(f)) {
+        // A candidate differs from the model `m` in facts of `f`'s
+        // predicate only, so only the rules that mention it can fail, and
+        // they read and require facts of their own predicates only.
+        let (rules, base) = near.entry(f.pred()).or_insert_with(|| {
+            let mentions = |r: &&Rule| {
+                r.head.pred == f.pred() || r.body.iter().any(|l| l.atom.pred == f.pred())
+            };
+            let rules: Vec<Rule> = p.rules.iter().filter(mentions).cloned().collect();
+            let preds: HashSet<Symbol> = rules
+                .iter()
+                .flat_map(|r| {
+                    std::iter::once(r.head.pred).chain(r.body.iter().map(|l| l.atom.pred))
+                })
+                .collect();
+            let base = m
+                .iter()
+                .filter(|g| preds.contains(&g.pred()))
+                .cloned()
+                .collect();
+            (Program::from_rules(rules), base)
+        });
+        let mut without = base.clone();
+        without.remove(f);
+        assert!(strictly_smaller_model(&without, base), "{f}");
+        if check_model(rules, &without).is_ok() {
+            found.push(format!("without {f}"));
+        }
+        for (i, arg) in f.args().iter().enumerate() {
+            let Value::Set(s) = arg else { continue };
+            for e in s.iter() {
+                let mut args = f.args().to_vec();
+                args[i] = Value::set(s.iter().filter(|x| *x != e).cloned());
+                let down = Fact::new(f.pred(), args);
+                if m.contains(&down) {
+                    continue; // the same candidate as `without`
+                }
+                assert!(fact_dominates(&down, f) && !fact_dominates(f, &down));
+                let mut cand = without.clone();
+                cand.insert(down.clone());
+                assert!(strictly_smaller_model(&cand, base), "{down} for {f}");
+                if check_model(rules, &cand).is_ok() {
+                    found.push(format!("{down} for {f}"));
+                }
+            }
+        }
+    }
+    found
+}
+
+fn has_grouping(p: &Program) -> bool {
+    p.rules.iter().any(|r| r.is_grouping())
+}
+
+/// §2.4 domination minimality on random stratified programs with grouping
+/// (`testkit::gen`'s grouping, two-rule head and §4.1 templates): the
+/// engine's model is a model, and no derived fact can be dropped or
+/// dominated down while the result stays one.
+#[test]
+fn generated_models_are_domination_minimal() {
+    let grouped = std::cell::Cell::new(0);
+    cases_shrink(40, 4, |rng: &mut Rng, size: u32| {
+        let case = stratified_case(rng, size);
+        let (p, edb, m) = generated_model(&case);
+        if !has_grouping(&p) {
+            return;
+        }
+        grouped.set(grouped.get() + 1);
+        check_model(&p, &m).unwrap();
+        let smaller = smaller_models(&p, &edb, &m);
+        assert!(smaller.is_empty(), "{}: {smaller:?}", case.src);
+    });
+    eprintln!("{} of 40 generated programs had grouping", grouped.get());
+    assert!(grouped.get() > 0, "no generated program had grouping");
+}
+
+/// The property above sees a non-minimal model: the engine's model with one
+/// grouped set grown by an element no rule puts there, closed under the
+/// rules into a model again, fails it.
+#[test]
+fn a_model_with_an_extra_grouped_element_is_not_minimal() {
+    let planted = std::cell::Cell::new(0);
+    cases_shrink(32, 4, |rng: &mut Rng, size: u32| {
+        let case = stratified_case(rng, size);
+        let (p, edb, m) = generated_model(&case);
+        let heads: Vec<_> = p
+            .rules
+            .iter()
+            .filter(|r| r.is_grouping())
+            .map(|r| r.head.pred)
+            .collect();
+        let Some(group) = m.iter().find(|f| heads.contains(&f.pred())) else {
+            return;
+        };
+        let Value::Set(s) = &group.args()[1] else {
+            panic!("{group} groups into its second argument")
+        };
+        let extra = Value::set(s.iter().cloned().chain([Value::int(-7)]));
+        let mut bad = m.clone();
+        bad.insert(Fact::new(
+            group.pred(),
+            vec![group.args()[0].clone(), extra],
+        ));
+        // Add what the rules require of the extra fact until it is a model.
+        for _ in 0..10_000 {
+            match check_model(&p, &bad) {
+                Ok(()) => break,
+                Err(v) => bad.insert(v.missing),
+            };
+        }
+        check_model(&p, &bad).unwrap();
+        planted.set(planted.get() + 1);
+        assert!(
+            !smaller_models(&p, &edb, &bad).is_empty(),
+            "{}: {group} grown by -7 passed",
+            case.src
+        );
+    });
+    eprintln!(
+        "{} of 32 cases had a group to grow; the property flagged each",
+        planted.get()
+    );
+    assert!(planted.get() > 0, "no generated model had a group");
 }
