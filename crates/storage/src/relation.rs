@@ -14,6 +14,16 @@
 //! one — what every snapshot, publication and EDB → model copy does — is
 //! that many `memcpy`s. Structural [`ldl_value::Value`]s exist only at the
 //! [`crate::Database`] fact boundary.
+//!
+//! Each table is hashed into once per entry and sized once where the entry
+//! count is known or bounded ahead. An insert hashes its tuple once, and
+//! that hash both probes the duplicate filter and files the new row. A bulk
+//! load of a known row count reserves the filter up front
+//! ([`Relation::reserve`]). An index built over rows already present
+//! counts a lower bound on its keys first, in one integer-only pass (linear
+//! counting), and is allocated at that size before it is filled — never
+//! larger than key-at-a-time growth would have made it, so a column with
+//! few distinct values keeps a small table.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -278,13 +288,6 @@ impl RawTable {
             self.slots[i] = s;
         }
     }
-
-    /// Reset to empty, keeping capacity.
-    fn clear(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = T_EMPTY);
-        self.live = 0;
-        self.tombs = 0;
-    }
 }
 
 /// The duplicate filter *and* position map: row positions keyed by their
@@ -300,7 +303,13 @@ struct Seen {
 impl Seen {
     #[inline]
     fn get(&self, rows: &Rows, key: &[ValueId]) -> Option<u32> {
-        self.table.find(hash_ids(key), |p| rows.get(p) == key)
+        self.find(rows, hash_ids(key), key)
+    }
+
+    /// [`Seen::get`] for a key whose hash `h` is already taken.
+    #[inline]
+    fn find(&self, rows: &Rows, h: u64, key: &[ValueId]) -> Option<u32> {
+        self.table.find(h, |p| rows.get(p) == key)
     }
 
     /// The same lookup as a posting list — what a probe with every column
@@ -313,9 +322,9 @@ impl Seen {
         }
     }
 
-    /// Record `pos` (whose row must not already be present).
-    fn insert(&mut self, rows: &Rows, pos: u32) {
-        let h = hash_ids(rows.get(pos));
+    /// Record `pos`, whose row hashes to `h` and must not already be
+    /// present.
+    fn insert(&mut self, rows: &Rows, h: u64, pos: u32) {
         self.table.ensure_cap(|p| hash_ids(rows.get(p)));
         self.table.insert(h, pos);
     }
@@ -644,21 +653,23 @@ impl Index {
 
     /// Prune every posting at position `cutoff` or beyond and rebuild the
     /// table from the surviving buckets (truncation is the rare
-    /// snapshot-rollback path). Freed buckets keep their stale key bytes;
+    /// snapshot-rollback path), sized for them as a fresh index holding
+    /// those keys would be. Freed buckets keep their stale key bytes;
     /// reuse overwrites them.
     fn truncate(&mut self, cutoff: u32) {
-        self.table.clear();
         self.free.clear();
         for b in 0..self.postings.lists.len() as u32 {
             if self.postings.truncate(b, cutoff) {
                 self.free.push(b);
-                continue;
             }
-            let h = hash_ids(self.key_at(b));
-            let (keys, k) = (&self.keys, self.cols.len());
-            self.table
-                .ensure_cap(|bb| hash_ids(&keys[bb as usize * k..(bb as usize + 1) * k]));
-            self.table.insert(h, b);
+        }
+        self.table = RawTable::default();
+        self.table
+            .reserve(self.postings.lists.len() - self.free.len());
+        for b in 0..self.postings.lists.len() as u32 {
+            if !self.postings.get(b).is_empty() {
+                self.table.insert(hash_ids(self.key_at(b)), b);
+            }
         }
     }
 }
@@ -767,20 +778,24 @@ impl Relation {
     }
 
     /// Insert a borrowed tuple; returns `true` iff it was new. This is the
-    /// merge-phase hot path: a rejected duplicate hashes the borrowed
-    /// slice and compares it against the arena, and an accepted tuple is
-    /// copied into the current arena page — neither side performs a
-    /// per-tuple or per-key heap allocation (pages, tables, and the
+    /// merge-phase hot path, and the path every snapshot row and replayed
+    /// fact takes: the tuple is hashed once, and that hash both probes the
+    /// duplicate filter and files an accepted tuple in it. A rejected
+    /// duplicate compares the borrowed slice against the arena and touches
+    /// nothing else (the probe comes before any growth), and an accepted
+    /// tuple is copied into the current arena page — neither side performs
+    /// a per-tuple or per-key heap allocation (pages, tables, and the
     /// posting arenas amortize their growth). Panics on arity mismatch (a
     /// schema violation is a caller bug, not data).
     pub fn insert_slice(&mut self, tuple: &[ValueId]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        if self.seen.get(&self.rows, tuple).is_some() {
+        let h = hash_ids(tuple);
+        if self.seen.find(&self.rows, h, tuple).is_some() {
             return false;
         }
         assert!(self.rows.len < MAX_ROWS, "relation exceeds u32 tuples");
         let pos = self.rows.push(tuple);
-        self.seen.insert(&self.rows, pos);
+        self.seen.insert(&self.rows, h, pos);
         for idx in self.indexes.values_mut() {
             idx.add(tuple, pos);
         }
@@ -865,7 +880,7 @@ impl Relation {
         for idx in self.indexes.values_mut() {
             idx.add_sorted(rows.get(pos), pos);
         }
-        self.seen.insert(&self.rows, pos);
+        self.seen.insert(rows, hash_ids(rows.get(pos)), pos);
         self.live += 1;
         if let Some(log) = &mut self.log.0 {
             log.touched.push(pos);
@@ -874,6 +889,13 @@ impl Relation {
 
     /// Ensure a hash index exists on `cols` (sorted, deduplicated by caller
     /// convention — we normalize anyway). No-op if already present.
+    ///
+    /// A new index over existing rows is a bulk build: one pass counts a
+    /// lower bound on its distinct keys, the index's table and buffers are
+    /// allocated once at that size, and a second pass fills them. The
+    /// table ends no larger than key-at-a-time growth would leave it, and
+    /// when the bound is exact (as for one integer column) nothing is
+    /// rehashed.
     pub fn ensure_index(&mut self, cols: &[usize]) {
         let mut cols: Vec<usize> = cols.to_vec();
         cols.sort_unstable();
@@ -886,14 +908,12 @@ impl Relation {
             return;
         }
         let mut idx = Index::new(cols.clone());
+        idx.reserve(self.distinct_at_least(&cols), self.live);
         // Skip tombstoned positions: an index built after a removal must
         // agree with one that witnessed it (probes never check liveness).
         // `revive` re-adds the position to every index, so a later rollback
         // still restores the pre-removal posting lists exactly.
-        for pos in 0..self.rows.len {
-            if self.dead.as_ref().is_some_and(|d| d.contains(&pos)) {
-                continue;
-            }
+        for pos in (0..self.rows.len).filter(|&pos| self.is_live(pos)) {
             idx.add(self.rows.get(pos), pos);
         }
         self.indexes.insert(cols, idx);
@@ -1182,7 +1202,56 @@ impl RawTable {
     }
 }
 
+impl Index {
+    /// Size a fresh index for `rows` postings under at least `keys` keys
+    /// (`keys <= rows`): its table at the capacity `keys` one-at-a-time
+    /// inserts end at ([`RawTable::reserve`]); its key and list buffers at
+    /// the power of two their push-by-push growth passes on the way to
+    /// `keys` entries, so that past `keys` they double on that same path
+    /// and end where growth alone would have left them; and its posting
+    /// arena at the `rows - keys` postings beyond one per key, the floor of
+    /// what the extents hold when the key count is exact.
+    fn reserve(&mut self, keys: usize, rows: usize) {
+        if keys == 0 {
+            return;
+        }
+        self.table.reserve(keys);
+        self.keys
+            .reserve((keys * self.cols.len()).next_power_of_two());
+        self.postings.lists.reserve(keys.next_power_of_two());
+        self.postings.arena.reserve(rows - keys);
+    }
+}
+
 impl Relation {
+    /// A lower bound on the number of distinct projections of the live rows
+    /// onto `cols`, by linear counting (Whang, Vander-Zanden and Taylor,
+    /// TODS 1990): each live row sets the bit its projection hash selects in
+    /// a bitmap of 8 to 16 bits per row, and the set bits are counted. Equal
+    /// keys set the same bit, so the count never exceeds the distinct keys;
+    /// it falls short only by the keys whose bits collide, at most about
+    /// 1/16 of them for well-spread hashes.
+    ///
+    /// The count is not corrected towards the estimator's expected value
+    /// (`-m ln(1 - set/m)`). A correction assumes random collisions, and a
+    /// single integer column has none: its hash is the id times an odd
+    /// constant, whose low bits — the ones used here, as in the tables — are
+    /// a bijection of the id's low bits, so the count is exact and any
+    /// correction would overshoot, sizing a table one doubling too large.
+    /// Integer arithmetic only: the engine links no `libm`.
+    fn distinct_at_least(&self, cols: &[usize]) -> usize {
+        if self.live == 0 {
+            return 0;
+        }
+        let bits = (self.live * 8).next_power_of_two();
+        let mut map = vec![0u64; bits.div_ceil(64)];
+        for pos in (0..self.rows.len).filter(|&pos| self.is_live(pos)) {
+            let b = hash_projection(cols, self.rows.get(pos)) as usize & (bits - 1);
+            map[b / 64] |= 1 << (b % 64);
+        }
+        map.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     /// Size a fresh relation's duplicate filter for `n` rows at once — a
     /// bulk load of a known row count (a snapshot's relation) then never
     /// rehashes, and ends at the capacity `n` inserts would have grown it
@@ -1230,6 +1299,45 @@ mod tests {
             }
             assert_eq!(reserved.seen.table.tags.len(), cap, "n = {n}: rehashed");
             assert_eq!(cap, grown.seen.table.tags.len(), "n = {n}");
+        }
+    }
+
+    /// An index built over existing rows holds the same ascending posting
+    /// list for every key as one kept from the start, and its table is no
+    /// larger than key-at-a-time growth made that one's: the sizing never
+    /// buys the low-cardinality `anc[0]` (12 880 rows, 160 keys) or the
+    /// 257-key case more slots than they use, and it buys the all-distinct
+    /// `par[0]` (20 500 rows) its final table at once.
+    #[test]
+    fn a_bulk_built_index_equals_the_grown_one_and_is_no_larger() {
+        for (rows, keys) in [(12_880, 160), (100_000, 257), (20_500, 20_500)] {
+            let row = |i: i64| t(&[i % keys, i]);
+            let mut grown = Relation::new(2);
+            grown.ensure_index(&[0]);
+            let mut built = Relation::new(2);
+            for i in 0..rows {
+                assert!(grown.insert_slice(&row(i)));
+                assert!(built.insert_slice(&row(i)));
+            }
+            built.ensure_index(&[0]);
+            assert_eq!(built.same_state(&grown), Ok(()), "{rows} rows, {keys} keys");
+            // No larger than growth's table, and here no smaller either:
+            // on one integer column the bound is the exact key count.
+            let cap = |r: &Relation| r.indexes[&[0usize][..]].table.tags.len();
+            assert_eq!(cap(&built), cap(&grown), "{rows} rows, {keys} keys");
+            // A truncation rebuilds both tables at the size a build over
+            // the surviving rows has.
+            let kept = rows / 3;
+            built.truncate(kept as usize);
+            grown.truncate(kept as usize);
+            assert_eq!(built.same_state(&grown), Ok(()));
+            let mut fresh = Relation::new(2);
+            for i in 0..kept {
+                fresh.insert_slice(&row(i));
+            }
+            fresh.ensure_index(&[0]);
+            assert_eq!(cap(&built), cap(&fresh), "{rows} rows cut to {kept}");
+            assert_eq!(cap(&grown), cap(&fresh), "{rows} rows cut to {kept}");
         }
     }
 

@@ -138,6 +138,58 @@ fn distinct_keys_allocate_sublinearly() {
     assert_eq!(allocs, 0);
 }
 
+/// An index built over rows already present is sized before it is filled,
+/// so the build allocates a fixed handful of times — the estimator's
+/// bitmap, then the index's own buffers once each — however many rows and
+/// keys it covers. Grown a key at a time from 16 slots, the 100 000-key
+/// build allocated 65 times.
+#[test]
+fn an_index_built_over_existing_rows_allocates_a_fixed_handful() {
+    let _counting = counting();
+    let build_allocs = |n: i64| {
+        let mut rel = Relation::new(2);
+        rel.reserve(n as usize);
+        for i in 0..n {
+            rel.insert_slice(&[intern::mk_int(i), intern::mk_int(i % 9)]);
+        }
+        let ((), allocs) = ALLOC.measure(|| rel.ensure_index(&[0]));
+        assert_eq!(rel.probe(&[0], &[intern::mk_int(n - 1)]), &[n as u32 - 1]);
+        allocs
+    };
+    let allocs = build_allocs(100_000);
+    assert!(allocs <= 10, "the build allocated {allocs} times");
+    assert_eq!(build_allocs(10_000), allocs);
+}
+
+/// An insert hashes its tuple once and probes with that hash before it
+/// makes room: a rejected duplicate allocates nothing even when the
+/// duplicate filter is exactly at its 3/4 growth threshold, where the next
+/// *new* tuple doubles it.
+#[test]
+fn a_duplicate_at_the_growth_threshold_allocates_nothing() {
+    let _counting = counting();
+    // 96 rows fill a 128-slot filter to 3/4.
+    let rows: Vec<[ValueId; 2]> = (0..96)
+        .map(|i| [intern::mk_int(i), intern::mk_int(i % 5)])
+        .collect();
+    let mut rel = Relation::new(2);
+    rel.ensure_index(&[1]);
+    for row in &rows {
+        assert!(rel.insert_slice(row));
+    }
+    let ((), allocs) = ALLOC.measure(|| {
+        for row in &rows {
+            assert!(!rel.insert_slice(row));
+        }
+    });
+    assert_eq!(allocs, 0);
+    // The threshold is real: one new tuple grows the filter.
+    let ((), allocs) = ALLOC.measure(|| {
+        assert!(rel.insert_slice(&[intern::mk_int(96), intern::mk_int(1)]));
+    });
+    assert!(allocs >= 2, "a new tuple past 3/4 allocated {allocs} times");
+}
+
 /// A clone copies a fixed number of flat buffers per index plus the row
 /// pages: the same count whether the `[0]` index holds 10 000 keys or
 /// 20 000 over the same 40 000 rows (the `[1]` index holds 40 000 either

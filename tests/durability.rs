@@ -464,3 +464,58 @@ fn group_commit_crash_loses_at_most_unsynced_tail() {
     assert_eq!(sys2.edb().dump(), dumps[recovered]);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A restart's first bound question does the same work however its storage
+/// builds and sizes what it reads. The directory holds a checkpointed
+/// forest — 300 chains of 10 `par` edges, chain `c` rooted at `1000 * c` —
+/// and a synced log tail of 40 batches that lengthen chain 0 and tag nodes.
+/// After `open` and a load of the ancestor rules, `anc(0, Y)` answers on the
+/// §6 magic arm, and its counters are pinned: a change to how relations
+/// hash, index or size themselves must leave every one of them where it is.
+#[test]
+fn a_recovered_systems_first_bound_query_keeps_its_counters() {
+    let dir = temp_dir("recovered-counters");
+    let opts = StoreOptions {
+        sync: ldl1::SyncPolicy::Never,
+    };
+    let mut sys = System::open_with(&dir, EvalOptions::default(), opts).unwrap();
+    let mut batch = sys.mutate();
+    for c in 0..300 {
+        for k in 0..10 {
+            let a = 1000 * c + k;
+            batch.assert("par", vec![Value::int(a), Value::int(a + 1)]);
+        }
+    }
+    batch.commit().unwrap();
+    sys.checkpoint().unwrap();
+    for k in 10..50 {
+        let mut batch = sys.mutate();
+        batch.assert("par", vec![Value::int(k), Value::int(k + 1)]);
+        batch.assert("tag", vec![Value::atom("t"), Value::int(k)]);
+        batch.commit().unwrap();
+    }
+    sys.sync().unwrap();
+    drop(sys);
+
+    let mut sys = System::open(&dir).unwrap();
+    let info = sys.recovery_info().unwrap();
+    assert_eq!((info.snapshot_seq, info.replayed), (Some(1), 40));
+    sys.load("anc(X, Y) <- par(X, Y).\nanc(X, Y) <- par(X, Z), anc(Z, Y).")
+        .unwrap();
+    let answers = sys.query("anc(0, Y)").unwrap();
+    assert_eq!(answers.len(), 50);
+    let s = sys.last_stats();
+    let counters = (
+        s.rules_fired,
+        s.attempts,
+        s.facts_derived,
+        s.dedup_inserts,
+        s.index_probes,
+        s.rounds,
+    );
+    // (rules fired, attempts, facts derived, duplicates rejected, index
+    // probes, rounds): 1 275 `anc` facts for the 50 nodes of chain 0's cone,
+    // plus its magic and supplementary tuples.
+    assert_eq!(counters, (402, 1375, 1375, 0, 1427, 149), "{s}");
+    let _ = fs::remove_dir_all(&dir);
+}
