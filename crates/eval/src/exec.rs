@@ -8,8 +8,11 @@
 //! index descriptor. One function, `exec_op`, interprets every op; it is
 //! instantiated per mode — run mode, which hands each solution to the
 //! caller, and the existential tail, which stops at the first; an
-//! `_`-existential negation runs its ops in the tail's mode too. Every
-//! relation access is a register op. The one op that bridges to the
+//! `_`-existential negation runs its ops in the tail's mode too. A scan
+//! tests the filters lowering gave it (its `then`) on each matching
+//! row in its own loop, so only rows that pass them re-enter `exec_op`;
+//! a filter no scan owns is an op of its own. Every relation access is a
+//! register op. The one op that bridges to the
 //! built-in evaluator, `Builtin` — which also runs a match step, the `=` of
 //! a flattened set, `scons`, `<t>` or open compound pattern — seeds a
 //! scratch [`Bindings`] from registers and copies solution values back:
@@ -138,7 +141,7 @@ pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
 /// Match one tuple against a fused column-action list. Bind actions write
 /// registers; the caller relies on left-to-right order for repeated-var
 /// checks and in-step `Eval` dependencies.
-#[inline]
+#[inline(always)]
 fn match_cols(cols: &[(usize, ColAct)], tuple: &[ValueId], regs: &mut [ValueId]) -> bool {
     for (c, act) in cols {
         let v = tuple[*c];
@@ -242,13 +245,21 @@ fn eval_num_nested(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
 /// Evaluate a fused comparison: `true` exactly when the *positive* literal
 /// has a solution (the caller inverts for negation). Both sides integer ⇒
 /// compare natively (id equality on interned ints coincides with value
-/// equality); otherwise fall back to the interpreter-mirroring id path,
-/// which handles strings and treats an operand outside `U` as `false` —
-/// `eval_term`'s `None` in both of the interpreter's `Cmp` arms.
+/// equality), in line; otherwise fall back to the out-of-line
+/// [`cmp_ids`].
+#[inline(always)]
 fn cmp_op(op: CmpOp, lhs: &crate::ram::Expr, rhs: &crate::ram::Expr, regs: &[ValueId]) -> bool {
     if let (Some(l), Some(r)) = (eval_num(lhs, regs), eval_num(rhs, regs)) {
         return op.holds(l.cmp(&r));
     }
+    cmp_ids(op, lhs, rhs, regs)
+}
+
+/// [`cmp_op`] on ids: the interpreter-mirroring path, which handles
+/// strings and treats an operand outside `U` as `false` — `eval_term`'s
+/// `None` in both of the interpreter's `Cmp` arms.
+#[inline(never)]
+fn cmp_ids(op: CmpOp, lhs: &crate::ram::Expr, rhs: &crate::ram::Expr, regs: &[ValueId]) -> bool {
     match (eval_expr(lhs, regs), eval_expr(rhs, regs)) {
         (Some(l), Some(r)) => op.eval_ids(l, r) == Some(true),
         _ => false,
@@ -265,6 +276,62 @@ fn arith_val(
     regs: &[ValueId],
 ) -> Option<i64> {
     op.eval_i64(eval_num(x, regs)?, eval_num(y, regs)?)
+}
+
+/// Does the filter `op` hold (`rel` is its resolved relation)? The one
+/// implementation of every filter op (`ram::is_filter`), whether
+/// [`exec_op`] reaches it or a scan runs it in its row loop.
+#[inline(always)]
+fn filter_holds(op: &Op, rel: Option<&Relation>, regs: &[ValueId]) -> bool {
+    match op {
+        Op::Cmp {
+            op,
+            lhs,
+            rhs,
+            negated,
+        } => cmp_op(*op, lhs, rhs, regs) != *negated,
+        Op::Neg { key, .. } => neg_op(key, rel, regs),
+        Op::ArithF {
+            op,
+            x,
+            y,
+            dst: ArithDst::Check(e),
+            negated,
+        } => arith_check(*op, x, y, e, regs) != *negated,
+        _ => unreachable!("not a filter"),
+    }
+}
+
+/// [`filter_holds`] out of line, for a filter no scan owns.
+#[inline(never)]
+fn filter_op(op: &Op, rel: Option<&Relation>, regs: &[ValueId]) -> bool {
+    filter_holds(op, rel, regs)
+}
+
+/// Do the filters `ops[from..to]` all hold, tested in order? A plain loop:
+/// an iterator adaptor here is left out of line.
+#[inline(always)]
+fn filters_hold(ctx: &Ctx<'_>, from: usize, to: usize, regs: &[ValueId]) -> bool {
+    for j in from..to {
+        if !filter_holds(&ctx.prog.ops[j], ctx.rops[j].rel, regs) {
+            return false;
+        }
+    }
+    true
+}
+
+/// Does forward-mode arithmetic `op(x, y)` equal `e`'s value? `false` when
+/// either side fails to evaluate to an integer (the positive literal's
+/// answer; the caller inverts for negation).
+#[inline(never)]
+fn arith_check(
+    op: ArithOp,
+    x: &crate::ram::Expr,
+    y: &crate::ram::Expr,
+    e: &crate::ram::Expr,
+    regs: &[ValueId],
+) -> bool {
+    matches!((arith_val(op, x, y, regs), eval_num(e, regs)), (Some(z), Some(c)) if z == c)
 }
 
 /// The continuation of the existential tail and of an `Absent`'s ops: the
@@ -295,18 +362,23 @@ fn copy_out(b: &Bindings, out_vars: &[(Var, Reg)], regs: &mut [ValueId]) {
     }
 }
 
-/// Run the ops after `i`. `true` means stop enumerating, which only the
+/// Run the ops from `j` on. `true` means stop enumerating, which only the
 /// tail's [`witness`] ever asks for: in run mode the result is the constant
 /// `false`, so every `if next(..) { return true }` below folds away there.
+/// Past the last op a solution goes straight to `k`, as [`exec_op`] would
+/// send it, without re-entering it.
 #[inline(always)]
 fn next<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
     ctx: &Ctx<'_>,
-    i: usize,
+    j: usize,
     regs: &mut [ValueId],
     b: &mut Bindings,
     k: &mut K,
 ) -> bool {
-    exec_op::<TAIL, K>(ctx, i + 1, regs, b, k) && TAIL
+    if j == ctx.prog.ops.len() {
+        return k(regs) && TAIL;
+    }
+    exec_op::<TAIL, K>(ctx, j, regs, b, k) && TAIL
 }
 
 /// Enumerate the solutions of `ops[i..]`, calling `k` on each until it asks
@@ -338,8 +410,12 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
             key,
             cols,
             probe_cols,
+            then,
             ..
         } => {
+            // The scan's fused filters run in its row loop, on each row
+            // that matches, and a row that passes them goes on at `then`.
+            let then = *then;
             let r = &ctx.rops[i];
             let Some(rel) = r.rel else {
                 return false;
@@ -358,7 +434,8 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
                     if pos >= r.lo
                         && pos < r.hi
                         && match_cols(probe_cols, rel.get(pos), regs)
-                        && next::<TAIL, K>(ctx, i, regs, b, k)
+                        && filters_hold(ctx, i + 1, then, regs)
+                        && next::<TAIL, K>(ctx, then, regs, b, k)
                     {
                         return true;
                     }
@@ -368,16 +445,20 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
             for pos in r.lo..r.hi {
                 if rel.is_live(pos)
                     && match_cols(cols, rel.get(pos), regs)
-                    && next::<TAIL, K>(ctx, i, regs, b, k)
+                    && filters_hold(ctx, i + 1, then, regs)
+                    && next::<TAIL, K>(ctx, then, regs, b, k)
                 {
                     return true;
                 }
             }
             false
         }
-        Op::Neg { key, .. } => {
-            neg_op(key, ctx.rops[i].rel, regs) && next::<TAIL, K>(ctx, i, regs, b, k)
-        }
+        Op::Cmp { .. }
+        | Op::Neg { .. }
+        | Op::ArithF {
+            dst: ArithDst::Check(_),
+            ..
+        } => filter_op(op, ctx.rops[i].rel, regs) && next::<TAIL, K>(ctx, i + 1, regs, b, k),
         Op::Absent { end } => {
             // Its first solution refutes the negation. Its ops write only
             // their own fresh registers, so nothing leaks past it.
@@ -386,16 +467,10 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
             !found && exec_op::<TAIL, K>(ctx, *end + 1, regs, b, k) && TAIL
         }
         Op::Found => k(regs),
-        Op::Cmp {
-            op,
-            lhs,
-            rhs,
-            negated,
-        } => cmp_op(*op, lhs, rhs, regs) != *negated && next::<TAIL, K>(ctx, i, regs, b, k),
         Op::Assign { dst, src } => match eval_expr(src, regs) {
             Some(v) => {
                 regs[*dst as usize] = v;
-                next::<TAIL, K>(ctx, i, regs, b, k)
+                next::<TAIL, K>(ctx, i + 1, regs, b, k)
             }
             None => false,
         },
@@ -403,24 +478,15 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
             op,
             x,
             y,
-            dst,
-            negated,
-        } => {
-            let z = arith_val(*op, x, y, regs);
-            match dst {
-                ArithDst::Bind(r) => match z {
-                    Some(z) => {
-                        regs[*r as usize] = intern::mk_int(z);
-                        next::<TAIL, K>(ctx, i, regs, b, k)
-                    }
-                    None => false,
-                },
-                ArithDst::Check(e) => {
-                    let holds = matches!((z, eval_num(e, regs)), (Some(z), Some(c)) if z == c);
-                    holds != *negated && next::<TAIL, K>(ctx, i, regs, b, k)
-                }
+            dst: ArithDst::Bind(r),
+            ..
+        } => match arith_val(*op, x, y, regs) {
+            Some(z) => {
+                regs[*r as usize] = intern::mk_int(z);
+                next::<TAIL, K>(ctx, i + 1, regs, b, k)
             }
-        }
+            None => false,
+        },
         Op::Builtin {
             builtin,
             args,
@@ -434,13 +500,13 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
                 let mut any = false;
                 eval_builtin(*builtin, args, b, &mut |_| any = true);
                 b.undo(m);
-                !any && next::<TAIL, K>(ctx, i, regs, b, k)
+                !any && next::<TAIL, K>(ctx, i + 1, regs, b, k)
             } else {
                 let mut stop = false;
                 eval_builtin(*builtin, args, b, &mut |b2| {
                     if !stop {
                         copy_out(b2, out_vars, regs);
-                        stop = next::<TAIL, K>(ctx, i, regs, b2, k);
+                        stop = next::<TAIL, K>(ctx, i + 1, regs, b2, k);
                     }
                 });
                 b.undo(m);

@@ -24,7 +24,11 @@
 //!   containment test, and `_`-existential negation to the literal's own
 //!   flattened scan and match steps, run to their first solution;
 //! * head projection compiles to an `Expr` per head argument, written
-//!   directly into the derivation buffer.
+//!   directly into the derivation buffer;
+//! * a scan owns the filters that directly follow it — comparisons,
+//!   all-ground negations, arithmetic checks — up to the existential
+//!   tail's start, and the executor tests them in the scan's row loop
+//!   (`fuse_filters`).
 //!
 //! A plan step therefore lowers to one op or to several, and ops do not
 //! match steps by index. `RamProgram::step_op` maps each step to its first
@@ -77,10 +81,24 @@ pub(crate) enum Expr {
 
 /// Evaluate a compiled expression against the register file. Mirrors
 /// `eval_term` exactly, including every `None` ("outside U") case.
+///
+/// A register or a constant — every probe key and head argument of a
+/// plain rule — is read in line; a compound term takes the out-of-line
+/// [`eval_compound`].
+#[inline(always)]
 pub(crate) fn eval_expr(e: &Expr, regs: &[ValueId]) -> Option<ValueId> {
     match e {
         Expr::Reg(r) => Some(regs[*r as usize]),
         Expr::Const(v) => Some(*v),
+        _ => eval_compound(e, regs),
+    }
+}
+
+/// [`eval_expr`] on a term that is neither a register nor a constant.
+#[inline(never)]
+fn eval_compound(e: &Expr, regs: &[ValueId]) -> Option<ValueId> {
+    match e {
+        Expr::Reg(_) | Expr::Const(_) => eval_expr(e, regs),
         Expr::Compound(f, args) => {
             let ids: Option<Vec<ValueId>> = args.iter().map(|a| eval_expr(a, regs)).collect();
             Some(intern::mk_compound(*f, ids?))
@@ -120,7 +138,9 @@ pub(crate) enum Op {
     /// A relation literal's rows: full scan over `cols`, or an index probe
     /// evaluating `key` and matching only `probe_cols` (key equality is
     /// implied by the posting list). A complex column pattern is a `Bind`
-    /// here and a match step after.
+    /// here and a match step after. The filters `ops[i + 1 .. then]` run in
+    /// the scan's own row loop (see [`fuse_filters`]); a row that passes
+    /// them continues at `ops[then]`.
     Scan {
         /// The relation scanned/probed.
         pred: Symbol,
@@ -132,6 +152,8 @@ pub(crate) enum Op {
         cols: Box<[(usize, ColAct)]>,
         /// `cols` minus the index-key columns, for the probed path.
         probe_cols: Box<[(usize, ColAct)]>,
+        /// The first op after the scan's fused filters.
+        then: usize,
     },
     /// All-ground negation: evaluate the argument expressions in order (a
     /// failure means the fact is outside `U`, so the negation holds) and
@@ -513,6 +535,7 @@ fn lower_scan(
         key,
         cols: cols.into_boxed_slice(),
         probe_cols,
+        then: 0, // set by `fuse_filters`
     });
     for args in &matches {
         let eq = Builtin::Cmp(CmpOp::Eq);
@@ -610,13 +633,46 @@ pub(crate) fn lower(plan: &RulePlan) -> RamProgram {
         }
     };
 
+    let exist_from = step_op.get(plan.exist_from).copied().unwrap_or(ops.len());
+    fuse_filters(&mut ops, exist_from);
     RamProgram {
-        exist_from: step_op.get(plan.exist_from).copied().unwrap_or(ops.len()),
+        exist_from,
         ops: ops.into_boxed_slice(),
         step_op: step_op.into_boxed_slice(),
         head,
         scan_preds: plan.scan_steps.iter().map(|&(_, p)| p).collect(),
         nregs: regs.len(),
+    }
+}
+
+/// Is `op` a filter: an op that only tests registers already bound, and
+/// has at most one solution, which writes nothing?
+fn is_filter(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Cmp { .. }
+            | Op::Neg { .. }
+            | Op::ArithF {
+                dst: ArithDst::Check(_),
+                ..
+            }
+    )
+}
+
+/// Give each scan the run of filters that directly follows it: its `then`
+/// is the first op after that run. The run stops at the first op that is
+/// not a filter — `Absent` and `Found` included, so an `_`-negation's ops
+/// stay inside their block — and at `exist_from`, where run mode enters the
+/// existential tail and counts its cut.
+fn fuse_filters(ops: &mut [Op], exist_from: usize) {
+    for i in 0..ops.len() {
+        let mut j = i + 1;
+        while j < ops.len() && j != exist_from && is_filter(&ops[j]) {
+            j += 1;
+        }
+        if let Op::Scan { then, .. } = &mut ops[i] {
+            *then = j;
+        }
     }
 }
 
@@ -756,4 +812,50 @@ pub(crate) fn render(prog: &RamProgram) -> Vec<String> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ldl_parser::parse_rule;
+
+    /// `(op, then)` for each scan of the rule's lowered program.
+    fn fused(rule: &str) -> Vec<(usize, usize)> {
+        let plan = RulePlan::compile(&parse_rule(rule).unwrap(), None).unwrap();
+        lower(&plan)
+            .ops
+            .iter()
+            .enumerate()
+            .filter_map(|(i, op)| match op {
+                Op::Scan { then, .. } => Some((i, *then)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_scan_owns_the_filters_that_follow_it() {
+        for (rule, want) in [
+            // The probe owns the comparison.
+            (
+                "far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > 1000.",
+                vec![(0, 1), (1, 3)],
+            ),
+            // A ground negation, a comparison and an arithmetic check.
+            (
+                "q(X, Y) <- r(X, Y), ~p(Y), Y > 2, +(X, 1, Y).",
+                vec![(0, 4)],
+            ),
+            // The tail opens at the comparison, which stays unfused.
+            ("s(X) <- c(X, Y), Y > 2, b(Y, Z).", vec![(0, 1), (2, 3)]),
+            // The run stops at the block, and the block's probe at `found`.
+            ("u(X) <- c(X, Y), ~b(X, _), Y > 1.", vec![(0, 2), (3, 4)]),
+            // A match step inside the block is fused into its probe.
+            ("t(X) <- c(X, Y), ~e(X, _, Y + _).", vec![(0, 1), (2, 4)]),
+            // An assignment is not a filter.
+            ("v(X, Z) <- c(X, Y), Z = Y + 1, Z > 2.", vec![(0, 1)]),
+        ] {
+            assert_eq!(fused(rule), want, "{rule}");
+        }
+    }
 }
