@@ -120,9 +120,13 @@ impl Program {
         self.rules.iter().filter(move |r| r.head.pred == pred)
     }
 
-    /// Is the program positive (no negated body literal, §2.1)?
+    /// Is the program positive (no negated relation literal, §2.1)? A
+    /// negated built-in is a test with a fixed interpretation, not negation
+    /// over a relation: it adds no stratum, and §3.3's rewrite keeps it.
     pub fn is_positive(&self) -> bool {
-        self.rules.iter().all(|r| r.body.iter().all(|l| l.positive))
+        self.rules
+            .iter()
+            .all(|r| r.body.iter().all(|l| l.positive || l.builtin().is_some()))
     }
 }
 
@@ -217,6 +221,14 @@ mod tests {
     fn positivity() {
         let mut p = ancestor_program();
         assert!(p.is_positive());
+        p.push(Rule::new(
+            Atom::new("far", vec![Term::var("X"), Term::var("Y")]),
+            vec![
+                Literal::pos(Atom::new("parent", vec![Term::var("X"), Term::var("Y")])),
+                Literal::neg(Atom::new(">", vec![Term::var("X"), Term::var("Y")])),
+            ],
+        ));
+        assert!(p.is_positive(), "a negated built-in is not negation");
         p.push(Rule::new(
             Atom::new("lonely", vec![Term::var("X")]),
             vec![

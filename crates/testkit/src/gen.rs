@@ -14,8 +14,9 @@
 //! templates (recursion, negation on the marker relation `e1(X)`,
 //! grouping with `member` flattening, a three-way join back through `e0`,
 //! a set-constructing head, a head both a grouping and a simple rule
-//! define, negated self-comparison, set, compound and `_` patterns in
-//! relation literals, or §4.1 `<t>` patterns over set-valued columns).
+//! define, negated self-comparison and negated built-ins, set, compound
+//! and `_` patterns in relation literals, or §4.1 `<t>` patterns over
+//! set-valued columns).
 //! Every template keeps arity 2 so layers compose freely, and every
 //! negated, grouped or `<t>` read looks strictly down the stack — the
 //! program is admissible by construction.
@@ -118,7 +119,13 @@ pub fn stratified_case(rng: &mut Rng, size: u32) -> GeneratedCase {
                  g{l}(X, {{Y}}) <- p{below}(X, Y), e1(X).\n\
                  p{l}(X, Y) <- g{l}(X, S), member(Y, S).\n"
             )),
-            6 => src.push_str(&format!("p{l}(X, Y) <- p{below}(X, Y), ~p{below}(Y, X).\n")),
+            // Negated self-comparison, and negated built-ins: a negated
+            // comparison and a negated arithmetic relation, tested on
+            // bound arguments (false on non-integers, so the negation holds).
+            6 => src.push_str(&format!(
+                "p{l}(X, Y) <- p{below}(X, Y), ~p{below}(Y, X).\n\
+                 p{l}(X, Y) <- p{below}(X, Y), ~>(X, Y), ~+(X, 1, Y).\n"
+            )),
             // Patterns that match a row's column by decomposition: a set
             // enumeration with a free variable and a `_`, a compound over
             // the pool's `f(n)` values, an existential negation whose `_`
@@ -375,6 +382,7 @@ mod tests {
         let mut mixed_head = false;
         let mut patterns = false;
         let mut angle = false;
+        let mut negated_builtins = false;
         let mut sets = false;
         let mut compounds = false;
         let mut balanced = false;
@@ -391,6 +399,7 @@ mod tests {
             mixed_head |= c.src.contains(", e1(X).");
             patterns |= c.src.contains("(X, {Y, _})") && c.src.contains("~e0(Y, _)");
             angle |= c.src.contains("(X, <f(Y)>)") && c.src.contains("(X, <Y>).");
+            negated_builtins |= c.src.contains("~>(X, Y), ~+(X, 1, Y).");
             balanced |= c.skew_factor == 1;
             skewed |= c.skew_factor > 1;
             if c.skew_factor > 1 {
@@ -405,6 +414,7 @@ mod tests {
             }
         }
         assert!(negation && grouping && recursion && threeway && mixed_head && patterns && angle);
+        assert!(negated_builtins, "no negated built-in literal generated");
         assert!(sets && compounds, "nested EDB constants never generated");
         assert!(balanced && skewed, "skew profiles never varied");
     }

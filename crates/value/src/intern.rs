@@ -16,25 +16,25 @@
 //! value equality. Arena ids stay below `1 << 31`, so no arena id can alias
 //! an immediate.
 //!
-//! Like [`crate::Symbol`], the interner is process-global and append-only.
-//! The id table is a chunked arena published with release/acquire atomics,
-//! so [`node`] — the hot read path, shared read-mostly across the parallel
-//! evaluation workers — takes no lock; only inserting a *new* value takes
-//! the write mutex.
+//! The nodes live in a process-global, append-only arena — the same code
+//! that holds [`crate::Symbol`]'s names, in a second instance with its own
+//! lock. [`node`], the hot read path, takes no lock; only interning a *new*
+//! value takes the write lock, and every intern goes through one writer,
+//! [`Batch`], which alone applies the immediate-integer test, the
+//! nullary-compound rule and set canonicalization.
 //!
 //! **Ids carry no semantic order.** Id assignment depends on evaluation
-//! order (and, under parallel evaluation, on thread interleaving), so
-//! anything deterministic must order by *structure*: [`cmp_ids`] implements
-//! exactly the total order of `Value::cmp` (Int < Str < Atom < Compound <
-//! Set; names lexicographic), with an `a == b` fast path that hash-consing
-//! makes sound. Set nodes keep their children sorted by that order, which
-//! is why a resolved set prints identically to its structural counterpart
-//! and why §2.4 domination comparisons are unaffected by interning.
+//! order, so anything deterministic must order by *structure*: [`cmp_ids`]
+//! implements exactly the total order of `Value::cmp` (Int < Str < Atom <
+//! Compound < Set; names lexicographic), with an `a == b` fast path that
+//! hash-consing makes sound. Set nodes keep their children sorted by that
+//! order, which is why a resolved set prints identically to its structural
+//! counterpart and why §2.4 domination comparisons are unaffected by
+//! interning.
 
-use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use crate::fxhash::FastMap;
+use crate::arena::{self, Arena, Writer};
 use crate::symbol::Symbol;
 use crate::value::Value;
 
@@ -59,8 +59,9 @@ impl ValueId {
     }
 }
 
-/// The tag bit of an immediate integer id.
-const IMMEDIATE: u32 = 1 << 31;
+/// The tag bit of an immediate integer id: the arena's capacity, so no
+/// arena id has it.
+const IMMEDIATE: u32 = arena::CAPACITY;
 
 /// The immediate integer range, `−2^30 ..= 2^30 − 1`: the signed values
 /// the 31 bits below the tag hold.
@@ -106,97 +107,14 @@ impl Node {
     }
 }
 
-/// Chunk 0 holds `1 << FIRST_CHUNK_BITS` nodes; each later chunk doubles.
-const FIRST_CHUNK_BITS: u32 = 12;
-/// 20 doubling chunks cover every arena id, `0 .. 1 << 31`.
-const CHUNK_COUNT: usize = 20;
-
-/// `(chunk, offset, capacity)` of arena index `idx`.
-#[inline]
-fn locate(idx: u32) -> (usize, usize, usize) {
-    let bucket = ((idx >> FIRST_CHUNK_BITS) + 1).ilog2();
-    let start = ((1u64 << bucket) - 1) << FIRST_CHUNK_BITS;
-    let cap = 1usize << (FIRST_CHUNK_BITS + bucket);
-    (bucket as usize, (idx as u64 - start) as usize, cap)
-}
-
-struct Arena {
-    /// Lazily allocated, never freed; slot `i` is valid once `len > index`.
-    chunks: [AtomicPtr<Node>; CHUNK_COUNT],
-    /// Published length: a `Release` store after the slot write makes the
-    /// node visible to any reader that `Acquire`-loads a length past it.
-    len: AtomicU32,
-    /// The hash-consing table, and the sole writer gate.
-    ids: Mutex<FastMap<Node, u32>>,
-}
-
-#[inline]
-fn arena() -> &'static Arena {
-    static ARENA: OnceLock<Arena> = OnceLock::new();
-    ARENA.get_or_init(|| Arena {
-        chunks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-        len: AtomicU32::new(0),
-        ids: Mutex::new(FastMap::default()),
-    })
-}
-
-/// Intern `node`, returning the existing id if an equal node is present.
-fn intern_node(node: Node) -> ValueId {
-    let arena = arena();
-    let mut ids = arena.ids.lock().expect("value interner poisoned");
-    intern_locked(arena, &mut ids, node)
-}
-
-/// [`intern_node`] with the `ids` guard already held — the one writer
-/// path, shared by single interns and a [`Batch`]. Always inlined, so a
-/// single intern's hit path stays one lock and one lookup.
-#[inline(always)]
-fn intern_locked(arena: &Arena, ids: &mut FastMap<Node, u32>, node: Node) -> ValueId {
-    if let Some(&id) = ids.get(&node) {
-        return ValueId(id);
-    }
-    let idx = arena.len.load(Ordering::Relaxed);
-    assert!(idx < IMMEDIATE, "too many interned values");
-    let (chunk, offset, cap) = locate(idx);
-    let mut ptr = arena.chunks[chunk].load(Ordering::Acquire);
-    if ptr.is_null() {
-        // Leak an uninitialized chunk; slots are written before `len`
-        // publishes them, so readers never see an uninitialized node.
-        let chunk_mem: Box<[std::mem::MaybeUninit<Node>]> = Box::new_uninit_slice(cap);
-        ptr = Box::leak(chunk_mem).as_mut_ptr().cast::<Node>();
-        arena.chunks[chunk].store(ptr, Ordering::Release);
-    }
-    // SAFETY: `offset < cap` by `locate`, the slot is below `len` for no
-    // reader yet, and the `ids` mutex (held by the caller) makes this the
-    // only writer.
-    unsafe { ptr.add(offset).write(node.clone()) };
-    arena.len.store(idx + 1, Ordering::Release);
-    ids.insert(node, idx);
-    ValueId(idx)
-}
+/// The value arena: one [`Node`] per distinct non-immediate value.
+static VALUES: Arena<Node> = Arena::new();
 
 /// The arena node for `id` — the lock-free hot read path — or `None` for
 /// an immediate integer, which has none ([`int_of`] reads it).
 #[inline]
 pub fn node(id: ValueId) -> Option<&'static Node> {
-    (!id.is_immediate()).then(|| arena_node(id))
-}
-
-/// The arena node of a non-immediate `id`.
-#[inline]
-fn arena_node(id: ValueId) -> &'static Node {
-    let arena = arena();
-    #[cfg(debug_assertions)]
-    {
-        let len = arena.len.load(Ordering::Acquire);
-        assert!(id.0 < len, "ValueId {} out of bounds (len {len})", id.0);
-    }
-    let (chunk, offset, _) = locate(id.0);
-    let ptr = arena.chunks[chunk].load(Ordering::Acquire);
-    // SAFETY: `id` was handed out by `intern_node`, which wrote the slot
-    // and its chunk pointer before publishing `len`; the id reached this
-    // thread through some synchronization that happened after.
-    unsafe { &*ptr.add(offset) }
+    (!id.is_immediate()).then(|| VALUES.get(id.0))
 }
 
 /// The integer `id` stands for, if it is one: an immediate decoded from
@@ -208,7 +126,14 @@ pub fn int_of(id: ValueId) -> Option<i64> {
         // Shift the tag out, then sign-extend the 31-bit payload.
         return Some(i64::from((id.0 << 1) as i32 >> 1));
     }
-    match arena_node(id) {
+    arena_int(id)
+}
+
+/// [`int_of`] of an arena id, out of line: a caller's loop inlines only the
+/// immediate decode.
+#[inline(never)]
+fn arena_int(id: ValueId) -> Option<i64> {
+    match VALUES.get(id.0) {
         Node::Int(x) => Some(*x),
         _ => None,
     }
@@ -218,7 +143,7 @@ pub fn int_of(id: ValueId) -> Option<i64> {
 /// statistic). Immediate integers take no slot.
 #[inline]
 pub fn len() -> usize {
-    arena().len.load(Ordering::Acquire) as usize
+    VALUES.len() as usize
 }
 
 /// The structural total order on interned values — exactly `Value::cmp`
@@ -239,7 +164,7 @@ pub fn cmp_ids(a: ValueId, b: ValueId) -> std::cmp::Ordering {
             (None, _) => Greater,
         };
     }
-    let (na, nb) = (arena_node(a), arena_node(b));
+    let (na, nb) = (VALUES.get(a.0), VALUES.get(b.0));
     match (na, nb) {
         (Node::Int(x), Node::Int(y)) => x.cmp(y),
         (Node::Str(x), Node::Str(y)) => x.cmp(y),
@@ -266,38 +191,32 @@ pub fn cmp_id_slices(xs: &[ValueId], ys: &[ValueId]) -> std::cmp::Ordering {
 }
 
 /// Intern an integer: its immediate id, or an arena node outside
-/// `−2^30 ..= 2^30 − 1`.
-#[inline]
+/// `−2^30 ..= 2^30 − 1`. An immediate takes no lock. Out of line, so a
+/// caller's loop holds a call, not the [`Batch`] around it.
 pub fn mk_int(i: i64) -> ValueId {
-    immediate(i).unwrap_or_else(|| intern_node(Node::Int(i)))
+    batch(|b| b.int(i))
 }
 
 /// Intern a string constant.
 pub fn mk_str(s: &Arc<str>) -> ValueId {
-    intern_node(Node::Str(Arc::clone(s)))
+    batch(|b| b.str(Arc::clone(s)))
 }
 
 /// Intern an atom.
 pub fn mk_atom(sym: Symbol) -> ValueId {
-    intern_node(Node::Atom(sym))
+    batch(|b| b.atom(sym))
 }
 
 /// Intern `functor(args…)`; a nullary application normalizes to an atom,
 /// mirroring `Value::compound`.
 pub fn mk_compound(functor: Symbol, args: Vec<ValueId>) -> ValueId {
-    if args.is_empty() {
-        mk_atom(functor)
-    } else {
-        intern_node(Node::Compound(functor, args.into()))
-    }
+    batch(|b| b.compound(functor, &args))
 }
 
 /// Intern a set from arbitrary elements: sorts by [`cmp_ids`] and dedups
 /// (equal values share an id, so duplicates are adjacent after the sort).
 pub fn mk_set(mut elems: Vec<ValueId>) -> ValueId {
-    elems.sort_unstable_by(|&a, &b| cmp_ids(a, b));
-    elems.dedup();
-    intern_node(Node::Set(elems.into()))
+    batch(|b| b.set(&mut elems))
 }
 
 /// Intern a set whose elements are already in canonical order (sorted by
@@ -309,30 +228,32 @@ pub fn mk_set_sorted(elems: Vec<ValueId>) -> ValueId {
             .all(|w| cmp_ids(w[0], w[1]) == std::cmp::Ordering::Less),
         "set elements not canonical"
     );
-    intern_node(Node::Set(elems.into()))
+    batch(|b| b.node(Node::Set(elems.into())))
 }
 
 /// The empty set `{}`.
 pub fn empty_set() -> ValueId {
     static EMPTY: OnceLock<ValueId> = OnceLock::new();
-    *EMPTY.get_or_init(|| intern_node(Node::Set(Box::from([]))))
+    *EMPTY.get_or_init(|| mk_set_sorted(Vec::new()))
 }
 
-/// Many interns under one lock: see [`batch`].
+/// The one writer of the value arena: every intern, single or bulk, is a
+/// call on a `Batch` (see [`batch`]).
 pub struct Batch {
-    arena: &'static Arena,
-    ids: MutexGuard<'static, FastMap<Node, u32>>,
+    /// The arena's write lock, taken by the first node interned.
+    lock: Option<Writer<Node>>,
 }
 
 impl Batch {
     /// Intern an integer — the same id [`mk_int`] gives.
+    #[inline]
     pub fn int(&mut self, i: i64) -> ValueId {
         immediate(i).unwrap_or_else(|| self.node(Node::Int(i)))
     }
 
     /// Intern a string constant.
-    pub fn str(&mut self, s: &str) -> ValueId {
-        self.node(Node::Str(Arc::from(s)))
+    pub fn str(&mut self, s: impl Into<Arc<str>>) -> ValueId {
+        self.node(Node::Str(s.into()))
     }
 
     /// Intern an atom.
@@ -358,35 +279,29 @@ impl Batch {
     }
 
     fn node(&mut self, node: Node) -> ValueId {
-        intern_locked(self.arena, &mut self.ids, node)
+        let w = self.lock.get_or_insert_with(|| VALUES.lock());
+        ValueId(w.find(&node).unwrap_or_else(|| w.push(node)))
     }
 }
 
-/// Run `f` with the interner's write lock held once for all its interns
-/// — a bulk load (a snapshot's node table) pays one lock, not one per
-/// value. Lock-free reads ([`node`], [`int_of`], [`cmp_ids`]) and
-/// [`mk_int`] of an immediate work inside `f`; any
-/// other intern call (`mk_*`, [`id_of`], another `batch`) on this thread
-/// deadlocks, and other threads' interns wait until `f` returns.
+/// Run `f` with one [`Batch`], which takes the value arena's write lock at
+/// its first arena intern and holds it until `f` returns — a bulk load (a
+/// snapshot's node table) pays one lock, not one per value. Lock-free
+/// reads ([`node`], [`int_of`], [`cmp_ids`]), immediate integers and
+/// [`crate::Symbol::intern`] (names have their own lock) work anywhere in
+/// `f`; any other value intern (`mk_*`, [`id_of`], [`find`], another
+/// `batch`) on this thread after that first one deadlocks, and other
+/// threads' interns wait until `f` returns.
+#[inline]
 pub fn batch<R>(f: impl FnOnce(&mut Batch) -> R) -> R {
-    let arena = arena();
-    let ids = arena.ids.lock().expect("value interner poisoned");
-    f(&mut Batch { arena, ids })
+    f(&mut Batch { lock: None })
 }
 
-/// Intern a structural [`Value`]. Set elements arrive sorted by
-/// `Value::cmp`, which coincides with [`cmp_ids`], so no re-sort happens.
+/// Intern a structural [`Value`] under one lock. Set elements arrive
+/// sorted by `Value::cmp`, which coincides with [`cmp_ids`], and a
+/// `Value::Compound` has arguments, so the nodes are canonical as built.
 pub fn id_of(v: &Value) -> ValueId {
-    match v {
-        Value::Int(i) => mk_int(*i),
-        Value::Str(s) => mk_str(s),
-        Value::Atom(a) => mk_atom(*a),
-        Value::Compound(c) => intern_node(Node::Compound(
-            c.functor(),
-            c.args().iter().map(id_of).collect(),
-        )),
-        Value::Set(s) => intern_node(Node::Set(s.iter().map(id_of).collect())),
-    }
+    batch(|b| walk(v, &mut |n| Some(b.node(n)))).expect("interning always succeeds")
 }
 
 /// The id of `v` if every node of it is interned (an immediate integer
@@ -395,14 +310,17 @@ pub fn id_of(v: &Value) -> ValueId {
 /// stored row can hold `v`, and a rejected probe leaves the process-global
 /// interner as it was.
 pub fn find(v: &Value) -> Option<ValueId> {
-    let ids = arena().ids.lock().expect("value interner poisoned");
-    find_locked(&ids, v)
+    let ids = VALUES.lock();
+    walk(v, &mut |n| ids.find(&n).map(ValueId))
 }
 
-fn find_locked(ids: &FastMap<Node, u32>, v: &Value) -> Option<ValueId> {
+/// `v`'s id, bottom-up: each node built from its children's ids and handed
+/// to `id`, the walk stopping at the first `None` — [`id_of`]'s and
+/// [`find`]'s one traversal.
+fn walk(v: &Value, id: &mut impl FnMut(Node) -> Option<ValueId>) -> Option<ValueId> {
     let node = match v {
         Value::Int(i) => match immediate(*i) {
-            Some(id) => return Some(id),
+            Some(imm) => return Some(imm),
             None => Node::Int(*i),
         },
         Value::Str(s) => Node::Str(Arc::clone(s)),
@@ -411,16 +329,12 @@ fn find_locked(ids: &FastMap<Node, u32>, v: &Value) -> Option<ValueId> {
             c.functor(),
             c.args()
                 .iter()
-                .map(|a| find_locked(ids, a))
+                .map(|a| walk(a, id))
                 .collect::<Option<_>>()?,
         ),
-        Value::Set(s) => Node::Set(
-            s.iter()
-                .map(|e| find_locked(ids, e))
-                .collect::<Option<_>>()?,
-        ),
+        Value::Set(s) => Node::Set(s.iter().map(|e| walk(e, id)).collect::<Option<_>>()?),
     };
-    ids.get(&node).map(|&id| ValueId(id))
+    id(node)
 }
 
 /// Reconstruct the structural [`Value`] for `id` — the display/public-API
@@ -429,18 +343,12 @@ pub fn resolve(id: ValueId) -> Value {
     if let Some(i) = int_of(id) {
         return Value::Int(i);
     }
-    match arena_node(id) {
+    match VALUES.get(id.0) {
         Node::Int(_) => unreachable!("int_of reads every integer"),
         Node::Str(s) => Value::Str(Arc::clone(s)),
         Node::Atom(a) => Value::Atom(*a),
         Node::Compound(f, args) => Value::compound(*f, args.iter().map(|&a| resolve(a)).collect()),
         Node::Set(elems) => Value::set(elems.iter().map(|&e| resolve(e))),
-    }
-}
-
-impl std::fmt::Display for ValueId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", resolve(*self))
     }
 }
 
@@ -512,22 +420,45 @@ mod tests {
 
     #[test]
     fn concurrent_interning_agrees() {
-        let build = |k: i64| {
+        // Names no other test interns, so the threads race to create them.
+        fn atom(k: i64) -> String {
+            format!("concurrent_atom_{k}")
+        }
+        fn functor(k: i64) -> String {
+            format!("concurrent_f_{k}")
+        }
+        fn build(k: i64) -> Value {
             Value::set(vec![
                 Value::compound("f", vec![Value::int(k), Value::int(k + 1)]),
                 Value::int(k % 16),
+                Value::atom(&atom(k)),
+                Value::compound(functor(k).as_str(), vec![Value::atom(&atom(k + 1))]),
             ])
-        };
+        }
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                std::thread::spawn(move || (0..512).map(|k| id_of(&build(k))).collect::<Vec<_>>())
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..512)
+                        .map(|k| {
+                            let id = id_of(&build(k));
+                            let names = (Symbol::intern(&atom(k)), Symbol::intern(&functor(k)));
+                            assert_eq!(names.0.as_str(), atom(k));
+                            assert_eq!(names.1.as_str(), functor(k));
+                            assert_eq!(resolve(id), build(k));
+                            (id, names)
+                        })
+                        .collect::<Vec<_>>()
+                })
             })
             .collect();
-        let results: Vec<Vec<ValueId>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let results: Vec<Vec<_>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for r in &results[1..] {
-            assert_eq!(r, &results[0], "threads must agree on every id");
+            assert_eq!(r, &results[0], "threads must agree on every id and symbol");
         }
-        for (k, &id) in results[0].iter().enumerate() {
+        for (k, &(id, _)) in results[0].iter().enumerate() {
             assert_eq!(resolve(id), build(k as i64));
         }
     }
@@ -556,16 +487,5 @@ mod tests {
             batch(|b| b.compound("batch_a".into(), &[])),
             mk_atom("batch_a".into())
         );
-    }
-
-    #[test]
-    fn locate_covers_chunk_boundaries() {
-        assert_eq!(locate(0), (0, 0, 4096));
-        assert_eq!(locate(4095), (0, 4095, 4096));
-        assert_eq!(locate(4096), (1, 0, 8192));
-        assert_eq!(locate(12287), (1, 8191, 8192));
-        assert_eq!(locate(12288), (2, 0, 16384));
-        let (c, o, cap) = locate(IMMEDIATE - 1);
-        assert!(c < CHUNK_COUNT && o < cap);
     }
 }

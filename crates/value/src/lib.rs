@@ -16,16 +16,17 @@
 //! atoms, compound terms over interned functors, and canonical finite sets.
 //! The crate also provides:
 //!
-//! * a global [`Symbol`] interner for predicate/functor/atom names,
-//! * a global hash-consing value interner ([`intern`]) mapping every
-//!   distinct ground value to a dense [`ValueId`] — the representation the
-//!   evaluation engine runs on,
+//! * one append-only arena with lock-free reads, in two process-global
+//!   instances: [`Symbol`]'s names, and [`intern`]'s hash-consed values,
+//!   each distinct ground value a dense [`ValueId`] — the representation
+//!   the evaluation engine runs on,
 //! * the total order on values used to keep sets canonical,
 //! * the *domination* partial order of §2.4 (both the basic, argument-wise
 //!   variant and the "more elaborate" recursive variant from the Remark),
 //! * ground facts ([`Fact`]) and interpretations ([`FactSet`]),
 //! * integer arithmetic used by the built-in arithmetic predicates.
 
+mod arena;
 pub mod arith;
 pub mod fact;
 pub mod fxhash;

@@ -59,16 +59,6 @@ pub fn fact_dominates(a: &Fact, b: &Fact) -> bool {
         && a.args().iter().zip(b.args()).all(|(x, y)| dominates(x, y))
 }
 
-/// Elaborate domination on U-facts.
-pub fn fact_dominates_elaborate(a: &Fact, b: &Fact) -> bool {
-    a.pred() == b.pred()
-        && a.arity() == b.arity()
-        && a.args()
-            .iter()
-            .zip(b.args())
-            .all(|(x, y)| dominates_elaborate(x, y))
-}
-
 /// Fact-set domination `A ≤ B`: every fact of `A` is dominated by some fact
 /// of `B` (the image-of-a-preserving-function condition).
 pub fn factset_dominated(a: &FactSet, b: &FactSet) -> bool {

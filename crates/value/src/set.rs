@@ -101,14 +101,6 @@ impl FromIterator<Value> for SetValue {
     }
 }
 
-impl<'a> IntoIterator for &'a SetValue {
-    type Item = &'a Value;
-    type IntoIter = std::slice::Iter<'a, Value>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 /// The canonical element slice of an interned set, or `None` for a
 /// non-set.
 #[inline]

@@ -1,60 +1,41 @@
-//! Global string interner for atom, functor, and predicate names.
+//! Global interner for atom, functor, and predicate names.
 //!
 //! LDL1 programs mention the same names (predicate symbols, functors,
 //! constants) very many times during bottom-up evaluation. Interning them to a
 //! `u32` makes value comparison, hashing, and join keys cheap, and lets tuples
-//! be copied without touching string allocations.
+//! be copied without touching string allocations. The names live in the same
+//! append-only arena code as the value interner ([`crate::intern`]), in an
+//! instance of their own: [`Symbol::as_str`] takes no lock, and only a name
+//! never seen before takes the names' write lock.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+
+use crate::arena::Arena;
 
 /// An interned name. Two symbols are equal iff they intern the same string.
 ///
-/// Symbols are process-global: they never expire, and `as_str` returns a
-/// `'static` string (the interner leaks one copy of every distinct name, which
-/// is the standard trade-off for a process-lifetime interner).
+/// Symbols are process-global: they never expire, ids are handed out in
+/// first-intern order, and `as_str` returns a `'static` string (the interner
+/// keeps one copy of every distinct name for the life of the process, the
+/// standard trade-off for a process-lifetime interner).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
-struct Interner {
-    names: Vec<&'static str>,
-    ids: HashMap<&'static str, u32>,
-}
-
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            names: Vec::new(),
-            ids: HashMap::new(),
-        })
-    })
-}
+/// The name arena: entry `i` is the name of `Symbol(i)`.
+static NAMES: Arena<Box<str>, str> = Arena::new();
 
 impl Symbol {
-    /// Intern `name`, returning its unique symbol.
+    /// Intern `name`, returning its unique symbol. A known name allocates
+    /// nothing.
     pub fn intern(name: &str) -> Symbol {
-        let mut int = interner().lock().expect("symbol interner poisoned");
-        if let Some(&id) = int.ids.get(name) {
-            return Symbol(id);
-        }
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let id = u32::try_from(int.names.len()).expect("too many interned symbols");
-        int.names.push(leaked);
-        int.ids.insert(leaked, id);
-        Symbol(id)
+        let mut names = NAMES.lock();
+        Symbol(names.find(name).unwrap_or_else(|| names.push(name.into())))
     }
 
-    /// The interned string.
+    /// The interned string — a lock-free read.
+    #[inline]
     pub fn as_str(self) -> &'static str {
-        let int = interner().lock().expect("symbol interner poisoned");
-        int.names[self.0 as usize]
-    }
-
-    /// The raw interner id. Stable within a process run only.
-    pub fn id(self) -> u32 {
-        self.0
+        NAMES.get(self.0)
     }
 
     /// Derive a fresh related symbol by applying `f` to the name; used by the

@@ -226,24 +226,6 @@ impl fmt::Debug for Value {
     }
 }
 
-impl From<i64> for Value {
-    fn from(i: i64) -> Value {
-        Value::Int(i)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(name: &str) -> Value {
-        Value::atom(name)
-    }
-}
-
-impl From<SetValue> for Value {
-    fn from(s: SetValue) -> Value {
-        Value::Set(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
