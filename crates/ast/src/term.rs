@@ -1,6 +1,7 @@
 //! LDL1 / LDL1.5 terms.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use ldl_value::arith::ArithOp;
 use ldl_value::{SetValue, Symbol, Value};
@@ -41,9 +42,11 @@ impl From<&str> for Var {
 
 /// The reserved functor for LDL1.5 tuple head terms `(t₁,…,tₙ)` (§4.2.1:
 /// "the functor may be omitted in which case it is understood to be the
-/// functor *tuple*").
+/// functor *tuple*"). Interned once: the parser asks for it on every atom
+/// it reads, a point query's included.
 pub fn tuple_functor() -> Symbol {
-    Symbol::intern("tuple")
+    static TUPLE: OnceLock<Symbol> = OnceLock::new();
+    *TUPLE.get_or_init(|| Symbol::intern("tuple"))
 }
 
 /// A term.

@@ -4,7 +4,7 @@ use std::fmt;
 
 use ldl_ast::literal::Atom;
 use ldl_ast::program::Program;
-use ldl_ast::term::Term;
+use ldl_ast::term::{Term, Var};
 use ldl_ast::wf::{check_program, Dialect};
 use ldl_storage::{Database, IndexRef, Relation};
 use ldl_stratify::Stratification;
@@ -170,6 +170,40 @@ struct AccessPath<'a> {
     /// The index to probe when the relation has one keyed inside `cols`:
     /// its columns, `key` projected onto them, and the handle.
     probe: Option<(Vec<usize>, Vec<ValueId>, IndexRef<'a>)>,
+}
+
+/// The answers binding `vars` to `rows` (`matches` rows of `vars.len()`
+/// ids each), sorted and without repeats. Every answer names the same
+/// variables in the same order, so answers sort by their values; and
+/// [`intern::cmp_ids`] is exactly `Value::cmp`, and hash-consing makes two
+/// ids equal exactly when their values are. So the rows are sorted and
+/// deduplicated as ids, and each answer is built once, at the end. The
+/// sort is the stable one: it takes the runs a relation's insertion order
+/// leaves in the rows as they are, where the unstable sort read
+/// `tc_chain`'s `far(X, Y)` 1.7× slower.
+fn answers(vars: &[Var], rows: &[ValueId], matches: usize) -> Vec<QueryAnswer> {
+    if vars.is_empty() {
+        // A ground query: one empty answer, `yes`, if anything matched.
+        return match matches {
+            0 => Vec::new(),
+            _ => vec![QueryAnswer {
+                bindings: Vec::new(),
+            }],
+        };
+    }
+    let mut sorted: Vec<&[ValueId]> = rows.chunks_exact(vars.len()).collect();
+    sorted.sort_by(|a, b| intern::cmp_id_slices(a, b));
+    sorted.dedup();
+    sorted
+        .iter()
+        .map(|row| QueryAnswer {
+            bindings: vars
+                .iter()
+                .zip(*row)
+                .map(|(v, &id)| (v.name().to_string(), intern::resolve(id)))
+                .collect(),
+        })
+        .collect()
 }
 
 /// Evaluate `query`'s ground arguments once and pick the best index `db`
@@ -360,23 +394,19 @@ impl Evaluator {
     /// (absent facts are false). Use [`Database::relation`] to distinguish
     /// "empty relation" from "no such relation".
     pub fn query(&self, db: &Database, query: &Atom) -> Vec<QueryAnswer> {
-        let mut out = Vec::new();
         let Ok(path) = access_path(db, query) else {
-            return out;
+            return Vec::new();
         };
         let vars = query.vars();
+        // Each match's values as ids, one row of `vars.len()` after another.
+        let (mut rows, mut matches) = (Vec::new(), 0);
         let mut b = Bindings::new();
         let mut emit = |b2: &mut Bindings| {
-            let bindings = vars
-                .iter()
-                .map(|v| {
-                    (
-                        v.name().to_string(),
-                        intern::resolve(b2.get(*v).expect("query var bound by match")),
-                    )
-                })
-                .collect();
-            out.push(QueryAnswer { bindings });
+            rows.extend(
+                vars.iter()
+                    .map(|v| b2.get(*v).expect("query var bound by match")),
+            );
+            matches += 1;
         };
         if path.cols.is_empty() {
             for tuple in path.rel.iter() {
@@ -385,9 +415,7 @@ impl Evaluator {
         } else {
             path.matches(&query.args, &mut b, &mut emit);
         }
-        out.sort();
-        out.dedup();
-        out
+        answers(&vars, &rows, matches)
     }
 
     /// One line saying how [`Evaluator::query`] reads `db` for this atom —

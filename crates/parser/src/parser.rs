@@ -8,7 +8,7 @@ use ldl_value::arith::{ArithOp, CmpOp};
 use ldl_value::Value;
 
 use crate::error::{ParseError, Pos};
-use crate::lexer::{lex, Spanned, Tok};
+use crate::lexer::{Lexer, Spanned, Tok};
 
 /// Maximum term/set nesting depth the recursive-descent parser accepts.
 /// The parser recurses once per nesting level, so unbounded input like a
@@ -21,53 +21,94 @@ use crate::lexer::{lex, Spanned, Tok};
 /// parsed iteratively and do not count toward this limit.
 const MAX_DEPTH: usize = 128;
 
-struct Parser {
-    toks: Vec<Spanned>,
-    idx: usize,
+/// `lexer`'s next token; `None` at the end of the input and, for good,
+/// after a lexing error, which is kept in `err`.
+fn pull<'a>(lexer: &mut Lexer<'a>, err: &mut Option<ParseError>) -> Option<Spanned<'a>> {
+    if err.is_some() {
+        return None;
+    }
+    match lexer.next()? {
+        Ok(t) => Some(t),
+        Err(e) => {
+            *err = Some(e);
+            None
+        }
+    }
+}
+
+/// A recursive-descent parser over a streaming lexer, with the two tokens
+/// of lookahead that [`Parser::peek2`] needs.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next two tokens; `None` past the end of the input, or past a
+    /// lexing error.
+    ahead: [Option<Spanned<'a>>; 2],
+    /// Where the last consumed token starts: an error at the end of the
+    /// input points there.
+    last: Pos,
+    /// The lexing error that stopped the lexer, if one did.
+    lex_err: Option<ParseError>,
     /// Current term-nesting recursion depth (see [`MAX_DEPTH`]).
     depth: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser, ParseError> {
-        Ok(Parser {
-            toks: lex(src)?,
-            idx: 0,
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        let (mut lexer, mut lex_err) = (Lexer::new(src), None);
+        let first = pull(&mut lexer, &mut lex_err);
+        let second = pull(&mut lexer, &mut lex_err);
+        Parser {
+            lexer,
+            ahead: [first, second],
+            last: Pos { line: 1, col: 1 },
+            lex_err,
             depth: 0,
-        })
+        }
+    }
+
+    fn lex(&mut self) -> Option<Spanned<'a>> {
+        pull(&mut self.lexer, &mut self.lex_err)
+    }
+
+    /// The outcome of a parse, unless the input does not lex: the first
+    /// lexing error anywhere in it wins over any parse error, as if the
+    /// whole input had been lexed first.
+    fn finish<T>(&mut self, out: Result<T, ParseError>) -> Result<T, ParseError> {
+        if out.is_err() {
+            while self.lex().is_some() {}
+        }
+        match self.lex_err.take() {
+            Some(e) => Err(e),
+            None => out,
+        }
     }
 
     fn pos(&self) -> Pos {
-        self.toks
-            .get(self.idx)
-            .or_else(|| self.toks.last())
-            .map(|s| s.pos)
-            .unwrap_or(Pos { line: 1, col: 1 })
+        self.ahead[0].as_ref().map_or(self.last, |s| s.pos)
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.idx).map(|s| &s.tok)
+    fn peek(&self) -> Option<&Tok<'a>> {
+        self.ahead[0].as_ref().map(|s| &s.tok)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.idx + 1).map(|s| &s.tok)
+    fn peek2(&self) -> Option<&Tok<'a>> {
+        self.ahead[1].as_ref().map(|s| &s.tok)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.idx).map(|s| s.tok.clone());
-        if t.is_some() {
-            self.idx += 1;
-        }
-        t
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.ahead[0].take()?;
+        self.last = t.pos;
+        let after = self.lex();
+        self.ahead[0] = std::mem::replace(&mut self.ahead[1], after);
+        Some(t.tok)
     }
 
     fn eat(&mut self, t: &Tok) -> bool {
-        if self.peek() == Some(t) {
-            self.idx += 1;
-            true
-        } else {
-            false
+        let hit = self.peek() == Some(t);
+        if hit {
+            self.next();
         }
+        hit
     }
 
     fn expect(&mut self, t: &Tok, what: &str) -> Result<(), ParseError> {
@@ -83,45 +124,54 @@ impl Parser {
     }
 
     fn at_end(&self) -> bool {
-        self.idx >= self.toks.len()
+        self.ahead[0].is_none()
+    }
+
+    /// `parsed`, if it took the whole input.
+    fn done<T>(&self, parsed: T, what: &str) -> Result<T, ParseError> {
+        if self.at_end() {
+            Ok(parsed)
+        } else {
+            Err(self.err(format!("trailing input after {what}")))
+        }
     }
 
     // ---- terms -------------------------------------------------------
 
-    /// term := additive
+    /// term := product (('+' | '-') product)*, and product := primary (('*'
+    /// | '/' | 'mod') primary)*, both left-associative. One loop keeps the
+    /// sum so far beside the product it is building, so a term with no
+    /// operator — nearly every argument — comes straight from `primary`.
     fn term(&mut self) -> Result<Term, ParseError> {
-        self.additive()
-    }
-
-    fn additive(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.multiplicative()?;
+        let arith = |op, lhs, rhs| Term::Arith(op, Box::new(lhs), Box::new(rhs));
+        let mut sum: Option<(ArithOp, Term)> = None;
+        let mut product = self.primary()?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Plus) => ArithOp::Add,
                 Some(Tok::Minus) => ArithOp::Sub,
-                _ => break,
-            };
-            self.idx += 1;
-            let rhs = self.multiplicative()?;
-            lhs = Term::Arith(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.primary()?;
-        loop {
-            let op = match self.peek() {
                 Some(Tok::Star) => ArithOp::Mul,
                 Some(Tok::Slash) => ArithOp::Div,
                 Some(Tok::Mod) => ArithOp::Mod,
                 _ => break,
             };
-            self.idx += 1;
+            self.next();
             let rhs = self.primary()?;
-            lhs = Term::Arith(op, Box::new(lhs), Box::new(rhs));
+            if let ArithOp::Add | ArithOp::Sub = op {
+                let lhs = match sum.take() {
+                    Some((prev, lhs)) => arith(prev, lhs, product),
+                    None => product,
+                };
+                sum = Some((op, lhs));
+                product = rhs;
+            } else {
+                product = arith(op, product, rhs);
+            }
         }
-        Ok(lhs)
+        Ok(match sum {
+            Some((op, lhs)) => arith(op, lhs, product),
+            None => product,
+        })
     }
 
     fn primary(&mut self) -> Result<Term, ParseError> {
@@ -139,13 +189,16 @@ impl Parser {
 
     fn primary_inner(&mut self) -> Result<Term, ParseError> {
         match self.next() {
-            Some(Tok::Int(i)) => Ok(Term::int(i)),
+            Some(Tok::Int(n)) => i64::try_from(n)
+                .map(Term::int)
+                .map_err(|_| ParseError::new(self.last, format!("integer out of range: {n}"))),
             Some(Tok::Minus) => match self.next() {
-                Some(Tok::Int(i)) => Ok(Term::int(-i)),
+                // The magnitude is at most 2^63, so its negation fits.
+                Some(Tok::Int(n)) => Ok(Term::int(0i64.wrapping_sub_unsigned(n))),
                 _ => Err(self.err("expected integer after unary '-'")),
             },
             Some(Tok::Str(s)) => Ok(Term::Const(Value::str(&s))),
-            Some(Tok::Var(v)) => Ok(Term::Var(Var::new(&v))),
+            Some(Tok::Var(v)) => Ok(Term::Var(Var::new(v))),
             Some(Tok::Anon) => Ok(Term::Anon),
             Some(Tok::Ident(name)) => {
                 if self.eat(&Tok::LParen) {
@@ -162,10 +215,10 @@ impl Parser {
                     } else if args.is_empty() {
                         Err(self.err(format!("empty argument list for {name}")))
                     } else {
-                        Ok(Term::Compound(name.as_str().into(), args))
+                        Ok(Term::Compound(name.into(), args))
                     }
                 } else {
-                    Ok(Term::atom(&name))
+                    Ok(Term::atom(name))
                 }
             }
             Some(Tok::LBrace) => {
@@ -262,7 +315,8 @@ impl Parser {
             (Some(Tok::Ge), Some(Tok::LParen)) => ">=",
             _ => return Ok(None),
         };
-        self.idx += 2; // op and '('
+        self.next(); // op
+        self.next(); // '('
         let args = self.term_list(&Tok::RParen)?;
         self.expect(&Tok::RParen, "')'")?;
         Ok(Some(Atom::new(name, args)))
@@ -274,7 +328,7 @@ impl Parser {
         }
         let lhs = self.term()?;
         if let Some(op) = self.comparison_op() {
-            self.idx += 1;
+            self.next();
             let rhs = self.term()?;
             return Ok(Atom::new(op.name(), vec![lhs, rhs]));
         }
@@ -340,39 +394,34 @@ fn term_to_atom(t: Term) -> Result<Atom, String> {
 
 /// Parse a whole program.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    Parser::new(src)?.program()
+    let mut p = Parser::new(src);
+    let out = p.program();
+    p.finish(out)
 }
 
 /// Parse a single rule (must consume the whole input).
 pub fn parse_rule(src: &str) -> Result<Rule, ParseError> {
-    let mut p = Parser::new(src)?;
-    let r = p.rule()?;
-    if !p.at_end() {
-        return Err(p.err("trailing input after rule"));
-    }
-    Ok(r)
+    let mut p = Parser::new(src);
+    let out = p.rule().and_then(|r| p.done(r, "rule"));
+    p.finish(out)
 }
 
 /// Parse a single term (must consume the whole input).
 pub fn parse_term(src: &str) -> Result<Term, ParseError> {
-    let mut p = Parser::new(src)?;
-    let t = p.term()?;
-    if !p.at_end() {
-        return Err(p.err("trailing input after term"));
-    }
-    Ok(t)
+    let mut p = Parser::new(src);
+    let out = p.term().and_then(|t| p.done(t, "term"));
+    p.finish(out)
 }
 
 /// Parse a query atom: `?- young(john, S).` (the `?-` and `.` are optional).
 pub fn parse_atom(src: &str) -> Result<Atom, ParseError> {
-    let mut p = Parser::new(src)?;
+    let mut p = Parser::new(src);
     let _ = p.eat(&Tok::Query);
-    let a = p.atom_or_comparison()?;
-    let _ = p.eat(&Tok::Dot);
-    if !p.at_end() {
-        return Err(p.err("trailing input after query"));
-    }
-    Ok(a)
+    let out = p.atom_or_comparison().and_then(|a| {
+        let _ = p.eat(&Tok::Dot);
+        p.done(a, "query")
+    });
+    p.finish(out)
 }
 
 #[cfg(test)]
@@ -528,6 +577,13 @@ mod tests {
         assert_eq!(t, Term::int(-5));
         let t2 = parse_term("3 - 5").unwrap();
         assert_eq!(t2.to_value(), Some(Value::int(-2)));
+        // `i64::MIN` is spelled as it prints; its magnitude alone is out of
+        // range, so infix minus cannot take it.
+        let min = parse_term("-9223372036854775808").unwrap();
+        assert_eq!(min, Term::int(i64::MIN));
+        assert_eq!(parse_term(&min.to_string()).unwrap(), min);
+        let e = parse_term("3 - 9223372036854775808").unwrap_err();
+        assert_eq!(e.message, "integer out of range: 9223372036854775808");
     }
 
     #[test]
@@ -543,6 +599,13 @@ mod tests {
         assert_eq!(
             parse_term("7 mod 3 + 1").unwrap().to_value(),
             Some(Value::int(2))
+        );
+        // Both levels left-associative, products bound first.
+        assert_eq!(
+            parse_term("1 - 2 * 3 + 4 / 2 mod 3 - 5 * 6 * 7")
+                .unwrap()
+                .to_string(),
+            "(((1 - (2 * 3)) + ((4 / 2) mod 3)) - ((5 * 6) * 7))"
         );
     }
 

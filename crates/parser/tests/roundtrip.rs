@@ -4,6 +4,10 @@
 //! `Term::Const(Value::Set(..))` prints as `{…}`, which reparses as the
 //! equivalent `Term::SetEnum` — so sets are generated as `SetEnum` here
 //! (semantically identical, structurally distinct).
+//!
+//! Integers span the whole `i64` range, `i64::MIN` included (its digits
+//! exceed `i64::MAX`, so only unary minus can spell it), and strings carry
+//! every escape the lexer decodes.
 
 use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::rule::Rule;
@@ -12,15 +16,30 @@ use ldl_parser::parse_rule;
 use ldl_testkit::{cases, Rng};
 use ldl_value::arith::ArithOp;
 
+/// An integer anywhere in `i64`, its edges and small values often.
+fn rand_int(rng: &mut Rng) -> i64 {
+    match rng.index(3) {
+        0 => *rng.pick(&[i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX]),
+        1 => rng.range(-9, 9),
+        _ => rng.next_u64() as i64,
+    }
+}
+
+/// A string of pieces that each need an escape, and some that do not.
+fn rand_string(rng: &mut Rng) -> String {
+    let pieces = ["s", " x", "\n", "\t", "\\", "\"", "é", "日本"];
+    (0..rng.index(5)).map(|_| *rng.pick(&pieces)).collect()
+}
+
 fn rand_term(rng: &mut Rng, depth: u32) -> Term {
     if depth == 0 || rng.chance(1, 2) {
         match rng.index(6) {
             0 => Term::var(["X", "Y", "Zz"][rng.index(3)]),
             1 => Term::Anon,
-            2 => Term::int(rng.range(-9, 9)),
+            2 => Term::int(rand_int(rng)),
             3 => Term::atom(["a", "bee", "c1"][rng.index(3)]),
             4 => Term::empty_set(),
-            _ => Term::Const(ldl_value::Value::str("s x")),
+            _ => Term::Const(ldl_value::Value::str(&rand_string(rng))),
         }
     } else {
         match rng.index(4) {

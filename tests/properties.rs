@@ -4,6 +4,8 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use ldl1::ast::literal::Atom;
+use ldl1::ast::term::Term;
 use ldl1::transform::{body_angle, neg_elim};
 use ldl1::value::intern::{self, ValueId};
 use ldl1::value::order::{dominates_elaborate, factset_dominated};
@@ -798,6 +800,65 @@ fn hand_filter(facts: &[Fact], pats: &[Pat]) -> Vec<QueryAnswer> {
     out.sort();
     out.dedup();
     out
+}
+
+/// A value of every kind, from small pools so rows repeat: integers inside
+/// and outside the immediate range, strings, atoms whose names do not sort
+/// in interning order, compounds, and sets of these.
+fn answer_value(rng: &mut Rng, depth: u32) -> Value {
+    match rng.index(if depth == 0 { 4 } else { 6 }) {
+        0 => Value::int(*rng.pick(&[-3, 0, 2, 1 << 40, -(1 << 40), i64::MIN, i64::MAX])),
+        1 => Value::str(["", "b", "a b", "é"][rng.index(4)]),
+        2 | 3 => Value::atom(["zeta", "alpha", "mu", "alpha2"][rng.index(4)]),
+        4 => Value::compound(
+            *rng.pick(&["g", "f"]),
+            (0..1 + rng.index(2))
+                .map(|_| answer_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Value::set((0..rng.index(3)).map(|_| answer_value(rng, depth - 1))),
+    }
+}
+
+/// `Evaluator::query` sorts and deduplicates its matches as id rows, then
+/// builds each answer once. That is the order and the dedup of building an
+/// answer per match and calling `sort(); dedup()` on them (`hand_filter`),
+/// on values of every kind, under patterns with repeated variables, `_` and
+/// ground columns.
+#[test]
+fn query_answers_sort_and_dedup_as_values_do() {
+    cases(96, |rng: &mut Rng| {
+        let arity = 1 + rng.index(3);
+        let mut db = Database::new();
+        for _ in 0..rng.index(40) {
+            db.insert_tuple("w", (0..arity).map(|_| answer_value(rng, 2)).collect());
+        }
+        let facts = db.facts_of("w".into());
+        let pats: Vec<Pat> = (0..arity)
+            .map(|_| match rng.index(6) {
+                0 => Pat::Anon,
+                1 if !facts.is_empty() => {
+                    let f = &facts[rng.index(facts.len())];
+                    Pat::Ground(f.args()[rng.index(arity)].clone())
+                }
+                _ => Pat::Var(["X", "Y"][rng.index(2)]),
+            })
+            .collect();
+        let args = pats
+            .iter()
+            .map(|p| match p {
+                Pat::Ground(v) => Term::Const(v.clone()),
+                Pat::Var(x) => Term::var(x),
+                Pat::Anon => Term::Anon,
+            })
+            .collect();
+        let atom = Atom::new("w", args);
+        assert_eq!(
+            Evaluator::new().query(&db, &atom),
+            hand_filter(&facts, &pats),
+            "{atom}"
+        );
+    });
 }
 
 /// `db`'s predicates by name: map order follows symbol ids, which depend on
