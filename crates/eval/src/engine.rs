@@ -67,7 +67,7 @@ impl Default for EvalOptions {
 /// One answer to a query: the queried atom's variables bound to values.
 ///
 /// Answers sort by their bindings (variable name, then the total order on
-/// [`Value`]), which is also the order [`Evaluator::query`] returns them in.
+/// [`Value`]), which is also the order [`query`] returns them in.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct QueryAnswer {
     /// `(variable name, value)` pairs in first-occurrence order.
@@ -155,7 +155,7 @@ enum NoMatch {
 }
 
 /// How a query reads its relation: decided once by [`access_path`], run by
-/// [`Evaluator::query`], described by [`Evaluator::explain_query`].
+/// [`query`], described by [`explain_query`].
 ///
 /// (The split into this struct, [`AccessPath::matches`] and the plain loop
 /// in `query` is the measured one: two tidier spellings moved
@@ -244,7 +244,7 @@ fn access_path<'a>(db: &'a Database, query: &Atom) -> Result<AccessPath<'a>, NoM
 impl AccessPath<'_> {
     /// The bound-argument arms of a query: the probed posting list, or the
     /// scan pre-filtered by id on the ground columns. Kept out of
-    /// [`Evaluator::query`] so its nothing-bound loop stays the plain scan.
+    /// [`query`] so its nothing-bound loop stays the plain scan.
     fn matches(&self, args: &[Term], b: &mut Bindings, k: &mut dyn FnMut(&mut Bindings)) {
         match &self.probe {
             // Posting lists hold live positions only, and the probe only
@@ -366,99 +366,115 @@ impl Evaluator {
         Ok((db, stats))
     }
 
-    /// Answer a query atom against an evaluated database: every fact of the
-    /// query predicate matching the pattern, as variable bindings.
-    ///
-    /// The constants of the query restrict the work (§6): the pattern's
-    /// ground arguments — constants, ground compounds and sets, ground
-    /// arithmetic — are evaluated once, and if the relation *already has* an
-    /// index keyed inside those columns ([`Relation::covering_index`]; every
-    /// column bound is one probe of the duplicate filter) only the rows it
-    /// posts are visited. With no such index the relation is scanned and
-    /// rows are pre-filtered by id on the ground columns. Either way the
-    /// pattern matcher runs on every surviving row — repeated variables, `_`,
-    /// set patterns — so an index narrows the candidates and never decides a
-    /// match. A ground argument that does not evaluate (`1 + overflow`,
-    /// `scons` onto a non-set) matches no tuple. [`Evaluator::explain_query`]
-    /// reports which of these a query takes.
-    ///
-    /// **A query never builds an index.** A build hashes every row — several
-    /// times the price of the id-filtered scan it would replace, so it pays
-    /// only for a missed shape that repeats — and `db` is immutable here
-    /// (a published snapshot is shared between threads). The indexes a
-    /// query finds are the ones rule evaluation and commit maintenance
-    /// built for their own joins, which every clone of a model carries.
-    ///
-    /// A query on an unknown predicate, or with the wrong arity for a known
-    /// one, matches nothing and returns no answers — the Datalog convention
-    /// (absent facts are false). Use [`Database::relation`] to distinguish
-    /// "empty relation" from "no such relation".
+    /// [`query`]: no option applies to a read, so a caller holding no
+    /// `Evaluator` calls that directly.
     pub fn query(&self, db: &Database, query: &Atom) -> Vec<QueryAnswer> {
-        let Ok(path) = access_path(db, query) else {
-            return Vec::new();
-        };
-        let vars = query.vars();
-        // Each match's values as ids, one row of `vars.len()` after another.
-        let (mut rows, mut matches) = (Vec::new(), 0);
-        let mut b = Bindings::new();
-        let mut emit = |b2: &mut Bindings| {
-            rows.extend(
-                vars.iter()
-                    .map(|v| b2.get(*v).expect("query var bound by match")),
-            );
-            matches += 1;
-        };
-        if path.cols.is_empty() {
-            for tuple in path.rel.iter() {
-                match_slice(&query.args, tuple, &mut b, &mut emit);
-            }
-        } else {
-            path.matches(&query.args, &mut b, &mut emit);
-        }
-        answers(&vars, &rows, matches)
+        self::query(db, query)
     }
 
-    /// One line saying how [`Evaluator::query`] reads `db` for this atom —
-    /// `anc(0, Y): probe anc[0], 10 of 55 000 rows`, or `scan` with the row
-    /// count, the ground columns it filters on and the indexes that exist
-    /// when none covers them. Computed from the same access path the query
-    /// runs, so it cannot drift from what a query does.
+    /// [`explain_query`].
     pub fn explain_query(&self, db: &Database, query: &Atom) -> String {
-        let line = match access_path(db, query) {
-            Err(NoMatch::NoRelation) => format!("no relation {}", query.pred),
-            Err(NoMatch::Arity(n)) => format!("no match, {} has arity {n}", query.pred),
-            Err(NoMatch::OutsideU) => "no match, a ground argument does not evaluate".to_string(),
-            Ok(path) => {
-                let rows = spaced(path.rel.live_len());
-                match &path.probe {
-                    Some((cols, key, idx)) => format!(
-                        "probe {}{cols:?}, {} of {rows} rows",
-                        query.pred,
-                        spaced(idx.probe(key).len())
-                    ),
-                    None if path.cols.is_empty() => format!("scan {}, {rows} rows", query.pred),
-                    None => format!(
-                        "scan {}, {rows} rows, filter on {:?} — no index covers {:?} (have: {})",
-                        query.pred,
-                        path.cols,
-                        path.cols,
-                        path.rel
-                            .index_columns()
-                            .iter()
-                            .map(|c| format!("{c:?}"))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                }
-            }
-        };
-        format!("{query}: {line}")
+        self::explain_query(db, query)
     }
 
-    /// All facts of one predicate in the database, sorted for determinism.
+    /// [`facts`].
     pub fn facts(&self, db: &Database, pred: &str) -> Vec<Fact> {
-        let mut v = db.facts_of(pred.into());
-        v.sort();
-        v
+        self::facts(db, pred)
     }
+}
+
+/// Answer a query atom against an evaluated database: every fact of the
+/// query predicate matching the pattern, as variable bindings.
+///
+/// The constants of the query restrict the work (§6): the pattern's
+/// ground arguments — constants, ground compounds and sets, ground
+/// arithmetic — are evaluated once, and if the relation *already has* an
+/// index keyed inside those columns ([`Relation::covering_index`]; every
+/// column bound is one probe of the duplicate filter) only the rows it
+/// posts are visited. With no such index the relation is scanned and
+/// rows are pre-filtered by id on the ground columns. Either way the
+/// pattern matcher runs on every surviving row — repeated variables, `_`,
+/// set patterns — so an index narrows the candidates and never decides a
+/// match. A ground argument that does not evaluate (`1 + overflow`,
+/// `scons` onto a non-set) matches no tuple. [`explain_query`]
+/// reports which of these a query takes.
+///
+/// **A query never builds an index.** A build hashes every row — several
+/// times the price of the id-filtered scan it would replace, so it pays
+/// only for a missed shape that repeats — and `db` is immutable here
+/// (a published snapshot is shared between threads). The indexes a
+/// query finds are the ones rule evaluation and commit maintenance
+/// built for their own joins, which every clone of a model carries.
+///
+/// A query on an unknown predicate, or with the wrong arity for a known
+/// one, matches nothing and returns no answers — the Datalog convention
+/// (absent facts are false). Use [`Database::relation`] to distinguish
+/// "empty relation" from "no such relation".
+pub fn query(db: &Database, query: &Atom) -> Vec<QueryAnswer> {
+    let Ok(path) = access_path(db, query) else {
+        return Vec::new();
+    };
+    let vars = query.vars();
+    // Each match's values as ids, one row of `vars.len()` after another.
+    let (mut rows, mut matches) = (Vec::new(), 0);
+    let mut b = Bindings::new();
+    let mut emit = |b2: &mut Bindings| {
+        rows.extend(
+            vars.iter()
+                .map(|v| b2.get(*v).expect("query var bound by match")),
+        );
+        matches += 1;
+    };
+    if path.cols.is_empty() {
+        for tuple in path.rel.iter() {
+            match_slice(&query.args, tuple, &mut b, &mut emit);
+        }
+    } else {
+        path.matches(&query.args, &mut b, &mut emit);
+    }
+    answers(&vars, &rows, matches)
+}
+
+/// One line saying how [`query`] reads `db` for this atom —
+/// `anc(0, Y): probe anc[0], 10 of 55 000 rows`, or `scan` with the row
+/// count, the ground columns it filters on and the indexes that exist
+/// when none covers them. Computed from the same access path the query
+/// runs, so it cannot drift from what a query does.
+pub fn explain_query(db: &Database, query: &Atom) -> String {
+    let line = match access_path(db, query) {
+        Err(NoMatch::NoRelation) => format!("no relation {}", query.pred),
+        Err(NoMatch::Arity(n)) => format!("no match, {} has arity {n}", query.pred),
+        Err(NoMatch::OutsideU) => "no match, a ground argument does not evaluate".to_string(),
+        Ok(path) => {
+            let rows = spaced(path.rel.live_len());
+            match &path.probe {
+                Some((cols, key, idx)) => format!(
+                    "probe {}{cols:?}, {} of {rows} rows",
+                    query.pred,
+                    spaced(idx.probe(key).len())
+                ),
+                None if path.cols.is_empty() => format!("scan {}, {rows} rows", query.pred),
+                None => format!(
+                    "scan {}, {rows} rows, filter on {:?} — no index covers {:?} (have: {})",
+                    query.pred,
+                    path.cols,
+                    path.cols,
+                    path.rel
+                        .index_columns()
+                        .iter()
+                        .map(|c| format!("{c:?}"))
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                ),
+            }
+        }
+    };
+    format!("{query}: {line}")
+}
+
+/// All facts of one predicate in the database, sorted for determinism.
+pub fn facts(db: &Database, pred: &str) -> Vec<Fact> {
+    let mut v = db.facts_of(pred.into());
+    v.sort();
+    v
 }

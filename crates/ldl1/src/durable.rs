@@ -55,7 +55,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use ldl_eval::{EvalStats, Evaluator, QueryAnswer};
+use ldl_eval::{engine, EvalStats, QueryAnswer};
 use ldl_storage::Database;
 use ldl_value::Fact;
 
@@ -171,19 +171,19 @@ impl Snapshot {
     /// immutable, so nothing is ever built for one.
     pub fn query(&self, query: &str) -> Result<Vec<QueryAnswer>, Error> {
         let atom = ldl_parser::parse_atom(query)?;
-        Ok(Evaluator::new().query(&self.inner.model, &atom))
+        Ok(engine::query(&self.inner.model, &atom))
     }
 
     /// One line saying how [`Snapshot::query`] reads this snapshot for the
-    /// query — see [`Evaluator::explain_query`].
+    /// query — see [`engine::explain_query`].
     pub fn explain_query(&self, query: &str) -> Result<String, Error> {
         let atom = ldl_parser::parse_atom(query)?;
-        Ok(Evaluator::new().explain_query(&self.inner.model, &atom))
+        Ok(engine::explain_query(&self.inner.model, &atom))
     }
 
     /// All facts of one predicate in this snapshot's model, sorted.
     pub fn facts(&self, pred: &str) -> Vec<Fact> {
-        Evaluator::new().facts(&self.inner.model, pred)
+        engine::facts(&self.inner.model, pred)
     }
 
     /// Total facts in the snapshot's model.

@@ -755,7 +755,7 @@ impl System {
     /// * **a model is cached** (or a [`Reader`] is attached): read it,
     ///   through an index when the query binds the columns of one the model
     ///   already has and by a filtered scan otherwise (see
-    ///   [`Evaluator::query`]; a query never builds an index);
+    ///   [`eval::engine::query`]; a query never builds an index);
     /// * **no model, and the query binds an argument of a predicate rules
     ///   define**: run the §6 magic-set pipeline over the EDB, which derives
     ///   only what the bound arguments reach (Theorems 3/4: same answers).
@@ -777,7 +777,7 @@ impl System {
             self.magic_answered = true;
             return Ok(answers);
         }
-        Ok(Evaluator::new().query(self.model()?, &atom))
+        Ok(eval::engine::query(self.model()?, &atom))
     }
 
     /// The magic-set form [`System::query`] runs for `atom`, or `None`
@@ -807,7 +807,7 @@ impl System {
     /// `anc(0, Y): magic anc'bf: seed m'anc'bf(0), 5 rules`, ending `, 1
     /// subsumed` when the rewrite dropped a rule another one subsumes — and
     /// otherwise how it reads the model: index probe or scan, and over how
-    /// many rows (see [`Evaluator::explain_query`]). The model arms force
+    /// many rows (see [`eval::engine::explain_query`]). The model arms force
     /// evaluation first, like the query.
     pub fn explain_query(&mut self, query: &str) -> Result<String, Error> {
         let atom = ldl_parser::parse_atom(query)?;
@@ -823,7 +823,7 @@ impl System {
             }
             return Ok(line);
         }
-        Ok(Evaluator::new().explain_query(self.model()?, &atom))
+        Ok(eval::engine::explain_query(self.model()?, &atom))
     }
 
     /// Answer a query through the §6 magic-set pipeline (sips → adornment →
@@ -842,7 +842,7 @@ impl System {
 
     /// All facts of one predicate in the model, sorted.
     pub fn facts(&mut self, pred: &str) -> Result<Vec<Fact>, Error> {
-        Ok(Evaluator::new().facts(self.model()?, pred))
+        Ok(eval::engine::facts(self.model()?, pred))
     }
 
     /// The model as an interpretation (for model checking / domination

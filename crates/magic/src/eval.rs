@@ -51,7 +51,7 @@
 use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::Program;
 use ldl_eval::fixpoint::{delta_loop, ensure_head_relations, frontier_at, full_round, Drive};
-use ldl_eval::{EvalError, EvalOptions, EvalStats, Evaluator, PlanTable, QueryAnswer};
+use ldl_eval::{engine, EvalError, EvalOptions, EvalStats, PlanTable, QueryAnswer};
 use ldl_storage::Database;
 use ldl_stratify::Stratification;
 use ldl_value::{intern, Fact, Symbol};
@@ -257,7 +257,7 @@ impl MagicForm {
         opts: &EvalOptions,
     ) -> Result<(Vec<QueryAnswer>, EvalStats), EvalError> {
         let (db, stats) = self.evaluate(&self.seed(query), edb, opts)?;
-        Ok((Evaluator::new().query(&db, &self.query_atom(query)), stats))
+        Ok((engine::query(&db, &self.query_atom(query)), stats))
     }
 
     /// The staged schedule over `edb` with `seed`.

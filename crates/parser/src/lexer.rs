@@ -148,7 +148,8 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// The rest of a string literal opened at `pos`, escapes decoded.
+    /// The rest of a string literal opened at `pos`, escapes decoded:
+    /// every escape `str`'s `Debug` writes, so a printed string reads back.
     fn string(&mut self, pos: Pos) -> Result<Tok<'a>, ParseError> {
         let mut s = String::new();
         loop {
@@ -157,8 +158,14 @@ impl<'a> Lexer<'a> {
                 Some('\\') => s.push(match self.bump() {
                     Some('n') => '\n',
                     Some('t') => '\t',
+                    Some('r') => '\r',
+                    Some('0') => '\0',
                     Some('\\') => '\\',
                     Some('"') => '"',
+                    Some('\'') => '\'',
+                    Some('u') => self
+                        .unicode_escape()
+                        .map_err(|e| ParseError::new(pos, format!("bad unicode escape: {e}")))?,
                     other => {
                         return Err(ParseError::new(pos, format!("bad string escape {other:?}")))
                     }
@@ -167,6 +174,31 @@ impl<'a> Lexer<'a> {
                 None => return Err(ParseError::new(pos, "unterminated string literal")),
             }
         }
+    }
+
+    /// The rest of a `\u{…}` escape after its `u`: one to six hex digits
+    /// in braces naming a Unicode scalar value.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        match self.bump() {
+            Some('{') => {}
+            other => return Err(format!("expected '{{' after \\u, found {other:?}")),
+        }
+        let (mut value, mut digits) = (0u32, 0);
+        loop {
+            match self.bump() {
+                Some('}') if digits > 0 => break,
+                Some(c) if digits < 6 && c.is_ascii_hexdigit() => {
+                    value = value * 16 + c.to_digit(16).expect("a hex digit");
+                    digits += 1;
+                }
+                other => {
+                    return Err(format!(
+                        "expected 1 to 6 hex digits and '}}', found {other:?}"
+                    ))
+                }
+            }
+        }
+        char::from_u32(value).ok_or_else(|| format!("U+{value:X} is not a Unicode scalar value"))
     }
 }
 
@@ -355,6 +387,25 @@ mod tests {
     #[test]
     fn string_escapes() {
         assert_eq!(toks(r#""a\nb""#), vec![Tok::Str("a\nb".into())]);
+        // Every escape `str`'s `Debug` writes reads back.
+        assert_eq!(toks(r#""a\rb""#), vec![Tok::Str("a\rb".into())]);
+        assert_eq!(
+            toks(r#""\0\'\u{1b}\u{7f}\u{10FFFF}\u{e9}""#),
+            vec![Tok::Str("\0'\u{1b}\u{7f}\u{10ffff}é".into())]
+        );
+        for bad in [
+            r#""\u""#,
+            r#""\u1b""#,
+            r#""\u{}""#,
+            r#""\u{1234567}""#,
+            r#""\u{d800}""#,
+        ] {
+            let err = lex(bad).unwrap_err();
+            assert!(
+                err.message.starts_with("bad unicode escape: "),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

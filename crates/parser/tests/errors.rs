@@ -65,6 +65,10 @@ const CORPUS: &[(&str, &str)] = &[
     ("p(X) <- +(1, 2, ", "1:15: expected a term, found None | 1:15: expected a term, found None | 1:6: trailing input after term | 1:6: trailing input after query"),
     ("% only a comment", "ok | 1:1: expected a term, found None | 1:1: expected a term, found None | 1:1: expected a term, found None"),
     ("p(X) <- q(X). % trailing\n r(é) <- .", "2:10: expected a term, found Some(Dot) | 2:2: trailing input after rule | 1:6: trailing input after term | 1:6: trailing input after query"),
+    // Added with `\u{…}` escapes, so recorded from the parser that reads
+    // them: a malformed one is reported at its string, like any escape.
+    ("p(\"é\\u{110000}\"). q(", "1:3: bad unicode escape: U+110000 is not a Unicode scalar value | 1:3: bad unicode escape: U+110000 is not a Unicode scalar value | 1:3: bad unicode escape: U+110000 is not a Unicode scalar value | 1:3: bad unicode escape: U+110000 is not a Unicode scalar value"),
+    ("p(X) <- q(X, \"\\u{1b\").", "1:14: bad unicode escape: expected 1 to 6 hex digits and '}', found Some('\"') | 1:14: bad unicode escape: expected 1 to 6 hex digits and '}', found Some('\"') | 1:14: bad unicode escape: expected 1 to 6 hex digits and '}', found Some('\"') | 1:14: bad unicode escape: expected 1 to 6 hex digits and '}', found Some('\"')"),
 ];
 
 #[test]

@@ -7,13 +7,15 @@
 //!
 //! Integers span the whole `i64` range, `i64::MIN` included (its digits
 //! exceed `i64::MAX`, so only unary minus can spell it), and strings carry
-//! every escape the lexer decodes.
+//! every escape the lexer decodes. A printed string reads back whatever it
+//! holds: control characters, `U+007F` and other non-printables print as
+//! `str`'s `Debug` escapes them, and the lexer decodes each of those.
 
 use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::rule::Rule;
 use ldl_ast::term::Term;
 use ldl_parser::parse_rule;
-use ldl_testkit::{cases, Rng};
+use ldl_testkit::{cases, cases_shrink, Rng};
 use ldl_value::arith::ArithOp;
 
 /// An integer anywhere in `i64`, its edges and small values often.
@@ -104,5 +106,49 @@ fn term_display_reparses() {
         let reparsed = ldl_parser::parse_term(&text)
             .unwrap_or_else(|e| panic!("failed to reparse {text:?}: {e}"));
         assert_eq!(&reparsed, &t, "text was {text}");
+    });
+}
+
+/// One char `str`'s `Debug` escapes, or one it writes as itself: the C0
+/// controls, `U+007F`, C1 controls, format and separator characters, a
+/// combining mark (escaped where it begins a string), a private-use and an
+/// unassigned code point, quotes and backslash, and plain text.
+fn rand_char(rng: &mut Rng) -> char {
+    const PICKS: [char; 16] = [
+        '\u{7f}',
+        '\u{85}',
+        '\u{a0}',
+        '\u{ad}',
+        '\u{300}',
+        '\u{200b}',
+        '\u{2028}',
+        '\u{feff}',
+        '\u{e000}',
+        '\u{10ffff}',
+        '\'',
+        '"',
+        '\\',
+        'a',
+        'é',
+        '日',
+    ];
+    match rng.index(3) {
+        0 => char::from_u32(rng.index(0x20) as u32).expect("a C0 control"),
+        1 => char::from_u32(0x80 + rng.index(0x20) as u32).expect("a C1 control"),
+        _ => *rng.pick(&PICKS),
+    }
+}
+
+#[test]
+fn printed_strings_read_back() {
+    cases_shrink(256, 16, |rng, size| {
+        let s: String = (0..rng.index(size as usize + 1))
+            .map(|_| rand_char(rng))
+            .collect();
+        let value = ldl_value::Value::str(&s);
+        let text = value.to_string();
+        let reparsed = ldl_parser::parse_term(&text)
+            .unwrap_or_else(|e| panic!("failed to reparse {text}: {e}"));
+        assert_eq!(reparsed, Term::Const(value), "text was {text}");
     });
 }

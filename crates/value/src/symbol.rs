@@ -5,8 +5,9 @@
 //! `u32` makes value comparison, hashing, and join keys cheap, and lets tuples
 //! be copied without touching string allocations. The names live in the same
 //! append-only arena code as the value interner ([`crate::intern`]), in an
-//! instance of their own: [`Symbol::as_str`] takes no lock, and only a name
-//! never seen before takes the names' write lock.
+//! instance of their own: [`Symbol::as_str`] takes no lock. [`Symbol::intern`]
+//! takes the names' write lock on every call, a known name included: the
+//! hash-consing map it looks the name up in is guarded by that lock.
 
 use std::fmt;
 

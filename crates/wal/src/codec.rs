@@ -83,7 +83,8 @@ impl<'a> Cursor<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+    #[inline]
+    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
         if self.remaining() < n {
             return Err(format!(
                 "truncated {what}: need {n} bytes at offset {}, have {}",
@@ -96,20 +97,24 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    #[inline]
     pub(crate) fn u8(&mut self, what: &str) -> Result<u8, String> {
         Ok(self.take(1, what)?[0])
     }
 
+    #[inline]
     pub(crate) fn u32(&mut self, what: &str) -> Result<u32, String> {
         let b = self.take(4, what)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
+    #[inline]
     pub(crate) fn u64(&mut self, what: &str) -> Result<u64, String> {
         let b = self.take(8, what)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
+    #[inline]
     pub(crate) fn i64(&mut self, what: &str) -> Result<i64, String> {
         Ok(self.u64(what)? as i64)
     }

@@ -292,3 +292,35 @@ fn integers_at_the_immediate_edges_keep_the_snapshot_bytes() {
     assert_eq!(back.dump(), db.dump());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A `cold_recovery`-shaped snapshot — 40 chains of 10 edges and one
+/// `tag` atom per chain, 8 269 bytes — keeps the bytes and checksum that
+/// the slice-by-8 CRC wrote before the snapshot's checksum was folded by
+/// carry-less multiply: a snapshot written before that change loads after
+/// it, and one written after it loads before.
+#[test]
+fn a_forest_snapshot_keeps_its_checksum() {
+    let dir = data_dir("forest-snapshot", &log(&[]));
+    let (mut store, _, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+    let mut db = ldl_storage::Database::new();
+    for c in 0..40i64 {
+        for k in 0..10 {
+            let (a, b) = (c * 1_000_000 + k, c * 1_000_000 + k + 1);
+            db.insert(Fact::new("par", vec![Value::int(a), Value::int(b)]));
+        }
+        let tag = vec![Value::atom(&format!("k{}", c * 7919)), Value::int(c)];
+        db.insert(Fact::new("tag", tag));
+    }
+    store.checkpoint(&db).unwrap();
+    drop(store);
+
+    let bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    let (body, crc) = bytes.split_at(bytes.len() - 4);
+    assert_eq!((bytes.len(), crc32(body)), (8269, 0x8CBE_F6F1));
+    assert_eq!(crc, 0x8CBE_F6F1u32.to_le_bytes());
+
+    let (_, back, info) = Store::open(&dir, StoreOptions::default()).unwrap();
+    assert_eq!(info.snapshot_seq, Some(0));
+    assert_eq!(back.dump(), db.dump());
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -15,17 +15,28 @@
 //!   indexes) through the `Relation` API, `int_of` on each row and a sort.
 //!   It times what a read costs beyond its index probe: the parse, the
 //!   access path and the answers.
+//! * `open` — a `cold_recovery` op: `System::open → load → query("anc(0,
+//!   Y)")` on a data directory of `--size` chains (default 2 000) of 10
+//!   edges, checkpointed, and a log tail of `--size / 4` commits that each
+//!   extend a chain and add a `tag` atom; against `fs::read` of both files
+//!   and a breadth-first search from `0` over the example's own copy of the
+//!   edges (grouped by source before the timer starts). It times what a
+//!   restart costs beyond reading its bytes, and
+//!   prints where the open's time went (`RecoveryInfo::times`, the median
+//!   of each part).
 //!
-//! Run with: `cargo run --release --example floor -- --shape atoms|point
-//! [--size N] [--rounds N]`. It prints the median of each side (ms per
-//! query for `atoms`, µs per query for `point`) and the engine ÷ floor
-//! ratio.
+//! Run with: `cargo run --release --example floor -- --shape
+//! atoms|point|open [--size N] [--rounds N]`. It prints the median of each
+//! side (ms per query for `atoms` and per op for `open`, µs per query for
+//! `point`) and the engine ÷ floor ratio.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use ldl1::value::intern;
-use ldl1::{Database, Reader, System, Value};
+use ldl1::wal::{SNAPSHOT_FILE, WAL_FILE};
+use ldl1::{Database, EvalOptions, OpenTimes, Reader, StoreOptions, SyncPolicy, System, Value};
 use ldl_testkit::Rng;
 
 /// `size` pairs `r(x_i, y_j)`: about 100 per group, drawn from a pool of
@@ -86,8 +97,7 @@ fn floor_atoms(pairs: &[(String, String)]) -> (BTreeMap<String, BTreeSet<String>
 /// left that index behind.
 fn point_system(chains: i64) -> (System, Reader) {
     let mut sys = System::new();
-    sys.load("anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y).")
-        .expect("the rules load");
+    sys.load(ANCESTOR).expect("the rules load");
     let mut batch = sys.mutate();
     for c in 0..chains {
         for k in 0..POINT_CHAIN {
@@ -162,6 +172,94 @@ fn floor_point(model: &Database, roots: &[i64]) -> (Vec<Vec<i64>>, f64) {
         })
         .collect();
     (ys, start.elapsed().as_secs_f64() * 1e6 / roots.len() as f64)
+}
+
+const ANCESTOR: &str = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y).";
+
+/// Node `k` of chain `c` in the `open` forest, as in `cold_recovery`: far
+/// enough apart that most nodes are integers past the interner's
+/// immediate range.
+fn open_node(c: i64, k: i64) -> i64 {
+    c * 1_000_000 + k
+}
+
+/// A `cold_recovery`-shaped data directory under the system's temporary
+/// directory, and the `par` edges it holds.
+fn open_dir(chains: i64) -> (PathBuf, Vec<(i64, i64)>) {
+    let dir = std::env::temp_dir().join(format!("ldl1-floor-open-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = StoreOptions {
+        sync: SyncPolicy::Never,
+    };
+    let mut sys = System::open_with(&dir, EvalOptions::default(), opts).expect("the dir opens");
+    let mut edges: Vec<(i64, i64)> = (0..chains)
+        .flat_map(|c| (0..POINT_CHAIN).map(move |k| (open_node(c, k), open_node(c, k + 1))))
+        .collect();
+    let mut batch = sys.mutate();
+    for &(a, b) in &edges {
+        batch.assert("par", vec![Value::int(a), Value::int(b)]);
+    }
+    batch.commit().expect("the forest commits");
+    sys.checkpoint().expect("the forest checkpoints");
+    // The tail: each commit extends a random chain by one edge and tags it.
+    let mut rng = Rng::new(1987);
+    let mut ends: Vec<i64> = (0..chains).map(|c| open_node(c, POINT_CHAIN)).collect();
+    for i in 0..chains / 4 {
+        let c = rng.index(chains as usize);
+        let edge = (ends[c], ends[c] + 1);
+        ends[c] += 1;
+        let mut batch = sys.mutate();
+        batch.assert("par", vec![Value::int(edge.0), Value::int(edge.1)]);
+        let tag = format!("k{}", rng.range(0, 1 << 40));
+        batch.assert("tag", vec![Value::atom(&tag), Value::int(i)]);
+        batch.commit().expect("the tail commits");
+        edges.push(edge);
+    }
+    sys.sync().expect("the tail syncs");
+    (dir, edges)
+}
+
+/// One op: open `dir`, load the rules, answer `anc(0, Y)`; the `Y`s, the
+/// open's split and the ms the op took.
+fn engine_open(dir: &Path) -> (Vec<i64>, OpenTimes, f64) {
+    let start = Instant::now();
+    let mut sys = System::open(dir).expect("the dir opens");
+    sys.load(ANCESTOR).expect("the rules load");
+    let answers = sys.query("anc(0, Y)").expect("the query answers");
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    let ys = answers
+        .iter()
+        .map(|a| match a.get_index(0) {
+            Some(Value::Int(y)) => *y,
+            other => panic!("not an integer: {other:?}"),
+        })
+        .collect();
+    let times = sys.recovery_info().expect("a durable system").times;
+    (ys, times, ms)
+}
+
+/// Read both files, then the nodes reachable from `0` by breadth-first
+/// search over `next`, the example's own edges by source, sorted; and the
+/// ms it took.
+fn floor_open(dir: &Path, next: &HashMap<i64, Vec<i64>>) -> (Vec<i64>, f64) {
+    let start = Instant::now();
+    let bytes = [SNAPSHOT_FILE, WAL_FILE]
+        .iter()
+        .map(|f| std::fs::read(dir.join(f)).expect("the file reads").len())
+        .sum::<usize>();
+    assert!(bytes > 0);
+    let (mut seen, mut frontier) = (BTreeSet::new(), vec![0]);
+    while let Some(x) = frontier.pop() {
+        for &y in next.get(&x).into_iter().flatten() {
+            if seen.insert(y) {
+                frontier.push(y);
+            }
+        }
+    }
+    (
+        seen.into_iter().collect(),
+        start.elapsed().as_secs_f64() * 1e3,
+    )
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -250,12 +348,49 @@ fn main() {
                 e / f
             );
         }
+        Some("open") => {
+            let chains = size.unwrap_or(2_000);
+            let (dir, edges) = open_dir(chains as i64);
+            let mut next: HashMap<i64, Vec<i64>> = HashMap::new();
+            for (a, b) in edges {
+                next.entry(a).or_default().push(b);
+            }
+            let mut splits = Vec::new();
+            let (e, f) = interleave(
+                rounds,
+                || {
+                    let (ys, times, ms) = engine_open(&dir);
+                    splits.push(times);
+                    (ys, ms)
+                },
+                || floor_open(&dir, &next),
+            );
+            std::fs::remove_dir_all(&dir).expect("the dir is removed");
+            let part = |f: fn(&OpenTimes) -> Duration| {
+                median(splits.iter().map(|t| f(t).as_secs_f64() * 1e3).collect())
+            };
+            println!(
+                "shape open: {chains} chains, {} tail commits, {rounds} rounds: \
+                 engine {e:.3} ms, floor {f:.3} ms per op, engine/floor {:.2}\n  \
+                 open (medians, ms): total {:.3}, read {:.3}, crc {:.3}, nodes {:.3}, \
+                 rows {:.3}, log scan {:.3}, replay {:.3}",
+                chains / 4,
+                e / f,
+                part(|t| t.total),
+                part(|t| t.read),
+                part(|t| t.crc),
+                part(|t| t.nodes),
+                part(|t| t.rows),
+                part(|t| t.scan),
+                part(|t| t.replay),
+            );
+        }
         Some(other) => usage(&format!("unknown shape {other}")),
         None => usage("--shape is required"),
     }
 }
 
 fn usage(msg: &str) -> ! {
-    eprintln!("floor: {msg}\nusage: floor --shape atoms|point [--size N] [--rounds N]");
+    eprintln!("floor: {msg}\nusage: floor --shape atoms|point|open [--size N] [--rounds N]");
     std::process::exit(2);
 }
