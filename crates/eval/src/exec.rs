@@ -11,7 +11,16 @@
 //! `_`-existential negation runs its ops in the tail's mode too. A scan
 //! tests the filters lowering gave it (its `then`) on each matching
 //! row in its own loop, so only rows that pass them re-enter `exec_op`;
-//! a filter no scan owns is an op of its own. Every relation access is a
+//! a filter no scan owns is an op of its own. A scan with a row form
+//! (`RowForm`) owns no filter or one integer test on one row value: it
+//! decodes the test's invariant operands once per entry and resolves the
+//! test into locals (`Lin::resolve`), so a row costs its column copies and
+//! one native integer test. An invariant operand that is not an integer
+//! (or arithmetic on invariants that fails) sends the whole entry, and a
+//! row value that is not one (or arithmetic on it that fails) sends that
+//! row, to the filter op (`filters_hold`), which alone defines overflow,
+//! division by zero, non-integer order and negation. Every relation access
+//! is a
 //! register op. The one op that bridges to the
 //! built-in evaluator, `Builtin` — which also runs a match step, the `=` of
 //! a flattened set, `scons`, `<t>` or open compound pattern — seeds a
@@ -35,7 +44,9 @@ use ldl_value::ValueId;
 use crate::bindings::Bindings;
 use crate::builtins::eval_builtin;
 use crate::plan::DeltaRestriction;
-use crate::ram::{eval_expr, ArithDst, ColAct, Op, RamProgram, Reg};
+use crate::ram::{
+    eval_expr, mirrored, ArithDst, ColAct, IntOpd, IntTest, Op, RamProgram, Reg, RowForm,
+};
 
 /// One op's run-invariant state, resolved once per `run_ram` call: the
 /// database is frozen for the duration of a pass, so relation pointers,
@@ -334,6 +345,200 @@ fn arith_check(
     matches!((arith_val(op, x, y, regs), eval_num(e, regs)), (Some(z), Some(c)) if z == c)
 }
 
+/// One scan entry's rows: a probe's posting list, or the full range, each
+/// confined to `lo..hi`; and its fused filters, `ops[from..then]`.
+struct Rows<'a> {
+    rel: &'a Relation,
+    lo: u32,
+    hi: u32,
+    postings: Option<&'a [u32]>,
+    from: usize,
+    then: usize,
+}
+
+impl Rows<'_> {
+    /// Match each row with `m`, and go on at the filters' end with each
+    /// that matches; `true` when the continuation asked to stop.
+    #[inline(never)]
+    fn run<const TAIL: bool, K: FnMut(&[ValueId]) -> bool, M: RowMatch>(
+        &self,
+        ctx: &Ctx<'_>,
+        m: &M,
+        regs: &mut [ValueId],
+        b: &mut Bindings,
+        k: &mut K,
+    ) -> bool {
+        let (from, then) = (self.from, self.then);
+        match self.postings {
+            Some(postings) => {
+                for &pos in postings {
+                    if pos >= self.lo
+                        && pos < self.hi
+                        && m.matches(ctx, from, then, self.rel.get(pos), regs)
+                        && next::<TAIL, K>(ctx, then, regs, b, k)
+                    {
+                        return true;
+                    }
+                }
+            }
+            None => {
+                for pos in self.lo..self.hi {
+                    if self.rel.is_live(pos)
+                        && m.matches(ctx, from, then, self.rel.get(pos), regs)
+                        && next::<TAIL, K>(ctx, then, regs, b, k)
+                    {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+}
+
+/// How a scan's row loop matches one row and tests the filters
+/// `ops[from..to]` on it: the general way, or by the scan's row form.
+trait RowMatch {
+    fn matches(
+        &self,
+        ctx: &Ctx<'_>,
+        from: usize,
+        to: usize,
+        row: &[ValueId],
+        regs: &mut [ValueId],
+    ) -> bool;
+}
+
+/// The general row match: the column actions, then the filter ops.
+struct General<'o> {
+    cols: &'o [(usize, ColAct)],
+}
+
+impl RowMatch for General<'_> {
+    #[inline(always)]
+    fn matches(
+        &self,
+        ctx: &Ctx<'_>,
+        from: usize,
+        to: usize,
+        row: &[ValueId],
+        regs: &mut [ValueId],
+    ) -> bool {
+        match_cols(self.cols, row, regs) && filters_hold(ctx, from, to, regs)
+    }
+}
+
+/// The row form's match: test the row's values as integers, then copy
+/// the binds. A row the test cannot decide is bound and left to the
+/// filter op.
+struct Form<'o, T> {
+    binds: &'o [(usize, Reg)],
+    test: T,
+}
+
+impl<T: RowTest> RowMatch for Form<'_, T> {
+    #[inline(always)]
+    fn matches(
+        &self,
+        ctx: &Ctx<'_>,
+        from: usize,
+        to: usize,
+        row: &[ValueId],
+        regs: &mut [ValueId],
+    ) -> bool {
+        let pass = self.test.test(row);
+        if pass == Some(false) {
+            return false;
+        }
+        for &(c, r) in self.binds {
+            regs[r as usize] = row[c];
+        }
+        pass.is_some() || filters_hold(ctx, from, to, regs)
+    }
+}
+
+/// A scan's integer test, resolved for one scan entry: whether `row`
+/// passes it, or `None` when the row value is not an integer or the
+/// arithmetic on it fails.
+trait RowTest {
+    fn test(&self, row: &[ValueId]) -> Option<bool>;
+}
+
+/// The scan owns no filter: every row passes.
+struct Always;
+
+impl RowTest for Always {
+    #[inline(always)]
+    fn test(&self, _: &[ValueId]) -> Option<bool> {
+        Some(true)
+    }
+}
+
+/// The scan's one test, on one row value `y`: `op(y, x) cmp k`, or
+/// `op(x, y) cmp k` (`row_left` false), inverted when negated. A bare
+/// comparison `y cmp k` is `y + 0 cmp k`.
+#[derive(Clone, Copy)]
+struct Lin {
+    col: usize,
+    op: ArithOp,
+    x: i64,
+    row_left: bool,
+    cmp: CmpOp,
+    k: i64,
+    negated: bool,
+}
+
+impl RowTest for Lin {
+    #[inline(always)]
+    fn test(&self, row: &[ValueId]) -> Option<bool> {
+        let y = intern::int_of(row[self.col])?;
+        let z = if self.row_left {
+            self.op.eval_i64(y, self.x)
+        } else {
+            self.op.eval_i64(self.x, y)
+        }?;
+        Some(self.cmp.holds(z.cmp(&self.k)) != self.negated)
+    }
+}
+
+impl Lin {
+    /// `t` at one scan entry: its invariant operands decoded, arithmetic
+    /// on them folded, and the one row value's place fixed. `None` when an
+    /// invariant operand is not an integer or that arithmetic fails: the
+    /// general row loop runs the entry.
+    #[inline(always)]
+    fn resolve(t: &IntTest, regs: &[ValueId]) -> Option<Lin> {
+        let int = |o: IntOpd| match o {
+            IntOpd::Row(_) => None,
+            IntOpd::Reg(r) => intern::int_of(regs[r as usize]),
+            IntOpd::Int(n) => Some(n),
+        };
+        let lin = |col, op, x, row_left, cmp, k| Lin {
+            col,
+            op,
+            x,
+            row_left,
+            cmp,
+            k,
+            negated: t.negated,
+        };
+        Some(match (t.a, t.arith, t.c) {
+            (IntOpd::Row(col), None, c) => lin(col, ArithOp::Add, 0, true, t.cmp, int(c)?),
+            (IntOpd::Row(col), Some((op, x)), c) => lin(col, op, int(x)?, true, t.cmp, int(c)?),
+            (x, Some((op, IntOpd::Row(col))), c) => lin(col, op, int(x)?, false, t.cmp, int(c)?),
+            (a, arith, IntOpd::Row(col)) => {
+                let mut k = int(a)?;
+                if let Some((op, x)) = arith {
+                    k = op.eval_i64(k, int(x)?)?;
+                }
+                lin(col, ArithOp::Add, 0, true, mirrored(t.cmp), k)
+            }
+            // Lowering gives a form only to a test on one row value.
+            _ => return None,
+        })
+    }
+}
+
 /// The continuation of the existential tail and of an `Absent`'s ops: the
 /// first solution is the witness, so it stops the enumeration. A plain
 /// `fn`, so the tail is one instantiation of [`exec_op`] whatever the
@@ -407,15 +612,16 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
     };
     match op {
         Op::Scan {
+            index_cols,
             key,
             cols,
             probe_cols,
             then,
+            form,
             ..
         } => {
             // The scan's fused filters run in its row loop, on each row
             // that matches, and a row that passes them goes on at `then`.
-            let then = *then;
             let r = &ctx.rops[i];
             let Some(rel) = r.rel else {
                 return false;
@@ -423,35 +629,46 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
             if rel.is_empty() {
                 return false;
             }
-            if let Some(idx) = r.idx {
-                let mut stack = [ValueId::FILLER; 8];
-                let mut heap: Vec<ValueId> = Vec::new();
-                let Some(probe) = eval_key(key, regs, &mut stack, &mut heap) else {
-                    return false;
-                };
-                ctx.probes.set(ctx.probes.get() + 1);
-                for &pos in idx.probe(probe) {
-                    if pos >= r.lo
-                        && pos < r.hi
-                        && match_cols(probe_cols, rel.get(pos), regs)
-                        && filters_hold(ctx, i + 1, then, regs)
-                        && next::<TAIL, K>(ctx, then, regs, b, k)
-                    {
-                        return true;
-                    }
+            let (postings, cols) = match r.idx {
+                Some(idx) => {
+                    let mut stack = [ValueId::FILLER; 8];
+                    let mut heap: Vec<ValueId> = Vec::new();
+                    let Some(probe) = eval_key(key, regs, &mut stack, &mut heap) else {
+                        return false;
+                    };
+                    ctx.probes.set(ctx.probes.get() + 1);
+                    (Some(idx.probe(probe)), probe_cols)
                 }
-                return false;
-            }
-            for pos in r.lo..r.hi {
-                if rel.is_live(pos)
-                    && match_cols(cols, rel.get(pos), regs)
-                    && filters_hold(ctx, i + 1, then, regs)
-                    && next::<TAIL, K>(ctx, then, regs, b, k)
-                {
-                    return true;
+                None => (None, cols),
+            };
+            let scan = Rows {
+                rel,
+                lo: r.lo,
+                hi: r.hi,
+                postings,
+                from: i + 1,
+                then: *then,
+            };
+            let general = General { cols };
+            // Without an index key the full scan matches the form's binds;
+            // with one, a key column is a check on the full-scan path.
+            let form = form
+                .as_ref()
+                .filter(|_| postings.is_some() || index_cols.is_empty());
+            let Some(RowForm { binds, test }) = form else {
+                return scan.run::<TAIL, K, _>(ctx, &general, regs, b, k);
+            };
+            match test.as_ref().map(|t| Lin::resolve(t, regs)) {
+                None => {
+                    let m = Form {
+                        binds,
+                        test: Always,
+                    };
+                    scan.run::<TAIL, K, _>(ctx, &m, regs, b, k)
                 }
+                Some(Some(test)) => scan.run::<TAIL, K, _>(ctx, &Form { binds, test }, regs, b, k),
+                Some(None) => scan.run::<TAIL, K, _>(ctx, &general, regs, b, k),
             }
-            false
         }
         Op::Cmp { .. }
         | Op::Neg { .. }

@@ -28,7 +28,13 @@
 //! * a scan owns the filters that directly follow it — comparisons,
 //!   all-ground negations, arithmetic checks — up to the existential
 //!   tail's start, and the executor tests them in the scan's row loop
-//!   (`fuse_filters`).
+//!   (`fuse_filters`);
+//! * a scan whose columns all bind and which owns no filter, or one
+//!   integer test on one row value over registers and integer constants,
+//!   also gets a `RowForm`: its binds as `(column, register)` pairs and
+//!   its test with each operand named as a row column, a register bound
+//!   before the scan, or a decoded integer. The executor resolves the test
+//!   once per scan entry and runs the row loop on native integers.
 //!
 //! A plan step therefore lowers to one op or to several, and ops do not
 //! match steps by index. `RamProgram::step_op` maps each step to its first
@@ -150,10 +156,14 @@ pub(crate) enum Op {
         key: Box<[Expr]>,
         /// `(column, action)` for the full-scan path — every non-`_` column.
         cols: Box<[(usize, ColAct)]>,
-        /// `cols` minus the index-key columns, for the probed path.
+        /// `cols` minus the index-key columns, for the probed path; empty
+        /// when there is no index key (no probe).
         probe_cols: Box<[(usize, ColAct)]>,
         /// The first op after the scan's fused filters.
         then: usize,
+        /// The pre-decoded row form, when the scan has one (see
+        /// [`fuse_filters`]).
+        form: Option<RowForm>,
     },
     /// All-ground negation: evaluate the argument expressions in order (a
     /// failure means the fact is outside `U`, so the negation holds) and
@@ -231,6 +241,61 @@ pub(crate) enum Op {
         /// Variables the built-in binds: copied back per solution.
         out_vars: Box<[(Var, Reg)]>,
     },
+}
+
+/// A scan's pre-decoded row form: every column the probed path matches
+/// binds a fresh register, and its fused filters are none or one
+/// [`IntTest`]. A row then needs no `ColAct` dispatch and no expression
+/// walk; whatever the test cannot decide on native integers, the filter
+/// op itself decides (`exec::filters_hold`).
+#[derive(Clone, Debug)]
+pub(crate) struct RowForm {
+    /// `(column, register)` for each column of the probed path (of the
+    /// full scan, when there is no index key; with one, a key column is a
+    /// check on the full-scan path, which keeps the general loop).
+    pub(crate) binds: Box<[(usize, Reg)]>,
+    /// The one fused filter, if the scan has one.
+    pub(crate) test: Option<IntTest>,
+}
+
+/// A fused filter as an integer test on one row value: `a cmp c`, or
+/// `(a op b) cmp c`, inverted when negated, with exactly one operand a
+/// [`IntOpd::Row`]. A comparison with its arithmetic on the right is
+/// stored mirrored; an arithmetic check `op(x, y, z)` is `(x op y) = z`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct IntTest {
+    /// The left operand.
+    pub(crate) a: IntOpd,
+    /// The left side's arithmetic and its second operand, if any.
+    pub(crate) arith: Option<(ArithOp, IntOpd)>,
+    /// The comparison.
+    pub(crate) cmp: CmpOp,
+    /// The right operand.
+    pub(crate) c: IntOpd,
+    /// `~`-negated: the test is inverted.
+    pub(crate) negated: bool,
+}
+
+/// An operand of an [`IntTest`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum IntOpd {
+    /// A column of the scanned row (a register the scan binds).
+    Row(usize),
+    /// A register bound before the scan: decoded once per scan entry.
+    Reg(Reg),
+    /// An integer constant, decoded at lowering.
+    Int(i64),
+}
+
+/// `op` with its operands swapped: `l op r` ⇔ `r mirrored(op) l`.
+pub(crate) fn mirrored(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        CmpOp::Eq | CmpOp::Ne => op,
+    }
 }
 
 /// Destination of a forward-mode arithmetic result (see [`Op::ArithF`]).
@@ -503,7 +568,7 @@ fn lower_scan(
         .collect();
 
     let mut cur = bound.clone();
-    let mut cols: Vec<(usize, ColAct)> = Vec::new();
+    let mut cols: Vec<(usize, ColAct)> = Vec::with_capacity(args.len());
     let mut matches: Vec<[Term; 2]> = Vec::new();
     for (c, t) in args.iter().enumerate() {
         let act = match t {
@@ -524,18 +589,22 @@ fn lower_scan(
         };
         cols.push((c, act));
     }
-    let probe_cols: Box<[(usize, ColAct)]> = cols
-        .iter()
-        .filter(|(c, _)| !index_cols.contains(c))
-        .cloned()
-        .collect();
+    let probe_cols: Box<[(usize, ColAct)]> = match index_cols {
+        [] => Box::default(),
+        _ => cols
+            .iter()
+            .filter(|(c, _)| !index_cols.contains(c))
+            .cloned()
+            .collect(),
+    };
     ops.push(Op::Scan {
         pred,
         index_cols: index_cols.into(),
         key,
         cols: cols.into_boxed_slice(),
         probe_cols,
-        then: 0, // set by `fuse_filters`
+        then: 0,    // set by `fuse_filters`
+        form: None, // likewise
     });
     for args in &matches {
         let eq = Builtin::Cmp(CmpOp::Eq);
@@ -663,17 +732,121 @@ fn is_filter(op: &Op) -> bool {
 /// is the first op after that run. The run stops at the first op that is
 /// not a filter — `Absent` and `Found` included, so an `_`-negation's ops
 /// stay inside their block — and at `exist_from`, where run mode enters the
-/// existential tail and counts its cut.
+/// existential tail and counts its cut. A scan whose probed columns all
+/// bind and whose run is empty or one integer test on one row value also
+/// gets its [`RowForm`].
 fn fuse_filters(ops: &mut [Op], exist_from: usize) {
     for i in 0..ops.len() {
         let mut j = i + 1;
         while j < ops.len() && j != exist_from && is_filter(&ops[j]) {
             j += 1;
         }
-        if let Op::Scan { then, .. } = &mut ops[i] {
+        let row_form = row_form(&ops[i], &ops[i + 1..j]);
+        if let Op::Scan { then, form, .. } = &mut ops[i] {
             *then = j;
+            *form = row_form;
         }
     }
+}
+
+/// The row form of `scan`, given the filters it owns, if it has one.
+fn row_form(scan: &Op, filters: &[Op]) -> Option<RowForm> {
+    let Op::Scan {
+        index_cols,
+        cols,
+        probe_cols,
+        ..
+    } = scan
+    else {
+        return None;
+    };
+    let matched = if index_cols.is_empty() {
+        cols
+    } else {
+        probe_cols
+    };
+    let bind = |(c, act): &(usize, ColAct)| match act {
+        ColAct::Bind(r) => Some((*c, *r)),
+        _ => None,
+    };
+    if filters.len() > 1 || !matched.iter().all(|col| bind(col).is_some()) {
+        return None;
+    }
+    // An exact-size slice: lowering runs in every cold operation, and a
+    // grown `Vec` would cost a second allocation to shrink.
+    let mut binds = Vec::with_capacity(matched.len());
+    binds.extend(matched.iter().filter_map(bind));
+    let test = match filters {
+        [f] => Some(int_test(f, &binds)?),
+        _ => None,
+    };
+    Some(RowForm {
+        binds: binds.into(),
+        test,
+    })
+}
+
+/// `filter` as an integer test, when each of its operands is a register
+/// or an integer constant, at most one side is one level of arithmetic,
+/// and exactly one operand is a register in `binds`, named by its row
+/// column.
+fn int_test(filter: &Op, binds: &[(usize, Reg)]) -> Option<IntTest> {
+    let opd = |e: &Expr| match e {
+        Expr::Reg(r) => Some(
+            binds
+                .iter()
+                .find(|(_, b)| b == r)
+                .map_or(IntOpd::Reg(*r), |&(c, _)| IntOpd::Row(c)),
+        ),
+        Expr::Const(v) => intern::int_of(*v).map(IntOpd::Int),
+        _ => None,
+    };
+    let side = |e: &Expr| match e {
+        Expr::Arith(op, l, r) => Some((opd(l)?, Some((*op, opd(r)?)))),
+        e => Some((opd(e)?, None)),
+    };
+    let test = match filter {
+        Op::Cmp {
+            op,
+            lhs,
+            rhs,
+            negated,
+        } => {
+            let (l, r) = (side(lhs)?, side(rhs)?);
+            let (a, arith, cmp, c) = match (l, r) {
+                ((a, arith), (c, None)) => (a, arith, *op, c),
+                ((c, None), (a, arith)) => (a, arith, mirrored(*op), c),
+                _ => return None,
+            };
+            IntTest {
+                a,
+                arith,
+                cmp,
+                c,
+                negated: *negated,
+            }
+        }
+        Op::ArithF {
+            op,
+            x,
+            y,
+            dst: ArithDst::Check(z),
+            negated,
+        } => IntTest {
+            a: opd(x)?,
+            arith: Some((*op, opd(y)?)),
+            cmp: CmpOp::Eq,
+            c: opd(z)?,
+            negated: *negated,
+        },
+        _ => return None,
+    };
+    let rows = [Some(test.a), test.arith.map(|(_, b)| b), Some(test.c)]
+        .into_iter()
+        .flatten()
+        .filter(|o| matches!(o, IntOpd::Row(_)))
+        .count();
+    (rows == 1).then_some(test)
 }
 
 /// Render the op sequence for `explain`/`:plan`, one line per op plus a
@@ -831,6 +1004,96 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// A scan's form as `(binds, test)`.
+    type FormParts = (Vec<(usize, Reg)>, Option<IntTest>);
+
+    /// `(op, form)` for each scan of the rule's lowered program.
+    fn forms(rule: &str) -> Vec<(usize, Option<FormParts>)> {
+        let plan = RulePlan::compile(&parse_rule(rule).unwrap(), None).unwrap();
+        lower(&plan)
+            .ops
+            .iter()
+            .enumerate()
+            .filter_map(|(i, op)| match op {
+                Op::Scan { form, .. } => {
+                    Some((i, form.as_ref().map(|f| (f.binds.to_vec(), f.test))))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A scan gets a row form exactly when its probed columns all bind and
+    /// it owns no filter, or one integer test on one row value over
+    /// registers and constants.
+    #[test]
+    fn a_scan_gets_a_row_form_when_its_columns_bind_and_its_test_is_integer() {
+        let test = |a, arith, cmp, c| IntTest {
+            a,
+            arith,
+            cmp,
+            c,
+            negated: false,
+        };
+        use IntOpd::{Int, Reg as R, Row};
+        // The outer scan binds both columns and tests nothing; the probe
+        // binds `Y` (column 1) and tests it against `X`, bound before it.
+        let far = test(Row(1), Some((ArithOp::Sub, R(0))), CmpOp::Gt, Int(1000));
+        assert_eq!(
+            forms("far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > 1000."),
+            [
+                (0, Some((vec![(0, 0), (1, 1)], None))),
+                (1, Some((vec![(1, 2)], Some(far)))),
+            ]
+        );
+        // The comparison is stored mirrored, with its arithmetic on the
+        // left: `(X + 1) < Y`, the row value on the right.
+        let mirrored = test(R(0), Some((ArithOp::Add, Int(1))), CmpOp::Lt, Row(0));
+        assert_eq!(
+            forms("d(Y) <- b(X), c(Y), Y > X + 1."),
+            [
+                (0, Some((vec![(0, 0)], None))),
+                (1, Some((vec![(0, 1)], Some(mirrored)))),
+            ]
+        );
+        // A negated arithmetic check, `(X + 2) = Y` inverted.
+        let check = IntTest {
+            negated: true,
+            ..test(R(0), Some((ArithOp::Add, Int(2))), CmpOp::Eq, Row(1))
+        };
+        assert_eq!(
+            forms("e(X, Y) <- a(X), b(X, Y), ~+(X, 2, Y)."),
+            [
+                (0, Some((vec![(0, 0)], None))),
+                (1, Some((vec![(1, 1)], Some(check)))),
+            ]
+        );
+        // The constant column is the probe's key: the probed path binds
+        // `X` alone, and the full scan, which checks the constant, keeps
+        // the general loop.
+        let gt = test(Row(0), None, CmpOp::Gt, Int(1));
+        assert_eq!(
+            forms("k(X) <- c(X, 3), X > 1."),
+            [(0, Some((vec![(0, 0)], Some(gt))))]
+        );
+        // A test that reads two row values, and two tests: no form.
+        assert_eq!(forms("l(X) <- c(X, Y), X < Y."), [(0, None)]);
+        assert_eq!(
+            forms("d(X, Y) <- c(X, Y), X > 10, +(X, 1, Y)."),
+            [(0, None)]
+        );
+        // A ground negation: no form.
+        assert_eq!(forms("q(X, Y) <- r(X, Y), ~p(Y)."), [(0, None)]);
+        // A string constant: no form.
+        assert_eq!(forms("n(X) <- name(X), X > \"bob\"."), [(0, None)]);
+        // The block's probe binds its pattern column, but the match step
+        // `r = Y + _` can never evaluate: no form there.
+        assert_eq!(
+            forms("t(X) <- c(X, Y), ~e(X, _, Y + _)."),
+            [(0, Some((vec![(0, 0), (1, 1)], None))), (2, None)]
+        );
     }
 
     #[test]

@@ -102,6 +102,42 @@ mod tests {
         assert_eq!(format!("{s:?}"), "Symbol(\"tc\")");
     }
 
+    /// Four threads intern the same fresh names, each in its own order and
+    /// each twice, racing on the names' lock, and every thread gets one
+    /// symbol per name.
+    #[test]
+    fn threads_interning_the_same_fresh_names_agree() {
+        let names: Vec<String> = (0..300).map(|i| format!("fresh_race_{i}")).collect();
+        let per_thread: Vec<Vec<Symbol>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let names = &names;
+                    scope.spawn(move || {
+                        let n = names.len();
+                        let order = (0..n).map(move |i| (i * 7 + t * 75) % n);
+                        let mut got = vec![None; n];
+                        for i in order.clone().chain(order) {
+                            let sym = Symbol::intern(&names[i]);
+                            assert!(got[i].is_none_or(|s| s == sym), "{} moved", names[i]);
+                            got[i] = Some(sym);
+                        }
+                        got.into_iter().map(Option::unwrap).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for syms in &per_thread[1..] {
+            assert_eq!(syms, &per_thread[0]);
+        }
+        let distinct: std::collections::HashSet<Symbol> = per_thread[0].iter().copied().collect();
+        assert_eq!(distinct.len(), names.len());
+        for (sym, name) in per_thread[0].iter().zip(&names) {
+            assert_eq!(sym.as_str(), name);
+            assert_eq!(Symbol::intern(name), *sym);
+        }
+    }
+
     #[test]
     fn symbols_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

@@ -24,17 +24,30 @@
 //!   restart costs beyond reading its bytes, and
 //!   prints where the open's time went (`RecoveryInfo::times`, the median
 //!   of each part).
+//! * `far` — a `tc_chain` op: `System::new → load → query("far(X, Y)")`
+//!   on §1's ancestor program over a chain of `--size` edges (default
+//!   160) with stride 10, plus `far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X >
+//!   far_min` with `far_min` = 25·size/4 (1 000 at 160 edges, as
+//!   `tc_chain`; 250 at 40, as its smoke size); against the far pass alone,
+//!   by hand, over the `anc` relation of the same model: each row's probe
+//!   of `anc`'s `[0]` index, `get` and `int_of` on each posting, a push of
+//!   each pair that passes, then `insert_slice` of the pushed pairs into a
+//!   fresh relation. It times what the engine's op costs beyond the far
+//!   join itself, and prints the median split of the hand pass into its
+//!   join and its merge (the `insert_slice`s, which dedup) and the merge's
+//!   share of the engine's op.
 //!
 //! Run with: `cargo run --release --example floor -- --shape
-//! atoms|point|open [--size N] [--rounds N]`. It prints the median of each
-//! side (ms per query for `atoms` and per op for `open`, µs per query for
-//! `point`) and the engine ÷ floor ratio.
+//! atoms|point|open|far [--size N] [--rounds N]`. It prints the median of
+//! each side (ms per query for `atoms` and per op for `open` and `far`, µs
+//! per query for `point`) and the engine ÷ floor ratio.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ldl1::value::intern;
+use ldl1::storage::Relation;
+use ldl1::value::{intern, ValueId};
 use ldl1::wal::{SNAPSHOT_FILE, WAL_FILE};
 use ldl1::{Database, EvalOptions, OpenTimes, Reader, StoreOptions, SyncPolicy, System, Value};
 use ldl_testkit::Rng;
@@ -262,6 +275,67 @@ fn floor_open(dir: &Path, next: &HashMap<i64, Vec<i64>>) -> (Vec<i64>, f64) {
     )
 }
 
+/// The `far` shape's program and facts: a chain `0 → 10 → 20 → …` of
+/// `edges` edges, and its `far_min`.
+fn far_source(edges: i64) -> (String, i64) {
+    let far_min = edges * 25 / 4;
+    let mut src = format!("{ANCESTOR}\nfar(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > {far_min}.\n");
+    for i in 0..edges {
+        src.push_str(&format!("par({}, {}).\n", i * 10, (i + 1) * 10));
+    }
+    (src, far_min)
+}
+
+/// One cold op: a fresh `System`, the load, and `far(X, Y)`; the sorted
+/// pairs and the ms the op took.
+fn engine_far(src: &str) -> (Vec<(i64, i64)>, f64) {
+    let start = Instant::now();
+    let mut sys = System::new();
+    sys.load(src).expect("the program loads");
+    let answers = sys.query("far(X, Y)").expect("the query answers");
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    let int = |v: &Value| match v {
+        Value::Int(n) => *n,
+        other => panic!("not an integer: {other}"),
+    };
+    let mut pairs: Vec<(i64, i64)> = answers
+        .iter()
+        .map(|a| (int(&a.bindings[0].1), int(&a.bindings[1].1)))
+        .collect();
+    pairs.sort_unstable();
+    (pairs, ms)
+}
+
+/// The far pass by hand over `anc` (which has its `[0]` index): the
+/// sorted pairs, and the ms of its join and of its merge.
+fn floor_far(anc: &Relation, far_min: i64) -> (Vec<(i64, i64)>, f64, f64) {
+    let start = Instant::now();
+    let by_first = anc.index(&[0]).expect("anc is indexed on [0]");
+    let mut found: Vec<[ValueId; 2]> = Vec::new();
+    for pos in 0..anc.len() as u32 {
+        let row = anc.get(pos);
+        let (x, z) = (row[0], row[1]);
+        let xi = intern::int_of(x).expect("an integer node");
+        for &p in by_first.probe(&[z]) {
+            let y = anc.get(p)[1];
+            if intern::int_of(y).expect("an integer node") - xi > far_min {
+                found.push([x, y]);
+            }
+        }
+    }
+    let joined = Instant::now();
+    let mut far = Relation::new(2);
+    for pair in &found {
+        far.insert_slice(pair);
+    }
+    let done = Instant::now();
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let int = |id| intern::int_of(id).expect("an integer node");
+    let mut pairs: Vec<(i64, i64)> = far.iter().map(|r| (int(r[0]), int(r[1]))).collect();
+    pairs.sort_unstable();
+    (pairs, ms(joined - start), ms(done - joined))
+}
+
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
@@ -385,12 +459,41 @@ fn main() {
                 part(|t| t.replay),
             );
         }
+        Some("far") => {
+            let edges = size.unwrap_or(160) as i64;
+            let (src, far_min) = far_source(edges);
+            let mut sys = System::new();
+            sys.load(&src).expect("the program loads");
+            let model = sys.model().expect("the model evaluates");
+            let anc = model.relation("anc".into()).expect("the model has anc");
+            let (mut joins, mut merges) = (Vec::new(), Vec::new());
+            let (e, f) = interleave(
+                rounds,
+                || engine_far(&src),
+                || {
+                    let (pairs, join, merge) = floor_far(anc, far_min);
+                    joins.push(join);
+                    merges.push(merge);
+                    (pairs, join + merge)
+                },
+            );
+            let merge = median(merges);
+            println!(
+                "shape far: {edges} edges, far_min {far_min}, {rounds} rounds: \
+                 engine {e:.3} ms, floor {f:.3} ms per op, engine/floor {:.2}\n  \
+                 floor (medians, ms): join {:.3}, merge {merge:.3} \
+                 ({:.1} % of the engine's op)",
+                e / f,
+                median(joins),
+                merge / e * 100.0,
+            );
+        }
         Some(other) => usage(&format!("unknown shape {other}")),
         None => usage("--shape is required"),
     }
 }
 
 fn usage(msg: &str) -> ! {
-    eprintln!("floor: {msg}\nusage: floor --shape atoms|point|open [--size N] [--rounds N]");
+    eprintln!("floor: {msg}\nusage: floor --shape atoms|point|open|far [--size N] [--rounds N]");
     std::process::exit(2);
 }

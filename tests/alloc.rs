@@ -1,16 +1,25 @@
-//! Pins what a snapshot read allocates. A read parses its query, finds
-//! the access path and builds its answers; it reads no evaluation option,
-//! so it builds none — `EvalOptions::default()` would allocate a
-//! `CancelToken` that nothing reads.
+//! Pins what a snapshot read and a cold far op allocate. A read parses its
+//! query, finds the access path and builds its answers; it reads no
+//! evaluation option, so it builds none — `EvalOptions::default()` would
+//! allocate a `CancelToken` that nothing reads. A far pass resolves its
+//! scan's integer test into locals at each scan entry, on the stack.
 //!
 //! The counting allocator must be the process-global one, hence a test
-//! binary of its own; it counts only the measuring thread's calls.
+//! binary of its own; it counts only the measuring thread's calls, and its
+//! measurements must not overlap, so each test holds `MEASURING` while it
+//! measures.
+
+use std::sync::Mutex;
 
 use ldl1::{System, Value};
 use ldl_testkit::CountingAlloc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Held by each test across its measurement (a test that failed while
+/// holding it leaves it poisoned, which the others ignore).
+static MEASURING: Mutex<()> = Mutex::new(());
 
 /// `anc(5, Y)` on a published snapshot of the ancestor program over ten
 /// chains of ten edges: 19 allocations (20 while each read built an
@@ -33,10 +42,39 @@ fn a_snapshot_read_builds_no_options() {
     let snap = reader.latest();
     let q = "anc(5, Y)";
     assert_eq!(snap.query(q).unwrap().len(), 5);
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let (answers, allocs) = ALLOC.measure(|| snap.query(q).unwrap());
     assert_eq!(answers.len(), 5);
     assert!(
         allocs <= 19,
         "Snapshot::query({q:?}) allocated {allocs} times"
     );
+}
+
+/// `tc_chain`'s op at toy size — §1's ancestor program over a chain of 40
+/// edges with stride 10, then `far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X >
+/// 250` — on a fresh `System`: 1 455 allocations (1 463 before scans had
+/// row forms). The far probe's 820 entries allocate nothing, and lowering
+/// sizes each scan's column lists exactly. The op is run once first, so
+/// every value it interns is already in the interner.
+#[test]
+fn a_cold_far_op_allocates_nothing_per_scan_entry() {
+    let mut src = String::from(
+        "anc(X, Y) <- par(X, Y).\n\
+         anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+         far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > 250.\n",
+    );
+    for i in 0..40 {
+        src.push_str(&format!("par({}, {}).\n", i * 10, (i + 1) * 10));
+    }
+    let op = || {
+        let mut sys = System::new();
+        sys.load(&src).unwrap();
+        sys.query("far(X, Y)").unwrap().len()
+    };
+    assert_eq!(op(), 120);
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let (answers, allocs) = ALLOC.measure(op);
+    assert_eq!(answers, 120);
+    assert!(allocs <= 1455, "the cold far op allocated {allocs} times");
 }
