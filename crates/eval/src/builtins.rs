@@ -34,9 +34,13 @@ use crate::unify::{eval_term, is_ground_under, match_term};
 const MAX_ENUMERATED_SET: usize = 20;
 
 /// Can this built-in literal execute once the variables for which
-/// `bound(v)` holds are bound?
+/// `bound(v)` holds are bound? A mode must be supported, and every argument
+/// the mode does not evaluate is matched as a pattern against what the
+/// built-in computes (`match_term`), which binds a pattern's variables but
+/// evaluates its arithmetic: `7 mod Y = X` and `member(X + 1, S)` wait
+/// until `Y` and `X` are bound (`matchable`).
 pub fn can_schedule(bi: Builtin, args: &[Term], bound: &dyn Fn(&Term) -> bool) -> bool {
-    match bi {
+    let mode = match bi {
         Builtin::Member => bound(&args[1]),
         Builtin::Union => (bound(&args[0]) && bound(&args[1])) || bound(&args[2]),
         Builtin::Partition => bound(&args[0]) || (bound(&args[1]) && bound(&args[2])),
@@ -55,6 +59,19 @@ pub fn can_schedule(bi: Builtin, args: &[Term], bound: &dyn Fn(&Term) -> bool) -
                 _ => a && b,
             }
         }
+    };
+    mode && args.iter().all(|a| matchable(a, bound))
+}
+
+/// Can a ground value be matched against `t` now: is every arithmetic
+/// subterm of `t` ground? A bound argument always is.
+fn matchable(t: &Term, bound: &dyn Fn(&Term) -> bool) -> bool {
+    match t {
+        Term::Arith(..) => bound(t),
+        Term::Compound(_, args) | Term::SetEnum(args) => args.iter().all(|a| matchable(a, bound)),
+        Term::Scons(h, s) => matchable(h, bound) && matchable(s, bound),
+        Term::Group(g) => matchable(g, bound),
+        Term::Anon | Term::Var(_) | Term::Const(_) => true,
     }
 }
 
@@ -660,6 +677,33 @@ mod tests {
             &[Term::var("X"), Term::var("S")],
             &bound_s
         ));
+        // A built-in binds a pattern, never a variable inside arithmetic:
+        // with `S` bound, `S = 7 mod X`, `7 mod X = S`, `f(7 mod X) = S` and
+        // `member(7 mod X, S)` wait for `X`, while `f(X) = S`, `S =
+        // scons(X, T)` and `member(f(X), S)` can run.
+        let modulo = Term::Arith(
+            ArithOp::Mod,
+            Box::new(Term::int(7)),
+            Box::new(Term::var("X")),
+        );
+        let eq = |l: Term, r: Term| can_schedule(Builtin::Cmp(CmpOp::Eq), &[l, r], &bound_s);
+        assert!(!eq(Term::var("S"), modulo.clone()));
+        assert!(!eq(modulo.clone(), Term::var("S")));
+        assert!(!eq(
+            Term::Compound("f".into(), vec![modulo.clone()]),
+            Term::var("S")
+        ));
+        assert!(eq(
+            Term::Compound("f".into(), vec![Term::var("X")]),
+            Term::var("S")
+        ));
+        assert!(eq(
+            Term::var("S"),
+            Term::Scons(Box::new(Term::var("X")), Box::new(Term::var("T")))
+        ));
+        let member = |e: Term| can_schedule(Builtin::Member, &[e, Term::var("S")], &bound_s);
+        assert!(!member(modulo.clone()));
+        assert!(member(Term::Compound("f".into(), vec![Term::var("X")])));
     }
 
     #[test]

@@ -13,7 +13,12 @@
 //!   definition, not an optimisation: no pass of a round sees what another
 //!   pass of the same round derived, and every tuple's insertion position —
 //!   which the [`DeltaFrontier`] marks depend on — is a function of the
-//!   program and the data alone.
+//!   program and the data alone. A pass whose rule projects away a
+//!   variable bound beside its head's, in a schedule entry that does not
+//!   loop, is *marked* ([`RoundTask::new`]): it drops a head tuple it has
+//!   already emitted before the tuple reaches its buffer — `R(M)` is a set
+//!   — keeping the first occurrence, so the merge inserts the same tuples
+//!   at the same positions and probes the model only for what survives.
 //! * [`delta_loop`] is the only semi-naive driver: it runs rounds of
 //!   delta passes over a [`DeltaFrontier`] until no delta predicate has
 //!   grown. A pass is the delta-first variant of a rule, pinning the delta
@@ -31,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ldl_ast::program::Program;
-use ldl_storage::Database;
+use ldl_storage::{Database, WordSet};
 use ldl_stratify::{Component, Stratification};
 use ldl_value::fxhash::FastMap;
 use ldl_value::{intern, Symbol, ValueId};
@@ -199,15 +204,26 @@ pub(crate) fn run_entry(
     drive.set_context(layer, entry.preds.first().copied());
     ensure_head_relations(plans.program(), &entry.rules, db)?;
     let mut frontier = frontier_at(db, entry.preds.iter().copied());
-    full_round(plans, &entry.rules, db, drive)?;
-    delta_loop(plans, &entry.rules, db, &mut frontier, drive)
+    full_round(plans, &entry.rules, entry.recursive, db, drive)?;
+    delta_loop(
+        plans,
+        &entry.rules,
+        entry.recursive,
+        db,
+        &mut frontier,
+        drive,
+    )
 }
 
 /// One full round: every rule of `rule_ids` applied once, unrestricted, to
-/// the same snapshot. Returns the number of new facts.
+/// the same snapshot. `recursive` says whether the rules share a schedule
+/// entry that loops (a [`Component`]'s flag): only a pass of a
+/// non-recursive one is marked ([`RoundTask::new`]). Returns the number of
+/// new facts.
 pub fn full_round(
     plans: &PlanTable,
     rule_ids: &[usize],
+    recursive: bool,
     db: &mut Database,
     drive: &mut Drive<'_>,
 ) -> Result<usize, EvalError> {
@@ -215,7 +231,10 @@ pub fn full_round(
         .iter()
         .map(|&ri| plans.prepare(ri, db, drive.stats))
         .collect::<Result<Vec<_>, _>>()?;
-    let tasks: Vec<RoundTask<'_>> = plans.iter().map(|p| RoundTask::whole(p)).collect();
+    let tasks: Vec<RoundTask<'_>> = plans
+        .iter()
+        .map(|p| RoundTask::new(p, None, recursive))
+        .collect();
     run_round(&tasks, db, drive)
 }
 
@@ -249,10 +268,11 @@ pub fn frontier_at(db: &Database, preds: impl IntoIterator<Item = Symbol>) -> De
 /// lands first, in the next round. The loop ends when no frontier predicate
 /// has grown, leaving every mark at its relation's length — so a caller
 /// that keeps the frontier can add facts by other means and re-enter to
-/// join exactly those.
+/// join exactly those. `recursive` marks passes as [`full_round`]'s does.
 pub fn delta_loop(
     plans: &PlanTable,
     rule_ids: &[usize],
+    recursive: bool,
     db: &mut Database,
     frontier: &mut DeltaFrontier,
     drive: &mut Drive<'_>,
@@ -282,10 +302,7 @@ pub fn delta_loop(
         }
         let tasks: Vec<RoundTask<'_>> = passes
             .iter()
-            .map(|(plan, restrict)| RoundTask {
-                plan,
-                restrict: Some(*restrict),
-            })
+            .map(|(plan, restrict)| RoundTask::new(plan, Some(*restrict), recursive))
             .collect();
         run_round(&tasks, db, drive)?;
     }
@@ -293,29 +310,55 @@ pub fn delta_loop(
 
 /// One rule pass of a round: a compiled plan, optionally restricted to a
 /// tuple-position range of one scan step (in every pass the delta loop
-/// schedules, the delta range of the occurrence it joins).
+/// schedules, the delta range of the occurrence it joins), and whether the
+/// pass is *marked* to emit each head tuple once.
 pub struct RoundTask<'p> {
     /// The plan to run.
     pub plan: &'p RulePlan,
     /// The scan step confined to a position range, if any.
     pub restrict: Option<DeltaRestriction>,
+    /// Drop a head tuple this pass has already emitted before it reaches
+    /// the pass buffer (`derive_distinct`). Set by [`RoundTask::new`]
+    /// where the plan projects ([`RulePlan::projects`]) and its schedule
+    /// entry is not recursive: there the repeats are the pass's own, and
+    /// nothing but the merge's probe of the model would drop them.
+    pub distinct: bool,
 }
 
 impl<'p> RoundTask<'p> {
-    /// An unrestricted pass of `plan`.
+    /// An unrestricted, unmarked pass of `plan`.
     pub fn whole(plan: &'p RulePlan) -> RoundTask<'p> {
         RoundTask {
             plan,
             restrict: None,
+            distinct: false,
+        }
+    }
+
+    /// A pass of `plan` under `restrict` in a schedule entry that is, or is
+    /// not, `recursive`: marked when the entry is not recursive and the
+    /// plan projects. Both facts are fixed when the program loads, so the
+    /// mark reads two flags.
+    pub fn new(
+        plan: &'p RulePlan,
+        restrict: Option<DeltaRestriction>,
+        recursive: bool,
+    ) -> RoundTask<'p> {
+        RoundTask {
+            plan,
+            restrict,
+            distinct: !recursive && plan.projects,
         }
     }
 }
 
 /// Derived tuples of one rule pass, stored flat in body-solution order
-/// (`arity`-sized chunks of `data`). Duplicates are *included*: the dedup
-/// decision happens at merge time against the database, and rejecting a
-/// duplicate from a borrowed chunk allocates nothing — the pass itself
-/// performs no per-tuple allocation at all.
+/// (`arity`-sized chunks of `data`). An unmarked pass includes duplicates:
+/// the dedup decision happens at merge time against the database, and
+/// rejecting a duplicate from a borrowed chunk allocates nothing. A marked
+/// pass ([`RoundTask::distinct`]) holds each tuple once, at its first
+/// derivation, and the merge still probes the model for it. Neither kind of
+/// pass performs a per-tuple allocation.
 #[derive(Default)]
 pub(crate) struct DerivedBuf {
     arity: usize,
@@ -384,6 +427,61 @@ pub(crate) fn derive_once(
     buf
 }
 
+/// [`derive_once`] for a marked pass ([`RoundTask::distinct`]): a simple
+/// head of one or two arguments, each tuple kept at its first derivation
+/// and a repeat dropped before it reaches the buffer — §3.2's `R(M)` is a
+/// set, and a repeat inside one application adds nothing to it. The
+/// buffer keeps derivation order, so the merge inserts what it would have
+/// inserted, at the same positions, and still probes the model for each
+/// kept tuple (the head may already hold it: an EDB fact, or an earlier
+/// operation's model). A dropped repeat counts in `dedup_inserts`, as the
+/// merge would have counted it. A function of its own, not a branch in
+/// [`derive_once`]'s emit closure, so an unmarked pass runs the loop it
+/// always ran, and out of line, so [`run_round`] keeps its shape
+/// (EXPERIMENTS.md P52).
+#[inline(never)]
+fn derive_distinct(
+    plan: &RulePlan,
+    db: &Database,
+    restrict: Option<DeltaRestriction>,
+    stats: &mut EvalStats,
+) -> DerivedBuf {
+    let mut buf = DerivedBuf {
+        arity: plan.head.arity(),
+        ..DerivedBuf::default()
+    };
+    stats.lowerings += u64::from(plan.ram.get().is_none());
+    let prog = plan.lowered();
+    let HeadIr::Simple(head) = &prog.head else {
+        unreachable!("a marked pass has a simple head");
+    };
+    debug_assert!(
+        (1..=2).contains(&head.len()),
+        "a marked head packs into a word"
+    );
+    let mut regs = vec![ValueId::FILLER; prog.nregs];
+    let mut b = Bindings::new();
+    let (mut attempts, mut repeats) = (0u64, 0u64);
+    let mut emitted = WordSet::default();
+    let (probes, cuts) = run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
+        attempts += 1;
+        let start = buf.data.len();
+        if project_head(head, regs, &mut buf.data) {
+            if emitted.insert(WordSet::key(&buf.data[start..])) {
+                buf.count += 1;
+            } else {
+                buf.data.truncate(start);
+                repeats += 1;
+            }
+        }
+    });
+    stats.attempts += attempts;
+    stats.index_probes += probes;
+    stats.exist_cuts += cuts;
+    stats.dedup_inserts += repeats;
+    buf
+}
+
 /// The grouping arm of [`derive_once`]: one tuple per group, flattened into
 /// the pass buffer. Out of line on purpose — with these writes in
 /// `derive_once`'s own body the simple-head emit loop beside them compiled
@@ -444,7 +542,11 @@ pub fn run_round(
     stats.rules_fired += tasks.len() as u64;
     let mut derived: Vec<(Symbol, DerivedBuf)> = Vec::with_capacity(tasks.len());
     for t in tasks {
-        let buf = derive_once(t.plan, db, t.restrict, stats);
+        let buf = if t.distinct {
+            derive_distinct(t.plan, db, t.restrict, stats)
+        } else {
+            derive_once(t.plan, db, t.restrict, stats)
+        };
         derived.push((t.plan.head.pred, buf));
     }
 
@@ -551,6 +653,39 @@ mod tests {
         let delta_first = passes.len() - in_place.len();
         assert_eq!(stats.plan_cache_misses as usize, delta_first + 2, "{stats}");
         assert_eq!(stats.plan_cache_hits, 1, "{stats}");
+    }
+
+    /// The mark, rule by rule: the plan projects ([`RulePlan::projects`])
+    /// and the rule's schedule entry does not loop. `anc`'s recursive rule
+    /// projects `Z` and stays unmarked; so does `far2`, which reads its own
+    /// head. A `_` column projects, a variable bound only in the
+    /// existential tail does not, and a head of no or three arguments is
+    /// never marked.
+    #[test]
+    fn a_pass_is_marked_when_its_rule_projects_outside_a_loop() {
+        let src = "anc(X, Y) <- par(X, Y).\n\
+                   anc(X, Y) <- par(X, Z), anc(Z, Y).\n\
+                   far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X > 1000.\n\
+                   far2(X, Y) <- far2(X, Z), anc(Z, Y).\n\
+                   src(X) <- par(X, _).\n\
+                   busy(X) <- node(X), par(X, _).\n\
+                   sum(S) <- par(X, Y), S = X + Y.\n\
+                   keep(X, Y) <- par(X, Y), ~anc(Y, X).\n\
+                   tri(X, Y, X) <- par(X, Z), par(Y, Z).\n\
+                   some <- par(X, Z), node(Z).\n\
+                   kids(X, <Y>) <- par(X, Y).";
+        let compiled = crate::Compiled::new(parse_program(src).unwrap()).unwrap();
+        let mut marked: Vec<String> = Vec::new();
+        for (_, entry) in compiled.stratification().entries() {
+            for &ri in &entry.rules {
+                let plan = compiled.plans().full_plan(ri).unwrap();
+                if RoundTask::new(&plan, None, entry.recursive).distinct {
+                    marked.push(plan.head.pred.to_string());
+                }
+            }
+        }
+        marked.sort();
+        assert_eq!(marked, ["far", "src", "sum"]);
     }
 
     /// The ancestor rule and its §6 rewrite keep every pass delta-first: a

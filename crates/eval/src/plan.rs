@@ -124,6 +124,16 @@ pub struct RulePlan {
     /// means no tail — also where the steps after the head's last binding
     /// are checks only, which have no second witness to skip.
     pub exist_from: usize,
+    /// Does the head project away a variable (or a `_` column) that the
+    /// steps binding the head bind beside it ([`RulePlan::exist_from`]'s
+    /// prefix), so that one pass can emit the same head tuple once per
+    /// value of it? Only for a simple head of one or two arguments, whose
+    /// ids pack into one word: a pass of such a plan in a non-recursive
+    /// schedule entry drops a tuple it has already emitted before the merge
+    /// ([`crate::fixpoint::RoundTask`]). A variable bound in the
+    /// existential tail does not count — the tail stops at its first
+    /// witness.
+    pub projects: bool,
     /// The plan's lowered register program ([`crate::ram`]), built lazily on
     /// first execution and then shared across rounds — the `OnceLock` runs
     /// the lowering exactly once. Cloning a plan drops the cache
@@ -140,6 +150,7 @@ impl Clone for RulePlan {
             literals: self.literals.clone(),
             scan_steps: self.scan_steps.clone(),
             exist_from: self.exist_from,
+            projects: self.projects,
             ram: std::sync::OnceLock::new(),
         }
     }
@@ -147,7 +158,8 @@ impl Clone for RulePlan {
 
 impl RulePlan {
     /// Compile one rule: order its body into executable steps and compute
-    /// the plan's existential tail ([`RulePlan::exist_from`]).
+    /// the plan's existential tail ([`RulePlan::exist_from`]) and whether
+    /// its head projects ([`RulePlan::projects`]).
     ///
     /// The steps follow [`sip_order`] from no bound variable. `force_first`
     /// pins one body literal (an index into `rule.body`, which must be a
@@ -197,10 +209,19 @@ impl RulePlan {
             })
             .collect();
 
+        let packs = matches!(head_kind, HeadKind::Simple) && (1..=2).contains(&rule.head.arity());
+        let (exist_from, projects) = match head_prefix(&rule.head, &steps) {
+            Some(prefix) => (
+                compute_exist_from(&steps, &prefix),
+                packs && projects(&steps, &prefix),
+            ),
+            None => (steps.len(), false),
+        };
         Ok(RulePlan {
             head: rule.head.clone(),
             head_kind,
-            exist_from: compute_exist_from(&rule.head, &steps),
+            exist_from,
+            projects,
             steps,
             literals,
             scan_steps,
@@ -387,52 +408,89 @@ fn emit_step(lit: &Literal, bound: &FastSet<Var>) -> Step {
 }
 
 /// The first step index after which every head (and grouping) variable is
-/// bound — the start of the plan's existential tail. `steps.len()` when the
-/// head needs the very last step's bindings (or is never covered, which
-/// well-formedness rules out but an unchecked program may exhibit — the
-/// tail is then simply disabled).
+/// bound — the start of the plan's existential tail: the end of the head's
+/// [`HeadPrefix`]. `steps.len()` when the head needs the very last step's
+/// bindings (or is never covered, which well-formedness rules out but an
+/// unchecked program may exhibit — the tail is then simply disabled).
 ///
 /// `steps.len()` too when the tail is only checks: no relation scan and no
 /// built-in with an argument not yet ground. Such a tail yields at most one
 /// solution per prefix, so stopping at the first cuts nothing, and entering
 /// the tail costs a re-entry of the executor per prefix.
-fn compute_exist_from(head: &Atom, steps: &[Step]) -> usize {
-    let needed = head.vars();
-    let mut bound: FastSet<Var> = FastSet::default();
-    let mut from = 0; // a ground head: the whole body is one existence test
-    while !needed.iter().all(|v| bound.contains(v)) {
-        let Some(s) = steps.get(from) else {
-            return steps.len();
-        };
-        if let Step::Scan { args, .. }
-        | Step::BuiltinStep {
-            args,
-            negated: false,
-            ..
-        } = s
-        {
-            let mut vs = Vec::new();
-            for t in args {
-                t.vars(&mut vs);
-            }
-            bound.extend(vs);
-        }
-        from += 1;
-    }
+fn compute_exist_from(steps: &[Step], prefix: &HeadPrefix) -> usize {
     let generates = |s: &Step| match s {
         Step::Scan { .. } => true,
         Step::BuiltinStep {
             args,
             negated: false,
             ..
-        } => !args.iter().all(|t| term_bound(t, &bound)),
+        } => !args.iter().all(|t| term_bound(t, &prefix.bound)),
         Step::BuiltinStep { .. } | Step::NegScan { .. } => false,
     };
-    if steps[from..].iter().any(generates) {
-        from
+    if steps[prefix.len..].iter().any(generates) {
+        prefix.len
     } else {
         steps.len()
     }
+}
+
+/// The leading steps of a plan that bind every head variable.
+struct HeadPrefix {
+    /// How many steps: 0 for a ground head.
+    len: usize,
+    /// The variables they bind.
+    bound: FastSet<Var>,
+    /// The head's variables.
+    head: Vec<Var>,
+}
+
+/// The head's [`HeadPrefix`] in `steps`; `None` when the steps never bind
+/// every head variable.
+fn head_prefix(head: &Atom, steps: &[Step]) -> Option<HeadPrefix> {
+    let needed = head.vars();
+    let mut bound: FastSet<Var> = FastSet::default();
+    let mut vs = Vec::new();
+    let mut len = 0;
+    while !needed.iter().all(|v| bound.contains(v)) {
+        if let Some(args) = binding_args(steps.get(len)?) {
+            for t in args {
+                t.vars(&mut vs);
+            }
+            bound.extend(vs.drain(..));
+        }
+        len += 1;
+    }
+    Some(HeadPrefix {
+        len,
+        bound,
+        head: needed,
+    })
+}
+
+/// The arguments of a step that binds variables: a positive scan or a
+/// positive built-in.
+fn binding_args(s: &Step) -> Option<&[Term]> {
+    match s {
+        Step::Scan { args, .. }
+        | Step::BuiltinStep {
+            args,
+            negated: false,
+            ..
+        } => Some(args),
+        Step::BuiltinStep { .. } | Step::NegScan { .. } => None,
+    }
+}
+
+/// Does the head's prefix bind a variable the head does not carry, or read
+/// a `_` column? Then each head tuple can come once per value of what it
+/// drops. A prefix that binds only head variables yields each head tuple
+/// once, and a ground head has no prefix: its body is one existence test.
+fn projects(steps: &[Step], prefix: &HeadPrefix) -> bool {
+    prefix.bound.iter().any(|v| !prefix.head.contains(v))
+        || steps[..prefix.len]
+            .iter()
+            .filter_map(binding_args)
+            .any(|args| args.iter().any(has_anon))
 }
 
 pub(crate) fn has_anon(t: &Term) -> bool {

@@ -208,7 +208,14 @@ fn sweep(
             // pass: a grown predicate in its body would have replayed.
             let mut frontier = pre.clone();
             frontier.extend(&inserted);
-            delta_loop(plans, &entry.rules, db, &mut frontier, drive)?;
+            delta_loop(
+                plans,
+                &entry.rules,
+                entry.recursive,
+                db,
+                &mut frontier,
+                drive,
+            )?;
             drive.stats.strata_delta += 1;
             // New facts of this entry join the frontier for the entries
             // above (a head already in `inserted` keeps its lower mark).
@@ -455,7 +462,8 @@ impl DredPlans {
 }
 
 /// Run the synthesised program `plans` plans to its semi-naive fixpoint
-/// from `frontier` — the shape of both DRed phases.
+/// from `frontier` — the shape of both DRed phases. Its passes are
+/// unmarked: the rules read their own `del$` heads.
 fn scratch_fixpoint(
     plans: &PlanTable,
     mut frontier: DeltaFrontier,
@@ -463,7 +471,7 @@ fn scratch_fixpoint(
     drive: &mut Drive<'_>,
 ) -> Result<(), EvalError> {
     let all: Vec<usize> = (0..plans.program().len()).collect();
-    delta_loop(plans, &all, db, &mut frontier, drive)
+    delta_loop(plans, &all, true, db, &mut frontier, drive)
 }
 
 /// DRed for the entry at position `at` of the schedule: overdelete

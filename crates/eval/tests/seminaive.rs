@@ -19,6 +19,7 @@ fn derive_restricted(rule: &str, db: &mut Database, restrict: DeltaRestriction) 
     let pass = RoundTask {
         plan: &plan,
         restrict: Some(restrict),
+        distinct: false,
     };
     let new = run_round(&[pass], db, &mut Drive::new(&opts, &mut stats)).unwrap();
     let head = db.relation(plan.head.pred).unwrap();

@@ -29,7 +29,10 @@
 //! every rule head is a delta predicate, so a base fixpoint re-entered
 //! after guarded rules ran joins exactly the tuples they added instead of
 //! re-deriving the model — with each guarded rule applied as a one-pass
-//! round ([`full_round`]). Plans come from a [`PlanTable`] like every other
+//! round ([`full_round`]). The base rules run as one recursive entry; a
+//! guarded rule's round is recursive only where its body reads its own
+//! head, so a projecting guarded rule's pass emits each head tuple once
+//! (`RoundTask::new`). Plans come from a [`PlanTable`] like every other
 //! caller's — one per [`MagicForm`], so a form's plans are built by its
 //! first query and kept for the next: the rewriting already put every
 //! body in sip order, which the
@@ -156,6 +159,10 @@ struct Guarded {
     /// built-ins excluded: the rule is applied again only once one of
     /// them has grown.
     reads: Vec<Symbol>,
+    /// Does its body read its own head? Then its one-pass round is
+    /// recursive, and its pass is never marked to emit each head tuple once
+    /// ([`ldl_eval::fixpoint::RoundTask::new`]).
+    recursive: bool,
 }
 
 impl MagicForm {
@@ -202,6 +209,7 @@ impl MagicForm {
                 guarded.push(Guarded {
                     stratum,
                     rule: ri,
+                    recursive: reads.contains(&rule.head.pred),
                     reads,
                 });
             } else {
@@ -309,7 +317,7 @@ impl MagicForm {
                         continue;
                     }
                     *last = Some(lens);
-                    if full_round(plans, &[g.rule], db, drive)? > 0 {
+                    if full_round(plans, &[g.rule], g.recursive, db, drive)? > 0 {
                         return Ok(true);
                     }
                 }
@@ -332,12 +340,12 @@ impl MagicForm {
         // processed. The magic schedule is not layered; abort diagnostics
         // report the stage and the query predicate.
         drive.set_context(0, Some(self.query_pred));
-        full_round(plans, base, &mut db, &mut drive)?;
+        full_round(plans, base, true, &mut db, &mut drive)?;
         let max_stratum = guarded.last().map_or(0, |g| g.stratum);
         for s in 0..=max_stratum {
             drive.set_context(s, Some(self.query_pred));
             loop {
-                delta_loop(plans, base, &mut db, &mut frontier, &mut drive)?;
+                delta_loop(plans, base, true, &mut db, &mut frontier, &mut drive)?;
                 if !run_guarded(s, &mut db, &mut drive)? {
                     break;
                 }

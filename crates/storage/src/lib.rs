@@ -12,10 +12,14 @@
 //!   range), and the arena makes scans linear memory walks with no
 //!   per-tuple allocation;
 //! * [`Database`]: a name → relation map holding the EDB and, during
-//!   evaluation, the growing IDB.
+//!   evaluation, the growing IDB;
+//! * [`WordSet`]: a set of tuples of one or two ids packed into a word,
+//!   with which one rule pass drops a tuple it has already emitted.
 
 pub mod database;
 pub mod relation;
+pub mod word_set;
 
 pub use database::{intern_ids, resolve_fact, Database, IdRows};
 pub use relation::{IndexRef, Relation};
+pub use word_set::WordSet;

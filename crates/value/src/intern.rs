@@ -53,6 +53,13 @@ impl ValueId {
     /// Slots holding the filler must never be read as values.
     pub const FILLER: ValueId = ValueId(0);
 
+    /// The id's 32 bits — equal bits, equal ids — for packing ids into a
+    /// wider key. Like the id's numeric order, the bits mean nothing else.
+    #[inline]
+    pub fn bits(self) -> u32 {
+        self.0
+    }
+
     #[inline]
     fn is_immediate(self) -> bool {
         self.0 & IMMEDIATE != 0

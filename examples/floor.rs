@@ -30,12 +30,14 @@
 //!   far_min` with `far_min` = 25·size/4 (1 000 at 160 edges, as
 //!   `tc_chain`; 250 at 40, as its smoke size); against the far pass alone,
 //!   by hand, over the `anc` relation of the same model: each row's probe
-//!   of `anc`'s `[0]` index, `get` and `int_of` on each posting, a push of
-//!   each pair that passes, then `insert_slice` of the pushed pairs into a
-//!   fresh relation. It times what the engine's op costs beyond the far
-//!   join itself, and prints the median split of the hand pass into its
-//!   join and its merge (the `insert_slice`s, which dedup) and the merge's
-//!   share of the engine's op.
+//!   of `anc`'s `[0]` index, `get` and `int_of` on each posting, and for
+//!   each pair that passes a `WordSet` insert of its packed ids — the
+//!   engine's marked pass drops a repeat the same way — and a push of the
+//!   pairs it keeps; then `insert_slice` of the kept pairs into a fresh
+//!   relation. It times what the engine's op costs beyond the far join
+//!   itself, and prints the median split of the hand pass into its join
+//!   and its merge, the merge's share of the engine's op, and the share of
+//!   the join's pairs dropped in the pass as repeats.
 //!
 //! Run with: `cargo run --release --example floor -- --shape
 //! atoms|point|open|far [--size N] [--rounds N]`. It prints the median of
@@ -46,7 +48,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ldl1::storage::Relation;
+use ldl1::storage::{Relation, WordSet};
 use ldl1::value::{intern, ValueId};
 use ldl1::wal::{SNAPSHOT_FILE, WAL_FILE};
 use ldl1::{Database, EvalOptions, OpenTimes, Reader, StoreOptions, SyncPolicy, System, Value};
@@ -306,12 +308,20 @@ fn engine_far(src: &str) -> (Vec<(i64, i64)>, f64) {
     (pairs, ms)
 }
 
-/// The far pass by hand over `anc` (which has its `[0]` index): the
-/// sorted pairs, and the ms of its join and of its merge.
-fn floor_far(anc: &Relation, far_min: i64) -> (Vec<(i64, i64)>, f64, f64) {
+/// What one hand far pass returns: the sorted pairs, the ms of its join
+/// and of its merge, and how many pairs the join emitted and how many of
+/// them it dropped as repeats.
+type FarPass = (Vec<(i64, i64)>, f64, f64, usize, usize);
+
+/// The far pass by hand over `anc` (which has its `[0]` index), dropping
+/// a pair it already found before the merge as the engine's marked pass
+/// does.
+fn floor_far(anc: &Relation, far_min: i64) -> FarPass {
     let start = Instant::now();
     let by_first = anc.index(&[0]).expect("anc is indexed on [0]");
     let mut found: Vec<[ValueId; 2]> = Vec::new();
+    let mut kept = WordSet::default();
+    let mut emitted = 0;
     for pos in 0..anc.len() as u32 {
         let row = anc.get(pos);
         let (x, z) = (row[0], row[1]);
@@ -319,7 +329,10 @@ fn floor_far(anc: &Relation, far_min: i64) -> (Vec<(i64, i64)>, f64, f64) {
         for &p in by_first.probe(&[z]) {
             let y = anc.get(p)[1];
             if intern::int_of(y).expect("an integer node") - xi > far_min {
-                found.push([x, y]);
+                emitted += 1;
+                if kept.insert(WordSet::key(&[x, y])) {
+                    found.push([x, y]);
+                }
             }
         }
     }
@@ -333,7 +346,14 @@ fn floor_far(anc: &Relation, far_min: i64) -> (Vec<(i64, i64)>, f64, f64) {
     let int = |id| intern::int_of(id).expect("an integer node");
     let mut pairs: Vec<(i64, i64)> = far.iter().map(|r| (int(r[0]), int(r[1]))).collect();
     pairs.sort_unstable();
-    (pairs, ms(joined - start), ms(done - joined))
+    let dropped = emitted - found.len();
+    (
+        pairs,
+        ms(joined - start),
+        ms(done - joined),
+        emitted,
+        dropped,
+    )
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -466,26 +486,30 @@ fn main() {
             sys.load(&src).expect("the program loads");
             let model = sys.model().expect("the model evaluates");
             let anc = model.relation("anc".into()).expect("the model has anc");
-            let (mut joins, mut merges) = (Vec::new(), Vec::new());
+            let (mut joins, mut merges, mut repeats) = (Vec::new(), Vec::new(), (0, 0));
             let (e, f) = interleave(
                 rounds,
                 || engine_far(&src),
                 || {
-                    let (pairs, join, merge) = floor_far(anc, far_min);
+                    let (pairs, join, merge, emitted, dropped) = floor_far(anc, far_min);
                     joins.push(join);
                     merges.push(merge);
+                    repeats = (emitted, dropped);
                     (pairs, join + merge)
                 },
             );
             let merge = median(merges);
+            let (emitted, dropped) = repeats;
             println!(
                 "shape far: {edges} edges, far_min {far_min}, {rounds} rounds: \
                  engine {e:.3} ms, floor {f:.3} ms per op, engine/floor {:.2}\n  \
                  floor (medians, ms): join {:.3}, merge {merge:.3} \
-                 ({:.1} % of the engine's op)",
+                 ({:.1} % of the engine's op); \
+                 {dropped} of {emitted} pairs dropped in the pass ({:.1} %)",
                 e / f,
                 median(joins),
                 merge / e * 100.0,
+                dropped as f64 / emitted.max(1) as f64 * 100.0,
             );
         }
         Some(other) => usage(&format!("unknown shape {other}")),

@@ -413,3 +413,31 @@ fn a_row_form_in_the_existential_tail_and_in_an_absent_block() {
     // `Y > 2` keeps X = 2, 3, 4; each probes `b[0]`, and X = 3 is found.
     assert_eq!(counts(&s), (2, 3, 0), "{s}");
 }
+
+/// A built-in binds a pattern, never a variable inside arithmetic, so `7
+/// mod Y = X` waits for `b`'s probe to bind `Y` and then runs as a filter
+/// in its loop: 7 mod 2 = 1, 7 mod 3 = 1 and 7 mod 4 = 3. Scheduled once
+/// `X` alone was bound, it ran ahead of the probe and failed on every row;
+/// so did `member(X + 1, S)` ahead of the scan that binds `X`.
+#[test]
+fn a_built_in_over_arithmetic_waits_for_its_variables() {
+    let src = "a(1). a(3). b(1, 2). b(1, 3). b(3, 4).\n\
+               md(X, Y) <- a(X), b(X, Y), 7 mod Y = X.";
+    let mut sys = System::new();
+    sys.load(src).unwrap();
+    let plan = sys.explain(Some("md"));
+    let (probe, test) = (plan.find("probe b"), plan.find("filter"));
+    assert!(
+        probe.is_some() && test.is_some() && probe < test,
+        "the test must follow b's probe:\n{plan}"
+    );
+    let (facts, s) = model_of(&mut sys, "md");
+    assert_eq!(facts, ["md(1, 2)", "md(1, 3)", "md(3, 4)"]);
+    // One probe of `b[0]` per `a` row; each passing row is an attempt.
+    assert_eq!(counts(&s), (3, 2, 0), "{s}");
+
+    let src = "s({1, 2, 4}). a(1). a(2). a(3).\n\
+               r(X) <- s(S), member(X + 1, S), a(X).";
+    let (facts, _) = run(src, "r");
+    assert_eq!(facts, ["r(1)", "r(3)"]);
+}
