@@ -268,7 +268,10 @@ mod tests {
             .iter()
             .map(|r| RulePlan::compile(&parse_rule(r).unwrap(), None).unwrap())
             .collect();
-        let tasks: Vec<RoundTask<'_>> = plans.iter().map(RoundTask::whole).collect();
+        let tasks: Vec<RoundTask<'_>> = plans
+            .iter()
+            .map(|p| RoundTask::new(p, None, true))
+            .collect();
         let mut db = Database::new();
         for i in 0..6 {
             db.insert_tuple("e", vec![Value::int(i), Value::int(i + 1)]);

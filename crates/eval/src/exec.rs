@@ -6,9 +6,13 @@
 //! its relation, its hash index, its delta range — is resolved once into a
 //! `ROp` table, so the per-tuple path never re-hashes a predicate name or an
 //! index descriptor. One function, `exec_op`, interprets every op; it is
-//! instantiated per mode — run mode, which hands each solution to the
-//! caller, and the existential tail, which stops at the first; an
-//! `_`-existential negation runs its ops in the tail's mode too. A scan
+//! instantiated once per mode — run mode, which sends each solution to the
+//! pass's `Out`, and the existential tail, which stops at the first; an
+//! `_`-existential negation runs its ops in the tail's mode too. The `Out`
+//! is one concrete type whatever the head: a `Sink` chosen per pass
+//! projects the head (`Project`), projects it and drops a repeat
+//! (`Distinct`, a marked pass), or partitions the solutions (`Group`,
+//! §2.2), and the `Out` holds the pass buffer and the pass's counters. A scan
 //! tests the filters lowering gave it (its `then`) on each matching
 //! row in its own loop, so only rows that pass them re-enter `exec_op`;
 //! a filter no scan owns is an op of its own. A scan with a row form
@@ -36,16 +40,19 @@
 use std::cell::Cell;
 
 use ldl_ast::term::Var;
-use ldl_storage::{Database, IndexRef, Relation};
+use ldl_storage::{Database, IndexRef, Relation, WordSet};
 use ldl_value::arith::{ArithOp, CmpOp};
 use ldl_value::intern;
 use ldl_value::ValueId;
 
 use crate::bindings::Bindings;
 use crate::builtins::eval_builtin;
+use crate::fixpoint::DerivedBuf;
+use crate::grouping::Groups;
 use crate::plan::DeltaRestriction;
 use crate::ram::{
-    eval_expr, mirrored, ArithDst, ColAct, IntOpd, IntTest, Op, RamProgram, Reg, RowForm,
+    eval_expr, mirrored, ArithDst, ColAct, Expr, GroupHead, HeadIr, IntOpd, IntTest, Op,
+    RamProgram, Reg, RowForm,
 };
 
 /// One op's run-invariant state, resolved once per `run_ram` call: the
@@ -107,19 +114,130 @@ fn resolve<'a>(op: &Op, i: usize, db: &'a Database, restrict: Option<DeltaRestri
     }
 }
 
-/// Execute a lowered body against `db`, calling `k` once per solution with
-/// the register file. `regs` must hold at least `prog.nregs` slots; `b` is
-/// the scratch binding environment for `Builtin` ops (left restored). An
-/// empty positive scan relation short-circuits the whole pass; `restrict`
-/// confines plan step `step` — its first op, the scan — to a delta range.
-/// Returns the pass's index probes and existential cuts.
-pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
+/// Where a pass sends each body solution: its head as lowering compiled
+/// it, run as the round chose.
+pub(crate) enum Sink<'h> {
+    /// Project the head, repeats included: the merge drops them.
+    Project(&'h [Expr]),
+    /// A marked pass ([`crate::fixpoint::RoundTask::distinct`]): project
+    /// the head, one or two arguments, and drop a tuple the pass has
+    /// already emitted — §3.2's `R(M)` is a set. The first occurrence
+    /// stays, so the buffer keeps derivation order and the merge inserts
+    /// what it would have inserted, at the same positions.
+    Distinct(&'h [Expr], WordSet),
+    /// §2.2 grouping: the solutions are partitioned into classes, and the
+    /// buffer is filled from them when the pass ends.
+    Group(&'h GroupHead, Groups),
+}
+
+/// A pass's output: its sink, the buffer the sink fills and the pass's
+/// counters.
+pub(crate) struct Out<'h> {
+    sink: Sink<'h>,
+    buf: DerivedBuf,
+    /// Body solutions enumerated: derivation attempts, the fuel unit.
+    pub(crate) attempts: u64,
+    /// Repeats a marked pass dropped, each a duplicate the merge would
+    /// have rejected.
+    pub(crate) repeats: u64,
+}
+
+impl<'h> Out<'h> {
+    /// The output of a pass of a rule lowered to `head`, marked or not
+    /// (a grouping head is never marked).
+    pub(crate) fn new(head: &'h HeadIr, distinct: bool) -> Out<'h> {
+        let (sink, arity) = match head {
+            HeadIr::Simple(h) if distinct => {
+                debug_assert!(
+                    (1..=2).contains(&h.len()),
+                    "a marked head packs into a word"
+                );
+                (Sink::Distinct(h, WordSet::default()), h.len())
+            }
+            HeadIr::Simple(h) => (Sink::Project(h), h.len()),
+            HeadIr::Grouping(g) => (Sink::Group(g, Groups::default()), g.other.len() + 1),
+        };
+        Out {
+            sink,
+            buf: DerivedBuf {
+                arity,
+                ..DerivedBuf::default()
+            },
+            attempts: 0,
+            repeats: 0,
+        }
+    }
+
+    /// Send one body solution to the head. A grouping head's step is out
+    /// of line: in line beside the projection it made the simple-head
+    /// loop ~5 % slower (EXPERIMENTS.md P21).
+    #[inline]
+    fn emit(&mut self, regs: &[ValueId]) {
+        self.attempts += 1;
+        let buf = &mut self.buf;
+        match &mut self.sink {
+            Sink::Project(head) => {
+                if project_head(head, regs, &mut buf.data) {
+                    buf.count += 1;
+                }
+            }
+            Sink::Distinct(head, emitted) => {
+                let start = buf.data.len();
+                if project_head(head, regs, &mut buf.data) {
+                    if emitted.insert(WordSet::key(&buf.data[start..])) {
+                        buf.count += 1;
+                    } else {
+                        buf.data.truncate(start);
+                        self.repeats += 1;
+                    }
+                }
+            }
+            Sink::Group(head, groups) => groups.add_solution(head, regs),
+        }
+    }
+
+    /// The pass's derived tuples: for a grouping head, one per class in
+    /// first-solution order.
+    pub(crate) fn into_buf(self) -> DerivedBuf {
+        let mut buf = self.buf;
+        if let Sink::Group(head, groups) = self.sink {
+            for t in groups.into_tuples(head.group_pos) {
+                buf.data.extend(t);
+                buf.count += 1;
+            }
+        }
+        buf
+    }
+}
+
+/// Append the head tuple of one body solution to `data`. §3.2
+/// applicability: Bθ must be a U-fact, so an argument evaluating outside
+/// `U` (scons onto a non-set, arithmetic failure) derives nothing — `data`
+/// is left as it was and the result is `false`.
+#[inline]
+fn project_head(head: &[Expr], regs: &[ValueId], data: &mut Vec<ValueId>) -> bool {
+    let start = data.len();
+    for e in head {
+        match eval_expr(e, regs) {
+            Some(v) => data.push(v),
+            None => {
+                data.truncate(start);
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// Execute a lowered body against `db`, sending each solution to `out`.
+/// An empty positive scan relation short-circuits the whole pass;
+/// `restrict` confines plan step `step` — its first op, the scan — to a
+/// delta range. Returns the pass's index probes and existential cuts.
+pub(crate) fn run_ram(
     prog: &RamProgram,
     db: &Database,
     restrict: Option<DeltaRestriction>,
-    regs: &mut [ValueId],
-    b: &mut Bindings,
-    k: &mut K,
+    out: &mut Out<'_>,
 ) -> (u64, u64) {
     for &pred in prog.scan_preds.iter() {
         if db.relation(pred).is_none_or(|r| r.is_empty()) {
@@ -142,10 +260,8 @@ pub(crate) fn run_ram<K: FnMut(&[ValueId])>(
         probes: Cell::new(0),
         cuts: Cell::new(0),
     };
-    exec_op::<false, _>(&ctx, 0, regs, b, &mut |regs| {
-        k(regs);
-        false
-    });
+    let mut regs = vec![ValueId::FILLER; prog.nregs];
+    exec_op::<false>(&ctx, 0, &mut regs, &mut Bindings::new(), out);
     (ctx.probes.get(), ctx.cuts.get())
 }
 
@@ -358,15 +474,15 @@ struct Rows<'a> {
 
 impl Rows<'_> {
     /// Match each row with `m`, and go on at the filters' end with each
-    /// that matches; `true` when the continuation asked to stop.
+    /// that matches; `true` when the tail found its witness.
     #[inline(never)]
-    fn run<const TAIL: bool, K: FnMut(&[ValueId]) -> bool, M: RowMatch>(
+    fn run<const TAIL: bool, M: RowMatch>(
         &self,
         ctx: &Ctx<'_>,
         m: &M,
         regs: &mut [ValueId],
         b: &mut Bindings,
-        k: &mut K,
+        out: &mut Out<'_>,
     ) -> bool {
         let (from, then) = (self.from, self.then);
         match self.postings {
@@ -375,7 +491,7 @@ impl Rows<'_> {
                     if pos >= self.lo
                         && pos < self.hi
                         && m.matches(ctx, from, then, self.rel.get(pos), regs)
-                        && next::<TAIL, K>(ctx, then, regs, b, k)
+                        && next::<TAIL>(ctx, then, regs, b, out)
                     {
                         return true;
                     }
@@ -385,7 +501,7 @@ impl Rows<'_> {
                 for pos in self.lo..self.hi {
                     if self.rel.is_live(pos)
                         && m.matches(ctx, from, then, self.rel.get(pos), regs)
-                        && next::<TAIL, K>(ctx, then, regs, b, k)
+                        && next::<TAIL>(ctx, then, regs, b, out)
                     {
                         return true;
                     }
@@ -539,14 +655,6 @@ impl Lin {
     }
 }
 
-/// The continuation of the existential tail and of an `Absent`'s ops: the
-/// first solution is the witness, so it stops the enumeration. A plain
-/// `fn`, so the tail is one instantiation of [`exec_op`] whatever the
-/// caller's closure type.
-fn witness(_: &[ValueId]) -> bool {
-    true
-}
-
 /// Seed the scratch bindings of a `Builtin` op from registers. Bind-if-absent:
 /// values are single-assignment along a derivation path, so a variable
 /// already present holds the same id. The caller undoes to its own mark.
@@ -567,48 +675,59 @@ fn copy_out(b: &Bindings, out_vars: &[(Var, Reg)], regs: &mut [ValueId]) {
     }
 }
 
-/// Run the ops from `j` on. `true` means stop enumerating, which only the
-/// tail's [`witness`] ever asks for: in run mode the result is the constant
-/// `false`, so every `if next(..) { return true }` below folds away there.
-/// Past the last op a solution goes straight to `k`, as [`exec_op`] would
-/// send it, without re-entering it.
+/// A solution of the whole op list: in tail mode the witness, which stops
+/// the enumeration; in run mode it goes to `out`, and the enumeration goes
+/// on.
 #[inline(always)]
-fn next<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
+fn solution<const TAIL: bool>(regs: &[ValueId], out: &mut Out<'_>) -> bool {
+    if !TAIL {
+        out.emit(regs);
+    }
+    TAIL
+}
+
+/// Run the ops from `j` on. `true` means stop enumerating, which only the
+/// tail's witness ever asks for: in run mode the result is the constant
+/// `false`, so every `if next(..) { return true }` below folds away there.
+/// Past the last op a solution goes straight to [`solution`], as
+/// [`exec_op`] would send it, without re-entering it.
+#[inline(always)]
+fn next<const TAIL: bool>(
     ctx: &Ctx<'_>,
     j: usize,
     regs: &mut [ValueId],
     b: &mut Bindings,
-    k: &mut K,
+    out: &mut Out<'_>,
 ) -> bool {
     if j == ctx.prog.ops.len() {
-        return k(regs) && TAIL;
+        return solution::<TAIL>(regs, out);
     }
-    exec_op::<TAIL, K>(ctx, j, regs, b, k) && TAIL
+    exec_op::<TAIL>(ctx, j, regs, b, out) && TAIL
 }
 
-/// Enumerate the solutions of `ops[i..]`, calling `k` on each until it asks
-/// to stop; returns whether it did. Run mode (`TAIL = false`) never stops.
-/// On reaching the plan's existential tail it re-enters in tail mode with
-/// [`witness`] as the continuation — same ops, same probes, same order, but
+/// Enumerate the solutions of `ops[i..]`, sending each to `out` in run
+/// mode (`TAIL = false`), which never stops; in tail mode, stop at the
+/// first and return `true`. On reaching the plan's existential tail run
+/// mode re-enters in tail mode — same ops, same probes, same order, but
 /// the first solution ends the enumeration.
-fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
+fn exec_op<const TAIL: bool>(
     ctx: &Ctx<'_>,
     i: usize,
     regs: &mut [ValueId],
     b: &mut Bindings,
-    k: &mut K,
+    out: &mut Out<'_>,
 ) -> bool {
     if !TAIL && i == ctx.prog.exist_from && i < ctx.prog.ops.len() {
         // One witness suffices, and the head registers are already final
         // (tail ops bind no head variable).
-        if exec_op::<true, fn(&[ValueId]) -> bool>(ctx, i, regs, b, &mut (witness as _)) {
+        if exec_op::<true>(ctx, i, regs, b, out) {
             ctx.cuts.set(ctx.cuts.get() + 1);
-            k(regs);
+            out.emit(regs);
         }
         return false;
     }
     let Some(op) = ctx.prog.ops.get(i) else {
-        return k(regs);
+        return solution::<TAIL>(regs, out);
     };
     match op {
         Op::Scan {
@@ -656,7 +775,7 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
                 .as_ref()
                 .filter(|_| postings.is_some() || index_cols.is_empty());
             let Some(RowForm { binds, test }) = form else {
-                return scan.run::<TAIL, K, _>(ctx, &general, regs, b, k);
+                return scan.run::<TAIL, _>(ctx, &general, regs, b, out);
             };
             match test.as_ref().map(|t| Lin::resolve(t, regs)) {
                 None => {
@@ -664,10 +783,10 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
                         binds,
                         test: Always,
                     };
-                    scan.run::<TAIL, K, _>(ctx, &m, regs, b, k)
+                    scan.run::<TAIL, _>(ctx, &m, regs, b, out)
                 }
-                Some(Some(test)) => scan.run::<TAIL, K, _>(ctx, &Form { binds, test }, regs, b, k),
-                Some(None) => scan.run::<TAIL, K, _>(ctx, &general, regs, b, k),
+                Some(Some(test)) => scan.run::<TAIL, _>(ctx, &Form { binds, test }, regs, b, out),
+                Some(None) => scan.run::<TAIL, _>(ctx, &general, regs, b, out),
             }
         }
         Op::Cmp { .. }
@@ -675,19 +794,20 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
         | Op::ArithF {
             dst: ArithDst::Check(_),
             ..
-        } => filter_op(op, ctx.rops[i].rel, regs) && next::<TAIL, K>(ctx, i + 1, regs, b, k),
+        } => filter_op(op, ctx.rops[i].rel, regs) && next::<TAIL>(ctx, i + 1, regs, b, out),
         Op::Absent { end } => {
             // Its first solution refutes the negation. Its ops write only
             // their own fresh registers, so nothing leaks past it.
-            let found =
-                exec_op::<true, fn(&[ValueId]) -> bool>(ctx, i + 1, regs, b, &mut (witness as _));
-            !found && exec_op::<TAIL, K>(ctx, *end + 1, regs, b, k) && TAIL
+            let found = exec_op::<true>(ctx, i + 1, regs, b, out);
+            !found && exec_op::<TAIL>(ctx, *end + 1, regs, b, out) && TAIL
         }
-        Op::Found => k(regs),
+        // An `Absent` runs its ops in tail mode: reaching `Found` is its
+        // witness.
+        Op::Found => true,
         Op::Assign { dst, src } => match eval_expr(src, regs) {
             Some(v) => {
                 regs[*dst as usize] = v;
-                next::<TAIL, K>(ctx, i + 1, regs, b, k)
+                next::<TAIL>(ctx, i + 1, regs, b, out)
             }
             None => false,
         },
@@ -700,7 +820,7 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
         } => match arith_val(*op, x, y, regs) {
             Some(z) => {
                 regs[*r as usize] = intern::mk_int(z);
-                next::<TAIL, K>(ctx, i + 1, regs, b, k)
+                next::<TAIL>(ctx, i + 1, regs, b, out)
             }
             None => false,
         },
@@ -717,13 +837,13 @@ fn exec_op<const TAIL: bool, K: FnMut(&[ValueId]) -> bool>(
                 let mut any = false;
                 eval_builtin(*builtin, args, b, &mut |_| any = true);
                 b.undo(m);
-                !any && next::<TAIL, K>(ctx, i + 1, regs, b, k)
+                !any && next::<TAIL>(ctx, i + 1, regs, b, out)
             } else {
                 let mut stop = false;
                 eval_builtin(*builtin, args, b, &mut |b2| {
                     if !stop {
                         copy_out(b2, out_vars, regs);
-                        stop = next::<TAIL, K>(ctx, i + 1, regs, b2, k);
+                        stop = next::<TAIL>(ctx, i + 1, regs, b2, out);
                     }
                 });
                 b.undo(m);

@@ -5,10 +5,12 @@
 //! `R(M) = ⋃ r(M)`, every rule applied to the *same* `M` — and the engine
 //! has exactly one of each piece of it:
 //!
-//! * [`run_round`] is one application of `R`: a batch of rule passes
-//!   (simple or grouping heads alike) runs against an *immutable snapshot*
-//!   of the database, each pass collecting its derived facts into its own
-//!   buffer, then the buffers are merged in fixed task order — the only
+//! * [`run_round`] is one application of `R`: a batch of rule passes runs
+//!   against an *immutable snapshot* of the database, each through the one
+//!   `derive` function, which sends the body's solutions into the pass's
+//!   sink (`exec::Sink`: the head projected, projected once per
+//!   tuple, or grouped) and collects its derived facts into the pass's own
+//!   buffer; then the buffers are merged in fixed task order — the only
 //!   place derived facts enter the database. Derive-then-merge is the
 //!   definition, not an optimisation: no pass of a round sees what another
 //!   pass of the same round derived, and every tuple's insertion position —
@@ -36,20 +38,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ldl_ast::program::Program;
-use ldl_storage::{Database, WordSet};
+use ldl_storage::Database;
 use ldl_stratify::{Component, Stratification};
 use ldl_value::fxhash::FastMap;
 use ldl_value::{intern, Symbol, ValueId};
 
-use crate::bindings::Bindings;
 use crate::budget::ResourceKind;
 use crate::compiled::PlanTable;
 use crate::engine::EvalOptions;
 use crate::error::EvalError;
-use crate::exec::run_ram;
-use crate::grouping::run_grouping_rule;
+use crate::exec::{run_ram, Out};
 use crate::plan::{check_arity, DeltaRestriction, RulePlan};
-use crate::ram::{eval_expr, Expr, HeadIr};
+use crate::ram::HeadIr;
 use crate::stats::EvalStats;
 
 /// What the rounds of one operation — a full evaluation, a mutation batch,
@@ -318,23 +318,15 @@ pub struct RoundTask<'p> {
     /// The scan step confined to a position range, if any.
     pub restrict: Option<DeltaRestriction>,
     /// Drop a head tuple this pass has already emitted before it reaches
-    /// the pass buffer (`derive_distinct`). Set by [`RoundTask::new`]
-    /// where the plan projects ([`RulePlan::projects`]) and its schedule
-    /// entry is not recursive: there the repeats are the pass's own, and
-    /// nothing but the merge's probe of the model would drop them.
+    /// the pass buffer (the sink `exec::Sink::Distinct`). Set by
+    /// [`RoundTask::new`] where the plan projects ([`RulePlan::projects`])
+    /// and its schedule entry is not recursive: there the repeats are the
+    /// pass's own, and nothing but the merge's probe of the model would
+    /// drop them.
     pub distinct: bool,
 }
 
 impl<'p> RoundTask<'p> {
-    /// An unrestricted, unmarked pass of `plan`.
-    pub fn whole(plan: &'p RulePlan) -> RoundTask<'p> {
-        RoundTask {
-            plan,
-            restrict: None,
-            distinct: false,
-        }
-    }
-
     /// A pass of `plan` under `restrict` in a schedule entry that is, or is
     /// not, `recursive`: marked when the entry is not recursive and the
     /// plan projects. Both facts are fixed when the program loads, so the
@@ -353,19 +345,20 @@ impl<'p> RoundTask<'p> {
 }
 
 /// Derived tuples of one rule pass, stored flat in body-solution order
-/// (`arity`-sized chunks of `data`). An unmarked pass includes duplicates:
-/// the dedup decision happens at merge time against the database, and
-/// rejecting a duplicate from a borrowed chunk allocates nothing. A marked
-/// pass ([`RoundTask::distinct`]) holds each tuple once, at its first
+/// (`arity`-sized chunks of `data`), filled by the pass's sink
+/// ([`crate::exec::Out`]). An unmarked pass includes duplicates: the dedup
+/// decision happens at merge time against the database, and rejecting a
+/// duplicate from a borrowed chunk allocates nothing. A marked pass
+/// ([`RoundTask::distinct`]) holds each tuple once, at its first
 /// derivation, and the merge still probes the model for it. Neither kind of
 /// pass performs a per-tuple allocation.
 #[derive(Default)]
 pub(crate) struct DerivedBuf {
-    arity: usize,
-    data: Vec<ValueId>,
+    pub(crate) arity: usize,
+    pub(crate) data: Vec<ValueId>,
     /// Tuple count. Equals `data.len() / arity` except for zero-arity
     /// heads, whose tuples occupy no ids.
-    count: usize,
+    pub(crate) count: usize,
 }
 
 impl DerivedBuf {
@@ -383,133 +376,32 @@ impl DerivedBuf {
     }
 }
 
-/// Evaluate `plan` against an immutable `db`, returning the id-tuples its
-/// head derives (in body-solution order, duplicates included; for a
-/// grouping head, one tuple per group in first-solution order), and add
-/// the index probes, existential short-circuits, plan lowering, and
-/// derivation attempts (body solutions enumerated — the fuel unit) the pass
-/// performed to `stats`. It mutates nothing else. The body runs through the
-/// plan's lowered register program ([`crate::exec`]).
-pub(crate) fn derive_once(
-    plan: &RulePlan,
-    db: &Database,
-    restrict: Option<DeltaRestriction>,
-    stats: &mut EvalStats,
-) -> DerivedBuf {
-    let mut buf = DerivedBuf {
-        arity: plan.head.arity(),
-        ..DerivedBuf::default()
-    };
+/// Run one rule pass against an immutable `db`: the one derive step of a
+/// round, whatever the head. The pass's plan runs through its lowered
+/// register program ([`crate::exec`]) into the sink its head and mark
+/// choose ([`Out::new`]), and the pass's derivation attempts (body
+/// solutions enumerated — the fuel unit), index probes, existential cuts,
+/// dropped repeats and plan lowering are added to `stats`. It mutates
+/// nothing else. Returns the head's id-tuples in body-solution order (an
+/// unmarked pass includes duplicates; a grouping head gives one tuple per
+/// group, in first-solution order).
+pub(crate) fn derive(task: &RoundTask<'_>, db: &Database, stats: &mut EvalStats) -> DerivedBuf {
+    let plan = task.plan;
     stats.lowerings += u64::from(plan.ram.get().is_none());
     let prog = plan.lowered();
-    match &prog.head {
-        HeadIr::Simple(head) => {
-            let mut regs = vec![ValueId::FILLER; prog.nregs];
-            let mut b = Bindings::new();
-            let mut attempts = 0u64;
-            let (probes, cuts) = run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
-                attempts += 1;
-                if project_head(head, regs, &mut buf.data) {
-                    buf.count += 1;
-                }
-            });
-            stats.attempts += attempts;
-            stats.index_probes += probes;
-            stats.exist_cuts += cuts;
-        }
-        // A grouping rule must see *all* body solutions of its group in
-        // one pass (the aggregation is not decomposable): never a range.
-        HeadIr::Grouping { .. } => {
-            debug_assert!(restrict.is_none(), "grouping pass restricted");
-            derive_grouped(plan, db, stats, &mut buf);
-        }
-    }
-    buf
-}
-
-/// [`derive_once`] for a marked pass ([`RoundTask::distinct`]): a simple
-/// head of one or two arguments, each tuple kept at its first derivation
-/// and a repeat dropped before it reaches the buffer — §3.2's `R(M)` is a
-/// set, and a repeat inside one application adds nothing to it. The
-/// buffer keeps derivation order, so the merge inserts what it would have
-/// inserted, at the same positions, and still probes the model for each
-/// kept tuple (the head may already hold it: an EDB fact, or an earlier
-/// operation's model). A dropped repeat counts in `dedup_inserts`, as the
-/// merge would have counted it. A function of its own, not a branch in
-/// [`derive_once`]'s emit closure, so an unmarked pass runs the loop it
-/// always ran, and out of line, so [`run_round`] keeps its shape
-/// (EXPERIMENTS.md P52).
-#[inline(never)]
-fn derive_distinct(
-    plan: &RulePlan,
-    db: &Database,
-    restrict: Option<DeltaRestriction>,
-    stats: &mut EvalStats,
-) -> DerivedBuf {
-    let mut buf = DerivedBuf {
-        arity: plan.head.arity(),
-        ..DerivedBuf::default()
-    };
-    stats.lowerings += u64::from(plan.ram.get().is_none());
-    let prog = plan.lowered();
-    let HeadIr::Simple(head) = &prog.head else {
-        unreachable!("a marked pass has a simple head");
-    };
+    // A grouping rule must see *all* body solutions of its group in one
+    // pass (the aggregation is not decomposable): never a range.
     debug_assert!(
-        (1..=2).contains(&head.len()),
-        "a marked head packs into a word"
+        task.restrict.is_none() || matches!(prog.head, HeadIr::Simple(_)),
+        "grouping pass restricted"
     );
-    let mut regs = vec![ValueId::FILLER; prog.nregs];
-    let mut b = Bindings::new();
-    let (mut attempts, mut repeats) = (0u64, 0u64);
-    let mut emitted = WordSet::default();
-    let (probes, cuts) = run_ram(&prog, db, restrict, &mut regs, &mut b, &mut |regs| {
-        attempts += 1;
-        let start = buf.data.len();
-        if project_head(head, regs, &mut buf.data) {
-            if emitted.insert(WordSet::key(&buf.data[start..])) {
-                buf.count += 1;
-            } else {
-                buf.data.truncate(start);
-                repeats += 1;
-            }
-        }
-    });
-    stats.attempts += attempts;
+    let mut out = Out::new(&prog.head, task.distinct);
+    let (probes, cuts) = run_ram(&prog, db, task.restrict, &mut out);
+    stats.attempts += out.attempts;
     stats.index_probes += probes;
     stats.exist_cuts += cuts;
-    stats.dedup_inserts += repeats;
-    buf
-}
-
-/// The grouping arm of [`derive_once`]: one tuple per group, flattened into
-/// the pass buffer. Out of line on purpose — with these writes in
-/// `derive_once`'s own body the simple-head emit loop beside them compiled
-/// ~5 % slower (EXPERIMENTS.md P21).
-#[inline(never)]
-fn derive_grouped(plan: &RulePlan, db: &Database, stats: &mut EvalStats, buf: &mut DerivedBuf) {
-    let tuples = run_grouping_rule(plan, db, stats);
-    buf.count = tuples.len();
-    buf.data = tuples.into_iter().flatten().collect();
-}
-
-/// Append the head tuple of one body solution to `data`. §3.2
-/// applicability: Bθ must be a U-fact, so an argument evaluating outside
-/// `U` (scons onto a non-set, arithmetic failure) derives nothing — `data`
-/// is left as it was and the result is `false`.
-#[inline]
-fn project_head(head: &[Expr], regs: &[ValueId], data: &mut Vec<ValueId>) -> bool {
-    let start = data.len();
-    for e in head {
-        match eval_expr(e, regs) {
-            Some(v) => data.push(v),
-            None => {
-                data.truncate(start);
-                return false;
-            }
-        }
-    }
-    true
+    stats.dedup_inserts += out.repeats;
+    out.into_buf()
 }
 
 /// Execute one evaluation round — one application of §3.2's `R` — and the
@@ -542,12 +434,7 @@ pub fn run_round(
     stats.rules_fired += tasks.len() as u64;
     let mut derived: Vec<(Symbol, DerivedBuf)> = Vec::with_capacity(tasks.len());
     for t in tasks {
-        let buf = if t.distinct {
-            derive_distinct(t.plan, db, t.restrict, stats)
-        } else {
-            derive_once(t.plan, db, t.restrict, stats)
-        };
-        derived.push((t.plan.head.pred, buf));
+        derived.push((t.plan.head.pred, derive(t, db, stats)));
     }
 
     let mut new = 0u64;

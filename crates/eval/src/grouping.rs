@@ -14,20 +14,15 @@
 //! value depth. The final set is canonicalized by *structural* order
 //! ([`intern::mk_set`]) — never by raw id order, which is run-dependent.
 
-use ldl_storage::Database;
 use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::{intern, ValueId};
 
-use crate::bindings::Bindings;
-use crate::exec::run_ram;
-use crate::plan::{HeadKind, RulePlan};
-use crate::ram::{eval_expr, HeadIr};
-use crate::stats::EvalStats;
+use crate::ram::{eval_expr, GroupHead};
 
 /// The body solutions of one grouping rule, partitioned by their `Z̄`
-/// values. Shared by the engine's executor ([`run_grouping_rule`]) and the
-/// reference evaluator ([`crate::model`]), which differ only in how they
-/// enumerate solutions.
+/// values. Shared by the engine's executor (a pass's [`crate::exec::Sink`])
+/// and the reference evaluator ([`crate::model`]), which differ only in how
+/// they enumerate solutions.
 #[derive(Default)]
 pub(crate) struct Groups {
     /// key (`Z̄` values) → (evaluated non-group head args, collected `Y`
@@ -65,6 +60,29 @@ impl Groups {
         }
     }
 
+    /// Record one body solution of the lowered grouping `head`, read from
+    /// the register file. Out of line: see [`crate::exec::Out`]'s emit.
+    #[inline(never)]
+    pub(crate) fn add_solution(&mut self, head: &GroupHead, regs: &[ValueId]) {
+        // Range restriction guarantees Y and Z̄ are bound; an unbound
+        // register here means the rule slipped past well-formedness — fail
+        // loudly.
+        let Some(y) = head.group_reg.map(|r| regs[r as usize]) else {
+            panic!("group variable {} unbound in grouping rule", head.group_var);
+        };
+        let key: Option<Vec<ValueId>> = head
+            .key_regs
+            .iter()
+            .map(|k| k.map(|r| regs[r as usize]))
+            .collect();
+        let Some(key) = key else {
+            panic!("head variable unbound in grouping rule");
+        };
+        self.add(key, y, || {
+            head.other.iter().map(|e| eval_expr(e, regs)).collect()
+        });
+    }
+
     /// One head tuple per class, the grouped set at `group_pos`, in
     /// first-solution order of the classes.
     pub(crate) fn into_tuples(mut self, group_pos: usize) -> Vec<Vec<ValueId>> {
@@ -83,70 +101,13 @@ impl Groups {
     }
 }
 
-/// Evaluate a grouping rule once against `db`, returning the derived tuples
-/// (for the plan's head predicate). The body solutions enumerated (the
-/// derivation attempts charged against a fuel budget), index probes and
-/// existential cuts are added to `stats`.
-///
-/// Admissibility guarantees every body predicate lies in a strictly lower
-/// layer (§3.1 clause 2), so `db` already holds their complete relations.
-pub fn run_grouping_rule(
-    plan: &RulePlan,
-    db: &Database,
-    stats: &mut EvalStats,
-) -> Vec<Vec<ValueId>> {
-    let HeadKind::Grouping {
-        group_pos,
-        group_var,
-    } = plan.head_kind
-    else {
-        panic!("run_grouping_rule on a non-grouping plan");
-    };
-    let prog = plan.lowered();
-    let HeadIr::Grouping {
-        group_reg,
-        key_regs,
-        other,
-        ..
-    } = &prog.head
-    else {
-        unreachable!("grouping plan lowers to a grouping head");
-    };
-
-    let mut groups = Groups::default();
-    let mut attempts = 0u64;
-    let mut regs = vec![ValueId::FILLER; prog.nregs];
-    let mut b = Bindings::new();
-    let (probes, cuts) = run_ram(&prog, db, None, &mut regs, &mut b, &mut |regs| {
-        attempts += 1;
-        // Range restriction guarantees Y and Z̄ are bound; an unbound
-        // register here means the rule slipped past well-formedness — fail
-        // loudly.
-        let Some(y) = group_reg.map(|r| regs[r as usize]) else {
-            panic!("group variable {group_var} unbound in grouping rule");
-        };
-        let key: Option<Vec<ValueId>> = key_regs
-            .iter()
-            .map(|k| k.map(|r| regs[r as usize]))
-            .collect();
-        let Some(key) = key else {
-            panic!("head variable unbound in grouping rule");
-        };
-        groups.add(key, y, || {
-            other.iter().map(|e| eval_expr(e, regs)).collect()
-        });
-    });
-    stats.attempts += attempts;
-    stats.index_probes += probes;
-    stats.exist_cuts += cuts;
-    groups.into_tuples(group_pos)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::fixpoint::{derive, RoundTask};
+    use crate::plan::RulePlan;
+    use crate::stats::EvalStats;
     use ldl_parser::parse_rule;
-    use ldl_storage::resolve_fact;
+    use ldl_storage::{resolve_fact, Database};
     use ldl_value::{Fact, Symbol, Value};
 
     fn db_with(facts: &[(&str, Vec<Value>)]) -> Database {
@@ -161,8 +122,11 @@ mod tests {
         RulePlan::compile(&parse_rule(src).unwrap(), None).unwrap()
     }
 
+    /// The pass a round runs for `plan`, checked against the reference.
     fn run(plan: &RulePlan, db: &Database) -> Vec<Fact> {
-        let tuples = run_grouping_rule(plan, db, &mut EvalStats::new());
+        let task = RoundTask::new(plan, None, false);
+        let mut tuples = Vec::new();
+        derive(&task, db, &mut EvalStats::new()).for_each(&mut |t| tuples.push(t.to_vec()));
         assert_eq!(
             tuples,
             crate::model::apply_rule(plan, db),

@@ -560,7 +560,7 @@ pub fn ensure_plan_indexes(plan: &RulePlan, db: &mut Database) -> Result<(), Eva
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixpoint::derive_once;
+    use crate::fixpoint::{derive, RoundTask};
     use crate::stats::EvalStats;
     use ldl_parser::parse_rule;
 
@@ -688,7 +688,7 @@ mod tests {
         let plan = RulePlan::compile(&rule, None).unwrap();
         assert_eq!(plan.exist_from, 1); // Y is not a head variable
         let mut stats = EvalStats::default();
-        let derived = derive_once(&plan, &db, None, &mut stats);
+        let derived = derive(&RoundTask::new(&plan, None, true), &db, &mut stats);
         // cand(1) has a witness, cand(2) has none.
         assert_eq!((stats.attempts, stats.exist_cuts), (1, 1));
         let mut engine = Vec::new();

@@ -316,21 +316,25 @@ pub(crate) enum HeadIr {
     Simple(Box<[Expr]>),
     /// §2.2 grouping: partition solutions by the `Z̄` registers, collect the
     /// group register's values per class.
-    Grouping {
-        /// Head argument position of the `<X>`.
-        group_pos: usize,
-        /// The grouped variable (for diagnostics).
-        group_var: Var,
-        /// The grouped variable's register; `None` if the body never binds
-        /// it (a well-formedness escape, reported at run time exactly like
-        /// the interpreter does).
-        group_reg: Option<Reg>,
-        /// One register per `Z̄` variable, in `vars_outside_group` order.
-        key_regs: Box<[Option<Reg>]>,
-        /// The non-group head arguments, in order (evaluated once per
-        /// distinct key).
-        other: Box<[Expr]>,
-    },
+    Grouping(GroupHead),
+}
+
+/// A lowered §2.2 grouping head.
+#[derive(Clone, Debug)]
+pub(crate) struct GroupHead {
+    /// Head argument position of the `<X>`.
+    pub(crate) group_pos: usize,
+    /// The grouped variable (for diagnostics).
+    pub(crate) group_var: Var,
+    /// The grouped variable's register; `None` if the body never binds
+    /// it (a well-formedness escape, reported at run time exactly like
+    /// the interpreter does).
+    pub(crate) group_reg: Option<Reg>,
+    /// One register per `Z̄` variable, in `vars_outside_group` order.
+    pub(crate) key_regs: Box<[Option<Reg>]>,
+    /// The non-group head arguments, in order (evaluated once per
+    /// distinct key).
+    pub(crate) other: Box<[Expr]>,
 }
 
 /// A lowered rule body: the flat program the tight interpreter in
@@ -692,13 +696,13 @@ pub(crate) fn lower(plan: &RulePlan) -> RamProgram {
                 .filter(|(i, _)| *i != group_pos)
                 .map(|(_, t)| lower_expr(t, &mut regs, &bound))
                 .collect();
-            HeadIr::Grouping {
+            HeadIr::Grouping(GroupHead {
                 group_pos,
                 group_var,
                 group_reg,
                 key_regs,
                 other,
-            }
+            })
         }
     };
 
@@ -966,13 +970,13 @@ pub(crate) fn render(prog: &RamProgram) -> Vec<String> {
             let es: Vec<String> = exprs.iter().map(expr).collect();
             out.push(format!("emit [{}]", es.join(", ")));
         }
-        HeadIr::Grouping {
+        HeadIr::Grouping(GroupHead {
             group_pos,
             group_var,
             group_reg,
             key_regs,
             ..
-        } => {
+        }) => {
             let g = group_reg.map_or("⊥".into(), |r| format!("r{r}"));
             let ks: Vec<String> = key_regs
                 .iter()

@@ -185,3 +185,65 @@ fn a_far_shaped_rule_under_commits() {
     );
     assert_eq!(counts(&s), (4, 3, 1), "{s}");
 }
+
+/// (attempts, index probes, existential cuts, facts derived, duplicates
+/// rejected).
+type Counters = (u64, u64, u64, u64, u64);
+
+/// Every kind of pass a round runs, each the whole evaluation of its
+/// program over a diamond `0 → {1, 2} → 3`: the rows in insertion order and
+/// the [`Counters`], counted by hand.
+#[test]
+fn the_counters_of_each_kind_of_pass() {
+    const PAR: &str = "par(0, 1). par(0, 2). par(1, 3). par(2, 3).\n";
+    let cases: [(&str, &str, &[&str], Counters); 4] = [
+        // A grouping head: one scan, an attempt per `par` row, a fact per
+        // class.
+        (
+            "kids(X, <Y>) <- par(X, Y).",
+            "kids",
+            &["(0, {1, 2})", "(1, {3})", "(2, {3})"],
+            (4, 0, 0, 3, 0),
+        ),
+        // An unmarked recursive pass: 4 base attempts; the first delta
+        // round probes `par[1]` for each of the four base pairs and
+        // derives (0, 3) twice, through 1 and through 2 (the merge
+        // rejects the second); the second probes once for (0, 3) and
+        // finds nothing.
+        (
+            "anc(X, Y) <- par(X, Y).\nanc(X, Y) <- par(X, Z), anc(Z, Y).",
+            "anc",
+            &["(0, 1)", "(0, 2)", "(1, 3)", "(2, 3)", "(0, 3)"],
+            (6, 5, 0, 5, 1),
+        ),
+        // A marked pass: a scan of `par(P, X)` probes `par[0]` per row;
+        // 1 and 2 have two siblings each, and 3 comes through 1 and
+        // through 2 — the second (3, 3) is dropped in the pass.
+        (
+            "sib(X, Y) <- par(P, X), par(P, Y).",
+            "sib",
+            &["(1, 1)", "(1, 2)", "(2, 1)", "(2, 2)", "(3, 3)"],
+            (6, 4, 0, 5, 1),
+        ),
+        // An existential tail: one probe of `par[0]` per node, and a cut
+        // for each of 0, 1 and 2, which have an edge.
+        (
+            "node(0). node(1). node(2). node(3).\nbusy(X) <- node(X), par(X, _).",
+            "busy",
+            &["(0)", "(1)", "(2)"],
+            (3, 4, 3, 3, 0),
+        ),
+    ];
+    for (rules, pred, expect_rows, expect) in cases {
+        let (order, s) = rows(&format!("{PAR}{rules}"), pred);
+        assert_eq!(order, expect_rows, "{rules}");
+        let counted = (
+            s.attempts,
+            s.index_probes,
+            s.exist_cuts,
+            s.facts_derived,
+            s.dedup_inserts,
+        );
+        assert_eq!(counted, expect, "{rules}: {s}");
+    }
+}
