@@ -56,7 +56,12 @@ impl Bindings {
     pub fn undo(&mut self, m: Mark) {
         self.slots.truncate(m.0);
     }
+}
 
+/// What tests read of an environment: the engine reads a binding only by
+/// its variable.
+#[cfg(test)]
+impl Bindings {
     /// Number of bound variables.
     pub fn len(&self) -> usize {
         self.slots.len()

@@ -14,14 +14,12 @@
 //!   per schedule entry, with their own plan tables.
 //!
 //! Slots fill lazily, so an operation builds no plan it does not run, and
-//! the counters say compile work once: `plan_cache_misses` and `lowerings`
-//! count what an operation was the first on its program to compile and
-//! lower, `plan_cache_hits` what it found. `ldl1::System` builds one
-//! `Compiled` when it admits a program and shares it, through an `Arc`,
-//! with evaluation, maintenance, `explain` and its §6 query forms
-//! (`ldl_magic::MagicTable`, whose rewrites keep plan tables of their own).
-//! Indexes stay per database: each pass still builds what it probes in the
-//! database it runs against ([`ensure_plan_indexes`]).
+//! `plan_cache_misses` and `lowerings` count what an operation was the
+//! first on its program to compile and lower. `ldl1::System` shares one
+//! `Compiled` per admitted program, through an `Arc`, with evaluation,
+//! maintenance, `explain` and its §6 query forms. Indexes stay per
+//! database ([`ensure_plan_indexes`]); a query's plan is kept per shape,
+//! process-wide ([`crate::engine::query`]).
 
 use std::sync::{Arc, Mutex, OnceLock};
 

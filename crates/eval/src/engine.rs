@@ -1,22 +1,26 @@
 //! The evaluation engine facade.
 
 use std::fmt;
+use std::sync::{LazyLock, PoisonError, RwLock};
 
 use ldl_ast::literal::Atom;
 use ldl_ast::program::Program;
 use ldl_ast::term::{Term, Var};
 use ldl_ast::wf::{check_program, Dialect};
-use ldl_storage::{Database, IndexRef, Relation};
+use ldl_storage::{Database, Relation};
 use ldl_stratify::Stratification;
-use ldl_value::{intern, Fact, Value, ValueId};
+use ldl_value::fxhash::FastMap;
+use ldl_value::{intern, Fact, Symbol, Value, ValueId};
 
-use crate::bindings::Bindings;
 use crate::budget::Budget;
 use crate::compiled::{Compiled, PlanTable};
 use crate::error::EvalError;
+use crate::exec::{run_ram, Out};
 use crate::fixpoint;
+use crate::plan::{HeadKind, RulePlan, Step};
+use crate::ram::{self, eval_expr, Op, RamProgram};
 use crate::stats::EvalStats;
-use crate::unify::{eval_term, match_slice};
+use crate::unify::eval_ground;
 
 /// Evaluation configuration.
 ///
@@ -144,32 +148,112 @@ pub struct Evaluator {
     pub options: EvalOptions,
 }
 
-/// Why no tuple can match a query, before any row is read.
-enum NoMatch {
-    /// The database has no relation of that name.
-    NoRelation,
-    /// The relation's arity (carried) differs from the query's.
-    Arity(usize),
-    /// A ground argument fails to evaluate: the pattern denotes no `U`-fact.
-    OutsideU,
+/// An argument of a query's shape: ground (`true`: the probed index is
+/// keyed on it), a variable numbered by first occurrence, `_`, or any other
+/// pattern with its variables renamed by those numbers.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Arg {
+    Entry(bool),
+    Var(usize),
+    Anon,
+    Pattern(Term),
 }
 
-/// How a query reads its relation: decided once by [`access_path`], run by
-/// [`query`], described by [`explain_query`].
-///
-/// (The split into this struct, [`AccessPath::matches`] and the plain loop
-/// in `query` is the measured one: two tidier spellings moved
-/// `excl_ancestor` and `tc_chain` by code placement alone — EXPERIMENTS
-/// P25.)
-struct AccessPath<'a> {
+/// What a query's plan depends on. Constants never enter it: `anc(1, Y)`
+/// and `anc(2, Z)` share a plan.
+type Shape = (Symbol, Vec<Arg>);
+
+/// Every query shape's plan, process-wide: a plan reads no program and
+/// holds only interned ids, so, like them, it lives as long as the process.
+/// A read holds the lock for one probe.
+static PLANS: LazyLock<RwLock<FastMap<Shape, &'static RamProgram>>> =
+    LazyLock::new(Default::default);
+
+/// A query ready to run on one database: its ground columns, its shape's
+/// plan, the plan's registers with the ground values in its entry
+/// registers, and its variables.
+struct Read<'a> {
     rel: &'a Relation,
-    /// The pattern's ground columns, ascending (empty: nothing bound)…
-    cols: Vec<usize>,
-    /// …and the ids they evaluate to.
-    key: Vec<ValueId>,
-    /// The index to probe when the relation has one keyed inside `cols`:
-    /// its columns, `key` projected onto them, and the handle.
-    probe: Option<(Vec<usize>, Vec<ValueId>, IndexRef<'a>)>,
+    ground: Vec<usize>,
+    plan: &'static RamProgram,
+    regs: Vec<ValueId>,
+    vars: Vec<Var>,
+}
+
+impl<'a> Read<'a> {
+    /// Pick the best index `db` already has over `query`'s ground columns,
+    /// find the plan of that shape (planning it if no read has), and
+    /// evaluate the ground arguments once, into its entry registers.
+    /// Read-only, and it counts nothing: a query is not an evaluation, and
+    /// [`EvalStats`] belong to the operation that did the work. `Err` says
+    /// why no tuple can match.
+    fn new(db: &'a Database, query: &Atom) -> Result<Read<'a>, String> {
+        let pred = query.pred;
+        let rel = db
+            .relation(pred)
+            .ok_or_else(|| format!("no relation {pred}"))?;
+        if rel.arity() != query.arity() {
+            return Err(format!("no match, {pred} has arity {}", rel.arity()));
+        }
+        let args = &query.args;
+        let ground: Vec<usize> = (0..args.len()).filter(|&c| args[c].is_ground()).collect();
+        let index = (rel.covering_index(&ground)).map_or(&[][..], |(cols, _)| cols);
+        let vars = query.vars();
+        let num = |v: Var| vars.iter().position(|&u| u == v).expect("a query variable");
+        let shape = (args.iter().enumerate())
+            .map(|(c, t)| match t {
+                t if t.is_ground() => Arg::Entry(index.contains(&c)),
+                Term::Var(v) => Arg::Var(num(*v)),
+                Term::Anon => Arg::Anon,
+                t => Arg::Pattern(t.substitute(&|v| Some(Term::var(&format!("v{}", num(v)))))),
+            })
+            .collect();
+        let shape = (query.pred, shape);
+        let found = PLANS
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&shape)
+            .copied();
+        let plan = found.unwrap_or_else(|| {
+            let mut plans = PLANS.write().unwrap_or_else(PoisonError::into_inner);
+            let compile = || &*Box::leak(Box::new(lower_query(query, &vars, &ground, index)));
+            *plans.entry(shape).or_insert_with(compile)
+        });
+        let mut regs = vec![ValueId::FILLER; plan.nregs];
+        for (r, &c) in regs.iter_mut().zip(&ground) {
+            *r = eval_ground(&args[c]).ok_or("no match, a ground argument does not evaluate")?;
+        }
+        Ok(Read {
+            rel,
+            ground,
+            plan,
+            regs,
+            vars,
+        })
+    }
+}
+
+/// The plan of `query`'s shape, probing `index` (empty: a scan): the rule
+/// `q'(vars) <- atom` with its `ground` arguments as entry variables. One
+/// literal has one order, so its one scan step is built here, and a
+/// relation named like a built-in (`member/2`) is read as a relation.
+fn lower_query(query: &Atom, vars: &[Var], ground: &[usize], index: &[usize]) -> RamProgram {
+    // `e0` names no query variable: those start upper-case or with `_`.
+    let entry: Vec<Var> = (0..ground.len())
+        .map(|i| Var::new(&format!("e{i}")))
+        .collect();
+    let mut args = query.args.clone();
+    for (&c, &e) in ground.iter().zip(&entry) {
+        args[c] = Term::Var(e);
+    }
+    let head = Atom::new(query.pred, vars.iter().map(|&v| Term::Var(v)).collect());
+    let scan = Step::Scan {
+        pred: query.pred,
+        args,
+        index_cols: index.to_vec(),
+    };
+    let plan = RulePlan::new(head, HeadKind::Simple, vec![scan], vec![0]);
+    ram::lower(&plan, &entry)
 }
 
 /// The answers binding `vars` to `rows` (`matches` rows of `vars.len()`
@@ -206,81 +290,12 @@ fn answers(vars: &[Var], rows: &[ValueId], matches: usize) -> Vec<QueryAnswer> {
         .collect()
 }
 
-/// Evaluate `query`'s ground arguments once and pick the best index `db`
-/// already has over their columns. Read-only, and it counts nothing: a
-/// query is not an evaluation, and [`EvalStats`] belong to the operation
-/// that did the work.
-fn access_path<'a>(db: &'a Database, query: &Atom) -> Result<AccessPath<'a>, NoMatch> {
-    let rel = db.relation(query.pred).ok_or(NoMatch::NoRelation)?;
-    if rel.arity() != query.arity() {
-        return Err(NoMatch::Arity(rel.arity()));
-    }
-    let cols: Vec<usize> = (0..query.args.len())
-        .filter(|&c| query.args[c].is_ground())
-        .collect();
-    let b = Bindings::new();
-    let key: Vec<ValueId> = cols
-        .iter()
-        .map(|&c| eval_term(&query.args[c], &b))
-        .collect::<Option<_>>()
-        .ok_or(NoMatch::OutsideU)?;
-    let probe = rel.covering_index(&cols).map(|(idx_cols, idx)| {
-        let projected = cols
-            .iter()
-            .zip(&key)
-            .filter(|(c, _)| idx_cols.contains(c))
-            .map(|(_, &k)| k)
-            .collect();
-        (idx_cols.to_vec(), projected, idx)
-    });
-    Ok(AccessPath {
-        rel,
-        cols,
-        key,
-        probe,
-    })
-}
-
-impl AccessPath<'_> {
-    /// The bound-argument arms of a query: the probed posting list, or the
-    /// scan pre-filtered by id on the ground columns. Kept out of
-    /// [`query`] so its nothing-bound loop stays the plain scan.
-    fn matches(&self, args: &[Term], b: &mut Bindings, k: &mut dyn FnMut(&mut Bindings)) {
-        match &self.probe {
-            // Posting lists hold live positions only, and the probe only
-            // narrows the candidates: `match_slice` decides each one.
-            Some((_, key, idx)) => {
-                for &pos in idx.probe(key) {
-                    match_slice(args, self.rel.get(pos), b, k);
-                }
-            }
-            None => {
-                for tuple in self.rel.iter() {
-                    if self
-                        .cols
-                        .iter()
-                        .zip(&self.key)
-                        .all(|(&c, &v)| tuple[c] == v)
-                    {
-                        match_slice(args, tuple, b, k);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// `n` with a space between thousands (`55 000`).
 fn spaced(n: usize) -> String {
-    let digits = n.to_string();
-    let mut out = String::new();
-    for (i, d) in digits.chars().enumerate() {
-        if i > 0 && (digits.len() - i).is_multiple_of(3) {
-            out.push(' ');
-        }
-        out.push(d);
+    match n {
+        0..1000 => n.to_string(),
+        _ => format!("{} {:03}", spaced(n / 1000), n % 1000),
     }
-    out
 }
 
 impl Evaluator {
@@ -386,86 +401,76 @@ impl Evaluator {
 /// Answer a query atom against an evaluated database: every fact of the
 /// query predicate matching the pattern, as variable bindings.
 ///
-/// The constants of the query restrict the work (§6): the pattern's
-/// ground arguments — constants, ground compounds and sets, ground
-/// arithmetic — are evaluated once, and if the relation *already has* an
-/// index keyed inside those columns ([`Relation::covering_index`]; every
-/// column bound is one probe of the duplicate filter) only the rows it
-/// posts are visited. With no such index the relation is scanned and
-/// rows are pre-filtered by id on the ground columns. Either way the
-/// pattern matcher runs on every surviving row — repeated variables, `_`,
-/// set patterns — so an index narrows the candidates and never decides a
-/// match. A ground argument that does not evaluate (`1 + overflow`,
-/// `scons` onto a non-set) matches no tuple. [`explain_query`]
-/// reports which of these a query takes.
+/// A query is a one-literal rule whose constants only seed it (§6), run on
+/// the rule executor from a plan kept per *shape* — predicate, which
+/// arguments are ground, the pattern of the rest, the index it probes — so
+/// no query plans or lowers anything its shape has not. The ground
+/// arguments are evaluated once per read into the plan's entry registers,
+/// and one that does not evaluate (`1 + overflow`) matches nothing. The
+/// plan probes the best index the relation *already has* inside the ground
+/// columns ([`Relation::covering_index`]; all of them is one probe of the
+/// duplicate filter), else scans and checks them by id; each row then runs
+/// what a rule's scan of the literal runs. [`explain_query`] says which.
 ///
-/// **A query never builds an index.** A build hashes every row — several
-/// times the price of the id-filtered scan it would replace, so it pays
-/// only for a missed shape that repeats — and `db` is immutable here
-/// (a published snapshot is shared between threads). The indexes a
-/// query finds are the ones rule evaluation and commit maintenance
-/// built for their own joins, which every clone of a model carries.
+/// **A query never builds an index**: a build hashes every row, several
+/// times the id-filtered scan it would replace, and `db` is immutable here
+/// (a published snapshot is shared between threads). The indexes it finds
+/// are those rule evaluation and maintenance built for their own joins.
 ///
-/// A query on an unknown predicate, or with the wrong arity for a known
-/// one, matches nothing and returns no answers — the Datalog convention
-/// (absent facts are false). Use [`Database::relation`] to distinguish
-/// "empty relation" from "no such relation".
+/// An unknown predicate, or the wrong arity, matches nothing — the Datalog
+/// convention (absent facts are false); [`Database::relation`] tells
+/// "empty" from "no such relation".
 pub fn query(db: &Database, query: &Atom) -> Vec<QueryAnswer> {
-    let Ok(path) = access_path(db, query) else {
+    let Ok(mut read) = Read::new(db, query) else {
         return Vec::new();
     };
-    let vars = query.vars();
-    // Each match's values as ids, one row of `vars.len()` after another.
-    let (mut rows, mut matches) = (Vec::new(), 0);
-    let mut b = Bindings::new();
-    let mut emit = |b2: &mut Bindings| {
-        rows.extend(
-            vars.iter()
-                .map(|v| b2.get(*v).expect("query var bound by match")),
-        );
-        matches += 1;
-    };
-    if path.cols.is_empty() {
-        for tuple in path.rel.iter() {
-            match_slice(&query.args, tuple, &mut b, &mut emit);
-        }
-    } else {
-        path.matches(&query.args, &mut b, &mut emit);
-    }
-    answers(&vars, &rows, matches)
+    let mut out = Out::new(&read.plan.head, false);
+    run_ram(read.plan, db, None, &mut read.regs, &mut out);
+    let buf = out.into_buf();
+    answers(&read.vars, &buf.data, buf.count)
 }
 
 /// One line saying how [`query`] reads `db` for this atom —
 /// `anc(0, Y): probe anc[0], 10 of 55 000 rows`, or `scan` with the row
 /// count, the ground columns it filters on and the indexes that exist
-/// when none covers them. Computed from the same access path the query
-/// runs, so it cannot drift from what a query does.
+/// when none covers them. Read from the plan the query runs, so it cannot
+/// drift from what a query does.
 pub fn explain_query(db: &Database, query: &Atom) -> String {
-    let line = match access_path(db, query) {
-        Err(NoMatch::NoRelation) => format!("no relation {}", query.pred),
-        Err(NoMatch::Arity(n)) => format!("no match, {} has arity {n}", query.pred),
-        Err(NoMatch::OutsideU) => "no match, a ground argument does not evaluate".to_string(),
-        Ok(path) => {
-            let rows = spaced(path.rel.live_len());
-            match &path.probe {
-                Some((cols, key, idx)) => format!(
-                    "probe {}{cols:?}, {} of {rows} rows",
+    let line = match Read::new(db, query) {
+        Err(why) => why,
+        Ok(read) => {
+            let Op::Scan {
+                index_cols, key, ..
+            } = &read.plan.ops[0]
+            else {
+                unreachable!("a query plan starts with its scan")
+            };
+            let (rows, ground) = (spaced(read.rel.live_len()), &read.ground);
+            if let Some(idx) = read
+                .rel
+                .index(index_cols)
+                .filter(|_| !index_cols.is_empty())
+            {
+                let key: Option<Vec<ValueId>> =
+                    key.iter().map(|e| eval_expr(e, &read.regs)).collect();
+                let n = idx.probe(&key.expect("entry registers evaluate")).len();
+                format!(
+                    "probe {}{index_cols:?}, {} of {rows} rows",
                     query.pred,
-                    spaced(idx.probe(key).len())
-                ),
-                None if path.cols.is_empty() => format!("scan {}, {rows} rows", query.pred),
-                None => format!(
-                    "scan {}, {rows} rows, filter on {:?} — no index covers {:?} (have: {})",
+                    spaced(n)
+                )
+            } else if ground.is_empty() {
+                format!("scan {}, {rows} rows", query.pred)
+            } else {
+                let have: Vec<String> = (read.rel.index_columns().iter())
+                    .map(|c| format!("{c:?}"))
+                    .collect();
+                format!(
+                    "scan {}, {rows} rows, filter on {ground:?} — no index covers {ground:?} \
+                     (have: {})",
                     query.pred,
-                    path.cols,
-                    path.cols,
-                    path.rel
-                        .index_columns()
-                        .iter()
-                        .map(|c| format!("{c:?}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
+                    have.join(", ")
+                )
             }
         }
     };
@@ -477,4 +482,92 @@ pub fn facts(db: &Database, pred: &str) -> Vec<Fact> {
     let mut v = db.facts_of(pred.into());
     v.sort();
     v
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ldl_parser::parse_atom;
+
+    /// How many plans the table holds for `pred`. Each test reads a
+    /// predicate no other test names, so the count is its own.
+    fn plans_of(pred: &str) -> usize {
+        let plans = PLANS.read().unwrap_or_else(PoisonError::into_inner);
+        plans.keys().filter(|(p, _)| p.as_str() == pred).count()
+    }
+
+    fn ask(db: &Database, q: &str) -> Vec<QueryAnswer> {
+        query(db, &parse_atom(q).unwrap())
+    }
+
+    /// 1 000 reads with distinct constants share one plan; a predicate the
+    /// database lacks, or the wrong arity, is answered without planning.
+    #[test]
+    fn constants_never_enter_a_plan() {
+        let mut db = Database::new();
+        for i in 0..1000 {
+            db.insert_tuple("shape_const", vec![Value::int(i), Value::int(i + 1)]);
+        }
+        for i in 0..1000 {
+            let answers = ask(&db, &format!("shape_const({i}, Y)"));
+            assert_eq!(answers[0].get("Y"), Some(&Value::int(i + 1)));
+        }
+        assert_eq!(plans_of("shape_const"), 1);
+        assert!(ask(&db, "shape_const(1)").is_empty());
+        assert!(ask(&db, "shape_none(1, Y)").is_empty());
+        assert_eq!((plans_of("shape_const"), plans_of("shape_none")), (1, 0));
+    }
+
+    /// A repeated variable makes a shape of its own; renaming the
+    /// variables does not.
+    #[test]
+    fn a_repeated_variable_is_a_shape_of_its_own() {
+        let mut db = Database::new();
+        for (x, y) in [(1, 1), (1, 2), (2, 2)] {
+            db.insert_tuple("shape_rep", vec![Value::int(x), Value::int(y)]);
+        }
+        assert_eq!(ask(&db, "shape_rep(X, X)").len(), 2);
+        assert_eq!(ask(&db, "shape_rep(X, Y)").len(), 3);
+        assert_eq!(ask(&db, "shape_rep(A, B)").len(), 3);
+        assert_eq!(plans_of("shape_rep"), 2);
+    }
+
+    /// A relation named like a built-in is read as the relation it is: the
+    /// plan's one step is its scan, whatever the name.
+    #[test]
+    fn a_relation_named_like_a_built_in_answers_from_its_rows() {
+        let mut db = Database::new();
+        db.insert_tuple("member", vec![Value::int(1), Value::int(2)]);
+        let answers = ask(&db, "member(X, Y)");
+        assert_eq!(answers[0].to_string(), "X = 1, Y = 2");
+        assert_eq!(ask(&db, "member(1, Y)").len(), 1);
+    }
+
+    /// The index is part of the shape: one built between two reads is
+    /// probed by the later read.
+    #[test]
+    fn a_read_probes_an_index_added_since_the_last() {
+        let mut db = Database::new();
+        for i in 0..30 {
+            db.insert_tuple("shape_idx", vec![Value::int(i % 3), Value::int(i)]);
+        }
+        let q = parse_atom("shape_idx(1, Y)").unwrap();
+        let scanned = query(&db, &q);
+        assert_eq!(scanned.len(), 10);
+        let how = explain_query(&db, &q);
+        assert!(
+            how.ends_with(
+                ": scan shape_idx, 30 rows, filter on [0] — no index covers [0] (have: [0, 1])"
+            ),
+            "{how}"
+        );
+        db.relation_mut("shape_idx".into(), 2).ensure_index(&[0]);
+        assert_eq!(query(&db, &q), scanned);
+        let how = explain_query(&db, &q);
+        assert!(
+            how.ends_with(": probe shape_idx[0], 10 of 30 rows"),
+            "{how}"
+        );
+        assert_eq!(plans_of("shape_idx"), 2);
+    }
 }

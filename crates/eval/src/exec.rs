@@ -1,5 +1,5 @@
-//! The tight loop that runs lowered `RamProgram`s — the engine's one rule
-//! executor.
+//! The tight loop that runs lowered `RamProgram`s — the engine's one
+//! executor, for every rule pass and every query read.
 //!
 //! `run_ram` enumerates a body's solutions by driving a flat op list over a
 //! dense `ValueId` register file. On entry every op's loop-invariant state —
@@ -7,31 +7,20 @@
 //! `ROp` table, so the per-tuple path never re-hashes a predicate name or an
 //! index descriptor. One function, `exec_op`, interprets every op; it is
 //! instantiated once per mode — run mode, which sends each solution to the
-//! pass's `Out`, and the existential tail, which stops at the first; an
-//! `_`-existential negation runs its ops in the tail's mode too. The `Out`
-//! is one concrete type whatever the head: a `Sink` chosen per pass
-//! projects the head (`Project`), projects it and drops a repeat
-//! (`Distinct`, a marked pass), or partitions the solutions (`Group`,
-//! §2.2), and the `Out` holds the pass buffer and the pass's counters. A scan
-//! tests the filters lowering gave it (its `then`) on each matching
-//! row in its own loop, so only rows that pass them re-enter `exec_op`;
-//! a filter no scan owns is an op of its own. A scan with a row form
-//! (`RowForm`) owns no filter or one integer test on one row value: it
-//! decodes the test's invariant operands once per entry and resolves the
-//! test into locals (`Lin::resolve`), so a row costs its column copies and
-//! one native integer test. An invariant operand that is not an integer
-//! (or arithmetic on invariants that fails) sends the whole entry, and a
-//! row value that is not one (or arithmetic on it that fails) sends that
-//! row, to the filter op (`filters_hold`), which alone defines overflow,
-//! division by zero, non-integer order and negation. Every relation access
-//! is a
-//! register op. The one op that bridges to the
-//! built-in evaluator, `Builtin` — which also runs a match step, the `=` of
-//! a flattened set, `scons`, `<t>` or open compound pattern — seeds a
-//! scratch [`Bindings`] from registers and copies solution values back:
-//! it is the only place this module reaches the term-tree matcher. A pass
-//! counts its index probes and existential cuts in its context and returns
-//! them once, when it ends.
+//! pass's `Out`, and the existential tail (or an `_`-negation's block),
+//! which stops at the first. The `Out` is one concrete type whatever the
+//! head: its `Sink` projects the head, projects it and drops a repeat (a
+//! marked pass), or partitions the solutions (§2.2). A scan tests the
+//! filters lowering gave it on each matching row in its own loop, and one
+//! with a row form (`RowForm`) tests its one integer filter on native
+//! integers (`Lin`), leaving to the filter op (`filters_hold`) only what
+//! that test cannot decide. The one op that bridges to the built-in
+//! evaluator, `Builtin` — which also runs a match step, the `=` of a set,
+//! `scons`, `<t>` or open compound pattern — seeds a scratch [`Bindings`]
+//! from registers and copies solution values back: it is the only place
+//! this module reaches the term-tree matcher. A pass counts its index
+//! probes and existential cuts in its context and returns them when it
+//! ends.
 //!
 //! `tests/differential.rs` pins the result against the reference evaluator
 //! ([`crate::model::reference_model`]), which walks plan steps against a
@@ -58,6 +47,7 @@ use crate::ram::{
 /// One op's run-invariant state, resolved once per `run_ram` call: the
 /// database is frozen for the duration of a pass, so relation pointers,
 /// index handles, and the delta range cannot change under the join.
+#[derive(Clone, Copy)]
 struct ROp<'a> {
     /// The op's relation (scans, all-ground negation).
     rel: Option<&'a Relation>,
@@ -74,12 +64,20 @@ struct ROp<'a> {
 /// two counters.
 struct Ctx<'a> {
     prog: &'a RamProgram,
-    rops: Box<[ROp<'a>]>,
+    rops: &'a [ROp<'a>],
     /// Index probes performed.
     probes: Cell<u64>,
     /// Existential short-circuits taken.
     cuts: Cell<u64>,
 }
+
+/// An op with no relation.
+const NO_ROP: ROp<'static> = ROp {
+    rel: None,
+    idx: None,
+    lo: 0,
+    hi: 0,
+};
 
 fn resolve<'a>(op: &Op, i: usize, db: &'a Database, restrict: Option<DeltaRestriction>) -> ROp<'a> {
     match op {
@@ -101,16 +99,9 @@ fn resolve<'a>(op: &Op, i: usize, db: &'a Database, restrict: Option<DeltaRestri
         }
         Op::Neg { pred, .. } => ROp {
             rel: db.relation(*pred),
-            idx: None,
-            lo: 0,
-            hi: 0,
+            ..NO_ROP
         },
-        _ => ROp {
-            rel: None,
-            idx: None,
-            lo: 0,
-            hi: 0,
-        },
+        _ => NO_ROP,
     }
 }
 
@@ -232,36 +223,43 @@ fn project_head(head: &[Expr], regs: &[ValueId], data: &mut Vec<ValueId>) -> boo
 /// Execute a lowered body against `db`, sending each solution to `out`.
 /// An empty positive scan relation short-circuits the whole pass;
 /// `restrict` confines plan step `step` — its first op, the scan — to a
-/// delta range. Returns the pass's index probes and existential cuts.
+/// delta range. `regs` is the register file, `prog.nregs` long, its entry
+/// registers (`ram::lower`) seeded. Returns the pass's index probes and
+/// existential cuts.
 pub(crate) fn run_ram(
     prog: &RamProgram,
     db: &Database,
     restrict: Option<DeltaRestriction>,
+    regs: &mut [ValueId],
     out: &mut Out<'_>,
 ) -> (u64, u64) {
-    for &pred in prog.scan_preds.iter() {
-        if db.relation(pred).is_none_or(|r| r.is_empty()) {
-            return (0, 0);
-        }
-    }
     let restrict = restrict.map(|r| DeltaRestriction {
         step: prog.step_op[r.step],
         ..r
     });
-    let rops = prog
-        .ops
-        .iter()
-        .enumerate()
-        .map(|(i, op)| resolve(op, i, db, restrict))
-        .collect();
+    // A small program's resolved ops live on the stack: a pass, or a
+    // query's read, allocates none.
+    let (mut stack, mut heap) = ([NO_ROP; 8], Vec::new());
+    let rops = match stack.get_mut(..prog.ops.len()) {
+        Some(rops) => rops,
+        None => {
+            heap.resize(prog.ops.len(), NO_ROP);
+            &mut heap[..]
+        }
+    };
+    for (i, (r, op)) in rops.iter_mut().zip(prog.ops.iter()).enumerate() {
+        *r = resolve(op, i, db, restrict);
+    }
+    if (prog.scan_ops.iter()).any(|&i| rops[i].rel.is_none_or(Relation::is_empty)) {
+        return (0, 0);
+    }
     let ctx = Ctx {
         prog,
         rops,
         probes: Cell::new(0),
         cuts: Cell::new(0),
     };
-    let mut regs = vec![ValueId::FILLER; prog.nregs];
-    exec_op::<false>(&ctx, 0, &mut regs, &mut Bindings::new(), out);
+    exec_op::<false>(&ctx, 0, regs, &mut Bindings::new(), out);
     (ctx.probes.get(), ctx.cuts.get())
 }
 
@@ -298,7 +296,7 @@ fn match_cols(cols: &[(usize, ColAct)], tuple: &[ValueId], regs: &mut [ValueId])
 /// register counterpart of `probe_key`). `None` ⇒ a key term failed to
 /// evaluate — no tuple can match, and no probe is counted.
 fn eval_key<'k>(
-    key: &[crate::ram::Expr],
+    key: &[Expr],
     regs: &[ValueId],
     stack: &'k mut [ValueId; 8],
     heap: &'k mut Vec<ValueId>,
@@ -320,7 +318,7 @@ fn eval_key<'k>(
 /// argument expressions in order — a failure means the fact is outside `U`,
 /// so ¬ holds — then one hash containment test against the frozen lower
 /// layers.
-fn neg_op(key: &[crate::ram::Expr], rel: Option<&Relation>, regs: &[ValueId]) -> bool {
+fn neg_op(key: &[Expr], rel: Option<&Relation>, regs: &[ValueId]) -> bool {
     let mut stack = [ValueId::FILLER; 8];
     let mut heap: Vec<ValueId> = Vec::new();
     match eval_key(key, regs, &mut stack, &mut heap) {
@@ -343,8 +341,7 @@ fn neg_op(key: &[crate::ram::Expr], rel: Option<&Relation>, regs: &[ValueId]) ->
 /// and only an operand nested deeper takes the out-of-line
 /// [`eval_num_nested`].
 #[inline(always)]
-fn eval_num(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
-    use crate::ram::Expr;
+fn eval_num(e: &Expr, regs: &[ValueId]) -> Option<i64> {
     match e {
         Expr::Arith(op, l, r) => op.eval_i64(num_operand(l, regs)?, num_operand(r, regs)?),
         _ => num_operand(e, regs),
@@ -353,8 +350,7 @@ fn eval_num(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
 
 /// [`eval_num`] on an operand: a register or a constant in line.
 #[inline(always)]
-fn num_operand(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
-    use crate::ram::Expr;
+fn num_operand(e: &Expr, regs: &[ValueId]) -> Option<i64> {
     match e {
         Expr::Reg(r) => intern::int_of(regs[*r as usize]),
         Expr::Const(v) => intern::int_of(*v),
@@ -365,7 +361,7 @@ fn num_operand(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
 
 /// [`eval_num`] out of line, for an operand that is itself arithmetic.
 #[inline(never)]
-fn eval_num_nested(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
+fn eval_num_nested(e: &Expr, regs: &[ValueId]) -> Option<i64> {
     eval_num(e, regs)
 }
 
@@ -375,7 +371,7 @@ fn eval_num_nested(e: &crate::ram::Expr, regs: &[ValueId]) -> Option<i64> {
 /// equality), in line; otherwise fall back to the out-of-line
 /// [`cmp_ids`].
 #[inline(always)]
-fn cmp_op(op: CmpOp, lhs: &crate::ram::Expr, rhs: &crate::ram::Expr, regs: &[ValueId]) -> bool {
+fn cmp_op(op: CmpOp, lhs: &Expr, rhs: &Expr, regs: &[ValueId]) -> bool {
     if let (Some(l), Some(r)) = (eval_num(lhs, regs), eval_num(rhs, regs)) {
         return op.holds(l.cmp(&r));
     }
@@ -386,7 +382,7 @@ fn cmp_op(op: CmpOp, lhs: &crate::ram::Expr, rhs: &crate::ram::Expr, regs: &[Val
 /// strings and treats an operand outside `U` as `false` — `eval_term`'s
 /// `None` in both of the interpreter's `Cmp` arms.
 #[inline(never)]
-fn cmp_ids(op: CmpOp, lhs: &crate::ram::Expr, rhs: &crate::ram::Expr, regs: &[ValueId]) -> bool {
+fn cmp_ids(op: CmpOp, lhs: &Expr, rhs: &Expr, regs: &[ValueId]) -> bool {
     match (eval_expr(lhs, regs), eval_expr(rhs, regs)) {
         (Some(l), Some(r)) => op.eval_ids(l, r) == Some(true),
         _ => false,
@@ -396,12 +392,7 @@ fn cmp_ids(op: CmpOp, lhs: &crate::ram::Expr, rhs: &crate::ram::Expr, regs: &[Va
 /// Forward-mode arithmetic result on native integers. `None` exactly when
 /// the interpreter's `eval_ids` chain fails: a non-integer operand (no
 /// arithmetic shape can evaluate to an integer any other way) or overflow.
-fn arith_val(
-    op: ArithOp,
-    x: &crate::ram::Expr,
-    y: &crate::ram::Expr,
-    regs: &[ValueId],
-) -> Option<i64> {
+fn arith_val(op: ArithOp, x: &Expr, y: &Expr, regs: &[ValueId]) -> Option<i64> {
     op.eval_i64(eval_num(x, regs)?, eval_num(y, regs)?)
 }
 
@@ -451,13 +442,7 @@ fn filters_hold(ctx: &Ctx<'_>, from: usize, to: usize, regs: &[ValueId]) -> bool
 /// either side fails to evaluate to an integer (the positive literal's
 /// answer; the caller inverts for negation).
 #[inline(never)]
-fn arith_check(
-    op: ArithOp,
-    x: &crate::ram::Expr,
-    y: &crate::ram::Expr,
-    e: &crate::ram::Expr,
-    regs: &[ValueId],
-) -> bool {
+fn arith_check(op: ArithOp, x: &Expr, y: &Expr, e: &Expr, regs: &[ValueId]) -> bool {
     matches!((arith_val(op, x, y, regs), eval_num(e, regs)), (Some(z), Some(c)) if z == c)
 }
 

@@ -23,14 +23,9 @@
 //!   at the same positions and probes the model only for what survives.
 //! * [`delta_loop`] is the only semi-naive driver: it runs rounds of
 //!   delta passes over a [`DeltaFrontier`] until no delta predicate has
-//!   grown. A pass is the delta-first variant of a rule, pinning the delta
-//!   occurrence as step 0 — unless that variant would scan a relation in
-//!   full once per delta tuple, when it is the full plan run in place with
-//!   the delta range on the occurrence's step (`PlanTable::delta_pass`).
-//!   Its callers differ only in the frontier they hand it: a schedule
-//!   entry run cold (after one full round, `run_entry`: every entry of
-//!   [`evaluate`], and an entry the maintenance sweep replays), the sweep's
-//!   insertion delta and DRed's overdelete and rederive phases
+//!   grown. Its callers differ only in the frontier they hand it: a
+//!   schedule entry run cold (`run_entry`, after one full round), the
+//!   maintenance sweep's insertion delta and DRed's phases
 //!   ([`crate::retract`]), and the magic-set evaluator's staged schedule.
 //! * a [`Drive`] carries what one operation's rounds share.
 
@@ -396,7 +391,13 @@ pub(crate) fn derive(task: &RoundTask<'_>, db: &Database, stats: &mut EvalStats)
         "grouping pass restricted"
     );
     let mut out = Out::new(&prog.head, task.distinct);
-    let (probes, cuts) = run_ram(&prog, db, task.restrict, &mut out);
+    let (probes, cuts) = run_ram(
+        &prog,
+        db,
+        task.restrict,
+        &mut vec![ValueId::FILLER; prog.nregs],
+        &mut out,
+    );
     stats.attempts += out.attempts;
     stats.index_probes += probes;
     stats.exist_cuts += cuts;

@@ -17,13 +17,10 @@
 //!   statistics, no lowering, no budget.
 //!
 //! Both are built on `apply_rule`, the paper's `r(M)`: a tree-walking
-//! interpreter over the engine's own plans ([`RulePlan::compile`], the sip
-//! rule, no delta literal pinned first), which enumerates every body
-//! solution — it never reads the plan's existential tail — and counts
-//! nothing. It matches every pattern with the term-tree matcher
-//! ([`crate::unify`]) and decides an `_`-existential negation by its own
-//! unindexed walk of the relation. There are no options; the engine is
-//! tested against this, not the other way round.
+//! interpreter over the engine's own plans ([`RulePlan::compile`]) that
+//! enumerates every body solution (it never reads the existential tail),
+//! matches with the term-tree matcher ([`crate::unify`]), walks the
+//! relation for an `_`-negation, and counts nothing.
 
 use std::fmt;
 

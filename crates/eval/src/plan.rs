@@ -24,11 +24,8 @@
 //! plans with the same rule, but shares neither the executor nor the
 //! existential tail with the engine.
 //!
-//! A plan is data, and this module matches no term against a row. The
-//! engine lowers each plan into a register program ([`crate::ram`]), where
-//! one step may become several ops — a scan plus the match steps of its
-//! complex column patterns — and the reference evaluator walks the steps
-//! with the term-tree matcher.
+//! A plan is data, and this module matches no term against a row: the
+//! engine lowers it ([`crate::ram`]), and the reference walks its steps.
 //!
 //! Plans also carry an *existential tail*: the first step index after which
 //! no head or grouping variable can be bound ([`RulePlan::exist_from`]).
@@ -37,6 +34,8 @@
 //! first witness instead of enumerating all matches. A tail of checks alone
 //! (comparisons, negation, ground built-ins) has at most one witness, so it
 //! is no tail.
+
+use std::sync::{Arc, OnceLock};
 
 use ldl_ast::literal::{Atom, Literal};
 use ldl_ast::program::Builtin;
@@ -48,6 +47,7 @@ use ldl_value::Symbol;
 
 use crate::builtins::can_schedule;
 use crate::error::EvalError;
+use crate::ram::{self, RamProgram};
 
 /// One executable body step.
 #[derive(Clone, Debug)]
@@ -138,7 +138,7 @@ pub struct RulePlan {
     /// first execution and then shared across rounds — the `OnceLock` runs
     /// the lowering exactly once. Cloning a plan drops the cache
     /// (the clone may be mutated into a variant before execution).
-    pub(crate) ram: std::sync::OnceLock<std::sync::Arc<crate::ram::RamProgram>>,
+    pub(crate) ram: OnceLock<Arc<RamProgram>>,
 }
 
 impl Clone for RulePlan {
@@ -151,7 +151,7 @@ impl Clone for RulePlan {
             scan_steps: self.scan_steps.clone(),
             exist_from: self.exist_from,
             projects: self.projects,
-            ram: std::sync::OnceLock::new(),
+            ram: OnceLock::new(),
         }
     }
 }
@@ -200,6 +200,16 @@ impl RulePlan {
             ),
         })?;
 
+        Ok(RulePlan::new(rule.head.clone(), head_kind, steps, literals))
+    }
+
+    /// The plan that runs `steps` in this order, with its tail and mark.
+    pub(crate) fn new(
+        head: Atom,
+        head_kind: HeadKind,
+        steps: Vec<Step>,
+        literals: Vec<usize>,
+    ) -> RulePlan {
         let scan_steps = steps
             .iter()
             .enumerate()
@@ -209,30 +219,30 @@ impl RulePlan {
             })
             .collect();
 
-        let packs = matches!(head_kind, HeadKind::Simple) && (1..=2).contains(&rule.head.arity());
-        let (exist_from, projects) = match head_prefix(&rule.head, &steps) {
+        let packs = matches!(head_kind, HeadKind::Simple) && (1..=2).contains(&head.arity());
+        let (exist_from, projects) = match head_prefix(&head, &steps) {
             Some(prefix) => (
                 compute_exist_from(&steps, &prefix),
                 packs && projects(&steps, &prefix),
             ),
             None => (steps.len(), false),
         };
-        Ok(RulePlan {
-            head: rule.head.clone(),
+        RulePlan {
+            head,
             head_kind,
             exist_from,
             projects,
             steps,
             literals,
             scan_steps,
-            ram: std::sync::OnceLock::new(),
-        })
+            ram: OnceLock::new(),
+        }
     }
 
     /// The plan's lowered register program, built on first use and cached.
-    pub(crate) fn lowered(&self) -> std::sync::Arc<crate::ram::RamProgram> {
+    pub(crate) fn lowered(&self) -> Arc<RamProgram> {
         self.ram
-            .get_or_init(|| std::sync::Arc::new(crate::ram::lower(self)))
+            .get_or_init(|| Arc::new(ram::lower(self, &[])))
             .clone()
     }
 

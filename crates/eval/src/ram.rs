@@ -1,53 +1,32 @@
 //! RAM-style intermediate representation: lowering [`RulePlan`]s into flat
 //! register-machine programs.
 //!
-//! Interpreting a plan walks term trees per tuple: every column match
-//! dispatches on the pattern's shape, every variable read scans the binding
-//! trail, and every constant re-hashes its `Value` through the interner.
-//! Lowering removes all of that from the hot loop. A `RamProgram` is a
-//! `Vec<Op>` operating on a dense file of [`ValueId`] registers:
+//! Interpreting a plan walks term trees per tuple. Lowering takes that out
+//! of the hot loop: a `RamProgram` is a `Vec<Op>` over a dense file of
+//! [`ValueId`] registers, in which
 //!
-//! * simple columns compile to `bind r` / `check r` / `const #id` actions
-//!   (constants are interned **once**, at lowering time, and integer
-//!   constants decoded then too);
-//! * a column pattern no register action expresses — a set enumeration
-//!   like `{X, Y}`, `scons(H, T)`, `<t>`, or a compound with an unbound
-//!   variable or a nested `_` — binds a fresh register, and a *match step*
-//!   `rN = pattern` after the scan matches it. The step is lowered like a
-//!   user's own `=` literal: a comparison op when the pattern is by then
-//!   ground, else the `Op::Builtin` `=` that runs the term-tree matcher
-//!   ([`crate::unify`]) — the one place, beside the other built-ins, that
-//!   the executor still calls it;
-//! * index probe keys compile to per-column `Expr`s evaluated straight
-//!   from registers;
-//! * all-ground negation compiles to expression evaluation plus one hash
-//!   containment test, and `_`-existential negation to the literal's own
-//!   flattened scan and match steps, run to their first solution;
-//! * head projection compiles to an `Expr` per head argument, written
-//!   directly into the derivation buffer;
-//! * a scan owns the filters that directly follow it — comparisons,
-//!   all-ground negations, arithmetic checks — up to the existential
-//!   tail's start, and the executor tests them in the scan's row loop
-//!   (`fuse_filters`);
-//! * a scan whose columns all bind and which owns no filter, or one
-//!   integer test on one row value over registers and integer constants,
-//!   also gets a `RowForm`: its binds as `(column, register)` pairs and
-//!   its test with each operand named as a row column, a register bound
-//!   before the scan, or a decoded integer. The executor resolves the test
-//!   once per scan entry and runs the row loop on native integers.
+//! * simple columns are `bind r` / `check r` / `const #id` actions, with
+//!   constants interned (and integers decoded) once, at lowering time;
+//! * any other column pattern — `{X, Y}`, `scons(H, T)`, `<t>`, a compound
+//!   with an unbound variable or a nested `_` — binds a fresh register, and
+//!   a *match step* `rN = pattern` after the scan is lowered like a written
+//!   `=`: a comparison once the pattern is ground, else the `Op::Builtin`
+//!   `=` that runs the term-tree matcher ([`crate::unify`]);
+//! * probe keys, negations and the head are `Expr`s over registers, and an
+//!   `_`-negation runs its literal's own scan and match steps to their
+//!   first solution;
+//! * a scan owns the filters that directly follow it (`fuse_filters`), and
+//!   one whose columns all bind and whose one filter is an integer test on
+//!   one row value also gets a `RowForm`, run on native integers;
+//! * a query's ground arguments are *entry* variables: bound before the
+//!   first op, in the first registers, which `run_ram` seeds per read.
 //!
-//! A plan step therefore lowers to one op or to several, and ops do not
-//! match steps by index. `RamProgram::step_op` maps each step to its first
-//! op: a [`DeltaRestriction`](crate::plan::DeltaRestriction) naming step `i`
-//! restricts op `step_op[i]` (a positive scan's first op is its scan), and
-//! the plan's `exist_from` splits the op list at `step_op[exist_from]`.
-//! `tests/differential.rs` pins the engine's results against the reference
-//! evaluator ([`crate::model`]), which interprets plans directly.
-//!
-//! Lowering happens at most once per plan: `RulePlan::lowered` caches the
-//! program in a `OnceLock`, so a plan kept in its program's plan table
-//! ([`crate::compiled`]) is lowered exactly once, however many rounds and
-//! operations run it — the pass that finds the lock empty counts it in
+//! A plan step lowers to one op or several: `RamProgram::step_op` maps each
+//! step to its first op, which a
+//! [`DeltaRestriction`](crate::plan::DeltaRestriction) naming the step
+//! restricts, and the existential tail starts at `step_op[exist_from]`.
+//! A rule's plan is lowered once, through `RulePlan::lowered`'s
+//! `OnceLock`: the pass that finds it empty counts it in
 //! [`EvalStats::lowerings`](crate::EvalStats).
 
 use ldl_ast::program::Builtin;
@@ -349,9 +328,9 @@ pub(crate) struct RamProgram {
     pub(crate) head: HeadIr,
     /// First op of the existential tail (`ops.len()` ⇒ no tail).
     pub(crate) exist_from: usize,
-    /// Predicates of the positive relation literals, for the empty-relation
-    /// pre-check.
-    pub(crate) scan_preds: Box<[Symbol]>,
+    /// The scan op of each positive relation literal, for the
+    /// empty-relation check.
+    pub(crate) scan_ops: Box<[usize]>,
     /// Register-file size.
     pub(crate) nregs: usize,
 }
@@ -617,11 +596,14 @@ fn lower_scan(
     }
 }
 
-/// Lower a compiled plan into a flat register program. Called exactly once
-/// per plan through `RulePlan::lowered`'s `OnceLock`.
-pub(crate) fn lower(plan: &RulePlan) -> RamProgram {
+/// Lower a compiled plan into a flat register program, the `entry`
+/// variables (a query's ground arguments) bound in its first registers.
+pub(crate) fn lower(plan: &RulePlan, entry: &[Var]) -> RamProgram {
     let mut regs: FastMap<Var, Reg> = FastMap::default();
-    let mut bound: FastSet<Var> = FastSet::default();
+    for &v in entry {
+        reg_of(&mut regs, v);
+    }
+    let mut bound: FastSet<Var> = entry.iter().copied().collect();
     let mut ops: Vec<Op> = Vec::with_capacity(plan.steps.len());
     let mut step_op: Vec<usize> = Vec::with_capacity(plan.steps.len());
     for step in &plan.steps {
@@ -711,9 +693,9 @@ pub(crate) fn lower(plan: &RulePlan) -> RamProgram {
     RamProgram {
         exist_from,
         ops: ops.into_boxed_slice(),
+        scan_ops: plan.scan_steps.iter().map(|&(s, _)| step_op[s]).collect(),
         step_op: step_op.into_boxed_slice(),
         head,
-        scan_preds: plan.scan_steps.iter().map(|&(_, p)| p).collect(),
         nregs: regs.len(),
     }
 }
@@ -999,7 +981,7 @@ mod tests {
     /// `(op, then)` for each scan of the rule's lowered program.
     fn fused(rule: &str) -> Vec<(usize, usize)> {
         let plan = RulePlan::compile(&parse_rule(rule).unwrap(), None).unwrap();
-        lower(&plan)
+        lower(&plan, &[])
             .ops
             .iter()
             .enumerate()
@@ -1016,7 +998,7 @@ mod tests {
     /// `(op, form)` for each scan of the rule's lowered program.
     fn forms(rule: &str) -> Vec<(usize, Option<FormParts>)> {
         let plan = RulePlan::compile(&parse_rule(rule).unwrap(), None).unwrap();
-        lower(&plan)
+        lower(&plan, &[])
             .ops
             .iter()
             .enumerate()

@@ -43,6 +43,11 @@ pub fn eval_term(t: &Term, b: &Bindings) -> Option<ValueId> {
     }
 }
 
+/// Evaluate a ground term: [`eval_term`] under no binding.
+pub fn eval_ground(t: &Term) -> Option<ValueId> {
+    eval_term(t, &Bindings::new())
+}
+
 /// Are all variables of `t` bound (so [`eval_term`] can succeed)?
 pub fn is_ground_under(t: &Term, b: &Bindings) -> bool {
     match t {
@@ -140,7 +145,9 @@ pub fn match_term(t: &Term, v: ValueId, b: &mut Bindings, k: &mut dyn FnMut(&mut
 }
 
 /// Match a sequence of patterns against a sequence of ground values
-/// (all-solutions product).
+/// (all-solutions product). A pattern whose arithmetic waits (`waits`) is
+/// matched after the rest, which may bind its variables (`p(X + 1, X)`):
+/// arithmetic never binds, so the order changes no solution.
 pub fn match_slice(
     pats: &[Term],
     vals: &[ValueId],
@@ -152,8 +159,23 @@ pub fn match_slice(
         None => k(b),
         Some((p0, rest_p)) => {
             let (v0, rest_v) = vals.split_first().expect("lengths equal");
-            match_term(p0, *v0, b, &mut |b2| match_slice(rest_p, rest_v, b2, k));
+            if !rest_p.is_empty() && waits(p0, b) {
+                match_slice(rest_p, rest_v, b, &mut |b2| match_term(p0, *v0, b2, k));
+            } else {
+                match_term(p0, *v0, b, &mut |b2| match_slice(rest_p, rest_v, b2, k));
+            }
         }
+    }
+}
+
+/// Does `t` hold arithmetic with an operand unbound under `b`? (A `<t>`
+/// pattern's variables range over its elements, so it is never put off.)
+fn waits(t: &Term, b: &Bindings) -> bool {
+    match t {
+        Term::Arith(..) => !is_ground_under(t, b),
+        Term::Compound(_, args) | Term::SetEnum(args) => args.iter().any(|a| waits(a, b)),
+        Term::Scons(h, tail) => waits(h, b) || waits(tail, b),
+        Term::Var(_) | Term::Anon | Term::Const(_) | Term::Group(_) => false,
     }
 }
 
@@ -172,6 +194,13 @@ fn match_set_enum(
     // it, and it can never produce more distinct elements than it has.
     if s.len() > pats.len() {
         return;
+    }
+    // A pattern whose arithmetic waits ([`waits`]) goes after the others,
+    // which may bind its variables: `{X + 1, X}` matches `{2, 3}`.
+    if pats.windows(2).any(|w| waits(&w[0], b) && !waits(&w[1], b)) {
+        let (ready, wait): (Vec<Term>, Vec<Term>) =
+            pats.iter().cloned().partition(|p| !waits(p, b));
+        return match_set_enum(&[ready, wait].concat(), s, b, k);
     }
     // `hits[i]` counts the patterns assigned to `s[i]` so far; `missing`
     // is the number of elements with none.

@@ -357,6 +357,107 @@ fn query_patterns() {
     assert_eq!(a2[0].bindings[0].1, Value::int(2));
     // No match.
     assert!(ev.query(&m, &parse_atom("kids(9, S)").unwrap()).is_empty());
+
+    // Each kind of argument a query shape tells apart, against answers
+    // written by hand (the same as the term-tree matcher gave).
+    let program = parse_program(
+        "pair(1, 1). pair(1, 2). pair(2, 2). pair(3, 1). num(3). num(4).\n\
+         s({1, 2, 3}). s({4}). s({5, 6}).\n\
+         t(f(1, 1)). t(f(2, 1)). t(f(2, 2)). t(g(1, 1)). flag.",
+    )
+    .unwrap();
+    let m = evaluate(&ev, &program, &Database::new());
+    let answers = |q: &str| -> Vec<String> {
+        let atom = parse_atom(q).unwrap();
+        ev.query(&m, &atom).iter().map(|a| a.to_string()).collect()
+    };
+    for (q, want) in [
+        // A repeated variable, and `_`.
+        ("pair(X, X)", &["X = 1", "X = 2"][..]),
+        ("pair(X, _)", &["X = 1", "X = 2", "X = 3"]),
+        // Ground arithmetic, and a ground set written out of order.
+        ("num(1 + 2)", &["yes"]),
+        ("s({3, 1, 2})", &["yes"]),
+        // An open set, and a compound with a constant inside.
+        (
+            "s({X, Y})",
+            &["X = 4, Y = 4", "X = 5, Y = 6", "X = 6, Y = 5"],
+        ),
+        ("t(f(X, 1))", &["X = 1", "X = 2"]),
+        // A ground argument outside U matches nothing.
+        ("num(9223372036854775807 + 1)", &[]),
+        // A nullary predicate, and a ground query's `yes` and `no`.
+        ("flag", &["yes"]),
+        ("pair(1, 1)", &["yes"]),
+        ("pair(1, 3)", &[]),
+    ] {
+        assert_eq!(answers(q), want, "{q}");
+    }
+}
+
+/// Facts whose arithmetic patterns wait for a later binding: `X + 1` is
+/// checked once the rest of its pattern has bound `X`. Each case answered
+/// nothing at some point: the query and the reference matched columns in
+/// order, and the compound match step did so at every level.
+const WAITING: &str = "p(2, 1). p(3, 2). p(5, 5). p(1, 2).\n\
+     q(f(2, 1)). q(f(3, 2)). q(f(5, 1)).\n\
+     q(f(g(3), 2)). q(f(g(2), 1)). q(f(g(2), 2)). s({2, 3}). s({3, 5}).\n\
+     a(X) <- p(X + 1, X).\n\
+     c(X) <- q(f(X + 1, X)).\n\
+     d(X) <- q(f(g(X + 1), X)).\n\
+     n(X) <- s({X + 1, X}).";
+
+/// The values of `pred`'s one column in `m`, sorted.
+fn ints(m: &Database, pred: &str) -> Vec<Value> {
+    let facts = Evaluator::new().facts(m, pred);
+    facts.iter().map(|f| f.args()[0].clone()).collect()
+}
+
+/// By hand, over `p(2, 1)` and `p(3, 2)`.
+#[test]
+fn a_query_checks_arithmetic_after_the_column_that_binds_it() {
+    let ev = Evaluator::new();
+    let m = ev
+        .evaluate(&parse_program(WAITING).unwrap(), &Database::new())
+        .unwrap();
+    let answers = ev.query(&m, &parse_atom("p(X + 1, X)").unwrap());
+    let answers: Vec<String> = answers.iter().map(|a| a.to_string()).collect();
+    assert_eq!(answers, ["X = 1", "X = 2"]);
+}
+
+#[test]
+fn the_reference_checks_arithmetic_after_the_column_that_binds_it() {
+    let program = parse_program(WAITING).unwrap();
+    let reference = reference_model(&program, &Database::new()).unwrap();
+    let engine = Evaluator::new()
+        .evaluate(&program, &Database::new())
+        .unwrap();
+    assert_eq!(reference.to_fact_set(), engine.to_fact_set());
+    assert_eq!(ints(&reference, "a"), [Value::int(1), Value::int(2)]);
+}
+
+/// By hand: `q(f(2, 1))` and `q(f(3, 2))` for `c`, `q(f(g(2), 1))` and
+/// `q(f(g(3), 2))` for `d`, `s({2, 3})` for `n`; on the engine, whose match
+/// step runs the term-tree matcher, and on the reference.
+#[test]
+fn a_match_step_checks_arithmetic_after_the_argument_that_binds_it() {
+    let program = parse_program(WAITING).unwrap();
+    let engine = Evaluator::new()
+        .evaluate(&program, &Database::new())
+        .unwrap();
+    let reference = reference_model(&program, &Database::new()).unwrap();
+    for m in [&engine, &reference] {
+        for pred in ["c", "d"] {
+            assert_eq!(ints(m, pred), [Value::int(1), Value::int(2)], "{pred}");
+        }
+        assert_eq!(ints(m, "n"), [Value::int(2)]);
+    }
+    let ev = Evaluator::new();
+    for q in ["q(f(X + 1, X))", "q(f(g(X + 1), X))"] {
+        let answers = ev.query(&engine, &parse_atom(q).unwrap());
+        let answers: Vec<String> = answers.iter().map(|a| a.to_string()).collect();
+        assert_eq!(answers, ["X = 1", "X = 2"], "{q}");
+    }
 }
 
 /// Enumerated-set patterns cover stored sets of any size, as a query and

@@ -165,10 +165,10 @@ impl Snapshot {
 
     /// Answer a query against this snapshot's model — the same semantics
     /// as [`System::query`](crate::System::query), minus any evaluation
-    /// (the model was computed before publication). A snapshot is a full
-    /// copy of the model with the indexes the writer's copy had, so a query
-    /// binding their columns is an index probe here too; the snapshot is
-    /// immutable, so nothing is ever built for one.
+    /// (the model was computed before publication), from the plan of the
+    /// query's shape, kept per process, not per snapshot. A snapshot has
+    /// the indexes the writer's copy had, so a query binding their columns
+    /// is an index probe here too; nothing is ever built for one.
     pub fn query(&self, query: &str) -> Result<Vec<QueryAnswer>, Error> {
         let atom = ldl_parser::parse_atom(query)?;
         Ok(engine::query(&self.inner.model, &atom))

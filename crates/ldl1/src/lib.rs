@@ -752,10 +752,10 @@ impl System {
     /// Answer a query against the standard model, by one of three arms —
     /// the caller does not choose:
     ///
-    /// * **a model is cached** (or a [`Reader`] is attached): read it,
-    ///   through an index when the query binds the columns of one the model
-    ///   already has and by a filtered scan otherwise (see
-    ///   [`eval::engine::query`]; a query never builds an index);
+    /// * **a model is cached** (or a [`Reader`] is attached): read it as a
+    ///   one-literal rule, from its shape's plan (planned once per process),
+    ///   probing an index the model has on the bound columns, else by a
+    ///   filtered scan ([`eval::engine::query`]; it never builds an index);
     /// * **no model, and the query binds an argument of a predicate rules
     ///   define**: run the §6 magic-set pipeline over the EDB, which derives
     ///   only what the bound arguments reach (Theorems 3/4: same answers).

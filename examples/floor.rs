@@ -14,16 +14,16 @@
 //!   `anc[0]` index of the writer's copy of that model (the same facts and
 //!   indexes) through the `Relation` API, `int_of` on each row and a sort.
 //!   It times what a read costs beyond its index probe: the parse, the
-//!   access path and the answers.
+//!   plan lookup, the executor and the answers.
 //! * `open` — a `cold_recovery` op: `System::open → load → query("anc(0,
 //!   Y)")` on a data directory of `--size` chains (default 2 000) of 10
 //!   edges, checkpointed, and a log tail of `--size / 4` commits that each
 //!   extend a chain and add a `tag` atom; against `fs::read` of both files
 //!   and a breadth-first search from `0` over the example's own copy of the
 //!   edges (grouped by source before the timer starts). It times what a
-//!   restart costs beyond reading its bytes, and
-//!   prints where the open's time went (`RecoveryInfo::times`, the median
-//!   of each part).
+//!   restart costs beyond reading its bytes, and prints where the open's
+//!   time went (`RecoveryInfo::times`, the median of each part) and the
+//!   median load and query after it (a cold query runs §6 magic sets).
 //! * `far` — a `tc_chain` op: `System::new → load → query("far(X, Y)")`
 //!   on §1's ancestor program over a chain of `--size` edges (default
 //!   160) with stride 10, plus `far(X, Y) <- anc(X, Z), anc(Z, Y), Y - X >
@@ -235,12 +235,19 @@ fn open_dir(chains: i64) -> (PathBuf, Vec<(i64, i64)>) {
 }
 
 /// One op: open `dir`, load the rules, answer `anc(0, Y)`; the `Y`s, the
-/// open's split and the ms the op took.
-fn engine_open(dir: &Path) -> (Vec<i64>, OpenTimes, f64) {
+/// open's split, the ms the load and the query took, and the ms the op
+/// took.
+fn engine_open(dir: &Path) -> (Vec<i64>, OpenTimes, [f64; 2], f64) {
     let start = Instant::now();
     let mut sys = System::open(dir).expect("the dir opens");
+    let loading = Instant::now();
     sys.load(ANCESTOR).expect("the rules load");
+    let asking = Instant::now();
     let answers = sys.query("anc(0, Y)").expect("the query answers");
+    let after_open = [
+        (asking - loading).as_secs_f64() * 1e3,
+        asking.elapsed().as_secs_f64() * 1e3,
+    ];
     let ms = start.elapsed().as_secs_f64() * 1e3;
     let ys = answers
         .iter()
@@ -250,7 +257,7 @@ fn engine_open(dir: &Path) -> (Vec<i64>, OpenTimes, f64) {
         })
         .collect();
     let times = sys.recovery_info().expect("a durable system").times;
-    (ys, times, ms)
+    (ys, times, after_open, ms)
 }
 
 /// Read both files, then the nodes reachable from `0` by breadth-first
@@ -449,12 +456,13 @@ fn main() {
             for (a, b) in edges {
                 next.entry(a).or_default().push(b);
             }
-            let mut splits = Vec::new();
+            let (mut splits, mut after_open) = (Vec::new(), Vec::new());
             let (e, f) = interleave(
                 rounds,
                 || {
-                    let (ys, times, ms) = engine_open(&dir);
+                    let (ys, times, load_query, ms) = engine_open(&dir);
                     splits.push(times);
+                    after_open.push(load_query);
                     (ys, ms)
                 },
                 || floor_open(&dir, &next),
@@ -477,6 +485,12 @@ fn main() {
                 part(|t| t.rows),
                 part(|t| t.scan),
                 part(|t| t.replay),
+            );
+            let step = |i: usize| median(after_open.iter().map(|t: &[f64; 2]| t[i]).collect());
+            println!(
+                "  after the open (medians, ms): load {:.3}, query {:.3}",
+                step(0),
+                step(1)
             );
         }
         Some("far") => {
