@@ -98,7 +98,7 @@ impl PlanTable {
     ) -> Result<Arc<RulePlan>, EvalError> {
         let (plan, fresh) = self.full(rule_id)?;
         count(stats, fresh);
-        ensure_plan_indexes(&plan, db)?;
+        ensure_plan_indexes(&plan, db, stats)?;
         Ok(plan)
     }
 
@@ -163,7 +163,7 @@ impl PlanTable {
                 }
             }
         };
-        ensure_plan_indexes(&pass.0, db)?;
+        ensure_plan_indexes(&pass.0, db, stats)?;
         Ok(pass)
     }
 }

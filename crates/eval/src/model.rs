@@ -36,6 +36,7 @@ use crate::builtins::eval_builtin;
 use crate::error::EvalError;
 use crate::grouping::Groups;
 use crate::plan::{check_arity, ensure_plan_indexes, has_anon, HeadKind, RulePlan, Step};
+use crate::stats::EvalStats;
 use crate::unify::{eval_term, match_slice};
 
 /// Enumerate the solutions of `plan`'s body against `db`, calling `k` once
@@ -218,7 +219,7 @@ pub fn reference_model(program: &Program, edb: &Database) -> Result<Database, Ev
             // Indexes only shorten the scans (a relation first derived in
             // this layer gets its index the round after it appears).
             for plan in &plans {
-                ensure_plan_indexes(plan, &mut m)?;
+                ensure_plan_indexes(plan, &mut m, &mut EvalStats::default())?;
             }
             let derived: Vec<(Symbol, Vec<ValueId>)> = plans
                 .iter()
@@ -279,7 +280,7 @@ pub fn check_model(program: &Program, m: &FactSet) -> Result<(), ModelViolation>
             }
             Err(e) => panic!("model checking failed to compile {rule}: {e}"),
         };
-        if let Err(e) = ensure_plan_indexes(&plan, &mut db) {
+        if let Err(e) = ensure_plan_indexes(&plan, &mut db, &mut EvalStats::default()) {
             panic!("model checking cannot run {rule}: {e}");
         }
         for tuple in apply_rule(&plan, &db) {

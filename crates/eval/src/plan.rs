@@ -48,6 +48,7 @@ use ldl_value::Symbol;
 use crate::builtins::can_schedule;
 use crate::error::EvalError;
 use crate::ram::{self, RamProgram};
+use crate::stats::EvalStats;
 
 /// One executable body step.
 #[derive(Clone, Debug)]
@@ -549,7 +550,11 @@ pub(crate) fn check_arity(db: &Database, pred: Symbol, found: usize) -> Result<(
 /// plan of `anc(X, Y) <- par(X, Z), anc(Z, Y)` would index `anc` while it
 /// is still empty. A missing index only means a full scan. A literal over a
 /// relation that does not exist yet scans nothing and needs neither.
-pub fn ensure_plan_indexes(plan: &RulePlan, db: &mut Database) -> Result<(), EvalError> {
+pub fn ensure_plan_indexes(
+    plan: &RulePlan,
+    db: &mut Database,
+    stats: &mut EvalStats,
+) -> Result<(), EvalError> {
     for step in &plan.steps {
         if let Step::Scan { pred, args, .. } | Step::NegScan { pred, args, .. } = step {
             check_arity(db, *pred, args.len())?;
@@ -561,7 +566,12 @@ pub fn ensure_plan_indexes(plan: &RulePlan, db: &mut Database) -> Result<(), Eva
     }
     for (pred, cols) in plan.required_indexes() {
         if let Some(arity) = db.relation(pred).map(Relation::arity) {
-            db.relation_mut(pred, arity).ensure_index(&cols);
+            let rel = db.relation_mut(pred, arity);
+            if !rel.has_index(&cols) {
+                stats.index_builds += 1;
+                stats.index_rows += rel.live_len() as u64;
+            }
+            rel.ensure_index(&cols);
         }
     }
     Ok(())

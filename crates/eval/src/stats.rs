@@ -29,6 +29,10 @@ pub struct EvalStats {
     /// Hash-index probes performed by rule passes (each probe is one lookup
     /// of an interned key tuple; a full scan counts zero).
     pub index_probes: u64,
+    /// Indexes built over stored rows for a rule pass to probe.
+    pub index_builds: u64,
+    /// The live rows of each of those indexes when it was built.
+    pub index_rows: u64,
     /// Distinct values in the process-global interner's arena when the
     /// operation finished. An integer in `−2^30 ..= 2^30 − 1` is its own id
     /// and takes no slot, so it is not counted. A *gauge*, not a counter:
@@ -153,6 +157,8 @@ impl AddAssign for EvalStats {
         self.facts_derived += rhs.facts_derived;
         self.dedup_inserts += rhs.dedup_inserts;
         self.index_probes += rhs.index_probes;
+        self.index_builds += rhs.index_builds;
+        self.index_rows += rhs.index_rows;
         self.interner_values = self.interner_values.max(rhs.interner_values);
         self.strata_replayed += rhs.strata_replayed;
         self.strata_delta += rhs.strata_delta;
@@ -181,13 +187,15 @@ impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, interned values: {}, entries replayed: {}, delta-updated: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}, published by replay: {} ({} changes), by clone: {} ({} snapshot still held, {} new model)",
+            "rules fired: {}, attempts: {}, facts derived: {}, facts retracted: {}, dedup inserts: {}, index probes: {}, index builds: {} ({} rows), interned values: {}, entries replayed: {}, delta-updated: {}, dred: {}, skipped: {}, rounds: {}, plan cache hits: {}, misses: {}, exist cuts: {}, lowerings: {}, compiled rounds: {}, arena bytes: {}, arena pages: {}, wal records: {}, wal bytes: {}, published by replay: {} ({} changes), by clone: {} ({} snapshot still held, {} new model)",
             self.rules_fired,
             self.attempts,
             self.facts_derived,
             self.facts_retracted,
             self.dedup_inserts,
             self.index_probes,
+            self.index_builds,
+            self.index_rows,
             self.interner_values,
             self.strata_replayed,
             self.strata_delta,

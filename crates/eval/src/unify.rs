@@ -60,41 +60,73 @@ pub fn is_ground_under(t: &Term, b: &Bindings) -> bool {
     }
 }
 
+/// Arithmetic met before its operands were bound, each with the value it
+/// must equal, and a continuation inside one whole match, which carries it.
+type Deferred<'t> = Vec<(&'t Term, ValueId)>;
+type Cont<'k, 't> = dyn FnMut(&mut Bindings, &mut Deferred<'t>) + 'k;
+
 /// Match pattern `t` against ground `v`, invoking `k` once per solution
 /// (with the solution's bindings active). Bindings are restored before
-/// returning.
+/// returning. Arithmetic still unbound when met is checked once the rest
+/// of the whole pattern has matched, so `f(g(X + 1, Y), h(Y + 1, X))`
+/// matches `f(g(3, 4), h(5, 2))`: arithmetic never binds, so the order
+/// changes no solution.
 pub fn match_term(t: &Term, v: ValueId, b: &mut Bindings, k: &mut dyn FnMut(&mut Bindings)) {
+    term(t, v, b, &mut Vec::new(), &mut |b, d| check(d, b, k));
+}
+
+/// Match a sequence of patterns against a sequence of ground values
+/// (all-solutions product), as one whole pattern: arithmetic waits as in
+/// [`match_term`], so `p(X + 1, X)` matches `p(2, 1)`.
+pub fn match_slice(
+    pats: &[Term],
+    vals: &[ValueId],
+    b: &mut Bindings,
+    k: &mut dyn FnMut(&mut Bindings),
+) {
+    slice(pats, vals, b, &mut Vec::new(), &mut |b, d| check(d, b, k));
+}
+
+/// The end of a whole match: `k` runs if every deferred arithmetic
+/// pattern evaluates to its value.
+fn check(d: &Deferred<'_>, b: &mut Bindings, k: &mut dyn FnMut(&mut Bindings)) {
+    if d.iter().all(|&(t, v)| eval_term(t, b) == Some(v)) {
+        k(b);
+    }
+}
+
+fn term<'t>(t: &'t Term, v: ValueId, b: &mut Bindings, d: &mut Deferred<'t>, k: &mut Cont<'_, 't>) {
     let m = b.mark();
     match t {
-        Term::Anon => k(b),
+        Term::Anon => k(b, d),
         Term::Var(var) => match b.get(*var) {
             Some(bound) => {
                 if bound == v {
-                    k(b);
+                    k(b, d);
                 }
             }
             None => {
                 b.bind(*var, v);
-                k(b);
+                k(b, d);
                 b.undo(m);
             }
         },
         Term::Const(c) => {
             if intern::id_of(c) == v {
-                k(b);
+                k(b, d);
             }
         }
         Term::Compound(f, args) => {
             if let Some(Node::Compound(g, ids)) = intern::node(v) {
                 if g == f && ids.len() == args.len() {
-                    match_slice(args, ids, b, k);
+                    slice(args, ids, b, d, k);
                     b.undo(m);
                 }
             }
         }
         Term::SetEnum(pats) => {
             if let Some(Node::Set(elems)) = intern::node(v) {
-                match_set_enum(pats, elems, b, k);
+                match_set_enum(pats, elems, b, d, k);
                 b.undo(m);
             }
         }
@@ -102,11 +134,11 @@ pub fn match_term(t: &Term, v: ValueId, b: &mut Bindings, k: &mut dyn FnMut(&mut
             if let Some(Node::Set(elems)) = intern::node(v) {
                 // {Hθ} ∪ Tθ = S requires Hθ ∈ S and Tθ ∈ {S, S − {Hθ}}.
                 for &e in elems.iter() {
-                    match_term(h, e, b, &mut |b2| {
+                    term(h, e, b, d, &mut |b2, d2| {
                         let without = set::remove(v, e).filter(|&w| w != v);
-                        match_term(tail, v, b2, k);
+                        term(tail, v, b2, d2, k);
                         if let Some(without) = without {
-                            match_term(tail, without, b2, k);
+                            term(tail, without, b2, d2, k);
                         }
                     });
                 }
@@ -130,52 +162,42 @@ pub fn match_term(t: &Term, v: ValueId, b: &mut Bindings, k: &mut dyn FnMut(&mut
                 });
                 if uniform {
                     for &e in elems.iter() {
-                        match_term(inner, e, b, k);
+                        term(inner, e, b, d, k);
                     }
                     b.undo(m);
                 }
             }
         }
         Term::Arith(..) => {
-            if eval_term(t, b) == Some(v) {
-                k(b);
+            if is_ground_under(t, b) {
+                if eval_term(t, b) == Some(v) {
+                    k(b, d);
+                }
+            } else {
+                d.push((t, v));
+                k(b, d);
+                d.pop();
             }
         }
     }
 }
 
-/// Match a sequence of patterns against a sequence of ground values
-/// (all-solutions product). A pattern whose arithmetic waits (`waits`) is
-/// matched after the rest, which may bind its variables (`p(X + 1, X)`):
-/// arithmetic never binds, so the order changes no solution.
-pub fn match_slice(
-    pats: &[Term],
+fn slice<'t>(
+    pats: &'t [Term],
     vals: &[ValueId],
     b: &mut Bindings,
-    k: &mut dyn FnMut(&mut Bindings),
+    d: &mut Deferred<'t>,
+    k: &mut Cont<'_, 't>,
 ) {
     debug_assert_eq!(pats.len(), vals.len());
     match pats.split_first() {
-        None => k(b),
+        None => k(b, d),
         Some((p0, rest_p)) => {
             let (v0, rest_v) = vals.split_first().expect("lengths equal");
-            if !rest_p.is_empty() && waits(p0, b) {
-                match_slice(rest_p, rest_v, b, &mut |b2| match_term(p0, *v0, b2, k));
-            } else {
-                match_term(p0, *v0, b, &mut |b2| match_slice(rest_p, rest_v, b2, k));
-            }
+            term(p0, *v0, b, d, &mut |b2, d2| {
+                slice(rest_p, rest_v, b2, d2, k)
+            });
         }
-    }
-}
-
-/// Does `t` hold arithmetic with an operand unbound under `b`? (A `<t>`
-/// pattern's variables range over its elements, so it is never put off.)
-fn waits(t: &Term, b: &Bindings) -> bool {
-    match t {
-        Term::Arith(..) => !is_ground_under(t, b),
-        Term::Compound(_, args) | Term::SetEnum(args) => args.iter().any(|a| waits(a, b)),
-        Term::Scons(h, tail) => waits(h, b) || waits(tail, b),
-        Term::Var(_) | Term::Anon | Term::Const(_) | Term::Group(_) => false,
     }
 }
 
@@ -184,38 +206,33 @@ fn waits(t: &Term, b: &Bindings) -> bool {
 /// `s` such that the assigned elements *cover* all of `s` (so the evaluated
 /// pattern equals `s`). Sets of any size: the cover is one count per
 /// element of `s`, on the stack for the small sets rules usually spell out.
-fn match_set_enum(
-    pats: &[Term],
+fn match_set_enum<'t>(
+    pats: &'t [Term],
     s: &[ValueId],
     b: &mut Bindings,
-    k: &mut dyn FnMut(&mut Bindings),
+    d: &mut Deferred<'t>,
+    k: &mut Cont<'_, 't>,
 ) {
     // The pattern can only equal s if it has at least |s| elements to cover
     // it, and it can never produce more distinct elements than it has.
     if s.len() > pats.len() {
         return;
     }
-    // A pattern whose arithmetic waits ([`waits`]) goes after the others,
-    // which may bind its variables: `{X + 1, X}` matches `{2, 3}`.
-    if pats.windows(2).any(|w| waits(&w[0], b) && !waits(&w[1], b)) {
-        let (ready, wait): (Vec<Term>, Vec<Term>) =
-            pats.iter().cloned().partition(|p| !waits(p, b));
-        return match_set_enum(&[ready, wait].concat(), s, b, k);
-    }
     // `hits[i]` counts the patterns assigned to `s[i]` so far; `missing`
     // is the number of elements with none.
-    fn go(
-        pats: &[Term],
+    fn go<'t>(
+        pats: &'t [Term],
         s: &[ValueId],
         hits: &mut [u32],
         missing: usize,
         b: &mut Bindings,
-        k: &mut dyn FnMut(&mut Bindings),
+        d: &mut Deferred<'t>,
+        k: &mut Cont<'_, 't>,
     ) {
         match pats.split_first() {
             None => {
                 if missing == 0 {
-                    k(b);
+                    k(b, d);
                 }
             }
             Some((p0, rest)) => {
@@ -225,9 +242,10 @@ fn match_set_enum(
                     return;
                 }
                 for (i, &e) in s.iter().enumerate() {
-                    match_term(p0, e, b, &mut |b2| {
+                    term(p0, e, b, d, &mut |b2, d2| {
                         hits[i] += 1;
-                        go(rest, s, hits, missing - usize::from(hits[i] == 1), b2, k);
+                        let missing = missing - usize::from(hits[i] == 1);
+                        go(rest, s, hits, missing, b2, d2, k);
                         hits[i] -= 1;
                     });
                 }
@@ -243,7 +261,7 @@ fn match_set_enum(
             &mut heap[..]
         }
     };
-    go(pats, s, hits, s.len(), b, k);
+    go(pats, s, hits, s.len(), b, d, k);
 }
 
 /// Collect all solutions of matching `t` against `v` as binding snapshots

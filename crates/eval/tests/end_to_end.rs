@@ -460,6 +460,40 @@ fn a_match_step_checks_arithmetic_after_the_argument_that_binds_it() {
     }
 }
 
+/// Arithmetic in two subterms that wait on each other: `X + 1` waits for
+/// the `X` bound in the other subterm, whose `Y + 1` waits for this one's
+/// `Y`, so neither subterm can be matched whole before the other. By
+/// hand: `X = 2, Y = 4` from `r(f(g(3, 4), h(5, 2)))` and from
+/// `s({f(3, 4), g(5, 2)})`; `r(f(g(3, 4), h(6, 2)))` and
+/// `s({f(3, 4), g(6, 2)})` match nothing.
+const CROSSED: &str = "r(f(g(3, 4), h(5, 2))). r(f(g(3, 4), h(6, 2))).\n\
+     s({f(3, 4), g(5, 2)}). s({f(3, 4), g(6, 2)}).\n\
+     m(X) <- r(f(g(X + 1, Y), h(Y + 1, X))).\n\
+     n(X, Y) <- s({f(X + 1, Y), g(Y + 1, X)}).";
+
+#[test]
+fn arithmetic_waits_for_the_whole_pattern() {
+    let program = parse_program(CROSSED).unwrap();
+    let ev = Evaluator::new();
+    let engine = ev.evaluate(&program, &Database::new()).unwrap();
+    let reference = reference_model(&program, &Database::new()).unwrap();
+    assert_eq!(engine.to_fact_set(), reference.to_fact_set());
+    for m in [&engine, &reference] {
+        assert_eq!(ints(m, "m"), [Value::int(2)]);
+        let n = Evaluator::new().facts(m, "n");
+        let n: Vec<String> = n.iter().map(|f| f.to_string()).collect();
+        assert_eq!(n, ["n(2, 4)"]);
+    }
+    for q in [
+        "r(f(g(X + 1, Y), h(Y + 1, X)))",
+        "s({f(X + 1, Y), g(Y + 1, X)})",
+    ] {
+        let answers = ev.query(&engine, &parse_atom(q).unwrap());
+        let answers: Vec<String> = answers.iter().map(|a| a.to_string()).collect();
+        assert_eq!(answers, ["X = 2, Y = 4"], "{q}");
+    }
+}
+
 /// Enumerated-set patterns cover stored sets of any size, as a query and
 /// as a body literal, ground and with a variable. (The cover used to be a
 /// `u64` mask: 64 elements answered `no` with overflow checks off and

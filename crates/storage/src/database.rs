@@ -142,15 +142,20 @@ impl Database {
     /// that no rule fixes one): an assertion at another arity replaces its
     /// all-tombstoned relation. A batch asserting a predicate at two
     /// arities, or at one its live relation lacks, changes nothing.
+    ///
+    /// Interns nothing, so a log replay may call it while it holds the
+    /// value interner's lock ([`intern::batch`]). A batch over predicates
+    /// that all have live relations allocates nothing beyond the growth of
+    /// their rows and tables.
     pub fn apply(&mut self, del: &IdRows, ins: &IdRows) -> Result<(), String> {
         // Each asserted predicate's one arity: its live relation's, else
-        // its first assertion's.
-        let mut arities: FastMap<Symbol, usize> = FastMap::default();
+        // its first assertion's, kept in `first`.
+        let mut first: FastMap<Symbol, usize> = FastMap::default();
         for (pred, ids) in ins.iter() {
-            let live = self.relations.get(&pred).filter(|r| !r.is_empty());
-            let arity = *arities
-                .entry(pred)
-                .or_insert_with(|| live.map_or(ids.len(), Relation::arity));
+            let arity = match self.relations.get(&pred).filter(|r| !r.is_empty()) {
+                Some(live) => live.arity(),
+                None => *first.entry(pred).or_insert(ids.len()),
+            };
             if ids.len() != arity {
                 return Err(format!(
                     "{pred} asserted at arity {}, but it has arity {arity}",
@@ -355,6 +360,12 @@ impl IdRows {
     pub fn push(&mut self, pred: Symbol, ids: &[ValueId]) {
         self.heads.push((pred, ids.len() as u32));
         self.ids.extend_from_slice(ids);
+    }
+
+    /// Remove every fact, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.heads.clear();
+        self.ids.clear();
     }
 
     /// The facts in order, each as its predicate and argument ids.

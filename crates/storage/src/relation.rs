@@ -15,15 +15,19 @@
 //! that many `memcpy`s. Structural [`ldl_value::Value`]s exist only at the
 //! [`crate::Database`] fact boundary.
 //!
-//! Each table is hashed into once per entry and sized once where the entry
-//! count is known or bounded ahead. An insert hashes its tuple once, and
-//! that hash both probes the duplicate filter and files the new row. A bulk
-//! load of a known row count reserves the filter up front
+//! Each table is walked once per entry and sized once where the entry
+//! count is known or bounded ahead. An insert hashes its tuple once and
+//! walks its probe path once: the walk either finds the key or stops at
+//! the slot the new entry takes, the first tombstone on the path or else
+//! the empty slot that ends it, and the entry is filed there. Only an
+//! insert that must grow the table first walks the grown table again. A
+//! bulk load of a known row count reserves the filter up front
 //! ([`Relation::reserve`]). An index built over rows already present
 //! counts a lower bound on its keys first, in one integer-only pass (linear
 //! counting), and is allocated at that size before it is filled — never
 //! larger than key-at-a-time growth would have made it, so a column with
-//! few distinct values keeps a small table.
+//! few distinct values keeps a small table. Both passes walk the row pages
+//! directly when no row is tombstoned.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -124,8 +128,9 @@ impl Rows {
     }
 
     /// Append one row, returning its position. Allocates only when a new
-    /// page is opened (every `1 << shift` rows).
-    #[inline]
+    /// page is opened (every `1 << shift` rows). Copies id by id: a slice
+    /// copy of a row's few ids would be a `memcpy` call.
+    #[inline(always)]
     fn push(&mut self, row: &[ValueId]) -> u32 {
         debug_assert_eq!(row.len(), self.arity);
         let pos = self.len;
@@ -133,11 +138,19 @@ impl Rows {
         if self.arity > 0 {
             let page = (pos >> self.shift) as usize;
             if page == self.pages.len() {
-                self.pages.push(Vec::with_capacity(self.page_cap()));
+                self.open_page();
             }
-            self.pages[page].extend_from_slice(row);
+            let page = &mut self.pages[page];
+            for &id in row {
+                page.push(id);
+            }
         }
         pos
+    }
+
+    #[cold]
+    fn open_page(&mut self) {
+        self.pages.push(Vec::with_capacity(self.page_cap()));
     }
 
     /// Drop every row at position `n` or beyond.
@@ -200,7 +213,79 @@ impl RawTable {
         Some(self.slots[self.find_slot(h, eq)?])
     }
 
-    /// The slot index holding a matching payload.
+    /// One walk of `h`'s probe path: `Ok` with the slot holding a matching
+    /// payload, else `Err` with the slot [`RawTable::insert`] would file
+    /// the key in — the first tombstone on the path, else the empty slot
+    /// that ends it, for [`RawTable::put`].
+    #[inline]
+    fn find_or_vacant(&self, h: u64, eq: impl Fn(u32) -> bool) -> Result<usize, usize> {
+        if self.tags.is_empty() {
+            return Err(0);
+        }
+        let mask = self.tags.len() - 1;
+        let tag = tag_of(h);
+        let mut i = (h as usize) & mask;
+        let mut step = 0;
+        let mut tomb = None;
+        loop {
+            let t = self.tags[i];
+            if t == T_EMPTY {
+                return Err(tomb.unwrap_or(i));
+            }
+            if t == tag && eq(self.slots[i]) {
+                return Ok(i);
+            }
+            if t == T_DELETED && tomb.is_none() {
+                tomb = Some(i);
+            }
+            // Triangular probing: visits every slot of a power-of-two
+            // table exactly once.
+            step += 1;
+            i = (i + step) & mask;
+        }
+    }
+
+    /// Can one more entry go in without [`RawTable::ensure_cap`] growing
+    /// or compacting the table (the same 3/4 load rule)?
+    #[inline]
+    fn has_room(&self) -> bool {
+        (self.live + self.tombs + 1) * 4 <= self.tags.len() * 3
+    }
+
+    /// File `payload` under `h` in `vacant`, the slot
+    /// [`RawTable::find_or_vacant`] returned for its key — where
+    /// [`RawTable::insert`] would put it — unless the table must grow or
+    /// be compacted first, when it takes [`RawTable::ensure_cap`] and
+    /// `insert`, out of line.
+    #[inline]
+    fn put(&mut self, vacant: usize, h: u64, payload: u32, rehash: impl Fn(u32) -> u64) {
+        if self.has_room() {
+            self.fill(vacant, h, payload);
+        } else {
+            self.grow_and_insert(h, payload, rehash);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow_and_insert(&mut self, h: u64, payload: u32, rehash: impl Fn(u32) -> u64) {
+        self.ensure_cap(rehash);
+        self.insert(h, payload);
+    }
+
+    /// File `payload` under `h` in the free slot `i`.
+    #[inline]
+    fn fill(&mut self, i: usize, h: u64, payload: u32) {
+        if self.tags[i] == T_DELETED {
+            self.tombs -= 1;
+        }
+        self.tags[i] = tag_of(h);
+        self.slots[i] = payload;
+        self.live += 1;
+    }
+
+    /// The slot holding a matching payload, by a walk that tracks no vacant
+    /// slot: `find_or_vacant`'s slowed a probe by ~6 % (EXPERIMENTS P55).
     #[inline]
     fn find_slot(&self, h: u64, eq: impl Fn(u32) -> bool) -> Option<usize> {
         if self.tags.is_empty() {
@@ -218,8 +303,6 @@ impl RawTable {
             if t == tag && eq(self.slots[i]) {
                 return Some(i);
             }
-            // Triangular probing: visits every slot of a power-of-two
-            // table exactly once.
             step += 1;
             i = (i + step) & mask;
         }
@@ -235,12 +318,7 @@ impl RawTable {
             step += 1;
             i = (i + step) & mask;
         }
-        if self.tags[i] == T_DELETED {
-            self.tombs -= 1;
-        }
-        self.tags[i] = tag_of(h);
-        self.slots[i] = payload;
-        self.live += 1;
+        self.fill(i, h, payload);
     }
 
     /// Tombstone slot `i` (from [`RawTable::find_slot`]).
@@ -259,7 +337,7 @@ impl RawTable {
             self.slots = vec![0; 16];
             return;
         }
-        if (self.live + self.tombs + 1) * 4 <= cap * 3 {
+        if self.has_room() {
             return;
         }
         // Grow when genuinely full; rehash at the same size when
@@ -303,13 +381,7 @@ struct Seen {
 impl Seen {
     #[inline]
     fn get(&self, rows: &Rows, key: &[ValueId]) -> Option<u32> {
-        self.find(rows, hash_ids(key), key)
-    }
-
-    /// [`Seen::get`] for a key whose hash `h` is already taken.
-    #[inline]
-    fn find(&self, rows: &Rows, h: u64, key: &[ValueId]) -> Option<u32> {
-        self.table.find(h, |p| rows.get(p) == key)
+        self.table.find(hash_ids(key), |p| rows.get(p) == key)
     }
 
     /// The same lookup as a posting list — what a probe with every column
@@ -605,36 +677,50 @@ impl Index {
         self.upsert(tuple, pos, true);
     }
 
+    /// File `pos` under `tuple`'s key, walking the key's probe path once:
+    /// an existing key's list takes the position, and a new key's bucket
+    /// goes in the slot the walk stopped at, with `pos` as its one inline
+    /// posting.
     fn upsert(&mut self, tuple: &[ValueId], pos: u32, sorted: bool) {
         let h = hash_projection(&self.cols, tuple);
-        if let Some(b) = self.table.find(h, |b| {
+        let found = self.table.find_or_vacant(h, |b| {
             self.cols
                 .iter()
                 .zip(self.key_at(b))
                 .all(|(&c, &k)| tuple[c] == k)
-        }) {
-            self.postings.insert(b, pos, sorted);
-            return;
-        }
-        let (keys, k) = (&self.keys, self.cols.len());
-        self.table
-            .ensure_cap(|b| hash_ids(&keys[b as usize * k..(b as usize + 1) * k]));
+        });
+        let vacant = match found {
+            Ok(i) => {
+                self.postings.insert(self.table.slots[i], pos, sorted);
+                return;
+            }
+            Err(vacant) => vacant,
+        };
+        let one = List {
+            len: 1,
+            cap: 0,
+            at: pos,
+        };
+        let k = self.cols.len();
         let b = match self.free.pop() {
             Some(b) => {
                 let at = b as usize * k;
                 for (slot, &c) in self.keys[at..at + k].iter_mut().zip(&self.cols) {
                     *slot = tuple[c];
                 }
+                self.postings.lists[b as usize] = one;
                 b
             }
             None => {
-                self.postings.lists.push(List::default());
+                self.postings.lists.push(one);
                 self.keys.extend(self.cols.iter().map(|&c| tuple[c]));
                 (self.postings.lists.len() - 1) as u32
             }
         };
-        self.postings.insert(b, pos, sorted);
-        self.table.insert(h, b);
+        let keys = &self.keys;
+        self.table.put(vacant, h, b, |b| {
+            hash_ids(&keys[b as usize * k..(b as usize + 1) * k])
+        });
     }
 
     /// Drop `pos` from the posting list of `tuple`'s key (tombstoning).
@@ -783,8 +869,9 @@ impl Relation {
 
     /// Insert a borrowed tuple; returns `true` iff it was new. This is the
     /// merge-phase hot path, and the path every snapshot row and replayed
-    /// fact takes: the tuple is hashed once, and that hash both probes the
-    /// duplicate filter and files an accepted tuple in it. A rejected
+    /// fact takes: the tuple is hashed once, and one walk of its probe path
+    /// both checks the duplicate filter and finds the slot an accepted
+    /// tuple is filed in. A rejected
     /// duplicate compares the borrowed slice against the arena and touches
     /// nothing else (the probe comes before any growth), and an accepted
     /// tuple is copied into the current arena page — neither side performs
@@ -793,13 +880,16 @@ impl Relation {
     /// schema violation is a caller bug, not data).
     pub fn insert_slice(&mut self, tuple: &[ValueId]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        let h = hash_ids(tuple);
-        if self.seen.find(&self.rows, h, tuple).is_some() {
+        let (h, rows) = (hash_ids(tuple), &self.rows);
+        let Err(vacant) = self.seen.table.find_or_vacant(h, |p| rows.get(p) == tuple) else {
             return false;
-        }
+        };
         assert!(self.rows.len < MAX_ROWS, "relation exceeds u32 tuples");
         let pos = self.rows.push(tuple);
-        self.seen.insert(&self.rows, h, pos);
+        let rows = &self.rows;
+        self.seen
+            .table
+            .put(vacant, h, pos, |p| hash_ids(rows.get(p)));
         for idx in self.indexes.values_mut() {
             idx.add(tuple, pos);
         }
@@ -917,9 +1007,7 @@ impl Relation {
         // agree with one that witnessed it (probes never check liveness).
         // `revive` re-adds the position to every index, so a later rollback
         // still restores the pre-removal posting lists exactly.
-        for pos in (0..self.rows.len).filter(|&pos| self.is_live(pos)) {
-            idx.add(self.rows.get(pos), pos);
-        }
+        self.for_each_live(|pos, row| idx.add(row, pos));
         self.indexes.insert(cols, idx);
     }
 
@@ -1249,11 +1337,31 @@ impl Relation {
         }
         let bits = (self.live * 8).next_power_of_two();
         let mut map = vec![0u64; bits.div_ceil(64)];
-        for pos in (0..self.rows.len).filter(|&pos| self.is_live(pos)) {
-            let b = hash_projection(cols, self.rows.get(pos)) as usize & (bits - 1);
+        self.for_each_live(|_, row| {
+            let b = hash_projection(cols, row) as usize & (bits - 1);
             map[b / 64] |= 1 << (b % 64);
-        }
+        });
         map.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Call `f` on each live row with its position, in position order.
+    /// With no row tombstoned it walks the row pages directly, rather
+    /// than testing liveness and addressing each position.
+    #[inline]
+    fn for_each_live(&self, mut f: impl FnMut(u32, &[ValueId])) {
+        if self.dead.is_none() && self.arity > 0 {
+            let mut pos = 0;
+            for page in &self.rows.pages {
+                for row in page.chunks_exact(self.arity) {
+                    f(pos, row);
+                    pos += 1;
+                }
+            }
+        } else {
+            for pos in (0..self.rows.len).filter(|&pos| self.is_live(pos)) {
+                f(pos, self.rows.get(pos));
+            }
+        }
     }
 
     /// Size a fresh relation's duplicate filter for `n` rows at once — a

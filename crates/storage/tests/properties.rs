@@ -12,8 +12,10 @@
 //! iteration order, eager posting removal, ascending probe results, and
 //! truncate's interaction with tombstones.
 
+use std::collections::BTreeSet;
+
 use ldl_storage::{intern_ids, Database, IdRows, Relation};
-use ldl_testkit::{cases, Rng};
+use ldl_testkit::{cases, cases_shrink, Rng};
 use ldl_value::{intern, Fact, Symbol, Value, ValueId};
 
 /// The naive reference: rows in insertion order with liveness.
@@ -334,6 +336,158 @@ fn an_index_built_after_the_rows_equals_one_kept_from_the_start() {
         check_agreement(&late, &m, std::slice::from_ref(&cols));
         check_agreement(&early, &m, std::slice::from_ref(&cols));
         assert_eq!(late.same_state(&early), Ok(()));
+    });
+}
+
+/// `rel` built again from nothing: its rows inserted position by position,
+/// each dead one tombstoned as soon as it is in, then every index it has
+/// built over the lot. A dead row whose tuple is live at an earlier
+/// position is filed behind that position's tombstone, which is then
+/// revived — the one way two positions come to hold one tuple.
+fn rebuilt(rel: &Relation) -> Relation {
+    let mut fresh = Relation::new(rel.arity());
+    for pos in 0..rel.len() as u32 {
+        let row = rel.get(pos);
+        if rel.is_live(pos) {
+            assert!(fresh.insert_slice(row));
+            continue;
+        }
+        let earlier = fresh.remove_slice(row);
+        assert!(fresh.insert_slice(row));
+        assert_eq!(fresh.remove_slice(row), Some(pos));
+        if let Some(q) = earlier {
+            fresh.revive(q);
+        }
+    }
+    for cols in rel.index_columns() {
+        fresh.ensure_index(&cols);
+    }
+    fresh
+}
+
+/// Every tuple over `0..domain` of `arity` columns.
+fn all_tuples(arity: usize, domain: i64) -> Vec<Vec<i64>> {
+    (0..arity).fold(vec![Vec::new()], |acc, _| {
+        acc.iter()
+            .flat_map(|t| {
+                (0..domain).map(move |v| {
+                    let mut t = t.clone();
+                    t.push(v);
+                    t
+                })
+            })
+            .collect()
+    })
+}
+
+/// The hash-table kernels under every operation that touches them: random
+/// `insert_slice`, `remove_slice`, `revive`, `truncate` and `rewind` (of a
+/// change log opened at random), with `ensure_index` on random column sets
+/// at random points, tombstones present. After each step the relation is
+/// in the state of one rebuilt from its rows with its indexes built after
+/// ([`rebuilt`]), and `contains` and every index's `probe` agree with a
+/// `BTreeSet` of the live tuples: a probe returns ascending positions whose
+/// rows are exactly the live tuples with that key.
+#[test]
+fn the_kernels_agree_with_a_set_and_with_a_rebuild() {
+    cases_shrink(48, 24, |rng: &mut Rng, size: u32| {
+        let arity = rng.range(1, 4) as usize;
+        let domain = 2 + i64::from(size) / 6;
+        let tuples = all_tuples(arity, domain);
+        let ids = |t: &[i64]| -> Vec<ValueId> { t.iter().map(|&v| intern::mk_int(v)).collect() };
+        let p = Symbol::intern("kernel_rel");
+        let mut db = Database::new();
+        db.relation_mut(p, arity);
+        // Positions by hand: each row's tuple and liveness; and the state
+        // a change log opened in, to rewind to.
+        let mut rows: Vec<(Vec<i64>, bool)> = Vec::new();
+        let mut opened: Option<Vec<(Vec<i64>, bool)>> = None;
+        for _ in 0..4 * size {
+            let rel = db.relation_mut(p, arity);
+            match rng.range(0, 10) {
+                0..=3 => {
+                    let t = rng.pick(&tuples).clone();
+                    let fresh = !rows.iter().any(|(r, live)| *live && *r == t);
+                    assert_eq!(rel.insert_slice(&ids(&t)), fresh);
+                    if fresh {
+                        rows.push((t, true));
+                    }
+                }
+                4 | 5 => {
+                    let t = rng.pick(&tuples).clone();
+                    let at = rows.iter().position(|(r, live)| *live && *r == t);
+                    assert_eq!(rel.remove_slice(&ids(&t)), at.map(|at| at as u32));
+                    if let Some(at) = at {
+                        rows[at].1 = false;
+                    }
+                }
+                6 => {
+                    let dead: Vec<usize> = (0..rows.len())
+                        .filter(|&q| !rows[q].1 && !rows.iter().any(|(r, l)| *l && *r == rows[q].0))
+                        .collect();
+                    if !dead.is_empty() {
+                        let q = *rng.pick(&dead);
+                        rel.revive(q as u32);
+                        rows[q].1 = true;
+                    }
+                }
+                7 => {
+                    let cols: Vec<usize> = (0..arity).filter(|_| rng.chance(1, 2)).collect();
+                    rel.ensure_index(&cols);
+                }
+                8 => {
+                    // A truncation ends the change log (see `Database::rewind`).
+                    let n = rng.index(rows.len() + 1);
+                    rel.truncate(n);
+                    rows.truncate(n);
+                    db.close_log();
+                    opened = None;
+                }
+                _ => match opened.take() {
+                    Some(state) => {
+                        db.rewind();
+                        rows = state;
+                    }
+                    None => {
+                        db.open_log(0);
+                        opened = Some(rows.clone());
+                    }
+                },
+            }
+            let rel = db.relation(p).expect("the relation stays");
+            assert_eq!(rel.same_state(&rebuilt(rel)), Ok(()));
+            assert_eq!(rel.len(), rows.len());
+            let live: BTreeSet<Vec<i64>> =
+                rows.iter().filter(|r| r.1).map(|r| r.0.clone()).collect();
+            assert_eq!(rel.live_len(), live.len());
+            for t in &tuples {
+                assert_eq!(rel.contains(&ids(t)), live.contains(t), "{t:?}");
+            }
+            for cols in rel.index_columns() {
+                for key in all_tuples(cols.len(), domain) {
+                    let hits = rel.probe(&cols, &ids(&key));
+                    assert!(
+                        hits.windows(2).all(|w| w[0] < w[1]),
+                        "{cols:?} {key:?}: {hits:?}"
+                    );
+                    let ints = |row: &[ValueId]| -> Vec<i64> {
+                        row.iter().map(|&v| intern::int_of(v).unwrap()).collect()
+                    };
+                    let got: BTreeSet<Vec<i64>> = hits.iter().map(|&q| ints(rel.get(q))).collect();
+                    let want: BTreeSet<Vec<i64>> = live
+                        .iter()
+                        .filter(|t| cols.iter().zip(&key).all(|(&c, &k)| t[c] == k))
+                        .cloned()
+                        .collect();
+                    assert_eq!(
+                        (got.len(), hits.len()),
+                        (want.len(), want.len()),
+                        "{cols:?} {key:?}"
+                    );
+                    assert_eq!(got, want, "{cols:?} {key:?}");
+                }
+            }
+        }
     });
 }
 

@@ -33,7 +33,7 @@
 
 use ldl_storage::IdRows;
 use ldl_value::fxhash::FastMap;
-use ldl_value::intern::{self, Node};
+use ldl_value::intern::{self, Batch, Node};
 use ldl_value::{Fact, Symbol, ValueId};
 
 /// Node tags. Stable on-disk numbers — append-only.
@@ -202,44 +202,92 @@ impl NodeTable {
     }
 }
 
-/// Read a node table and intern it under one interner lock
-/// ([`intern::batch`]), returning each node's id by index.
-pub(crate) fn read_nodes(c: &mut Cursor<'_>) -> Result<Vec<ValueId>, String> {
-    let count = c.u32("node count")? as usize;
-    if count > c.remaining() {
-        return Err(format!("node count {count} exceeds remaining bytes"));
+/// Names met while decoding, each resolved to its symbol once: after the
+/// first, a name costs a probe of this map, not the names lock.
+#[derive(Default)]
+struct Names<'a>(FastMap<&'a str, Symbol>);
+
+impl<'a> Names<'a> {
+    fn get(&mut self, name: &'a str) -> Symbol {
+        *self.0.entry(name).or_insert_with(|| Symbol::intern(name))
     }
-    intern::batch(|b| {
-        let mut ids = Vec::with_capacity(count);
-        let mut kids = Vec::new();
+}
+
+/// The decoder of node tables and log records. One is kept across all the
+/// records an open replays, with its name map and every buffer it decodes
+/// into, so a record whose names were seen before decodes without
+/// allocating and without the names lock; its values are interned through
+/// the caller's [`intern::Batch`], under one value lock for the lot.
+#[derive(Default)]
+pub(crate) struct Decoder<'a> {
+    names: Names<'a>,
+    /// The last node table read: each node's id, by index.
+    pub(crate) ids: Vec<ValueId>,
+    kids: Vec<ValueId>,
+    row: Vec<ValueId>,
+    /// The last record's deletions, in commit order.
+    pub(crate) del: IdRows,
+    /// The last record's insertions, in commit order.
+    pub(crate) ins: IdRows,
+}
+
+impl<'a> Decoder<'a> {
+    /// Read a node table into [`Decoder::ids`], interning through `b`.
+    pub(crate) fn nodes(&mut self, c: &mut Cursor<'a>, b: &mut Batch) -> Result<(), String> {
+        let count = c.u32("node count")? as usize;
+        if count > c.remaining() {
+            return Err(format!("node count {count} exceeds remaining bytes"));
+        }
+        let (ids, kids) = (&mut self.ids, &mut self.kids);
+        ids.clear();
+        ids.reserve(count);
         for _ in 0..count {
             let id = match c.u8("node tag")? {
                 NODE_INT => b.int(c.i64("int node")?),
                 NODE_STR => b.str(c.str("string node")?),
-                NODE_ATOM => b.atom(Symbol::intern(c.str("atom node")?)),
+                NODE_ATOM => b.atom(self.names.get(c.str("atom node")?)),
                 NODE_COMPOUND => {
-                    let functor = Symbol::intern(c.str("functor name")?);
+                    let functor = self.names.get(c.str("functor name")?);
                     let n = c.u32("child count")? as usize;
-                    read_ids(c, &ids, n, "child index", &mut kids)?;
+                    read_ids(c, ids, n, "child index", kids)?;
                     if kids.is_empty() {
                         return Err("compound node with zero children".into());
                     }
-                    b.compound(functor, &kids)
+                    b.compound(functor, kids)
                 }
                 NODE_SET => {
                     // The writer emits the canonical (sorted, deduped)
                     // element order, but a hostile file may not have —
                     // `set` re-canonicalizes.
                     let n = c.u32("child count")? as usize;
-                    read_ids(c, &ids, n, "child index", &mut kids)?;
-                    b.set(&mut kids)
+                    read_ids(c, ids, n, "child index", kids)?;
+                    b.set(kids)
                 }
                 other => return Err(format!("unknown node tag {other}")),
             };
             ids.push(id);
         }
-        Ok(ids)
-    })
+        Ok(())
+    }
+
+    /// Decode a log-record payload into [`Decoder::del`] and
+    /// [`Decoder::ins`]. Fails (with a description, for a
+    /// [`crate::Truncation`] report) on any truncation, bad tag or index,
+    /// or trailing garbage.
+    pub(crate) fn record(&mut self, payload: &'a [u8], b: &mut Batch) -> Result<(), String> {
+        let mut c = Cursor::new(payload);
+        self.nodes(&mut c, b)?;
+        let (ids, names, row) = (&self.ids, &mut self.names, &mut self.row);
+        read_facts(&mut c, ids, names, row, &mut self.del, "deletion count")?;
+        read_facts(&mut c, ids, names, row, &mut self.ins, "insertion count")?;
+        if !c.is_empty() {
+            return Err(format!(
+                "{} bytes of trailing garbage after batch",
+                c.remaining()
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Read `n` node indexes into `out` (cleared first), each resolved
@@ -288,41 +336,39 @@ pub fn encode_batch(del: &[Fact], ins: &[Fact]) -> Vec<u8> {
     out
 }
 
-/// Decode a log-record payload into its interned `(deletions,
-/// insertions)`, the node table under one interner lock. Fails (with a
-/// description, for a [`crate::Truncation`] report) on any truncation, bad
-/// tag or index, or trailing garbage.
+/// Decode one log-record payload into its interned `(deletions,
+/// insertions)`, as [`Decoder::record`] does for each record an open
+/// replays.
+#[cfg(test)]
 pub(crate) fn decode_batch(payload: &[u8]) -> Result<(IdRows, IdRows), String> {
-    let mut c = Cursor::new(payload);
-    let ids = read_nodes(&mut c)?;
-    let del = read_facts(&mut c, &ids, "deletion count")?;
-    let ins = read_facts(&mut c, &ids, "insertion count")?;
-    if !c.is_empty() {
-        return Err(format!(
-            "{} bytes of trailing garbage after batch",
-            c.remaining()
-        ));
-    }
-    Ok((del, ins))
+    let mut dec = Decoder::default();
+    intern::batch(|b| dec.record(payload, b))?;
+    Ok((dec.del, dec.ins))
 }
 
-/// Read one list of a record's facts: a count, then each fact's predicate,
-/// arity and node indexes.
-fn read_facts(c: &mut Cursor<'_>, ids: &[ValueId], what: &str) -> Result<IdRows, String> {
+/// Read one list of a record's facts into `facts` (cleared first): a
+/// count, then each fact's predicate, arity and node indexes.
+fn read_facts<'a>(
+    c: &mut Cursor<'a>,
+    ids: &[ValueId],
+    names: &mut Names<'a>,
+    row: &mut Vec<ValueId>,
+    facts: &mut IdRows,
+    what: &str,
+) -> Result<(), String> {
+    facts.clear();
     let n = c.u32(what)? as usize;
     // A fact takes at least its name length and arity: 8 bytes.
     if n > c.remaining() / 8 {
         return Err(format!("{what} {n} exceeds remaining bytes"));
     }
-    let mut facts = IdRows::default();
-    let mut row = Vec::new();
     for _ in 0..n {
-        let pred = Symbol::intern(c.str("predicate name")?);
+        let pred = names.get(c.str("predicate name")?);
         let arity = c.u32("fact arity")? as usize;
-        read_ids(c, ids, arity, "row index", &mut row)?;
-        facts.push(pred, &row);
+        read_ids(c, ids, arity, "row index", row)?;
+        facts.push(pred, row);
     }
-    Ok(facts)
+    Ok(())
 }
 
 #[cfg(test)]

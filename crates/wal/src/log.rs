@@ -73,11 +73,12 @@ pub(crate) fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
 }
 
 /// The result of scanning a log file's bytes.
-pub(crate) struct Scan {
+pub(crate) struct Scan<'a> {
     /// `base_seq` from the header.
     pub base_seq: u64,
-    /// Valid records, in order: `(seq, payload)`.
-    pub records: Vec<(u64, Vec<u8>)>,
+    /// Valid records, in order: `(seq, payload)`, the payload borrowed from
+    /// the scanned bytes.
+    pub records: Vec<(u64, &'a [u8])>,
     /// Byte length of the valid prefix (header + whole valid records).
     pub valid_len: u64,
     /// The torn/corrupt tail, if any bytes past `valid_len` existed.
@@ -89,7 +90,7 @@ pub(crate) struct Scan {
 /// Returns `Err(Corrupt)` only for damage that cannot be a crash artifact:
 /// a bad magic number or an unknown version. Everything after a valid
 /// header degrades gracefully into a truncation report.
-pub(crate) fn scan(bytes: &[u8]) -> Result<Scan, WalError> {
+pub(crate) fn scan(bytes: &[u8]) -> Result<Scan<'_>, WalError> {
     if bytes.len() < WAL_HEADER_LEN as usize {
         // A header can only be short if the crash hit the very first
         // write to a fresh log — there cannot be any committed data.
@@ -164,7 +165,7 @@ pub(crate) fn scan(bytes: &[u8]) -> Result<Scan, WalError> {
                 "sequence gap: record {seq} where {next_seq} expected"
             )));
         }
-        records.push((seq, payload.to_vec()));
+        records.push((seq, payload));
         next_seq += 1;
         offset += 16 + len;
     };
@@ -256,7 +257,8 @@ mod tests {
         bytes[8] = 99;
         assert!(matches!(scan(&bytes), Err(WalError::Corrupt { .. })));
         // Short header: a crash during the very first write — fresh log.
-        let s = scan(&encode_header(0)[..10]).unwrap();
+        let header = encode_header(0);
+        let s = scan(&header[..10]).unwrap();
         assert_eq!(s.valid_len, 0);
         assert!(s.truncated.is_some());
         // Empty file: fresh log, nothing torn.

@@ -27,19 +27,21 @@
 //!
 //! Loading is a bulk load: the checksum folds 16-byte blocks by carry-less
 //! multiply where the CPU has it ([`crate::crc`]), the node table is
-//! interned under one interner lock, and each relation's duplicate filter
-//! is sized from its row count before the rows go in. A relation's row
-//! indexes are one slice, bounded by the header check, read a row at a
-//! time by a plain loop. A bad index is reported just past itself, a
-//! repeated row just past that row, and a block cut short at the first row
-//! that does not fit.
+//! interned under one interner lock by the log replay's decoder, which
+//! resolves each atom and functor name once, and each relation's duplicate
+//! filter is sized from its row count before the rows go in. A relation's
+//! row indexes are one slice, bounded by the header check, read a row at a
+//! time by a plain loop; each row walks the filter's probe path once, to
+//! find a repeat or the slot it is filed in. A bad index is reported just
+//! past itself, a repeated row just past that row, and a block cut short
+//! at the first row that does not fit.
 
 use std::time::Instant;
 
 use ldl_storage::Database;
-use ldl_value::Symbol;
+use ldl_value::{intern, Symbol};
 
-use crate::codec::{put_str, put_u32, put_u64, read_nodes, Cursor, NodeTable};
+use crate::codec::{put_str, put_u32, put_u64, Cursor, Decoder, NodeTable};
 use crate::crc::crc32;
 use crate::{OpenTimes, WalError};
 
@@ -123,7 +125,9 @@ pub(crate) fn decode(bytes: &[u8], times: &mut OpenTimes) -> Result<(Database, u
     let seq = c.u64("snapshot sequence").map_err(|e| fail(&c, e))?;
 
     let t = Instant::now();
-    let ids = read_nodes(&mut c).map_err(|e| fail(&c, e))?;
+    let mut dec = Decoder::default();
+    intern::batch(|b| dec.nodes(&mut c, b)).map_err(|e| fail(&c, e))?;
+    let ids = &dec.ids;
     times.nodes += t.elapsed();
 
     // Relations.

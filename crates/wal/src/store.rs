@@ -40,9 +40,9 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use ldl_storage::Database;
-use ldl_value::Fact;
+use ldl_value::{intern, Fact};
 
-use crate::codec::{decode_batch, encode_batch};
+use crate::codec::{encode_batch, Decoder};
 use crate::log::{self, WAL_FILE, WAL_HEADER_LEN};
 use crate::snapshot::{self, SNAPSHOT_FILE};
 use crate::{SyncPolicy, WalError, WalFile};
@@ -268,28 +268,38 @@ impl Store {
         let mut replayed = 0u64;
         let mut offset = WAL_HEADER_LEN;
         let t = Instant::now();
-        for (seq, payload) in &scan.records {
-            let rec_len = 16 + payload.len() as u64;
-            if *seq > snap_seq {
-                match decode_batch(payload).and_then(|(del, ins)| db.apply(&del, &ins)) {
-                    Ok(()) => {
-                        last_seq = *seq;
-                        replayed += 1;
-                    }
-                    Err(reason) => {
-                        truncation = Some(Truncation {
-                            offset,
-                            dropped_bytes: bytes.len() as u64 - offset,
-                            reason: format!("bad batch at sequence {seq}: {reason}"),
-                        });
-                        valid_len = offset;
-                        break;
+        // One decoder and one value-lock hold for the whole tail: a record
+        // decodes into the buffers the last one left, and
+        // `Database::apply` interns nothing, so nothing in the loop takes
+        // the value lock again.
+        let mut dec = Decoder::default();
+        intern::batch(|b| {
+            for &(seq, payload) in &scan.records {
+                let rec_len = 16 + payload.len() as u64;
+                if seq > snap_seq {
+                    match dec
+                        .record(payload, b)
+                        .and_then(|()| db.apply(&dec.del, &dec.ins))
+                    {
+                        Ok(()) => {
+                            last_seq = seq;
+                            replayed += 1;
+                        }
+                        Err(reason) => {
+                            truncation = Some(Truncation {
+                                offset,
+                                dropped_bytes: bytes.len() as u64 - offset,
+                                reason: format!("bad batch at sequence {seq}: {reason}"),
+                            });
+                            valid_len = offset;
+                            break;
+                        }
                     }
                 }
+                log_tail_seq = seq;
+                offset += rec_len;
             }
-            log_tail_seq = *seq;
-            offset += rec_len;
-        }
+        });
         times.replay = t.elapsed();
 
         // 4. Make the on-disk log agree with what we recovered, and open

@@ -382,6 +382,37 @@ fn cold_bound_query_derives_its_cone_then_buys_the_model() {
     assert_eq!(sys.query("anc(0, Y)").unwrap().len(), 11);
 }
 
+/// The cold bound query's index builds, counted by hand: the §6 rules of
+/// `anc(0, Y)` run on a copy of the EDB that holds no index, and the one
+/// EDB index they probe is `par` on its first column (the magic rule
+/// `m'anc'bf(Z) <- m'anc'bf(X), par(X, Z)` binds it), built once over all
+/// of `par`'s 30 rows. The two derived relations the recursive rule probes,
+/// `anc'bf` on its first column and its supplementary relation on its
+/// second, get their index once each relation holds a row — one row each —
+/// and keep it up to date from there: 3 builds over 32 rows.
+#[test]
+fn a_cold_bound_query_builds_one_index_over_the_edb() {
+    let mut sys = System::new();
+    sys.load(
+        "anc(X, Y) <- par(X, Y).\n\
+         anc(X, Y) <- par(X, Z), anc(Z, Y).",
+    )
+    .unwrap();
+    let mut batch = sys.mutate();
+    for c in 0..3 {
+        for k in 0..10 {
+            batch.assert(
+                "par",
+                vec![Value::int(c * 100 + k), Value::int(c * 100 + k + 1)],
+            );
+        }
+    }
+    batch.commit().unwrap();
+    assert_eq!(sys.query("anc(0, Y)").unwrap().len(), 10);
+    let stats = sys.last_stats();
+    assert_eq!((stats.index_builds, stats.index_rows), (3, 32), "{stats}");
+}
+
 /// §1's exclusive ancestors on a chain `0 → 1 → 2 → 3` with two nodes off
 /// it, through `System::query` on a cold system. The staged schedule applies
 /// the guarded `excl'bff` rule once: it reads `m'excl'bff`, `anc'bf` and
