@@ -9,7 +9,7 @@ use ldl_ast::term::{Term, Var};
 use ldl_ast::wf::{check_program, Dialect};
 use ldl_storage::{Database, Relation};
 use ldl_stratify::Stratification;
-use ldl_value::fxhash::FastMap;
+use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::{intern, Fact, Symbol, Value, ValueId};
 
 use crate::budget::Budget;
@@ -20,7 +20,6 @@ use crate::fixpoint;
 use crate::plan::{HeadKind, RulePlan, Step};
 use crate::ram::{self, eval_expr, Op, RamProgram};
 use crate::stats::EvalStats;
-use crate::unify::eval_ground;
 
 /// Evaluation configuration.
 ///
@@ -221,7 +220,8 @@ impl<'a> Read<'a> {
         });
         let mut regs = vec![ValueId::FILLER; plan.nregs];
         for (r, &c) in regs.iter_mut().zip(&ground) {
-            *r = eval_ground(&args[c]).ok_or("no match, a ground argument does not evaluate")?;
+            let e = ram::lower_expr(&args[c], &mut FastMap::default(), &FastSet::default());
+            *r = eval_expr(&e, &[]).ok_or("no match, a ground argument does not evaluate")?;
         }
         Ok(Read {
             rel,
@@ -425,7 +425,8 @@ pub fn query(db: &Database, query: &Atom) -> Vec<QueryAnswer> {
         return Vec::new();
     };
     let mut out = Out::new(&read.plan.head, false);
-    run_ram(read.plan, db, None, &mut read.regs, &mut out);
+    run_ram(read.plan, db, None, &mut read.regs, &mut out)
+        .expect("a query's one scan runs no built-in");
     let buf = out.into_buf();
     answers(&read.vars, &buf.data, buf.count)
 }

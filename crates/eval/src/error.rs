@@ -34,6 +34,15 @@ pub enum EvalError {
         /// Conflicting arity.
         found: usize,
     },
+    /// A generative mode of `subset`, `union` or `partition` met a set of
+    /// more than [`MAX_ENUMERATED_SET`](crate::builtins::MAX_ENUMERATED_SET)
+    /// elements. The operation aborts as on a budget trip.
+    Enumeration {
+        /// The built-in, as `name/arity`.
+        builtin: &'static str,
+        /// The size of the set.
+        size: usize,
+    },
     /// Evaluation was aborted by its [`Budget`](crate::Budget): a resource
     /// limit was exceeded, or the [`CancelToken`](crate::CancelToken)
     /// tripped. The aborting operation is transactional — the EDB keeps its
@@ -77,6 +86,12 @@ impl fmt::Display for EvalError {
             } => write!(
                 f,
                 "predicate {pred} used with arity {found}, expected {expected}"
+            ),
+            EvalError::Enumeration { builtin, size } => write!(
+                f,
+                "{builtin} cannot enumerate over a set of {size} elements: its generative \
+                 mode takes sets of at most {} elements",
+                crate::builtins::MAX_ENUMERATED_SET
             ),
             EvalError::ResourceExhausted {
                 resource: ResourceKind::Interrupt,

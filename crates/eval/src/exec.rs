@@ -14,28 +14,27 @@
 //! filters lowering gave it on each matching row in its own loop, and one
 //! with a row form (`RowForm`) tests its one integer filter on native
 //! integers (`Lin`), leaving to the filter op (`filters_hold`) only what
-//! that test cannot decide. The one op that bridges to the built-in
-//! evaluator, `Builtin` — which also runs a match step, the `=` of a set,
-//! `scons`, `<t>` or open compound pattern — seeds a scratch [`Bindings`]
-//! from registers and copies solution values back: it is the only place
-//! this module reaches the term-tree matcher. A pass counts its index
-//! probes and existential cuts in its context and returns them when it
-//! ends.
+//! that test cannot decide. A `Builtin` op — a built-in literal, or a
+//! match step over a scan's set, `scons`, `<t>` or open compound columns —
+//! hands its lowered arguments and the register file to
+//! `builtins::eval_builtin`, whose matcher writes each solution's values straight
+//! into the registers. A pass counts its index probes and existential cuts
+//! in its context and returns them when it ends, or the error a built-in
+//! met.
 //!
 //! `tests/differential.rs` pins the result against the reference evaluator
-//! ([`crate::model::reference_model`]), which walks plan steps against a
-//! binding trail and shares none of this module.
+//! ([`crate::model::reference_model`]), which walks plan steps with the
+//! same matcher and built-ins and shares none of this module.
 
 use std::cell::Cell;
 
-use ldl_ast::term::Var;
 use ldl_storage::{Database, IndexRef, Relation, WordSet};
 use ldl_value::arith::{ArithOp, CmpOp};
 use ldl_value::intern;
 use ldl_value::ValueId;
 
-use crate::bindings::Bindings;
 use crate::builtins::eval_builtin;
+use crate::error::EvalError;
 use crate::fixpoint::DerivedBuf;
 use crate::grouping::Groups;
 use crate::plan::DeltaRestriction;
@@ -60,8 +59,8 @@ struct ROp<'a> {
     hi: u32,
 }
 
-/// Per-run execution context: everything loop-invariant, and the pass's
-/// two counters.
+/// Per-run execution context: everything loop-invariant, the pass's two
+/// counters, and the error that fails it.
 struct Ctx<'a> {
     prog: &'a RamProgram,
     rops: &'a [ROp<'a>],
@@ -69,6 +68,8 @@ struct Ctx<'a> {
     probes: Cell<u64>,
     /// Existential short-circuits taken.
     cuts: Cell<u64>,
+    /// A built-in's error, which fails the pass when it ends.
+    error: Cell<Option<EvalError>>,
 }
 
 /// An op with no relation.
@@ -225,14 +226,14 @@ fn project_head(head: &[Expr], regs: &[ValueId], data: &mut Vec<ValueId>) -> boo
 /// `restrict` confines plan step `step` — its first op, the scan — to a
 /// delta range. `regs` is the register file, `prog.nregs` long, its entry
 /// registers (`ram::lower`) seeded. Returns the pass's index probes and
-/// existential cuts.
+/// existential cuts, or the error a built-in met.
 pub(crate) fn run_ram(
     prog: &RamProgram,
     db: &Database,
     restrict: Option<DeltaRestriction>,
     regs: &mut [ValueId],
     out: &mut Out<'_>,
-) -> (u64, u64) {
+) -> Result<(u64, u64), EvalError> {
     let restrict = restrict.map(|r| DeltaRestriction {
         step: prog.step_op[r.step],
         ..r
@@ -251,16 +252,20 @@ pub(crate) fn run_ram(
         *r = resolve(op, i, db, restrict);
     }
     if (prog.scan_ops.iter()).any(|&i| rops[i].rel.is_none_or(Relation::is_empty)) {
-        return (0, 0);
+        return Ok((0, 0));
     }
     let ctx = Ctx {
         prog,
         rops,
         probes: Cell::new(0),
         cuts: Cell::new(0),
+        error: Cell::new(None),
     };
-    exec_op::<false>(&ctx, 0, regs, &mut Bindings::new(), out);
-    (ctx.probes.get(), ctx.cuts.get())
+    exec_op::<false>(&ctx, 0, regs, out);
+    match ctx.error.take() {
+        Some(e) => Err(e),
+        None => Ok((ctx.probes.get(), ctx.cuts.get())),
+    }
 }
 
 /// Match one tuple against a fused column-action list. Bind actions write
@@ -328,10 +333,9 @@ fn neg_op(key: &[Expr], rel: Option<&Relation>, regs: &[ValueId]) -> bool {
 }
 
 /// Evaluate an expression to a native integer *without interning any
-/// intermediate*: the win that makes compiled arithmetic filters fast — the
-/// interpreter's `eval_ids` hashes every partial sum through the intern
-/// table. `None` exactly when the interpreted evaluation would be `None` or
-/// a non-integer: a non-integer register or constant, an arithmetic
+/// intermediate*: the win that makes compiled arithmetic filters fast —
+/// [`eval_expr`] hashes every partial sum through the intern table. `None`
+/// exactly when [`eval_expr`] would be `None` or a non-integer: a non-integer register or constant, an arithmetic
 /// failure, or a shape (compound, set) that can only evaluate to a
 /// non-integer. An integer in the immediate range decodes from its id
 /// alone, with no interner read.
@@ -378,9 +382,8 @@ fn cmp_op(op: CmpOp, lhs: &Expr, rhs: &Expr, regs: &[ValueId]) -> bool {
     cmp_ids(op, lhs, rhs, regs)
 }
 
-/// [`cmp_op`] on ids: the interpreter-mirroring path, which handles
-/// strings and treats an operand outside `U` as `false` — `eval_term`'s
-/// `None` in both of the interpreter's `Cmp` arms.
+/// [`cmp_op`] on ids: the path that handles strings, and treats an
+/// operand outside `U` as `false`, as [`eval_builtin`] does.
 #[inline(never)]
 fn cmp_ids(op: CmpOp, lhs: &Expr, rhs: &Expr, regs: &[ValueId]) -> bool {
     match (eval_expr(lhs, regs), eval_expr(rhs, regs)) {
@@ -390,7 +393,7 @@ fn cmp_ids(op: CmpOp, lhs: &Expr, rhs: &Expr, regs: &[ValueId]) -> bool {
 }
 
 /// Forward-mode arithmetic result on native integers. `None` exactly when
-/// the interpreter's `eval_ids` chain fails: a non-integer operand (no
+/// [`eval_expr`]'s `eval_ids` chain fails: a non-integer operand (no
 /// arithmetic shape can evaluate to an integer any other way) or overflow.
 fn arith_val(op: ArithOp, x: &Expr, y: &Expr, regs: &[ValueId]) -> Option<i64> {
     op.eval_i64(eval_num(x, regs)?, eval_num(y, regs)?)
@@ -466,7 +469,6 @@ impl Rows<'_> {
         ctx: &Ctx<'_>,
         m: &M,
         regs: &mut [ValueId],
-        b: &mut Bindings,
         out: &mut Out<'_>,
     ) -> bool {
         let (from, then) = (self.from, self.then);
@@ -476,7 +478,7 @@ impl Rows<'_> {
                     if pos >= self.lo
                         && pos < self.hi
                         && m.matches(ctx, from, then, self.rel.get(pos), regs)
-                        && next::<TAIL>(ctx, then, regs, b, out)
+                        && next::<TAIL>(ctx, then, regs, out)
                     {
                         return true;
                     }
@@ -486,7 +488,7 @@ impl Rows<'_> {
                 for pos in self.lo..self.hi {
                     if self.rel.is_live(pos)
                         && m.matches(ctx, from, then, self.rel.get(pos), regs)
-                        && next::<TAIL>(ctx, then, regs, b, out)
+                        && next::<TAIL>(ctx, then, regs, out)
                     {
                         return true;
                     }
@@ -640,26 +642,6 @@ impl Lin {
     }
 }
 
-/// Seed the scratch bindings of a `Builtin` op from registers. Bind-if-absent:
-/// values are single-assignment along a derivation path, so a variable
-/// already present holds the same id. The caller undoes to its own mark.
-#[inline]
-fn seed(b: &mut Bindings, in_vars: &[(Var, Reg)], regs: &[ValueId]) {
-    for &(v, r) in in_vars {
-        if b.get(v).is_none() {
-            b.bind(v, regs[r as usize]);
-        }
-    }
-}
-
-/// Copy a `Builtin` op's solution values back into registers.
-#[inline]
-fn copy_out(b: &Bindings, out_vars: &[(Var, Reg)], regs: &mut [ValueId]) {
-    for &(v, r) in out_vars {
-        regs[r as usize] = b.get(v).expect("a positive built-in binds its outputs");
-    }
-}
-
 /// A solution of the whole op list: in tail mode the witness, which stops
 /// the enumeration; in run mode it goes to `out`, and the enumeration goes
 /// on.
@@ -681,13 +663,12 @@ fn next<const TAIL: bool>(
     ctx: &Ctx<'_>,
     j: usize,
     regs: &mut [ValueId],
-    b: &mut Bindings,
     out: &mut Out<'_>,
 ) -> bool {
     if j == ctx.prog.ops.len() {
         return solution::<TAIL>(regs, out);
     }
-    exec_op::<TAIL>(ctx, j, regs, b, out) && TAIL
+    exec_op::<TAIL>(ctx, j, regs, out) && TAIL
 }
 
 /// Enumerate the solutions of `ops[i..]`, sending each to `out` in run
@@ -699,13 +680,12 @@ fn exec_op<const TAIL: bool>(
     ctx: &Ctx<'_>,
     i: usize,
     regs: &mut [ValueId],
-    b: &mut Bindings,
     out: &mut Out<'_>,
 ) -> bool {
     if !TAIL && i == ctx.prog.exist_from && i < ctx.prog.ops.len() {
         // One witness suffices, and the head registers are already final
         // (tail ops bind no head variable).
-        if exec_op::<true>(ctx, i, regs, b, out) {
+        if exec_op::<true>(ctx, i, regs, out) {
             ctx.cuts.set(ctx.cuts.get() + 1);
             out.emit(regs);
         }
@@ -760,7 +740,7 @@ fn exec_op<const TAIL: bool>(
                 .as_ref()
                 .filter(|_| postings.is_some() || index_cols.is_empty());
             let Some(RowForm { binds, test }) = form else {
-                return scan.run::<TAIL, _>(ctx, &general, regs, b, out);
+                return scan.run::<TAIL, _>(ctx, &general, regs, out);
             };
             match test.as_ref().map(|t| Lin::resolve(t, regs)) {
                 None => {
@@ -768,10 +748,10 @@ fn exec_op<const TAIL: bool>(
                         binds,
                         test: Always,
                     };
-                    scan.run::<TAIL, _>(ctx, &m, regs, b, out)
+                    scan.run::<TAIL, _>(ctx, &m, regs, out)
                 }
-                Some(Some(test)) => scan.run::<TAIL, _>(ctx, &Form { binds, test }, regs, b, out),
-                Some(None) => scan.run::<TAIL, _>(ctx, &general, regs, b, out),
+                Some(Some(test)) => scan.run::<TAIL, _>(ctx, &Form { binds, test }, regs, out),
+                Some(None) => scan.run::<TAIL, _>(ctx, &general, regs, out),
             }
         }
         Op::Cmp { .. }
@@ -779,12 +759,12 @@ fn exec_op<const TAIL: bool>(
         | Op::ArithF {
             dst: ArithDst::Check(_),
             ..
-        } => filter_op(op, ctx.rops[i].rel, regs) && next::<TAIL>(ctx, i + 1, regs, b, out),
+        } => filter_op(op, ctx.rops[i].rel, regs) && next::<TAIL>(ctx, i + 1, regs, out),
         Op::Absent { end } => {
             // Its first solution refutes the negation. Its ops write only
             // their own fresh registers, so nothing leaks past it.
-            let found = exec_op::<true>(ctx, i + 1, regs, b, out);
-            !found && exec_op::<TAIL>(ctx, *end + 1, regs, b, out) && TAIL
+            let found = exec_op::<true>(ctx, i + 1, regs, out);
+            !found && exec_op::<TAIL>(ctx, *end + 1, regs, out) && TAIL
         }
         // An `Absent` runs its ops in tail mode: reaching `Found` is its
         // witness.
@@ -792,7 +772,7 @@ fn exec_op<const TAIL: bool>(
         Op::Assign { dst, src } => match eval_expr(src, regs) {
             Some(v) => {
                 regs[*dst as usize] = v;
-                next::<TAIL>(ctx, i + 1, regs, b, out)
+                next::<TAIL>(ctx, i + 1, regs, out)
             }
             None => false,
         },
@@ -805,7 +785,7 @@ fn exec_op<const TAIL: bool>(
         } => match arith_val(*op, x, y, regs) {
             Some(z) => {
                 regs[*r as usize] = intern::mk_int(z);
-                next::<TAIL>(ctx, i + 1, regs, b, out)
+                next::<TAIL>(ctx, i + 1, regs, out)
             }
             None => false,
         },
@@ -813,26 +793,17 @@ fn exec_op<const TAIL: bool>(
             builtin,
             args,
             negated,
-            in_vars,
-            out_vars,
         } => {
-            let m = b.mark();
-            seed(b, in_vars, regs);
-            if *negated {
-                let mut any = false;
-                eval_builtin(*builtin, args, b, &mut |_| any = true);
-                b.undo(m);
-                !any && next::<TAIL>(ctx, i + 1, regs, b, out)
-            } else {
-                let mut stop = false;
-                eval_builtin(*builtin, args, b, &mut |b2| {
-                    if !stop {
-                        copy_out(b2, out_vars, regs);
-                        stop = next::<TAIL>(ctx, i + 1, regs, b2, out);
-                    }
-                });
-                b.undo(m);
-                stop
+            // A negated built-in stops at its first solution, which refutes
+            // it; a positive one sends each solution on.
+            let mut k = |regs: &mut [ValueId]| *negated || next::<TAIL>(ctx, i + 1, regs, out);
+            match eval_builtin(*builtin, args, regs, &mut k) {
+                Ok(found) if *negated => !found && next::<TAIL>(ctx, i + 1, regs, out),
+                Ok(stop) => stop,
+                Err(e) => {
+                    ctx.error.set(Some(e));
+                    false
+                }
             }
         }
     }

@@ -41,7 +41,7 @@ pub fn explain(plans: &PlanTable, pred: Option<&str>) -> String {
                 }
                 if !plan.steps.is_empty() {
                     let _ = writeln!(out, "  compiled:");
-                    for line in crate::ram::render(&plan.lowered()) {
+                    for line in crate::ram::render(&plan) {
                         let _ = writeln!(out, "    {line}");
                     }
                 }

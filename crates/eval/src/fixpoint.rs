@@ -380,7 +380,11 @@ impl DerivedBuf {
 /// nothing else. Returns the head's id-tuples in body-solution order (an
 /// unmarked pass includes duplicates; a grouping head gives one tuple per
 /// group, in first-solution order).
-pub(crate) fn derive(task: &RoundTask<'_>, db: &Database, stats: &mut EvalStats) -> DerivedBuf {
+pub(crate) fn derive(
+    task: &RoundTask<'_>,
+    db: &Database,
+    stats: &mut EvalStats,
+) -> Result<DerivedBuf, EvalError> {
     let plan = task.plan;
     stats.lowerings += u64::from(plan.ram.get().is_none());
     let prog = plan.lowered();
@@ -397,12 +401,12 @@ pub(crate) fn derive(task: &RoundTask<'_>, db: &Database, stats: &mut EvalStats)
         task.restrict,
         &mut vec![ValueId::FILLER; prog.nregs],
         &mut out,
-    );
+    )?;
     stats.attempts += out.attempts;
     stats.index_probes += probes;
     stats.exist_cuts += cuts;
     stats.dedup_inserts += out.repeats;
-    out.into_buf()
+    Ok(out.into_buf())
 }
 
 /// Execute one evaluation round — one application of §3.2's `R` — and the
@@ -435,7 +439,7 @@ pub fn run_round(
     stats.rules_fired += tasks.len() as u64;
     let mut derived: Vec<(Symbol, DerivedBuf)> = Vec::with_capacity(tasks.len());
     for t in tasks {
-        derived.push((t.plan.head.pred, derive(t, db, stats)));
+        derived.push((t.plan.head.pred, derive(t, db, stats)?));
     }
 
     let mut new = 0u64;

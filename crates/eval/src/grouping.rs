@@ -126,10 +126,11 @@ mod tests {
     fn run(plan: &RulePlan, db: &Database) -> Vec<Fact> {
         let task = RoundTask::new(plan, None, false);
         let mut tuples = Vec::new();
-        derive(&task, db, &mut EvalStats::new()).for_each(&mut |t| tuples.push(t.to_vec()));
+        let buf = derive(&task, db, &mut EvalStats::new()).unwrap();
+        buf.for_each(&mut |t| tuples.push(t.to_vec()));
         assert_eq!(
             tuples,
-            crate::model::apply_rule(plan, db),
+            crate::model::apply_rule(plan, db).unwrap(),
             "engine grouping diverges from the reference"
         );
         tuples

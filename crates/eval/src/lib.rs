@@ -16,12 +16,14 @@
 //! The result is a minimal model of `P` w.r.t. `M₀` (unique when `P` is
 //! positive). Rule bodies are compiled to index-backed join plans
 //! ([`plan`]), once per program ([`compiled`]), lowered to register
-//! programs ([`ram`], [`exec`]), and iterated semi-naively ([`fixpoint`]). [`model`] is the reference the
+//! programs ([`ram`], [`exec`]), and iterated semi-naively ([`fixpoint`]).
+//! Every pattern is matched, and every built-in evaluated, on the register
+//! file by one matcher ([`builtins`]). [`model`] is the reference the
 //! engine is tested against: the §2.2 truth definition ([`check_model`],
 //! also used to reproduce the §2.3/§2.4 counterexamples) and the §3.2
-//! fixpoint executed literally ([`reference_model`]).
+//! fixpoint executed literally ([`reference_model`]), which shares the
+//! matcher and the built-ins but not the executor.
 
-pub mod bindings;
 pub mod budget;
 pub mod builtins;
 pub mod compiled;
@@ -36,7 +38,6 @@ pub mod plan;
 pub mod ram;
 pub mod retract;
 pub mod stats;
-pub mod unify;
 
 pub use budget::{Budget, CancelToken, ResourceKind};
 pub use compiled::{Compiled, PlanTable};

@@ -16,181 +16,188 @@
 //!   `R(M) = ⋃ r(M) ∪ M` layer by layer (§3.2, Theorem 1) — no deltas, no
 //!   statistics, no lowering, no budget.
 //!
-//! Both are built on `apply_rule`, the paper's `r(M)`: a tree-walking
-//! interpreter over the engine's own plans ([`RulePlan::compile`]) that
-//! enumerates every body solution (it never reads the existential tail),
-//! matches with the term-tree matcher ([`crate::unify`]), walks the
-//! relation for an `_`-negation, and counts nothing.
+//! Both are built on `apply_rule`, the paper's `r(M)`: a walk of the
+//! engine's own plan steps ([`RulePlan::compile`]) that enumerates every
+//! body solution (it never reads the existential tail), walks the relation
+//! for an `_`-negation, and counts nothing. It shares with the engine what
+//! a step means — each step's arguments lowered onto a register file
+//! (`ram::Matching`), the one matcher and the built-ins ([`crate::builtins`]),
+//! the head's lowering and the grouping of its solutions — and none of how
+//! the engine runs it: no op list, no fused filters, no row forms.
 
+use std::cell::Cell;
 use std::fmt;
 
 use ldl_ast::program::Program;
 use ldl_ast::rule::Rule;
-use ldl_ast::term::Term;
 use ldl_storage::{resolve_fact, Database};
 use ldl_stratify::Stratification;
+use ldl_value::fxhash::{FastMap, FastSet};
 use ldl_value::{Fact, FactSet, Symbol, ValueId};
 
-use crate::bindings::Bindings;
-use crate::builtins::eval_builtin;
+use crate::builtins::{eval_builtin, match_args, value, waited, Cont};
 use crate::error::EvalError;
 use crate::grouping::Groups;
-use crate::plan::{check_arity, ensure_plan_indexes, has_anon, HeadKind, RulePlan, Step};
+use crate::plan::{check_arity, ensure_plan_indexes, has_anon, RulePlan, Step};
+use crate::ram::{eval_expr, lower_head, Arg, HeadIr, Matching, Wait};
 use crate::stats::EvalStats;
-use crate::unify::{eval_term, match_slice};
 
-/// Enumerate the solutions of `plan`'s body against `db`, calling `k` once
-/// per solution with the satisfying bindings. Scans probe a hash index when
-/// `db` happens to hold one on the bound columns and walk the relation
-/// otherwise.
-fn run_body(plan: &RulePlan, db: &Database, k: &mut dyn FnMut(&mut Bindings)) {
-    run_steps(plan, 0, db, &mut Bindings::new(), k);
+/// A step's lowered arguments, and the arithmetic waiting for the end of
+/// its match.
+type StepArgs = (Box<[Arg]>, Box<[Wait]>);
+
+/// A plan's body with each step's arguments lowered, in step order, onto
+/// one register file; a built-in's error, once met, stops the walk.
+struct Walk<'a> {
+    plan: &'a RulePlan,
+    db: &'a Database,
+    args: Vec<StepArgs>,
+    error: Cell<Option<EvalError>>,
 }
 
-fn run_steps(
-    plan: &RulePlan,
-    i: usize,
-    db: &Database,
-    b: &mut Bindings,
-    k: &mut dyn FnMut(&mut Bindings),
-) {
-    let Some(step) = plan.steps.get(i) else {
-        k(b);
-        return;
-    };
-    match step {
-        Step::Scan {
-            pred,
-            args,
-            index_cols,
-        } => {
-            let Some(rel) = db.relation(*pred) else {
-                return; // a positive literal over ∅ has no solutions
-            };
-            let mut on_tuple = |tuple: &[ValueId], b: &mut Bindings| {
-                match_slice(args, tuple, b, &mut |b2| {
-                    run_steps(plan, i + 1, db, b2, k);
-                });
-            };
-            let idx = if index_cols.is_empty() {
-                None
-            } else {
-                rel.index(index_cols)
-            };
-            let Some(idx) = idx else {
-                for tuple in rel.iter() {
-                    on_tuple(tuple, b);
-                }
-                return;
-            };
-            let key: Option<Vec<ValueId>> =
-                index_cols.iter().map(|&c| eval_term(&args[c], b)).collect();
-            // A key term outside U matches no tuple.
-            if let Some(key) = key {
-                for &pos in idx.probe(&key) {
-                    on_tuple(rel.get(pos), b);
+impl Walk<'_> {
+    /// Enumerate the solutions of the steps from `i` on, calling `k` once
+    /// per solution; `true` when the walk stopped. A scan probes a hash
+    /// index when `db` happens to hold one on its bound columns and walks
+    /// the relation otherwise.
+    fn run(&self, i: usize, regs: &mut [ValueId], k: &mut Cont<'_>) -> bool {
+        let Some(step) = self.plan.steps.get(i) else {
+            return k(regs);
+        };
+        let (args, waits) = &self.args[i];
+        let mut next = |regs: &mut [ValueId]| self.run(i + 1, regs, k);
+        match step {
+            Step::Scan {
+                pred, index_cols, ..
+            } => {
+                let Some(rel) = self.db.relation(*pred) else {
+                    return false; // a positive literal over ∅ has no solutions
+                };
+                let mut row = |t: &[ValueId], regs: &mut [ValueId]| {
+                    match_args(args, t, waits, regs, &mut next)
+                };
+                match rel.index(index_cols).filter(|_| !index_cols.is_empty()) {
+                    None => rel.iter().any(|t| row(t, regs)),
+                    Some(idx) => {
+                        let key: Option<Vec<ValueId>> =
+                            index_cols.iter().map(|&c| value(&args[c], regs)).collect();
+                        // A key term outside U matches no tuple.
+                        key.is_some_and(|key| {
+                            (idx.probe(&key).iter()).any(|&pos| row(rel.get(pos), regs))
+                        })
+                    }
                 }
             }
-        }
-        Step::NegScan { pred, args, .. } => {
-            if neg_holds(*pred, args, db, b) {
-                run_steps(plan, i + 1, db, b, k);
+            Step::NegScan {
+                pred, args: terms, ..
+            } => {
+                let anon = terms.iter().any(has_anon);
+                self.neg_holds(*pred, anon, args, waits, regs) && next(regs)
             }
-        }
-        Step::BuiltinStep {
-            builtin,
-            args,
-            negated,
-        } => {
-            if *negated {
-                let mut any = false;
-                eval_builtin(*builtin, args, b, &mut |_| any = true);
-                if !any {
-                    run_steps(plan, i + 1, db, b, k);
+            Step::BuiltinStep {
+                builtin, negated, ..
+            } => {
+                let mut k = |regs: &mut [ValueId]| waited(waits, regs) && (*negated || next(regs));
+                match eval_builtin(*builtin, args, regs, &mut k) {
+                    Ok(found) if *negated => !found && next(regs),
+                    Ok(stop) => stop,
+                    Err(e) => {
+                        self.error.set(Some(e));
+                        true
+                    }
                 }
-            } else {
-                eval_builtin(*builtin, args, b, &mut |b2| {
-                    run_steps(plan, i + 1, db, b2, k);
-                });
             }
         }
     }
-}
 
-/// §3.2 (2′): does ¬Bθ hold, i.e. is Bθ ∉ M? Named variables are bound here
-/// (planner guarantee); anonymous variables make this a negated
-/// *existential* — the shape of the paper's own §6 rule
-/// `young(X, <Y>) <- ¬a(X, Z), sg(X, Y)` when written safely as `~a(X, _)`
-/// ("X has no descendants") — decided by walking the relation to the first
-/// match, with no index.
-fn neg_holds(pred: Symbol, args: &[Term], db: &Database, b: &mut Bindings) -> bool {
-    let Some(rel) = db.relation(pred) else {
-        return true;
-    };
-    if args.iter().any(has_anon) {
-        let mut any = false;
-        for tuple in rel.iter() {
-            match_slice(args, tuple, b, &mut |_| any = true);
-            if any {
-                return false;
-            }
+    /// §3.2 (2′): does ¬Bθ hold, i.e. is Bθ ∉ M? Named variables are bound
+    /// here (planner guarantee); anonymous variables make this a negated
+    /// *existential* — the shape of the paper's own §6 rule
+    /// `young(X, <Y>) <- ¬a(X, Z), sg(X, Y)` when written safely as
+    /// `~a(X, _)` ("X has no descendants") — decided by walking the
+    /// relation to the first match, with no index.
+    fn neg_holds(
+        &self,
+        pred: Symbol,
+        anon: bool,
+        args: &[Arg],
+        waits: &[Wait],
+        regs: &mut [ValueId],
+    ) -> bool {
+        let Some(rel) = self.db.relation(pred) else {
+            return true;
+        };
+        if anon {
+            return !rel
+                .iter()
+                .any(|t| match_args(args, t, waits, regs, &mut |_| true));
         }
-        return true;
+        // An argument outside U: Bθ is not a U-fact, so it is certainly not
+        // in M; the negation succeeds.
+        let vals: Option<Vec<ValueId>> = args.iter().map(|a| value(a, regs)).collect();
+        vals.is_none_or(|vals| !rel.contains(&vals))
     }
-    // An argument outside U: Bθ is not a U-fact, so it is certainly not in
-    // M; the negation succeeds.
-    let vals: Option<Vec<ValueId>> = args.iter().map(|t| eval_term(t, b)).collect();
-    vals.is_none_or(|vals| !rel.contains(&vals))
 }
 
 /// §3.2's `r(M)`: the head tuples rule `plan` derives from `db` in one
-/// application, duplicates included.
+/// application, duplicates included, or the error a built-in met.
 ///
 /// A simple head is projected once per body solution; an argument
 /// evaluating outside `U` (scons onto a non-set, arithmetic failure)
 /// derives nothing (the applicability condition). A grouping head
 /// `p(t̄, <Y>)` partitions the solutions by the variables of `t̄` and
 /// derives one tuple per non-empty class (§2.2).
-pub(crate) fn apply_rule(plan: &RulePlan, db: &Database) -> Vec<Vec<ValueId>> {
-    match plan.head_kind {
-        HeadKind::Simple => {
+pub(crate) fn apply_rule(plan: &RulePlan, db: &Database) -> Result<Vec<Vec<ValueId>>, EvalError> {
+    let mut names = FastMap::default();
+    let mut bound = FastSet::default();
+    let mut args = Vec::with_capacity(plan.steps.len());
+    for step in &plan.steps {
+        let (terms, binds) = match step {
+            Step::Scan { args, .. } => (args, true),
+            Step::NegScan { args, .. } => (args, false),
+            Step::BuiltinStep { args, negated, .. } => (args, !negated),
+        };
+        let mut m = Matching::new(&mut names, bound.clone());
+        let lowered = m.args(terms, &bound);
+        let (waits, now) = m.finish();
+        args.push((lowered, waits));
+        if binds {
+            bound = now;
+        }
+    }
+    let head = lower_head(plan, &mut names, &bound);
+    let walk = Walk {
+        plan,
+        db,
+        args,
+        error: Cell::new(None),
+    };
+    let mut regs = vec![ValueId::FILLER; names.len()];
+    let tuples = match &head {
+        HeadIr::Simple(head) => {
             let mut out = Vec::new();
-            run_body(plan, db, &mut |b| {
-                let tuple: Option<Vec<ValueId>> =
-                    plan.head.args.iter().map(|t| eval_term(t, b)).collect();
-                out.extend(tuple);
+            walk.run(0, &mut regs, &mut |regs| {
+                out.extend(
+                    head.iter()
+                        .map(|e| eval_expr(e, regs))
+                        .collect::<Option<Vec<_>>>(),
+                );
+                false
             });
             out
         }
-        HeadKind::Grouping {
-            group_pos,
-            group_var,
-        } => {
-            let zbar = plan.head.vars_outside_group();
+        HeadIr::Grouping(head) => {
             let mut groups = Groups::default();
-            run_body(plan, db, &mut |b| {
-                // Range restriction guarantees Y and Z̄ are bound; an
-                // unbound variable here means the rule slipped past
-                // well-formedness — fail loudly.
-                let Some(y) = b.get(group_var) else {
-                    panic!("group variable {group_var} unbound in grouping rule");
-                };
-                let key: Option<Vec<ValueId>> = zbar.iter().map(|&z| b.get(z)).collect();
-                let Some(key) = key else {
-                    panic!("head variable unbound in grouping rule");
-                };
-                groups.add(key, y, || {
-                    plan.head
-                        .args
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != group_pos)
-                        .map(|(_, t)| eval_term(t, b))
-                        .collect()
-                });
+            walk.run(0, &mut regs, &mut |regs| {
+                groups.add_solution(head, regs);
+                false
             });
-            groups.into_tuples(group_pos)
+            groups.into_tuples(head.group_pos)
         }
+    };
+    match walk.error.take() {
+        Some(e) => Err(e),
+        None => Ok(tuples),
     }
 }
 
@@ -221,18 +228,16 @@ pub fn reference_model(program: &Program, edb: &Database) -> Result<Database, Ev
             for plan in &plans {
                 ensure_plan_indexes(plan, &mut m, &mut EvalStats::default())?;
             }
-            let derived: Vec<(Symbol, Vec<ValueId>)> = plans
-                .iter()
-                .flat_map(|plan| {
-                    apply_rule(plan, &m)
-                        .into_iter()
-                        .map(|t| (plan.head.pred, t))
-                })
-                .collect();
+            let mut derived = Vec::new();
+            for plan in &plans {
+                derived.push((plan.head.pred, apply_rule(plan, &m)?));
+            }
             let mut grew = false;
-            for (pred, tuple) in derived {
-                check_arity(&m, pred, tuple.len())?;
-                grew |= m.insert_id_slice(pred, &tuple);
+            for (pred, tuples) in derived {
+                for tuple in tuples {
+                    check_arity(&m, pred, tuple.len())?;
+                    grew |= m.insert_id_slice(pred, &tuple);
+                }
             }
             if !grew {
                 break;
@@ -283,7 +288,9 @@ pub fn check_model(program: &Program, m: &FactSet) -> Result<(), ModelViolation>
         if let Err(e) = ensure_plan_indexes(&plan, &mut db, &mut EvalStats::default()) {
             panic!("model checking cannot run {rule}: {e}");
         }
-        for tuple in apply_rule(&plan, &db) {
+        let tuples = apply_rule(&plan, &db)
+            .unwrap_or_else(|e| panic!("model checking cannot run {rule}: {e}"));
+        for tuple in tuples {
             let required = resolve_fact(plan.head.pred, &tuple);
             if !m.contains(&required) {
                 return Err(ModelViolation {

@@ -708,14 +708,14 @@ mod tests {
         let plan = RulePlan::compile(&rule, None).unwrap();
         assert_eq!(plan.exist_from, 1); // Y is not a head variable
         let mut stats = EvalStats::default();
-        let derived = derive(&RoundTask::new(&plan, None, true), &db, &mut stats);
+        let derived = derive(&RoundTask::new(&plan, None, true), &db, &mut stats).unwrap();
         // cand(1) has a witness, cand(2) has none.
         assert_eq!((stats.attempts, stats.exist_cuts), (1, 1));
         let mut engine = Vec::new();
         derived.for_each(&mut |t| engine.push(t.to_vec()));
         // The reference runs the same plan without the tail: one head tuple
         // per witness, all 10 of them the engine's one.
-        let full = crate::model::apply_rule(&plan, &db);
+        let full = crate::model::apply_rule(&plan, &db).unwrap();
         assert_eq!(full.len(), 10);
         assert!(full.iter().all(|t| engine == [t.clone()]), "{engine:?}");
     }

@@ -9,9 +9,13 @@
 //!   constants interned (and integers decoded) once, at lowering time;
 //! * any other column pattern — `{X, Y}`, `scons(H, T)`, `<t>`, a compound
 //!   with an unbound variable or a nested `_` — binds a fresh register, and
-//!   a *match step* `rN = pattern` after the scan is lowered like a written
-//!   `=`: a comparison once the pattern is ground, else the `Op::Builtin`
-//!   `=` that runs the term-tree matcher ([`crate::unify`]);
+//!   after the scan those columns are matched: one the plain columns leave
+//!   ground is a comparison, and the rest are one *match step* over all of
+//!   them, `rN = p, rM = q`;
+//! * every built-in literal the fused ops below do not cover, and every
+//!   match step, is one `Op::Builtin` whose arguments are fixed here
+//!   (`Matching`): a ground one is an `Expr`, any other a register
+//!   pattern `Pat`, so the built-in's mode is chosen once, here;
 //! * probe keys, negations and the head are `Expr`s over registers, and an
 //!   `_`-negation runs its literal's own scan and match steps to their
 //!   first solution;
@@ -41,11 +45,10 @@ use crate::plan::{has_anon, term_bound, HeadKind, RulePlan, Step};
 /// A register index into the program's dense `ValueId` file.
 pub(crate) type Reg = u32;
 
-/// A register-evaluable term: the compiled form of [`eval_term`]
-/// (`crate::unify::eval_term`) with constants pre-interned and variables
-/// resolved to registers. `Fail` marks positions that can never evaluate
-/// (`_`, `<t>`, or a variable the body never binds) — the interpreter's
-/// `None` result, made static.
+/// A register-evaluable term: a ground term with constants pre-interned
+/// and variables resolved to registers. `Fail` marks positions that can
+/// never evaluate (`_`, `<t>`, or a variable the body never binds): a term
+/// with one has no value, made static.
 #[derive(Clone, Debug)]
 pub(crate) enum Expr {
     /// Read a register.
@@ -58,14 +61,15 @@ pub(crate) enum Expr {
     Set(Box<[Expr]>),
     /// `scons(e, S)` — fails on a non-set tail.
     Scons(Box<Expr>, Box<Expr>),
-    /// Arithmetic, with the interpreter's overflow-to-`None` semantics.
+    /// Arithmetic, overflow and non-integers outside `U`.
     Arith(ArithOp, Box<Expr>, Box<Expr>),
     /// Never evaluates (outside `U`).
     Fail,
 }
 
-/// Evaluate a compiled expression against the register file. Mirrors
-/// `eval_term` exactly, including every `None` ("outside U") case.
+/// Evaluate a compiled expression against the register file: `None` when
+/// the term's value is outside `U` (`scons` onto a non-set, arithmetic on
+/// a non-integer or overflowing).
 ///
 /// A register or a constant — every probe key and head argument of a
 /// plain rule — is read in line; a compound term takes the out-of-line
@@ -166,10 +170,9 @@ pub(crate) enum Op {
     Found,
     /// A comparison whose solutions are decidable by expression evaluation
     /// alone: evaluate both sides and test. Covers every ordered comparison
-    /// and `/=` (the interpreter's `eval_ids` arm), plus `=` when the
-    /// matched side is [`eval_matchable`]. An operand outside `U` fails the
-    /// positive literal and satisfies the negated one, exactly like the
-    /// interpreter's `eval_term` returning `None`.
+    /// and `/=`, plus `=` when the matched side is [`eval_matchable`]. An
+    /// operand outside `U` fails the positive literal and satisfies the
+    /// negated one, as in [`eval_builtin`](crate::builtins::eval_builtin).
     Cmp {
         /// The comparison.
         op: CmpOp,
@@ -181,7 +184,7 @@ pub(crate) enum Op {
         negated: bool,
     },
     /// `V = e` with `V` unbound: evaluate `e` into a register. A source
-    /// outside `U` derives nothing (the interpreter's failed `eval_term`).
+    /// outside `U` derives nothing.
     Assign {
         /// Destination register (the unbound variable).
         dst: Reg,
@@ -205,22 +208,69 @@ pub(crate) enum Op {
         /// `Check`: negated built-ins are fully bound).
         negated: bool,
     },
-    /// A built-in literal, or a match step that no register op expresses:
-    /// bridge to the built-in evaluator (single source of truth for modes
-    /// and multi-solution semantics) through a scratch `Bindings`.
+    /// A built-in literal, or a match step, on registers. Each argument
+    /// was fixed at lowering as an [`Arg`]: the built-in's mode follows
+    /// from which are [`Arg::Expr`], and [`eval_builtin`] matches the rest
+    /// against what it computes, sending each solution on. A match step is
+    /// `=` over pairs: each fresh column register against its pattern,
+    /// then each [`Wait`]'s register against its expression.
+    ///
+    /// [`eval_builtin`]: crate::builtins::eval_builtin
     Builtin {
         /// Which built-in.
         builtin: Builtin,
-        /// Argument terms.
-        args: Box<[Term]>,
+        /// The arguments: a match step's are `r₁, p₁, r₂, p₂, …`.
+        args: Box<[Arg]>,
         /// Negated built-ins are fully bound and act as filters.
         negated: bool,
-        /// Bound variables to seed into the scratch bindings.
-        in_vars: Box<[(Var, Reg)]>,
-        /// Variables the built-in binds: copied back per solution.
-        out_vars: Box<[(Var, Reg)]>,
     },
 }
+
+/// A built-in's argument, or one side of a match: ground where the
+/// literal runs, or a pattern.
+#[derive(Clone, Debug)]
+pub(crate) enum Arg {
+    /// Every variable bound before the literal: evaluated, an input.
+    Expr(Expr),
+    /// Matched against a value.
+    Pat(Pat),
+}
+
+/// A register pattern: a non-ground term with each variable resolved, in
+/// match order, to the register it writes or reads. Matching it against a
+/// value ([`crate::builtins::match_pat`]) has a solution per way the term
+/// can evaluate to the value — several for a set pattern (§1).
+#[derive(Clone, Debug)]
+pub(crate) enum Pat {
+    /// `_`: matches anything.
+    Any,
+    /// A variable's first occurrence in match order: write the value.
+    Bind(Reg),
+    /// A later occurrence, or a variable bound before the match.
+    Check(Reg),
+    /// A constant, interned at lowering.
+    Const(ValueId),
+    /// `f(p₁, …, pₙ)`.
+    Compound(Symbol, Box<[Pat]>),
+    /// `{p₁, …, pₙ}`: the elements, each matched to some element of the
+    /// set, together covering it.
+    Set(Box<[Pat]>),
+    /// `scons(h, t)`: `h` an element of the set, `t` the set with or
+    /// without it.
+    Scons(Box<Pat>, Box<Pat>),
+    /// `<t>` (§4.1): each element has `t`'s structure (the second pattern,
+    /// over fresh registers), then `t` against each element.
+    Group(Box<Pat>, Box<(Pat, Box<[Wait]>)>),
+    /// Arithmetic whose operands are bound where it stands: evaluated and
+    /// compared.
+    Arith(Expr),
+}
+
+/// Arithmetic met in a match before its operands were bound: the register
+/// that took the value in its place, and the expression the value must
+/// equal once the whole match is done. Arithmetic never binds, so waiting
+/// changes no solution.
+pub(crate) type Wait = (Reg, Expr);
 
 /// A scan's pre-decoded row form: every column the probed path matches
 /// binds a fresh register, and its fused filters are none or one
@@ -283,8 +333,8 @@ pub(crate) enum ArithDst {
     /// Bind the result to a register (the third argument is a free
     /// plain variable).
     Bind(Reg),
-    /// The result must equal this expression's value (the interpreter's
-    /// `match_term` on an [`eval_matchable`] third argument).
+    /// The result must equal this expression's value (the match of an
+    /// [`eval_matchable`] third argument).
     Check(Expr),
 }
 
@@ -306,8 +356,7 @@ pub(crate) struct GroupHead {
     /// The grouped variable (for diagnostics).
     pub(crate) group_var: Var,
     /// The grouped variable's register; `None` if the body never binds
-    /// it (a well-formedness escape, reported at run time exactly like
-    /// the interpreter does).
+    /// it (a well-formedness escape, reported at run time).
     pub(crate) group_reg: Option<Reg>,
     /// One register per `Z̄` variable, in `vars_outside_group` order.
     pub(crate) key_regs: Box<[Option<Reg>]>,
@@ -343,18 +392,14 @@ fn reg_of(regs: &mut FastMap<Var, Reg>, v: Var) -> Reg {
 /// The named variables of `args` in first-occurrence order, deduplicated.
 fn ordered_vars(args: &[Term]) -> Vec<Var> {
     let mut vs = Vec::new();
-    for t in args {
-        t.vars(&mut vs);
-    }
-    let mut seen: FastSet<Var> = FastSet::default();
-    vs.retain(|v| seen.insert(*v));
+    args.iter().for_each(|t| t.vars(&mut vs));
     vs
 }
 
 /// Lower one term to an expression. Variables outside `bound` — and the
-/// never-evaluable `_` / `<t>` shapes — become [`Expr::Fail`], matching
-/// `eval_term`'s `None`.
-fn lower_expr(t: &Term, regs: &mut FastMap<Var, Reg>, bound: &FastSet<Var>) -> Expr {
+/// never-evaluable `_` / `<t>` shapes — become [`Expr::Fail`]: a term with
+/// one of them has no value.
+pub(crate) fn lower_expr(t: &Term, regs: &mut FastMap<Var, Reg>, bound: &FastSet<Var>) -> Expr {
     match t {
         Term::Var(v) => {
             if bound.contains(v) {
@@ -382,19 +427,113 @@ fn lower_expr(t: &Term, regs: &mut FastMap<Var, Reg>, bound: &FastSet<Var>) -> E
     }
 }
 
+/// A fresh register `rN`, held by a variable named so. No rule variable
+/// is: LDL1 variables start with an upper-case letter or `_`, and
+/// generated ones carry a `'`.
+fn fresh(regs: &mut FastMap<Var, Reg>) -> Reg {
+    reg_of(regs, Var::new(&format!("r{}", regs.len())))
+}
+
+/// The lowering of one whole match: patterns in match order, with the
+/// variables bound so far and the arithmetic waiting for the end.
+pub(crate) struct Matching<'r> {
+    regs: &'r mut FastMap<Var, Reg>,
+    bound: FastSet<Var>,
+    waits: Vec<(Reg, Term)>,
+}
+
+impl<'r> Matching<'r> {
+    /// A match that starts with the variables in `bound` bound.
+    pub(crate) fn new(regs: &'r mut FastMap<Var, Reg>, bound: FastSet<Var>) -> Matching<'r> {
+        Matching {
+            regs,
+            bound,
+            waits: Vec::new(),
+        }
+    }
+
+    /// Lower a literal's arguments: each one ground under `entry`, the
+    /// variables bound before the literal, is an [`Arg::Expr`], and the
+    /// others are patterns, in argument order.
+    pub(crate) fn args(&mut self, args: &[Term], entry: &FastSet<Var>) -> Box<[Arg]> {
+        (args.iter())
+            .map(|t| match term_bound(t, entry) {
+                true => Arg::Expr(lower_expr(t, self.regs, entry)),
+                false => Arg::Pat(self.pat(t)),
+            })
+            .collect()
+    }
+
+    /// Lower `t` as the next pattern of the match.
+    pub(crate) fn pat(&mut self, t: &Term) -> Pat {
+        match t {
+            Term::Anon => Pat::Any,
+            Term::Var(v) if self.bound.insert(*v) => Pat::Bind(reg_of(self.regs, *v)),
+            Term::Var(v) => Pat::Check(reg_of(self.regs, *v)),
+            Term::Const(c) => Pat::Const(intern::id_of(c)),
+            Term::Compound(f, args) => {
+                Pat::Compound(*f, args.iter().map(|a| self.pat(a)).collect())
+            }
+            Term::SetEnum(args) => Pat::Set(args.iter().map(|a| self.pat(a)).collect()),
+            Term::Scons(h, tail) => Pat::Scons(Box::new(self.pat(h)), Box::new(self.pat(tail))),
+            Term::Group(inner) => {
+                // The structure check runs in a scope of its own, like the
+                // fresh-variable copy of `t` in the paper's `collect` rule.
+                let mut vs = Vec::new();
+                inner.vars(&mut vs);
+                let renamed: Vec<(Var, Term)> = (vs.iter())
+                    .map(|&v| (v, Term::var(&format!("r{}", fresh(self.regs)))))
+                    .collect();
+                let rename = |v: Var| {
+                    renamed
+                        .iter()
+                        .find(|(u, _)| *u == v)
+                        .map(|(_, t)| t.clone())
+                };
+                let mut scope = Matching::new(self.regs, FastSet::default());
+                let shape = scope.pat(&inner.substitute(&rename));
+                let shape = (shape, scope.finish().0);
+                Pat::Group(Box::new(self.pat(inner)), Box::new(shape))
+            }
+            Term::Arith(..) if term_bound(t, &self.bound) => {
+                Pat::Arith(lower_expr(t, self.regs, &self.bound))
+            }
+            Term::Arith(..) => {
+                let r = fresh(self.regs);
+                self.waits.push((r, t.clone()));
+                Pat::Bind(r)
+            }
+        }
+    }
+
+    /// The waiting arithmetic, over what the whole match bound, and the
+    /// variables bound after it.
+    pub(crate) fn finish(self) -> (Box<[Wait]>, FastSet<Var>) {
+        let (regs, bound) = (self.regs, self.bound);
+        let waits = (self.waits.iter())
+            .map(|(r, t)| (*r, lower_expr(t, regs, &bound)))
+            .collect();
+        (waits, bound)
+    }
+}
+
 /// Is matching pattern `t` against a ground value equivalent to evaluating
 /// `t` and comparing interned ids? True for the deterministic single-
 /// solution shapes: a bound variable, a constant, a compound of such, and
-/// arithmetic (whose `match_term` arm literally *is* eval-and-compare, with
-/// an unbound operand failing both ways). Set patterns (`{…}`, `scons`),
-/// `<t>`, `_`, and unbound variables match by decomposition or bind — not
+/// arithmetic over bound variables (whose match *is* eval-and-compare).
+/// Set patterns (`{…}`, `scons`), `<t>`, `_`, unbound variables and
+/// arithmetic that waits for one match by decomposition or bind — not
 /// expressible as a register comparison.
 fn eval_matchable(t: &Term, bound: &FastSet<Var>) -> bool {
     match t {
         Term::Var(v) => bound.contains(v),
         Term::Const(_) => true,
         Term::Compound(_, args) => args.iter().all(|a| eval_matchable(a, bound)),
-        Term::Arith(..) => true,
+        Term::Arith(..) => {
+            let mut vs = Vec::new();
+            t.vars(&mut vs);
+            vs.iter().all(|v| bound.contains(v))
+        }
         Term::Anon | Term::Group(_) | Term::SetEnum(_) | Term::Scons(..) => false,
     }
 }
@@ -408,12 +547,11 @@ fn unbound_var(t: &Term, bound: &FastSet<Var>) -> Option<Var> {
 }
 
 /// Lower a built-in literal, given the variables bound before it. Each
-/// fused op mirrors one arm of [`eval_builtin`](crate::builtins::eval_builtin):
-/// comparisons and `=` with an eval-matchable matched side become
-/// [`Op::Cmp`], `=` binding a fresh variable becomes [`Op::Assign`],
-/// forward-mode arithmetic becomes [`Op::ArithF`]. Set built-ins, the
-/// inverse/generative modes and `=` against a pattern keep the bridge,
-/// [`Op::Builtin`] (multi-solution semantics live in one place).
+/// fused op decides one mode of [`eval_builtin`](crate::builtins::eval_builtin)
+/// on registers alone: comparisons and `=` with an eval-matchable matched
+/// side become [`Op::Cmp`], `=` binding a fresh variable becomes
+/// [`Op::Assign`], forward-mode arithmetic becomes [`Op::ArithF`]. Every
+/// other literal is an [`Op::Builtin`] over its lowered arguments.
 fn lower_builtin(
     builtin: Builtin,
     args: &[Term],
@@ -424,21 +562,14 @@ fn lower_builtin(
     if let Some(op) = fused_builtin(builtin, args, negated, regs, bound) {
         return op;
     }
-    let vars = ordered_vars(args);
-    let mut io = |want_bound: bool| -> Box<[(Var, Reg)]> {
-        vars.iter()
-            .filter(|v| bound.contains(v) == want_bound)
-            .map(|&v| (v, reg_of(regs, v)))
-            .collect()
-    };
-    let in_vars = io(true);
-    let out_vars = io(false);
+    let mut m = Matching::new(regs, bound.clone());
+    let args = m.args(args, bound);
+    // A built-in matches no arithmetic before it is bound (`can_schedule`).
+    debug_assert!(m.finish().0.is_empty(), "{builtin:?} waits");
     Op::Builtin {
         builtin,
-        args: args.into(),
+        args,
         negated,
-        in_vars,
-        out_vars,
     }
 }
 
@@ -454,14 +585,11 @@ fn fused_builtin(
         Builtin::Cmp(CmpOp::Eq) => {
             let g0 = term_bound(&args[0], bound);
             let g1 = term_bound(&args[1], bound);
-            // The interpreter matches the side opposite the first ground
-            // one; `eval_ids(Eq)` is id equality, which coincides with the
-            // match exactly when the matched side is eval-matchable. With
-            // neither side ground there is no solution either way (a
-            // non-ground term never evaluates), so the comparison op —
-            // which then always fails — is still an exact mirror.
+            // `=` matches the side opposite the first ground one;
+            // `eval_ids(Eq)` is id equality, which coincides with the
+            // match exactly when the matched side is eval-matchable.
             let matched = if g0 { &args[1] } else { &args[0] };
-            if (!g0 && !g1) || eval_matchable(matched, bound) {
+            if eval_matchable(matched, bound) {
                 return Some(Op::Cmp {
                     op: CmpOp::Eq,
                     lhs: lower_expr(&args[0], regs, bound),
@@ -490,7 +618,7 @@ fn fused_builtin(
         }),
         Builtin::Arith(op) => {
             if !(term_bound(&args[0], bound) && term_bound(&args[1], bound)) {
-                return None; // inverse modes: bridge
+                return None; // inverse modes: `Op::Builtin`
             }
             let x = lower_expr(&args[0], regs, bound);
             let y = lower_expr(&args[1], regs, bound);
@@ -522,19 +650,16 @@ fn fused_builtin(
 }
 
 /// Lower a relation literal's scan onto `ops`, given the variables bound
-/// before it. Columns are walked left-to-right with a running bound set
-/// (mirroring the matcher's binding order): a repeated variable —
-/// `e(X, X)` — binds at its first column and checks at the second, and a
-/// ground complex term compares ids. Any other column binds a fresh
-/// register `rN`, and the match step `rN = pattern` follows the scan,
-/// lowered like a written `=` literal. Match steps run in column order,
-/// after every plain column, so a row's solutions come in the matcher's
-/// order: binding a variable before the pattern only prunes the
-/// pattern's solutions to those that agree with it.
-///
-/// A fresh register's variable is named `rN`. No rule variable can be:
-/// LDL1 variables start with an upper-case letter or `_`, and generated
-/// ones carry a `'`.
+/// before it. Columns are walked left-to-right with a running bound set: a
+/// repeated variable — `e(X, X)` — binds at its first column and checks at
+/// the second, and a ground complex term compares ids. Any other column
+/// binds a fresh register, and after the scan those columns are matched:
+/// one that the plain columns leave eval-matchable is a filter `rN = e`,
+/// and the rest are one match step over all of them, `rN = p, rM = q, …`
+/// in column order, so arithmetic in one waits for the variables the
+/// others bind. Matching after every plain column keeps a row's solutions
+/// in the matcher's order: binding a variable before a pattern only prunes
+/// the pattern's solutions to those that agree with it.
 fn lower_scan(
     pred: Symbol,
     args: &[Term],
@@ -552,7 +677,7 @@ fn lower_scan(
 
     let mut cur = bound.clone();
     let mut cols: Vec<(usize, ColAct)> = Vec::with_capacity(args.len());
-    let mut matches: Vec<[Term; 2]> = Vec::new();
+    let mut complex: Vec<(Reg, &Term)> = Vec::new();
     for (c, t) in args.iter().enumerate() {
         let act = match t {
             Term::Anon => continue,
@@ -564,10 +689,9 @@ fn lower_scan(
             Term::Const(v) => ColAct::Const(intern::id_of(v)),
             t if term_bound(t, &cur) => ColAct::Eval(lower_expr(t, regs, &cur)),
             t => {
-                let r = Var::new(&format!("r{}", regs.len()));
-                cur.insert(r);
-                matches.push([Term::Var(r), t.clone()]);
-                ColAct::Bind(reg_of(regs, r))
+                let r = fresh(regs);
+                complex.push((r, t));
+                ColAct::Bind(r)
             }
         };
         cols.push((c, act));
@@ -589,16 +713,42 @@ fn lower_scan(
         then: 0,    // set by `fuse_filters`
         form: None, // likewise
     });
-    for args in &matches {
-        let eq = Builtin::Cmp(CmpOp::Eq);
-        ops.push(lower_builtin(eq, args, false, regs, &cur));
-        cur.extend(ordered_vars(args));
+    for &(r, t) in complex.iter().filter(|(_, t)| eval_matchable(t, &cur)) {
+        ops.push(Op::Cmp {
+            op: CmpOp::Eq,
+            lhs: Expr::Reg(r),
+            rhs: lower_expr(t, regs, &cur),
+            negated: false,
+        });
+    }
+    let open: Vec<(Reg, &Term)> = (complex.into_iter())
+        .filter(|(_, t)| !eval_matchable(t, &cur))
+        .collect();
+    let mut m = Matching::new(regs, cur);
+    let mut pairs = Vec::new();
+    for (r, t) in open {
+        pairs.extend([Arg::Expr(Expr::Reg(r)), Arg::Pat(m.pat(t))]);
+    }
+    if !pairs.is_empty() {
+        for (r, e) in m.finish().0 {
+            pairs.extend([Arg::Expr(Expr::Reg(r)), Arg::Expr(e)]);
+        }
+        ops.push(Op::Builtin {
+            builtin: Builtin::Cmp(CmpOp::Eq),
+            args: pairs.into(),
+            negated: false,
+        });
     }
 }
 
 /// Lower a compiled plan into a flat register program, the `entry`
 /// variables (a query's ground arguments) bound in its first registers.
 pub(crate) fn lower(plan: &RulePlan, entry: &[Var]) -> RamProgram {
+    lower_named(plan, entry).0
+}
+
+/// [`lower`], and the variable each register holds.
+fn lower_named(plan: &RulePlan, entry: &[Var]) -> (RamProgram, FastMap<Var, Reg>) {
     let mut regs: FastMap<Var, Reg> = FastMap::default();
     for &v in entry {
         reg_of(&mut regs, v);
@@ -649,26 +799,44 @@ pub(crate) fn lower(plan: &RulePlan, entry: &[Var]) -> RamProgram {
         }
     }
 
-    let head = match plan.head_kind {
+    let head = lower_head(plan, &mut regs, &bound);
+    let exist_from = step_op.get(plan.exist_from).copied().unwrap_or(ops.len());
+    fuse_filters(&mut ops, exist_from);
+    let prog = RamProgram {
+        exist_from,
+        ops: ops.into_boxed_slice(),
+        scan_ops: plan.scan_steps.iter().map(|&(s, _)| step_op[s]).collect(),
+        step_op: step_op.into_boxed_slice(),
+        head,
+        nregs: regs.len(),
+    };
+    (prog, regs)
+}
+
+/// Lower a plan's head over the variables its body binds, `bound`.
+pub(crate) fn lower_head(
+    plan: &RulePlan,
+    regs: &mut FastMap<Var, Reg>,
+    bound: &FastSet<Var>,
+) -> HeadIr {
+    match plan.head_kind {
         HeadKind::Simple => HeadIr::Simple(
             plan.head
                 .args
                 .iter()
-                .map(|t| lower_expr(t, &mut regs, &bound))
+                .map(|t| lower_expr(t, regs, bound))
                 .collect(),
         ),
         HeadKind::Grouping {
             group_pos,
             group_var,
         } => {
-            let group_reg = bound
-                .contains(&group_var)
-                .then(|| reg_of(&mut regs, group_var));
+            let group_reg = bound.contains(&group_var).then(|| reg_of(regs, group_var));
             let key_regs: Box<[Option<Reg>]> = plan
                 .head
                 .vars_outside_group()
                 .into_iter()
-                .map(|z| bound.contains(&z).then(|| reg_of(&mut regs, z)))
+                .map(|z| bound.contains(&z).then(|| reg_of(regs, z)))
                 .collect();
             let other: Box<[Expr]> = plan
                 .head
@@ -676,7 +844,7 @@ pub(crate) fn lower(plan: &RulePlan, entry: &[Var]) -> RamProgram {
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| *i != group_pos)
-                .map(|(_, t)| lower_expr(t, &mut regs, &bound))
+                .map(|(_, t)| lower_expr(t, regs, bound))
                 .collect();
             HeadIr::Grouping(GroupHead {
                 group_pos,
@@ -686,17 +854,6 @@ pub(crate) fn lower(plan: &RulePlan, entry: &[Var]) -> RamProgram {
                 other,
             })
         }
-    };
-
-    let exist_from = step_op.get(plan.exist_from).copied().unwrap_or(ops.len());
-    fuse_filters(&mut ops, exist_from);
-    RamProgram {
-        exist_from,
-        ops: ops.into_boxed_slice(),
-        scan_ops: plan.scan_steps.iter().map(|&(s, _)| step_op[s]).collect(),
-        step_op: step_op.into_boxed_slice(),
-        head,
-        nregs: regs.len(),
     }
 }
 
@@ -835,24 +992,52 @@ fn int_test(filter: &Op, binds: &[(usize, Reg)]) -> Option<IntTest> {
     (rows == 1).then_some(test)
 }
 
-/// Render the op sequence for `explain`/`:plan`, one line per op plus a
-/// final head-projection line.
-pub(crate) fn render(prog: &RamProgram) -> Vec<String> {
-    fn expr(e: &Expr) -> String {
+/// Render a plan's lowered op sequence for `explain`/`:plan`, one line
+/// per op plus a final head-projection line. Ops read registers, `rN`; a
+/// match shows its patterns over the variables they bind.
+pub(crate) fn render(plan: &RulePlan) -> Vec<String> {
+    type Name<'n> = &'n dyn Fn(Reg) -> String;
+    fn show(e: &Expr, name: Name<'_>) -> String {
+        let list = |es: &[Expr]| {
+            es.iter()
+                .map(|e| show(e, name))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
         match e {
-            Expr::Reg(r) => format!("r{r}"),
+            Expr::Reg(r) => name(*r),
             Expr::Const(v) => format!("{}", intern::resolve(*v)),
-            Expr::Compound(f, args) => {
-                let inner: Vec<String> = args.iter().map(expr).collect();
-                format!("{f}({})", inner.join(", "))
+            Expr::Compound(f, args) => format!("{f}({})", list(args)),
+            Expr::Set(args) => format!("{{{}}}", list(args)),
+            Expr::Scons(h, t) => format!("scons({}, {})", show(h, name), show(t, name)),
+            Expr::Arith(op, l, r) => {
+                format!("({} {} {})", show(l, name), op.name(), show(r, name))
             }
-            Expr::Set(args) => {
-                let inner: Vec<String> = args.iter().map(expr).collect();
-                format!("{{{}}}", inner.join(", "))
-            }
-            Expr::Scons(h, t) => format!("scons({}, {})", expr(h), expr(t)),
-            Expr::Arith(op, l, r) => format!("({} {} {})", expr(l), op.name(), expr(r)),
             Expr::Fail => "⊥".into(),
+        }
+    }
+    fn pat(p: &Pat, name: Name<'_>) -> String {
+        let list = |ps: &[Pat]| {
+            ps.iter()
+                .map(|p| pat(p, name))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        match p {
+            Pat::Any => "_".into(),
+            Pat::Bind(r) | Pat::Check(r) => name(*r),
+            Pat::Const(v) => format!("{}", intern::resolve(*v)),
+            Pat::Compound(f, ps) => format!("{f}({})", list(ps)),
+            Pat::Set(ps) => format!("{{{}}}", list(ps)),
+            Pat::Scons(h, t) => format!("scons({}, {})", pat(h, name), pat(t, name)),
+            Pat::Group(elem, _) => format!("<{}>", pat(elem, name)),
+            Pat::Arith(e) => show(e, name),
+        }
+    }
+    fn arg(a: &Arg, name: Name<'_>) -> String {
+        match a {
+            Arg::Expr(e) => show(e, name),
+            Arg::Pat(p) => pat(p, name),
         }
     }
     fn acts(cols: &[(usize, ColAct)]) -> String {
@@ -862,11 +1047,19 @@ pub(crate) fn render(prog: &RamProgram) -> Vec<String> {
                 ColAct::Bind(r) => format!("{c}→r{r}"),
                 ColAct::Check(r) => format!("{c}=r{r}"),
                 ColAct::Const(v) => format!("{c}={}", intern::resolve(*v)),
-                ColAct::Eval(e) => format!("{c}={}", expr(e)),
+                ColAct::Eval(e) => format!("{c}={}", show(e, &|r| format!("r{r}"))),
             })
             .collect();
         format!("[{}]", inner.join(", "))
     }
+    let (prog, vars) = lower_named(plan, &[]);
+    let mut names = vec![""; prog.nregs];
+    for (v, r) in &vars {
+        names[*r as usize] = v.name();
+    }
+    let var = |r: Reg| names[r as usize].to_string();
+    let reg = |r: Reg| format!("r{r}");
+    let expr = |e: &Expr| show(e, &reg);
     let mut out = Vec::with_capacity(prog.ops.len() + 1);
     let mut inside = 0..0;
     for (i, op) in prog.ops.iter().enumerate() {
@@ -929,12 +1122,14 @@ pub(crate) fn render(prog: &RamProgram) -> Vec<String> {
                 builtin,
                 args,
                 negated,
-                ..
             } => {
                 let neg = if *negated { "~" } else { "" };
                 match builtin {
                     Builtin::Cmp(CmpOp::Eq) => {
-                        format!("match {neg}{} = {}{tail}", args[0], args[1])
+                        let eqs: Vec<String> = (args.chunks(2))
+                            .map(|p| format!("{} = {}", arg(&p[0], &var), arg(&p[1], &var)))
+                            .collect();
+                        format!("match {neg}{}{tail}", eqs.join(", "))
                     }
                     _ => format!("builtin {neg}{builtin:?}{tail}"),
                 }

@@ -494,6 +494,35 @@ fn arithmetic_waits_for_the_whole_pattern() {
     }
 }
 
+/// Arithmetic in one column that waits for a variable another column's
+/// pattern binds: a scan's complex columns are one match, so `X + 1` in
+/// the first waits for the `X` of `g(Y + 1, X)` in the second. By hand:
+/// `m(2, 4)` from `r(f(3, 4), g(5, 2))`; `n(2)` from `t(3, f(2))` and
+/// from `u({3}, f(2))`. The other facts match everywhere but in a sum,
+/// and derive nothing.
+const ACROSS: &str = "r(f(3, 4), g(5, 2)). r(f(3, 4), g(6, 2)). r(f(5, 4), g(5, 3)).\n\
+     t(3, f(2)). t(4, f(2)). t(5, f(3)). u({3}, f(2)). u({4}, f(2)). u({5}, f(3)).\n\
+     m(X, Y) <- r(f(X + 1, Y), g(Y + 1, X)).\n\
+     n(X) <- t(X + 1, f(X)).\n\
+     n(X) <- u({X + 1}, f(X)).";
+
+#[test]
+fn arithmetic_waits_for_the_other_columns() {
+    let program = parse_program(ACROSS).unwrap();
+    let ev = Evaluator::new();
+    let engine = ev.evaluate(&program, &Database::new()).unwrap();
+    let reference = reference_model(&program, &Database::new()).unwrap();
+    assert_eq!(engine.to_fact_set(), reference.to_fact_set());
+    for m in [&engine, &reference] {
+        let m_facts: Vec<String> = (ev.facts(m, "m").iter()).map(|f| f.to_string()).collect();
+        assert_eq!(m_facts, ["m(2, 4)"]);
+        assert_eq!(ints(m, "n"), [Value::int(2)]);
+    }
+    let answers = ev.query(&engine, &parse_atom("r(f(X + 1, Y), g(Y + 1, X))").unwrap());
+    let answers: Vec<String> = answers.iter().map(|a| a.to_string()).collect();
+    assert_eq!(answers, ["X = 2, Y = 4"]);
+}
+
 /// Enumerated-set patterns cover stored sets of any size, as a query and
 /// as a body literal, ground and with a variable. (The cover used to be a
 /// `u64` mask: 64 elements answered `no` with overflow checks off and

@@ -1261,3 +1261,257 @@ fn negation_compiled_into_grouping_matches_the_reference() {
         assert_eq!(restricted, expected, "{}", case.src);
     });
 }
+
+// ------------------------------------------------------------ matching --
+
+/// A random pattern term over the variables `X`, `Y` and at most one `_`
+/// (`anon` says whether it is still free): compounds, enumerated sets
+/// with repeats and permutations, `scons` onto a variable, constants, and
+/// `V + k`.
+fn match_term(rng: &mut Rng, depth: u32, anon: &mut bool) -> Term {
+    let var = |rng: &mut Rng| Term::var(["X", "Y"][rng.index(2)]);
+    let leaf = depth == 0 || rng.chance(2, 5);
+    if leaf {
+        return match rng.index(6) {
+            0 | 1 => var(rng),
+            2 => Term::int(rng.range(0, 3)),
+            3 => Term::atom(["a", "b"][rng.index(2)]),
+            4 if *anon => {
+                *anon = false;
+                Term::Anon
+            }
+            _ => Term::Arith(
+                ldl1::value::arith::ArithOp::Add,
+                Box::new(var(rng)),
+                Box::new(Term::int(rng.range(1, 3))),
+            ),
+        };
+    }
+    match rng.index(3) {
+        0 => {
+            let n = 1 + rng.index(2);
+            let args = (0..n).map(|_| match_term(rng, depth - 1, anon)).collect();
+            Term::compound(["f", "g"][rng.index(2)], args)
+        }
+        1 => {
+            let n = rng.index(3);
+            let mut elems: Vec<Term> = (0..n).map(|_| match_term(rng, depth - 1, anon)).collect();
+            if !elems.is_empty() && rng.chance(1, 3) {
+                let repeat = elems[rng.index(elems.len())].clone();
+                elems.insert(rng.index(elems.len() + 1), repeat);
+            }
+            Term::SetEnum(elems)
+        }
+        _ => {
+            let head = match_term(rng, depth - 1, anon);
+            Term::Scons(Box::new(head), Box::new(var(rng)))
+        }
+    }
+}
+
+/// `t` with its `k`-th `_` renamed to a variable `_k`, counting in `n`.
+fn name_anons(t: &Term, n: &mut usize) -> Term {
+    let mut each = |ts: &[Term]| ts.iter().map(|a| name_anons(a, n)).collect();
+    match t {
+        Term::Anon => {
+            *n += 1;
+            Term::var(&format!("_{}", *n - 1))
+        }
+        Term::Compound(f, args) => Term::Compound(*f, each(args)),
+        Term::SetEnum(args) => Term::SetEnum(each(args)),
+        Term::Scons(h, s) => Term::Scons(Box::new(name_anons(h, n)), Box::new(name_anons(s, n))),
+        Term::Arith(op, l, r) => {
+            Term::Arith(*op, Box::new(name_anons(l, n)), Box::new(name_anons(r, n)))
+        }
+        t => t.clone(),
+    }
+}
+
+/// `t` under `theta`, or `None` where it has no value in `U`; every sum
+/// is off by `skew`, which builds tuples that match a pattern in all but
+/// its arithmetic.
+fn value_under(t: &Term, theta: &[(String, Value)], skew: i64) -> Option<Value> {
+    Some(match t {
+        Term::Var(v) => theta.iter().find(|(n, _)| n == v.name())?.1.clone(),
+        Term::Const(c) => c.clone(),
+        Term::Compound(f, args) => {
+            let args: Option<Vec<Value>> =
+                args.iter().map(|a| value_under(a, theta, skew)).collect();
+            Value::compound(*f, args?)
+        }
+        Term::SetEnum(args) => {
+            let args: Option<Vec<Value>> =
+                args.iter().map(|a| value_under(a, theta, skew)).collect();
+            Value::set(args?)
+        }
+        Term::Scons(h, s) => {
+            let h = value_under(h, theta, skew)?;
+            let s = value_under(s, theta, skew)?;
+            let mut elems: Vec<Value> = s.as_set()?.iter().cloned().collect();
+            elems.push(h);
+            Value::set(elems)
+        }
+        Term::Arith(_, l, r) => {
+            let (l, r) = (value_under(l, theta, skew)?, value_under(r, theta, skew)?);
+            Value::int(l.as_int()?.checked_add(r.as_int()?)?.checked_add(skew)?)
+        }
+        Term::Anon | Term::Group(_) => return None,
+    })
+}
+
+/// Every subvalue of `v`, and `S − {e}` for each set `S` in it and each
+/// `e ∈ S`: the values a variable of a pattern matching `v` can take.
+fn active_domain(v: &Value, out: &mut BTreeSet<Value>) {
+    out.insert(v.clone());
+    if let Some(s) = v.as_set() {
+        for e in s.iter() {
+            out.insert(Value::set(s.iter().filter(|x| *x != e).cloned()));
+            active_domain(e, out);
+        }
+    } else if let Value::Compound(c) = v {
+        for a in c.args() {
+            active_domain(a, out);
+        }
+    }
+}
+
+/// The variables of `args`, by name, in first-occurrence order.
+fn var_names(args: &[Term]) -> Vec<String> {
+    let mut vs = Vec::new();
+    for t in args {
+        t.vars(&mut vs);
+    }
+    vs.iter().map(|v| v.name().to_string()).collect()
+}
+
+/// The answers to `?- p(args).` over `tuples` by brute force: every
+/// assignment of the variables of `args` (each `_` named) over the
+/// tuples' active domain whose substituted pattern evaluates to a tuple,
+/// projected on the query's variables, `vars`.
+fn brute_force_answers(args: &[Term], vars: &[String], tuples: &[Vec<Value>]) -> Vec<QueryAnswer> {
+    let names = var_names(args);
+    let mut out = BTreeSet::new();
+    for tuple in tuples {
+        let mut domain = BTreeSet::new();
+        for v in tuple {
+            active_domain(v, &mut domain);
+        }
+        let domain: Vec<Value> = domain.into_iter().collect();
+        let mut idx = vec![0usize; names.len()];
+        loop {
+            let theta: Vec<(String, Value)> = (names.iter().zip(&idx))
+                .map(|(n, &i)| (n.clone(), domain[i].clone()))
+                .collect();
+            let hit = (args.iter().zip(tuple))
+                .all(|(t, v)| value_under(t, &theta, 0).as_ref() == Some(v));
+            if hit {
+                let bindings = (vars.iter())
+                    .map(|n| {
+                        theta
+                            .iter()
+                            .find(|(m, _)| m == n)
+                            .cloned()
+                            .expect("a variable of args")
+                    })
+                    .collect();
+                out.insert(QueryAnswer { bindings });
+            }
+            let Some(j) = (0..idx.len()).find(|&j| idx[j] + 1 < domain.len()) else {
+                break;
+            };
+            idx[j] += 1;
+            idx[..j].fill(0);
+        }
+    }
+    out.into_iter().collect()
+}
+
+/// A query of one literal has exactly the answers a brute-force search
+/// over the stored tuples' active domain finds: set patterns with repeats
+/// and permutations, `scons`, `_`, repeated variables, and `X + k` where
+/// `X` also occurs plainly, against tuples built to match them, some with
+/// their sums off by one, and perturbed.
+#[test]
+fn single_literal_patterns_match_as_brute_force_does() {
+    cases_shrink(128, 3, |rng: &mut Rng, size: u32| {
+        let mut anon = true;
+        let arity = 1 + rng.index(2);
+        let mut args: Vec<Term> = (0..arity)
+            .map(|_| match_term(rng, size - 1, &mut anon))
+            .collect();
+        // A variable under arithmetic also occurs plainly: in a column of
+        // its own, which the scan binds before any pattern, or in a
+        // compound column after the rest, which the arithmetic waits for.
+        for v in ["X", "Y"] {
+            let mut outside = Vec::new();
+            for t in &args {
+                plain_vars(t, &mut outside);
+            }
+            if var_names(&args).iter().any(|n| n == v) && !outside.iter().any(|n| n == v) {
+                let plain = Term::var(v);
+                args.push(match rng.chance(1, 2) {
+                    true => plain,
+                    false => Term::compound("g", vec![plain]),
+                });
+            }
+        }
+        let atom = Atom::new("p", args.clone());
+        let vars: Vec<String> = atom.vars().iter().map(|v| v.name().to_string()).collect();
+        let named: Vec<Term> = {
+            let mut n = 0;
+            args.iter().map(|t| name_anons(t, &mut n)).collect()
+        };
+        let small = |rng: &mut Rng| match rng.index(4) {
+            0 => Value::atom(["a", "b"][rng.index(2)]),
+            1 => Value::set((0..rng.index(3)).map(|_| Value::int(rng.range(0, 3)))),
+            _ => Value::int(rng.range(0, 4)),
+        };
+        let mut tuples = Vec::new();
+        for _ in 0..1 + rng.index(3) {
+            // Draw assignments until one gives the pattern a value, its
+            // sums now and then off by one.
+            let skew = i64::from(rng.chance(1, 3));
+            let tuple = (0..8).find_map(|_| {
+                let theta: Vec<(String, Value)> = var_names(&named)
+                    .into_iter()
+                    .map(|n| (n, small(rng)))
+                    .collect();
+                named
+                    .iter()
+                    .map(|t| value_under(t, &theta, skew))
+                    .collect::<Option<Vec<_>>>()
+            });
+            let Some(mut tuple) = tuple else {
+                continue;
+            };
+            if rng.chance(1, 3) {
+                let c = rng.index(tuple.len());
+                tuple[c] = small(rng);
+            }
+            tuples.push(tuple);
+        }
+        let mut db = Database::new();
+        for t in &tuples {
+            db.insert_tuple("p", t.clone());
+        }
+        let want = brute_force_answers(&named, &vars, &tuples);
+        let mut got = Evaluator::new().query(&db, &atom);
+        got.sort();
+        assert_eq!(got, want, "?- {atom}. over {tuples:?}");
+    });
+}
+
+/// The variables of `t` outside arithmetic, by name.
+fn plain_vars(t: &Term, out: &mut Vec<String>) {
+    match t {
+        Term::Var(v) => out.push(v.name().to_string()),
+        Term::Compound(_, args) | Term::SetEnum(args) => {
+            args.iter().for_each(|a| plain_vars(a, out))
+        }
+        Term::Scons(h, s) => {
+            plain_vars(h, out);
+            plain_vars(s, out);
+        }
+        _ => {}
+    }
+}

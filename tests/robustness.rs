@@ -688,3 +688,40 @@ fn inadmissible_load_leaves_the_system_usable() {
     assert!(reader.epoch() > epoch, "the next commit is published");
     assert_eq!(reader.latest().query("t(X)").unwrap().len(), 3);
 }
+
+/// A generative built-in over a set past its cap — `subset(A, S)` with
+/// `S` of 21 elements — fails the operation with an error naming the
+/// built-in and the size (it used to panic), on the abort path a budget
+/// trip takes: a commit leaves the EDB and the model as they were, and
+/// the system goes on answering.
+#[test]
+fn a_generative_builtin_past_its_cap_fails_the_operation() {
+    const RULE: &str = "p(A) <- s(S), subset(A, S), card(A, 1).";
+    let big: Vec<String> = (0..21).map(|i| i.to_string()).collect();
+    let big = format!("s({{{}}}).", big.join(", "));
+    let is_cap = |err: ldl1::Error| match &err {
+        ldl1::Error::Eval(EvalError::Enumeration { builtin, size }) => {
+            assert_eq!((*builtin, *size), ("subset/2", 21));
+            assert!(err.to_string().contains("21 elements"), "{err}");
+        }
+        other => panic!("expected the enumeration cap, got {other:?}"),
+    };
+
+    // A commit that meets it is rolled back.
+    let mut sys = System::new();
+    sys.load(&format!("{RULE}\ns({{1, 2, 3}}).")).unwrap();
+    assert_eq!(sys.query("p(A).").unwrap().len(), 3);
+    let (edb, model) = (sys.edb().to_fact_set(), sys.model_facts().unwrap());
+    is_cap(sys.fact(&big).unwrap_err());
+    assert_eq!(sys.edb().to_fact_set(), edb);
+    assert_eq!(sys.model_facts().unwrap(), model);
+    assert_eq!(sys.query("p(A).").unwrap().len(), 3);
+
+    // A model that meets it is not computed; without the big set it is.
+    let mut cold = System::new();
+    cold.load(&format!("{RULE}\n{big}")).unwrap();
+    is_cap(cold.query("p(A).").unwrap_err());
+    cold.retract(&big).unwrap();
+    cold.fact("s({1, 2}).").unwrap();
+    assert_eq!(cold.query("p(A).").unwrap().len(), 2);
+}
